@@ -5,7 +5,7 @@ use crate::error::IrError;
 use crate::ids::{ClassId, FieldId, GlobalId, Label, MethodId, Reg, SelectorId, SiteIdx};
 use crate::instr::{BinOp, Cond, Instr};
 use crate::method::{MethodDef, MethodKind};
-use crate::program::Program;
+use crate::program::{DispatchRow, Program, NO_METHOD};
 use crate::size;
 use crate::validate;
 use std::collections::HashMap;
@@ -156,7 +156,8 @@ impl ProgramBuilder {
     /// Finalises the program with `entry` as the entry point.
     ///
     /// Computes field layouts and class depths, indexes selector
-    /// implementations, and validates every method body.
+    /// implementations, fills the virtual-dispatch table, and validates
+    /// every method body.
     ///
     /// # Errors
     ///
@@ -202,6 +203,35 @@ impl ProgramBuilder {
             v.sort();
         }
 
+        // Dispatch rows, parent-first by copy-and-override: a class's row
+        // covers its superclass's selector range (declared earlier, so
+        // already filled) widened by its own declarations, starts as a copy
+        // of the superclass's entries and takes the class's own on top.
+        let mut dispatch_rows: Vec<DispatchRow> = Vec::with_capacity(self.classes.len());
+        let mut dispatch = Vec::new();
+        for c in &self.classes {
+            let parent =
+                c.superclass.map(|sup| dispatch_rows[sup.index()]).filter(|row| row.len > 0);
+            let range = c
+                .vtable
+                .keys()
+                .map(|sel| (sel.0, sel.0 + 1))
+                .chain(parent.map(|row| (row.first, row.first + row.len)))
+                .reduce(|(lo, hi), (first, end)| (lo.min(first), hi.max(end)));
+            let (first, end) = range.unwrap_or_default();
+            let row = DispatchRow { start: dispatch.len(), first, len: end - first };
+            dispatch.resize(row.start + row.len as usize, NO_METHOD);
+            let entry = |sel: u32| row.start + (sel - row.first) as usize;
+            if let Some(parent) = parent {
+                let inherited = parent.start..parent.start + parent.len as usize;
+                dispatch.copy_within(inherited, entry(parent.first));
+            }
+            for (&sel, &m) in &c.vtable {
+                dispatch[entry(sel.0)] = m.0;
+            }
+            dispatch_rows.push(row);
+        }
+
         let program = Program {
             classes: self.classes,
             methods,
@@ -210,6 +240,8 @@ impl ProgramBuilder {
             global_names: self.global_names,
             entry,
             impls_by_selector,
+            dispatch_rows,
+            dispatch,
         };
 
         validate::validate(&program)?;
@@ -538,6 +570,70 @@ mod tests {
         assert_eq!(p.lookup_virtual(sub, sel), Some(m));
         assert_eq!(p.lookup_virtual(a, sel), Some(m));
         assert_eq!(p.implementations(sel), &[m]);
+    }
+
+    fn empty_virtual(b: &mut ProgramBuilder, name: &str, class: ClassId, sel: SelectorId) -> MethodId {
+        let mut mb = b.virtual_method(name, class, sel);
+        mb.ret(None);
+        mb.finish()
+    }
+
+    #[test]
+    fn override_declared_only_in_a_grandchild() {
+        let mut b = ProgramBuilder::new();
+        // `elsewhere` sits between A's two selectors, so A's rows have a
+        // hole and Other's row starts above `go` and ends below `stay`.
+        let go = b.selector("go", 0);
+        let elsewhere = b.selector("elsewhere", 0);
+        let stay = b.selector("stay", 0);
+        let a = b.class("A", None);
+        let mid = b.class("Mid", Some(a));
+        let leaf = b.class("Leaf", Some(mid));
+        let other = b.class("Other", None);
+        let wider = b.class("Wider", Some(other));
+        let bare = b.class("Bare", None);
+        let a_go = empty_virtual(&mut b, "A.go", a, go);
+        let a_stay = empty_virtual(&mut b, "A.stay", a, stay);
+        let leaf_go = empty_virtual(&mut b, "Leaf.go", leaf, go);
+        let other_elsewhere = empty_virtual(&mut b, "Other.elsewhere", other, elsewhere);
+        let wider_go = empty_virtual(&mut b, "Wider.go", wider, go);
+        let wider_stay = empty_virtual(&mut b, "Wider.stay", wider, stay);
+        let main = trivial_main(&mut b);
+        let p = b.finish(main).unwrap();
+        assert_eq!(p.lookup_virtual(a, go), Some(a_go));
+        assert_eq!(p.lookup_virtual(mid, go), Some(a_go), "Mid inherits through an empty class");
+        assert_eq!(p.lookup_virtual(leaf, go), Some(leaf_go), "only the grandchild overrides");
+        assert_eq!(p.lookup_virtual(leaf, stay), Some(a_stay), "the override is per selector");
+        assert_eq!(p.lookup_virtual(leaf, elsewhere), None, "a hole inside the row");
+        assert_eq!(p.lookup_virtual(other, elsewhere), Some(other_elsewhere));
+        assert_eq!(p.lookup_virtual(other, go), None, "below an unrelated root's row");
+        assert_eq!(p.lookup_virtual(other, stay), None, "above it");
+        assert_eq!(
+            [go, elsewhere, stay].map(|s| p.lookup_virtual(wider, s)),
+            [Some(wider_go), Some(other_elsewhere), Some(wider_stay)],
+            "a subclass widens its parent's row on both sides"
+        );
+        for s in [go, elsewhere, stay] {
+            assert_eq!(p.lookup_virtual(bare, s), None, "a class with an empty row");
+        }
+    }
+
+    #[test]
+    fn selector_no_class_implements_looks_up_to_none() {
+        let mut b = ProgramBuilder::new();
+        let go = b.selector("go", 0);
+        let orphan = b.selector("orphan", 2);
+        let a = b.class("A", None);
+        let sub = b.class("Sub", Some(a));
+        empty_virtual(&mut b, "A.go", a, go);
+        let main = trivial_main(&mut b);
+        let p = b.finish(main).unwrap();
+        for c in [a, sub] {
+            assert_eq!(p.lookup_virtual(c, orphan), None);
+        }
+        assert!(p.implementations(orphan).is_empty());
+        // A selector id this program never declared is implemented by nothing.
+        assert_eq!(p.lookup_virtual(sub, SelectorId(7)), None);
     }
 
     #[test]

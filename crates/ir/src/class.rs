@@ -7,9 +7,9 @@ use std::collections::HashMap;
 /// virtual-method table mapping selectors to implementations.
 ///
 /// Classes use single inheritance. Method lookup (see
-/// [`Program::lookup_virtual`](crate::Program::lookup_virtual)) walks the
-/// superclass chain, so a class inherits every selector implementation it
-/// does not override.
+/// [`Program::lookup_virtual`](crate::Program::lookup_virtual)) resolves a
+/// selector to the nearest implementation up the superclass chain, so a
+/// class inherits every selector implementation it does not override.
 #[derive(Clone, Debug)]
 pub struct ClassDef {
     pub(crate) id: ClassId,

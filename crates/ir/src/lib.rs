@@ -34,6 +34,7 @@
 //! assert!(program.class(object).superclass().is_none());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod builder;

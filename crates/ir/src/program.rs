@@ -22,7 +22,29 @@ pub struct Program {
     /// selector → every implementation in the program, used for class
     /// hierarchy analysis.
     pub(crate) impls_by_selector: HashMap<SelectorId, Vec<MethodId>>,
+    /// Where each class's row sits in `dispatch`.
+    pub(crate) dispatch_rows: Vec<DispatchRow>,
+    /// The virtual-dispatch table, row after row: for each class, one entry
+    /// per selector of the range it understands — the raw id of the method
+    /// a receiver of that class runs for the selector (inherited
+    /// implementations included), or [`NO_METHOD`] for a selector inside
+    /// the range that the class does not understand.
+    pub(crate) dispatch: Vec<u32>,
 }
+
+/// One class's row of the dispatch table: `dispatch[start..][..len]` are
+/// the entries of selectors `first..first + len`, the smallest range that
+/// covers every selector the class understands (a hierarchy's selectors
+/// are declared together, so rows are short and dense).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct DispatchRow {
+    pub(crate) start: usize,
+    pub(crate) first: u32,
+    pub(crate) len: u32,
+}
+
+/// Dispatch-table entry of a (class, selector) pair nothing implements.
+pub(crate) const NO_METHOD: u32 = u32::MAX;
 
 impl Program {
     /// Returns the entry-point method (a parameterless static method).
@@ -118,21 +140,27 @@ impl Program {
     }
 
     /// Performs virtual-method lookup: finds the implementation of
-    /// `selector` for a receiver of dynamic class `class`, walking up the
-    /// superclass chain.
+    /// `selector` for a receiver of dynamic class `class` — declared on the
+    /// class or inherited from a superclass — by indexing the dispatch
+    /// table [`ProgramBuilder::finish`](crate::ProgramBuilder::finish)
+    /// precomputed: the class's row, then the selector's entry in it.
     ///
     /// Returns `None` if neither the class nor any superclass implements the
     /// selector (a runtime dispatch error in the VM).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `class` does not belong to this program.
+    #[inline]
     pub fn lookup_virtual(&self, class: ClassId, selector: SelectorId) -> Option<MethodId> {
-        let mut cur = Some(class);
-        while let Some(c) = cur {
-            let def = self.class(c);
-            if let Some(m) = def.declared_impl(selector) {
-                return Some(m);
-            }
-            cur = def.superclass();
+        let row = self.dispatch_rows[class.index()];
+        // Selectors below `first` wrap around to a huge offset.
+        let offset = selector.0.wrapping_sub(row.first);
+        if offset >= row.len {
+            return None;
         }
-        None
+        let entry = self.dispatch[row.start + offset as usize];
+        (entry != NO_METHOD).then_some(MethodId(entry))
     }
 
     /// Returns every implementation of `selector` in the program.

@@ -7,12 +7,12 @@ use crate::cost::CostModel;
 use crate::error::VmError;
 use crate::heap::Heap;
 use crate::osr::OsrPoint;
-use crate::registry::{CodeRegistry, ContextFingerprint, VersionKey};
+use crate::registry::{CodeRegistry, ContextFingerprint, VersionId, VersionKey};
 use crate::stack::{SourceFrame, StackSnapshot};
 use crate::value::Value;
-use aoci_ir::{BinOp, CallSiteRef, Cond, Instr, MethodId, Program, Reg};
+use aoci_ir::{BinOp, CallSiteRef, Cond, Instr, MethodId, Program, Reg, SelectorId};
 use aoci_trace::{TraceEvent, TraceSink};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 pub(crate) mod decode;
@@ -51,13 +51,15 @@ pub struct VmConfig {
     /// Frame-local guard-miss rate above which an optimized activation
     /// arms deoptimization and OSR-outs at its next loop header.
     pub osr_exit_miss_threshold: f64,
-    /// When `true` (the default), execute through the pre-decoded threaded
-    /// dispatch loop (DESIGN.md §13): bodies are lowered once into flat
+    /// When `true` (the default), execute through the pre-decoded dispatch
+    /// loop (DESIGN.md §13): bodies are lowered once into flat
     /// [`DecodedInstr`](decode) arrays with resolved operands, precomputed
-    /// costs and fused superinstructions, dispatched through function
-    /// pointers. When `false`, the legacy per-step `match` loop runs
-    /// instead. Both paths are bit-identical in every observable —
-    /// simulated cycles, counters, trace events, errors — the switch only
+    /// costs and fused superinstructions, dispatched by one jump table over
+    /// the decoded op with every handler inlined into the loop, which
+    /// borrows the body from the top frame instead of owning it. When
+    /// `false`, the legacy per-step `match` loop runs instead, through the
+    /// same frame helpers. Both paths are bit-identical in every observable
+    /// — simulated cycles, counters, trace events, errors — the switch only
     /// changes wall-clock speed (`AOCI_DECODE=0` drives it in benches and
     /// the dispatch-equivalence CI matrix).
     pub decode: bool,
@@ -181,41 +183,150 @@ pub struct ExecCounters {
     pub osr_exits: u64,
 }
 
-#[derive(Debug)]
-struct Frame {
-    version: Arc<MethodVersion>,
+/// The part of an activation that changes as it executes. The run loop
+/// copies it into a local while it runs the frame and stores it back
+/// whenever the frame stack is about to change or be observed (call,
+/// return, yield, OSR hook, fault).
+#[derive(Clone, Copy, Debug, Default)]
+struct Cursor {
+    /// The instruction being executed — or, in a suspended caller, the call
+    /// instruction it waits on (stack walks read the site from it).
     pc: usize,
-    regs: Vec<Value>,
-    /// Where the caller wants the return value.
-    ret_dst: Option<Reg>,
     /// Guards this activation executed (optimized frames under OSR; used
     /// for the frame-local thrash detector, not the method-level stats).
     guard_checks: u64,
     /// Of which missed into the fallback path.
     guard_misses: u64,
     /// Set once this activation should deoptimize at its next OSR exit
-    /// point (its version was invalidated, or its own guards thrash).
+    /// point (its own guards thrash).
     deopt_armed: bool,
+}
+
+#[derive(Debug)]
+struct Frame {
+    /// The frame's own handle on its code: the one refcount increment of a
+    /// call, given back at return.
+    version: Arc<MethodVersion>,
+    /// Where this activation's registers start in [`Vm::regs`]. The window
+    /// holds `version.num_regs` registers and ends where the next frame's
+    /// begins; the top frame's ends at the end of the register stack.
+    base: usize,
+    /// Where the caller wants the return value.
+    ret_dst: Option<Reg>,
     /// Set when a dispatched OSR-out transferred this activation into a
     /// surviving version; if it arms again it falls to baseline rather
     /// than ping-ponging between specialized versions. Cleared whenever
     /// the activation passes through baseline (OSR-out or OSR-in).
     transferred: bool,
+    at: Cursor,
 }
 
-impl Frame {
-    fn new(version: Arc<MethodVersion>, pc: usize, regs: Vec<Value>, ret_dst: Option<Reg>) -> Self {
-        Frame {
-            version,
-            pc,
-            regs,
-            ret_dst,
-            guard_checks: 0,
-            guard_misses: 0,
-            deopt_armed: false,
-            transferred: false,
-        }
+/// The activation one step executes against: the register window and the
+/// cursor, plus the identity of the running code for fault sites.
+struct Act<'a> {
+    method: MethodId,
+    level: OptLevel,
+    win: &'a mut [Value],
+    at: &'a mut Cursor,
+}
+
+impl Act<'_> {
+    #[inline(always)]
+    fn reg(&self, r: Reg) -> Result<Value, VmError> {
+        self.win.get(r.index()).copied().ok_or(VmError::BadRegister {
+            method: self.method,
+            pc: self.at.pc,
+            reg: r.index(),
+        })
     }
+
+    #[inline(always)]
+    fn set_reg(&mut self, r: Reg, v: Value) -> Result<(), VmError> {
+        let (method, pc) = (self.method, self.at.pc);
+        let slot =
+            self.win.get_mut(r.index()).ok_or(VmError::BadRegister { method, pc, reg: r.index() })?;
+        *slot = v;
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn int(&self, v: Value) -> Result<i64, VmError> {
+        v.as_int().ok_or(VmError::TypeError {
+            method: self.method,
+            pc: self.at.pc,
+            expected: "integer",
+        })
+    }
+
+    /// Faults unless every argument register of a call is readable — before
+    /// the callee is compiled or anything else about the call is charged.
+    #[inline(always)]
+    fn check_args(&self, args: impl Iterator<Item = Reg>) -> Result<(), VmError> {
+        for r in args {
+            self.reg(r)?;
+        }
+        Ok(())
+    }
+}
+
+/// Opens an activation of `version`: checks the arity, pushes a
+/// `Null`-filled window on top of the register stack and copies the
+/// arguments (receiver first) into it out of the caller's window at
+/// `caller_base`. The caller has already found every argument register
+/// readable and the stack deep enough ([`Exec::callee`]). Returns the frame
+/// for the caller to push once it has let go of the code it borrows from
+/// the frame stack.
+#[inline]
+fn enter(
+    regs: &mut Vec<Value>,
+    version: Arc<MethodVersion>,
+    caller_base: usize,
+    recv: Option<Reg>,
+    args: impl ExactSizeIterator<Item = Reg>,
+    ret_dst: Option<Reg>,
+) -> Result<Frame, VmError> {
+    let argc = args.len() + usize::from(recv.is_some());
+    if argc > usize::from(version.num_regs) {
+        // More arguments than the callee has registers: a corrupt
+        // version, not a program fault.
+        return Err(VmError::BadRegister { method: version.method, pc: 0, reg: argc - 1 });
+    }
+    let base = regs.len();
+    regs.resize(base + usize::from(version.num_regs), Value::Null);
+    for (i, r) in recv.into_iter().chain(args).enumerate() {
+        regs[base + i] = regs[caller_base + r.index()];
+    }
+    Ok(Frame { version, base, ret_dst, transferred: false, at: Cursor::default() })
+}
+
+/// Everything instruction handlers read and mutate, apart from the
+/// activation itself ([`Act`]). It is split from the frame stack so that the
+/// run loop can borrow the executing body out of the top frame while the
+/// handlers run.
+#[derive(Debug)]
+struct Exec<'p> {
+    program: &'p Program,
+    config: VmConfig,
+    cost: CostModel,
+    clock: Clock,
+    registry: CodeRegistry,
+    heap: Heap,
+    globals: Vec<Value>,
+    counters: ExecCounters,
+    guard_stats: Vec<MethodGuardStats>,
+    /// Taken back-edge counts of *baseline* activations: per method, a
+    /// short list of (loop-header pc, count); a count resets when the
+    /// OSR-in threshold fires.
+    backedge_counts: Vec<Vec<(u32, u32)>>,
+    /// A promotion request raised by the last step, delivered at the top
+    /// of the run loop.
+    pending_osr: Option<OsrRequest>,
+    /// Per method: the driver told us to stop raising promotion requests
+    /// for it (quarantined or past its recompile budget).
+    osr_suppressed: Vec<bool>,
+    /// Flight recorder for guard-miss and OSR-transition events. `None`
+    /// (the default) skips every emit site with a single branch.
+    trace: Option<TraceSink>,
 }
 
 /// The virtual machine: interpreter, heap, globals, compiled-code registry
@@ -228,38 +339,22 @@ impl Frame {
 /// at the next invocation of the method.
 #[derive(Debug)]
 pub struct Vm<'p> {
-    program: &'p Program,
-    config: VmConfig,
-    cost: CostModel,
-    clock: Clock,
-    registry: CodeRegistry,
-    heap: Heap,
-    globals: Vec<Value>,
     stack: Vec<Frame>,
+    /// The register stack: the windows of all activations, contiguous, in
+    /// frame order (see [`Frame::base`]). A call grows it, a return
+    /// truncates it, an OSR transition resizes the top window in place.
+    regs: Vec<Value>,
+    exec: Exec<'p>,
     next_sample_at: Option<u64>,
     finished: Option<Option<Value>>,
     started: bool,
-    counters: ExecCounters,
     osr_dispatch: OsrDispatchCounters,
-    guard_stats: Vec<MethodGuardStats>,
-    /// Taken back-edge counts of *baseline* activations, per (method,
-    /// loop-header) pair; reset when the OSR-in threshold fires.
-    backedge_counts: HashMap<(MethodId, u32), u32>,
-    /// A promotion request raised by the last [`Vm::step`], delivered at
-    /// the top of the run loop.
-    pending_osr: Option<OsrRequest>,
-    /// Methods the driver told us to stop raising promotion requests for
-    /// (quarantined or past their recompile budget).
-    osr_suppressed: HashSet<MethodId>,
     /// Deoptimization targets built outside the registry: when an
     /// activation OSR-outs while the registry slot still holds optimized
     /// code (frame-local thrash without method-level invalidation), the
     /// baseline version it falls back to is cached here rather than
     /// clobbering the installed code.
     deopt_baseline: HashMap<MethodId, Arc<MethodVersion>>,
-    /// Flight recorder for guard-miss and OSR-transition events. `None`
-    /// (the default) skips every emit site with a single branch.
-    trace: Option<TraceSink>,
 }
 
 impl<'p> Vm<'p> {
@@ -271,25 +366,28 @@ impl<'p> Vm<'p> {
     /// Creates a VM with an explicit configuration.
     pub fn with_config(program: &'p Program, cost: CostModel, config: VmConfig) -> Self {
         Vm {
-            program,
-            config,
-            cost,
-            clock: Clock::new(),
-            registry: CodeRegistry::new(program.num_methods()),
-            heap: Heap::new(),
-            globals: vec![Value::Int(0); program.num_globals()],
             stack: Vec::new(),
+            regs: Vec::new(),
+            exec: Exec {
+                program,
+                config,
+                cost,
+                clock: Clock::new(),
+                registry: CodeRegistry::new(program.num_methods()),
+                heap: Heap::new(),
+                globals: vec![Value::Int(0); program.num_globals()],
+                counters: ExecCounters::default(),
+                guard_stats: vec![MethodGuardStats::default(); program.num_methods()],
+                backedge_counts: vec![Vec::new(); program.num_methods()],
+                pending_osr: None,
+                osr_suppressed: vec![false; program.num_methods()],
+                trace: None,
+            },
             next_sample_at: None,
             finished: None,
             started: false,
-            counters: ExecCounters::default(),
             osr_dispatch: OsrDispatchCounters::default(),
-            guard_stats: vec![MethodGuardStats::default(); program.num_methods()],
-            backedge_counts: HashMap::new(),
-            pending_osr: None,
-            osr_suppressed: HashSet::new(),
             deopt_baseline: HashMap::new(),
-            trace: None,
         }
     }
 
@@ -297,12 +395,12 @@ impl<'p> Vm<'p> {
     /// OSR-transition events through it, timestamped with the simulated
     /// clock (emission itself charges no cycles).
     pub fn set_trace_sink(&mut self, sink: TraceSink) {
-        self.trace = Some(sink);
+        self.exec.trace = Some(sink);
     }
 
     /// Returns the dynamic execution counters.
     pub fn counters(&self) -> ExecCounters {
-        self.counters
+        self.exec.counters
     }
 
     /// Returns the dispatched-OSR decision ledger (all zero unless
@@ -314,43 +412,43 @@ impl<'p> Vm<'p> {
     /// Cumulative guard counters of `method`'s compiled code (see
     /// [`MethodGuardStats`]).
     pub fn guard_stats(&self, method: MethodId) -> MethodGuardStats {
-        self.guard_stats[method.index()]
+        self.exec.guard_stats[method.index()]
     }
 
     /// Returns the program being executed.
     pub fn program(&self) -> &'p Program {
-        self.program
+        self.exec.program
     }
 
     /// Returns the simulated clock.
     pub fn clock(&self) -> &Clock {
-        &self.clock
+        &self.exec.clock
     }
 
     /// Returns the clock mutably, so the embedding driver can charge
     /// organizer/compilation cycles.
     pub fn clock_mut(&mut self) -> &mut Clock {
-        &mut self.clock
+        &mut self.exec.clock
     }
 
     /// Returns the compiled-code registry.
     pub fn registry(&self) -> &CodeRegistry {
-        &self.registry
+        &self.exec.registry
     }
 
     /// Returns the registry mutably, for installing newly compiled code.
     pub fn registry_mut(&mut self) -> &mut CodeRegistry {
-        &mut self.registry
+        &mut self.exec.registry
     }
 
     /// Returns the cost model.
     pub fn cost_model(&self) -> &CostModel {
-        &self.cost
+        &self.exec.cost
     }
 
     /// Returns the heap (useful for assertions in tests).
     pub fn heap(&self) -> &Heap {
-        &self.heap
+        &self.exec.heap
     }
 
     /// Returns `true` once the entry method has returned.
@@ -376,15 +474,14 @@ impl<'p> Vm<'p> {
         }
         if !self.started {
             self.started = true;
-            let entry = self.program.entry();
-            let version = self.ensure_compiled(entry);
-            self.push_frame(version, Vec::new(), None)?;
+            let version = self.exec.callee(self.exec.program.entry(), 0)?;
+            self.stack.push(enter(&mut self.regs, version, 0, None, std::iter::empty(), None)?);
         }
-        if self.next_sample_at.is_none() && self.cost.sample_period > 0 {
-            self.next_sample_at = Some(self.clock.total() + self.cost.sample_period);
+        if self.next_sample_at.is_none() && self.exec.cost.sample_period > 0 {
+            self.next_sample_at = Some(self.exec.clock.total() + self.exec.cost.sample_period);
         }
-        let start = self.clock.total();
-        if self.config.decode {
+        let start = self.exec.clock.total();
+        if self.exec.config.decode {
             return self.run_decoded(start, budget);
         }
         // Legacy per-step `match` loop, kept (behind `decode: false` /
@@ -397,7 +494,7 @@ impl<'p> Vm<'p> {
             if let Some(v) = &self.finished {
                 return Ok(RunOutcome::Finished(*v));
             }
-            if self.clock.total() - start >= budget {
+            if self.exec.clock.total() - start >= budget {
                 return Ok(RunOutcome::BudgetExhausted);
             }
             let frame = self
@@ -409,17 +506,24 @@ impl<'p> Vm<'p> {
             }
             let version = current.as_ref().expect("cached above");
             self.step_with(version)?;
-            if let Some(req) = self.pending_osr.take() {
-                return Ok(RunOutcome::OsrRequest(req));
-            }
-            if let Some(due) = self.next_sample_at {
-                if self.clock.total() >= due && self.finished.is_none() {
-                    self.next_sample_at = Some(self.clock.total() + self.cost.sample_period);
-                    let snapshot = self.snapshot();
-                    return Ok(RunOutcome::Sample(snapshot));
-                }
+            if let Some(outcome) = self.after_step_yield() {
+                return Ok(outcome);
             }
         }
+    }
+
+    /// The run loops' checks after every step, in their fixed order: a
+    /// pending OSR request first, then a due sample.
+    fn after_step_yield(&mut self) -> Option<RunOutcome> {
+        if let Some(req) = self.exec.pending_osr.take() {
+            return Some(RunOutcome::OsrRequest(req));
+        }
+        let due = self.next_sample_at?;
+        if self.exec.clock.total() >= due && self.finished.is_none() {
+            self.next_sample_at = Some(self.exec.clock.total() + self.exec.cost.sample_period);
+            return Some(RunOutcome::Sample(self.snapshot()));
+        }
+        None
     }
 
     /// Runs the program to completion, ignoring samples.
@@ -443,16 +547,18 @@ impl<'p> Vm<'p> {
     /// embedding driver charges them according to how much of the snapshot
     /// its listeners consume.
     pub fn snapshot(&self) -> StackSnapshot {
+        let config = &self.exec.config;
         let mut frames = Vec::new();
-        let mut root_method = self.program.entry();
+        let mut root_method = self.exec.program.entry();
         let mut top_in_prologue = false;
         for (depth, mf) in self.stack.iter().rev().enumerate() {
+            let pc = mf.at.pc;
             if depth == 0 {
                 root_method = mf.version.method;
-                top_in_prologue = if self.config.source_level_walk {
-                    mf.version.inline_map.in_prologue(mf.pc, self.config.prologue_window)
+                top_in_prologue = if config.source_level_walk {
+                    mf.version.inline_map.in_prologue(pc, config.prologue_window)
                 } else {
-                    (mf.pc as u32) < self.config.prologue_window
+                    (pc as u32) < config.prologue_window
                 };
             }
             // The call site through which the next-inner machine frame was
@@ -460,14 +566,14 @@ impl<'p> Vm<'p> {
             let inner_site = if depth == 0 {
                 None
             } else {
-                mf.version.body.get(mf.pc).and_then(Instr::call_site)
+                mf.version.body.get(pc).and_then(Instr::call_site)
             };
-            if self.config.source_level_walk {
-                let chain = mf.version.inline_map.source_chain(mf.pc);
+            if config.source_level_walk {
+                let chain = mf.version.inline_map.source_chain(pc);
                 for (j, (method, _)) in chain.iter().enumerate() {
                     let callsite_to_inner = if j == 0 { inner_site } else { chain[j - 1].1 };
                     frames.push(SourceFrame { method: *method, callsite_to_inner });
-                    if frames.len() >= self.config.max_walk_frames {
+                    if frames.len() >= config.max_walk_frames {
                         break;
                     }
                 }
@@ -477,7 +583,7 @@ impl<'p> Vm<'p> {
                     callsite_to_inner: inner_site,
                 });
             }
-            if frames.len() >= self.config.max_walk_frames {
+            if frames.len() >= config.max_walk_frames {
                 break;
             }
         }
@@ -485,58 +591,37 @@ impl<'p> Vm<'p> {
             frames,
             root_method,
             top_in_prologue,
-            cycles: self.clock.total(),
+            cycles: self.exec.clock.total(),
         }
     }
 
-    fn ensure_compiled(&mut self, method: MethodId) -> Arc<MethodVersion> {
-        if let Some(v) = self.registry.current(method) {
-            return Arc::clone(v);
+    /// Completes a `Return` whose value has been read: pops the top frame,
+    /// truncates the register stack to the caller's window, delivers the
+    /// value and advances the caller past its call instruction — or
+    /// finishes the program when the entry frame returned.
+    fn pop_frame(&mut self, value: Option<Value>) -> Result<(), VmError> {
+        let done = self
+            .stack
+            .pop()
+            .ok_or(VmError::NoActiveFrame { context: "returning from a call" })?;
+        self.regs.truncate(done.base);
+        match self.stack.last_mut() {
+            None => self.finished = Some(value),
+            Some(caller) => {
+                if let (Some(dst), Some(v)) = (done.ret_dst, value) {
+                    let slot = self.regs[caller.base..].get_mut(dst.index()).ok_or(
+                        VmError::BadRegister {
+                            method: caller.version.method,
+                            pc: caller.at.pc,
+                            reg: dst.index(),
+                        },
+                    )?;
+                    *slot = v;
+                }
+                caller.at.pc += 1; // advance past the call instruction
+            }
         }
-        let def = self.program.method(method);
-        self.clock.charge(
-            Component::BaselineCompilation,
-            self.cost.baseline_compile_cost(def.size_estimate()),
-        );
-        self.registry.install_baseline(def)
-    }
-
-    fn push_frame(
-        &mut self,
-        version: Arc<MethodVersion>,
-        args: Vec<Value>,
-        ret_dst: Option<Reg>,
-    ) -> Result<(), VmError> {
-        if self.stack.len() >= self.config.max_stack_depth {
-            return Err(VmError::StackOverflow { limit: self.config.max_stack_depth });
-        }
-        let mut regs = vec![Value::Null; version.num_regs as usize];
-        if args.len() > regs.len() {
-            // More arguments than the callee has registers: a corrupt
-            // version, not a program fault.
-            return Err(VmError::BadRegister {
-                method: version.method,
-                pc: 0,
-                reg: args.len() - 1,
-            });
-        }
-        regs[..args.len()].copy_from_slice(&args);
-        self.stack.push(Frame::new(version, 0, regs, ret_dst));
         Ok(())
-    }
-
-    #[inline]
-    fn fault_site(&self) -> (MethodId, usize) {
-        match self.stack.last() {
-            Some(f) => (f.version.method, f.pc),
-            None => (self.program.entry(), 0),
-        }
-    }
-
-    #[inline]
-    fn int(&self, v: Value) -> Result<i64, VmError> {
-        let (method, pc) = self.fault_site();
-        v.as_int().ok_or(VmError::TypeError { method, pc, expected: "integer" })
     }
 
     /// Executes one instruction of `version`, which the caller guarantees
@@ -544,11 +629,12 @@ impl<'p> Vm<'p> {
     /// it across steps so the steady state clones no `Arc` and no `Instr`;
     /// the instruction is *borrowed* from the version's body.
     fn step_with(&mut self, version: &Arc<MethodVersion>) -> Result<(), VmError> {
-        let pc = self
-            .stack
-            .last()
-            .ok_or(VmError::NoActiveFrame { context: "executing an instruction" })?
-            .pc;
+        let Vm { stack, regs, exec: x, .. } = &mut *self;
+        let depth = stack.len();
+        let frame = stack
+            .last_mut()
+            .ok_or(VmError::NoActiveFrame { context: "executing an instruction" })?;
+        let (pc, base) = (frame.at.pc, frame.base);
         let instr = version
             .body
             .get(pc)
@@ -557,301 +643,198 @@ impl<'p> Vm<'p> {
             OptLevel::Baseline => Component::AppBaseline,
             OptLevel::Optimized => Component::AppOptimized,
         };
-        self.clock.charge(app_component, self.cost.instr_cost(instr, version.level));
+        x.clock.charge(app_component, x.cost.instr_cost(instr, version.level));
 
         let method = version.method;
+        let mut a = Act { method, level: version.level, win: &mut regs[base..], at: &mut frame.at };
         let mut next_pc = pc + 1;
         match instr {
-            Instr::Const { dst, value } => self.set_reg(*dst, Value::Int(*value))?,
-            Instr::ConstNull { dst } => self.set_reg(*dst, Value::Null)?,
+            Instr::Const { dst, value } => a.set_reg(*dst, Value::Int(*value))?,
+            Instr::ConstNull { dst } => a.set_reg(*dst, Value::Null)?,
             Instr::Move { dst, src } => {
-                let v = self.reg(*src)?;
-                self.set_reg(*dst, v)?;
+                let v = a.reg(*src)?;
+                a.set_reg(*dst, v)?;
             }
             Instr::Bin { op, dst, lhs, rhs } => {
-                let a = self.int(self.reg(*lhs)?)?;
-                let b = self.int(self.reg(*rhs)?)?;
+                let l = a.int(a.reg(*lhs)?)?;
+                let r = a.int(a.reg(*rhs)?)?;
                 let r = match op {
-                    BinOp::Add => a.wrapping_add(b),
-                    BinOp::Sub => a.wrapping_sub(b),
-                    BinOp::Mul => a.wrapping_mul(b),
+                    BinOp::Add => l.wrapping_add(r),
+                    BinOp::Sub => l.wrapping_sub(r),
+                    BinOp::Mul => l.wrapping_mul(r),
                     BinOp::Div => {
-                        if b == 0 {
+                        if r == 0 {
                             return Err(VmError::DivideByZero { method, pc });
                         }
-                        a.wrapping_div(b)
+                        l.wrapping_div(r)
                     }
                     BinOp::Rem => {
-                        if b == 0 {
+                        if r == 0 {
                             return Err(VmError::DivideByZero { method, pc });
                         }
-                        a.wrapping_rem(b)
+                        l.wrapping_rem(r)
                     }
-                    BinOp::And => a & b,
-                    BinOp::Or => a | b,
-                    BinOp::Xor => a ^ b,
+                    BinOp::And => l & r,
+                    BinOp::Or => l | r,
+                    BinOp::Xor => l ^ r,
                 };
-                self.set_reg(*dst, Value::Int(r))?;
+                a.set_reg(*dst, Value::Int(r))?;
             }
             Instr::Work { .. } => {}
             Instr::New { dst, class } => {
-                let layout = self.program.class(*class).layout_size();
-                let r = self.heap.alloc_object(*class, layout);
-                self.set_reg(*dst, Value::Ref(r))?;
+                let layout = x.program.class(*class).layout_size();
+                let r = x.heap.alloc_object(*class, layout);
+                a.set_reg(*dst, Value::Ref(r))?;
             }
             Instr::GetField { dst, obj, field } => {
-                let r = self.reg(*obj)?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
-                let off = self.program.field(*field).offset();
-                let v = self
+                let r = a.reg(*obj)?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
+                let off = x.program.field(*field).offset();
+                let v = x
                     .heap
                     .get_field(r, off)
                     .ok_or(VmError::TypeError { method, pc, expected: "object" })?;
-                self.set_reg(*dst, v)?;
+                a.set_reg(*dst, v)?;
             }
             Instr::PutField { obj, field, src } => {
-                let r = self.reg(*obj)?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
-                let off = self.program.field(*field).offset();
-                let v = self.reg(*src)?;
-                if !self.heap.put_field(r, off, v) {
+                let r = a.reg(*obj)?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
+                let off = x.program.field(*field).offset();
+                let v = a.reg(*src)?;
+                if !x.heap.put_field(r, off, v) {
                     return Err(VmError::TypeError { method, pc, expected: "object" });
                 }
             }
             Instr::GetGlobal { dst, global } => {
-                let v = self.globals[global.index()];
-                self.set_reg(*dst, v)?;
+                let v = x.globals[global.index()];
+                a.set_reg(*dst, v)?;
             }
             Instr::PutGlobal { global, src } => {
-                self.globals[global.index()] = self.reg(*src)?;
+                x.globals[global.index()] = a.reg(*src)?;
             }
             Instr::ArrNew { dst, len } => {
-                let n = self.int(self.reg(*len)?)?;
+                let n = a.int(a.reg(*len)?)?;
                 if n < 0 {
                     return Err(VmError::NegativeArrayLength { method, pc });
                 }
-                let r = self.heap.alloc_array(n as u32);
-                self.set_reg(*dst, Value::Ref(r))?;
+                let r = x.heap.alloc_array(n as u32);
+                a.set_reg(*dst, Value::Ref(r))?;
             }
             Instr::ArrGet { dst, arr, idx } => {
-                let r = self.reg(*arr)?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
-                let i = self.int(self.reg(*idx)?)?;
-                let v = self
+                let r = a.reg(*arr)?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
+                let i = a.int(a.reg(*idx)?)?;
+                let v = x
                     .heap
                     .arr_get(r, i)
                     .ok_or(VmError::IndexOutOfBounds { method, pc, index: i })?;
-                self.set_reg(*dst, v)?;
+                a.set_reg(*dst, v)?;
             }
             Instr::ArrSet { arr, idx, src } => {
-                let r = self.reg(*arr)?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
-                let i = self.int(self.reg(*idx)?)?;
-                let v = self.reg(*src)?;
-                if !self.heap.arr_set(r, i, v) {
+                let r = a.reg(*arr)?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
+                let i = a.int(a.reg(*idx)?)?;
+                let v = a.reg(*src)?;
+                if !x.heap.arr_set(r, i, v) {
                     return Err(VmError::IndexOutOfBounds { method, pc, index: i });
                 }
             }
             Instr::ArrLen { dst, arr } => {
-                let r = self.reg(*arr)?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
-                let n = self
+                let r = a.reg(*arr)?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
+                let n = x
                     .heap
                     .arr_len(r)
                     .ok_or(VmError::TypeError { method, pc, expected: "array" })?;
-                self.set_reg(*dst, Value::Int(n))?;
+                a.set_reg(*dst, Value::Int(n))?;
             }
             Instr::InstanceOf { dst, obj, class } => {
-                let result = match self.reg(*obj)? {
-                    Value::Ref(r) => match self.heap.class_of(r) {
-                        Some(c) => self.program.is_subclass(c, *class),
+                let result = match a.reg(*obj)? {
+                    Value::Ref(r) => match x.heap.class_of(r) {
+                        Some(c) => x.program.is_subclass(c, *class),
                         None => false,
                     },
                     _ => false,
                 };
-                self.set_reg(*dst, Value::Int(result as i64))?;
+                a.set_reg(*dst, Value::Int(result as i64))?;
             }
             Instr::Jump { target } => next_pc = *target as usize,
             Instr::Branch { cond, lhs, rhs, target } => {
-                let a = self.reg(*lhs)?;
-                let b = self.reg(*rhs)?;
+                let l = a.reg(*lhs)?;
+                let r = a.reg(*rhs)?;
                 let taken = match cond {
-                    Cond::Eq => a.vm_eq(b),
-                    Cond::Ne => !a.vm_eq(b),
-                    Cond::Lt => self.int(a)? < self.int(b)?,
-                    Cond::Le => self.int(a)? <= self.int(b)?,
-                    Cond::Gt => self.int(a)? > self.int(b)?,
-                    Cond::Ge => self.int(a)? >= self.int(b)?,
+                    Cond::Eq => l.vm_eq(r),
+                    Cond::Ne => !l.vm_eq(r),
+                    Cond::Lt => a.int(l)? < a.int(r)?,
+                    Cond::Le => a.int(l)? <= a.int(r)?,
+                    Cond::Gt => a.int(l)? > a.int(r)?,
+                    Cond::Ge => a.int(l)? >= a.int(r)?,
                 };
                 if taken {
                     next_pc = *target as usize;
                 }
             }
             Instr::GuardClass { recv, class, else_target } => {
-                let pass = match self.reg(*recv)? {
-                    Value::Ref(r) => self.heap.class_of(r) == Some(*class),
+                let pass = match a.reg(*recv)? {
+                    Value::Ref(r) => x.heap.class_of(r) == Some(*class),
                     _ => false,
                 };
-                self.counters.guard_checks += 1;
-                self.guard_stats[method.index()].checks += 1;
-                if !pass {
-                    self.counters.guard_misses += 1;
-                    self.guard_stats[method.index()].misses += 1;
+                if !x.note_guard(&mut a, pass) {
                     next_pc = *else_target as usize;
-                    if let Some(t) = &self.trace {
-                        t.emit(
-                            self.clock.total(),
-                            TraceEvent::GuardMiss { method, pc: pc as u32 },
-                        );
-                    }
                 }
-                self.note_guard(pass);
             }
             Instr::GuardMethod { recv, selector, target, else_target } => {
-                let pass = match self.reg(*recv)? {
-                    Value::Ref(r) => self
+                let pass = match a.reg(*recv)? {
+                    Value::Ref(r) => x
                         .heap
                         .class_of(r)
-                        .and_then(|c| self.program.lookup_virtual(c, *selector))
+                        .and_then(|c| x.program.lookup_virtual(c, *selector))
                         == Some(*target),
                     _ => false,
                 };
-                self.counters.guard_checks += 1;
-                self.guard_stats[method.index()].checks += 1;
-                if !pass {
-                    self.counters.guard_misses += 1;
-                    self.guard_stats[method.index()].misses += 1;
+                if !x.note_guard(&mut a, pass) {
                     next_pc = *else_target as usize;
-                    if let Some(t) = &self.trace {
-                        t.emit(
-                            self.clock.total(),
-                            TraceEvent::GuardMiss { method, pc: pc as u32 },
-                        );
-                    }
                 }
-                self.note_guard(pass);
             }
             Instr::CallStatic { dst, callee, args, .. } => {
-                self.counters.calls += 1;
-                let argv = args
-                    .iter()
-                    .map(|&a| self.reg(a))
-                    .collect::<Result<Vec<Value>, VmError>>()?;
-                let callee_version = self.ensure_compiled(*callee);
+                x.counters.calls += 1;
+                a.check_args(args.iter().copied())?;
+                let callee = x.callee(*callee, depth)?;
                 // The caller's pc stays on the call instruction while the
                 // callee runs (stack walks read the site from it); it is
                 // advanced on return.
-                self.push_frame(callee_version, argv, *dst)?;
+                stack.push(enter(regs, callee, base, None, args.iter().copied(), *dst)?);
                 return Ok(());
             }
             Instr::CallVirtual { dst, selector, recv, args, .. } => {
-                self.counters.calls += 1;
-                self.counters.virtual_dispatches += 1;
-                let recv_val = self.reg(*recv)?;
-                let r = recv_val.as_ref().ok_or(VmError::NullDeref { method, pc })?;
-                let class = self
-                    .heap
-                    .class_of(r)
-                    .ok_or(VmError::TypeError { method, pc, expected: "object" })?;
-                let target = self
-                    .program
-                    .lookup_virtual(class, *selector)
-                    .ok_or(VmError::NoSuchMethod { selector: *selector, method, pc })?;
-                let mut argv = Vec::with_capacity(args.len() + 1);
-                argv.push(recv_val);
-                for &a in args {
-                    argv.push(self.reg(a)?);
-                }
-                let callee_version = self.ensure_compiled(target);
-                self.push_frame(callee_version, argv, *dst)?;
+                x.counters.calls += 1;
+                x.counters.virtual_dispatches += 1;
+                let target = x.virtual_target(&a, *recv, *selector)?;
+                a.check_args(args.iter().copied())?;
+                let callee = x.callee(target, depth)?;
+                stack.push(enter(regs, callee, base, Some(*recv), args.iter().copied(), *dst)?);
                 return Ok(());
             }
             Instr::Return { src } => {
                 let value = match src {
-                    Some(r) => Some(self.reg(*r)?),
+                    Some(r) => Some(a.reg(*r)?),
                     None => None,
                 };
-                let finished_frame = self
-                    .stack
-                    .pop()
-                    .ok_or(VmError::NoActiveFrame { context: "returning from a call" })?;
-                match self.stack.last_mut() {
-                    None => {
-                        self.finished = Some(value);
-                    }
-                    Some(caller) => {
-                        if let (Some(dst), Some(v)) = (finished_frame.ret_dst, value) {
-                            let slot = caller.regs.get_mut(dst.index()).ok_or(
-                                VmError::BadRegister {
-                                    method: caller.version.method,
-                                    pc: caller.pc,
-                                    reg: dst.index(),
-                                },
-                            )?;
-                            *slot = v;
-                        }
-                        caller.pc += 1; // advance past the call instruction
-                    }
-                }
-                return Ok(());
+                return self.pop_frame(value);
             }
         }
         // Taken backward control flow = a loop back-edge: the OSR hook in
         // both directions. (Only `Jump`/`Branch` can move the pc backward;
         // guard else-targets always point forward.)
-        if self.config.osr_enabled && next_pc <= pc {
+        if x.config.osr_enabled && next_pc <= pc {
             match version.level {
-                OptLevel::Baseline => self.count_backedge(method, next_pc as u32),
+                OptLevel::Baseline => {
+                    x.count_backedge(method, next_pc as u32);
+                }
                 OptLevel::Optimized => {
-                    let invalidated = self.registry.is_invalidated(version.version_id);
-                    let armed = self.stack.last().is_some_and(|f| f.deopt_armed);
-                    if (invalidated || armed)
-                        && version.osr_map.exit_at_opt(next_pc as u32).is_some()
-                    {
-                        return self.osr_exit(version, next_pc as u32);
+                    if x.must_exit(version, a.at, next_pc as u32) {
+                        return self.osr_exit(next_pc as u32);
                     }
                 }
             }
         }
-        self.stack
-            .last_mut()
-            .ok_or(VmError::NoActiveFrame { context: "advancing the program counter" })?
-            .pc = next_pc;
+        a.at.pc = next_pc;
         Ok(())
-    }
-
-    /// Frame-local guard bookkeeping for the OSR-out thrash detector.
-    #[inline]
-    fn note_guard(&mut self, pass: bool) {
-        if !self.config.osr_enabled {
-            return;
-        }
-        let min_checks = self.config.osr_exit_min_checks;
-        let threshold = self.config.osr_exit_miss_threshold;
-        if let Some(f) = self.stack.last_mut() {
-            if f.version.level != OptLevel::Optimized {
-                return;
-            }
-            f.guard_checks += 1;
-            if !pass {
-                f.guard_misses += 1;
-            }
-            if !f.deopt_armed
-                && f.guard_checks >= min_checks
-                && f.guard_misses as f64 / f.guard_checks as f64 > threshold
-            {
-                f.deopt_armed = true;
-            }
-        }
-    }
-
-    /// Counts a taken back-edge of a baseline activation; at the
-    /// threshold, raises an [`OsrRequest`] for the driver.
-    fn count_backedge(&mut self, method: MethodId, header: u32) {
-        if self.osr_suppressed.contains(&method) {
-            return;
-        }
-        let count = self.backedge_counts.entry((method, header)).or_insert(0);
-        *count += 1;
-        if *count >= self.config.osr_backedge_threshold {
-            *count = 0;
-            self.pending_osr = Some(OsrRequest { method, loop_header: header });
-        }
     }
 
     /// The baseline version an OSR-out lands in. Prefers the installed
@@ -861,25 +844,17 @@ impl<'p> Vm<'p> {
     /// activation, not the method — so the compiled fallback is cached on
     /// the side for reuse.
     fn deopt_target(&mut self, method: MethodId) -> Arc<MethodVersion> {
-        match self.registry.current(method) {
-            Some(v) if v.level == OptLevel::Baseline => return Arc::clone(v),
-            Some(_) => {}
-            None => {
-                let def = self.program.method(method);
-                self.clock.charge(
-                    Component::BaselineCompilation,
-                    self.cost.baseline_compile_cost(def.size_estimate()),
-                );
-                return self.registry.install_baseline(def);
-            }
+        match self.exec.registry.current(method) {
+            Some(v) if v.level == OptLevel::Optimized => {}
+            _ => return self.exec.ensure_compiled(method),
         }
         if let Some(v) = self.deopt_baseline.get(&method) {
             return Arc::clone(v);
         }
-        let def = self.program.method(method);
-        self.clock.charge(
+        let def = self.exec.program.method(method);
+        self.exec.clock.charge(
             Component::BaselineCompilation,
-            self.cost.baseline_compile_cost(def.size_estimate()),
+            self.exec.cost.baseline_compile_cost(def.size_estimate()),
         );
         let v = Arc::new(MethodVersion::baseline(def));
         self.deopt_baseline.insert(method, Arc::clone(&v));
@@ -901,27 +876,48 @@ impl<'p> Vm<'p> {
             if chain.len() >= MAX_OSR_CONTEXT_DEPTH {
                 break;
             }
-            let Some(site) = mf.version.body.get(mf.pc).and_then(Instr::call_site) else {
+            let Some(site) = mf.version.body.get(mf.at.pc).and_then(Instr::call_site) else {
                 break;
             };
-            let method = mf.version.inline_map.node_at(mf.pc).method;
+            let method = mf.version.inline_map.node_at(mf.at.pc).method;
             chain.push(CallSiteRef::new(method, site));
         }
         chain
     }
 
+    /// Rewrites the top activation in place: it continues in `version` at
+    /// `pc` with `regs` as its window (resized where it sits, on top of the
+    /// register stack) and a fresh cursor — the common tail of OSR-in,
+    /// OSR-out and a dispatched transfer.
+    fn transfer_top(
+        &mut self,
+        version: Arc<MethodVersion>,
+        pc: usize,
+        regs: Vec<Value>,
+        transferred: bool,
+    ) {
+        let frame = self.stack.last_mut().expect("the caller mapped the top frame's registers");
+        self.regs.truncate(frame.base);
+        self.regs.extend(regs);
+        frame.version = version;
+        frame.at = Cursor { pc, ..Cursor::default() };
+        frame.transferred = transferred;
+    }
+
     /// Deoptless dispatch (DESIGN.md §16): try to transfer the top
-    /// (optimized, exiting) frame into the best surviving specialized
-    /// version for its newly observed calling context, pivoting through
-    /// the baseline frame state at `point`: the old version's exit
-    /// mapping reconstructs baseline registers, and the candidate's entry
-    /// mapping at the *same* baseline loop header carries them into its
-    /// continuation — both checked. Deepest context prefix wins; the
-    /// root (context-free) key is the last resort before baseline.
-    /// Returns `true` when the frame was transferred.
-    fn try_dispatch_transfer(&mut self, from: &Arc<MethodVersion>, point: &OsrPoint) -> bool {
-        let method = from.method;
-        if self.stack.last().is_some_and(|f| f.transferred) {
+    /// (optimized, exiting) frame — running version `from` of `method` —
+    /// into the best surviving specialized version for its newly observed
+    /// calling context, pivoting through the baseline frame state at
+    /// `point`: the old version's exit mapping reconstructs baseline
+    /// registers, and the candidate's entry mapping at the *same* baseline
+    /// loop header carries them into its continuation — both checked.
+    /// Deepest context prefix wins; the root (context-free) key is the last
+    /// resort before baseline. Returns `true` when the frame was
+    /// transferred.
+    fn try_dispatch_transfer(&mut self, method: MethodId, from: VersionId, point: &OsrPoint) -> bool {
+        let Some(frame) = self.stack.last() else { return false };
+        let base = frame.base;
+        if frame.transferred {
             self.osr_dispatch.falls_rearmed += 1;
             self.emit_osr_fallback(method, "re-armed");
             return false;
@@ -929,10 +925,11 @@ impl<'p> Vm<'p> {
         let context = self.osr_context();
         let target = (0..=context.len()).rev().find_map(|depth| {
             let key = VersionKey::new(method, ContextFingerprint::of(&context[..depth]));
-            self.registry
+            self.exec
+                .registry
                 .best_surviving(key)
                 .filter(|v| {
-                    v.version_id != from.version_id
+                    v.version_id != from
                         && v.osr_map.entry_at_baseline(point.baseline_pc).is_some()
                 })
                 .map(Arc::clone)
@@ -947,38 +944,28 @@ impl<'p> Vm<'p> {
             .entry_at_baseline(point.baseline_pc)
             .cloned()
             .expect("candidate filtered on having this entry point");
-        let baseline_num_regs = self.program.method(method).num_regs();
-        let Some(frame) = self.stack.last() else { return false };
-        let Ok(pivot) = point.map_to_baseline(&frame.regs, baseline_num_regs) else {
-            self.osr_dispatch.falls_incompatible += 1;
-            self.emit_osr_fallback(method, "incompatible-frame");
-            return false;
-        };
-        let Ok(regs) = entry.map_to_optimized(&pivot, target.num_regs) else {
+        let baseline_num_regs = self.exec.program.method(method).num_regs();
+        let mapped = point
+            .map_to_baseline(&self.regs[base..], baseline_num_regs)
+            .and_then(|pivot| entry.map_to_optimized(&pivot, target.num_regs));
+        let Ok(regs) = mapped else {
             self.osr_dispatch.falls_incompatible += 1;
             self.emit_osr_fallback(method, "incompatible-frame");
             return false;
         };
         let slots = point.slots.len() + entry.slots.len();
-        let to_pc = entry.opt_pc;
-        let frame = self.stack.last_mut().expect("present above");
-        frame.version = Arc::clone(&target);
-        frame.pc = to_pc as usize;
-        frame.regs = regs;
-        frame.guard_checks = 0;
-        frame.guard_misses = 0;
-        frame.deopt_armed = false;
-        frame.transferred = true;
+        let (to_pc, to_version) = (entry.opt_pc, target.version_id.raw());
+        self.transfer_top(target, to_pc as usize, regs, true);
         self.osr_dispatch.dispatched_transfers += 1;
-        self.clock.charge(Component::Osr, self.cost.osr_transfer_cost(slots));
-        if let Some(t) = &self.trace {
+        self.exec.clock.charge(Component::Osr, self.exec.cost.osr_transfer_cost(slots));
+        if let Some(t) = &self.exec.trace {
             t.emit(
-                self.clock.total(),
+                self.exec.clock.total(),
                 TraceEvent::OsrTransfer {
                     method,
                     opt_pc: to_pc,
-                    from_version: from.version_id.raw(),
-                    to_version: target.version_id.raw(),
+                    from_version: from.raw(),
+                    to_version,
                 },
             );
         }
@@ -988,53 +975,46 @@ impl<'p> Vm<'p> {
     /// Emits the transfer-provenance event for a dispatched OSR-out that
     /// fell back to baseline (deoptless mode only).
     fn emit_osr_fallback(&self, method: MethodId, reason: &'static str) {
-        if let Some(t) = &self.trace {
-            t.emit(self.clock.total(), TraceEvent::OsrFallback { method, reason });
+        if let Some(t) = &self.exec.trace {
+            t.emit(self.exec.clock.total(), TraceEvent::OsrFallback { method, reason });
         }
     }
 
     /// OSR-out: replaces the top (optimized) frame with an equivalent
-    /// baseline frame via the version's [`OsrMap`](crate::OsrMap) exit
+    /// baseline frame via its version's [`OsrMap`](crate::OsrMap) exit
     /// point at `opt_pc`. With [`VmConfig::deoptless`], first tries a
     /// dispatched transfer into a surviving context-specialized version
     /// ([`Vm::try_dispatch_transfer`]); baseline is the fallback, not the
     /// destination. A mapping failure (corrupt map) refuses the transfer
     /// and keeps executing the optimized code — degraded, never wrong.
-    fn osr_exit(&mut self, version: &Arc<MethodVersion>, opt_pc: u32) -> Result<(), VmError> {
-        let point = version
+    fn osr_exit(&mut self, opt_pc: u32) -> Result<(), VmError> {
+        let frame = self
+            .stack
+            .last()
+            .ok_or(VmError::NoActiveFrame { context: "deoptimizing a frame" })?;
+        let (method, from, base) = (frame.version.method, frame.version.version_id, frame.base);
+        let point = frame
+            .version
             .osr_map
             .exit_at_opt(opt_pc)
             .cloned()
-            .ok_or(VmError::PcOutOfRange { method: version.method, pc: opt_pc as usize })?;
-        if self.config.deoptless && self.try_dispatch_transfer(version, &point) {
+            .ok_or(VmError::PcOutOfRange { method, pc: opt_pc as usize })?;
+        if self.exec.config.deoptless && self.try_dispatch_transfer(method, from, &point) {
             return Ok(());
         }
-        let baseline = self.deopt_target(version.method);
-        let frame = self
-            .stack
-            .last_mut()
-            .ok_or(VmError::NoActiveFrame { context: "deoptimizing a frame" })?;
-        match point.map_to_baseline(&frame.regs, baseline.num_regs) {
+        let baseline = self.deopt_target(method);
+        match point.map_to_baseline(&self.regs[base..], baseline.num_regs) {
             Ok(regs) => {
-                frame.version = baseline;
-                frame.pc = point.baseline_pc as usize;
-                frame.regs = regs;
-                frame.guard_checks = 0;
-                frame.guard_misses = 0;
-                frame.deopt_armed = false;
-                frame.transferred = false;
-                self.counters.osr_exits += 1;
-                self.clock
-                    .charge(Component::Osr, self.cost.osr_transfer_cost(point.slots.len()));
-                if let Some(t) = &self.trace {
-                    t.emit(
-                        self.clock.total(),
-                        TraceEvent::OsrExit { method: version.method, opt_pc },
-                    );
+                self.transfer_top(baseline, point.baseline_pc as usize, regs, false);
+                self.exec.counters.osr_exits += 1;
+                let cost = self.exec.cost.osr_transfer_cost(point.slots.len());
+                self.exec.clock.charge(Component::Osr, cost);
+                if let Some(t) = &self.exec.trace {
+                    t.emit(self.exec.clock.total(), TraceEvent::OsrExit { method, opt_pc });
                 }
             }
             Err(_) => {
-                frame.pc = opt_pc as usize;
+                self.stack.last_mut().expect("present above").at.pc = opt_pc as usize;
             }
         }
         Ok(())
@@ -1048,38 +1028,30 @@ impl<'p> Vm<'p> {
     /// preconditions do not hold or the map refuses — promotion is an
     /// optimization, never an obligation.
     pub fn osr_enter(&mut self, version: &Arc<MethodVersion>, loop_header: u32) -> bool {
-        if !self.config.osr_enabled || version.level != OptLevel::Optimized {
+        if !self.exec.config.osr_enabled || version.level != OptLevel::Optimized {
             return false;
         }
         let Some(frame) = self.stack.last() else { return false };
         if frame.version.method != version.method
             || frame.version.level != OptLevel::Baseline
-            || frame.pc != loop_header as usize
+            || frame.at.pc != loop_header as usize
         {
             return false;
         }
         let Some(point) = version.osr_map.entry_at_baseline(loop_header) else {
             return false;
         };
-        let Ok(regs) = point.map_to_optimized(&frame.regs, version.num_regs) else {
+        let Ok(regs) = point.map_to_optimized(&self.regs[frame.base..], version.num_regs) else {
             return false;
         };
-        let slots = point.slots.len();
-        let opt_pc = point.opt_pc as usize;
-        let frame = self.stack.last_mut().expect("checked above");
-        frame.version = Arc::clone(version);
-        frame.pc = opt_pc;
-        frame.regs = regs;
-        frame.guard_checks = 0;
-        frame.guard_misses = 0;
-        frame.deopt_armed = false;
-        frame.transferred = false;
-        self.counters.osr_entries += 1;
-        self.clock.charge(Component::Osr, self.cost.osr_transfer_cost(slots));
-        self.backedge_counts.remove(&(version.method, loop_header));
-        if let Some(t) = &self.trace {
+        self.transfer_top(Arc::clone(version), point.opt_pc as usize, regs, false);
+        self.exec.counters.osr_entries += 1;
+        let cost = self.exec.cost.osr_transfer_cost(point.slots.len());
+        self.exec.clock.charge(Component::Osr, cost);
+        self.exec.backedge_counts[version.method.index()].retain(|&(h, _)| h != loop_header);
+        if let Some(t) = &self.exec.trace {
             t.emit(
-                self.clock.total(),
+                self.exec.clock.total(),
                 TraceEvent::OsrEnter { method: version.method, loop_header },
             );
         }
@@ -1090,35 +1062,115 @@ impl<'p> Vm<'p> {
     /// `method` (the driver's answer when the method is quarantined or out
     /// of recompile budget).
     pub fn suppress_osr(&mut self, method: MethodId) {
-        self.osr_suppressed.insert(method);
+        self.exec.osr_suppressed[method.index()] = true;
+    }
+}
+
+impl Exec<'_> {
+    /// The installed version of `method`, baseline-compiling it (and
+    /// charging for that) at its first invocation. The clone is the new
+    /// frame's handle on its code.
+    fn ensure_compiled(&mut self, method: MethodId) -> Arc<MethodVersion> {
+        if let Some(v) = self.registry.current(method) {
+            return Arc::clone(v);
+        }
+        let def = self.program.method(method);
+        self.clock.charge(
+            Component::BaselineCompilation,
+            self.cost.baseline_compile_cost(def.size_estimate()),
+        );
+        self.registry.install_baseline(def)
     }
 
+    /// The code a call made at stack depth `depth` runs. The depth check
+    /// comes after the callee's first-invocation compile, as it always has:
+    /// an overflowing call still compiles (and pays for) its target.
     #[inline]
-    fn reg(&self, r: Reg) -> Result<Value, VmError> {
-        let frame = self
-            .stack
-            .last()
-            .ok_or(VmError::NoActiveFrame { context: "reading a register" })?;
-        frame.regs.get(r.index()).copied().ok_or(VmError::BadRegister {
-            method: frame.version.method,
-            pc: frame.pc,
-            reg: r.index(),
-        })
+    fn callee(&mut self, method: MethodId, depth: usize) -> Result<Arc<MethodVersion>, VmError> {
+        let version = self.ensure_compiled(method);
+        if depth >= self.config.max_stack_depth {
+            return Err(VmError::StackOverflow { limit: self.config.max_stack_depth });
+        }
+        Ok(version)
     }
 
+    /// Resolves a virtual call's target from the receiver in `recv`.
+    #[inline(always)]
+    fn virtual_target(
+        &self,
+        a: &Act<'_>,
+        recv: Reg,
+        selector: SelectorId,
+    ) -> Result<MethodId, VmError> {
+        let (method, pc) = (a.method, a.at.pc);
+        let r = a.reg(recv)?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
+        let class =
+            self.heap.class_of(r).ok_or(VmError::TypeError { method, pc, expected: "object" })?;
+        self.program
+            .lookup_virtual(class, selector)
+            .ok_or(VmError::NoSuchMethod { selector, method, pc })
+    }
+
+    /// Books one executed inline guard — global and per-method counters,
+    /// the miss event, and under OSR the optimized activation's own thrash
+    /// detector — and hands `pass` back.
+    #[inline(always)]
+    fn note_guard(&mut self, a: &mut Act<'_>, pass: bool) -> bool {
+        self.counters.guard_checks += 1;
+        let stats = &mut self.guard_stats[a.method.index()];
+        stats.checks += 1;
+        if !pass {
+            self.counters.guard_misses += 1;
+            stats.misses += 1;
+            if let Some(t) = &self.trace {
+                let event = TraceEvent::GuardMiss { method: a.method, pc: a.at.pc as u32 };
+                t.emit(self.clock.total(), event);
+            }
+        }
+        if self.config.osr_enabled && a.level == OptLevel::Optimized {
+            let at = &mut *a.at;
+            at.guard_checks += 1;
+            at.guard_misses += u64::from(!pass);
+            if !at.deopt_armed
+                && at.guard_checks >= self.config.osr_exit_min_checks
+                && at.guard_misses as f64 / at.guard_checks as f64
+                    > self.config.osr_exit_miss_threshold
+            {
+                at.deopt_armed = true;
+            }
+        }
+        pass
+    }
+
+    /// Counts a taken back-edge of a baseline activation; at the
+    /// threshold, raises an [`OsrRequest`] for the driver and returns
+    /// `true`.
+    fn count_backedge(&mut self, method: MethodId, header: u32) -> bool {
+        if self.osr_suppressed[method.index()] {
+            return false;
+        }
+        let counts = &mut self.backedge_counts[method.index()];
+        let i = counts.iter().position(|&(h, _)| h == header).unwrap_or_else(|| {
+            counts.push((header, 0));
+            counts.len() - 1
+        });
+        let count = &mut counts[i].1;
+        *count += 1;
+        if *count < self.config.osr_backedge_threshold {
+            return false;
+        }
+        *count = 0;
+        self.pending_osr = Some(OsrRequest { method, loop_header: header });
+        true
+    }
+
+    /// Whether an optimized activation of `version` taking a back-edge to
+    /// `opt_pc` must leave its code there: the version was invalidated or
+    /// the activation's own guards thrash, and the header is an OSR exit.
     #[inline]
-    fn set_reg(&mut self, r: Reg, v: Value) -> Result<(), VmError> {
-        let frame = self
-            .stack
-            .last_mut()
-            .ok_or(VmError::NoActiveFrame { context: "writing a register" })?;
-        let (method, pc) = (frame.version.method, frame.pc);
-        let slot = frame
-            .regs
-            .get_mut(r.index())
-            .ok_or(VmError::BadRegister { method, pc, reg: r.index() })?;
-        *slot = v;
-        Ok(())
+    fn must_exit(&self, version: &MethodVersion, at: &Cursor, opt_pc: u32) -> bool {
+        (at.deopt_armed || self.registry.is_invalidated(version.version_id))
+            && version.osr_map.exit_at_opt(opt_pc).is_some()
     }
 }
 

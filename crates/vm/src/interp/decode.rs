@@ -5,9 +5,9 @@
 //! [`DecodedInstr`]s, each carrying its precomputed simulated cost, the
 //! superinstruction it heads (if any), and the fully resolved operands
 //! ([`DecodedOp`]). Dispatch is a jump table over the pre-fetched op with
-//! every handler forced inline into the loop body — no per-step
-//! `Arc::clone` of the version, no `Instr` clone, no program-table
-//! lookups, no re-resolution of fields or layouts. (See the
+//! every handler forced inline into the loop body — no `Arc::clone` of
+//! the version the loop runs, no `Instr` clone, no program-table lookups,
+//! no re-resolution of fields or layouts. (See the
 //! [`DecodedInstr`] docs for why per-slot function pointers were tried
 //! and dropped.)
 //!
@@ -25,11 +25,16 @@
 //!   arm looks up per step, by construction of the decode pass.
 //! * **The loop replicates the event schedule.** The legacy run loop
 //!   checks, in order: finished → budget → step → pending-OSR → sample.
-//!   The decoded loop performs the same checks in the same order around
-//!   each handler call; it merely hoists the frame/version fetch out of
-//!   the steady state (re-fetching whenever a call, return, or OSR
-//!   transition switches the executing version — the only events that can
-//!   change it).
+//!   The decoded loop makes the same checks in the same order, but only
+//!   when one can fire: inside a frame it compares the clock against the
+//!   earlier of the due sample and the budget's end, and a back-edge says
+//!   whether it raised an OSR request.
+//! * **The loop borrows, the frame owns.** While the frame stack is
+//!   neither pushed nor popped, the loop runs on a `&DecodedBody` borrowed
+//!   out of the top frame's version, with the frame's [`Cursor`] in a
+//!   local. Handlers take what they mutate ([`Exec`], [`Act`]), never the
+//!   frame stack; a call, a return, an OSR exit, a yield or a fault leaves
+//!   the frame — the cursor is stored back, then the stack changes.
 //! * **Superinstructions are compositions.** A fused handler is literally
 //!   `first_half(); boundary(); second_half()` where the halves are the
 //!   plain handlers' bodies and `boundary` performs exactly what the
@@ -47,19 +52,17 @@
 //!   branch targets, OSR anchors and sample attribution are untouched
 //!   (a jump *into* the middle of a pair executes the second op plainly).
 
-use super::{Frame, RunOutcome, Vm};
+use super::{enter, Act, Cursor, Exec, Frame, RunOutcome, Vm};
 use crate::clock::Component;
 use crate::code::{MethodVersion, OptLevel};
 use crate::cost::CostModel;
 use crate::error::VmError;
 use crate::value::Value;
 use aoci_ir::{decode_body, fusion_plan, BinOp, Cond, DecodedOp, FusedKind, MethodId, Program, Reg};
-use aoci_trace::TraceEvent;
-use std::sync::Arc;
 
 /// What a handler tells the dispatch loop to do next.
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum Flow {
+pub(crate) enum Flow<'b> {
     /// Fall through to `pc + 1`.
     Advance,
     /// A fused pair fell through: continue at `pc + 2`; the second half
@@ -74,10 +77,32 @@ pub(crate) enum Flow {
         /// Whether the branch ran as a fused second half.
         fused: bool,
     },
-    /// A frame was pushed (call): re-fetch the executing version.
-    Call,
-    /// The top frame returned (or the program finished).
-    Ret,
+    /// A call resolved its callee and found its argument registers
+    /// readable; the loop opens the callee's frame.
+    Call {
+        /// The method to invoke.
+        callee: MethodId,
+        /// Where the caller wants the return value.
+        dst: Option<u16>,
+        /// The receiver register (virtual calls): the first argument.
+        recv: Option<u16>,
+        /// The remaining argument registers.
+        args: &'b [u16],
+    },
+    /// A `Return` read its value; the loop pops the frame.
+    Ret(Option<Value>),
+}
+
+/// Why the loop stopped running the top frame.
+enum Switch {
+    /// A call: push this callee frame.
+    Call(Frame),
+    /// A return with this value: pop the frame.
+    Ret(Option<Value>),
+    /// An optimized activation must leave its code at this loop header.
+    OsrExit(u32),
+    /// A sample, the budget's end or an OSR request may be due.
+    Yield,
 }
 
 /// One slot of a pre-decoded body: the execution-ready form of one source
@@ -140,56 +165,80 @@ impl DecodedBody {
     }
 }
 
-/// Executes the plain (single-instruction) handler for the op at `pc`.
-/// One jump table; every handler inlines into the caller's loop body.
+/// Executes the plain (single-instruction) handler for `op`, the
+/// instruction at `a.at.pc`. One jump table; every handler inlines into the
+/// caller's loop body.
 #[inline(always)]
-fn dispatch_plain(
-    vm: &mut Vm<'_>,
-    method: MethodId,
-    op: &DecodedOp,
-    pc: usize,
-) -> Result<Flow, VmError> {
+fn dispatch_plain<'b>(
+    x: &mut Exec<'_>,
+    a: &mut Act<'_>,
+    op: &'b DecodedOp,
+) -> Result<Flow<'b>, VmError> {
     match op {
-        DecodedOp::Const { .. } => op_const(vm, method, op, pc),
-        DecodedOp::ConstNull { .. } => op_const_null(vm, method, op, pc),
-        DecodedOp::Move { .. } => op_move(vm, method, op, pc),
-        DecodedOp::Bin { .. } => op_bin(vm, method, op, pc),
-        DecodedOp::Work { .. } => op_work(vm, method, op, pc),
-        DecodedOp::New { .. } => op_new(vm, method, op, pc),
-        DecodedOp::GetField { .. } => op_get_field(vm, method, op, pc),
-        DecodedOp::PutField { .. } => op_put_field(vm, method, op, pc),
-        DecodedOp::GetGlobal { .. } => op_get_global(vm, method, op, pc),
-        DecodedOp::PutGlobal { .. } => op_put_global(vm, method, op, pc),
-        DecodedOp::ArrNew { .. } => op_arr_new(vm, method, op, pc),
-        DecodedOp::ArrGet { .. } => op_arr_get(vm, method, op, pc),
-        DecodedOp::ArrSet { .. } => op_arr_set(vm, method, op, pc),
-        DecodedOp::ArrLen { .. } => op_arr_len(vm, method, op, pc),
-        DecodedOp::InstanceOf { .. } => op_instance_of(vm, method, op, pc),
-        DecodedOp::Jump { .. } => op_jump(vm, method, op, pc),
-        DecodedOp::Branch { .. } => op_branch(vm, method, op, pc),
-        DecodedOp::CallStatic { .. } => op_call_static(vm, method, op, pc),
-        DecodedOp::CallVirtual { .. } => op_call_virtual(vm, method, op, pc),
-        DecodedOp::Return { .. } => op_return(vm, method, op, pc),
-        DecodedOp::GuardClass { .. } => op_guard_class(vm, method, op, pc),
-        DecodedOp::GuardMethod { .. } => op_guard_method(vm, method, op, pc),
+        DecodedOp::Const { .. } => op_const(x, a, op),
+        DecodedOp::ConstNull { .. } => op_const_null(x, a, op),
+        DecodedOp::Move { .. } => op_move(x, a, op),
+        DecodedOp::Bin { .. } => op_bin(x, a, op),
+        DecodedOp::Work { .. } => Ok(Flow::Advance),
+        DecodedOp::New { .. } => op_new(x, a, op),
+        DecodedOp::GetField { .. } => op_get_field(x, a, op),
+        DecodedOp::PutField { .. } => op_put_field(x, a, op),
+        DecodedOp::GetGlobal { .. } => op_get_global(x, a, op),
+        DecodedOp::PutGlobal { .. } => op_put_global(x, a, op),
+        DecodedOp::ArrNew { .. } => op_arr_new(x, a, op),
+        DecodedOp::ArrGet { .. } => op_arr_get(x, a, op),
+        DecodedOp::ArrSet { .. } => op_arr_set(x, a, op),
+        DecodedOp::ArrLen { .. } => op_arr_len(x, a, op),
+        DecodedOp::InstanceOf { .. } => op_instance_of(x, a, op),
+        DecodedOp::Jump { target } => Ok(Flow::Jump { target: *target, fused: false }),
+        DecodedOp::Branch { .. } => op_branch(x, a, op),
+        DecodedOp::CallStatic { .. } => op_call_static(x, a, op),
+        DecodedOp::CallVirtual { .. } => op_call_virtual(x, a, op),
+        DecodedOp::Return { .. } => op_return(x, a, op),
+        DecodedOp::GuardClass { .. } => op_guard_class(x, a, op),
+        DecodedOp::GuardMethod { .. } => op_guard_method(x, a, op),
     }
 }
 
-/// Executes the superinstruction for a fused pair headed at `pc`.
+/// Executes the superinstruction for the fused pair headed at `a.at.pc`:
+/// the first half's plain handler, the inter-instruction boundary, the
+/// second half's plain handler. The boundary is what the interpreter does
+/// between two adjacent instructions: advance the pc (so fault sites and
+/// register errors in the second half see the second instruction's pc, as
+/// the legacy loop guarantees) and charge the second instruction's cost.
+/// First halves are straight-line: they always fall through.
 #[inline(always)]
-fn dispatch_fused(
+fn dispatch_fused<'b>(
     kind: FusedKind,
-    vm: &mut Vm<'_>,
-    body: &DecodedBody,
-    pc: usize,
-) -> Result<Flow, VmError> {
-    match kind {
-        FusedKind::ConstBin => fused_const_bin(vm, body, pc),
-        FusedKind::MoveBin => fused_move_bin(vm, body, pc),
-        FusedKind::GetFieldBin => fused_get_field_bin(vm, body, pc),
-        FusedKind::BinBranch => fused_bin_branch(vm, body, pc),
-        FusedKind::ConstBranch => fused_const_branch(vm, body, pc),
+    x: &mut Exec<'_>,
+    a: &mut Act<'_>,
+    body: &'b DecodedBody,
+) -> Result<Flow<'b>, VmError> {
+    // A macro, not a function over the two handlers: passed as values they
+    // are reached through a `call_once` shim that is not inlined.
+    macro_rules! fused {
+        ($first:ident, $second:ident) => {{
+            let pc = a.at.pc;
+            $first(x, a, &body.instrs[pc].op)?;
+            a.at.pc = pc + 1;
+            x.clock.charge(body.component, body.instrs[pc + 1].cost);
+            $second(x, a, &body.instrs[pc + 1].op)?
+        }};
     }
+    let second_half = match kind {
+        FusedKind::ConstBin => fused!(op_const, op_bin),
+        FusedKind::MoveBin => fused!(op_move, op_bin),
+        FusedKind::GetFieldBin => fused!(op_get_field, op_bin),
+        FusedKind::BinBranch => fused!(op_bin, op_branch),
+        FusedKind::ConstBranch => fused!(op_const, op_branch),
+    };
+    // Lift the second half's flow into its fused form: the dispatch loop
+    // must know the instruction that produced it sat at `pc + 1`.
+    Ok(match second_half {
+        Flow::Advance => Flow::AdvanceFused,
+        Flow::Jump { target, .. } => Flow::Jump { target, fused: true },
+        other => other,
+    })
 }
 
 impl<'p> Vm<'p> {
@@ -201,529 +250,365 @@ impl<'p> Vm<'p> {
         // The next point on the simulated clock at which the run loop must
         // yield: a due sample or budget exhaustion, whichever is earlier.
         // Both are fixed for the duration of this call (a sample return
-        // re-enters through `run`). The fused fast path is gated on being
-        // strictly below this boundary.
-        let budget_end = start.saturating_add(budget);
-        let event = self.next_sample_at.unwrap_or(u64::MAX).min(budget_end);
-        'frames: loop {
+        // re-enters through `run`). Inside a frame this is the only clock
+        // comparison, and the fused fast path is gated on being strictly
+        // below it.
+        let event = self.next_sample_at.unwrap_or(u64::MAX).min(start.saturating_add(budget));
+        loop {
             if let Some(v) = &self.finished {
                 return Ok(RunOutcome::Finished(*v));
             }
-            if self.clock.total() - start >= budget {
+            if self.exec.clock.total() - start >= budget {
                 return Ok(RunOutcome::BudgetExhausted);
             }
-            let frame = self
-                .stack
+            let Vm { stack, regs, exec, .. } = &mut *self;
+            let frame = stack
                 .last()
                 .ok_or(VmError::NoActiveFrame { context: "executing an instruction" })?;
-            let version = Arc::clone(&frame.version);
-            let mut pc = frame.pc;
-            let body = version.decoded_body(self.program, &self.cost);
-            loop {
-                let di = body
-                    .instrs
-                    .get(pc)
-                    .ok_or(VmError::PcOutOfRange { method: body.method, pc })?;
-                self.clock.charge(body.component, di.cost);
-                // Fused fast path only while the clock stays strictly below
-                // the next event boundary after the first half's charge —
-                // exactly when the legacy loop would run the second
-                // instruction before yielding.
-                let flow = match di.fused {
-                    Some(kind) if self.clock.total() < event => {
-                        dispatch_fused(kind, self, body, pc)?
-                    }
-                    _ => dispatch_plain(self, body.method, &di.op, pc)?,
-                };
-                // `from` is the pc of the instruction that produced the
-                // transfer (the second half, for fused flows): the legacy
-                // loop's `pc` at its back-edge hook.
-                let mut switched = false;
-                match flow {
-                    Flow::Advance => {
-                        pc = self.after_step(body, &version, pc + 1, pc, &mut switched)?;
-                    }
-                    Flow::AdvanceFused => {
-                        pc = self.after_step(body, &version, pc + 2, pc + 1, &mut switched)?;
-                    }
-                    Flow::Jump { target, fused } => {
-                        let from = if fused { pc + 1 } else { pc };
-                        pc = self.after_step(body, &version, target as usize, from, &mut switched)?;
-                    }
-                    Flow::Call | Flow::Ret => switched = true,
-                }
-                // Post-step checks, in the legacy loop's order.
-                if let Some(req) = self.pending_osr.take() {
-                    return Ok(RunOutcome::OsrRequest(req));
-                }
-                if let Some(due) = self.next_sample_at {
-                    if self.clock.total() >= due && self.finished.is_none() {
-                        self.next_sample_at = Some(self.clock.total() + self.cost.sample_period);
-                        let snapshot = self.snapshot();
-                        return Ok(RunOutcome::Sample(snapshot));
-                    }
-                }
-                if switched {
-                    // A call, return, or OSR transition may have changed
-                    // the executing version: loop back through the fetch.
-                    continue 'frames;
-                }
-                if self.finished.is_some() {
-                    continue 'frames;
-                }
-                if self.clock.total() - start >= budget {
-                    return Ok(RunOutcome::BudgetExhausted);
-                }
+            let mut at = frame.at;
+            let switch = run_frame(exec, regs, frame, stack.len(), &mut at, event);
+            // The one place the cursor goes back into the frame: before the
+            // stack changes (call, return, OSR exit), before anything can
+            // observe it (yield), and on a fault.
+            stack.last_mut().expect("fetched above").at = at;
+            match switch? {
+                Switch::Call(callee) => stack.push(callee),
+                Switch::Ret(value) => self.pop_frame(value)?,
+                Switch::OsrExit(opt_pc) => self.osr_exit(opt_pc)?,
+                Switch::Yield => {}
+            }
+            if let Some(outcome) = self.after_step_yield() {
+                return Ok(outcome);
             }
         }
     }
+}
 
-    /// The legacy loop's step tail for straight-line and branching flows:
-    /// the back-edge OSR hook, then the pc store. Returns the pc execution
-    /// continues at; sets `switched` when an OSR exit replaced the frame.
-    #[inline(always)]
-    fn after_step(
-        &mut self,
-        body: &DecodedBody,
-        version: &Arc<MethodVersion>,
-        next_pc: usize,
-        from: usize,
-        switched: &mut bool,
-    ) -> Result<usize, VmError> {
-        if self.config.osr_enabled && next_pc <= from {
-            match body.level {
-                OptLevel::Baseline => self.count_backedge(body.method, next_pc as u32),
-                OptLevel::Optimized => {
-                    let invalidated = self.registry.is_invalidated(version.version_id);
-                    let armed = self.stack.last().is_some_and(|f| f.deopt_armed);
-                    if (invalidated || armed)
-                        && version.osr_map.exit_at_opt(next_pc as u32).is_some()
-                    {
-                        self.osr_exit(version, next_pc as u32)?;
-                        *switched = true;
-                        return Ok(next_pc);
+/// Runs `frame` — the top one, at depth `depth` — from `at` until the frame
+/// stack has to change or the loop may have to yield. The body is borrowed
+/// from the frame's version for exactly that long; `at` is the caller's
+/// copy of the frame's cursor and is current whenever this returns, with
+/// `at.pc` on the instruction that stopped the loop (a fault included) or,
+/// for a yield, the next one to run.
+#[inline]
+fn run_frame(
+    x: &mut Exec<'_>,
+    regs: &mut Vec<Value>,
+    frame: &Frame,
+    depth: usize,
+    at: &mut Cursor,
+    event: u64,
+) -> Result<Switch, VmError> {
+    let version = &*frame.version;
+    let body = version.decoded_body(x.program, &x.cost);
+    let mut a = Act { method: body.method, level: body.level, win: &mut regs[frame.base..], at };
+    loop {
+        let pc = a.at.pc;
+        let di = body
+            .instrs
+            .get(pc)
+            .ok_or(VmError::PcOutOfRange { method: body.method, pc })?;
+        x.clock.charge(body.component, di.cost);
+        // Fused fast path only while the clock stays strictly below the
+        // next event boundary after the first half's charge — exactly when
+        // the legacy loop would run the second instruction before yielding.
+        let flow = match di.fused {
+            Some(kind) if x.clock.total() < event => dispatch_fused(kind, x, &mut a, body)?,
+            _ => dispatch_plain(x, &mut a, &di.op)?,
+        };
+        let mut raised = false;
+        a.at.pc = match flow {
+            Flow::Advance => pc + 1,
+            Flow::AdvanceFused => pc + 2,
+            Flow::Jump { target, fused } => {
+                // The legacy loop's step tail, its back-edge OSR hook.
+                // `from` is the pc of the branch itself (the second half,
+                // for a fused pair): the legacy loop's `pc` at the hook.
+                let (next_pc, from) = (target as usize, pc + usize::from(fused));
+                if x.config.osr_enabled && next_pc <= from {
+                    match body.level {
+                        OptLevel::Baseline => raised = x.count_backedge(body.method, target),
+                        OptLevel::Optimized => {
+                            if x.must_exit(version, a.at, target) {
+                                return Ok(Switch::OsrExit(target));
+                            }
+                        }
                     }
                 }
+                next_pc
             }
+            Flow::Call { callee, dst, recv, args } => {
+                // The caller's pc stays on the call instruction while the
+                // callee runs (stack walks read the site from it); it is
+                // advanced on return.
+                let callee = x.callee(callee, depth)?;
+                let args = args.iter().map(|&r| Reg(r));
+                return enter(regs, callee, frame.base, recv.map(Reg), args, dst.map(Reg))
+                    .map(Switch::Call);
+            }
+            Flow::Ret(value) => return Ok(Switch::Ret(value)),
+        };
+        if raised || x.clock.total() >= event {
+            return Ok(Switch::Yield);
         }
-        self.stack
-            .last_mut()
-            .ok_or(VmError::NoActiveFrame { context: "advancing the program counter" })?
-            .pc = next_pc;
-        Ok(next_pc)
-    }
-}
-
-/// The inter-instruction boundary inside a fused pair: store the advanced
-/// pc (so fault sites, stack walks and register errors in the second half
-/// see the second instruction's pc, as the legacy loop guarantees) and
-/// charge the second instruction's cost.
-#[inline(always)]
-fn fused_boundary(vm: &mut Vm<'_>, body: &DecodedBody, pc: usize) -> Result<(), VmError> {
-    vm.stack
-        .last_mut()
-        .ok_or(VmError::NoActiveFrame { context: "advancing the program counter" })?
-        .pc = pc + 1;
-    vm.clock.charge(body.component, body.instrs[pc + 1].cost);
-    Ok(())
-}
-
-/// Lifts a second-half flow into its fused form (the dispatch loop must
-/// know the executing instruction sat at `pc + 1`).
-#[inline(always)]
-fn as_second_half(flow: Flow) -> Flow {
-    match flow {
-        Flow::Advance => Flow::AdvanceFused,
-        Flow::Jump { target, .. } => Flow::Jump { target, fused: true },
-        other => other,
     }
 }
 
 // ---------------------------------------------------------------------------
 // Plain handlers. Each is the legacy `match` arm for its opcode, reading
-// operands from the decoded form. `body.method` / `pc` reproduce the legacy
-// fault sites exactly (the dispatch loop maintains `frame.pc == pc`).
+// operands from the decoded form. `a.method` / `a.at.pc` reproduce the
+// legacy fault sites exactly (the dispatch loop keeps `a.at.pc` on the
+// executing instruction).
 // ---------------------------------------------------------------------------
 
 #[inline(always)]
-fn op_const(vm: &mut Vm<'_>, _method: MethodId, op: &DecodedOp, _pc: usize) -> Result<Flow, VmError> {
+fn op_const<'b>(_x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let &DecodedOp::Const { dst, value } = op else { unreachable!() };
-    vm.set_reg(Reg(dst), Value::Int(value))?;
+    a.set_reg(Reg(dst), Value::Int(value))?;
     Ok(Flow::Advance)
 }
 
 #[inline(always)]
-fn op_const_null(vm: &mut Vm<'_>, _method: MethodId, op: &DecodedOp, _pc: usize) -> Result<Flow, VmError> {
+fn op_const_null<'b>(_x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let &DecodedOp::ConstNull { dst } = op else { unreachable!() };
-    vm.set_reg(Reg(dst), Value::Null)?;
+    a.set_reg(Reg(dst), Value::Null)?;
     Ok(Flow::Advance)
 }
 
 #[inline(always)]
-fn op_move(vm: &mut Vm<'_>, _method: MethodId, op: &DecodedOp, _pc: usize) -> Result<Flow, VmError> {
+fn op_move<'b>(_x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let &DecodedOp::Move { dst, src } = op else { unreachable!() };
-    let v = vm.reg(Reg(src))?;
-    vm.set_reg(Reg(dst), v)?;
+    let v = a.reg(Reg(src))?;
+    a.set_reg(Reg(dst), v)?;
     Ok(Flow::Advance)
 }
 
 #[inline(always)]
-fn op_bin(vm: &mut Vm<'_>, method: MethodId, op: &DecodedOp, pc: usize) -> Result<Flow, VmError> {
+fn op_bin<'b>(_x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let &DecodedOp::Bin { op, dst, lhs, rhs } = op else { unreachable!() };
-    let a = vm.int(vm.reg(Reg(lhs))?)?;
-    let b = vm.int(vm.reg(Reg(rhs))?)?;
+    let (method, pc) = (a.method, a.at.pc);
+    let l = a.int(a.reg(Reg(lhs))?)?;
+    let r = a.int(a.reg(Reg(rhs))?)?;
     let r = match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
+        BinOp::Add => l.wrapping_add(r),
+        BinOp::Sub => l.wrapping_sub(r),
+        BinOp::Mul => l.wrapping_mul(r),
         BinOp::Div => {
-            if b == 0 {
+            if r == 0 {
                 return Err(VmError::DivideByZero { method, pc });
             }
-            a.wrapping_div(b)
+            l.wrapping_div(r)
         }
         BinOp::Rem => {
-            if b == 0 {
+            if r == 0 {
                 return Err(VmError::DivideByZero { method, pc });
             }
-            a.wrapping_rem(b)
+            l.wrapping_rem(r)
         }
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
+        BinOp::And => l & r,
+        BinOp::Or => l | r,
+        BinOp::Xor => l ^ r,
     };
-    vm.set_reg(Reg(dst), Value::Int(r))?;
+    a.set_reg(Reg(dst), Value::Int(r))?;
     Ok(Flow::Advance)
 }
 
 #[inline(always)]
-fn op_work(_vm: &mut Vm<'_>, _method: MethodId, _op: &DecodedOp, _pc: usize) -> Result<Flow, VmError> {
-    Ok(Flow::Advance)
-}
-
-#[inline(always)]
-fn op_new(vm: &mut Vm<'_>, _method: MethodId, op: &DecodedOp, _pc: usize) -> Result<Flow, VmError> {
+fn op_new<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let &DecodedOp::New { dst, class, layout } = op else { unreachable!() };
-    let r = vm.heap.alloc_object(class, layout);
-    vm.set_reg(Reg(dst), Value::Ref(r))?;
+    let r = x.heap.alloc_object(class, layout);
+    a.set_reg(Reg(dst), Value::Ref(r))?;
     Ok(Flow::Advance)
 }
 
 #[inline(always)]
-fn op_get_field(vm: &mut Vm<'_>, method: MethodId, op: &DecodedOp, pc: usize) -> Result<Flow, VmError> {
+fn op_get_field<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let &DecodedOp::GetField { dst, obj, offset, .. } = op else {
         unreachable!()
     };
-    let r = vm.reg(Reg(obj))?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
-    let v = vm
+    let (method, pc) = (a.method, a.at.pc);
+    let r = a.reg(Reg(obj))?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
+    let v = x
         .heap
         .get_field(r, offset)
         .ok_or(VmError::TypeError { method, pc, expected: "object" })?;
-    vm.set_reg(Reg(dst), v)?;
+    a.set_reg(Reg(dst), v)?;
     Ok(Flow::Advance)
 }
 
 #[inline(always)]
-fn op_put_field(vm: &mut Vm<'_>, method: MethodId, op: &DecodedOp, pc: usize) -> Result<Flow, VmError> {
+fn op_put_field<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let &DecodedOp::PutField { obj, offset, src, .. } = op else {
         unreachable!()
     };
-    let r = vm.reg(Reg(obj))?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
-    let v = vm.reg(Reg(src))?;
-    if !vm.heap.put_field(r, offset, v) {
+    let (method, pc) = (a.method, a.at.pc);
+    let r = a.reg(Reg(obj))?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
+    let v = a.reg(Reg(src))?;
+    if !x.heap.put_field(r, offset, v) {
         return Err(VmError::TypeError { method, pc, expected: "object" });
     }
     Ok(Flow::Advance)
 }
 
 #[inline(always)]
-fn op_get_global(vm: &mut Vm<'_>, _method: MethodId, op: &DecodedOp, _pc: usize) -> Result<Flow, VmError> {
+fn op_get_global<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let &DecodedOp::GetGlobal { dst, global } = op else { unreachable!() };
-    let v = vm.globals[global.index()];
-    vm.set_reg(Reg(dst), v)?;
+    let v = x.globals[global.index()];
+    a.set_reg(Reg(dst), v)?;
     Ok(Flow::Advance)
 }
 
 #[inline(always)]
-fn op_put_global(vm: &mut Vm<'_>, _method: MethodId, op: &DecodedOp, _pc: usize) -> Result<Flow, VmError> {
+fn op_put_global<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let &DecodedOp::PutGlobal { global, src } = op else { unreachable!() };
-    vm.globals[global.index()] = vm.reg(Reg(src))?;
+    x.globals[global.index()] = a.reg(Reg(src))?;
     Ok(Flow::Advance)
 }
 
 #[inline(always)]
-fn op_arr_new(vm: &mut Vm<'_>, method: MethodId, op: &DecodedOp, pc: usize) -> Result<Flow, VmError> {
+fn op_arr_new<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let &DecodedOp::ArrNew { dst, len } = op else { unreachable!() };
-    let n = vm.int(vm.reg(Reg(len))?)?;
+    let n = a.int(a.reg(Reg(len))?)?;
     if n < 0 {
-        return Err(VmError::NegativeArrayLength { method, pc });
+        return Err(VmError::NegativeArrayLength { method: a.method, pc: a.at.pc });
     }
-    let r = vm.heap.alloc_array(n as u32);
-    vm.set_reg(Reg(dst), Value::Ref(r))?;
+    let r = x.heap.alloc_array(n as u32);
+    a.set_reg(Reg(dst), Value::Ref(r))?;
     Ok(Flow::Advance)
 }
 
 #[inline(always)]
-fn op_arr_get(vm: &mut Vm<'_>, method: MethodId, op: &DecodedOp, pc: usize) -> Result<Flow, VmError> {
+fn op_arr_get<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let &DecodedOp::ArrGet { dst, arr, idx } = op else { unreachable!() };
-    let r = vm.reg(Reg(arr))?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
-    let i = vm.int(vm.reg(Reg(idx))?)?;
-    let v = vm
+    let (method, pc) = (a.method, a.at.pc);
+    let r = a.reg(Reg(arr))?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
+    let i = a.int(a.reg(Reg(idx))?)?;
+    let v = x
         .heap
         .arr_get(r, i)
         .ok_or(VmError::IndexOutOfBounds { method, pc, index: i })?;
-    vm.set_reg(Reg(dst), v)?;
+    a.set_reg(Reg(dst), v)?;
     Ok(Flow::Advance)
 }
 
 #[inline(always)]
-fn op_arr_set(vm: &mut Vm<'_>, method: MethodId, op: &DecodedOp, pc: usize) -> Result<Flow, VmError> {
+fn op_arr_set<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let &DecodedOp::ArrSet { arr, idx, src } = op else { unreachable!() };
-    let r = vm.reg(Reg(arr))?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
-    let i = vm.int(vm.reg(Reg(idx))?)?;
-    let v = vm.reg(Reg(src))?;
-    if !vm.heap.arr_set(r, i, v) {
+    let (method, pc) = (a.method, a.at.pc);
+    let r = a.reg(Reg(arr))?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
+    let i = a.int(a.reg(Reg(idx))?)?;
+    let v = a.reg(Reg(src))?;
+    if !x.heap.arr_set(r, i, v) {
         return Err(VmError::IndexOutOfBounds { method, pc, index: i });
     }
     Ok(Flow::Advance)
 }
 
 #[inline(always)]
-fn op_arr_len(vm: &mut Vm<'_>, method: MethodId, op: &DecodedOp, pc: usize) -> Result<Flow, VmError> {
+fn op_arr_len<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let &DecodedOp::ArrLen { dst, arr } = op else { unreachable!() };
-    let r = vm.reg(Reg(arr))?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
-    let n = vm
+    let (method, pc) = (a.method, a.at.pc);
+    let r = a.reg(Reg(arr))?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
+    let n = x
         .heap
         .arr_len(r)
         .ok_or(VmError::TypeError { method, pc, expected: "array" })?;
-    vm.set_reg(Reg(dst), Value::Int(n))?;
+    a.set_reg(Reg(dst), Value::Int(n))?;
     Ok(Flow::Advance)
 }
 
 #[inline(always)]
-fn op_instance_of(vm: &mut Vm<'_>, _method: MethodId, op: &DecodedOp, _pc: usize) -> Result<Flow, VmError> {
+fn op_instance_of<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let &DecodedOp::InstanceOf { dst, obj, class } = op else { unreachable!() };
-    let result = match vm.reg(Reg(obj))? {
-        Value::Ref(r) => match vm.heap.class_of(r) {
-            Some(c) => vm.program.is_subclass(c, class),
+    let result = match a.reg(Reg(obj))? {
+        Value::Ref(r) => match x.heap.class_of(r) {
+            Some(c) => x.program.is_subclass(c, class),
             None => false,
         },
         _ => false,
     };
-    vm.set_reg(Reg(dst), Value::Int(result as i64))?;
+    a.set_reg(Reg(dst), Value::Int(result as i64))?;
     Ok(Flow::Advance)
 }
 
 #[inline(always)]
-fn op_jump(_vm: &mut Vm<'_>, _method: MethodId, op: &DecodedOp, _pc: usize) -> Result<Flow, VmError> {
-    let &DecodedOp::Jump { target } = op else { unreachable!() };
-    Ok(Flow::Jump { target, fused: false })
-}
-
-#[inline(always)]
-fn op_branch(vm: &mut Vm<'_>, _method: MethodId, op: &DecodedOp, _pc: usize) -> Result<Flow, VmError> {
+fn op_branch<'b>(_x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let &DecodedOp::Branch { cond, lhs, rhs, target } = op else {
         unreachable!()
     };
-    let a = vm.reg(Reg(lhs))?;
-    let b = vm.reg(Reg(rhs))?;
+    let l = a.reg(Reg(lhs))?;
+    let r = a.reg(Reg(rhs))?;
     let taken = match cond {
-        Cond::Eq => a.vm_eq(b),
-        Cond::Ne => !a.vm_eq(b),
-        Cond::Lt => vm.int(a)? < vm.int(b)?,
-        Cond::Le => vm.int(a)? <= vm.int(b)?,
-        Cond::Gt => vm.int(a)? > vm.int(b)?,
-        Cond::Ge => vm.int(a)? >= vm.int(b)?,
+        Cond::Eq => l.vm_eq(r),
+        Cond::Ne => !l.vm_eq(r),
+        Cond::Lt => a.int(l)? < a.int(r)?,
+        Cond::Le => a.int(l)? <= a.int(r)?,
+        Cond::Gt => a.int(l)? > a.int(r)?,
+        Cond::Ge => a.int(l)? >= a.int(r)?,
     };
     Ok(if taken { Flow::Jump { target, fused: false } } else { Flow::Advance })
 }
 
 #[inline(always)]
-fn op_guard_class(vm: &mut Vm<'_>, method: MethodId, op: &DecodedOp, pc: usize) -> Result<Flow, VmError> {
+fn op_guard_class<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let &DecodedOp::GuardClass { recv, class, else_target } = op else {
         unreachable!()
     };
-    let pass = match vm.reg(Reg(recv))? {
-        Value::Ref(r) => vm.heap.class_of(r) == Some(class),
+    let pass = match a.reg(Reg(recv))? {
+        Value::Ref(r) => x.heap.class_of(r) == Some(class),
         _ => false,
     };
-    let mut flow = Flow::Advance;
-    vm.counters.guard_checks += 1;
-    vm.guard_stats[method.index()].checks += 1;
-    if !pass {
-        vm.counters.guard_misses += 1;
-        vm.guard_stats[method.index()].misses += 1;
-        flow = Flow::Jump { target: else_target, fused: false };
-        if let Some(t) = &vm.trace {
-            t.emit(vm.clock.total(), TraceEvent::GuardMiss { method, pc: pc as u32 });
-        }
-    }
-    vm.note_guard(pass);
-    Ok(flow)
+    Ok(match x.note_guard(a, pass) {
+        true => Flow::Advance,
+        false => Flow::Jump { target: else_target, fused: false },
+    })
 }
 
 #[inline(always)]
-fn op_guard_method(vm: &mut Vm<'_>, method: MethodId, op: &DecodedOp, pc: usize) -> Result<Flow, VmError> {
+fn op_guard_method<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let &DecodedOp::GuardMethod { recv, selector, target, else_target } = op
     else {
         unreachable!()
     };
-    let pass = match vm.reg(Reg(recv))? {
+    let pass = match a.reg(Reg(recv))? {
         Value::Ref(r) => {
-            vm.heap.class_of(r).and_then(|c| vm.program.lookup_virtual(c, selector))
-                == Some(target)
+            x.heap.class_of(r).and_then(|c| x.program.lookup_virtual(c, selector)) == Some(target)
         }
         _ => false,
     };
-    let mut flow = Flow::Advance;
-    vm.counters.guard_checks += 1;
-    vm.guard_stats[method.index()].checks += 1;
-    if !pass {
-        vm.counters.guard_misses += 1;
-        vm.guard_stats[method.index()].misses += 1;
-        flow = Flow::Jump { target: else_target, fused: false };
-        if let Some(t) = &vm.trace {
-            t.emit(vm.clock.total(), TraceEvent::GuardMiss { method, pc: pc as u32 });
-        }
-    }
-    vm.note_guard(pass);
-    Ok(flow)
+    Ok(match x.note_guard(a, pass) {
+        true => Flow::Advance,
+        false => Flow::Jump { target: else_target, fused: false },
+    })
 }
 
 #[inline(always)]
-fn op_call_static(vm: &mut Vm<'_>, _method: MethodId, op: &DecodedOp, _pc: usize) -> Result<Flow, VmError> {
+fn op_call_static<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let DecodedOp::CallStatic { dst, callee, args, .. } = op else {
         unreachable!()
     };
-    vm.counters.calls += 1;
-    let argv =
-        args.iter().map(|&a| vm.reg(Reg(a))).collect::<Result<Vec<Value>, VmError>>()?;
-    let callee_version = vm.ensure_compiled(*callee);
-    // The caller's pc stays on the call instruction while the callee runs
-    // (stack walks read the site from it); it is advanced on return.
-    vm.push_frame(callee_version, argv, dst.map(Reg))?;
-    Ok(Flow::Call)
+    x.counters.calls += 1;
+    a.check_args(args.iter().map(|&r| Reg(r)))?;
+    Ok(Flow::Call { callee: *callee, dst: *dst, recv: None, args })
 }
 
 #[inline(always)]
-fn op_call_virtual(vm: &mut Vm<'_>, method: MethodId, op: &DecodedOp, pc: usize) -> Result<Flow, VmError> {
+fn op_call_virtual<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let DecodedOp::CallVirtual { dst, selector, recv, args, .. } = op else {
         unreachable!()
     };
-    vm.counters.calls += 1;
-    vm.counters.virtual_dispatches += 1;
-    let recv_val = vm.reg(Reg(*recv))?;
-    let r = recv_val.as_ref().ok_or(VmError::NullDeref { method, pc })?;
-    let class = vm
-        .heap
-        .class_of(r)
-        .ok_or(VmError::TypeError { method, pc, expected: "object" })?;
-    let target = vm
-        .program
-        .lookup_virtual(class, *selector)
-        .ok_or(VmError::NoSuchMethod { selector: *selector, method, pc })?;
-    let mut argv = Vec::with_capacity(args.len() + 1);
-    argv.push(recv_val);
-    for &a in args.iter() {
-        argv.push(vm.reg(Reg(a))?);
-    }
-    let callee_version = vm.ensure_compiled(target);
-    vm.push_frame(callee_version, argv, dst.map(Reg))?;
-    Ok(Flow::Call)
+    x.counters.calls += 1;
+    x.counters.virtual_dispatches += 1;
+    let callee = x.virtual_target(a, Reg(*recv), *selector)?;
+    a.check_args(args.iter().map(|&r| Reg(r)))?;
+    Ok(Flow::Call { callee, dst: *dst, recv: Some(*recv), args })
 }
 
 #[inline(always)]
-fn op_return(vm: &mut Vm<'_>, _method: MethodId, op: &DecodedOp, _pc: usize) -> Result<Flow, VmError> {
+fn op_return<'b>(_x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let &DecodedOp::Return { src } = op else { unreachable!() };
-    let value = match src {
-        Some(r) => Some(vm.reg(Reg(r))?),
+    Ok(Flow::Ret(match src {
+        Some(r) => Some(a.reg(Reg(r))?),
         None => None,
-    };
-    let finished_frame: Frame = vm
-        .stack
-        .pop()
-        .ok_or(VmError::NoActiveFrame { context: "returning from a call" })?;
-    match vm.stack.last_mut() {
-        None => {
-            vm.finished = Some(value);
-        }
-        Some(caller) => {
-            if let (Some(dst), Some(v)) = (finished_frame.ret_dst, value) {
-                let slot = caller.regs.get_mut(dst.index()).ok_or(VmError::BadRegister {
-                    method: caller.version.method,
-                    pc: caller.pc,
-                    reg: dst.index(),
-                })?;
-                *slot = v;
-            }
-            caller.pc += 1; // advance past the call instruction
-        }
-    }
-    Ok(Flow::Ret)
-}
-
-// ---------------------------------------------------------------------------
-// First-half executors: the straight-line halves of fused pairs, factored
-// so each superinstruction is literally a composition of the plain
-// handlers' bodies. All return `()` — they always fall through.
-// ---------------------------------------------------------------------------
-
-#[inline(always)]
-fn half_const(vm: &mut Vm<'_>, body: &DecodedBody, pc: usize) -> Result<(), VmError> {
-    op_const(vm, body.method, &body.instrs[pc].op, pc).map(|_| ())
-}
-
-#[inline(always)]
-fn half_move(vm: &mut Vm<'_>, body: &DecodedBody, pc: usize) -> Result<(), VmError> {
-    op_move(vm, body.method, &body.instrs[pc].op, pc).map(|_| ())
-}
-
-#[inline(always)]
-fn half_get_field(vm: &mut Vm<'_>, body: &DecodedBody, pc: usize) -> Result<(), VmError> {
-    op_get_field(vm, body.method, &body.instrs[pc].op, pc).map(|_| ())
-}
-
-#[inline(always)]
-fn half_bin(vm: &mut Vm<'_>, body: &DecodedBody, pc: usize) -> Result<(), VmError> {
-    op_bin(vm, body.method, &body.instrs[pc].op, pc).map(|_| ())
-}
-
-// ---------------------------------------------------------------------------
-// Superinstructions: first half, boundary, second half. Composition of the
-// plain handlers — bit-identity by construction.
-// ---------------------------------------------------------------------------
-
-#[inline(always)]
-fn fused_const_bin(vm: &mut Vm<'_>, body: &DecodedBody, pc: usize) -> Result<Flow, VmError> {
-    half_const(vm, body, pc)?;
-    fused_boundary(vm, body, pc)?;
-    Ok(as_second_half(op_bin(vm, body.method, &body.instrs[pc + 1].op, pc + 1)?))
-}
-
-#[inline(always)]
-fn fused_move_bin(vm: &mut Vm<'_>, body: &DecodedBody, pc: usize) -> Result<Flow, VmError> {
-    half_move(vm, body, pc)?;
-    fused_boundary(vm, body, pc)?;
-    Ok(as_second_half(op_bin(vm, body.method, &body.instrs[pc + 1].op, pc + 1)?))
-}
-
-#[inline(always)]
-fn fused_get_field_bin(vm: &mut Vm<'_>, body: &DecodedBody, pc: usize) -> Result<Flow, VmError> {
-    half_get_field(vm, body, pc)?;
-    fused_boundary(vm, body, pc)?;
-    Ok(as_second_half(op_bin(vm, body.method, &body.instrs[pc + 1].op, pc + 1)?))
-}
-
-#[inline(always)]
-fn fused_bin_branch(vm: &mut Vm<'_>, body: &DecodedBody, pc: usize) -> Result<Flow, VmError> {
-    half_bin(vm, body, pc)?;
-    fused_boundary(vm, body, pc)?;
-    Ok(as_second_half(op_branch(vm, body.method, &body.instrs[pc + 1].op, pc + 1)?))
-}
-
-#[inline(always)]
-fn fused_const_branch(vm: &mut Vm<'_>, body: &DecodedBody, pc: usize) -> Result<Flow, VmError> {
-    half_const(vm, body, pc)?;
-    fused_boundary(vm, body, pc)?;
-    Ok(as_second_half(op_branch(vm, body.method, &body.instrs[pc + 1].op, pc + 1)?))
+    }))
 }

@@ -271,23 +271,322 @@ fn index_out_of_bounds_faults() {
     assert!(matches!(e, VmError::IndexOutOfBounds { index: 5, .. }));
 }
 
+/// `StackOverflow` fires at exactly `max_stack_depth` frames, and the call
+/// that overflows leaves the register stack as it found it.
 #[test]
 fn stack_overflow_faults() {
     let mut b = ProgramBuilder::new();
     let main = {
         let mut m = b.static_method("main", 0);
+        for _ in 0..3 {
+            m.fresh_reg();
+        }
         m.call_static(None, m.id(), &[]);
         m.ret(None);
         m.finish()
     };
     let p = b.finish(main).expect("valid program");
-    let mut vm = Vm::with_config(
-        &p,
-        CostModel::default(),
-        VmConfig { max_stack_depth: 32, ..VmConfig::default() },
-    );
-    let e = vm.run_to_completion().expect_err("overflows");
-    assert!(matches!(e, VmError::StackOverflow { limit: 32 }));
+    for decode in [true, false] {
+        let config = VmConfig { max_stack_depth: 32, decode, ..VmConfig::default() };
+        let mut vm = Vm::with_config(&p, CostModel::default(), config);
+        let e = vm.run_to_completion().expect_err("overflows");
+        assert!(matches!(e, VmError::StackOverflow { limit: 32 }), "decode={decode}: {e:?}");
+        assert_eq!(vm.stack_depth(), 32, "decode={decode}: the 33rd frame is the one refused");
+        assert_eq!(vm.regs.len(), 32 * 3, "decode={decode}: the refused call grew no window");
+    }
+}
+
+/// A hand-compiled 2-register `main`, installed as optimized code so that
+/// the run pays no baseline compile of its own: `first`, then `call`.
+fn two_register_main(main: aoci_ir::MethodId, first: Instr, call: Instr) -> MethodVersion {
+    let body = vec![first, call, Instr::Return { src: None }];
+    MethodVersion {
+        method: main,
+        level: OptLevel::Optimized,
+        inline_map: crate::InlineMap::baseline(main, body.len()),
+        body,
+        num_regs: 2,
+        code_size: 3,
+        version_id: crate::VersionId::default(),
+        osr_map: crate::OsrMap::empty(),
+        decoded: crate::DecodeCache::default(),
+    }
+}
+
+/// An unreadable argument register is the *caller's* fault, found before
+/// anything about the callee happens: no baseline compile is charged for
+/// it, no frame or window is opened.
+#[test]
+fn unreadable_argument_faults_in_the_caller_before_the_callee_compiles() {
+    let mut b = ProgramBuilder::new();
+    let sel = b.selector("take", 1);
+    let a = b.class("A", None);
+    let a_take = {
+        let mut m = b.virtual_method("A.take", a, sel);
+        m.ret(None);
+        m.finish()
+    };
+    let callee = {
+        let mut m = b.static_method("callee", 1);
+        m.ret(None);
+        m.finish()
+    };
+    let main = {
+        let mut m = b.static_method("main", 0);
+        let o = m.fresh_reg();
+        m.new_obj(o, a);
+        m.ret(None);
+        m.finish()
+    };
+    let p = b.finish(main).expect("valid program");
+    // Both calls pass register 9 of the 2-register frame.
+    let new_receiver = Instr::New { dst: Reg(0), class: a };
+    let static_call =
+        Instr::CallStatic { site: SiteIdx(0), dst: None, callee, args: vec![Reg(9)] };
+    let virtual_call = Instr::CallVirtual {
+        site: SiteIdx(0),
+        dst: None,
+        selector: sel,
+        recv: Reg(0),
+        args: vec![Reg(9)],
+    };
+    for decode in [true, false] {
+        for (call, target) in [(&static_call, callee), (&virtual_call, a_take)] {
+            let version = two_register_main(main, new_receiver.clone(), call.clone());
+            let config = VmConfig { decode, ..VmConfig::default() };
+            let mut vm = Vm::with_config(&p, CostModel::default(), config);
+            vm.registry_mut().install(version);
+            let e = vm.run_to_completion().expect_err("register 9 does not exist");
+            assert!(
+                matches!(e, VmError::BadRegister { method, pc: 1, reg: 9 } if method == main),
+                "decode={decode}: the fault names the caller and its call instruction: {e:?}"
+            );
+            assert_eq!(vm.clock().component(Component::BaselineCompilation), 0, "decode={decode}");
+            assert!(vm.registry().current(target).is_none(), "decode={decode}: callee untouched");
+            assert_eq!((vm.stack_depth(), vm.regs.len()), (1, 2), "decode={decode}");
+            assert_eq!(vm.counters().calls, 1, "decode={decode}: the call itself was counted");
+        }
+    }
+}
+
+/// The callee's window is wider than the caller's and it writes all of it;
+/// the return value lands in the caller's destination register and the
+/// caller's other registers survive.
+#[test]
+fn wide_callee_returns_into_the_right_caller_slot() {
+    let mut b = ProgramBuilder::new();
+    let wide = {
+        let mut m = b.static_method("wide", 1);
+        let regs: Vec<Reg> = (0..12).map(|_| m.fresh_reg()).collect();
+        for (i, r) in regs.iter().enumerate() {
+            m.const_int(*r, 1000 + i as i64);
+        }
+        m.bin(BinOp::Add, regs[11], regs[11], m.param(0));
+        m.ret(Some(regs[11]));
+        m.finish()
+    };
+    let main = {
+        let mut m = b.static_method("main", 0);
+        let keep = m.fresh_reg();
+        let arg = m.fresh_reg();
+        let got = m.fresh_reg();
+        m.const_int(keep, 7);
+        m.const_int(arg, 30);
+        m.const_int(got, -1);
+        m.call_static(Some(got), wide, &[arg]);
+        // keep * 10_000 + got: both halves must be intact.
+        let k = m.fresh_reg();
+        m.const_int(k, 10_000);
+        m.bin(BinOp::Mul, keep, keep, k);
+        m.bin(BinOp::Add, keep, keep, got);
+        m.ret(Some(keep));
+        m.finish()
+    };
+    let p = b.finish(main).expect("valid program");
+    for decode in [true, false] {
+        let config = VmConfig { decode, ..VmConfig::default() };
+        let mut vm = Vm::with_config(&p, CostModel::default(), config);
+        let v = vm.run_to_completion().expect("no fault");
+        assert_eq!(v.and_then(Value::as_int), Some(70_000 + 1011 + 30), "decode={decode}");
+        assert!(vm.regs.is_empty(), "decode={decode}: every window was given back");
+    }
+}
+
+/// 4 000 nested activations (just under the default depth limit) grow the
+/// register stack to 4 001 windows and unwind it to the reference result.
+#[test]
+fn deep_recursion_unwinds_to_the_reference_result() {
+    let mut b = ProgramBuilder::new();
+    let sum = {
+        let mut m = b.static_method("sum", 1);
+        let n = m.param(0);
+        let zero = m.fresh_reg();
+        m.const_int(zero, 0);
+        let recurse = m.label();
+        m.branch(Cond::Gt, n, zero, recurse);
+        m.ret(Some(zero));
+        m.bind(recurse);
+        let one = m.fresh_reg();
+        let t = m.fresh_reg();
+        m.const_int(one, 1);
+        m.bin(BinOp::Sub, t, n, one);
+        m.call_static(Some(t), m.id(), &[t]);
+        m.bin(BinOp::Add, t, t, n);
+        m.ret(Some(t));
+        m.finish()
+    };
+    let main = {
+        let mut m = b.static_method("main", 0);
+        let n = m.fresh_reg();
+        m.const_int(n, 4000);
+        m.call_static(Some(n), sum, &[n]);
+        m.ret(Some(n));
+        m.finish()
+    };
+    let p = b.finish(main).expect("valid program");
+    for decode in [true, false] {
+        let cost = CostModel { sample_period: 0, ..CostModel::default() };
+        let mut vm = Vm::with_config(&p, cost, VmConfig { decode, ..VmConfig::default() });
+        let mut deepest = 0;
+        // One instruction per `run`, so the deepest point is observed.
+        let v = loop {
+            match vm.run(1).expect("no fault") {
+                RunOutcome::Finished(v) => break v,
+                _ => deepest = deepest.max(vm.stack_depth()),
+            }
+        };
+        assert_eq!(v.and_then(Value::as_int), Some(4000 * 4001 / 2), "decode={decode}");
+        assert_eq!(deepest, 4002, "decode={decode}: main + sum(4000) ..= sum(0)");
+        assert!(vm.regs.is_empty(), "decode={decode}");
+    }
+}
+
+/// `main` (3 registers, one a sentinel) suspended on a call to `looper`,
+/// whose baseline code has 4 registers and whose hand-compiled optimized
+/// code has 7. Returns the program, `looper`, its optimized version (OSR
+/// point at the loop header: baseline pc 3, optimized pc 4) and the
+/// program's result.
+fn osr_resize_fixture() -> (aoci_ir::Program, aoci_ir::MethodId, MethodVersion, i64) {
+    let mut b = ProgramBuilder::new();
+    let looper = {
+        let mut m = b.static_method("looper", 1);
+        let (i, sum, one) = (m.fresh_reg(), m.fresh_reg(), m.fresh_reg());
+        m.const_int(i, 0);
+        m.const_int(sum, 0);
+        m.const_int(one, 1);
+        let (top, out) = (m.label(), m.label());
+        m.bind(top);
+        m.branch(Cond::Ge, i, m.param(0), out);
+        m.bin(BinOp::Add, sum, sum, i);
+        m.bin(BinOp::Add, i, i, one);
+        m.jump(top);
+        m.bind(out);
+        m.ret(Some(sum));
+        m.finish()
+    };
+    let main = {
+        let mut m = b.static_method("main", 0);
+        let (sentinel, n, got) = (m.fresh_reg(), m.fresh_reg(), m.fresh_reg());
+        m.const_int(sentinel, 1234);
+        m.const_int(n, 1000);
+        m.call_static(Some(got), looper, &[n]);
+        m.bin(BinOp::Add, got, got, sentinel);
+        m.ret(Some(got));
+        m.finish()
+    };
+    let p = b.finish(main).expect("valid program");
+    // The baseline loop behind one extra instruction, with three scratch
+    // registers above the root window that the loop body keeps touching.
+    let (n, i, sum, one) = (Reg(0), Reg(1), Reg(2), Reg(3));
+    let body = vec![
+        Instr::Const { dst: Reg(6), value: 99 },
+        Instr::Const { dst: i, value: 0 },
+        Instr::Const { dst: sum, value: 0 },
+        Instr::Const { dst: one, value: 1 },
+        Instr::Branch { cond: Cond::Ge, lhs: i, rhs: n, target: 9 },
+        Instr::Move { dst: Reg(5), src: Reg(6) },
+        Instr::Bin { op: BinOp::Add, dst: sum, lhs: sum, rhs: i },
+        Instr::Bin { op: BinOp::Add, dst: i, lhs: i, rhs: one },
+        Instr::Jump { target: 4 },
+        Instr::Return { src: Some(sum) },
+    ];
+    let version = MethodVersion {
+        method: looper,
+        level: OptLevel::Optimized,
+        inline_map: crate::InlineMap::baseline(looper, body.len()),
+        body,
+        num_regs: 7,
+        code_size: 10,
+        version_id: crate::VersionId::default(),
+        osr_map: crate::OsrMap::new(vec![crate::OsrPoint::identity(3, 4, 4)]).expect("one point"),
+        decoded: crate::DecodeCache::default(),
+    };
+    (p, looper, version, 1234 + 999 * 1000 / 2)
+}
+
+/// OSR-in widens the top window from 4 to 7 registers where it sits; the
+/// suspended caller's window beneath it is untouched.
+#[test]
+fn osr_in_resizes_the_top_window_above_a_suspended_caller() {
+    let (p, looper, version, expect) = osr_resize_fixture();
+    for decode in [true, false] {
+        let config = VmConfig {
+            osr_enabled: true,
+            osr_backedge_threshold: 16,
+            decode,
+            ..VmConfig::default()
+        };
+        let cost = CostModel { sample_period: 0, ..CostModel::default() };
+        let mut vm = Vm::with_config(&p, cost, config);
+        let req = loop {
+            match vm.run(u64::MAX).expect("no fault") {
+                RunOutcome::OsrRequest(req) => break req,
+                RunOutcome::Finished(_) => panic!("decode={decode}: the loop never got hot"),
+                _ => {}
+            }
+        };
+        assert_eq!((req.method, req.loop_header), (looper, 3), "decode={decode}");
+        let caller = vm.regs[..3].to_vec();
+        assert_eq!((vm.stack_depth(), vm.regs.len()), (2, 3 + 4), "decode={decode}");
+        let installed = vm.registry_mut().install(version.clone());
+        assert!(vm.osr_enter(&installed, req.loop_header), "decode={decode}");
+        assert_eq!(vm.regs.len(), 3 + 7, "decode={decode}: the top window grew in place");
+        assert_eq!(&vm.regs[..3], &caller[..], "decode={decode}: caller window untouched");
+        assert_eq!(&vm.regs[7..], &[Value::Null; 3], "decode={decode}: new registers start null");
+        let v = vm.run_to_completion().expect("no fault");
+        assert_eq!(v.and_then(Value::as_int), Some(expect), "decode={decode}");
+        assert_eq!(vm.counters().osr_entries, 1, "decode={decode}");
+        assert!(vm.regs.is_empty(), "decode={decode}");
+    }
+}
+
+/// OSR-out narrows the top window from 7 to 4 registers where it sits; the
+/// suspended caller's window beneath it is untouched.
+#[test]
+fn osr_out_resizes_the_top_window_above_a_suspended_caller() {
+    let (p, looper, version, expect) = osr_resize_fixture();
+    for decode in [true, false] {
+        let config = VmConfig { osr_enabled: true, decode, ..VmConfig::default() };
+        let cost = CostModel { sample_period: 0, ..CostModel::default() };
+        let mut vm = Vm::with_config(&p, cost, config);
+        vm.registry_mut().install(version.clone());
+        // Into the optimized loop, a few iterations deep.
+        while vm.stack_depth() < 2 || vm.clock().component(Component::AppOptimized) < 200 {
+            assert!(!matches!(vm.run(50).expect("no fault"), RunOutcome::Finished(_)));
+        }
+        let caller = vm.regs[..3].to_vec();
+        assert_eq!((vm.stack_depth(), vm.regs.len()), (2, 3 + 7), "decode={decode}");
+        assert!(vm.registry_mut().invalidate(looper), "decode={decode}");
+        while vm.counters().osr_exits == 0 {
+            assert!(!matches!(vm.run(50).expect("no fault"), RunOutcome::Finished(_)));
+        }
+        assert_eq!(vm.regs.len(), 3 + 4, "decode={decode}: the top window shrank in place");
+        assert_eq!(&vm.regs[..3], &caller[..], "decode={decode}: caller window untouched");
+        let v = vm.run_to_completion().expect("no fault");
+        assert_eq!(v.and_then(Value::as_int), Some(expect), "decode={decode}");
+        assert_eq!(vm.counters().osr_exits, 1, "decode={decode}");
+        assert!(vm.regs.is_empty(), "decode={decode}");
+    }
 }
 
 #[test]

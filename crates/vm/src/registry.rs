@@ -14,7 +14,6 @@
 
 use crate::code::{DecodeCache, MethodVersion, OptLevel};
 use aoci_ir::{CallSiteRef, MethodId};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Typed identity of an installed [`MethodVersion`] — a monotone install
@@ -148,11 +147,12 @@ pub struct CodeRegistry {
     baseline_compilations: u32,
     /// Number of optimized versions invalidated (guard-thrash recovery).
     invalidations: u32,
-    /// [`VersionId`]s of invalidated versions. The interpreter consults
+    /// Whether each version was invalidated, indexed by raw [`VersionId`]
+    /// (ids are dense: one entry per install). The interpreter consults
     /// this at loop back-edges: an in-flight activation still running an
     /// invalidated version OSR-outs to baseline at its next loop header
     /// instead of finishing on stale code.
-    invalidated_ids: HashSet<VersionId>,
+    invalidated: Vec<bool>,
 }
 
 impl CodeRegistry {
@@ -221,6 +221,7 @@ impl CodeRegistry {
     ) -> Arc<MethodVersion> {
         version.version_id = VersionId(self.next_version_id);
         self.next_version_id += 1;
+        self.invalidated.push(false);
         // Compilation paths may clone an existing version and edit the
         // clone's body before handing it here; the decode cache must never
         // outlive the body it was built from, so installation always
@@ -247,10 +248,7 @@ impl CodeRegistry {
         if let Some(old) = self.current[midx].take() {
             if old.level == OptLevel::Optimized {
                 let old_key = self.current_key[midx];
-                if self.retain
-                    && old_key != key
-                    && !self.invalidated_ids.contains(&old.version_id)
-                {
+                if self.retain && old_key != key && !self.is_invalidated(old.version_id) {
                     self.survivors[midx].push((old_key, old));
                     if self.survivors[midx].len() > MAX_SURVIVORS_PER_METHOD {
                         let (_, evicted) = self.survivors[midx].remove(0);
@@ -283,7 +281,7 @@ impl CodeRegistry {
         if let Some(v) = self.current[midx].as_ref() {
             if v.level == OptLevel::Optimized
                 && self.current_key[midx] == key.context_fingerprint
-                && !self.invalidated_ids.contains(&v.version_id)
+                && !self.is_invalidated(v.version_id)
             {
                 return Some(v);
             }
@@ -291,9 +289,7 @@ impl CodeRegistry {
         self.survivors[midx]
             .iter()
             .rev()
-            .find(|(k, v)| {
-                *k == key.context_fingerprint && !self.invalidated_ids.contains(&v.version_id)
-            })
+            .find(|(k, v)| *k == key.context_fingerprint && !self.is_invalidated(v.version_id))
             .map(|(_, v)| v)
     }
 
@@ -320,7 +316,7 @@ impl CodeRegistry {
             Some(v) if v.level == OptLevel::Optimized => {
                 self.current_optimized_size -= v.code_size as u64;
                 self.invalidations += 1;
-                self.invalidated_ids.insert(v.version_id);
+                self.invalidated[v.version_id.0 as usize] = true;
                 *slot = None;
                 true
             }
@@ -330,8 +326,11 @@ impl CodeRegistry {
 
     /// Whether the version with id `id` has been invalidated — the
     /// OSR-out trigger for in-flight activations still holding its `Arc`.
+    #[inline]
     pub fn is_invalidated(&self, id: VersionId) -> bool {
-        self.invalidated_ids.contains(&id)
+        // An id this registry never issued (`VersionId::from_raw`) is not
+        // invalidated.
+        self.invalidated.get(id.0 as usize).copied().unwrap_or(false)
     }
 
     /// Pre-deoptless shim for [`CodeRegistry::is_invalidated`], taking the
