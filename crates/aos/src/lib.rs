@@ -67,6 +67,7 @@
 //! [`InlineOracle`]: aoci_core::InlineOracle
 //! [`Component`]: aoci_vm::Component
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod config;

@@ -12,7 +12,7 @@ use aoci_profile::{
 };
 use aoci_telemetry::{MetricsLog, MetricsSink};
 use aoci_trace::{
-    FaultKind, OsrDenyReason, PlanReason, StaleReason, TraceEvent, TraceLog, TraceSink,
+    FaultKind, OsrDenyReason, PlanReason, Recorded, StaleReason, TraceEvent, TraceLog, TraceSink,
 };
 use aoci_vm::{
     Component, ContextFingerprint, MethodGuardStats, MethodVersion, OptLevel, OsrRequest,
@@ -182,6 +182,10 @@ pub struct AosSystem<'p> {
     /// Recovery actions taken so far (injected-fault counters are merged in
     /// from the injector when reporting).
     recovery: RecoveryEvents,
+    /// The raw last-`dump_last` recorder events as of the latest recovery
+    /// action; [`AosSystem::recovery_events`] renders them into
+    /// [`RecoveryEvents::trace_dump`] (which stays empty in `recovery`).
+    dump_tail: Vec<Recorded>,
     /// Per optimized method: guard counters at the start of the current
     /// observation window (reset at install and at invalidation).
     guard_window_start: HashMap<MethodId, MethodGuardStats>,
@@ -263,6 +267,7 @@ impl<'p> AosSystem<'p> {
             finished: None,
             fault: config.fault.clone().map(FaultInjector::new),
             recovery: RecoveryEvents::default(),
+            dump_tail: Vec::new(),
             guard_window_start: HashMap::new(),
             synthetic_misses: HashMap::new(),
             compile_failures: HashMap::new(),
@@ -286,14 +291,19 @@ impl<'p> AosSystem<'p> {
         }
     }
 
-    /// Copies the last-N rendered events into the recovery ledger (the
-    /// automatic flight-recorder dump attached to [`RecoveryEvents`]).
+    /// Copies the last-N recorder events into the recovery ledger (the
+    /// automatic flight-recorder dump attached to [`RecoveryEvents`]). Only
+    /// the latest capture is ever read, so the events stay raw until then.
     fn capture_trace_dump(&mut self) {
         let Some(t) = &self.trace else { return };
         let n = self.config.trace.as_ref().map_or(0, |c| c.dump_last);
-        let program = self.program;
-        let resolve = move |m: MethodId| program.method(m).name().to_string();
-        self.recovery.trace_dump = t.dump_last(n, &resolve);
+        t.copy_tail(n, &mut self.dump_tail);
+    }
+
+    /// Renders the captured dump, one line per event.
+    fn render_trace_dump(&self) -> Vec<String> {
+        let resolve = |m: MethodId| self.program.method(m).name().to_string();
+        self.dump_tail.iter().map(|r| r.dump_line(&resolve)).collect()
     }
 
     /// Seeds the profile store with offline-gathered trace data (e.g. a
@@ -324,8 +334,9 @@ impl<'p> AosSystem<'p> {
     ///
     /// Propagates any [`VmError`] the program raises (a fault in optimized
     /// code would indicate a compiler bug — the test suite leans on this).
-    pub fn run(self) -> Result<AosReport, VmError> {
-        self.run_detailed().map(|(report, _)| report)
+    pub fn run(mut self) -> Result<AosReport, VmError> {
+        let result = self.run_to_completion()?;
+        Ok(self.into_report(result).0)
     }
 
     /// Like [`AosSystem::run`], but also returns the final [`AosDatabase`]
@@ -334,8 +345,9 @@ impl<'p> AosSystem<'p> {
     /// # Errors
     ///
     /// Propagates any [`VmError`] the program raises.
-    pub fn run_detailed(self) -> Result<(AosReport, AosDatabase), VmError> {
-        self.run_full().map(|(r, db, _)| (r, db))
+    pub fn run_detailed(mut self) -> Result<(AosReport, AosDatabase), VmError> {
+        let result = self.run_to_completion()?;
+        Ok(self.into_report(result))
     }
 
     /// Like [`AosSystem::run_detailed`], but additionally returns the final
@@ -346,14 +358,10 @@ impl<'p> AosSystem<'p> {
     ///
     /// Propagates any [`VmError`] the program raises.
     pub fn run_full(mut self) -> FullRunResult {
-        while self.step()? {}
-        // `step` only reports completion once `finished` is set; if that
-        // invariant ever breaks, degrade to "no return value" rather than
-        // panicking out of an otherwise-successful run.
-        let result = self.finished.take().flatten();
-        let db = self.db.clone();
+        let result = self.run_to_completion()?;
         let profile = self.profile.entries();
-        Ok((self.into_report(result), db, profile))
+        let (report, db) = self.into_report(result);
+        Ok((report, db, profile))
     }
 
     /// Runs the program to completion as one fleet replica serving run:
@@ -365,11 +373,19 @@ impl<'p> AosSystem<'p> {
     ///
     /// Propagates any [`VmError`] the program raises.
     pub fn run_serving(mut self) -> Result<ServingOutcome, VmError> {
-        while self.step()? {}
-        let result = self.finished.take().flatten();
+        let result = self.run_to_completion()?;
         let profile = self.profile.entries();
         let server = std::mem::take(&mut self.server);
-        Ok(ServingOutcome { report: self.into_report(result), profile, server })
+        Ok(ServingOutcome { report: self.into_report(result).0, profile, server })
+    }
+
+    /// Steps until the program returns; yields its return value.
+    fn run_to_completion(&mut self) -> Result<Option<aoci_vm::Value>, VmError> {
+        while self.step()? {}
+        // `step` only reports completion once `finished` is set; if that
+        // invariant ever breaks, degrade to "no return value" rather than
+        // panicking out of an otherwise-successful run.
+        Ok(self.finished.take().flatten())
     }
 
     /// Advances execution to the next timer sample (processing it through
@@ -395,7 +411,7 @@ impl<'p> AosSystem<'p> {
                 // recorder exists for.
                 self.emit(TraceEvent::VmFault { message: e.to_string() });
                 self.capture_trace_dump();
-                for line in &self.recovery.trace_dump {
+                for line in self.render_trace_dump() {
                     eprintln!("[aoci-trace] {line}");
                 }
                 return Err(e);
@@ -503,7 +519,7 @@ impl<'p> AosSystem<'p> {
         sink.counter_set("osr_denied", osr.denied);
         sink.counter_set("osr_entries", osr.entries);
         sink.counter_set("osr_exits", osr.exits);
-        let recovery = self.recovery_events();
+        let recovery = self.recovery_counters();
         sink.counter_set("recovery_invalidations", recovery.invalidations);
         sink.counter_set("recovery_compile_retries", recovery.compile_retries);
         sink.counter_set("recovery_rejected_traces", recovery.rejected_traces);
@@ -606,9 +622,10 @@ impl<'p> AosSystem<'p> {
         self.rules =
             Arc::new(RuleSet::from_hot_traces(self.profile.hot(self.config.hot_edge_threshold)));
         for rule in self.rules.iter() {
-            self.first_hot
-                .entry(rule.trace.clone())
-                .or_insert(self.ai_generation);
+            // Rules are rarely new: clone the key only on vacancy.
+            if !self.first_hot.contains_key(&rule.trace) {
+                self.first_hot.insert(rule.trace.clone(), self.ai_generation);
+            }
         }
         self.policy.adaptive_feedback(self.profile.as_ref());
     }
@@ -1137,7 +1154,7 @@ impl<'p> AosSystem<'p> {
                     host: method,
                     site: r.site,
                     callee: r.callee,
-                    reason: r.reason.to_string(),
+                    reason: r.reason,
                     hot: r.hot,
                     provenance: r.provenance,
                 });
@@ -1497,7 +1514,11 @@ impl<'p> AosSystem<'p> {
         self.vm.clock_mut().charge(component, cycles);
     }
 
-    fn into_report(self, result: Option<aoci_vm::Value>) -> AosReport {
+    /// Consumes the system into its report and database. The flight
+    /// recorder's ring moves into [`AosReport::trace_log`] rather than being
+    /// cloned beside itself, so the VM and the trace listener (which hold
+    /// the other sink handles) are dropped first.
+    fn into_report(self, result: Option<aoci_vm::Value>) -> (AosReport, AosDatabase) {
         // Close the time series with an end-of-run snapshot, so the final
         // state is visible even when the run ended mid-epoch.
         self.record_metrics_snapshot();
@@ -1507,27 +1528,36 @@ impl<'p> AosSystem<'p> {
         // (the application never waited on them).
         async_compile.abandoned_in_flight +=
             self.in_flight.iter().filter(|slot| slot.is_some()).count() as u64;
-        AosReport {
+        let recovery = self.recovery_events();
+        let osr = self.osr_events();
+        let AosSystem {
+            vm, trace_listener, trace, db, profile, rules, stats, metrics, sample_count, ..
+        } = self;
+        let registry = vm.registry();
+        let mut report = AosReport {
             result,
-            clock: self.vm.clock().clone(),
-            optimized_code_size: self.vm.registry().cumulative_optimized_size(),
-            current_optimized_size: self.vm.registry().current_optimized_size(),
-            opt_compilations: self.vm.registry().opt_compilations(),
-            baseline_compilations: self.vm.registry().baseline_compilations(),
-            samples: self.sample_count,
-            traces_recorded: self.trace_listener.samples_recorded(),
-            frames_walked: self.trace_listener.frames_walked(),
-            dcg_entries: self.profile.len(),
-            final_rules: self.rules.len(),
-            trace_stats: self.stats.report(),
-            counters: self.vm.counters(),
-            compilations: self.db.compilation_log().to_vec(),
-            recovery: self.recovery_events(),
-            osr: self.osr_events(),
+            clock: vm.clock().clone(),
+            optimized_code_size: registry.cumulative_optimized_size(),
+            current_optimized_size: registry.current_optimized_size(),
+            opt_compilations: registry.opt_compilations(),
+            baseline_compilations: registry.baseline_compilations(),
+            samples: sample_count,
+            traces_recorded: trace_listener.samples_recorded(),
+            frames_walked: trace_listener.frames_walked(),
+            dcg_entries: profile.len(),
+            final_rules: rules.len(),
+            trace_stats: stats.report(),
+            counters: vm.counters(),
+            compilations: db.compilation_log().to_vec(),
+            recovery,
+            osr,
             async_compile,
-            trace_log: self.trace.as_ref().map(TraceSink::log),
-            telemetry: self.metrics.as_ref().map(MetricsSink::log),
-        }
+            trace_log: None,
+            telemetry: metrics.as_ref().map(MetricsSink::log),
+        };
+        drop((vm, trace_listener));
+        report.trace_log = trace.map(TraceSink::into_log);
+        (report, db)
     }
 
     // ---- Introspection (tests, examples) -------------------------------
@@ -1590,6 +1620,13 @@ impl<'p> AosSystem<'p> {
     /// Recovery actions taken so far, with the injector's delivered-fault
     /// counters merged in (also usable mid-run between [`AosSystem::step`]s).
     pub fn recovery_events(&self) -> RecoveryEvents {
+        let mut ev = self.recovery_counters();
+        ev.trace_dump = self.render_trace_dump();
+        ev
+    }
+
+    /// [`AosSystem::recovery_events`] minus the rendered dump.
+    fn recovery_counters(&self) -> RecoveryEvents {
         let mut ev = self.recovery.clone();
         if let Some(f) = &self.fault {
             let inj = f.injected();

@@ -578,3 +578,124 @@ fn context_tree_backend_matches_flat_semantics() {
     assert_eq!(report.result, expected);
     assert!(report.final_rules > 0, "the CCT backend should also form rules");
 }
+
+// ---- Recovery-ledger dump: captured raw at the action, rendered at read --
+
+use aoci_trace::{Recorded, TraceConfig};
+
+/// The `n` dump lines ending at (and including) event index `last` of an
+/// unbounded log — what the ledger must hold if the latest recovery action
+/// fired right after that event.
+fn dump_ending_at(events: &[Recorded], last: usize, n: usize, p: &Program) -> Vec<String> {
+    let resolve = |m: MethodId| p.method(m).name().to_string();
+    let tail = &events[..=last];
+    tail[tail.len().saturating_sub(n)..].iter().map(|r| r.dump_line(&resolve)).collect()
+}
+
+/// Index of the last event that triggered a dump capture. Every recovery
+/// action emits its event and captures immediately; the one exception is
+/// the `retry-scheduled` that `invalidate_method` emits *after* its
+/// `invalidate` capture, recognisable by directly following that event.
+fn last_recovery_trigger(events: &[Recorded]) -> Option<usize> {
+    (0..events.len()).rev().find(|&i| match events[i].event {
+        TraceEvent::TraceRejected
+        | TraceEvent::Invalidate { .. }
+        | TraceEvent::Quarantine { .. } => true,
+        TraceEvent::RetryScheduled { .. } => {
+            i == 0 || !matches!(events[i - 1].event, TraceEvent::Invalidate { .. })
+        }
+        _ => false,
+    })
+}
+
+#[test]
+fn trace_dump_is_the_tail_as_of_the_last_recovery_action() {
+    let p = hot_loop_program(6_000, true);
+    let mut triggers = std::collections::BTreeSet::new();
+    // Chaos runs usually end on a rejected trace; without trace corruption
+    // the last action is a retry, an invalidation or a quarantine.
+    let faults = [42, 4, 18].into_iter().flat_map(|seed| {
+        let chaos = FaultConfig::chaos(seed);
+        [chaos.clone(), FaultConfig { trace_corruption_prob: 0.0, ..chaos }]
+    });
+    for fault in faults {
+        let seed = fault.seed;
+        let mut config = fast_config(PolicyKind::Fixed { max: 3 })
+            .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 32 });
+        config.fault = Some(fault);
+        let report = AosSystem::new(&p, config).run().expect("faulted run completes");
+        let log = report.trace_log.expect("tracing is on");
+        assert_eq!(log.dropped, 0, "the log is unbounded");
+        let last = last_recovery_trigger(&log.events).expect("chaos triggers recovery");
+        assert!(
+            last + 1 < log.events.len(),
+            "seed {seed}: the run must go on after the last recovery action, \
+             or the end-of-run tail would pass too"
+        );
+        assert_eq!(
+            report.recovery.trace_dump,
+            dump_ending_at(&log.events, last, 32, &p),
+            "seed {seed}: dump ends at event #{last}"
+        );
+        assert_eq!(report.recovery.trace_dump.len(), 32);
+        triggers.insert(log.events[last].event.kind());
+    }
+    assert_eq!(
+        Vec::from_iter(triggers),
+        ["invalidate", "quarantine", "retry-scheduled", "trace-rejected"],
+        "the runs should end on every kind of recovery action"
+    );
+}
+
+#[test]
+fn trace_dump_is_empty_with_a_zero_window() {
+    let p = hot_loop_program(6_000, true);
+    let mut config = fast_config(PolicyKind::Fixed { max: 3 })
+        .enable_trace_with(TraceConfig { capacity: 8192, dump_last: 0 });
+    config.fault = Some(FaultConfig::chaos(42));
+    let report = AosSystem::new(&p, config).run().expect("faulted run completes");
+    assert!(report.recovery.total_actions() > 0);
+    assert!(report.recovery.trace_dump.is_empty());
+}
+
+#[test]
+fn vm_fault_dump_reaches_the_ledger() {
+    // A warm loop, then a division by zero.
+    let p = {
+        let mut b = ProgramBuilder::new();
+        let mut m = b.static_method("main", 0);
+        let (i, n, one, zero) = (m.fresh_reg(), m.fresh_reg(), m.fresh_reg(), m.fresh_reg());
+        m.const_int(i, 0);
+        m.const_int(n, 400);
+        m.const_int(one, 1);
+        m.const_int(zero, 0);
+        let (top, out) = (m.label(), m.label());
+        m.bind(top);
+        m.branch(Cond::Ge, i, n, out);
+        m.work(50);
+        m.bin(BinOp::Add, i, i, one);
+        m.jump(top);
+        m.bind(out);
+        m.bin(BinOp::Div, i, i, zero);
+        m.ret(Some(i));
+        let main = m.finish();
+        b.finish(main).unwrap()
+    };
+    let config = fast_config(PolicyKind::ContextInsensitive)
+        .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 4 });
+    let mut sys = AosSystem::new(&p, config);
+    let err = loop {
+        match sys.step() {
+            Ok(true) => {}
+            Ok(false) => panic!("the program must fault"),
+            Err(e) => break e,
+        }
+    };
+    // `step` echoed exactly these lines on stderr, `[aoci-trace]`-prefixed.
+    let dump = sys.recovery_events().trace_dump;
+    let log = sys.trace_log().expect("tracing is on");
+    assert_eq!(dump, dump_ending_at(&log.events, log.events.len() - 1, 4, &p));
+    assert_eq!(dump.len(), 4);
+    assert!(dump[3].contains("vm-fault"), "{}", dump[3]);
+    assert!(dump[3].contains(&err.to_string()), "{} vs {err}", dump[3]);
+}

@@ -2,57 +2,8 @@
 
 use aoci_ir::{CallSiteRef, MethodId};
 use aoci_vm::MethodVersion;
-use std::fmt;
 
-pub use aoci_trace::DecisionProvenance;
-
-/// Why the compiler declined to inline a callee at a call site.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum RefusalReason {
-    /// The callee's size class is large — never inlined.
-    TooLarge,
-    /// The soft (or hard) inlining-depth budget was exhausted.
-    DepthExceeded,
-    /// The code-expansion budget was exhausted (or register space ran out).
-    ExpansionExceeded,
-    /// The callee is already on the current inline chain.
-    Recursive,
-    /// A medium-sized callee without profile support (medium methods are
-    /// candidates for profile-directed inlining only).
-    NotHot,
-    /// A hot guarded-inline candidate skipped because the per-site guard
-    /// limit was reached.
-    GuardLimit,
-}
-
-impl RefusalReason {
-    /// A stable `snake_case` identifier for metric names
-    /// (`inline_refusals_<slug>` in the telemetry registry).
-    pub fn slug(self) -> &'static str {
-        match self {
-            RefusalReason::TooLarge => "too_large",
-            RefusalReason::DepthExceeded => "depth_exceeded",
-            RefusalReason::ExpansionExceeded => "expansion_exceeded",
-            RefusalReason::Recursive => "recursive",
-            RefusalReason::NotHot => "not_hot",
-            RefusalReason::GuardLimit => "guard_limit",
-        }
-    }
-}
-
-impl fmt::Display for RefusalReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            RefusalReason::TooLarge => "callee too large",
-            RefusalReason::DepthExceeded => "inline depth exceeded",
-            RefusalReason::ExpansionExceeded => "code expansion exceeded",
-            RefusalReason::Recursive => "recursive inline",
-            RefusalReason::NotHot => "medium callee without profile support",
-            RefusalReason::GuardLimit => "per-site guarded-inline limit reached",
-        };
-        f.write_str(s)
-    }
-}
+pub use aoci_trace::{DecisionProvenance, RefusalReason};
 
 /// A declined inlining opportunity.
 ///

@@ -11,9 +11,8 @@
 //! The pass maintains the inline map: instruction→node assignments are
 //! filtered alongside the body and node `body_start` offsets are remapped.
 
-use aoci_ir::{BinOp, Cond, Instr, Reg};
+use aoci_ir::{BinOp, Cond, GlobalId, Instr, Reg};
 use aoci_vm::InlineNode;
-use std::collections::HashSet;
 
 /// Simplifies `body`, returning the new body and the filtered
 /// instruction→node map. `nodes` is updated in place (`body_start` remap).
@@ -46,16 +45,25 @@ pub fn simplify_with_anchors(
 ) -> (Vec<Instr>, Vec<u32>) {
     for _ in 0..4 {
         let folded = fold_and_propagate(&mut body, num_regs);
-        let (nb, ni, eliminated) = eliminate(body, instr_node, nodes, osr_anchors);
+        let (nb, ni, eliminated) = eliminate(body, instr_node, nodes, num_regs, osr_anchors);
         body = nb;
         instr_node = ni;
         if !folded && !eliminated {
             break;
         }
     }
-    let leaders: HashSet<u32> = body.iter().filter_map(Instr::branch_target).collect();
-    osr_anchors.retain(|&(_, opt_pc)| leaders.contains(&opt_pc));
+    let leaders = leaders(&body);
+    osr_anchors.retain(|&(_, opt_pc)| leaders.get(opt_pc as usize) == Some(&true));
     (body, instr_node)
+}
+
+/// Control-flow leaders: `leaders[i]` iff some instruction branches to `i`.
+fn leaders(body: &[Instr]) -> Vec<bool> {
+    let mut leaders = vec![false; body.len()];
+    for target in body.iter().filter_map(Instr::branch_target) {
+        leaders[target as usize] = true;
+    }
+    leaders
 }
 
 /// Abstract register contents for the forward scan.
@@ -72,14 +80,22 @@ enum Abs {
 /// operands to copy roots, folds constant moves/arithmetic and folds
 /// decidable branches. Returns whether anything changed.
 fn fold_and_propagate(body: &mut [Instr], num_regs: u16) -> bool {
-    let leaders: HashSet<u32> = body.iter().filter_map(Instr::branch_target).collect();
+    let leaders = leaders(body);
     let mut state = vec![Abs::Unknown; num_regs as usize];
+    // `copied[r]`: some register may currently be recorded as `Copy(r)`.
+    let mut copied = vec![false; num_regs as usize];
     // Redundant-load elimination: per region, the register known to hold
     // each global's current value. Invalidated by stores to the global, by
     // any call (callees may write globals), and by redefinition of the
-    // caching register.
-    let mut global_cache: std::collections::HashMap<aoci_ir::GlobalId, Reg> =
-        std::collections::HashMap::new();
+    // caching register. A region caches a handful of globals at most, so a
+    // linear scan beats hashing.
+    let mut global_cache: Vec<(GlobalId, Reg)> = Vec::new();
+    fn cache_global(cache: &mut Vec<(GlobalId, Reg)>, global: GlobalId, reg: Reg) {
+        match cache.iter_mut().find(|(g, _)| *g == global) {
+            Some(entry) => entry.1 = reg,
+            None => cache.push((global, reg)),
+        }
+    }
     let mut changed = false;
 
     // Follows copy chains to the root register; bounded by register count.
@@ -101,14 +117,15 @@ fn fold_and_propagate(body: &mut [Instr], num_regs: u16) -> bool {
     }
 
     for (i, instr) in body.iter_mut().enumerate() {
-        if leaders.contains(&(i as u32)) {
-            state.iter_mut().for_each(|s| *s = Abs::Unknown);
+        if leaders[i] {
+            state.fill(Abs::Unknown);
+            copied.fill(false);
             global_cache.clear();
         }
         // A repeated load of a still-cached global becomes a register copy
         // (which the copy propagation below then usually erases entirely).
         if let Instr::GetGlobal { dst, global } = *instr {
-            if let Some(&cached) = global_cache.get(&global) {
+            if let Some(&(_, cached)) = global_cache.iter().find(|(g, _)| *g == global) {
                 if cached != dst {
                     *instr = Instr::Move { dst, src: cached };
                     changed = true;
@@ -220,39 +237,29 @@ fn fold_and_propagate(body: &mut [Instr], num_regs: u16) -> bool {
                 let v = if r == *dst { Abs::Unknown } else { Abs::Copy(r) };
                 Some((*dst, v))
             }
-            Instr::Bin { dst, .. }
-            | Instr::New { dst, .. }
-            | Instr::GetField { dst, .. }
-            | Instr::GetGlobal { dst, .. }
-            | Instr::ArrNew { dst, .. }
-            | Instr::ArrGet { dst, .. }
-            | Instr::ArrLen { dst, .. }
-            | Instr::InstanceOf { dst, .. } => Some((*dst, Abs::Unknown)),
-            Instr::CallStatic { dst, .. } | Instr::CallVirtual { dst, .. } => {
-                dst.map(|d| (d, Abs::Unknown))
-            }
-            _ => None,
+            other => def(other).map(|d| (d, Abs::Unknown)),
         };
         if let Some((dst, v)) = def_update {
             // Registers recorded as copies of `dst` lose their backing.
-            for s in state.iter_mut() {
-                if *s == Abs::Copy(dst) {
-                    *s = Abs::Unknown;
+            if std::mem::take(&mut copied[dst.index()]) {
+                for s in state.iter_mut() {
+                    if *s == Abs::Copy(dst) {
+                        *s = Abs::Unknown;
+                    }
                 }
+            }
+            if let Abs::Copy(r) = v {
+                copied[r.index()] = true;
             }
             state[dst.index()] = v;
             // Cached globals held in `dst` are no longer valid.
-            global_cache.retain(|_, &mut r| r != dst);
+            global_cache.retain(|&(_, r)| r != dst);
         }
 
         // Maintain the global cache.
         match &*instr {
-            Instr::GetGlobal { dst, global } => {
-                global_cache.insert(*global, *dst);
-            }
-            Instr::PutGlobal { global, src } => {
-                global_cache.insert(*global, *src);
-            }
+            Instr::GetGlobal { dst, global } => cache_global(&mut global_cache, *global, *dst),
+            Instr::PutGlobal { global, src } => cache_global(&mut global_cache, *global, *src),
             // Calls may store to any global in the callee.
             Instr::CallStatic { .. } | Instr::CallVirtual { .. } => global_cache.clear(),
             _ => {}
@@ -302,6 +309,7 @@ fn eliminate(
     body: Vec<Instr>,
     instr_node: Vec<u32>,
     nodes: &mut [InlineNode],
+    num_regs: u16,
     osr_anchors: &mut [(u32, u32)],
 ) -> (Vec<Instr>, Vec<u32>, bool) {
     let n = body.len();
@@ -309,51 +317,15 @@ fn eliminate(
         return (body, instr_node, false);
     }
 
-    // Reachability from instruction 0.
-    let mut reach = vec![false; n];
-    let mut work = vec![0usize];
-    while let Some(i) = work.pop() {
-        if reach[i] {
-            continue;
-        }
-        reach[i] = true;
-        for s in successors(&body[i], i, n) {
-            if !reach[s] {
-                work.push(s);
-            }
-        }
-    }
-
-    // Liveness (backwards fixpoint over reachable instructions).
-    let mut live_in: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
-    loop {
-        let mut changed = false;
-        for i in (0..n).rev() {
-            if !reach[i] {
-                continue;
-            }
-            let mut out: HashSet<Reg> = HashSet::new();
-            for s in successors(&body[i], i, n) {
-                out.extend(live_in[s].iter().copied());
-            }
-            let (uses, def) = uses_and_def(&body[i]);
-            if let Some(d) = def {
-                out.remove(&d);
-            }
-            out.extend(uses);
-            if out != live_in[i] {
-                live_in[i] = out;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    let reach = reachable(&body);
+    let words = row_words(num_regs);
+    let live_in = liveness(&body, &reach, num_regs);
     let live_out_contains = |i: usize, r: Reg| -> bool {
+        let (word, mask) = row_bit(r);
         successors(&body[i], i, n)
-            .iter()
-            .any(|&s| live_in[s].contains(&r))
+            .into_iter()
+            .flatten()
+            .any(|s| live_in[s * words + word] & mask != 0)
     };
 
     let mut keep = vec![true; n];
@@ -421,55 +393,143 @@ fn eliminate(
     (new_body, new_nodes_map, true)
 }
 
-fn successors(instr: &Instr, i: usize, n: usize) -> Vec<usize> {
-    match instr {
-        Instr::Return { .. } => vec![],
-        Instr::Jump { target } => vec![*target as usize],
-        Instr::Branch { target, .. }
-        | Instr::GuardClass { else_target: target, .. }
-        | Instr::GuardMethod { else_target: target, .. } => {
-            let mut v = vec![*target as usize];
-            if i + 1 < n {
-                v.push(i + 1);
-            }
-            v
+/// Reachability from instruction 0.
+fn reachable(body: &[Instr]) -> Vec<bool> {
+    let n = body.len();
+    let mut reach = vec![false; n];
+    let mut work = vec![0usize];
+    while let Some(i) = work.pop() {
+        if reach[i] {
+            continue;
         }
-        _ => {
-            if i + 1 < n {
-                vec![i + 1]
-            } else {
-                vec![]
+        reach[i] = true;
+        work.extend(successors(&body[i], i, n).into_iter().flatten().filter(|&s| !reach[s]));
+    }
+    reach
+}
+
+/// `u64` words in one liveness row: one bit per register.
+fn row_words(num_regs: u16) -> usize {
+    usize::from(num_regs).div_ceil(64)
+}
+
+/// Word index and mask of register `r`'s bit within a liveness row.
+fn row_bit(r: Reg) -> (usize, u64) {
+    (r.index() / 64, 1 << (r.index() % 64))
+}
+
+/// Live-in registers of every reachable instruction, as a backwards fixpoint
+/// over dense bit rows: row `i` is the [`row_words`] words starting at
+/// `i * row_words`, bit `r` set iff register `r` is live into instruction
+/// `i`. Every register of `body` is `< num_regs` (the invariant
+/// [`fold_and_propagate`] indexes its lattice on). Unreachable rows stay
+/// empty.
+fn liveness(body: &[Instr], reach: &[bool], num_regs: u16) -> Vec<u64> {
+    let n = body.len();
+    let words = row_words(num_regs);
+    let mut live_in = vec![0u64; n * words];
+    let mut out = vec![0u64; words];
+    loop {
+        let mut changed = false;
+        for i in (0..n).rev() {
+            if !reach[i] {
+                continue;
             }
+            out.fill(0);
+            for s in successors(&body[i], i, n).into_iter().flatten() {
+                for (o, l) in out.iter_mut().zip(&live_in[s * words..(s + 1) * words]) {
+                    *o |= l;
+                }
+            }
+            // Kill before gen: an instruction may read the register it writes.
+            if let Some((word, mask)) = def(&body[i]).map(row_bit) {
+                out[word] &= !mask;
+            }
+            for_each_use(&body[i], |r| {
+                let (word, mask) = row_bit(r);
+                out[word] |= mask;
+            });
+            let row = &mut live_in[i * words..(i + 1) * words];
+            if row != out {
+                row.copy_from_slice(&out);
+                changed = true;
+            }
+        }
+        if !changed {
+            return live_in;
         }
     }
 }
 
-/// Register uses and (single) definition of an instruction.
-fn uses_and_def(instr: &Instr) -> (Vec<Reg>, Option<Reg>) {
+/// The control-flow successors of instruction `i` in a body of `n`: the
+/// branch target (if any), then the fall-through (if any).
+fn successors(instr: &Instr, i: usize, n: usize) -> [Option<usize>; 2] {
+    let next = (i + 1 < n).then_some(i + 1);
     match instr {
-        Instr::Const { dst, .. } | Instr::ConstNull { dst } => (vec![], Some(*dst)),
-        Instr::Move { dst, src } => (vec![*src], Some(*dst)),
-        Instr::Bin { dst, lhs, rhs, .. } => (vec![*lhs, *rhs], Some(*dst)),
-        Instr::Work { .. } | Instr::Jump { .. } => (vec![], None),
-        Instr::New { dst, .. } => (vec![], Some(*dst)),
-        Instr::GetField { dst, obj, .. } => (vec![*obj], Some(*dst)),
-        Instr::PutField { obj, src, .. } => (vec![*obj, *src], None),
-        Instr::GetGlobal { dst, .. } => (vec![], Some(*dst)),
-        Instr::PutGlobal { src, .. } => (vec![*src], None),
-        Instr::ArrNew { dst, len } => (vec![*len], Some(*dst)),
-        Instr::ArrGet { dst, arr, idx } => (vec![*arr, *idx], Some(*dst)),
-        Instr::ArrSet { arr, idx, src } => (vec![*arr, *idx, *src], None),
-        Instr::ArrLen { dst, arr } => (vec![*arr], Some(*dst)),
-        Instr::InstanceOf { dst, obj, .. } => (vec![*obj], Some(*dst)),
-        Instr::Branch { lhs, rhs, .. } => (vec![*lhs, *rhs], None),
-        Instr::CallStatic { dst, args, .. } => (args.clone(), *dst),
-        Instr::CallVirtual { dst, recv, args, .. } => {
-            let mut u = vec![*recv];
-            u.extend_from_slice(args);
-            (u, *dst)
+        Instr::Return { .. } => [None, None],
+        Instr::Jump { target } => [Some(*target as usize), None],
+        Instr::Branch { target, .. }
+        | Instr::GuardClass { else_target: target, .. }
+        | Instr::GuardMethod { else_target: target, .. } => [Some(*target as usize), next],
+        _ => [None, next],
+    }
+}
+
+/// The (single) register an instruction defines.
+fn def(instr: &Instr) -> Option<Reg> {
+    match instr {
+        Instr::Const { dst, .. }
+        | Instr::ConstNull { dst }
+        | Instr::Move { dst, .. }
+        | Instr::Bin { dst, .. }
+        | Instr::New { dst, .. }
+        | Instr::GetField { dst, .. }
+        | Instr::GetGlobal { dst, .. }
+        | Instr::ArrNew { dst, .. }
+        | Instr::ArrGet { dst, .. }
+        | Instr::ArrLen { dst, .. }
+        | Instr::InstanceOf { dst, .. } => Some(*dst),
+        Instr::CallStatic { dst, .. } | Instr::CallVirtual { dst, .. } => *dst,
+        _ => None,
+    }
+}
+
+/// Calls `f` on every register an instruction reads.
+fn for_each_use(instr: &Instr, mut f: impl FnMut(Reg)) {
+    match instr {
+        Instr::Move { src: a, .. }
+        | Instr::GetField { obj: a, .. }
+        | Instr::PutGlobal { src: a, .. }
+        | Instr::ArrNew { len: a, .. }
+        | Instr::ArrLen { arr: a, .. }
+        | Instr::InstanceOf { obj: a, .. }
+        | Instr::Return { src: Some(a) }
+        | Instr::GuardClass { recv: a, .. }
+        | Instr::GuardMethod { recv: a, .. } => f(*a),
+        Instr::Bin { lhs: a, rhs: b, .. }
+        | Instr::Branch { lhs: a, rhs: b, .. }
+        | Instr::PutField { obj: a, src: b, .. }
+        | Instr::ArrGet { arr: a, idx: b, .. } => {
+            f(*a);
+            f(*b);
         }
-        Instr::Return { src } => (src.iter().copied().collect(), None),
-        Instr::GuardClass { recv, .. } | Instr::GuardMethod { recv, .. } => (vec![*recv], None),
+        Instr::ArrSet { arr, idx, src } => {
+            f(*arr);
+            f(*idx);
+            f(*src);
+        }
+        Instr::CallStatic { args, .. } => args.iter().copied().for_each(f),
+        Instr::CallVirtual { recv, args, .. } => {
+            f(*recv);
+            args.iter().copied().for_each(f);
+        }
+        Instr::Const { .. }
+        | Instr::ConstNull { .. }
+        | Instr::Work { .. }
+        | Instr::New { .. }
+        | Instr::GetGlobal { .. }
+        | Instr::Jump { .. }
+        | Instr::Return { src: None } => {}
     }
 }
 

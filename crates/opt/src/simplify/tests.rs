@@ -250,3 +250,168 @@ fn branch_targets_reset_the_global_cache() {
         2
     );
 }
+
+// ---- Liveness: dense bit rows against the set-based reference ----------
+
+use std::collections::BTreeSet;
+
+/// The reference liveness: the textbook backwards fixpoint over one
+/// `BTreeSet<Reg>` per instruction, as `eliminate` computed it before the
+/// bit rows.
+fn liveness_sets(body: &[Instr], reach: &[bool]) -> Vec<BTreeSet<Reg>> {
+    let n = body.len();
+    let mut live_in: Vec<BTreeSet<Reg>> = vec![BTreeSet::new(); n];
+    loop {
+        let mut changed = false;
+        for i in (0..n).rev() {
+            if !reach[i] {
+                continue;
+            }
+            let mut out = BTreeSet::new();
+            for s in successors(&body[i], i, n).into_iter().flatten() {
+                out.extend(live_in[s].iter().copied());
+            }
+            if let Some(d) = def(&body[i]) {
+                out.remove(&d);
+            }
+            for_each_use(&body[i], |r| {
+                out.insert(r);
+            });
+            if out != live_in[i] {
+                live_in[i] = out;
+                changed = true;
+            }
+        }
+        if !changed {
+            return live_in;
+        }
+    }
+}
+
+/// Asserts the bit rows of `body` decode to the reference sets, row by row.
+fn assert_liveness_matches(body: &[Instr], num_regs: u16, what: &str) {
+    let reach = reachable(body);
+    let rows = liveness(body, &reach, num_regs);
+    let words = row_words(num_regs);
+    assert_eq!(rows.len(), body.len() * words, "{what}: row storage");
+    let sets = liveness_sets(body, &reach);
+    for (i, expected) in sets.iter().enumerate() {
+        let row = &rows[i * words..(i + 1) * words];
+        let got: BTreeSet<Reg> = (0..words * 64)
+            .filter(|b| row[b / 64] >> (b % 64) & 1 == 1)
+            .map(|b| Reg(b as u16))
+            .collect();
+        assert_eq!(&got, expected, "{what}: live-in of instruction {i} ({:?})", body[i]);
+    }
+}
+
+#[test]
+fn liveness_rows_match_sets_on_handwritten_bodies() {
+    let g = aoci_ir::GlobalId::from_index(0);
+    let class = aoci_ir::ClassId::from_index(0);
+    // Loop-carried register: r0 live around the back-edge.
+    let looped = vec![
+        Instr::Const { dst: r(0), value: 10 },
+        Instr::Const { dst: r(1), value: 1 },
+        Instr::Bin { op: BinOp::Sub, dst: r(0), lhs: r(0), rhs: r(1) },
+        Instr::Branch { cond: Cond::Gt, lhs: r(0), rhs: r(1), target: 2 },
+        Instr::Return { src: Some(r(0)) },
+    ];
+    assert_liveness_matches(&looped, 2, "loop-carried");
+    // One instruction defines and uses the same register: the use wins.
+    let def_use = vec![
+        Instr::GetGlobal { dst: r(0), global: g },
+        Instr::Bin { op: BinOp::Add, dst: r(0), lhs: r(0), rhs: r(0) },
+        Instr::Move { dst: r(1), src: r(1) },
+        Instr::Return { src: Some(r(0)) },
+    ];
+    assert_liveness_matches(&def_use, 2, "def and use of one register");
+    let reach = reachable(&def_use);
+    assert_eq!(liveness(&def_use, &reach, 2)[1], 0b11, "r0 and r1 live into the add");
+    // Guard else-target edge: r2 is live only along the fallback path, r1
+    // only along the fall-through.
+    let guarded = vec![
+        Instr::GetGlobal { dst: r(0), global: g },
+        Instr::Const { dst: r(1), value: 1 },
+        Instr::Const { dst: r(2), value: 2 },
+        Instr::GuardClass { recv: r(0), class, else_target: 5 },
+        Instr::Return { src: Some(r(1)) },
+        Instr::Return { src: Some(r(2)) },
+    ];
+    assert_liveness_matches(&guarded, 3, "guard else-target");
+    let reach = reachable(&guarded);
+    assert_eq!(liveness(&guarded, &reach, 3)[3], 0b111, "both edges feed the guard");
+    // Unreachable tail: its rows stay empty even though it reads r0.
+    let tail = vec![
+        Instr::Const { dst: r(0), value: 1 },
+        Instr::Return { src: Some(r(0)) },
+        Instr::PutGlobal { global: g, src: r(0) },
+        Instr::Jump { target: 2 },
+    ];
+    assert_liveness_matches(&tail, 1, "unreachable tail");
+    assert_eq!(reachable(&tail), [true, true, false, false]);
+    // No registers at all: zero-word rows.
+    assert_liveness_matches(&[Instr::Work { units: 3 }, Instr::Return { src: None }], 0, "no regs");
+}
+
+#[test]
+fn liveness_rows_span_one_two_and_three_words() {
+    // Registers on both sides of each word boundary, live across a call
+    // that takes them as arguments and a branch that skips their use.
+    for num_regs in [64u16, 65, 66, 130] {
+        let top = num_regs - 1;
+        let mut body: Vec<Instr> =
+            (0..num_regs).map(|i| Instr::Const { dst: r(i), value: i64::from(i) }).collect();
+        let n = u32::from(num_regs);
+        body.extend([
+            Instr::Branch { cond: Cond::Lt, lhs: r(0), rhs: r(top), target: n + 3 },
+            Instr::CallStatic {
+                site: aoci_ir::SiteIdx(0),
+                dst: Some(r(63)),
+                callee: MethodId::from_index(0),
+                args: [63, 64, 65, top].iter().filter(|&&a| a <= top).map(|&a| r(a)).collect(),
+            },
+            Instr::Move { dst: r(top), src: r(63) },
+            Instr::Bin { op: BinOp::Add, dst: r(0), lhs: r(top), rhs: r(63) },
+            Instr::Return { src: Some(r(0)) },
+        ]);
+        assert_liveness_matches(&body, num_regs, &format!("{num_regs} registers"));
+    }
+    assert_eq!([row_words(0), row_words(1), row_words(64), row_words(65)], [0, 1, 1, 2]);
+}
+
+/// Every method of `program`, compiled with and without the simplifier under
+/// an empty rule set (static heuristics still inline): checks liveness on
+/// each body. Returns (bodies, instructions) checked.
+fn assert_liveness_on_compiled_bodies(program: &aoci_ir::Program, what: &str) -> (usize, usize) {
+    let oracle = aoci_core::InlineOracle::new(std::sync::Arc::new(aoci_core::RuleSet::new()));
+    let (mut bodies, mut instrs) = (0, 0);
+    for m in (0..program.num_methods()).map(MethodId::from_index) {
+        for simplify in [false, true] {
+            let config = crate::OptConfig { simplify, ..crate::OptConfig::default() };
+            let v = crate::compile_in_context(program, m, &oracle, &config, &[]).version;
+            let what = format!("{what}: {} (simplify={simplify})", program.method(m).name());
+            assert_liveness_matches(&v.body, v.num_regs, &what);
+            bodies += 1;
+            instrs += v.body.len();
+        }
+    }
+    (bodies, instrs)
+}
+
+#[test]
+fn liveness_rows_match_sets_on_suite_and_fuzz_bodies() {
+    let (mut bodies, mut instrs) = (0, 0);
+    for spec in aoci_workloads::suite() {
+        let w = aoci_workloads::build(&spec);
+        let (b, i) = assert_liveness_on_compiled_bodies(&w.program, &w.name);
+        (bodies, instrs) = (bodies + b, instrs + i);
+    }
+    for i in 0..60 {
+        let fp = aoci_workloads::build_fuzz(&aoci_fuzz::sample_spec(1, i))
+            .expect("campaign 1 specs build");
+        let (b, i) = assert_liveness_on_compiled_bodies(&fp.program, &fp.name);
+        (bodies, instrs) = (bodies + b, instrs + i);
+    }
+    assert!(bodies > 1000 && instrs > 10 * bodies, "{bodies} bodies, {instrs} instructions");
+}

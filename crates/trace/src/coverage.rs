@@ -172,7 +172,7 @@ mod tests {
                 host: MethodId::from_index(0),
                 site,
                 callee: MethodId::from_index(2),
-                reason: "recursive inline".to_string(),
+                reason: crate::RefusalReason::Recursive,
                 hot: true,
                 provenance: DecisionProvenance::default(),
             },

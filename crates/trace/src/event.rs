@@ -118,6 +118,60 @@ impl FaultKind {
     }
 }
 
+/// Why the optimizing compiler declined to inline a callee at a call site
+/// (decided by `aoci-opt`, which re-exports this type; it lives here, like
+/// [`DecisionProvenance`], so the event carries it in one byte).
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum RefusalReason {
+    /// The callee's size class is large — never inlined.
+    TooLarge,
+    /// The soft (or hard) inlining-depth budget was exhausted.
+    DepthExceeded,
+    /// The code-expansion budget was exhausted (or register space ran out).
+    ExpansionExceeded,
+    /// The callee is already on the current inline chain.
+    Recursive,
+    /// A medium-sized callee without profile support (medium methods are
+    /// candidates for profile-directed inlining only).
+    NotHot,
+    /// A hot guarded-inline candidate skipped because the per-site guard
+    /// limit was reached.
+    GuardLimit,
+}
+
+impl RefusalReason {
+    /// A stable `snake_case` identifier for metric names
+    /// (`inline_refusals_<slug>` in the telemetry registry).
+    pub fn slug(self) -> &'static str {
+        match self {
+            RefusalReason::TooLarge => "too_large",
+            RefusalReason::DepthExceeded => "depth_exceeded",
+            RefusalReason::ExpansionExceeded => "expansion_exceeded",
+            RefusalReason::Recursive => "recursive",
+            RefusalReason::NotHot => "not_hot",
+            RefusalReason::GuardLimit => "guard_limit",
+        }
+    }
+
+    /// The human-readable reason, as [`std::fmt::Display`] renders it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            RefusalReason::TooLarge => "callee too large",
+            RefusalReason::DepthExceeded => "inline depth exceeded",
+            RefusalReason::ExpansionExceeded => "code expansion exceeded",
+            RefusalReason::Recursive => "recursive inline",
+            RefusalReason::NotHot => "medium callee without profile support",
+            RefusalReason::GuardLimit => "per-site guarded-inline limit reached",
+        }
+    }
+}
+
+impl std::fmt::Display for RefusalReason {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
 /// The facts the inliner weighed at one call-site decision — the
 /// provenance attached to every inline decision and refusal, recorded by
 /// `aoci-opt` and carried into the flight recorder unchanged.
@@ -196,8 +250,8 @@ pub enum TraceEvent {
         site: CallSiteRef,
         /// The callee that was not inlined.
         callee: MethodId,
-        /// The refusal reason, as rendered by `aoci-opt`.
-        reason: String,
+        /// Why `aoci-opt` declined.
+        reason: RefusalReason,
         /// Whether the profile supported inlining this edge.
         hot: bool,
         /// The inputs the inliner weighed.
@@ -497,7 +551,7 @@ impl TraceEvent {
                     ("site", Value::from(site.to_string())),
                     ("callee", m(resolve, *callee)),
                     ("inlined", Value::Bool(false)),
-                    ("reason", Value::from(reason.clone())),
+                    ("reason", Value::from(reason.as_str())),
                     ("hot", Value::Bool(*hot)),
                 ];
                 v.extend(prov(provenance));
@@ -628,7 +682,7 @@ mod tests {
                 host: MethodId::from_index(1),
                 site,
                 callee: MethodId::from_index(2),
-                reason: "callee too large".to_string(),
+                reason: RefusalReason::TooLarge,
                 hot: true,
                 provenance: DecisionProvenance::default(),
             },

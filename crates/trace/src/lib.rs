@@ -24,14 +24,16 @@
 //! JSON exporter ([`TraceLog::to_chrome_value`], loadable in
 //! `chrome://tracing` or Perfetto), a human-readable `explain` filter
 //! ([`TraceLog::explain`] — "why was method M (not) inlined at site C?"),
-//! and the last-N-events dump ([`TraceSink::dump_last`]) the AOS attaches
-//! to its recovery ledger whenever recovery or a VM fault fires.
+//! and the last-N-events dump ([`TraceSink::copy_tail`], rendered with
+//! [`Recorded::dump_line`]) the AOS attaches to its recovery ledger
+//! whenever recovery or a VM fault fires.
 //!
 //! The fuzzing campaign reads a fourth view: the **decision-space coverage
 //! fingerprint** ([`TraceLog::coverage`] over
 //! [`TraceEvent::coverage_features`]) — the set of inlining rules fired,
 //! refusal reasons, OSR and recovery paths a run exercised.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod coverage;
@@ -39,5 +41,8 @@ mod event;
 mod recorder;
 mod sinks;
 
-pub use event::{DecisionProvenance, FaultKind, OsrDenyReason, PlanReason, StaleReason, TraceEvent};
+pub use event::{
+    DecisionProvenance, FaultKind, OsrDenyReason, PlanReason, RefusalReason, StaleReason,
+    TraceEvent,
+};
 pub use recorder::{FlightRecorder, Recorded, TraceConfig, TraceLog, TraceSink};

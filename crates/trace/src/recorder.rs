@@ -35,6 +35,14 @@ pub struct Recorded {
     pub event: TraceEvent,
 }
 
+impl Recorded {
+    /// Renders the event as one line of the recovery ledger's dump,
+    /// `#seq @cycle kind key=value …`.
+    pub fn dump_line(&self, resolve: Resolve) -> String {
+        format!("#{} @{} {}", self.seq, self.cycle, self.event.render(resolve))
+    }
+}
+
 /// The fixed-capacity ring buffer behind a [`TraceSink`].
 #[derive(Debug)]
 pub struct FlightRecorder {
@@ -45,10 +53,10 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// Creates an empty recorder.
+    /// Creates an empty recorder. The ring grows on demand up to the
+    /// configured capacity: most runs emit far fewer events than that.
     pub fn new(config: TraceConfig) -> Self {
-        let cap = config.capacity;
-        FlightRecorder { config, ring: VecDeque::with_capacity(cap.min(8192)), emitted: 0, dropped: 0 }
+        FlightRecorder { config, ring: VecDeque::new(), emitted: 0, dropped: 0 }
     }
 
     /// Records `event` at simulated cycle `cycle`, evicting the oldest
@@ -86,14 +94,12 @@ impl FlightRecorder {
         }
     }
 
-    /// Renders the last `n` retained events, oldest first.
-    pub fn last_rendered(&self, n: usize, resolve: Resolve) -> Vec<String> {
-        let skip = self.ring.len().saturating_sub(n);
-        self.ring
-            .iter()
-            .skip(skip)
-            .map(|r| format!("#{} @{} {}", r.seq, r.cycle, r.event.render(resolve)))
-            .collect()
+    /// Consumes the recorder into an owned log: the ring's storage moves
+    /// into [`TraceLog::events`] (shrunk to fit) instead of being copied.
+    pub fn into_log(self) -> TraceLog {
+        let mut events = Vec::from(self.ring);
+        events.shrink_to_fit();
+        TraceLog { events, emitted: self.emitted, dropped: self.dropped }
     }
 }
 
@@ -123,10 +129,22 @@ impl TraceSink {
         self.recorder.borrow().log()
     }
 
-    /// Renders the last `n` retained events, oldest first (the dump the AOS
-    /// attaches to its recovery ledger).
-    pub fn dump_last(&self, n: usize, resolve: Resolve) -> Vec<String> {
-        self.recorder.borrow().last_rendered(n, resolve)
+    /// Consumes the sink into the final log. When this is the last handle
+    /// the ring moves into the log; otherwise it is snapshotted.
+    pub fn into_log(self) -> TraceLog {
+        match Rc::try_unwrap(self.recorder) {
+            Ok(recorder) => recorder.into_inner().into_log(),
+            Err(shared) => shared.borrow().log(),
+        }
+    }
+
+    /// Replaces `out` with the last `n` retained events, oldest first — the
+    /// raw tail the AOS keeps in its recovery ledger and renders (with
+    /// [`Recorded::dump_line`]) only when the ledger is read.
+    pub fn copy_tail(&self, n: usize, out: &mut Vec<Recorded>) {
+        let ring = &self.recorder.borrow().ring;
+        out.clear();
+        out.extend(ring.iter().skip(ring.len().saturating_sub(n)).cloned());
     }
 }
 
@@ -155,6 +173,30 @@ mod tests {
             in_prologue: false,
             dropped: false,
         }
+    }
+
+    #[test]
+    fn recorded_stays_within_sixty_four_bytes() {
+        // A run holds thousands of these, and a sweep holds many runs' logs
+        // at once — they are nearly all of a traced report's footprint. No
+        // event variant may own more than one heap string, and reasons are
+        // one-byte enums rendered through their `&'static str` labels.
+        assert!(std::mem::size_of::<Recorded>() <= 64, "{}", std::mem::size_of::<Recorded>());
+    }
+
+    #[test]
+    fn into_log_moves_the_ring_and_shrinks_it() {
+        let sink = TraceSink::new(TraceConfig { capacity: 3, dump_last: 0 });
+        for n in 0..5 {
+            sink.emit(n, tick(n));
+        }
+        let snapshot = sink.log();
+        let shared = sink.clone();
+        assert_eq!(shared.into_log(), snapshot, "a shared handle falls back to a snapshot");
+        let log = sink.into_log();
+        assert_eq!(log, snapshot, "the last handle moves the same events out");
+        assert_eq!(log.events.capacity(), 3);
+        assert_eq!((log.emitted, log.dropped, log.events[0].seq), (5, 2, 2));
     }
 
     #[test]
@@ -200,8 +242,10 @@ mod tests {
             sink.emit(n, tick(n));
         }
         let resolve = |m: MethodId| format!("m{}", m.index());
-        let dump = sink.dump_last(2, &resolve);
-        assert_eq!(dump.len(), 2);
+        let mut tail = vec![Recorded { seq: 9, cycle: 9, event: tick(9) }];
+        sink.copy_tail(2, &mut tail);
+        let dump: Vec<String> = tail.iter().map(|r| r.dump_line(&resolve)).collect();
+        assert_eq!(dump.len(), 2, "the previous tail is replaced");
         assert!(dump[0].starts_with("#2 @2 sample-tick"), "{}", dump[0]);
         assert!(dump[1].starts_with("#3 @3 sample-tick"), "{}", dump[1]);
     }

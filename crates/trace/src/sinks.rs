@@ -206,7 +206,7 @@ mod tests {
                 host: MethodId::from_index(1),
                 site: CallSiteRef::new(MethodId::from_index(1), SiteIdx(1)),
                 callee: MethodId::from_index(3),
-                reason: "callee too large".to_string(),
+                reason: crate::RefusalReason::TooLarge,
                 hot: false,
                 provenance: DecisionProvenance::default(),
             },
