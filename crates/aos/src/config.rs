@@ -395,32 +395,6 @@ impl AosConfig {
         self.debug_hot = true;
         self
     }
-
-    // --- Legacy constructor shims ----------------------------------------
-
-    /// Legacy shim for [`AosConfig::enable_osr`].
-    #[doc(hidden)]
-    pub fn with_osr(policy: PolicyKind) -> Self {
-        Self::new(policy).enable_osr()
-    }
-
-    /// Legacy shim for [`AosConfig::enable_deoptless`].
-    #[doc(hidden)]
-    pub fn with_deoptless(policy: PolicyKind) -> Self {
-        Self::new(policy).enable_deoptless()
-    }
-
-    /// Legacy shim for [`AosConfig::enable_trace`].
-    #[doc(hidden)]
-    pub fn with_trace(policy: PolicyKind) -> Self {
-        Self::new(policy).enable_trace()
-    }
-
-    /// Legacy shim for [`AosConfig::enable_async_compile`].
-    #[doc(hidden)]
-    pub fn with_async_compile(policy: PolicyKind) -> Self {
-        Self::new(policy).enable_async_compile()
-    }
 }
 
 #[cfg(test)]
@@ -464,20 +438,5 @@ mod tests {
         let c = AosConfig::context_insensitive()
             .enable_async_compile_with(AsyncCompileConfig { workers: 5, ..Default::default() });
         assert_eq!(c.async_compile.expect("enabled").workers, 5);
-    }
-
-    #[test]
-    fn legacy_shims_match_builders() {
-        let shim = AosConfig::with_osr(PolicyKind::Fixed { max: 2 });
-        let built = AosConfig::new(PolicyKind::Fixed { max: 2 }).enable_osr();
-        assert_eq!(shim.vm.osr_enabled, built.vm.osr_enabled);
-        let dl = AosConfig::with_deoptless(PolicyKind::ContextInsensitive);
-        assert!(dl.vm.osr_enabled && dl.vm.deoptless);
-        assert!(AosConfig::with_trace(PolicyKind::ContextInsensitive).trace.is_some());
-        assert!(
-            AosConfig::with_async_compile(PolicyKind::ContextInsensitive)
-                .async_compile
-                .is_some()
-        );
     }
 }

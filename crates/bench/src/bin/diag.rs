@@ -1,5 +1,5 @@
-//! Per-method compilation diagnostics, plus the experiment-knob table,
-//! telemetry dashboards and the wall-clock bench trajectory.
+//! Per-method compilation diagnostics, plus the experiment-knob table and
+//! telemetry dashboards.
 //!
 //! * `diag [workload]` — runs the workload (default `compress`) under the
 //!   baseline and `fixed/3` policies and dumps every optimizing
@@ -13,11 +13,9 @@
 //! * `diag --metrics [workload]` — runs the workload with the telemetry
 //!   registry on and renders the per-policy sparkline dashboards plus the
 //!   final counter/histogram summary (DESIGN.md §14).
-//! * `diag --bench` — renders the per-PR wall-clock trajectory from the
-//!   committed `results/BENCH_*.json` entries (see the `perf` binary).
 
 use aoci_aos::{AosConfig, AosSystem};
-use aoci_bench::{load_trajectory, render_table, render_trajectory, EnvConfig};
+use aoci_bench::{render_table, EnvConfig};
 use aoci_core::PolicyKind;
 use aoci_telemetry::dashboard;
 use aoci_workloads::{build, spec_by_name};
@@ -61,14 +59,7 @@ fn print_metrics(name: &str) {
     }
 }
 
-/// `diag --bench`: the committed wall-clock trajectory.
-fn print_bench(env: &EnvConfig) {
-    let dir = std::path::Path::new(&env.results_dir);
-    print!("{}", render_trajectory(&load_trajectory(dir)));
-}
-
 fn main() {
-    let env = EnvConfig::from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("--knobs") => {
@@ -79,14 +70,15 @@ fn main() {
             print_metrics(args.get(1).map_or("compress", String::as_str));
             return;
         }
-        Some("--bench") => {
-            print_bench(&env);
-            return;
-        }
         _ => {}
     }
-    let name = args.first().cloned().unwrap_or_else(|| "compress".into());
-    let w = build(&spec_by_name(&name).unwrap());
+    let name = args.first().map_or("compress", String::as_str);
+    let Some(spec) = spec_by_name(name) else {
+        eprintln!("diag: unknown workload or flag {name:?}");
+        eprintln!("usage: diag [workload] | diag --knobs [--md] | diag --metrics [workload]");
+        std::process::exit(2);
+    };
+    let w = build(&spec);
     for policy in [PolicyKind::ContextInsensitive, PolicyKind::Fixed { max: 3 }] {
         let report = AosSystem::new(&w.program, AosConfig::new(policy)).run().unwrap();
         println!("=== {policy:?}: cumulative={} current={} compiles={} total_cycles={}",

@@ -71,7 +71,6 @@ fn main() {
         if let Some(seed) = env.faults {
             config = config.enable_faults(FaultConfig::chaos(seed));
         }
-        config.vm.decode = env.decode;
         AosSystem::new(&workloads[wi].program, config).run().expect("runs")
     });
 

@@ -164,14 +164,6 @@ pub const ORACLE_SEED: Knob = Knob {
     effect: "fault seed for the differential-oracle and async-compile test matrices.",
 };
 
-/// `AOCI_BENCH_ITERS` — microbench iterations.
-pub const BENCH_ITERS: Knob = Knob {
-    name: "AOCI_BENCH_ITERS",
-    ty: "u32",
-    default: "200",
-    effect: "timing-loop iterations per microbenchmark.",
-};
-
 /// `AOCI_DEBUG_HOT` — hot-method selection dump.
 pub const DEBUG_HOT: Knob = Knob {
     name: "AOCI_DEBUG_HOT",
@@ -188,16 +180,6 @@ pub const FUZZ_ITERS: Knob = Knob {
     default: "200",
     effect: "generated programs per differential fuzzing campaign (DESIGN.md \u{a7}12); \
              each runs the full oracle matrix.",
-};
-
-/// `AOCI_DECODE` — pre-decoded threaded dispatch.
-pub const DECODE: Knob = Knob {
-    name: "AOCI_DECODE",
-    ty: "flag",
-    default: "on",
-    effect: "pre-decoded threaded interpreter dispatch (DESIGN.md \u{a7}13); set to 0 for the \
-             legacy per-step match loop. Bit-identical either way \u{2014} only wall-clock \
-             speed changes.",
 };
 
 /// `AOCI_FUZZ_SEED` — fuzz-campaign seed.
@@ -281,9 +263,7 @@ pub const KNOBS: &[Knob] = &[
     TRACE_OUT,
     EXPLAIN,
     ORACLE_SEED,
-    BENCH_ITERS,
     DEBUG_HOT,
-    DECODE,
     FUZZ_ITERS,
     FUZZ_SEED,
     METRICS,
@@ -328,13 +308,8 @@ pub struct EnvConfig {
     pub explain: Option<String>,
     /// Differential-oracle fault seed ([`ORACLE_SEED`]).
     pub oracle_seed: u64,
-    /// Microbench timing-loop iterations ([`BENCH_ITERS`]).
-    pub bench_iters: u32,
     /// Hot-method selection dump ([`DEBUG_HOT`]).
     pub debug_hot: bool,
-    /// Pre-decoded threaded dispatch ([`DECODE`]). The one default-**on**
-    /// flag: only an explicit `0` selects the legacy match loop.
-    pub decode: bool,
     /// Fuzz-campaign program budget ([`FUZZ_ITERS`]).
     pub fuzz_iters: usize,
     /// Fuzz-campaign seed ([`FUZZ_SEED`]).
@@ -398,9 +373,7 @@ impl Default for EnvConfig {
             trace_out: "results/smoke_trace.json".to_string(),
             explain: None,
             oracle_seed: 1,
-            bench_iters: 200,
             debug_hot: false,
-            decode: true,
             fuzz_iters: 200,
             fuzz_seed: 1,
             metrics: false,
@@ -436,11 +409,7 @@ impl EnvConfig {
             trace_out: raw(&TRACE_OUT).unwrap_or(defaults.trace_out),
             explain: raw(&EXPLAIN),
             oracle_seed: number(&ORACLE_SEED)?.unwrap_or(defaults.oracle_seed),
-            bench_iters: number(&BENCH_ITERS)?.unwrap_or(defaults.bench_iters),
             debug_hot: flag(&DEBUG_HOT),
-            // Default-on flag: anything but an explicit `0` keeps decode on
-            // (the inverse of `flag`, which defaults off).
-            decode: raw(&DECODE).is_none_or(|s| s.trim() != "0"),
             fuzz_iters: number(&FUZZ_ITERS)?.unwrap_or(defaults.fuzz_iters),
             fuzz_seed: number(&FUZZ_SEED)?.unwrap_or(defaults.fuzz_seed),
             metrics: flag(&METRICS),
@@ -508,7 +477,7 @@ mod tests {
     /// `std::env::var("AOCI_` call site exists outside this module.)
     #[test]
     fn knob_registry_is_closed() {
-        assert_eq!(KNOBS.len(), 25);
+        assert_eq!(KNOBS.len(), 23);
         let mut names: Vec<&str> = KNOBS.iter().map(|k| k.name).collect();
         names.sort_unstable();
         let mut unique = names.clone();
@@ -530,7 +499,6 @@ mod tests {
         assert_eq!(d.faults, None);
         assert_eq!(d.oracle_seed, 1);
         assert_eq!(d.trace_cap, 1 << 16);
-        assert!(d.decode, "decoded dispatch is the default");
     }
 
     #[test]

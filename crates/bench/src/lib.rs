@@ -27,12 +27,10 @@
 //! for any value. Every `AOCI_*` knob is parsed once, in [`env`]; run
 //! `diag --knobs` for the generated table.
 
-pub mod dispatch;
 pub mod env;
 pub mod grid;
 pub mod metrics;
 pub mod table;
-pub mod trajectory;
 
 pub use env::{EnvConfig, Knob, KNOBS};
 pub use grid::{
@@ -43,8 +41,4 @@ pub use metrics::{
     aggregate, code_delta_pct, harmonic_mean_speedup_pct, policy_label, run_config, run_one,
     run_rep, speedup_pct, RunMetrics, POLICY_GROUPS,
 };
-pub use dispatch::{dispatch_loop_best, dispatch_loop_program, dispatch_loop_program_with};
 pub use table::{fmt_pct, render_table};
-pub use trajectory::{
-    compare_latest, load_trajectory, render_trajectory, BenchEntry, BenchResult,
-};

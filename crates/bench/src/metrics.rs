@@ -131,7 +131,6 @@ pub fn run_config(env: &EnvConfig, policy: PolicyKind, rep: usize) -> AosConfig 
     if env.metrics {
         config = config.enable_metrics();
     }
-    config.vm.decode = env.decode;
     config.cost.sample_period += (rep as u64) * 37;
     config
 }
@@ -478,7 +477,7 @@ mod tests {
         let untraced = AosSystem::new(&w.program, AosConfig::new(policy))
             .run()
             .expect("untraced run");
-        let traced = AosSystem::new(&w.program, AosConfig::with_trace(policy))
+        let traced = AosSystem::new(&w.program, AosConfig::new(policy).enable_trace())
             .run()
             .expect("traced run");
         assert!(

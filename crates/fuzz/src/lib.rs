@@ -53,8 +53,7 @@ pub mod sampler;
 pub use campaign::{run_campaign, CampaignConfig, CampaignOutcome, MinimizedFinding};
 pub use minimize::{measure, minimize, shrink_candidates};
 pub use oracle::{
-    run_case, run_case_caught, run_case_caught_with, run_case_with, run_case_with_decode,
-    CaseOutcome, Finding,
+    run_case, run_case_caught, run_case_caught_with, run_case_with, CaseOutcome, Finding,
 };
 pub use persist::{corpus_to_value, spec_from_value, spec_to_value, CorpusEntry, Regression};
 pub use sampler::{case_name, sample_spec};

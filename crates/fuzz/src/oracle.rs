@@ -20,7 +20,7 @@
 
 use aoci_aos::{AosConfig, AosReport, AosSystem, FaultConfig, OsrEvents, TraceConfig};
 use aoci_core::PolicyKind;
-use aoci_vm::{CostModel, Value, Vm, VmConfig, COMPONENTS};
+use aoci_vm::{CostModel, Value, Vm, COMPONENTS};
 use aoci_workloads::{build_fuzz, FuzzSpec};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -75,37 +75,39 @@ pub fn policy_for(spec: &FuzzSpec) -> PolicyKind {
     ALL_POLICIES[(spec.seed % ALL_POLICIES.len() as u64) as usize]
 }
 
+/// One cell of the matrix: OSR on?, async compile on?, chaos faults.
+type Cell = (bool, bool, Option<FaultConfig>);
+
+/// What a whole case runs with, on top of its cells: the telemetry registry
+/// and deoptless dispatched OSR (the latter only reaches OSR-on cells).
+#[derive(Clone, Copy)]
+struct RunOpts {
+    metrics: bool,
+    deoptless: bool,
+}
+
 /// One adaptive configuration of the matrix — the differential-oracle
 /// idiom: a prime sample period avoids aliasing against fixed loop costs,
 /// low thresholds let short fuzz programs exercise promotion and OSR, and
 /// guard monitoring is always on so megamorphic thrash reaches the
 /// recovery paths.
-#[allow(clippy::too_many_arguments)]
-fn config(
-    policy: PolicyKind,
-    osr: bool,
-    async_on: bool,
-    fault: Option<FaultConfig>,
-    traced: bool,
-    decode: bool,
-    metrics: bool,
-    deoptless: bool,
-) -> AosConfig {
+fn config(policy: PolicyKind, cell: &Cell, opts: RunOpts, traced: bool) -> AosConfig {
+    let (osr, async_on, fault) = cell;
     let mut c = AosConfig::new(policy).enable_guard_monitoring();
-    if osr {
+    if *osr {
         c = c.enable_osr();
+        if opts.deoptless {
+            c = c.enable_deoptless();
+        }
     }
-    if deoptless {
-        c = c.enable_deoptless();
-    }
-    if async_on {
+    if *async_on {
         c = c.enable_async_compile();
     }
-    if metrics {
+    if opts.metrics {
         c = c.enable_metrics();
     }
     if let Some(f) = fault {
-        c = c.enable_faults(f);
+        c = c.enable_faults(f.clone());
     }
     if traced {
         c = c.enable_trace_with(TraceConfig::default());
@@ -115,14 +117,13 @@ fn config(
     c.organizer_period_samples = 4;
     c.missing_edge_period_samples = 8;
     c.vm.osr_backedge_threshold = 48;
-    c.vm.decode = decode;
     c
 }
 
 /// The ±OSR × ±async × ±chaos cells, in canonical (OSR-major) order. The
 /// chaos seed is the spec seed, so fault schedules vary across the
 /// campaign but are fixed per case.
-fn cells(seed: u64) -> Vec<(bool, bool, Option<FaultConfig>)> {
+fn cells(seed: u64) -> Vec<Cell> {
     let mut m = Vec::new();
     for osr in [false, true] {
         for async_on in [false, true] {
@@ -187,26 +188,17 @@ fn diff_reports(a: &AosReport, b: &AosReport) -> Option<String> {
 /// violations — they come back as findings; panics from the system under
 /// test are the caller's concern (see [`run_case_caught`]).
 pub fn run_case(spec: &FuzzSpec) -> CaseOutcome {
-    run_case_with_decode(spec, true)
+    run_case_with(spec, false)
 }
 
-/// [`run_case`] with an explicit dispatch selection: `decode: false` runs
-/// the oracle VM *and* every matrix cell through the legacy `match` loop.
-/// The dispatch-equivalence suite drives both halves and asserts identical
-/// outcomes and fingerprints — the decoded interpreter must be invisible
-/// to every observable the campaign checks.
-pub fn run_case_with_decode(spec: &FuzzSpec, decode: bool) -> CaseOutcome {
-    run_case_with(spec, decode, false)
-}
-
-/// [`run_case_with_decode`] with the telemetry registry optionally on in
-/// every matrix cell. Since the oracle compares runs field-by-field and
-/// the registry charges zero simulated cycles, `metrics: true` must
-/// produce the exact same outcome (fingerprint *and* findings) as
-/// `metrics: false` — the campaign-scale form of the PR-3 invariant,
-/// asserted by `tests/tests/telemetry.rs`.
-pub fn run_case_with(spec: &FuzzSpec, decode: bool, metrics: bool) -> CaseOutcome {
-    run_case_with_opts(spec, decode, metrics, false)
+/// [`run_case`] with the telemetry registry optionally on in every matrix
+/// cell. Since the oracle compares runs field-by-field and the registry
+/// charges zero simulated cycles, `metrics: true` must produce the exact
+/// same outcome (fingerprint *and* findings) as `metrics: false` — the
+/// campaign-scale form of the PR-3 invariant, asserted by
+/// `tests/tests/telemetry.rs`.
+pub fn run_case_with(spec: &FuzzSpec, metrics: bool) -> CaseOutcome {
+    run_case_with_opts(spec, metrics, false)
 }
 
 /// [`run_case_with`] with deoptless dispatched OSR optionally layered onto
@@ -217,12 +209,8 @@ pub fn run_case_with(spec: &FuzzSpec, decode: bool, metrics: bool) -> CaseOutcom
 /// meaningless — so the `osr-while-disabled` rule still applies, and with
 /// `deoptless: false` the matrix (and its fingerprint) is byte-identical
 /// to the pre-deoptless campaign.
-pub fn run_case_with_opts(
-    spec: &FuzzSpec,
-    decode: bool,
-    metrics: bool,
-    deoptless: bool,
-) -> CaseOutcome {
+pub fn run_case_with_opts(spec: &FuzzSpec, metrics: bool, deoptless: bool) -> CaseOutcome {
+    let opts = RunOpts { metrics, deoptless };
     let mut out =
         CaseOutcome { spec: spec.clone(), fingerprint: BTreeSet::new(), findings: Vec::new() };
 
@@ -239,10 +227,7 @@ pub fn run_case_with_opts(
     }
 
     let cost = CostModel { sample_period: 0, ..CostModel::default() };
-    let vm_config = VmConfig { decode, ..VmConfig::default() };
-    let expected: Option<Value> = match Vm::with_config(&program, cost, vm_config)
-        .run_to_completion()
-    {
+    let expected: Option<Value> = match Vm::new(&program, cost).run_to_completion() {
         Ok(r) => r,
         Err(e) => {
             out.findings.push(Finding::new("oracle-vm-error", format!("{e}")));
@@ -251,23 +236,16 @@ pub fn run_case_with_opts(
     };
 
     let policy = policy_for(spec);
-    for (osr, async_on, fault) in cells(spec.seed) {
-        let dl = deoptless && osr;
+    for cell in cells(spec.seed) {
+        let (osr, async_on, ref fault) = cell;
         let what = format!(
-            "{}/{policy}/osr={osr}/deoptless={dl}/async={async_on}/chaos={}",
+            "{}/{policy}/osr={osr}/deoptless={}/async={async_on}/chaos={}",
             spec.name,
+            deoptless && osr,
             fault.is_some()
         );
-        let traced = AosSystem::new(
-            &program,
-            config(policy, osr, async_on, fault.clone(), true, decode, metrics, dl),
-        )
-        .run();
-        let untraced = AosSystem::new(
-            &program,
-            config(policy, osr, async_on, fault.clone(), false, decode, metrics, dl),
-        )
-        .run();
+        let traced = AosSystem::new(&program, config(policy, &cell, opts, true)).run();
+        let untraced = AosSystem::new(&program, config(policy, &cell, opts, false)).run();
         let (a, b) = match (traced, untraced) {
             (Ok(a), Ok(b)) => (a, b),
             (Err(e), _) | (_, Err(e)) => {
@@ -316,7 +294,7 @@ pub fn run_case_caught(spec: &FuzzSpec) -> CaseOutcome {
 /// [`run_case_caught`] with the telemetry registry optionally on (see
 /// [`run_case_with`]).
 pub fn run_case_caught_with(spec: &FuzzSpec, metrics: bool) -> CaseOutcome {
-    match catch_unwind(AssertUnwindSafe(|| run_case_with(spec, true, metrics))) {
+    match catch_unwind(AssertUnwindSafe(|| run_case_with(spec, metrics))) {
         Ok(outcome) => outcome,
         Err(payload) => {
             let msg = payload
@@ -369,8 +347,8 @@ mod tests {
         // charges no simulated cycles, so the full differential matrix
         // is blind to it.
         let spec = sample_spec(1, 0);
-        let plain = run_case_with(&spec, true, false);
-        let metered = run_case_with(&spec, true, true);
+        let plain = run_case_with(&spec, false);
+        let metered = run_case_with(&spec, true);
         assert_eq!(plain.findings, metered.findings);
         assert_eq!(plain.fingerprint, metered.fingerprint);
     }
@@ -382,15 +360,49 @@ mod tests {
         // result-equivalence against the reference VM and bit-identical
         // same-seed reruns.
         let spec = sample_spec(1, 0);
-        let a = run_case_with_opts(&spec, true, false, true);
-        let b = run_case_with_opts(&spec, true, false, true);
+        let a = run_case_with_opts(&spec, false, true);
+        let b = run_case_with_opts(&spec, false, true);
         assert!(a.clean(), "findings: {:?}", a.findings);
         assert_eq!(a.fingerprint, b.fingerprint);
-        // Decoded and switch-dispatch interpreters agree under deoptless
-        // too — OSR-out of a fused superinstruction region must dispatch
-        // identically either way.
-        let undecoded = run_case_with_opts(&spec, false, false, true);
-        assert!(undecoded.clean(), "findings: {:?}", undecoded.findings);
+        // OSR-out of a fused superinstruction region must dispatch as it
+        // did under an interpreter that never fused: the decisions this
+        // case reached when that comparison was last made.
+        let pinned = [
+            "async:enqueue",
+            "async:overlap",
+            "fault:compile-bailout",
+            "fault:compile-oversize",
+            "fault:corrupt-trace",
+            "fault:dropped-sample",
+            "fault:receiver-burst",
+            "inline:depth:0",
+            "inline:depth:1",
+            "inline:depth:2",
+            "inline:guarded",
+            "inline:rule-fired",
+            "inline:unguarded",
+            "osr:enter",
+            "osr:request",
+            "plan:hot-method",
+            "plan:missing-edge",
+            "plan:retry",
+            "profile:sample-dropped",
+            "recovery:invalidate",
+            "recovery:quarantine",
+            "recovery:retry",
+            "recovery:trace-rejected",
+            "refuse:callee too large",
+            "refuse:code expansion exceeded",
+            "refuse:cold",
+            "refuse:depth:0",
+            "refuse:depth:1",
+            "refuse:depth:2",
+            "refuse:hot",
+            "refuse:medium callee without profile support",
+            "refuse:per-site guarded-inline limit reached",
+            "vm:guard-miss",
+        ];
+        assert_eq!(a.fingerprint.iter().map(String::as_str).collect::<Vec<_>>(), pinned);
     }
 
     #[test]
@@ -400,7 +412,7 @@ mod tests {
         // (and the committed corpus.json) cannot move.
         let spec = sample_spec(2, 1);
         let default_path = run_case(&spec);
-        let explicit_off = run_case_with_opts(&spec, true, false, false);
+        let explicit_off = run_case_with_opts(&spec, false, false);
         assert_eq!(default_path.findings, explicit_off.findings);
         assert_eq!(default_path.fingerprint, explicit_off.fingerprint);
     }

@@ -2,26 +2,19 @@
 //!
 //! A typed metrics registry — counters, gauges and log-bucketed
 //! [`Histogram`]s — sampled on the **simulated** clock into per-epoch
-//! time-series snapshots, plus the exporters that consume them and a
-//! wall-clock [`PhaseProfiler`] for the harness binaries (DESIGN.md §14).
+//! time-series snapshots, plus the exporters that consume them
+//! (DESIGN.md §14).
 //!
-//! The design splits cleanly along the determinism boundary:
-//!
-//! * **Deterministic side** ([`registry`], [`histogram`]): every value in a
-//!   [`MetricsLog`] is derived from simulated-clock state — cycle counts,
-//!   queue depths, code sizes, event counters. Recording charges **zero
-//!   simulated cycles** (the flight-recorder-style
-//!   `Rc<RefCell<…>>` sink is invisible to the run), all maps are
-//!   `BTreeMap`s, and snapshots fire on sample-tick cadences — so a
-//!   metrics-on run produces byte-identical primary artifacts
-//!   (`results/grid.json`, the fuzz corpus) to a metrics-off run, and the
-//!   snapshots themselves are bit-identical across same-seed reruns at any
-//!   `AOCI_JOBS` worker count.
-//! * **Wall-clock side** ([`phase`]): scoped RAII timers over harness
-//!   phases, producing a hierarchical real-seconds attribution report.
-//!   Wall-clock numbers only ever flow into wall-clock artifacts
-//!   (`results/BENCH_*.json`, stderr reports) — never into deterministic
-//!   ones.
+//! Every value in a [`MetricsLog`] ([`registry`], [`histogram`]) is derived
+//! from simulated-clock state — cycle counts, queue depths, code sizes,
+//! event counters. Recording charges **zero simulated cycles** (the
+//! flight-recorder-style `Rc<RefCell<…>>` sink is invisible to the run), all
+//! maps are `BTreeMap`s, and snapshots fire on sample-tick cadences — so a
+//! metrics-on run produces byte-identical primary artifacts
+//! (`results/grid.json`, the fuzz corpus) to a metrics-off run, and the
+//! snapshots themselves are bit-identical across same-seed reruns at any
+//! `AOCI_JOBS` worker count. Wall-clock time never enters this crate; it is
+//! measured from outside, by the repo benchmark (`benchmark/`).
 //!
 //! [`export`] holds the consumers: JSONL time-series, Prometheus
 //! text-exposition dumps, terminal sparkline dashboards, and the typed
@@ -29,10 +22,8 @@
 
 pub mod export;
 pub mod histogram;
-pub mod phase;
 pub mod registry;
 
 pub use export::{dashboard, sparkline, to_jsonl, to_prometheus, write_text, ExportError};
 pub use histogram::{bucket_bounds, bucket_index, Histogram, BUCKETS};
-pub use phase::{PhaseGuard, PhaseProfiler};
 pub use registry::{EpochSnapshot, MetricsConfig, MetricsLog, MetricsRegistry, MetricsSink};

@@ -10,12 +10,13 @@ use crate::osr::OsrPoint;
 use crate::registry::{CodeRegistry, ContextFingerprint, VersionId, VersionKey};
 use crate::stack::{SourceFrame, StackSnapshot};
 use crate::value::Value;
-use aoci_ir::{BinOp, CallSiteRef, Cond, Instr, MethodId, Program, Reg, SelectorId};
+use aoci_ir::{CallSiteRef, Instr, MethodId, Program, Reg, SelectorId};
 use aoci_trace::{TraceEvent, TraceSink};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 pub(crate) mod decode;
+use decode::{run_frame, Switch};
 
 /// Interpreter configuration.
 #[derive(Clone, Debug)]
@@ -51,18 +52,6 @@ pub struct VmConfig {
     /// Frame-local guard-miss rate above which an optimized activation
     /// arms deoptimization and OSR-outs at its next loop header.
     pub osr_exit_miss_threshold: f64,
-    /// When `true` (the default), execute through the pre-decoded dispatch
-    /// loop (DESIGN.md §13): bodies are lowered once into flat
-    /// [`DecodedInstr`](decode) arrays with resolved operands, precomputed
-    /// costs and fused superinstructions, dispatched by one jump table over
-    /// the decoded op with every handler inlined into the loop, which
-    /// borrows the body from the top frame instead of owning it. When
-    /// `false`, the legacy per-step `match` loop runs instead, through the
-    /// same frame helpers. Both paths are bit-identical in every observable
-    /// — simulated cycles, counters, trace events, errors — the switch only
-    /// changes wall-clock speed (`AOCI_DECODE=0` drives it in benches and
-    /// the dispatch-equivalence CI matrix).
-    pub decode: bool,
     /// Enables *dispatched* OSR-out (deoptless, DESIGN.md §16): when an
     /// optimized activation must leave its code version (guard shift or
     /// invalidation), the VM looks up the best surviving context-
@@ -85,7 +74,6 @@ impl Default for VmConfig {
             osr_backedge_threshold: 256,
             osr_exit_min_checks: 48,
             osr_exit_miss_threshold: 0.9,
-            decode: true,
             deoptless: false,
         }
     }
@@ -318,8 +306,8 @@ struct Exec<'p> {
     /// short list of (loop-header pc, count); a count resets when the
     /// OSR-in threshold fires.
     backedge_counts: Vec<Vec<(u32, u32)>>,
-    /// A promotion request raised by the last step, delivered at the top
-    /// of the run loop.
+    /// A promotion request raised by the last step; `run` returns it right
+    /// after that step.
     pending_osr: Option<OsrRequest>,
     /// Per method: the driver told us to stop raising promotion requests
     /// for it (quarantined or past its recompile budget).
@@ -461,17 +449,24 @@ impl<'p> Vm<'p> {
         self.stack.len()
     }
 
-    /// Runs until a sample is due, the program finishes, or `budget` cycles
-    /// of application execution have been consumed.
+    /// Runs until a sample is due, a hot loop asks for promotion, the
+    /// program finishes, or `budget` cycles of application execution have
+    /// been consumed.
+    ///
+    /// The loop below *is* the interpreter's event schedule: finished →
+    /// budget → step → pending OSR request → due sample, in that order, once
+    /// per instruction. [`run_frame`] executes the steps; it runs many per
+    /// call, but only while none of the checks can fire (it stops at every
+    /// frame switch, at every raised OSR request and as soon as the clock
+    /// reaches the earlier of the due sample and the budget's end), so the
+    /// result is what checking after every single instruction would give —
+    /// `run(1)` in a loop does exactly that.
     ///
     /// # Errors
     ///
     /// Returns a [`VmError`] if the program faults; the VM is then stuck and
     /// further calls return the same fault's consequences.
     pub fn run(&mut self, budget: u64) -> Result<RunOutcome, VmError> {
-        if let Some(v) = &self.finished {
-            return Ok(RunOutcome::Finished(*v));
-        }
         if !self.started {
             self.started = true;
             let version = self.exec.callee(self.exec.program.entry(), 0)?;
@@ -481,15 +476,12 @@ impl<'p> Vm<'p> {
             self.next_sample_at = Some(self.exec.clock.total() + self.exec.cost.sample_period);
         }
         let start = self.exec.clock.total();
-        if self.exec.config.decode {
-            return self.run_decoded(start, budget);
-        }
-        // Legacy per-step `match` loop, kept (behind `decode: false` /
-        // `AOCI_DECODE=0`) as the reference half of the dispatch-
-        // equivalence matrix. The executing version is cached across steps
-        // and refreshed only when the top frame's version changes, so the
-        // steady state performs no per-step `Arc::clone`.
-        let mut current: Option<Arc<MethodVersion>> = None;
+        // The next point on the simulated clock at which the loop must
+        // yield. Both terms are fixed for the duration of this call (a
+        // sample return re-enters through `run`). Inside a frame this is the
+        // only clock comparison, and superinstructions are gated on being
+        // strictly below it.
+        let event = self.next_sample_at.unwrap_or(u64::MAX).min(start.saturating_add(budget));
         loop {
             if let Some(v) = &self.finished {
                 return Ok(RunOutcome::Finished(*v));
@@ -497,33 +489,31 @@ impl<'p> Vm<'p> {
             if self.exec.clock.total() - start >= budget {
                 return Ok(RunOutcome::BudgetExhausted);
             }
-            let frame = self
-                .stack
+            let Vm { stack, regs, exec, .. } = &mut *self;
+            let frame = stack
                 .last()
                 .ok_or(VmError::NoActiveFrame { context: "executing an instruction" })?;
-            if !current.as_ref().is_some_and(|v| Arc::ptr_eq(v, &frame.version)) {
-                current = Some(Arc::clone(&frame.version));
+            let mut at = frame.at;
+            let switch = run_frame(exec, regs, frame, stack.len(), &mut at, event);
+            // The one place the cursor goes back into the frame: before the
+            // stack changes (call, return, OSR exit), before anything can
+            // observe it (yield), and on a fault.
+            stack.last_mut().expect("fetched above").at = at;
+            match switch? {
+                Switch::Call(callee) => stack.push(callee),
+                Switch::Ret(value) => self.pop_frame(value)?,
+                Switch::OsrExit(opt_pc) => self.osr_exit(opt_pc)?,
+                Switch::Yield => {}
             }
-            let version = current.as_ref().expect("cached above");
-            self.step_with(version)?;
-            if let Some(outcome) = self.after_step_yield() {
-                return Ok(outcome);
+            if let Some(req) = self.exec.pending_osr.take() {
+                return Ok(RunOutcome::OsrRequest(req));
+            }
+            let now = self.exec.clock.total();
+            if self.finished.is_none() && self.next_sample_at.is_some_and(|due| now >= due) {
+                self.next_sample_at = Some(now + self.exec.cost.sample_period);
+                return Ok(RunOutcome::Sample(self.snapshot()));
             }
         }
-    }
-
-    /// The run loops' checks after every step, in their fixed order: a
-    /// pending OSR request first, then a due sample.
-    fn after_step_yield(&mut self) -> Option<RunOutcome> {
-        if let Some(req) = self.exec.pending_osr.take() {
-            return Some(RunOutcome::OsrRequest(req));
-        }
-        let due = self.next_sample_at?;
-        if self.exec.clock.total() >= due && self.finished.is_none() {
-            self.next_sample_at = Some(self.exec.clock.total() + self.exec.cost.sample_period);
-            return Some(RunOutcome::Sample(self.snapshot()));
-        }
-        None
     }
 
     /// Runs the program to completion, ignoring samples.
@@ -621,219 +611,6 @@ impl<'p> Vm<'p> {
                 caller.at.pc += 1; // advance past the call instruction
             }
         }
-        Ok(())
-    }
-
-    /// Executes one instruction of `version`, which the caller guarantees
-    /// is (pointer-equal to) the top frame's version — the run loop caches
-    /// it across steps so the steady state clones no `Arc` and no `Instr`;
-    /// the instruction is *borrowed* from the version's body.
-    fn step_with(&mut self, version: &Arc<MethodVersion>) -> Result<(), VmError> {
-        let Vm { stack, regs, exec: x, .. } = &mut *self;
-        let depth = stack.len();
-        let frame = stack
-            .last_mut()
-            .ok_or(VmError::NoActiveFrame { context: "executing an instruction" })?;
-        let (pc, base) = (frame.at.pc, frame.base);
-        let instr = version
-            .body
-            .get(pc)
-            .ok_or(VmError::PcOutOfRange { method: version.method, pc })?;
-        let app_component = match version.level {
-            OptLevel::Baseline => Component::AppBaseline,
-            OptLevel::Optimized => Component::AppOptimized,
-        };
-        x.clock.charge(app_component, x.cost.instr_cost(instr, version.level));
-
-        let method = version.method;
-        let mut a = Act { method, level: version.level, win: &mut regs[base..], at: &mut frame.at };
-        let mut next_pc = pc + 1;
-        match instr {
-            Instr::Const { dst, value } => a.set_reg(*dst, Value::Int(*value))?,
-            Instr::ConstNull { dst } => a.set_reg(*dst, Value::Null)?,
-            Instr::Move { dst, src } => {
-                let v = a.reg(*src)?;
-                a.set_reg(*dst, v)?;
-            }
-            Instr::Bin { op, dst, lhs, rhs } => {
-                let l = a.int(a.reg(*lhs)?)?;
-                let r = a.int(a.reg(*rhs)?)?;
-                let r = match op {
-                    BinOp::Add => l.wrapping_add(r),
-                    BinOp::Sub => l.wrapping_sub(r),
-                    BinOp::Mul => l.wrapping_mul(r),
-                    BinOp::Div => {
-                        if r == 0 {
-                            return Err(VmError::DivideByZero { method, pc });
-                        }
-                        l.wrapping_div(r)
-                    }
-                    BinOp::Rem => {
-                        if r == 0 {
-                            return Err(VmError::DivideByZero { method, pc });
-                        }
-                        l.wrapping_rem(r)
-                    }
-                    BinOp::And => l & r,
-                    BinOp::Or => l | r,
-                    BinOp::Xor => l ^ r,
-                };
-                a.set_reg(*dst, Value::Int(r))?;
-            }
-            Instr::Work { .. } => {}
-            Instr::New { dst, class } => {
-                let layout = x.program.class(*class).layout_size();
-                let r = x.heap.alloc_object(*class, layout);
-                a.set_reg(*dst, Value::Ref(r))?;
-            }
-            Instr::GetField { dst, obj, field } => {
-                let r = a.reg(*obj)?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
-                let off = x.program.field(*field).offset();
-                let v = x
-                    .heap
-                    .get_field(r, off)
-                    .ok_or(VmError::TypeError { method, pc, expected: "object" })?;
-                a.set_reg(*dst, v)?;
-            }
-            Instr::PutField { obj, field, src } => {
-                let r = a.reg(*obj)?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
-                let off = x.program.field(*field).offset();
-                let v = a.reg(*src)?;
-                if !x.heap.put_field(r, off, v) {
-                    return Err(VmError::TypeError { method, pc, expected: "object" });
-                }
-            }
-            Instr::GetGlobal { dst, global } => {
-                let v = x.globals[global.index()];
-                a.set_reg(*dst, v)?;
-            }
-            Instr::PutGlobal { global, src } => {
-                x.globals[global.index()] = a.reg(*src)?;
-            }
-            Instr::ArrNew { dst, len } => {
-                let n = a.int(a.reg(*len)?)?;
-                if n < 0 {
-                    return Err(VmError::NegativeArrayLength { method, pc });
-                }
-                let r = x.heap.alloc_array(n as u32);
-                a.set_reg(*dst, Value::Ref(r))?;
-            }
-            Instr::ArrGet { dst, arr, idx } => {
-                let r = a.reg(*arr)?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
-                let i = a.int(a.reg(*idx)?)?;
-                let v = x
-                    .heap
-                    .arr_get(r, i)
-                    .ok_or(VmError::IndexOutOfBounds { method, pc, index: i })?;
-                a.set_reg(*dst, v)?;
-            }
-            Instr::ArrSet { arr, idx, src } => {
-                let r = a.reg(*arr)?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
-                let i = a.int(a.reg(*idx)?)?;
-                let v = a.reg(*src)?;
-                if !x.heap.arr_set(r, i, v) {
-                    return Err(VmError::IndexOutOfBounds { method, pc, index: i });
-                }
-            }
-            Instr::ArrLen { dst, arr } => {
-                let r = a.reg(*arr)?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
-                let n = x
-                    .heap
-                    .arr_len(r)
-                    .ok_or(VmError::TypeError { method, pc, expected: "array" })?;
-                a.set_reg(*dst, Value::Int(n))?;
-            }
-            Instr::InstanceOf { dst, obj, class } => {
-                let result = match a.reg(*obj)? {
-                    Value::Ref(r) => match x.heap.class_of(r) {
-                        Some(c) => x.program.is_subclass(c, *class),
-                        None => false,
-                    },
-                    _ => false,
-                };
-                a.set_reg(*dst, Value::Int(result as i64))?;
-            }
-            Instr::Jump { target } => next_pc = *target as usize,
-            Instr::Branch { cond, lhs, rhs, target } => {
-                let l = a.reg(*lhs)?;
-                let r = a.reg(*rhs)?;
-                let taken = match cond {
-                    Cond::Eq => l.vm_eq(r),
-                    Cond::Ne => !l.vm_eq(r),
-                    Cond::Lt => a.int(l)? < a.int(r)?,
-                    Cond::Le => a.int(l)? <= a.int(r)?,
-                    Cond::Gt => a.int(l)? > a.int(r)?,
-                    Cond::Ge => a.int(l)? >= a.int(r)?,
-                };
-                if taken {
-                    next_pc = *target as usize;
-                }
-            }
-            Instr::GuardClass { recv, class, else_target } => {
-                let pass = match a.reg(*recv)? {
-                    Value::Ref(r) => x.heap.class_of(r) == Some(*class),
-                    _ => false,
-                };
-                if !x.note_guard(&mut a, pass) {
-                    next_pc = *else_target as usize;
-                }
-            }
-            Instr::GuardMethod { recv, selector, target, else_target } => {
-                let pass = match a.reg(*recv)? {
-                    Value::Ref(r) => x
-                        .heap
-                        .class_of(r)
-                        .and_then(|c| x.program.lookup_virtual(c, *selector))
-                        == Some(*target),
-                    _ => false,
-                };
-                if !x.note_guard(&mut a, pass) {
-                    next_pc = *else_target as usize;
-                }
-            }
-            Instr::CallStatic { dst, callee, args, .. } => {
-                x.counters.calls += 1;
-                a.check_args(args.iter().copied())?;
-                let callee = x.callee(*callee, depth)?;
-                // The caller's pc stays on the call instruction while the
-                // callee runs (stack walks read the site from it); it is
-                // advanced on return.
-                stack.push(enter(regs, callee, base, None, args.iter().copied(), *dst)?);
-                return Ok(());
-            }
-            Instr::CallVirtual { dst, selector, recv, args, .. } => {
-                x.counters.calls += 1;
-                x.counters.virtual_dispatches += 1;
-                let target = x.virtual_target(&a, *recv, *selector)?;
-                a.check_args(args.iter().copied())?;
-                let callee = x.callee(target, depth)?;
-                stack.push(enter(regs, callee, base, Some(*recv), args.iter().copied(), *dst)?);
-                return Ok(());
-            }
-            Instr::Return { src } => {
-                let value = match src {
-                    Some(r) => Some(a.reg(*r)?),
-                    None => None,
-                };
-                return self.pop_frame(value);
-            }
-        }
-        // Taken backward control flow = a loop back-edge: the OSR hook in
-        // both directions. (Only `Jump`/`Branch` can move the pc backward;
-        // guard else-targets always point forward.)
-        if x.config.osr_enabled && next_pc <= pc {
-            match version.level {
-                OptLevel::Baseline => {
-                    x.count_backedge(method, next_pc as u32);
-                }
-                OptLevel::Optimized => {
-                    if x.must_exit(version, a.at, next_pc as u32) {
-                        return self.osr_exit(next_pc as u32);
-                    }
-                }
-            }
-        }
-        a.at.pc = next_pc;
         Ok(())
     }
 

@@ -1,34 +1,29 @@
-//! The pre-decoded threaded dispatch loop (DESIGN.md §13).
+//! Instruction execution over pre-decoded bodies (DESIGN.md §13).
 //!
-//! This module is the wall-clock fast path of the interpreter. It executes
-//! the [`DecodedBody`] built lazily per [`MethodVersion`]: a flat array of
-//! [`DecodedInstr`]s, each carrying its precomputed simulated cost, the
-//! superinstruction it heads (if any), and the fully resolved operands
-//! ([`DecodedOp`]). Dispatch is a jump table over the pre-fetched op with
-//! every handler forced inline into the loop body — no `Arc::clone` of
-//! the version the loop runs, no `Instr` clone, no program-table lookups,
-//! no re-resolution of fields or layouts. (See the
-//! [`DecodedInstr`] docs for why per-slot function pointers were tried
-//! and dropped.)
+//! [`Vm::run`](super::Vm::run) owns the event schedule; this module owns the
+//! steps. It executes the [`DecodedBody`] built lazily per
+//! [`MethodVersion`]: a flat array of [`DecodedInstr`]s, each carrying its
+//! precomputed simulated cost, the superinstruction it heads (if any), and
+//! the fully resolved operands ([`DecodedOp`]). Dispatch is a jump table
+//! over the pre-fetched op with every handler forced inline into the loop
+//! body — no `Arc::clone` of the version the loop runs, no `Instr` clone, no
+//! program-table lookups, no re-resolution of fields or layouts. (See the
+//! [`DecodedInstr`] docs for why per-slot function pointers were tried and
+//! dropped.)
 //!
-//! ## Bit-identity with the legacy `match` loop
+//! ## What [`run_frame`] guarantees the schedule
 //!
-//! The decoded loop must be observationally indistinguishable from
-//! [`Vm::run`]'s legacy path — same simulated cycles per component, same
-//! counters, same trace events, same errors at the same sites, same
-//! [`RunOutcome`] sequence. The argument, in brief (the long form is
-//! DESIGN.md §13):
+//! Running many instructions per call must be indistinguishable from
+//! running one and going back through `run`'s checks — same simulated
+//! cycles per component, same counters, same trace events, same errors at
+//! the same sites, same [`RunOutcome`](super::RunOutcome) sequence:
 //!
-//! * **Handlers replicate, not reinterpret.** Every handler body is the
-//!   legacy `match` arm for its opcode with operands read from the decoded
-//!   form; pre-resolved values (`offset`, `layout`) equal what the legacy
-//!   arm looks up per step, by construction of the decode pass.
-//! * **The loop replicates the event schedule.** The legacy run loop
-//!   checks, in order: finished → budget → step → pending-OSR → sample.
-//!   The decoded loop makes the same checks in the same order, but only
-//!   when one can fire: inside a frame it compares the clock against the
-//!   earlier of the due sample and the budget's end, and a back-edge says
-//!   whether it raised an OSR request.
+//! * **It stops wherever a check can fire.** Inside a frame it compares the
+//!   clock against `event`, the earlier of the due sample and the budget's
+//!   end, after every instruction; a back-edge says whether it raised an
+//!   OSR request; a call, a return and an OSR exit hand the frame stack back
+//!   to `run`. Nothing else makes `finished`, the budget, a pending request
+//!   or a due sample change.
 //! * **The loop borrows, the frame owns.** While the frame stack is
 //!   neither pushed nor popped, the loop runs on a `&DecodedBody` borrowed
 //!   out of the top frame's version, with the frame's [`Cursor`] in a
@@ -37,22 +32,22 @@
 //!   the frame — the cursor is stored back, then the stack changes.
 //! * **Superinstructions are compositions.** A fused handler is literally
 //!   `first_half(); boundary(); second_half()` where the halves are the
-//!   plain handlers' bodies and `boundary` performs exactly what the
-//!   interpreter does between two adjacent instructions (store the
-//!   advanced pc, charge the second instruction's cost). The fused fast
-//!   path is only taken when the clock, after the first charge, is
-//!   strictly below the next event boundary (sample due or budget end) —
-//!   precisely the condition under which the legacy loop would have
-//!   proceeded into the second instruction without yielding. First halves
-//!   are straight-line ops (`Const`, `Move`, `GetField`, `Bin`): they
-//!   cannot branch, call, return, finish, or raise an OSR request, so no
-//!   other run-loop event can intervene between the halves.
+//!   plain handlers and `boundary` performs exactly what happens between
+//!   two adjacent instructions (store the advanced pc, charge the second
+//!   instruction's cost). A pair runs fused only when the clock, after the
+//!   first half's charge, is strictly below `event` — precisely when no
+//!   check could have fired between the halves. First halves are
+//!   straight-line ops (`Const`, `Move`, `GetField`, `Bin`): they cannot
+//!   branch, call, return, finish, or raise an OSR request — and each
+//!   costs `level_factor >= 1` cycles, so under `run(1)` the first half's
+//!   charge reaches `event` and nothing fuses: single-stepping is the
+//!   fusion-free reference the tests compare against.
 //! * **Fusion never changes layout.** Decoded pc == source pc, and the
 //!   second instruction of a fused pair keeps its own plain entry, so
 //!   branch targets, OSR anchors and sample attribution are untouched
 //!   (a jump *into* the middle of a pair executes the second op plainly).
 
-use super::{enter, Act, Cursor, Exec, Frame, RunOutcome, Vm};
+use super::{enter, Act, Cursor, Exec, Frame};
 use crate::clock::Component;
 use crate::code::{MethodVersion, OptLevel};
 use crate::cost::CostModel;
@@ -93,8 +88,8 @@ pub(crate) enum Flow<'b> {
     Ret(Option<Value>),
 }
 
-/// Why the loop stopped running the top frame.
-enum Switch {
+/// Why [`run_frame`] stopped running the top frame.
+pub(super) enum Switch {
     /// A call: push this callee frame.
     Call(Frame),
     /// A return with this value: pop the frame.
@@ -112,14 +107,16 @@ enum Switch {
 /// for superinstructions), with every handler inlined into the run loop.
 /// An earlier revision threaded dispatch through per-slot function
 /// pointers; on this workload mix the indirect calls defeated handler
-/// inlining and measured ~30% *slower* than the legacy `match` loop in
-/// release mode, so the explicit pointer table was dropped — the decoded
+/// inlining and measured ~30% *slower* than a plain `match` over [`Instr`]
+/// in release mode, so the explicit pointer table was dropped — the decoded
 /// win comes from pre-resolved operands, precomputed costs and fusion,
 /// not from the dispatch mechanism itself.
+///
+/// [`Instr`]: aoci_ir::Instr
 #[derive(Debug)]
 pub(crate) struct DecodedInstr {
     /// Precomputed simulated cost of this instruction (charged by the
-    /// dispatch loop before the handler runs, as the legacy loop does).
+    /// dispatch loop before the handler runs).
     pub(crate) cost: u64,
     /// The superinstruction this pc heads, when it heads one.
     pub(crate) fused: Option<FusedKind>,
@@ -204,8 +201,8 @@ fn dispatch_plain<'b>(
 /// the first half's plain handler, the inter-instruction boundary, the
 /// second half's plain handler. The boundary is what the interpreter does
 /// between two adjacent instructions: advance the pc (so fault sites and
-/// register errors in the second half see the second instruction's pc, as
-/// the legacy loop guarantees) and charge the second instruction's cost.
+/// register errors in the second half see the second instruction's pc) and
+/// charge the second instruction's cost.
 /// First halves are straight-line: they always fall through.
 #[inline(always)]
 fn dispatch_fused<'b>(
@@ -241,49 +238,6 @@ fn dispatch_fused<'b>(
     })
 }
 
-impl<'p> Vm<'p> {
-    /// The decoded-dispatch run loop: behaviorally identical to the legacy
-    /// loop in [`Vm::run`] (see the module docs for the equivalence
-    /// argument), entered after the shared prologue with `start` already
-    /// latched.
-    pub(super) fn run_decoded(&mut self, start: u64, budget: u64) -> Result<RunOutcome, VmError> {
-        // The next point on the simulated clock at which the run loop must
-        // yield: a due sample or budget exhaustion, whichever is earlier.
-        // Both are fixed for the duration of this call (a sample return
-        // re-enters through `run`). Inside a frame this is the only clock
-        // comparison, and the fused fast path is gated on being strictly
-        // below it.
-        let event = self.next_sample_at.unwrap_or(u64::MAX).min(start.saturating_add(budget));
-        loop {
-            if let Some(v) = &self.finished {
-                return Ok(RunOutcome::Finished(*v));
-            }
-            if self.exec.clock.total() - start >= budget {
-                return Ok(RunOutcome::BudgetExhausted);
-            }
-            let Vm { stack, regs, exec, .. } = &mut *self;
-            let frame = stack
-                .last()
-                .ok_or(VmError::NoActiveFrame { context: "executing an instruction" })?;
-            let mut at = frame.at;
-            let switch = run_frame(exec, regs, frame, stack.len(), &mut at, event);
-            // The one place the cursor goes back into the frame: before the
-            // stack changes (call, return, OSR exit), before anything can
-            // observe it (yield), and on a fault.
-            stack.last_mut().expect("fetched above").at = at;
-            match switch? {
-                Switch::Call(callee) => stack.push(callee),
-                Switch::Ret(value) => self.pop_frame(value)?,
-                Switch::OsrExit(opt_pc) => self.osr_exit(opt_pc)?,
-                Switch::Yield => {}
-            }
-            if let Some(outcome) = self.after_step_yield() {
-                return Ok(outcome);
-            }
-        }
-    }
-}
-
 /// Runs `frame` — the top one, at depth `depth` — from `at` until the frame
 /// stack has to change or the loop may have to yield. The body is borrowed
 /// from the frame's version for exactly that long; `at` is the caller's
@@ -291,7 +245,7 @@ impl<'p> Vm<'p> {
 /// `at.pc` on the instruction that stopped the loop (a fault included) or,
 /// for a yield, the next one to run.
 #[inline]
-fn run_frame(
+pub(super) fn run_frame(
     x: &mut Exec<'_>,
     regs: &mut Vec<Value>,
     frame: &Frame,
@@ -311,7 +265,7 @@ fn run_frame(
         x.clock.charge(body.component, di.cost);
         // Fused fast path only while the clock stays strictly below the
         // next event boundary after the first half's charge — exactly when
-        // the legacy loop would run the second instruction before yielding.
+        // no check of the schedule could fire between the two halves.
         let flow = match di.fused {
             Some(kind) if x.clock.total() < event => dispatch_fused(kind, x, &mut a, body)?,
             _ => dispatch_plain(x, &mut a, &di.op)?,
@@ -321,9 +275,11 @@ fn run_frame(
             Flow::Advance => pc + 1,
             Flow::AdvanceFused => pc + 2,
             Flow::Jump { target, fused } => {
-                // The legacy loop's step tail, its back-edge OSR hook.
-                // `from` is the pc of the branch itself (the second half,
-                // for a fused pair): the legacy loop's `pc` at the hook.
+                // Taken backward control flow = a loop back-edge: the OSR
+                // hook in both directions. (Only `Jump`/`Branch` can move
+                // the pc backward; guard else-targets always point
+                // forward.) `from` is the pc of the branch itself — the
+                // second half, for a fused pair.
                 let (next_pc, from) = (target as usize, pc + usize::from(fused));
                 if x.config.osr_enabled && next_pc <= from {
                     match body.level {
@@ -355,10 +311,9 @@ fn run_frame(
 }
 
 // ---------------------------------------------------------------------------
-// Plain handlers. Each is the legacy `match` arm for its opcode, reading
-// operands from the decoded form. `a.method` / `a.at.pc` reproduce the
-// legacy fault sites exactly (the dispatch loop keeps `a.at.pc` on the
-// executing instruction).
+// Plain handlers: the semantics of each opcode, reading operands from the
+// decoded form. Faults name `a.method` / `a.at.pc` (the dispatch loop keeps
+// `a.at.pc` on the executing instruction).
 // ---------------------------------------------------------------------------
 
 #[inline(always)]

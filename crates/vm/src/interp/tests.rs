@@ -212,6 +212,26 @@ fn instance_of_respects_subtyping() {
     assert_eq!(v.and_then(Value::as_int), Some(10));
 }
 
+/// The budget of a free `run`, or — `stepped` — of one instruction per
+/// `run`: no superinstruction ever fuses, and every check of the schedule
+/// runs after every step.
+fn budget(stepped: bool) -> u64 {
+    if stepped {
+        1
+    } else {
+        u64::MAX
+    }
+}
+
+/// Runs to completion, freely or `stepped` (see [`budget`]).
+fn complete(vm: &mut Vm<'_>, stepped: bool) -> Result<Option<Value>, VmError> {
+    loop {
+        if let RunOutcome::Finished(v) = vm.run(budget(stepped))? {
+            return Ok(v);
+        }
+    }
+}
+
 fn faulting_program(
     build: impl FnOnce(&mut ProgramBuilder) -> aoci_ir::MethodId,
 ) -> VmError {
@@ -286,13 +306,13 @@ fn stack_overflow_faults() {
         m.finish()
     };
     let p = b.finish(main).expect("valid program");
-    for decode in [true, false] {
-        let config = VmConfig { max_stack_depth: 32, decode, ..VmConfig::default() };
+    for stepped in [false, true] {
+        let config = VmConfig { max_stack_depth: 32, ..VmConfig::default() };
         let mut vm = Vm::with_config(&p, CostModel::default(), config);
-        let e = vm.run_to_completion().expect_err("overflows");
-        assert!(matches!(e, VmError::StackOverflow { limit: 32 }), "decode={decode}: {e:?}");
-        assert_eq!(vm.stack_depth(), 32, "decode={decode}: the 33rd frame is the one refused");
-        assert_eq!(vm.regs.len(), 32 * 3, "decode={decode}: the refused call grew no window");
+        let e = complete(&mut vm, stepped).expect_err("overflows");
+        assert!(matches!(e, VmError::StackOverflow { limit: 32 }), "stepped={stepped}: {e:?}");
+        assert_eq!(vm.stack_depth(), 32, "stepped={stepped}: the 33rd frame is the one refused");
+        assert_eq!(vm.regs.len(), 32 * 3, "stepped={stepped}: the refused call grew no window");
     }
 }
 
@@ -350,21 +370,20 @@ fn unreadable_argument_faults_in_the_caller_before_the_callee_compiles() {
         recv: Reg(0),
         args: vec![Reg(9)],
     };
-    for decode in [true, false] {
+    for stepped in [false, true] {
         for (call, target) in [(&static_call, callee), (&virtual_call, a_take)] {
             let version = two_register_main(main, new_receiver.clone(), call.clone());
-            let config = VmConfig { decode, ..VmConfig::default() };
-            let mut vm = Vm::with_config(&p, CostModel::default(), config);
+            let mut vm = Vm::new(&p, CostModel::default());
             vm.registry_mut().install(version);
-            let e = vm.run_to_completion().expect_err("register 9 does not exist");
+            let e = complete(&mut vm, stepped).expect_err("register 9 does not exist");
             assert!(
                 matches!(e, VmError::BadRegister { method, pc: 1, reg: 9 } if method == main),
-                "decode={decode}: the fault names the caller and its call instruction: {e:?}"
+                "stepped={stepped}: the fault names the caller and its call instruction: {e:?}"
             );
-            assert_eq!(vm.clock().component(Component::BaselineCompilation), 0, "decode={decode}");
-            assert!(vm.registry().current(target).is_none(), "decode={decode}: callee untouched");
-            assert_eq!((vm.stack_depth(), vm.regs.len()), (1, 2), "decode={decode}");
-            assert_eq!(vm.counters().calls, 1, "decode={decode}: the call itself was counted");
+            assert_eq!(vm.clock().component(Component::BaselineCompilation), 0, "stepped={stepped}");
+            assert!(vm.registry().current(target).is_none(), "stepped={stepped}: callee untouched");
+            assert_eq!((vm.stack_depth(), vm.regs.len()), (1, 2), "stepped={stepped}");
+            assert_eq!(vm.counters().calls, 1, "stepped={stepped}: the call itself was counted");
         }
     }
 }
@@ -403,12 +422,11 @@ fn wide_callee_returns_into_the_right_caller_slot() {
         m.finish()
     };
     let p = b.finish(main).expect("valid program");
-    for decode in [true, false] {
-        let config = VmConfig { decode, ..VmConfig::default() };
-        let mut vm = Vm::with_config(&p, CostModel::default(), config);
-        let v = vm.run_to_completion().expect("no fault");
-        assert_eq!(v.and_then(Value::as_int), Some(70_000 + 1011 + 30), "decode={decode}");
-        assert!(vm.regs.is_empty(), "decode={decode}: every window was given back");
+    for stepped in [false, true] {
+        let mut vm = Vm::new(&p, CostModel::default());
+        let v = complete(&mut vm, stepped).expect("no fault");
+        assert_eq!(v.and_then(Value::as_int), Some(70_000 + 1011 + 30), "stepped={stepped}");
+        assert!(vm.regs.is_empty(), "stepped={stepped}: every window was given back");
     }
 }
 
@@ -444,20 +462,23 @@ fn deep_recursion_unwinds_to_the_reference_result() {
         m.finish()
     };
     let p = b.finish(main).expect("valid program");
-    for decode in [true, false] {
+    for stepped in [false, true] {
         let cost = CostModel { sample_period: 0, ..CostModel::default() };
-        let mut vm = Vm::with_config(&p, cost, VmConfig { decode, ..VmConfig::default() });
+        let mut vm = Vm::new(&p, cost);
         let mut deepest = 0;
-        // One instruction per `run`, so the deepest point is observed.
+        // One instruction per `run` observes the deepest point; so do two
+        // instructions' worth of cycles, which lets `sum`'s leading
+        // Const+Branch fuse and still stops inside every activation.
+        let slice = if stepped { 1 } else { 2 * vm.cost_model().baseline_factor };
         let v = loop {
-            match vm.run(1).expect("no fault") {
+            match vm.run(slice).expect("no fault") {
                 RunOutcome::Finished(v) => break v,
                 _ => deepest = deepest.max(vm.stack_depth()),
             }
         };
-        assert_eq!(v.and_then(Value::as_int), Some(4000 * 4001 / 2), "decode={decode}");
-        assert_eq!(deepest, 4002, "decode={decode}: main + sum(4000) ..= sum(0)");
-        assert!(vm.regs.is_empty(), "decode={decode}");
+        assert_eq!(v.and_then(Value::as_int), Some(4000 * 4001 / 2), "stepped={stepped}");
+        assert_eq!(deepest, 4002, "stepped={stepped}: main + sum(4000) ..= sum(0)");
+        assert!(vm.regs.is_empty(), "stepped={stepped}");
     }
 }
 
@@ -529,34 +550,30 @@ fn osr_resize_fixture() -> (aoci_ir::Program, aoci_ir::MethodId, MethodVersion, 
 #[test]
 fn osr_in_resizes_the_top_window_above_a_suspended_caller() {
     let (p, looper, version, expect) = osr_resize_fixture();
-    for decode in [true, false] {
-        let config = VmConfig {
-            osr_enabled: true,
-            osr_backedge_threshold: 16,
-            decode,
-            ..VmConfig::default()
-        };
+    for stepped in [false, true] {
+        let config =
+            VmConfig { osr_enabled: true, osr_backedge_threshold: 16, ..VmConfig::default() };
         let cost = CostModel { sample_period: 0, ..CostModel::default() };
         let mut vm = Vm::with_config(&p, cost, config);
         let req = loop {
-            match vm.run(u64::MAX).expect("no fault") {
+            match vm.run(budget(stepped)).expect("no fault") {
                 RunOutcome::OsrRequest(req) => break req,
-                RunOutcome::Finished(_) => panic!("decode={decode}: the loop never got hot"),
+                RunOutcome::Finished(_) => panic!("stepped={stepped}: the loop never got hot"),
                 _ => {}
             }
         };
-        assert_eq!((req.method, req.loop_header), (looper, 3), "decode={decode}");
+        assert_eq!((req.method, req.loop_header), (looper, 3), "stepped={stepped}");
         let caller = vm.regs[..3].to_vec();
-        assert_eq!((vm.stack_depth(), vm.regs.len()), (2, 3 + 4), "decode={decode}");
+        assert_eq!((vm.stack_depth(), vm.regs.len()), (2, 3 + 4), "stepped={stepped}");
         let installed = vm.registry_mut().install(version.clone());
-        assert!(vm.osr_enter(&installed, req.loop_header), "decode={decode}");
-        assert_eq!(vm.regs.len(), 3 + 7, "decode={decode}: the top window grew in place");
-        assert_eq!(&vm.regs[..3], &caller[..], "decode={decode}: caller window untouched");
-        assert_eq!(&vm.regs[7..], &[Value::Null; 3], "decode={decode}: new registers start null");
-        let v = vm.run_to_completion().expect("no fault");
-        assert_eq!(v.and_then(Value::as_int), Some(expect), "decode={decode}");
-        assert_eq!(vm.counters().osr_entries, 1, "decode={decode}");
-        assert!(vm.regs.is_empty(), "decode={decode}");
+        assert!(vm.osr_enter(&installed, req.loop_header), "stepped={stepped}");
+        assert_eq!(vm.regs.len(), 3 + 7, "stepped={stepped}: the top window grew in place");
+        assert_eq!(&vm.regs[..3], &caller[..], "stepped={stepped}: caller window untouched");
+        assert_eq!(&vm.regs[7..], &[Value::Null; 3], "stepped={stepped}: new registers start null");
+        let v = complete(&mut vm, stepped).expect("no fault");
+        assert_eq!(v.and_then(Value::as_int), Some(expect), "stepped={stepped}");
+        assert_eq!(vm.counters().osr_entries, 1, "stepped={stepped}");
+        assert!(vm.regs.is_empty(), "stepped={stepped}");
     }
 }
 
@@ -565,27 +582,28 @@ fn osr_in_resizes_the_top_window_above_a_suspended_caller() {
 #[test]
 fn osr_out_resizes_the_top_window_above_a_suspended_caller() {
     let (p, looper, version, expect) = osr_resize_fixture();
-    for decode in [true, false] {
-        let config = VmConfig { osr_enabled: true, decode, ..VmConfig::default() };
+    for stepped in [false, true] {
+        let config = VmConfig { osr_enabled: true, ..VmConfig::default() };
         let cost = CostModel { sample_period: 0, ..CostModel::default() };
         let mut vm = Vm::with_config(&p, cost, config);
         vm.registry_mut().install(version.clone());
+        let slice = if stepped { 1 } else { 50 };
         // Into the optimized loop, a few iterations deep.
         while vm.stack_depth() < 2 || vm.clock().component(Component::AppOptimized) < 200 {
-            assert!(!matches!(vm.run(50).expect("no fault"), RunOutcome::Finished(_)));
+            assert!(!matches!(vm.run(slice).expect("no fault"), RunOutcome::Finished(_)));
         }
         let caller = vm.regs[..3].to_vec();
-        assert_eq!((vm.stack_depth(), vm.regs.len()), (2, 3 + 7), "decode={decode}");
-        assert!(vm.registry_mut().invalidate(looper), "decode={decode}");
+        assert_eq!((vm.stack_depth(), vm.regs.len()), (2, 3 + 7), "stepped={stepped}");
+        assert!(vm.registry_mut().invalidate(looper), "stepped={stepped}");
         while vm.counters().osr_exits == 0 {
-            assert!(!matches!(vm.run(50).expect("no fault"), RunOutcome::Finished(_)));
+            assert!(!matches!(vm.run(slice).expect("no fault"), RunOutcome::Finished(_)));
         }
-        assert_eq!(vm.regs.len(), 3 + 4, "decode={decode}: the top window shrank in place");
-        assert_eq!(&vm.regs[..3], &caller[..], "decode={decode}: caller window untouched");
-        let v = vm.run_to_completion().expect("no fault");
-        assert_eq!(v.and_then(Value::as_int), Some(expect), "decode={decode}");
-        assert_eq!(vm.counters().osr_exits, 1, "decode={decode}");
-        assert!(vm.regs.is_empty(), "decode={decode}");
+        assert_eq!(vm.regs.len(), 3 + 4, "stepped={stepped}: the top window shrank in place");
+        assert_eq!(&vm.regs[..3], &caller[..], "stepped={stepped}: caller window untouched");
+        let v = complete(&mut vm, stepped).expect("no fault");
+        assert_eq!(v.and_then(Value::as_int), Some(expect), "stepped={stepped}");
+        assert_eq!(vm.counters().osr_exits, 1, "stepped={stepped}");
+        assert!(vm.regs.is_empty(), "stepped={stepped}");
     }
 }
 
@@ -1016,4 +1034,152 @@ fn counters_start_at_zero_and_accumulate() {
     assert_eq!(c.calls, 2);
     assert_eq!(c.virtual_dispatches, 2);
     assert_eq!(c.guard_checks, 0);
+}
+
+/// One cycle per baseline instruction, free baseline compiles, no sampling:
+/// the clock of a baseline run reads as its instruction count.
+fn unit_cost() -> CostModel {
+    CostModel {
+        baseline_factor: 1,
+        baseline_compile_per_unit: 0,
+        sample_period: 0,
+        ..CostModel::default()
+    }
+}
+
+/// `main` for the event-boundary tests: under [`unit_cost`], pc 1 (`Const`,
+/// heading a Const+Bin pair) is charged at cycle 2 and pc 2 (`Bin` into the
+/// otherwise unwritten register 2) at cycle 3. The program returns 12.
+fn boundary_fixture() -> aoci_ir::Program {
+    let mut b = ProgramBuilder::new();
+    let main = {
+        let mut m = b.static_method("main", 0);
+        let (x, y, sum) = (m.fresh_reg(), m.fresh_reg(), m.fresh_reg());
+        m.const_int(x, 5);
+        m.const_int(y, 7);
+        m.bin(BinOp::Add, sum, x, y);
+        m.ret(Some(sum));
+        m.finish()
+    };
+    b.finish(main).expect("valid program")
+}
+
+/// Where the interrupted pair of [`boundary_fixture`] must rest: on its
+/// second half, which has not run.
+fn assert_rests_between_the_halves(vm: &Vm<'_>) {
+    assert_eq!(vm.clock().total(), 2, "the first half was charged, the second was not");
+    assert_eq!(vm.stack.last().expect("in main").at.pc, 2, "resting on the second half");
+    assert_eq!(vm.regs, [Value::Int(5), Value::Int(7), Value::Null], "`Bin` has not run");
+}
+
+/// A pair whose first half's charge lands exactly on the due sample does
+/// not fuse: the sample is taken between the halves, at that cycle.
+#[test]
+fn a_sample_due_after_the_first_half_splits_the_pair() {
+    let p = boundary_fixture();
+    let mut vm = Vm::new(&p, CostModel { sample_period: 2, ..unit_cost() });
+    match vm.run(u64::MAX).expect("no fault") {
+        RunOutcome::Sample(s) => assert_eq!((s.cycles, s.top_method()), (2, Some(p.entry()))),
+        other => panic!("expected the sample due at cycle 2, got {other:?}"),
+    }
+    assert_rests_between_the_halves(&vm);
+    let v = vm.run_to_completion().expect("no fault");
+    assert_eq!(v.and_then(Value::as_int), Some(12));
+}
+
+/// A pair whose first half's charge lands exactly on the budget's end does
+/// not fuse either: the run stops between the halves.
+#[test]
+fn a_budget_ending_after_the_first_half_splits_the_pair() {
+    let p = boundary_fixture();
+    let mut vm = Vm::new(&p, unit_cost());
+    assert!(matches!(vm.run(2).expect("no fault"), RunOutcome::BudgetExhausted));
+    assert_rests_between_the_halves(&vm);
+    let v = vm.run_to_completion().expect("no fault");
+    assert_eq!(v.and_then(Value::as_int), Some(12));
+    assert_eq!(vm.clock().total(), 4);
+}
+
+/// A back-edge raises an OSR request on the very step a sample falls due:
+/// the request is returned first, at that cycle; the sample comes from the
+/// next `run`, one instruction later.
+#[test]
+fn an_osr_request_is_returned_before_the_sample_due_on_the_same_step() {
+    let mut b = ProgramBuilder::new();
+    let main = {
+        let mut m = b.static_method("main", 0);
+        let (i, n, one) = (m.fresh_reg(), m.fresh_reg(), m.fresh_reg());
+        m.const_int(i, 0); // cycle 1
+        m.const_int(n, 10); // 2
+        m.const_int(one, 1); // 3
+        let (top, out) = (m.label(), m.label());
+        m.bind(top);
+        m.branch(Cond::Ge, i, n, out); // pc 3: cycles 4, 7, 10
+        m.bin(BinOp::Add, i, i, one); // 5, 8
+        m.jump(top); // 6, 9: the second taken back-edge is the request
+        m.bind(out);
+        m.ret(Some(i));
+        m.finish()
+    };
+    let p = b.finish(main).expect("valid program");
+    for stepped in [false, true] {
+        let cost = CostModel { sample_period: 9, ..unit_cost() };
+        let config =
+            VmConfig { osr_enabled: true, osr_backedge_threshold: 2, ..VmConfig::default() };
+        let mut vm = Vm::with_config(&p, cost, config);
+        let mut next = || loop {
+            match vm.run(budget(stepped)).expect("no fault") {
+                RunOutcome::BudgetExhausted => {}
+                other => break (other, vm.clock().total(), vm.stack.last().map(|f| f.at.pc)),
+            }
+        };
+        let (first, cycles, pc) = next();
+        let expect = OsrRequest { method: main, loop_header: 3 };
+        assert!(
+            matches!(first, RunOutcome::OsrRequest(r) if r == expect),
+            "stepped={stepped}: {first:?}"
+        );
+        assert_eq!((cycles, pc), (9, Some(3)), "stepped={stepped}: parked on the header");
+        let (second, cycles, pc) = next();
+        assert!(
+            matches!(&second, RunOutcome::Sample(s) if s.cycles == 10),
+            "stepped={stepped}: {second:?}"
+        );
+        assert_eq!((cycles, pc), (10, Some(4)), "stepped={stepped}: one instruction later");
+        let v = complete(&mut vm, stepped).expect("no fault");
+        assert_eq!(v.and_then(Value::as_int), Some(10), "stepped={stepped}");
+    }
+}
+
+/// A taken branch that ran as the second half of a pair is a back-edge
+/// judged from its own pc, not the pair's: one that targets itself counts
+/// from its first execution.
+#[test]
+fn a_fused_branch_to_itself_is_a_back_edge() {
+    let mut b = ProgramBuilder::new();
+    let main = {
+        let mut m = b.static_method("main", 0);
+        let x = m.fresh_reg();
+        let this = m.label();
+        m.const_int(x, 0); // cycle 1
+        m.bind(this);
+        m.branch(Cond::Eq, x, x, this); // pc 1: cycles 2, 3, 4, …
+        m.ret(None);
+        m.finish()
+    };
+    let p = b.finish(main).expect("valid program");
+    for stepped in [false, true] {
+        let config =
+            VmConfig { osr_enabled: true, osr_backedge_threshold: 3, ..VmConfig::default() };
+        let mut vm = Vm::with_config(&p, unit_cost(), config);
+        let request = loop {
+            match vm.run(budget(stepped)).expect("no fault") {
+                RunOutcome::OsrRequest(r) => break r,
+                RunOutcome::BudgetExhausted => {}
+                other => panic!("stepped={stepped}: {other:?}"),
+            }
+        };
+        assert_eq!(request, OsrRequest { method: main, loop_header: 1 }, "stepped={stepped}");
+        assert_eq!(vm.clock().total(), 4, "stepped={stepped}: the third execution of the branch");
+    }
 }

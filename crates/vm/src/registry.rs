@@ -333,13 +333,6 @@ impl CodeRegistry {
         self.invalidated.get(id.0 as usize).copied().unwrap_or(false)
     }
 
-    /// Pre-deoptless shim for [`CodeRegistry::is_invalidated`], taking the
-    /// raw `u32` id.
-    #[doc(hidden)]
-    pub fn is_invalidated_raw(&self, version_id: u32) -> bool {
-        self.is_invalidated(VersionId::from_raw(version_id))
-    }
-
     /// Number of optimized versions invalidated.
     pub fn invalidations(&self) -> u32 {
         self.invalidations
@@ -435,7 +428,6 @@ mod tests {
         assert!(!r.is_invalidated(installed.version_id));
         assert!(r.invalidate(m0));
         assert!(r.is_invalidated(installed.version_id), "in-flight frames can see the invalidation");
-        assert!(r.is_invalidated_raw(installed.version_id.raw()), "the raw shim agrees");
         assert!(r.current(m0).is_none(), "slot cleared → baseline at next invocation");
         assert_eq!(r.current_optimized_size(), 0);
         // Cumulative size is history, not residency: it stays.

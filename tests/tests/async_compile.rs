@@ -43,7 +43,7 @@ fn oracle_result(program: &aoci_ir::Program) -> Option<Value> {
 /// The differential-oracle configuration (same knobs as
 /// `differential_oracle.rs`), synchronous compilation.
 fn sync_config(policy: PolicyKind, osr: bool, fault: Option<FaultConfig>) -> AosConfig {
-    let mut c = if osr { AosConfig::with_osr(policy) } else { AosConfig::new(policy) };
+    let mut c = if osr { AosConfig::new(policy).enable_osr() } else { AosConfig::new(policy) };
     c.cost = CostModel { sample_period: 2_003, ..CostModel::default() };
     c.hot_method_samples = 2;
     c.organizer_period_samples = 4;
@@ -65,7 +65,7 @@ fn degenerate(mut c: AosConfig) -> AosConfig {
     c
 }
 
-/// A genuinely concurrent pool (the `AosConfig::with_async_compile`
+/// A genuinely concurrent pool (the `AosConfig::enable_async_compile`
 /// defaults: two workers, bounded queue, real compile latency).
 fn concurrent(mut c: AosConfig) -> AosConfig {
     c.async_compile = Some(AsyncCompileConfig::default());

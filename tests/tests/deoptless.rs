@@ -3,15 +3,14 @@
 //! context-specialized version of the method — baseline is the fallback,
 //! not the destination — and the transfer must pay off against the
 //! classic OSR configuration that deoptimizes the same activation to
-//! baseline. The same scenario is run under both interpreter dispatch
-//! modes: the exit's baseline continuation pc sits mid-fused-
+//! baseline. The exit's baseline continuation pc sits mid-fused-
 //! superinstruction (second half of a `Const+Branch` pair), and the
-//! dispatched transfer must be bit-identical either way.
+//! dispatched transfer must cost what it did before pairs fused.
 
-use aoci_aos::{AosConfig, AosReport, AosSystem};
+use aoci_aos::{AosConfig, AosReport, AosSystem, OsrEvents};
 use aoci_core::PolicyKind;
 use aoci_ir::{decode_body, fusion_plan, BinOp, Cond, DecodedOp, FusedKind, Program, ProgramBuilder};
-use aoci_vm::{CostModel, Value, Vm};
+use aoci_vm::{CostModel, ExecCounters, Value, Vm};
 
 fn baseline_result(p: &Program) -> Option<Value> {
     let cost = CostModel { sample_period: 0, ..CostModel::default() };
@@ -197,7 +196,7 @@ fn phased_receiver_shift(n1: i64, n2: i64, n3: i64) -> Program {
 /// Pins the shape the module doc claims: `spin`'s loop top — every OSR
 /// exit's baseline continuation pc — is the second half of a fused
 /// Const+Branch pair, so a dispatched transfer always leaves from (and
-/// re-enters at) a pc inside a superinstruction in decoded mode.
+/// re-enters at) a pc inside a superinstruction.
 #[test]
 fn exit_pc_is_mid_fused_superinstruction() {
     let p = phased_receiver_shift(30, 8_000, 4_000);
@@ -265,29 +264,33 @@ fn guard_shift_transfers_into_specialized_version_and_saves_cycles() {
 }
 
 /// The dispatched transfer crossed a fused superinstruction boundary
-/// (pinned above), so the decoded and switch-dispatch interpreters must
-/// agree bit-for-bit on the whole deoptless run.
+/// (pinned above): the whole deoptless run must still cost exactly what it
+/// cost when it was first pinned against an interpreter that never fused.
 #[test]
 fn dispatched_transfer_is_identical_across_dispatch_modes() {
     let p = phased_receiver_shift(30, 8_000, 4_000);
     let expected = baseline_result(&p);
-    let make = |decode: bool| {
-        let mut c = fast(AosConfig::new(PolicyKind::Fixed { max: 3 }).enable_guard_monitoring())
-            .enable_deoptless();
-        c.vm.decode = decode;
-        c
-    };
-    let dec = run(&p, make(true));
-    let leg = run(&p, make(false));
-    assert_eq!(dec.result, expected, "dispatch through fused code must not change semantics");
+    let c = fast(AosConfig::new(PolicyKind::Fixed { max: 3 }).enable_guard_monitoring())
+        .enable_deoptless();
+    let report = run(&p, c);
+    assert_eq!(report.result, expected, "dispatch through fused code must not change semantics");
     assert!(
-        dec.osr.dispatched_transfers >= 1,
+        report.osr.dispatched_transfers >= 1,
         "the scenario must actually dispatch: {:?}",
-        dec.osr
+        report.osr
     );
-    assert_eq!(dec.result, leg.result, "dispatch modes disagree on result");
-    assert_eq!(dec.total_cycles(), leg.total_cycles(), "dispatch modes disagree on cycles");
-    assert_eq!(dec.counters, leg.counters, "dispatch modes disagree on counters");
-    assert_eq!(dec.osr, leg.osr, "dispatch modes disagree on OSR events");
-    assert_eq!(dec.recovery, leg.recovery, "dispatch modes disagree on recovery events");
+    assert_eq!(report.total_cycles(), 1_132_827);
+    assert_eq!(
+        report.counters,
+        ExecCounters {
+            calls: 14_034,
+            virtual_dispatches: 14_030,
+            guard_checks: 2_091,
+            guard_misses: 91,
+            osr_entries: 1,
+            osr_exits: 0,
+        }
+    );
+    let osr = OsrEvents { requests: 1, entries: 1, dispatched_transfers: 1, ..OsrEvents::default() };
+    assert_eq!(report.osr, osr);
 }

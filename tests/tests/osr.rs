@@ -7,7 +7,7 @@
 use aoci_aos::{AosConfig, AosReport, AosSystem, OsrEvents};
 use aoci_core::PolicyKind;
 use aoci_ir::{decode_body, fusion_plan, BinOp, Cond, DecodedOp, FusedKind, Program, ProgramBuilder};
-use aoci_vm::{Component, CostModel, Value, Vm};
+use aoci_vm::{Component, CostModel, ExecCounters, Value, Vm};
 
 fn baseline_result(p: &Program) -> Option<Value> {
     let cost = CostModel { sample_period: 0, ..CostModel::default() };
@@ -195,7 +195,7 @@ fn hot_main_loop_is_promoted_and_saves_cycles() {
     let p = loop_in_main(6_000);
     let expected = baseline_result(&p);
 
-    let mut with_osr = fast(AosConfig::with_osr(PolicyKind::Fixed { max: 3 }));
+    let mut with_osr = fast(AosConfig::new(PolicyKind::Fixed { max: 3 }).enable_osr());
     with_osr.recovery.monitor_guard_health = true;
     let mut without_osr = fast(AosConfig::new(PolicyKind::Fixed { max: 3 }));
     without_osr.recovery.monitor_guard_health = true;
@@ -229,7 +229,7 @@ fn thrashing_activation_deoptimizes_before_it_returns() {
     let p = warm_then_thrash(8, 300, 4_000);
     let expected = baseline_result(&p);
 
-    let mut config = fast(AosConfig::with_osr(PolicyKind::ContextInsensitive));
+    let mut config = fast(AosConfig::new(PolicyKind::ContextInsensitive).enable_osr());
     config.recovery.monitor_guard_health = true;
     // Isolate OSR-out: promotion would need a back-edge count no loop here
     // reaches, so every transition observed is a deoptimization.
@@ -369,32 +369,37 @@ fn fused_boundaries_are_where_this_test_thinks() {
 /// OSR-in across fused superinstruction boundaries: the back-edge
 /// counter fires from inside a fused pair, and the promoted frame's
 /// entry pc is the second half of another fused pair. Because decoded pc
-/// == source pc (1:1 layout), that pc is legal in both forms — the run
-/// must finish with the baseline result, actually promote, and be
-/// bit-identical to the same run under the legacy dispatch loop.
+/// == source pc (1:1 layout), that pc is a legal place to resume — the run
+/// must finish with the baseline result, actually promote, and cost
+/// exactly what it cost when it was first pinned against an interpreter
+/// that never fused.
 #[test]
 fn osr_in_crosses_fused_superinstruction_boundary() {
     let p = fused_loop_in_main(6_000);
     let expected = baseline_result(&p);
-    let make = |decode: bool| {
-        let mut c = fast(AosConfig::with_osr(PolicyKind::Fixed { max: 3 }));
-        c.recovery.monitor_guard_health = true;
-        c.vm.decode = decode;
-        c
-    };
-    let dec = run(&p, make(true));
-    let leg = run(&p, make(false));
-    assert_eq!(dec.result, expected, "OSR through fused dispatch must not change semantics");
+    let mut c = fast(AosConfig::new(PolicyKind::Fixed { max: 3 }).enable_osr());
+    c.recovery.monitor_guard_health = true;
+    let report = run(&p, c);
+    assert_eq!(report.result, expected, "OSR through fused dispatch must not change semantics");
     assert!(
-        dec.osr.entries >= 1,
+        report.osr.entries >= 1,
         "the single main activation should be promoted mid-loop: {:?}",
-        dec.osr
+        report.osr
     );
-    assert_eq!(dec.result, leg.result, "dispatch modes disagree on result");
-    assert_eq!(dec.total_cycles(), leg.total_cycles(), "dispatch modes disagree on cycles");
-    assert_eq!(dec.counters, leg.counters, "dispatch modes disagree on counters");
-    assert_eq!(dec.osr, leg.osr, "dispatch modes disagree on OSR events");
-    assert_eq!(dec.recovery, leg.recovery, "dispatch modes disagree on recovery events");
+    assert_eq!(report.total_cycles(), 323_074);
+    assert_eq!(
+        report.counters,
+        ExecCounters {
+            calls: 585,
+            virtual_dispatches: 585,
+            guard_checks: 8_159,
+            guard_misses: 2_744,
+            osr_entries: 2,
+            osr_exits: 1,
+        }
+    );
+    let osr = OsrEvents { requests: 2, entries: 2, exits: 1, ..OsrEvents::default() };
+    assert_eq!(report.osr, osr);
 }
 
 /// OSR-out landing on a fused boundary: in `warm_then_thrash`, `spin`'s
@@ -402,8 +407,9 @@ fn osr_in_crosses_fused_superinstruction_boundary() {
 /// thrashing optimized activation deoptimizes at the back edge, the
 /// frame mapping's continuation pc is the second half of a fused pair in
 /// the baseline body it returns to. The exit must happen, land on a
-/// legal pc (the run completes with the baseline result), and be
-/// bit-identical across dispatch modes.
+/// legal pc (the run completes with the baseline result), and cost
+/// exactly what it cost when it was first pinned against an interpreter
+/// that never fused.
 #[test]
 fn osr_out_lands_on_fused_boundary() {
     let p = warm_then_thrash(8, 300, 4_000);
@@ -428,34 +434,37 @@ fn osr_out_lands_on_fused_boundary() {
         "spin's loop top is not the second half of a fused Const+Branch pair"
     );
 
-    let make = |decode: bool| {
-        let mut c = fast(AosConfig::with_osr(PolicyKind::ContextInsensitive));
-        c.recovery.monitor_guard_health = true;
-        c.vm.osr_backedge_threshold = 1_000_000;
-        c.vm.decode = decode;
-        c
-    };
-    let dec = run(&p, make(true));
-    let leg = run(&p, make(false));
-    assert_eq!(dec.result, expected, "deopt through fused dispatch must not change semantics");
-    assert_eq!(dec.osr.entries, 0, "promotion was disabled by the huge threshold");
+    let mut c = fast(AosConfig::new(PolicyKind::ContextInsensitive).enable_osr());
+    c.recovery.monitor_guard_health = true;
+    c.vm.osr_backedge_threshold = 1_000_000;
+    let report = run(&p, c);
+    assert_eq!(report.result, expected, "deopt through fused dispatch must not change semantics");
+    assert_eq!(report.osr.entries, 0, "promotion was disabled by the huge threshold");
     assert!(
-        dec.osr.exits >= 1,
+        report.osr.exits >= 1,
         "the thrashing activation must deoptimize mid-loop: {:?}",
-        dec.osr
+        report.osr
     );
-    assert_eq!(dec.result, leg.result, "dispatch modes disagree on result");
-    assert_eq!(dec.total_cycles(), leg.total_cycles(), "dispatch modes disagree on cycles");
-    assert_eq!(dec.counters, leg.counters, "dispatch modes disagree on counters");
-    assert_eq!(dec.osr, leg.osr, "dispatch modes disagree on OSR events");
-    assert_eq!(dec.recovery, leg.recovery, "dispatch modes disagree on recovery events");
+    assert_eq!(report.total_cycles(), 2_082_208);
+    assert_eq!(
+        report.counters,
+        ExecCounters {
+            calls: 4_309,
+            virtual_dispatches: 4_300,
+            guard_checks: 2_148,
+            guard_misses: 48,
+            osr_entries: 0,
+            osr_exits: 1,
+        }
+    );
+    assert_eq!(report.osr, OsrEvents { exits: 1, ..OsrEvents::default() });
 }
 
 #[test]
 fn osr_runs_are_deterministic() {
     let p = loop_in_main(4_000);
     let make = || {
-        let mut c = fast(AosConfig::with_osr(PolicyKind::Fixed { max: 3 }));
+        let mut c = fast(AosConfig::new(PolicyKind::Fixed { max: 3 }).enable_osr());
         c.recovery.monitor_guard_health = true;
         c
     };

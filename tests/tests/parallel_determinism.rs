@@ -6,7 +6,7 @@
 //! computes or the order results are merged in.
 
 use aoci_aos::{AosConfig, FaultConfig};
-use aoci_bench::{run_one, sweep_into, EnvConfig, GridStore};
+use aoci_bench::{policy_label, run_one, sweep_into, EnvConfig, GridStore};
 use aoci_core::PolicyKind;
 use aoci_vm::CostModel;
 use aoci_workloads::{build, spec_by_name, WorkloadSpec};
@@ -52,6 +52,35 @@ fn grid_json_is_byte_identical_across_job_counts() {
                 "grid.json bytes diverged between AOCI_JOBS=1 and AOCI_JOBS={jobs}"
             ),
         }
+    }
+}
+
+/// Golden cells: the tests above (and every CI `cmp`) compare two runs of
+/// today's code with each other; this one compares today's code with the
+/// committed `results/grid.json`, cell for cell and byte for byte, so a
+/// change that moves simulated numbers in *every* mode still shows. The
+/// cells are full-size, under the configuration the committed sweep ran
+/// with (no knob set).
+#[test]
+fn golden_cells_match_the_committed_grid() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../results/grid.json");
+    let text = std::fs::read_to_string(path).expect("results/grid.json is readable");
+    let committed = GridStore::from_json(&text).expect("results/grid.json parses");
+    let cells = [
+        ("db", PolicyKind::ContextInsensitive),
+        ("db", PolicyKind::Fixed { max: 3 }),
+        ("db", PolicyKind::ParameterlessClass { max: 3 }),
+        ("db", PolicyKind::AdaptiveResolving { max: 3 }),
+        ("compress", PolicyKind::Fixed { max: 3 }),
+    ];
+    for (workload, policy) in cells {
+        let spec = spec_by_name(workload).expect("suite workload");
+        let mut measured = GridStore::default();
+        measured.insert(run_one(&spec, policy, &EnvConfig::default()));
+        let mut expected = GridStore::default();
+        let label = policy_label(policy);
+        expected.insert(committed.get(workload, &label).expect("cell is committed").clone());
+        assert_eq!(measured.to_json(), expected.to_json(), "{workload}::{label} moved");
     }
 }
 

@@ -13,8 +13,17 @@
 //! control flow the curated suite never forms, plus the curated suite
 //! itself as a fixed corpus.
 
-use aoci_ir::{decode_body, encode_body, fused_kind, fusion_plan, DecodedOp, Program};
-use aoci_vm::{CostModel, Value, Vm, VmConfig, VmError};
+use aoci_core::{InlineOracle, RuleSet};
+use aoci_ir::{
+    decode_body, encode_body, fused_kind, fusion_plan, BinOp, CallSiteRef, DecodedOp, Instr,
+    Program, ProgramBuilder,
+};
+use aoci_opt::{compile, OptConfig};
+use aoci_profile::TraceKey;
+use aoci_vm::{
+    CostModel, ExecCounters, MethodGuardStats, MethodVersion, OptLevel, OsrRequest, RunOutcome,
+    StackSnapshot, Value, Vm, VmConfig, VmError, COMPONENTS,
+};
 use aoci_workloads::{build, suite};
 use proptest::prelude::*;
 
@@ -41,7 +50,7 @@ fn assert_roundtrip(program: &Program, what: &str) {
 
 /// Every decoded branch target is an absolute pc inside its body (the
 /// decoded layout is 1:1 with the source body, so decoded pc == source
-/// pc and the legacy bounds argument carries over verbatim).
+/// pc and the source body's bounds argument carries over verbatim).
 fn assert_targets_in_range(program: &Program, what: &str) {
     for m in program.methods() {
         let decoded = decode_body(m.body(), program);
@@ -89,55 +98,119 @@ fn assert_plan_consistent(program: &Program, what: &str) {
     }
 }
 
-/// Faults reduced to kind, as in `proptest_compiler.rs`.
-fn outcome(program: &Program, decode: bool) -> (Result<Option<Value>, String>, u64) {
-    let cost = CostModel { sample_period: 0, ..CostModel::default() };
-    let mut vm = Vm::with_config(program, cost, VmConfig { decode, ..VmConfig::default() });
-    let result = vm.run_to_completion().map_err(|e| {
-        match e {
-            VmError::NullDeref { .. } => "null",
-            VmError::TypeError { .. } => "type",
-            VmError::DivideByZero { .. } => "div0",
-            VmError::IndexOutOfBounds { .. } => "bounds",
-            VmError::NoSuchMethod { .. } => "nosuch",
-            VmError::NegativeArrayLength { .. } => "neglen",
-            VmError::StackOverflow { .. } => "overflow",
-            VmError::BadRegister { .. } => "badreg",
-            VmError::PcOutOfRange { .. } => "badpc",
-            VmError::NoActiveFrame { .. } => "noframe",
+/// Everything a run lets its embedder see.
+struct Observed {
+    /// The program's result, or the fault — site included: both runs
+    /// execute the same code, so even the faulting pc must agree.
+    result: Result<Option<Value>, VmError>,
+    /// Every [`RunOutcome`] except `BudgetExhausted`, in order.
+    yields: Vec<Yielded>,
+    /// Simulated cycles per clock component.
+    clock: Vec<u64>,
+    counters: ExecCounters,
+    guards: Vec<MethodGuardStats>,
+}
+
+#[derive(Debug, PartialEq)]
+enum Yielded {
+    /// Carries the sample's cycle, root, prologue flag and frames.
+    Sample(StackSnapshot),
+    Osr { cycles: u64, request: OsrRequest },
+}
+
+/// Runs `program` in `budget`-cycle slices with sampling (prime period) and
+/// OSR on, over `versions` pre-installed (none: all-baseline). OSR requests
+/// are recorded and declined.
+fn observe(program: &Program, versions: &[MethodVersion], budget: u64) -> Observed {
+    let cost = CostModel { sample_period: 2_003, ..CostModel::default() };
+    // What makes `run(1)` fusion-free: a pair's first half always costs a
+    // whole cycle, which is the whole budget.
+    for level in [OptLevel::Baseline, OptLevel::Optimized] {
+        assert!(cost.level_factor(level) >= 1, "{level:?} instructions must cost a cycle");
+    }
+    let config =
+        VmConfig { osr_enabled: true, osr_backedge_threshold: 48, ..VmConfig::default() };
+    let mut vm = Vm::with_config(program, cost, config);
+    for v in versions {
+        vm.registry_mut().install(v.clone());
+    }
+    let mut yields = Vec::new();
+    let result = loop {
+        match vm.run(budget) {
+            Ok(RunOutcome::Sample(s)) => yields.push(Yielded::Sample(s)),
+            Ok(RunOutcome::OsrRequest(request)) => {
+                yields.push(Yielded::Osr { cycles: vm.clock().total(), request });
+            }
+            Ok(RunOutcome::BudgetExhausted) => {}
+            Ok(RunOutcome::Finished(v)) => break Ok(v),
+            Err(e) => break Err(e),
         }
-        .to_string()
-    });
-    (result, vm.clock().total())
+    };
+    Observed {
+        result,
+        yields,
+        clock: COMPONENTS.iter().map(|&c| vm.clock().component(c)).collect(),
+        counters: vm.counters(),
+        guards: program.methods().map(|m| vm.guard_stats(m.id())).collect(),
+    }
+}
+
+/// An oracle under which every call edge the program could take is hot:
+/// static callees inline, and every virtual site gets guarded inlines of
+/// its selector's implementations (as many as the compiler allows), so
+/// receivers of the other classes miss the guards.
+fn all_edges_hot(program: &Program) -> InlineOracle {
+    let mut rules = Vec::new();
+    for m in program.methods() {
+        for instr in m.body() {
+            let callees = match instr {
+                Instr::CallStatic { callee, .. } => std::slice::from_ref(callee),
+                Instr::CallVirtual { selector, .. } => program.implementations(*selector),
+                _ => continue,
+            };
+            let site = CallSiteRef::new(m.id(), instr.call_site().expect("calls have sites"));
+            rules.extend(callees.iter().map(|&callee| (TraceKey::edge(site, callee), 100.0)));
+        }
+    }
+    let total = rules.len().max(1) as f64 * 100.0;
+    InlineOracle::new(RuleSet::from_rules(rules, total).into())
+}
+
+/// The free run (`run(u64::MAX)`: superinstructions wherever the clock
+/// allows) and the single-stepped run (`run(1)`: never fused, every check
+/// of the schedule after every instruction) of `program`, once all-baseline
+/// and once with every method's optimizing-compiler output installed, so
+/// guards and optimized-level pairs execute.
+fn free_and_stepped(program: &Program) -> [(Observed, Observed); 2] {
+    let (oracle, config) = (all_edges_hot(program), OptConfig::default());
+    let compiled: Vec<MethodVersion> =
+        program.methods().map(|m| compile(program, m.id(), &oracle, &config).version).collect();
+    [&[][..], &compiled[..]].map(|vs| (observe(program, vs, u64::MAX), observe(program, vs, 1)))
 }
 
 /// Fusion never changes the charged cost: a full run charges exactly the
-/// same simulated cycles — and the same exec counters — whether every
-/// basic block executes through fused superinstructions or one plain
-/// `match` arm at a time. (A fused pair charges cost(A) then cost(B) at
-/// the boundary, so per-block totals are preserved by construction; this
-/// checks the construction end-to-end, faults included.)
-fn assert_cost_invariant(program: &Program, what: &str) {
-    let cost = CostModel { sample_period: 0, ..CostModel::default() };
-    let mut dec = Vm::with_config(program, cost.clone(), VmConfig::default());
-    let mut leg = Vm::with_config(program, cost, VmConfig { decode: false, ..VmConfig::default() });
-    let r_dec = dec.run_to_completion();
-    let r_leg = leg.run_to_completion();
-    assert_eq!(
-        r_dec.is_ok(),
-        r_leg.is_ok(),
-        "{what}: outcome kind differs across dispatch modes"
-    );
-    assert_eq!(
-        dec.clock().total(),
-        leg.clock().total(),
-        "{what}: charged cycles differ across dispatch modes"
-    );
-    assert_eq!(
-        dec.counters(),
-        leg.counters(),
-        "{what}: exec counters differ across dispatch modes"
-    );
+/// same simulated cycles to the same components — and counts the same
+/// calls, dispatches and guards, per method — whether its blocks execute
+/// through fused superinstructions or one instruction per `run`. (A fused
+/// pair charges cost(A) then cost(B) at the boundary, so per-block totals
+/// are preserved by construction; this checks the construction end-to-end,
+/// faults included.)
+fn assert_cost_invariant(runs: &[(Observed, Observed)], what: &str) {
+    for (free, stepped) in runs {
+        assert_eq!(free.clock, stepped.clock, "{what}: charged cycles differ");
+        assert_eq!(free.counters, stepped.counters, "{what}: exec counters differ");
+        assert_eq!(free.guards, stepped.guards, "{what}: per-method guard stats differ");
+    }
+}
+
+/// What the embedder is handed is the same either way: the result (or the
+/// fault and its site) and every sample and OSR request, at the same cycle
+/// with the same stack.
+fn assert_outcomes_agree(runs: &[(Observed, Observed)], what: &str) {
+    for (free, stepped) in runs {
+        assert_eq!(free.result, stepped.result, "{what}: result differs");
+        assert_eq!(free.yields, stepped.yields, "{what}: yielded outcomes differ");
+    }
 }
 
 proptest! {
@@ -162,22 +235,21 @@ proptest! {
     }
 
     /// Fusion never changes the total charged cost of any executed
-    /// block: full-run cycle totals and counters match the legacy loop.
+    /// block: per-component cycles and counters match the single-stepped
+    /// run.
     #[test]
     fn fusion_preserves_charged_cost(seed in 0u64..1u64 << 32, index in 0usize..256) {
-        let program = fuzz_program(seed, index);
-        assert_cost_invariant(&program, &format!("fuzz seed={seed} index={index}"));
+        let runs = free_and_stepped(&fuzz_program(seed, index));
+        assert_cost_invariant(&runs, &format!("fuzz seed={seed} index={index}"));
     }
 
-    /// The VM-visible outcome (result value or fault kind) is identical
-    /// across dispatch modes on generated programs.
+    /// The VM-visible outcome (result or fault, every sample and OSR
+    /// request) is identical whether the run is free to fuse or
+    /// single-stepped, on generated programs.
     #[test]
     fn outcomes_agree_across_dispatch_modes(seed in 0u64..1u64 << 32, index in 0usize..256) {
-        let program = fuzz_program(seed, index);
-        let (r_dec, c_dec) = outcome(&program, true);
-        let (r_leg, c_leg) = outcome(&program, false);
-        prop_assert_eq!(r_dec, r_leg, "result differs (seed={}, index={})", seed, index);
-        prop_assert_eq!(c_dec, c_leg, "cycles differ (seed={}, index={})", seed, index);
+        let runs = free_and_stepped(&fuzz_program(seed, index));
+        assert_outcomes_agree(&runs, &format!("fuzz seed={seed} index={index}"));
     }
 }
 
@@ -190,5 +262,76 @@ fn suite_bodies_roundtrip_and_plan() {
         assert_roundtrip(&w.program, &w.name);
         assert_targets_in_range(&w.program, &w.name);
         assert_plan_consistent(&w.program, &w.name);
+    }
+}
+
+/// The curated suite (1/40 of its iterations) as a fixed corpus for the
+/// two run properties — and, unlike a generated program, sure to sample,
+/// raise OSR requests and both pass and miss guards.
+#[test]
+fn suite_runs_agree_free_and_stepped() {
+    let (mut samples, mut requests) = (0, 0);
+    let mut guards = MethodGuardStats::default();
+    for mut spec in suite() {
+        spec.iterations /= 40;
+        let w = build(&spec);
+        let runs = free_and_stepped(&w.program);
+        assert_cost_invariant(&runs, &w.name);
+        assert_outcomes_agree(&runs, &w.name);
+        for (free, _) in &runs {
+            assert!(free.result.is_ok(), "{}: {:?}", w.name, free.result);
+            samples += free.yields.iter().filter(|y| matches!(y, Yielded::Sample(_))).count();
+            requests += free.yields.iter().filter(|y| matches!(y, Yielded::Osr { .. })).count();
+            guards.checks += free.counters.guard_checks;
+            guards.misses += free.counters.guard_misses;
+        }
+    }
+    assert!(samples > 0 && requests > 0, "{samples} samples, {requests} OSR requests");
+    assert!(0 < guards.misses && guards.misses < guards.checks, "{guards:?}");
+}
+
+/// Generated programs rarely fault inside a fused pair; these do, once in
+/// each half. A fault in the first half must not have paid for the second,
+/// and a fault in the second half names the second instruction's pc.
+#[test]
+fn faulting_pairs_agree_free_and_stepped() {
+    let mut b = ProgramBuilder::new();
+    let class = b.class("A", None);
+    let field = b.field(class, "x");
+    let main = {
+        let mut m = b.static_method("main", 0);
+        let (o, r) = (m.fresh_reg(), m.fresh_reg());
+        m.const_null(o);
+        m.get_field(r, o, field); // pc 1: heads GetField+Bin, faults
+        m.bin(BinOp::Add, r, r, r);
+        m.ret(Some(r));
+        m.finish()
+    };
+    let null_first_half = b.finish(main).expect("valid program");
+
+    let mut b = ProgramBuilder::new();
+    let main = {
+        let mut m = b.static_method("main", 0);
+        let (a, z) = (m.fresh_reg(), m.fresh_reg());
+        m.const_int(a, 7);
+        m.const_int(z, 0); // pc 1: heads Const+Bin
+        m.bin(BinOp::Div, a, a, z); // pc 2: faults
+        m.ret(Some(a));
+        m.finish()
+    };
+    let div_second_half = b.finish(main).expect("valid program");
+
+    let null_deref = VmError::NullDeref { method: null_first_half.entry(), pc: 1 };
+    let div_by_zero = VmError::DivideByZero { method: div_second_half.entry(), pc: 2 };
+    let cases =
+        [(null_first_half, "null", null_deref), (div_second_half, "div0", div_by_zero)];
+    for (program, what, fault) in cases {
+        let main = program.method(program.entry());
+        let plan = fusion_plan(&decode_body(main.body(), &program));
+        assert!(plan[1].is_some(), "{what}: pc 1 heads a pair: {plan:?}");
+        let runs = free_and_stepped(&program);
+        assert_cost_invariant(&runs, what);
+        assert_outcomes_agree(&runs, what);
+        assert_eq!(runs[0].0.result, Err(fault), "{what}: the baseline run's fault");
     }
 }
