@@ -221,7 +221,6 @@ mod tests {
                 code_size: 0,
                 version_id: aoci_vm::VersionId::default(),
                 osr_map: aoci_vm::OsrMap::empty(),
-                decoded: aoci_vm::DecodeCache::default(),
             },
             decisions,
             refusals,

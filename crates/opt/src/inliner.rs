@@ -113,7 +113,6 @@ pub fn compile_in_context(
         body,
         version_id: aoci_vm::VersionId::default(),
         osr_map,
-        decoded: aoci_vm::DecodeCache::default(),
     };
     Compilation { version, decisions, refusals, generated_size }
 }

@@ -10,12 +10,9 @@
 //! avoid recording misleading samples like `A ⇒ C` when profile data exists
 //! for `A ⇒ B ⇒ C`.
 
-use crate::cost::CostModel;
-use crate::interp::decode::DecodedBody;
 use crate::osr::OsrMap;
 use crate::registry::VersionId;
-use aoci_ir::{Instr, MethodId, Program, SiteIdx};
-use std::sync::OnceLock;
+use aoci_ir::{Instr, MethodId, SiteIdx};
 
 /// Compilation level of a method version.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -211,37 +208,6 @@ pub struct MethodVersion {
     /// between a baseline frame and this version's frame. Empty for
     /// baseline code and for optimized code without root loops.
     pub osr_map: OsrMap,
-    /// Lazily built pre-decoded form of `body` (see DESIGN.md §13). Filled
-    /// on first execution by the decoded dispatch loop; purely an execution
-    /// cache — it never influences simulated cycles or observable state.
-    pub decoded: DecodeCache,
-}
-
-/// Container for a method version's lazily pre-decoded body.
-///
-/// Lives inside [`MethodVersion`] so the cache shares the version's
-/// lifetime and thread-safety story: versions are handed around as
-/// `Arc<MethodVersion>` (including across the async-compile pool), and
-/// `OnceLock` makes the one-time decode race-free. Cloning a version
-/// deliberately does **not** clone the cache — a clone's body may be
-/// edited before install, so it starts with an empty cache and decodes
-/// on first execution.
-#[derive(Default)]
-pub struct DecodeCache(pub(crate) OnceLock<DecodedBody>);
-
-impl Clone for DecodeCache {
-    fn clone(&self) -> Self {
-        DecodeCache::default()
-    }
-}
-
-impl std::fmt::Debug for DecodeCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.0.get() {
-            Some(b) => write!(f, "DecodeCache({} ops)", b.instrs.len()),
-            None => f.write_str("DecodeCache(empty)"),
-        }
-    }
 }
 
 impl MethodVersion {
@@ -256,16 +222,7 @@ impl MethodVersion {
             code_size: def.size_estimate(),
             version_id: VersionId::default(),
             osr_map: OsrMap::empty(),
-            decoded: DecodeCache::default(),
         }
-    }
-
-    /// The pre-decoded form of this version's body, built on first use.
-    /// `program` and `cost` must be the ones the executing VM runs under
-    /// (true for every caller: a version is only ever executed by the VM
-    /// whose registry it was installed into).
-    pub(crate) fn decoded_body(&self, program: &Program, cost: &CostModel) -> &DecodedBody {
-        self.decoded.0.get_or_init(|| DecodedBody::build(self, program, cost))
     }
 }
 
@@ -305,41 +262,6 @@ mod tests {
         // Prologue of the inlined body starts at its body_start.
         assert!(map.in_prologue(2, 1));
         assert!(!map.in_prologue(3, 1));
-    }
-
-    #[test]
-    fn install_never_serves_a_stale_decode_cache() {
-        use crate::cost::CostModel;
-        use crate::registry::CodeRegistry;
-        use aoci_ir::ProgramBuilder;
-
-        let mut b = ProgramBuilder::new();
-        let main = {
-            let mut m = b.static_method("main", 0);
-            let r = m.fresh_reg();
-            m.const_int(r, 7);
-            m.ret(Some(r));
-            m.finish()
-        };
-        let program = b.finish(main).expect("valid program");
-        let cost = CostModel::default();
-        let mut v = MethodVersion::baseline(program.method(main));
-        let stale_len = v.decoded_body(&program, &cost).instrs.len();
-        // A clone never inherits the original's populated cache …
-        let clone = v.clone();
-        assert!(clone.decoded.0.get().is_none(), "clones start with an empty cache");
-        // … and even a version whose own cache was populated *before* its
-        // body changed cannot leak the stale decode through installation:
-        // `install` always resets the cache.
-        v.body.insert(0, Instr::Work { units: 1 });
-        v.inline_map = InlineMap::baseline(main, v.body.len());
-        let mut r = CodeRegistry::new(program.num_methods());
-        let installed = r.install(v);
-        assert_eq!(
-            installed.decoded_body(&program, &cost).instrs.len(),
-            stale_len + 1,
-            "the installed version decodes its edited body, not the stale cache"
-        );
     }
 
     #[test]

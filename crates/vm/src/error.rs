@@ -60,6 +60,15 @@ pub enum VmError {
         /// Program counter within the executing version.
         pc: usize,
     },
+    /// Array length beyond what the heap can address (`u32::MAX` elements).
+    ArrayTooLarge {
+        /// Method executing when the fault occurred.
+        method: MethodId,
+        /// Program counter within the executing version.
+        pc: usize,
+        /// The requested length.
+        len: i64,
+    },
     /// The call stack exceeded the configured maximum depth.
     StackOverflow {
         /// The configured limit that was hit.
@@ -113,6 +122,9 @@ impl fmt::Display for VmError {
             }
             VmError::NegativeArrayLength { method, pc } => {
                 write!(f, "negative array length in {method} at pc {pc}")
+            }
+            VmError::ArrayTooLarge { method, pc, len } => {
+                write!(f, "array length {len} too large in {method} at pc {pc}")
             }
             VmError::StackOverflow { limit } => {
                 write!(f, "call stack exceeded the configured limit of {limit} frames")

@@ -37,10 +37,16 @@ impl Heap {
         Self::default()
     }
 
+    /// The reference the next allocation gets. An entry takes 32 bytes or
+    /// more, so the host is out of memory long before the count leaves `u32`.
+    fn next_ref(&self) -> ObjRef {
+        ObjRef(u32::try_from(self.entries.len()).expect("the heap holds under 2^32 entries"))
+    }
+
     /// Allocates an object of `class` with `layout_size` null-initialised
     /// field slots.
     pub fn alloc_object(&mut self, class: ClassId, layout_size: u32) -> ObjRef {
-        let r = ObjRef(self.entries.len() as u32);
+        let r = self.next_ref();
         self.entries.push(Entry::Object {
             class,
             fields: vec![Value::Null; layout_size as usize],
@@ -50,7 +56,7 @@ impl Heap {
 
     /// Allocates an array of `len` elements initialised to integer 0.
     pub fn alloc_array(&mut self, len: u32) -> ObjRef {
-        let r = ObjRef(self.entries.len() as u32);
+        let r = self.next_ref();
         self.entries.push(Entry::Array {
             elems: vec![Value::Int(0); len as usize],
         });

@@ -7,16 +7,15 @@ use crate::cost::CostModel;
 use crate::error::VmError;
 use crate::heap::Heap;
 use crate::osr::OsrPoint;
-use crate::registry::{CodeRegistry, ContextFingerprint, VersionId, VersionKey};
+use crate::registry::{CodeRegistry, CodeSlot, ContextFingerprint, VersionId, VersionKey};
 use crate::stack::{SourceFrame, StackSnapshot};
 use crate::value::Value;
 use aoci_ir::{CallSiteRef, Instr, MethodId, Program, Reg, SelectorId};
 use aoci_trace::{TraceEvent, TraceSink};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 pub(crate) mod decode;
-use decode::{run_frame, Switch};
+use decode::{run_frames, CallOps, Switch};
 
 /// Interpreter configuration.
 #[derive(Clone, Debug)]
@@ -190,13 +189,15 @@ struct Cursor {
     deopt_armed: bool,
 }
 
-#[derive(Debug)]
+/// An activation. It names its code, which the registry owns for the life of
+/// the `Vm`, so it is plain data: a call touches no refcount.
+#[derive(Clone, Copy, Debug)]
 struct Frame {
-    /// The frame's own handle on its code: the one refcount increment of a
-    /// call, given back at return.
-    version: Arc<MethodVersion>,
+    /// The arena slot of the version this activation runs: the one it
+    /// started in, until an OSR transfer rewrites it.
+    code: CodeSlot,
     /// Where this activation's registers start in [`Vm::regs`]. The window
-    /// holds `version.num_regs` registers and ends where the next frame's
+    /// holds the version's `num_regs` registers and ends where the next frame's
     /// begins; the top frame's ends at the end of the register stack.
     base: usize,
     /// Where the caller wants the return value.
@@ -216,6 +217,9 @@ struct Act<'a> {
     level: OptLevel,
     win: &'a mut [Value],
     at: &'a mut Cursor,
+    /// The simulated clock while this frame runs: the instruction loop adds
+    /// every cost here and charges the sum when it leaves the frame.
+    now: u64,
 }
 
 impl Act<'_> {
@@ -257,47 +261,51 @@ impl Act<'_> {
     }
 }
 
-/// Opens an activation of `version`: checks the arity, pushes a
-/// `Null`-filled window on top of the register stack and copies the
-/// arguments (receiver first) into it out of the caller's window at
-/// `caller_base`. The caller has already found every argument register
-/// readable and the stack deep enough ([`Exec::callee`]). Returns the frame
-/// for the caller to push once it has let go of the code it borrows from
-/// the frame stack.
+/// Completes a call into the code in `code`, in the order faults are
+/// reported: depth check, arity, then a `Null`-filled window pushed on the
+/// register stack with the arguments (receiver first) copied into it out of
+/// the caller's window, then the frame. The call instruction has already
+/// found every argument register readable.
 #[inline]
 fn enter(
+    x: &Exec<'_>,
+    registry: &CodeRegistry,
+    stack: &mut Vec<Frame>,
     regs: &mut Vec<Value>,
-    version: Arc<MethodVersion>,
-    caller_base: usize,
-    recv: Option<Reg>,
-    args: impl ExactSizeIterator<Item = Reg>,
-    ret_dst: Option<Reg>,
-) -> Result<Frame, VmError> {
-    let argc = args.len() + usize::from(recv.is_some());
-    if argc > usize::from(version.num_regs) {
+    code: CodeSlot,
+    ops: CallOps<'_>,
+) -> Result<(), VmError> {
+    if stack.len() >= x.config.max_stack_depth {
+        return Err(VmError::StackOverflow { limit: x.config.max_stack_depth });
+    }
+    // The body, not the version: one load less on the way to `num_regs`.
+    let callee = registry.body(code, x.program, &x.cost);
+    let argc = ops.args.len() + usize::from(ops.recv.is_some());
+    if argc > usize::from(callee.num_regs) {
         // More arguments than the callee has registers: a corrupt
         // version, not a program fault.
-        return Err(VmError::BadRegister { method: version.method, pc: 0, reg: argc - 1 });
+        return Err(VmError::BadRegister { method: callee.method, pc: 0, reg: argc - 1 });
     }
-    let base = regs.len();
-    regs.resize(base + usize::from(version.num_regs), Value::Null);
-    for (i, r) in recv.into_iter().chain(args).enumerate() {
-        regs[base + i] = regs[caller_base + r.index()];
+    let (caller_base, base) = (stack.last().map_or(0, |f| f.base), regs.len());
+    regs.resize(base + usize::from(callee.num_regs), Value::Null);
+    for (i, &r) in ops.recv.iter().chain(ops.args).enumerate() {
+        regs[base + i] = regs[caller_base + usize::from(r)];
     }
-    Ok(Frame { version, base, ret_dst, transferred: false, at: Cursor::default() })
+    let ret_dst = ops.dst.map(Reg);
+    stack.push(Frame { code, base, ret_dst, transferred: false, at: Cursor::default() });
+    Ok(())
 }
 
 /// Everything instruction handlers read and mutate, apart from the
-/// activation itself ([`Act`]). It is split from the frame stack so that the
-/// run loop can borrow the executing body out of the top frame while the
-/// handlers run.
+/// activation itself ([`Act`]). The frame stack and the code registry sit
+/// beside it in [`Vm`], so that the run loop can push and pop frames and
+/// keep borrowing bodies from the registry while the handlers run.
 #[derive(Debug)]
 struct Exec<'p> {
     program: &'p Program,
     config: VmConfig,
     cost: CostModel,
     clock: Clock,
-    registry: CodeRegistry,
     heap: Heap,
     globals: Vec<Value>,
     counters: ExecCounters,
@@ -333,16 +341,12 @@ pub struct Vm<'p> {
     /// truncates it, an OSR transition resizes the top window in place.
     regs: Vec<Value>,
     exec: Exec<'p>,
+    /// Owner of all code: frames name it by slot, the run loop borrows it.
+    registry: CodeRegistry,
     next_sample_at: Option<u64>,
     finished: Option<Option<Value>>,
     started: bool,
     osr_dispatch: OsrDispatchCounters,
-    /// Deoptimization targets built outside the registry: when an
-    /// activation OSR-outs while the registry slot still holds optimized
-    /// code (frame-local thrash without method-level invalidation), the
-    /// baseline version it falls back to is cached here rather than
-    /// clobbering the installed code.
-    deopt_baseline: HashMap<MethodId, Arc<MethodVersion>>,
 }
 
 impl<'p> Vm<'p> {
@@ -361,7 +365,6 @@ impl<'p> Vm<'p> {
                 config,
                 cost,
                 clock: Clock::new(),
-                registry: CodeRegistry::new(program.num_methods()),
                 heap: Heap::new(),
                 globals: vec![Value::Int(0); program.num_globals()],
                 counters: ExecCounters::default(),
@@ -371,11 +374,11 @@ impl<'p> Vm<'p> {
                 osr_suppressed: vec![false; program.num_methods()],
                 trace: None,
             },
+            registry: CodeRegistry::new(program.num_methods()),
             next_sample_at: None,
             finished: None,
             started: false,
             osr_dispatch: OsrDispatchCounters::default(),
-            deopt_baseline: HashMap::new(),
         }
     }
 
@@ -421,12 +424,12 @@ impl<'p> Vm<'p> {
 
     /// Returns the compiled-code registry.
     pub fn registry(&self) -> &CodeRegistry {
-        &self.exec.registry
+        &self.registry
     }
 
     /// Returns the registry mutably, for installing newly compiled code.
     pub fn registry_mut(&mut self) -> &mut CodeRegistry {
-        &mut self.exec.registry
+        &mut self.registry
     }
 
     /// Returns the cost model.
@@ -455,12 +458,12 @@ impl<'p> Vm<'p> {
     ///
     /// The loop below *is* the interpreter's event schedule: finished →
     /// budget → step → pending OSR request → due sample, in that order, once
-    /// per instruction. [`run_frame`] executes the steps; it runs many per
-    /// call, but only while none of the checks can fire (it stops at every
-    /// frame switch, at every raised OSR request and as soon as the clock
-    /// reaches the earlier of the due sample and the budget's end), so the
-    /// result is what checking after every single instruction would give —
-    /// `run(1)` in a loop does exactly that.
+    /// per instruction. [`run_frames`] executes the steps, calls and returns
+    /// included; it runs many per call, but only while none of the checks
+    /// can fire (it stops at every raised OSR request and as soon as the
+    /// clock reaches the earlier of the due sample and the budget's end), so
+    /// the result is what checking after every single instruction would
+    /// give — `run(1)` in a loop does exactly that.
     ///
     /// # Errors
     ///
@@ -469,8 +472,9 @@ impl<'p> Vm<'p> {
     pub fn run(&mut self, budget: u64) -> Result<RunOutcome, VmError> {
         if !self.started {
             self.started = true;
-            let version = self.exec.callee(self.exec.program.entry(), 0)?;
-            self.stack.push(enter(&mut self.regs, version, 0, None, std::iter::empty(), None)?);
+            let code = self.ensure_code(self.exec.program.entry());
+            let Vm { stack, regs, exec, registry, .. } = &mut *self;
+            enter(exec, registry, stack, regs, code, CallOps { dst: None, recv: None, args: &[] })?;
         }
         if self.next_sample_at.is_none() && self.exec.cost.sample_period > 0 {
             self.next_sample_at = Some(self.exec.clock.total() + self.exec.cost.sample_period);
@@ -489,19 +493,20 @@ impl<'p> Vm<'p> {
             if self.exec.clock.total() - start >= budget {
                 return Ok(RunOutcome::BudgetExhausted);
             }
-            let Vm { stack, regs, exec, .. } = &mut *self;
-            let frame = stack
-                .last()
-                .ok_or(VmError::NoActiveFrame { context: "executing an instruction" })?;
-            let mut at = frame.at;
-            let switch = run_frame(exec, regs, frame, stack.len(), &mut at, event);
-            // The one place the cursor goes back into the frame: before the
-            // stack changes (call, return, OSR exit), before anything can
-            // observe it (yield), and on a fault.
-            stack.last_mut().expect("fetched above").at = at;
-            match switch? {
-                Switch::Call(callee) => stack.push(callee),
-                Switch::Ret(value) => self.pop_frame(value)?,
+            let Vm { stack, regs, exec, registry, .. } = &mut *self;
+            match run_frames(exec, registry, stack, regs, event)? {
+                // The callee's first invocation, or the first after an
+                // invalidation. The top frame rests on the call, charged and
+                // counted: compile, then complete it from its operands.
+                Switch::Call { callee, .. } => {
+                    let code = self.ensure_code(callee);
+                    let Vm { stack, regs, exec, registry, .. } = &mut *self;
+                    let caller = *stack.last().expect("a frame made the call");
+                    let body = registry.body(caller.code, exec.program, &exec.cost);
+                    let ops = CallOps::of(&body.instrs[caller.at.pc].op);
+                    enter(exec, registry, stack, regs, code, ops)?;
+                }
+                Switch::Ret(value) => self.finished = Some(value),
                 Switch::OsrExit(opt_pc) => self.osr_exit(opt_pc)?,
                 Switch::Yield => {}
             }
@@ -542,11 +547,11 @@ impl<'p> Vm<'p> {
         let mut root_method = self.exec.program.entry();
         let mut top_in_prologue = false;
         for (depth, mf) in self.stack.iter().rev().enumerate() {
-            let pc = mf.at.pc;
+            let (version, pc) = (self.registry.version(mf.code), mf.at.pc);
             if depth == 0 {
-                root_method = mf.version.method;
+                root_method = version.method;
                 top_in_prologue = if config.source_level_walk {
-                    mf.version.inline_map.in_prologue(pc, config.prologue_window)
+                    version.inline_map.in_prologue(pc, config.prologue_window)
                 } else {
                     (pc as u32) < config.prologue_window
                 };
@@ -556,10 +561,10 @@ impl<'p> Vm<'p> {
             let inner_site = if depth == 0 {
                 None
             } else {
-                mf.version.body.get(pc).and_then(Instr::call_site)
+                version.body.get(pc).and_then(Instr::call_site)
             };
             if config.source_level_walk {
-                let chain = mf.version.inline_map.source_chain(pc);
+                let chain = version.inline_map.source_chain(pc);
                 for (j, (method, _)) in chain.iter().enumerate() {
                     let callsite_to_inner = if j == 0 { inner_site } else { chain[j - 1].1 };
                     frames.push(SourceFrame { method: *method, callsite_to_inner });
@@ -568,10 +573,7 @@ impl<'p> Vm<'p> {
                     }
                 }
             } else {
-                frames.push(SourceFrame {
-                    method: mf.version.method,
-                    callsite_to_inner: inner_site,
-                });
+                frames.push(SourceFrame { method: version.method, callsite_to_inner: inner_site });
             }
             if frames.len() >= config.max_walk_frames {
                 break;
@@ -585,57 +587,41 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Completes a `Return` whose value has been read: pops the top frame,
-    /// truncates the register stack to the caller's window, delivers the
-    /// value and advances the caller past its call instruction — or
-    /// finishes the program when the entry frame returned.
-    fn pop_frame(&mut self, value: Option<Value>) -> Result<(), VmError> {
-        let done = self
-            .stack
-            .pop()
-            .ok_or(VmError::NoActiveFrame { context: "returning from a call" })?;
-        self.regs.truncate(done.base);
-        match self.stack.last_mut() {
-            None => self.finished = Some(value),
-            Some(caller) => {
-                if let (Some(dst), Some(v)) = (done.ret_dst, value) {
-                    let slot = self.regs[caller.base..].get_mut(dst.index()).ok_or(
-                        VmError::BadRegister {
-                            method: caller.version.method,
-                            pc: caller.at.pc,
-                            reg: dst.index(),
-                        },
-                    )?;
-                    *slot = v;
-                }
-                caller.at.pc += 1; // advance past the call instruction
-            }
+    /// Charges the baseline compilation of `method` and returns its result.
+    fn baseline_compile(&mut self, method: MethodId) -> MethodVersion {
+        let def = self.exec.program.method(method);
+        let cost = self.exec.cost.baseline_compile_cost(def.size_estimate());
+        self.exec.clock.charge(Component::BaselineCompilation, cost);
+        MethodVersion::baseline(def)
+    }
+
+    /// The slot of `method`'s current version, baseline-compiling and
+    /// installing one (and charging for that) when it has none: at its
+    /// first invocation and at the first after an invalidation.
+    fn ensure_code(&mut self, method: MethodId) -> CodeSlot {
+        if self.registry.current_slot(method).is_none() {
+            let version = self.baseline_compile(method);
+            self.registry.install(version);
         }
-        Ok(())
+        self.registry.current_slot(method).expect("installed above")
     }
 
     /// The baseline version an OSR-out lands in. Prefers the installed
     /// version when it is already baseline; compiles (and, if the slot is
     /// empty, installs) one otherwise. An installed *optimized* version is
     /// never clobbered — the frame-local thrash path deoptimizes one
-    /// activation, not the method — so the compiled fallback is cached on
-    /// the side for reuse.
-    fn deopt_target(&mut self, method: MethodId) -> Arc<MethodVersion> {
-        match self.exec.registry.current(method) {
+    /// activation, not the method — so the compiled fallback is adopted by
+    /// the registry on the side for reuse.
+    fn deopt_target(&mut self, method: MethodId) -> CodeSlot {
+        match self.registry.current(method) {
             Some(v) if v.level == OptLevel::Optimized => {}
-            _ => return self.exec.ensure_compiled(method),
+            _ => return self.ensure_code(method),
         }
-        if let Some(v) = self.deopt_baseline.get(&method) {
-            return Arc::clone(v);
+        if let Some(slot) = self.registry.deopt_baseline(method) {
+            return slot;
         }
-        let def = self.exec.program.method(method);
-        self.exec.clock.charge(
-            Component::BaselineCompilation,
-            self.exec.cost.baseline_compile_cost(def.size_estimate()),
-        );
-        let v = Arc::new(MethodVersion::baseline(def));
-        self.deopt_baseline.insert(method, Arc::clone(&v));
-        v
+        let version = self.baseline_compile(method);
+        self.registry.adopt_deopt_baseline(version)
     }
 
     /// The calling context of the top activation, innermost caller first,
@@ -653,30 +639,25 @@ impl<'p> Vm<'p> {
             if chain.len() >= MAX_OSR_CONTEXT_DEPTH {
                 break;
             }
-            let Some(site) = mf.version.body.get(mf.at.pc).and_then(Instr::call_site) else {
+            let version = self.registry.version(mf.code);
+            let Some(site) = version.body.get(mf.at.pc).and_then(Instr::call_site) else {
                 break;
             };
-            let method = mf.version.inline_map.node_at(mf.at.pc).method;
+            let method = version.inline_map.node_at(mf.at.pc).method;
             chain.push(CallSiteRef::new(method, site));
         }
         chain
     }
 
-    /// Rewrites the top activation in place: it continues in `version` at
-    /// `pc` with `regs` as its window (resized where it sits, on top of the
-    /// register stack) and a fresh cursor — the common tail of OSR-in,
-    /// OSR-out and a dispatched transfer.
-    fn transfer_top(
-        &mut self,
-        version: Arc<MethodVersion>,
-        pc: usize,
-        regs: Vec<Value>,
-        transferred: bool,
-    ) {
+    /// Rewrites the top activation in place: it continues in the version in
+    /// `code` at `pc` with `regs` as its window (resized where it sits, on
+    /// top of the register stack) and a fresh cursor — the common tail of
+    /// OSR-in, OSR-out and a dispatched transfer.
+    fn transfer_top(&mut self, code: CodeSlot, pc: usize, regs: Vec<Value>, transferred: bool) {
         let frame = self.stack.last_mut().expect("the caller mapped the top frame's registers");
         self.regs.truncate(frame.base);
         self.regs.extend(regs);
-        frame.version = version;
+        frame.code = code;
         frame.at = Cursor { pc, ..Cursor::default() };
         frame.transferred = transferred;
     }
@@ -702,8 +683,7 @@ impl<'p> Vm<'p> {
         let context = self.osr_context();
         let target = (0..=context.len()).rev().find_map(|depth| {
             let key = VersionKey::new(method, ContextFingerprint::of(&context[..depth]));
-            self.exec
-                .registry
+            self.registry
                 .best_surviving(key)
                 .filter(|v| {
                     v.version_id != from
@@ -732,7 +712,8 @@ impl<'p> Vm<'p> {
         };
         let slots = point.slots.len() + entry.slots.len();
         let (to_pc, to_version) = (entry.opt_pc, target.version_id.raw());
-        self.transfer_top(target, to_pc as usize, regs, true);
+        let code = self.registry.slot_of(&target).expect("the registry serves what it owns");
+        self.transfer_top(code, to_pc as usize, regs, true);
         self.osr_dispatch.dispatched_transfers += 1;
         self.exec.clock.charge(Component::Osr, self.exec.cost.osr_transfer_cost(slots));
         if let Some(t) = &self.exec.trace {
@@ -769,9 +750,9 @@ impl<'p> Vm<'p> {
             .stack
             .last()
             .ok_or(VmError::NoActiveFrame { context: "deoptimizing a frame" })?;
-        let (method, from, base) = (frame.version.method, frame.version.version_id, frame.base);
-        let point = frame
-            .version
+        let version = self.registry.version(frame.code);
+        let (method, from, base) = (version.method, version.version_id, frame.base);
+        let point = version
             .osr_map
             .exit_at_opt(opt_pc)
             .cloned()
@@ -780,7 +761,8 @@ impl<'p> Vm<'p> {
             return Ok(());
         }
         let baseline = self.deopt_target(method);
-        match point.map_to_baseline(&self.regs[base..], baseline.num_regs) {
+        let num_regs = self.registry.version(baseline).num_regs;
+        match point.map_to_baseline(&self.regs[base..], num_regs) {
             Ok(regs) => {
                 self.transfer_top(baseline, point.baseline_pc as usize, regs, false);
                 self.exec.counters.osr_exits += 1;
@@ -802,26 +784,29 @@ impl<'p> Vm<'p> {
     /// `version`'s optimized code through its OSR entry point for that
     /// header. Returns `true` on transfer; returns `false` (leaving the
     /// activation untouched, to continue at baseline) when the
-    /// preconditions do not hold or the map refuses — promotion is an
-    /// optimization, never an obligation.
+    /// preconditions do not hold (`version` must be one this VM's registry
+    /// installed) or the map refuses — promotion is an optimization, never
+    /// an obligation.
     pub fn osr_enter(&mut self, version: &Arc<MethodVersion>, loop_header: u32) -> bool {
         if !self.exec.config.osr_enabled || version.level != OptLevel::Optimized {
             return false;
         }
         let Some(frame) = self.stack.last() else { return false };
-        if frame.version.method != version.method
-            || frame.version.level != OptLevel::Baseline
+        let running = self.registry.version(frame.code);
+        if running.method != version.method
+            || running.level != OptLevel::Baseline
             || frame.at.pc != loop_header as usize
         {
             return false;
         }
+        let Some(code) = self.registry.slot_of(version) else { return false };
         let Some(point) = version.osr_map.entry_at_baseline(loop_header) else {
             return false;
         };
         let Ok(regs) = point.map_to_optimized(&self.regs[frame.base..], version.num_regs) else {
             return false;
         };
-        self.transfer_top(Arc::clone(version), point.opt_pc as usize, regs, false);
+        self.transfer_top(code, point.opt_pc as usize, regs, false);
         self.exec.counters.osr_entries += 1;
         let cost = self.exec.cost.osr_transfer_cost(point.slots.len());
         self.exec.clock.charge(Component::Osr, cost);
@@ -844,33 +829,6 @@ impl<'p> Vm<'p> {
 }
 
 impl Exec<'_> {
-    /// The installed version of `method`, baseline-compiling it (and
-    /// charging for that) at its first invocation. The clone is the new
-    /// frame's handle on its code.
-    fn ensure_compiled(&mut self, method: MethodId) -> Arc<MethodVersion> {
-        if let Some(v) = self.registry.current(method) {
-            return Arc::clone(v);
-        }
-        let def = self.program.method(method);
-        self.clock.charge(
-            Component::BaselineCompilation,
-            self.cost.baseline_compile_cost(def.size_estimate()),
-        );
-        self.registry.install_baseline(def)
-    }
-
-    /// The code a call made at stack depth `depth` runs. The depth check
-    /// comes after the callee's first-invocation compile, as it always has:
-    /// an overflowing call still compiles (and pays for) its target.
-    #[inline]
-    fn callee(&mut self, method: MethodId, depth: usize) -> Result<Arc<MethodVersion>, VmError> {
-        let version = self.ensure_compiled(method);
-        if depth >= self.config.max_stack_depth {
-            return Err(VmError::StackOverflow { limit: self.config.max_stack_depth });
-        }
-        Ok(version)
-    }
-
     /// Resolves a virtual call's target from the receiver in `recv`.
     #[inline(always)]
     fn virtual_target(
@@ -901,7 +859,7 @@ impl Exec<'_> {
             stats.misses += 1;
             if let Some(t) = &self.trace {
                 let event = TraceEvent::GuardMiss { method: a.method, pc: a.at.pc as u32 };
-                t.emit(self.clock.total(), event);
+                t.emit(a.now, event);
             }
         }
         if self.config.osr_enabled && a.level == OptLevel::Optimized {
@@ -939,15 +897,6 @@ impl Exec<'_> {
         *count = 0;
         self.pending_osr = Some(OsrRequest { method, loop_header: header });
         true
-    }
-
-    /// Whether an optimized activation of `version` taking a back-edge to
-    /// `opt_pc` must leave its code there: the version was invalidated or
-    /// the activation's own guards thrash, and the header is an OSR exit.
-    #[inline]
-    fn must_exit(&self, version: &MethodVersion, at: &Cursor, opt_pc: u32) -> bool {
-        (at.deopt_armed || self.registry.is_invalidated(version.version_id))
-            && version.osr_map.exit_at_opt(opt_pc).is_some()
     }
 }
 

@@ -1,35 +1,36 @@
 //! Instruction execution over pre-decoded bodies (DESIGN.md §13).
 //!
 //! [`Vm::run`](super::Vm::run) owns the event schedule; this module owns the
-//! steps. It executes the [`DecodedBody`] built lazily per
-//! [`MethodVersion`]: a flat array of [`DecodedInstr`]s, each carrying its
-//! precomputed simulated cost, the superinstruction it heads (if any), and
-//! the fully resolved operands ([`DecodedOp`]). Dispatch is a jump table
-//! over the pre-fetched op with every handler forced inline into the loop
-//! body — no `Arc::clone` of the version the loop runs, no `Instr` clone, no
-//! program-table lookups, no re-resolution of fields or layouts. (See the
-//! [`DecodedInstr`] docs for why per-slot function pointers were tried and
-//! dropped.)
+//! steps. It executes the [`DecodedBody`] the registry builds lazily beside
+//! each [`MethodVersion`] it owns: a flat array of [`DecodedInstr`]s, each
+//! carrying its precomputed simulated cost, the superinstruction it heads
+//! (if any), and the fully resolved operands ([`DecodedOp`]). Dispatch is a
+//! jump table over the pre-fetched op with every handler forced inline into
+//! the loop body — no refcount on the version the loop runs or calls, no
+//! `Instr` clone, no program-table lookups, no re-resolution of fields or
+//! layouts. (See the [`DecodedInstr`] docs for why per-slot function
+//! pointers were tried and dropped.)
 //!
-//! ## What [`run_frame`] guarantees the schedule
+//! ## What [`run_frames`] guarantees the schedule
 //!
 //! Running many instructions per call must be indistinguishable from
 //! running one and going back through `run`'s checks — same simulated
 //! cycles per component, same counters, same trace events, same errors at
 //! the same sites, same [`RunOutcome`](super::RunOutcome) sequence:
 //!
-//! * **It stops wherever a check can fire.** Inside a frame it compares the
-//!   clock against `event`, the earlier of the due sample and the budget's
-//!   end, after every instruction; a back-edge says whether it raised an
-//!   OSR request; a call, a return and an OSR exit hand the frame stack back
-//!   to `run`. Nothing else makes `finished`, the budget, a pending request
-//!   or a due sample change.
-//! * **The loop borrows, the frame owns.** While the frame stack is
-//!   neither pushed nor popped, the loop runs on a `&DecodedBody` borrowed
-//!   out of the top frame's version, with the frame's [`Cursor`] in a
-//!   local. Handlers take what they mutate ([`Exec`], [`Act`]), never the
-//!   frame stack; a call, a return, an OSR exit, a yield or a fault leaves
-//!   the frame — the cursor is stored back, then the stack changes.
+//! * **It stops wherever a check can fire.** It compares the clock against
+//!   `event`, the earlier of the due sample and the budget's end, after
+//!   every instruction, push and pop; a back-edge says whether it raised an
+//!   OSR request (a call or a return cannot). It goes back to `run` to
+//!   yield, to take an OSR exit, when the entry frame returned, and with a
+//!   call whose callee has no code yet.
+//! * **The registry owns, the loop borrows, frames name.** Code lives as
+//!   long as its `Vm`, so the loop holds `&CodeRegistry` and the running
+//!   slot's `&DecodedBody` across pushes and pops. Handlers take what they
+//!   mutate ([`Exec`], [`Act`]), never the frame stack or the registry.
+//!   While a frame runs, its [`Cursor`] and the clock are locals; leaving
+//!   it — call, return, OSR exit, yield or fault — stores the cursor back
+//!   and charges the cycles it ran, then the stack changes.
 //! * **Superinstructions are compositions.** A fused handler is literally
 //!   `first_half(); boundary(); second_half()` where the halves are the
 //!   plain handlers and `boundary` performs exactly what happens between
@@ -47,13 +48,39 @@
 //!   branch targets, OSR anchors and sample attribution are untouched
 //!   (a jump *into* the middle of a pair executes the second op plainly).
 
-use super::{enter, Act, Cursor, Exec, Frame};
+use super::{enter, Act, Exec, Frame};
 use crate::clock::Component;
 use crate::code::{MethodVersion, OptLevel};
 use crate::cost::CostModel;
 use crate::error::VmError;
+use crate::registry::{CodeRegistry, CodeSlot};
 use crate::value::Value;
 use aoci_ir::{decode_body, fusion_plan, BinOp, Cond, DecodedOp, FusedKind, MethodId, Program, Reg};
+
+/// The operands of a call instruction: where its value goes, and which of
+/// the caller's registers become the callee's first ones.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct CallOps<'b> {
+    /// Where the caller wants the return value.
+    pub(crate) dst: Option<u16>,
+    /// The receiver register (virtual calls): the first argument.
+    pub(crate) recv: Option<u16>,
+    /// The remaining argument registers.
+    pub(crate) args: &'b [u16],
+}
+
+impl<'b> CallOps<'b> {
+    /// Reads them off `op`, which is a call.
+    #[inline(always)]
+    pub(super) fn of(op: &'b DecodedOp) -> Self {
+        let (dst, recv, args) = match op {
+            DecodedOp::CallStatic { dst, args, .. } => (dst, None, args),
+            DecodedOp::CallVirtual { dst, recv, args, .. } => (dst, Some(*recv), args),
+            _ => unreachable!("only a call has call operands"),
+        };
+        CallOps { dst: *dst, recv, args }
+    }
+}
 
 /// What a handler tells the dispatch loop to do next.
 #[derive(Clone, Copy, Debug)]
@@ -77,22 +104,26 @@ pub(crate) enum Flow<'b> {
     Call {
         /// The method to invoke.
         callee: MethodId,
-        /// Where the caller wants the return value.
-        dst: Option<u16>,
-        /// The receiver register (virtual calls): the first argument.
-        recv: Option<u16>,
-        /// The remaining argument registers.
-        args: &'b [u16],
+        /// What to pass it and where its value goes.
+        ops: CallOps<'b>,
     },
     /// A `Return` read its value; the loop pops the frame.
     Ret(Option<Value>),
 }
 
-/// Why [`run_frame`] stopped running the top frame.
-pub(super) enum Switch {
-    /// A call: push this callee frame.
-    Call(Frame),
-    /// A return with this value: pop the frame.
+/// Why the top frame stopped running: what [`run_frame`] hands
+/// [`run_frames`], which hands `run` what it cannot complete itself.
+pub(super) enum Switch<'b> {
+    /// A call, charged and counted, its arguments readable. To `run`: the
+    /// callee has no code yet.
+    Call {
+        /// The method to invoke.
+        callee: MethodId,
+        /// What to pass it and where its value goes.
+        ops: CallOps<'b>,
+    },
+    /// A return with this value. To `run`: the entry frame's — the frame
+    /// stack is empty and the program has finished.
     Ret(Option<Value>),
     /// An optimized activation must leave its code at this loop header.
     OsrExit(u32),
@@ -113,7 +144,7 @@ pub(super) enum Switch {
 /// not from the dispatch mechanism itself.
 ///
 /// [`Instr`]: aoci_ir::Instr
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct DecodedInstr {
     /// Precomputed simulated cost of this instruction (charged by the
     /// dispatch loop before the handler runs).
@@ -126,10 +157,12 @@ pub(crate) struct DecodedInstr {
 
 /// A fully pre-decoded method body plus the per-body constants the
 /// dispatch loop needs (charge component, method id for fault sites).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct DecodedBody {
     /// The method this body compiles (fault attribution).
     pub(crate) method: MethodId,
+    /// Registers an activation of this body needs.
+    pub(crate) num_regs: u16,
     /// Compilation level (drives the back-edge hook's direction).
     pub(crate) level: OptLevel,
     /// The clock component application cycles are charged to.
@@ -158,7 +191,8 @@ impl DecodedBody {
                 DecodedInstr { cost: costs[i], fused: plan[i], op }
             })
             .collect();
-        DecodedBody { method: version.method, level: version.level, component, instrs }
+        let num_regs = version.num_regs;
+        DecodedBody { method: version.method, num_regs, level: version.level, component, instrs }
     }
 }
 
@@ -218,7 +252,7 @@ fn dispatch_fused<'b>(
             let pc = a.at.pc;
             $first(x, a, &body.instrs[pc].op)?;
             a.at.pc = pc + 1;
-            x.clock.charge(body.component, body.instrs[pc + 1].cost);
+            a.now += body.instrs[pc + 1].cost;
             $second(x, a, &body.instrs[pc + 1].op)?
         }};
     }
@@ -238,37 +272,84 @@ fn dispatch_fused<'b>(
     })
 }
 
-/// Runs `frame` — the top one, at depth `depth` — from `at` until the frame
-/// stack has to change or the loop may have to yield. The body is borrowed
-/// from the frame's version for exactly that long; `at` is the caller's
-/// copy of the frame's cursor and is current whenever this returns, with
-/// `at.pc` on the instruction that stopped the loop (a fault included) or,
-/// for a yield, the next one to run.
+/// Runs the top frame, and every frame a call or a return puts on top, until
+/// the loop may have to yield or meets one of the three things it leaves to
+/// `run` (see [`Switch`]). Whenever it returns — a fault included — the
+/// frames' cursors and the clock are current, with the top frame's `at.pc`
+/// on the instruction that stopped the loop or, for a yield, the next one to
+/// run.
 #[inline]
-pub(super) fn run_frame(
+pub(super) fn run_frames<'r>(
     x: &mut Exec<'_>,
+    registry: &'r CodeRegistry,
+    stack: &mut Vec<Frame>,
     regs: &mut Vec<Value>,
-    frame: &Frame,
-    depth: usize,
-    at: &mut Cursor,
     event: u64,
-) -> Result<Switch, VmError> {
-    let version = &*frame.version;
-    let body = version.decoded_body(x.program, &x.cost);
-    let mut a = Act { method: body.method, level: body.level, win: &mut regs[frame.base..], at };
+) -> Result<Switch<'r>, VmError> {
+    loop {
+        let frame =
+            *stack.last().ok_or(VmError::NoActiveFrame { context: "executing an instruction" })?;
+        let body = registry.body(frame.code, x.program, &x.cost);
+        let (mut at, t0) = (frame.at, x.clock.total());
+        let win = &mut regs[frame.base..];
+        let mut a = Act { method: body.method, level: body.level, win, at: &mut at, now: t0 };
+        let left = run_frame(x, registry, frame.code, body, &mut a, event);
+        // The one place the frame's locals go back: before the stack changes,
+        // before anything can observe them (yield), and on a fault.
+        x.clock.charge(body.component, a.now - t0);
+        stack.last_mut().expect("fetched above").at = at;
+        match left? {
+            Switch::Call { callee, ops } => match registry.current_slot(callee) {
+                Some(code) => enter(x, registry, stack, regs, code, ops)?,
+                None => return Ok(Switch::Call { callee, ops }),
+            },
+            Switch::Ret(value) => {
+                stack.pop();
+                regs.truncate(frame.base);
+                let Some(caller) = stack.last_mut() else { return Ok(Switch::Ret(value)) };
+                if let (Some(dst), Some(v)) = (frame.ret_dst, value) {
+                    let slot = regs[caller.base..].get_mut(dst.index()).ok_or_else(|| {
+                        let method = registry.version(caller.code).method;
+                        VmError::BadRegister { method, pc: caller.at.pc, reg: dst.index() }
+                    })?;
+                    *slot = v;
+                }
+                caller.at.pc += 1; // advance past the call instruction
+            }
+            leave => return Ok(leave),
+        }
+        // All that `run`'s checks come to after a push or a pop: neither can
+        // raise an OSR request, so only the clock can make one fire.
+        if x.clock.total() >= event {
+            return Ok(Switch::Yield);
+        }
+    }
+}
+
+/// Runs the frame `a` describes — `body`, in slot `code` — until the stack
+/// has to change or the loop may have to yield, the clock being `a.now`.
+#[inline(always)]
+fn run_frame<'b>(
+    x: &mut Exec<'_>,
+    registry: &CodeRegistry,
+    code: CodeSlot,
+    body: &'b DecodedBody,
+    a: &mut Act<'_>,
+    event: u64,
+) -> Result<Switch<'b>, VmError> {
     loop {
         let pc = a.at.pc;
         let di = body
             .instrs
             .get(pc)
             .ok_or(VmError::PcOutOfRange { method: body.method, pc })?;
-        x.clock.charge(body.component, di.cost);
+        a.now += di.cost;
         // Fused fast path only while the clock stays strictly below the
         // next event boundary after the first half's charge — exactly when
         // no check of the schedule could fire between the two halves.
         let flow = match di.fused {
-            Some(kind) if x.clock.total() < event => dispatch_fused(kind, x, &mut a, body)?,
-            _ => dispatch_plain(x, &mut a, &di.op)?,
+            Some(kind) if a.now < event => dispatch_fused(kind, x, a, body)?,
+            _ => dispatch_plain(x, a, &di.op)?,
         };
         let mut raised = false;
         a.at.pc = match flow {
@@ -285,7 +366,12 @@ pub(super) fn run_frame(
                     match body.level {
                         OptLevel::Baseline => raised = x.count_backedge(body.method, target),
                         OptLevel::Optimized => {
-                            if x.must_exit(version, a.at, target) {
+                            // The version was invalidated or the activation's
+                            // own guards thrash, and the header is an exit.
+                            let version = registry.version(code);
+                            if (a.at.deopt_armed || registry.is_invalidated(version.version_id))
+                                && version.osr_map.exit_at_opt(target).is_some()
+                            {
                                 return Ok(Switch::OsrExit(target));
                             }
                         }
@@ -293,18 +379,13 @@ pub(super) fn run_frame(
                 }
                 next_pc
             }
-            Flow::Call { callee, dst, recv, args } => {
-                // The caller's pc stays on the call instruction while the
-                // callee runs (stack walks read the site from it); it is
-                // advanced on return.
-                let callee = x.callee(callee, depth)?;
-                let args = args.iter().map(|&r| Reg(r));
-                return enter(regs, callee, frame.base, recv.map(Reg), args, dst.map(Reg))
-                    .map(Switch::Call);
-            }
+            // The caller's pc stays on the call instruction while the callee
+            // runs (stack walks read the site from it); it is advanced on
+            // return.
+            Flow::Call { callee, ops } => return Ok(Switch::Call { callee, ops }),
             Flow::Ret(value) => return Ok(Switch::Ret(value)),
         };
-        if raised || x.clock.total() >= event {
+        if raised || a.now >= event {
             return Ok(Switch::Yield);
         }
     }
@@ -427,7 +508,9 @@ fn op_arr_new<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Resul
     if n < 0 {
         return Err(VmError::NegativeArrayLength { method: a.method, pc: a.at.pc });
     }
-    let r = x.heap.alloc_array(n as u32);
+    let len = u32::try_from(n)
+        .map_err(|_| VmError::ArrayTooLarge { method: a.method, pc: a.at.pc, len: n })?;
+    let r = x.heap.alloc_array(len);
     a.set_reg(Reg(dst), Value::Ref(r))?;
     Ok(Flow::Advance)
 }
@@ -539,24 +622,20 @@ fn op_guard_method<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> 
 
 #[inline(always)]
 fn op_call_static<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
-    let DecodedOp::CallStatic { dst, callee, args, .. } = op else {
-        unreachable!()
-    };
+    let DecodedOp::CallStatic { callee, args, .. } = op else { unreachable!() };
     x.counters.calls += 1;
     a.check_args(args.iter().map(|&r| Reg(r)))?;
-    Ok(Flow::Call { callee: *callee, dst: *dst, recv: None, args })
+    Ok(Flow::Call { callee: *callee, ops: CallOps::of(op) })
 }
 
 #[inline(always)]
 fn op_call_virtual<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
-    let DecodedOp::CallVirtual { dst, selector, recv, args, .. } = op else {
-        unreachable!()
-    };
+    let DecodedOp::CallVirtual { selector, recv, args, .. } = op else { unreachable!() };
     x.counters.calls += 1;
     x.counters.virtual_dispatches += 1;
     let callee = x.virtual_target(a, Reg(*recv), *selector)?;
     a.check_args(args.iter().map(|&r| Reg(r)))?;
-    Ok(Flow::Call { callee, dst: *dst, recv: Some(*recv), args })
+    Ok(Flow::Call { callee, ops: CallOps::of(op) })
 }
 
 #[inline(always)]

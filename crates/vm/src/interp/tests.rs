@@ -291,6 +291,30 @@ fn index_out_of_bounds_faults() {
     assert!(matches!(e, VmError::IndexOutOfBounds { index: 5, .. }));
 }
 
+/// A length that does not fit the heap's `u32` faults at the `ArrNew`; it is
+/// not truncated (`2^32 + 3` used to allocate three elements).
+#[test]
+fn array_length_beyond_u32_faults() {
+    let mut b = ProgramBuilder::new();
+    let main = {
+        let mut m = b.static_method("main", 0);
+        let (n, arr) = (m.fresh_reg(), m.fresh_reg());
+        m.const_int(n, (1 << 32) + 3);
+        m.arr_new(arr, n);
+        m.arr_len(n, arr);
+        m.ret(Some(n));
+        m.finish()
+    };
+    let p = b.finish(main).expect("valid program");
+    for stepped in [false, true] {
+        let mut vm = Vm::new(&p, CostModel::default());
+        let e = complete(&mut vm, stepped).expect_err("no such array");
+        let expect = VmError::ArrayTooLarge { method: main, pc: 1, len: (1 << 32) + 3 };
+        assert_eq!(e, expect, "stepped={stepped}");
+        assert!(vm.heap().is_empty(), "stepped={stepped}: nothing was allocated");
+    }
+}
+
 /// `StackOverflow` fires at exactly `max_stack_depth` frames, and the call
 /// that overflows leaves the register stack as it found it.
 #[test]
@@ -329,7 +353,6 @@ fn two_register_main(main: aoci_ir::MethodId, first: Instr, call: Instr) -> Meth
         code_size: 3,
         version_id: crate::VersionId::default(),
         osr_map: crate::OsrMap::empty(),
-        decoded: crate::DecodeCache::default(),
     }
 }
 
@@ -540,7 +563,6 @@ fn osr_resize_fixture() -> (aoci_ir::Program, aoci_ir::MethodId, MethodVersion, 
         code_size: 10,
         version_id: crate::VersionId::default(),
         osr_map: crate::OsrMap::new(vec![crate::OsrPoint::identity(3, 4, 4)]).expect("one point"),
-        decoded: crate::DecodeCache::default(),
     };
     (p, looper, version, 1234 + 999 * 1000 / 2)
 }
@@ -776,7 +798,6 @@ fn optimized_code_with_inline_map_recovers_source_frames() {
         code_size: 50_003,
         version_id: crate::VersionId::default(),
         osr_map: crate::OsrMap::empty(),
-        decoded: crate::DecodeCache::default(),
     };
 
     let cost = CostModel { sample_period: 10_000, ..CostModel::default() };
@@ -838,7 +859,6 @@ fn naive_walk_hides_inlined_frames() {
         code_size: 50_001,
         version_id: crate::VersionId::default(),
         osr_map: crate::OsrMap::empty(),
-        decoded: crate::DecodeCache::default(),
     };
 
     let cost = CostModel { sample_period: 10_000, ..CostModel::default() };
@@ -946,7 +966,6 @@ fn guard_class_dispatches_inline_vs_fallback() {
         code_size: 20,
         version_id: crate::VersionId::default(),
         osr_map: crate::OsrMap::empty(),
-        decoded: crate::DecodeCache::default(),
     };
 
     let cost = CostModel { sample_period: 0, ..CostModel::default() };
@@ -1181,5 +1200,321 @@ fn a_fused_branch_to_itself_is_a_back_edge() {
         };
         assert_eq!(request, OsrRequest { method: main, loop_header: 1 }, "stepped={stepped}");
         assert_eq!(vm.clock().total(), 4, "stepped={stepped}: the third execution of the branch");
+    }
+}
+
+/// [`unit_cost`] with calls and allocations at one cycle too: the clock of a
+/// baseline run reads as its instruction count across calls.
+fn call_unit_cost() -> CostModel {
+    CostModel { static_call_cost: 1, virtual_dispatch_cost: 0, alloc_cost: 1, ..unit_cost() }
+}
+
+/// The next outcome that is not the end of a budget, running freely or
+/// `stepped` (see [`budget`]).
+fn next_outcome(vm: &mut Vm<'_>, stepped: bool) -> RunOutcome {
+    loop {
+        match vm.run(budget(stepped)).expect("no fault") {
+            RunOutcome::BudgetExhausted => {}
+            other => break other,
+        }
+    }
+}
+
+/// `main` calls `double` twice — `double(41)` into `got`, then `double(got)`
+/// into `got` — so that the first call compiles its callee in `run` and the
+/// second stays inside the dispatch loop. Under [`call_unit_cost`]: cycle 1
+/// `Const`; 2 the first call, 3 and 4 `double`'s `Bin` and `Return`; 5 the
+/// second call (`main`'s pc 2), 6 and 7 `double` again; 8 `main`'s `Return`.
+fn call_boundary_fixture() -> (aoci_ir::Program, aoci_ir::MethodId) {
+    let mut b = ProgramBuilder::new();
+    let double = {
+        let mut m = b.static_method("double", 1);
+        m.bin(BinOp::Add, m.param(0), m.param(0), m.param(0));
+        m.ret(Some(m.param(0)));
+        m.finish()
+    };
+    let main = {
+        let mut m = b.static_method("main", 0);
+        let (arg, got) = (m.fresh_reg(), m.fresh_reg());
+        m.const_int(arg, 41);
+        m.call_static(Some(got), double, &[arg]);
+        m.call_static(Some(got), double, &[got]);
+        m.ret(Some(got));
+        m.finish()
+    };
+    (b.finish(main).expect("valid program"), double)
+}
+
+/// Samples due exactly on a call's charge see the callee on top before its
+/// first instruction, with its argument passed; due on a `Return`'s charge,
+/// the caller past its call with the value delivered; due on the entry
+/// frame's `Return`, they are never taken — the program has finished.
+#[test]
+fn samples_due_on_a_call_and_on_a_return_see_the_stack_after_the_switch() {
+    let (p, double) = call_boundary_fixture();
+    let main = p.entry();
+    let (arg, once, twice) = (Value::Int(41), Value::Int(82), Value::Int(164));
+    // Per sampling period, every sample taken: its cycle, the method on top,
+    // that frame's pc and the register stack.
+    let schedules = [
+        // The call that compiles its callee, the first return, an ordinary
+        // instruction; the sample due at cycle 8 falls on `main`'s `Return`.
+        (
+            2,
+            vec![
+                (2, double, 0, vec![arg, Value::Null, arg]),
+                (4, main, 2, vec![arg, once]),
+                (6, double, 1, vec![arg, once, twice]),
+            ],
+        ),
+        // The call that stays inside the loop, and the return from it.
+        (5, vec![(5, double, 0, vec![arg, once, once])]),
+        (7, vec![(7, main, 3, vec![arg, twice])]),
+    ];
+    for stepped in [false, true] {
+        for (period, samples) in &schedules {
+            let mut vm = Vm::new(&p, CostModel { sample_period: *period, ..call_unit_cost() });
+            for (cycles, top, pc, regs) in samples {
+                let at = format!("stepped={stepped}, period {period}, cycle {cycles}");
+                match next_outcome(&mut vm, stepped) {
+                    RunOutcome::Sample(s) => {
+                        assert_eq!((s.cycles, s.root_method), (*cycles, *top), "{at}");
+                        assert_eq!(s.top_in_prologue, *pc < 3, "{at}");
+                        let depth = if *top == main { 1 } else { 2 };
+                        assert_eq!((s.frames.len(), vm.stack_depth()), (depth, depth), "{at}");
+                    }
+                    other => panic!("{at}: expected a sample, got {other:?}"),
+                }
+                assert_eq!(vm.stack.last().expect("running").at.pc, *pc, "{at}");
+                assert_eq!(&vm.regs, regs, "{at}");
+            }
+            let last = next_outcome(&mut vm, stepped);
+            assert!(
+                matches!(last, RunOutcome::Finished(v) if v == Some(twice)),
+                "stepped={stepped}, period {period}: {last:?}"
+            );
+            assert_eq!(vm.clock().total(), 8, "stepped={stepped}, period {period}");
+        }
+    }
+}
+
+/// A budget that ends on a call's charge stops with the callee's frame
+/// pushed; resuming runs the callee's first instruction. Cycle 2 is the call
+/// that compiles its callee, cycle 5 the one that finds it compiled.
+#[test]
+fn a_budget_ending_on_a_call_stops_with_the_callee_pushed() {
+    let (p, _) = call_boundary_fixture();
+    for stepped in [false, true] {
+        for (call_cycle, call_pc) in [(2, 1), (5, 2)] {
+            let at = format!("stepped={stepped}, call at cycle {call_cycle}");
+            let mut vm = Vm::new(&p, call_unit_cost());
+            let slices = if stepped { vec![1; call_cycle as usize] } else { vec![call_cycle] };
+            for slice in slices {
+                assert!(matches!(vm.run(slice).expect("no fault"), RunOutcome::BudgetExhausted));
+            }
+            assert_eq!((vm.clock().total(), vm.stack_depth()), (call_cycle, 2), "{at}");
+            assert_eq!((vm.stack[0].at.pc, vm.stack[1].at.pc), (call_pc, 0), "{at}");
+            assert!(matches!(vm.run(1).expect("no fault"), RunOutcome::BudgetExhausted));
+            assert_eq!((vm.clock().total(), vm.stack[1].at.pc), (call_cycle + 1, 1), "{at}");
+            let v = complete(&mut vm, stepped).expect("no fault");
+            assert_eq!((v, vm.clock().total()), (Some(Value::Int(164)), 8), "{at}");
+        }
+    }
+}
+
+/// A first invocation: the callee's baseline compile is charged between the
+/// call's own charge and the callee's first instruction, the call is counted
+/// once, and a sample that falls due because of the compile charge is taken
+/// after it, with the callee on top.
+#[test]
+fn a_first_invocation_compiles_between_the_call_and_the_callee() {
+    let mut b = ProgramBuilder::new();
+    let sel = b.selector("val", 0);
+    let a = b.class("A", None);
+    let a_val = {
+        let mut m = b.virtual_method("A.val", a, sel);
+        let r = m.fresh_reg();
+        m.const_int(r, 9);
+        m.ret(Some(r));
+        m.finish()
+    };
+    let main = {
+        let mut m = b.static_method("main", 0);
+        let (o, got) = (m.fresh_reg(), m.fresh_reg());
+        m.new_obj(o, a); // cycle c0 + 1
+        m.call_virtual(Some(got), sel, o, &[]); // c0 + 2, then A.val's compile
+        m.ret(Some(got));
+        m.finish()
+    };
+    let p = b.finish(main).expect("valid program");
+    // `main`'s own compile comes before the first sample is scheduled.
+    let c0 = 10 * u64::from(p.method(main).size_estimate());
+    let compile = 10 * u64::from(p.method(a_val).size_estimate());
+    assert!(compile >= 1, "the sample below falls due inside the compile charge");
+    for stepped in [false, true] {
+        let cost =
+            CostModel { baseline_compile_per_unit: 10, sample_period: 3, ..call_unit_cost() };
+        let mut vm = Vm::new(&p, cost);
+        match next_outcome(&mut vm, stepped) {
+            RunOutcome::Sample(s) => {
+                assert_eq!((s.cycles, s.root_method), (c0 + 2 + compile, a_val), "stepped={stepped}");
+                assert!(s.top_in_prologue, "stepped={stepped}");
+            }
+            other => panic!("stepped={stepped}: expected the sample due at c0 + 3, got {other:?}"),
+        }
+        assert_eq!((vm.stack_depth(), vm.stack[1].at.pc), (2, 0), "stepped={stepped}");
+        let clock = vm.clock();
+        assert_eq!(clock.component(Component::BaselineCompilation), c0 + compile, "stepped={stepped}");
+        assert_eq!(clock.component(Component::AppBaseline), 2, "stepped={stepped}: New and the call");
+        let counters = vm.counters();
+        assert_eq!((counters.calls, counters.virtual_dispatches), (1, 1), "stepped={stepped}");
+        let v = complete(&mut vm, stepped).expect("no fault");
+        assert_eq!(v, Some(Value::Int(9)), "stepped={stepped}");
+        assert_eq!(vm.clock().total(), c0 + compile + 5, "stepped={stepped}");
+        assert_eq!(vm.counters().calls, 1, "stepped={stepped}");
+    }
+}
+
+/// A fault leaves the clock at the cycles up to and including the faulting
+/// instruction — here the second half of a Const+Bin pair, three instructions
+/// into a callee's frame.
+#[test]
+fn a_fault_inside_a_frame_leaves_the_clock_on_the_faulting_instruction() {
+    let mut b = ProgramBuilder::new();
+    let div = {
+        let mut m = b.static_method("div", 0);
+        let (x, zero) = (m.fresh_reg(), m.fresh_reg());
+        m.const_int(x, 1); // cycle 3
+        m.const_int(zero, 0); // 4
+        m.bin(BinOp::Div, x, x, zero); // 5
+        m.ret(Some(x));
+        m.finish()
+    };
+    let main = {
+        let mut m = b.static_method("main", 0);
+        m.work(1); // cycle 1
+        m.call_static(None, div, &[]); // 2
+        m.ret(None);
+        m.finish()
+    };
+    let p = b.finish(main).expect("valid program");
+    for stepped in [false, true] {
+        let mut vm = Vm::new(&p, call_unit_cost());
+        let e = complete(&mut vm, stepped).expect_err("divides by zero");
+        assert_eq!(e, VmError::DivideByZero { method: div, pc: 2 }, "stepped={stepped}");
+        let clock = vm.clock();
+        assert_eq!(
+            (clock.total(), clock.component(Component::AppBaseline)),
+            (5, 5),
+            "stepped={stepped}"
+        );
+        assert_eq!(vm.stack[1].at.pc, 2, "stepped={stepped}: the cursor rests on the fault");
+    }
+}
+
+/// An installed version, cloned, with `edit` applied to the clone's body.
+fn edited_clone(vm: &Vm<'_>, method: aoci_ir::MethodId, edit: impl FnOnce(&mut Vec<Instr>)) -> MethodVersion {
+    let mut v = MethodVersion::clone(vm.registry().current(method).expect("installed"));
+    edit(&mut v.body);
+    v.inline_map = crate::InlineMap::baseline(method, v.body.len());
+    v
+}
+
+/// Installing an edited clone of an installed version runs the edited body
+/// from the next invocation on — nothing decoded from the original is served
+/// for it — while the activation suspended in the original finishes there.
+#[test]
+fn an_edited_clone_runs_from_the_next_invocation_on() {
+    let mut b = ProgramBuilder::new();
+    let g = {
+        let mut m = b.static_method("g", 0);
+        m.work(1);
+        m.ret(None);
+        m.finish()
+    };
+    let main = {
+        let mut m = b.static_method("main", 0);
+        m.call_static(None, g, &[]);
+        m.call_static(None, g, &[]);
+        m.ret(None);
+        m.finish()
+    };
+    let p = b.finish(main).expect("valid program");
+    for stepped in [false, true] {
+        let mut vm = Vm::new(&p, call_unit_cost());
+        // The first call's charge: `g` is on top and has run nothing.
+        assert!(matches!(vm.run(1).expect("no fault"), RunOutcome::BudgetExhausted));
+        assert_eq!((vm.stack_depth(), vm.stack[1].at.pc), (2, 0), "stepped={stepped}");
+        let longer = edited_clone(&vm, g, |body| body.insert(0, Instr::Work { units: 1 }));
+        vm.registry_mut().install(longer);
+        complete(&mut vm, stepped).expect("no fault");
+        // call, Work, Return; call, Work, Work, Return; Return.
+        assert_eq!(vm.clock().total(), 8, "stepped={stepped}");
+    }
+}
+
+/// `f(n) = if n <= 0 { 0 } else { f(n - 1) + C }` recursing nine deep while
+/// `f`'s code changes under it: `C` is 1 in the baseline body, 100 in a
+/// successor installed at depth 3, and 1 again in the baseline recompiled
+/// after that successor is invalidated at depth 6. Every activation adds its
+/// `C` after its callee returned, so the result says which body each one
+/// came back to: the one it started in.
+#[test]
+fn suspended_activations_return_through_the_code_they_started_in() {
+    let mut b = ProgramBuilder::new();
+    let f = {
+        let mut m = b.static_method("f", 1);
+        let (n, zero) = (m.param(0), m.fresh_reg());
+        m.const_int(zero, 0);
+        let recurse = m.label();
+        m.branch(Cond::Gt, n, zero, recurse);
+        m.ret(Some(zero));
+        m.bind(recurse);
+        let (one, t, c) = (m.fresh_reg(), m.fresh_reg(), m.fresh_reg());
+        m.const_int(one, 1);
+        m.bin(BinOp::Sub, t, n, one);
+        m.call_static(Some(t), m.id(), &[t]);
+        m.const_int(c, 1); // pc 6: `C`, read after the callee returned
+        m.bin(BinOp::Add, t, t, c);
+        m.ret(Some(t));
+        m.finish()
+    };
+    let main = {
+        let mut m = b.static_method("main", 0);
+        let n = m.fresh_reg();
+        m.const_int(n, 9);
+        m.call_static(Some(n), f, &[n]);
+        m.ret(Some(n));
+        m.finish()
+    };
+    let p = b.finish(main).expect("valid program");
+    for stepped in [false, true] {
+        let mut vm = Vm::new(&p, unit_cost());
+        // Budgets too small to cross more than one call.
+        let slice = if stepped { 1 } else { 3 };
+        let run_to_depth = |vm: &mut Vm<'_>, depth: usize| {
+            while vm.stack_depth() < depth {
+                assert!(matches!(vm.run(slice).expect("no fault"), RunOutcome::BudgetExhausted));
+            }
+            assert_eq!(vm.stack_depth(), depth, "stepped={stepped}");
+        };
+        run_to_depth(&mut vm, 1 + 3); // main, f(9), f(8), f(7)
+        let mut successor = edited_clone(&vm, f, |body| {
+            let Instr::Const { dst, value: 1 } = body[6] else { panic!("pc 6 is `C`") };
+            body[6] = Instr::Const { dst, value: 100 };
+        });
+        successor.level = OptLevel::Optimized;
+        vm.registry_mut().install(successor);
+        run_to_depth(&mut vm, 1 + 6); // f(6), f(5), f(4) started in the successor
+        assert!(vm.registry_mut().invalidate(f), "stepped={stepped}");
+        // f(3) ..= f(0) start in the baseline its first call recompiles.
+        let v = complete(&mut vm, stepped).expect("no fault");
+        assert_eq!(v, Some(Value::Int(3 + 300 + 3)), "stepped={stepped}");
+        let registry = vm.registry();
+        assert_eq!(
+            (registry.baseline_compilations(), registry.opt_compilations(), registry.arena_len()),
+            (3, 1, 4),
+            "stepped={stepped}: main, f, the successor, f again — and no version let go of"
+        );
     }
 }

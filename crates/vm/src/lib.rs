@@ -61,7 +61,7 @@ mod stack;
 mod value;
 
 pub use clock::{Clock, Component, COMPONENTS};
-pub use code::{DecodeCache, InlineMap, InlineMapBuilder, InlineNode, MethodVersion, OptLevel};
+pub use code::{InlineMap, InlineMapBuilder, InlineNode, MethodVersion, OptLevel};
 pub use cost::CostModel;
 pub use error::VmError;
 pub use heap::{Heap, ObjRef};

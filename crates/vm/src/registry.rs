@@ -12,9 +12,11 @@
 //! the dispatched-OSR compatibility query: "which installed or surviving
 //! version matches this context fingerprint and is still valid?".
 
-use crate::code::{DecodeCache, MethodVersion, OptLevel};
-use aoci_ir::{CallSiteRef, MethodId};
-use std::sync::Arc;
+use crate::code::{MethodVersion, OptLevel};
+use crate::cost::CostModel;
+use crate::interp::decode::DecodedBody;
+use aoci_ir::{CallSiteRef, MethodId, Program};
+use std::sync::{Arc, OnceLock};
 
 /// Typed identity of an installed [`MethodVersion`] — a monotone install
 /// counter, unique across the registry's lifetime. Replaces the raw
@@ -107,13 +109,27 @@ impl VersionKey {
 /// keeps resident code-space bounded and deterministic.
 const MAX_SURVIVORS_PER_METHOD: usize = 4;
 
-/// Tracks the currently-installed [`MethodVersion`] for each method and
-/// aggregates code-space statistics.
+/// Names one entry of the registry's code arena: what a frame holds of its
+/// code. Private to the crate — [`VersionId`] stays the public identity.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct CodeSlot(u32);
+
+/// An arena entry: a version and, beside it, the pre-decoded form of its
+/// body (DESIGN.md §13), built when the slot is first executed and reachable
+/// only through the slot, so it cannot be stale.
+#[derive(Clone, Debug)]
+struct Code {
+    version: Arc<MethodVersion>,
+    decoded: OnceLock<DecodedBody>,
+}
+
+/// Owns every [`MethodVersion`] it installs, tracks the current one for each
+/// method and aggregates code-space statistics.
 ///
 /// Installation follows the Jikes model: a newly compiled version takes
 /// effect at the *next invocation* of the method; activations already on the
-/// stack keep running their old version (each frame holds an `Arc` to the
-/// version it started in) — unless OSR transfers them. With
+/// stack keep running their old version (code lives as long as the registry;
+/// a frame names the arena slot it started in) — unless OSR transfers them. With
 /// [`VmConfig::osr_enabled`](crate::VmConfig) a hot baseline activation can
 /// be promoted into a freshly installed version mid-loop (OSR-in), and an
 /// activation stuck on an [invalidated](CodeRegistry::invalidate) version
@@ -123,13 +139,20 @@ const MAX_SURVIVORS_PER_METHOD: usize = 4;
 /// [surviving](CodeRegistry::best_surviving) specialized version instead.
 #[derive(Clone, Debug, Default)]
 pub struct CodeRegistry {
-    current: Vec<Option<Arc<MethodVersion>>>,
+    /// Every version installed or adopted, in that order. Append-only: a
+    /// [`CodeSlot`] handed out stays valid for the life of the registry.
+    arena: Vec<Code>,
+    current: Vec<Option<CodeSlot>>,
     /// Context key of the current version, parallel to `current` (only
     /// meaningful while the slot holds an optimized version).
     current_key: Vec<ContextFingerprint>,
     /// Superseded-but-still-valid optimized versions, per method, in
     /// installation order; populated only with `retain` on.
     survivors: Vec<Vec<(ContextFingerprint, Arc<MethodVersion>)>>,
+    /// Per method, the baseline version an OSR-out lands in while the
+    /// method's current version is still optimized (frame-local thrash
+    /// without invalidation): built on the side and adopted, never current.
+    deopt_baseline: Vec<Option<CodeSlot>>,
     /// Whether superseded optimized versions survive installation of a
     /// differently-keyed successor (the deoptless mode).
     retain: bool,
@@ -162,6 +185,7 @@ impl CodeRegistry {
             current: vec![None; num_methods],
             current_key: vec![ContextFingerprint::ROOT; num_methods],
             survivors: vec![Vec::new(); num_methods],
+            deopt_baseline: vec![None; num_methods],
             ..Self::default()
         }
     }
@@ -183,13 +207,69 @@ impl CodeRegistry {
 
     /// Returns the currently-installed version of `method`, if any.
     pub fn current(&self, method: MethodId) -> Option<&Arc<MethodVersion>> {
-        self.current[method.index()].as_ref()
+        self.current[method.index()].map(|slot| self.version(slot))
+    }
+
+    /// The arena slot of `method`'s current version: one indexed load.
+    #[inline]
+    pub(crate) fn current_slot(&self, method: MethodId) -> Option<CodeSlot> {
+        self.current[method.index()]
+    }
+
+    /// The version in `slot`.
+    #[inline]
+    pub(crate) fn version(&self, slot: CodeSlot) -> &Arc<MethodVersion> {
+        &self.arena[slot.0 as usize].version
+    }
+
+    /// The pre-decoded body of the version in `slot`, built on first use.
+    /// `program` and `cost` are those of the one `Vm` this registry sits in.
+    #[inline]
+    pub(crate) fn body(&self, slot: CodeSlot, program: &Program, cost: &CostModel) -> &DecodedBody {
+        let code = &self.arena[slot.0 as usize];
+        code.decoded.get_or_init(|| DecodedBody::build(&code.version, program, cost))
+    }
+
+    /// The slot holding exactly this `Arc` (one this registry handed out),
+    /// newest first: OSR transfers are rare and land in recent code.
+    pub(crate) fn slot_of(&self, version: &Arc<MethodVersion>) -> Option<CodeSlot> {
+        let i = self.arena.iter().rposition(|c| Arc::ptr_eq(&c.version, version))?;
+        Some(CodeSlot(i as u32)) // `adopt` checked that every index fits
+    }
+
+    /// The adopted deopt baseline of `method`, if one was ever needed.
+    pub(crate) fn deopt_baseline(&self, method: MethodId) -> Option<CodeSlot> {
+        self.deopt_baseline[method.index()]
+    }
+
+    /// Adopts `version` — baseline code built on the side — as its method's
+    /// deopt baseline, without installing it or counting a compilation. It
+    /// gets an id installs never issue, so that no invalidation names it.
+    pub(crate) fn adopt_deopt_baseline(&mut self, mut version: MethodVersion) -> CodeSlot {
+        version.version_id = VersionId(u32::MAX);
+        let midx = version.method.index();
+        let slot = self.adopt(version);
+        self.deopt_baseline[midx] = Some(slot);
+        slot
+    }
+
+    /// How many versions the arena holds: every install and adoption.
+    #[cfg(test)]
+    pub(crate) fn arena_len(&self) -> usize {
+        self.arena.len()
+    }
+
+    /// Appends `version` to the arena.
+    fn adopt(&mut self, version: MethodVersion) -> CodeSlot {
+        let slot = CodeSlot(u32::try_from(self.arena.len()).expect("under 2^32 versions"));
+        self.arena.push(Code { version: Arc::new(version), decoded: OnceLock::new() });
+        slot
     }
 
     /// Context key of the currently-installed *optimized* version of
     /// `method`; `None` when the slot is empty or holds baseline code.
     pub fn current_key(&self, method: MethodId) -> Option<VersionKey> {
-        match self.current[method.index()].as_ref() {
+        match self.current(method) {
             Some(v) if v.level == OptLevel::Optimized => {
                 Some(VersionKey::new(method, self.current_key[method.index()]))
             }
@@ -222,11 +302,6 @@ impl CodeRegistry {
         version.version_id = VersionId(self.next_version_id);
         self.next_version_id += 1;
         self.invalidated.push(false);
-        // Compilation paths may clone an existing version and edit the
-        // clone's body before handing it here; the decode cache must never
-        // outlive the body it was built from, so installation always
-        // starts it empty (the clone-then-mutate audit, DESIGN.md §16).
-        version.decoded = DecodeCache::default();
         match version.level {
             OptLevel::Optimized => {
                 self.cumulative_optimized_size += version.code_size as u64;
@@ -245,7 +320,7 @@ impl CodeRegistry {
                 self.current_optimized_size -= old.code_size as u64;
             }
         }
-        if let Some(old) = self.current[midx].take() {
+        if let Some(old) = self.current[midx].take().map(|slot| Arc::clone(self.version(slot))) {
             if old.level == OptLevel::Optimized {
                 let old_key = self.current_key[midx];
                 if self.retain && old_key != key && !self.is_invalidated(old.version_id) {
@@ -260,9 +335,9 @@ impl CodeRegistry {
             }
         }
         self.current_key[midx] = key;
-        let arc = Arc::new(version);
-        self.current[midx] = Some(Arc::clone(&arc));
-        arc
+        let slot = self.adopt(version);
+        self.current[midx] = Some(slot);
+        Arc::clone(self.version(slot))
     }
 
     /// Baseline-compiles `def` and installs the result.
@@ -278,7 +353,7 @@ impl CodeRegistry {
     /// merely slow.
     pub fn best_surviving(&self, key: VersionKey) -> Option<&Arc<MethodVersion>> {
         let midx = key.method.index();
-        if let Some(v) = self.current[midx].as_ref() {
+        if let Some(v) = self.current(key.method) {
             if v.level == OptLevel::Optimized
                 && self.current_key[midx] == key.context_fingerprint
                 && !self.is_invalidated(v.version_id)
@@ -301,7 +376,7 @@ impl CodeRegistry {
     /// Invalidates the current *optimized* version of `method`: the slot is
     /// cleared, so the method falls back to (re-)baseline compilation at its
     /// next invocation — the graceful-degradation path for guard-thrashing
-    /// code. Activations already on the stack keep their `Arc`; the
+    /// code. Activations already on the stack keep their arena slot; the
     /// version's id is recorded as invalidated, and when OSR is enabled
     /// ([`VmConfig::osr_enabled`](crate::VmConfig)) the interpreter
     /// transfers such an activation back to an equivalent baseline frame
@@ -311,13 +386,13 @@ impl CodeRegistry {
     /// version, not the method. Returns `false` (and does nothing) when
     /// the method has no optimized version installed.
     pub fn invalidate(&mut self, method: MethodId) -> bool {
-        let slot = &mut self.current[method.index()];
-        match slot.as_ref() {
+        match self.current(method) {
             Some(v) if v.level == OptLevel::Optimized => {
-                self.current_optimized_size -= v.code_size as u64;
+                let (size, id) = (v.code_size, v.version_id);
+                self.current_optimized_size -= size as u64;
                 self.invalidations += 1;
-                self.invalidated[v.version_id.0 as usize] = true;
-                *slot = None;
+                self.invalidated[id.0 as usize] = true;
+                self.current[method.index()] = None;
                 true
             }
             _ => false,
@@ -325,7 +400,7 @@ impl CodeRegistry {
     }
 
     /// Whether the version with id `id` has been invalidated — the
-    /// OSR-out trigger for in-flight activations still holding its `Arc`.
+    /// OSR-out trigger for in-flight activations still running it.
     #[inline]
     pub fn is_invalidated(&self, id: VersionId) -> bool {
         // An id this registry never issued (`VersionId::from_raw`) is not
@@ -366,6 +441,7 @@ impl CodeRegistry {
         self.current
             .iter()
             .flatten()
+            .map(|&slot| self.version(slot))
             .filter(|v| v.level == OptLevel::Optimized)
     }
 }
@@ -387,7 +463,6 @@ mod tests {
             code_size: size,
             version_id: VersionId::default(),
             osr_map: crate::OsrMap::empty(),
-            decoded: crate::DecodeCache::default(),
         }
     }
 

@@ -201,6 +201,7 @@ fn outcome(program: &Program, versions: Option<Vec<aoci_vm::MethodVersion>>) -> 
             VmError::IndexOutOfBounds { .. } => "bounds",
             VmError::NoSuchMethod { .. } => "nosuch",
             VmError::NegativeArrayLength { .. } => "neglen",
+            VmError::ArrayTooLarge { .. } => "toolarge",
             VmError::StackOverflow { .. } => "overflow",
             VmError::BadRegister { .. } => "badreg",
             VmError::PcOutOfRange { .. } => "badpc",
