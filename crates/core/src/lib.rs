@@ -36,6 +36,7 @@
 //! assert_eq!(policy.max_context_for(None), 4);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod adaptive;

@@ -1,5 +1,5 @@
 use aoci_bench::env::EnvConfig;
-use aoci_fleet::{run_fleet, FleetConfig};
+use aoci_fleet::{run_fleet_timed, FleetConfig};
 use aoci_telemetry::write_text;
 use std::path::Path;
 
@@ -33,7 +33,7 @@ fn main() {
     );
 
     let started = std::time::Instant::now();
-    let report = run_fleet(&cfg, &pool);
+    let (report, stats) = run_fleet_timed(&cfg, &pool);
     let wall = started.elapsed();
 
     let path = Path::new(&env.fleet_out);
@@ -67,6 +67,7 @@ fn main() {
         w.cycles_to_peak_last,
         w.cycles_to_peak_first as f64 / w.cycles_to_peak_last.max(1) as f64,
     );
+    eprintln!("fleet: {}", stats.render());
     eprintln!("fleet: report -> {} ({:.2?})", path.display(), wall);
 
     if report.replicas > 1 && !w.amortized() {

@@ -2,19 +2,19 @@
 //!
 //! The paper's headline evaluation is SPECjbb2000, a long-running server
 //! where adaptive context-sensitive inlining amortizes over sustained
-//! traffic. This crate takes that to its production conclusion (ROADMAP
-//! item 1): **N VM replicas, one compile service, shared profiles.**
+//! traffic. This crate takes that to its production conclusion: **N VM
+//! replicas, one compile service, shared profiles.**
 //!
 //! * [`schedule`] — a five-phase deterministic traffic schedule (ramp-up,
 //!   diurnal tenant-mix shift, hot-set churn) over the eight suite
 //!   workloads;
-//! * [`server`] — the shared compile server: a bounded code cache keyed by
-//!   `(tenant, method)` at a rules generation, with LRU-by-benefit
+//! * [`server`] — the shared compile server: per tenant, a bounded code
+//!   cache keyed by method at a rules generation, with LRU-by-benefit
 //!   eviction and cross-replica invalidation broadcast on generation
 //!   bumps;
-//! * [`sim`] — the driver: replica serving runs fan over the
-//!   [`JobPool`](aoci_core::JobPool), and between phases the driver merges
-//!   every replica's trace profile ([`SavedProfile::merge`]) so later
+//! * [`sim`] — the driver: each tenant is a pipeline of its replicas'
+//!   serving runs on the [`JobPool`](aoci_core::JobPool); between phases
+//!   it merges their trace profiles ([`SavedProfile::merge`]) so later
 //!   replicas warm-start from the fleet's collective knowledge;
 //! * [`report`] — the [`FleetReport`] behind `results/fleet.json`,
 //!   including the headline warmup-amortization pair (cycles-to-peak,
@@ -26,6 +26,7 @@
 //!
 //! [`SavedProfile::merge`]: aoci_profile::SavedProfile::merge
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod report;
@@ -35,4 +36,4 @@ pub mod sim;
 
 pub use report::{FleetReport, PhaseReport, WarmupReport};
 pub use server::{CompileServer, ServerStats};
-pub use sim::{run_fleet, FleetConfig};
+pub use sim::{run_fleet, run_fleet_timed, FleetConfig};

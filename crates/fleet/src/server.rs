@@ -1,22 +1,23 @@
-//! The shared compile server: one bounded code cache serving every
-//! replica of the fleet (ROADMAP item 1, DESIGN.md §15).
+//! The shared compile server, one tenant's share of it per
+//! [`CompileServer`]: tenants never read each other's entries, so the
+//! fleet driver keeps one per tenant pipeline (DESIGN.md §15).
 //!
-//! Cache entries are keyed by `(tenant workload, method)` and stamped
-//! with the **rules generation** they were compiled under — the
-//! [`RuleSet::fingerprint`] of the tenant's merged fleet profile. The
-//! rules encode every context-sensitive inlining decision, so the
-//! `(method, generation)` pair identifies the context-specialized body:
-//! when the merged profile's hot set shifts enough to change the
-//! fingerprint, the server bumps the tenant's generation and broadcasts
-//! an invalidation, dropping every stale entry so no replica can install
-//! code specialized for rules that no longer hold.
+//! Cache entries are keyed by method and stamped with the **rules
+//! generation** they were compiled under — the `RuleSet::fingerprint` of
+//! the tenant's merged fleet profile. The rules encode every
+//! context-sensitive inlining decision, so the `(method, generation)` pair
+//! identifies the context-specialized body: when the merged profile's hot
+//! set shifts enough to change the fingerprint, the server bumps the
+//! generation and broadcasts an invalidation, dropping every stale entry
+//! so no replica can install code specialized for rules that no longer
+//! hold.
 //!
-//! Capacity is bounded per tenant; over capacity the server evicts
-//! **LRU-by-benefit**: the entry with the lowest estimated inlining
-//! benefit goes first, ties broken by least-recent use. All state lives
-//! in `BTreeMap`s and every mutation happens in canonical replica order,
-//! so the server is deterministic regardless of how many pool workers ran
-//! the replicas.
+//! Over capacity the server evicts **LRU-by-benefit**: the entry with the
+//! lowest estimated inlining benefit goes first, ties broken by
+//! least-recent use. All state lives in a `BTreeMap` and every mutation
+//! happens in the tenant's canonical (phase, replica) order, so the
+//! server is deterministic regardless of how many pool workers ran the
+//! replicas.
 
 use aoci_core::InlineOracle;
 use aoci_ir::{MethodId, Program};
@@ -53,74 +54,60 @@ pub struct ServerStats {
     pub entries_invalidated: u64,
 }
 
-/// The shared compile server: per-tenant generations plus one bounded
+/// One tenant's compile server: its rules generation plus its bounded
 /// code cache.
 #[derive(Debug)]
 pub struct CompileServer {
-    /// Per-tenant cache capacity in entries.
+    /// Cache capacity in entries.
     capacity: usize,
     /// Monotonic tick, advanced on every batch and touch — the LRU clock.
     tick: u64,
-    /// Current rules generation per tenant (`None` until rules first form).
-    generations: Vec<Option<u64>>,
-    entries: BTreeMap<(usize, MethodId), CacheEntry>,
+    /// Current rules generation (`None` until rules first form).
+    generation: Option<u64>,
+    entries: BTreeMap<MethodId, CacheEntry>,
     /// Cumulative statistics.
     pub stats: ServerStats,
 }
 
 impl CompileServer {
-    /// A server over `tenants` workloads with per-tenant `capacity`.
-    pub fn new(tenants: usize, capacity: usize) -> Self {
+    /// A server caching at most `capacity` entries.
+    pub fn new(capacity: usize) -> Self {
         CompileServer {
             capacity,
             tick: 0,
-            generations: vec![None; tenants],
+            generation: None,
             entries: BTreeMap::new(),
             stats: ServerStats::default(),
         }
     }
 
-    /// Current rules generation for `tenant` (the merged-profile rule-set
-    /// fingerprint), if rules have formed.
-    pub fn generation(&self, tenant: usize) -> Option<u64> {
-        self.generations[tenant]
-    }
-
-    /// Installs a new rules generation for `tenant`. If the fingerprint
-    /// changed, broadcasts an invalidation: every cached entry compiled
-    /// under the old generation is dropped. Returns the number of entries
+    /// Installs a new rules generation. If the fingerprint changed,
+    /// broadcasts an invalidation: every cached entry compiled under the
+    /// old generation is dropped. Returns the number of entries
     /// invalidated.
-    pub fn set_generation(&mut self, tenant: usize, fingerprint: u64) -> usize {
-        if self.generations[tenant] == Some(fingerprint) {
+    pub fn set_generation(&mut self, fingerprint: u64) -> usize {
+        if self.generation == Some(fingerprint) {
             return 0;
         }
-        let had_rules = self.generations[tenant].is_some();
-        self.generations[tenant] = Some(fingerprint);
-        let stale: Vec<(usize, MethodId)> = self
-            .entries
-            .range((tenant, MethodId::from_index(0))..=(tenant, MethodId::from_index(u32::MAX as usize)))
-            .filter(|(_, e)| e.generation != fingerprint)
-            .map(|(k, _)| *k)
-            .collect();
+        let had_rules = self.generation.is_some();
+        self.generation = Some(fingerprint);
+        let before = self.entries.len();
+        self.entries.retain(|_, e| e.generation == fingerprint);
+        let stale = before - self.entries.len();
         if had_rules {
             self.stats.generation_bumps += 1;
-            self.stats.entries_invalidated += stale.len() as u64;
+            self.stats.entries_invalidated += stale as u64;
         }
-        let n = stale.len();
-        for k in stale {
-            self.entries.remove(&k);
-        }
-        n
+        stale
     }
 
-    /// Processes one batched request list for `tenant`: compiles every
-    /// requested method under `oracle` (the tenant's merged-profile rules)
-    /// and caches the result at the current generation, evicting
+    /// Processes one batched request list: compiles every requested
+    /// method of `program` under `oracle` (the tenant's merged-profile
+    /// rules) and caches the result at the current generation, evicting
     /// LRU-by-benefit over capacity. Methods already cached are skipped —
     /// a concurrent replica already requested them this phase.
     pub fn process_batch(
         &mut self,
-        tenant: usize,
         program: &Program,
         requests: &[MethodId],
         oracle: &InlineOracle,
@@ -131,16 +118,16 @@ impl CompileServer {
         }
         self.tick += 1;
         self.stats.batches += 1;
-        let generation = self.generations[tenant].unwrap_or(0);
+        let generation = self.generation.unwrap_or(0);
         for &method in requests {
-            if self.entries.contains_key(&(tenant, method)) {
+            if self.entries.contains_key(&method) {
                 continue;
             }
             let compilation = compile(program, method, oracle, opt);
             let benefit = estimate_benefit(program, method, oracle);
             self.stats.compiles += 1;
             self.entries.insert(
-                (tenant, method),
+                method,
                 CacheEntry {
                     compilation: Arc::new(compilation),
                     generation,
@@ -148,57 +135,50 @@ impl CompileServer {
                     last_used: self.tick,
                 },
             );
-            self.evict_over_capacity(tenant);
+            self.evict_over_capacity();
         }
     }
 
-    /// Refreshes LRU recency for `methods` of `tenant` — called with each
-    /// replica's hit list, in canonical replica order.
-    pub fn touch(&mut self, tenant: usize, methods: &[MethodId]) {
+    /// Refreshes LRU recency for `methods` — called with each replica's
+    /// hit list, in canonical replica order.
+    pub fn touch(&mut self, methods: &[MethodId]) {
         if methods.is_empty() {
             return;
         }
         self.tick += 1;
-        for &m in methods {
-            if let Some(e) = self.entries.get_mut(&(tenant, m)) {
+        for m in methods {
+            if let Some(e) = self.entries.get_mut(m) {
                 e.last_used = self.tick;
             }
         }
     }
 
-    /// The read-only snapshot replicas of `tenant` attach for the next
+    /// The read-only snapshot the tenant's replicas attach for the next
     /// phase: every live entry at the current generation (generation 0 —
     /// the pre-rules state — until rules first form).
-    pub fn snapshot(&self, tenant: usize) -> Arc<HashMap<MethodId, Arc<Compilation>>> {
-        let generation = self.generations[tenant].unwrap_or(0);
+    pub fn snapshot(&self) -> Arc<HashMap<MethodId, Arc<Compilation>>> {
+        let generation = self.generation.unwrap_or(0);
         let map: HashMap<MethodId, Arc<Compilation>> = self
             .entries
-            .range((tenant, MethodId::from_index(0))..=(tenant, MethodId::from_index(u32::MAX as usize)))
+            .iter()
             .filter(|(_, e)| e.generation == generation)
-            .map(|((_, m), e)| (*m, Arc::clone(&e.compilation)))
+            .map(|(m, e)| (*m, Arc::clone(&e.compilation)))
             .collect();
         Arc::new(map)
     }
 
-    /// Live entries cached for `tenant`.
-    pub fn len(&self, tenant: usize) -> usize {
-        self.entries
-            .range((tenant, MethodId::from_index(0))..=(tenant, MethodId::from_index(u32::MAX as usize)))
-            .count()
-    }
-
-    fn evict_over_capacity(&mut self, tenant: usize) {
-        while self.len(tenant) > self.capacity {
+    fn evict_over_capacity(&mut self) {
+        while self.entries.len() > self.capacity {
             // LRU-by-benefit: lowest benefit first, least-recently-used
             // breaking ties. total_cmp keeps the order deterministic for
             // every float value.
             let victim = self
                 .entries
-                .range((tenant, MethodId::from_index(0))..=(tenant, MethodId::from_index(u32::MAX as usize)))
+                .iter()
                 .min_by(|(_, a), (_, b)| {
                     a.benefit.total_cmp(&b.benefit).then(a.last_used.cmp(&b.last_used))
                 })
-                .map(|(k, _)| *k)
+                .map(|(m, _)| *m)
                 .expect("over capacity implies at least one entry");
             self.entries.remove(&victim);
             self.stats.evictions += 1;
@@ -239,18 +219,18 @@ mod tests {
         let (p, m) = program();
         let oracle = InlineOracle::empty();
         let opt = OptConfig::default();
-        let mut s = CompileServer::new(1, 2);
+        let mut s = CompileServer::new(2);
         // Separate batches so each entry gets a distinct LRU tick.
-        s.process_batch(0, &p, &[m[0]], &oracle, &opt);
-        s.process_batch(0, &p, &[m[1]], &oracle, &opt);
-        s.process_batch(0, &p, &[m[2]], &oracle, &opt);
-        assert_eq!(s.len(0), 2, "capacity bound holds");
+        s.process_batch(&p, &[m[0]], &oracle, &opt);
+        s.process_batch(&p, &[m[1]], &oracle, &opt);
+        s.process_batch(&p, &[m[2]], &oracle, &opt);
+        assert_eq!(s.entries.len(), 2, "capacity bound holds");
         assert_eq!(s.stats.evictions, 1);
-        assert!(!s.snapshot(0).contains_key(&m[0]), "oldest entry evicted first");
+        assert!(!s.snapshot().contains_key(&m[0]), "oldest entry evicted first");
         // A touch refreshes recency, redirecting the next eviction.
-        s.touch(0, &[m[1]]);
-        s.process_batch(0, &p, &[m[3]], &oracle, &opt);
-        let snap = s.snapshot(0);
+        s.touch(&[m[1]]);
+        s.process_batch(&p, &[m[3]], &oracle, &opt);
+        let snap = s.snapshot();
         assert!(snap.contains_key(&m[1]), "touched entry survives");
         assert!(snap.contains_key(&m[3]));
         assert!(!snap.contains_key(&m[2]), "untouched entry evicted");
@@ -261,18 +241,18 @@ mod tests {
         let (p, m) = program();
         let oracle = InlineOracle::empty();
         let opt = OptConfig::default();
-        let mut s = CompileServer::new(1, 8);
-        assert_eq!(s.set_generation(0, 7), 0, "first generation invalidates nothing");
+        let mut s = CompileServer::new(8);
+        assert_eq!(s.set_generation(7), 0, "first generation invalidates nothing");
         assert_eq!(s.stats.generation_bumps, 0, "first generation is not a bump");
-        s.process_batch(0, &p, &[m[0], m[1]], &oracle, &opt);
-        assert_eq!(s.snapshot(0).len(), 2);
-        assert_eq!(s.set_generation(0, 7), 0, "same fingerprint: no-op");
-        let dropped = s.set_generation(0, 8);
+        s.process_batch(&p, &[m[0], m[1]], &oracle, &opt);
+        assert_eq!(s.snapshot().len(), 2);
+        assert_eq!(s.set_generation(7), 0, "same fingerprint: no-op");
+        let dropped = s.set_generation(8);
         assert_eq!(dropped, 2, "every stale entry dropped on bump");
         assert_eq!(s.stats.generation_bumps, 1);
         assert_eq!(s.stats.entries_invalidated, 2);
-        assert_eq!(s.snapshot(0).len(), 0, "no replica can install stale code");
-        assert_eq!(s.len(0), 0);
+        assert_eq!(s.snapshot().len(), 0, "no replica can install stale code");
+        assert_eq!(s.entries.len(), 0);
     }
 
     #[test]
@@ -280,12 +260,12 @@ mod tests {
         let (p, m) = program();
         let oracle = InlineOracle::empty();
         let opt = OptConfig::default();
-        let mut s = CompileServer::new(2, 8);
-        s.set_generation(0, 1);
-        s.process_batch(0, &p, &[m[0]], &oracle, &opt);
-        s.process_batch(1, &p, &[m[1]], &oracle, &opt);
-        assert!(s.snapshot(0).contains_key(&m[0]));
-        assert!(!s.snapshot(0).contains_key(&m[1]), "tenants are isolated");
-        assert!(s.snapshot(1).contains_key(&m[1]));
+        let (mut s, mut other) = (CompileServer::new(8), CompileServer::new(8));
+        s.set_generation(1);
+        s.process_batch(&p, &[m[0]], &oracle, &opt);
+        other.process_batch(&p, &[m[1]], &oracle, &opt);
+        assert!(s.snapshot().contains_key(&m[0]));
+        assert!(!s.snapshot().contains_key(&m[1]), "tenants are isolated");
+        assert!(other.snapshot().contains_key(&m[1]));
     }
 }

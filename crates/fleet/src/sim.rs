@@ -1,38 +1,47 @@
-//! The fleet driver: phased replica serving runs over a [`JobPool`],
-//! with profile aggregation and compile-server batching between phases.
+//! The fleet driver: one **tenant pipeline** per suite workload on the
+//! [`JobPool`], with profile aggregation and compile-server batching
+//! between a tenant's phases.
 //!
-//! Each phase proceeds in four deterministic steps:
+//! Everything a replica run reads or feeds is indexed by the tenant it
+//! serves, so a tenant waits for its own replicas and for nothing else
+//! ([`JobPool::run_pipelines`]). Per tenant, each phase is four steps:
 //!
-//! 1. **rules + batch** — per tenant, the merged fleet profile's hot
-//!    traces become an inlining [`RuleSet`]; its fingerprint is the rules
-//!    generation (bumping it broadcasts invalidation), and the server
-//!    batch-compiles the previous phase's request queue under it;
-//! 2. **snapshot** — each tenant's live cache entries become the
-//!    read-only [`CompileServerConfig`] snapshot replicas attach;
-//! 3. **serve** — every active replica runs its workload to completion
-//!    under adaptive optimization ([`AosSystem::run_serving`]), seeded
-//!    with the merged fleet profile when one exists. Replica runs are
-//!    pure functions of their inputs and the pool returns outputs in job
-//!    order, so any `AOCI_JOBS` value produces the same fold;
-//! 4. **fold** — in canonical replica order, the driver refreshes LRU
-//!    recency for each replica's hits, enqueues its missed methods, and
-//!    merges its final trace profile into the tenant's fleet profile.
+//! 1. **rules + batch** — the merged fleet profile's hot traces become an
+//!    inlining [`RuleSet`]; its fingerprint is the rules generation
+//!    (bumping it broadcasts invalidation), and the server batch-compiles
+//!    under it the requests the tenant's last serving phase queued — in
+//!    every phase, served or not: they count in the phase after them;
+//! 2. **snapshot** — if any replica draws the tenant this phase, its live
+//!    cache entries become the read-only [`CompileServerConfig`] snapshot
+//!    those replicas attach;
+//! 3. **serve** — the pipeline's stage: each such replica runs the
+//!    workload to completion under adaptive optimization
+//!    ([`AosSystem::run_serving`]), seeded with the merged fleet profile
+//!    when one exists. Replica runs are pure functions of their inputs;
+//! 4. **fold** — after the stage's last run, in canonical replica order:
+//!    refresh LRU recency for each replica's hits, enqueue its missed
+//!    methods, merge its final trace profile into the fleet profile.
+//!
+//! A tenant's state is touched by one worker at a time, in that tenant's
+//! (phase, replica) order; tenants share only read-only programs; the
+//! [`FleetReport`] is a fold of per-(tenant, phase) integers. So every
+//! `AOCI_JOBS` value and every interleaving produce the same report.
 //!
 //! The first replica's first phase is a cold boot; the last replica
 //! activates in the final phase against the merged profile and a hot
 //! cache. The [`FleetReport`] records both cycles-to-peak numbers — the
-//! warmup amortization ROADMAP item 1 asks for.
+//! warmup amortization the fleet exists to measure.
 
 use crate::report::{FleetReport, PhaseReport, WarmupReport};
 use crate::schedule::{active_count, tenant, PHASES, TENANTS};
-use crate::server::CompileServer;
-use aoci_aos::{AosConfig, AosSystem, CompileServerConfig};
-use aoci_core::{InlineOracle, JobPool, PolicyKind, RuleSet};
+use crate::server::{CompileServer, ServerStats};
+use aoci_aos::{AosConfig, AosSystem, CompileServerConfig, ServerEvents};
+use aoci_core::{InlineOracle, JobPool, PolicyKind, RuleSet, SweepStats};
 use aoci_ir::{MethodId, Program};
-use aoci_opt::OptConfig;
+use aoci_opt::{Compilation, OptConfig};
 use aoci_profile::SavedProfile;
 use aoci_workloads::{build, suite};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Fraction of total profile weight a merged trace must carry to become
@@ -71,19 +80,132 @@ fn cycles_to_peak(report: &aoci_aos::AosReport) -> u64 {
     report.compilations.last().map_or(0, |c| c.cycle)
 }
 
-/// What one replica's serving run yields back to the driver.
-struct ReplicaOutcome {
+/// One scheduled replica-phase serving run, with everything it reads.
+struct ServeJob<'a> {
     replica: usize,
-    tenant: usize,
+    /// The replica's first active phase: its warmup measurement.
+    first: bool,
+    program: &'a Program,
+    snapshot: Arc<HashMap<MethodId, Arc<Compilation>>>,
+    profile: Arc<SavedProfile>,
+}
+
+/// What one replica's serving run yields back to its tenant.
+struct ReplicaOutcome {
+    /// `(replica, cycles to peak)` if this was the replica's first phase.
+    first_peak: Option<(usize, u64)>,
     warm: bool,
     total_cycles: u64,
     opt_compilations: u64,
-    cycles_to_peak: u64,
-    hits: u64,
-    misses: u64,
-    requests: Vec<MethodId>,
-    hit_methods: Vec<MethodId>,
+    server: ServerEvents,
     profile: SavedProfile,
+}
+
+/// Step 3: one replica serves its tenant's workload to completion.
+fn serve(job: ServeJob) -> ReplicaOutcome {
+    let config = AosConfig::new(PolicyKind::Fixed { max: 3 })
+        .enable_compile_server_with(CompileServerConfig::new(job.snapshot));
+    let mut sys = AosSystem::new(job.program, config);
+    let warm = !job.profile.traces.is_empty();
+    if warm {
+        sys.seed_profile(job.profile.entries());
+    }
+    let out = sys.run_serving().expect("fleet workload run failed");
+    ReplicaOutcome {
+        first_peak: job.first.then(|| (job.replica, cycles_to_peak(&out.report))),
+        warm,
+        total_cycles: out.report.total_cycles(),
+        opt_compilations: u64::from(out.report.opt_compilations),
+        server: out.server,
+        profile: SavedProfile::from_entries(out.profile.iter().map(|(k, w)| (k, *w)))
+            .expect("suite method indices fit the u32 wire format"),
+    }
+}
+
+/// One tenant's pipeline: all the mutable state its replicas' runs feed.
+struct Tenant<'a> {
+    program: &'a Program,
+    /// Per phase, the `(replica, first activation)` pairs the schedule
+    /// gives this tenant, in replica order.
+    serving: Vec<Vec<(usize, bool)>>,
+    server: CompileServer,
+    /// The merged fleet profile; replaced only when a fold merges into it.
+    profile: Arc<SavedProfile>,
+    /// Missed methods awaiting the next batch, in request order — the
+    /// batch's compile order, hence the cache's eviction order.
+    pending: Vec<MethodId>,
+    /// This tenant's share of the [`PhaseReport`] counters of each phase
+    /// begun (one whose steps 1–2 have run) so far.
+    partials: Vec<PhaseReport>,
+    /// `(replica, cycles to peak)` of each first activation served here.
+    first_peaks: Vec<(usize, u64)>,
+}
+
+impl<'a> Tenant<'a> {
+    /// Step 4 for the stage that just finished, then steps 1–2 of every
+    /// following phase up to the next one served: its jobs, the next stage.
+    fn advance(&mut self, outcomes: Vec<ReplicaOutcome>) -> Option<Vec<ServeJob<'a>>> {
+        // No outcomes: the call that starts the pipeline. No stage is empty.
+        if !outcomes.is_empty() {
+            let report = self.partials.last_mut().expect("outcomes come from a phase begun");
+            for o in &outcomes {
+                self.server.touch(&o.server.hit_methods);
+                for m in &o.server.requests {
+                    if !self.pending.contains(m) {
+                        self.pending.push(*m);
+                        report.requests_batched += 1;
+                    }
+                }
+                self.first_peaks.extend(o.first_peak);
+                report.first_activations += usize::from(o.first_peak.is_some());
+                report.warm_starts += u64::from(o.warm);
+                report.cache_hits += o.server.hits;
+                report.cache_misses += o.server.misses;
+                report.total_cycles += o.total_cycles;
+                report.opt_compilations += o.opt_compilations;
+            }
+            let merged = std::iter::once(&*self.profile).chain(outcomes.iter().map(|o| &o.profile));
+            self.profile = Arc::new(SavedProfile::merge(merged));
+        }
+        while self.partials.len() < PHASES.len() {
+            let phase = self.partials.len();
+            self.partials.push(PhaseReport::default());
+            self.compile_batch(phase);
+            if !self.serving[phase].is_empty() {
+                let snapshot = self.server.snapshot();
+                let job = |&(replica, first)| ServeJob {
+                    replica,
+                    first,
+                    program: self.program,
+                    snapshot: Arc::clone(&snapshot),
+                    profile: Arc::clone(&self.profile),
+                };
+                return Some(self.serving[phase].iter().map(job).collect());
+            }
+        }
+        None
+    }
+
+    /// Step 1 of `phase`; the server's activity counts in that phase.
+    fn compile_batch(&mut self, phase: usize) {
+        if self.profile.traces.is_empty() {
+            return;
+        }
+        let before = self.server.stats;
+        let entries = self.profile.entries();
+        let total: f64 = entries.iter().map(|(_, w)| *w).sum();
+        let hot = entries.into_iter().filter(|(_, w)| *w >= HOT_FRACTION * total);
+        let rules = RuleSet::from_rules(hot, total);
+        self.server.set_generation(rules.fingerprint());
+        let queue = std::mem::take(&mut self.pending);
+        let oracle = InlineOracle::new(Arc::new(rules));
+        self.server.process_batch(self.program, &queue, &oracle, &OptConfig::default());
+        let (after, report) = (self.server.stats, &mut self.partials[phase]);
+        report.server_compiles = after.compiles - before.compiles;
+        report.evictions = after.evictions - before.evictions;
+        report.invalidations = after.entries_invalidated - before.entries_invalidated;
+        report.generation_bumps = after.generation_bumps - before.generation_bumps;
+    }
 }
 
 /// Runs the full phased fleet simulation and returns its report.
@@ -92,152 +214,101 @@ struct ReplicaOutcome {
 /// worker count — which CI asserts by byte-diffing `results/fleet.json`
 /// across `AOCI_JOBS` settings.
 pub fn run_fleet(cfg: &FleetConfig, pool: &JobPool) -> FleetReport {
+    run_fleet_timed(cfg, pool).0
+}
+
+/// [`run_fleet`] plus the pool's timing of the replica runs, which stays
+/// out of the byte-diffed report.
+pub fn run_fleet_timed(cfg: &FleetConfig, pool: &JobPool) -> (FleetReport, SweepStats) {
     let specs = suite();
     assert_eq!(specs.len(), TENANTS, "schedule tenant mixes cover the suite");
     let programs: Vec<Program> = specs.iter().map(|s| build(s).program).collect();
     let names: Vec<String> = specs.iter().map(|s| s.name.to_string()).collect();
-    let opt = OptConfig::default();
 
     let n = cfg.replicas.max(1);
-    let mut server = CompileServer::new(TENANTS, cfg.cache_capacity.max(1));
-    let mut fleet_profiles: Vec<SavedProfile> = (0..TENANTS).map(|_| SavedProfile::default()).collect();
-    let mut pending: Vec<Vec<MethodId>> = vec![Vec::new(); TENANTS];
-    let mut first_peak: Vec<Option<u64>> = vec![None; n];
-    let mut seen: Vec<bool> = vec![false; n];
-    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-    let mut phases: Vec<PhaseReport> = Vec::new();
-    let mut last_tenant_of = vec![0usize; n];
-
-    for (phase_idx, phase) in PHASES.iter().enumerate() {
-        let stats_before = server.stats;
-
-        // 1. Per-tenant rules generation + request-batch processing.
-        for t in 0..TENANTS {
-            if !fleet_profiles[t].traces.is_empty() {
-                let entries = fleet_profiles[t].entries();
-                let total: f64 = entries.iter().map(|(_, w)| *w).sum();
-                let hot = entries.into_iter().filter(|(_, w)| *w >= HOT_FRACTION * total);
-                let rules = RuleSet::from_rules(hot, total);
-                server.set_generation(t, rules.fingerprint());
-                let queue = std::mem::take(&mut pending[t]);
-                let oracle = InlineOracle::new(Arc::new(rules));
-                server.process_batch(t, &programs[t], &queue, &oracle, &opt);
-            }
+    let cache_capacity = cfg.cache_capacity.max(1);
+    let mut tenants: Vec<Tenant> = programs
+        .iter()
+        .map(|program| Tenant {
+            program,
+            serving: vec![Vec::new(); PHASES.len()],
+            server: CompileServer::new(cache_capacity),
+            profile: Arc::default(),
+            pending: Vec::new(),
+            partials: Vec::new(),
+            first_peaks: Vec::new(),
+        })
+        .collect();
+    let mut seen = vec![false; n];
+    for (p, phase) in PHASES.iter().enumerate() {
+        for (replica, seen) in seen.iter_mut().enumerate().take(active_count(phase, n)) {
+            let first = !std::mem::replace(seen, true);
+            tenants[tenant(cfg.seed, replica, p, n)].serving[p].push((replica, first));
         }
-
-        // 2. Snapshots replicas attach this phase.
-        let snapshots: Vec<_> = (0..TENANTS).map(|t| server.snapshot(t)).collect();
-        let profiles: Vec<Arc<SavedProfile>> =
-            fleet_profiles.iter().map(|p| Arc::new(p.clone())).collect();
-
-        // 3. Serve: every active replica runs to completion.
-        let active = active_count(phase, n);
-        let jobs: Vec<(usize, usize)> =
-            (0..active).map(|r| (r, tenant(cfg.seed, r, phase_idx, n))).collect();
-        let (results, _) = pool.run(jobs, |&(replica, t)| {
-            let snapshot = Arc::clone(&snapshots[t]);
-            let config = AosConfig::new(PolicyKind::Fixed { max: 3 })
-                .enable_compile_server_with(CompileServerConfig::new(snapshot));
-            let mut sys = AosSystem::new(&programs[t], config);
-            let warm = !profiles[t].traces.is_empty();
-            if warm {
-                sys.seed_profile(profiles[t].entries());
-            }
-            let out = sys.run_serving().expect("fleet workload run failed");
-            ReplicaOutcome {
-                replica,
-                tenant: t,
-                warm,
-                total_cycles: out.report.total_cycles(),
-                opt_compilations: u64::from(out.report.opt_compilations),
-                cycles_to_peak: cycles_to_peak(&out.report),
-                hits: out.server.hits,
-                misses: out.server.misses,
-                requests: out.server.requests,
-                hit_methods: out.server.hit_methods,
-                profile: SavedProfile::from_entries(out.profile.iter().map(|(k, w)| (k, *w)))
-                    .expect("suite method indices fit the u32 wire format"),
-            }
-        });
-
-        // 4. Fold, in canonical replica order.
-        let mut report = PhaseReport {
-            name: phase.name.to_string(),
-            active_replicas: active,
-            ..PhaseReport::default()
-        };
-        let mut new_profiles: Vec<Vec<SavedProfile>> = vec![Vec::new(); TENANTS];
-        for r in results {
-            let o = r.output;
-            server.touch(o.tenant, &o.hit_methods);
-            for m in o.requests {
-                if !pending[o.tenant].contains(&m) {
-                    pending[o.tenant].push(m);
-                    report.requests_batched += 1;
-                }
-            }
-            if !seen[o.replica] {
-                seen[o.replica] = true;
-                first_peak[o.replica] = Some(o.cycles_to_peak);
-                report.first_activations += 1;
-            }
-            last_tenant_of[o.replica] = o.tenant;
-            report.warm_starts += u64::from(o.warm);
-            report.cache_hits += o.hits;
-            report.cache_misses += o.misses;
-            report.total_cycles += o.total_cycles;
-            report.opt_compilations += o.opt_compilations;
-            new_profiles[o.tenant].push(o.profile);
-        }
-        for t in 0..TENANTS {
-            if !new_profiles[t].is_empty() {
-                fleet_profiles[t] = SavedProfile::merge(
-                    std::iter::once(&fleet_profiles[t]).chain(new_profiles[t].iter()),
-                );
-            }
-        }
-
-        let d = server.stats;
-        report.server_compiles = d.compiles - stats_before.compiles;
-        report.evictions = d.evictions - stats_before.evictions;
-        report.invalidations = d.entries_invalidated - stats_before.entries_invalidated;
-        report.generation_bumps = d.generation_bumps - stats_before.generation_bumps;
-
-        *counters.entry("fleet_replica_runs".to_string()).or_insert(0) += active as u64;
-        *counters.entry("fleet_warm_starts".to_string()).or_insert(0) += report.warm_starts;
-        *counters.entry("fleet_cold_starts".to_string()).or_insert(0) +=
-            active as u64 - report.warm_starts;
-        *counters.entry("replica_cache_hits".to_string()).or_insert(0) += report.cache_hits;
-        *counters.entry("replica_cache_misses".to_string()).or_insert(0) += report.cache_misses;
-        *counters.entry("requests_batched".to_string()).or_insert(0) += report.requests_batched;
-        phases.push(report);
     }
 
-    counters.insert("server_batches".to_string(), server.stats.batches);
-    counters.insert("server_compiles".to_string(), server.stats.compiles);
-    counters.insert("server_evictions".to_string(), server.stats.evictions);
-    counters.insert("server_generation_bumps".to_string(), server.stats.generation_bumps);
-    counters.insert("server_entries_invalidated".to_string(), server.stats.entries_invalidated);
+    // Every scheduled run is executed, also those that coincide today (two
+    // replicas on one tenant in one phase): DESIGN.md §15 says why.
+    let (tenants, stats) = pool.run_pipelines(tenants, Tenant::advance, serve);
+
+    let mut phases = Vec::with_capacity(PHASES.len());
+    for (p, phase) in PHASES.iter().enumerate() {
+        let sum = |f: fn(&PhaseReport) -> u64| tenants.iter().map(|t| f(&t.partials[p])).sum();
+        phases.push(PhaseReport {
+            name: phase.name.to_string(),
+            active_replicas: active_count(phase, n),
+            first_activations: tenants.iter().map(|t| t.partials[p].first_activations).sum(),
+            warm_starts: sum(|r| r.warm_starts),
+            cache_hits: sum(|r| r.cache_hits),
+            cache_misses: sum(|r| r.cache_misses),
+            requests_batched: sum(|r| r.requests_batched),
+            server_compiles: sum(|r| r.server_compiles),
+            evictions: sum(|r| r.evictions),
+            invalidations: sum(|r| r.invalidations),
+            generation_bumps: sum(|r| r.generation_bumps),
+            total_cycles: sum(|r| r.total_cycles),
+            opt_compilations: sum(|r| r.opt_compilations),
+        });
+    }
+
+    let sum = |f: fn(&PhaseReport) -> u64| phases.iter().map(f).sum::<u64>();
+    let server = |f: fn(&ServerStats) -> u64| tenants.iter().map(|t| f(&t.server.stats)).sum();
+    let counters = [
+        ("fleet_replica_runs", sum(|p| p.active_replicas as u64)),
+        ("fleet_warm_starts", sum(|p| p.warm_starts)),
+        ("fleet_cold_starts", sum(|p| p.active_replicas as u64 - p.warm_starts)),
+        ("replica_cache_hits", sum(|p| p.cache_hits)),
+        ("replica_cache_misses", sum(|p| p.cache_misses)),
+        ("requests_batched", sum(|p| p.requests_batched)),
+        ("server_batches", server(|s| s.batches)),
+        ("server_compiles", server(|s| s.compiles)),
+        ("server_evictions", server(|s| s.evictions)),
+        ("server_generation_bumps", server(|s| s.generation_bumps)),
+        ("server_entries_invalidated", server(|s| s.entries_invalidated)),
+    ];
+    let first_peaks = || tenants.iter().flat_map(|t| &t.first_peaks);
+    let first_peak = |replica| first_peaks().find(|p| p.0 == replica).map_or(0, |p| p.1);
 
     let warm_tenant = tenant(cfg.seed, 0, 0, n);
-    FleetReport {
+    let report = FleetReport {
         replicas: n,
-        cache_capacity: cfg.cache_capacity.max(1),
+        cache_capacity,
         seed: cfg.seed,
         workloads: names.clone(),
-        phases,
         warmup: WarmupReport {
             workload: names[warm_tenant].clone(),
             first_replica: 0,
             last_replica: n - 1,
-            cycles_to_peak_first: first_peak[0].unwrap_or(0),
-            cycles_to_peak_last: first_peak[n - 1].unwrap_or(0),
+            cycles_to_peak_first: first_peak(0),
+            cycles_to_peak_last: first_peak(n - 1),
         },
         merged_traces: names
             .iter()
-            .zip(&fleet_profiles)
-            .map(|(name, p)| (name.clone(), p.traces.len() as u64))
+            .zip(&tenants)
+            .map(|(name, t)| (name.clone(), t.profile.traces.len() as u64))
             .collect(),
-        counters,
-    }
+        counters: counters.into_iter().map(|(name, v)| (name.to_string(), v)).collect(),
+        phases,
+    };
+    (report, stats)
 }

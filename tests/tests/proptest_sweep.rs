@@ -95,4 +95,45 @@ proptest! {
         let echoed = JobPool::new(workers).map(jobs.clone(), |&j| j);
         prop_assert_eq!(echoed, jobs);
     }
+
+    /// Pipelines of dependent stages fold the same on any worker count as
+    /// a plain loop with no pool at all. The fold is order-sensitive and a
+    /// stage's jobs depend on everything folded before it, so outputs
+    /// handed over out of job order, a job run twice or never, or a stage
+    /// started early would all change the result.
+    #[test]
+    fn pipelines_fold_like_the_serial_loop(
+        shapes in prop::collection::vec(prop::collection::vec(0usize..6, 0..5), 0..5),
+        workers in 1usize..9,
+    ) {
+        // A pipeline's state: (jobs per stage, stages yielded, running hash).
+        type Chain = (Vec<usize>, usize, u64);
+        let advance = |c: &mut Chain, outputs: Vec<u64>| {
+            for o in outputs {
+                c.2 = c.2.wrapping_mul(0x0100_0000_01B3) ^ o;
+            }
+            let jobs = *c.0.get(c.1)? as u64;
+            c.1 += 1;
+            Some((0..jobs).map(|j| c.2.wrapping_add(j)).collect::<Vec<u64>>())
+        };
+        // Uneven yields, so a stage's jobs do not finish in claim order.
+        let job = |j: u64| {
+            (0..j % 4).for_each(|_| std::thread::yield_now());
+            j.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17)
+        };
+        let chains = || shapes.iter().enumerate().map(|(p, s)| (s.clone(), 0, p as u64));
+
+        let serial: Vec<u64> = chains()
+            .map(|mut c| {
+                let mut outputs = Vec::new();
+                while let Some(jobs) = advance(&mut c, outputs) {
+                    outputs = jobs.into_iter().map(job).collect();
+                }
+                c.2
+            })
+            .collect();
+        let (done, stats) = JobPool::new(workers).run_pipelines(chains().collect(), advance, job);
+        prop_assert_eq!(done.into_iter().map(|c| c.2).collect::<Vec<_>>(), serial);
+        prop_assert_eq!(stats.jobs, shapes.iter().flatten().sum::<usize>());
+    }
 }
