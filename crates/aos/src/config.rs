@@ -82,16 +82,11 @@ pub struct AsyncCompileConfig {
     /// evicts the lowest-priority resident (or is itself dropped when it
     /// *is* the lowest) — the backpressure counter records either way.
     pub queue_capacity: usize,
-    /// Degenerate mode: every dispatched compile completes at dispatch,
-    /// with its full cost charged as foreground stall. With one worker this
-    /// reproduces legacy synchronous metrics bit-identically (the
-    /// degenerate-equivalence oracle asserts it).
-    pub zero_latency: bool,
 }
 
 impl Default for AsyncCompileConfig {
     fn default() -> Self {
-        AsyncCompileConfig { workers: 2, queue_capacity: 16, zero_latency: false }
+        AsyncCompileConfig { workers: 2, queue_capacity: 16 }
     }
 }
 
@@ -177,13 +172,6 @@ pub struct AosConfig {
     /// Upper bound on optimizing recompilations of a single method
     /// (bounds recompilation churn from the missing-edge organizer).
     pub max_recompiles_per_method: u32,
-    /// Upper bound on compilations *started* per epoch tick. In legacy
-    /// synchronous mode this caps the stop-the-world pause a burst of hot
-    /// methods can charge to one tick (leftover plans stay queued for the
-    /// next); in async mode it caps dispatches per pump. The default
-    /// (`u32::MAX`) preserves the historical drain-everything behaviour
-    /// byte-identically.
-    pub max_compiles_per_epoch: u32,
     /// Inliner budgets.
     pub opt: OptConfig,
     /// Adaptive-resolving policy tunables.
@@ -247,7 +235,6 @@ impl AosConfig {
             decay_factor: 0.95,
             missing_edge_period_samples: 24,
             max_recompiles_per_method: 4,
-            max_compiles_per_epoch: u32::MAX,
             opt: OptConfig::default(),
             adaptive: AdaptiveConfig::default(),
             dcg: DcgConfig::default(),
@@ -340,7 +327,7 @@ impl AosConfig {
     }
 
     /// Enables asynchronous background compilation with explicit tunables
-    /// (worker count, queue capacity, zero-latency degenerate mode).
+    /// (worker count, queue capacity).
     pub fn enable_async_compile_with(mut self, async_compile: AsyncCompileConfig) -> Self {
         self.async_compile = Some(async_compile);
         self

@@ -3,7 +3,7 @@
 
 use aoci_ir::{CallSiteRef, MethodId};
 use aoci_opt::{Compilation, InlineDecision, Refusal};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// One optimizing compilation, as logged by the database.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -23,6 +23,25 @@ pub struct CompilationRecord {
     pub cycle: u64,
 }
 
+/// What the database holds about one method, at `MethodId::index()` of
+/// `AosDatabase::records`.
+#[derive(Clone, Debug, Default)]
+struct MethodRecord {
+    /// Inlined callees in the method's current optimized version.
+    inlined: HashSet<(CallSiteRef, MethodId)>,
+    /// Number of optimizing compilations so far.
+    recompiles: u32,
+    /// The AI-organizer generation the current version was compiled at
+    /// (used to detect rules that became hot afterwards).
+    compiled_generation: Option<u64>,
+    /// The optimized version was invalidated and not yet replaced:
+    /// compiled at least once, but *not currently* optimized — the
+    /// hot-methods organizer may select the method again.
+    invalidated: bool,
+    /// How many times the method's optimized code has been invalidated.
+    invalidations: u32,
+}
+
 /// Records compilation history: which methods are optimized, which call
 /// edges each compilation inlined, and which edges the compiler *refused*
 /// to inline.
@@ -34,13 +53,9 @@ pub struct CompilationRecord {
 pub struct AosDatabase {
     /// Hot refusals: edges the compiler declined while they were hot.
     refused: HashSet<(CallSiteRef, MethodId)>,
-    /// Per method: inlined callees in its current optimized version.
-    inlined: HashMap<MethodId, HashSet<(CallSiteRef, MethodId)>>,
-    /// Per method: number of optimizing compilations so far.
-    recompiles: HashMap<MethodId, u32>,
-    /// Per method: the AI-organizer generation its current version was
-    /// compiled at (used to detect rules that became hot afterwards).
-    compiled_generation: HashMap<MethodId, u64>,
+    /// Per-method state, grown on demand: a method past the end has the
+    /// default record (never compiled, never invalidated).
+    records: Vec<MethodRecord>,
     /// All inline decisions ever made (analysis / reporting).
     decision_log: Vec<(MethodId, InlineDecision)>,
     /// All refusals ever recorded.
@@ -53,18 +68,23 @@ pub struct AosDatabase {
     /// inline, or the context intersection blocked it). The missing-edge
     /// organizer skips these to avoid recompilation churn.
     unrealized: HashSet<(MethodId, CallSiteRef, MethodId)>,
-    /// Methods whose optimized version was invalidated and not yet
-    /// replaced: compiled at least once, but *not currently* optimized —
-    /// the hot-methods organizer may select them again.
-    invalidated: HashSet<MethodId>,
-    /// Per method: how many times its optimized code has been invalidated.
-    invalidation_counts: HashMap<MethodId, u32>,
 }
 
 impl AosDatabase {
     /// Creates an empty database.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    fn record(&self, method: MethodId) -> Option<&MethodRecord> {
+        self.records.get(method.index())
+    }
+
+    fn record_mut(&mut self, method: MethodId) -> &mut MethodRecord {
+        if self.records.len() <= method.index() {
+            self.records.resize_with(method.index() + 1, MethodRecord::default);
+        }
+        &mut self.records[method.index()]
     }
 
     /// Records the outcome of an optimizing compilation of `method`
@@ -77,9 +97,6 @@ impl AosDatabase {
         ai_generation: u64,
         cycle: u64,
     ) {
-        *self.recompiles.entry(method).or_insert(0) += 1;
-        self.invalidated.remove(&method);
-        self.compiled_generation.insert(method, ai_generation);
         self.compilation_log.push(CompilationRecord {
             method,
             generated_size: compilation.generated_size,
@@ -87,15 +104,18 @@ impl AosDatabase {
             guarded: compilation.guarded_count() as u32,
             cycle,
         });
-        let entry = self.inlined.entry(method).or_default();
-        entry.clear();
+        let record = self.record_mut(method);
+        record.recompiles += 1;
+        record.invalidated = false;
+        record.compiled_generation = Some(ai_generation);
+        record.inlined.clear();
         for d in &compilation.decisions {
             // The emitter always seeds a decision's context with its own
             // call site, but the database must not trust that invariant: a
             // malformed record (e.g. a compiler bug or a hand-built
             // compilation) is skipped, not a panic that takes the run down.
             let Some(&site) = d.context.first() else { continue };
-            entry.insert((site, d.callee));
+            self.records[method.index()].inlined.insert((site, d.callee));
             self.decision_log.push((method, d.clone()));
         }
         for r in &compilation.refusals {
@@ -114,42 +134,35 @@ impl AosDatabase {
     /// Returns `true` if `method`'s current optimized version inlines
     /// `callee` at `site`.
     pub fn has_inlined(&self, method: MethodId, site: CallSiteRef, callee: MethodId) -> bool {
-        self.inlined
-            .get(&method)
-            .is_some_and(|s| s.contains(&(site, callee)))
+        self.record(method).is_some_and(|r| r.inlined.contains(&(site, callee)))
     }
 
     /// Returns `true` if `method`'s current optimized version inlines
     /// `callee` at any site.
     pub fn inlines_method(&self, method: MethodId, callee: MethodId) -> bool {
-        self.inlined
-            .get(&method)
-            .is_some_and(|s| s.iter().any(|&(_, c)| c == callee))
+        self.record(method).is_some_and(|r| r.inlined.iter().any(|&(_, c)| c == callee))
     }
 
     /// The AI-organizer generation `method` was last compiled at, if it has
     /// been optimize-compiled.
     pub fn compiled_generation(&self, method: MethodId) -> Option<u64> {
-        self.compiled_generation.get(&method).copied()
+        self.record(method).and_then(|r| r.compiled_generation)
     }
 
     /// Number of optimizing compilations of `method`.
     pub fn recompiles(&self, method: MethodId) -> u32 {
-        self.recompiles.get(&method).copied().unwrap_or(0)
+        self.record(method).map_or(0, |r| r.recompiles)
     }
 
     /// Returns `true` if `method` *currently* holds an optimized version:
     /// compiled at least once and not since invalidated.
     pub fn is_optimized(&self, method: MethodId) -> bool {
-        self.recompiles(method) > 0 && !self.invalidated.contains(&method)
+        self.record(method).is_some_and(|r| r.recompiles > 0 && !r.invalidated)
     }
 
-    /// Methods currently holding an optimized version.
+    /// Methods currently holding an optimized version, in index order.
     pub fn optimized_methods(&self) -> impl Iterator<Item = MethodId> + '_ {
-        self.recompiles
-            .keys()
-            .copied()
-            .filter(|m| !self.invalidated.contains(m))
+        (0..self.records.len()).map(MethodId::from_index).filter(|&m| self.is_optimized(m))
     }
 
     /// Records that `method`'s optimized version was invalidated (guard
@@ -157,14 +170,15 @@ impl AosDatabase {
     /// optimized, so the hot-methods organizer may select it for a fresh
     /// compilation; its cumulative compilation history is preserved.
     pub fn record_invalidation(&mut self, method: MethodId) {
-        self.inlined.remove(&method);
-        self.invalidated.insert(method);
-        *self.invalidation_counts.entry(method).or_insert(0) += 1;
+        let record = self.record_mut(method);
+        record.inlined.clear();
+        record.invalidated = true;
+        record.invalidations += 1;
     }
 
     /// How many times `method`'s optimized code has been invalidated.
     pub fn times_invalidated(&self, method: MethodId) -> u32 {
-        self.invalidation_counts.get(&method).copied().unwrap_or(0)
+        self.record(method).map_or(0, |r| r.invalidations)
     }
 
     /// Full decision log, in compilation order.

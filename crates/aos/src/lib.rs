@@ -35,7 +35,7 @@
 //! quarantined after repeated failures), and malformed profile traces are
 //! rejected at the store boundary.
 //!
-//! A **flight recorder** ([`AosConfig::with_trace`], `aoci-trace`) captures
+//! A **flight recorder** ([`AosConfig::enable_trace`], `aoci-trace`) captures
 //! every layer's activity — sampler ticks, trace walks, promotions,
 //! per-candidate inlining decisions with full provenance, installs,
 //! invalidations, OSR transitions, injected faults — as typed events
@@ -84,4 +84,4 @@ pub use fault::{CompileFault, FaultConfig, FaultInjector, InjectedFaults, TraceC
 pub use aoci_telemetry::{MetricsConfig, MetricsLog};
 pub use aoci_trace::{TraceConfig, TraceEvent, TraceLog};
 pub use report::{AosReport, AsyncCompileEvents, OsrEvents, RecoveryEvents};
-pub use system::{AosSystem, FullRunResult, OsrOutcome, ServerEvents, ServingOutcome};
+pub use system::{AosSystem, FullRunResult, ServerEvents, ServingOutcome};

@@ -3,7 +3,6 @@
 //! written `aoci-json` conversions for persisting a report.
 
 use crate::database::CompilationRecord;
-use aoci_ir::MethodId;
 use aoci_json::Value as Json;
 use aoci_profile::TraceStatsReport;
 use aoci_telemetry::MetricsLog;
@@ -73,26 +72,6 @@ impl RecoveryEvents {
             ),
         ])
     }
-
-    /// Inverse of [`RecoveryEvents::to_value`]; `None` on shape mismatch.
-    pub fn from_value(v: &Json) -> Option<Self> {
-        Some(RecoveryEvents {
-            invalidations: v.get("invalidations")?.as_u64()?,
-            compile_retries: v.get("compile_retries")?.as_u64()?,
-            quarantined_methods: v.get("quarantined_methods")?.as_u64()?,
-            rejected_traces: v.get("rejected_traces")?.as_u64()?,
-            injected_compile_faults: v.get("injected_compile_faults")?.as_u64()?,
-            injected_corrupt_traces: v.get("injected_corrupt_traces")?.as_u64()?,
-            dropped_samples: v.get("dropped_samples")?.as_u64()?,
-            receiver_bursts: v.get("receiver_bursts")?.as_u64()?,
-            trace_dump: v
-                .get("trace_dump")?
-                .as_arr()?
-                .iter()
-                .map(|s| s.as_str().map(str::to_string))
-                .collect::<Option<Vec<String>>>()?,
-        })
-    }
 }
 
 /// On-stack-replacement activity of a run: what the VM asked for, what the
@@ -154,23 +133,6 @@ impl OsrEvents {
         }
         Json::obj(fields)
     }
-
-    /// Inverse of [`OsrEvents::to_value`]; `None` on shape mismatch. The
-    /// deoptless dispatch counters default to zero when absent, so reports
-    /// written before dispatched OSR existed still parse.
-    pub fn from_value(v: &Json) -> Option<Self> {
-        let opt = |name: &str| v.get(name).map_or(Some(0), Json::as_u64);
-        Some(OsrEvents {
-            requests: v.get("requests")?.as_u64()?,
-            denied: v.get("denied")?.as_u64()?,
-            entries: v.get("entries")?.as_u64()?,
-            exits: v.get("exits")?.as_u64()?,
-            dispatched_transfers: opt("dispatched_transfers")?,
-            falls_no_version: opt("falls_no_version")?,
-            falls_incompatible: opt("falls_incompatible")?,
-            falls_rearmed: opt("falls_rearmed")?,
-        })
-    }
 }
 
 /// Background-compilation activity of a run: queue traffic, staleness
@@ -217,21 +179,6 @@ impl AsyncCompileEvents {
             ("background_overlap_cycles".to_string(), Json::from(self.background_overlap_cycles)),
             ("foreground_stall_cycles".to_string(), Json::from(self.foreground_stall_cycles)),
         ])
-    }
-
-    /// Inverse of [`AsyncCompileEvents::to_value`]; `None` on shape mismatch.
-    pub fn from_value(v: &Json) -> Option<Self> {
-        Some(AsyncCompileEvents {
-            enqueued: v.get("enqueued")?.as_u64()?,
-            dispatched: v.get("dispatched")?.as_u64()?,
-            completed: v.get("completed")?.as_u64()?,
-            stale_drops: v.get("stale_drops")?.as_u64()?,
-            queue_full_drops: v.get("queue_full_drops")?.as_u64()?,
-            abandoned_in_flight: v.get("abandoned_in_flight")?.as_u64()?,
-            max_queue_depth: v.get("max_queue_depth")?.as_u64()?,
-            background_overlap_cycles: v.get("background_overlap_cycles")?.as_u64()?,
-            foreground_stall_cycles: v.get("foreground_stall_cycles")?.as_u64()?,
-        })
     }
 }
 
@@ -328,10 +275,9 @@ impl AosReport {
 
     /// Serializes the report to an `aoci-json` object.
     ///
-    /// Two fields do not round-trip exactly: a [`Value::Ref`] result (a
-    /// heap reference has no meaning outside its run — it deserializes as
-    /// `None`) and [`AosReport::trace_log`] (exported through its own
-    /// sinks; deserializes as `None`). Everything else is exact.
+    /// A [`Value::Ref`] result keeps only its kind (a heap reference has no
+    /// meaning outside its run); [`AosReport::trace_log`] and
+    /// [`AosReport::telemetry`] are exported through their own sinks.
     pub fn to_value(&self) -> Json {
         let result = match &self.result {
             None => Json::Null,
@@ -408,83 +354,12 @@ impl AosReport {
             ("async_compile".to_string(), self.async_compile.to_value()),
         ])
     }
-
-    /// Inverse of [`AosReport::to_value`]; `None` on shape mismatch. The
-    /// rebuilt clock recharges every component, so totals and fractions
-    /// match the original exactly.
-    pub fn from_value(v: &Json) -> Option<Self> {
-        let result = match v.get("result")? {
-            Json::Null => None,
-            r => match r.get("kind")?.as_str()? {
-                "null" => Some(Value::Null),
-                "int" => Some(Value::Int(r.get("value")?.as_i64()?)),
-                "ref" => None, // heap references do not survive the run
-                _ => return None,
-            },
-        };
-        let clock_obj = v.get("clock")?;
-        let mut clock = Clock::new();
-        for &c in COMPONENTS.iter() {
-            clock.charge(c, clock_obj.get(&c.to_string())?.as_u64()?);
-        }
-        let co = v.get("counters")?;
-        let counters = ExecCounters {
-            calls: co.get("calls")?.as_u64()?,
-            virtual_dispatches: co.get("virtual_dispatches")?.as_u64()?,
-            guard_checks: co.get("guard_checks")?.as_u64()?,
-            guard_misses: co.get("guard_misses")?.as_u64()?,
-            osr_entries: co.get("osr_entries")?.as_u64()?,
-            osr_exits: co.get("osr_exits")?.as_u64()?,
-        };
-        let st = v.get("trace_stats")?;
-        let trace_stats = TraceStatsReport {
-            samples: st.get("samples")?.as_u64()?,
-            immediately_parameterless: st.get("immediately_parameterless")?.as_f64()?,
-            parameterless_within_5: st.get("parameterless_within_5")?.as_f64()?,
-            class_method_within_2: st.get("class_method_within_2")?.as_f64()?,
-            large_at_or_beyond_4: st.get("large_at_or_beyond_4")?.as_f64()?,
-        };
-        let compilations = v
-            .get("compilations")?
-            .as_arr()?
-            .iter()
-            .map(|c| {
-                Some(CompilationRecord {
-                    method: MethodId::from_index(c.get("method")?.as_u64()? as usize),
-                    generated_size: c.get("generated_size")?.as_u64()? as u32,
-                    inlines: c.get("inlines")?.as_u64()? as u32,
-                    guarded: c.get("guarded")?.as_u64()? as u32,
-                    cycle: c.get("cycle")?.as_u64()?,
-                })
-            })
-            .collect::<Option<Vec<CompilationRecord>>>()?;
-        Some(AosReport {
-            result,
-            clock,
-            optimized_code_size: v.get("optimized_code_size")?.as_u64()?,
-            current_optimized_size: v.get("current_optimized_size")?.as_u64()?,
-            opt_compilations: v.get("opt_compilations")?.as_u64()? as u32,
-            baseline_compilations: v.get("baseline_compilations")?.as_u64()? as u32,
-            samples: v.get("samples")?.as_u64()?,
-            traces_recorded: v.get("traces_recorded")?.as_u64()?,
-            frames_walked: v.get("frames_walked")?.as_u64()?,
-            dcg_entries: v.get("dcg_entries")?.as_u64()? as usize,
-            final_rules: v.get("final_rules")?.as_u64()? as usize,
-            trace_stats,
-            counters,
-            compilations,
-            recovery: RecoveryEvents::from_value(v.get("recovery")?)?,
-            osr: OsrEvents::from_value(v.get("osr")?)?,
-            async_compile: AsyncCompileEvents::from_value(v.get("async_compile")?)?,
-            trace_log: None,
-            telemetry: None,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aoci_ir::MethodId;
 
     fn populated_report() -> AosReport {
         let mut clock = Clock::new();
@@ -550,13 +425,13 @@ mod tests {
                 ],
             },
             osr: OsrEvents {
-                requests: 9,
-                denied: 3,
-                entries: 2,
-                exits: 1,
-                dispatched_transfers: 4,
-                falls_no_version: 2,
-                falls_incompatible: 1,
+                requests: 17,
+                denied: 5,
+                entries: 9,
+                exits: 3,
+                dispatched_transfers: 6,
+                falls_no_version: 4,
+                falls_incompatible: 2,
                 falls_rearmed: 1,
             },
             async_compile: AsyncCompileEvents {
@@ -565,7 +440,7 @@ mod tests {
                 completed: 8,
                 stale_drops: 2,
                 queue_full_drops: 1,
-                abandoned_in_flight: 1,
+                abandoned_in_flight: 3,
                 max_queue_depth: 5,
                 background_overlap_cycles: 700,
                 foreground_stall_cycles: 300,
@@ -611,32 +486,6 @@ mod tests {
         assert_eq!(ev.total_actions(), 0);
         assert_eq!(ev.total_injected(), 0);
         assert!(ev.trace_dump.is_empty());
-        let back = RecoveryEvents::from_value(&ev.to_value()).unwrap();
-        assert_eq!(back, ev);
-    }
-
-    #[test]
-    fn osr_events_round_trip_field_by_field() {
-        let ev = OsrEvents {
-            requests: 17,
-            denied: 5,
-            entries: 9,
-            exits: 3,
-            dispatched_transfers: 6,
-            falls_no_version: 4,
-            falls_incompatible: 2,
-            falls_rearmed: 1,
-        };
-        let back = OsrEvents::from_value(&ev.to_value()).expect("shape must match");
-        assert_eq!(back.requests, ev.requests);
-        assert_eq!(back.denied, ev.denied);
-        assert_eq!(back.entries, ev.entries);
-        assert_eq!(back.exits, ev.exits);
-        assert_eq!(back.dispatched_transfers, ev.dispatched_transfers);
-        assert_eq!(back.falls_no_version, ev.falls_no_version);
-        assert_eq!(back.falls_incompatible, ev.falls_incompatible);
-        assert_eq!(back.falls_rearmed, ev.falls_rearmed);
-        assert_eq!(back, ev);
     }
 
     #[test]
@@ -648,62 +497,109 @@ mod tests {
         let text = aoci_json::to_string_pretty(&ev.to_value());
         assert!(!text.contains("dispatched_transfers"), "unexpected new key in {text}");
         assert!(!text.contains("falls_"), "unexpected new key in {text}");
-        // And a pre-deoptless report (no dispatch keys at all) still parses,
-        // with the counters defaulting to zero.
-        let legacy = aoci_json::parse(&text).expect("must parse");
-        let back = OsrEvents::from_value(&legacy).expect("legacy shape must match");
-        assert_eq!(back, ev);
-        assert_eq!(back.dispatched_transfers, 0);
     }
 
+    /// Every field, written under its name: the values of one object are
+    /// pairwise distinct, so no two can trade places unnoticed.
     #[test]
-    fn report_round_trips_through_json_text() {
-        let report = populated_report();
-        let text = aoci_json::to_string_pretty(&report.to_value());
-        let parsed = aoci_json::parse(&text).expect("serialized report must parse");
-        let back = AosReport::from_value(&parsed).expect("shape must match");
-
-        // Field by field: every metric survives the text round-trip.
-        assert_eq!(back.result, report.result);
-        for &c in COMPONENTS.iter() {
-            assert_eq!(back.clock.component(c), report.clock.component(c), "{c}");
-        }
-        assert_eq!(back.clock.total(), report.clock.total());
-        assert_eq!(back.optimized_code_size, report.optimized_code_size);
-        assert_eq!(back.current_optimized_size, report.current_optimized_size);
-        assert_eq!(back.opt_compilations, report.opt_compilations);
-        assert_eq!(back.baseline_compilations, report.baseline_compilations);
-        assert_eq!(back.samples, report.samples);
-        assert_eq!(back.traces_recorded, report.traces_recorded);
-        assert_eq!(back.frames_walked, report.frames_walked);
-        assert_eq!(back.dcg_entries, report.dcg_entries);
-        assert_eq!(back.final_rules, report.final_rules);
-        assert_eq!(back.trace_stats, report.trace_stats);
-        assert_eq!(back.counters, report.counters);
-        assert_eq!(back.compilations, report.compilations);
-        assert_eq!(back.recovery, report.recovery);
-        assert_eq!(back.osr, report.osr);
-        assert_eq!(back.async_compile, report.async_compile);
-        assert!(back.trace_log.is_none());
-        assert!(back.telemetry.is_none());
-
-        // And the derived metrics agree.
-        assert_eq!(back.total_cycles(), report.total_cycles());
-        assert_eq!(back.aos_overhead(), report.aos_overhead());
-        assert!((back.guard_miss_rate() - report.guard_miss_rate()).abs() < 1e-15);
+    fn to_value_is_the_committed_text() {
+        let text = aoci_json::to_string_pretty(&populated_report().to_value());
+        assert_eq!(text, EXPECTED_TEXT);
     }
 
-    #[test]
-    fn from_value_rejects_malformed_shapes() {
-        let report = populated_report();
-        let mut v = report.to_value();
-        if let Json::Obj(map) = &mut v {
-            map.remove("counters");
-        }
-        assert!(AosReport::from_value(&v).is_none());
-        assert!(AosReport::from_value(&Json::Null).is_none());
-        assert!(RecoveryEvents::from_value(&Json::from("nope")).is_none());
-        assert!(OsrEvents::from_value(&Json::Arr(Vec::new())).is_none());
-        assert!(AsyncCompileEvents::from_value(&Json::from(3u64)).is_none());
+    const EXPECTED_TEXT: &str = r##"{
+  "async_compile": {
+    "abandoned_in_flight": 3,
+    "background_overlap_cycles": 700,
+    "completed": 8,
+    "dispatched": 9,
+    "enqueued": 11,
+    "foreground_stall_cycles": 300,
+    "max_queue_depth": 5,
+    "queue_full_drops": 1,
+    "stale_drops": 2
+  },
+  "baseline_compilations": 7,
+  "clock": {
+    "AIOrganizer": 0,
+    "AOS Listeners": 0,
+    "App(baseline)": 0,
+    "App(optimized)": 900,
+    "BaselineCompilation": 0,
+    "CompilationThread": 100,
+    "ControllerThread": 0,
+    "DecayOrganizer": 0,
+    "MethodSampleOrganizer": 0,
+    "MissingEdgeOrganizer": 0,
+    "OSR": 25,
+    "Recovery": 40
+  },
+  "compilations": [
+    {
+      "cycle": 10500,
+      "generated_size": 120,
+      "guarded": 1,
+      "inlines": 3,
+      "method": 4
+    },
+    {
+      "cycle": 42000,
+      "generated_size": 60,
+      "guarded": 0,
+      "inlines": 0,
+      "method": 9
     }
+  ],
+  "counters": {
+    "calls": 1000,
+    "guard_checks": 64,
+    "guard_misses": 9,
+    "osr_entries": 2,
+    "osr_exits": 1,
+    "virtual_dispatches": 400
+  },
+  "current_optimized_size": 180,
+  "dcg_entries": 12,
+  "final_rules": 4,
+  "frames_walked": 96,
+  "opt_compilations": 3,
+  "optimized_code_size": 310,
+  "osr": {
+    "denied": 5,
+    "dispatched_transfers": 6,
+    "entries": 9,
+    "exits": 3,
+    "falls_incompatible": 2,
+    "falls_no_version": 4,
+    "falls_rearmed": 1,
+    "requests": 17
+  },
+  "recovery": {
+    "compile_retries": 3,
+    "dropped_samples": 7,
+    "injected_compile_faults": 5,
+    "injected_corrupt_traces": 6,
+    "invalidations": 2,
+    "quarantined_methods": 1,
+    "receiver_bursts": 8,
+    "rejected_traces": 4,
+    "trace_dump": [
+      "#10 @900 invalidate method=\"hot\"",
+      "#11 @940 quarantine method=\"hot\""
+    ]
+  },
+  "result": {
+    "kind": "int",
+    "value": -42
+  },
+  "samples": 55,
+  "trace_stats": {
+    "class_method_within_2": 0.5,
+    "immediately_parameterless": 0.25,
+    "large_at_or_beyond_4": 0.125,
+    "parameterless_within_5": 0.75,
+    "samples": 31
+  },
+  "traces_recorded": 31
+}"##;
 }

@@ -1,24 +1,23 @@
 //! The AOS driver: the online feedback loop of paper Figure 3.
 
-use crate::config::{AosConfig, RecoveryConfig};
+use crate::config::AosConfig;
 use crate::database::AosDatabase;
-use crate::fault::{CompileFault, FaultInjector, TraceCorruption};
+use crate::fault::FaultInjector;
 use crate::report::{AosReport, AsyncCompileEvents, OsrEvents, RecoveryEvents};
-use aoci_core::{InlineOracle, PolicyEngine, RuleSet};
-use aoci_ir::{CallSiteRef, MethodId, Program, SiteIdx};
+use aoci_core::{PolicyEngine, RuleSet};
+use aoci_ir::{CallSiteRef, MethodId, Program};
 use aoci_profile::{
     validate_trace, CallingContextTree, Dcg, MethodListener, ProfileStore, TraceKey,
     TraceListener, TraceStatsCollector,
 };
-use aoci_telemetry::{MetricsLog, MetricsSink};
-use aoci_trace::{
-    FaultKind, OsrDenyReason, PlanReason, Recorded, StaleReason, TraceEvent, TraceLog, TraceSink,
-};
+use aoci_telemetry::MetricsSink;
+use aoci_trace::{FaultKind, PlanReason, Recorded, TraceEvent, TraceLog, TraceSink};
 use aoci_vm::{
-    Component, ContextFingerprint, MethodGuardStats, MethodVersion, OptLevel, OsrRequest,
-    RunOutcome, StackSnapshot, VersionId, VersionKey, Vm, VmError, COMPONENTS,
+    Component, ContextFingerprint, MethodGuardStats, RunOutcome, StackSnapshot, Vm, VmError,
+    COMPONENTS,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::cmp::Ordering;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Everything a finished run yields: the report, the final AOS database,
@@ -55,63 +54,46 @@ pub struct ServingOutcome {
     pub server: ServerEvents,
 }
 
-/// The resolution of one OSR promotion request, returned by
-/// [`AosSystem::dispatch_osr`] — the single entry point every OSR path
-/// (enter the installed version, enter a context-specialized surviving
-/// version, compile-and-enter, deny) flows through.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OsrOutcome {
-    /// The activation entered the already-installed optimized version.
-    Entered {
-        /// The version the frame transferred into.
-        version: VersionId,
-    },
-    /// Deoptless mode: the activation entered a surviving version
-    /// specialized for its observed calling context (a non-root
-    /// [`VersionKey`]) rather than the generic installed one.
-    EnteredSpecialized {
-        /// The context-specialized version the frame transferred into.
-        version: VersionId,
-    },
-    /// A fresh compilation was installed and the activation entered it.
-    CompiledAndEntered {
-        /// The just-installed version the frame transferred into.
-        version: VersionId,
-    },
-    /// The request was denied; the activation keeps running baseline.
-    Denied(OsrDenyReason),
-}
-
-/// A compilation plan waiting in the asynchronous priority queue.
+/// A compilation plan waiting for the compilation thread.
 #[derive(Clone, Debug)]
 struct PendingPlan {
     method: MethodId,
     reason: PlanReason,
-    /// Predicted benefit ([`aoci_opt::estimate_benefit`]) under the rules
-    /// current at enqueue time; higher runs first.
+    /// Background scheduler: predicted benefit
+    /// ([`aoci_opt::estimate_benefit_in_context`]) under the rules current
+    /// at enqueue time; higher runs first. The foreground scheduler is FIFO
+    /// and leaves its plans unpriced.
     priority: f64,
-    /// Staleness baseline: the plan is dropped at dequeue if the method was
-    /// recompiled through another path (e.g. OSR) while it waited.
+    /// Staleness baseline: a background plan is dropped at dequeue if the
+    /// method was recompiled through another path (e.g. OSR) while it
+    /// waited.
     recompiles_at_enqueue: u32,
 }
 
 /// `Greater` means `a` dispatches first: higher predicted benefit, ties
 /// broken toward the lower method id (so the order is total and
 /// deterministic — `total_cmp` keeps even NaN priorities ordered).
-fn plan_order(a: &PendingPlan, b: &PendingPlan) -> std::cmp::Ordering {
+fn plan_order(a: &PendingPlan, b: &PendingPlan) -> Ordering {
     a.priority
         .total_cmp(&b.priority)
         .then_with(|| b.method.index().cmp(&a.method.index()))
 }
 
-/// What a dispatched background compile will deliver at its deadline.
+/// Finished compiler work for one method, between [`AosSystem::build`] and
+/// [`AosSystem::land`]; how `cost` is charged is the scheduler's business.
 #[derive(Debug)]
-enum CompileOutcome {
-    /// The optimizing compiler produced installable code.
-    Built(Box<aoci_opt::Compilation>),
-    /// An injected fault discarded the work; failure bookkeeping (retry
-    /// backoff or quarantine) applies at completion.
-    Faulted,
+struct Built {
+    method: MethodId,
+    /// Installable code, or the injected fault that discarded the work.
+    outcome: Result<Box<aoci_opt::Compilation>, FaultKind>,
+    cost: u64,
+    /// The AI state the compiler ran against: unrealized-rule marking at
+    /// install must use the rules the compiler saw, not the (possibly
+    /// regenerated) rules current when a background compile completes.
+    rules: Arc<RuleSet>,
+    generation: u64,
+    /// The context fingerprint the version installs under.
+    key: ContextFingerprint,
 }
 
 /// A compile occupying a simulated worker between dispatch and completion.
@@ -120,25 +102,40 @@ enum CompileOutcome {
 /// bookkeeping — wait for the deadline.
 #[derive(Debug)]
 struct InFlightCompile {
-    method: MethodId,
+    built: Built,
     worker: u32,
     started_at: u64,
-    /// `started_at + cost` (or `started_at` in zero-latency mode): the
-    /// virtual-clock cycle at which the compile completes.
+    /// `started_at + built.cost`: the virtual-clock cycle at which the
+    /// compile completes.
     deadline: u64,
-    cost: u64,
-    outcome: CompileOutcome,
     /// Staleness baseline for completion revalidation: if the method was
     /// recompiled while this compile ran, the result is stale and dropped.
     recompiles_at_dispatch: u32,
-    /// The oracle snapshot the compiler ran against; unrealized-rule
-    /// marking at install must use the rules the compiler saw, not the
-    /// (possibly regenerated) rules current at completion.
-    rules_at_dispatch: Arc<RuleSet>,
-    generation_at_dispatch: u64,
-    /// The calling context the compile was specialized for (empty outside
-    /// deoptless mode); the install is keyed by its fingerprint.
-    context: Vec<CallSiteRef>,
+}
+
+/// Driver-side state of one method, at `MethodId::index()` of
+/// `AosSystem::methods`.
+#[derive(Clone, Debug, Default)]
+struct MethodState {
+    /// Method-listener samples accumulated so far.
+    samples: u32,
+    /// The method has a live plan: waiting in the queue or — under the
+    /// background scheduler — in flight on a worker.
+    queued: bool,
+    /// Blocked from optimizing compilation for the rest of the run.
+    quarantined: bool,
+    /// Guard counters at the start of the current observation window
+    /// (reset at install and at invalidation).
+    guard_window_start: MethodGuardStats,
+    /// Synthetic guard misses delivered by receiver bursts, folded into the
+    /// window on top of the VM's organic counters.
+    synthetic_misses: u64,
+    /// Consecutive failed compilations (cleared on success).
+    compile_failures: u32,
+    /// Consecutive guard-thrash invalidations (cleared by a healthy
+    /// observation window); reaching the quarantine limit blocks the method
+    /// instead of letting it cycle invalidate → recompile.
+    invalidation_streak: u32,
 }
 
 /// The complete adaptive optimization system: VM, listeners, organizers,
@@ -155,21 +152,20 @@ pub struct AosSystem<'p> {
     profile: Box<dyn ProfileStore>,
     rules: Arc<RuleSet>,
     db: AosDatabase,
-    method_samples: HashMap<MethodId, u32>,
+    /// One entry per method of `program`.
+    methods: Vec<MethodState>,
     total_method_samples: u64,
     /// AI-organizer run counter; the generation at which each trace first
     /// became a hot rule gates the missing-edge organizer ("the edge became
     /// hot after the method was last compiled", paper Section 3.2).
     ai_generation: u64,
     first_hot: HashMap<aoci_profile::TraceKey, u64>,
-    compile_queue: VecDeque<MethodId>,
-    /// Methods with a live plan: queued (sync FIFO or async priority queue)
-    /// or — in async mode — currently in flight on a worker.
-    queued: HashSet<MethodId>,
-    /// Async mode: plans awaiting a free worker, ordered by [`plan_order`]
-    /// at each dispatch (kept unsorted; the queue is small and bounded).
-    pending_plans: Vec<PendingPlan>,
-    /// Async mode: one slot per simulated worker, `Some` while occupied.
+    /// Plans awaiting the compilation thread. The foreground scheduler pops
+    /// them first-in first-out; the background scheduler picks by
+    /// [`plan_order`] at each dispatch (kept unsorted; the queue is small
+    /// and bounded).
+    pending_plans: VecDeque<PendingPlan>,
+    /// One slot per simulated background worker, `Some` while occupied.
     in_flight: Vec<Option<InFlightCompile>>,
     /// Async-mode activity counters and overlap/stall accounting.
     async_events: AsyncCompileEvents,
@@ -186,23 +182,9 @@ pub struct AosSystem<'p> {
     /// action; [`AosSystem::recovery_events`] renders them into
     /// [`RecoveryEvents::trace_dump`] (which stays empty in `recovery`).
     dump_tail: Vec<Recorded>,
-    /// Per optimized method: guard counters at the start of the current
-    /// observation window (reset at install and at invalidation).
-    guard_window_start: HashMap<MethodId, MethodGuardStats>,
-    /// Synthetic guard misses delivered by receiver bursts, folded into the
-    /// window on top of the VM's organic counters.
-    synthetic_misses: HashMap<MethodId, u64>,
-    /// Per method: consecutive failed compilations (cleared on success).
-    compile_failures: HashMap<MethodId, u32>,
-    /// Per method: consecutive guard-thrash invalidations (cleared by a
-    /// healthy observation window); reaching the quarantine limit blocks
-    /// the method instead of letting it cycle invalidate → recompile.
-    invalidation_streaks: HashMap<MethodId, u32>,
     /// Failed compilations awaiting their backoff deadline, as
     /// `(due_cycle, method)` in scheduling order.
     retry_after: Vec<(u64, MethodId)>,
-    /// Methods blocked from optimizing compilation for the rest of the run.
-    quarantined: HashSet<MethodId>,
     /// OSR promotion requests received / denied so far (the transition
     /// counts themselves live in the VM's [`aoci_vm::ExecCounters`]).
     osr: OsrEvents,
@@ -238,6 +220,7 @@ impl<'p> AosSystem<'p> {
         if matches!(config.policy, aoci_core::PolicyKind::IdealApprox { .. }) {
             policy.set_dependence(aoci_core::DependenceAnalysis::analyze(program));
         }
+        let workers = config.async_compile.as_ref().map_or(0, |c| c.workers.max(1));
         let profile: Box<dyn ProfileStore> = match config.profile_backend {
             crate::config::ProfileBackend::FlatTraces => Box::new(Dcg::new(config.dcg)),
             crate::config::ProfileBackend::ContextTree => {
@@ -253,14 +236,12 @@ impl<'p> AosSystem<'p> {
             profile,
             rules: Arc::new(RuleSet::new()),
             db: AosDatabase::new(),
-            method_samples: HashMap::new(),
+            methods: vec![MethodState::default(); program.num_methods()],
             total_method_samples: 0,
             ai_generation: 0,
             first_hot: HashMap::new(),
-            compile_queue: VecDeque::new(),
-            queued: HashSet::new(),
-            pending_plans: Vec::new(),
-            in_flight: Vec::new(),
+            pending_plans: VecDeque::new(),
+            in_flight: std::iter::repeat_with(|| None).take(workers).collect(),
             async_events: AsyncCompileEvents::default(),
             sample_count: 0,
             stats: TraceStatsCollector::new(),
@@ -268,12 +249,7 @@ impl<'p> AosSystem<'p> {
             fault: config.fault.clone().map(FaultInjector::new),
             recovery: RecoveryEvents::default(),
             dump_tail: Vec::new(),
-            guard_window_start: HashMap::new(),
-            synthetic_misses: HashMap::new(),
-            compile_failures: HashMap::new(),
-            invalidation_streaks: HashMap::new(),
             retry_after: Vec::new(),
-            quarantined: HashSet::new(),
             osr: OsrEvents::default(),
             trace,
             metrics: config.metrics.clone().map(MetricsSink::new),
@@ -366,8 +342,7 @@ impl<'p> AosSystem<'p> {
 
     /// Runs the program to completion as one fleet replica serving run:
     /// like [`AosSystem::run_full`], but returns the compile-server ledger
-    /// alongside the report and final profile (and skips the database
-    /// clone the fleet driver does not need).
+    /// alongside the report and final profile instead of the database.
     ///
     /// # Errors
     ///
@@ -430,7 +405,9 @@ impl<'p> AosSystem<'p> {
                 self.dispatch_osr(req);
                 Ok(true)
             }
-            RunOutcome::BudgetExhausted => unreachable!("unbounded budget"),
+            // Even `u64::MAX` cycles are a budget; spending it is not the
+            // end of the program.
+            RunOutcome::BudgetExhausted => Ok(true),
         }
     }
 
@@ -541,10 +518,7 @@ impl<'p> AosSystem<'p> {
             sink.counter_set(&format!("cycles_{}", c.slug()), clock.component(c));
         }
         let registry = self.vm.registry();
-        sink.gauge_set(
-            "compile_queue_depth",
-            (self.compile_queue.len() + self.pending_plans.len()) as u64,
-        );
+        sink.gauge_set("compile_queue_depth", self.pending_plans.len() as u64);
         sink.gauge_set(
             "compiles_in_flight",
             self.in_flight.iter().filter(|slot| slot.is_some()).count() as u64,
@@ -555,959 +529,9 @@ impl<'p> AosSystem<'p> {
         sink.gauge_set("baseline_methods", u64::from(registry.baseline_compilations()));
         sink.gauge_set("rules_active", self.rules.len() as u64);
         sink.gauge_set("dcg_entries", self.profile.len() as u64);
-        sink.gauge_set("quarantined_methods", self.quarantined.len() as u64);
+        sink.gauge_set("quarantined_methods", self.recovery.quarantined_methods);
         sink.gauge_set("retry_backlog", self.retry_after.len() as u64);
         sink.snapshot(self.sample_count, clock.total());
-    }
-
-    /// Aggregates method samples; methods crossing the hotness threshold
-    /// are handed to the controller for (first) optimizing compilation.
-    fn hot_methods_organizer(&mut self) {
-        let drained = self.method_listener.drain();
-        self.charge(
-            Component::MethodSampleOrganizer,
-            self.config.organizer_cost_per_item * drained.len() as u64,
-        );
-        for m in drained {
-            *self.method_samples.entry(m).or_insert(0) += 1;
-            self.total_method_samples += 1;
-        }
-        let min_share =
-            (self.config.hot_method_fraction * self.total_method_samples as f64) as u32;
-        let mut hot: Vec<MethodId> = self
-            .method_samples
-            .iter()
-            .filter(|&(&m, &count)| {
-                count >= self.config.hot_method_samples.max(min_share)
-                    && !self.db.is_optimized(m)
-                    && !self.queued.contains(&m)
-                    && !self.quarantined.contains(&m)
-                    // Bounds churn from the invalidate→reselect cycle; only
-                    // reachable post-invalidation (an optimized method is
-                    // filtered out above).
-                    && self.db.recompiles(m) < self.config.max_recompiles_per_method
-            })
-            .map(|(&m, _)| m)
-            .collect();
-        // HashMap iteration order is arbitrary; sort so the compile queue
-        // (and anything keyed to it, like the fault injector's draw
-        // sequence) is deterministic.
-        hot.sort_unstable_by_key(|m| m.index());
-        if self.config.debug_hot {
-            eprintln!("tick {}: samples={:?} min_share={} hot={:?}", self.sample_count, self.method_samples, min_share, hot);
-        }
-        for m in hot {
-            let samples = self.method_samples.get(&m).copied().unwrap_or(0);
-            self.emit(TraceEvent::HotMethod { method: m, samples });
-            self.controller_enqueue(m, PlanReason::HotMethod);
-        }
-    }
-
-    /// Folds trace buffers into the DCG and regenerates inlining rules from
-    /// traces above the hot threshold; feeds the adaptive-resolving policy.
-    fn dcg_and_ai_organizer(&mut self) {
-        let traces = self.trace_listener.drain();
-        self.charge(
-            Component::AiOrganizer,
-            self.config.organizer_cost_per_item * (traces.len() + self.profile.len()) as u64,
-        );
-        for t in traces {
-            let (key, weight) = self.maybe_corrupt(t);
-            match validate_trace(self.program, &key, weight) {
-                Ok(()) => self.profile.record(key, weight),
-                Err(_) => self.reject_trace(),
-            }
-        }
-        self.ai_generation += 1;
-        self.rules =
-            Arc::new(RuleSet::from_hot_traces(self.profile.hot(self.config.hot_edge_threshold)));
-        for rule in self.rules.iter() {
-            // Rules are rarely new: clone the key only on vacancy.
-            if !self.first_hot.contains_key(&rule.trace) {
-                self.first_hot.insert(rule.trace.clone(), self.ai_generation);
-            }
-        }
-        self.policy.adaptive_feedback(self.profile.as_ref());
-    }
-
-    /// Ages the DCG toward recent behaviour (phase-shift adaptation).
-    fn decay_organizer(&mut self) {
-        self.charge(
-            Component::DecayOrganizer,
-            self.config.organizer_cost_per_item * self.profile.len() as u64,
-        );
-        self.profile.decay(self.config.decay_factor);
-    }
-
-    /// Returns `true` if `method` currently satisfies the hot-method
-    /// criterion (same test the hot-methods organizer applies).
-    fn is_hot_method(&self, method: MethodId) -> bool {
-        let min_share =
-            (self.config.hot_method_fraction * self.total_method_samples as f64) as u32;
-        self.method_samples
-            .get(&method)
-            .is_some_and(|&c| c >= self.config.hot_method_samples.max(min_share))
-    }
-
-    /// Requests recompilation of *hot* optimized methods for which new hot,
-    /// uninlined, unrefused rules have appeared since their last
-    /// compilation (paper: "examines the current set of hot optimized
-    /// methods and inlining rules").
-    fn missing_edge_organizer(&mut self) {
-        self.charge(
-            Component::MissingEdgeOrganizer,
-            self.config.organizer_cost_per_item * self.rules.len() as u64,
-        );
-        let mut to_queue: Vec<MethodId> = Vec::new();
-        for rule in self.rules.iter() {
-            let site = rule.trace.immediate_caller();
-            let callee = rule.trace.callee();
-            let became_hot_at = self
-                .first_hot
-                .get(&rule.trace)
-                .copied()
-                .unwrap_or(self.ai_generation);
-            // A rule can be realised by compiling its immediate caller, or
-            // by a deeper compilation rooted at the outermost context
-            // method; check both hosts. A host is reconsidered only when
-            // the rule became hot *after* its last compilation (the paper's
-            // condition) and the oracle's partial-match intersection would
-            // actually yield the callee in the context that compilation
-            // presents.
-            let Some(outer) = rule.trace.context().last().map(|c| c.method) else {
-                continue; // malformed rule: no context to host a compilation
-            };
-            for (host, ctx) in [
-                (site.method, &rule.trace.context()[..1]),
-                (outer, rule.trace.context()),
-            ] {
-                // The outer host is only worth recompiling once its code
-                // already contains the rule's immediate caller; until then
-                // the caller's own edge rule is the effective trigger.
-                let chain_present =
-                    host == site.method || self.db.inlines_method(host, site.method);
-                if chain_present
-                    && self.db.is_optimized(host)
-                    && self.is_hot_method(host)
-                    && self.db.compiled_generation(host) < Some(became_hot_at)
-                    && !self.db.has_inlined(host, site, callee)
-                    && !self.db.was_refused(site, callee)
-                    && !self.db.is_unrealized(host, site, callee)
-                    && self.db.recompiles(host) < self.config.max_recompiles_per_method
-                    && !self.queued.contains(&host)
-                    && !to_queue.contains(&host)
-                    && self.rules.candidates(ctx).iter().any(|&(c, _)| c == callee)
-                {
-                    to_queue.push(host);
-                }
-            }
-        }
-        // Rule iteration follows HashMap order; sort so the compile queue
-        // (and the fault injector's per-compilation draw sequence) is
-        // deterministic across processes.
-        to_queue.sort_unstable_by_key(|m| m.index());
-        for m in to_queue {
-            self.controller_enqueue(m, PlanReason::MissingEdge);
-        }
-    }
-
-    /// The controller: accepts an organizer event and creates a compilation
-    /// plan (the oracle snapshot is taken when the plan executes).
-    fn controller_enqueue(&mut self, method: MethodId, reason: PlanReason) {
-        if self.quarantined.contains(&method) {
-            return;
-        }
-        if self.config.async_compile.is_some() {
-            self.async_enqueue(method, reason);
-            return;
-        }
-        self.charge(Component::ControllerThread, self.config.controller_cost_per_event);
-        if self.queued.insert(method) {
-            self.emit(TraceEvent::RecompilePlan { method, reason });
-            self.compile_queue.push_back(method);
-        }
-    }
-
-    /// Async-mode controller path: prices the plan by predicted benefit and
-    /// admits it to the bounded priority queue, evicting the worst resident
-    /// (or dropping the incoming plan when it *is* the worst) under
-    /// backpressure.
-    fn async_enqueue(&mut self, method: MethodId, reason: PlanReason) {
-        let capacity =
-            self.config.async_compile.as_ref().map_or(usize::MAX, |c| c.queue_capacity.max(1));
-        self.charge(Component::ControllerThread, self.config.controller_cost_per_event);
-        if !self.queued.insert(method) {
-            return; // already queued or in flight
-        }
-        self.emit(TraceEvent::RecompilePlan { method, reason });
-        let oracle = InlineOracle::with_mode(Arc::clone(&self.rules), self.config.match_mode);
-        // Price the plan in the context the eventual compile will be
-        // specialized for; with deoptless off the context is empty and this
-        // is exactly the historical `estimate_benefit`.
-        let context = self.dominant_context(method);
-        let plan = PendingPlan {
-            method,
-            reason,
-            priority: aoci_opt::estimate_benefit_in_context(self.program, method, &oracle, &context),
-            recompiles_at_enqueue: self.db.recompiles(method),
-        };
-        if self.pending_plans.len() >= capacity {
-            let worst = self
-                .pending_plans
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| plan_order(a, b))
-                .map(|(i, _)| i)
-                .expect("capacity >= 1, so a full queue is non-empty");
-            if plan_order(&plan, &self.pending_plans[worst]) == std::cmp::Ordering::Greater {
-                let evicted = self.pending_plans.swap_remove(worst);
-                self.queued.remove(&evicted.method);
-                self.async_events.queue_full_drops += 1;
-                self.emit(TraceEvent::CompileQueueFull { method: evicted.method, evicted: true });
-            } else {
-                self.queued.remove(&method);
-                self.async_events.queue_full_drops += 1;
-                self.emit(TraceEvent::CompileQueueFull { method, evicted: false });
-                return;
-            }
-        }
-        self.pending_plans.push(plan);
-        self.async_events.enqueued += 1;
-        self.async_events.max_queue_depth =
-            self.async_events.max_queue_depth.max(self.pending_plans.len() as u64);
-        self.emit(TraceEvent::CompileEnqueue {
-            method,
-            reason,
-            priority: self.pending_plans.last().map_or(0.0, |p| p.priority),
-            queue_depth: self.pending_plans.len() as u32,
-        });
-    }
-
-    /// The compilation thread: executes queued plans, charging compile
-    /// cycles and installing the resulting code (effective at each method's
-    /// next invocation — or mid-activation, when a later OSR request
-    /// promotes a running frame into the installed version). In synchronous
-    /// mode up to [`AosConfig::max_compiles_per_epoch`] plans compile inside
-    /// this tick (the default cap is unlimited — the historical
-    /// drain-everything behaviour); leftovers stay queued for the next tick.
-    /// In async mode this is the pump: due compiles complete, then free
-    /// workers pick up the highest-priority live plans.
-    fn process_compile_queue(&mut self) {
-        if self.config.async_compile.is_some() {
-            self.complete_due_compiles();
-            self.dispatch_pending_plans();
-            return;
-        }
-        let mut started = 0u32;
-        while started < self.config.max_compiles_per_epoch {
-            let Some(method) = self.compile_queue.pop_front() else { break };
-            self.queued.remove(&method);
-            if self.quarantined.contains(&method) {
-                continue; // quarantined while waiting in the queue: a free skip
-            }
-            started += 1;
-            self.compile_and_install(method);
-        }
-    }
-
-    /// Retires every in-flight compile whose deadline the virtual clock has
-    /// reached, earliest deadline first (ties to the lower worker index).
-    /// Completion charges the unoverlapped stall, which advances the clock
-    /// and may make further deadlines due — hence the re-scan.
-    fn complete_due_compiles(&mut self) {
-        loop {
-            let now = self.vm.clock().total();
-            let due = self
-                .in_flight
-                .iter()
-                .enumerate()
-                .filter_map(|(i, slot)| slot.as_ref().map(|c| (c.deadline, i)))
-                .filter(|&(deadline, _)| deadline <= now)
-                .min();
-            let Some((_, slot)) = due else { break };
-            let compile = self.in_flight[slot].take().expect("slot was just observed occupied");
-            self.finish_compile(compile);
-        }
-    }
-
-    /// Hands the highest-priority live plans to free workers, revalidating
-    /// each plan at dequeue: a method that was quarantined, recompiled
-    /// through another path, or has cooled below the hot threshold while it
-    /// waited is dropped, not compiled.
-    fn dispatch_pending_plans(&mut self) {
-        let (workers, zero_latency) = match self.config.async_compile.as_ref() {
-            Some(c) => (c.workers.max(1), c.zero_latency),
-            None => return,
-        };
-        if self.in_flight.len() < workers {
-            self.in_flight.resize_with(workers, || None);
-        }
-        let mut started = 0u32;
-        while started < self.config.max_compiles_per_epoch {
-            let Some(worker) = self.in_flight.iter().position(Option::is_none) else { break };
-            let Some(plan) = self.pop_best_live_plan() else { break };
-            started += 1;
-            let compile = self.dispatch_plan(plan, worker as u32, zero_latency);
-            if zero_latency {
-                // Degenerate mode: the compile completes at dispatch with
-                // zero overlap — the synchronous system, re-expressed.
-                self.finish_compile(compile);
-            } else {
-                self.in_flight[worker] = Some(compile);
-            }
-        }
-    }
-
-    /// Pops pending plans best-first until one survives revalidation; stale
-    /// plans are dropped with a traced reason.
-    fn pop_best_live_plan(&mut self) -> Option<PendingPlan> {
-        loop {
-            let best = self
-                .pending_plans
-                .iter()
-                .enumerate()
-                .max_by(|(_, a), (_, b)| plan_order(a, b))
-                .map(|(i, _)| i)?;
-            let plan = self.pending_plans.swap_remove(best);
-            let stale = if self.quarantined.contains(&plan.method) {
-                Some(StaleReason::Quarantined)
-            } else if self.db.recompiles(plan.method) != plan.recompiles_at_enqueue {
-                Some(StaleReason::Recompiled)
-            } else if plan.reason == PlanReason::HotMethod && !self.is_hot_method(plan.method) {
-                Some(StaleReason::NoLongerHot)
-            } else {
-                None
-            };
-            match stale {
-                Some(reason) => {
-                    self.queued.remove(&plan.method);
-                    self.async_events.stale_drops += 1;
-                    self.emit(TraceEvent::CompileDequeueStale { method: plan.method, reason });
-                }
-                None => return Some(plan),
-            }
-        }
-    }
-
-    /// Starts one background compile: the work (and any injected fault) is
-    /// resolved now, its effects are deferred to the deadline. The method
-    /// stays in `queued` until completion so no second plan can race it.
-    fn dispatch_plan(&mut self, plan: PendingPlan, worker: u32, zero_latency: bool) -> InFlightCompile {
-        let rules = Arc::clone(&self.rules);
-        let oracle = InlineOracle::with_mode(Arc::clone(&rules), self.config.match_mode);
-        let context = self.dominant_context(plan.method);
-        let (outcome, cost) = match self.fault.as_mut().and_then(|f| f.compile_fault()) {
-            Some(CompileFault::Bailout) => {
-                self.emit(TraceEvent::FaultInjected { kind: FaultKind::CompileBailout });
-                (CompileOutcome::Faulted, self.config.cost.opt_compile_fixed)
-            }
-            Some(CompileFault::Oversize) => {
-                let c = aoci_opt::compile_in_context(
-                    self.program,
-                    plan.method,
-                    &oracle,
-                    &self.config.opt,
-                    &context,
-                );
-                self.emit(TraceEvent::FaultInjected { kind: FaultKind::CompileOversize });
-                (CompileOutcome::Faulted, self.config.cost.opt_compile_cost(c.generated_size))
-            }
-            None => {
-                let c = aoci_opt::compile_in_context(
-                    self.program,
-                    plan.method,
-                    &oracle,
-                    &self.config.opt,
-                    &context,
-                );
-                let cost = self.config.cost.opt_compile_cost(c.generated_size);
-                (CompileOutcome::Built(Box::new(c)), cost)
-            }
-        };
-        let now = self.vm.clock().total();
-        self.async_events.dispatched += 1;
-        self.emit(TraceEvent::CompileStart { method: plan.method, worker, cost });
-        InFlightCompile {
-            method: plan.method,
-            worker,
-            started_at: now,
-            deadline: if zero_latency { now } else { now + cost },
-            cost,
-            outcome,
-            recompiles_at_dispatch: self.db.recompiles(plan.method),
-            rules_at_dispatch: rules,
-            generation_at_dispatch: self.ai_generation,
-            context,
-        }
-    }
-
-    /// Completes a background compile at (or after) its deadline: splits its
-    /// cost into the portion that overlapped application execution and the
-    /// stall the application must still wait out, charges only the stall,
-    /// then installs the result — unless the world moved on while the
-    /// compile ran, in which case the stale result is dropped.
-    fn finish_compile(&mut self, compile: InFlightCompile) {
-        let now = self.vm.clock().total();
-        let overlap = compile.cost.min(now.saturating_sub(compile.started_at));
-        let stall = compile.cost - overlap;
-        self.charge(Component::CompilationThread, stall);
-        self.async_events.background_overlap_cycles += overlap;
-        self.async_events.foreground_stall_cycles += stall;
-        self.emit(TraceEvent::CompileFinish {
-            method: compile.method,
-            worker: compile.worker,
-            overlap_cycles: overlap,
-            stall_cycles: stall,
-        });
-        self.queued.remove(&compile.method);
-        match compile.outcome {
-            CompileOutcome::Faulted => {
-                self.async_events.completed += 1;
-                self.handle_compile_failure(compile.method);
-            }
-            CompileOutcome::Built(compilation) => {
-                let stale = if self.quarantined.contains(&compile.method) {
-                    Some(StaleReason::Quarantined)
-                } else if self.db.recompiles(compile.method) != compile.recompiles_at_dispatch {
-                    Some(StaleReason::Recompiled)
-                } else {
-                    None
-                };
-                if let Some(reason) = stale {
-                    self.async_events.stale_drops += 1;
-                    self.emit(TraceEvent::CompileDequeueStale { method: compile.method, reason });
-                    return;
-                }
-                self.async_events.completed += 1;
-                self.install_compilation(
-                    compile.method,
-                    *compilation,
-                    compile.cost,
-                    compile.generation_at_dispatch,
-                    &compile.rules_at_dispatch,
-                    ContextFingerprint::of(&compile.context),
-                );
-            }
-        }
-    }
-
-    /// The calling context a non-OSR compilation of `method` should be
-    /// specialized for in deoptless mode: the immediate caller of the
-    /// max-weight rule naming `method` as callee (ties broken toward the
-    /// lower call site, so the chain is deterministic), or the empty chain
-    /// when no rule names it. Always empty with deoptless off, keeping the
-    /// default system's compilations and keys bit-identical.
-    fn dominant_context(&self, method: MethodId) -> Vec<CallSiteRef> {
-        if !self.config.vm.deoptless {
-            return Vec::new();
-        }
-        let mut best: Option<(f64, CallSiteRef)> = None;
-        for rule in self.rules.iter() {
-            if rule.trace.callee() != method {
-                continue;
-            }
-            let site = rule.trace.immediate_caller();
-            let better = match best {
-                None => true,
-                Some((w, s)) => {
-                    rule.weight > w
-                        || (rule.weight == w
-                            && (site.method.index(), site.site.index())
-                                < (s.method.index(), s.site.index()))
-                }
-            };
-            if better {
-                best = Some((rule.weight, site));
-            }
-        }
-        best.map(|(_, site)| vec![site]).unwrap_or_default()
-    }
-
-    /// Executes one compilation plan specialized for no particular context:
-    /// runs the optimizing compiler under the fault injector, charges
-    /// compile cycles, and installs the result (keyed by the dominant
-    /// context in deoptless mode). Returns the installed version, or `None`
-    /// when an injected fault discarded the compilation (failure
-    /// bookkeeping already applied).
-    fn compile_and_install(&mut self, method: MethodId) -> Option<Arc<MethodVersion>> {
-        let outer = self.dominant_context(method);
-        self.compile_and_install_ctx(method, &outer)
-    }
-
-    /// Like [`AosSystem::compile_and_install`], but compiles specialized
-    /// for (and keys the install by) the calling context `outer`, innermost
-    /// caller first. The empty chain reproduces the context-free compile.
-    fn compile_and_install_ctx(
-        &mut self,
-        method: MethodId,
-        outer: &[CallSiteRef],
-    ) -> Option<Arc<MethodVersion>> {
-        // Shared compile server (fleet serving): a cache hit installs the
-        // server's pre-compiled version for a small fixed cost, bypassing
-        // the local compiler — and with it compile-fault injection —
-        // entirely. A miss falls through to the local compile below and is
-        // logged in the request outbox for the server to batch.
-        if let Some(server) = &self.config.compile_server {
-            if let Some(cached) = server.cache.get(&method) {
-                let compilation = (**cached).clone();
-                let cost = server.hit_cost;
-                self.charge(Component::CompilationThread, cost);
-                self.server.hits += 1;
-                if !self.server.hit_methods.contains(&method) {
-                    self.server.hit_methods.push(method);
-                }
-                if let Some(sink) = &self.metrics {
-                    sink.counter_add("compile_server_hits", 1);
-                }
-                let rules = Arc::clone(&self.rules);
-                // Server versions are generic (compiled context-free), so
-                // they install under the root key regardless of `outer`.
-                return Some(self.install_compilation(
-                    method,
-                    compilation,
-                    cost,
-                    self.ai_generation,
-                    &rules,
-                    ContextFingerprint::ROOT,
-                ));
-            }
-            self.server.misses += 1;
-            if !self.server.requests.contains(&method) {
-                self.server.requests.push(method);
-            }
-            if let Some(sink) = &self.metrics {
-                sink.counter_add("compile_server_misses", 1);
-            }
-        }
-        if let Some(kind) = self.fault.as_mut().and_then(|f| f.compile_fault()) {
-            let (wasted, fault_kind) = match kind {
-                // Aborted partway: only the fixed setup cost was spent.
-                CompileFault::Bailout => {
-                    (self.config.cost.opt_compile_fixed, FaultKind::CompileBailout)
-                }
-                // Completed then rejected as oversized: full cost spent,
-                // output discarded.
-                CompileFault::Oversize => {
-                    let oracle = InlineOracle::with_mode(
-                        Arc::clone(&self.rules),
-                        self.config.match_mode,
-                    );
-                    let c = aoci_opt::compile_in_context(
-                        self.program,
-                        method,
-                        &oracle,
-                        &self.config.opt,
-                        outer,
-                    );
-                    (
-                        self.config.cost.opt_compile_cost(c.generated_size),
-                        FaultKind::CompileOversize,
-                    )
-                }
-            };
-            self.charge(Component::CompilationThread, wasted);
-            self.emit(TraceEvent::FaultInjected { kind: fault_kind });
-            self.handle_compile_failure(method);
-            return None;
-        }
-        let oracle = InlineOracle::with_mode(Arc::clone(&self.rules), self.config.match_mode);
-        let compilation =
-            aoci_opt::compile_in_context(self.program, method, &oracle, &self.config.opt, outer);
-        let cost = self.config.cost.opt_compile_cost(compilation.generated_size);
-        self.charge(Component::CompilationThread, cost);
-        let rules = Arc::clone(&self.rules);
-        let key = ContextFingerprint::of(outer);
-        Some(self.install_compilation(method, compilation, cost, self.ai_generation, &rules, key))
-    }
-
-    /// Books and installs a finished compilation: database record, trace
-    /// events, registry install, guard-window and failure-streak resets, and
-    /// unrealized-rule marking. `generation` and `rules` are the AI state
-    /// the compiler ran against — for a background compile that is the
-    /// dispatch-time snapshot, not the state current at completion. `key`
-    /// is the context fingerprint the version is registered under
-    /// ([`ContextFingerprint::ROOT`] outside deoptless mode).
-    fn install_compilation(
-        &mut self,
-        method: MethodId,
-        compilation: aoci_opt::Compilation,
-        cost: u64,
-        generation: u64,
-        rules: &RuleSet,
-        key: ContextFingerprint,
-    ) -> Arc<MethodVersion> {
-        self.db.record_compilation(method, &compilation, generation, self.vm.clock().total());
-        if self.trace.is_some() {
-            for d in &compilation.decisions {
-                // The context always starts at the decision's own call site.
-                let Some(&site) = d.context.first() else { continue };
-                self.emit(TraceEvent::InlineDecision {
-                    host: method,
-                    site,
-                    callee: d.callee,
-                    guarded: d.guarded,
-                    provenance: d.provenance,
-                });
-            }
-            for r in &compilation.refusals {
-                self.emit(TraceEvent::InlineRefusal {
-                    host: method,
-                    site: r.site,
-                    callee: r.callee,
-                    reason: r.reason,
-                    hot: r.hot,
-                    provenance: r.provenance,
-                });
-            }
-            self.emit(TraceEvent::Compile {
-                method,
-                generated_size: compilation.generated_size,
-                inlines: compilation.decisions.len() as u32,
-                guarded: compilation.guarded_count() as u32,
-                cycles: cost,
-            });
-        }
-        if let Some(sink) = &self.metrics {
-            sink.counter_add("compiles_installed", 1);
-            sink.counter_add("inline_decisions", compilation.decisions.len() as u64);
-            sink.counter_add("inline_decisions_guarded", compilation.guarded_count() as u64);
-            for d in &compilation.decisions {
-                // DecisionProvenance carries no rule name, so "per rule"
-                // resolves to the rule-backed / speculative split.
-                sink.counter_add(
-                    if d.provenance.rule_fired {
-                        "inline_decisions_rule_backed"
-                    } else {
-                        "inline_decisions_speculative"
-                    },
-                    1,
-                );
-                sink.observe("inline_context_depth", u64::from(d.provenance.context_depth));
-            }
-            sink.counter_add("inline_refusals", compilation.refusals.len() as u64);
-            for r in &compilation.refusals {
-                sink.counter_add(&format!("inline_refusals_{}", r.reason.slug()), 1);
-            }
-            sink.observe("compile_cost_cycles", cost);
-            sink.observe("compile_generated_size", u64::from(compilation.generated_size));
-        }
-        let installed = self.vm.registry_mut().install_keyed(compilation.version, key);
-        self.emit(TraceEvent::Install { method, version_id: installed.version_id.raw() });
-        // A successful install opens a fresh guard-observation window
-        // and clears the failure streak.
-        self.compile_failures.remove(&method);
-        self.guard_window_start.insert(method, self.vm.guard_stats(method));
-        self.synthetic_misses.remove(&method);
-        // Any rule this compilation was expected to realise but did not
-        // is marked unrealized: re-requesting the same compilation under
-        // the same rules cannot succeed.
-        let mut unrealized: Vec<(CallSiteRef, MethodId)> = Vec::new();
-        for rule in rules.iter() {
-            let site = rule.trace.immediate_caller();
-            let callee = rule.trace.callee();
-            let Some(outer) = rule.trace.context().last().map(|c| c.method) else {
-                continue;
-            };
-            if (site.method == method || outer == method)
-                && !self.db.has_inlined(method, site, callee)
-            {
-                unrealized.push((site, callee));
-            }
-        }
-        for (site, callee) in unrealized {
-            self.db.mark_unrealized(method, site, callee);
-        }
-        installed
-    }
-
-    /// Handles a hot-loop promotion request from the interpreter: obtain an
-    /// optimized version with an OSR entry at the loop's header and transfer
-    /// the running baseline activation into it mid-loop. This is the single
-    /// OSR dispatch entry point — every resolution (enter installed code,
-    /// enter a context-specialized surviving version, compile-and-enter,
-    /// deny) is named by the returned [`OsrOutcome`].
-    ///
-    /// In deoptless mode the dispatch is context-sensitive: the observed
-    /// calling context of the requesting activation is fingerprinted and
-    /// the registry is queried for the best surviving version specialized
-    /// for it (deepest context prefix first), before falling back to the
-    /// generic installed version; a fresh compilation is likewise
-    /// specialized for (and keyed by) the observed context.
-    ///
-    /// Any reason the promotion cannot happen — the method is quarantined,
-    /// its recompile budget is spent, the compilation faulted, or the
-    /// optimized body keeps no entry point at this header (the loop was
-    /// folded away) — denies the request; where a future request could
-    /// never fare better, further requests are suppressed so the loop stops
-    /// paying back-edge bookkeeping. The activation keeps running baseline:
-    /// degraded, never wrong.
-    pub fn dispatch_osr(&mut self, req: OsrRequest) -> OsrOutcome {
-        self.osr.requests += 1;
-        let method = req.method;
-        self.emit(TraceEvent::OsrRequest { method, loop_header: req.loop_header });
-        if self.quarantined.contains(&method) {
-            return self.deny_osr(method, OsrDenyReason::Quarantined, true);
-        }
-        // Deoptless: prefer a surviving version specialized for the calling
-        // context this activation actually runs in, deepest prefix first.
-        // Depth 0 (the root key) is the generic installed version, which
-        // the ordinary path below already handles.
-        if self.config.vm.deoptless {
-            let context = self.vm.osr_context();
-            for depth in (1..=context.len()).rev() {
-                let key = VersionKey::new(method, ContextFingerprint::of(&context[..depth]));
-                let Some(v) = self.vm.registry().best_surviving(key).cloned() else { continue };
-                if self.vm.osr_enter(&v, req.loop_header) {
-                    return OsrOutcome::EnteredSpecialized { version: v.version_id };
-                }
-            }
-        }
-        // An optimized version may already be installed (this activation
-        // simply predates the install): enter it directly, no compilation.
-        let current = self.vm.registry().current(method).cloned();
-        if let Some(v) = current.filter(|v| v.level == OptLevel::Optimized) {
-            if self.vm.osr_enter(&v, req.loop_header) {
-                return OsrOutcome::Entered { version: v.version_id };
-            }
-            // The installed body has no entry at this header; a repeat
-            // request against the same version cannot do better.
-            return self.deny_osr(method, OsrDenyReason::NoEntryPoint, true);
-        }
-        if self.db.recompiles(method) >= self.config.max_recompiles_per_method {
-            return self.deny_osr(method, OsrDenyReason::Budget, true);
-        }
-        // Compile on the spot — the requesting loop is burning baseline
-        // cycles right now; waiting for the hot-methods organizer only
-        // helps the *next* invocation.
-        self.charge(Component::ControllerThread, self.config.controller_cost_per_event);
-        self.emit(TraceEvent::RecompilePlan { method, reason: PlanReason::OsrPromotion });
-        let outer = if self.config.vm.deoptless { self.vm.osr_context() } else { Vec::new() };
-        match self.compile_and_install_ctx(method, &outer) {
-            Some(v) => {
-                // The install satisfies any queued plan for this method —
-                // in synchronous mode it can be removed silently. Async
-                // plans are left alone: the queue owns their lifecycle, and
-                // the pending plan (or in-flight compile) will be dropped
-                // as stale (already recompiled) with a traced reason.
-                if self.config.async_compile.is_none() && self.queued.remove(&method) {
-                    self.compile_queue.retain(|&m| m != method);
-                }
-                if self.vm.osr_enter(&v, req.loop_header) {
-                    OsrOutcome::CompiledAndEntered { version: v.version_id }
-                } else {
-                    // No entry point survived optimization; the next
-                    // invocation still benefits from the install.
-                    self.deny_osr(method, OsrDenyReason::NoEntryPoint, true)
-                }
-            }
-            None => {
-                // Injected fault; retry/backoff booked by the failure path.
-                self.deny_osr(method, OsrDenyReason::CompileFault, false)
-            }
-        }
-    }
-
-    /// Books one OSR denial: counter, trace event and — when a future
-    /// request could never fare better — request suppression.
-    fn deny_osr(&mut self, method: MethodId, reason: OsrDenyReason, suppress: bool) -> OsrOutcome {
-        self.osr.denied += 1;
-        self.emit(TraceEvent::OsrDeny { method, reason });
-        if suppress {
-            self.vm.suppress_osr(method);
-        }
-        OsrOutcome::Denied(reason)
-    }
-
-    // ---- Recovery layer -------------------------------------------------
-
-    /// Counts a rejected profile trace and charges its handling cost.
-    fn reject_trace(&mut self) {
-        self.recovery.rejected_traces += 1;
-        self.charge(Component::Recovery, self.config.recovery.recovery_cost_per_event);
-        self.emit(TraceEvent::TraceRejected);
-        self.capture_trace_dump();
-    }
-
-    /// Applies an injected corruption to a drained trace, if the injector
-    /// elects one. Returns the (possibly corrupted) key and weight exactly
-    /// as the sanitizer will see them.
-    fn maybe_corrupt(&mut self, key: aoci_profile::TraceKey) -> (aoci_profile::TraceKey, f64) {
-        let Some(kind) = self.fault.as_mut().and_then(|f| f.corrupt_trace()) else {
-            return (key, 1.0);
-        };
-        self.emit(TraceEvent::FaultInjected { kind: FaultKind::CorruptTrace });
-        match kind {
-            TraceCorruption::UnknownCallee => {
-                let bogus = MethodId::from_index(self.program.num_methods() + 7);
-                (TraceKey::new(bogus, key.context().to_vec()), 1.0)
-            }
-            TraceCorruption::UnknownCallSite => {
-                let mut ctx = key.context().to_vec();
-                if let Some(first) = ctx.first_mut() {
-                    *first = CallSiteRef::new(first.method, SiteIdx(u16::MAX));
-                }
-                (TraceKey::new(key.callee(), ctx), 1.0)
-            }
-            TraceCorruption::NanWeight => (key, f64::NAN),
-            TraceCorruption::NegativeWeight => (key, -1.0),
-        }
-    }
-
-    /// Delivers an injected receiver burst: synthetic guard misses against
-    /// one deterministically-selected currently-optimized method.
-    fn deliver_receiver_burst(&mut self) {
-        let Some((misses, selector)) = self.fault.as_mut().and_then(|f| f.receiver_burst())
-        else {
-            return;
-        };
-        let mut victims: Vec<MethodId> = self.db.optimized_methods().collect();
-        if victims.is_empty() {
-            return; // burst fired before anything was optimized: no target
-        }
-        victims.sort_unstable_by_key(|m| m.index());
-        let victim = victims[(selector % victims.len() as u64) as usize];
-        *self.synthetic_misses.entry(victim).or_insert(0) += misses;
-        self.emit(TraceEvent::FaultInjected { kind: FaultKind::ReceiverBurst });
-    }
-
-    /// Scans every currently-optimized method's guard-observation window;
-    /// a miss rate above the threshold (over enough checks) invalidates the
-    /// optimized version — the method falls back to baseline at its next
-    /// invocation, and when [`aoci_vm::VmConfig::osr_enabled`] is set any
-    /// in-flight activation of the invalidated version deoptimizes back to
-    /// an equivalent baseline frame at its next loop back-edge (OSR-out)
-    /// instead of finishing on the stale code.
-    ///
-    /// Windows *roll*: once a window accumulates enough checks it is judged
-    /// and then reset, so a phase shift is detected from the post-shift
-    /// window alone rather than being diluted by a long healthy history.
-    fn check_guard_health(&mut self) {
-        if !self.config.recovery.monitor_guard_health && self.fault.is_none() {
-            return;
-        }
-        let rc = self.config.recovery.clone();
-        let mut candidates: Vec<MethodId> = self.db.optimized_methods().collect();
-        candidates.sort_unstable_by_key(|m| m.index());
-        for m in candidates {
-            let stats = self.vm.guard_stats(m);
-            let base = self.guard_window_start.get(&m).copied().unwrap_or_default();
-            let synth = self.synthetic_misses.get(&m).copied().unwrap_or(0);
-            let checks = stats.checks.saturating_sub(base.checks) + synth;
-            if checks < rc.guard_miss_min_checks {
-                continue;
-            }
-            let misses = stats.misses.saturating_sub(base.misses) + synth;
-            if misses as f64 / checks as f64 > rc.guard_miss_threshold {
-                self.invalidate_method(m, &rc);
-            } else {
-                // Healthy window: start the next one. The recompiled code
-                // holds up under the current receiver distribution, so the
-                // invalidation streak is over — a later, separate phase
-                // shift starts counting from zero rather than compounding
-                // toward quarantine.
-                self.guard_window_start.insert(m, stats);
-                self.synthetic_misses.remove(&m);
-                self.invalidation_streaks.remove(&m);
-            }
-        }
-    }
-
-    /// Invalidates `method`'s optimized version (guard thrash): the registry
-    /// slot is cleared, the database drops its currently-optimized status
-    /// (so the hot-methods organizer may reselect it once the profile has
-    /// shifted), and *consecutive* invalidations — without a healthy guard
-    /// window in between — quarantine it.
-    fn invalidate_method(&mut self, method: MethodId, rc: &RecoveryConfig) {
-        if !self.vm.registry_mut().invalidate(method) {
-            return; // registry and database out of sync; nothing installed
-        }
-        self.db.record_invalidation(method);
-        self.recovery.invalidations += 1;
-        self.charge(Component::Recovery, rc.recovery_cost_per_event);
-        self.emit(TraceEvent::Invalidate { method });
-        self.capture_trace_dump();
-        self.guard_window_start.insert(method, self.vm.guard_stats(method));
-        self.synthetic_misses.remove(&method);
-        let streak = {
-            let s = self.invalidation_streaks.entry(method).or_insert(0);
-            *s += 1;
-            *s
-        };
-        if streak >= rc.quarantine_after_failures {
-            self.quarantine(method);
-        } else if self.db.recompiles(method) < self.config.max_recompiles_per_method {
-            // The method was hot enough to compile and is thrashing *now*,
-            // so don't wait for the hot organizer to re-notice it: schedule
-            // a recompilation after one base backoff — long enough for the
-            // post-shift profile to accumulate, short enough to bound the
-            // baseline-fallback window. The recompile budget shared with
-            // the missing-edge organizer bounds the churn a perpetually
-            // phase-flipping method could otherwise generate; past it the
-            // method settles at baseline — degraded, stable, correct.
-            let due = self.vm.clock().total() + rc.retry_backoff_base_cycles;
-            self.emit(TraceEvent::RetryScheduled { method, due_cycle: due });
-            self.retry_after.push((due, method));
-        }
-    }
-
-    /// Books a compile failure of `method`: schedules a retry after
-    /// exponential backoff (in simulated cycles, capped), or quarantines the
-    /// method once its failure streak reaches the configured limit.
-    fn handle_compile_failure(&mut self, method: MethodId) {
-        let failures = {
-            let streak = self.compile_failures.entry(method).or_insert(0);
-            *streak += 1;
-            *streak
-        };
-        let rc = self.config.recovery.clone();
-        if failures >= rc.quarantine_after_failures {
-            self.quarantine(method);
-        } else {
-            let backoff = rc
-                .retry_backoff_base_cycles
-                .saturating_mul(1u64 << (failures - 1).min(20))
-                .min(rc.retry_backoff_cap_cycles);
-            let due = self.vm.clock().total() + backoff;
-            self.retry_after.push((due, method));
-            self.recovery.compile_retries += 1;
-            self.charge(Component::Recovery, rc.recovery_cost_per_event);
-            self.emit(TraceEvent::RetryScheduled { method, due_cycle: due });
-            self.capture_trace_dump();
-        }
-    }
-
-    /// Re-enqueues failed compilations whose backoff deadline has passed.
-    fn schedule_due_retries(&mut self) {
-        if self.retry_after.is_empty() {
-            return;
-        }
-        let now = self.vm.clock().total();
-        let mut due: Vec<MethodId> = Vec::new();
-        self.retry_after.retain(|&(deadline, m)| {
-            if deadline <= now {
-                due.push(m);
-                false
-            } else {
-                true
-            }
-        });
-        for m in due {
-            self.controller_enqueue(m, PlanReason::Retry);
-        }
-    }
-
-    /// Blocks `method` from optimizing compilation for the rest of the run.
-    /// Also stops the interpreter raising OSR promotion requests for it —
-    /// they could only be denied.
-    fn quarantine(&mut self, method: MethodId) {
-        if self.quarantined.insert(method) {
-            self.recovery.quarantined_methods += 1;
-            self.charge(Component::Recovery, self.config.recovery.recovery_cost_per_event);
-            self.retry_after.retain(|&(_, m)| m != method);
-            self.vm.suppress_osr(method);
-            self.emit(TraceEvent::Quarantine { method });
-            self.capture_trace_dump();
-        }
     }
 
     fn charge(&mut self, component: Component, cycles: u64) {
@@ -1588,12 +612,6 @@ impl<'p> AosSystem<'p> {
         self.trace.as_ref().map(TraceSink::log)
     }
 
-    /// A snapshot of the telemetry registry, when metrics are configured
-    /// (also usable mid-run between [`AosSystem::step`]s).
-    pub fn metrics_log(&self) -> Option<MetricsLog> {
-        self.metrics.as_ref().map(MetricsSink::log)
-    }
-
     /// OSR activity so far: driver-side request/denial counts merged with
     /// the VM's transition and dispatched-transfer counters (also usable
     /// mid-run between [`AosSystem::step`]s).
@@ -1609,12 +627,6 @@ impl<'p> AosSystem<'p> {
             falls_rearmed: dispatch.falls_rearmed,
             ..self.osr
         }
-    }
-
-    /// Background-compilation activity so far (also usable mid-run between
-    /// [`AosSystem::step`]s). All zeros when async compilation is off.
-    pub fn async_events(&self) -> AsyncCompileEvents {
-        self.async_events
     }
 
     /// Recovery actions taken so far, with the injector's delivered-fault
@@ -1647,5 +659,9 @@ fn immediate_site(snapshot: &StackSnapshot) -> Option<CallSiteRef> {
     Some(CallSiteRef::new(caller.method, caller.callsite_to_inner?))
 }
 
+mod compile;
+mod organizers;
+mod osr;
+mod recovery;
 #[cfg(test)]
 mod tests;

@@ -1,0 +1,98 @@
+//! OSR promotion requests: the one dispatch entry point (DESIGN.md §7, §16).
+
+use super::AosSystem;
+use aoci_ir::MethodId;
+use aoci_trace::{OsrDenyReason, PlanReason, TraceEvent};
+use aoci_vm::{Component, ContextFingerprint, OptLevel, OsrRequest, VersionKey};
+
+impl AosSystem<'_> {
+    /// Handles a hot-loop promotion request from the interpreter: obtain an
+    /// optimized version with an OSR entry at the loop's header and transfer
+    /// the running baseline activation into it mid-loop. This is the single
+    /// OSR dispatch entry point — every resolution (enter installed code,
+    /// enter a context-specialized surviving version, compile-and-enter,
+    /// deny) goes through it.
+    ///
+    /// In deoptless mode the dispatch is context-sensitive: the observed
+    /// calling context of the requesting activation is fingerprinted and
+    /// the registry is queried for the best surviving version specialized
+    /// for it (deepest context prefix first), before falling back to the
+    /// generic installed version; a fresh compilation is likewise
+    /// specialized for (and keyed by) the observed context.
+    ///
+    /// Any reason the promotion cannot happen — the method is quarantined,
+    /// its recompile budget is spent, the compilation faulted, or the
+    /// optimized body keeps no entry point at this header (the loop was
+    /// folded away) — denies the request; where a future request could
+    /// never fare better, further requests are suppressed so the loop stops
+    /// paying back-edge bookkeeping. The activation keeps running baseline:
+    /// degraded, never wrong.
+    pub(super) fn dispatch_osr(&mut self, req: OsrRequest) {
+        self.osr.requests += 1;
+        let method = req.method;
+        self.emit(TraceEvent::OsrRequest { method, loop_header: req.loop_header });
+        if self.methods[method.index()].quarantined {
+            return self.deny_osr(method, OsrDenyReason::Quarantined, true);
+        }
+        // Deoptless: prefer a surviving version specialized for the calling
+        // context this activation actually runs in, deepest prefix first.
+        // Depth 0 (the root key) is the generic installed version, which
+        // the ordinary path below already handles.
+        let context = if self.config.vm.deoptless { self.vm.osr_context() } else { Vec::new() };
+        for depth in (1..=context.len()).rev() {
+            let key = VersionKey::new(method, ContextFingerprint::of(&context[..depth]));
+            let Some(v) = self.vm.registry().best_surviving(key).cloned() else { continue };
+            if self.vm.osr_enter(&v, req.loop_header) {
+                return;
+            }
+        }
+        // An optimized version may already be installed (this activation
+        // simply predates the install): enter it directly, no compilation.
+        let current = self.vm.registry().current(method).cloned();
+        if let Some(v) = current.filter(|v| v.level == OptLevel::Optimized) {
+            if !self.vm.osr_enter(&v, req.loop_header) {
+                // The installed body has no entry at this header; a repeat
+                // request against the same version cannot do better.
+                self.deny_osr(method, OsrDenyReason::NoEntryPoint, true);
+            }
+            return;
+        }
+        if self.db.recompiles(method) >= self.config.max_recompiles_per_method {
+            return self.deny_osr(method, OsrDenyReason::Budget, true);
+        }
+        // Compile on the spot — the requesting loop is burning baseline
+        // cycles right now; waiting for the hot-methods organizer only
+        // helps the *next* invocation.
+        self.charge(Component::ControllerThread, self.config.controller_cost_per_event);
+        self.emit(TraceEvent::RecompilePlan { method, reason: PlanReason::OsrPromotion });
+        let Some(v) = self.compile_foreground(method, &context) else {
+            // Injected fault; retry/backoff booked by the failure path.
+            return self.deny_osr(method, OsrDenyReason::CompileFault, false);
+        };
+        // The install satisfies any queued plan for this method — under the
+        // foreground scheduler it can be removed silently. Background plans
+        // are left alone: the queue owns their lifecycle, and the pending
+        // plan (or in-flight compile) will be dropped as stale (already
+        // recompiled) with a traced reason.
+        if self.config.async_compile.is_none()
+            && std::mem::take(&mut self.methods[method.index()].queued)
+        {
+            self.pending_plans.retain(|plan| plan.method != method);
+        }
+        if !self.vm.osr_enter(&v, req.loop_header) {
+            // No entry point survived optimization; the next invocation
+            // still benefits from the install.
+            self.deny_osr(method, OsrDenyReason::NoEntryPoint, true);
+        }
+    }
+
+    /// Books one OSR denial: counter, trace event and — when a future
+    /// request could never fare better — request suppression.
+    fn deny_osr(&mut self, method: MethodId, reason: OsrDenyReason, suppress: bool) {
+        self.osr.denied += 1;
+        self.emit(TraceEvent::OsrDeny { method, reason });
+        if suppress {
+            self.vm.suppress_osr(method);
+        }
+    }
+}

@@ -1,6 +1,6 @@
 use super::*;
 use crate::AosConfig;
-use aoci_core::PolicyKind;
+use aoci_core::{MatchMode, PolicyKind};
 use aoci_ir::{BinOp, Cond, ProgramBuilder};
 use aoci_vm::{CostModel, Value};
 
@@ -347,7 +347,7 @@ fn guard_thrash_invalidates_and_recovers() {
     // invalidated it again) or it has been quarantined to baseline.
     if sys.database().is_optimized(compute) {
         let stats = sys.vm.guard_stats(compute);
-        let base = sys.guard_window_start.get(&compute).copied().unwrap_or_default();
+        let base = sys.methods[compute.index()].guard_window_start;
         let checks = stats.checks - base.checks;
         if checks >= sys.config.recovery.guard_miss_min_checks {
             let rate = (stats.misses - base.misses) as f64 / checks as f64;
@@ -358,7 +358,7 @@ fn guard_thrash_invalidates_and_recovers() {
         }
     } else {
         assert!(
-            sys.quarantined.contains(&compute)
+            sys.methods[compute.index()].quarantined
                 || sys.database().recompiles(compute)
                     >= sys.config.max_recompiles_per_method,
             "a de-optimized method left unoptimized must be quarantined or \
@@ -481,23 +481,6 @@ fn unfaulted_runs_are_deterministic() {
 // ---- Asynchronous background compilation --------------------------------
 
 use crate::config::AsyncCompileConfig;
-use crate::report::AsyncCompileEvents;
-
-#[test]
-fn capped_sync_compile_budget_preserves_semantics() {
-    let p = hot_loop_program(4_000, true);
-    let expected = baseline_result(&p);
-    let mut config = fast_config(PolicyKind::Fixed { max: 3 });
-    config.max_compiles_per_epoch = 1;
-    let report = AosSystem::new(&p, config).run().expect("capped run succeeds");
-    assert_eq!(report.result, expected);
-    assert!(report.opt_compilations >= 1, "the cap delays compiles, it must not starve them");
-    assert_eq!(
-        report.async_compile,
-        AsyncCompileEvents::default(),
-        "synchronous mode must not book async activity"
-    );
-}
 
 #[test]
 fn async_run_preserves_semantics_and_overlaps_compiles() {
@@ -526,7 +509,7 @@ fn async_queue_backpressure_evicts_worst() {
     let p = hot_loop_program(50, true);
     let mut config = fast_config(PolicyKind::ContextInsensitive);
     config.async_compile =
-        Some(AsyncCompileConfig { workers: 1, queue_capacity: 2, zero_latency: false });
+        Some(AsyncCompileConfig { workers: 1, queue_capacity: 2 });
     let mut sys = AosSystem::new(&p, config);
     // No rules yet: every plan prices at benefit 0, so ordering falls back
     // to the deterministic method-id tie-break (lower id runs first).
@@ -536,13 +519,13 @@ fn async_queue_backpressure_evicts_worst() {
     // Method 3 arrived at a full queue as the worst plan: dropped.
     assert_eq!(sys.async_events.enqueued, 2);
     assert_eq!(sys.async_events.queue_full_drops, 1);
-    assert!(!sys.queued.contains(&MethodId::from_index(3)));
+    assert!(!sys.methods[3].queued);
     // Method 0 outranks both residents: the worst resident (2) is evicted.
     sys.controller_enqueue(MethodId::from_index(0), PlanReason::MissingEdge);
     assert_eq!(sys.async_events.enqueued, 3);
     assert_eq!(sys.async_events.queue_full_drops, 2);
-    assert!(sys.queued.contains(&MethodId::from_index(0)));
-    assert!(!sys.queued.contains(&MethodId::from_index(2)));
+    assert!(sys.methods[0].queued);
+    assert!(!sys.methods[2].queued);
     assert_eq!(sys.async_events.max_queue_depth, 2);
 }
 
@@ -551,7 +534,7 @@ fn stale_plans_drop_at_dequeue_with_reasons() {
     let p = hot_loop_program(50, true);
     let mut config = fast_config(PolicyKind::ContextInsensitive);
     config.async_compile =
-        Some(AsyncCompileConfig { workers: 1, queue_capacity: 8, zero_latency: true });
+        Some(AsyncCompileConfig { workers: 1, queue_capacity: 8 });
     let mut sys = AosSystem::new(&p, config);
     // Quarantined while waiting.
     let quarantined = MethodId::from_index(2);
@@ -564,8 +547,8 @@ fn stale_plans_drop_at_dequeue_with_reasons() {
     sys.process_compile_queue();
     assert_eq!(sys.async_events.stale_drops, 2, "{:?}", sys.async_events);
     assert_eq!(sys.async_events.dispatched, 0);
-    assert!(!sys.queued.contains(&quarantined));
-    assert!(!sys.queued.contains(&cooled));
+    assert!(!sys.methods[quarantined.index()].queued);
+    assert!(!sys.methods[cooled.index()].queued);
 }
 
 #[test]
@@ -698,4 +681,79 @@ fn vm_fault_dump_reaches_the_ledger() {
     assert_eq!(dump.len(), 4);
     assert!(dump[3].contains("vm-fault"), "{}", dump[3]);
     assert!(dump[3].contains(&err.to_string()), "{} vs {err}", dump[3]);
+}
+
+// ---- One way to compile: the compile server and the fault draw in `build` --
+
+use crate::config::CompileServerConfig;
+
+/// A compile-server snapshot holding context-free compilations of `methods`.
+fn server_snapshot(p: &Program, methods: impl IntoIterator<Item = MethodId>) -> CompileServerConfig {
+    let oracle = aoci_core::InlineOracle::with_mode(Arc::new(RuleSet::new()), MatchMode::Partial);
+    let opt = aoci_opt::OptConfig::default();
+    let compile = |m| Arc::new(aoci_opt::compile_in_context(p, m, &oracle, &opt, &[]));
+    CompileServerConfig::new(Arc::new(methods.into_iter().map(|m| (m, compile(m))).collect()))
+}
+
+#[test]
+fn a_background_compile_is_served_from_the_compile_server() {
+    let p = hot_loop_program(6_000, true);
+    let compute = p.method_by_name("compute").expect("the hot method");
+    let server = server_snapshot(&p, [compute]);
+    let hit_cost = server.hit_cost;
+    let config = fast_config(PolicyKind::Fixed { max: 3 })
+        .enable_compile_server_with(server)
+        .enable_async_compile()
+        .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 0 });
+    let outcome = AosSystem::new(&p, config).run_serving().expect("runs");
+    assert_eq!(outcome.report.result, baseline_result(&p));
+    assert!(outcome.server.hits >= 1, "{:?}", outcome.server);
+    assert!(outcome.server.hit_methods.contains(&compute), "{:?}", outcome.server);
+    let log = outcome.report.trace_log.expect("tracing is on");
+    let starts: Vec<u64> = log
+        .events
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::CompileStart { method, cost, .. } if method == compute => Some(cost),
+            _ => None,
+        })
+        .collect();
+    assert!(!starts.is_empty(), "the hit went through a background worker");
+    assert!(starts.iter().all(|&cost| cost == hit_cost), "{starts:?} vs hit cost {hit_cost}");
+}
+
+#[test]
+fn a_server_hit_draws_no_compile_fault() {
+    let p = hot_loop_program(6_000, true);
+    let mut config = fast_config(PolicyKind::Fixed { max: 3 })
+        .enable_compile_server_with(server_snapshot(&p, p.methods().map(|m| m.id())));
+    config.fault = Some(FaultConfig::chaos(42));
+    let outcome = AosSystem::new(&p, config).run_serving().expect("runs");
+    assert_eq!(outcome.report.result, baseline_result(&p));
+    assert!(outcome.server.hits >= 1, "{:?}", outcome.server);
+    assert_eq!(outcome.server.misses, 0, "the snapshot covers the program");
+    let ev = outcome.report.recovery;
+    assert_eq!(ev.injected_compile_faults, 0, "a hit bypasses the local compiler: {ev:?}");
+    assert!(ev.injected_corrupt_traces > 0 && ev.dropped_samples > 0, "chaos is on: {ev:?}");
+}
+
+#[test]
+fn a_zero_threshold_still_needs_a_sample() {
+    let p = hot_loop_program(400, true);
+    let mut config = fast_config(PolicyKind::ContextInsensitive)
+        .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 0 });
+    config.hot_method_samples = 0;
+    config.hot_method_fraction = 0.0;
+    let report = AosSystem::new(&p, config).run().expect("runs");
+    let log = report.trace_log.expect("tracing is on");
+    let hot: Vec<u32> = log
+        .events
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::HotMethod { samples, .. } => Some(samples),
+            _ => None,
+        })
+        .collect();
+    assert!(!hot.is_empty(), "sampled methods are planned at once");
+    assert!(hot.iter().all(|&samples| samples >= 1), "{hot:?}");
 }

@@ -4,10 +4,10 @@
 //! The sweep materializes the (workload × policy × rep) matrix as a
 //! [`SweepJob`] list in **canonical order** (suite order, then policy
 //! roster order, then repetition index), runs it across the fixed-worker
-//! [`JobPool`], and merges results back by walking the job list in that
-//! same canonical order. Each job is a pure function of its descriptor
-//! (see [`run_rep`](crate::metrics::run_rep)), the pool returns results in
-//! job-list order regardless of scheduling, and [`GridStore`] is a
+//! [`JobPool`](aoci_core::JobPool), and merges results back by walking the
+//! job list in that same canonical order. Each job is a pure function of its
+//! descriptor (see [`run_rep`]), the pool returns results in job-list order
+//! regardless of scheduling, and [`GridStore`] is a
 //! `BTreeMap` keyed by `"workload::policy"` — three layers of ordering
 //! that together make `results/grid.json` byte-identical for any
 //! `AOCI_JOBS` value (asserted by `tests/parallel_determinism.rs`).

@@ -24,7 +24,7 @@
 //! Sweeps run the (workload × policy × rep) matrix across a fixed-worker
 //! job pool — `AOCI_JOBS=N` selects the worker count (default: all cores;
 //! `1` is the serial path) and `results/grid.json` is **byte-identical**
-//! for any value. Every `AOCI_*` knob is parsed once, in [`env`]; run
+//! for any value. Every `AOCI_*` knob is parsed once, in [`mod@env`]; run
 //! `diag --knobs` for the generated table.
 
 pub mod env;

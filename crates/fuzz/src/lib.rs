@@ -22,13 +22,13 @@
 //!   oracle result and match its twin field-by-field (which
 //!   simultaneously proves same-seed bit-identity *and* flight-recorder
 //!   zero-overhead). Any violation — including a panic anywhere in
-//!   aos/vm/opt — becomes a [`Finding`](oracle::Finding);
+//!   aos/vm/opt — becomes a [`Finding`];
 //! * [`oracle::CaseOutcome::fingerprint`] — the decision-space coverage
 //!   set read from the flight recorder
 //!   ([`TraceLog::coverage`](aoci_trace::TraceLog)); the campaign keeps a
 //!   case in its corpus only if its fingerprint adds a feature no earlier
 //!   case reached;
-//! * [`minimize`] — shrinks a failing spec field-by-field to the smallest
+//! * [`minimize()`] — shrinks a failing spec field-by-field to the smallest
 //!   spec still exhibiting the finding (strictly monotone measure, so
 //!   shrinking provably terminates);
 //! * [`campaign`] — fans the case list over

@@ -150,7 +150,7 @@ impl TraceSink {
 
 /// An owned snapshot of the flight recorder: the retained events plus
 /// lifetime counters. Produced by [`TraceSink::log`]; consumed by the
-/// export sinks in [`crate::sinks`].
+/// export sinks in `crate::sinks`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceLog {
     /// Retained events, oldest first.

@@ -458,7 +458,7 @@ impl<'p> Vm<'p> {
     ///
     /// The loop below *is* the interpreter's event schedule: finished →
     /// budget → step → pending OSR request → due sample, in that order, once
-    /// per instruction. [`run_frames`] executes the steps, calls and returns
+    /// per instruction. `run_frames` executes the steps, calls and returns
     /// included; it runs many per call, but only while none of the checks
     /// can fire (it stops at every raised OSR request and as soon as the
     /// clock reaches the earlier of the due sample and the budget's end), so
@@ -628,7 +628,7 @@ impl<'p> Vm<'p> {
     /// read off the machine stack: each caller frame is parked on its call
     /// instruction while the callee runs, so the site index plus the
     /// caller's source-level method (through the inline map) name one
-    /// [`CallSiteRef`] of the chain. Capped at [`MAX_OSR_CONTEXT_DEPTH`]
+    /// [`CallSiteRef`] of the chain. Capped at `MAX_OSR_CONTEXT_DEPTH`
     /// callers; the walk stops early at a frame not resting on a call
     /// (only possible mid-OSR bookkeeping, never in a steady-state walk).
     /// This is the context the dispatched-OSR lookup and the driver's

@@ -290,7 +290,7 @@ impl CodeRegistry {
     ///
     /// With [retention](CodeRegistry::retain_versions) on, a superseded
     /// optimized version installed under a *different* key survives (up to
-    /// [`MAX_SURVIVORS_PER_METHOD`], oldest evicted first) and stays
+    /// `MAX_SURVIVORS_PER_METHOD`, oldest evicted first) and stays
     /// counted in [resident size](CodeRegistry::current_optimized_size); a
     /// same-key predecessor — installed or surviving — is released, since
     /// the new version supersedes it for that context.
