@@ -130,18 +130,6 @@ impl Default for CompileServerConfig {
     }
 }
 
-/// Which profile-data representation backs the dynamic call graph.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ProfileBackend {
-    /// The paper's flat trace table ([`aoci_profile::Dcg`]).
-    #[default]
-    FlatTraces,
-    /// The calling-context tree of Ammons et al.
-    /// ([`aoci_profile::CallingContextTree`]) — the "more sophisticated
-    /// representation" the paper's Section 6 contemplates.
-    ContextTree,
-}
-
 /// Tunables of the whole adaptive system; [`AosConfig::new`] supplies
 /// defaults matching the paper's setup where it states them (1.5% hot
 /// threshold, decay toward recent samples) and plausible Jikes-era values
@@ -178,8 +166,6 @@ pub struct AosConfig {
     pub adaptive: AdaptiveConfig,
     /// DCG collection behaviour (merge ablation, pruning).
     pub dcg: DcgConfig,
-    /// Profile-data representation.
-    pub profile_backend: ProfileBackend,
     /// Oracle matching mode (exact matching is an ablation).
     pub match_mode: MatchMode,
     /// Simulated-machine costs (sampling period lives here).
@@ -238,7 +224,6 @@ impl AosConfig {
             opt: OptConfig::default(),
             adaptive: AdaptiveConfig::default(),
             dcg: DcgConfig::default(),
-            profile_backend: ProfileBackend::FlatTraces,
             match_mode: MatchMode::Partial,
             cost: CostModel::default(),
             vm: VmConfig::default(),

@@ -76,9 +76,7 @@ mod fault;
 mod report;
 mod system;
 
-pub use config::{
-    AosConfig, AsyncCompileConfig, CompileServerConfig, ProfileBackend, RecoveryConfig,
-};
+pub use config::{AosConfig, AsyncCompileConfig, CompileServerConfig, RecoveryConfig};
 pub use database::{AosDatabase, CompilationRecord};
 pub use fault::{CompileFault, FaultConfig, FaultInjector, InjectedFaults, TraceCorruption};
 pub use aoci_telemetry::{MetricsConfig, MetricsLog};

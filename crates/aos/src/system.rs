@@ -7,10 +7,9 @@ use crate::report::{AosReport, AsyncCompileEvents, OsrEvents, RecoveryEvents};
 use aoci_core::{PolicyEngine, RuleSet};
 use aoci_ir::{CallSiteRef, MethodId, Program};
 use aoci_profile::{
-    validate_trace, CallingContextTree, Dcg, MethodListener, ProfileStore, TraceKey,
-    TraceListener, TraceStatsCollector,
+    validate_trace, Dcg, MethodListener, TraceKey, TraceListener, TraceStatsCollector,
 };
-use aoci_telemetry::MetricsSink;
+use aoci_telemetry::MetricsRegistry;
 use aoci_trace::{FaultKind, PlanReason, Recorded, TraceEvent, TraceLog, TraceSink};
 use aoci_vm::{
     Component, ContextFingerprint, MethodGuardStats, RunOutcome, StackSnapshot, Vm, VmError,
@@ -149,7 +148,7 @@ pub struct AosSystem<'p> {
     policy: PolicyEngine,
     method_listener: MethodListener,
     trace_listener: TraceListener,
-    profile: Box<dyn ProfileStore>,
+    profile: Dcg,
     rules: Arc<RuleSet>,
     db: AosDatabase,
     /// One entry per method of `program`.
@@ -159,7 +158,7 @@ pub struct AosSystem<'p> {
     /// became a hot rule gates the missing-edge organizer ("the edge became
     /// hot after the method was last compiled", paper Section 3.2).
     ai_generation: u64,
-    first_hot: HashMap<aoci_profile::TraceKey, u64>,
+    first_hot: HashMap<TraceKey, u64>,
     /// Plans awaiting the compilation thread. The foreground scheduler pops
     /// them first-in first-out; the background scheduler picks by
     /// [`plan_order`] at each dispatch (kept unsorted; the queue is small
@@ -195,7 +194,7 @@ pub struct AosSystem<'p> {
     /// charges no simulated cycles and reads only simulated-clock state, so
     /// a metered run's report (minus the log itself) is bit-identical to an
     /// unmetered one.
-    metrics: Option<MetricsSink>,
+    metrics: Option<MetricsRegistry>,
     /// Compile-server ledger; stays default unless
     /// [`AosConfig::compile_server`] is set.
     server: ServerEvents,
@@ -221,19 +220,13 @@ impl<'p> AosSystem<'p> {
             policy.set_dependence(aoci_core::DependenceAnalysis::analyze(program));
         }
         let workers = config.async_compile.as_ref().map_or(0, |c| c.workers.max(1));
-        let profile: Box<dyn ProfileStore> = match config.profile_backend {
-            crate::config::ProfileBackend::FlatTraces => Box::new(Dcg::new(config.dcg)),
-            crate::config::ProfileBackend::ContextTree => {
-                Box::new(CallingContextTree::new(config.dcg.prune_epsilon))
-            }
-        };
         AosSystem {
             program,
             vm,
             policy,
             method_listener: MethodListener::new(),
             trace_listener,
-            profile,
+            profile: Dcg::new(config.dcg),
             rules: Arc::new(RuleSet::new()),
             db: AosDatabase::new(),
             methods: vec![MethodState::default(); program.num_methods()],
@@ -252,7 +245,7 @@ impl<'p> AosSystem<'p> {
             retry_after: Vec::new(),
             osr: OsrEvents::default(),
             trace,
-            metrics: config.metrics.clone().map(MetricsSink::new),
+            metrics: config.metrics.clone().map(MetricsRegistry::new),
             server: ServerEvents::default(),
             config,
         }
@@ -335,7 +328,7 @@ impl<'p> AosSystem<'p> {
     /// Propagates any [`VmError`] the program raises.
     pub fn run_full(mut self) -> FullRunResult {
         let result = self.run_to_completion()?;
-        let profile = self.profile.entries();
+        let profile = self.profile_entries();
         let (report, db) = self.into_report(result);
         Ok((report, db, profile))
     }
@@ -349,9 +342,14 @@ impl<'p> AosSystem<'p> {
     /// Propagates any [`VmError`] the program raises.
     pub fn run_serving(mut self) -> Result<ServingOutcome, VmError> {
         let result = self.run_to_completion()?;
-        let profile = self.profile.entries();
+        let profile = self.profile_entries();
         let server = std::mem::take(&mut self.server);
         Ok(ServingOutcome { report: self.into_report(result).0, profile, server })
+    }
+
+    /// The final trace profile, as `run_full` / `run_serving` hand it out.
+    fn profile_entries(&self) -> Vec<(TraceKey, f64)> {
+        self.profile.iter().map(|(k, w)| (k.clone(), w)).collect()
     }
 
     /// Steps until the program returns; yields its return value.
@@ -473,7 +471,7 @@ impl<'p> AosSystem<'p> {
 
         // --- Telemetry (epoch cadence; records nothing, charges nothing,
         // when metrics are off) ------------------------------------------
-        let epoch = self.metrics.as_ref().map(MetricsSink::epoch_samples);
+        let epoch = self.metrics.as_ref().map(MetricsRegistry::epoch_samples);
         if epoch.is_some_and(|e| self.sample_count.is_multiple_of(e)) {
             self.record_metrics_snapshot();
         }
@@ -483,8 +481,9 @@ impl<'p> AosSystem<'p> {
     /// counter and instantaneous gauge from authoritative AOS/VM state at
     /// the current simulated-clock instant. No-op when metrics are off;
     /// charges no simulated cycles when on.
-    fn record_metrics_snapshot(&self) {
-        let Some(sink) = &self.metrics else { return };
+    fn record_metrics_snapshot(&mut self) {
+        // Out of `self` while the rest of it is read.
+        let Some(mut sink) = self.metrics.take() else { return };
         let counters = self.vm.counters();
         sink.counter_set("samples", self.sample_count);
         sink.counter_set("calls", counters.calls);
@@ -532,6 +531,7 @@ impl<'p> AosSystem<'p> {
         sink.gauge_set("quarantined_methods", self.recovery.quarantined_methods);
         sink.gauge_set("retry_backlog", self.retry_after.len() as u64);
         sink.snapshot(self.sample_count, clock.total());
+        self.metrics = Some(sink);
     }
 
     fn charge(&mut self, component: Component, cycles: u64) {
@@ -542,7 +542,7 @@ impl<'p> AosSystem<'p> {
     /// recorder's ring moves into [`AosReport::trace_log`] rather than being
     /// cloned beside itself, so the VM and the trace listener (which hold
     /// the other sink handles) are dropped first.
-    fn into_report(self, result: Option<aoci_vm::Value>) -> (AosReport, AosDatabase) {
+    fn into_report(mut self, result: Option<aoci_vm::Value>) -> (AosReport, AosDatabase) {
         // Close the time series with an end-of-run snapshot, so the final
         // state is visible even when the run ended mid-epoch.
         self.record_metrics_snapshot();
@@ -577,7 +577,7 @@ impl<'p> AosSystem<'p> {
             osr,
             async_compile,
             trace_log: None,
-            telemetry: metrics.as_ref().map(MetricsSink::log),
+            telemetry: metrics.map(MetricsRegistry::into_log),
         };
         drop((vm, trace_listener));
         report.trace_log = trace.map(TraceSink::into_log);
@@ -586,9 +586,9 @@ impl<'p> AosSystem<'p> {
 
     // ---- Introspection (tests, examples) -------------------------------
 
-    /// The profile store (dynamic call graph) in its current state.
-    pub fn profile(&self) -> &dyn ProfileStore {
-        self.profile.as_ref()
+    /// The dynamic call graph in its current state.
+    pub fn profile(&self) -> &Dcg {
+        &self.profile
     }
 
     /// The current inlining rules.

@@ -299,7 +299,7 @@ impl AosSystem<'_> {
                 if !self.server.hit_methods.contains(&method) {
                     self.server.hit_methods.push(method);
                 }
-                if let Some(sink) = &self.metrics {
+                if let Some(sink) = &mut self.metrics {
                     sink.counter_add("compile_server_hits", 1);
                 }
                 return Built {
@@ -318,7 +318,7 @@ impl AosSystem<'_> {
             if !self.server.requests.contains(&method) {
                 self.server.requests.push(method);
             }
-            if let Some(sink) = &self.metrics {
+            if let Some(sink) = &mut self.metrics {
                 sink.counter_add("compile_server_misses", 1);
             }
         }
@@ -404,7 +404,7 @@ impl AosSystem<'_> {
                 cycles: cost,
             });
         }
-        if let Some(sink) = &self.metrics {
+        if let Some(sink) = &mut self.metrics {
             sink.counter_add("compiles_installed", 1);
             sink.counter_add("inline_decisions", compilation.decisions.len() as u64);
             sink.counter_add("inline_decisions_guarded", compilation.guarded_count() as u64);

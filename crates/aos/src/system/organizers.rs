@@ -74,7 +74,7 @@ impl AosSystem<'_> {
                 self.first_hot.insert(rule.trace.clone(), self.ai_generation);
             }
         }
-        self.policy.adaptive_feedback(self.profile.as_ref());
+        self.policy.adaptive_feedback(&self.profile);
     }
 
     /// Ages the DCG toward recent behaviour (phase-shift adaptation).

@@ -163,7 +163,7 @@ pub fn run_one(spec: &WorkloadSpec, policy: PolicyKind, env: &EnvConfig) -> RunM
 /// Folds the rep-ordered reports of one (workload, policy) cell into its
 /// [`RunMetrics`] entry. The fold iterates reports **in repetition order**
 /// whatever order the pool finished them in, so every float accumulation
-/// happens in the same sequence as the legacy serial loop — byte-identical
+/// happens in the same sequence as a plain serial loop — byte-identical
 /// aggregates for any worker count.
 pub fn aggregate(workload: &str, policy: PolicyKind, reports: &[AosReport]) -> RunMetrics {
     let n = reports.len();

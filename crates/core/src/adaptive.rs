@@ -11,7 +11,7 @@
 //! falls back to level 1 to stop paying for useless context).
 
 use aoci_ir::CallSiteRef;
-use aoci_profile::ProfileStore;
+use aoci_profile::Dcg;
 use std::collections::HashMap;
 
 /// Configuration of the adaptive-resolving policy.
@@ -89,14 +89,18 @@ impl AdaptiveState {
     /// sites, escalates flagged sites that remain unresolved, resolves those
     /// whose per-context distributions became skewed, and writes off sites
     /// that hit the maximum level unresolved.
-    pub fn update(&mut self, dcg: &dyn ProfileStore) {
+    ///
+    /// What it decides is pinned byte for byte by
+    /// `parallel_determinism::golden_cells_match_the_committed_grid`
+    /// (`db × adaptive/3`).
+    pub fn update(&mut self, dcg: &Dcg) {
         let total = dcg.total_weight();
         if total <= 0.0 {
             return;
         }
         // Group DCG entries by immediate call site.
         let mut site_weight: HashMap<CallSiteRef, f64> = HashMap::new();
-        for (key, w) in dcg.entries() {
+        for (key, w) in dcg.iter() {
             if key.depth() == 0 {
                 continue; // root edges name no call site
             }
@@ -148,14 +152,14 @@ impl AdaptiveState {
 
     /// A site's imprecision is resolved at `level` when every observed
     /// context of at least that depth has a skewed callee distribution.
-    fn contexts_resolved(&self, dcg: &dyn ProfileStore, site: CallSiteRef, level: u8) -> bool {
+    fn contexts_resolved(&self, dcg: &Dcg, site: CallSiteRef, level: u8) -> bool {
         // context (full) → callee → weight
-        let mut by_context: HashMap<Vec<aoci_ir::CallSiteRef>, HashMap<aoci_ir::MethodId, f64>> =
+        let mut by_context: HashMap<&[CallSiteRef], HashMap<aoci_ir::MethodId, f64>> =
             HashMap::new();
-        for (key, w) in dcg.entries() {
+        for (key, w) in dcg.iter() {
             if key.depth() > 0 && key.immediate_caller() == site && key.depth() >= level as usize {
                 *by_context
-                    .entry(key.context().to_vec())
+                    .entry(key.context())
                     .or_default()
                     .entry(key.callee())
                     .or_insert(0.0) += w;
@@ -183,7 +187,7 @@ fn is_skewed(dist: &HashMap<aoci_ir::MethodId, f64>, threshold: f64) -> bool {
 mod tests {
     use super::*;
     use aoci_ir::{MethodId, SiteIdx};
-    use aoci_profile::{Dcg, TraceKey};
+    use aoci_profile::TraceKey;
 
     fn cs(m: usize, s: u16) -> CallSiteRef {
         CallSiteRef::new(MethodId::from_index(m), SiteIdx(s))

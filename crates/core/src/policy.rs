@@ -3,7 +3,7 @@
 use crate::adaptive::{AdaptiveConfig, AdaptiveState};
 use crate::dependence::DependenceAnalysis;
 use aoci_ir::{CallSiteRef, MethodId, Program, SizeClass};
-use aoci_profile::ProfileStore;
+use aoci_profile::Dcg;
 use std::fmt;
 
 /// Which context-sensitivity policy governs trace collection.
@@ -189,7 +189,7 @@ impl PolicyEngine {
 
     /// Feeds DCG feedback to the adaptive-resolving state (no-op for other
     /// policies). Called periodically by the AI organizer.
-    pub fn adaptive_feedback(&mut self, dcg: &dyn ProfileStore) {
+    pub fn adaptive_feedback(&mut self, dcg: &Dcg) {
         if matches!(self.kind, PolicyKind::AdaptiveResolving { .. }) {
             self.adaptive.update(dcg);
         }

@@ -9,19 +9,21 @@
 //! dependencies), and results are returned **in job-list order** no matter
 //! which worker finished first or in what interleaving. Anything merged
 //! from the result vector in a deterministic fold is therefore
-//! byte-identical for any worker count; `workers == 1` degenerates to the
-//! plain serial loop (no threads are spawned at all).
+//! byte-identical for any worker count. The caller is one of the workers,
+//! so with `workers == 1` it runs the one scheduling loop by itself and no
+//! thread is spawned.
 //!
 //! The only observable difference between worker counts is wall-clock
 //! time, which the pool measures per job so harnesses can report sweep
-//! speedups ([`SweepStats`]). Chains of dependent stages go through
-//! [`JobPool::run_pipelines`] instead of a barrier per stage.
+//! speedups ([`SweepStats`]). There is one scheduler,
+//! [`JobPool::run_pipelines`]: chains of dependent stages without a barrier
+//! per stage. A plain job list ([`JobPool::run`], [`JobPool::map`]) is one
+//! pipeline of one stage on it.
 
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// One finished job: its output plus the wall-clock time it took.
@@ -130,7 +132,7 @@ impl Default for JobPool {
 
 impl JobPool {
     /// A pool with exactly `workers` threads (clamped to at least 1).
-    /// `JobPool::new(1)` is the deterministic serial path.
+    /// With `JobPool::new(1)` the caller runs every job itself, in order.
     pub fn new(workers: usize) -> Self {
         JobPool { workers: workers.max(1) }
     }
@@ -161,58 +163,26 @@ impl JobPool {
         R: Send,
         F: Fn(&J) -> R + Sync,
     {
-        let started = Instant::now();
         let n = jobs.len();
-        let workers = self.workers.min(n.max(1));
-        // Each slot holds the job's wall time plus either its output or
-        // the panic payload caught from it.
-        let mut slots_vec: Vec<Option<(std::thread::Result<R>, Duration)>> =
-            Vec::with_capacity(n);
-
-        if workers <= 1 {
-            // Serial path: no threads, exact legacy behaviour.
-            for job in &jobs {
+        // One pipeline of one stage: the first `advance` yields every job,
+        // the second keeps the stage's outputs. A panicking job is caught
+        // here, inside the job the scheduler sees, so the stage completes
+        // and the payload is re-raised below with the job index attached.
+        let (mut done, stats) = self.run_pipelines(
+            vec![(Some(jobs.iter().collect::<Vec<&J>>()), Vec::new())],
+            |(stage, outputs), finished| {
+                *outputs = finished;
+                stage.take()
+            },
+            |job| {
                 let t = Instant::now();
                 let result = catch_unwind(AssertUnwindSafe(|| f(job)));
-                slots_vec.push(Some((result, t.elapsed())));
-            }
-        } else {
-            slots_vec.resize_with(n, || None);
-            let slots = Mutex::new(&mut slots_vec);
-            let next = AtomicUsize::new(0);
-            let jobs = &jobs;
-            let f = &f;
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        // Claim the next unstarted job; each index is
-                        // handed out exactly once, so every slot is
-                        // written exactly once.
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let t = Instant::now();
-                        // A panicking job is caught, not propagated: the
-                        // worker keeps draining jobs and the payload is
-                        // re-raised below with the job index attached.
-                        let result = catch_unwind(AssertUnwindSafe(|| f(&jobs[i])));
-                        let wall = t.elapsed();
-                        // The slot lock is only ever held for the
-                        // assignment, which cannot panic — but if a
-                        // future refactor breaks that, recover the
-                        // guard rather than compounding one worker's
-                        // panic into a poisoned-lock panic here.
-                        slots.lock().unwrap_or_else(PoisonError::into_inner)[i] =
-                            Some((result, wall));
-                    });
-                }
-            });
-        }
-
+                (result, t.elapsed())
+            },
+        );
+        let (_, outputs) = done.pop().expect("one pipeline in, one out");
         let mut results: Vec<JobResult<R>> = Vec::with_capacity(n);
-        for (i, slot) in slots_vec.into_iter().enumerate() {
-            let (result, wall) = slot.expect("every job slot filled");
+        for (i, (result, wall)) in outputs.into_iter().enumerate() {
             match result {
                 Ok(output) => results.push(JobResult { output, wall }),
                 Err(payload) => {
@@ -220,9 +190,6 @@ impl JobPool {
                 }
             }
         }
-        let busy = results.iter().map(|r| r.wall).sum();
-        let stats =
-            SweepStats { jobs: n, workers: self.workers, wall: started.elapsed(), busy };
         (results, stats)
     }
 
@@ -365,13 +332,29 @@ impl JobPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_are_in_job_order_for_any_worker_count() {
+        use std::sync::mpsc::channel;
         let jobs: Vec<u64> = (0..97).collect();
         for workers in [1, 2, 3, 8, 64] {
-            let pool = JobPool::new(workers);
-            let out = pool.map(jobs.clone(), |&j| j * j);
+            // Given a second worker, job 0 finishes only after the last job
+            // has started: at least 97 - 64 results are stored before its own.
+            let (tx, rx) = channel();
+            let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
+            let out = JobPool::new(workers).map(jobs.clone(), |&j| {
+                if j == 0 && workers > 1 {
+                    rx.lock()
+                        .unwrap()
+                        .recv_timeout(Duration::from_secs(20))
+                        .expect("the last job starts while job 0 is still running");
+                }
+                if j == 96 {
+                    tx.lock().unwrap().send(()).unwrap();
+                }
+                j * j
+            });
             assert_eq!(out, jobs.iter().map(|j| j * j).collect::<Vec<_>>(), "workers={workers}");
         }
     }
@@ -405,7 +388,8 @@ mod tests {
     #[test]
     fn worker_panic_is_reported_with_job_index() {
         let jobs: Vec<u32> = (0..8).collect();
-        for workers in [1, 4] {
+        // 64 workers and 8 jobs: the idle ones must wake up, not hang.
+        for workers in [1, 4, 64] {
             let executed = AtomicUsize::new(0);
             let caught = catch_unwind(AssertUnwindSafe(|| {
                 JobPool::new(workers).map(jobs.clone(), |&j| {
@@ -535,7 +519,7 @@ mod tests {
     fn pipeline_panics_are_named_after_the_other_pipelines_drained() {
         // (what panics, the message that must come back)
         let cases = [
-            ("job", "pool pipeline 1 stage 1 job 2 panicked: boom in job"),
+            ("job", "pool pipeline 1 stage 1 job 1 panicked: boom in job"),
             ("advance", "pool pipeline 1 advancing to stage 2 panicked: boom in advance"),
         ];
         for (what, want) in cases {
@@ -554,7 +538,8 @@ mod tests {
                         },
                         |job| {
                             executed.fetch_add(1, Ordering::SeqCst);
-                            assert!(!(what == "job" && job.1 == 1 && job.2 == 2), "boom in job");
+                            // Not the stage's last job: the rest of it still runs.
+                            assert!(!(what == "job" && job == (others.min(1), 1, 1)), "boom in job");
                             job
                         },
                     )

@@ -274,6 +274,16 @@ mod tests {
         assert!((hot[0].fraction - 0.8).abs() < 1e-12);
         // 1% entry is below the 1.5% threshold.
         assert!(hot.iter().all(|h| h.key.callee() != mid(3)));
+        // Exactly at the threshold is hot (1.0 / 100.0 == 0.01).
+        assert_eq!(d.hot(0.01).len(), 3);
+        // Equal weights come out in key order, whatever the hash order.
+        let mut tied = Dcg::default();
+        for site in [4, 1, 5, 0, 3, 2] {
+            tied.record(TraceKey::edge(cs(0, site), mid(1)), 2.0);
+        }
+        let sites: Vec<_> =
+            tied.hot(0.1).iter().map(|h| h.key.immediate_caller().site).collect();
+        assert_eq!(sites, (0..6).map(SiteIdx).collect::<Vec<_>>());
     }
 
     #[test]

@@ -27,20 +27,16 @@
 
 #![warn(missing_docs)]
 
-mod cct;
 mod dcg;
 mod key;
 mod listeners;
 mod sanitize;
 mod saved;
 mod stats;
-mod store;
 
-pub use cct::CallingContextTree;
 pub use dcg::{Dcg, DcgConfig, HotTrace};
 pub use key::TraceKey;
 pub use listeners::{EdgeListener, MethodListener, TraceListener};
 pub use sanitize::{validate_trace, TraceDefect};
 pub use saved::{IndexOverflow, SavedProfile, SavedTrace};
 pub use stats::{DepthHistogram, TraceStatsCollector, TraceStatsReport};
-pub use store::ProfileStore;

@@ -209,20 +209,20 @@ pub fn dashboard(label: &str, log: &MetricsLog) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{MetricsConfig, MetricsSink};
+    use crate::registry::{MetricsConfig, MetricsRegistry};
 
     fn sample_log() -> MetricsLog {
-        let sink = MetricsSink::new(MetricsConfig::default());
-        sink.counter_set("samples", 8);
-        sink.counter_add("inline_decisions", 2);
-        sink.gauge_set("compile_queue_depth", 3);
-        sink.observe("compile_cost_cycles", 1000);
-        sink.snapshot(8, 50_000);
-        sink.counter_set("samples", 16);
-        sink.counter_add("inline_decisions", 5);
-        sink.gauge_set("compile_queue_depth", 1);
-        sink.snapshot(16, 110_000);
-        sink.log()
+        let mut registry = MetricsRegistry::new(MetricsConfig::default());
+        registry.counter_set("samples", 8);
+        registry.counter_add("inline_decisions", 2);
+        registry.gauge_set("compile_queue_depth", 3);
+        registry.observe("compile_cost_cycles", 1000);
+        registry.snapshot(8, 50_000);
+        registry.counter_set("samples", 16);
+        registry.counter_add("inline_decisions", 5);
+        registry.gauge_set("compile_queue_depth", 1);
+        registry.snapshot(16, 110_000);
+        registry.into_log()
     }
 
     #[test]
@@ -268,13 +268,13 @@ mod tests {
         // Short series pass through untouched.
         assert_eq!(fold_chunks(&[1, 2, 3], DASH_WIDTH, |c| c.iter().sum()), vec![1, 2, 3]);
         // Dashboard lines stay terminal-sized for multi-thousand-epoch runs.
-        let sink = MetricsSink::new(MetricsConfig::default());
+        let mut registry = MetricsRegistry::new(MetricsConfig::default());
         for i in 0..3_000u64 {
-            sink.counter_set("samples", i * 8);
-            sink.gauge_set("compile_queue_depth", i % 7);
-            sink.snapshot(i * 8, i * 50_000);
+            registry.counter_set("samples", i * 8);
+            registry.gauge_set("compile_queue_depth", i % 7);
+            registry.snapshot(i * 8, i * 50_000);
         }
-        for line in dashboard("wide", &sink.log()).lines() {
+        for line in dashboard("wide", &registry.into_log()).lines() {
             assert!(line.chars().count() < 140, "over-wide dashboard line: {line}");
         }
     }

@@ -1,19 +1,16 @@
-//! The metrics registry, its shared sink handle, and the owned
-//! end-of-run snapshot ([`MetricsLog`]).
+//! The metrics registry and the owned end-of-run log ([`MetricsLog`]) it
+//! fills.
 //!
-//! Mirrors the flight-recorder split (`TraceSink` / `TraceLog`): the
-//! registry lives behind an `Rc<RefCell<…>>` [`MetricsSink`] shared by the
-//! single-threaded run that feeds it, and the report carries an owned,
-//! plain-data [`MetricsLog`] — `Send`, so parallel sweep pools can move it
-//! across workers. Recording charges **no simulated cycles** and reads no
-//! wall clock; every container is a `BTreeMap`, so serialization order is
-//! deterministic.
+//! The registry is owned by the one driver that feeds it (`AosSystem`) and
+//! holds the very [`MetricsLog`] the report carries — plain data, `Send`,
+//! so parallel sweep pools can move it across workers — which
+//! [`MetricsRegistry::into_log`] moves out at the end of the run. Recording
+//! charges **no simulated cycles** and reads no wall clock; every container
+//! is a `BTreeMap`, so serialization order is deterministic.
 
 use crate::histogram::Histogram;
 use aoci_json::Value;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 /// Telemetry tunables.
 #[derive(Clone, Debug)]
@@ -64,149 +61,77 @@ impl EpochSnapshot {
             ),
         ])
     }
-
-    /// Inverse of [`EpochSnapshot::to_value`]; `None` on shape mismatch.
-    pub fn from_value(v: &Value) -> Option<Self> {
-        let map = |key: &str| -> Option<BTreeMap<String, u64>> {
-            v.get(key)?
-                .as_obj()?
-                .iter()
-                .map(|(k, v)| Some((k.clone(), v.as_u64()?)))
-                .collect()
-        };
-        Some(EpochSnapshot {
-            epoch: v.get("epoch")?.as_u64()?,
-            sample_tick: v.get("sample_tick")?.as_u64()?,
-            cycle: v.get("cycle")?.as_u64()?,
-            counters: map("counters")?,
-            gauges: map("gauges")?,
-        })
-    }
 }
 
-/// The live registry: typed metric families keyed by name.
-#[derive(Clone, Debug, Default)]
+/// The live registry: typed metric families keyed by name, recorded
+/// straight into the log the run reports.
+#[derive(Clone, Debug)]
 pub struct MetricsRegistry {
-    config: MetricsConfig,
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
-    series: Vec<EpochSnapshot>,
+    log: MetricsLog,
 }
 
 impl MetricsRegistry {
     /// An empty registry under `config`.
     pub fn new(config: MetricsConfig) -> Self {
-        MetricsRegistry {
-            config,
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            histograms: BTreeMap::new(),
-            series: Vec::new(),
-        }
+        let epoch_samples = config.epoch_samples.max(1);
+        MetricsRegistry { log: MetricsLog { epoch_samples, ..MetricsLog::default() } }
     }
 
     /// Epoch length in samples (always ≥ 1).
     pub fn epoch_samples(&self) -> u64 {
-        self.config.epoch_samples.max(1)
+        self.log.epoch_samples
     }
 
     /// Adds `delta` to counter `name` (event-driven counters).
     pub fn counter_add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        update(&mut self.log.counters, name, |c| *c += delta);
     }
 
     /// Sets counter `name` to the cumulative value `v` (counters sampled
     /// from authoritative state rather than accumulated event by event).
     pub fn counter_set(&mut self, name: &str, v: u64) {
-        self.counters.insert(name.to_string(), v);
+        update(&mut self.log.counters, name, |c| *c = v);
     }
 
     /// Sets gauge `name` to `v`.
     pub fn gauge_set(&mut self, name: &str, v: u64) {
-        self.gauges.insert(name.to_string(), v);
+        update(&mut self.log.gauges, name, |g| *g = v);
     }
 
     /// Records `v` into histogram `name`.
     pub fn observe(&mut self, name: &str, v: u64) {
-        self.histograms.entry(name.to_string()).or_default().observe(v);
+        update(&mut self.log.histograms, name, |h| h.observe(v));
     }
 
     /// Freezes the current counters and gauges into the next time-series
     /// snapshot.
     pub fn snapshot(&mut self, sample_tick: u64, cycle: u64) {
-        self.series.push(EpochSnapshot {
-            epoch: self.series.len() as u64,
+        self.log.series.push(EpochSnapshot {
+            epoch: self.log.series.len() as u64,
             sample_tick,
             cycle,
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
+            counters: self.log.counters.clone(),
+            gauges: self.log.gauges.clone(),
         });
     }
 
     /// Snapshots taken so far.
     pub fn epochs(&self) -> usize {
-        self.series.len()
+        self.log.series.len()
     }
 
-    /// Copies everything into an owned, `Send` log.
-    pub fn log(&self) -> MetricsLog {
-        MetricsLog {
-            epoch_samples: self.epoch_samples(),
-            series: self.series.clone(),
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            histograms: self.histograms.clone(),
-        }
+    /// Ends recording: the log, moved out.
+    pub fn into_log(self) -> MetricsLog {
+        self.log
     }
 }
 
-/// A cheaply-cloneable handle to one [`MetricsRegistry`], shared by the
-/// layers of a single-threaded AOS run (the flight-recorder sink idiom).
-#[derive(Clone, Debug)]
-pub struct MetricsSink {
-    registry: Rc<RefCell<MetricsRegistry>>,
-}
-
-impl MetricsSink {
-    /// Creates a sink over a fresh registry.
-    pub fn new(config: MetricsConfig) -> Self {
-        MetricsSink { registry: Rc::new(RefCell::new(MetricsRegistry::new(config))) }
-    }
-
-    /// Epoch length in samples (always ≥ 1).
-    pub fn epoch_samples(&self) -> u64 {
-        self.registry.borrow().epoch_samples()
-    }
-
-    /// Adds `delta` to counter `name`.
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        self.registry.borrow_mut().counter_add(name, delta);
-    }
-
-    /// Sets counter `name` to the cumulative value `v`.
-    pub fn counter_set(&self, name: &str, v: u64) {
-        self.registry.borrow_mut().counter_set(name, v);
-    }
-
-    /// Sets gauge `name` to `v`.
-    pub fn gauge_set(&self, name: &str, v: u64) {
-        self.registry.borrow_mut().gauge_set(name, v);
-    }
-
-    /// Records `v` into histogram `name`.
-    pub fn observe(&self, name: &str, v: u64) {
-        self.registry.borrow_mut().observe(name, v);
-    }
-
-    /// Freezes a time-series snapshot at `(sample_tick, cycle)`.
-    pub fn snapshot(&self, sample_tick: u64, cycle: u64) {
-        self.registry.borrow_mut().snapshot(sample_tick, cycle);
-    }
-
-    /// Copies the registry into an owned, `Send` [`MetricsLog`].
-    pub fn log(&self) -> MetricsLog {
-        self.registry.borrow().log()
+/// Applies `f` to the value under `name`, default-inserted on first use:
+/// the name is copied only then, not once per recording.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_string()).or_default()),
     }
 }
 
@@ -268,7 +193,7 @@ impl MetricsLog {
     }
 
     /// Serializes to an `aoci-json` object (the JSON mirror of the JSONL
-    /// export; used by the round-trip tests).
+    /// export).
     pub fn to_value(&self) -> Value {
         Value::obj([
             ("epoch_samples".to_string(), Value::from(self.epoch_samples)),
@@ -295,34 +220,6 @@ impl MetricsLog {
             ),
         ])
     }
-
-    /// Inverse of [`MetricsLog::to_value`]; `None` on shape mismatch.
-    pub fn from_value(v: &Value) -> Option<Self> {
-        let map = |key: &str| -> Option<BTreeMap<String, u64>> {
-            v.get(key)?
-                .as_obj()?
-                .iter()
-                .map(|(k, v)| Some((k.clone(), v.as_u64()?)))
-                .collect()
-        };
-        Some(MetricsLog {
-            epoch_samples: v.get("epoch_samples")?.as_u64()?,
-            series: v
-                .get("series")?
-                .as_arr()?
-                .iter()
-                .map(EpochSnapshot::from_value)
-                .collect::<Option<Vec<_>>>()?,
-            counters: map("counters")?,
-            gauges: map("gauges")?,
-            histograms: v
-                .get("histograms")?
-                .as_obj()?
-                .iter()
-                .map(|(k, h)| Some((k.clone(), Histogram::from_value(h)?)))
-                .collect::<Option<BTreeMap<_, _>>>()?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -330,16 +227,16 @@ mod tests {
     use super::*;
 
     fn populated() -> MetricsLog {
-        let sink = MetricsSink::new(MetricsConfig::default());
-        sink.counter_add("inline_decisions", 3);
-        sink.gauge_set("compile_queue_depth", 2);
-        sink.observe("compile_cost_cycles", 4096);
-        sink.snapshot(8, 120_000);
-        sink.counter_add("inline_decisions", 1);
-        sink.gauge_set("compile_queue_depth", 0);
-        sink.observe("compile_cost_cycles", 900);
-        sink.snapshot(16, 250_000);
-        sink.log()
+        let mut registry = MetricsRegistry::new(MetricsConfig::default());
+        registry.counter_add("inline_decisions", 3);
+        registry.gauge_set("compile_queue_depth", 2);
+        registry.observe("compile_cost_cycles", 4096);
+        registry.snapshot(8, 120_000);
+        registry.counter_add("inline_decisions", 1);
+        registry.gauge_set("compile_queue_depth", 0);
+        registry.observe("compile_cost_cycles", 900);
+        registry.snapshot(16, 250_000);
+        registry.into_log()
     }
 
     #[test]
@@ -357,22 +254,64 @@ mod tests {
         assert_eq!(log.series_of("no_such_metric"), None);
     }
 
+    /// Every field, written under its name (the values of one object are
+    /// pairwise distinct); the text is the parent commit's.
     #[test]
-    fn cloned_sinks_share_one_registry() {
-        let sink = MetricsSink::new(MetricsConfig::default());
-        let other = sink.clone();
-        sink.counter_add("a", 1);
-        other.counter_add("a", 2);
-        assert_eq!(sink.log().counters["a"], 3);
+    fn to_value_is_the_committed_text() {
+        assert_eq!(aoci_json::to_string_pretty(&populated().to_value()), EXPECTED_TEXT);
     }
 
-    #[test]
-    fn log_round_trips_through_json_text() {
-        let log = populated();
-        let text = aoci_json::to_string_pretty(&log.to_value());
-        let parsed = aoci_json::parse(&text).expect("metrics JSON parses");
-        assert_eq!(MetricsLog::from_value(&parsed), Some(log));
+    const EXPECTED_TEXT: &str = r##"{
+  "counters": {
+    "inline_decisions": 4
+  },
+  "epoch_samples": 8,
+  "gauges": {
+    "compile_queue_depth": 0
+  },
+  "histograms": {
+    "compile_cost_cycles": {
+      "buckets": [
+        [
+          10,
+          1
+        ],
+        [
+          13,
+          1
+        ]
+      ],
+      "count": 2,
+      "max": 4096,
+      "min": 900,
+      "sum": 4996
     }
+  },
+  "series": [
+    {
+      "counters": {
+        "inline_decisions": 3
+      },
+      "cycle": 120000,
+      "epoch": 0,
+      "gauges": {
+        "compile_queue_depth": 2
+      },
+      "sample_tick": 8
+    },
+    {
+      "counters": {
+        "inline_decisions": 4
+      },
+      "cycle": 250000,
+      "epoch": 1,
+      "gauges": {
+        "compile_queue_depth": 0
+      },
+      "sample_tick": 16
+    }
+  ]
+}"##;
 
     #[test]
     fn same_feed_sequence_is_bit_identical() {

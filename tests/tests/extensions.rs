@@ -1,8 +1,7 @@
 //! Integration tests for the extension subsystems: offline profiles, the
-//! oracle match-mode ablation, the naive-stack-walk ablation and the
-//! calling-context-tree backend.
+//! oracle match-mode ablation and the naive-stack-walk ablation.
 
-use aoci_aos::{AosConfig, AosSystem, ProfileBackend};
+use aoci_aos::{AosConfig, AosSystem};
 use aoci_core::{MatchMode, PolicyKind};
 use aoci_profile::SavedProfile;
 use aoci_workloads::{build, spec_by_name, WorkloadSpec};
@@ -71,23 +70,6 @@ fn naive_stack_walk_is_sound() {
         .run()
         .expect("proper run");
     assert_eq!(naive.result, proper.result);
-}
-
-#[test]
-fn cct_backend_produces_equivalent_hot_rules() {
-    let w = build(&small("db"));
-    let flat = AosSystem::new(&w.program, AosConfig::new(PolicyKind::Fixed { max: 3 }))
-        .run()
-        .expect("flat run");
-    let mut cfg = AosConfig::new(PolicyKind::Fixed { max: 3 });
-    cfg.profile_backend = ProfileBackend::ContextTree;
-    let cct = AosSystem::new(&w.program, cfg).run().expect("cct run");
-    assert_eq!(flat.result, cct.result);
-    // Identical sampling and thresholds on identical representations of
-    // the same data: the whole runs agree exactly.
-    assert_eq!(flat.total_cycles(), cct.total_cycles());
-    assert_eq!(flat.optimized_code_size, cct.optimized_code_size);
-    assert_eq!(flat.final_rules, cct.final_rules);
 }
 
 #[test]

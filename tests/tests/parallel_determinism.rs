@@ -1,7 +1,7 @@
 //! The parallel sweep harness's core guarantee: **worker count is not an
 //! input to any measured result**. The grid, the per-cell aggregates and
 //! the differential-oracle reports must serialize to the same bytes under
-//! `AOCI_JOBS=1` (the serial legacy path), `2` and `8` — the job pool only
+//! `AOCI_JOBS=1` (the caller runs every job itself), `2` and `8` — the job pool only
 //! reorders *when* work happens on the wall clock, never *what* any job
 //! computes or the order results are merged in.
 

@@ -125,45 +125,6 @@ proptest! {
     }
 }
 
-proptest! {
-    /// The calling-context tree and the flat DCG are interchangeable
-    /// representations: identical inputs give identical totals, entry sets
-    /// and hot extractions.
-    #[test]
-    fn cct_and_flat_dcg_agree(
-        entries in prop::collection::vec((trace_strategy(), 0.1f64..10.0), 1..40),
-        threshold in 0.01f64..0.3,
-    ) {
-        use aoci_profile::{CallingContextTree, ProfileStore};
-        let mut flat = Dcg::new(DcgConfig::default());
-        let mut cct = CallingContextTree::default();
-        for (t, w) in &entries {
-            ProfileStore::record(&mut flat, t.clone(), *w);
-            cct.record(t.clone(), *w);
-        }
-        prop_assert!((ProfileStore::total_weight(&flat) - cct.total_weight()).abs() < 1e-6);
-        prop_assert_eq!(ProfileStore::len(&flat), cct.len());
-
-        let mut a: Vec<_> = ProfileStore::entries(&flat);
-        let mut b: Vec<_> = cct.entries();
-        a.sort_by(|x, y| x.0.cmp(&y.0));
-        b.sort_by(|x, y| x.0.cmp(&y.0));
-        prop_assert_eq!(a.len(), b.len());
-        for ((ka, wa), (kb, wb)) in a.iter().zip(&b) {
-            prop_assert_eq!(ka, kb);
-            prop_assert!((wa - wb).abs() < 1e-9);
-        }
-
-        let ha = ProfileStore::hot(&flat, threshold);
-        let hb = cct.hot(threshold);
-        prop_assert_eq!(ha.len(), hb.len());
-        for (x, y) in ha.iter().zip(&hb) {
-            prop_assert_eq!(&x.key, &y.key);
-            prop_assert!((x.weight - y.weight).abs() < 1e-9);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // SavedProfile: lossless round-trip and fleet-merge laws.
 // ---------------------------------------------------------------------------
