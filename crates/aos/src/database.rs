@@ -1,9 +1,8 @@
 //! The AOS database: the central repository of compilation decisions and
 //! events (paper Section 3.2).
 
-use aoci_ir::{CallSiteRef, MethodId};
+use aoci_ir::{CallSiteRef, IdHashSet, MethodId};
 use aoci_opt::{Compilation, InlineDecision, Refusal};
-use std::collections::HashSet;
 
 /// One optimizing compilation, as logged by the database.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -28,7 +27,7 @@ pub struct CompilationRecord {
 #[derive(Clone, Debug, Default)]
 struct MethodRecord {
     /// Inlined callees in the method's current optimized version.
-    inlined: HashSet<(CallSiteRef, MethodId)>,
+    inlined: IdHashSet<(CallSiteRef, MethodId)>,
     /// Number of optimizing compilations so far.
     recompiles: u32,
     /// The AI-organizer generation the current version was compiled at
@@ -52,7 +51,7 @@ struct MethodRecord {
 #[derive(Clone, Debug, Default)]
 pub struct AosDatabase {
     /// Hot refusals: edges the compiler declined while they were hot.
-    refused: HashSet<(CallSiteRef, MethodId)>,
+    refused: IdHashSet<(CallSiteRef, MethodId)>,
     /// Per-method state, grown on demand: a method past the end has the
     /// default record (never compiled, never invalidated).
     records: Vec<MethodRecord>,
@@ -67,7 +66,7 @@ pub struct AosDatabase {
     /// not end up inlining the callee (e.g. the intermediate chain did not
     /// inline, or the context intersection blocked it). The missing-edge
     /// organizer skips these to avoid recompilation churn.
-    unrealized: HashSet<(MethodId, CallSiteRef, MethodId)>,
+    unrealized: IdHashSet<(MethodId, CallSiteRef, MethodId)>,
 }
 
 impl AosDatabase {

@@ -5,7 +5,7 @@ use crate::database::AosDatabase;
 use crate::fault::FaultInjector;
 use crate::report::{AosReport, AsyncCompileEvents, OsrEvents, RecoveryEvents};
 use aoci_core::{PolicyEngine, RuleSet};
-use aoci_ir::{CallSiteRef, MethodId, Program};
+use aoci_ir::{CallSiteRef, IdHashMap, MethodId, Program};
 use aoci_profile::{
     validate_trace, Dcg, MethodListener, TraceKey, TraceListener, TraceStatsCollector,
 };
@@ -16,7 +16,7 @@ use aoci_vm::{
     COMPONENTS,
 };
 use std::cmp::Ordering;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Everything a finished run yields: the report, the final AOS database,
@@ -158,7 +158,7 @@ pub struct AosSystem<'p> {
     /// became a hot rule gates the missing-edge organizer ("the edge became
     /// hot after the method was last compiled", paper Section 3.2).
     ai_generation: u64,
-    first_hot: HashMap<TraceKey, u64>,
+    first_hot: IdHashMap<TraceKey, u64>,
     /// Plans awaiting the compilation thread. The foreground scheduler pops
     /// them first-in first-out; the background scheduler picks by
     /// [`plan_order`] at each dispatch (kept unsorted; the queue is small
@@ -232,7 +232,7 @@ impl<'p> AosSystem<'p> {
             methods: vec![MethodState::default(); program.num_methods()],
             total_method_samples: 0,
             ai_generation: 0,
-            first_hot: HashMap::new(),
+            first_hot: IdHashMap::default(),
             pending_plans: VecDeque::new(),
             in_flight: std::iter::repeat_with(|| None).take(workers).collect(),
             async_events: AsyncCompileEvents::default(),

@@ -383,7 +383,7 @@ impl AosSystem<'_> {
                     site,
                     callee: d.callee,
                     guarded: d.guarded,
-                    provenance: d.provenance,
+                    provenance: Box::new(d.provenance),
                 });
             }
             for r in &compilation.refusals {
@@ -393,7 +393,7 @@ impl AosSystem<'_> {
                     callee: r.callee,
                     reason: r.reason,
                     hot: r.hot,
-                    provenance: r.provenance,
+                    provenance: Box::new(r.provenance),
                 });
             }
             self.emit(TraceEvent::Compile {

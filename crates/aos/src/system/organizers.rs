@@ -13,12 +13,11 @@ impl AosSystem<'_> {
     /// Aggregates method samples; methods crossing the hotness threshold
     /// are handed to the controller for (first) optimizing compilation.
     pub(super) fn hot_methods_organizer(&mut self) {
-        let drained = self.method_listener.drain();
         self.charge(
             Component::MethodSampleOrganizer,
-            self.config.organizer_cost_per_item * drained.len() as u64,
+            self.config.organizer_cost_per_item * self.method_listener.buffered() as u64,
         );
-        for m in drained {
+        for m in self.method_listener.drain() {
             self.methods[m.index()].samples += 1;
             self.total_method_samples += 1;
         }
@@ -53,18 +52,20 @@ impl AosSystem<'_> {
     /// Folds trace buffers into the DCG and regenerates inlining rules from
     /// traces above the hot threshold; feeds the adaptive-resolving policy.
     pub(super) fn dcg_and_ai_organizer(&mut self) {
-        let traces = self.trace_listener.drain();
+        // Out of `self` while its buffer drains into the rest of it.
+        let mut listener = std::mem::take(&mut self.trace_listener);
         self.charge(
             Component::AiOrganizer,
-            self.config.organizer_cost_per_item * (traces.len() + self.profile.len()) as u64,
+            self.config.organizer_cost_per_item * (listener.buffered() + self.profile.len()) as u64,
         );
-        for t in traces {
+        for t in listener.drain() {
             let (key, weight) = self.maybe_corrupt(t);
             match validate_trace(self.program, &key, weight) {
                 Ok(()) => self.profile.record(key, weight),
                 Err(_) => self.reject_trace(),
             }
         }
+        self.trace_listener = listener;
         self.ai_generation += 1;
         self.rules =
             Arc::new(RuleSet::from_hot_traces(self.profile.hot(self.config.hot_edge_threshold)));

@@ -10,9 +10,8 @@
 //! is reached without resolution (inherently too polymorphic — collection
 //! falls back to level 1 to stop paying for useless context).
 
-use aoci_ir::CallSiteRef;
+use aoci_ir::{CallSiteRef, IdHashMap, MethodId};
 use aoci_profile::Dcg;
-use std::collections::HashMap;
 
 /// Configuration of the adaptive-resolving policy.
 #[derive(Clone, Copy, Debug)]
@@ -57,14 +56,14 @@ struct SiteState {
 /// Per-site escalation state.
 #[derive(Clone, Debug)]
 pub struct AdaptiveState {
-    sites: HashMap<CallSiteRef, SiteState>,
+    sites: IdHashMap<CallSiteRef, SiteState>,
     config: AdaptiveConfig,
 }
 
 impl AdaptiveState {
     /// Creates empty state.
     pub fn new(config: AdaptiveConfig) -> Self {
-        AdaptiveState { sites: HashMap::new(), config }
+        AdaptiveState { sites: IdHashMap::default(), config }
     }
 
     /// The collection depth for a sample whose immediate call site is
@@ -99,7 +98,7 @@ impl AdaptiveState {
             return;
         }
         // Group DCG entries by immediate call site.
-        let mut site_weight: HashMap<CallSiteRef, f64> = HashMap::new();
+        let mut site_weight: IdHashMap<CallSiteRef, f64> = IdHashMap::default();
         for (key, w) in dcg.iter() {
             if key.depth() == 0 {
                 continue; // root edges name no call site
@@ -154,8 +153,8 @@ impl AdaptiveState {
     /// context of at least that depth has a skewed callee distribution.
     fn contexts_resolved(&self, dcg: &Dcg, site: CallSiteRef, level: u8) -> bool {
         // context (full) → callee → weight
-        let mut by_context: HashMap<&[CallSiteRef], HashMap<aoci_ir::MethodId, f64>> =
-            HashMap::new();
+        let mut by_context: IdHashMap<&[CallSiteRef], IdHashMap<MethodId, f64>> =
+            IdHashMap::default();
         for (key, w) in dcg.iter() {
             if key.depth() > 0 && key.immediate_caller() == site && key.depth() >= level as usize {
                 *by_context
@@ -175,7 +174,7 @@ impl AdaptiveState {
     }
 }
 
-fn is_skewed(dist: &HashMap<aoci_ir::MethodId, f64>, threshold: f64) -> bool {
+fn is_skewed(dist: &IdHashMap<MethodId, f64>, threshold: f64) -> bool {
     let total: f64 = dist.values().sum();
     if total <= 0.0 {
         return true;

@@ -1,8 +1,7 @@
 //! Inlining rules and the Equation 3 partial-match query.
 
-use aoci_ir::{CallSiteRef, MethodId};
+use aoci_ir::{CallSiteRef, IdHashMap, IdHashSet, MethodId};
 use aoci_profile::{HotTrace, TraceKey};
-use std::collections::HashMap;
 
 /// One inlining rule: a hot trace that should be inlined when possible.
 #[derive(Clone, PartialEq, Debug)]
@@ -24,8 +23,11 @@ pub struct InlineRule {
 /// time in [`RuleSet::candidates`].
 #[derive(Clone, Debug, Default)]
 pub struct RuleSet {
-    by_site: HashMap<CallSiteRef, Vec<InlineRule>>,
-    len: usize,
+    /// Sorted by immediate call site, stably: the rules of one site are one
+    /// run, in the order they were given. The AI organizer rebuilds the set
+    /// on every tick, so it is one allocation (none, when built from the hot
+    /// list's own vector) and a site lookup is a binary search.
+    rules: Vec<InlineRule>,
 }
 
 impl RuleSet {
@@ -56,58 +58,56 @@ impl RuleSet {
     /// traces name no call site, so no inlining rule can form from them;
     /// they are skipped.
     pub fn from_hot_traces(hot: impl IntoIterator<Item = HotTrace>) -> Self {
-        let mut set = RuleSet::new();
-        for h in hot {
-            if h.key.depth() == 0 {
-                continue;
-            }
-            set.insert(InlineRule { trace: h.key, weight: h.weight, fraction: h.fraction });
-        }
-        set
+        Self::from_unsorted(
+            hot.into_iter()
+                .filter(|h| h.key.depth() > 0)
+                .map(|h| InlineRule { trace: h.key, weight: h.weight, fraction: h.fraction })
+                .collect(),
+        )
     }
 
     /// Builds a rule set from raw `(trace, weight)` pairs and the total
     /// profile weight (mainly for tests and examples). Depth-0 (root edge)
     /// traces are skipped as in [`RuleSet::from_hot_traces`].
     pub fn from_rules(rules: impl IntoIterator<Item = (TraceKey, f64)>, total: f64) -> Self {
-        let mut set = RuleSet::new();
-        for (trace, weight) in rules {
-            if trace.depth() == 0 {
-                continue;
-            }
-            let fraction = if total > 0.0 { weight / total } else { 0.0 };
-            set.insert(InlineRule { trace, weight, fraction });
-        }
-        set
+        Self::from_unsorted(
+            rules
+                .into_iter()
+                .filter(|(trace, _)| trace.depth() > 0)
+                .map(|(trace, weight)| {
+                    let fraction = if total > 0.0 { weight / total } else { 0.0 };
+                    InlineRule { trace, weight, fraction }
+                })
+                .collect(),
+        )
     }
 
-    /// Adds one rule.
-    pub fn insert(&mut self, rule: InlineRule) {
-        self.by_site
-            .entry(rule.trace.immediate_caller())
-            .or_default()
-            .push(rule);
-        self.len += 1;
+    /// `rules`, none of depth 0, in the order they were given.
+    fn from_unsorted(mut rules: Vec<InlineRule>) -> Self {
+        rules.sort_by_key(|r| r.trace.immediate_caller());
+        RuleSet { rules }
     }
 
     /// Number of rules.
     pub fn len(&self) -> usize {
-        self.len
+        self.rules.len()
     }
 
     /// Returns `true` if the set holds no rules.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.rules.is_empty()
     }
 
     /// Rules whose immediate call site is `site`.
     pub fn rules_for_site(&self, site: CallSiteRef) -> &[InlineRule] {
-        self.by_site.get(&site).map(Vec::as_slice).unwrap_or(&[])
+        let start = self.rules.partition_point(|r| r.trace.immediate_caller() < site);
+        let len = self.rules[start..].partition_point(|r| r.trace.immediate_caller() == site);
+        &self.rules[start..start + len]
     }
 
     /// Iterates over all rules in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = &InlineRule> {
-        self.by_site.values().flatten()
+        self.rules.iter()
     }
 
     /// Returns the rules *applicable* to a compilation context (Equation 3):
@@ -159,15 +159,14 @@ impl RuleSet {
         if applicable.is_empty() {
             return Vec::new();
         }
-        let mut groups: HashMap<&[CallSiteRef], Vec<&InlineRule>> = HashMap::new();
+        let mut groups: IdHashMap<&[CallSiteRef], Vec<&InlineRule>> = IdHashMap::default();
         for r in &applicable {
             groups.entry(r.trace.context()).or_default().push(r);
         }
-        let mut weights: HashMap<MethodId, f64> = HashMap::new();
-        let mut in_all: Option<std::collections::HashSet<MethodId>> = None;
+        let mut weights: IdHashMap<MethodId, f64> = IdHashMap::default();
+        let mut in_all: Option<IdHashSet<MethodId>> = None;
         for rules in groups.values() {
-            let set: std::collections::HashSet<MethodId> =
-                rules.iter().map(|r| r.trace.callee()).collect();
+            let set: IdHashSet<MethodId> = rules.iter().map(|r| r.trace.callee()).collect();
             in_all = Some(match in_all {
                 None => set,
                 Some(acc) => acc.intersection(&set).copied().collect(),
@@ -328,6 +327,42 @@ mod tests {
         let c = set(vec![(TraceKey::edge(cs(0, 0), mid(1)), 2.0)]);
         assert_ne!(a.fingerprint(), c.fingerprint());
         assert_eq!(RuleSet::new().fingerprint(), RuleSet::new().fingerprint());
+    }
+
+    #[test]
+    fn a_site_keeps_its_rules_together_and_in_the_order_given() {
+        // Given interleaved across three sites, heaviest first as the hot
+        // list gives them.
+        let s = set(vec![
+            (TraceKey::edge(cs(2, 0), mid(1)), 9.0),
+            (TraceKey::new(mid(2), vec![cs(0, 1), cs(5, 0)]), 8.0),
+            (TraceKey::edge(cs(2, 0), mid(3)), 7.0),
+            (TraceKey::edge(cs(0, 0), mid(4)), 6.0),
+            (TraceKey::new(mid(5), vec![cs(0, 1), cs(6, 0)]), 5.0),
+            (TraceKey::root(mid(9)), 4.0), // names no site: skipped
+        ]);
+        assert_eq!(s.len(), 5);
+        let callees = |site| -> Vec<MethodId> {
+            s.rules_for_site(site).iter().map(|r| r.trace.callee()).collect()
+        };
+        assert_eq!(callees(cs(2, 0)), [mid(1), mid(3)]);
+        assert_eq!(callees(cs(0, 1)), [mid(2), mid(5)]);
+        assert_eq!(callees(cs(0, 0)), [mid(4)]);
+        assert!(callees(cs(1, 0)).is_empty() && callees(cs(3, 0)).is_empty());
+        assert_eq!(s.iter().count(), 5);
+    }
+
+    #[test]
+    fn fingerprint_of_a_literal_set_is_pinned() {
+        // The value the parent of the shared-slice key printed for this set:
+        // the fingerprint reaches `fleet.json` generations, so the key's
+        // representation may not move it.
+        let s = set(vec![
+            (TraceKey::new(mid(9), vec![cs(1, 0), cs(2, 1), cs(3, 2)]), 1.0),
+            (TraceKey::edge(cs(4, 7), mid(5)), 1.0),
+            (TraceKey::new(mid(9), vec![cs(1, 0), cs(2, 2)]), 1.0),
+        ]);
+        assert_eq!(s.fingerprint(), 0x585a_21b2_2f78_17be);
     }
 
     #[test]

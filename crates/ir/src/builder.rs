@@ -493,6 +493,8 @@ impl<'p> MethodBuilder<'p> {
             self.parent.push_error(IrError::UnboundLabel { method: name });
         }
         let size_estimate = size::body_size(&self.body);
+        // A finished body lives as long as its program and never grows.
+        self.body.shrink_to_fit();
         let def = MethodDef {
             id: self.id,
             name: self.name,

@@ -57,7 +57,10 @@ pub use decoded::{
 };
 pub use disasm::{disassemble, disassemble_method};
 pub use error::IrError;
-pub use ids::{CallSiteRef, ClassId, FieldId, GlobalId, Label, MethodId, Reg, SelectorId, SiteIdx};
+pub use ids::{
+    CallSiteRef, ClassId, FieldId, GlobalId, IdHashMap, IdHashSet, IdHasher, Label, MethodId, Reg,
+    SelectorId, SiteIdx,
+};
 pub use instr::{BinOp, Cond, Instr};
 pub use method::{MethodDef, MethodKind};
 pub use program::Program;

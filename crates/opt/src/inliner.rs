@@ -6,10 +6,9 @@ use crate::decision::{Compilation, DecisionProvenance, InlineDecision, Refusal, 
 use crate::simplify;
 use aoci_core::InlineOracle;
 use aoci_ir::{
-    size, CallSiteRef, Instr, MethodId, Program, Reg, SiteIdx, SizeClass,
+    size, CallSiteRef, IdHashSet, Instr, MethodId, Program, Reg, SiteIdx, SizeClass,
 };
 use aoci_vm::{InlineMap, InlineNode, MethodVersion, OptLevel, OsrMap, OsrPoint};
-use std::collections::HashSet;
 
 /// Compiles `method` at the optimizing level, performing profile-directed,
 /// context-sensitive inlining as directed by `oracle`.
@@ -95,7 +94,7 @@ pub fn compile_in_context(
     // register window: emission never renames root registers (inlined
     // callees live in windows above them) and simplification rewrites
     // uses, never definitions.
-    let mut seen_opt = HashSet::new();
+    let mut seen_opt = IdHashSet::default();
     let points: Vec<OsrPoint> = anchors
         .into_iter()
         .filter(|&(_, opt_pc)| seen_opt.insert(opt_pc))
@@ -173,8 +172,10 @@ impl<'a> Emitter<'a> {
         depth: u32,
         stack: &mut Vec<MethodId>,
     ) -> Vec<usize> {
-        let def = self.program.method(method);
-        let body: Vec<Instr> = def.body().to_vec();
+        // Borrowed from the program, not from `self`: emission pushes onto
+        // `self` while it reads the source body.
+        let program = self.program;
+        let body = program.method(method).body();
         let mut orig_to_new = vec![u32::MAX; body.len()];
         let mut local_fixups: Vec<(usize, u32)> = Vec::new();
         let mut end_jumps: Vec<usize> = Vec::new();

@@ -631,8 +631,7 @@ fn inline_map_exposes_source_chain() {
         .iter()
         .position(|i| matches!(i, Instr::Work { units: 20 }))
         .expect("inner body present");
-    let chain = map.source_chain(idx);
-    let methods: Vec<MethodId> = chain.iter().map(|(m, _)| *m).collect();
+    let methods: Vec<MethodId> = map.source_chain(idx).map(|(m, _)| m).collect();
     assert_eq!(methods, vec![inner, outer, main]);
 }
 

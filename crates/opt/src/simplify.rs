@@ -418,47 +418,105 @@ fn row_bit(r: Reg) -> (usize, u64) {
     (r.index() / 64, 1 << (r.index() % 64))
 }
 
-/// Live-in registers of every reachable instruction, as a backwards fixpoint
-/// over dense bit rows: row `i` is the [`row_words`] words starting at
-/// `i * row_words`, bit `r` set iff register `r` is live into instruction
-/// `i`. Every register of `body` is `< num_regs` (the invariant
-/// [`fold_and_propagate`] indexes its lattice on). Unreachable rows stay
-/// empty.
+/// Live-in registers of every reachable instruction, over dense bit rows:
+/// row `i` is the [`row_words`] words starting at `i * row_words`, bit `r`
+/// set iff register `r` is live into instruction `i`. Every register of
+/// `body` is `< num_regs` (the invariant [`fold_and_propagate`] indexes its
+/// lattice on). Unreachable rows stay empty.
+///
+/// Computed per basic block: gen/kill rows of each reachable block, a
+/// backwards fixpoint over the blocks' live-in rows (kept in the result, at
+/// each block's first instruction), then one backward scan inside each
+/// block. A block is entered only at its first instruction and left only
+/// after its last, so it is reachable as a whole or not at all, and the
+/// live-out of its last instruction is the union of the live-in rows of the
+/// blocks that start at that instruction's successors.
+///
+/// Rows are one to three words, so they are combined by word loops: slice
+/// comparison, `fill` and `copy_from_slice` are libc calls.
 fn liveness(body: &[Instr], reach: &[bool], num_regs: u16) -> Vec<u64> {
     let n = body.len();
     let words = row_words(num_regs);
     let mut live_in = vec![0u64; n * words];
-    let mut out = vec![0u64; words];
+    if n == 0 || words == 0 {
+        return live_in;
+    }
+    // Reachable blocks as `(start, end)`: a block starts at instruction 0, at
+    // every branch target and after every instruction that can leave the
+    // straight line.
+    let mut starts = leaders(body);
+    for (i, instr) in body.iter().enumerate().take(n - 1) {
+        if instr.branch_target().is_some() || matches!(instr, Instr::Return { .. }) {
+            starts[i + 1] = true;
+        }
+    }
+    let mut blocks: Vec<(usize, usize)> = Vec::new();
+    let mut start = 0;
+    for end in (1..n).filter(|&i| starts[i]).chain([n]) {
+        if reach[start] {
+            blocks.push((start, end));
+        }
+        start = end;
+    }
+    // `gen_kill[2 * b]`: registers block `b` reads before it writes them;
+    // `gen_kill[2 * b + 1]`: registers it writes.
+    let mut gen_kill = vec![0u64; blocks.len() * 2 * words];
+    for (rows, &(start, end)) in gen_kill.chunks_exact_mut(2 * words).zip(&blocks) {
+        let (gen, kill) = rows.split_at_mut(words);
+        for instr in &body[start..end] {
+            // Use before def: an instruction may read the register it writes.
+            for_each_use(instr, |r| {
+                let (word, mask) = row_bit(r);
+                gen[word] |= mask & !kill[word];
+            });
+            if let Some((word, mask)) = def(instr).map(row_bit) {
+                kill[word] |= mask;
+            }
+        }
+    }
+    // The union of the live-in rows at the successors of instruction `i`.
+    let live_out = |live_in: &[u64], i: usize, out: &mut [u64]| {
+        for o in out.iter_mut() {
+            *o = 0;
+        }
+        for s in successors(&body[i], i, n).into_iter().flatten() {
+            for (w, o) in out.iter_mut().enumerate() {
+                *o |= live_in[s * words + w];
+            }
+        }
+    };
+    let mut live = vec![0u64; words];
     loop {
         let mut changed = false;
-        for i in (0..n).rev() {
-            if !reach[i] {
-                continue;
-            }
-            out.fill(0);
-            for s in successors(&body[i], i, n).into_iter().flatten() {
-                for (o, l) in out.iter_mut().zip(&live_in[s * words..(s + 1) * words]) {
-                    *o |= l;
-                }
-            }
-            // Kill before gen: an instruction may read the register it writes.
-            if let Some((word, mask)) = def(&body[i]).map(row_bit) {
-                out[word] &= !mask;
-            }
-            for_each_use(&body[i], |r| {
-                let (word, mask) = row_bit(r);
-                out[word] |= mask;
-            });
-            let row = &mut live_in[i * words..(i + 1) * words];
-            if row != out {
-                row.copy_from_slice(&out);
-                changed = true;
+        for (rows, &(start, end)) in gen_kill.chunks_exact(2 * words).zip(&blocks).rev() {
+            live_out(&live_in, end - 1, &mut live);
+            for w in 0..words {
+                let row = rows[w] | (live[w] & !rows[words + w]);
+                changed |= row != live_in[start * words + w];
+                live_in[start * words + w] = row;
             }
         }
         if !changed {
-            return live_in;
+            break;
         }
     }
+    for &(start, end) in &blocks {
+        live_out(&live_in, end - 1, &mut live);
+        for i in (start..end).rev() {
+            // Kill before gen, for the same reason.
+            if let Some((word, mask)) = def(&body[i]).map(row_bit) {
+                live[word] &= !mask;
+            }
+            for_each_use(&body[i], |r| {
+                let (word, mask) = row_bit(r);
+                live[word] |= mask;
+            });
+            for w in 0..words {
+                live_in[i * words + w] = live[w];
+            }
+        }
+    }
+    live_in
 }
 
 /// The control-flow successors of instruction `i` in a body of `n`: the

@@ -355,6 +355,74 @@ fn liveness_rows_match_sets_on_handwritten_bodies() {
 }
 
 #[test]
+fn liveness_rows_match_sets_across_block_shapes() {
+    let g = aoci_ir::GlobalId::from_index(0);
+    let class = aoci_ir::ClassId::from_index(0);
+    // A block that ends in a guard whose else-target is a later block, with
+    // a block in between: r1 is live out of the guard only along the else
+    // edge, r2 only along the fall-through, and the middle block kills r1.
+    let guard_ends_block = vec![
+        Instr::GetGlobal { dst: r(0), global: g },
+        Instr::Const { dst: r(1), value: 1 },
+        Instr::Const { dst: r(2), value: 2 },
+        Instr::GuardClass { recv: r(0), class, else_target: 7 },
+        Instr::Const { dst: r(1), value: 3 },
+        Instr::Bin { op: BinOp::Add, dst: r(2), lhs: r(2), rhs: r(1) },
+        Instr::Return { src: Some(r(2)) },
+        Instr::Return { src: Some(r(1)) },
+    ];
+    assert_liveness_matches(&guard_ends_block, 3, "guard ends a block");
+    let reach = reachable(&guard_ends_block);
+    let rows = liveness(&guard_ends_block, &reach, 3);
+    assert_eq!(rows[3], 0b111, "the guard reads r0 and both edges' registers pass through it");
+    assert_eq!(rows[4], 0b100, "the fall-through block writes r1 before reading it");
+    // An unreachable block between two reachable ones: it reads r1 and
+    // writes r0, which must reach neither its own rows nor the blocks
+    // around it.
+    let unreachable_middle = vec![
+        Instr::Const { dst: r(0), value: 1 },
+        Instr::Jump { target: 5 },
+        Instr::Bin { op: BinOp::Add, dst: r(0), lhs: r(1), rhs: r(1) },
+        Instr::PutGlobal { global: g, src: r(0) },
+        Instr::Jump { target: 5 },
+        Instr::Return { src: Some(r(0)) },
+    ];
+    assert_eq!(reachable(&unreachable_middle), [true, true, false, false, false, true]);
+    assert_liveness_matches(&unreachable_middle, 2, "unreachable block in the middle");
+    // A three-block loop (header, body, latch) in which r2 is written in
+    // the latch and read in the header: live only across the back-edge, so
+    // the block fixpoint needs a second iteration to carry it through the
+    // body block, and the in-block scan must kill it at the latch's write.
+    let three_block_loop = vec![
+        Instr::Const { dst: r(0), value: 10 },
+        Instr::Const { dst: r(1), value: 1 },
+        Instr::Const { dst: r(2), value: 0 },
+        Instr::Branch { cond: Cond::Le, lhs: r(0), rhs: r(2), target: 9 }, // header
+        Instr::Bin { op: BinOp::Sub, dst: r(0), lhs: r(0), rhs: r(1) },    // body
+        Instr::Branch { cond: Cond::Eq, lhs: r(0), rhs: r(1), target: 7 },
+        Instr::Work { units: 1 },
+        Instr::Move { dst: r(2), src: r(1) },                              // latch
+        Instr::Jump { target: 3 },
+        Instr::Return { src: Some(r(0)) },
+    ];
+    assert_liveness_matches(&three_block_loop, 3, "three-block loop");
+    let reach = reachable(&three_block_loop);
+    let rows = liveness(&three_block_loop, &reach, 3);
+    assert_eq!(rows[3], 0b111, "the header reads r2 from the back-edge");
+    assert_eq!(rows[4], 0b011, "r2 is dead through the body: the latch rewrites it");
+    assert_eq!(rows[8], 0b111, "and live again after the latch's write");
+    // A body that is one block.
+    let straight = vec![
+        Instr::GetGlobal { dst: r(0), global: g },
+        Instr::Bin { op: BinOp::Mul, dst: r(1), lhs: r(0), rhs: r(0) },
+        Instr::Move { dst: r(0), src: r(1) },
+        Instr::Return { src: Some(r(0)) },
+    ];
+    assert_liveness_matches(&straight, 2, "one block");
+    assert_liveness_matches(&[Instr::Return { src: Some(r(0)) }], 1, "one instruction");
+}
+
+#[test]
 fn liveness_rows_span_one_two_and_three_words() {
     // Registers on both sides of each word boundary, live across a call
     // that takes them as arguments and a branch that skips their use.

@@ -2,8 +2,7 @@
 //! hot-trace extraction.
 
 use crate::key::TraceKey;
-use aoci_ir::{CallSiteRef, MethodId};
-use std::collections::HashMap;
+use aoci_ir::{CallSiteRef, IdHashMap, MethodId};
 
 /// Configuration of the dynamic call graph.
 #[derive(Clone, Copy, Debug)]
@@ -47,7 +46,7 @@ pub struct HotTrace {
 /// experiments) is cheap.
 #[derive(Clone, Debug)]
 pub struct Dcg {
-    entries: HashMap<TraceKey, f64>,
+    entries: IdHashMap<TraceKey, f64>,
     total_weight: f64,
     config: DcgConfig,
 }
@@ -61,7 +60,7 @@ impl Default for Dcg {
 impl Dcg {
     /// Creates an empty DCG.
     pub fn new(config: DcgConfig) -> Self {
-        Dcg { entries: HashMap::new(), total_weight: 0.0, config }
+        Dcg { entries: IdHashMap::default(), total_weight: 0.0, config }
     }
 
     /// Returns the configuration.
@@ -132,16 +131,15 @@ impl Dcg {
         if self.total_weight <= 0.0 {
             return Vec::new();
         }
-        let mut v: Vec<HotTrace> = self
-            .entries
-            .iter()
-            .filter(|(_, &w)| w / self.total_weight >= threshold_fraction)
-            .map(|(k, &w)| HotTrace {
-                key: k.clone(),
-                weight: w,
-                fraction: w / self.total_weight,
-            })
-            .collect();
+        let is_hot = |w: f64| w / self.total_weight >= threshold_fraction;
+        // Counted first: the organizer asks on every tick, and the answer is
+        // one allocation of the right size.
+        let mut v = Vec::with_capacity(self.entries.values().filter(|&&w| is_hot(w)).count());
+        v.extend(self.entries.iter().filter(|(_, &w)| is_hot(w)).map(|(k, &w)| HotTrace {
+            key: k.clone(),
+            weight: w,
+            fraction: w / self.total_weight,
+        }));
         // `total_cmp`, not `partial_cmp(..).expect(..)`: weights are
         // sanitized at the store boundary, but repeated decay of a denormal
         // can reach states no one anticipated — a poisoned weight must sort
@@ -153,9 +151,11 @@ impl Dcg {
     /// Aggregated weight of every entry whose *immediate caller* is `site`,
     /// grouped by callee — the receiver/callee distribution of a call site,
     /// used by the iterative imprecision-resolving policy to find
-    /// polymorphic sites without a skewed distribution.
-    pub fn site_distribution(&self, site: CallSiteRef) -> HashMap<MethodId, f64> {
-        let mut out = HashMap::new();
+    /// polymorphic sites without a skewed distribution. Callers may assume
+    /// no iteration order of the result: a callee's weight sums in the
+    /// store's own (unspecified) entry order.
+    pub fn site_distribution(&self, site: CallSiteRef) -> IdHashMap<MethodId, f64> {
+        let mut out = IdHashMap::default();
         for (k, &w) in &self.entries {
             if k.depth() > 0 && k.immediate_caller() == site {
                 *out.entry(k.callee()).or_insert(0.0) += w;

@@ -2,6 +2,7 @@
 
 use aoci_ir::{CallSiteRef, MethodId};
 use std::fmt;
+use std::sync::Arc;
 
 /// A call trace of the paper's Equation 2:
 /// `⟨caller_n, callsite_n, …, caller_1, callsite_1, callee⟩`.
@@ -16,27 +17,31 @@ use std::fmt;
 /// the immediate caller — but saved profiles must round-trip them
 /// losslessly, so every consumer that needs a caller edge checks
 /// [`TraceKey::depth`] before calling [`TraceKey::immediate_caller`].
+///
+/// The context is a shared slice: the DCG, the hot list, the rules and the
+/// fleet's merged profile hold one key each, and a clone is a refcount. It
+/// hashes, compares, orders and prints as the `Vec` it replaced.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct TraceKey {
     callee: MethodId,
-    context: Vec<CallSiteRef>,
+    context: Arc<[CallSiteRef]>,
 }
 
 impl TraceKey {
     /// Creates a trace key. An empty `context` is a root edge — weight for
     /// `callee` with no recorded caller.
-    pub fn new(callee: MethodId, context: Vec<CallSiteRef>) -> Self {
-        TraceKey { callee, context }
+    pub fn new(callee: MethodId, context: impl Into<Arc<[CallSiteRef]>>) -> Self {
+        TraceKey { callee, context: context.into() }
     }
 
     /// Creates a depth-0 (root edge) key: `callee` with no caller context.
     pub fn root(callee: MethodId) -> Self {
-        TraceKey { callee, context: Vec::new() }
+        TraceKey::new(callee, [])
     }
 
     /// Creates a length-1 (context-insensitive edge) key.
     pub fn edge(caller: CallSiteRef, callee: MethodId) -> Self {
-        TraceKey { callee, context: vec![caller] }
+        TraceKey::new(callee, [caller])
     }
 
     /// The callee — the method whose invocation this trace describes.
@@ -72,10 +77,7 @@ impl TraceKey {
     /// Panics if `k` is 0 or exceeds [`TraceKey::depth`].
     pub fn prefix(&self, k: usize) -> TraceKey {
         assert!(k >= 1 && k <= self.context.len(), "prefix length out of range");
-        TraceKey {
-            callee: self.callee,
-            context: self.context[..k].to_vec(),
-        }
+        TraceKey::new(self.callee, &self.context[..k])
     }
 
     /// Returns `true` if `self` and `other` describe the same callee and
@@ -168,6 +170,48 @@ mod tests {
         assert!(!a.partial_matches(&b));
         let c = TraceKey::new(mid(8), vec![cs(1, 0)]);
         assert!(!a.partial_matches(&c));
+    }
+
+    #[test]
+    fn equal_keys_hash_equal_however_they_were_built() {
+        use std::hash::BuildHasher;
+        let build = std::hash::BuildHasherDefault::<aoci_ir::IdHasher>::default();
+        let context = [cs(1, 0), cs(2, 1)];
+        let keys = [
+            TraceKey::new(mid(9), context.to_vec()),
+            TraceKey::new(mid(9), &context[..]),
+            TraceKey::new(mid(9), context),
+            TraceKey::new(mid(9), vec![cs(1, 0), cs(2, 1), cs(3, 2)]).prefix(2),
+        ];
+        for k in &keys {
+            assert_eq!(k, &keys[0]);
+            assert_eq!(build.hash_one(k), build.hash_one(&keys[0]));
+        }
+        assert_eq!(build.hash_one(TraceKey::edge(cs(1, 0), mid(9))), build.hash_one(keys[0].prefix(1)));
+        assert_ne!(build.hash_one(&keys[0]), build.hash_one(TraceKey::edge(cs(1, 0), mid(9))));
+    }
+
+    #[test]
+    fn display_and_order_are_those_of_the_vec_representation() {
+        // Sorted and printed by the parent of the shared-slice context:
+        // `SavedProfile` order and every rendered trace depend on both.
+        let mut keys = [
+            TraceKey::new(mid(9), vec![cs(1, 0), cs(2, 1), cs(3, 2)]),
+            TraceKey::edge(cs(4, 7), mid(5)),
+            TraceKey::new(mid(9), vec![cs(1, 0), cs(2, 2)]),
+            TraceKey::root(mid(9)),
+            TraceKey::root(mid(2)),
+        ];
+        keys.sort();
+        let printed: Vec<String> = keys.iter().map(TraceKey::to_string).collect();
+        assert_eq!(
+            printed,
+            ["m2", "m4@7 => m5", "m9", "m3@2 => m2@1 => m1@0 => m9", "m2@2 => m1@0 => m9"]
+        );
+        assert_eq!(
+            format!("{:?}", keys[1]),
+            "TraceKey { callee: MethodId(5), context: [CallSiteRef { method: MethodId(4), site: SiteIdx(7) }] }"
+        );
     }
 
     #[test]

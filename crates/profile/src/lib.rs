@@ -25,6 +25,7 @@
 //!
 //! [`StackSnapshot`]: aoci_vm::StackSnapshot
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod dcg;

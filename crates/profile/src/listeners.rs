@@ -6,7 +6,7 @@
 //! trace listeners only record samples that landed in a method prologue.
 
 use crate::key::TraceKey;
-use aoci_ir::MethodId;
+use aoci_ir::{CallSiteRef, MethodId};
 use aoci_trace::{TraceEvent, TraceSink};
 use aoci_vm::StackSnapshot;
 
@@ -33,9 +33,10 @@ impl MethodListener {
         self.buffer.len()
     }
 
-    /// Drains the buffer (organizer side).
-    pub fn drain(&mut self) -> Vec<MethodId> {
-        std::mem::take(&mut self.buffer)
+    /// Drains the buffer (organizer side); the buffer keeps its allocation
+    /// for the next period's samples.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, MethodId> {
+        self.buffer.drain(..)
     }
 }
 
@@ -44,6 +45,8 @@ impl MethodListener {
 #[derive(Clone, Debug, Default)]
 pub struct EdgeListener {
     buffer: Vec<TraceKey>,
+    /// The walk of the sample in hand; only the key copies out of it.
+    context: Vec<CallSiteRef>,
     /// Samples inspected (prologue or not) — overhead accounting.
     samples_seen: u64,
     /// Prologue samples actually recorded.
@@ -64,8 +67,8 @@ impl EdgeListener {
         if !snapshot.top_in_prologue {
             return 0;
         }
-        if let Some((callee, context)) = snapshot.call_trace(1, |_| true) {
-            self.buffer.push(TraceKey::new(callee, context));
+        if let Some(callee) = snapshot.call_trace(1, |_| true, &mut self.context) {
+            self.buffer.push(TraceKey::new(callee, &self.context[..]));
             self.samples_recorded += 1;
             2
         } else {
@@ -78,9 +81,10 @@ impl EdgeListener {
         self.buffer.len()
     }
 
-    /// Drains the buffer (organizer side).
-    pub fn drain(&mut self) -> Vec<TraceKey> {
-        std::mem::take(&mut self.buffer)
+    /// Drains the buffer (organizer side); the buffer keeps its allocation
+    /// for the next period's samples.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, TraceKey> {
+        self.buffer.drain(..)
     }
 
     /// Total samples inspected.
@@ -103,6 +107,8 @@ impl EdgeListener {
 #[derive(Clone, Debug, Default)]
 pub struct TraceListener {
     buffer: Vec<TraceKey>,
+    /// The walk of the sample in hand; only the key copies out of it.
+    context: Vec<CallSiteRef>,
     samples_seen: u64,
     samples_recorded: u64,
     frames_walked: u64,
@@ -136,9 +142,9 @@ impl TraceListener {
         if !snapshot.top_in_prologue {
             return 0;
         }
-        match snapshot.call_trace(max_context, keep_extending) {
-            Some((callee, context)) => {
-                let walked = context.len() + 1;
+        match snapshot.call_trace(max_context, keep_extending, &mut self.context) {
+            Some(callee) => {
+                let walked = self.context.len() + 1;
                 self.frames_walked += walked as u64;
                 if let Some(t) = &self.trace {
                     t.emit(
@@ -146,7 +152,7 @@ impl TraceListener {
                         TraceEvent::TraceWalk { callee, depth: walked as u32 },
                     );
                 }
-                self.buffer.push(TraceKey::new(callee, context));
+                self.buffer.push(TraceKey::new(callee, &self.context[..]));
                 self.samples_recorded += 1;
                 walked
             }
@@ -159,9 +165,10 @@ impl TraceListener {
         self.buffer.len()
     }
 
-    /// Drains the buffer (organizer side).
-    pub fn drain(&mut self) -> Vec<TraceKey> {
-        std::mem::take(&mut self.buffer)
+    /// Drains the buffer (organizer side); the buffer keeps its allocation
+    /// for the next period's samples.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, TraceKey> {
+        self.buffer.drain(..)
     }
 
     /// Total samples inspected.
@@ -183,7 +190,7 @@ impl TraceListener {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aoci_ir::{CallSiteRef, SiteIdx};
+    use aoci_ir::SiteIdx;
     use aoci_vm::SourceFrame;
 
     fn mid(i: usize) -> MethodId {
@@ -213,7 +220,7 @@ mod tests {
         let mut l = MethodListener::new();
         l.on_sample(&snapshot(false, &[3, 2, 1]));
         l.on_sample(&snapshot(true, &[3, 2, 1]));
-        assert_eq!(l.drain(), vec![mid(1), mid(1)]);
+        assert_eq!(l.drain().collect::<Vec<_>>(), vec![mid(1), mid(1)]);
         assert_eq!(l.buffered(), 0);
     }
 
@@ -223,7 +230,7 @@ mod tests {
         l.on_sample(&snapshot(false, &[3, 2, 1]));
         assert_eq!(l.buffered(), 0);
         l.on_sample(&snapshot(true, &[3, 2, 1]));
-        let edges = l.drain();
+        let edges: Vec<_> = l.drain().collect();
         assert_eq!(edges.len(), 1);
         assert_eq!(edges[0].depth(), 1);
         assert_eq!(edges[0].callee(), mid(3));
@@ -247,7 +254,7 @@ mod tests {
         let mut l = TraceListener::new();
         l.on_sample(&snapshot(true, &[4, 3, 2, 1]), 2, |_| true);
         l.on_sample(&snapshot(true, &[4, 3, 2, 1]), 5, |_| true);
-        let traces = l.drain();
+        let traces: Vec<_> = l.drain().collect();
         assert_eq!(traces[0].depth(), 2);
         assert_eq!(traces[1].depth(), 3);
         assert!(l.frames_walked() >= 3 + 4);
@@ -260,7 +267,7 @@ mod tests {
         l.on_sample(&snapshot(true, &[4, 3, 2, 1]), 5, |m| m != mid(4));
         // The immediate caller m3 blocks extension: depth stays 2.
         l.on_sample(&snapshot(true, &[4, 3, 2, 1]), 5, |m| m != mid(3));
-        let traces = l.drain();
+        let traces: Vec<_> = l.drain().collect();
         assert_eq!(traces[0].depth(), 1);
         assert_eq!(traces[1].depth(), 2);
     }

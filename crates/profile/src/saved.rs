@@ -17,6 +17,7 @@ use aoci_ir::{CallSiteRef, MethodId, SiteIdx};
 use aoci_json::{JsonError, Value};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Error from [`SavedProfile::from_entries`]: a raw method index in a
 /// trace key does not fit the `u32` wire format. The strict
@@ -92,7 +93,7 @@ impl SavedProfile {
         self.traces
             .iter()
             .map(|t| {
-                let context = t
+                let context: Arc<[CallSiteRef]> = t
                     .context
                     .iter()
                     .map(|&(m, s)| CallSiteRef::new(MethodId::from_index(m as usize), SiteIdx(s)))

@@ -162,11 +162,11 @@ mod tests {
                 site,
                 callee: MethodId::from_index(1),
                 guarded: true,
-                provenance: DecisionProvenance {
+                provenance: Box::new(DecisionProvenance {
                     rule_fired: true,
                     context_depth: 5,
                     ..Default::default()
-                },
+                }),
             },
             TraceEvent::InlineRefusal {
                 host: MethodId::from_index(0),
@@ -174,7 +174,7 @@ mod tests {
                 callee: MethodId::from_index(2),
                 reason: crate::RefusalReason::Recursive,
                 hot: true,
-                provenance: DecisionProvenance::default(),
+                provenance: Box::default(),
             },
             TraceEvent::OsrDeny {
                 method: MethodId::from_index(0),

@@ -239,8 +239,11 @@ pub enum TraceEvent {
         callee: MethodId,
         /// Whether a method-test guard protects the inlined body.
         guarded: bool,
-        /// Why: the inputs the inliner weighed.
-        provenance: DecisionProvenance,
+        /// Why: the inputs the inliner weighed. Boxed: the two compile-time
+        /// variants are the only ones that would hold more than 24 bytes,
+        /// and a ring of thousands of samples and guard misses should not
+        /// pay 16 bytes a slot for them.
+        provenance: Box<DecisionProvenance>,
     },
     /// The optimizing compiler declined an inlining opportunity.
     InlineRefusal {
@@ -254,8 +257,8 @@ pub enum TraceEvent {
         reason: RefusalReason,
         /// Whether the profile supported inlining this edge.
         hot: bool,
-        /// The inputs the inliner weighed.
-        provenance: DecisionProvenance,
+        /// The inputs the inliner weighed (boxed, as above).
+        provenance: Box<DecisionProvenance>,
     },
     /// An optimizing compilation completed.
     Compile {
@@ -676,7 +679,7 @@ mod tests {
                 site,
                 callee: MethodId::from_index(2),
                 guarded: true,
-                provenance: DecisionProvenance::default(),
+                provenance: Box::default(),
             },
             TraceEvent::InlineRefusal {
                 host: MethodId::from_index(1),
@@ -684,7 +687,7 @@ mod tests {
                 callee: MethodId::from_index(2),
                 reason: RefusalReason::TooLarge,
                 hot: true,
-                provenance: DecisionProvenance::default(),
+                provenance: Box::default(),
             },
             TraceEvent::Compile {
                 method: MethodId::from_index(1),
@@ -737,13 +740,13 @@ mod tests {
             site: CallSiteRef::new(MethodId::from_index(4), SiteIdx(3)),
             callee: MethodId::from_index(9),
             guarded: false,
-            provenance: DecisionProvenance {
+            provenance: Box::new(DecisionProvenance {
                 rule_fired: true,
                 predicted_benefit: 2.5,
                 context_depth: 1,
                 size_before: 120,
                 size_budget: 960,
-            },
+            }),
         };
         let line = e.render(&resolve);
         assert!(line.starts_with("inline-decision "), "{line}");

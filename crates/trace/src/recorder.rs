@@ -176,6 +176,14 @@ mod tests {
     }
 
     #[test]
+    fn a_ring_slot_is_48_bytes() {
+        // A traced run keeps thousands of these until its report is read; a
+        // variant that grows past 24 bytes of payload grows every slot.
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 32);
+        assert_eq!(std::mem::size_of::<Recorded>(), 48);
+    }
+
+    #[test]
     fn recorded_stays_within_sixty_four_bytes() {
         // A run holds thousands of these, and a sweep holds many runs' logs
         // at once — they are nearly all of a traced report's footprint. No

@@ -191,13 +191,13 @@ mod tests {
                 site,
                 callee: MethodId::from_index(2),
                 guarded: true,
-                provenance: DecisionProvenance {
+                provenance: Box::new(DecisionProvenance {
                     rule_fired: true,
                     predicted_benefit: 4.0,
                     context_depth: 0,
                     size_before: 30,
                     size_budget: 400,
-                },
+                }),
             },
         );
         sink.emit(
@@ -208,7 +208,7 @@ mod tests {
                 callee: MethodId::from_index(3),
                 reason: crate::RefusalReason::TooLarge,
                 hot: false,
-                provenance: DecisionProvenance::default(),
+                provenance: Box::default(),
             },
         );
         sink.emit(

@@ -103,23 +103,14 @@ impl InlineMap {
     /// yielding `(method, Option<(parent_method_call_site)>)` pairs: each
     /// element is a source-level frame, with the call site in the *next*
     /// (outer) frame's method through which it was entered, or `None` for
-    /// the root.
-    pub fn source_chain(&self, pc: usize) -> Vec<(MethodId, Option<SiteIdx>)> {
-        let mut out = Vec::new();
-        let mut id = self.instr_node[pc];
-        loop {
-            let n = &self.nodes[id as usize];
-            match n.parent {
-                Some((parent, site)) => {
-                    out.push((n.method, Some(site)));
-                    id = parent;
-                }
-                None => {
-                    out.push((n.method, None));
-                    return out;
-                }
-            }
-        }
+    /// the root, which is the last element.
+    pub fn source_chain(&self, pc: usize) -> impl Iterator<Item = (MethodId, Option<SiteIdx>)> + '_ {
+        let mut next = Some(self.instr_node[pc]);
+        std::iter::from_fn(move || {
+            let n = &self.nodes[next? as usize];
+            next = n.parent.map(|(parent, _)| parent);
+            Some((n.method, n.parent.map(|(_, site)| site)))
+        })
     }
 
     /// Returns `true` if `pc` lies within the first `window` instructions of
@@ -238,7 +229,7 @@ mod tests {
     fn baseline_map_is_trivial() {
         let m = InlineMap::baseline(mid(3), 4);
         assert_eq!(m.num_nodes(), 1);
-        assert_eq!(m.source_chain(2), vec![(mid(3), None)]);
+        assert_eq!(m.source_chain(2).collect::<Vec<_>>(), vec![(mid(3), None)]);
         assert!(m.in_prologue(1, 2));
         assert!(!m.in_prologue(2, 2));
     }
@@ -254,9 +245,9 @@ mod tests {
         b.push_instr(nb);
         b.push_instr(b.root());
         let map = b.finish();
-        assert_eq!(map.source_chain(0), vec![(mid(0), None)]);
+        assert_eq!(map.source_chain(0).collect::<Vec<_>>(), vec![(mid(0), None)]);
         assert_eq!(
-            map.source_chain(3),
+            map.source_chain(3).collect::<Vec<_>>(),
             vec![(mid(5), Some(SiteIdx(1))), (mid(0), None)]
         );
         // Prologue of the inlined body starts at its body_start.
@@ -271,7 +262,7 @@ mod tests {
         let n2 = b.add_node(n1, SiteIdx(2), mid(2), 0);
         b.push_instr(n2);
         let map = b.finish();
-        let chain = map.source_chain(0);
+        let chain: Vec<_> = map.source_chain(0).collect();
         assert_eq!(
             chain,
             vec![

@@ -543,7 +543,18 @@ impl<'p> Vm<'p> {
     /// its listeners consume.
     pub fn snapshot(&self) -> StackSnapshot {
         let config = &self.exec.config;
-        let mut frames = Vec::new();
+        // Counted first (a chain is a few parent links), so that the frames
+        // are one allocation of the right size.
+        let source_frames = |mf: &Frame| {
+            if config.source_level_walk {
+                self.registry.version(mf.code).inline_map.source_chain(mf.at.pc).count()
+            } else {
+                1
+            }
+        };
+        let walked = self.stack.iter().rev().take(config.max_walk_frames);
+        let len = walked.map(source_frames).sum::<usize>().min(config.max_walk_frames);
+        let mut frames = Vec::with_capacity(len);
         let mut root_method = self.exec.program.entry();
         let mut top_in_prologue = false;
         for (depth, mf) in self.stack.iter().rev().enumerate() {
@@ -558,22 +569,23 @@ impl<'p> Vm<'p> {
             }
             // The call site through which the next-inner machine frame was
             // entered: the call instruction this frame is resting on.
-            let inner_site = if depth == 0 {
+            let mut to_inner = if depth == 0 {
                 None
             } else {
                 version.body.get(pc).and_then(Instr::call_site)
             };
             if config.source_level_walk {
-                let chain = version.inline_map.source_chain(pc);
-                for (j, (method, _)) in chain.iter().enumerate() {
-                    let callsite_to_inner = if j == 0 { inner_site } else { chain[j - 1].1 };
-                    frames.push(SourceFrame { method: *method, callsite_to_inner });
+                // Each source frame of the chain was entered through the
+                // site its outer neighbour carries.
+                for (method, entered_at) in version.inline_map.source_chain(pc) {
                     if frames.len() >= config.max_walk_frames {
                         break;
                     }
+                    frames.push(SourceFrame { method, callsite_to_inner: to_inner });
+                    to_inner = entered_at;
                 }
             } else {
-                frames.push(SourceFrame { method: version.method, callsite_to_inner: inner_site });
+                frames.push(SourceFrame { method: version.method, callsite_to_inner: to_inner });
             }
             if frames.len() >= config.max_walk_frames {
                 break;

@@ -104,8 +104,9 @@ pub(crate) enum Flow<'b> {
     Call {
         /// The method to invoke.
         callee: MethodId,
-        /// What to pass it and where its value goes.
-        ops: CallOps<'b>,
+        /// The call instruction; its operands are read ([`CallOps::of`])
+        /// only where the callee's frame is opened.
+        op: &'b DecodedOp,
     },
     /// A `Return` read its value; the loop pops the frame.
     Ret(Option<Value>),
@@ -119,8 +120,8 @@ pub(super) enum Switch<'b> {
     Call {
         /// The method to invoke.
         callee: MethodId,
-        /// What to pass it and where its value goes.
-        ops: CallOps<'b>,
+        /// The call instruction the top frame rests on.
+        op: &'b DecodedOp,
     },
     /// A return with this value. To `run`: the entry frame's — the frame
     /// stack is empty and the program has finished.
@@ -299,9 +300,9 @@ pub(super) fn run_frames<'r>(
         x.clock.charge(body.component, a.now - t0);
         stack.last_mut().expect("fetched above").at = at;
         match left? {
-            Switch::Call { callee, ops } => match registry.current_slot(callee) {
-                Some(code) => enter(x, registry, stack, regs, code, ops)?,
-                None => return Ok(Switch::Call { callee, ops }),
+            Switch::Call { callee, op } => match registry.current_slot(callee) {
+                Some(code) => enter(x, registry, stack, regs, code, CallOps::of(op))?,
+                None => return Ok(Switch::Call { callee, op }),
             },
             Switch::Ret(value) => {
                 stack.pop();
@@ -382,7 +383,7 @@ fn run_frame<'b>(
             // The caller's pc stays on the call instruction while the callee
             // runs (stack walks read the site from it); it is advanced on
             // return.
-            Flow::Call { callee, ops } => return Ok(Switch::Call { callee, ops }),
+            Flow::Call { callee, op } => return Ok(Switch::Call { callee, op }),
             Flow::Ret(value) => return Ok(Switch::Ret(value)),
         };
         if raised || a.now >= event {
@@ -625,7 +626,7 @@ fn op_call_static<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> R
     let DecodedOp::CallStatic { callee, args, .. } = op else { unreachable!() };
     x.counters.calls += 1;
     a.check_args(args.iter().map(|&r| Reg(r)))?;
-    Ok(Flow::Call { callee: *callee, ops: CallOps::of(op) })
+    Ok(Flow::Call { callee: *callee, op })
 }
 
 #[inline(always)]
@@ -635,7 +636,7 @@ fn op_call_virtual<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> 
     x.counters.virtual_dispatches += 1;
     let callee = x.virtual_target(a, Reg(*recv), *selector)?;
     a.check_args(args.iter().map(|&r| Reg(r)))?;
-    Ok(Flow::Call { callee, ops: CallOps::of(op) })
+    Ok(Flow::Call { callee, op })
 }
 
 #[inline(always)]

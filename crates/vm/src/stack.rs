@@ -39,8 +39,10 @@ impl StackSnapshot {
     }
 
     /// Builds the call trace of the paper's Equation 2 from this snapshot:
-    /// the callee (innermost method) plus up to `max_context` ⟨caller,
-    /// callsite⟩ pairs, innermost caller first.
+    /// returns the callee (innermost method) and leaves in `context` — the
+    /// caller's buffer, cleared first, so that a listener walks every sample
+    /// into the same allocation — up to `max_context` ⟨caller, callsite⟩
+    /// pairs, innermost caller first.
     ///
     /// Returns `None` if the stack is empty or has no caller (an edge/trace
     /// needs at least one call). The `keep_extending` predicate implements
@@ -56,12 +58,13 @@ impl StackSnapshot {
         &self,
         max_context: usize,
         mut keep_extending: impl FnMut(MethodId) -> bool,
-    ) -> Option<(MethodId, Vec<CallSiteRef>)> {
+        context: &mut Vec<CallSiteRef>,
+    ) -> Option<MethodId> {
+        context.clear();
         let callee = self.frames.first()?.method;
         if self.frames.len() < 2 {
             return None;
         }
-        let mut context = Vec::new();
         // frames[i] for i >= 1 is the caller of frames[i-1]; the call site
         // lives on frames[i] as `callsite_to_inner`.
         for i in 1..self.frames.len() {
@@ -86,7 +89,7 @@ impl StackSnapshot {
             };
             context.push(CallSiteRef::new(caller, site));
         }
-        Some((callee, context))
+        Some(callee)
     }
 }
 
@@ -123,8 +126,8 @@ mod tests {
             frame(1, Some(1)),
             frame(0, Some(0)),
         ]);
-        let (callee, ctx) = s.call_trace(5, |_| true).unwrap();
-        assert_eq!(callee, mid(3));
+        let mut ctx = Vec::new();
+        assert_eq!(s.call_trace(5, |_| true, &mut ctx), Some(mid(3)));
         assert_eq!(
             ctx,
             vec![
@@ -143,7 +146,9 @@ mod tests {
             frame(1, Some(1)),
             frame(0, Some(0)),
         ]);
-        let (_, ctx) = s.call_trace(2, |_| true).unwrap();
+        // The buffer's previous contents are not part of the trace.
+        let mut ctx = vec![CallSiteRef::new(mid(9), SiteIdx(9))];
+        assert!(s.call_trace(2, |_| true, &mut ctx).is_some());
         assert_eq!(ctx.len(), 2);
         assert_eq!(ctx[0].method, mid(2));
         assert_eq!(ctx[1].method, mid(1));
@@ -158,7 +163,8 @@ mod tests {
             frame(0, Some(0)),
         ]);
         // Terminate immediately: still records the immediate caller edge.
-        let (_, ctx) = s.call_trace(5, |_| false).unwrap();
+        let mut ctx = Vec::new();
+        assert!(s.call_trace(5, |_| false, &mut ctx).is_some());
         assert_eq!(ctx.len(), 1);
         assert_eq!(ctx[0].method, mid(2));
     }
@@ -172,10 +178,14 @@ mod tests {
             frame(0, Some(0)),
         ]);
         let mut seen = Vec::new();
-        let _ = s.call_trace(5, |m| {
-            seen.push(m);
-            true
-        });
+        let _ = s.call_trace(
+            5,
+            |m| {
+                seen.push(m);
+                true
+            },
+            &mut Vec::new(),
+        );
         // Extension decisions are made before adding levels 2 and 3; the
         // callee-side methods of the last added edges are m3 (the sampled
         // callee) then m2 (the immediate caller).
@@ -185,9 +195,9 @@ mod tests {
     #[test]
     fn no_trace_without_caller() {
         let s = snap(vec![frame(0, None)]);
-        assert!(s.call_trace(5, |_| true).is_none());
+        assert!(s.call_trace(5, |_| true, &mut Vec::new()).is_none());
         let empty = snap(vec![]);
-        assert!(empty.call_trace(5, |_| true).is_none());
+        assert!(empty.call_trace(5, |_| true, &mut Vec::new()).is_none());
         assert_eq!(empty.top_method(), None);
     }
 }
