@@ -199,13 +199,6 @@ pub struct AosConfig {
     /// `None` (the default) compiles everything locally and the system is
     /// bit-identical to one built before this subsystem existed.
     pub compile_server: Option<CompileServerConfig>,
-    /// Dump the controller's hot-method selection to stderr each epoch
-    /// tick (`AOCI_DEBUG_HOT` in the harness binaries). Diagnostics only:
-    /// the flag never changes simulated behaviour, and keeping it in the
-    /// config (rather than an ambient environment read) keeps every
-    /// `AosSystem` run a pure function of `(program, AosConfig)` — the
-    /// invariant the parallel sweep harness relies on.
-    pub debug_hot: bool,
 }
 
 impl AosConfig {
@@ -235,7 +228,6 @@ impl AosConfig {
             async_compile: None,
             metrics: None,
             compile_server: None,
-            debug_hot: false,
         }
     }
 
@@ -360,13 +352,6 @@ impl AosConfig {
         self.recovery.monitor_guard_health = true;
         self
     }
-
-    /// Enables the per-tick hot-method selection dump on stderr
-    /// ([`AosConfig::debug_hot`]).
-    pub fn enable_debug_hot(mut self) -> Self {
-        self.debug_hot = true;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -397,8 +382,7 @@ mod tests {
             .enable_async_compile()
             .enable_metrics()
             .enable_guard_monitoring()
-            .enable_compile_server_with(CompileServerConfig::default())
-            .enable_debug_hot();
+            .enable_compile_server_with(CompileServerConfig::default());
         assert!(c.vm.osr_enabled);
         assert!(c.vm.deoptless);
         assert!(c.trace.is_some());
@@ -406,7 +390,6 @@ mod tests {
         assert!(c.metrics.is_some());
         assert!(c.recovery.monitor_guard_health);
         assert!(c.compile_server.is_some());
-        assert!(c.debug_hot);
         let c = AosConfig::context_insensitive()
             .enable_async_compile_with(AsyncCompileConfig { workers: 5, ..Default::default() });
         assert_eq!(c.async_compile.expect("enabled").workers, 5);

@@ -37,8 +37,6 @@ struct MethodRecord {
     /// compiled at least once, but *not currently* optimized — the
     /// hot-methods organizer may select the method again.
     invalidated: bool,
-    /// How many times the method's optimized code has been invalidated.
-    invalidations: u32,
 }
 
 /// Records compilation history: which methods are optimized, which call
@@ -172,12 +170,6 @@ impl AosDatabase {
         let record = self.record_mut(method);
         record.inlined.clear();
         record.invalidated = true;
-        record.invalidations += 1;
-    }
-
-    /// How many times `method`'s optimized code has been invalidated.
-    pub fn times_invalidated(&self, method: MethodId) -> u32 {
-        self.record(method).map_or(0, |r| r.invalidations)
     }
 
     /// Full decision log, in compilation order.
@@ -334,7 +326,6 @@ mod tests {
         assert!(!db.is_optimized(mid(0)), "invalidated ⇒ not currently optimized");
         assert!(!db.has_inlined(mid(0), cs(0, 0), mid(1)), "inline set cleared");
         assert_eq!(db.recompiles(mid(0)), 1, "compile history survives");
-        assert_eq!(db.times_invalidated(mid(0)), 1);
         assert_eq!(db.optimized_methods().count(), 0);
         // A fresh compilation restores currently-optimized status.
         db.record_compilation(mid(0), &compilation(vec![], vec![]), 2, 900);

@@ -111,21 +111,6 @@ pub enum TraceCorruption {
     NegativeWeight,
 }
 
-/// Counters of every fault the injector actually delivered.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct InjectedFaults {
-    /// Compile-thread bailouts injected.
-    pub compile_bailouts: u64,
-    /// Oversized-code rejections injected.
-    pub oversize_rejections: u64,
-    /// Profile traces corrupted.
-    pub corrupted_traces: u64,
-    /// Timer samples dropped.
-    pub dropped_samples: u64,
-    /// Receiver bursts delivered.
-    pub receiver_bursts: u64,
-}
-
 /// The fault injector: draws from its own seeded RNG at each decision
 /// point, so the fault schedule is a pure function of the seed and the
 /// sequence of queries (which is deterministic for a deterministic system).
@@ -133,34 +118,21 @@ pub struct InjectedFaults {
 pub struct FaultInjector {
     config: FaultConfig,
     rng: SmallRng,
-    injected: InjectedFaults,
 }
 
 impl FaultInjector {
     /// Creates an injector from `config`, seeding its private RNG.
     pub fn new(config: FaultConfig) -> Self {
         let rng = SmallRng::seed_from_u64(config.seed);
-        FaultInjector { config, rng, injected: InjectedFaults::default() }
-    }
-
-    /// The configuration this injector was built from.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
-    /// Counters of faults delivered so far.
-    pub fn injected(&self) -> InjectedFaults {
-        self.injected
+        FaultInjector { config, rng }
     }
 
     /// Consulted once per optimizing compilation: should it fail, and how?
     pub fn compile_fault(&mut self) -> Option<CompileFault> {
         if self.roll(self.config.compile_bailout_prob) {
-            self.injected.compile_bailouts += 1;
             return Some(CompileFault::Bailout);
         }
         if self.roll(self.config.oversize_code_prob) {
-            self.injected.oversize_rejections += 1;
             return Some(CompileFault::Oversize);
         }
         None
@@ -168,12 +140,7 @@ impl FaultInjector {
 
     /// Consulted once per timer sample: is this sample lost?
     pub fn drop_sample(&mut self) -> bool {
-        if self.roll(self.config.sampler_dropout_prob) {
-            self.injected.dropped_samples += 1;
-            true
-        } else {
-            false
-        }
+        self.roll(self.config.sampler_dropout_prob)
     }
 
     /// Consulted once per drained profile trace: corrupt it, and how?
@@ -181,7 +148,6 @@ impl FaultInjector {
         if !self.roll(self.config.trace_corruption_prob) {
             return None;
         }
-        self.injected.corrupted_traces += 1;
         Some(match self.rng.gen_range(0..4u32) {
             0 => TraceCorruption::UnknownCallee,
             1 => TraceCorruption::UnknownCallSite,
@@ -199,7 +165,6 @@ impl FaultInjector {
         {
             return None;
         }
-        self.injected.receiver_bursts += 1;
         Some((self.config.receiver_burst_misses, self.rng.gen::<u64>()))
     }
 
@@ -219,34 +184,41 @@ mod tests {
         (0..n).map(|_| inj.compile_fault()).collect()
     }
 
+    /// Per-class counts of the faults `inj` hands out over `rounds` rounds
+    /// of one query each: compile bailouts, oversize rejections, dropped
+    /// samples, corrupted traces, receiver bursts.
+    fn tally(inj: &mut FaultInjector, rounds: usize) -> [u64; 5] {
+        let mut n = [0u64; 5];
+        for _ in 0..rounds {
+            match inj.compile_fault() {
+                Some(CompileFault::Bailout) => n[0] += 1,
+                Some(CompileFault::Oversize) => n[1] += 1,
+                None => {}
+            }
+            n[2] += u64::from(inj.drop_sample());
+            n[3] += u64::from(inj.corrupt_trace().is_some());
+            n[4] += u64::from(inj.receiver_burst().is_some());
+        }
+        n
+    }
+
     #[test]
     fn default_config_is_inert() {
+        assert!(FaultConfig::default().is_inert());
         let mut inj = FaultInjector::new(FaultConfig::default());
-        assert!(inj.config().is_inert());
         for _ in 0..200 {
             assert_eq!(inj.compile_fault(), None);
             assert!(!inj.drop_sample());
             assert_eq!(inj.corrupt_trace(), None);
             assert_eq!(inj.receiver_burst(), None);
         }
-        assert_eq!(inj.injected(), InjectedFaults::default());
+        assert_eq!(tally(&mut inj, 200), [0; 5]);
     }
 
     #[test]
     fn chaos_delivers_every_class() {
-        let mut inj = FaultInjector::new(FaultConfig::chaos(11));
-        for _ in 0..400 {
-            let _ = inj.compile_fault();
-            let _ = inj.drop_sample();
-            let _ = inj.corrupt_trace();
-            let _ = inj.receiver_burst();
-        }
-        let got = inj.injected();
-        assert!(got.compile_bailouts > 0);
-        assert!(got.oversize_rejections > 0);
-        assert!(got.corrupted_traces > 0);
-        assert!(got.dropped_samples > 0);
-        assert!(got.receiver_bursts > 0);
+        let got = tally(&mut FaultInjector::new(FaultConfig::chaos(11)), 400);
+        assert!(got.iter().all(|&n| n > 0), "{got:?}");
     }
 
     #[test]
@@ -254,7 +226,7 @@ mod tests {
         let mut a = FaultInjector::new(FaultConfig::chaos(99));
         let mut b = FaultInjector::new(FaultConfig::chaos(99));
         assert_eq!(drain(&mut a, 100), drain(&mut b, 100));
-        assert_eq!(a.injected(), b.injected());
+        assert_eq!(tally(&mut a, 100), tally(&mut b, 100));
     }
 
     #[test]
@@ -274,13 +246,14 @@ mod tests {
         let mut b = FaultInjector::new(quiet);
         let mut faults_a = Vec::new();
         let mut faults_b = Vec::new();
+        let mut dropped_b = 0;
         for _ in 0..100 {
             let _ = a.drop_sample();
-            let _ = b.drop_sample();
+            dropped_b += u64::from(b.drop_sample());
             faults_a.push(a.compile_fault());
             faults_b.push(b.compile_fault());
         }
         assert_eq!(faults_a, faults_b);
-        assert_eq!(b.injected().dropped_samples, 0);
+        assert_eq!(dropped_b, 0);
     }
 }

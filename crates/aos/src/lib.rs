@@ -78,7 +78,7 @@ mod system;
 
 pub use config::{AosConfig, AsyncCompileConfig, CompileServerConfig, RecoveryConfig};
 pub use database::{AosDatabase, CompilationRecord};
-pub use fault::{CompileFault, FaultConfig, FaultInjector, InjectedFaults, TraceCorruption};
+pub use fault::{CompileFault, FaultConfig, FaultInjector, TraceCorruption};
 pub use aoci_telemetry::{MetricsConfig, MetricsLog};
 pub use aoci_trace::{TraceConfig, TraceEvent, TraceLog};
 pub use report::{AosReport, AsyncCompileEvents, OsrEvents, RecoveryEvents};

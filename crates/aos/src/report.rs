@@ -6,7 +6,7 @@ use crate::database::CompilationRecord;
 use aoci_json::Value as Json;
 use aoci_profile::TraceStatsReport;
 use aoci_telemetry::MetricsLog;
-use aoci_trace::TraceLog;
+use aoci_trace::{FaultKind, RetryCause, TraceEvent, TraceLog};
 use aoci_vm::{Clock, Component, ExecCounters, Value, COMPONENTS};
 
 /// Everything the recovery layer did during a run — the degradation story
@@ -17,7 +17,9 @@ pub struct RecoveryEvents {
     /// Optimized versions invalidated for guard thrash (the method fell
     /// back to baseline at its next invocation).
     pub invalidations: u64,
-    /// Compile retries scheduled after failed compilations.
+    /// Compile retries scheduled after failed compilations (a recompile
+    /// scheduled after an invalidation is not a retry: the invalidation
+    /// is the action).
     pub compile_retries: u64,
     /// Methods quarantined (blocked from optimizing compilation) after
     /// repeated failures or invalidations.
@@ -30,7 +32,8 @@ pub struct RecoveryEvents {
     pub injected_corrupt_traces: u64,
     /// Timer samples lost to injected sampler dropout.
     pub dropped_samples: u64,
-    /// Adversarial receiver bursts delivered.
+    /// Adversarial receiver bursts fired, whether or not an optimized
+    /// method was there to take the misses.
     pub receiver_bursts: u64,
     /// When flight-recorder tracing is on: the rendered last-N events as of
     /// the most recent recovery action — the automatic post-mortem context
@@ -44,15 +47,6 @@ impl RecoveryEvents {
     /// the injected-fault counters which record the adversary acting).
     pub fn total_actions(&self) -> u64 {
         self.invalidations + self.compile_retries + self.quarantined_methods + self.rejected_traces
-    }
-
-    /// Total faults the adversary delivered (the injected-side mirror of
-    /// [`RecoveryEvents::total_actions`]).
-    pub fn total_injected(&self) -> u64 {
-        self.injected_compile_faults
-            + self.injected_corrupt_traces
-            + self.dropped_samples
-            + self.receiver_bursts
     }
 
     /// Serializes to an `aoci-json` object (every counter plus the dump).
@@ -144,10 +138,12 @@ pub struct AsyncCompileEvents {
     pub enqueued: u64,
     /// Plans handed to a worker (includes compiles that later faulted).
     pub dispatched: u64,
-    /// Compiles that ran to completion (installed, or booked as a failure).
+    /// Compiles that landed: ran to completion and were installed, or
+    /// booked as a failure. A result dropped as stale did not land.
     pub completed: u64,
-    /// Plans dropped at dequeue because the world moved on while they
-    /// waited: quarantined, already recompiled, or no longer hot.
+    /// Plans dropped because the world moved on: at dequeue (quarantined,
+    /// already recompiled, or no longer hot) or, for a compile that ran,
+    /// at completion (quarantined or already recompiled meanwhile).
     pub stale_drops: u64,
     /// Plans dropped (incoming or evicted) because the bounded queue was
     /// full — the backpressure counter.
@@ -179,6 +175,77 @@ impl AsyncCompileEvents {
             ("background_overlap_cycles".to_string(), Json::from(self.background_overlap_cycles)),
             ("foreground_stall_cycles".to_string(), Json::from(self.foreground_stall_cycles)),
         ])
+    }
+}
+
+/// The driver's ledgers as one fold over its event stream: every event
+/// `AosSystem::emit` sees passes through [`Ledger::observe`], and the
+/// recovery, OSR-request and background-compile counters are its running
+/// totals. The driver reads the fields; only `observe` writes them.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Ledger {
+    /// Never carries the dump: the driver renders it at read time.
+    pub(crate) recovery: RecoveryEvents,
+    /// Only `requests` and `denied`; the transitions are the VM's counters.
+    pub(crate) osr: OsrEvents,
+    /// `abandoned_in_flight` counts compiles started and not yet finished.
+    pub(crate) async_compile: AsyncCompileEvents,
+}
+
+impl Ledger {
+    /// Folds `event` in. Returns `true` for the events that call for a
+    /// post-mortem dump: a VM fault, and every event that moves
+    /// [`RecoveryEvents::total_actions`] — a recovery action.
+    pub(crate) fn observe(&mut self, event: &TraceEvent) -> bool {
+        use FaultKind::*;
+        use TraceEvent as E;
+        let actions = self.recovery.total_actions();
+        let (rec, osr, queue) = (&mut self.recovery, &mut self.osr, &mut self.async_compile);
+        match event {
+            E::Invalidate { .. } => rec.invalidations += 1,
+            E::Quarantine { .. } => rec.quarantined_methods += 1,
+            E::TraceRejected => rec.rejected_traces += 1,
+            E::RetryScheduled { cause: RetryCause::CompileFailure, .. } => rec.compile_retries += 1,
+            // The invalidation it follows was the action.
+            E::RetryScheduled { cause: RetryCause::Invalidation, .. } => {}
+            E::FaultInjected { kind: CompileBailout | CompileOversize } => {
+                rec.injected_compile_faults += 1;
+            }
+            E::FaultInjected { kind: CorruptTrace } => rec.injected_corrupt_traces += 1,
+            E::FaultInjected { kind: DroppedSample } => rec.dropped_samples += 1,
+            E::FaultInjected { kind: ReceiverBurst } => rec.receiver_bursts += 1,
+            E::VmFault { .. } => return true,
+            E::OsrRequest { .. } => osr.requests += 1,
+            E::OsrDeny { .. } => osr.denied += 1,
+            E::CompileEnqueue { queue_depth, .. } => {
+                queue.enqueued += 1;
+                queue.max_queue_depth = queue.max_queue_depth.max(u64::from(*queue_depth));
+            }
+            E::CompileStart { .. } => {
+                queue.dispatched += 1;
+                queue.abandoned_in_flight += 1;
+            }
+            E::CompileFinish { overlap_cycles, stall_cycles, landed, .. } => {
+                queue.abandoned_in_flight -= 1;
+                queue.completed += u64::from(*landed);
+                queue.background_overlap_cycles += overlap_cycles;
+                queue.foreground_stall_cycles += stall_cycles;
+            }
+            E::CompileDequeueStale { .. } => queue.stale_drops += 1,
+            E::CompileQueueFull { .. } => queue.queue_full_drops += 1,
+            // Steps of the pipeline no ledger counts.
+            E::SampleTick { .. } | E::HotMethod { .. } | E::RecompilePlan { .. } => {}
+            E::InlineDecision { .. } | E::InlineRefusal { .. } => {}
+            E::Compile { .. } | E::Install { .. } => {}
+            // Emitted by the VM and the trace listener straight into the
+            // ring, never through the driver: their counters (`ExecCounters`,
+            // `OsrDispatchCounters`, the listener's) sit on the interpreter's
+            // hot path or inside `Vm::run`.
+            E::TraceWalk { .. } | E::GuardMiss { .. } => {}
+            E::OsrEnter { .. } | E::OsrExit { .. } | E::OsrTransfer { .. } => {}
+            E::OsrFallback { .. } => {}
+        }
+        self.recovery.total_actions() > actions
     }
 }
 
@@ -477,14 +544,12 @@ mod tests {
             trace_dump: vec!["#0 @1 sample-tick".to_string(); 32],
         };
         assert_eq!(ev.total_actions(), 10, "dump lines are context, not actions");
-        assert_eq!(ev.total_injected(), 1000);
     }
 
     #[test]
     fn recovery_defaults_are_empty() {
         let ev = RecoveryEvents::default();
         assert_eq!(ev.total_actions(), 0);
-        assert_eq!(ev.total_injected(), 0);
         assert!(ev.trace_dump.is_empty());
     }
 

@@ -3,7 +3,7 @@
 use crate::config::AosConfig;
 use crate::database::AosDatabase;
 use crate::fault::FaultInjector;
-use crate::report::{AosReport, AsyncCompileEvents, OsrEvents, RecoveryEvents};
+use crate::report::{AosReport, Ledger, OsrEvents, RecoveryEvents};
 use aoci_core::{PolicyEngine, RuleSet};
 use aoci_ir::{CallSiteRef, IdHashMap, MethodId, Program};
 use aoci_profile::{
@@ -166,27 +166,22 @@ pub struct AosSystem<'p> {
     pending_plans: VecDeque<PendingPlan>,
     /// One slot per simulated background worker, `Some` while occupied.
     in_flight: Vec<Option<InFlightCompile>>,
-    /// Async-mode activity counters and overlap/stall accounting.
-    async_events: AsyncCompileEvents,
     sample_count: u64,
     stats: TraceStatsCollector,
     /// Set once the program returns from its entry point.
     finished: Option<Option<aoci_vm::Value>>,
     /// The adversary, when fault injection is configured.
     fault: Option<FaultInjector>,
-    /// Recovery actions taken so far (injected-fault counters are merged in
-    /// from the injector when reporting).
-    recovery: RecoveryEvents,
+    /// The recovery, OSR-request and background-compile ledgers: a fold
+    /// over every event [`AosSystem::emit`] sees.
+    ledger: Ledger,
     /// The raw last-`dump_last` recorder events as of the latest recovery
     /// action; [`AosSystem::recovery_events`] renders them into
-    /// [`RecoveryEvents::trace_dump`] (which stays empty in `recovery`).
+    /// [`RecoveryEvents::trace_dump`].
     dump_tail: Vec<Recorded>,
     /// Failed compilations awaiting their backoff deadline, as
     /// `(due_cycle, method)` in scheduling order.
     retry_after: Vec<(u64, MethodId)>,
-    /// OSR promotion requests received / denied so far (the transition
-    /// counts themselves live in the VM's [`aoci_vm::ExecCounters`]).
-    osr: OsrEvents,
     /// The flight recorder, when tracing is configured; clones of this sink
     /// live in the VM and the trace listener.
     trace: Option<TraceSink>,
@@ -235,15 +230,13 @@ impl<'p> AosSystem<'p> {
             first_hot: IdHashMap::default(),
             pending_plans: VecDeque::new(),
             in_flight: std::iter::repeat_with(|| None).take(workers).collect(),
-            async_events: AsyncCompileEvents::default(),
             sample_count: 0,
             stats: TraceStatsCollector::new(),
             finished: None,
             fault: config.fault.clone().map(FaultInjector::new),
-            recovery: RecoveryEvents::default(),
+            ledger: Ledger::default(),
             dump_tail: Vec::new(),
             retry_after: Vec::new(),
-            osr: OsrEvents::default(),
             trace,
             metrics: config.metrics.clone().map(MetricsRegistry::new),
             server: ServerEvents::default(),
@@ -251,28 +244,18 @@ impl<'p> AosSystem<'p> {
         }
     }
 
-    /// Records `event` in the flight recorder (no-op when tracing is off).
-    /// Events are timestamped with the simulated clock and charge no
-    /// cycles, so traced runs are metrically identical to untraced ones.
-    fn emit(&self, event: TraceEvent) {
-        if let Some(t) = &self.trace {
-            t.emit(self.vm.clock().total(), event);
-        }
-    }
-
-    /// Copies the last-N recorder events into the recovery ledger (the
-    /// automatic flight-recorder dump attached to [`RecoveryEvents`]). Only
-    /// the latest capture is ever read, so the events stay raw until then.
-    fn capture_trace_dump(&mut self) {
+    /// The driver's one instrumentation call (DESIGN.md §8): folds `event`
+    /// into the ledger, records it when tracing is on, and after a recovery
+    /// action or a VM fault copies the recorder's tail as the post-mortem
+    /// dump. Charges no cycles: traced runs equal untraced ones.
+    fn emit(&mut self, event: TraceEvent) {
+        let dump = self.ledger.observe(&event);
         let Some(t) = &self.trace else { return };
-        let n = self.config.trace.as_ref().map_or(0, |c| c.dump_last);
-        t.copy_tail(n, &mut self.dump_tail);
-    }
-
-    /// Renders the captured dump, one line per event.
-    fn render_trace_dump(&self) -> Vec<String> {
-        let resolve = |m: MethodId| self.program.method(m).name().to_string();
-        self.dump_tail.iter().map(|r| r.dump_line(&resolve)).collect()
+        t.emit(self.vm.clock().total(), event);
+        if dump {
+            let n = self.config.trace.as_ref().map_or(0, |c| c.dump_last);
+            t.copy_tail(n, &mut self.dump_tail);
+        }
     }
 
     /// Seeds the profile store with offline-gathered trace data (e.g. a
@@ -343,7 +326,8 @@ impl<'p> AosSystem<'p> {
     pub fn run_serving(mut self) -> Result<ServingOutcome, VmError> {
         let result = self.run_to_completion()?;
         let profile = self.profile_entries();
-        let server = std::mem::take(&mut self.server);
+        // Cloned, not taken: the end-of-run metrics snapshot reads it.
+        let server = self.server.clone();
         Ok(ServingOutcome { report: self.into_report(result).0, profile, server })
     }
 
@@ -378,13 +362,12 @@ impl<'p> AosSystem<'p> {
         let outcome = match self.vm.run(u64::MAX) {
             Ok(outcome) => outcome,
             Err(e) => {
-                // The run is about to abort: record the fault, attach the
-                // last-N dump to the recovery ledger, and surface the
+                // The run is about to abort: record the fault (which attaches
+                // the last-N dump to the recovery ledger) and surface the
                 // recorder's tail on stderr — the post-mortem the flight
                 // recorder exists for.
                 self.emit(TraceEvent::VmFault { message: e.to_string() });
-                self.capture_trace_dump();
-                for line in self.render_trace_dump() {
+                for line in self.recovery_events().trace_dump {
                     eprintln!("[aoci-trace] {line}");
                 }
                 return Err(e);
@@ -495,7 +478,7 @@ impl<'p> AosSystem<'p> {
         sink.counter_set("osr_denied", osr.denied);
         sink.counter_set("osr_entries", osr.entries);
         sink.counter_set("osr_exits", osr.exits);
-        let recovery = self.recovery_counters();
+        let recovery = &self.ledger.recovery;
         sink.counter_set("recovery_invalidations", recovery.invalidations);
         sink.counter_set("recovery_compile_retries", recovery.compile_retries);
         sink.counter_set("recovery_rejected_traces", recovery.rejected_traces);
@@ -503,7 +486,7 @@ impl<'p> AosSystem<'p> {
         sink.counter_set("recovery_injected_corrupt_traces", recovery.injected_corrupt_traces);
         sink.counter_set("recovery_dropped_samples", recovery.dropped_samples);
         sink.counter_set("recovery_receiver_bursts", recovery.receiver_bursts);
-        let async_ev = &self.async_events;
+        let async_ev = &self.ledger.async_compile;
         sink.counter_set("async_enqueued", async_ev.enqueued);
         sink.counter_set("async_dispatched", async_ev.dispatched);
         sink.counter_set("async_completed", async_ev.completed);
@@ -511,6 +494,14 @@ impl<'p> AosSystem<'p> {
         sink.counter_set("async_queue_full_drops", async_ev.queue_full_drops);
         sink.counter_set("async_overlap_cycles", async_ev.background_overlap_cycles);
         sink.counter_set("async_stall_cycles", async_ev.foreground_stall_cycles);
+        // Like the event-driven counters, these appear with the first hit
+        // or miss.
+        let ServerEvents { hits, misses, .. } = self.server;
+        for (name, n) in [("compile_server_hits", hits), ("compile_server_misses", misses)] {
+            if n > 0 {
+                sink.counter_set(name, n);
+            }
+        }
         let clock = self.vm.clock();
         sink.counter_set("cycles_total", clock.total());
         for c in COMPONENTS {
@@ -528,7 +519,7 @@ impl<'p> AosSystem<'p> {
         sink.gauge_set("baseline_methods", u64::from(registry.baseline_compilations()));
         sink.gauge_set("rules_active", self.rules.len() as u64);
         sink.gauge_set("dcg_entries", self.profile.len() as u64);
-        sink.gauge_set("quarantined_methods", self.recovery.quarantined_methods);
+        sink.gauge_set("quarantined_methods", recovery.quarantined_methods);
         sink.gauge_set("retry_backlog", self.retry_after.len() as u64);
         sink.snapshot(self.sample_count, clock.total());
         self.metrics = Some(sink);
@@ -546,12 +537,10 @@ impl<'p> AosSystem<'p> {
         // Close the time series with an end-of-run snapshot, so the final
         // state is visible even when the run ended mid-epoch.
         self.record_metrics_snapshot();
-        let mut async_compile = self.async_events;
-        // Compiles still on a worker when the program returned: their work
-        // is abandoned — nothing is installed and no cycles are charged
-        // (the application never waited on them).
-        async_compile.abandoned_in_flight +=
-            self.in_flight.iter().filter(|slot| slot.is_some()).count() as u64;
+        // Compiles still on a worker when the program returned count as
+        // abandoned: nothing is installed and no cycles are charged (the
+        // application never waited on them).
+        let async_compile = self.ledger.async_compile;
         let recovery = self.recovery_events();
         let osr = self.osr_events();
         let AosSystem {
@@ -612,7 +601,7 @@ impl<'p> AosSystem<'p> {
         self.trace.as_ref().map(TraceSink::log)
     }
 
-    /// OSR activity so far: driver-side request/denial counts merged with
+    /// OSR activity so far: the ledger's request/denial counts merged with
     /// the VM's transition and dispatched-transfer counters (also usable
     /// mid-run between [`AosSystem::step`]s).
     pub fn osr_events(&self) -> OsrEvents {
@@ -625,29 +614,16 @@ impl<'p> AosSystem<'p> {
             falls_no_version: dispatch.falls_no_version,
             falls_incompatible: dispatch.falls_incompatible,
             falls_rearmed: dispatch.falls_rearmed,
-            ..self.osr
+            ..self.ledger.osr
         }
     }
 
-    /// Recovery actions taken so far, with the injector's delivered-fault
-    /// counters merged in (also usable mid-run between [`AosSystem::step`]s).
+    /// Recovery actions taken and faults injected so far, with the rendered
+    /// post-mortem dump (also usable mid-run between [`AosSystem::step`]s).
     pub fn recovery_events(&self) -> RecoveryEvents {
-        let mut ev = self.recovery_counters();
-        ev.trace_dump = self.render_trace_dump();
-        ev
-    }
-
-    /// [`AosSystem::recovery_events`] minus the rendered dump.
-    fn recovery_counters(&self) -> RecoveryEvents {
-        let mut ev = self.recovery.clone();
-        if let Some(f) = &self.fault {
-            let inj = f.injected();
-            ev.injected_compile_faults = inj.compile_bailouts + inj.oversize_rejections;
-            ev.injected_corrupt_traces = inj.corrupted_traces;
-            ev.dropped_samples = inj.dropped_samples;
-            ev.receiver_bursts = inj.receiver_bursts;
-        }
-        ev
+        let resolve = |m: MethodId| self.program.method(m).name().to_string();
+        let trace_dump = self.dump_tail.iter().map(|r| r.dump_line(&resolve)).collect();
+        RecoveryEvents { trace_dump, ..self.ledger.recovery.clone() }
     }
 }
 

@@ -49,7 +49,6 @@ impl AosSystem<'_> {
         plan.priority =
             aoci_opt::estimate_benefit_in_context(self.program, method, &oracle, &context);
         if self.pending_plans.len() >= capacity {
-            self.async_events.queue_full_drops += 1;
             let worst = self
                 .pending_plans
                 .iter()
@@ -72,9 +71,6 @@ impl AosSystem<'_> {
         }
         let priority = plan.priority;
         self.pending_plans.push_back(plan);
-        self.async_events.enqueued += 1;
-        self.async_events.max_queue_depth =
-            self.async_events.max_queue_depth.max(self.pending_plans.len() as u64);
         self.emit(TraceEvent::CompileEnqueue {
             method,
             reason,
@@ -179,7 +175,6 @@ impl AosSystem<'_> {
             match stale {
                 Some(reason) => {
                     self.methods[plan.method.index()].queued = false;
-                    self.async_events.stale_drops += 1;
                     self.emit(TraceEvent::CompileDequeueStale { method: plan.method, reason });
                 }
                 None => return Some(plan),
@@ -197,7 +192,6 @@ impl AosSystem<'_> {
             self.emit(TraceEvent::FaultInjected { kind });
         }
         let now = self.vm.clock().total();
-        self.async_events.dispatched += 1;
         self.emit(TraceEvent::CompileStart { method: plan.method, worker, cost: built.cost });
         InFlightCompile {
             worker,
@@ -212,7 +206,8 @@ impl AosSystem<'_> {
     /// cost into the portion that overlapped application execution and the
     /// stall the application must still wait out, charges only the stall,
     /// then lands the result — unless the world moved on while the compile
-    /// ran, in which case the stale result is dropped.
+    /// ran, in which case the stale result is dropped (and the finish event
+    /// says it did not land).
     fn finish_compile(&mut self, compile: InFlightCompile) {
         let InFlightCompile { built, worker, started_at, recompiles_at_dispatch, .. } = compile;
         let method = built.method;
@@ -220,31 +215,28 @@ impl AosSystem<'_> {
         let overlap = built.cost.min(now.saturating_sub(started_at));
         let stall = built.cost - overlap;
         self.charge(Component::CompilationThread, stall);
-        self.async_events.background_overlap_cycles += overlap;
-        self.async_events.foreground_stall_cycles += stall;
+        let stale = if built.outcome.is_err() {
+            None // a failure lands as a booked failure
+        } else if self.methods[method.index()].quarantined {
+            Some(StaleReason::Quarantined)
+        } else if self.db.recompiles(method) != recompiles_at_dispatch {
+            Some(StaleReason::Recompiled)
+        } else {
+            None
+        };
         self.emit(TraceEvent::CompileFinish {
             method,
             worker,
             overlap_cycles: overlap,
             stall_cycles: stall,
+            landed: stale.is_none(),
         });
         self.methods[method.index()].queued = false;
-        if built.outcome.is_ok() {
-            let stale = if self.methods[method.index()].quarantined {
-                Some(StaleReason::Quarantined)
-            } else if self.db.recompiles(method) != recompiles_at_dispatch {
-                Some(StaleReason::Recompiled)
-            } else {
-                None
-            };
-            if let Some(reason) = stale {
-                self.async_events.stale_drops += 1;
-                self.emit(TraceEvent::CompileDequeueStale { method, reason });
-                return;
-            }
+        if let Some(reason) = stale {
+            self.emit(TraceEvent::CompileDequeueStale { method, reason });
+        } else {
+            self.land(built);
         }
-        self.async_events.completed += 1;
-        self.land(built);
     }
 
     /// The calling context a non-OSR compilation of `method` should be
@@ -299,9 +291,6 @@ impl AosSystem<'_> {
                 if !self.server.hit_methods.contains(&method) {
                     self.server.hit_methods.push(method);
                 }
-                if let Some(sink) = &mut self.metrics {
-                    sink.counter_add("compile_server_hits", 1);
-                }
                 return Built {
                     method,
                     outcome: Ok(Box::new((**cached).clone())),
@@ -317,9 +306,6 @@ impl AosSystem<'_> {
             self.server.misses += 1;
             if !self.server.requests.contains(&method) {
                 self.server.requests.push(method);
-            }
-            if let Some(sink) = &mut self.metrics {
-                sink.counter_add("compile_server_misses", 1);
             }
         }
         let fault = self.fault.as_mut().and_then(|f| f.compile_fault());

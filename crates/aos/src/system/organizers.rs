@@ -35,14 +35,6 @@ impl AosSystem<'_> {
                     && self.db.recompiles(m) < self.config.max_recompiles_per_method
             })
             .collect();
-        if self.config.debug_hot {
-            let samples: Vec<(MethodId, u32)> = (0..self.methods.len())
-                .map(|i| (MethodId::from_index(i), self.methods[i].samples))
-                .filter(|&(_, count)| count > 0)
-                .collect();
-            let (tick, min_share) = (self.sample_count, self.min_share());
-            eprintln!("tick {tick}: samples={samples:?} min_share={min_share} hot={hot:?}");
-        }
         for m in hot {
             self.emit(TraceEvent::HotMethod { method: m, samples: self.methods[m.index()].samples });
             self.controller_enqueue(m, PlanReason::HotMethod);

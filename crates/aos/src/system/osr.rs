@@ -28,7 +28,6 @@ impl AosSystem<'_> {
     /// paying back-edge bookkeeping. The activation keeps running baseline:
     /// degraded, never wrong.
     pub(super) fn dispatch_osr(&mut self, req: OsrRequest) {
-        self.osr.requests += 1;
         let method = req.method;
         self.emit(TraceEvent::OsrRequest { method, loop_header: req.loop_header });
         if self.methods[method.index()].quarantined {
@@ -86,10 +85,9 @@ impl AosSystem<'_> {
         }
     }
 
-    /// Books one OSR denial: counter, trace event and — when a future
-    /// request could never fare better — request suppression.
+    /// Books one OSR denial: its event and — when a future request could
+    /// never fare better — request suppression.
     fn deny_osr(&mut self, method: MethodId, reason: OsrDenyReason, suppress: bool) {
-        self.osr.denied += 1;
         self.emit(TraceEvent::OsrDeny { method, reason });
         if suppress {
             self.vm.suppress_osr(method);

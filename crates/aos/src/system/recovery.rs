@@ -5,16 +5,14 @@ use super::AosSystem;
 use crate::fault::TraceCorruption;
 use aoci_ir::{CallSiteRef, MethodId, SiteIdx};
 use aoci_profile::TraceKey;
-use aoci_trace::{FaultKind, PlanReason, TraceEvent};
+use aoci_trace::{FaultKind, PlanReason, RetryCause, TraceEvent};
 use aoci_vm::Component;
 
 impl AosSystem<'_> {
-    /// Counts a rejected profile trace and charges its handling cost.
+    /// Books a rejected profile trace and charges its handling cost.
     pub(super) fn reject_trace(&mut self) {
-        self.recovery.rejected_traces += 1;
         self.charge(Component::Recovery, self.config.recovery.recovery_cost_per_event);
         self.emit(TraceEvent::TraceRejected);
-        self.capture_trace_dump();
     }
 
     /// Applies an injected corruption to a drained trace, if the injector
@@ -43,12 +41,14 @@ impl AosSystem<'_> {
     }
 
     /// Delivers an injected receiver burst: synthetic guard misses against
-    /// one deterministically-selected currently-optimized method.
+    /// one deterministically-selected currently-optimized method. The burst
+    /// is an injected fault as soon as it fires, victim or not.
     pub(super) fn deliver_receiver_burst(&mut self) {
         let Some((misses, selector)) = self.fault.as_mut().and_then(|f| f.receiver_burst())
         else {
             return;
         };
+        self.emit(TraceEvent::FaultInjected { kind: FaultKind::ReceiverBurst });
         // In index order, which is what `selector` picks from.
         let victims: Vec<MethodId> = self.db.optimized_methods().collect();
         if victims.is_empty() {
@@ -56,7 +56,6 @@ impl AosSystem<'_> {
         }
         let victim = victims[(selector % victims.len() as u64) as usize];
         self.methods[victim.index()].synthetic_misses += misses;
-        self.emit(TraceEvent::FaultInjected { kind: FaultKind::ReceiverBurst });
     }
 
     /// Scans every currently-optimized method's guard-observation window;
@@ -115,10 +114,8 @@ impl AosSystem<'_> {
             return; // registry and database out of sync; nothing installed
         }
         self.db.record_invalidation(method);
-        self.recovery.invalidations += 1;
         self.charge(Component::Recovery, self.config.recovery.recovery_cost_per_event);
         self.emit(TraceEvent::Invalidate { method });
-        self.capture_trace_dump();
         let guard_stats = self.vm.guard_stats(method);
         let state = &mut self.methods[method.index()];
         state.guard_window_start = guard_stats;
@@ -136,7 +133,8 @@ impl AosSystem<'_> {
             // phase-flipping method could otherwise generate; past it the
             // method settles at baseline — degraded, stable, correct.
             let due = self.vm.clock().total() + self.config.recovery.retry_backoff_base_cycles;
-            self.emit(TraceEvent::RetryScheduled { method, due_cycle: due });
+            let cause = RetryCause::Invalidation;
+            self.emit(TraceEvent::RetryScheduled { method, due_cycle: due, cause });
             self.retry_after.push((due, method));
         }
     }
@@ -158,10 +156,9 @@ impl AosSystem<'_> {
                 .min(rc.retry_backoff_cap_cycles);
             let due = self.vm.clock().total() + backoff;
             self.retry_after.push((due, method));
-            self.recovery.compile_retries += 1;
             self.charge(Component::Recovery, self.config.recovery.recovery_cost_per_event);
-            self.emit(TraceEvent::RetryScheduled { method, due_cycle: due });
-            self.capture_trace_dump();
+            let cause = RetryCause::CompileFailure;
+            self.emit(TraceEvent::RetryScheduled { method, due_cycle: due, cause });
         }
     }
 
@@ -190,12 +187,10 @@ impl AosSystem<'_> {
     /// they could only be denied.
     pub(super) fn quarantine(&mut self, method: MethodId) {
         if !std::mem::replace(&mut self.methods[method.index()].quarantined, true) {
-            self.recovery.quarantined_methods += 1;
             self.charge(Component::Recovery, self.config.recovery.recovery_cost_per_event);
             self.retry_after.retain(|&(_, m)| m != method);
             self.vm.suppress_osr(method);
             self.emit(TraceEvent::Quarantine { method });
-            self.capture_trace_dump();
         }
     }
 }

@@ -318,7 +318,8 @@ fn phase_shift_program(n: i64) -> (Program, MethodId) {
 fn guard_thrash_invalidates_and_recovers() {
     let (p, compute) = phase_shift_program(6_000);
     let expected = baseline_result(&p);
-    let mut config = fast_config(PolicyKind::ContextInsensitive);
+    let mut config = fast_config(PolicyKind::ContextInsensitive)
+        .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 0 });
     config.recovery.monitor_guard_health = true;
     let mut sys = AosSystem::new(&p, config);
     loop {
@@ -334,8 +335,9 @@ fn guard_thrash_invalidates_and_recovers() {
     }
     let ev = sys.recovery_events();
     assert!(ev.invalidations >= 1, "phase shift should thrash the guarded inline: {ev:?}");
+    let log = sys.trace_log().expect("tracing is on");
     assert!(
-        sys.database().times_invalidated(compute) >= 1,
+        log.events.iter().any(|r| r.event == TraceEvent::Invalidate { method: compute }),
         "the thrashing method itself should have been invalidated"
     );
     assert!(
@@ -517,16 +519,16 @@ fn async_queue_backpressure_evicts_worst() {
         sys.controller_enqueue(MethodId::from_index(idx), PlanReason::MissingEdge);
     }
     // Method 3 arrived at a full queue as the worst plan: dropped.
-    assert_eq!(sys.async_events.enqueued, 2);
-    assert_eq!(sys.async_events.queue_full_drops, 1);
+    assert_eq!(sys.ledger.async_compile.enqueued, 2);
+    assert_eq!(sys.ledger.async_compile.queue_full_drops, 1);
     assert!(!sys.methods[3].queued);
     // Method 0 outranks both residents: the worst resident (2) is evicted.
     sys.controller_enqueue(MethodId::from_index(0), PlanReason::MissingEdge);
-    assert_eq!(sys.async_events.enqueued, 3);
-    assert_eq!(sys.async_events.queue_full_drops, 2);
+    assert_eq!(sys.ledger.async_compile.enqueued, 3);
+    assert_eq!(sys.ledger.async_compile.queue_full_drops, 2);
     assert!(sys.methods[0].queued);
     assert!(!sys.methods[2].queued);
-    assert_eq!(sys.async_events.max_queue_depth, 2);
+    assert_eq!(sys.ledger.async_compile.max_queue_depth, 2);
 }
 
 #[test]
@@ -545,15 +547,15 @@ fn stale_plans_drop_at_dequeue_with_reasons() {
     let cooled = MethodId::from_index(1);
     sys.controller_enqueue(cooled, PlanReason::HotMethod);
     sys.process_compile_queue();
-    assert_eq!(sys.async_events.stale_drops, 2, "{:?}", sys.async_events);
-    assert_eq!(sys.async_events.dispatched, 0);
+    assert_eq!(sys.ledger.async_compile.stale_drops, 2, "{:?}", sys.ledger.async_compile);
+    assert_eq!(sys.ledger.async_compile.dispatched, 0);
     assert!(!sys.methods[quarantined.index()].queued);
     assert!(!sys.methods[cooled.index()].queued);
 }
 
 // ---- Recovery-ledger dump: captured raw at the action, rendered at read --
 
-use aoci_trace::{Recorded, TraceConfig};
+use aoci_trace::{FaultKind, Recorded, RetryCause, TraceConfig};
 
 /// The `n` dump lines ending at (and including) event index `last` of an
 /// unbounded log — what the ledger must hold if the latest recovery action
@@ -564,19 +566,17 @@ fn dump_ending_at(events: &[Recorded], last: usize, n: usize, p: &Program) -> Ve
     tail[tail.len().saturating_sub(n)..].iter().map(|r| r.dump_line(&resolve)).collect()
 }
 
-/// Index of the last event that triggered a dump capture. Every recovery
-/// action emits its event and captures immediately; the one exception is
-/// the `retry-scheduled` that `invalidate_method` emits *after* its
-/// `invalidate` capture, recognisable by directly following that event.
+/// Index of the last event that triggered a dump capture: every recovery
+/// action captures as it is emitted, and the event says which it is.
 fn last_recovery_trigger(events: &[Recorded]) -> Option<usize> {
-    (0..events.len()).rev().find(|&i| match events[i].event {
-        TraceEvent::TraceRejected
-        | TraceEvent::Invalidate { .. }
-        | TraceEvent::Quarantine { .. } => true,
-        TraceEvent::RetryScheduled { .. } => {
-            i == 0 || !matches!(events[i - 1].event, TraceEvent::Invalidate { .. })
-        }
-        _ => false,
+    events.iter().rposition(|r| {
+        matches!(
+            r.event,
+            TraceEvent::TraceRejected
+                | TraceEvent::Invalidate { .. }
+                | TraceEvent::Quarantine { .. }
+                | TraceEvent::RetryScheduled { cause: RetryCause::CompileFailure, .. }
+        )
     })
 }
 
@@ -617,6 +617,90 @@ fn trace_dump_is_the_tail_as_of_the_last_recovery_action() {
         ["invalidate", "quarantine", "retry-scheduled", "trace-rejected"],
         "the runs should end on every kind of recovery action"
     );
+}
+
+// ---- The three places where the counters and the stream used to disagree --
+
+/// Every event of `log` matching `pick`, in order.
+fn events_where(log: &TraceLog, pick: impl Fn(&TraceEvent) -> bool) -> Vec<&TraceEvent> {
+    log.events.iter().map(|r| &r.event).filter(|e| pick(e)).collect()
+}
+
+#[test]
+fn a_recompile_after_an_invalidation_is_not_a_retry() {
+    // Organic thrash, no faults: the one `retry-scheduled` follows the
+    // invalidation, which is the recovery action and the dump trigger.
+    let (p, compute) = phase_shift_program(6_000);
+    let config = fast_config(PolicyKind::ContextInsensitive)
+        .enable_guard_monitoring()
+        .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 4 });
+    let report = AosSystem::new(&p, config).run().expect("runs");
+    let log = report.trace_log.as_ref().expect("tracing is on");
+    let retries = events_where(log, |e| matches!(e, TraceEvent::RetryScheduled { .. }));
+    assert!(
+        matches!(
+            retries[..],
+            [TraceEvent::RetryScheduled { method, cause: RetryCause::Invalidation, .. }]
+                if *method == compute
+        ),
+        "{retries:?}"
+    );
+    assert_eq!(report.recovery.compile_retries, 0, "no compilation failed");
+    assert!(report.recovery.invalidations >= 1);
+    assert!(log.coverage().contains("recovery:retry"), "the coverage feature stays");
+    let last = last_recovery_trigger(&log.events).expect("the thrash was acted on");
+    assert_eq!(report.recovery.trace_dump, dump_ending_at(&log.events, last, 4, &p));
+}
+
+#[test]
+fn a_compile_dropped_as_stale_at_completion_did_not_land() {
+    // Seed 0: an OSR promotion recompiles a method while its background
+    // compile runs, twice.
+    let p = hot_loop_program(6_000, true);
+    let mut config = fast_config(PolicyKind::Fixed { max: 3 })
+        .enable_async_compile()
+        .enable_osr()
+        .enable_faults(FaultConfig::chaos(0))
+        .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 0 });
+    config.vm.osr_backedge_threshold = 48;
+    let report = AosSystem::new(&p, config).run().expect("runs");
+    let log = report.trace_log.as_ref().expect("tracing is on");
+    let finishes = events_where(log, |e| matches!(e, TraceEvent::CompileFinish { .. }));
+    let landed = events_where(log, |e| matches!(e, TraceEvent::CompileFinish { landed: true, .. }));
+    assert_eq!(finishes.len() - landed.len(), 2, "two results dropped as stale");
+    let ev = report.async_compile;
+    assert_eq!(ev.completed, landed.len() as u64);
+    assert_eq!(ev.dispatched, finishes.len() as u64 + ev.abandoned_in_flight);
+    for (i, r) in log.events.iter().enumerate() {
+        if let TraceEvent::CompileFinish { method, landed: false, .. } = r.event {
+            assert!(
+                matches!(
+                    log.events[i + 1].event,
+                    TraceEvent::CompileDequeueStale { method: m, .. } if m == method
+                ),
+                "event #{i}: the drop follows the finish"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_burst_before_anything_is_optimized_is_still_injected() {
+    // Seed 0: the first burst fires within the first ticks, before the
+    // first install — no victim, but a fault all the same.
+    let p = hot_loop_program(6_000, true);
+    let config = fast_config(PolicyKind::Fixed { max: 3 })
+        .enable_faults(FaultConfig::chaos(0))
+        .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 0 });
+    let report = AosSystem::new(&p, config).run().expect("runs");
+    let log = report.trace_log.as_ref().expect("tracing is on");
+    let is_burst =
+        |e: &TraceEvent| matches!(e, TraceEvent::FaultInjected { kind: FaultKind::ReceiverBurst });
+    let first_burst = log.events.iter().position(|r| is_burst(&r.event));
+    let first_install =
+        log.events.iter().position(|r| matches!(r.event, TraceEvent::Install { .. }));
+    assert!(first_burst < first_install, "{first_burst:?} vs {first_install:?}");
+    assert_eq!(report.recovery.receiver_bursts, events_where(log, is_burst).len() as u64);
 }
 
 #[test]
@@ -693,11 +777,21 @@ fn a_background_compile_is_served_from_the_compile_server() {
     let config = fast_config(PolicyKind::Fixed { max: 3 })
         .enable_compile_server_with(server)
         .enable_async_compile()
+        .enable_metrics()
         .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 0 });
     let outcome = AosSystem::new(&p, config).run_serving().expect("runs");
     assert_eq!(outcome.report.result, baseline_result(&p));
     assert!(outcome.server.hits >= 1, "{:?}", outcome.server);
     assert!(outcome.server.hit_methods.contains(&compute), "{:?}", outcome.server);
+    // The metrics read the server ledger, through the end-of-run snapshot.
+    let metrics = outcome.report.telemetry.as_ref().expect("metrics are on");
+    for (name, n) in
+        [("compile_server_hits", outcome.server.hits), ("compile_server_misses", outcome.server.misses)]
+    {
+        let last = metrics.series_of(name).and_then(|s| s.last().copied());
+        assert_eq!(last, (n > 0).then_some(n), "{name}");
+        assert_eq!(metrics.counters.get(name).copied(), (n > 0).then_some(n), "{name}");
+    }
     let log = outcome.report.trace_log.expect("tracing is on");
     let starts: Vec<u64> = log
         .events
@@ -746,3 +840,4 @@ fn a_zero_threshold_still_needs_a_sample() {
     assert!(!hot.is_empty(), "sampled methods are planned at once");
     assert!(hot.iter().all(|&samples| samples >= 1), "{hot:?}");
 }
+

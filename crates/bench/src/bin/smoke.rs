@@ -62,9 +62,6 @@ fn main() {
         if env.async_compile {
             config = config.enable_async_compile();
         }
-        if env.debug_hot {
-            config = config.enable_debug_hot();
-        }
         if env.metrics {
             config = config.enable_metrics();
         }

@@ -164,15 +164,6 @@ pub const ORACLE_SEED: Knob = Knob {
     effect: "fault seed for the differential-oracle and async-compile test matrices.",
 };
 
-/// `AOCI_DEBUG_HOT` — hot-method selection dump.
-pub const DEBUG_HOT: Knob = Knob {
-    name: "AOCI_DEBUG_HOT",
-    ty: "flag",
-    default: "off",
-    effect: "dump the controller's per-tick hot-method selection to stderr \
-             (diagnostics only; simulated behaviour is unchanged).",
-};
-
 /// `AOCI_FUZZ_ITERS` — fuzz-campaign budget.
 pub const FUZZ_ITERS: Knob = Knob {
     name: "AOCI_FUZZ_ITERS",
@@ -263,7 +254,6 @@ pub const KNOBS: &[Knob] = &[
     TRACE_OUT,
     EXPLAIN,
     ORACLE_SEED,
-    DEBUG_HOT,
     FUZZ_ITERS,
     FUZZ_SEED,
     METRICS,
@@ -308,8 +298,6 @@ pub struct EnvConfig {
     pub explain: Option<String>,
     /// Differential-oracle fault seed ([`ORACLE_SEED`]).
     pub oracle_seed: u64,
-    /// Hot-method selection dump ([`DEBUG_HOT`]).
-    pub debug_hot: bool,
     /// Fuzz-campaign program budget ([`FUZZ_ITERS`]).
     pub fuzz_iters: usize,
     /// Fuzz-campaign seed ([`FUZZ_SEED`]).
@@ -373,7 +361,6 @@ impl Default for EnvConfig {
             trace_out: "results/smoke_trace.json".to_string(),
             explain: None,
             oracle_seed: 1,
-            debug_hot: false,
             fuzz_iters: 200,
             fuzz_seed: 1,
             metrics: false,
@@ -409,7 +396,6 @@ impl EnvConfig {
             trace_out: raw(&TRACE_OUT).unwrap_or(defaults.trace_out),
             explain: raw(&EXPLAIN),
             oracle_seed: number(&ORACLE_SEED)?.unwrap_or(defaults.oracle_seed),
-            debug_hot: flag(&DEBUG_HOT),
             fuzz_iters: number(&FUZZ_ITERS)?.unwrap_or(defaults.fuzz_iters),
             fuzz_seed: number(&FUZZ_SEED)?.unwrap_or(defaults.fuzz_seed),
             metrics: flag(&METRICS),
@@ -477,7 +463,7 @@ mod tests {
     /// `std::env::var("AOCI_` call site exists outside this module.)
     #[test]
     fn knob_registry_is_closed() {
-        assert_eq!(KNOBS.len(), 23);
+        assert_eq!(KNOBS.len(), 22);
         let mut names: Vec<&str> = KNOBS.iter().map(|k| k.name).collect();
         names.sort_unstable();
         let mut unique = names.clone();

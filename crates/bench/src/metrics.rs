@@ -125,9 +125,6 @@ pub fn run_config(env: &EnvConfig, policy: PolicyKind, rep: usize) -> AosConfig 
     if env.async_compile {
         config = config.enable_async_compile();
     }
-    if env.debug_hot {
-        config = config.enable_debug_hot();
-    }
     if env.metrics {
         config = config.enable_metrics();
     }

@@ -74,7 +74,7 @@ impl TraceEvent {
             TraceEvent::OsrEnter { .. } => vec!["osr:enter".to_string()],
             TraceEvent::OsrExit { .. } => vec!["osr:exit".to_string()],
             TraceEvent::OsrTransfer { .. } => vec!["osr:transfer".to_string()],
-            TraceEvent::OsrFallback { reason, .. } => vec![format!("osr:fallback:{reason}")],
+            TraceEvent::OsrFallback { reason, .. } => vec![format!("osr:fallback:{}", reason.label())],
             TraceEvent::CompileEnqueue { .. } => vec!["async:enqueue".to_string()],
             TraceEvent::CompileDequeueStale { reason, .. } => {
                 vec![format!("async:stale:{}", reason.label())]

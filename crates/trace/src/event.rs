@@ -118,6 +118,47 @@ impl FaultKind {
     }
 }
 
+/// What a scheduled recompilation follows.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RetryCause {
+    /// A failed compilation; the retry is itself a recovery action.
+    CompileFailure,
+    /// A guard-thrash invalidation, which was the recovery action.
+    Invalidation,
+}
+
+impl RetryCause {
+    /// Short stable label (used by both sinks).
+    pub fn label(self) -> &'static str {
+        match self {
+            RetryCause::CompileFailure => "compile-failure",
+            RetryCause::Invalidation => "invalidation",
+        }
+    }
+}
+
+/// Why a dispatched OSR-out (deoptless) fell back to baseline.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OsrFallbackReason {
+    /// No surviving version matched any prefix of the observed context.
+    NoVersion,
+    /// A version matched but the checked frame mapping into it failed.
+    IncompatibleFrame,
+    /// The frame had already transferred once and re-armed its guard exit.
+    Rearmed,
+}
+
+impl OsrFallbackReason {
+    /// Short stable label (used by both sinks).
+    pub fn label(self) -> &'static str {
+        match self {
+            OsrFallbackReason::NoVersion => "no-version",
+            OsrFallbackReason::IncompatibleFrame => "incompatible-frame",
+            OsrFallbackReason::Rearmed => "re-armed",
+        }
+    }
+}
+
 /// Why the optimizing compiler declined to inline a callee at a call site
 /// (decided by `aoci-opt`, which re-exports this type; it lives here, like
 /// [`DecisionProvenance`], so the event carries it in one byte).
@@ -290,12 +331,15 @@ pub enum TraceEvent {
         /// The blocked method.
         method: MethodId,
     },
-    /// A failed compilation was scheduled for retry after backoff.
+    /// A recompilation was scheduled to run after a backoff.
     RetryScheduled {
         /// The method awaiting retry.
         method: MethodId,
         /// The simulated cycle at which the retry becomes due.
         due_cycle: u64,
+        /// What the recompilation follows: a failed compilation or an
+        /// invalidation.
+        cause: RetryCause,
     },
     /// A profile trace was rejected by sanitization at the store boundary.
     TraceRejected,
@@ -353,9 +397,8 @@ pub enum TraceEvent {
     OsrFallback {
         /// The method falling back.
         method: MethodId,
-        /// Stable reason label: `no-version`, `incompatible-frame` or
-        /// `re-armed`.
-        reason: &'static str,
+        /// Why no transfer happened.
+        reason: OsrFallbackReason,
     },
     /// The controller inserted a plan into the background priority queue.
     CompileEnqueue {
@@ -405,6 +448,10 @@ pub enum TraceEvent {
         /// Compile cycles the application had to stall for (charged to the
         /// compilation thread).
         stall_cycles: u64,
+        /// `false` when the result was dropped as stale (a
+        /// `dequeue-stale-drop` follows); a failed compile still lands, as
+        /// a booked failure.
+        landed: bool,
     },
     /// The fault injector delivered a fault.
     FaultInjected {
@@ -573,9 +620,10 @@ impl TraceEvent {
             ],
             TraceEvent::Invalidate { method } => vec![("method", m(resolve, *method))],
             TraceEvent::Quarantine { method } => vec![("method", m(resolve, *method))],
-            TraceEvent::RetryScheduled { method, due_cycle } => vec![
+            TraceEvent::RetryScheduled { method, due_cycle, cause } => vec![
                 ("method", m(resolve, *method)),
                 ("due_cycle", Value::from(*due_cycle)),
+                ("cause", Value::from(cause.label())),
             ],
             TraceEvent::TraceRejected => vec![],
             TraceEvent::GuardMiss { method, pc } => vec![
@@ -606,7 +654,7 @@ impl TraceEvent {
             ],
             TraceEvent::OsrFallback { method, reason } => vec![
                 ("method", m(resolve, *method)),
-                ("reason", Value::from(*reason)),
+                ("reason", Value::from(reason.label())),
             ],
             TraceEvent::CompileEnqueue { method, reason, priority, queue_depth } => vec![
                 ("method", m(resolve, *method)),
@@ -627,12 +675,15 @@ impl TraceEvent {
                 ("worker", Value::from(*worker)),
                 ("cost", Value::from(*cost)),
             ],
-            TraceEvent::CompileFinish { method, worker, overlap_cycles, stall_cycles } => vec![
-                ("method", m(resolve, *method)),
-                ("worker", Value::from(*worker)),
-                ("overlap_cycles", Value::from(*overlap_cycles)),
-                ("stall_cycles", Value::from(*stall_cycles)),
-            ],
+            TraceEvent::CompileFinish { method, worker, overlap_cycles, stall_cycles, landed } => {
+                vec![
+                    ("method", m(resolve, *method)),
+                    ("worker", Value::from(*worker)),
+                    ("overlap_cycles", Value::from(*overlap_cycles)),
+                    ("stall_cycles", Value::from(*stall_cycles)),
+                    ("landed", Value::Bool(*landed)),
+                ]
+            }
             TraceEvent::FaultInjected { kind } => vec![("kind", Value::from(kind.label()))],
             TraceEvent::VmFault { message } => vec![("message", Value::from(message.clone()))],
         }
@@ -705,7 +756,15 @@ mod tests {
                 from_version: 2,
                 to_version: 5,
             },
-            TraceEvent::OsrFallback { method: MethodId::from_index(1), reason: "no-version" },
+            TraceEvent::OsrFallback {
+                method: MethodId::from_index(1),
+                reason: OsrFallbackReason::NoVersion,
+            },
+            TraceEvent::RetryScheduled {
+                method: MethodId::from_index(1),
+                due_cycle: 500,
+                cause: RetryCause::Invalidation,
+            },
             TraceEvent::FaultInjected { kind: FaultKind::CorruptTrace },
             TraceEvent::VmFault { message: "boom".to_string() },
             TraceEvent::CompileEnqueue {
@@ -725,6 +784,7 @@ mod tests {
                 worker: 0,
                 overlap_cycles: 300,
                 stall_cycles: 100,
+                landed: true,
             },
         ];
         let kinds: std::collections::BTreeSet<_> = events.iter().map(|e| e.kind()).collect();
@@ -753,6 +813,36 @@ mod tests {
         assert!(line.contains("host=\"M4\""), "{line}");
         assert!(line.contains("rule_fired=true"), "{line}");
         assert!(line.contains("size_budget=960"), "{line}");
+    }
+
+    #[test]
+    fn the_stream_fixes_render_as_tokens() {
+        let method = MethodId::from_index(3);
+        let retry = TraceEvent::RetryScheduled {
+            method,
+            due_cycle: 900,
+            cause: RetryCause::CompileFailure,
+        };
+        assert_eq!(
+            retry.render(&resolve),
+            "retry-scheduled method=\"M3\" due_cycle=900 cause=\"compile-failure\""
+        );
+        let finish = TraceEvent::CompileFinish {
+            method,
+            worker: 1,
+            overlap_cycles: 40,
+            stall_cycles: 0,
+            landed: false,
+        };
+        assert!(finish.render(&resolve).ends_with(" landed=false"), "{}", finish.render(&resolve));
+        for (reason, label) in [
+            (OsrFallbackReason::NoVersion, "no-version"),
+            (OsrFallbackReason::IncompatibleFrame, "incompatible-frame"),
+            (OsrFallbackReason::Rearmed, "re-armed"),
+        ] {
+            let line = TraceEvent::OsrFallback { method, reason }.render(&resolve);
+            assert_eq!(line, format!("osr-fallback method=\"M3\" reason=\"{label}\""));
+        }
     }
 
     #[test]

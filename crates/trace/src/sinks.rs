@@ -265,6 +265,7 @@ mod tests {
                 worker: 1,
                 overlap_cycles: 90,
                 stall_cycles: 0,
+                landed: true,
             },
         );
         let doc = sink.log().to_chrome_value(&resolve);

@@ -11,7 +11,7 @@ use crate::registry::{CodeRegistry, CodeSlot, ContextFingerprint, VersionId, Ver
 use crate::stack::{SourceFrame, StackSnapshot};
 use crate::value::Value;
 use aoci_ir::{CallSiteRef, Instr, MethodId, Program, Reg, SelectorId};
-use aoci_trace::{TraceEvent, TraceSink};
+use aoci_trace::{OsrFallbackReason, TraceEvent, TraceSink};
 use std::sync::Arc;
 
 pub(crate) mod decode;
@@ -688,8 +688,7 @@ impl<'p> Vm<'p> {
         let Some(frame) = self.stack.last() else { return false };
         let base = frame.base;
         if frame.transferred {
-            self.osr_dispatch.falls_rearmed += 1;
-            self.emit_osr_fallback(method, "re-armed");
+            self.fall_back(method, OsrFallbackReason::Rearmed);
             return false;
         }
         let context = self.osr_context();
@@ -704,8 +703,7 @@ impl<'p> Vm<'p> {
                 .map(Arc::clone)
         });
         let Some(target) = target else {
-            self.osr_dispatch.falls_no_version += 1;
-            self.emit_osr_fallback(method, "no-version");
+            self.fall_back(method, OsrFallbackReason::NoVersion);
             return false;
         };
         let entry = target
@@ -718,8 +716,7 @@ impl<'p> Vm<'p> {
             .map_to_baseline(&self.regs[base..], baseline_num_regs)
             .and_then(|pivot| entry.map_to_optimized(&pivot, target.num_regs));
         let Ok(regs) = mapped else {
-            self.osr_dispatch.falls_incompatible += 1;
-            self.emit_osr_fallback(method, "incompatible-frame");
+            self.fall_back(method, OsrFallbackReason::IncompatibleFrame);
             return false;
         };
         let slots = point.slots.len() + entry.slots.len();
@@ -742,9 +739,15 @@ impl<'p> Vm<'p> {
         true
     }
 
-    /// Emits the transfer-provenance event for a dispatched OSR-out that
-    /// fell back to baseline (deoptless mode only).
-    fn emit_osr_fallback(&self, method: MethodId, reason: &'static str) {
+    /// Books a dispatched OSR-out that fell back to baseline (deoptless
+    /// mode only): its fall counter and its transfer-provenance event.
+    fn fall_back(&mut self, method: MethodId, reason: OsrFallbackReason) {
+        let d = &mut self.osr_dispatch;
+        *match reason {
+            OsrFallbackReason::NoVersion => &mut d.falls_no_version,
+            OsrFallbackReason::IncompatibleFrame => &mut d.falls_incompatible,
+            OsrFallbackReason::Rearmed => &mut d.falls_rearmed,
+        } += 1;
         if let Some(t) = &self.exec.trace {
             t.emit(self.exec.clock.total(), TraceEvent::OsrFallback { method, reason });
         }

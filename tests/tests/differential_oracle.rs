@@ -17,12 +17,18 @@
 //! the assertions walk the results in canonical matrix order, so the test
 //! outcome — and the serialized reports, see `parallel_determinism.rs` —
 //! is identical for any worker count.
+//!
+//! Each cell's rerun records an unbounded trace, so the rerun comparison
+//! also proves the recorder's zero overhead, and [`assert_counters_fold`]
+//! proves that every counter the report carries is a fold of that stream.
 
 use aoci_aos::{
-    AosConfig, AosReport, AosSystem, AsyncCompileConfig, FaultConfig, OsrEvents, TraceConfig,
+    AosConfig, AosReport, AosSystem, AsyncCompileConfig, AsyncCompileEvents, FaultConfig,
+    OsrEvents, RecoveryEvents, TraceConfig, TraceEvent,
 };
 use aoci_bench::EnvConfig;
 use aoci_core::PolicyKind;
+use aoci_trace::{FaultKind, OsrFallbackReason, RetryCause};
 use aoci_vm::{CostModel, Value, Vm, COMPONENTS};
 use aoci_workloads::{build, spec_by_name, WorkloadSpec};
 
@@ -77,6 +83,83 @@ fn run(program: &aoci_ir::Program, c: AosConfig) -> AosReport {
     AosSystem::new(program, c).run().expect("adaptive run succeeds")
 }
 
+/// A cell's rerun: the same configuration with an unbounded trace and no
+/// post-mortem window, so its report must equal the untraced first run's.
+fn rerun_traced(program: &aoci_ir::Program, c: AosConfig) -> AosReport {
+    run(program, c.enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 0 }))
+}
+
+/// Asserts that every counter `r` reports is a fold of its unbounded
+/// trace. The fold is written here, independently of the driver's.
+fn assert_counters_fold(r: &AosReport, what: &str) {
+    let log = r.trace_log.as_ref().expect("the rerun is traced");
+    assert_eq!(log.dropped, 0, "{what}: the trace is unbounded");
+    let mut rec = RecoveryEvents::default();
+    let mut osr = OsrEvents::default();
+    let mut queue = AsyncCompileEvents::default();
+    let (mut guard_misses, mut samples, mut walks, mut frames, mut installs) = (0, 0, 0, 0, 0);
+    let mut finishes = 0;
+    for event in log.events.iter().map(|e| &e.event) {
+        match event {
+            TraceEvent::Invalidate { .. } => rec.invalidations += 1,
+            TraceEvent::Quarantine { .. } => rec.quarantined_methods += 1,
+            TraceEvent::TraceRejected => rec.rejected_traces += 1,
+            TraceEvent::RetryScheduled { cause, .. } => {
+                rec.compile_retries += u64::from(*cause == RetryCause::CompileFailure);
+            }
+            TraceEvent::FaultInjected { kind } => match kind {
+                FaultKind::CompileBailout | FaultKind::CompileOversize => {
+                    rec.injected_compile_faults += 1;
+                }
+                FaultKind::CorruptTrace => rec.injected_corrupt_traces += 1,
+                FaultKind::DroppedSample => rec.dropped_samples += 1,
+                FaultKind::ReceiverBurst => rec.receiver_bursts += 1,
+            },
+            TraceEvent::OsrRequest { .. } => osr.requests += 1,
+            TraceEvent::OsrDeny { .. } => osr.denied += 1,
+            TraceEvent::OsrEnter { .. } => osr.entries += 1,
+            TraceEvent::OsrExit { .. } => osr.exits += 1,
+            TraceEvent::OsrTransfer { .. } => osr.dispatched_transfers += 1,
+            TraceEvent::OsrFallback { reason, .. } => match reason {
+                OsrFallbackReason::NoVersion => osr.falls_no_version += 1,
+                OsrFallbackReason::IncompatibleFrame => osr.falls_incompatible += 1,
+                OsrFallbackReason::Rearmed => osr.falls_rearmed += 1,
+            },
+            TraceEvent::CompileEnqueue { queue_depth, .. } => {
+                queue.enqueued += 1;
+                queue.max_queue_depth = queue.max_queue_depth.max(u64::from(*queue_depth));
+            }
+            TraceEvent::CompileStart { .. } => queue.dispatched += 1,
+            TraceEvent::CompileFinish { overlap_cycles, stall_cycles, landed, .. } => {
+                finishes += 1;
+                queue.completed += u64::from(*landed);
+                queue.background_overlap_cycles += overlap_cycles;
+                queue.foreground_stall_cycles += stall_cycles;
+            }
+            TraceEvent::CompileDequeueStale { .. } => queue.stale_drops += 1,
+            TraceEvent::CompileQueueFull { .. } => queue.queue_full_drops += 1,
+            TraceEvent::GuardMiss { .. } => guard_misses += 1,
+            TraceEvent::SampleTick { .. } => samples += 1,
+            TraceEvent::TraceWalk { depth, .. } => {
+                walks += 1;
+                frames += u64::from(*depth);
+            }
+            TraceEvent::Install { .. } => installs += 1,
+            _ => {}
+        }
+    }
+    queue.abandoned_in_flight = queue.dispatched - finishes;
+    assert_eq!(r.recovery, rec, "{what}: recovery counters vs the trace");
+    assert_eq!(r.osr, osr, "{what}: OSR counters vs the trace");
+    assert_eq!(r.async_compile, queue, "{what}: async counters vs the trace");
+    assert_eq!(r.counters.guard_misses, guard_misses, "{what}: guard misses vs the trace");
+    assert_eq!(r.samples, samples, "{what}: samples vs the trace");
+    assert_eq!(r.traces_recorded, walks, "{what}: traces recorded vs the trace");
+    assert_eq!(r.frames_walked, frames, "{what}: frames walked vs the trace");
+    assert_eq!(r.compilations.len(), installs, "{what}: compilations vs the trace");
+    assert_eq!(u64::from(r.opt_compilations), installs as u64, "{what}: installs vs the trace");
+}
+
 /// Asserts two same-seed runs are bit-identical, field by field.
 fn assert_identical(a: &AosReport, b: &AosReport, what: &str) {
     assert_eq!(a.result, b.result, "{what}: result diverged between reruns");
@@ -120,8 +203,9 @@ fn matrix(policies: &[PolicyKind], seed: u64) -> Vec<(PolicyKind, bool, Option<F
 }
 
 /// Runs `name` under each policy in `policies`, crossed with ±OSR and
-/// ±fault injection, each twice — the whole matrix executed across the
-/// `AOCI_JOBS` sweep pool, one (config, rerun) pair per job. The full
+/// ±fault injection, each twice (the rerun traced) — the whole matrix
+/// executed across the `AOCI_JOBS` sweep pool, one (config, rerun) pair
+/// per job. The full
 /// 3-policy cross on all eight workloads costs minutes of 1-core wall
 /// clock, so only the cheapest workload gets `ALL_POLICIES`; the rest
 /// rotate through single policies such that the suite as a whole still
@@ -134,7 +218,7 @@ fn check_workload(name: &str, policies: &[PolicyKind]) {
     let cells = matrix(policies, seed);
     let results = env.pool().map(cells.clone(), |(policy, osr, fault)| {
         let a = run(&w.program, config(*policy, *osr, fault.clone(), &env));
-        let b = run(&w.program, config(*policy, *osr, fault.clone(), &env));
+        let b = rerun_traced(&w.program, config(*policy, *osr, fault.clone(), &env));
         (a, b)
     });
     for ((policy, osr, fault), (a, b)) in cells.iter().zip(results) {
@@ -142,6 +226,7 @@ fn check_workload(name: &str, policies: &[PolicyKind]) {
             format!("{name}/{policy}/osr={osr}/fault={}/seed={seed}", fault.is_some());
         assert_eq!(a.result, expected, "{what}: diverged from the oracle");
         assert_identical(&a, &b, &what);
+        assert_counters_fold(&b, &what);
         if !osr {
             assert_eq!(
                 a.osr,
@@ -271,13 +356,14 @@ fn oracle_deoptless_dispatched_osr() {
             config(*policy, true, f.clone(), &env).enable_deoptless()
         };
         let a = run(&w.program, deoptless(fault));
-        let b = run(&w.program, deoptless(fault));
+        let b = rerun_traced(&w.program, deoptless(fault));
         (a, b)
     });
     for ((policy, fault), (a, b)) in cells.iter().zip(results) {
         let what = format!("deoptless compress/{policy}/fault={}/seed={seed}", fault.is_some());
         assert_eq!(a.result, expected, "{what}: diverged from the oracle");
         assert_identical(&a, &b, &what);
+        assert_counters_fold(&b, &what);
     }
 }
 
@@ -291,12 +377,13 @@ fn oracle_hashmap_motivation() {
     let cells = matrix(&[PolicyKind::Fixed { max: 3 }], seed);
     let results = env.pool().map(cells.clone(), |(policy, osr, fault)| {
         let a = run(&program, config(*policy, *osr, fault.clone(), &env));
-        let b = run(&program, config(*policy, *osr, fault.clone(), &env));
+        let b = rerun_traced(&program, config(*policy, *osr, fault.clone(), &env));
         (a, b)
     });
     for ((_, osr, fault), (a, b)) in cells.iter().zip(results) {
         let what = format!("hashmap/osr={osr}/fault={}", fault.is_some());
         assert_eq!(a.result, expected, "{what}: diverged from the oracle");
         assert_identical(&a, &b, &what);
+        assert_counters_fold(&b, &what);
     }
 }
