@@ -139,15 +139,15 @@ impl AosSystem<'_> {
                     && self.db.recompiles(host) < self.config.max_recompiles_per_method
                     && !self.methods[host.index()].queued
                     && !to_queue.contains(&host)
-                    && self.rules.candidates(ctx).iter().any(|&(c, _)| c == callee)
+                    && self.rules.candidate_weight(ctx, callee).is_some()
                 {
                     to_queue.push(host);
                 }
             }
         }
-        // Rule iteration follows HashMap order; sort so the compile queue
-        // (and the fault injector's per-compilation draw sequence) is
-        // deterministic across processes.
+        // Rules iterate by call site; the compile queue (and the fault
+        // injector's per-compilation draw sequence, and so the committed
+        // artifacts) is in method-index order.
         to_queue.sort_unstable_by_key(|m| m.index());
         for m in to_queue {
             self.controller_enqueue(m, PlanReason::MissingEdge);

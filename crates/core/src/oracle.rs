@@ -2,7 +2,7 @@
 //! per call site (paper Section 3.1).
 
 use crate::rules::RuleSet;
-use aoci_ir::{CallSiteRef, MethodId, SiteIdx};
+use aoci_ir::{CallSiteRef, MethodId};
 use std::sync::Arc;
 
 /// How the oracle matches rule contexts against compilation contexts.
@@ -80,33 +80,28 @@ impl InlineOracle {
             .collect()
     }
 
-    /// Convenience wrapper building the context from its parts: the method
-    /// being compiled into, the site, and the inline chain *outward* from
-    /// the site's enclosing (source) method.
-    pub fn candidates_at(
-        &self,
-        enclosing: MethodId,
-        site: SiteIdx,
-        outer_chain: &[CallSiteRef],
-    ) -> Vec<Candidate> {
-        let mut ctx = Vec::with_capacity(outer_chain.len() + 1);
-        ctx.push(CallSiteRef::new(enclosing, site));
-        ctx.extend_from_slice(outer_chain);
-        self.candidates(&ctx)
-    }
-
-    /// Returns `true` if the profile supports inlining `callee` at the head
-    /// of `compile_context` (it survives target-set intersection).
-    pub fn supports(&self, compile_context: &[CallSiteRef], callee: MethodId) -> bool {
-        self.candidates(compile_context)
-            .iter()
-            .any(|c| c.target == callee)
+    /// The weight of `callee` among [`InlineOracle::candidates`] of
+    /// `compile_context` (the first entry naming it), or `None` when the
+    /// profile does not support inlining it there: the question a call site
+    /// with a known callee asks, answered without the candidate list in the
+    /// paper's partial-match mode.
+    pub fn weight_of(&self, compile_context: &[CallSiteRef], callee: MethodId) -> Option<f64> {
+        match self.mode {
+            MatchMode::Partial => self.rules.candidate_weight(compile_context, callee),
+            MatchMode::Exact => self
+                .rules
+                .candidates_exact(compile_context)
+                .into_iter()
+                .find(|&(target, _)| target == callee)
+                .map(|(_, weight)| weight),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aoci_ir::SiteIdx;
     use aoci_profile::TraceKey;
 
     fn cs(m: usize, s: u16) -> CallSiteRef {
@@ -121,22 +116,26 @@ mod tests {
     fn empty_oracle_has_no_candidates() {
         let o = InlineOracle::empty();
         assert!(o.candidates(&[cs(0, 0)]).is_empty());
-        assert!(!o.supports(&[cs(0, 0)], mid(1)));
+        assert_eq!(o.weight_of(&[cs(0, 0)], mid(1)), None);
     }
 
     #[test]
-    fn candidates_at_builds_context() {
+    fn a_site_inside_an_inlined_body_is_asked_with_its_chain() {
         let rules = RuleSet::from_rules(
             vec![(TraceKey::new(mid(5), vec![cs(3, 1), cs(0, 0)]), 7.0)],
             7.0,
         );
-        let o = InlineOracle::new(rules.into());
-        // Compiling method 0; site 1 of inlined method 3; chain = [m0@0].
-        let c = o.candidates_at(mid(3), SiteIdx(1), &[cs(0, 0)]);
-        assert_eq!(c, vec![Candidate { target: mid(5), weight: 7.0 }]);
-        // A divergent chain does not match.
-        let c2 = o.candidates_at(mid(3), SiteIdx(1), &[cs(9, 9)]);
-        assert!(c2.is_empty());
-        assert!(o.supports(&[cs(3, 1), cs(0, 0)], mid(5)));
+        for mode in [MatchMode::Partial, MatchMode::Exact] {
+            let o = InlineOracle::with_mode(rules.clone().into(), mode);
+            // Compiling method 0; site 1 of inlined method 3; chain = [m0@0].
+            let ctx = [cs(3, 1), cs(0, 0)];
+            assert_eq!(o.candidates(&ctx), vec![Candidate { target: mid(5), weight: 7.0 }]);
+            assert_eq!(o.weight_of(&ctx, mid(5)), Some(7.0), "{mode:?}");
+            assert_eq!(o.weight_of(&ctx, mid(3)), None, "{mode:?}: a callee no rule names");
+            // A divergent chain does not match.
+            let divergent = [cs(3, 1), cs(9, 9)];
+            assert!(o.candidates(&divergent).is_empty());
+            assert_eq!(o.weight_of(&divergent, mid(5)), None, "{mode:?}");
+        }
     }
 }

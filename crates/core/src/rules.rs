@@ -111,39 +111,65 @@ impl RuleSet {
     }
 
     /// Returns the rules *applicable* to a compilation context (Equation 3):
-    /// those agreeing with `compile_context` on every level both have.
-    /// `compile_context[0]` must be the call site being compiled.
-    pub fn applicable(&self, compile_context: &[CallSiteRef]) -> Vec<&InlineRule> {
-        let Some(&site) = compile_context.first() else {
-            return Vec::new();
+    /// those agreeing with `compile_context` on every level both have, in
+    /// the order the site holds them. `compile_context[0]` must be the call
+    /// site being compiled; an empty context has no applicable rules.
+    pub fn applicable<'a>(
+        &'a self,
+        compile_context: &'a [CallSiteRef],
+    ) -> impl Iterator<Item = &'a InlineRule> + Clone + 'a {
+        let site_rules = match compile_context.first() {
+            Some(&site) => self.rules_for_site(site),
+            None => &[],
         };
-        self.rules_for_site(site)
-            .iter()
-            .filter(|r| {
-                r.trace
-                    .context()
-                    .iter()
-                    .zip(compile_context.iter())
-                    .all(|(a, b)| a == b)
-            })
-            .collect()
+        site_rules.iter().filter(move |r| {
+            r.trace
+                .context()
+                .iter()
+                .zip(compile_context.iter())
+                .all(|(a, b)| a == b)
+        })
     }
 
     /// Exact-match variant (the oracle's ablation mode): only rules whose
-    /// context is *identical* to `compile_context` contribute.
+    /// context is *identical* to `compile_context` contribute, one entry per
+    /// rule.
     pub fn candidates_exact(&self, compile_context: &[CallSiteRef]) -> Vec<(MethodId, f64)> {
         let mut out: Vec<(MethodId, f64)> = self
             .applicable(compile_context)
-            .into_iter()
             .filter(|r| r.trace.context() == compile_context)
             .map(|r| (r.trace.callee(), r.weight))
             .collect();
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("weights are finite")
-                .then_with(|| a.0.cmp(&b.0))
-        });
+        out.sort_by(heaviest_first);
         out
+    }
+
+    /// The weight [`RuleSet::candidates`] gives `callee` in
+    /// `compile_context`, bit for bit, or `None` when `callee` is not among
+    /// them: the inliner's question about one call it already knows the
+    /// callee of, answered by walking the site's applicable rules without
+    /// building the candidate list.
+    ///
+    /// `callee` survives the target-set intersection iff every context group
+    /// of applicable rules names it — iff each applicable rule shares its
+    /// context with some applicable rule for `callee` — and its weight is the
+    /// sum, from `0.0` in applicable order, of the weights of its applicable
+    /// rules, which is the order and the start `candidates` sums in.
+    pub fn candidate_weight(
+        &self,
+        compile_context: &[CallSiteRef],
+        callee: MethodId,
+    ) -> Option<f64> {
+        let applicable = self.applicable(compile_context);
+        let mut named = applicable.clone().filter(|r| r.trace.callee() == callee).peekable();
+        named.peek()?;
+        let every_group_names_it = applicable.clone().all(|r| {
+            r.trace.callee() == callee
+                || applicable
+                    .clone()
+                    .any(|q| q.trace.callee() == callee && q.trace.context() == r.trace.context())
+        });
+        every_group_names_it.then(|| named.fold(0.0, |sum, r| sum + r.weight))
     }
 
     /// The paper's candidate-selection algorithm: group applicable rules by
@@ -155,7 +181,7 @@ impl RuleSet {
     /// Returns `(callee, total weight across applicable rules)` pairs,
     /// heaviest first (ties broken by callee id for determinism).
     pub fn candidates(&self, compile_context: &[CallSiteRef]) -> Vec<(MethodId, f64)> {
-        let applicable = self.applicable(compile_context);
+        let applicable: Vec<&InlineRule> = self.applicable(compile_context).collect();
         if applicable.is_empty() {
             return Vec::new();
         }
@@ -180,13 +206,16 @@ impl RuleSet {
             .into_iter()
             .map(|m| (m, weights.get(&m).copied().unwrap_or(0.0)))
             .collect();
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("weights are finite")
-                .then_with(|| a.0.cmp(&b.0))
-        });
+        out.sort_by(heaviest_first);
         out
     }
+}
+
+/// Candidate order: heaviest first, ties broken by callee id. A total order
+/// on every weight `from_rules` accepts, NaN included; on the finite,
+/// positive weights the profile produces it is the numeric order.
+fn heaviest_first(a: &(MethodId, f64), b: &(MethodId, f64)) -> std::cmp::Ordering {
+    b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
 }
 
 #[cfg(test)]
@@ -290,7 +319,66 @@ mod tests {
     fn empty_context_yields_nothing() {
         let s = set(vec![(TraceKey::edge(cs(0, 0), mid(1)), 2.0)]);
         assert!(s.candidates(&[]).is_empty());
-        assert!(s.applicable(&[]).is_empty());
+        assert!(s.applicable(&[]).next().is_none());
+        assert_eq!(s.candidate_weight(&[], mid(1)), None);
+    }
+
+    #[test]
+    fn a_nan_weight_orders_deterministically_and_panics_nothing() {
+        // `from_rules` takes weights as given; a NaN used to panic the sort.
+        let s = set(vec![
+            (TraceKey::edge(cs(0, 0), mid(1)), f64::NAN),
+            (TraceKey::edge(cs(0, 0), mid(2)), 3.0),
+            (TraceKey::edge(cs(0, 0), mid(3)), f64::INFINITY),
+        ]);
+        let ctx = [cs(0, 0)];
+        let bits = |c: Vec<(MethodId, f64)>| -> Vec<(MethodId, u64)> {
+            c.into_iter().map(|(m, w)| (m, w.to_bits())).collect()
+        };
+        let partial = bits(s.candidates(&ctx));
+        assert_eq!(partial, bits(s.candidates(&ctx)));
+        assert_eq!(bits(s.candidates_exact(&ctx)), bits(s.candidates_exact(&ctx)));
+        // A positive NaN sorts above every number.
+        let order: Vec<MethodId> = partial.iter().map(|&(m, _)| m).collect();
+        assert_eq!(order, [mid(1), mid(3), mid(2)]);
+        for (m, w) in partial {
+            let weight = s.candidate_weight(&ctx, m).map(f64::to_bits);
+            assert_eq!(weight, Some(w));
+            assert_eq!(weight, s.candidate_weight(&ctx, m).map(f64::to_bits));
+        }
+    }
+
+    #[test]
+    fn candidate_weight_is_the_weight_candidates_gives() {
+        // Three context groups at one site, all naming 1 (twice in the
+        // first); 2 and 3 named by one group each; the third group deeper
+        // than some queries and diverging from others at its third level.
+        let s = set(vec![
+            (TraceKey::new(mid(1), vec![cs(0, 0), cs(10, 0)]), 0.1),
+            (TraceKey::new(mid(2), vec![cs(0, 0), cs(10, 0)]), 3.0),
+            (TraceKey::new(mid(1), vec![cs(0, 0), cs(10, 0)]), 0.2),
+            (TraceKey::new(mid(1), vec![cs(0, 0), cs(11, 0)]), 0.7),
+            (TraceKey::new(mid(3), vec![cs(0, 0), cs(12, 0), cs(13, 0)]), 5.0),
+            (TraceKey::new(mid(1), vec![cs(0, 0), cs(12, 0), cs(13, 0)]), 0.4),
+        ]);
+        let contexts: [&[CallSiteRef]; 5] = [
+            &[cs(0, 0)],
+            &[cs(0, 0), cs(10, 0)],
+            &[cs(0, 0), cs(12, 0)],
+            &[cs(0, 0), cs(12, 0), cs(14, 0)],
+            &[cs(1, 0)],
+        ];
+        for ctx in contexts {
+            let all = s.candidates(ctx);
+            for m in (0..5).map(mid) {
+                let expected = all.iter().find(|c| c.0 == m).map(|c| c.1.to_bits());
+                assert_eq!(s.candidate_weight(ctx, m).map(f64::to_bits), expected, "{ctx:?} {m:?}");
+            }
+        }
+        // Summed from 0.0 in the site's order.
+        assert_eq!(s.candidate_weight(&[cs(0, 0)], mid(1)), Some(0.0 + 0.1 + 0.2 + 0.7 + 0.4));
+        assert_eq!(s.candidate_weight(&[cs(0, 0)], mid(2)), None, "named by one group of three");
+        assert_eq!(s.candidate_weight(&[cs(0, 0), cs(12, 0)], mid(3)), Some(5.0));
     }
 
     #[test]

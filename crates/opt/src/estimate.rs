@@ -51,8 +51,8 @@ pub fn estimate_benefit_in_context(
         match instr {
             Instr::CallStatic { site, callee, .. } => {
                 let ctx = ctx_for(*site);
-                if let Some(c) = oracle.candidates(&ctx).iter().find(|c| c.target == *callee) {
-                    benefit += c.weight.max(0.0);
+                if let Some(weight) = oracle.weight_of(&ctx, *callee) {
+                    benefit += weight.max(0.0);
                 }
             }
             Instr::CallVirtual { site, .. } => {

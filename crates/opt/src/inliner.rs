@@ -261,12 +261,7 @@ impl<'a> Emitter<'a> {
         stack: &[MethodId],
     ) -> (Decision, DecisionProvenance) {
         let def = self.program.method(callee);
-        let weight = self
-            .oracle
-            .candidates(ctx)
-            .iter()
-            .find(|c| c.target == callee)
-            .map(|c| c.weight);
+        let weight = self.oracle.weight_of(ctx, callee);
         let hot = weight.is_some();
         let provenance = DecisionProvenance {
             rule_fired: hot,

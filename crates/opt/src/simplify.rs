@@ -13,6 +13,49 @@
 
 use aoci_ir::{BinOp, Cond, GlobalId, Instr, Reg};
 use aoci_vm::InlineNode;
+use std::cell::RefCell;
+
+thread_local! {
+    /// The scratch every simplification on this thread works in, so that a
+    /// compile step allocates nothing here once the thread's first compiles
+    /// have sized it (DESIGN.md §17). A thread-local rather than a
+    /// parameter: the public signatures stay those the harness and the
+    /// benchmark call, and it measured faster than a scratch made per call.
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// The per-round buffers of the pass. A buffer never carries information
+/// from one use to the next: each is cleared or resized by the step that
+/// fills it, before it is read.
+#[derive(Default)]
+struct Scratch {
+    /// `leaders[i]` iff some instruction branches to `i` ([`Scratch::find_leaders`]).
+    leaders: Vec<bool>,
+    /// The forward scan's lattice, one entry per register.
+    state: Vec<Abs>,
+    /// `copied[r]`: some register may currently be recorded as `Copy(r)`.
+    copied: Vec<bool>,
+    /// Redundant-load elimination: per region, the register known to hold
+    /// each global's current value. A region caches a handful of globals at
+    /// most, so a linear scan beats hashing.
+    global_cache: Vec<(GlobalId, Reg)>,
+    /// Every basic block as `(start, end)`, in body order ([`Scratch::find_blocks`]).
+    blocks: Vec<(usize, usize)>,
+    /// `reach[b]` iff block `b` is reachable from instruction 0.
+    reach: Vec<bool>,
+    /// Reachable blocks whose successors are still to visit.
+    work: Vec<usize>,
+    /// Per block, its gen row then its kill row ([`liveness`]).
+    gen_kill: Vec<u64>,
+    /// The live-in row of every instruction.
+    live_in: Vec<u64>,
+    /// One row: the live-out of the instruction being scanned.
+    live: Vec<u64>,
+    /// `keep[i]` iff instruction `i` survives the round.
+    keep: Vec<bool>,
+    /// `new_index[i]`: the new index of the first kept instruction `≥ i`.
+    new_index: Vec<u32>,
+}
 
 /// Simplifies `body`, returning the new body and the filtered
 /// instruction→node map. `nodes` is updated in place (`body_start` remap).
@@ -43,27 +86,71 @@ pub fn simplify_with_anchors(
     num_regs: u16,
     osr_anchors: &mut Vec<(u32, u32)>,
 ) -> (Vec<Instr>, Vec<u32>) {
-    for _ in 0..4 {
-        let folded = fold_and_propagate(&mut body, num_regs);
-        let (nb, ni, eliminated) = eliminate(body, instr_node, nodes, num_regs, osr_anchors);
-        body = nb;
-        instr_node = ni;
-        if !folded && !eliminated {
-            break;
+    SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        for _ in 0..4 {
+            let folded = fold_and_propagate(&mut body, num_regs, scratch);
+            let eliminated =
+                eliminate(&mut body, &mut instr_node, nodes, num_regs, osr_anchors, scratch);
+            if !folded && !eliminated {
+                break;
+            }
         }
-    }
-    let leaders = leaders(&body);
-    osr_anchors.retain(|&(_, opt_pc)| leaders.get(opt_pc as usize) == Some(&true));
+        scratch.find_leaders(&body);
+        osr_anchors.retain(|&(_, opt_pc)| scratch.leaders.get(opt_pc as usize) == Some(&true));
+    });
     (body, instr_node)
 }
 
-/// Control-flow leaders: `leaders[i]` iff some instruction branches to `i`.
-fn leaders(body: &[Instr]) -> Vec<bool> {
-    let mut leaders = vec![false; body.len()];
-    for target in body.iter().filter_map(Instr::branch_target) {
-        leaders[target as usize] = true;
+impl Scratch {
+    /// Fills `leaders`, the control-flow leaders of `body`: `leaders[i]` iff
+    /// some instruction branches to `i`.
+    fn find_leaders(&mut self, body: &[Instr]) {
+        self.leaders.clear();
+        self.leaders.resize(body.len(), false);
+        for target in body.iter().filter_map(Instr::branch_target) {
+            self.leaders[target as usize] = true;
+        }
     }
-    leaders
+
+    /// Fills `blocks` with the basic blocks of `body` and `reach` with the
+    /// ones reachable from instruction 0 (`leaders` too, on the way).
+    ///
+    /// A block starts at instruction 0, at every branch target and after
+    /// every instruction that has a branch target or returns. Control
+    /// therefore enters a block only at its first instruction and leaves
+    /// only after its last, and every successor of its last instruction
+    /// starts a block: an instruction is reachable exactly when its block
+    /// is, so the walk visits blocks where it used to visit instructions.
+    fn find_blocks(&mut self, body: &[Instr]) {
+        let n = body.len();
+        self.find_leaders(body);
+        let leaves = |i: &Instr| i.branch_target().is_some() || matches!(i, Instr::Return { .. });
+        self.blocks.clear();
+        let mut start = 0;
+        for end in (1..=n).filter(|&i| i == n || self.leaders[i] || leaves(&body[i - 1])) {
+            self.blocks.push((start, end));
+            start = end;
+        }
+        self.reach.clear();
+        self.reach.resize(self.blocks.len(), false);
+        self.work.clear();
+        if n > 0 {
+            self.reach[0] = true;
+            self.work.push(0);
+        }
+        while let Some(b) = self.work.pop() {
+            let last = self.blocks[b].1 - 1;
+            for s in successors(&body[last], last, n).into_iter().flatten() {
+                let t = self.blocks.partition_point(|&(start, _)| start < s);
+                debug_assert_eq!(self.blocks[t].0, s, "a successor starts a block");
+                if !self.reach[t] {
+                    self.reach[t] = true;
+                    self.work.push(t);
+                }
+            }
+        }
+    }
 }
 
 /// Abstract register contents for the forward scan.
@@ -79,17 +166,17 @@ enum Abs {
 /// every branch target (join points); within a region the scan rewrites
 /// operands to copy roots, folds constant moves/arithmetic and folds
 /// decidable branches. Returns whether anything changed.
-fn fold_and_propagate(body: &mut [Instr], num_regs: u16) -> bool {
-    let leaders = leaders(body);
-    let mut state = vec![Abs::Unknown; num_regs as usize];
-    // `copied[r]`: some register may currently be recorded as `Copy(r)`.
-    let mut copied = vec![false; num_regs as usize];
-    // Redundant-load elimination: per region, the register known to hold
-    // each global's current value. Invalidated by stores to the global, by
-    // any call (callees may write globals), and by redefinition of the
-    // caching register. A region caches a handful of globals at most, so a
-    // linear scan beats hashing.
-    let mut global_cache: Vec<(GlobalId, Reg)> = Vec::new();
+fn fold_and_propagate(body: &mut [Instr], num_regs: u16, scratch: &mut Scratch) -> bool {
+    scratch.find_leaders(body);
+    let Scratch { leaders, state, copied, global_cache, .. } = scratch;
+    state.clear();
+    state.resize(usize::from(num_regs), Abs::Unknown);
+    copied.clear();
+    copied.resize(usize::from(num_regs), false);
+    // The global cache is invalidated by stores to the global, by any call
+    // (callees may write globals), and by redefinition of the caching
+    // register.
+    global_cache.clear();
     fn cache_global(cache: &mut Vec<(GlobalId, Reg)>, global: GlobalId, reg: Reg) {
         match cache.iter_mut().find(|(g, _)| *g == global) {
             Some(entry) => entry.1 = reg,
@@ -141,60 +228,60 @@ fn fold_and_propagate(body: &mut [Instr], num_regs: u16) -> bool {
             }
         };
         match instr {
-            Instr::Move { src, .. } => rewrite(&state, src, &mut changed),
+            Instr::Move { src, .. } => rewrite(state, src, &mut changed),
             Instr::Bin { lhs, rhs, .. } => {
-                rewrite(&state, lhs, &mut changed);
-                rewrite(&state, rhs, &mut changed);
+                rewrite(state, lhs, &mut changed);
+                rewrite(state, rhs, &mut changed);
             }
             Instr::Branch { lhs, rhs, .. } => {
-                rewrite(&state, lhs, &mut changed);
-                rewrite(&state, rhs, &mut changed);
+                rewrite(state, lhs, &mut changed);
+                rewrite(state, rhs, &mut changed);
             }
-            Instr::GetField { obj, .. } => rewrite(&state, obj, &mut changed),
+            Instr::GetField { obj, .. } => rewrite(state, obj, &mut changed),
             Instr::PutField { obj, src, .. } => {
-                rewrite(&state, obj, &mut changed);
-                rewrite(&state, src, &mut changed);
+                rewrite(state, obj, &mut changed);
+                rewrite(state, src, &mut changed);
             }
-            Instr::PutGlobal { src, .. } => rewrite(&state, src, &mut changed),
-            Instr::ArrNew { len, .. } => rewrite(&state, len, &mut changed),
+            Instr::PutGlobal { src, .. } => rewrite(state, src, &mut changed),
+            Instr::ArrNew { len, .. } => rewrite(state, len, &mut changed),
             Instr::ArrGet { arr, idx, .. } => {
-                rewrite(&state, arr, &mut changed);
-                rewrite(&state, idx, &mut changed);
+                rewrite(state, arr, &mut changed);
+                rewrite(state, idx, &mut changed);
             }
             Instr::ArrSet { arr, idx, src } => {
-                rewrite(&state, arr, &mut changed);
-                rewrite(&state, idx, &mut changed);
-                rewrite(&state, src, &mut changed);
+                rewrite(state, arr, &mut changed);
+                rewrite(state, idx, &mut changed);
+                rewrite(state, src, &mut changed);
             }
-            Instr::ArrLen { arr, .. } => rewrite(&state, arr, &mut changed),
-            Instr::InstanceOf { obj, .. } => rewrite(&state, obj, &mut changed),
+            Instr::ArrLen { arr, .. } => rewrite(state, arr, &mut changed),
+            Instr::InstanceOf { obj, .. } => rewrite(state, obj, &mut changed),
             Instr::CallStatic { args, .. } => {
                 for a in args {
-                    rewrite(&state, a, &mut changed);
+                    rewrite(state, a, &mut changed);
                 }
             }
             Instr::CallVirtual { recv, args, .. } => {
-                rewrite(&state, recv, &mut changed);
+                rewrite(state, recv, &mut changed);
                 for a in args {
-                    rewrite(&state, a, &mut changed);
+                    rewrite(state, a, &mut changed);
                 }
             }
-            Instr::Return { src: Some(r) } => rewrite(&state, r, &mut changed),
+            Instr::Return { src: Some(r) } => rewrite(state, r, &mut changed),
             Instr::GuardClass { recv, .. } | Instr::GuardMethod { recv, .. } => {
-                rewrite(&state, recv, &mut changed)
+                rewrite(state, recv, &mut changed)
             }
             _ => {}
         }
 
         // Fold where operands are known.
         let replacement = match &*instr {
-            Instr::Move { dst, src } => match value(&state, *src) {
+            Instr::Move { dst, src } => match value(state, *src) {
                 Abs::Const(v) => Some(Instr::Const { dst: *dst, value: v }),
                 Abs::Null => Some(Instr::ConstNull { dst: *dst }),
                 _ => None,
             },
             Instr::Bin { op, dst, lhs, rhs } => {
-                match (value(&state, *lhs), value(&state, *rhs)) {
+                match (value(state, *lhs), value(state, *rhs)) {
                     (Abs::Const(a), Abs::Const(b)) => {
                         fold_bin(*op, a, b).map(|v| Instr::Const { dst: *dst, value: v })
                     }
@@ -202,7 +289,7 @@ fn fold_and_propagate(body: &mut [Instr], num_regs: u16) -> bool {
                 }
             }
             Instr::Branch { cond, lhs, rhs, target } => {
-                match (value(&state, *lhs), value(&state, *rhs)) {
+                match (value(state, *lhs), value(state, *rhs)) {
                     (Abs::Const(a), Abs::Const(b)) => Some(if eval_cond(*cond, a, b) {
                         Instr::Jump { target: *target }
                     } else {
@@ -233,7 +320,7 @@ fn fold_and_propagate(body: &mut [Instr], num_regs: u16) -> bool {
             Instr::Const { dst, value } => Some((*dst, Abs::Const(*value))),
             Instr::ConstNull { dst } => Some((*dst, Abs::Null)),
             Instr::Move { dst, src } => {
-                let r = root(&state, *src);
+                let r = root(state, *src);
                 let v = if r == *dst { Abs::Unknown } else { Abs::Copy(r) };
                 Some((*dst, v))
             }
@@ -258,8 +345,8 @@ fn fold_and_propagate(body: &mut [Instr], num_regs: u16) -> bool {
 
         // Maintain the global cache.
         match &*instr {
-            Instr::GetGlobal { dst, global } => cache_global(&mut global_cache, *global, *dst),
-            Instr::PutGlobal { global, src } => cache_global(&mut global_cache, *global, *src),
+            Instr::GetGlobal { dst, global } => cache_global(global_cache, *global, *dst),
+            Instr::PutGlobal { global, src } => cache_global(global_cache, *global, *src),
             // Calls may store to any global in the callee.
             Instr::CallStatic { .. } | Instr::CallVirtual { .. } => global_cache.clear(),
             _ => {}
@@ -302,24 +389,22 @@ fn eval_cond(cond: Cond, a: i64, b: i64) -> bool {
     }
 }
 
-/// Dead-code + unreachable-code elimination with a full liveness analysis.
-/// Returns the filtered body, filtered instruction→node map, and whether
-/// anything was removed. Branch targets and node `body_start`s are remapped.
+/// Dead-code + unreachable-code elimination with a full liveness analysis:
+/// compacts `body` and `instr_node` in place and returns whether anything
+/// was removed. Branch targets, node `body_start`s and anchors are remapped.
 fn eliminate(
-    body: Vec<Instr>,
-    instr_node: Vec<u32>,
+    body: &mut Vec<Instr>,
+    instr_node: &mut Vec<u32>,
     nodes: &mut [InlineNode],
     num_regs: u16,
     osr_anchors: &mut [(u32, u32)],
-) -> (Vec<Instr>, Vec<u32>, bool) {
+    scratch: &mut Scratch,
+) -> bool {
     let n = body.len();
-    if n == 0 {
-        return (body, instr_node, false);
-    }
-
-    let reach = reachable(&body);
+    scratch.find_blocks(body);
+    liveness(body, num_regs, scratch);
+    let Scratch { blocks, reach, live_in, keep, new_index, .. } = scratch;
     let words = row_words(num_regs);
-    let live_in = liveness(&body, &reach, num_regs);
     let live_out_contains = |i: usize, r: Reg| -> bool {
         let (word, mask) = row_bit(r);
         successors(&body[i], i, n)
@@ -327,85 +412,57 @@ fn eliminate(
             .flatten()
             .any(|s| live_in[s * words + word] & mask != 0)
     };
-
-    let mut keep = vec![true; n];
-    for i in 0..n {
-        if !reach[i] {
-            keep[i] = false;
-            continue;
-        }
-        match &body[i] {
-            Instr::Work { units: 0 } => keep[i] = false,
-            Instr::Jump { target }
-                if *target as usize == i + 1 => {
-                    keep[i] = false;
-                }
-            Instr::Move { dst, src } if dst == src => keep[i] = false,
-            // Only instructions that can never fault are removable when
-            // dead. `Bin` is NOT among them: the IR is untyped, so even an
-            // `add` faults on a null operand, and removing a dead one would
-            // change observable behaviour. Constant folding turns decidable
-            // `Bin`s into `Const`s, which then die here safely.
-            Instr::Const { dst, .. }
-            | Instr::ConstNull { dst }
-            | Instr::Move { dst, .. }
-            | Instr::GetGlobal { dst, .. }
-            | Instr::InstanceOf { dst, .. }
-                if !live_out_contains(i, *dst) => {
-                    keep[i] = false;
-                }
-            _ => {}
-        }
+    let removable = |i: usize| match &body[i] {
+        Instr::Work { units: 0 } => true,
+        Instr::Jump { target } => *target as usize == i + 1,
+        Instr::Move { dst, src } if dst == src => true,
+        // Only instructions that can never fault are removable when dead.
+        // `Bin` is NOT among them: the IR is untyped, so even an `add`
+        // faults on a null operand, and removing a dead one would change
+        // observable behaviour. Constant folding turns decidable `Bin`s into
+        // `Const`s, which then die here safely.
+        Instr::Const { dst, .. }
+        | Instr::ConstNull { dst }
+        | Instr::Move { dst, .. }
+        | Instr::GetGlobal { dst, .. }
+        | Instr::InstanceOf { dst, .. } => !live_out_contains(i, *dst),
+        _ => false,
+    };
+    keep.clear();
+    for (&(start, end), &reachable) in blocks.iter().zip(reach.iter()) {
+        keep.extend((start..end).map(|i| reachable && !removable(i)));
     }
-
-    let removed = keep.iter().any(|k| !k);
-    if !removed {
-        return (body, instr_node, false);
+    if keep.iter().all(|&k| k) {
+        return false;
     }
 
     // Prefix-sum remap: new index of the first kept instruction ≥ old index.
-    let mut new_index = vec![0u32; n + 1];
-    let mut acc = 0u32;
-    for i in 0..n {
-        new_index[i] = acc;
-        if keep[i] {
-            acc += 1;
-        }
+    new_index.clear();
+    let mut kept = 0u32;
+    for &k in keep.iter() {
+        new_index.push(kept);
+        kept += u32::from(k);
     }
-    new_index[n] = acc;
+    new_index.push(kept);
 
-    let mut new_body = Vec::with_capacity(acc as usize);
-    let mut new_nodes_map = Vec::with_capacity(acc as usize);
-    for (i, (mut instr, node)) in body.into_iter().zip(instr_node).enumerate() {
-        if !keep[i] {
-            continue;
-        }
-        instr.map_branch_target(|t| new_index[t as usize]);
-        new_body.push(instr);
-        new_nodes_map.push(node);
+    // In place: before kept instruction `i` moves down to `new_index[i]`,
+    // the slots below that hold the kept instructions before it, in order,
+    // and the slots from there up to `i` the removed ones.
+    for i in (0..n).filter(|&i| keep[i]) {
+        let to = new_index[i] as usize;
+        body[i].map_branch_target(|t| new_index[t as usize]);
+        body.swap(to, i);
+        instr_node.swap(to, i);
     }
+    body.truncate(kept as usize);
+    instr_node.truncate(kept as usize);
     for node in nodes.iter_mut() {
         node.body_start = new_index[(node.body_start as usize).min(n)];
     }
     for (_, opt_pc) in osr_anchors.iter_mut() {
         *opt_pc = new_index[(*opt_pc as usize).min(n)];
     }
-    (new_body, new_nodes_map, true)
-}
-
-/// Reachability from instruction 0.
-fn reachable(body: &[Instr]) -> Vec<bool> {
-    let n = body.len();
-    let mut reach = vec![false; n];
-    let mut work = vec![0usize];
-    while let Some(i) = work.pop() {
-        if reach[i] {
-            continue;
-        }
-        reach[i] = true;
-        work.extend(successors(&body[i], i, n).into_iter().flatten().filter(|&s| !reach[s]));
-    }
-    reach
+    true
 }
 
 /// `u64` words in one liveness row: one bit per register.
@@ -418,51 +475,41 @@ fn row_bit(r: Reg) -> (usize, u64) {
     (r.index() / 64, 1 << (r.index() % 64))
 }
 
-/// Live-in registers of every reachable instruction, over dense bit rows:
-/// row `i` is the [`row_words`] words starting at `i * row_words`, bit `r`
-/// set iff register `r` is live into instruction `i`. Every register of
-/// `body` is `< num_regs` (the invariant [`fold_and_propagate`] indexes its
-/// lattice on). Unreachable rows stay empty.
+/// Live-in registers of every reachable instruction, into `live_in`, over
+/// dense bit rows: row `i` is the [`row_words`] words starting at
+/// `i * row_words`, bit `r` set iff register `r` is live into instruction
+/// `i`. Every register of `body` is `< num_regs` (the invariant
+/// [`fold_and_propagate`] indexes its lattice on). Unreachable rows stay
+/// empty.
 ///
-/// Computed per basic block: gen/kill rows of each reachable block, a
-/// backwards fixpoint over the blocks' live-in rows (kept in the result, at
-/// each block's first instruction), then one backward scan inside each
-/// block. A block is entered only at its first instruction and left only
-/// after its last, so it is reachable as a whole or not at all, and the
-/// live-out of its last instruction is the union of the live-in rows of the
-/// blocks that start at that instruction's successors.
+/// Computed per basic block, over the blocks [`Scratch::find_blocks`] found
+/// in `body`: gen/kill rows of each reachable block, a backwards fixpoint
+/// over the blocks' live-in rows (kept in the result, at each block's first
+/// instruction), then one backward scan inside each block. A block is
+/// entered only at its first instruction and left only after its last, so
+/// the live-out of its last instruction is the union of the live-in rows of
+/// the blocks that start at that instruction's successors.
 ///
 /// Rows are one to three words, so they are combined by word loops: slice
 /// comparison, `fill` and `copy_from_slice` are libc calls.
-fn liveness(body: &[Instr], reach: &[bool], num_regs: u16) -> Vec<u64> {
+fn liveness(body: &[Instr], num_regs: u16, scratch: &mut Scratch) {
     let n = body.len();
     let words = row_words(num_regs);
-    let mut live_in = vec![0u64; n * words];
-    if n == 0 || words == 0 {
-        return live_in;
+    let Scratch { blocks, reach, gen_kill, live_in, live, .. } = scratch;
+    live_in.clear();
+    live_in.resize(n * words, 0);
+    if words == 0 {
+        return;
     }
-    // Reachable blocks as `(start, end)`: a block starts at instruction 0, at
-    // every branch target and after every instruction that can leave the
-    // straight line.
-    let mut starts = leaders(body);
-    for (i, instr) in body.iter().enumerate().take(n - 1) {
-        if instr.branch_target().is_some() || matches!(instr, Instr::Return { .. }) {
-            starts[i + 1] = true;
-        }
-    }
-    let mut blocks: Vec<(usize, usize)> = Vec::new();
-    let mut start = 0;
-    for end in (1..n).filter(|&i| starts[i]).chain([n]) {
-        if reach[start] {
-            blocks.push((start, end));
-        }
-        start = end;
-    }
-    // `gen_kill[2 * b]`: registers block `b` reads before it writes them;
-    // `gen_kill[2 * b + 1]`: registers it writes.
-    let mut gen_kill = vec![0u64; blocks.len() * 2 * words];
-    for (rows, &(start, end)) in gen_kill.chunks_exact_mut(2 * words).zip(&blocks) {
-        let (gen, kill) = rows.split_at_mut(words);
+    let reachable = || blocks.iter().enumerate().filter(|&(b, _)| reach[b]);
+    // The rows of block `b`: the registers it reads before it writes
+    // them (gen), then the registers it writes (kill). Unreachable
+    // blocks' rows stay empty and are never read.
+    let rows_of = |b: usize| 2 * words * b..2 * words * (b + 1);
+    gen_kill.clear();
+    gen_kill.resize(blocks.len() * 2 * words, 0);
+    for (b, &(start, end)) in reachable() {
+        let (gen, kill) = gen_kill[rows_of(b)].split_at_mut(words);
         for instr in &body[start..end] {
             // Use before def: an instruction may read the register it writes.
             for_each_use(instr, |r| {
@@ -485,11 +532,13 @@ fn liveness(body: &[Instr], reach: &[bool], num_regs: u16) -> Vec<u64> {
             }
         }
     };
-    let mut live = vec![0u64; words];
+    live.clear();
+    live.resize(words, 0);
     loop {
         let mut changed = false;
-        for (rows, &(start, end)) in gen_kill.chunks_exact(2 * words).zip(&blocks).rev() {
-            live_out(&live_in, end - 1, &mut live);
+        for (b, &(start, end)) in reachable().rev() {
+            live_out(live_in, end - 1, live);
+            let rows = &gen_kill[rows_of(b)];
             for w in 0..words {
                 let row = rows[w] | (live[w] & !rows[words + w]);
                 changed |= row != live_in[start * words + w];
@@ -500,8 +549,8 @@ fn liveness(body: &[Instr], reach: &[bool], num_regs: u16) -> Vec<u64> {
             break;
         }
     }
-    for &(start, end) in &blocks {
-        live_out(&live_in, end - 1, &mut live);
+    for (_, &(start, end)) in reachable() {
+        live_out(live_in, end - 1, live);
         for i in (start..end).rev() {
             // Kill before gen, for the same reason.
             if let Some((word, mask)) = def(&body[i]).map(row_bit) {
@@ -516,7 +565,6 @@ fn liveness(body: &[Instr], reach: &[bool], num_regs: u16) -> Vec<u64> {
             }
         }
     }
-    live_in
 }
 
 /// The control-flow successors of instruction `i` in a body of `n`: the

@@ -251,9 +251,134 @@ fn branch_targets_reset_the_global_cache() {
     );
 }
 
+#[test]
+fn block_shapes_simplify_to_the_parent_commits_bodies() {
+    let g = aoci_ir::GlobalId::from_index(0);
+    let class = aoci_ir::ClassId::from_index(0);
+    let ne = |target| Instr::Branch { cond: Cond::Ne, lhs: r(0), rhs: r(0), target };
+    let cases: [(&str, Vec<Instr>, u16, Vec<Instr>); 6] = [
+        (
+            "an unreachable block between two reachable ones",
+            vec![
+                Instr::Const { dst: r(0), value: 1 },
+                Instr::Jump { target: 5 },
+                Instr::Bin { op: BinOp::Add, dst: r(0), lhs: r(1), rhs: r(1) },
+                Instr::PutGlobal { global: g, src: r(0) },
+                Instr::Jump { target: 5 },
+                Instr::Return { src: Some(r(0)) },
+            ],
+            2,
+            vec![Instr::Const { dst: r(0), value: 1 }, Instr::Return { src: Some(r(0)) }],
+        ),
+        (
+            "a guard whose else-target starts a later block",
+            vec![
+                Instr::GetGlobal { dst: r(0), global: g },
+                Instr::Const { dst: r(1), value: 1 },
+                Instr::Const { dst: r(2), value: 2 },
+                Instr::GuardClass { recv: r(0), class, else_target: 6 },
+                Instr::Move { dst: r(3), src: r(2) },
+                Instr::Return { src: Some(r(3)) },
+                Instr::Return { src: Some(r(1)) },
+            ],
+            4,
+            vec![
+                Instr::GetGlobal { dst: r(0), global: g },
+                Instr::Const { dst: r(1), value: 1 },
+                Instr::GuardClass { recv: r(0), class, else_target: 5 },
+                Instr::Const { dst: r(3), value: 2 },
+                Instr::Return { src: Some(r(3)) },
+                Instr::Return { src: Some(r(1)) },
+            ],
+        ),
+        (
+            // The branch folds to `Work { units: 0 }` in round 1, after the
+            // round's leaders were taken; in round 2 its target is no leader,
+            // the two loads share a block, and the second becomes a copy.
+            "a fold that removes the only leader",
+            vec![
+                Instr::GetGlobal { dst: r(0), global: g },
+                Instr::Const { dst: r(1), value: 1 },
+                Instr::Const { dst: r(2), value: 2 },
+                Instr::Branch { cond: Cond::Eq, lhs: r(1), rhs: r(2), target: 4 },
+                Instr::GetGlobal { dst: r(3), global: g },
+                Instr::Bin { op: BinOp::Add, dst: r(4), lhs: r(0), rhs: r(3) },
+                Instr::Return { src: Some(r(4)) },
+            ],
+            5,
+            vec![
+                Instr::GetGlobal { dst: r(0), global: g },
+                Instr::Bin { op: BinOp::Add, dst: r(4), lhs: r(0), rhs: r(0) },
+                Instr::Return { src: Some(r(4)) },
+            ],
+        ),
+        (
+            // Each round folds the one branch whose predecessor's leader the
+            // round before removed; the fifth is still there after round 4.
+            "a body that still changes in round 4",
+            vec![
+                Instr::Const { dst: r(0), value: 0 },
+                ne(2),
+                ne(3),
+                ne(4),
+                ne(5),
+                ne(6),
+                Instr::Return { src: Some(r(0)) },
+            ],
+            1,
+            vec![Instr::Const { dst: r(0), value: 0 }, ne(2), Instr::Return { src: Some(r(0)) }],
+        ),
+        (
+            "one instruction",
+            vec![Instr::Return { src: None }],
+            0,
+            vec![Instr::Return { src: None }],
+        ),
+        ("an empty body", vec![], 0, vec![]),
+    ];
+    for (what, body, num_regs, expected) in cases {
+        assert_eq!(block_liveness(&body, num_regs).0, reachable(&body), "{what}: reachability");
+        assert_eq!(run(body, num_regs), expected, "{what}");
+    }
+}
+
 // ---- Liveness: dense bit rows against the set-based reference ----------
 
 use std::collections::BTreeSet;
+
+/// The reference reachability: a worklist over instructions from
+/// instruction 0, as `eliminate` computed it before the blocks.
+fn reachable(body: &[Instr]) -> Vec<bool> {
+    let n = body.len();
+    let mut reach = vec![false; n];
+    let mut work = vec![0usize; n.min(1)];
+    while let Some(i) = work.pop() {
+        if reach[i] {
+            continue;
+        }
+        reach[i] = true;
+        work.extend(successors(&body[i], i, n).into_iter().flatten().filter(|&s| !reach[s]));
+    }
+    reach
+}
+
+/// What the simplifier computes of `body`: the reachability of its blocks,
+/// spread over their instructions, and the live-in rows. Computed in this
+/// thread's scratch, which whatever ran on the thread before left dirty.
+fn block_liveness(body: &[Instr], num_regs: u16) -> (Vec<bool>, Vec<u64>) {
+    SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        scratch.find_blocks(body);
+        liveness(body, num_regs, scratch);
+        let reach = scratch
+            .blocks
+            .iter()
+            .zip(&scratch.reach)
+            .flat_map(|(&(start, end), &r)| (start..end).map(move |_| r))
+            .collect();
+        (reach, scratch.live_in.clone())
+    })
+}
 
 /// The reference liveness: the textbook backwards fixpoint over one
 /// `BTreeSet<Reg>` per instruction, as `eliminate` computed it before the
@@ -288,10 +413,11 @@ fn liveness_sets(body: &[Instr], reach: &[bool]) -> Vec<BTreeSet<Reg>> {
     }
 }
 
-/// Asserts the bit rows of `body` decode to the reference sets, row by row.
+/// Asserts the block reachability of `body` equals the reference and its
+/// bit rows decode to the reference sets, row by row.
 fn assert_liveness_matches(body: &[Instr], num_regs: u16, what: &str) {
-    let reach = reachable(body);
-    let rows = liveness(body, &reach, num_regs);
+    let (reach, rows) = block_liveness(body, num_regs);
+    assert_eq!(reach, reachable(body), "{what}: reachability");
     let words = row_words(num_regs);
     assert_eq!(rows.len(), body.len() * words, "{what}: row storage");
     let sets = liveness_sets(body, &reach);
@@ -326,8 +452,7 @@ fn liveness_rows_match_sets_on_handwritten_bodies() {
         Instr::Return { src: Some(r(0)) },
     ];
     assert_liveness_matches(&def_use, 2, "def and use of one register");
-    let reach = reachable(&def_use);
-    assert_eq!(liveness(&def_use, &reach, 2)[1], 0b11, "r0 and r1 live into the add");
+    assert_eq!(block_liveness(&def_use, 2).1[1], 0b11, "r0 and r1 live into the add");
     // Guard else-target edge: r2 is live only along the fallback path, r1
     // only along the fall-through.
     let guarded = vec![
@@ -339,8 +464,7 @@ fn liveness_rows_match_sets_on_handwritten_bodies() {
         Instr::Return { src: Some(r(2)) },
     ];
     assert_liveness_matches(&guarded, 3, "guard else-target");
-    let reach = reachable(&guarded);
-    assert_eq!(liveness(&guarded, &reach, 3)[3], 0b111, "both edges feed the guard");
+    assert_eq!(block_liveness(&guarded, 3).1[3], 0b111, "both edges feed the guard");
     // Unreachable tail: its rows stay empty even though it reads r0.
     let tail = vec![
         Instr::Const { dst: r(0), value: 1 },
@@ -372,8 +496,7 @@ fn liveness_rows_match_sets_across_block_shapes() {
         Instr::Return { src: Some(r(1)) },
     ];
     assert_liveness_matches(&guard_ends_block, 3, "guard ends a block");
-    let reach = reachable(&guard_ends_block);
-    let rows = liveness(&guard_ends_block, &reach, 3);
+    let rows = block_liveness(&guard_ends_block, 3).1;
     assert_eq!(rows[3], 0b111, "the guard reads r0 and both edges' registers pass through it");
     assert_eq!(rows[4], 0b100, "the fall-through block writes r1 before reading it");
     // An unreachable block between two reachable ones: it reads r1 and
@@ -406,8 +529,7 @@ fn liveness_rows_match_sets_across_block_shapes() {
         Instr::Return { src: Some(r(0)) },
     ];
     assert_liveness_matches(&three_block_loop, 3, "three-block loop");
-    let reach = reachable(&three_block_loop);
-    let rows = liveness(&three_block_loop, &reach, 3);
+    let rows = block_liveness(&three_block_loop, 3).1;
     assert_eq!(rows[3], 0b111, "the header reads r2 from the back-edge");
     assert_eq!(rows[4], 0b011, "r2 is dead through the body: the latch rewrites it");
     assert_eq!(rows[8], 0b111, "and live again after the latch's write");
@@ -482,4 +604,115 @@ fn liveness_rows_match_sets_on_suite_and_fuzz_bodies() {
         (bodies, instrs) = (bodies + b, instrs + i);
     }
     assert!(bodies > 1000 && instrs > 10 * bodies, "{bodies} bodies, {instrs} instructions");
+}
+
+// ---- Identity with the parent commit ------------------------------------
+
+/// A rule for every call edge of `program` (every implementation at a
+/// virtual site) and, one level deeper, for every edge of each callee under
+/// the site that reached it: sites are shared by the contexts of several
+/// callers, so the partial match meets several context groups, and static
+/// sites meet rules naming callees they cannot call.
+fn every_edge_rules(program: &aoci_ir::Program) -> aoci_core::RuleSet {
+    use aoci_ir::CallSiteRef;
+    use aoci_profile::TraceKey;
+    let callees = |m: MethodId| -> Vec<(aoci_ir::SiteIdx, MethodId)> {
+        program
+            .method(m)
+            .call_sites()
+            .flat_map(|(site, instr)| match instr {
+                Instr::CallStatic { callee, .. } => vec![(site, *callee)],
+                Instr::CallVirtual { selector, .. } => {
+                    program.implementations(*selector).iter().map(|&c| (site, c)).collect()
+                }
+                _ => Vec::new(),
+            })
+            .collect()
+    };
+    let mut rules = Vec::new();
+    for m in (0..program.num_methods()).map(MethodId::from_index) {
+        for (site, callee) in callees(m) {
+            let outer = CallSiteRef::new(m, site);
+            let mix = m.index() * 31 + usize::from(site.0) * 7 + callee.index();
+            let weight = (mix % 13 + 1) as f64;
+            rules.push((TraceKey::edge(outer, callee), weight));
+            for (inner_site, inner) in callees(callee) {
+                let inner_ctx = vec![CallSiteRef::new(callee, inner_site), outer];
+                rules.push((TraceKey::new(inner, inner_ctx), weight / 2.0));
+            }
+        }
+    }
+    let total = rules.iter().map(|(_, w)| w).sum();
+    aoci_core::RuleSet::from_rules(rules, total)
+}
+
+/// 64-bit FNV-1a over `bytes`, continuing from `fold`.
+fn fnv1a(fold: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(fold, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Folds what the simplifier decides of one compile — the body, the
+/// instruction→node map, every node's `body_start` and the OSR anchors that
+/// survived — and the inliner's record of it, whose rule weights print
+/// exactly (`Debug` of an `f64` round-trips).
+fn fold_compilation(mut fold: u64, c: &crate::Compilation) -> u64 {
+    let v = &c.version;
+    fold = fnv1a(fold, format!("{:?}{:?}{:?}", v.body, c.decisions, c.refusals).as_bytes());
+    let map = &v.inline_map;
+    for pc in 0..v.body.len() {
+        let node = (0..map.num_nodes() as u32)
+            .find(|&k| std::ptr::eq(map.node(k), map.node_at(pc)))
+            .expect("every instruction has a node");
+        fold = fnv1a(fold, &node.to_le_bytes());
+    }
+    for k in 0..map.num_nodes() as u32 {
+        fold = fnv1a(fold, &map.node(k).body_start.to_le_bytes());
+    }
+    for p in v.osr_map.points() {
+        fold = fnv1a(fold, &p.baseline_pc.to_le_bytes());
+        fold = fnv1a(fold, &p.opt_pc.to_le_bytes());
+    }
+    fold
+}
+
+/// Every method of the 8 suite programs and of the first 60 campaign-1
+/// programs, compiled with the simplifier under an empty rule set and under
+/// [`every_edge_rules`] in both match modes, against the fold this body
+/// printed at the commit before the simplifier moved onto its reused
+/// scratch and onto basic blocks, and before `candidate_weight` answered the
+/// inliner's per-callee question.
+#[test]
+fn compiled_bodies_match_the_parent_commit() {
+    use aoci_core::{InlineOracle, MatchMode};
+    use std::sync::Arc;
+    let mut programs: Vec<aoci_ir::Program> =
+        aoci_workloads::suite().iter().map(|spec| aoci_workloads::build(spec).program).collect();
+    programs.extend((0..60).map(|i| {
+        aoci_workloads::build_fuzz(&aoci_fuzz::sample_spec(1, i))
+            .expect("campaign 1 specs build")
+            .program
+    }));
+    let config = crate::OptConfig::default();
+    assert!(config.simplify);
+    let (mut fold, mut compiles, mut instrs, mut fired) = (0xcbf2_9ce4_8422_2325u64, 0, 0, 0);
+    for program in &programs {
+        let rules = Arc::new(every_edge_rules(program));
+        let oracles = [
+            InlineOracle::empty(),
+            InlineOracle::with_mode(rules.clone(), MatchMode::Partial),
+            InlineOracle::with_mode(rules, MatchMode::Exact),
+        ];
+        for m in (0..program.num_methods()).map(MethodId::from_index) {
+            for oracle in &oracles {
+                let c = crate::compile_in_context(program, m, oracle, &config, &[]);
+                fold = fold_compilation(fold, &c);
+                compiles += 1;
+                instrs += c.version.body.len();
+                fired += c.decisions.iter().filter(|d| d.provenance.rule_fired).count();
+            }
+        }
+    }
+    println!("{compiles} compiles, {instrs} instructions, {fired} rule-backed inlines");
+    println!("fold {fold:#018x}");
+    assert_eq!((compiles, instrs, fired, fold), (8_289, 320_283, 23_835, 0x5401_23d2_ee04_95ae));
 }

@@ -3,12 +3,17 @@
 
 use aoci_ir::{CallSiteRef, MethodId, SiteIdx};
 use aoci_profile::{Dcg, DcgConfig, TraceKey};
-use aoci_core::RuleSet;
+use aoci_core::{InlineOracle, MatchMode, RuleSet};
 use proptest::prelude::*;
 
 fn cs_strategy() -> impl Strategy<Value = CallSiteRef> {
     (0usize..8, 0u16..4)
         .prop_map(|(m, s)| CallSiteRef::new(MethodId::from_index(m), SiteIdx(s)))
+}
+
+/// Call sites of three methods with two sites each.
+fn small_cs_strategy() -> impl Strategy<Value = CallSiteRef> {
+    (0usize..3, 0u16..2).prop_map(|(m, s)| CallSiteRef::new(MethodId::from_index(m), SiteIdx(s)))
 }
 
 fn trace_strategy() -> impl Strategy<Value = TraceKey> {
@@ -94,7 +99,6 @@ proptest! {
         let candidates = set.candidates(probe.context());
         let applicable_callees: Vec<MethodId> = set
             .applicable(probe.context())
-            .iter()
             .map(|r| r.trace.callee())
             .collect();
         for (c, w) in &candidates {
@@ -107,6 +111,58 @@ proptest! {
         let lone_set = RuleSet::from_rules([(lone.clone(), w)], w);
         let own = lone_set.candidates(lone.context());
         prop_assert_eq!(own, vec![(lone.callee(), w)]);
+    }
+
+    /// The oracle's one-callee answer is the callee's entry in its full
+    /// candidate list, to the bit, for every callee of the id space, in both
+    /// match modes. Three methods with two sites each make sites, callees and
+    /// context prefixes collide, so queries meet several context groups,
+    /// duplicate contexts and equal weights; each rule is also asked about
+    /// at every prefix of its context (rules deeper than the query), one
+    /// level beyond it (shallower), and with its last level changed.
+    #[test]
+    fn weight_of_is_the_weight_candidates_gives(
+        rules in prop::collection::vec(
+            (
+                0usize..4,
+                prop::collection::vec(small_cs_strategy(), 1..4),
+                prop_oneof![Just(1.0f64), Just(2.5), 0.1f64..5.0],
+            ),
+            1..16,
+        ),
+        extra in small_cs_strategy(),
+        random in prop::collection::vec(prop::collection::vec(small_cs_strategy(), 0..5), 4..5),
+    ) {
+        let traces: Vec<(TraceKey, f64)> = rules
+            .iter()
+            .map(|(callee, ctx, w)| (TraceKey::new(MethodId::from_index(*callee), ctx.clone()), *w))
+            .collect();
+        let total = traces.iter().map(|(_, w)| w).sum();
+        let set = std::sync::Arc::new(RuleSet::from_rules(traces, total));
+        let mut queries = random;
+        for (_, ctx, _) in &rules {
+            queries.extend((1..=ctx.len()).map(|k| ctx[..k].to_vec()));
+            queries.push([&ctx[..], &[extra]].concat());
+            let mut changed = ctx.clone();
+            *changed.last_mut().expect("contexts are non-empty") = extra;
+            queries.push(changed);
+        }
+        queries.push(Vec::new());
+        for mode in [MatchMode::Partial, MatchMode::Exact] {
+            let oracle = InlineOracle::with_mode(set.clone(), mode);
+            for ctx in &queries {
+                let candidates = oracle.candidates(ctx);
+                for callee in (0..4).map(MethodId::from_index) {
+                    let expected =
+                        candidates.iter().find(|c| c.target == callee).map(|c| c.weight.to_bits());
+                    prop_assert_eq!(
+                        oracle.weight_of(ctx, callee).map(f64::to_bits),
+                        expected,
+                        "{:?} {:?} {:?}", mode, ctx, callee
+                    );
+                }
+            }
+        }
     }
 
     /// Merge-on-collect (the ablation mode) conserves total weight.
