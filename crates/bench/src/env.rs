@@ -82,8 +82,8 @@ pub const ASYNC: Knob = Knob {
     name: "AOCI_ASYNC",
     ty: "flag",
     default: "off",
-    effect: "enable asynchronous background compilation (DESIGN.md \u{a7}10) in sweep, smoke \
-             and oracle runs.",
+    effect: "enable asynchronous background compilation (DESIGN.md \u{a7}10) in sweep and \
+             smoke runs.",
 };
 
 /// `AOCI_DEOPTLESS` — dispatched OSR over context-specialized versions.
@@ -161,7 +161,7 @@ pub const ORACLE_SEED: Knob = Knob {
     name: "AOCI_ORACLE_SEED",
     ty: "u64",
     default: "1",
-    effect: "fault seed for the differential-oracle and async-compile test matrices.",
+    effect: "fault seed for the differential-oracle test matrix.",
 };
 
 /// `AOCI_FUZZ_ITERS` — fuzz-campaign budget.

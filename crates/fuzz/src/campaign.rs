@@ -10,7 +10,7 @@
 //! findings list — is therefore byte-identical for any `AOCI_JOBS`.
 
 use crate::minimize::minimize;
-use crate::oracle::{run_case_caught, run_case_caught_with, CaseOutcome};
+use crate::oracle::{run_case_caught, run_case_caught_with, CaseOutcome, RunOpts};
 use crate::persist::CorpusEntry;
 use crate::sampler::sample_spec;
 use aoci_core::JobPool;
@@ -86,8 +86,9 @@ fn finds_kind(spec: &FuzzSpec, kind: &str) -> Option<(String, String)> {
 /// the — normally empty — failing subset only).
 pub fn run_campaign(cfg: &CampaignConfig, pool: &JobPool) -> CampaignOutcome {
     let jobs: Vec<usize> = (0..cfg.iters).collect();
+    let opts = RunOpts { metrics: cfg.metrics, ..RunOpts::default() };
     let (results, _stats) =
-        pool.run(jobs, |&i| run_case_caught_with(&sample_spec(cfg.seed, i), cfg.metrics));
+        pool.run(jobs, |&i| run_case_caught_with(&sample_spec(cfg.seed, i), opts));
     let cases: Vec<CaseOutcome> = results.into_iter().map(|r| r.output).collect();
 
     let mut features: BTreeSet<String> = BTreeSet::new();

@@ -3,10 +3,10 @@
 //! The adaptive system's central robustness claim is that every opt-in
 //! feature — policy choice, OSR, asynchronous compilation, chaos faults —
 //! is *semantically invisible*: same program result as a baseline-only
-//! interpreter, and bit-identical metrics on a same-seed rerun. The
-//! differential oracle (`tests/tests/differential_oracle.rs`) earns that
-//! claim on 8 curated workloads; this crate earns it **at scale** over
-//! randomly generated programs (DESIGN.md §12).
+//! interpreter, and bit-identical metrics on a same-seed rerun. This
+//! crate's differential oracle earns that claim on the 8 curated workloads
+//! (`tests/tests/differential_oracle.rs`) and **at scale** over randomly
+//! generated programs (DESIGN.md §12).
 //!
 //! The pipeline, module by module:
 //!
@@ -15,13 +15,13 @@
 //!   curated suite never reaches (deep inheritance chains, megamorphic
 //!   sites, mutual recursion, unwind-style control flow, degenerate
 //!   method sizes);
-//! * [`oracle`] — runs one generated program through the full
-//!   differential matrix: a baseline-only interpreter run is ground
-//!   truth, then ±OSR × ±async × ±chaos under a per-case policy, each
-//!   cell once traced and once untraced. Every cell must reproduce the
-//!   oracle result and match its twin field-by-field (which
-//!   simultaneously proves same-seed bit-identity *and* flight-recorder
-//!   zero-overhead). Any violation — including a panic anywhere in
+//! * [`oracle`] — the workspace's one differential oracle, which the suite
+//!   tests call too: a baseline-only interpreter run is ground truth, then
+//!   ±OSR × ±async × ±chaos under one policy, each cell once traced and
+//!   once untraced. Every cell must reproduce the reference result, match
+//!   its twin's whole report (same-seed bit-identity *and* flight-recorder
+//!   zero overhead), and report only counters that are a fold of its
+//!   event stream. Any violation — including a panic anywhere in
 //!   aos/vm/opt — becomes a [`Finding`];
 //! * [`oracle::CaseOutcome::fingerprint`] — the decision-space coverage
 //!   set read from the flight recorder
@@ -52,8 +52,6 @@ pub mod sampler;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignOutcome, MinimizedFinding};
 pub use minimize::{measure, minimize, shrink_candidates};
-pub use oracle::{
-    run_case, run_case_caught, run_case_caught_with, run_case_with, CaseOutcome, Finding,
-};
+pub use oracle::{run_case, run_case_caught, run_case_caught_with, CaseOutcome, Finding, RunOpts};
 pub use persist::{corpus_to_value, spec_from_value, spec_to_value, CorpusEntry, Regression};
 pub use sampler::{case_name, sample_spec};

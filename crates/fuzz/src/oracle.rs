@@ -1,26 +1,39 @@
-//! The per-case differential matrix: ground truth, equivalence checks,
-//! and the coverage fingerprint.
+//! The workspace's one differential oracle: ground truth, the adaptive
+//! matrix, the checks every cell passes, and the coverage fingerprint.
 //!
-//! For one generated program the runner executes:
+//! For any program — a generated spec, a suite workload, the HashMap
+//! example — [`run_program`] executes:
 //!
-//! 1. the **oracle** — a baseline-only interpreter (`sample_period: 0`):
+//! 1. the **reference** — a baseline-only interpreter (`sample_period: 0`):
 //!    no sampling, no optimization, no OSR, semantics by construction;
-//! 2. the **matrix** — ±OSR × ±async × ±chaos under the case's policy
-//!    (the policy rotates with the spec seed so a 3× policy cross is not
-//!    paid per case, yet the campaign as a whole covers all three). Each
-//!    cell runs twice: once with the flight recorder on, once off.
+//! 2. the **matrix** — ±OSR × ±async × ±chaos under one policy, each cell
+//!    twice: once with the flight recorder on an unbounded ring, once off.
 //!
-//! The traced run's metrics, with only the post-mortem
-//! `recovery.trace_dump` scrubbed, must equal the untraced run's **field
-//! by field** — one comparison that simultaneously asserts same-seed
-//! bit-identity and the recorder's zero-overhead guarantee. Every cell
-//! must also reproduce the oracle's program result, and a cell with OSR
-//! off must report zero OSR events. Violations become [`Finding`]s; the
-//! union of the traced runs' coverage sets becomes the case fingerprint.
+//! Every cell must pass four checks; a violation becomes a [`Finding`]:
+//!
+//! * its program result equals the reference's (`oracle-divergence`);
+//! * the traced report's `to_value()`, with only the post-mortem
+//!   `recovery.trace_dump` scrubbed, equals the untraced one's — one
+//!   comparison that asserts same-seed bit-identity and the recorder's
+//!   zero overhead (`rerun-divergence`);
+//! * every counter the traced report carries is a fold of its event
+//!   stream, re-derived here independently of the driver's `Ledger`
+//!   (`ledger-fold`);
+//! * a cell with OSR off reports no OSR events (`osr-while-disabled`).
+//!
+//! A fuzz case ([`run_case`]) runs its generated program under the policy
+//! its seed selects, with its seed as the chaos seed; the union of its
+//! traced runs' coverage sets is the case fingerprint.
 
-use aoci_aos::{AosConfig, AosReport, AosSystem, FaultConfig, OsrEvents, TraceConfig};
+use aoci_aos::{
+    AosConfig, AosReport, AosSystem, AsyncCompileEvents, FaultConfig, OsrEvents, RecoveryEvents,
+    TraceConfig, TraceEvent,
+};
 use aoci_core::PolicyKind;
-use aoci_vm::{CostModel, Value, Vm, COMPONENTS};
+use aoci_ir::Program;
+use aoci_json::Value as Json;
+use aoci_trace::{FaultKind, OsrFallbackReason, RetryCause};
+use aoci_vm::{CostModel, Value, Vm};
 use aoci_workloads::{build_fuzz, FuzzSpec};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -39,7 +52,7 @@ pub const ALL_POLICIES: [PolicyKind; 3] = [
 pub struct Finding {
     /// Stable tag: `generator-error`, `typecheck-error`, `oracle-vm-error`,
     /// `adaptive-vm-error`, `oracle-divergence`, `rerun-divergence`,
-    /// `osr-while-disabled`, or `panic`.
+    /// `ledger-fold`, `osr-while-disabled`, or `panic`.
     pub kind: String,
     /// Human-readable description (config cell, field, values).
     pub detail: String,
@@ -70,30 +83,58 @@ impl CaseOutcome {
     }
 }
 
+/// What a whole matrix runs with on top of its cells.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RunOpts {
+    /// The telemetry registry on in every cell. It charges no simulated
+    /// cycles, so no outcome — fingerprint or findings — may move.
+    pub metrics: bool,
+    /// Deoptless dispatched OSR (DESIGN.md §16) in every OSR-on cell.
+    /// OSR-off cells are untouched, so `osr-while-disabled` keeps its teeth.
+    pub deoptless: bool,
+}
+
 /// The policy a spec's matrix runs under (rotates with the seed).
 pub fn policy_for(spec: &FuzzSpec) -> PolicyKind {
     ALL_POLICIES[(spec.seed % ALL_POLICIES.len() as u64) as usize]
 }
 
+/// The oracle's adaptive configuration before a cell's axes are added: a
+/// prime sample period avoids aliasing against fixed loop costs, low
+/// thresholds let short programs exercise promotion and OSR, and guard
+/// monitoring is always on so megamorphic thrash reaches the recovery
+/// paths. Tests that run this configuration outside the matrix start here.
+pub fn config(policy: PolicyKind) -> AosConfig {
+    let mut c = AosConfig::new(policy).enable_guard_monitoring();
+    c.cost = CostModel { sample_period: 2_003, ..CostModel::default() };
+    c.hot_method_samples = 2;
+    c.organizer_period_samples = 4;
+    c.missing_edge_period_samples = 8;
+    c.vm.osr_backedge_threshold = 48;
+    c
+}
+
 /// One cell of the matrix: OSR on?, async compile on?, chaos faults.
 type Cell = (bool, bool, Option<FaultConfig>);
 
-/// What a whole case runs with, on top of its cells: the telemetry registry
-/// and deoptless dispatched OSR (the latter only reaches OSR-on cells).
-#[derive(Clone, Copy)]
-struct RunOpts {
-    metrics: bool,
-    deoptless: bool,
+/// The ±OSR × ±async × ±chaos cells, in canonical (OSR-major) order.
+fn cells(seed: u64) -> Vec<Cell> {
+    let mut m = Vec::new();
+    for osr in [false, true] {
+        for async_on in [false, true] {
+            for fault in [None, Some(FaultConfig::chaos(seed))] {
+                m.push((osr, async_on, fault));
+            }
+        }
+    }
+    m
 }
 
-/// One adaptive configuration of the matrix — the differential-oracle
-/// idiom: a prime sample period avoids aliasing against fixed loop costs,
-/// low thresholds let short fuzz programs exercise promotion and OSR, and
-/// guard monitoring is always on so megamorphic thrash reaches the
-/// recovery paths.
-fn config(policy: PolicyKind, cell: &Cell, opts: RunOpts, traced: bool) -> AosConfig {
+/// [`config`] with one cell's axes. The traced twin's ring is unbounded,
+/// so the fold sees every event and the coverage set every decision.
+fn cell_config(policy: PolicyKind, cell: &Cell, opts: RunOpts, traced: bool) -> AosConfig {
     let (osr, async_on, fault) = cell;
-    let mut c = AosConfig::new(policy).enable_guard_monitoring();
+    let mut c = config(policy);
     if *osr {
         c = c.enable_osr();
         if opts.deoptless {
@@ -110,211 +151,254 @@ fn config(policy: PolicyKind, cell: &Cell, opts: RunOpts, traced: bool) -> AosCo
         c = c.enable_faults(f.clone());
     }
     if traced {
-        c = c.enable_trace_with(TraceConfig::default());
+        c = c.enable_trace_with(TraceConfig { capacity: usize::MAX, ..TraceConfig::default() });
     }
-    c.cost = CostModel { sample_period: 2_003, ..CostModel::default() };
-    c.hot_method_samples = 2;
-    c.organizer_period_samples = 4;
-    c.missing_edge_period_samples = 8;
-    c.vm.osr_backedge_threshold = 48;
     c
 }
 
-/// The ±OSR × ±async × ±chaos cells, in canonical (OSR-major) order. The
-/// chaos seed is the spec seed, so fault schedules vary across the
-/// campaign but are fixed per case.
-fn cells(seed: u64) -> Vec<Cell> {
-    let mut m = Vec::new();
-    for osr in [false, true] {
-        for async_on in [false, true] {
-            for fault in [None, Some(FaultConfig::chaos(seed))] {
-                m.push((osr, async_on, fault));
-            }
-        }
+/// The first top-level field on which two report values disagree.
+fn diverging_field(a: &Json, b: &Json) -> String {
+    let render = |v: Option<&Json>| v.map_or_else(|| "absent".to_string(), aoci_json::to_string);
+    match a.as_obj().and_then(|m| m.iter().find(|(k, v)| b.get(k) != Some(*v))) {
+        Some((k, v)) => format!("{k}: {} vs {}", render(Some(v)), render(b.get(k))),
+        None => "the untraced report has a field the traced one lacks".to_string(),
     }
-    m
 }
 
-/// First field on which two same-configuration runs disagree, if any —
-/// the non-panicking mirror of the differential oracle's
-/// `assert_identical`.
-fn diff_reports(a: &AosReport, b: &AosReport) -> Option<String> {
-    if a.result != b.result {
-        return Some(format!("result: {:?} vs {:?}", a.result, b.result));
+/// The first counter of `r` that is not a fold of its unbounded trace, if
+/// any. The fold is written here, independently of the driver's `Ledger`,
+/// and also covers the counters the VM and the trace listener keep.
+fn ledger_fold(r: &AosReport) -> Option<String> {
+    let Some(log) = r.trace_log.as_ref() else {
+        return Some("the run carries no trace".to_string());
+    };
+    if log.dropped > 0 {
+        return Some(format!("the unbounded ring dropped {} events", log.dropped));
     }
-    for c in COMPONENTS {
-        if a.clock.component(c) != b.clock.component(c) {
-            return Some(format!(
-                "clock[{c}]: {} vs {}",
-                a.clock.component(c),
-                b.clock.component(c)
-            ));
+    let mut rec = RecoveryEvents::default();
+    let mut osr = OsrEvents::default();
+    let mut queue = AsyncCompileEvents::default();
+    let (mut guard_misses, mut samples, mut walks, mut frames) = (0u64, 0u64, 0u64, 0u64);
+    let (mut installs, mut finishes) = (0u64, 0u64);
+    for event in log.events.iter().map(|e| &e.event) {
+        match event {
+            TraceEvent::Invalidate { .. } => rec.invalidations += 1,
+            TraceEvent::Quarantine { .. } => rec.quarantined_methods += 1,
+            TraceEvent::TraceRejected => rec.rejected_traces += 1,
+            TraceEvent::RetryScheduled { cause, .. } => {
+                rec.compile_retries += u64::from(*cause == RetryCause::CompileFailure);
+            }
+            TraceEvent::FaultInjected { kind } => match kind {
+                FaultKind::CompileBailout | FaultKind::CompileOversize => {
+                    rec.injected_compile_faults += 1;
+                }
+                FaultKind::CorruptTrace => rec.injected_corrupt_traces += 1,
+                FaultKind::DroppedSample => rec.dropped_samples += 1,
+                FaultKind::ReceiverBurst => rec.receiver_bursts += 1,
+            },
+            TraceEvent::OsrRequest { .. } => osr.requests += 1,
+            TraceEvent::OsrDeny { .. } => osr.denied += 1,
+            TraceEvent::OsrEnter { .. } => osr.entries += 1,
+            TraceEvent::OsrExit { .. } => osr.exits += 1,
+            TraceEvent::OsrTransfer { .. } => osr.dispatched_transfers += 1,
+            TraceEvent::OsrFallback { reason, .. } => match reason {
+                OsrFallbackReason::NoVersion => osr.falls_no_version += 1,
+                OsrFallbackReason::IncompatibleFrame => osr.falls_incompatible += 1,
+                OsrFallbackReason::Rearmed => osr.falls_rearmed += 1,
+            },
+            TraceEvent::CompileEnqueue { queue_depth, .. } => {
+                queue.enqueued += 1;
+                queue.max_queue_depth = queue.max_queue_depth.max(u64::from(*queue_depth));
+            }
+            TraceEvent::CompileStart { .. } => queue.dispatched += 1,
+            TraceEvent::CompileFinish { overlap_cycles, stall_cycles, landed, .. } => {
+                finishes += 1;
+                queue.completed += u64::from(*landed);
+                queue.background_overlap_cycles += overlap_cycles;
+                queue.foreground_stall_cycles += stall_cycles;
+            }
+            TraceEvent::CompileDequeueStale { .. } => queue.stale_drops += 1,
+            TraceEvent::CompileQueueFull { .. } => queue.queue_full_drops += 1,
+            TraceEvent::GuardMiss { .. } => guard_misses += 1,
+            TraceEvent::SampleTick { .. } => samples += 1,
+            TraceEvent::TraceWalk { depth, .. } => {
+                walks += 1;
+                frames += u64::from(*depth);
+            }
+            TraceEvent::Install { .. } => installs += 1,
+            _ => {}
         }
     }
-    if a.samples != b.samples {
-        return Some(format!("samples: {} vs {}", a.samples, b.samples));
-    }
-    if a.counters != b.counters {
-        return Some(format!("counters: {:?} vs {:?}", a.counters, b.counters));
-    }
-    if a.osr != b.osr {
-        return Some(format!("osr: {:?} vs {:?}", a.osr, b.osr));
-    }
-    if a.recovery != b.recovery {
-        return Some(format!("recovery: {:?} vs {:?}", a.recovery, b.recovery));
-    }
-    if a.async_compile != b.async_compile {
-        return Some(format!("async: {:?} vs {:?}", a.async_compile, b.async_compile));
-    }
-    if a.opt_compilations != b.opt_compilations {
-        return Some(format!("opt_compilations: {} vs {}", a.opt_compilations, b.opt_compilations));
-    }
-    if a.optimized_code_size != b.optimized_code_size {
-        return Some(format!(
-            "optimized_code_size: {} vs {}",
-            a.optimized_code_size, b.optimized_code_size
+    queue.abandoned_in_flight = queue.dispatched.wrapping_sub(finishes);
+    let reported = RecoveryEvents { trace_dump: Vec::new(), ..r.recovery.clone() };
+    [
+        ("recovery", format!("{reported:?}"), format!("{rec:?}")),
+        ("osr", format!("{:?}", r.osr), format!("{osr:?}")),
+        ("async_compile", format!("{:?}", r.async_compile), format!("{queue:?}")),
+        ("counters.guard_misses", r.counters.guard_misses.to_string(), guard_misses.to_string()),
+        ("samples", r.samples.to_string(), samples.to_string()),
+        ("traces_recorded", r.traces_recorded.to_string(), walks.to_string()),
+        ("frames_walked", r.frames_walked.to_string(), frames.to_string()),
+        ("opt_compilations", r.opt_compilations.to_string(), installs.to_string()),
+        ("compilations", r.compilations.len().to_string(), installs.to_string()),
+    ]
+    .into_iter()
+    .find(|(_, reported, folded)| reported != folded)
+    .map(|(field, reported, folded)| format!("{field}: report {reported} vs fold {folded}"))
+}
+
+/// The four checks of one cell. `traced` arrives with its post-mortem dump
+/// scrubbed: the one thing an untraced run cannot carry.
+fn check_cell(
+    what: &str,
+    osr: bool,
+    expected: Option<Value>,
+    traced: &AosReport,
+    untraced: &AosReport,
+    findings: &mut Vec<Finding>,
+) {
+    if traced.result != expected {
+        findings.push(Finding::new(
+            "oracle-divergence",
+            format!("{what}: result {:?} differs from the reference {expected:?}", traced.result),
         ));
     }
-    if a.dcg_entries != b.dcg_entries {
-        return Some(format!("dcg_entries: {} vs {}", a.dcg_entries, b.dcg_entries));
+    let (a, b) = (traced.to_value(), untraced.to_value());
+    if a != b {
+        let field = diverging_field(&a, &b);
+        findings.push(Finding::new("rerun-divergence", format!("{what}: {field}")));
     }
-    if a.final_rules != b.final_rules {
-        return Some(format!("final_rules: {} vs {}", a.final_rules, b.final_rules));
+    if let Some(field) = ledger_fold(traced) {
+        findings.push(Finding::new("ledger-fold", format!("{what}: {field}")));
     }
-    None
+    if !osr && traced.osr != OsrEvents::default() {
+        findings.push(Finding::new(
+            "osr-while-disabled",
+            format!("{what}: OSR events {:?} recorded while disabled", traced.osr),
+        ));
+    }
 }
 
-/// Runs the full differential matrix for `spec`. Never panics on rule
-/// violations — they come back as findings; panics from the system under
-/// test are the caller's concern (see [`run_case_caught`]).
-pub fn run_case(spec: &FuzzSpec) -> CaseOutcome {
-    run_case_with(spec, false)
-}
-
-/// [`run_case`] with the telemetry registry optionally on in every matrix
-/// cell. Since the oracle compares runs field-by-field and the registry
-/// charges zero simulated cycles, `metrics: true` must produce the exact
-/// same outcome (fingerprint *and* findings) as `metrics: false` — the
-/// campaign-scale form of the PR-3 invariant, asserted by
-/// `tests/tests/telemetry.rs`.
-pub fn run_case_with(spec: &FuzzSpec, metrics: bool) -> CaseOutcome {
-    run_case_with_opts(spec, metrics, false)
-}
-
-/// [`run_case_with`] with deoptless dispatched OSR optionally layered onto
-/// the matrix: with `deoptless: true` every OSR-on cell runs with
-/// context-specialized version retention and dispatched transfers
-/// (DESIGN.md §16), widening the matrix to policy × OSR × deoptless ×
-/// async × chaos. OSR-off cells are untouched — deoptless without OSR is
-/// meaningless — so the `osr-while-disabled` rule still applies, and with
-/// `deoptless: false` the matrix (and its fingerprint) is byte-identical
-/// to the pre-deoptless campaign.
-pub fn run_case_with_opts(spec: &FuzzSpec, metrics: bool, deoptless: bool) -> CaseOutcome {
-    let opts = RunOpts { metrics, deoptless };
-    let mut out =
-        CaseOutcome { spec: spec.clone(), fingerprint: BTreeSet::new(), findings: Vec::new() };
-
-    let program = match build_fuzz(spec) {
-        Ok(w) => w.program,
-        Err(e) => {
-            out.findings.push(Finding::new("generator-error", format!("{e:?}")));
-            return out;
-        }
-    };
-    if let Err(e) = aoci_ir::typecheck::verify(&program) {
-        out.findings.push(Finding::new("typecheck-error", format!("{e:?}")));
-        return out;
+/// The reference and the matrix for `program`: its coverage and findings.
+fn matrix(
+    name: &str,
+    program: &Program,
+    policy: PolicyKind,
+    seed: u64,
+    opts: RunOpts,
+) -> (BTreeSet<String>, Vec<Finding>) {
+    let mut fingerprint = BTreeSet::new();
+    let mut findings = Vec::new();
+    if let Err(e) = aoci_ir::typecheck::verify(program) {
+        findings.push(Finding::new("typecheck-error", format!("{name}: {e:?}")));
+        return (fingerprint, findings);
     }
-
     let cost = CostModel { sample_period: 0, ..CostModel::default() };
-    let expected: Option<Value> = match Vm::new(&program, cost).run_to_completion() {
+    let expected = match Vm::new(program, cost).run_to_completion() {
         Ok(r) => r,
         Err(e) => {
-            out.findings.push(Finding::new("oracle-vm-error", format!("{e}")));
-            return out;
+            findings.push(Finding::new("oracle-vm-error", format!("{name}: {e}")));
+            return (fingerprint, findings);
         }
     };
-
-    let policy = policy_for(spec);
-    for cell in cells(spec.seed) {
+    for cell in cells(seed) {
         let (osr, async_on, ref fault) = cell;
         let what = format!(
-            "{}/{policy}/osr={osr}/deoptless={}/async={async_on}/chaos={}",
-            spec.name,
-            deoptless && osr,
+            "{name}/{policy}/osr={osr}/deoptless={}/async={async_on}/chaos={}",
+            opts.deoptless && osr,
             fault.is_some()
         );
-        let traced = AosSystem::new(&program, config(policy, &cell, opts, true)).run();
-        let untraced = AosSystem::new(&program, config(policy, &cell, opts, false)).run();
-        let (a, b) = match (traced, untraced) {
+        let traced = AosSystem::new(program, cell_config(policy, &cell, opts, true)).run();
+        let untraced = AosSystem::new(program, cell_config(policy, &cell, opts, false)).run();
+        let (mut a, b) = match (traced, untraced) {
             (Ok(a), Ok(b)) => (a, b),
             (Err(e), _) | (_, Err(e)) => {
-                out.findings.push(Finding::new(
+                findings.push(Finding::new(
                     "adaptive-vm-error",
                     format!("{what}: adaptive run faulted: {e}"),
                 ));
                 continue;
             }
         };
-
         if let Some(log) = &a.trace_log {
-            out.fingerprint.extend(log.coverage());
+            fingerprint.extend(log.coverage());
         }
-        if a.result != expected {
-            out.findings.push(Finding::new(
-                "oracle-divergence",
-                format!("{what}: result {:?} differs from oracle {:?}", a.result, expected),
-            ));
-        }
-        // Traced vs untraced, post-mortem dump scrubbed: one comparison
-        // proving same-seed bit-identity AND recorder zero-overhead.
-        let mut scrubbed = a.clone();
-        scrubbed.recovery.trace_dump.clear();
-        if let Some(field) = diff_reports(&scrubbed, &b) {
-            out.findings
-                .push(Finding::new("rerun-divergence", format!("{what}: {field}")));
-        }
-        if !osr && a.osr != OsrEvents::default() {
-            out.findings.push(Finding::new(
-                "osr-while-disabled",
-                format!("{what}: OSR events {:?} recorded while disabled", a.osr),
-            ));
-        }
+        a.recovery.trace_dump.clear();
+        check_cell(&what, osr, expected, &a, &b, &mut findings);
     }
-    out
+    (fingerprint, findings)
+}
+
+/// Runs `program` through the reference and the ±OSR × ±async × ±chaos
+/// matrix under `policy`, with `seed` as the chaos cells' fault seed;
+/// `name` starts every finding's detail. A rule violation comes back as a
+/// finding; a panic in the system under test propagates.
+pub fn run_program(
+    name: &str,
+    program: &Program,
+    policy: PolicyKind,
+    seed: u64,
+    opts: RunOpts,
+) -> Vec<Finding> {
+    matrix(name, program, policy, seed, opts).1
+}
+
+/// Builds `spec`'s program and runs it through the matrix under
+/// [`policy_for`] with the spec seed as the chaos seed.
+fn case(spec: &FuzzSpec, opts: RunOpts) -> CaseOutcome {
+    let (fingerprint, findings) = match build_fuzz(spec) {
+        Ok(w) => matrix(&spec.name, &w.program, policy_for(spec), spec.seed, opts),
+        Err(e) => (BTreeSet::new(), vec![Finding::new("generator-error", format!("{e:?}"))]),
+    };
+    CaseOutcome { spec: spec.clone(), fingerprint, findings }
+}
+
+/// Runs the full differential matrix for `spec` with default options.
+/// Never panics on rule violations — they come back as findings; panics
+/// from the system under test are the caller's concern (see
+/// [`run_case_caught`]).
+pub fn run_case(spec: &FuzzSpec) -> CaseOutcome {
+    case(spec, RunOpts::default())
 }
 
 /// [`run_case`] behind `catch_unwind`: a panic anywhere in the system
 /// under test becomes a `panic` finding instead of killing the campaign
 /// (or poisoning the job pool's result lock).
 pub fn run_case_caught(spec: &FuzzSpec) -> CaseOutcome {
-    run_case_caught_with(spec, false)
+    run_case_caught_with(spec, RunOpts::default())
 }
 
-/// [`run_case_caught`] with the telemetry registry optionally on (see
-/// [`run_case_with`]).
-pub fn run_case_caught_with(spec: &FuzzSpec, metrics: bool) -> CaseOutcome {
-    match catch_unwind(AssertUnwindSafe(|| run_case_with(spec, metrics))) {
-        Ok(outcome) => outcome,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("<non-string panic payload>");
-            CaseOutcome {
-                spec: spec.clone(),
-                fingerprint: BTreeSet::new(),
-                findings: vec![Finding::new("panic", format!("{}: {msg}", spec.name))],
-            }
+/// [`run_case_caught`] with [`RunOpts`]: the telemetry registry, deoptless
+/// dispatched OSR, or both. Metering must not change any outcome.
+pub fn run_case_caught_with(spec: &FuzzSpec, opts: RunOpts) -> CaseOutcome {
+    caught(spec, || case(spec, opts))
+}
+
+/// Runs `run` behind `catch_unwind`, turning a panic into the case's one
+/// `panic` finding.
+fn caught(spec: &FuzzSpec, run: impl FnOnce() -> CaseOutcome) -> CaseOutcome {
+    catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("<non-string panic payload>");
+        CaseOutcome {
+            spec: spec.clone(),
+            fingerprint: BTreeSet::new(),
+            findings: vec![Finding::new("panic", format!("{}: {msg}", spec.name))],
         }
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sampler::sample_spec;
+
+    fn with(metrics: bool, deoptless: bool) -> RunOpts {
+        RunOpts { metrics, deoptless }
+    }
 
     #[test]
     fn a_minimal_case_is_clean_and_deterministic() {
@@ -347,8 +431,9 @@ mod tests {
         // charges no simulated cycles, so the full differential matrix
         // is blind to it.
         let spec = sample_spec(1, 0);
-        let plain = run_case_with(&spec, false);
-        let metered = run_case_with(&spec, true);
+        let plain = run_case_caught_with(&spec, with(false, false));
+        let metered = run_case_caught_with(&spec, with(true, false));
+        assert!(metered.clean(), "findings: {:?}", metered.findings);
         assert_eq!(plain.findings, metered.findings);
         assert_eq!(plain.fingerprint, metered.fingerprint);
     }
@@ -360,8 +445,8 @@ mod tests {
         // result-equivalence against the reference VM and bit-identical
         // same-seed reruns.
         let spec = sample_spec(1, 0);
-        let a = run_case_with_opts(&spec, false, true);
-        let b = run_case_with_opts(&spec, false, true);
+        let a = run_case_caught_with(&spec, with(false, true));
+        let b = run_case_caught_with(&spec, with(false, true));
         assert!(a.clean(), "findings: {:?}", a.findings);
         assert_eq!(a.fingerprint, b.fingerprint);
         // OSR-out of a fused superinstruction region must dispatch as it
@@ -412,7 +497,7 @@ mod tests {
         // (and the committed corpus.json) cannot move.
         let spec = sample_spec(2, 1);
         let default_path = run_case(&spec);
-        let explicit_off = run_case_with_opts(&spec, false, false);
+        let explicit_off = run_case_caught_with(&spec, with(false, false));
         assert_eq!(default_path.findings, explicit_off.findings);
         assert_eq!(default_path.fingerprint, explicit_off.fingerprint);
     }
@@ -431,15 +516,52 @@ mod tests {
 
     #[test]
     fn caught_runner_converts_panics_to_findings() {
-        // A spec is just data; panic conversion is tested via a poisoned
-        // closure stand-in: force a panic through the catch path by
-        // running a case against a spec whose generator we make panic is
-        // not possible from here, so assert the pass-through contract on
-        // a clean case instead.
         let spec = FuzzSpec::minimal("caught", 3);
         let direct = run_case(&spec);
-        let caught = run_case_caught(&spec);
-        assert_eq!(direct.findings, caught.findings);
-        assert_eq!(direct.fingerprint, caught.fingerprint);
+        let passed = caught(&spec, || direct.clone());
+        assert_eq!((passed.findings, passed.fingerprint), (direct.findings, direct.fingerprint));
+        let detail = |run: fn() -> CaseOutcome| {
+            let out = caught(&spec, run);
+            assert!(out.fingerprint.is_empty());
+            assert_eq!(out.findings.len(), 1);
+            assert_eq!(out.findings[0].kind, "panic");
+            out.findings[0].detail.clone()
+        };
+        assert_eq!(detail(|| panic!("formatted {}", 7)), "caught: formatted 7");
+        assert_eq!(detail(|| panic!("a literal")), "caught: a literal");
+        assert_eq!(
+            detail(|| std::panic::panic_any(7u32)),
+            "caught: <non-string panic payload>"
+        );
+    }
+
+    #[test]
+    fn each_check_fires_on_its_own_doctored_field() {
+        let spec = sample_spec(1, 0);
+        let program = build_fuzz(&spec).expect("campaign 1 specs build").program;
+        let cell = (true, true, Some(FaultConfig::chaos(spec.seed)));
+        let run = |traced| {
+            let c = cell_config(policy_for(&spec), &cell, RunOpts::default(), traced);
+            AosSystem::new(&program, c).run().expect("the case runs clean")
+        };
+        let (mut a, b) = (run(true), run(false));
+        a.recovery.trace_dump.clear();
+        let expected = a.result;
+        let kinds = |osr, expected: Option<Value>, a: &AosReport, b: &AosReport| {
+            let mut findings = Vec::new();
+            check_cell("cell", osr, expected, a, b, &mut findings);
+            findings.into_iter().map(|f| f.kind).collect::<Vec<_>>()
+        };
+        assert!(kinds(true, expected, &a, &b).is_empty());
+        assert_eq!(kinds(true, Some(Value::Int(i64::MIN)), &a, &b), ["oracle-divergence"]);
+        let mut moved = b.clone();
+        moved.current_optimized_size += 1;
+        assert_eq!(kinds(true, expected, &a, &moved), ["rerun-divergence"]);
+        let (mut a2, mut b2) = (a.clone(), b.clone());
+        a2.recovery.invalidations += 1;
+        b2.recovery.invalidations += 1;
+        assert_eq!(kinds(true, expected, &a2, &b2), ["ledger-fold"]);
+        assert_ne!(a.osr, OsrEvents::default(), "the OSR-on cell promotes");
+        assert_eq!(kinds(false, expected, &a, &b), ["osr-while-disabled"]);
     }
 }

@@ -5,10 +5,9 @@
 //! allocator: a `clone` that creeps back into one of them moves the counts
 //! by whole multiples of the sample count, far past the slack pinned here.
 
-use aoci_aos::{AosConfig, AosSystem};
-use aoci_fuzz::oracle::policy_for;
+use aoci_aos::AosSystem;
+use aoci_fuzz::oracle::{config, policy_for};
 use aoci_fuzz::sample_spec;
-use aoci_vm::CostModel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,18 +60,6 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// `benchmark/src/workload.rs::dense_config` with OSR, async compile, faults
-/// and the recorder off.
-fn control_dense_config(policy: aoci_core::PolicyKind) -> AosConfig {
-    let mut c = AosConfig::new(policy).enable_guard_monitoring();
-    c.cost = CostModel { sample_period: 2_003, ..CostModel::default() };
-    c.hot_method_samples = 2;
-    c.organizer_period_samples = 4;
-    c.missing_edge_period_samples = 8;
-    c.vm.osr_backedge_threshold = 48;
-    c
-}
-
 /// Calls into the allocator one run may make per timer sample and per
 /// optimizing compile. Both divide the same total, so either fails when a
 /// sample, an organizer tick or a compile step starts cloning again. The
@@ -87,7 +74,9 @@ fn one_control_dense_run_stays_inside_its_allocation_budget() {
     // The campaign-1 program with the most compiles of the first 60.
     let spec = sample_spec(1, 1);
     let program = aoci_workloads::build_fuzz(&spec).expect("campaign 1 specs build").program;
-    let system = AosSystem::new(&program, control_dense_config(policy_for(&spec)));
+    // The oracle's configuration, which `control_dense` copies, with OSR,
+    // async compile, faults and the recorder off.
+    let system = AosSystem::new(&program, config(policy_for(&spec)));
     COUNTING.with(|c| c.set(true));
     let report = system.run();
     COUNTING.with(|c| c.set(false));

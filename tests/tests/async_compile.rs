@@ -1,11 +1,11 @@
-//! Asynchronous background compilation through the differential oracle.
+//! Asynchronous background compilation outside the differential oracle.
+//! The oracle (`aoci_fuzz::oracle`) runs every cell of its matrix with and
+//! without the background scheduler, so result equivalence and same-seed
+//! reproducibility are its job; two properties stay here:
 //!
-//! Two properties anchor the subsystem:
-//!
-//! * **Reproducibility.** A genuinely concurrent configuration (multiple
-//!   workers, real compile latency) runs on the same deterministic
-//!   simulated clock, so same-seed reruns are bit-identical across the
-//!   policy × OSR × chaos matrix.
+//! * **Accounting.** In a faultless, OSR-less run the compilation thread
+//!   is charged exactly the booked stall, and compiles really overlap
+//!   execution.
 //! * **Pinned schedules.** The foreground and the background scheduler
 //!   share one way to compile and differ in order, charging and events —
 //!   all of which key the fault injector's draw sequence. One chaos run of
@@ -13,17 +13,12 @@
 //!   ([`chaos_runs_match_the_parent_commit`]).
 
 use aoci_aos::{
-    AosConfig, AosReport, AosSystem, AsyncCompileConfig, AsyncCompileEvents, FaultConfig,
-    RecoveryEvents, TraceConfig,
+    AosConfig, AosReport, AosSystem, AsyncCompileEvents, FaultConfig, RecoveryEvents, TraceConfig,
 };
 use aoci_core::PolicyKind;
-use aoci_vm::{Component, CostModel, Value, Vm, COMPONENTS};
+use aoci_fuzz::oracle;
+use aoci_vm::Component;
 use aoci_workloads::{build, spec_by_name, WorkloadSpec};
-
-fn oracle_seed() -> u64 {
-    // Through the unified knob registry — no scattered env parsing.
-    aoci_bench::EnvConfig::from_env().oracle_seed
-}
 
 fn small(name: &str) -> WorkloadSpec {
     let mut spec = spec_by_name(name).expect("suite workload");
@@ -31,120 +26,28 @@ fn small(name: &str) -> WorkloadSpec {
     spec
 }
 
-fn oracle_result(program: &aoci_ir::Program) -> Option<Value> {
-    let cost = CostModel { sample_period: 0, ..CostModel::default() };
-    Vm::new(program, cost)
-        .run_to_completion()
-        .expect("oracle run succeeds")
-}
-
-/// The differential-oracle configuration (same knobs as
-/// `differential_oracle.rs`), synchronous compilation.
-fn sync_config(policy: PolicyKind, osr: bool, fault: Option<FaultConfig>) -> AosConfig {
-    let mut c = if osr { AosConfig::new(policy).enable_osr() } else { AosConfig::new(policy) };
-    c.cost = CostModel { sample_period: 2_003, ..CostModel::default() };
-    c.hot_method_samples = 2;
-    c.organizer_period_samples = 4;
-    c.missing_edge_period_samples = 8;
-    c.vm.osr_backedge_threshold = 48;
-    c.recovery.monitor_guard_health = true;
-    c.fault = fault;
-    c
-}
-
-/// A genuinely concurrent pool (the `AosConfig::enable_async_compile`
-/// defaults: two workers, bounded queue, real compile latency).
-fn concurrent(mut c: AosConfig) -> AosConfig {
-    c.async_compile = Some(AsyncCompileConfig::default());
-    c
-}
-
 fn run(program: &aoci_ir::Program, c: AosConfig) -> AosReport {
     AosSystem::new(program, c).run().expect("adaptive run succeeds")
 }
 
-/// Asserts every metric of the two reports matches bit-for-bit (the async
-/// activity ledger and the compilation log are compared by the caller).
-fn assert_metrics_identical(a: &AosReport, b: &AosReport, what: &str) {
-    assert_eq!(a.result, b.result, "{what}: result diverged");
-    for c in COMPONENTS {
-        assert_eq!(a.clock.component(c), b.clock.component(c), "{what}: component {c} diverged");
-    }
-    assert_eq!(a.total_cycles(), b.total_cycles(), "{what}: cycle totals diverged");
-    assert_eq!(a.optimized_code_size, b.optimized_code_size, "{what}: code size diverged");
-    assert_eq!(
-        a.current_optimized_size, b.current_optimized_size,
-        "{what}: current size diverged"
-    );
-    assert_eq!(a.opt_compilations, b.opt_compilations, "{what}: opt compilations diverged");
-    assert_eq!(
-        a.baseline_compilations, b.baseline_compilations,
-        "{what}: baseline compilations diverged"
-    );
-    assert_eq!(a.samples, b.samples, "{what}: sample counts diverged");
-    assert_eq!(a.traces_recorded, b.traces_recorded, "{what}: trace counts diverged");
-    assert_eq!(a.frames_walked, b.frames_walked, "{what}: frames walked diverged");
-    assert_eq!(a.dcg_entries, b.dcg_entries, "{what}: DCG sizes diverged");
-    assert_eq!(a.final_rules, b.final_rules, "{what}: rule counts diverged");
-    assert_eq!(a.trace_stats, b.trace_stats, "{what}: trace stats diverged");
-    assert_eq!(a.counters, b.counters, "{what}: exec counters diverged");
-    assert_eq!(a.recovery, b.recovery, "{what}: recovery events diverged");
-    assert_eq!(a.osr, b.osr, "{what}: OSR events diverged");
-}
-
-const ALL_POLICIES: [PolicyKind; 3] = [
-    PolicyKind::ContextInsensitive,
-    PolicyKind::Fixed { max: 3 },
-    PolicyKind::AdaptiveResolving { max: 3 },
-];
-
-/// Concurrent async runs stay deterministic across the policy × OSR × chaos
-/// matrix, reproduce the oracle's program result, and actually overlap
-/// compilation with execution on at least one configuration.
-#[test]
-fn concurrent_async_is_reproducible_and_overlaps() {
-    let seed = oracle_seed();
-    let w = build(&small("compress"));
-    let expected = oracle_result(&w.program);
-    let mut any_overlap = 0u64;
-    for policy in ALL_POLICIES {
-        for osr in [false, true] {
-            for fault in [None, Some(FaultConfig::chaos(seed))] {
-                let what = format!(
-                    "compress/{policy}/osr={osr}/fault={}/seed={seed}/async",
-                    fault.is_some()
-                );
-                let a = run(&w.program, concurrent(sync_config(policy, osr, fault.clone())));
-                let b = run(&w.program, concurrent(sync_config(policy, osr, fault.clone())));
-                assert_eq!(a.result, expected, "{what}: diverged from the oracle");
-                assert_metrics_identical(&a, &b, &what);
-                assert_eq!(a.compilations, b.compilations, "{what}: compilation logs diverged");
-                assert_eq!(a.async_compile, b.async_compile, "{what}: async ledgers diverged");
-                any_overlap += a.async_compile.background_overlap_cycles;
-            }
-        }
-    }
-    assert!(
-        any_overlap > 0,
-        "at least one concurrent configuration should overlap compiles with execution"
-    );
-}
-
 /// The overlap/stall split accounts for every compilation-thread cycle in a
-/// faultless, OSR-less async run: the thread is only ever charged the stall.
+/// faultless, OSR-less async run: the thread is only ever charged the
+/// stall, and some compile work really ran beside the application.
 #[test]
 fn async_stall_accounts_for_all_compile_cycles() {
     for name in ["mtrt", "jess"] {
         let w = build(&small(name));
-        let report = run(
-            &w.program,
-            concurrent(sync_config(PolicyKind::Fixed { max: 3 }, false, None)),
-        );
+        let c = oracle::config(PolicyKind::Fixed { max: 3 }).enable_async_compile();
+        let report = run(&w.program, c);
         let ev = report.async_compile;
         assert_eq!(
             report.compile_cycles(),
             ev.foreground_stall_cycles,
             "{name}: compilation-thread cycles must equal the booked stall: {ev:?}"
+        );
+        assert!(
+            ev.background_overlap_cycles > 0,
+            "{name}: background compiles must overlap execution: {ev:?}"
         );
         assert!(
             ev.dispatched >= ev.completed,
@@ -208,7 +111,11 @@ fn pinned(program: &aoci_ir::Program, c: AosConfig) -> Pinned {
 #[test]
 fn chaos_runs_match_the_parent_commit() {
     let w = build(&small("compress"));
-    let config = || sync_config(PolicyKind::Fixed { max: 3 }, true, Some(FaultConfig::chaos(42)));
+    let config = || {
+        oracle::config(PolicyKind::Fixed { max: 3 })
+            .enable_osr()
+            .enable_faults(FaultConfig::chaos(42))
+    };
     let foreground = Pinned {
         total_cycles: 5_243_953,
         compilation_thread: 3_314_250,
@@ -279,5 +186,6 @@ fn chaos_runs_match_the_parent_commit() {
         ],
         trace_fold: 0xad56_a613_e747_ec15,
     };
-    assert_eq!(pinned(&w.program, concurrent(config())), background, "background scheduler");
+    let background_run = pinned(&w.program, config().enable_async_compile());
+    assert_eq!(background_run, background, "background scheduler");
 }

@@ -5,10 +5,10 @@
 //! reorders *when* work happens on the wall clock, never *what* any job
 //! computes or the order results are merged in.
 
-use aoci_aos::{AosConfig, FaultConfig};
+use aoci_aos::FaultConfig;
 use aoci_bench::{policy_label, run_one, sweep_into, EnvConfig, GridStore};
 use aoci_core::PolicyKind;
-use aoci_vm::CostModel;
+use aoci_fuzz::oracle;
 use aoci_workloads::{build, spec_by_name, WorkloadSpec};
 
 /// Worker counts the determinism contract is asserted over.
@@ -114,9 +114,8 @@ fn run_one_rep_loop_is_worker_count_invariant() {
     }
 }
 
-/// The differential-oracle matrix — policy × ±OSR × ±chaos, the same shape
-/// `differential_oracle.rs` runs — serializes to byte-identical reports
-/// for any worker count.
+/// Policy × ±OSR × ±chaos under the differential oracle's configuration
+/// serializes to byte-identical reports for any worker count.
 #[test]
 fn oracle_reports_are_byte_identical_across_job_counts() {
     let w = build(&small("compress"));
@@ -133,18 +132,13 @@ fn oracle_reports_are_byte_identical_across_job_counts() {
         let env = env_with_jobs(jobs);
         env.pool()
             .map(cells.clone(), |&(policy, osr, chaos)| {
-                let mut c = AosConfig::new(policy).enable_guard_monitoring();
+                let mut c = oracle::config(policy);
                 if osr {
                     c = c.enable_osr();
                 }
                 if chaos {
                     c = c.enable_faults(FaultConfig::chaos(seed));
                 }
-                c.cost = CostModel { sample_period: 2_003, ..CostModel::default() };
-                c.hot_method_samples = 2;
-                c.organizer_period_samples = 4;
-                c.missing_edge_period_samples = 8;
-                c.vm.osr_backedge_threshold = 48;
                 let report = aoci_aos::AosSystem::new(&w.program, c).run().expect("runs");
                 format!("{policy}/osr={osr}/chaos={chaos}: {}\n", aoci_json::to_string(&report.to_value()))
             })
