@@ -505,7 +505,7 @@ impl<'p> AosSystem<'p> {
         let clock = self.vm.clock();
         sink.counter_set("cycles_total", clock.total());
         for c in COMPONENTS {
-            sink.counter_set(&format!("cycles_{}", c.slug()), clock.component(c));
+            sink.counter_set(c.metric_name(), clock.component(c));
         }
         let registry = self.vm.registry();
         sink.gauge_set("compile_queue_depth", self.pending_plans.len() as u64);

@@ -409,7 +409,7 @@ impl AosSystem<'_> {
             }
             sink.counter_add("inline_refusals", compilation.refusals.len() as u64);
             for r in &compilation.refusals {
-                sink.counter_add(&format!("inline_refusals_{}", r.reason.slug()), 1);
+                sink.counter_add(r.reason.metric_name(), 1);
             }
             sink.observe("compile_cost_cycles", cost);
             sink.observe("compile_generated_size", u64::from(compilation.generated_size));

@@ -48,8 +48,7 @@ pub fn write_text(path: &Path, contents: &str) -> Result<(), ExportError> {
 pub fn to_jsonl(label: &str, log: &MetricsLog) -> String {
     use aoci_json::Value;
     let mut out = String::new();
-    for snap in &log.series {
-        let mut v = snap.to_value();
+    for mut v in log.series.to_values() {
         if let Value::Obj(map) = &mut v {
             map.insert("kind".to_string(), Value::from("epoch"));
             map.insert("run".to_string(), Value::from(label));

@@ -8,8 +8,8 @@
 //! Every value in a [`MetricsLog`] ([`registry`], [`histogram`]) is derived
 //! from simulated-clock state — cycle counts, queue depths, code sizes,
 //! event counters. Recording charges **zero simulated cycles** (the
-//! registry, owned by the driver, is invisible to the run), all
-//! maps are `BTreeMap`s, and snapshots fire on sample-tick cadences — so a
+//! registry, owned by the driver, is invisible to the run), every reader
+//! walks names in byte order, and snapshots fire on sample-tick cadences — so a
 //! metrics-on run produces byte-identical primary artifacts
 //! (`results/grid.json`, the fuzz corpus) to a metrics-off run, and the
 //! snapshots themselves are bit-identical across same-seed reruns at any
@@ -26,4 +26,4 @@ pub mod registry;
 
 pub use export::{dashboard, sparkline, to_jsonl, to_prometheus, write_text, ExportError};
 pub use histogram::{bucket_bounds, bucket_index, Histogram, BUCKETS};
-pub use registry::{EpochSnapshot, MetricsConfig, MetricsLog, MetricsRegistry};
+pub use registry::{MetricsConfig, MetricsLog, MetricsRegistry, Series};

@@ -5,8 +5,9 @@
 //! holds the very [`MetricsLog`] the report carries — plain data, `Send`,
 //! so parallel sweep pools can move it across workers — which
 //! [`MetricsRegistry::into_log`] moves out at the end of the run. Recording
-//! charges **no simulated cycles** and reads no wall clock; every container
-//! is a `BTreeMap`, so serialization order is deterministic.
+//! charges **no simulated cycles** and reads no wall clock; the final maps
+//! are `BTreeMap`s and the time series ([`Series`]) is read in the same
+//! byte order of names, so serialization order is deterministic.
 
 use crate::histogram::Histogram;
 use aoci_json::Value;
@@ -28,38 +29,116 @@ impl Default for MetricsConfig {
     }
 }
 
-/// One per-epoch time-series snapshot: every counter and gauge, frozen at
-/// a simulated-clock instant.
+/// One family's names (counters or gauges) for a whole run: a name's id is
+/// the order it was first recorded in, and it never leaves.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct EpochSnapshot {
-    /// 0-based snapshot index.
-    pub epoch: u64,
-    /// Timer samples taken when the snapshot fired.
-    pub sample_tick: u64,
-    /// Simulated cycles when the snapshot fired.
-    pub cycle: u64,
-    /// Cumulative counters at the instant.
-    pub counters: BTreeMap<String, u64>,
-    /// Instantaneous gauges at the instant.
-    pub gauges: BTreeMap<String, u64>,
+struct NameTable {
+    /// Names, by id.
+    names: Vec<String>,
+    /// Ids in the byte order of their names: the order the family's
+    /// `BTreeMap` iterates in, and the one every reader walks.
+    by_name: Vec<usize>,
 }
 
-impl EpochSnapshot {
-    /// Serializes to a (flat) `aoci-json` object.
-    pub fn to_value(&self) -> Value {
-        Value::obj([
-            ("epoch".to_string(), Value::from(self.epoch)),
-            ("sample_tick".to_string(), Value::from(self.sample_tick)),
-            ("cycle".to_string(), Value::from(self.cycle)),
-            (
-                "counters".to_string(),
-                Value::Obj(self.counters.iter().map(|(k, &v)| (k.clone(), Value::from(v))).collect()),
-            ),
-            (
-                "gauges".to_string(),
-                Value::Obj(self.gauges.iter().map(|(k, &v)| (k.clone(), Value::from(v))).collect()),
-            ),
-        ])
+impl NameTable {
+    fn search(&self, name: &str) -> Result<usize, usize> {
+        self.by_name.binary_search_by(|&id| self.names[id].as_str().cmp(name))
+    }
+
+    fn add(&mut self, name: &str) {
+        if let Err(at) = self.search(name) {
+            self.by_name.insert(at, self.names.len());
+            self.names.push(name.to_string());
+        }
+    }
+
+    fn id(&self, name: &str) -> Option<usize> {
+        self.search(name).ok().map(|at| self.by_name[at])
+    }
+
+    /// A row's `(name, value)` pairs in byte order: every name whose id the
+    /// row is wide enough to hold.
+    fn walk<'a>(&'a self, row: &'a [u64]) -> impl Iterator<Item = (&'a str, u64)> + 'a {
+        self.by_name.iter().filter_map(move |&id| Some((self.names[id].as_str(), *row.get(id)?)))
+    }
+}
+
+/// When one epoch fired, and its row's widths: how many counter and gauge
+/// ids existed at the instant.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct EpochHeader {
+    sample_tick: u64,
+    cycle: u64,
+    counters: usize,
+    gauges: usize,
+}
+
+/// The per-epoch time series as rows of values over the run's two name
+/// tables: an epoch appends the current value of every counter id, then of
+/// every gauge id, known so far. Ids only grow, so a row's widths say which
+/// names it holds. Equal feed sequences give equal series.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Series {
+    counter_names: NameTable,
+    gauge_names: NameTable,
+    epochs: Vec<EpochHeader>,
+    /// Every epoch's row, back to back.
+    values: Vec<u64>,
+}
+
+impl Series {
+    /// Snapshots taken.
+    pub fn len(&self) -> usize {
+        self.epochs.len()
+    }
+
+    /// True before the first snapshot.
+    pub fn is_empty(&self) -> bool {
+        self.epochs.is_empty()
+    }
+
+    /// Each epoch as the flat `aoci-json` object of its snapshot, in epoch
+    /// order.
+    pub(crate) fn to_values(&self) -> impl Iterator<Item = Value> + '_ {
+        let obj = |table: &NameTable, row| {
+            Value::Obj(table.walk(row).map(|(k, v)| (k.to_string(), Value::from(v))).collect())
+        };
+        self.rows().zip(0u64..).map(move |((h, counters, gauges), epoch)| {
+            Value::obj([
+                ("epoch".to_string(), Value::from(epoch)),
+                ("sample_tick".to_string(), Value::from(h.sample_tick)),
+                ("cycle".to_string(), Value::from(h.cycle)),
+                ("counters".to_string(), obj(&self.counter_names, counters)),
+                ("gauges".to_string(), obj(&self.gauge_names, gauges)),
+            ])
+        })
+    }
+
+    /// Each epoch with its counter row and its gauge row.
+    fn rows(&self) -> impl Iterator<Item = (&EpochHeader, &[u64], &[u64])> {
+        let mut rest = &self.values[..];
+        self.epochs.iter().map(move |h| {
+            let (counters, tail) = rest.split_at(h.counters);
+            let (gauges, tail) = tail.split_at(h.gauges);
+            rest = tail;
+            (h, counters, gauges)
+        })
+    }
+
+    /// Appends one row from the counter and the gauge map: each family's
+    /// values, moved from the byte order of its map (whose names are exactly
+    /// its table's) into id order.
+    fn push(&mut self, sample_tick: u64, cycle: u64, maps: [&BTreeMap<String, u64>; 2]) {
+        let [counters, gauges] = maps.map(BTreeMap::len);
+        self.epochs.push(EpochHeader { sample_tick, cycle, counters, gauges });
+        for (table, map) in [&self.counter_names, &self.gauge_names].into_iter().zip(maps) {
+            debug_assert_eq!(table.names.len(), map.len(), "a name recorded past its table");
+            let start = self.values.len();
+            self.values.resize(start + map.len(), 0);
+            for (&id, &v) in table.by_name.iter().zip(map.values()) {
+                self.values[start + id] = v;
+            }
+        }
     }
 }
 
@@ -84,18 +163,24 @@ impl MetricsRegistry {
 
     /// Adds `delta` to counter `name` (event-driven counters).
     pub fn counter_add(&mut self, name: &str, delta: u64) {
-        update(&mut self.log.counters, name, |c| *c += delta);
+        if update(&mut self.log.counters, name, |c| *c += delta) {
+            self.log.series.counter_names.add(name);
+        }
     }
 
     /// Sets counter `name` to the cumulative value `v` (counters sampled
     /// from authoritative state rather than accumulated event by event).
     pub fn counter_set(&mut self, name: &str, v: u64) {
-        update(&mut self.log.counters, name, |c| *c = v);
+        if update(&mut self.log.counters, name, |c| *c = v) {
+            self.log.series.counter_names.add(name);
+        }
     }
 
     /// Sets gauge `name` to `v`.
     pub fn gauge_set(&mut self, name: &str, v: u64) {
-        update(&mut self.log.gauges, name, |g| *g = v);
+        if update(&mut self.log.gauges, name, |g| *g = v) {
+            self.log.series.gauge_names.add(name);
+        }
     }
 
     /// Records `v` into histogram `name`.
@@ -103,16 +188,11 @@ impl MetricsRegistry {
         update(&mut self.log.histograms, name, |h| h.observe(v));
     }
 
-    /// Freezes the current counters and gauges into the next time-series
-    /// snapshot.
+    /// Appends the current counters and gauges to the time series as the
+    /// next epoch's row.
     pub fn snapshot(&mut self, sample_tick: u64, cycle: u64) {
-        self.log.series.push(EpochSnapshot {
-            epoch: self.log.series.len() as u64,
-            sample_tick,
-            cycle,
-            counters: self.log.counters.clone(),
-            gauges: self.log.gauges.clone(),
-        });
+        let log = &mut self.log;
+        log.series.push(sample_tick, cycle, [&log.counters, &log.gauges]);
     }
 
     /// Snapshots taken so far.
@@ -127,12 +207,17 @@ impl MetricsRegistry {
 }
 
 /// Applies `f` to the value under `name`, default-inserted on first use:
-/// the name is copied only then, not once per recording.
-fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+/// the name is copied only then, not once per recording. True when the
+/// name is new.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) -> bool {
     match map.get_mut(name) {
         Some(v) => f(v),
-        None => f(map.entry(name.to_string()).or_default()),
+        None => {
+            f(map.entry(name.to_string()).or_default());
+            return true;
+        }
     }
+    false
 }
 
 /// The owned end-of-run metrics snapshot a report carries: the full
@@ -143,7 +228,7 @@ pub struct MetricsLog {
     /// Epoch length in samples the series was recorded under.
     pub epoch_samples: u64,
     /// Per-epoch snapshots, in epoch order.
-    pub series: Vec<EpochSnapshot>,
+    pub series: Series,
     /// Final cumulative counters.
     pub counters: BTreeMap<String, u64>,
     /// Final gauges.
@@ -154,24 +239,21 @@ pub struct MetricsLog {
 
 impl MetricsLog {
     /// The per-epoch values of series `name` — a gauge (raw value per
-    /// epoch) or counter (cumulative value per epoch) — or `None` if no
-    /// snapshot carries it.
+    /// epoch) or counter (cumulative value per epoch), the gauge where an
+    /// epoch has both — or `None` if no snapshot carries it.
     pub fn series_of(&self, name: &str) -> Option<Vec<u64>> {
-        let values: Vec<u64> = self
-            .series
-            .iter()
-            .map(|s| {
-                s.gauges
-                    .get(name)
-                    .or_else(|| s.counters.get(name))
-                    .copied()
-                    .unwrap_or(0)
+        let series = &self.series;
+        let (counter, gauge) = (series.counter_names.id(name), series.gauge_names.id(name));
+        let at = |row: &[u64], id: Option<usize>| row.get(id?).copied();
+        let mut known = false;
+        let values = series
+            .rows()
+            .map(|(_, counters, gauges)| {
+                let v = at(gauges, gauge).or_else(|| at(counters, counter));
+                known |= v.is_some();
+                v.unwrap_or(0)
             })
             .collect();
-        let known = self
-            .series
-            .iter()
-            .any(|s| s.gauges.contains_key(name) || s.counters.contains_key(name));
         known.then_some(values)
     }
 
@@ -197,10 +279,7 @@ impl MetricsLog {
     pub fn to_value(&self) -> Value {
         Value::obj([
             ("epoch_samples".to_string(), Value::from(self.epoch_samples)),
-            (
-                "series".to_string(),
-                Value::Arr(self.series.iter().map(EpochSnapshot::to_value).collect()),
-            ),
+            ("series".to_string(), Value::Arr(self.series.to_values().collect())),
             (
                 "counters".to_string(),
                 Value::Obj(self.counters.iter().map(|(k, &v)| (k.clone(), Value::from(v))).collect()),
@@ -243,10 +322,7 @@ mod tests {
     fn snapshots_freeze_counters_at_their_instant() {
         let log = populated();
         assert_eq!(log.series.len(), 2);
-        assert_eq!(log.series[0].counters["inline_decisions"], 3);
-        assert_eq!(log.series[1].counters["inline_decisions"], 4);
-        assert_eq!(log.series[0].gauges["compile_queue_depth"], 2);
-        assert_eq!(log.series[1].gauges["compile_queue_depth"], 0);
+        assert_eq!(log.series_of("compile_queue_depth"), Some(vec![2, 0]));
         assert_eq!(log.counters["inline_decisions"], 4);
         assert_eq!(log.histograms["compile_cost_cycles"].count(), 2);
         assert_eq!(log.series_of("inline_decisions"), Some(vec![3, 4]));

@@ -181,8 +181,8 @@ pub enum RefusalReason {
 }
 
 impl RefusalReason {
-    /// A stable `snake_case` identifier for metric names
-    /// (`inline_refusals_<slug>` in the telemetry registry).
+    /// A stable `snake_case` identifier for metric names (the suffix of
+    /// [`RefusalReason::metric_name`]).
     pub fn slug(self) -> &'static str {
         match self {
             RefusalReason::TooLarge => "too_large",
@@ -191,6 +191,20 @@ impl RefusalReason {
             RefusalReason::Recursive => "recursive",
             RefusalReason::NotHot => "not_hot",
             RefusalReason::GuardLimit => "guard_limit",
+        }
+    }
+
+    /// The telemetry counter of refusals for this reason:
+    /// `inline_refusals_<slug>`, spelled out so that recording it allocates
+    /// nothing.
+    pub fn metric_name(self) -> &'static str {
+        match self {
+            RefusalReason::TooLarge => "inline_refusals_too_large",
+            RefusalReason::DepthExceeded => "inline_refusals_depth_exceeded",
+            RefusalReason::ExpansionExceeded => "inline_refusals_expansion_exceeded",
+            RefusalReason::Recursive => "inline_refusals_recursive",
+            RefusalReason::NotHot => "inline_refusals_not_hot",
+            RefusalReason::GuardLimit => "inline_refusals_guard_limit",
         }
     }
 
@@ -855,5 +869,13 @@ mod tests {
             cycles: 1234,
         };
         assert_eq!(e.render(&resolve), e.render(&resolve));
+    }
+
+    #[test]
+    fn refusal_metric_names_are_the_prefix_and_the_slug() {
+        use RefusalReason::*;
+        for r in [TooLarge, DepthExceeded, ExpansionExceeded, Recursive, NotHot, GuardLimit] {
+            assert_eq!(r.metric_name(), format!("inline_refusals_{}", r.slug()));
+        }
     }
 }

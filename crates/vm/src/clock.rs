@@ -81,8 +81,8 @@ impl Component {
         self as usize
     }
 
-    /// A stable `snake_case` identifier for metric names
-    /// (`cycles_<slug>` in the telemetry registry).
+    /// A stable `snake_case` identifier for metric names (the suffix of
+    /// [`Component::metric_name`]).
     pub fn slug(self) -> &'static str {
         match self {
             Component::Listeners => "listeners",
@@ -97,6 +97,25 @@ impl Component {
             Component::AppBaseline => "app_baseline",
             Component::AppOptimized => "app_optimized",
             Component::BaselineCompilation => "baseline_compilation",
+        }
+    }
+
+    /// The telemetry counter of the cycles charged to this component:
+    /// `cycles_<slug>`, spelled out so that recording it allocates nothing.
+    pub fn metric_name(self) -> &'static str {
+        match self {
+            Component::Listeners => "cycles_listeners",
+            Component::CompilationThread => "cycles_compilation_thread",
+            Component::DecayOrganizer => "cycles_decay_organizer",
+            Component::AiOrganizer => "cycles_ai_organizer",
+            Component::MethodSampleOrganizer => "cycles_method_sample_organizer",
+            Component::ControllerThread => "cycles_controller_thread",
+            Component::MissingEdgeOrganizer => "cycles_missing_edge_organizer",
+            Component::Recovery => "cycles_recovery",
+            Component::Osr => "cycles_osr",
+            Component::AppBaseline => "cycles_app_baseline",
+            Component::AppOptimized => "cycles_app_optimized",
+            Component::BaselineCompilation => "cycles_baseline_compilation",
         }
     }
 
@@ -212,6 +231,13 @@ mod tests {
     fn zero_total_fraction_is_zero() {
         let c = Clock::new();
         assert_eq!(c.fraction(Component::Listeners), 0.0);
+    }
+
+    #[test]
+    fn metric_names_are_cycles_and_the_slug() {
+        for c in COMPONENTS {
+            assert_eq!(c.metric_name(), format!("cycles_{}", c.slug()));
+        }
     }
 
     #[test]

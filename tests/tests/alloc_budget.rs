@@ -1,31 +1,33 @@
-//! Allocation budget of the control plane (DESIGN.md §17): one fixed fuzz
-//! program through `AosSystem::run` under the benchmark's `control_dense`
-//! configuration, with every call into the allocator counted. The budgets
-//! are what keeps a sample, an organizer tick and a compile step off the
-//! allocator: a `clone` that creeps back into one of them moves the counts
-//! by whole multiples of the sample count, far past the slack pinned here.
+//! Allocation budget of the control plane (DESIGN.md §17) and of metering
+//! (§14): one fixed fuzz program through `AosSystem::run` under the
+//! benchmark's `control_dense` configuration, with every call into the
+//! allocator counted. The budgets are what keeps a sample, an organizer
+//! tick, a compile step and a metrics epoch off the allocator: a `clone`
+//! that creeps back into one of them moves the counts by whole multiples of
+//! the sample (or epoch) count, far past the slack pinned here.
 
-use aoci_aos::AosSystem;
+use aoci_aos::{AosConfig, AosReport, AosSystem};
 use aoci_fuzz::oracle::{config, policy_for};
 use aoci_fuzz::sample_spec;
+use aoci_ir::Program;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 thread_local! {
     /// Set on the measuring thread only: the harness's own threads allocate
     /// too. `const` and without a destructor, so reading it from inside the
     /// allocator can neither allocate nor run after the slot is gone.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// The measuring thread's calls, so tests running side by side never
+    /// count each other's.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
 }
-
-static CALLS: AtomicU64 = AtomicU64::new(0);
 
 struct Counting;
 
 fn count() {
     if COUNTING.with(Cell::get) {
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        CALLS.with(|c| c.set(c.get() + 1));
     }
 }
 
@@ -69,19 +71,38 @@ static ALLOCATOR: Counting = Counting;
 const PER_SAMPLE: f64 = 10.0;
 const PER_COMPILE: f64 = 85.0;
 
-#[test]
-fn one_control_dense_run_stays_inside_its_allocation_budget() {
-    // The campaign-1 program with the most compiles of the first 60.
+/// Calls into the allocator metering may add per epoch. The run reads 2.4
+/// (113 calls over 47 epochs) since the series is stored as value rows over
+/// shared name tables and metric names are static: all of it each name's
+/// first record and the tables' growth, none of it the epochs themselves
+/// (metering every sample instead, 370 epochs, makes no more calls). It read
+/// 86.6 when every epoch cloned both maps and formatted twelve names.
+const PER_EPOCH: f64 = 3.0;
+
+/// The campaign-1 program with the most compiles of the first 60, and the
+/// oracle's configuration, which `control_dense` copies, with OSR, async
+/// compile, faults and the recorder off.
+fn control_dense() -> (Program, AosConfig) {
     let spec = sample_spec(1, 1);
     let program = aoci_workloads::build_fuzz(&spec).expect("campaign 1 specs build").program;
-    // The oracle's configuration, which `control_dense` copies, with OSR,
-    // async compile, faults and the recorder off.
-    let system = AosSystem::new(&program, config(policy_for(&spec)));
+    (program, config(policy_for(&spec)))
+}
+
+/// One run with the allocator calls it made on this thread.
+fn counted_run(program: &Program, config: AosConfig) -> (AosReport, u64) {
+    let system = AosSystem::new(program, config);
+    CALLS.with(|c| c.set(0));
     COUNTING.with(|c| c.set(true));
     let report = system.run();
     COUNTING.with(|c| c.set(false));
-    let report = report.expect("the program runs clean");
-    let calls = CALLS.load(Ordering::Relaxed) as f64;
+    (report.expect("the program runs clean"), CALLS.with(Cell::get))
+}
+
+#[test]
+fn one_control_dense_run_stays_inside_its_allocation_budget() {
+    let (program, config) = control_dense();
+    let (report, calls) = counted_run(&program, config);
+    let calls = calls as f64;
     let (samples, compiles) = (report.samples as f64, f64::from(report.opt_compilations));
     println!(
         "{calls} allocations and reallocations: {:.1} per sample ({samples}), {:.1} per optimizing compile ({compiles})",
@@ -91,4 +112,19 @@ fn one_control_dense_run_stays_inside_its_allocation_budget() {
     assert!(samples >= 300.0 && compiles >= 40.0, "the program no longer exercises the control plane");
     assert!(calls / samples <= PER_SAMPLE, "{:.1} allocator calls per sample", calls / samples);
     assert!(calls / compiles <= PER_COMPILE, "{:.1} allocator calls per compile", calls / compiles);
+}
+
+/// The same run metered: what the registry adds, spread over its epochs.
+/// Metering charges no simulated cycles, so both runs take the same path
+/// and the difference is the registry's own.
+#[test]
+fn metering_stays_inside_its_allocation_budget_per_epoch() {
+    let (program, config) = control_dense();
+    let (_, plain) = counted_run(&program, config.clone());
+    let (report, metered) = counted_run(&program, config.enable_metrics());
+    let epochs = report.telemetry.expect("metrics were enabled").series.len() as f64;
+    let per_epoch = (metered as f64 - plain as f64) / epochs;
+    println!("{metered} allocator calls metered, {plain} unmetered: {per_epoch:.1} per epoch ({epochs})");
+    assert!(epochs >= 40.0, "the run no longer meters enough epochs");
+    assert!(per_epoch <= PER_EPOCH, "{per_epoch:.1} allocator calls per metrics epoch");
 }

@@ -4,13 +4,16 @@
 //! corpus must serialize to the same bytes with `AOCI_METRICS` on or off
 //! (the property the CI `metrics-identity` jobs enforce at scale), and
 //! the metric snapshots themselves are a deterministic artifact: bit-
-//! identical across same-seed reruns and any `AOCI_JOBS` worker count.
+//! identical across same-seed reruns and any `AOCI_JOBS` worker count,
+//! and their exports are pinned to the bytes the owned per-epoch maps
+//! rendered before the series was stored as value rows.
 
-use aoci_aos::{AosConfig, AosSystem};
+use aoci_aos::{AosConfig, AosSystem, FaultConfig};
 use aoci_bench::{sweep_into, EnvConfig, GridStore};
 use aoci_core::{JobPool, PolicyKind};
 use aoci_fuzz::persist::corpus_to_value;
 use aoci_fuzz::{run_campaign, CampaignConfig};
+use aoci_telemetry::{dashboard, to_jsonl, to_prometheus};
 use aoci_workloads::{build, spec_by_name, WorkloadSpec};
 
 /// A shrunken suite workload: same structure, short run.
@@ -99,4 +102,33 @@ fn metered_report_serializes_identically() {
         run(AosConfig::new(policy).enable_metrics()),
         "enable_metrics changed the serialized report"
     );
+}
+
+/// One metered run with every opt-in path on, whose three exports are
+/// folded into a literal printed by this body at the commit *before* the
+/// time series became value rows over shared name tables (one owned
+/// `BTreeMap` snapshot per epoch then). Its 14 epochs see names first
+/// recorded mid-run (the install counters at epoch 3,
+/// `inline_refusals_not_hot` at 4, `inline_refusals_too_large` at 7), so a
+/// reader that walks names by id instead of by bytes, or a row read at the
+/// wrong width, moves the fold.
+#[test]
+fn metered_exports_match_the_parent_commit() {
+    let w = build(&small("compress"));
+    let config = AosConfig::new(PolicyKind::ParameterlessClass { max: 3 })
+        .enable_osr()
+        .enable_deoptless()
+        .enable_async_compile()
+        .enable_faults(FaultConfig::chaos(42))
+        .enable_metrics();
+    let report = AosSystem::new(&w.program, config).run().expect("metered chaos run completes");
+    let log = report.telemetry.expect("metrics were enabled");
+    assert_eq!(log.series.len(), 14);
+    let mut fold = 0xcbf2_9ce4_8422_2325u64;
+    for text in [to_jsonl("compress", &log), to_prometheus("compress", &log), dashboard("compress", &log)] {
+        for byte in text.bytes() {
+            fold = (fold ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(fold, 0x7a5f_fe8f_69d4_45f5, "the metered exports moved");
 }
