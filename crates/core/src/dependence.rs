@@ -18,7 +18,7 @@
 //! [`PolicyKind::IdealApprox`](crate::PolicyKind) policy keeps extending a
 //! trace exactly while the walk is inside such methods.
 
-use aoci_ir::{Instr, MethodId, Program, Reg};
+use aoci_ir::{Instr, MethodId, Program};
 
 /// Per-method parameter-dependence facts.
 #[derive(Clone, Debug)]
@@ -34,7 +34,7 @@ impl DependenceAnalysis {
     pub fn analyze(program: &Program) -> Self {
         let needs_context = program
             .methods()
-            .map(|m| method_needs_context(m.body(), m.total_args()))
+            .map(|m| method_needs_context(m.body(), m.total_args(), m.num_regs()))
             .collect();
         DependenceAnalysis { needs_context }
     }
@@ -53,34 +53,31 @@ impl DependenceAnalysis {
     }
 }
 
-/// Flow-insensitive taint fixpoint over one body.
-fn method_needs_context(body: &[Instr], total_args: u16) -> bool {
+/// Flow-insensitive taint fixpoint over one body whose registers are all
+/// below `num_regs` (a validated method's).
+fn method_needs_context(body: &[Instr], total_args: u16, num_regs: u16) -> bool {
     if total_args == 0 {
         // No parameters — callers cannot influence behaviour (modulo
         // globals, the paper's acknowledged exception).
         return false;
     }
-    let max_reg = 1 + body
-        .iter()
-        .flat_map(instr_regs)
-        .map(|r| r.index())
-        .max()
-        .unwrap_or(0)
-        .max(total_args as usize - 1);
-    let mut tainted = vec![false; max_reg];
-    for t in tainted.iter_mut().take(total_args as usize) {
+    let mut tainted = vec![false; usize::from(num_regs)];
+    for t in tainted.iter_mut().take(usize::from(total_args)) {
         *t = true;
     }
     // Iterate to fixpoint (flow-insensitive; bodies are small).
     loop {
         let mut changed = false;
-        for instr in body {
-            let (srcs, dst) = taint_flow(instr);
-            if let Some(d) = dst {
-                if !tainted[d.index()] && srcs.iter().any(|s| tainted[s.index()]) {
-                    tainted[d.index()] = true;
-                    changed = true;
-                }
+        for instr in body.iter().filter(|i| propagates_taint(i)) {
+            let Some(d) = instr.def() else { continue };
+            if tainted[d.index()] {
+                continue;
+            }
+            let mut from_tainted = false;
+            instr.for_each_use(|s| from_tainted |= tainted[s.index()]);
+            if from_tainted {
+                tainted[d.index()] = true;
+                changed = true;
             }
         }
         if !changed {
@@ -106,54 +103,19 @@ fn method_needs_context(body: &[Instr], total_args: u16) -> bool {
     })
 }
 
-/// Taint propagation: sources feeding the destination.
-fn taint_flow(instr: &Instr) -> (Vec<Reg>, Option<Reg>) {
-    match instr {
-        Instr::Move { dst, src } => (vec![*src], Some(*dst)),
-        Instr::Bin { dst, lhs, rhs, .. } => (vec![*lhs, *rhs], Some(*dst)),
-        Instr::GetField { dst, obj, .. } => (vec![*obj], Some(*dst)),
-        Instr::ArrGet { dst, arr, idx } => (vec![*arr, *idx], Some(*dst)),
-        Instr::ArrLen { dst, arr } => (vec![*arr], Some(*dst)),
-        Instr::InstanceOf { dst, obj, .. } => (vec![*obj], Some(*dst)),
-        // Constants, allocations and global reads are caller-independent.
-        _ => (vec![], None),
-    }
-}
-
-fn instr_regs(instr: &Instr) -> Vec<Reg> {
-    let (mut v, d) = taint_flow(instr);
-    v.extend(d);
-    match instr {
-        Instr::CallStatic { args, dst, .. } => {
-            v.extend_from_slice(args);
-            v.extend(*dst);
-        }
-        Instr::CallVirtual { recv, args, dst, .. } => {
-            v.push(*recv);
-            v.extend_from_slice(args);
-            v.extend(*dst);
-        }
-        Instr::Branch { lhs, rhs, .. } => {
-            v.push(*lhs);
-            v.push(*rhs);
-        }
-        Instr::Const { dst, .. } | Instr::ConstNull { dst } | Instr::New { dst, .. }
-        | Instr::GetGlobal { dst, .. } | Instr::ArrNew { dst, .. } => v.push(*dst),
-        Instr::PutField { obj, src, .. } => {
-            v.push(*obj);
-            v.push(*src);
-        }
-        Instr::PutGlobal { src, .. } => v.push(*src),
-        Instr::ArrSet { arr, idx, src } => {
-            v.push(*arr);
-            v.push(*idx);
-            v.push(*src);
-        }
-        Instr::Return { src } => v.extend(*src),
-        Instr::GuardClass { recv, .. } | Instr::GuardMethod { recv, .. } => v.push(*recv),
-        _ => {}
-    }
-    v
+/// Whether taint flows from the registers an instruction reads into the one
+/// it writes. Constants, allocations, global reads and call results are
+/// caller-independent.
+fn propagates_taint(instr: &Instr) -> bool {
+    matches!(
+        instr,
+        Instr::Move { .. }
+            | Instr::Bin { .. }
+            | Instr::GetField { .. }
+            | Instr::ArrGet { .. }
+            | Instr::ArrLen { .. }
+            | Instr::InstanceOf { .. }
+    )
 }
 
 #[cfg(test)]

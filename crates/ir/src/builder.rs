@@ -46,7 +46,7 @@ impl ProgramBuilder {
     /// [`finish`]: ProgramBuilder::finish
     pub fn class(&mut self, name: impl Into<String>, superclass: Option<ClassId>) -> ClassId {
         let name = name.into();
-        let id = ClassId(self.classes.len() as u32);
+        let id = ClassId(next_id(self.classes.len()));
         if let Some(sup) = superclass {
             if sup.index() >= self.classes.len() {
                 self.errors.push(IrError::UnknownClass { class: sup });
@@ -70,7 +70,7 @@ impl ProgramBuilder {
     /// Declares a field on `class`. Layout offsets are assigned at
     /// [`finish`](ProgramBuilder::finish) time.
     pub fn field(&mut self, class: ClassId, name: impl Into<String>) -> FieldId {
-        let id = FieldId(self.fields.len() as u32);
+        let id = FieldId(next_id(self.fields.len()));
         self.fields.push(FieldDef {
             id,
             name: name.into(),
@@ -92,7 +92,7 @@ impl ProgramBuilder {
         if let Some(&id) = self.selector_index.get(&(name.clone(), arity)) {
             return id;
         }
-        let id = SelectorId(self.selectors.len() as u32);
+        let id = SelectorId(next_id(self.selectors.len()));
         self.selectors.push(SelectorDef { id, name: name.clone(), arity });
         self.selector_index.insert((name, arity), id);
         id
@@ -100,7 +100,7 @@ impl ProgramBuilder {
 
     /// Declares a global (static) variable, initialised to integer 0.
     pub fn global(&mut self, name: impl Into<String>) -> GlobalId {
-        let id = GlobalId(self.global_names.len() as u32);
+        let id = GlobalId(next_id(self.global_names.len()));
         self.global_names.push(name.into());
         id
     }
@@ -139,7 +139,7 @@ impl ProgramBuilder {
     }
 
     fn alloc_method(&mut self) -> MethodId {
-        let id = MethodId(self.methods.len() as u32);
+        let id = MethodId(next_id(self.methods.len()));
         self.methods.push(None);
         id
     }
@@ -180,6 +180,8 @@ impl ProgramBuilder {
                 None => (0, 0),
             };
             let declared = self.classes[ci].declared_fields.clone();
+            // Fewer than 2^32 fields in all (`field` checks each id), so a
+            // class's count and its offsets fit in `u32`.
             for (k, fid) in declared.iter().enumerate() {
                 self.fields[fid.index()].offset = parent_size + k as u32;
             }
@@ -265,6 +267,8 @@ pub struct MethodBuilder<'p> {
     kind: MethodKind,
     arity: u16,
     next_reg: u16,
+    /// Set when [`MethodBuilder::fresh_reg`] ran out of registers.
+    out_of_registers: bool,
     body: Vec<Instr>,
     next_site: u16,
     labels: Vec<Option<u32>>,
@@ -291,6 +295,7 @@ impl<'p> MethodBuilder<'p> {
             kind,
             arity,
             next_reg: total_args,
+            out_of_registers: false,
             body: Vec::new(),
             next_site: 0,
             labels: Vec::new(),
@@ -326,9 +331,16 @@ impl<'p> MethodBuilder<'p> {
     }
 
     /// Allocates a fresh scratch register.
+    ///
+    /// A method has at most `u16::MAX` registers. The call that would
+    /// allocate one more returns a register outside the method's count, and
+    /// [`ProgramBuilder::finish`] reports [`IrError::TooManyRegisters`].
     pub fn fresh_reg(&mut self) -> Reg {
         let r = Reg(self.next_reg);
-        self.next_reg += 1;
+        match self.next_reg.checked_add(1) {
+            Some(next) => self.next_reg = next,
+            None => self.out_of_registers = true,
+        }
         r
     }
 
@@ -339,7 +351,7 @@ impl<'p> MethodBuilder<'p> {
 
     /// Creates an unbound label.
     pub fn label(&mut self) -> Label {
-        let l = Label(self.labels.len() as u32);
+        let l = Label(next_id(self.labels.len()));
         self.labels.push(None);
         l
     }
@@ -352,7 +364,7 @@ impl<'p> MethodBuilder<'p> {
     pub fn bind(&mut self, label: Label) {
         let slot = &mut self.labels[label.0 as usize];
         assert!(slot.is_none(), "label bound twice");
-        *slot = Some(self.body.len() as u32);
+        *slot = Some(next_id(self.body.len()));
     }
 
     fn emit(&mut self, i: Instr) {
@@ -492,6 +504,9 @@ impl<'p> MethodBuilder<'p> {
             let name = self.name.clone();
             self.parent.push_error(IrError::UnboundLabel { method: name });
         }
+        if self.out_of_registers {
+            self.parent.push_error(IrError::TooManyRegisters { method: self.id });
+        }
         let size_estimate = size::body_size(&self.body);
         // A finished body lives as long as its program and never grows.
         self.body.shrink_to_fit();
@@ -509,6 +524,12 @@ impl<'p> MethodBuilder<'p> {
         self.parent.install(def);
         id
     }
+}
+
+/// The id of the next entry of a table that holds `len`: ids, labels and
+/// branch targets are `u32`.
+fn next_id(len: usize) -> u32 {
+    u32::try_from(len).expect("a program holds fewer than 2^32 of each kind of entry")
 }
 
 #[cfg(test)]
@@ -682,6 +703,33 @@ mod tests {
         let main = trivial_main(&mut b);
         let err = b.finish(main).unwrap_err();
         assert!(matches!(err, IrError::DuplicateClassName { .. }));
+    }
+
+    /// A method with `scratch` fresh registers and no parameters.
+    fn method_with_registers(scratch: u32) -> Result<Program, IrError> {
+        let mut b = ProgramBuilder::new();
+        let main = {
+            let mut m = b.static_method("main", 0);
+            let mut last = None;
+            for _ in 0..scratch {
+                last = Some(m.fresh_reg());
+            }
+            if let Some(r) = last {
+                m.const_int(r, 1);
+            }
+            m.ret(None);
+            m.finish()
+        };
+        b.finish(main)
+    }
+
+    #[test]
+    fn register_counter_overflow_is_an_error() {
+        let p = method_with_registers(u32::from(u16::MAX)).expect("the last register fits");
+        assert_eq!(p.method(p.entry()).num_regs(), u16::MAX);
+        let err = method_with_registers(u32::from(u16::MAX) + 1).unwrap_err();
+        assert_eq!(err, IrError::TooManyRegisters { method: MethodId(0) });
+        assert!(err.to_string().contains("more than 65535 registers"), "{err}");
     }
 
     #[test]

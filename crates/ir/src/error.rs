@@ -72,6 +72,12 @@ pub enum IrError {
         /// The duplicated name.
         name: String,
     },
+    /// A method allocated more registers than a register count (`u16`)
+    /// can hold.
+    TooManyRegisters {
+        /// The offending method.
+        method: MethodId,
+    },
 }
 
 impl fmt::Display for IrError {
@@ -107,6 +113,11 @@ impl fmt::Display for IrError {
             IrError::DuplicateClassName { name } => {
                 write!(f, "duplicate class name `{name}`")
             }
+            IrError::TooManyRegisters { method } => write!(
+                f,
+                "method {method} allocates more than {} registers",
+                u16::MAX
+            ),
         }
     }
 }

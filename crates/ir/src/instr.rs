@@ -224,6 +224,93 @@ impl Instr {
             _ => {}
         }
     }
+
+    /// Calls `f` on each register the instruction reads, in operand order
+    /// (a virtual call's receiver before its arguments). Every pass that
+    /// walks operands uses this one list; the order is the one in which the
+    /// verifier and `validate` report the first bad read.
+    #[inline]
+    pub fn for_each_use(&self, mut f: impl FnMut(Reg)) {
+        match self {
+            Instr::Move { src: a, .. }
+            | Instr::GetField { obj: a, .. }
+            | Instr::PutGlobal { src: a, .. }
+            | Instr::ArrNew { len: a, .. }
+            | Instr::ArrLen { arr: a, .. }
+            | Instr::InstanceOf { obj: a, .. }
+            | Instr::Return { src: Some(a) }
+            | Instr::GuardClass { recv: a, .. }
+            | Instr::GuardMethod { recv: a, .. } => f(*a),
+            Instr::Bin { lhs: a, rhs: b, .. }
+            | Instr::Branch { lhs: a, rhs: b, .. }
+            | Instr::PutField { obj: a, src: b, .. }
+            | Instr::ArrGet { arr: a, idx: b, .. } => {
+                f(*a);
+                f(*b);
+            }
+            Instr::ArrSet { arr, idx, src } => {
+                f(*arr);
+                f(*idx);
+                f(*src);
+            }
+            Instr::CallStatic { args, .. } => args.iter().copied().for_each(f),
+            Instr::CallVirtual { recv, args, .. } => {
+                f(*recv);
+                args.iter().copied().for_each(f);
+            }
+            Instr::Const { .. }
+            | Instr::ConstNull { .. }
+            | Instr::Work { .. }
+            | Instr::New { .. }
+            | Instr::GetGlobal { .. }
+            | Instr::Jump { .. }
+            | Instr::Return { src: None } => {}
+        }
+    }
+
+    /// The register the instruction writes, if any (at most one).
+    #[inline]
+    pub fn def(&self) -> Option<Reg> {
+        match self {
+            Instr::Const { dst, .. }
+            | Instr::ConstNull { dst }
+            | Instr::Move { dst, .. }
+            | Instr::Bin { dst, .. }
+            | Instr::New { dst, .. }
+            | Instr::GetField { dst, .. }
+            | Instr::GetGlobal { dst, .. }
+            | Instr::ArrNew { dst, .. }
+            | Instr::ArrGet { dst, .. }
+            | Instr::ArrLen { dst, .. }
+            | Instr::InstanceOf { dst, .. } => Some(*dst),
+            Instr::CallStatic { dst, .. } | Instr::CallVirtual { dst, .. } => *dst,
+            Instr::Work { .. }
+            | Instr::PutField { .. }
+            | Instr::PutGlobal { .. }
+            | Instr::ArrSet { .. }
+            | Instr::Jump { .. }
+            | Instr::Branch { .. }
+            | Instr::Return { .. }
+            | Instr::GuardClass { .. }
+            | Instr::GuardMethod { .. } => None,
+        }
+    }
+
+    /// The control-flow successors of this instruction at index `at` of a
+    /// body of `len` instructions: the branch target (if any), then the
+    /// fall-through (if any; the last instruction has none).
+    #[inline]
+    pub fn successors(&self, at: usize, len: usize) -> [Option<usize>; 2] {
+        let next = (at + 1 < len).then_some(at + 1);
+        match self {
+            Instr::Return { .. } => [None, None],
+            Instr::Jump { target } => [Some(*target as usize), None],
+            Instr::Branch { target, .. }
+            | Instr::GuardClass { else_target: target, .. }
+            | Instr::GuardMethod { else_target: target, .. } => [Some(*target as usize), next],
+            _ => [None, next],
+        }
+    }
 }
 
 #[cfg(test)]
@@ -268,6 +355,122 @@ mod tests {
         };
         b.map_branch_target(|t| t + 10);
         assert_eq!(b.branch_target(), Some(12));
+    }
+
+    /// Which variant an instruction is. No wildcard arm: a new variant fails
+    /// to compile here until the operand table below covers it.
+    fn variant(i: &Instr) -> usize {
+        match i {
+            Instr::Const { .. } => 0,
+            Instr::ConstNull { .. } => 1,
+            Instr::Move { .. } => 2,
+            Instr::Bin { .. } => 3,
+            Instr::Work { .. } => 4,
+            Instr::New { .. } => 5,
+            Instr::GetField { .. } => 6,
+            Instr::PutField { .. } => 7,
+            Instr::GetGlobal { .. } => 8,
+            Instr::PutGlobal { .. } => 9,
+            Instr::ArrNew { .. } => 10,
+            Instr::ArrGet { .. } => 11,
+            Instr::ArrSet { .. } => 12,
+            Instr::ArrLen { .. } => 13,
+            Instr::InstanceOf { .. } => 14,
+            Instr::Jump { .. } => 15,
+            Instr::Branch { .. } => 16,
+            Instr::CallStatic { .. } => 17,
+            Instr::CallVirtual { .. } => 18,
+            Instr::Return { .. } => 19,
+            Instr::GuardClass { .. } => 20,
+            Instr::GuardMethod { .. } => 21,
+        }
+    }
+    const VARIANTS: usize = 22;
+
+    /// An instruction, the registers it reads in order, the one it writes,
+    /// and its successors at index 1 of a three-instruction body.
+    type Row = (Instr, Vec<u16>, Option<u16>, [Option<usize>; 2]);
+
+    #[test]
+    fn operand_vocabulary_of_every_variant() {
+        let r = Reg;
+        let (c, f, g, s) = (ClassId(0), FieldId(0), GlobalId(0), SelectorId(0));
+        let site = SiteIdx(0);
+        let fall = [None, Some(2)];
+        let table: Vec<Row> = vec![
+            (Instr::Const { dst: r(1), value: 7 }, vec![], Some(1), fall),
+            (Instr::ConstNull { dst: r(1) }, vec![], Some(1), fall),
+            (Instr::Move { dst: r(1), src: r(2) }, vec![2], Some(1), fall),
+            (Instr::Bin { op: BinOp::Sub, dst: r(1), lhs: r(2), rhs: r(3) }, vec![2, 3], Some(1), fall),
+            (Instr::Work { units: 4 }, vec![], None, fall),
+            (Instr::New { dst: r(1), class: c }, vec![], Some(1), fall),
+            (Instr::GetField { dst: r(1), obj: r(2), field: f }, vec![2], Some(1), fall),
+            (Instr::PutField { obj: r(2), field: f, src: r(3) }, vec![2, 3], None, fall),
+            (Instr::GetGlobal { dst: r(1), global: g }, vec![], Some(1), fall),
+            (Instr::PutGlobal { global: g, src: r(2) }, vec![2], None, fall),
+            (Instr::ArrNew { dst: r(1), len: r(2) }, vec![2], Some(1), fall),
+            (Instr::ArrGet { dst: r(1), arr: r(2), idx: r(3) }, vec![2, 3], Some(1), fall),
+            (Instr::ArrSet { arr: r(2), idx: r(3), src: r(4) }, vec![2, 3, 4], None, fall),
+            (Instr::ArrLen { dst: r(1), arr: r(2) }, vec![2], Some(1), fall),
+            (Instr::InstanceOf { dst: r(1), obj: r(2), class: c }, vec![2], Some(1), fall),
+            (Instr::Jump { target: 0 }, vec![], None, [Some(0), None]),
+            (
+                Instr::Branch { cond: Cond::Lt, lhs: r(2), rhs: r(3), target: 0 },
+                vec![2, 3],
+                None,
+                [Some(0), Some(2)],
+            ),
+            (
+                Instr::CallStatic { site, dst: Some(r(1)), callee: MethodId(0), args: vec![r(3), r(2)] },
+                vec![3, 2],
+                Some(1),
+                fall,
+            ),
+            (
+                Instr::CallStatic { site, dst: None, callee: MethodId(0), args: vec![] },
+                vec![],
+                None,
+                fall,
+            ),
+            (
+                Instr::CallVirtual { site, dst: Some(r(1)), selector: s, recv: r(4), args: vec![r(3), r(2)] },
+                vec![4, 3, 2],
+                Some(1),
+                fall,
+            ),
+            (
+                Instr::CallVirtual { site, dst: None, selector: s, recv: r(4), args: vec![] },
+                vec![4],
+                None,
+                fall,
+            ),
+            (Instr::Return { src: Some(r(2)) }, vec![2], None, [None, None]),
+            (Instr::Return { src: None }, vec![], None, [None, None]),
+            (
+                Instr::GuardClass { recv: r(2), class: c, else_target: 0 },
+                vec![2],
+                None,
+                [Some(0), Some(2)],
+            ),
+            (
+                Instr::GuardMethod { recv: r(2), selector: s, target: MethodId(0), else_target: 0 },
+                vec![2],
+                None,
+                [Some(0), Some(2)],
+            ),
+        ];
+        let mut covered = [false; VARIANTS];
+        for (instr, uses, def, succ) in &table {
+            covered[variant(instr)] = true;
+            let mut got = Vec::new();
+            instr.for_each_use(|r| got.push(r.0));
+            assert_eq!(&got, uses, "uses of {instr:?}");
+            assert_eq!(instr.def(), def.map(Reg), "def of {instr:?}");
+            assert_eq!(instr.successors(1, 3), *succ, "successors of {instr:?}");
+            // The last instruction of a body never falls through.
+            assert_eq!(instr.successors(2, 3)[1], None, "{instr:?} at the end");
+        }
+        assert_eq!(covered, [true; VARIANTS], "every variant has a row");
     }
 
     #[test]

@@ -15,13 +15,22 @@
 //! generator and compiler bugs early and to document the typing discipline
 //! the VM's runtime checks enforce dynamically.
 //!
+//! Both passes read bodies in place through [`Instr`]'s operand vocabulary
+//! ([`Instr::for_each_use`], [`Instr::def`], [`Instr::successors`]), and
+//! definite assignment keeps one bit row of `u64` words per instruction in
+//! buffers reused from method to method, so verifying a program makes a
+//! handful of allocations per method, not per instruction (DESIGN.md §18).
+//!
 //! ## Guarantee and caveat
 //!
 //! For a program that verifies, no *register* use can fault with a type
-//! error or read an uninitialised register. Heap locations (fields, array
-//! elements, globals) are typed consistently across all reads and writes,
-//! but a read *before any write* observes the VM's default value (null /
-//! integer 0), which can still fault downstream; write-before-read
+//! error or read an uninitialised register. That includes the result of a
+//! call: a call that captures a result must not reach a method that returns
+//! none, whether it is bound statically or dispatched through a selector
+//! (any implementation of the selector counts). Heap locations (fields,
+//! array elements, globals) are typed consistently across all reads and
+//! writes, but a read *before any write* observes the VM's default value
+//! (null / integer 0), which can still fault downstream; write-before-read
 //! discipline remains the program's responsibility.
 //!
 //! ```
@@ -40,8 +49,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::ids::{MethodId, Reg};
+use crate::ids::{MethodId, Reg, SelectorId};
 use crate::instr::{Cond, Instr};
+use crate::method::{MethodDef, MethodKind};
 use crate::program::Program;
 use std::error::Error;
 use std::fmt;
@@ -105,7 +115,8 @@ pub enum TypeError {
         method: MethodId,
         /// Instruction index of the call.
         at: usize,
-        /// The void callee.
+        /// The void callee; for a virtual call, the lowest-numbered void
+        /// implementation of its selector.
         callee: MethodId,
     },
 }
@@ -135,7 +146,7 @@ impl fmt::Display for TypeError {
 impl Error for TypeError {}
 
 /// Types inferred for a verified program.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TypeReport {
     /// Shape of each global variable.
     pub globals: Vec<Shape>,
@@ -159,21 +170,25 @@ enum Tag {
     AnyRef,
 }
 
+#[derive(Default)]
 struct Table {
     parent: Vec<u32>,
     tag: Vec<Option<Tag>>,
 }
 
 impl Table {
-    fn new() -> Self {
-        Table { parent: Vec::new(), tag: Vec::new() }
+    /// Allocates `n` consecutive fresh variables and returns the first.
+    fn fresh_block(&mut self, n: usize) -> u32 {
+        let len = self.parent.len();
+        let ids = u32::try_from(len).ok().zip(u32::try_from(len + n).ok());
+        let (first, end) = ids.expect("a program has fewer than 2^32 type variables");
+        self.parent.extend(first..end);
+        self.tag.resize(len + n, None);
+        first
     }
 
     fn fresh(&mut self) -> u32 {
-        let id = self.parent.len() as u32;
-        self.parent.push(id);
-        self.tag.push(None);
-        id
+        self.fresh_block(1)
     }
 
     fn find(&mut self, v: u32) -> u32 {
@@ -259,19 +274,21 @@ fn tag_shape(t: Tag) -> Shape {
 
 // ---------------------------------------------------------------------------
 
-struct Checker<'p> {
-    program: &'p Program,
+struct Checker {
     table: Table,
-    /// Register variables, per method: `reg_vars[m][r]`.
-    reg_vars: Vec<Vec<u32>>,
+    /// First register variable of each method: a method's registers are
+    /// allocated as one block, so register `r` of method `m` is variable
+    /// `reg_base[m] + r`.
+    reg_base: Vec<u32>,
     global_vars: Vec<u32>,
     field_vars: Vec<u32>,
     /// Return variable per method, plus whether it returns a value
     /// (`None` = not yet known).
     ret_vars: Vec<u32>,
     returns_value: Vec<Option<bool>>,
-    /// Parameter + return variables per selector.
-    selector_param_vars: Vec<Vec<u32>>,
+    /// First parameter variable of each selector (one block per selector,
+    /// like registers), and its return variable.
+    selector_param_base: Vec<u32>,
     selector_ret_vars: Vec<u32>,
 }
 
@@ -283,22 +300,18 @@ struct Checker<'p> {
 /// uninitialised register read, inconsistent returns, or use of a void
 /// result.
 pub fn verify(program: &Program) -> Result<TypeReport, TypeError> {
-    let mut table = Table::new();
-    let reg_vars: Vec<Vec<u32>> = program
-        .methods()
-        .map(|m| (0..m.num_regs()).map(|_| table.fresh()).collect())
-        .collect();
+    let mut table = Table::default();
+    let reg_base: Vec<u32> =
+        program.methods().map(|m| table.fresh_block(usize::from(m.num_regs()))).collect();
     let global_vars: Vec<u32> = (0..program.num_globals()).map(|_| table.fresh()).collect();
     let field_vars: Vec<u32> = (0..program.classes().map(|c| c.declared_fields().len()).sum())
         .map(|_| table.fresh())
         .collect();
     let ret_vars: Vec<u32> = program.methods().map(|_| table.fresh()).collect();
-    let selector_param_vars: Vec<Vec<u32>> = (0..program.num_selectors())
+    let selector_param_base: Vec<u32> = (0..program.num_selectors())
         .map(|s| {
-            let arity = program
-                .selector(crate::ids::SelectorId::from_index(s))
-                .arity();
-            (0..arity).map(|_| table.fresh()).collect()
+            let arity = program.selector(SelectorId::from_index(s)).arity();
+            table.fresh_block(usize::from(arity))
         })
         .collect();
     let selector_ret_vars: Vec<u32> =
@@ -322,84 +335,69 @@ pub fn verify(program: &Program) -> Result<TypeReport, TypeError> {
     }
 
     let mut checker = Checker {
-        program,
         table,
-        reg_vars,
+        reg_base,
         global_vars,
         field_vars,
         ret_vars,
         returns_value,
-        selector_param_vars,
+        selector_param_base,
         selector_ret_vars,
     };
 
     // Receivers are objects; virtual methods agree with their selector.
     for m in program.methods() {
-        if let crate::method::MethodKind::Virtual { selector, .. } = m.kind() {
+        if let MethodKind::Virtual { selector, .. } = m.kind() {
             let mid = m.id();
-            checker
-                .table
-                .require(checker.reg_vars[mid.index()][0], Tag::Obj)
-                .map_err(|(e, f)| mismatch(mid, 0, e, f))?;
+            let at_entry = |(e, f)| mismatch(mid, 0, e, f);
+            checker.table.require(checker.rv(mid, Reg(0)), Tag::Obj).map_err(at_entry)?;
             for k in 0..m.arity() {
-                let pv = checker.reg_vars[mid.index()][(k + 1) as usize];
-                let sv = checker.selector_param_vars[selector.index()][k as usize];
-                checker
-                    .table
-                    .unify(pv, sv)
-                    .map_err(|(e, f)| mismatch(mid, 0, e, f))?;
+                let pv = checker.rv(mid, Reg(k + 1));
+                let sv = checker.selector_param_base[selector.index()] + u32::from(k);
+                checker.table.unify(pv, sv).map_err(at_entry)?;
             }
             checker
                 .table
                 .unify(checker.ret_vars[mid.index()], checker.selector_ret_vars[selector.index()])
-                .map_err(|(e, f)| mismatch(mid, 0, e, f))?;
+                .map_err(at_entry)?;
         }
     }
 
+    let mut rows = Rows::default();
     for m in program.methods() {
-        checker.check_method(m.id())?;
-        definite_assignment(program, m.id())?;
+        checker.check_method(m)?;
+        definite_assignment(m, &mut rows)?;
     }
 
-    // Void-result consistency: any call that captured a dst requires the
-    // callee to return a value.
+    // Void-result consistency: a call that captures a result requires every
+    // method it can reach to return one.
+    let void = |callee: &MethodId| checker.returns_value[callee.index()] == Some(false);
     for m in program.methods() {
         for (at, instr) in m.body().iter().enumerate() {
-            if let Instr::CallStatic { dst: Some(_), callee, .. } = instr {
-                if checker.returns_value[callee.index()] == Some(false) {
-                    return Err(TypeError::VoidResultUsed { method: m.id(), at, callee: *callee });
+            let callee = match instr {
+                Instr::CallStatic { dst: Some(_), callee, .. } => Some(callee).filter(|c| void(c)),
+                Instr::CallVirtual { dst: Some(_), selector, .. } => {
+                    program.implementations(*selector).iter().find(|c| void(c))
                 }
+                _ => None,
+            };
+            if let Some(&callee) = callee {
+                return Err(TypeError::VoidResultUsed { method: m.id(), at, callee });
             }
         }
     }
 
-    let globals = checker
-        .global_vars
-        .clone()
-        .into_iter()
-        .map(|v| checker.table.shape(v))
-        .collect();
-    let fields = checker
-        .field_vars
-        .clone()
-        .into_iter()
-        .map(|v| checker.table.shape(v))
-        .collect();
+    let Checker { mut table, reg_base, global_vars, field_vars, ret_vars, returns_value, .. } =
+        checker;
+    let globals = global_vars.iter().map(|&v| table.shape(v)).collect();
+    let fields = field_vars.iter().map(|&v| table.shape(v)).collect();
     let methods = program
         .methods()
         .map(|m| {
-            let params: Vec<Shape> = (0..m.total_args())
-                .map(|k| {
-                    let v = checker.reg_vars[m.id().index()][k as usize];
-                    checker.table.shape(v)
-                })
-                .collect();
-            let ret = if checker.returns_value[m.id().index()] == Some(true) {
-                let v = checker.ret_vars[m.id().index()];
-                Some(checker.table.shape(v))
-            } else {
-                None
-            };
+            let base = reg_base[m.id().index()];
+            let params = (0..m.total_args()).map(|k| table.shape(base + u32::from(k))).collect();
+            let ret = (returns_value[m.id().index()] == Some(true))
+                .then(|| table.shape(ret_vars[m.id().index()]));
             (params, ret)
         })
         .collect();
@@ -410,31 +408,23 @@ fn mismatch(method: MethodId, at: usize, expected: Shape, found: Shape) -> TypeE
     TypeError::Mismatch { method, at, expected, found }
 }
 
-impl<'p> Checker<'p> {
+impl Checker {
     fn rv(&self, m: MethodId, r: Reg) -> u32 {
-        self.reg_vars[m.index()][r.index()]
+        self.reg_base[m.index()] + u32::from(r.0)
     }
 
-    fn check_method(&mut self, mid: MethodId) -> Result<(), TypeError> {
-        let body: Vec<Instr> = self.program.method(mid).body().to_vec();
-        for (at, instr) in body.iter().enumerate() {
-            self.check_instr(mid, at, instr)
-                .map_err(|(e, f)| mismatch(mid, at, e, f))?;
+    fn check_method(&mut self, m: &MethodDef) -> Result<(), TypeError> {
+        let mid = m.id();
+        for (at, instr) in m.body().iter().enumerate() {
+            self.check_instr(mid, instr).map_err(|(e, f)| mismatch(mid, at, e, f))?;
         }
         Ok(())
     }
 
-    fn check_instr(
-        &mut self,
-        m: MethodId,
-        at: usize,
-        instr: &Instr,
-    ) -> Result<(), (Shape, Shape)> {
+    fn check_instr(&mut self, m: MethodId, instr: &Instr) -> Result<(), (Shape, Shape)> {
         match instr {
-            Instr::Const { dst, .. } => self.table.require(self.reg_vars[m.index()][dst.index()], Tag::Int),
-            Instr::ConstNull { dst } => {
-                self.table.require(self.reg_vars[m.index()][dst.index()], Tag::AnyRef)
-            }
+            Instr::Const { dst, .. } => self.table.require(self.rv(m, *dst), Tag::Int),
+            Instr::ConstNull { dst } => self.table.require(self.rv(m, *dst), Tag::AnyRef),
             Instr::Move { dst, src } => self.table.unify(self.rv(m, *dst), self.rv(m, *src)),
             Instr::Bin { dst, lhs, rhs, .. } => {
                 self.table.require(self.rv(m, *dst), Tag::Int)?;
@@ -491,33 +481,29 @@ impl<'p> Checker<'p> {
                 }
             },
             Instr::CallStatic { dst, callee, args, .. } => {
-                let _ = at;
-                for (k, a) in args.iter().enumerate() {
-                    let pv = self.reg_vars[callee.index()][k];
-                    self.table.unify(self.reg_vars[m.index()][a.index()], pv)?;
+                // Argument `k` lands in the callee's register `k`.
+                for (param, a) in (0..).map(Reg).zip(args) {
+                    self.table.unify(self.rv(m, *a), self.rv(*callee, param))?;
                 }
                 if let Some(d) = dst {
-                    let rv = self.ret_vars[callee.index()];
-                    self.table.unify(self.reg_vars[m.index()][d.index()], rv)?;
+                    self.table.unify(self.rv(m, *d), self.ret_vars[callee.index()])?;
                 }
                 Ok(())
             }
             Instr::CallVirtual { dst, selector, recv, args, .. } => {
                 self.table.require(self.rv(m, *recv), Tag::Obj)?;
-                for (k, a) in args.iter().enumerate() {
-                    let pv = self.selector_param_vars[selector.index()][k];
-                    self.table.unify(self.reg_vars[m.index()][a.index()], pv)?;
+                let params = self.selector_param_base[selector.index()];
+                for (pv, a) in (params..).zip(args) {
+                    self.table.unify(self.rv(m, *a), pv)?;
                 }
                 if let Some(d) = dst {
-                    let rv = self.selector_ret_vars[selector.index()];
-                    self.table.unify(self.reg_vars[m.index()][d.index()], rv)?;
+                    self.table.unify(self.rv(m, *d), self.selector_ret_vars[selector.index()])?;
                 }
                 Ok(())
             }
             Instr::Return { src } => {
                 if let Some(r) = src {
-                    self.table
-                        .unify(self.rv(m, *r), self.ret_vars[m.index()])?;
+                    self.table.unify(self.rv(m, *r), self.ret_vars[m.index()])?;
                 }
                 Ok(())
             }
@@ -528,107 +514,86 @@ impl<'p> Checker<'p> {
     }
 }
 
+/// The buffers of [`definite_assignment`], reused from method to method:
+/// each is cleared and sized by the method that fills it.
+#[derive(Default)]
+struct Rows {
+    /// Registers definitely assigned at entry to each instruction: row `i`
+    /// is the `words` words from `i * words`, bit `r` set iff register `r`
+    /// is written on every path found so far.
+    entry: Vec<u64>,
+    /// `seen[i]`: some path has reached instruction `i`, so its row holds
+    /// a meet (an unseen row stands for "every register").
+    seen: Vec<bool>,
+    /// The worklist, last in first out.
+    work: Vec<usize>,
+    /// The row of the instruction being visited.
+    state: Vec<u64>,
+}
+
 /// Flow-sensitive definite assignment: every register is written on all
 /// paths before any read. Parameters count as written.
-fn definite_assignment(program: &Program, mid: MethodId) -> Result<(), TypeError> {
-    let m = program.method(mid);
+///
+/// A forward dataflow whose meet is intersection, run as a last-in,
+/// first-out worklist from instruction 0: an instruction's uses are checked
+/// against its entry row in [`Instr::for_each_use`] order, and a successor
+/// whose row shrinks (or that is reached for the first time) is pushed
+/// again, branch target before fall-through. The first error is therefore
+/// that of the first failing visit in that order.
+fn definite_assignment(m: &MethodDef, rows: &mut Rows) -> Result<(), TypeError> {
     let body = m.body();
     let n = body.len();
-    let nregs = m.num_regs() as usize;
-    let params = m.total_args() as usize;
-
-    // defined[i] = set of registers definitely assigned at entry to i.
-    // Forward dataflow; meet = intersection; top (unvisited) = all-defined.
-    let full: Vec<bool> = vec![true; nregs];
-    let mut entry: Vec<Option<Vec<bool>>> = vec![None; n];
-    let mut start = vec![false; nregs];
-    for s in start.iter_mut().take(params) {
-        *s = true;
-    }
     if n == 0 {
         return Ok(());
     }
-    entry[0] = Some(start);
-    let mut work = vec![0usize];
+    let words = usize::from(m.num_regs()).div_ceil(64);
+    let bit = |r: usize| (r / 64, 1u64 << (r % 64));
+    let Rows { entry, seen, work, state } = rows;
+    entry.clear();
+    entry.resize(n * words, 0);
+    seen.clear();
+    seen.resize(n, false);
+    state.clear();
+    state.resize(words, 0);
+    for p in 0..usize::from(m.total_args()) {
+        let (word, mask) = bit(p);
+        entry[word] |= mask;
+    }
+    seen[0] = true;
+    work.clear();
+    work.push(0);
     while let Some(i) = work.pop() {
-        let mut state = entry[i].clone().unwrap_or_else(|| full.clone());
-        // Uses must be defined.
-        let (uses, def) = uses_and_def(&body[i]);
-        for u in uses {
-            if !state[u.index()] {
-                return Err(TypeError::MaybeUninitialised { method: mid, at: i, reg: u });
+        state.copy_from_slice(&entry[i * words..(i + 1) * words]);
+        let mut uninitialised = None;
+        body[i].for_each_use(|r| {
+            let (word, mask) = bit(r.index());
+            if uninitialised.is_none() && state[word] & mask == 0 {
+                uninitialised = Some(r);
             }
+        });
+        if let Some(reg) = uninitialised {
+            return Err(TypeError::MaybeUninitialised { method: m.id(), at: i, reg });
         }
-        if let Some(d) = def {
-            state[d.index()] = true;
+        if let Some(d) = body[i].def() {
+            let (word, mask) = bit(d.index());
+            state[word] |= mask;
         }
-        for s in successors(&body[i], i, n) {
-            let merged = match &entry[s] {
-                None => state.clone(),
-                Some(prev) => prev
-                    .iter()
-                    .zip(state.iter())
-                    .map(|(&a, &b)| a && b)
-                    .collect(),
-            };
-            if entry[s].as_ref() != Some(&merged) {
-                entry[s] = Some(merged);
+        for s in body[i].successors(i, n).into_iter().flatten() {
+            let row = &mut entry[s * words..(s + 1) * words];
+            let first = !seen[s];
+            seen[s] = true;
+            let mut changed = first;
+            for (e, &st) in row.iter_mut().zip(state.iter()) {
+                let met = if first { st } else { *e & st };
+                changed |= met != *e;
+                *e = met;
+            }
+            if changed {
                 work.push(s);
             }
         }
     }
     Ok(())
-}
-
-fn successors(instr: &Instr, i: usize, n: usize) -> Vec<usize> {
-    match instr {
-        Instr::Return { .. } => vec![],
-        Instr::Jump { target } => vec![*target as usize],
-        Instr::Branch { target, .. }
-        | Instr::GuardClass { else_target: target, .. }
-        | Instr::GuardMethod { else_target: target, .. } => {
-            let mut v = vec![*target as usize];
-            if i + 1 < n {
-                v.push(i + 1);
-            }
-            v
-        }
-        _ => {
-            if i + 1 < n {
-                vec![i + 1]
-            } else {
-                vec![]
-            }
-        }
-    }
-}
-
-fn uses_and_def(instr: &Instr) -> (Vec<Reg>, Option<Reg>) {
-    match instr {
-        Instr::Const { dst, .. } | Instr::ConstNull { dst } => (vec![], Some(*dst)),
-        Instr::Move { dst, src } => (vec![*src], Some(*dst)),
-        Instr::Bin { dst, lhs, rhs, .. } => (vec![*lhs, *rhs], Some(*dst)),
-        Instr::Work { .. } | Instr::Jump { .. } => (vec![], None),
-        Instr::New { dst, .. } => (vec![], Some(*dst)),
-        Instr::GetField { dst, obj, .. } => (vec![*obj], Some(*dst)),
-        Instr::PutField { obj, src, .. } => (vec![*obj, *src], None),
-        Instr::GetGlobal { dst, .. } => (vec![], Some(*dst)),
-        Instr::PutGlobal { src, .. } => (vec![*src], None),
-        Instr::ArrNew { dst, len } => (vec![*len], Some(*dst)),
-        Instr::ArrGet { dst, arr, idx } => (vec![*arr, *idx], Some(*dst)),
-        Instr::ArrSet { arr, idx, src } => (vec![*arr, *idx, *src], None),
-        Instr::ArrLen { dst, arr } => (vec![*arr], Some(*dst)),
-        Instr::InstanceOf { dst, obj, .. } => (vec![*obj], Some(*dst)),
-        Instr::Branch { lhs, rhs, .. } => (vec![*lhs, *rhs], None),
-        Instr::CallStatic { dst, args, .. } => (args.clone(), *dst),
-        Instr::CallVirtual { dst, recv, args, .. } => {
-            let mut u = vec![*recv];
-            u.extend_from_slice(args);
-            (u, *dst)
-        }
-        Instr::Return { src } => (src.iter().copied().collect(), None),
-        Instr::GuardClass { recv, .. } | Instr::GuardMethod { recv, .. } => (vec![*recv], None),
-    }
 }
 
 #[cfg(test)]

@@ -239,6 +239,62 @@ fn void_result_use_rejected() {
 }
 
 #[test]
+fn virtual_void_result_use_rejected() {
+    // `A.f` returns a value, `B.f` does not; a call through `f` that keeps
+    // the result can reach `B.f`, and the later `add` would read nothing.
+    let mut void_impl = None;
+    let err = verify_build(|b| {
+        let sel = b.selector("f", 0);
+        let a = b.class("A", None);
+        let c2 = b.class("B", Some(a));
+        {
+            let mut m = b.virtual_method("A.f", a, sel);
+            let r = m.fresh_reg();
+            m.const_int(r, 1);
+            m.ret(Some(r));
+            m.finish();
+        }
+        void_impl = Some({
+            let mut m = b.virtual_method("B.f", c2, sel);
+            m.ret(None);
+            m.finish()
+        });
+        let mut m = b.static_method("main", 0);
+        let o = m.fresh_reg();
+        let r = m.fresh_reg();
+        m.new_obj(o, c2);
+        m.call_virtual(Some(r), sel, o, &[]);
+        m.bin(BinOp::Add, r, r, r);
+        m.ret(None);
+        m.finish()
+    })
+    .unwrap_err();
+    let main = MethodId::from_index(2);
+    let callee = void_impl.expect("built");
+    assert_eq!(err, TypeError::VoidResultUsed { method: main, at: 1, callee });
+}
+
+#[test]
+fn virtual_call_without_a_result_may_reach_void_implementations() {
+    verify_build(|b| {
+        let sel = b.selector("f", 0);
+        let a = b.class("A", None);
+        {
+            let mut m = b.virtual_method("A.f", a, sel);
+            m.ret(None);
+            m.finish();
+        }
+        let mut m = b.static_method("main", 0);
+        let o = m.fresh_reg();
+        m.new_obj(o, a);
+        m.call_virtual(None, sel, o, &[]);
+        m.ret(None);
+        m.finish()
+    })
+    .expect("the result is not kept");
+}
+
+#[test]
 fn selector_parameter_conflict_rejected() {
     let err = verify_build(|b| {
         let sel = b.selector("f", 1);

@@ -3,7 +3,6 @@
 //! [`ProgramBuilder::finish`]: crate::ProgramBuilder::finish
 
 use crate::error::IrError;
-use crate::ids::Reg;
 use crate::instr::Instr;
 use crate::method::MethodDef;
 use crate::program::Program;
@@ -35,50 +34,36 @@ pub fn validate(program: &Program) -> Result<(), IrError> {
 }
 
 fn validate_method(program: &Program, m: &MethodDef) -> Result<(), IrError> {
-    let len = m.body().len() as u32;
+    let len = m.body().len();
     let nregs = m.num_regs();
-
-    let check_reg = |at: usize, r: Reg| -> Result<(), IrError> {
-        if r.0 >= nregs {
-            Err(IrError::RegisterOutOfRange { method: m.id(), at, reg: r })
-        } else {
-            Ok(())
-        }
-    };
 
     for (at, instr) in m.body().iter().enumerate() {
         if let Some(t) = instr.branch_target() {
-            if t >= len {
+            if !usize::try_from(t).is_ok_and(|t| t < len) {
                 return Err(IrError::BranchOutOfRange { method: m.id(), at, target: t });
             }
         }
-        for r in instr_regs(instr) {
-            check_reg(at, r)?;
+        // The first register out of range, reads before the write.
+        let mut bad = None;
+        instr.for_each_use(|r| {
+            if bad.is_none() && r.0 >= nregs {
+                bad = Some(r);
+            }
+        });
+        if let Some(reg) = bad.or(instr.def().filter(|r| r.0 >= nregs)) {
+            return Err(IrError::RegisterOutOfRange { method: m.id(), at, reg });
         }
-        match instr {
-            Instr::CallStatic { callee, args, .. } => {
-                let expected = program.method(*callee).total_args();
-                if args.len() != expected as usize {
-                    return Err(IrError::ArityMismatch {
-                        method: m.id(),
-                        at,
-                        expected,
-                        supplied: args.len() as u16,
-                    });
-                }
-            }
+        let (expected, args) = match instr {
+            Instr::CallStatic { callee, args, .. } => (program.method(*callee).total_args(), args),
             Instr::CallVirtual { selector, args, .. } => {
-                let expected = program.selector(*selector).arity();
-                if args.len() != expected as usize {
-                    return Err(IrError::ArityMismatch {
-                        method: m.id(),
-                        at,
-                        expected,
-                        supplied: args.len() as u16,
-                    });
-                }
+                (program.selector(*selector).arity(), args)
             }
-            _ => {}
+            _ => continue,
+        };
+        if args.len() != usize::from(expected) {
+            // Saturates: more than `u16::MAX` arguments read as `u16::MAX`.
+            let supplied = u16::try_from(args.len()).unwrap_or(u16::MAX);
+            return Err(IrError::ArityMismatch { method: m.id(), at, expected, supplied });
         }
     }
 
@@ -86,40 +71,6 @@ fn validate_method(program: &Program, m: &MethodDef) -> Result<(), IrError> {
     match m.body().last() {
         Some(Instr::Return { .. }) | Some(Instr::Jump { .. }) => Ok(()),
         _ => Err(IrError::MissingReturn { method: m.id() }),
-    }
-}
-
-/// All registers an instruction reads or writes.
-fn instr_regs(instr: &Instr) -> Vec<Reg> {
-    match instr {
-        Instr::Const { dst, .. } | Instr::ConstNull { dst } => vec![*dst],
-        Instr::Move { dst, src } => vec![*dst, *src],
-        Instr::Bin { dst, lhs, rhs, .. } => vec![*dst, *lhs, *rhs],
-        Instr::Work { .. } | Instr::Jump { .. } => vec![],
-        Instr::New { dst, .. } => vec![*dst],
-        Instr::GetField { dst, obj, .. } => vec![*dst, *obj],
-        Instr::PutField { obj, src, .. } => vec![*obj, *src],
-        Instr::GetGlobal { dst, .. } => vec![*dst],
-        Instr::PutGlobal { src, .. } => vec![*src],
-        Instr::ArrNew { dst, len } => vec![*dst, *len],
-        Instr::ArrGet { dst, arr, idx } => vec![*dst, *arr, *idx],
-        Instr::ArrSet { arr, idx, src } => vec![*arr, *idx, *src],
-        Instr::ArrLen { dst, arr } => vec![*dst, *arr],
-        Instr::InstanceOf { dst, obj, .. } => vec![*dst, *obj],
-        Instr::Branch { lhs, rhs, .. } => vec![*lhs, *rhs],
-        Instr::CallStatic { dst, args, .. } => {
-            let mut v = args.clone();
-            v.extend(*dst);
-            v
-        }
-        Instr::CallVirtual { dst, recv, args, .. } => {
-            let mut v = vec![*recv];
-            v.extend_from_slice(args);
-            v.extend(*dst);
-            v
-        }
-        Instr::Return { src } => src.iter().copied().collect(),
-        Instr::GuardClass { recv, .. } | Instr::GuardMethod { recv, .. } => vec![*recv],
     }
 }
 

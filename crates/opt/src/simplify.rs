@@ -141,7 +141,7 @@ impl Scratch {
         }
         while let Some(b) = self.work.pop() {
             let last = self.blocks[b].1 - 1;
-            for s in successors(&body[last], last, n).into_iter().flatten() {
+            for s in body[last].successors(last, n).into_iter().flatten() {
                 let t = self.blocks.partition_point(|&(start, _)| start < s);
                 debug_assert_eq!(self.blocks[t].0, s, "a successor starts a block");
                 if !self.reach[t] {
@@ -324,7 +324,7 @@ fn fold_and_propagate(body: &mut [Instr], num_regs: u16, scratch: &mut Scratch) 
                 let v = if r == *dst { Abs::Unknown } else { Abs::Copy(r) };
                 Some((*dst, v))
             }
-            other => def(other).map(|d| (d, Abs::Unknown)),
+            other => other.def().map(|d| (d, Abs::Unknown)),
         };
         if let Some((dst, v)) = def_update {
             // Registers recorded as copies of `dst` lose their backing.
@@ -407,7 +407,7 @@ fn eliminate(
     let words = row_words(num_regs);
     let live_out_contains = |i: usize, r: Reg| -> bool {
         let (word, mask) = row_bit(r);
-        successors(&body[i], i, n)
+        body[i].successors(i, n)
             .into_iter()
             .flatten()
             .any(|s| live_in[s * words + word] & mask != 0)
@@ -512,11 +512,11 @@ fn liveness(body: &[Instr], num_regs: u16, scratch: &mut Scratch) {
         let (gen, kill) = gen_kill[rows_of(b)].split_at_mut(words);
         for instr in &body[start..end] {
             // Use before def: an instruction may read the register it writes.
-            for_each_use(instr, |r| {
+            instr.for_each_use(|r| {
                 let (word, mask) = row_bit(r);
                 gen[word] |= mask & !kill[word];
             });
-            if let Some((word, mask)) = def(instr).map(row_bit) {
+            if let Some((word, mask)) = instr.def().map(row_bit) {
                 kill[word] |= mask;
             }
         }
@@ -526,7 +526,7 @@ fn liveness(body: &[Instr], num_regs: u16, scratch: &mut Scratch) {
         for o in out.iter_mut() {
             *o = 0;
         }
-        for s in successors(&body[i], i, n).into_iter().flatten() {
+        for s in body[i].successors(i, n).into_iter().flatten() {
             for (w, o) in out.iter_mut().enumerate() {
                 *o |= live_in[s * words + w];
             }
@@ -553,10 +553,10 @@ fn liveness(body: &[Instr], num_regs: u16, scratch: &mut Scratch) {
         live_out(live_in, end - 1, live);
         for i in (start..end).rev() {
             // Kill before gen, for the same reason.
-            if let Some((word, mask)) = def(&body[i]).map(row_bit) {
+            if let Some((word, mask)) = body[i].def().map(row_bit) {
                 live[word] &= !mask;
             }
-            for_each_use(&body[i], |r| {
+            body[i].for_each_use(|r| {
                 let (word, mask) = row_bit(r);
                 live[word] |= mask;
             });
@@ -564,78 +564,6 @@ fn liveness(body: &[Instr], num_regs: u16, scratch: &mut Scratch) {
                 live_in[i * words + w] = live[w];
             }
         }
-    }
-}
-
-/// The control-flow successors of instruction `i` in a body of `n`: the
-/// branch target (if any), then the fall-through (if any).
-fn successors(instr: &Instr, i: usize, n: usize) -> [Option<usize>; 2] {
-    let next = (i + 1 < n).then_some(i + 1);
-    match instr {
-        Instr::Return { .. } => [None, None],
-        Instr::Jump { target } => [Some(*target as usize), None],
-        Instr::Branch { target, .. }
-        | Instr::GuardClass { else_target: target, .. }
-        | Instr::GuardMethod { else_target: target, .. } => [Some(*target as usize), next],
-        _ => [None, next],
-    }
-}
-
-/// The (single) register an instruction defines.
-fn def(instr: &Instr) -> Option<Reg> {
-    match instr {
-        Instr::Const { dst, .. }
-        | Instr::ConstNull { dst }
-        | Instr::Move { dst, .. }
-        | Instr::Bin { dst, .. }
-        | Instr::New { dst, .. }
-        | Instr::GetField { dst, .. }
-        | Instr::GetGlobal { dst, .. }
-        | Instr::ArrNew { dst, .. }
-        | Instr::ArrGet { dst, .. }
-        | Instr::ArrLen { dst, .. }
-        | Instr::InstanceOf { dst, .. } => Some(*dst),
-        Instr::CallStatic { dst, .. } | Instr::CallVirtual { dst, .. } => *dst,
-        _ => None,
-    }
-}
-
-/// Calls `f` on every register an instruction reads.
-fn for_each_use(instr: &Instr, mut f: impl FnMut(Reg)) {
-    match instr {
-        Instr::Move { src: a, .. }
-        | Instr::GetField { obj: a, .. }
-        | Instr::PutGlobal { src: a, .. }
-        | Instr::ArrNew { len: a, .. }
-        | Instr::ArrLen { arr: a, .. }
-        | Instr::InstanceOf { obj: a, .. }
-        | Instr::Return { src: Some(a) }
-        | Instr::GuardClass { recv: a, .. }
-        | Instr::GuardMethod { recv: a, .. } => f(*a),
-        Instr::Bin { lhs: a, rhs: b, .. }
-        | Instr::Branch { lhs: a, rhs: b, .. }
-        | Instr::PutField { obj: a, src: b, .. }
-        | Instr::ArrGet { arr: a, idx: b, .. } => {
-            f(*a);
-            f(*b);
-        }
-        Instr::ArrSet { arr, idx, src } => {
-            f(*arr);
-            f(*idx);
-            f(*src);
-        }
-        Instr::CallStatic { args, .. } => args.iter().copied().for_each(f),
-        Instr::CallVirtual { recv, args, .. } => {
-            f(*recv);
-            args.iter().copied().for_each(f);
-        }
-        Instr::Const { .. }
-        | Instr::ConstNull { .. }
-        | Instr::Work { .. }
-        | Instr::New { .. }
-        | Instr::GetGlobal { .. }
-        | Instr::Jump { .. }
-        | Instr::Return { src: None } => {}
     }
 }
 

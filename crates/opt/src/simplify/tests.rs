@@ -357,7 +357,7 @@ fn reachable(body: &[Instr]) -> Vec<bool> {
             continue;
         }
         reach[i] = true;
-        work.extend(successors(&body[i], i, n).into_iter().flatten().filter(|&s| !reach[s]));
+        work.extend(body[i].successors(i, n).into_iter().flatten().filter(|&s| !reach[s]));
     }
     reach
 }
@@ -393,13 +393,13 @@ fn liveness_sets(body: &[Instr], reach: &[bool]) -> Vec<BTreeSet<Reg>> {
                 continue;
             }
             let mut out = BTreeSet::new();
-            for s in successors(&body[i], i, n).into_iter().flatten() {
+            for s in body[i].successors(i, n).into_iter().flatten() {
                 out.extend(live_in[s].iter().copied());
             }
-            if let Some(d) = def(&body[i]) {
+            if let Some(d) = body[i].def() {
                 out.remove(&d);
             }
-            for_each_use(&body[i], |r| {
+            body[i].for_each_use(|r| {
                 out.insert(r);
             });
             if out != live_in[i] {

@@ -1,15 +1,17 @@
-//! Allocation budget of the control plane (DESIGN.md §17) and of metering
-//! (§14): one fixed fuzz program through `AosSystem::run` under the
-//! benchmark's `control_dense` configuration, with every call into the
-//! allocator counted. The budgets are what keeps a sample, an organizer
-//! tick, a compile step and a metrics epoch off the allocator: a `clone`
-//! that creeps back into one of them moves the counts by whole multiples of
-//! the sample (or epoch) count, far past the slack pinned here.
+//! Allocation budget of the control plane (DESIGN.md §17), of metering
+//! (§14) and of program load (§18): one fixed fuzz program through
+//! `AosSystem::run` under the benchmark's `control_dense` configuration, and
+//! the suite's programs through `typecheck::verify`, with every call into
+//! the allocator counted. The budgets are what keeps a sample, an organizer
+//! tick, a compile step, a metrics epoch and a verified instruction off the
+//! allocator: a `clone` that creeps back into one of them moves the counts
+//! by whole multiples of the sample (epoch, method) count, far past the
+//! slack pinned here.
 
 use aoci_aos::{AosConfig, AosReport, AosSystem};
 use aoci_fuzz::oracle::{config, policy_for};
 use aoci_fuzz::sample_spec;
-use aoci_ir::Program;
+use aoci_ir::{typecheck, BinOp, Cond, Program, ProgramBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -79,6 +81,13 @@ const PER_COMPILE: f64 = 85.0;
 /// 86.6 when every epoch cloned both maps and formatted twelve names.
 const PER_EPOCH: f64 = 3.0;
 
+/// Calls into the allocator `typecheck::verify` may make per method of the
+/// suite's programs. It reads 1.1 since bodies are read in place, register
+/// variables are one base per method and definite assignment reuses its
+/// rows; 74.5 before, when every body was cloned and every instruction
+/// visit cloned a row and built its operand lists.
+const VERIFY_PER_METHOD: f64 = 2.0;
+
 /// The campaign-1 program with the most compiles of the first 60, and the
 /// oracle's configuration, which `control_dense` copies, with OSR, async
 /// compile, faults and the recorder off.
@@ -88,14 +97,20 @@ fn control_dense() -> (Program, AosConfig) {
     (program, config(policy_for(&spec)))
 }
 
+/// `f()` with the allocator calls it made on this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    CALLS.with(|c| c.set(0));
+    COUNTING.with(|c| c.set(true));
+    let out = f();
+    COUNTING.with(|c| c.set(false));
+    (out, CALLS.with(Cell::get))
+}
+
 /// One run with the allocator calls it made on this thread.
 fn counted_run(program: &Program, config: AosConfig) -> (AosReport, u64) {
     let system = AosSystem::new(program, config);
-    CALLS.with(|c| c.set(0));
-    COUNTING.with(|c| c.set(true));
-    let report = system.run();
-    COUNTING.with(|c| c.set(false));
-    (report.expect("the program runs clean"), CALLS.with(Cell::get))
+    let (report, calls) = counted(|| system.run());
+    (report.expect("the program runs clean"), calls)
 }
 
 #[test]
@@ -127,4 +142,85 @@ fn metering_stays_inside_its_allocation_budget_per_epoch() {
     println!("{metered} allocator calls metered, {plain} unmetered: {per_epoch:.1} per epoch ({epochs})");
     assert!(epochs >= 40.0, "the run no longer meters enough epochs");
     assert!(per_epoch <= PER_EPOCH, "{per_epoch:.1} allocator calls per metrics epoch");
+}
+
+/// `ProgramBuilder::finish` (layouts, dispatch rows, then `validate`) on a
+/// program whose entry repeats every instruction kind that names a register
+/// `reps` times: the allocator calls it made and the instructions it
+/// validated.
+fn counted_finish(reps: usize) -> (u64, usize) {
+    let mut b = ProgramBuilder::new();
+    let sel = b.selector("f", 1);
+    let a = b.class("A", None);
+    let field = b.field(a, "x");
+    let global = b.global("g");
+    {
+        let mut m = b.virtual_method("A.f", a, sel);
+        m.ret(Some(m.param(0)));
+        m.finish();
+    }
+    let id = {
+        let mut m = b.static_method("id", 1);
+        m.ret(Some(m.param(0)));
+        m.finish()
+    };
+    let main = {
+        let mut m = b.static_method("main", 0);
+        let [o, x, y, arr] = [(); 4].map(|_| m.fresh_reg());
+        let out = m.label();
+        m.new_obj(o, a);
+        m.const_int(x, 1);
+        m.arr_new(arr, x);
+        for _ in 0..reps {
+            m.mov(y, x);
+            m.bin(BinOp::Add, y, y, x);
+            m.put_field(o, field, y);
+            m.get_field(y, o, field);
+            m.put_global(global, y);
+            m.get_global(y, global);
+            m.arr_set(arr, x, y);
+            m.arr_get(y, arr, x);
+            m.arr_len(y, arr);
+            m.instance_of(y, o, a);
+            m.const_null(y);
+            m.call_static(Some(y), id, &[x]);
+            m.call_virtual(Some(y), sel, o, &[x]);
+            m.branch(Cond::Lt, x, y, out);
+        }
+        m.bind(out);
+        m.ret(None);
+        m.finish()
+    };
+    let (program, calls) = counted(|| b.finish(main));
+    let program = program.expect("the program is valid");
+    (calls, program.methods().map(|m| m.body().len()).sum())
+}
+
+#[test]
+fn program_load_stays_inside_its_allocation_budget() {
+    let programs: Vec<Program> =
+        aoci_workloads::suite().iter().map(|s| aoci_workloads::build(s).program).collect();
+    let methods: usize = programs.iter().map(Program::num_methods).sum();
+    let instrs: usize = programs.iter().flat_map(Program::methods).map(|m| m.body().len()).sum();
+    let (_, calls) = counted(|| {
+        for p in &programs {
+            typecheck::verify(p).expect("the suite verifies");
+        }
+    });
+    let per_method = calls as f64 / methods as f64;
+    println!(
+        "verify: {calls} allocator calls for {methods} methods ({per_method:.2} per method) \
+         and {instrs} instructions"
+    );
+    assert!(per_method <= VERIFY_PER_METHOD, "{per_method:.2} allocator calls per verified method");
+
+    // Validation allocates nothing per instruction: doubling the body adds
+    // no call.
+    let (small, small_instrs) = counted_finish(200);
+    let (large, large_instrs) = counted_finish(400);
+    println!(
+        "finish: {small} allocator calls for {small_instrs} instructions, {large} for {large_instrs}"
+    );
+    assert!(large_instrs >= small_instrs + 2_800, "the larger body is larger");
+    assert_eq!(large, small, "validation allocates per instruction");
 }
