@@ -239,8 +239,8 @@ impl Ledger {
             E::Compile { .. } | E::Install { .. } => {}
             // Emitted by the VM and the trace listener straight into the
             // ring, never through the driver: their counters (`ExecCounters`,
-            // `OsrDispatchCounters`, the listener's) sit on the interpreter's
-            // hot path or inside `Vm::run`.
+            // the listener's) sit on the interpreter's hot path or inside
+            // `Vm::run`.
             E::TraceWalk { .. } | E::GuardMiss { .. } => {}
             E::OsrEnter { .. } | E::OsrExit { .. } | E::OsrTransfer { .. } => {}
             E::OsrFallback { .. } => {}
@@ -460,6 +460,7 @@ mod tests {
                 guard_misses: 9,
                 osr_entries: 2,
                 osr_exits: 1,
+                ..ExecCounters::default()
             },
             compilations: vec![
                 CompilationRecord {

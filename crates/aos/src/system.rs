@@ -199,11 +199,6 @@ impl<'p> AosSystem<'p> {
     /// Creates a system ready to run `program` under `config`.
     pub fn new(program: &'p Program, config: AosConfig) -> Self {
         let mut vm = Vm::with_config(program, config.cost.clone(), config.vm.clone());
-        if config.vm.deoptless {
-            // Dispatched OSR needs superseded versions to survive so guard
-            // shifts can transfer into them (DESIGN.md §16).
-            vm.registry_mut().retain_versions(true);
-        }
         let trace = config.trace.clone().map(TraceSink::new);
         let mut trace_listener = TraceListener::new();
         if let Some(t) = &trace {
@@ -292,18 +287,8 @@ impl<'p> AosSystem<'p> {
     }
 
     /// Like [`AosSystem::run`], but also returns the final [`AosDatabase`]
-    /// so callers can inspect the full inline-decision and refusal logs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`VmError`] the program raises.
-    pub fn run_detailed(mut self) -> Result<(AosReport, AosDatabase), VmError> {
-        let result = self.run_to_completion()?;
-        Ok(self.into_report(result))
-    }
-
-    /// Like [`AosSystem::run_detailed`], but additionally returns the final
-    /// trace profile — suitable for saving as an offline profile (see
+    /// (the full inline-decision and refusal logs) and the final trace
+    /// profile — suitable for saving as an offline profile (see
     /// [`aoci_profile::SavedProfile`] and the `offline_profile` example).
     ///
     /// # Errors
@@ -606,14 +591,13 @@ impl<'p> AosSystem<'p> {
     /// mid-run between [`AosSystem::step`]s).
     pub fn osr_events(&self) -> OsrEvents {
         let counters = self.vm.counters();
-        let dispatch = self.vm.osr_dispatch();
         OsrEvents {
             entries: counters.osr_entries,
             exits: counters.osr_exits,
-            dispatched_transfers: dispatch.dispatched_transfers,
-            falls_no_version: dispatch.falls_no_version,
-            falls_incompatible: dispatch.falls_incompatible,
-            falls_rearmed: dispatch.falls_rearmed,
+            dispatched_transfers: counters.dispatched_transfers,
+            falls_no_version: counters.falls_no_version,
+            falls_incompatible: counters.falls_incompatible,
+            falls_rearmed: counters.falls_rearmed,
             ..self.ledger.osr
         }
     }

@@ -3,22 +3,20 @@
 use super::AosSystem;
 use aoci_ir::MethodId;
 use aoci_trace::{OsrDenyReason, PlanReason, TraceEvent};
-use aoci_vm::{Component, ContextFingerprint, OptLevel, OsrRequest, VersionKey};
+use aoci_vm::{Component, OptLevel, OsrRequest};
 
 impl AosSystem<'_> {
     /// Handles a hot-loop promotion request from the interpreter: obtain an
     /// optimized version with an OSR entry at the loop's header and transfer
     /// the running baseline activation into it mid-loop. This is the single
-    /// OSR dispatch entry point — every resolution (enter installed code,
-    /// enter a context-specialized surviving version, compile-and-enter,
-    /// deny) goes through it.
+    /// OSR dispatch entry point — every resolution (enter existing code,
+    /// compile-and-enter, deny) goes through it.
     ///
-    /// In deoptless mode the dispatch is context-sensitive: the observed
-    /// calling context of the requesting activation is fingerprinted and
-    /// the registry is queried for the best surviving version specialized
-    /// for it (deepest context prefix first), before falling back to the
-    /// generic installed version; a fresh compilation is likewise
-    /// specialized for (and keyed by) the observed context.
+    /// Which existing version the activation enters is the VM's choice
+    /// ([`aoci_vm::Vm::osr_enter`]): in deoptless mode the best surviving
+    /// version specialized for its live calling context, deepest prefix
+    /// first, else the installed one. A fresh compilation is specialized for
+    /// (and keyed by) that same observed context in deoptless mode.
     ///
     /// Any reason the promotion cannot happen — the method is quarantined,
     /// its recompile budget is spent, the compilation faulted, or the
@@ -33,28 +31,13 @@ impl AosSystem<'_> {
         if self.methods[method.index()].quarantined {
             return self.deny_osr(method, OsrDenyReason::Quarantined, true);
         }
-        // Deoptless: prefer a surviving version specialized for the calling
-        // context this activation actually runs in, deepest prefix first.
-        // Depth 0 (the root key) is the generic installed version, which
-        // the ordinary path below already handles.
-        let context = if self.config.vm.deoptless { self.vm.osr_context() } else { Vec::new() };
-        for depth in (1..=context.len()).rev() {
-            let key = VersionKey::new(method, ContextFingerprint::of(&context[..depth]));
-            let Some(v) = self.vm.registry().best_surviving(key).cloned() else { continue };
-            if self.vm.osr_enter(&v, req.loop_header) {
-                return;
-            }
-        }
-        // An optimized version may already be installed (this activation
-        // simply predates the install): enter it directly, no compilation.
-        let current = self.vm.registry().current(method).cloned();
-        if let Some(v) = current.filter(|v| v.level == OptLevel::Optimized) {
-            if !self.vm.osr_enter(&v, req.loop_header) {
-                // The installed body has no entry at this header; a repeat
-                // request against the same version cannot do better.
-                self.deny_osr(method, OsrDenyReason::NoEntryPoint, true);
-            }
+        if self.vm.osr_enter(req.loop_header) {
             return;
+        }
+        if self.vm.registry().current(method).is_some_and(|v| v.level == OptLevel::Optimized) {
+            // The installed body has no entry at this header; a repeat
+            // request against the same version cannot do better.
+            return self.deny_osr(method, OsrDenyReason::NoEntryPoint, true);
         }
         if self.db.recompiles(method) >= self.config.max_recompiles_per_method {
             return self.deny_osr(method, OsrDenyReason::Budget, true);
@@ -64,10 +47,11 @@ impl AosSystem<'_> {
         // helps the *next* invocation.
         self.charge(Component::ControllerThread, self.config.controller_cost_per_event);
         self.emit(TraceEvent::RecompilePlan { method, reason: PlanReason::OsrPromotion });
-        let Some(v) = self.compile_foreground(method, &context) else {
+        let context = if self.config.vm.deoptless { self.vm.osr_context() } else { Vec::new() };
+        if self.compile_foreground(method, &context).is_none() {
             // Injected fault; retry/backoff booked by the failure path.
             return self.deny_osr(method, OsrDenyReason::CompileFault, false);
-        };
+        }
         // The install satisfies any queued plan for this method — under the
         // foreground scheduler it can be removed silently. Background plans
         // are left alone: the queue owns their lifecycle, and the pending
@@ -78,7 +62,7 @@ impl AosSystem<'_> {
         {
             self.pending_plans.retain(|plan| plan.method != method);
         }
-        if !self.vm.osr_enter(&v, req.loop_header) {
+        if !self.vm.osr_enter(req.loop_header) {
             // No entry point survived optimization; the next invocation
             // still benefits from the install.
             self.deny_osr(method, OsrDenyReason::NoEntryPoint, true);

@@ -6,13 +6,12 @@ use crate::code::{MethodVersion, OptLevel};
 use crate::cost::CostModel;
 use crate::error::VmError;
 use crate::heap::Heap;
-use crate::osr::OsrPoint;
-use crate::registry::{CodeRegistry, CodeSlot, ContextFingerprint, VersionId, VersionKey};
+use crate::registry::{CodeRegistry, CodeSlot, ContextFingerprint, VersionKey};
 use crate::stack::{SourceFrame, StackSnapshot};
 use crate::value::Value;
 use aoci_ir::{CallSiteRef, Instr, MethodId, Program, Reg, SelectorId};
 use aoci_trace::{OsrFallbackReason, TraceEvent, TraceSink};
-use std::sync::Arc;
+use std::borrow::Cow;
 
 pub(crate) mod decode;
 use decode::{run_frames, CallOps, Switch};
@@ -25,9 +24,6 @@ pub struct VmConfig {
     /// When `false`, inlined frames are invisible to samplers — the "naive
     /// trace listener" the paper warns about; kept as an ablation.
     pub source_level_walk: bool,
-    /// Number of leading instructions of a (source-level) method body that
-    /// count as its prologue for edge/trace sampling purposes.
-    pub prologue_window: u32,
     /// Maximum number of source-level frames a snapshot records.
     pub max_walk_frames: usize,
     /// Maximum machine call-stack depth before [`VmError::StackOverflow`].
@@ -42,23 +38,14 @@ pub struct VmConfig {
     /// header before the VM yields [`RunOutcome::OsrRequest`], asking the
     /// driver for a promotion (OSR-in).
     pub osr_backedge_threshold: u32,
-    /// Minimum guards an *optimized* activation must execute before its
-    /// own miss rate can arm deoptimization (mirrors the recovery layer's
-    /// window minimum, but frame-local: a single long-running activation
-    /// thrashing its guards arms OSR-out without waiting for the method-
-    /// level health monitor).
-    pub osr_exit_min_checks: u64,
-    /// Frame-local guard-miss rate above which an optimized activation
-    /// arms deoptimization and OSR-outs at its next loop header.
-    pub osr_exit_miss_threshold: f64,
     /// Enables *dispatched* OSR-out (deoptless, DESIGN.md §16): when an
     /// optimized activation must leave its code version (guard shift or
     /// invalidation), the VM looks up the best surviving context-
     /// specialized version for the activation's newly observed calling
     /// context and transfers into its continuation, falling back to
     /// baseline only when no compatible version exists. Off by default;
-    /// requires [`VmConfig::osr_enabled`] and pairs with the registry's
-    /// [version retention](crate::CodeRegistry::retain_versions).
+    /// requires [`VmConfig::osr_enabled`]. The VM's registry retains
+    /// superseded versions exactly when this is on.
     pub deoptless: bool,
 }
 
@@ -66,45 +53,33 @@ impl Default for VmConfig {
     fn default() -> Self {
         VmConfig {
             source_level_walk: true,
-            prologue_window: 3,
             max_walk_frames: 64,
             max_stack_depth: 4096,
             osr_enabled: false,
             osr_backedge_threshold: 256,
-            osr_exit_min_checks: 48,
-            osr_exit_miss_threshold: 0.9,
             deoptless: false,
         }
     }
 }
 
+/// Number of leading instructions of a (source-level) method body that
+/// count as its prologue for edge/trace sampling purposes.
+const PROLOGUE_WINDOW: u32 = 3;
+
+/// Minimum guards an *optimized* activation must execute before its own
+/// miss rate can arm deoptimization (mirrors the recovery layer's window
+/// minimum, but frame-local: a single long-running activation thrashing its
+/// guards arms OSR-out without waiting for the method-level health monitor).
+const OSR_EXIT_MIN_CHECKS: u64 = 48;
+
+/// Frame-local guard-miss rate above which an optimized activation arms
+/// deoptimization and OSR-outs at its next loop header.
+const OSR_EXIT_MISS_THRESHOLD: f64 = 0.9;
+
 /// How deep a calling context the dispatched-OSR lookup observes from the
 /// machine stack (matches the profile layer's deepest useful contexts; the
 /// lookup tries every prefix anyway, so deeper walks only add cost).
 const MAX_OSR_CONTEXT_DEPTH: usize = 8;
-
-/// Ledger of dispatched-OSR decisions (only populated with
-/// [`VmConfig::deoptless`]): how many OSR-outs transferred into a
-/// surviving specialized version, and how many fell back to baseline,
-/// per reason. Kept separate from [`ExecCounters`] — `osr_entries` /
-/// `osr_exits` retain their pre-deoptless meaning (a dispatched transfer
-/// is neither).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OsrDispatchCounters {
-    /// OSR-outs that transferred into a surviving specialized version.
-    pub dispatched_transfers: u64,
-    /// Falls to baseline: no surviving version matched any prefix of the
-    /// observed calling context.
-    pub falls_no_version: u64,
-    /// Falls to baseline: a version matched but its frame mapping refused
-    /// the transfer (no entry point at the pivot header, or a checked
-    /// register mapping failed).
-    pub falls_incompatible: u64,
-    /// Falls to baseline: the activation had already been dispatched once
-    /// and re-armed — it deoptimizes for real rather than ping-ponging
-    /// between surviving versions.
-    pub falls_rearmed: u64,
-}
 
 /// A baseline activation tripped its loop back-edge counter and wants to
 /// be promoted into optimized code mid-loop (OSR-in).
@@ -166,8 +141,22 @@ pub struct ExecCounters {
     /// optimized code mid-loop.
     pub osr_entries: u64,
     /// OSR-out transitions performed: optimized activations deoptimized
-    /// back to baseline frames mid-loop.
+    /// back to baseline frames mid-loop. A dispatched transfer is neither an
+    /// entry nor an exit: the frame never lands in baseline.
     pub osr_exits: u64,
+    /// Dispatched transfers performed (only with [`VmConfig::deoptless`]):
+    /// OSR-outs that moved into a surviving specialized version.
+    pub dispatched_transfers: u64,
+    /// Dispatched OSR-outs that fell to baseline because no surviving
+    /// version matched any prefix of the observed calling context.
+    pub falls_no_version: u64,
+    /// Dispatched OSR-outs that fell to baseline because a checked frame
+    /// mapping into the chosen version refused.
+    pub falls_incompatible: u64,
+    /// Dispatched OSR-outs that fell to baseline because the activation had
+    /// already been dispatched once and re-armed: it deoptimizes for real
+    /// rather than ping-ponging between surviving versions.
+    pub falls_rearmed: u64,
 }
 
 /// The part of an activation that changes as it executes. The run loop
@@ -205,7 +194,8 @@ struct Frame {
     /// Set when a dispatched OSR-out transferred this activation into a
     /// surviving version; if it arms again it falls to baseline rather
     /// than ping-ponging between specialized versions. Cleared whenever
-    /// the activation passes through baseline (OSR-out or OSR-in).
+    /// the activation lands in baseline code or enters from it (OSR-out or
+    /// OSR-in).
     transferred: bool,
     at: Cursor,
 }
@@ -346,7 +336,6 @@ pub struct Vm<'p> {
     next_sample_at: Option<u64>,
     finished: Option<Option<Value>>,
     started: bool,
-    osr_dispatch: OsrDispatchCounters,
 }
 
 impl<'p> Vm<'p> {
@@ -360,6 +349,7 @@ impl<'p> Vm<'p> {
         Vm {
             stack: Vec::new(),
             regs: Vec::new(),
+            registry: CodeRegistry::new(program.num_methods(), config.deoptless),
             exec: Exec {
                 program,
                 config,
@@ -374,11 +364,9 @@ impl<'p> Vm<'p> {
                 osr_suppressed: vec![false; program.num_methods()],
                 trace: None,
             },
-            registry: CodeRegistry::new(program.num_methods()),
             next_sample_at: None,
             finished: None,
             started: false,
-            osr_dispatch: OsrDispatchCounters::default(),
         }
     }
 
@@ -392,12 +380,6 @@ impl<'p> Vm<'p> {
     /// Returns the dynamic execution counters.
     pub fn counters(&self) -> ExecCounters {
         self.exec.counters
-    }
-
-    /// Returns the dispatched-OSR decision ledger (all zero unless
-    /// [`VmConfig::deoptless`] is on).
-    pub fn osr_dispatch(&self) -> OsrDispatchCounters {
-        self.osr_dispatch
     }
 
     /// Cumulative guard counters of `method`'s compiled code (see
@@ -562,9 +544,9 @@ impl<'p> Vm<'p> {
             if depth == 0 {
                 root_method = version.method;
                 top_in_prologue = if config.source_level_walk {
-                    version.inline_map.in_prologue(pc, config.prologue_window)
+                    version.inline_map.in_prologue(pc, PROLOGUE_WINDOW)
                 } else {
-                    (pc as u32) < config.prologue_window
+                    (pc as u32) < PROLOGUE_WINDOW
                 };
             }
             // The call site through which the next-inner machine frame was
@@ -661,178 +643,193 @@ impl<'p> Vm<'p> {
         chain
     }
 
-    /// Rewrites the top activation in place: it continues in the version in
-    /// `code` at `pc` with `regs` as its window (resized where it sits, on
-    /// top of the register stack) and a fresh cursor — the common tail of
-    /// OSR-in, OSR-out and a dispatched transfer.
-    fn transfer_top(&mut self, code: CodeSlot, pc: usize, regs: Vec<Value>, transferred: bool) {
-        let frame = self.stack.last_mut().expect("the caller mapped the top frame's registers");
-        self.regs.truncate(frame.base);
-        self.regs.extend(regs);
-        frame.code = code;
-        frame.at = Cursor { pc, ..Cursor::default() };
+    /// The one frame rewrite (DESIGN.md §7): moves the top activation into
+    /// the code in `to`, pivoting through baseline frame state. With
+    /// `exit_at`, the running code is left through its exit point at that
+    /// optimized pc (`map_to_baseline`); without, the activation already is
+    /// that state — a baseline frame parked on a loop header. Optimized code
+    /// in `to` is entered through its entry point at the pivot's baseline pc
+    /// (`map_to_optimized`); baseline code runs the pivot itself. The top
+    /// window is then resized where it sits, on top of the register stack,
+    /// the frame gets a fresh cursor at the landing pc and the given
+    /// `transferred` flag, and `Component::Osr` is charged for every slot
+    /// mapped. Returns the landing pc, or `None` — with the frame, the
+    /// registers and the clock untouched — when a point is missing or a
+    /// checked mapping refuses.
+    ///
+    /// OSR-in is `(None, optimized)`, OSR-out `(Some, baseline)` and a
+    /// dispatched transfer `(Some, optimized)`.
+    fn transfer(&mut self, exit_at: Option<u32>, to: CodeSlot, transferred: bool) -> Option<u32> {
+        let Vm { stack, regs, exec, registry, .. } = self;
+        let frame = stack.last_mut()?;
+        let (from, target) = (registry.version(frame.code), registry.version(to));
+        let (pc, window, slots) = {
+            let running = &regs[frame.base..];
+            let exit = match exit_at {
+                Some(opt_pc) => Some(from.osr_map.exit_at_opt(opt_pc)?),
+                None => None,
+            };
+            let (pivot_pc, pivot) = match exit {
+                Some(point) => {
+                    let num_regs = exec.program.method(from.method).num_regs();
+                    (point.baseline_pc, Cow::Owned(point.map_to_baseline(running, num_regs).ok()?))
+                }
+                None => (u32::try_from(frame.at.pc).ok()?, Cow::Borrowed(running)),
+            };
+            let entry = match target.level {
+                OptLevel::Optimized => Some(target.osr_map.entry_at_baseline(pivot_pc)?),
+                OptLevel::Baseline => None,
+            };
+            let (pc, window) = match entry {
+                Some(point) => {
+                    (point.opt_pc, point.map_to_optimized(&pivot, target.num_regs).ok()?)
+                }
+                None => (pivot_pc, pivot.into_owned()),
+            };
+            let slots = exit.map_or(0, |p| p.slots.len()) + entry.map_or(0, |p| p.slots.len());
+            (pc, window, slots)
+        };
+        exec.clock.charge(Component::Osr, exec.cost.osr_transfer_cost(slots));
+        regs.truncate(frame.base);
+        regs.extend(window);
+        frame.code = to;
+        frame.at = Cursor { pc: pc as usize, ..Cursor::default() };
         frame.transferred = transferred;
+        Some(pc)
     }
 
-    /// Deoptless dispatch (DESIGN.md §16): try to transfer the top
-    /// (optimized, exiting) frame — running version `from` of `method` —
-    /// into the best surviving specialized version for its newly observed
-    /// calling context, pivoting through the baseline frame state at
-    /// `point`: the old version's exit mapping reconstructs baseline
-    /// registers, and the candidate's entry mapping at the *same* baseline
-    /// loop header carries them into its continuation — both checked.
-    /// Deepest context prefix wins; the root (context-free) key is the last
-    /// resort before baseline. Returns `true` when the frame was
-    /// transferred.
-    fn try_dispatch_transfer(&mut self, method: MethodId, from: VersionId, point: &OsrPoint) -> bool {
-        let Some(frame) = self.stack.last() else { return false };
-        let base = frame.base;
-        if frame.transferred {
-            self.fall_back(method, OsrFallbackReason::Rearmed);
-            return false;
-        }
+    /// The version choice of both OSR directions, owned here: the best
+    /// surviving optimized version of `method` for the top activation's
+    /// live calling context that `fits`, trying context prefixes deepest
+    /// first down to `min_depth` callers (0 reaches the root key). Per
+    /// prefix only the registry's best version under that key is asked;
+    /// invalidated versions never match.
+    fn surviving_version(
+        &self,
+        method: MethodId,
+        min_depth: usize,
+        fits: impl Fn(&MethodVersion) -> bool,
+    ) -> Option<CodeSlot> {
         let context = self.osr_context();
-        let target = (0..=context.len()).rev().find_map(|depth| {
+        (min_depth..=context.len()).rev().find_map(|depth| {
             let key = VersionKey::new(method, ContextFingerprint::of(&context[..depth]));
-            self.registry
-                .best_surviving(key)
-                .filter(|v| {
-                    v.version_id != from
-                        && v.osr_map.entry_at_baseline(point.baseline_pc).is_some()
-                })
-                .map(Arc::clone)
-        });
-        let Some(target) = target else {
-            self.fall_back(method, OsrFallbackReason::NoVersion);
-            return false;
-        };
-        let entry = target
-            .osr_map
-            .entry_at_baseline(point.baseline_pc)
-            .cloned()
-            .expect("candidate filtered on having this entry point");
-        let baseline_num_regs = self.exec.program.method(method).num_regs();
-        let mapped = point
-            .map_to_baseline(&self.regs[base..], baseline_num_regs)
-            .and_then(|pivot| entry.map_to_optimized(&pivot, target.num_regs));
-        let Ok(regs) = mapped else {
-            self.fall_back(method, OsrFallbackReason::IncompatibleFrame);
-            return false;
-        };
-        let slots = point.slots.len() + entry.slots.len();
-        let (to_pc, to_version) = (entry.opt_pc, target.version_id.raw());
-        let code = self.registry.slot_of(&target).expect("the registry serves what it owns");
-        self.transfer_top(code, to_pc as usize, regs, true);
-        self.osr_dispatch.dispatched_transfers += 1;
-        self.exec.clock.charge(Component::Osr, self.exec.cost.osr_transfer_cost(slots));
-        if let Some(t) = &self.exec.trace {
-            t.emit(
-                self.exec.clock.total(),
-                TraceEvent::OsrTransfer {
-                    method,
-                    opt_pc: to_pc,
-                    from_version: from.raw(),
-                    to_version,
-                },
-            );
-        }
-        true
+            self.registry.best_surviving(key).filter(|&slot| fits(self.registry.version(slot)))
+        })
     }
 
-    /// Books a dispatched OSR-out that fell back to baseline (deoptless
-    /// mode only): its fall counter and its transfer-provenance event.
-    fn fall_back(&mut self, method: MethodId, reason: OsrFallbackReason) {
-        let d = &mut self.osr_dispatch;
-        *match reason {
-            OsrFallbackReason::NoVersion => &mut d.falls_no_version,
-            OsrFallbackReason::IncompatibleFrame => &mut d.falls_incompatible,
-            OsrFallbackReason::Rearmed => &mut d.falls_rearmed,
-        } += 1;
-        if let Some(t) = &self.exec.trace {
-            t.emit(self.exec.clock.total(), TraceEvent::OsrFallback { method, reason });
-        }
-    }
-
-    /// OSR-out: replaces the top (optimized) frame with an equivalent
-    /// baseline frame via its version's [`OsrMap`](crate::OsrMap) exit
-    /// point at `opt_pc`. With [`VmConfig::deoptless`], first tries a
-    /// dispatched transfer into a surviving context-specialized version
-    /// ([`Vm::try_dispatch_transfer`]); baseline is the fallback, not the
-    /// destination. A mapping failure (corrupt map) refuses the transfer
-    /// and keeps executing the optimized code — degraded, never wrong.
+    /// OSR-out: leaves the top (optimized) frame's code through its exit
+    /// point at `opt_pc`. With [`VmConfig::deoptless`], a dispatched transfer
+    /// first tries the best surviving version for the live context (any
+    /// prefix, root key included, other than the exited version, with an
+    /// entry at the exit's baseline pc); a fall to baseline books its
+    /// [`OsrFallbackReason`]. Otherwise the frame lands in
+    /// [`Vm::deopt_target`]. A mapping failure (corrupt map) refuses the
+    /// transfer and keeps executing the optimized code — degraded, never
+    /// wrong.
     fn osr_exit(&mut self, opt_pc: u32) -> Result<(), VmError> {
         let frame = self
             .stack
             .last()
             .ok_or(VmError::NoActiveFrame { context: "deoptimizing a frame" })?;
+        let rearmed = frame.transferred;
         let version = self.registry.version(frame.code);
-        let (method, from, base) = (version.method, version.version_id, frame.base);
-        let point = version
+        let (method, from) = (version.method, version.version_id);
+        let pivot_pc = version
             .osr_map
             .exit_at_opt(opt_pc)
-            .cloned()
-            .ok_or(VmError::PcOutOfRange { method, pc: opt_pc as usize })?;
-        if self.exec.config.deoptless && self.try_dispatch_transfer(method, from, &point) {
-            return Ok(());
+            .ok_or(VmError::PcOutOfRange { method, pc: opt_pc as usize })?
+            .baseline_pc;
+        if self.exec.config.deoptless {
+            let fits = |v: &MethodVersion| {
+                v.version_id != from && v.osr_map.entry_at_baseline(pivot_pc).is_some()
+            };
+            let reason = if rearmed {
+                OsrFallbackReason::Rearmed
+            } else {
+                match self.surviving_version(method, 0, fits) {
+                    None => OsrFallbackReason::NoVersion,
+                    Some(to) => match self.transfer(Some(opt_pc), to, true) {
+                        Some(to_pc) => {
+                            self.exec.counters.dispatched_transfers += 1;
+                            let to_version = self.registry.version(to).version_id.raw();
+                            self.emit(TraceEvent::OsrTransfer {
+                                method,
+                                opt_pc: to_pc,
+                                from_version: from.raw(),
+                                to_version,
+                            });
+                            return Ok(());
+                        }
+                        None => OsrFallbackReason::IncompatibleFrame,
+                    },
+                }
+            };
+            let counters = &mut self.exec.counters;
+            *match reason {
+                OsrFallbackReason::NoVersion => &mut counters.falls_no_version,
+                OsrFallbackReason::IncompatibleFrame => &mut counters.falls_incompatible,
+                OsrFallbackReason::Rearmed => &mut counters.falls_rearmed,
+            } += 1;
+            self.emit(TraceEvent::OsrFallback { method, reason });
         }
         let baseline = self.deopt_target(method);
-        let num_regs = self.registry.version(baseline).num_regs;
-        match point.map_to_baseline(&self.regs[base..], num_regs) {
-            Ok(regs) => {
-                self.transfer_top(baseline, point.baseline_pc as usize, regs, false);
-                self.exec.counters.osr_exits += 1;
-                let cost = self.exec.cost.osr_transfer_cost(point.slots.len());
-                self.exec.clock.charge(Component::Osr, cost);
-                if let Some(t) = &self.exec.trace {
-                    t.emit(self.exec.clock.total(), TraceEvent::OsrExit { method, opt_pc });
-                }
-            }
-            Err(_) => {
-                self.stack.last_mut().expect("present above").at.pc = opt_pc as usize;
-            }
+        if self.transfer(Some(opt_pc), baseline, false).is_some() {
+            self.exec.counters.osr_exits += 1;
+            self.emit(TraceEvent::OsrExit { method, opt_pc });
+        } else {
+            self.stack.last_mut().expect("present above").at.pc = opt_pc as usize;
         }
         Ok(())
     }
 
-    /// OSR-in: transfers the top frame — a *baseline* activation of
-    /// `version`'s method parked exactly on `loop_header` — into
-    /// `version`'s optimized code through its OSR entry point for that
-    /// header. Returns `true` on transfer; returns `false` (leaving the
-    /// activation untouched, to continue at baseline) when the
-    /// preconditions do not hold (`version` must be one this VM's registry
-    /// installed) or the map refuses — promotion is an optimization, never
-    /// an obligation.
-    pub fn osr_enter(&mut self, version: &Arc<MethodVersion>, loop_header: u32) -> bool {
-        if !self.exec.config.osr_enabled || version.level != OptLevel::Optimized {
-            return false;
-        }
+    /// OSR-in: transfers the top frame — a *baseline* activation parked
+    /// exactly on `loop_header` — into optimized code of its method through
+    /// that code's OSR entry point for the header. The VM picks the code:
+    /// with [`VmConfig::deoptless`], the best surviving version specialized
+    /// for the activation's live calling context (prefixes of at least one
+    /// caller; the root key is the installed version's business), else the
+    /// method's installed optimized version. Returns `true` on transfer;
+    /// returns `false` (leaving the activation untouched, to continue at
+    /// baseline) when the preconditions do not hold, no such version has an
+    /// entry at the header, or the map refuses — promotion is an
+    /// optimization, never an obligation.
+    pub fn osr_enter(&mut self, loop_header: u32) -> bool {
         let Some(frame) = self.stack.last() else { return false };
         let running = self.registry.version(frame.code);
-        if running.method != version.method
+        let method = running.method;
+        if !self.exec.config.osr_enabled
             || running.level != OptLevel::Baseline
             || frame.at.pc != loop_header as usize
         {
             return false;
         }
-        let Some(code) = self.registry.slot_of(version) else { return false };
-        let Some(point) = version.osr_map.entry_at_baseline(loop_header) else {
-            return false;
+        let fits = |v: &MethodVersion| v.osr_map.entry_at_baseline(loop_header).is_some();
+        let survivor = if self.exec.config.deoptless {
+            self.surviving_version(method, 1, fits)
+        } else {
+            None
         };
-        let Ok(regs) = point.map_to_optimized(&self.regs[frame.base..], version.num_regs) else {
+        let installed = self
+            .registry
+            .current_slot(method)
+            .filter(|&slot| self.registry.version(slot).level == OptLevel::Optimized);
+        let entered = survivor.is_some_and(|to| self.transfer(None, to, false).is_some())
+            || installed.is_some_and(|to| self.transfer(None, to, false).is_some());
+        if !entered {
             return false;
-        };
-        self.transfer_top(code, point.opt_pc as usize, regs, false);
-        self.exec.counters.osr_entries += 1;
-        let cost = self.exec.cost.osr_transfer_cost(point.slots.len());
-        self.exec.clock.charge(Component::Osr, cost);
-        self.exec.backedge_counts[version.method.index()].retain(|&(h, _)| h != loop_header);
-        if let Some(t) = &self.exec.trace {
-            t.emit(
-                self.exec.clock.total(),
-                TraceEvent::OsrEnter { method: version.method, loop_header },
-            );
         }
+        self.exec.counters.osr_entries += 1;
+        self.exec.backedge_counts[method.index()].retain(|&(h, _)| h != loop_header);
+        self.emit(TraceEvent::OsrEnter { method, loop_header });
         true
+    }
+
+    /// Records `event` in the flight recorder, when one is attached, at the
+    /// current simulated time.
+    fn emit(&self, event: TraceEvent) {
+        if let Some(t) = &self.exec.trace {
+            t.emit(self.exec.clock.total(), event);
+        }
     }
 
     /// Stops the VM from raising further [`RunOutcome::OsrRequest`]s for
@@ -882,9 +879,8 @@ impl Exec<'_> {
             at.guard_checks += 1;
             at.guard_misses += u64::from(!pass);
             if !at.deopt_armed
-                && at.guard_checks >= self.config.osr_exit_min_checks
-                && at.guard_misses as f64 / at.guard_checks as f64
-                    > self.config.osr_exit_miss_threshold
+                && at.guard_checks >= OSR_EXIT_MIN_CHECKS
+                && at.guard_misses as f64 / at.guard_checks as f64 > OSR_EXIT_MISS_THRESHOLD
             {
                 at.deopt_armed = true;
             }

@@ -65,9 +65,7 @@ pub use code::{InlineMap, InlineMapBuilder, InlineNode, MethodVersion, OptLevel}
 pub use cost::CostModel;
 pub use error::VmError;
 pub use heap::{Heap, ObjRef};
-pub use interp::{
-    ExecCounters, MethodGuardStats, OsrDispatchCounters, OsrRequest, RunOutcome, Vm, VmConfig,
-};
+pub use interp::{ExecCounters, MethodGuardStats, OsrRequest, RunOutcome, Vm, VmConfig};
 pub use osr::{OsrError, OsrMap, OsrPoint, OsrSlot};
 pub use registry::{CodeRegistry, ContextFingerprint, VersionId, VersionKey};
 pub use stack::{SourceFrame, StackSnapshot};

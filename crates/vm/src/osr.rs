@@ -150,19 +150,7 @@ impl OsrPoint {
         baseline_regs: &[Value],
         opt_num_regs: u16,
     ) -> Result<Vec<Value>, OsrError> {
-        let mut out = vec![Value::Null; opt_num_regs as usize];
-        for s in &self.slots {
-            let v = *baseline_regs
-                .get(s.baseline.index())
-                .ok_or(OsrError::FrameTooSmall {
-                    have: baseline_regs.len(),
-                    need: s.baseline.index() + 1,
-                })?;
-            *out.get_mut(s.optimized.index()).ok_or(OsrError::SlotOutOfRange {
-                reg: s.optimized.0,
-            })? = v;
-        }
-        Ok(out)
+        self.map(baseline_regs, opt_num_regs, |s| (s.baseline, s.optimized))
     }
 
     /// Maps an optimized frame's registers back into a fresh baseline
@@ -178,17 +166,24 @@ impl OsrPoint {
         opt_regs: &[Value],
         baseline_num_regs: u16,
     ) -> Result<Vec<Value>, OsrError> {
-        let mut out = vec![Value::Null; baseline_num_regs as usize];
+        self.map(opt_regs, baseline_num_regs, |s| (s.optimized, s.baseline))
+    }
+
+    /// The checked body of both directions: copies each slot's `from`
+    /// register (the first of `ends`) into its `to` register (the second)
+    /// of a fresh `Null`-filled frame of `num_regs` registers.
+    fn map(
+        &self,
+        from: &[Value],
+        num_regs: u16,
+        ends: fn(&OsrSlot) -> (Reg, Reg),
+    ) -> Result<Vec<Value>, OsrError> {
+        let mut out = vec![Value::Null; usize::from(num_regs)];
         for s in &self.slots {
-            let v = *opt_regs
-                .get(s.optimized.index())
-                .ok_or(OsrError::FrameTooSmall {
-                    have: opt_regs.len(),
-                    need: s.optimized.index() + 1,
-                })?;
-            *out.get_mut(s.baseline.index()).ok_or(OsrError::SlotOutOfRange {
-                reg: s.baseline.0,
-            })? = v;
+            let (src, dst) = ends(s);
+            let too_small = OsrError::FrameTooSmall { have: from.len(), need: src.index() + 1 };
+            let v = *from.get(src.index()).ok_or(too_small)?;
+            *out.get_mut(dst.index()).ok_or(OsrError::SlotOutOfRange { reg: dst.0 })? = v;
         }
         Ok(out)
     }

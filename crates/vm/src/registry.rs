@@ -5,12 +5,12 @@
 //! surface is *typed*: versions are named by [`VersionId`] (not raw
 //! `u32`s) and optimized versions are keyed by [`VersionKey`] — the
 //! method plus a [`ContextFingerprint`] of the calling context the
-//! version was specialized for. With
-//! [version retention](CodeRegistry::retain_versions) enabled, superseded
+//! version was specialized for. With version retention (on exactly when
+//! the VM runs with [`VmConfig::deoptless`](crate::VmConfig)), superseded
 //! context-specialized versions *survive* installation of a successor
-//! under a different key, and [`CodeRegistry::best_surviving`] answers
-//! the dispatched-OSR compatibility query: "which installed or surviving
-//! version matches this context fingerprint and is still valid?".
+//! under a different key, and `best_surviving` answers the dispatched-OSR
+//! compatibility query: "which installed or surviving version matches this
+//! context fingerprint and is still valid?".
 
 use crate::code::{MethodVersion, OptLevel};
 use crate::cost::CostModel;
@@ -134,9 +134,9 @@ struct Code {
 /// be promoted into a freshly installed version mid-loop (OSR-in), and an
 /// activation stuck on an [invalidated](CodeRegistry::invalidate) version
 /// deoptimizes back to baseline at its next loop header (OSR-out) — or,
-/// with [`VmConfig::deoptless`](crate::VmConfig) and
-/// [retention](CodeRegistry::retain_versions), transfers into the best
-/// [surviving](CodeRegistry::best_surviving) specialized version instead.
+/// with [`VmConfig::deoptless`](crate::VmConfig), which also turns on
+/// version retention, transfers into the best surviving specialized
+/// version instead.
 #[derive(Clone, Debug, Default)]
 pub struct CodeRegistry {
     /// Every version installed or adopted, in that order. Append-only: a
@@ -148,13 +148,13 @@ pub struct CodeRegistry {
     current_key: Vec<ContextFingerprint>,
     /// Superseded-but-still-valid optimized versions, per method, in
     /// installation order; populated only with `retain` on.
-    survivors: Vec<Vec<(ContextFingerprint, Arc<MethodVersion>)>>,
+    survivors: Vec<Vec<(ContextFingerprint, CodeSlot)>>,
     /// Per method, the baseline version an OSR-out lands in while the
     /// method's current version is still optimized (frame-local thrash
     /// without invalidation): built on the side and adopted, never current.
     deopt_baseline: Vec<Option<CodeSlot>>,
     /// Whether superseded optimized versions survive installation of a
-    /// differently-keyed successor (the deoptless mode).
+    /// differently-keyed successor (the deoptless mode; fixed at creation).
     retain: bool,
     next_version_id: u32,
     /// Total abstract size of all *optimized* code ever generated
@@ -179,30 +179,20 @@ pub struct CodeRegistry {
 }
 
 impl CodeRegistry {
-    /// Creates a registry for a program with `num_methods` methods.
-    pub fn new(num_methods: usize) -> Self {
+    /// Creates a registry for a program with `num_methods` methods. With
+    /// `retain` (the dispatched-OSR mode), installing an optimized version
+    /// under a new context key keeps the superseded version resident as a
+    /// *survivor* instead of releasing it, so that in-flight activations
+    /// can be dispatched into it; without, installation simply replaces.
+    pub(crate) fn new(num_methods: usize, retain: bool) -> Self {
         CodeRegistry {
             current: vec![None; num_methods],
             current_key: vec![ContextFingerprint::ROOT; num_methods],
             survivors: vec![Vec::new(); num_methods],
             deopt_baseline: vec![None; num_methods],
+            retain,
             ..Self::default()
         }
-    }
-
-    /// Switches version retention on or off. With retention on (the
-    /// dispatched-OSR mode), installing an optimized version under a new
-    /// context key keeps the superseded version resident as a *survivor*
-    /// instead of releasing it; [`CodeRegistry::best_surviving`] can then
-    /// dispatch in-flight activations into it. With retention off (the
-    /// default) installation behaves exactly as it always has.
-    pub fn retain_versions(&mut self, retain: bool) {
-        self.retain = retain;
-    }
-
-    /// Whether version retention is on.
-    pub fn retains_versions(&self) -> bool {
-        self.retain
     }
 
     /// Returns the currently-installed version of `method`, if any.
@@ -228,13 +218,6 @@ impl CodeRegistry {
     pub(crate) fn body(&self, slot: CodeSlot, program: &Program, cost: &CostModel) -> &DecodedBody {
         let code = &self.arena[slot.0 as usize];
         code.decoded.get_or_init(|| DecodedBody::build(&code.version, program, cost))
-    }
-
-    /// The slot holding exactly this `Arc` (one this registry handed out),
-    /// newest first: OSR transfers are rare and land in recent code.
-    pub(crate) fn slot_of(&self, version: &Arc<MethodVersion>) -> Option<CodeSlot> {
-        let i = self.arena.iter().rposition(|c| Arc::ptr_eq(&c.version, version))?;
-        Some(CodeSlot(i as u32)) // `adopt` checked that every index fits
     }
 
     /// The adopted deopt baseline of `method`, if one was ever needed.
@@ -288,7 +271,7 @@ impl CodeRegistry {
     /// key `key`, assigning it a fresh [`VersionId`]. Returns the
     /// installed `Arc`.
     ///
-    /// With [retention](CodeRegistry::retain_versions) on, a superseded
+    /// With retention on (the deoptless mode), a superseded
     /// optimized version installed under a *different* key survives (up to
     /// `MAX_SURVIVORS_PER_METHOD`, oldest evicted first) and stays
     /// counted in [resident size](CodeRegistry::current_optimized_size); a
@@ -317,20 +300,21 @@ impl CodeRegistry {
             // The new version supersedes any survivor for the same context.
             if let Some(pos) = self.survivors[midx].iter().position(|(k, _)| *k == key) {
                 let (_, old) = self.survivors[midx].remove(pos);
-                self.current_optimized_size -= old.code_size as u64;
+                self.current_optimized_size -= u64::from(self.version(old).code_size);
             }
         }
-        if let Some(old) = self.current[midx].take().map(|slot| Arc::clone(self.version(slot))) {
-            if old.level == OptLevel::Optimized {
+        if let Some(old) = self.current[midx].take() {
+            let (level, id) = (self.version(old).level, self.version(old).version_id);
+            if level == OptLevel::Optimized {
                 let old_key = self.current_key[midx];
-                if self.retain && old_key != key && !self.is_invalidated(old.version_id) {
+                if self.retain && old_key != key && !self.is_invalidated(id) {
                     self.survivors[midx].push((old_key, old));
                     if self.survivors[midx].len() > MAX_SURVIVORS_PER_METHOD {
                         let (_, evicted) = self.survivors[midx].remove(0);
-                        self.current_optimized_size -= evicted.code_size as u64;
+                        self.current_optimized_size -= u64::from(self.version(evicted).code_size);
                     }
                 } else {
-                    self.current_optimized_size -= old.code_size as u64;
+                    self.current_optimized_size -= u64::from(self.version(old).code_size);
                 }
             }
         }
@@ -340,32 +324,27 @@ impl CodeRegistry {
         Arc::clone(self.version(slot))
     }
 
-    /// Baseline-compiles `def` and installs the result.
-    pub fn install_baseline(&mut self, def: &aoci_ir::MethodDef) -> Arc<MethodVersion> {
-        self.install(MethodVersion::baseline(def))
-    }
-
-    /// The best surviving optimized version compatible with `key`: the
-    /// currently-installed version if its context key matches, else the
-    /// most recently superseded survivor under that key. Invalidated
-    /// versions never match — this is the dispatched-OSR compatibility
-    /// query, and transferring into known-stale code would be wrong, not
-    /// merely slow.
-    pub fn best_surviving(&self, key: VersionKey) -> Option<&Arc<MethodVersion>> {
+    /// The slot of the best surviving optimized version compatible with
+    /// `key`: the currently-installed version if its context key matches,
+    /// else the most recently superseded survivor under that key.
+    /// Invalidated versions never match — this is the dispatched-OSR
+    /// compatibility query, and transferring into known-stale code would be
+    /// wrong, not merely slow.
+    pub(crate) fn best_surviving(&self, key: VersionKey) -> Option<CodeSlot> {
         let midx = key.method.index();
-        if let Some(v) = self.current(key.method) {
-            if v.level == OptLevel::Optimized
+        let valid = |slot: CodeSlot| !self.is_invalidated(self.version(slot).version_id);
+        let current = self.current[midx].filter(|&slot| {
+            self.version(slot).level == OptLevel::Optimized
                 && self.current_key[midx] == key.context_fingerprint
-                && !self.is_invalidated(v.version_id)
-            {
-                return Some(v);
-            }
-        }
-        self.survivors[midx]
-            .iter()
-            .rev()
-            .find(|(k, v)| *k == key.context_fingerprint && !self.is_invalidated(v.version_id))
-            .map(|(_, v)| v)
+                && valid(slot)
+        });
+        current.or_else(|| {
+            self.survivors[midx]
+                .iter()
+                .rev()
+                .find(|&&(k, slot)| k == key.context_fingerprint && valid(slot))
+                .map(|&(_, slot)| slot)
+        })
     }
 
     /// Number of surviving (superseded but resident) versions of `method`.
@@ -466,13 +445,18 @@ mod tests {
         }
     }
 
+    /// The id of the version `best_surviving` picks for `key`.
+    fn best(r: &CodeRegistry, key: VersionKey) -> Option<VersionId> {
+        r.best_surviving(key).map(|slot| r.version(slot).version_id)
+    }
+
     fn site(method: usize, site: u16) -> CallSiteRef {
         CallSiteRef::new(MethodId::from_index(method), SiteIdx(site))
     }
 
     #[test]
     fn install_and_lookup() {
-        let mut r = CodeRegistry::new(2);
+        let mut r = CodeRegistry::new(2, false);
         assert!(r.current(MethodId::from_index(0)).is_none());
         r.install(version(0, OptLevel::Baseline, 10));
         assert!(r.current(MethodId::from_index(0)).is_some());
@@ -482,7 +466,7 @@ mod tests {
 
     #[test]
     fn optimized_size_accounting() {
-        let mut r = CodeRegistry::new(1);
+        let mut r = CodeRegistry::new(1, false);
         r.install(version(0, OptLevel::Baseline, 10));
         r.install(version(0, OptLevel::Optimized, 100));
         assert_eq!(r.cumulative_optimized_size(), 100);
@@ -496,7 +480,7 @@ mod tests {
 
     #[test]
     fn invalidation_clears_slot_and_accounting() {
-        let mut r = CodeRegistry::new(2);
+        let mut r = CodeRegistry::new(2, false);
         let m0 = MethodId::from_index(0);
         let installed = r.install(version(0, OptLevel::Optimized, 100));
         assert_eq!(r.current_optimized_size(), 100);
@@ -517,7 +501,7 @@ mod tests {
 
     #[test]
     fn version_ids_are_unique_and_increasing() {
-        let mut r = CodeRegistry::new(1);
+        let mut r = CodeRegistry::new(1, false);
         let a = r.install(version(0, OptLevel::Baseline, 1));
         let b = r.install(version(0, OptLevel::Optimized, 1));
         assert!(b.version_id > a.version_id);
@@ -526,7 +510,7 @@ mod tests {
 
     #[test]
     fn old_versions_survive_via_arc() {
-        let mut r = CodeRegistry::new(1);
+        let mut r = CodeRegistry::new(1, false);
         let old = r.install(version(0, OptLevel::Baseline, 1));
         r.install(version(0, OptLevel::Optimized, 5));
         // A frame holding `old` can still execute it.
@@ -549,21 +533,20 @@ mod tests {
 
     #[test]
     fn without_retention_differently_keyed_installs_replace() {
-        let mut r = CodeRegistry::new(1);
+        let mut r = CodeRegistry::new(1, false);
         let m = MethodId::from_index(0);
         let fp = ContextFingerprint::of(&[site(1, 0)]);
         r.install_keyed(version(0, OptLevel::Optimized, 100), ContextFingerprint::ROOT);
         r.install_keyed(version(0, OptLevel::Optimized, 80), fp);
         assert_eq!(r.survivor_count(m), 0);
         assert_eq!(r.current_optimized_size(), 80);
-        assert!(r.best_surviving(VersionKey::root(m)).is_none());
-        assert!(r.best_surviving(VersionKey::new(m, fp)).is_some());
+        assert!(best(&r, VersionKey::root(m)).is_none());
+        assert!(best(&r, VersionKey::new(m, fp)).is_some());
     }
 
     #[test]
     fn retention_keeps_superseded_versions_reachable_by_key() {
-        let mut r = CodeRegistry::new(1);
-        r.retain_versions(true);
+        let mut r = CodeRegistry::new(1, true);
         let m = MethodId::from_index(0);
         let fp_a = ContextFingerprint::of(&[site(1, 0)]);
         let fp_b = ContextFingerprint::of(&[site(2, 0)]);
@@ -571,42 +554,40 @@ mod tests {
         let vb = r.install_keyed(version(0, OptLevel::Optimized, 80), fp_b);
         assert_eq!(r.survivor_count(m), 1, "the a-keyed version survives");
         assert_eq!(r.current_optimized_size(), 180, "survivors stay resident");
-        let got_a = r.best_surviving(VersionKey::new(m, fp_a)).expect("survivor found");
-        assert_eq!(got_a.version_id, va.version_id);
-        let got_b = r.best_surviving(VersionKey::new(m, fp_b)).expect("current found");
-        assert_eq!(got_b.version_id, vb.version_id);
-        assert!(r.best_surviving(VersionKey::root(m)).is_none(), "no root-keyed version");
+        let got_a = best(&r, VersionKey::new(m, fp_a)).expect("survivor found");
+        assert_eq!(got_a, va.version_id);
+        let got_b = best(&r, VersionKey::new(m, fp_b)).expect("current found");
+        assert_eq!(got_b, vb.version_id);
+        assert!(best(&r, VersionKey::root(m)).is_none(), "no root-keyed version");
         // A same-key reinstall supersedes the survivor, not adds to it.
         let va2 = r.install_keyed(version(0, OptLevel::Optimized, 60), fp_a);
         assert_eq!(r.survivor_count(m), 1, "b-keyed current moved to survivors, a-keyed replaced");
         assert_eq!(r.current_optimized_size(), 140);
         assert_eq!(
-            r.best_surviving(VersionKey::new(m, fp_a)).unwrap().version_id,
-            va2.version_id
+            best(&r, VersionKey::new(m, fp_a)),
+            Some(va2.version_id)
         );
     }
 
     #[test]
     fn invalidated_versions_never_match_compatibility_queries() {
-        let mut r = CodeRegistry::new(1);
-        r.retain_versions(true);
+        let mut r = CodeRegistry::new(1, true);
         let m = MethodId::from_index(0);
         let fp_a = ContextFingerprint::of(&[site(1, 0)]);
         let fp_b = ContextFingerprint::of(&[site(2, 0)]);
         r.install_keyed(version(0, OptLevel::Optimized, 100), fp_a);
         r.install_keyed(version(0, OptLevel::Optimized, 80), fp_b);
         assert!(r.invalidate(m), "kills the b-keyed current version");
-        assert!(r.best_surviving(VersionKey::new(m, fp_b)).is_none(), "invalidated never matches");
+        assert!(best(&r, VersionKey::new(m, fp_b)).is_none(), "invalidated never matches");
         assert!(
-            r.best_surviving(VersionKey::new(m, fp_a)).is_some(),
+            best(&r, VersionKey::new(m, fp_a)).is_some(),
             "the a-keyed survivor is untouched by the b-keyed invalidation"
         );
     }
 
     #[test]
     fn survivor_population_is_capped_with_deterministic_eviction() {
-        let mut r = CodeRegistry::new(1);
-        r.retain_versions(true);
+        let mut r = CodeRegistry::new(1, true);
         let m = MethodId::from_index(0);
         let fps: Vec<ContextFingerprint> =
             (0..8u16).map(|i| ContextFingerprint::of(&[site(1, i)])).collect();
@@ -616,9 +597,9 @@ mod tests {
         assert_eq!(r.survivor_count(m), MAX_SURVIVORS_PER_METHOD);
         // The oldest keys were evicted; the newest survivors plus the
         // current version remain reachable.
-        assert!(r.best_surviving(VersionKey::new(m, fps[0])).is_none(), "oldest evicted");
-        assert!(r.best_surviving(VersionKey::new(m, fps[7])).is_some(), "current");
-        assert!(r.best_surviving(VersionKey::new(m, fps[3])).is_some(), "youngest survivors stay");
+        assert!(best(&r, VersionKey::new(m, fps[0])).is_none(), "oldest evicted");
+        assert!(best(&r, VersionKey::new(m, fps[7])).is_some(), "current");
+        assert!(best(&r, VersionKey::new(m, fps[3])).is_some(), "youngest survivors stay");
         // Residency = current + capped survivors.
         let expect: u64 = (3..8).map(|i| 10 + i as u64).sum();
         assert_eq!(r.current_optimized_size(), expect);

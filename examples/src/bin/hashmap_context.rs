@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // The example is small; sample a bit faster than the default so the
         // profile fills in quickly.
         config.cost.sample_period = 20_000;
-        let (report, db) = AosSystem::new(&program, config).run_detailed()?;
+        let (report, db, _) = AosSystem::new(&program, config).run_full()?;
 
         println!("result: {:?} (must match across policies)", report.result);
         println!(

@@ -86,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the Parameterless early-termination policy would stop their traces at
     // one edge — the paper's acknowledged `this`-parameter exception.)
     let config = AosConfig::new(PolicyKind::Fixed { max: 3 });
-    let (report, db) = AosSystem::new(&program, config).run_detailed()?;
+    let (report, db, _) = AosSystem::new(&program, config).run_full()?;
 
     println!("result               : {:?}", report.result);
     println!("total cycles         : {}", report.total_cycles());

@@ -289,6 +289,8 @@ fn dispatched_transfer_is_identical_across_dispatch_modes() {
             guard_misses: 91,
             osr_entries: 1,
             osr_exits: 0,
+            dispatched_transfers: 1,
+            ..ExecCounters::default()
         }
     );
     let osr = OsrEvents { requests: 1, entries: 1, dispatched_transfers: 1, ..OsrEvents::default() };

@@ -43,11 +43,11 @@ fn exact_match_oracle_is_sound_but_weaker() {
     let mut exact_cfg = AosConfig::new(PolicyKind::Fixed { max: 3 });
     exact_cfg.match_mode = MatchMode::Exact;
 
-    let (partial, partial_db) = AosSystem::new(&w.program, partial_cfg)
-        .run_detailed()
+    let (partial, partial_db, _) = AosSystem::new(&w.program, partial_cfg)
+        .run_full()
         .expect("partial run");
-    let (exact, exact_db) = AosSystem::new(&w.program, exact_cfg)
-        .run_detailed()
+    let (exact, exact_db, _) = AosSystem::new(&w.program, exact_cfg)
+        .run_full()
         .expect("exact run");
     assert_eq!(partial.result, exact.result, "matching mode must not change semantics");
     // Exact matching can only use rules whose context length equals the

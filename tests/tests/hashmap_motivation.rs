@@ -13,8 +13,8 @@ use aoci_workloads::hashmap_test;
 fn run(program: &Program, policy: PolicyKind) -> (Option<i64>, Vec<InlineDecision>) {
     let mut config = AosConfig::new(policy);
     config.cost.sample_period = 20_000;
-    let (report, db) = AosSystem::new(program, config)
-        .run_detailed()
+    let (report, db, _) = AosSystem::new(program, config)
+        .run_full()
         .expect("hashmap test runs");
     let decisions = db.decision_log().iter().map(|(_, d)| d.clone()).collect();
     (report.result.and_then(|v| v.as_int()), decisions)
