@@ -221,6 +221,7 @@ mod tests {
                 method: mid(0),
                 level: OptLevel::Optimized,
                 body: vec![],
+                arg_pool: Vec::new().into(),
                 num_regs: 0,
                 inline_map: InlineMap::baseline(mid(0), 0),
                 code_size: 0,

@@ -18,7 +18,7 @@
 //! [`PolicyKind::IdealApprox`](crate::PolicyKind) policy keeps extending a
 //! trace exactly while the walk is inside such methods.
 
-use aoci_ir::{Instr, MethodId, Program};
+use aoci_ir::{Instr, MethodId, Program, Reg};
 
 /// Per-method parameter-dependence facts.
 #[derive(Clone, Debug)]
@@ -34,7 +34,7 @@ impl DependenceAnalysis {
     pub fn analyze(program: &Program) -> Self {
         let needs_context = program
             .methods()
-            .map(|m| method_needs_context(m.body(), m.total_args(), m.num_regs()))
+            .map(|m| method_needs_context(m.body(), m.arg_pool(), m.total_args(), m.num_regs()))
             .collect();
         DependenceAnalysis { needs_context }
     }
@@ -53,9 +53,9 @@ impl DependenceAnalysis {
     }
 }
 
-/// Flow-insensitive taint fixpoint over one body whose registers are all
-/// below `num_regs` (a validated method's).
-fn method_needs_context(body: &[Instr], total_args: u16, num_regs: u16) -> bool {
+/// Flow-insensitive taint fixpoint over one body, with its argument pool,
+/// whose registers are all below `num_regs` (a validated method's).
+fn method_needs_context(body: &[Instr], pool: &[Reg], total_args: u16, num_regs: u16) -> bool {
     if total_args == 0 {
         // No parameters — callers cannot influence behaviour (modulo
         // globals, the paper's acknowledged exception).
@@ -74,7 +74,7 @@ fn method_needs_context(body: &[Instr], total_args: u16, num_regs: u16) -> bool 
                 continue;
             }
             let mut from_tainted = false;
-            instr.for_each_use(|s| from_tainted |= tainted[s.index()]);
+            instr.for_each_use(pool, |s| from_tainted |= tainted[s.index()]);
             if from_tainted {
                 tainted[d.index()] = true;
                 changed = true;
@@ -90,16 +90,12 @@ fn method_needs_context(body: &[Instr], total_args: u16, num_regs: u16) -> bool 
         _ => false,
     });
 
-    body.iter().any(|i| match i {
-        Instr::CallVirtual { recv, args, .. } => {
-            tainted_branch
-                || tainted[recv.index()]
-                || args.iter().any(|a| tainted[a.index()])
-        }
-        Instr::CallStatic { args, .. } => {
-            tainted_branch || args.iter().any(|a| tainted[a.index()])
-        }
-        _ => false,
+    // A call depends on the parameters through a tainted branch or a
+    // tainted operand (a virtual call's receiver among them).
+    body.iter().filter(|i| i.is_call()).any(|i| {
+        let mut operand = false;
+        i.for_each_use(pool, |r| operand |= tainted[r.index()]);
+        tainted_branch || operand
     })
 }
 

@@ -3,7 +3,7 @@
 use crate::class::{ClassDef, FieldDef, SelectorDef};
 use crate::error::IrError;
 use crate::ids::{ClassId, FieldId, GlobalId, Label, MethodId, Reg, SelectorId, SiteIdx};
-use crate::instr::{BinOp, Cond, Instr};
+use crate::instr::{ArgSpan, BinOp, Cond, Instr};
 use crate::method::{MethodDef, MethodKind};
 use crate::program::{DispatchRow, Program, NO_METHOD};
 use crate::size;
@@ -270,7 +270,13 @@ pub struct MethodBuilder<'p> {
     /// Set when [`MethodBuilder::fresh_reg`] ran out of registers.
     out_of_registers: bool,
     body: Vec<Instr>,
+    /// The argument pool of `body`.
+    arg_pool: Vec<Reg>,
     next_site: u16,
+    /// Set when a call site was emitted past the last `u16` site index.
+    out_of_sites: bool,
+    /// Set when a call's arguments did not fit an [`ArgSpan`].
+    out_of_arg_pool: bool,
     labels: Vec<Option<u32>>,
     /// (instruction index, label) pairs awaiting resolution.
     fixups: Vec<(usize, Label)>,
@@ -297,7 +303,10 @@ impl<'p> MethodBuilder<'p> {
             next_reg: total_args,
             out_of_registers: false,
             body: Vec::new(),
+            arg_pool: Vec::new(),
             next_site: 0,
+            out_of_sites: false,
+            out_of_arg_pool: false,
             labels: Vec::new(),
             fixups: Vec::new(),
         }
@@ -460,11 +469,35 @@ impl<'p> MethodBuilder<'p> {
         self.emit(Instr::Branch { cond, lhs, rhs, target: u32::MAX });
     }
 
+    /// The index of a new call site.
+    ///
+    /// A method has at most `u16::MAX` call sites. The call that would
+    /// number one more sets a flag that [`MethodBuilder::finish`] reports
+    /// as [`IrError::TooManySites`].
+    fn next_site(&mut self) -> SiteIdx {
+        let site = SiteIdx(self.next_site);
+        match self.next_site.checked_add(1) {
+            Some(next) => self.next_site = next,
+            None => self.out_of_sites = true,
+        }
+        site
+    }
+
+    /// Appends a call's arguments to the argument pool and returns their
+    /// span. Arguments past an [`ArgSpan`] bound set a flag that
+    /// [`MethodBuilder::finish`] reports as [`IrError::TooManyCallArgs`].
+    fn pool_args(&mut self, args: &[Reg]) -> ArgSpan {
+        ArgSpan::append(&mut self.arg_pool, args.iter().copied()).unwrap_or_else(|| {
+            self.out_of_arg_pool = true;
+            ArgSpan::default()
+        })
+    }
+
     /// Emits a static call; returns the new call site's index.
     pub fn call_static(&mut self, dst: Option<Reg>, callee: MethodId, args: &[Reg]) -> SiteIdx {
-        let site = SiteIdx(self.next_site);
-        self.next_site += 1;
-        self.emit(Instr::CallStatic { site, dst, callee, args: args.to_vec() });
+        let site = self.next_site();
+        let args = self.pool_args(args);
+        self.emit(Instr::CallStatic { site, dst, callee, args });
         site
     }
 
@@ -476,9 +509,9 @@ impl<'p> MethodBuilder<'p> {
         recv: Reg,
         args: &[Reg],
     ) -> SiteIdx {
-        let site = SiteIdx(self.next_site);
-        self.next_site += 1;
-        self.emit(Instr::CallVirtual { site, dst, selector, recv, args: args.to_vec() });
+        let site = self.next_site();
+        let args = self.pool_args(args);
+        self.emit(Instr::CallVirtual { site, dst, selector, recv, args });
         site
     }
 
@@ -507,9 +540,16 @@ impl<'p> MethodBuilder<'p> {
         if self.out_of_registers {
             self.parent.push_error(IrError::TooManyRegisters { method: self.id });
         }
+        if self.out_of_sites {
+            self.parent.push_error(IrError::TooManySites { method: self.id });
+        }
+        if self.out_of_arg_pool {
+            self.parent.push_error(IrError::TooManyCallArgs { method: self.id });
+        }
         let size_estimate = size::body_size(&self.body);
         // A finished body lives as long as its program and never grows.
         self.body.shrink_to_fit();
+        self.arg_pool.shrink_to_fit();
         let def = MethodDef {
             id: self.id,
             name: self.name,
@@ -517,6 +557,7 @@ impl<'p> MethodBuilder<'p> {
             arity: self.arity,
             num_regs: self.next_reg,
             body: self.body,
+            arg_pool: self.arg_pool,
             num_sites: self.next_site,
             size_estimate,
         };
@@ -730,6 +771,84 @@ mod tests {
         let err = method_with_registers(u32::from(u16::MAX) + 1).unwrap_err();
         assert_eq!(err, IrError::TooManyRegisters { method: MethodId(0) });
         assert!(err.to_string().contains("more than 65535 registers"), "{err}");
+    }
+
+    /// A method with `sites` calls of a parameterless callee.
+    fn method_with_sites(sites: u32) -> Result<Program, IrError> {
+        let mut b = ProgramBuilder::new();
+        let callee = {
+            let mut m = b.static_method("callee", 0);
+            m.ret(None);
+            m.finish()
+        };
+        let main = {
+            let mut m = b.static_method("main", 0);
+            for _ in 0..sites {
+                m.call_static(None, callee, &[]);
+            }
+            m.ret(None);
+            m.finish()
+        };
+        b.finish(main)
+    }
+
+    #[test]
+    fn site_counter_overflow_is_an_error() {
+        let p = method_with_sites(u32::from(u16::MAX)).expect("the last site fits");
+        let main = p.method(p.entry());
+        assert_eq!(main.num_sites(), u16::MAX);
+        assert_eq!(main.call_sites().last().map(|(s, _)| s), Some(SiteIdx(u16::MAX - 1)));
+        let err = method_with_sites(u32::from(u16::MAX) + 1).unwrap_err();
+        assert_eq!(err, IrError::TooManySites { method: MethodId(1) });
+        assert!(err.to_string().contains("more than 65535 call sites"), "{err}");
+    }
+
+    /// A method whose calls pass `per_call` arguments each, `total` in all
+    /// (the last call passes the remainder).
+    fn method_with_call_args(per_call: usize, total: usize) -> Result<Program, IrError> {
+        let mut b = ProgramBuilder::new();
+        let arity = u16::try_from(per_call).unwrap();
+        let callee = {
+            let mut m = b.static_method("callee", arity);
+            m.ret(None);
+            m.finish()
+        };
+        let short = u16::try_from(total % per_call).unwrap();
+        let rest = {
+            let mut m = b.static_method("rest", short);
+            m.ret(None);
+            m.finish()
+        };
+        let main = {
+            let mut m = b.static_method("main", 0);
+            let r = m.fresh_reg();
+            m.const_int(r, 0);
+            let args = vec![r; per_call];
+            for _ in 0..total / per_call {
+                m.call_static(None, callee, &args);
+            }
+            if short > 0 {
+                m.call_static(None, rest, &args[..usize::from(short)]);
+            }
+            m.ret(None);
+            m.finish()
+        };
+        b.finish(main)
+    }
+
+    #[test]
+    fn argument_pool_overflow_is_an_error() {
+        let (max_args, max_pool) = (ArgSpan::MAX_ARGS, ArgSpan::MAX_POOL);
+        let main_of = |p: Program| p.method(p.entry()).arg_pool().len();
+        // One call's arguments: 255 fit a span, 256 do not.
+        assert_eq!(method_with_call_args(max_args, max_args).map(main_of), Ok(max_args));
+        let err = method_with_call_args(max_args + 1, max_args + 1).unwrap_err();
+        assert_eq!(err, IrError::TooManyCallArgs { method: MethodId(2) });
+        // A body's pool: 65 535 registers fit, 65 536 do not.
+        assert_eq!(method_with_call_args(max_args, max_pool).map(main_of), Ok(max_pool));
+        let err = method_with_call_args(max_args, max_pool + 1).unwrap_err();
+        assert_eq!(err, IrError::TooManyCallArgs { method: MethodId(2) });
+        assert!(err.to_string().contains("255 arguments in one call or 65535 in all"), "{err}");
     }
 
     #[test]

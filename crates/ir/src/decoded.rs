@@ -2,13 +2,14 @@
 //! table.
 //!
 //! The interpreter historically re-examined each [`Instr`] on every
-//! execution: matching on the enum, chasing [`FieldId`]/[`ClassId`]
-//! lookups through the program tables, and (worst of all) cloning the
-//! instruction — including its argument `Vec` for calls — per step. The
-//! pre-decode pass lowers a method body once into a flat [`DecodedOp`]
-//! array in which every operand is resolved up front: register numbers as
-//! raw `u16`s, field offsets and class layout sizes pre-looked-up, call
-//! argument lists as owned boxed slices, branch targets absolute. This is
+//! execution: matching on the enum and chasing [`FieldId`]/[`ClassId`]
+//! lookups through the program tables per step. The pre-decode pass lowers
+//! a method body once into a flat [`DecodedOp`] array in which every
+//! operand is resolved up front: register numbers as raw `u16`s, field
+//! offsets and class layout sizes pre-looked-up, branch targets absolute.
+//! Call arguments stay where the source body keeps them: a decoded call
+//! carries the source call's [`ArgSpan`] into the same argument pool, so
+//! no decoded op owns an allocation. This is
 //! the idiom of pre-decoded/threaded interpreters ("An Attempt to Catch Up
 //! with JIT Compilers", Poirier et al.): pay decode cost once per
 //! installed code version, not once per executed instruction.
@@ -34,7 +35,7 @@
 //! executes it exactly as unfused code would.
 
 use crate::ids::{ClassId, FieldId, GlobalId, MethodId, Reg, SelectorId, SiteIdx};
-use crate::instr::{BinOp, Cond, Instr};
+use crate::instr::{ArgSpan, BinOp, Cond, Instr};
 use crate::program::Program;
 
 /// One pre-decoded instruction: the execution-ready mirror of [`Instr`].
@@ -42,8 +43,8 @@ use crate::program::Program;
 /// Register operands are raw `u16` indices (what the interpreter actually
 /// indexes frames with); memory operands carry both the resolved value
 /// (`offset`, `layout`) **and** the id it was resolved from, keeping
-/// [`encode_op`] exact.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// [`encode_op`] exact. Like [`Instr`], it is `Copy` and 16 bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum DecodedOp {
     /// `dst = value`.
@@ -80,16 +81,10 @@ pub enum DecodedOp {
     Jump { target: u32 },
     /// Conditional jump to absolute index `target`.
     Branch { cond: Cond, lhs: u16, rhs: u16, target: u32 },
-    /// Static call; `args` is an owned flat operand list.
-    CallStatic { site: SiteIdx, dst: Option<u16>, callee: MethodId, args: Box<[u16]> },
+    /// Static call; `args` spans the decoded argument pool.
+    CallStatic { site: SiteIdx, dst: Option<u16>, callee: MethodId, args: ArgSpan },
     /// Virtual call; `args` excludes the receiver, as in [`Instr`].
-    CallVirtual {
-        site: SiteIdx,
-        dst: Option<u16>,
-        selector: SelectorId,
-        recv: u16,
-        args: Box<[u16]>,
-    },
+    CallVirtual { site: SiteIdx, dst: Option<u16>, selector: SelectorId, recv: u16, args: ArgSpan },
     /// Return, optionally with a value.
     Return { src: Option<u16> },
     /// Class-test guard; `else_target` is absolute.
@@ -155,14 +150,14 @@ pub fn decode_op(instr: &Instr, program: &Program) -> DecodedOp {
             site: *site,
             dst: dst.map(|d| d.0),
             callee: *callee,
-            args: args.iter().map(|a| a.0).collect(),
+            args: *args,
         },
         Instr::CallVirtual { site, dst, selector, recv, args } => DecodedOp::CallVirtual {
             site: *site,
             dst: dst.map(|d| d.0),
             selector: *selector,
             recv: r(*recv),
-            args: args.iter().map(|a| a.0).collect(),
+            args: *args,
         },
         Instr::Return { src } => DecodedOp::Return { src: src.map(|s| s.0) },
         Instr::GuardClass { recv, class, else_target } => DecodedOp::GuardClass {
@@ -231,14 +226,14 @@ pub fn encode_op(op: &DecodedOp) -> Instr {
             site: *site,
             dst: dst.map(Reg),
             callee: *callee,
-            args: args.iter().map(|&a| Reg(a)).collect(),
+            args: *args,
         },
         DecodedOp::CallVirtual { site, dst, selector, recv, args } => Instr::CallVirtual {
             site: *site,
             dst: dst.map(Reg),
             selector: *selector,
             recv: r(*recv),
-            args: args.iter().map(|&a| Reg(a)).collect(),
+            args: *args,
         },
         DecodedOp::Return { src } => Instr::Return { src: src.map(Reg) },
         DecodedOp::GuardClass { recv, class, else_target } => Instr::GuardClass {
@@ -406,7 +401,7 @@ mod tests {
     fn fusion_plan_is_per_pc_and_allows_overlap() {
         let b = DecodedOp::Bin { op: BinOp::Add, dst: 0, lhs: 0, rhs: 1 };
         let br = DecodedOp::Branch { cond: Cond::Lt, lhs: 0, rhs: 1, target: 0 };
-        let ops = vec![b.clone(), b, br];
+        let ops = vec![b, b, br];
         let plan = fusion_plan(&ops);
         assert_eq!(plan.len(), 3);
         assert_eq!(plan[0], None, "Bin+Bin is not in the table");

@@ -1,22 +1,23 @@
 //! Human-readable disassembly of method bodies; useful in tests, examples
 //! and when debugging the inliner's output.
 
+use crate::ids::Reg;
 use crate::instr::Instr;
 use crate::method::MethodDef;
 use crate::program::Program;
 use std::fmt::Write as _;
 
 /// Renders `body` as one instruction per line, resolving names through
-/// `program`.
+/// `program` and call arguments through `pool`, the body's argument pool.
 ///
-/// Works for both source bodies (pass `program.method(id).body()`) and
-/// optimizer output (any `&[Instr]`), so the inliner's transforms can be
-/// inspected directly.
-pub fn disassemble(program: &Program, body: &[Instr]) -> String {
+/// Works for both source bodies (pass `program.method(id).body()` and its
+/// `arg_pool()`) and optimizer output (any `&[Instr]` with its pool), so
+/// the inliner's transforms can be inspected directly.
+pub fn disassemble(program: &Program, body: &[Instr], pool: &[Reg]) -> String {
     let mut out = String::new();
     for (i, instr) in body.iter().enumerate() {
         let _ = write!(out, "{i:4}: ");
-        render(program, instr, &mut out);
+        render(program, instr, pool, &mut out);
         out.push('\n');
     }
     out
@@ -33,11 +34,11 @@ pub fn disassemble_method(program: &Program, m: &MethodDef) -> String {
         m.size_estimate(),
         m.size_class()
     );
-    s.push_str(&disassemble(program, m.body()));
+    s.push_str(&disassemble(program, m.body(), m.arg_pool()));
     s
 }
 
-fn render(p: &Program, instr: &Instr, out: &mut String) {
+fn render(p: &Program, instr: &Instr, pool: &[Reg], out: &mut String) {
     let _ = match instr {
         Instr::Const { dst, value } => write!(out, "{dst} = const {value}"),
         Instr::ConstNull { dst } => write!(out, "{dst} = null"),
@@ -69,7 +70,7 @@ fn render(p: &Program, instr: &Instr, out: &mut String) {
                 let _ = write!(out, "{d} = ");
             }
             let _ = write!(out, "call{site} {}(", p.method(*callee).name());
-            write_args(out, args);
+            write_args(out, args.of(pool));
             write!(out, ")")
         }
         Instr::CallVirtual { site, dst, selector, recv, args } => {
@@ -77,7 +78,7 @@ fn render(p: &Program, instr: &Instr, out: &mut String) {
                 let _ = write!(out, "{d} = ");
             }
             let _ = write!(out, "vcall{site} {recv}.{}(", p.selector(*selector).name());
-            write_args(out, args);
+            write_args(out, args.of(pool));
             write!(out, ")")
         }
         Instr::Return { src: Some(r) } => write!(out, "return {r}"),
@@ -96,7 +97,7 @@ fn render(p: &Program, instr: &Instr, out: &mut String) {
     };
 }
 
-fn write_args(out: &mut String, args: &[crate::ids::Reg]) {
+fn write_args(out: &mut String, args: &[Reg]) {
     for (i, a) in args.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");

@@ -78,6 +78,21 @@ pub enum IrError {
         /// The offending method.
         method: MethodId,
     },
+    /// A method emitted more call sites than a site count (`u16`) can hold.
+    TooManySites {
+        /// The offending method.
+        method: MethodId,
+    },
+    /// A method's calls pass more argument registers than its argument pool
+    /// can name: more than [`ArgSpan::MAX_ARGS`] in one call, or more than
+    /// [`ArgSpan::MAX_POOL`] in all.
+    ///
+    /// [`ArgSpan::MAX_ARGS`]: crate::ArgSpan::MAX_ARGS
+    /// [`ArgSpan::MAX_POOL`]: crate::ArgSpan::MAX_POOL
+    TooManyCallArgs {
+        /// The offending method.
+        method: MethodId,
+    },
 }
 
 impl fmt::Display for IrError {
@@ -117,6 +132,17 @@ impl fmt::Display for IrError {
                 f,
                 "method {method} allocates more than {} registers",
                 u16::MAX
+            ),
+            IrError::TooManySites { method } => write!(
+                f,
+                "method {method} emits more than {} call sites",
+                u16::MAX
+            ),
+            IrError::TooManyCallArgs { method } => write!(
+                f,
+                "method {method} passes more than {} arguments in one call or {} in all",
+                crate::ArgSpan::MAX_ARGS,
+                crate::ArgSpan::MAX_POOL
             ),
         }
     }

@@ -15,6 +15,7 @@
 
 use crate::ids::{ClassId, FieldId, GlobalId, MethodId, Reg, SelectorId, SiteIdx};
 use std::fmt;
+use std::ops::Range;
 
 /// Binary arithmetic/logic operators.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -99,13 +100,98 @@ impl fmt::Display for Cond {
     }
 }
 
+/// Where a call's argument registers sit in its body's argument pool:
+/// `len` registers from `start` (DESIGN.md §18).
+///
+/// Three bytes at alignment 1, so that a call fits the 16 bytes every
+/// other instruction fits: the start is a `u16` and the length a `u8`. A
+/// body's pool therefore holds at most [`ArgSpan::MAX_POOL`] registers and
+/// one call passes at most [`ArgSpan::MAX_ARGS`]; the builder reports a
+/// body over either bound as [`IrError::TooManyCallArgs`], and the inliner
+/// refuses an inline that could take its pool over the first.
+///
+/// [`IrError::TooManyCallArgs`]: crate::IrError::TooManyCallArgs
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[repr(C, packed)]
+pub struct ArgSpan {
+    start: u16,
+    len: u8,
+}
+
+impl ArgSpan {
+    /// The most argument registers one call passes.
+    pub const MAX_ARGS: usize = u8::MAX as usize;
+    /// The most registers one body's argument pool holds.
+    pub const MAX_POOL: usize = u16::MAX as usize;
+
+    /// The span of `len` registers from `start`, if it ends within
+    /// [`ArgSpan::MAX_POOL`] and `len` is at most [`ArgSpan::MAX_ARGS`].
+    pub fn new(start: usize, len: usize) -> Option<ArgSpan> {
+        if start.checked_add(len)? > Self::MAX_POOL {
+            return None;
+        }
+        Some(ArgSpan { start: u16::try_from(start).ok()?, len: u8::try_from(len).ok()? })
+    }
+
+    /// Appends `args` to `pool` and returns their span; or, when the span
+    /// would break a bound, leaves `pool` as it was and returns `None`.
+    pub fn append(pool: &mut Vec<Reg>, args: impl IntoIterator<Item = Reg>) -> Option<ArgSpan> {
+        let start = pool.len();
+        pool.extend(args);
+        let span = ArgSpan::new(start, pool.len() - start);
+        if span.is_none() {
+            pool.truncate(start);
+        }
+        span
+    }
+
+    /// The number of registers.
+    #[inline]
+    pub fn len(self) -> usize {
+        usize::from(self.len)
+    }
+
+    /// Whether the call passes no registers here.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// The pool indices the span covers.
+    #[inline]
+    pub fn range(self) -> Range<usize> {
+        let start = usize::from(self.start);
+        start..start + self.len()
+    }
+
+    /// The registers the span names in `pool`, the argument pool of the
+    /// body its call sits in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span reaches past the end of `pool`.
+    #[inline]
+    pub fn of<T>(self, pool: &[T]) -> &[T] {
+        &pool[self.range()]
+    }
+}
+
+impl fmt::Debug for ArgSpan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:?}", self.range())
+    }
+}
+
 /// One bytecode instruction.
+///
+/// `Copy` and 16 bytes: a call's argument registers are not in the
+/// instruction but in its body's argument pool, named by an [`ArgSpan`].
 ///
 /// Operand fields follow a fixed naming convention — `dst` destination
 /// register, `src` source register, `lhs`/`rhs` operands, `obj`/`arr`/`recv`
 /// reference operands, `target`/`else_target` branch targets — documented
 /// once here rather than per variant.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[allow(missing_docs)]
 pub enum Instr {
     /// `dst = value`.
@@ -155,8 +241,9 @@ pub enum Instr {
         dst: Option<Reg>,
         /// Statically-bound target.
         callee: MethodId,
-        /// Argument registers (must match the callee's arity).
-        args: Vec<Reg>,
+        /// Argument registers in the body's pool (must match the callee's
+        /// arity).
+        args: ArgSpan,
     },
     /// Virtual call: dispatch on the dynamic class of `recv`.
     CallVirtual {
@@ -168,8 +255,8 @@ pub enum Instr {
         selector: SelectorId,
         /// Receiver register (becomes callee register 0).
         recv: Reg,
-        /// Additional argument registers.
-        args: Vec<Reg>,
+        /// Additional argument registers, in the body's pool.
+        args: ArgSpan,
     },
     /// Return from the method, optionally with a value.
     Return { src: Option<Reg> },
@@ -226,11 +313,13 @@ impl Instr {
     }
 
     /// Calls `f` on each register the instruction reads, in operand order
-    /// (a virtual call's receiver before its arguments). Every pass that
-    /// walks operands uses this one list; the order is the one in which the
-    /// verifier and `validate` report the first bad read.
+    /// (a virtual call's receiver before its arguments). A call's arguments
+    /// are read from `pool`, the argument pool of the body the instruction
+    /// sits in. Every pass that walks operands uses this one list; the order
+    /// is the one in which the verifier and `validate` report the first bad
+    /// read.
     #[inline]
-    pub fn for_each_use(&self, mut f: impl FnMut(Reg)) {
+    pub fn for_each_use(&self, pool: &[Reg], mut f: impl FnMut(Reg)) {
         match self {
             Instr::Move { src: a, .. }
             | Instr::GetField { obj: a, .. }
@@ -253,10 +342,10 @@ impl Instr {
                 f(*idx);
                 f(*src);
             }
-            Instr::CallStatic { args, .. } => args.iter().copied().for_each(f),
+            Instr::CallStatic { args, .. } => args.of(pool).iter().copied().for_each(f),
             Instr::CallVirtual { recv, args, .. } => {
                 f(*recv);
-                args.iter().copied().for_each(f);
+                args.of(pool).iter().copied().for_each(f);
             }
             Instr::Const { .. }
             | Instr::ConstNull { .. }
@@ -323,7 +412,7 @@ mod tests {
             site: SiteIdx(3),
             dst: None,
             callee: MethodId(0),
-            args: vec![],
+            args: ArgSpan::default(),
         };
         assert!(c.is_call());
         assert_eq!(c.call_site(), Some(SiteIdx(3)));
@@ -397,6 +486,10 @@ mod tests {
         let (c, f, g, s) = (ClassId(0), FieldId(0), GlobalId(0), SelectorId(0));
         let site = SiteIdx(0);
         let fall = [None, Some(2)];
+        // r9 pads the pool so the spans do not start at 0.
+        let pool = [r(9), r(3), r(2)];
+        let two = ArgSpan::new(1, 2).unwrap();
+        let none = ArgSpan::new(3, 0).unwrap();
         let table: Vec<Row> = vec![
             (Instr::Const { dst: r(1), value: 7 }, vec![], Some(1), fall),
             (Instr::ConstNull { dst: r(1) }, vec![], Some(1), fall),
@@ -421,25 +514,25 @@ mod tests {
                 [Some(0), Some(2)],
             ),
             (
-                Instr::CallStatic { site, dst: Some(r(1)), callee: MethodId(0), args: vec![r(3), r(2)] },
+                Instr::CallStatic { site, dst: Some(r(1)), callee: MethodId(0), args: two },
                 vec![3, 2],
                 Some(1),
                 fall,
             ),
             (
-                Instr::CallStatic { site, dst: None, callee: MethodId(0), args: vec![] },
+                Instr::CallStatic { site, dst: None, callee: MethodId(0), args: none },
                 vec![],
                 None,
                 fall,
             ),
             (
-                Instr::CallVirtual { site, dst: Some(r(1)), selector: s, recv: r(4), args: vec![r(3), r(2)] },
+                Instr::CallVirtual { site, dst: Some(r(1)), selector: s, recv: r(4), args: two },
                 vec![4, 3, 2],
                 Some(1),
                 fall,
             ),
             (
-                Instr::CallVirtual { site, dst: None, selector: s, recv: r(4), args: vec![] },
+                Instr::CallVirtual { site, dst: None, selector: s, recv: r(4), args: none },
                 vec![4],
                 None,
                 fall,
@@ -463,7 +556,7 @@ mod tests {
         for (instr, uses, def, succ) in &table {
             covered[variant(instr)] = true;
             let mut got = Vec::new();
-            instr.for_each_use(|r| got.push(r.0));
+            instr.for_each_use(&pool, |r| got.push(r.0));
             assert_eq!(&got, uses, "uses of {instr:?}");
             assert_eq!(instr.def(), def.map(Reg), "def of {instr:?}");
             assert_eq!(instr.successors(1, 3), *succ, "successors of {instr:?}");
@@ -471,6 +564,29 @@ mod tests {
             assert_eq!(instr.successors(2, 3)[1], None, "{instr:?} at the end");
         }
         assert_eq!(covered, [true; VARIANTS], "every variant has a row");
+    }
+
+    #[test]
+    fn instructions_are_copy_and_sixteen_bytes() {
+        fn copy<T: Copy>() {}
+        copy::<Instr>();
+        assert_eq!(std::mem::size_of::<Instr>(), 16);
+        assert_eq!(std::mem::size_of::<ArgSpan>(), 3);
+    }
+
+    #[test]
+    fn arg_spans_stop_at_their_bounds() {
+        let (pool, args) = (ArgSpan::MAX_POOL, ArgSpan::MAX_ARGS);
+        assert_eq!(ArgSpan::new(pool - args, args).map(ArgSpan::range), Some(pool - args..pool));
+        assert_eq!(ArgSpan::new(pool - args + 1, args), None, "past the pool");
+        assert_eq!(ArgSpan::new(pool, 0).map(ArgSpan::len), Some(0));
+        assert_eq!(ArgSpan::new(0, args + 1), None, "one call's arguments");
+        let mut regs = vec![Reg(7); pool - 1];
+        assert_eq!(ArgSpan::append(&mut regs, [Reg(1), Reg(2)]), None);
+        assert_eq!(regs.len(), pool - 1, "a refused append leaves the pool as it was");
+        let span = ArgSpan::append(&mut regs, [Reg(1)]).unwrap();
+        assert_eq!(span.of(&regs), [Reg(1)]);
+        assert_eq!(format!("{span:?}"), format!("{}..{pool}", pool - 1));
     }
 
     #[test]

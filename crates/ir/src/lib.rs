@@ -53,7 +53,8 @@ mod validate;
 pub use builder::{MethodBuilder, ProgramBuilder};
 pub use class::{ClassDef, FieldDef, SelectorDef};
 pub use decoded::{
-    decode_body, decode_op, encode_body, encode_op, fused_kind, fusion_plan, DecodedOp, FusedKind,
+    decode_body, decode_op, encode_body, encode_op, fused_kind, fusion_plan, DecodedOp,
+    FusedKind,
 };
 pub use disasm::{disassemble, disassemble_method};
 pub use error::IrError;
@@ -61,7 +62,7 @@ pub use ids::{
     CallSiteRef, ClassId, FieldId, GlobalId, IdHashMap, IdHashSet, IdHasher, Label, MethodId, Reg,
     SelectorId, SiteIdx,
 };
-pub use instr::{BinOp, Cond, Instr};
+pub use instr::{ArgSpan, BinOp, Cond, Instr};
 pub use method::{MethodDef, MethodKind};
 pub use program::Program;
 pub use size::{

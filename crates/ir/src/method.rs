@@ -43,6 +43,9 @@ pub struct MethodDef {
     /// Total registers used by the body (≥ `total_args()`).
     pub(crate) num_regs: u16,
     pub(crate) body: Vec<Instr>,
+    /// The argument pool of the body: every call's argument registers, at
+    /// the call's [`ArgSpan`](crate::ArgSpan).
+    pub(crate) arg_pool: Vec<Reg>,
     /// Number of call sites in the body (site indices are `0..num_sites`).
     pub(crate) num_sites: u16,
     /// Cached size estimate in abstract instruction units.
@@ -87,6 +90,12 @@ impl MethodDef {
     /// Returns the instruction sequence of the body.
     pub fn body(&self) -> &[Instr] {
         &self.body
+    }
+
+    /// Returns the argument pool of the body: the registers every call's
+    /// [`ArgSpan`](crate::ArgSpan) names.
+    pub fn arg_pool(&self) -> &[Reg] {
+        &self.arg_pool
     }
 
     /// Returns the number of call sites in the body.

@@ -108,7 +108,7 @@ mod tests {
                 site: SiteIdx(0),
                 dst: None,
                 callee: MethodId(0),
-                args: vec![]
+                args: crate::ArgSpan::default()
             }),
             CALL_SEQUENCE_SIZE
         );

@@ -416,12 +416,17 @@ impl Checker {
     fn check_method(&mut self, m: &MethodDef) -> Result<(), TypeError> {
         let mid = m.id();
         for (at, instr) in m.body().iter().enumerate() {
-            self.check_instr(mid, instr).map_err(|(e, f)| mismatch(mid, at, e, f))?;
+            self.check_instr(mid, instr, m.arg_pool()).map_err(|(e, f)| mismatch(mid, at, e, f))?;
         }
         Ok(())
     }
 
-    fn check_instr(&mut self, m: MethodId, instr: &Instr) -> Result<(), (Shape, Shape)> {
+    fn check_instr(
+        &mut self,
+        m: MethodId,
+        instr: &Instr,
+        pool: &[Reg],
+    ) -> Result<(), (Shape, Shape)> {
         match instr {
             Instr::Const { dst, .. } => self.table.require(self.rv(m, *dst), Tag::Int),
             Instr::ConstNull { dst } => self.table.require(self.rv(m, *dst), Tag::AnyRef),
@@ -482,7 +487,7 @@ impl Checker {
             },
             Instr::CallStatic { dst, callee, args, .. } => {
                 // Argument `k` lands in the callee's register `k`.
-                for (param, a) in (0..).map(Reg).zip(args) {
+                for (param, a) in (0..).map(Reg).zip(args.of(pool)) {
                     self.table.unify(self.rv(m, *a), self.rv(*callee, param))?;
                 }
                 if let Some(d) = dst {
@@ -493,7 +498,7 @@ impl Checker {
             Instr::CallVirtual { dst, selector, recv, args, .. } => {
                 self.table.require(self.rv(m, *recv), Tag::Obj)?;
                 let params = self.selector_param_base[selector.index()];
-                for (pv, a) in (params..).zip(args) {
+                for (pv, a) in (params..).zip(args.of(pool)) {
                     self.table.unify(self.rv(m, *a), pv)?;
                 }
                 if let Some(d) = dst {
@@ -565,7 +570,7 @@ fn definite_assignment(m: &MethodDef, rows: &mut Rows) -> Result<(), TypeError> 
     while let Some(i) = work.pop() {
         state.copy_from_slice(&entry[i * words..(i + 1) * words]);
         let mut uninitialised = None;
-        body[i].for_each_use(|r| {
+        body[i].for_each_use(m.arg_pool(), |r| {
             let (word, mask) = bit(r.index());
             if uninitialised.is_none() && state[word] & mask == 0 {
                 uninitialised = Some(r);

@@ -45,7 +45,7 @@ fn validate_method(program: &Program, m: &MethodDef) -> Result<(), IrError> {
         }
         // The first register out of range, reads before the write.
         let mut bad = None;
-        instr.for_each_use(|r| {
+        instr.for_each_use(m.arg_pool(), |r| {
             if bad.is_none() && r.0 >= nregs {
                 bad = Some(r);
             }

@@ -6,7 +6,7 @@ use crate::decision::{Compilation, DecisionProvenance, InlineDecision, Refusal, 
 use crate::simplify;
 use aoci_core::InlineOracle;
 use aoci_ir::{
-    size, CallSiteRef, IdHashSet, Instr, MethodId, Program, Reg, SiteIdx, SizeClass,
+    size, ArgSpan, CallSiteRef, IdHashSet, Instr, MethodId, Program, Reg, SiteIdx, SizeClass,
 };
 use aoci_vm::{InlineMap, InlineNode, MethodVersion, OptLevel, OsrMap, OsrPoint};
 
@@ -66,9 +66,11 @@ pub fn compile_in_context(
         config,
         root_size: root_def.size_estimate().max(32),
         out: Vec::new(),
+        out_args: Vec::new(),
+        reserved_args: root_def.arg_pool().len(),
         instr_nodes: Vec::new(),
         nodes: vec![InlineNode { method, parent: None, body_start: 0 }],
-        next_reg: root_def.num_regs() as u32,
+        next_reg: u32::from(root_def.num_regs()),
         emitted_size: 0,
         refusals: Vec::new(),
         decisions: Vec::new(),
@@ -78,17 +80,26 @@ pub fn compile_in_context(
     e.emit_body(method, 0, 0, RetMode::Root, outer, 0, &mut stack);
     debug_assert_eq!(stack, vec![method]);
 
-    let Emitter { out, instr_nodes, mut nodes, next_reg, refusals, decisions, root_map, .. } = e;
+    let Emitter {
+        out, out_args, instr_nodes, mut nodes, next_reg, refusals, decisions, root_map, ..
+    } = e;
     let num_regs = u16::try_from(next_reg).expect("register budget enforced during emission");
     // OSR anchors: (source pc, emitted pc) per root loop header. The
     // simplifier remaps the emitted side alongside branch targets and
     // drops anchors whose header stops being a control-flow leader.
     let mut anchors: Vec<(u32, u32)> =
         headers.iter().map(|&h| (h, root_map[h as usize])).collect();
-    let (body, instr_nodes) = if config.simplify {
-        simplify::simplify_with_anchors(out, instr_nodes, &mut nodes, num_regs, &mut anchors)
+    let (body, arg_pool, instr_nodes) = if config.simplify {
+        simplify::simplify_with_anchors(
+            out,
+            out_args,
+            instr_nodes,
+            &mut nodes,
+            num_regs,
+            &mut anchors,
+        )
     } else {
-        (out, instr_nodes)
+        (out, out_args, instr_nodes)
     };
     // The frame mapping at every anchor is the identity over the root
     // register window: emission never renames root registers (inlined
@@ -110,6 +121,7 @@ pub fn compile_in_context(
         inline_map: InlineMap::from_parts(nodes, instr_nodes),
         code_size: generated_size,
         body,
+        arg_pool: arg_pool.into(),
         version_id: aoci_vm::VersionId::default(),
         osr_map,
     };
@@ -130,6 +142,14 @@ struct Emitter<'a> {
     config: &'a OptConfig,
     root_size: u32,
     out: Vec<Instr>,
+    /// The argument pool of `out`.
+    out_args: Vec<Reg>,
+    /// The pool registers the bodies emitted so far or being emitted may
+    /// take: the root's pool plus the pool of every callee accepted for
+    /// inlining. Inlining passes on a call's arguments or drops the call, so
+    /// `out_args` never outgrows it, and [`Emitter::decide`] keeps it within
+    /// [`ArgSpan::MAX_POOL`].
+    reserved_args: usize,
     instr_nodes: Vec<u32>,
     nodes: Vec<InlineNode>,
     next_reg: u32,
@@ -155,6 +175,28 @@ impl<'a> Emitter<'a> {
         self.out.len() - 1
     }
 
+    /// The pc the next emitted instruction will have. Branch targets and
+    /// node starts are `u32`.
+    fn next_pc(&self) -> u32 {
+        u32::try_from(self.out.len()).expect("an optimized body holds fewer than 2^32 instructions")
+    }
+
+    /// Points the branches at `at` to the next emitted instruction.
+    fn patch_to_here(&mut self, at: impl IntoIterator<Item = usize>) {
+        let here = self.next_pc();
+        for j in at {
+            self.out[j].map_branch_target(|_| here);
+        }
+    }
+
+    /// Emits a call instruction that is not inlined, its arguments appended
+    /// to the output pool.
+    fn push_call(&mut self, node: u32, args: Args<'_>, call: impl FnOnce(ArgSpan) -> Instr) {
+        let span = ArgSpan::append(&mut self.out_args, args.shifted())
+            .expect("`reserved_args` bounds the pool, and a source span bounds one call");
+        self.push(node, call(span));
+    }
+
     /// Emits the (possibly recursively inlined) body of `method`.
     ///
     /// `chain` is the compilation context *outside* this body: for a call
@@ -175,13 +217,14 @@ impl<'a> Emitter<'a> {
         // Borrowed from the program, not from `self`: emission pushes onto
         // `self` while it reads the source body.
         let program = self.program;
-        let body = program.method(method).body();
+        let def = program.method(method);
+        let (body, pool) = (def.body(), def.arg_pool());
         let mut orig_to_new = vec![u32::MAX; body.len()];
         let mut local_fixups: Vec<(usize, u32)> = Vec::new();
         let mut end_jumps: Vec<usize> = Vec::new();
 
         for (oi, instr) in body.iter().enumerate() {
-            orig_to_new[oi] = self.out.len() as u32;
+            orig_to_new[oi] = self.next_pc();
             match instr {
                 Instr::Jump { target } => {
                     let at = self.push(node, Instr::Jump { target: u32::MAX });
@@ -213,21 +256,21 @@ impl<'a> Emitter<'a> {
                 },
                 Instr::CallStatic { site, dst, callee, args } => {
                     let dst = dst.map(|d| shift(d, reg_base));
-                    let argv: Vec<Reg> = args.iter().map(|&a| shift(a, reg_base)).collect();
+                    let args = Args { regs: args.of(pool), base: reg_base };
                     self.handle_static_call(
-                        method, node, *site, dst, *callee, argv, chain, depth, stack,
+                        method, node, *site, dst, *callee, args, chain, depth, stack,
                     );
                 }
                 Instr::CallVirtual { site, dst, selector, recv, args } => {
                     let dst = dst.map(|d| shift(d, reg_base));
                     let recv = shift(*recv, reg_base);
-                    let argv: Vec<Reg> = args.iter().map(|&a| shift(a, reg_base)).collect();
+                    let args = Args { regs: args.of(pool), base: reg_base };
                     self.handle_virtual_call(
-                        method, node, *site, dst, *selector, recv, argv, chain, depth, stack,
+                        method, node, *site, dst, *selector, recv, args, chain, depth, stack,
                     );
                 }
                 other => {
-                    self.push(node, shift_instr(other.clone(), reg_base));
+                    self.push(node, shift_instr(*other, reg_base));
                 }
             }
         }
@@ -246,7 +289,7 @@ impl<'a> Emitter<'a> {
     /// The hard code-expansion ceiling of this compilation, in abstract
     /// size units (recorded as `size_budget` provenance).
     fn hard_budget(&self) -> u32 {
-        (self.config.hard_code_expansion * self.root_size as f64) as u32
+        budget(self.config.hard_code_expansion, self.root_size)
     }
 
     /// Decides whether `callee` may be inlined in context `ctx`, returning
@@ -279,8 +322,11 @@ impl<'a> Emitter<'a> {
             if def.size_class() == SizeClass::Large {
                 return Decision::Refuse(RefusalReason::TooLarge);
             }
-            if self.next_reg + def.num_regs() as u32 > u16::MAX as u32 {
+            if self.next_reg + u32::from(def.num_regs()) > u32::from(u16::MAX) {
                 return Decision::Refuse(RefusalReason::ExpansionExceeded);
+            }
+            if self.reserved_args + def.arg_pool().len() > ArgSpan::MAX_POOL {
+                return Decision::Refuse(RefusalReason::ArgPoolFull);
             }
             if depth >= self.config.hard_inline_depth {
                 return Decision::Refuse(RefusalReason::DepthExceeded);
@@ -290,8 +336,7 @@ impl<'a> Emitter<'a> {
                 return Decision::Refuse(RefusalReason::ExpansionExceeded);
             }
             let within_soft_depth = depth < self.config.max_inline_depth;
-            let soft_budget =
-                (self.config.max_code_expansion * self.root_size as f64) as u32;
+            let soft_budget = budget(self.config.max_code_expansion, self.root_size);
             let within_soft_size = grown <= soft_budget;
             match def.size_class() {
                 SizeClass::Large => unreachable!("handled above"),
@@ -329,7 +374,7 @@ impl<'a> Emitter<'a> {
         site: SiteIdx,
         dst: Option<Reg>,
         callee: MethodId,
-        args: Vec<Reg>,
+        args: Args<'_>,
         chain: &[CallSiteRef],
         depth: u32,
         stack: &mut Vec<MethodId>,
@@ -338,17 +383,16 @@ impl<'a> Emitter<'a> {
         let (decision, provenance) = self.decide(callee, &ctx, depth, stack);
         match decision {
             Decision::Inline => {
+                self.reserve(callee);
                 self.decisions.push(InlineDecision {
                     context: ctx.clone(),
                     callee,
                     guarded: false,
                     provenance,
                 });
-                let end_jumps = self.splice(node, site, callee, args, dst, &ctx, depth, stack);
-                let end = self.out.len() as u32;
-                for j in end_jumps {
-                    self.out[j].map_branch_target(|_| end);
-                }
+                let end_jumps =
+                    self.splice(node, site, callee, None, args, dst, &ctx, depth, stack);
+                self.patch_to_here(end_jumps);
             }
             Decision::Refuse(reason) => {
                 self.refusals.push(Refusal {
@@ -358,7 +402,7 @@ impl<'a> Emitter<'a> {
                     hot: provenance.rule_fired,
                     provenance,
                 });
-                self.push(node, Instr::CallStatic { site, dst, callee, args });
+                self.push_call(node, args, |args| Instr::CallStatic { site, dst, callee, args });
             }
         }
     }
@@ -372,13 +416,14 @@ impl<'a> Emitter<'a> {
         dst: Option<Reg>,
         selector: aoci_ir::SelectorId,
         recv: Reg,
-        args: Vec<Reg>,
+        args: Args<'_>,
         chain: &[CallSiteRef],
         depth: u32,
         stack: &mut Vec<MethodId>,
     ) {
         let ctx = context(method, site, chain);
         let impls = self.program.implementations(selector);
+        let fallback = |args| Instr::CallVirtual { site, dst, selector, recv, args };
 
         // Class hierarchy analysis: a unique implementation can be bound
         // statically and inlined unguarded (pre-existence).
@@ -387,20 +432,16 @@ impl<'a> Emitter<'a> {
             let (decision, provenance) = self.decide(only, &ctx, depth, stack);
             match decision {
                 Decision::Inline => {
+                    self.reserve(only);
                     self.decisions.push(InlineDecision {
                         context: ctx.clone(),
                         callee: only,
                         guarded: false,
                         provenance,
                     });
-                    let mut argv = Vec::with_capacity(args.len() + 1);
-                    argv.push(recv);
-                    argv.extend_from_slice(&args);
-                    let end_jumps = self.splice(node, site, only, argv, dst, &ctx, depth, stack);
-                    let end = self.out.len() as u32;
-                    for j in end_jumps {
-                        self.out[j].map_branch_target(|_| end);
-                    }
+                    let end_jumps =
+                        self.splice(node, site, only, Some(recv), args, dst, &ctx, depth, stack);
+                    self.patch_to_here(end_jumps);
                 }
                 Decision::Refuse(reason) => {
                     self.refusals.push(Refusal {
@@ -410,7 +451,7 @@ impl<'a> Emitter<'a> {
                         hot: provenance.rule_fired,
                         provenance,
                     });
-                    self.push(node, Instr::CallVirtual { site, dst, selector, recv, args });
+                    self.push_call(node, args, fallback);
                 }
             }
             return;
@@ -442,7 +483,10 @@ impl<'a> Emitter<'a> {
                 continue;
             }
             match self.decide(c.target, &ctx, depth, stack) {
-                (Decision::Inline, provenance) => to_inline.push((c.target, provenance)),
+                (Decision::Inline, provenance) => {
+                    self.reserve(c.target);
+                    to_inline.push((c.target, provenance));
+                }
                 (Decision::Refuse(reason), provenance) => self.refusals.push(Refusal {
                     site: CallSiteRef::new(method, site),
                     callee: c.target,
@@ -454,17 +498,14 @@ impl<'a> Emitter<'a> {
         }
 
         if to_inline.is_empty() {
-            self.push(node, Instr::CallVirtual { site, dst, selector, recv, args });
+            self.push_call(node, args, fallback);
             return;
         }
 
         let mut all_end_jumps: Vec<usize> = Vec::new();
         let mut pending_guard: Option<usize> = None;
         for (target, provenance) in to_inline {
-            if let Some(g) = pending_guard.take() {
-                let here = self.out.len() as u32;
-                self.out[g].map_branch_target(|_| here);
-            }
+            self.patch_to_here(pending_guard.take());
             let g = self.push(
                 node,
                 Instr::GuardMethod { recv, selector, target, else_target: u32::MAX },
@@ -476,55 +517,56 @@ impl<'a> Emitter<'a> {
                 guarded: true,
                 provenance,
             });
-            let mut argv = Vec::with_capacity(args.len() + 1);
-            argv.push(recv);
-            argv.extend_from_slice(&args);
-            all_end_jumps.extend(self.splice(node, site, target, argv, dst, &ctx, depth, stack));
+            all_end_jumps
+                .extend(self.splice(node, site, target, Some(recv), args, dst, &ctx, depth, stack));
             // Bodies cannot fall through (every path returns ⇒ jumps to
             // end), so the next guard / fallback is reachable only via the
             // guard's else edge.
         }
         // Fallback: the original virtual dispatch.
-        if let Some(g) = pending_guard.take() {
-            let here = self.out.len() as u32;
-            self.out[g].map_branch_target(|_| here);
-        }
-        self.push(node, Instr::CallVirtual { site, dst, selector, recv, args });
-        let end = self.out.len() as u32;
-        for j in all_end_jumps {
-            self.out[j].map_branch_target(|_| end);
-        }
+        self.patch_to_here(pending_guard.take());
+        self.push_call(node, args, fallback);
+        self.patch_to_here(all_end_jumps);
     }
 
-    /// Splices `target`'s body: argument moves into a fresh register window,
-    /// then the recursively-inlined body. Returns the end-jump fixups.
+    /// Reserves the output pool `callee`'s calls may take, once `callee` is
+    /// accepted for inlining.
+    fn reserve(&mut self, callee: MethodId) {
+        self.reserved_args += self.program.method(callee).arg_pool().len();
+    }
+
+    /// Splices `target`'s body: argument moves (the receiver, if any, then
+    /// `args`) into a fresh register window, then the recursively-inlined
+    /// body. Returns the end-jump fixups.
     #[allow(clippy::too_many_arguments)]
     fn splice(
         &mut self,
         parent_node: u32,
         site: SiteIdx,
         target: MethodId,
-        incoming: Vec<Reg>,
+        recv: Option<Reg>,
+        args: Args<'_>,
         dst: Option<Reg>,
         ctx: &[CallSiteRef],
         depth: u32,
         stack: &mut Vec<MethodId>,
     ) -> Vec<usize> {
         let child_def = self.program.method(target);
-        debug_assert_eq!(incoming.len(), child_def.total_args() as usize);
+        debug_assert_eq!(
+            usize::from(recv.is_some()) + args.regs.len(),
+            usize::from(child_def.total_args())
+        );
         let child_base = self.next_reg;
-        self.next_reg += child_def.num_regs() as u32;
-        let child_node = self.nodes.len() as u32;
+        self.next_reg += u32::from(child_def.num_regs());
+        let child_node =
+            u32::try_from(self.nodes.len()).expect("fewer inline nodes than instructions");
         self.nodes.push(InlineNode {
             method: target,
             parent: Some((parent_node, site)),
-            body_start: self.out.len() as u32,
+            body_start: self.next_pc(),
         });
-        for (k, src) in incoming.into_iter().enumerate() {
-            self.push(
-                child_node,
-                Instr::Move { dst: Reg((child_base as usize + k) as u16), src },
-            );
+        for (k, src) in (0..).zip(recv.into_iter().chain(args.shifted())) {
+            self.push(child_node, Instr::Move { dst: shift(Reg(k), child_base), src });
         }
         stack.push(target);
         let end_jumps = self.emit_body(
@@ -541,8 +583,31 @@ impl<'a> Emitter<'a> {
     }
 }
 
+/// A source call's argument registers, to be shifted into the register
+/// window at `base`.
+#[derive(Clone, Copy)]
+struct Args<'p> {
+    regs: &'p [Reg],
+    base: u32,
+}
+
+impl<'p> Args<'p> {
+    /// The shifted registers, in order.
+    fn shifted(self) -> impl Iterator<Item = Reg> + 'p {
+        self.regs.iter().map(move |&r| shift(r, self.base))
+    }
+}
+
+/// `r` in the register window at `base`.
 fn shift(r: Reg, base: u32) -> Reg {
-    Reg((r.0 as u32 + base) as u16)
+    let shifted = u16::try_from(u32::from(r.0) + base);
+    Reg(shifted.expect("`decide` keeps every window within u16::MAX registers"))
+}
+
+/// `factor` times `root_size`, in whole size units.
+fn budget(factor: f64, root_size: u32) -> u32 {
+    // Float-to-integer `as` saturates: a budget past `u32::MAX` is no limit.
+    (factor * f64::from(root_size)) as u32
 }
 
 fn context(method: MethodId, site: SiteIdx, chain: &[CallSiteRef]) -> Vec<CallSiteRef> {

@@ -718,3 +718,57 @@ fn simplify_shrinks_generated_code() {
         Some(3)
     );
 }
+
+/// A `main` whose own calls fill `ArgSpan::MAX_POOL` registers of its pool
+/// (virtual calls nothing implements, so they stay calls), then call a tiny
+/// `wrap` whose one call passes `wrap_args` registers.
+fn full_pool_program(wrap_args: u16) -> (Program, MethodId, MethodId) {
+    let mut b = ProgramBuilder::new();
+    let max_args = u16::try_from(ArgSpan::MAX_ARGS).unwrap();
+    let wide = b.selector("wide", max_args);
+    let leaf = {
+        let mut m = b.static_method("leaf", wrap_args);
+        m.ret(None);
+        m.finish()
+    };
+    let wrap = {
+        let mut m = b.static_method("wrap", 0);
+        let x = m.fresh_reg();
+        m.const_int(x, 1);
+        m.call_static(None, leaf, &vec![x; usize::from(wrap_args)]);
+        m.ret(None);
+        m.finish()
+    };
+    let main = {
+        let mut m = b.static_method("main", 0);
+        let r = m.fresh_reg();
+        m.const_null(r);
+        for _ in 0..ArgSpan::MAX_POOL / ArgSpan::MAX_ARGS {
+            m.call_virtual(None, wide, r, &[r; ArgSpan::MAX_ARGS]);
+        }
+        m.call_static(None, wrap, &[]);
+        m.ret(None);
+        m.finish()
+    };
+    let p = b.finish(main).unwrap();
+    assert_eq!(p.method(main).arg_pool().len(), ArgSpan::MAX_POOL);
+    (p, main, wrap)
+}
+
+#[test]
+fn a_callee_that_could_overflow_the_argument_pool_is_refused() {
+    // A callee without call arguments fits the full pool.
+    let (p, main, wrap) = full_pool_program(0);
+    let c = compile(&p, main, &InlineOracle::empty(), &OptConfig::default());
+    assert!(c.inlined(wrap));
+    assert!(c.refusals.iter().all(|r| r.reason != RefusalReason::ArgPoolFull));
+    // One more argument register does not.
+    let (p, main, wrap) = full_pool_program(1);
+    let c = compile(&p, main, &InlineOracle::empty(), &OptConfig::default());
+    assert!(!c.inlined(wrap));
+    let refusal = c.refusals.iter().find(|r| r.callee == wrap).expect("wrap is refused");
+    assert_eq!(refusal.reason, RefusalReason::ArgPoolFull);
+    assert_eq!(c.version.arg_pool.len(), ArgSpan::MAX_POOL, "every call kept its arguments");
+    let calls = c.version.body.iter().filter(|i| i.is_call()).count();
+    assert_eq!(calls, ArgSpan::MAX_POOL / ArgSpan::MAX_ARGS + 1);
+}

@@ -10,6 +10,9 @@
 //!
 //! The pass maintains the inline map: instruction→node assignments are
 //! filtered alongside the body and node `body_start` offsets are remapped.
+//! Call arguments are rewritten where they sit in the argument pool (every
+//! call has a span of its own); a call the pass removes as unreachable
+//! leaves its span's registers in the pool, unnamed.
 
 use aoci_ir::{BinOp, Cond, GlobalId, Instr, Reg};
 use aoci_vm::InlineNode;
@@ -57,18 +60,20 @@ struct Scratch {
     new_index: Vec<u32>,
 }
 
-/// Simplifies `body`, returning the new body and the filtered
-/// instruction→node map. `nodes` is updated in place (`body_start` remap).
+/// Simplifies `body`, whose argument pool is `arg_pool`, returning the new
+/// body, its pool and the filtered instruction→node map. `nodes` is
+/// updated in place (`body_start` remap).
 ///
 /// Iterates folding + elimination to a fixpoint (bounded small number of
 /// rounds).
 pub fn simplify(
     body: Vec<Instr>,
+    arg_pool: Vec<Reg>,
     instr_node: Vec<u32>,
     nodes: &mut [InlineNode],
     num_regs: u16,
-) -> (Vec<Instr>, Vec<u32>) {
-    simplify_with_anchors(body, instr_node, nodes, num_regs, &mut Vec::new())
+) -> (Vec<Instr>, Vec<Reg>, Vec<u32>) {
+    simplify_with_anchors(body, arg_pool, instr_node, nodes, num_regs, &mut Vec::new())
 }
 
 /// [`simplify`], additionally carrying OSR anchors — `(source_pc, opt_pc)`
@@ -81,17 +86,25 @@ pub fn simplify(
 /// entry points).
 pub fn simplify_with_anchors(
     mut body: Vec<Instr>,
+    mut arg_pool: Vec<Reg>,
     mut instr_node: Vec<u32>,
     nodes: &mut [InlineNode],
     num_regs: u16,
     osr_anchors: &mut Vec<(u32, u32)>,
-) -> (Vec<Instr>, Vec<u32>) {
+) -> (Vec<Instr>, Vec<Reg>, Vec<u32>) {
     SCRATCH.with(|scratch| {
         let scratch = &mut *scratch.borrow_mut();
         for _ in 0..4 {
-            let folded = fold_and_propagate(&mut body, num_regs, scratch);
-            let eliminated =
-                eliminate(&mut body, &mut instr_node, nodes, num_regs, osr_anchors, scratch);
+            let folded = fold_and_propagate(&mut body, &mut arg_pool, num_regs, scratch);
+            let eliminated = eliminate(
+                &mut body,
+                &arg_pool,
+                &mut instr_node,
+                nodes,
+                num_regs,
+                osr_anchors,
+                scratch,
+            );
             if !folded && !eliminated {
                 break;
             }
@@ -99,7 +112,7 @@ pub fn simplify_with_anchors(
         scratch.find_leaders(&body);
         osr_anchors.retain(|&(_, opt_pc)| scratch.leaders.get(opt_pc as usize) == Some(&true));
     });
-    (body, instr_node)
+    (body, arg_pool, instr_node)
 }
 
 impl Scratch {
@@ -166,7 +179,12 @@ enum Abs {
 /// every branch target (join points); within a region the scan rewrites
 /// operands to copy roots, folds constant moves/arithmetic and folds
 /// decidable branches. Returns whether anything changed.
-fn fold_and_propagate(body: &mut [Instr], num_regs: u16, scratch: &mut Scratch) -> bool {
+fn fold_and_propagate(
+    body: &mut [Instr],
+    pool: &mut [Reg],
+    num_regs: u16,
+    scratch: &mut Scratch,
+) -> bool {
     scratch.find_leaders(body);
     let Scratch { leaders, state, copied, global_cache, .. } = scratch;
     state.clear();
@@ -256,13 +274,13 @@ fn fold_and_propagate(body: &mut [Instr], num_regs: u16, scratch: &mut Scratch) 
             Instr::ArrLen { arr, .. } => rewrite(state, arr, &mut changed),
             Instr::InstanceOf { obj, .. } => rewrite(state, obj, &mut changed),
             Instr::CallStatic { args, .. } => {
-                for a in args {
+                for a in &mut pool[args.range()] {
                     rewrite(state, a, &mut changed);
                 }
             }
             Instr::CallVirtual { recv, args, .. } => {
                 rewrite(state, recv, &mut changed);
-                for a in args {
+                for a in &mut pool[args.range()] {
                     rewrite(state, a, &mut changed);
                 }
             }
@@ -394,6 +412,7 @@ fn eval_cond(cond: Cond, a: i64, b: i64) -> bool {
 /// was removed. Branch targets, node `body_start`s and anchors are remapped.
 fn eliminate(
     body: &mut Vec<Instr>,
+    pool: &[Reg],
     instr_node: &mut Vec<u32>,
     nodes: &mut [InlineNode],
     num_regs: u16,
@@ -402,7 +421,7 @@ fn eliminate(
 ) -> bool {
     let n = body.len();
     scratch.find_blocks(body);
-    liveness(body, num_regs, scratch);
+    liveness(body, pool, num_regs, scratch);
     let Scratch { blocks, reach, live_in, keep, new_index, .. } = scratch;
     let words = row_words(num_regs);
     let live_out_contains = |i: usize, r: Reg| -> bool {
@@ -492,7 +511,7 @@ fn row_bit(r: Reg) -> (usize, u64) {
 ///
 /// Rows are one to three words, so they are combined by word loops: slice
 /// comparison, `fill` and `copy_from_slice` are libc calls.
-fn liveness(body: &[Instr], num_regs: u16, scratch: &mut Scratch) {
+fn liveness(body: &[Instr], pool: &[Reg], num_regs: u16, scratch: &mut Scratch) {
     let n = body.len();
     let words = row_words(num_regs);
     let Scratch { blocks, reach, gen_kill, live_in, live, .. } = scratch;
@@ -512,7 +531,7 @@ fn liveness(body: &[Instr], num_regs: u16, scratch: &mut Scratch) {
         let (gen, kill) = gen_kill[rows_of(b)].split_at_mut(words);
         for instr in &body[start..end] {
             // Use before def: an instruction may read the register it writes.
-            instr.for_each_use(|r| {
+            instr.for_each_use(pool, |r| {
                 let (word, mask) = row_bit(r);
                 gen[word] |= mask & !kill[word];
             });
@@ -556,7 +575,7 @@ fn liveness(body: &[Instr], num_regs: u16, scratch: &mut Scratch) {
             if let Some((word, mask)) = body[i].def().map(row_bit) {
                 live[word] &= !mask;
             }
-            body[i].for_each_use(|r| {
+            body[i].for_each_use(pool, |r| {
                 let (word, mask) = row_bit(r);
                 live[word] |= mask;
             });

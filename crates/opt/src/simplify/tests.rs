@@ -8,7 +8,7 @@ fn nodes_for(method_index: usize) -> Vec<InlineNode> {
 fn run(body: Vec<Instr>, num_regs: u16) -> Vec<Instr> {
     let instr_node = vec![0; body.len()];
     let mut nodes = nodes_for(0);
-    let (b, n) = simplify(body, instr_node, &mut nodes, num_regs);
+    let (b, _, n) = simplify(body, Vec::new(), instr_node, &mut nodes, num_regs);
     assert_eq!(b.len(), n.len(), "instr/node maps stay parallel");
     b
 }
@@ -149,7 +149,7 @@ fn remaps_node_body_starts() {
             body_start: 1,
         },
     ];
-    let (b, n) = simplify(body, instr_node, &mut nodes, 2);
+    let (b, _, n) = simplify(body, Vec::new(), instr_node, &mut nodes, 2);
     assert_eq!(b.len(), 2);
     assert_eq!(n, vec![1, 0]);
     // The inlined node's body now starts at index 0.
@@ -158,7 +158,7 @@ fn remaps_node_body_starts() {
 
 #[test]
 fn empty_body_is_noop() {
-    let (b, n) = simplify(Vec::new(), Vec::new(), &mut nodes_for(0), 0);
+    let (b, _, n) = simplify(Vec::new(), Vec::new(), Vec::new(), &mut nodes_for(0), 0);
     assert!(b.is_empty());
     assert!(n.is_empty());
 }
@@ -203,7 +203,7 @@ fn calls_invalidate_the_global_cache() {
             site: aoci_ir::SiteIdx(0),
             dst: None,
             callee: MethodId::from_index(0),
-            args: vec![],
+            args: aoci_ir::ArgSpan::default(),
         },
         Instr::GetGlobal { dst: r(1), global: g }, // NOT redundant: the call may store
         Instr::Bin { op: BinOp::Add, dst: r(2), lhs: r(0), rhs: r(1) },
@@ -337,7 +337,8 @@ fn block_shapes_simplify_to_the_parent_commits_bodies() {
         ("an empty body", vec![], 0, vec![]),
     ];
     for (what, body, num_regs, expected) in cases {
-        assert_eq!(block_liveness(&body, num_regs).0, reachable(&body), "{what}: reachability");
+        let reach = block_liveness(&body, &[], num_regs).0;
+        assert_eq!(reach, reachable(&body), "{what}: reachability");
         assert_eq!(run(body, num_regs), expected, "{what}");
     }
 }
@@ -365,11 +366,11 @@ fn reachable(body: &[Instr]) -> Vec<bool> {
 /// What the simplifier computes of `body`: the reachability of its blocks,
 /// spread over their instructions, and the live-in rows. Computed in this
 /// thread's scratch, which whatever ran on the thread before left dirty.
-fn block_liveness(body: &[Instr], num_regs: u16) -> (Vec<bool>, Vec<u64>) {
+fn block_liveness(body: &[Instr], pool: &[Reg], num_regs: u16) -> (Vec<bool>, Vec<u64>) {
     SCRATCH.with(|scratch| {
         let scratch = &mut *scratch.borrow_mut();
         scratch.find_blocks(body);
-        liveness(body, num_regs, scratch);
+        liveness(body, pool, num_regs, scratch);
         let reach = scratch
             .blocks
             .iter()
@@ -383,7 +384,7 @@ fn block_liveness(body: &[Instr], num_regs: u16) -> (Vec<bool>, Vec<u64>) {
 /// The reference liveness: the textbook backwards fixpoint over one
 /// `BTreeSet<Reg>` per instruction, as `eliminate` computed it before the
 /// bit rows.
-fn liveness_sets(body: &[Instr], reach: &[bool]) -> Vec<BTreeSet<Reg>> {
+fn liveness_sets(body: &[Instr], pool: &[Reg], reach: &[bool]) -> Vec<BTreeSet<Reg>> {
     let n = body.len();
     let mut live_in: Vec<BTreeSet<Reg>> = vec![BTreeSet::new(); n];
     loop {
@@ -399,7 +400,7 @@ fn liveness_sets(body: &[Instr], reach: &[bool]) -> Vec<BTreeSet<Reg>> {
             if let Some(d) = body[i].def() {
                 out.remove(&d);
             }
-            body[i].for_each_use(|r| {
+            body[i].for_each_use(pool, |r| {
                 out.insert(r);
             });
             if out != live_in[i] {
@@ -413,14 +414,15 @@ fn liveness_sets(body: &[Instr], reach: &[bool]) -> Vec<BTreeSet<Reg>> {
     }
 }
 
-/// Asserts the block reachability of `body` equals the reference and its
-/// bit rows decode to the reference sets, row by row.
-fn assert_liveness_matches(body: &[Instr], num_regs: u16, what: &str) {
-    let (reach, rows) = block_liveness(body, num_regs);
+/// Asserts the block reachability of `body`, with argument pool `pool`,
+/// equals the reference and its bit rows decode to the reference sets, row
+/// by row.
+fn assert_liveness_matches(body: &[Instr], pool: &[Reg], num_regs: u16, what: &str) {
+    let (reach, rows) = block_liveness(body, pool, num_regs);
     assert_eq!(reach, reachable(body), "{what}: reachability");
     let words = row_words(num_regs);
     assert_eq!(rows.len(), body.len() * words, "{what}: row storage");
-    let sets = liveness_sets(body, &reach);
+    let sets = liveness_sets(body, pool, &reach);
     for (i, expected) in sets.iter().enumerate() {
         let row = &rows[i * words..(i + 1) * words];
         let got: BTreeSet<Reg> = (0..words * 64)
@@ -443,7 +445,7 @@ fn liveness_rows_match_sets_on_handwritten_bodies() {
         Instr::Branch { cond: Cond::Gt, lhs: r(0), rhs: r(1), target: 2 },
         Instr::Return { src: Some(r(0)) },
     ];
-    assert_liveness_matches(&looped, 2, "loop-carried");
+    assert_liveness_matches(&looped, &[], 2, "loop-carried");
     // One instruction defines and uses the same register: the use wins.
     let def_use = vec![
         Instr::GetGlobal { dst: r(0), global: g },
@@ -451,8 +453,8 @@ fn liveness_rows_match_sets_on_handwritten_bodies() {
         Instr::Move { dst: r(1), src: r(1) },
         Instr::Return { src: Some(r(0)) },
     ];
-    assert_liveness_matches(&def_use, 2, "def and use of one register");
-    assert_eq!(block_liveness(&def_use, 2).1[1], 0b11, "r0 and r1 live into the add");
+    assert_liveness_matches(&def_use, &[], 2, "def and use of one register");
+    assert_eq!(block_liveness(&def_use, &[], 2).1[1], 0b11, "r0 and r1 live into the add");
     // Guard else-target edge: r2 is live only along the fallback path, r1
     // only along the fall-through.
     let guarded = vec![
@@ -463,8 +465,8 @@ fn liveness_rows_match_sets_on_handwritten_bodies() {
         Instr::Return { src: Some(r(1)) },
         Instr::Return { src: Some(r(2)) },
     ];
-    assert_liveness_matches(&guarded, 3, "guard else-target");
-    assert_eq!(block_liveness(&guarded, 3).1[3], 0b111, "both edges feed the guard");
+    assert_liveness_matches(&guarded, &[], 3, "guard else-target");
+    assert_eq!(block_liveness(&guarded, &[], 3).1[3], 0b111, "both edges feed the guard");
     // Unreachable tail: its rows stay empty even though it reads r0.
     let tail = vec![
         Instr::Const { dst: r(0), value: 1 },
@@ -472,10 +474,11 @@ fn liveness_rows_match_sets_on_handwritten_bodies() {
         Instr::PutGlobal { global: g, src: r(0) },
         Instr::Jump { target: 2 },
     ];
-    assert_liveness_matches(&tail, 1, "unreachable tail");
+    assert_liveness_matches(&tail, &[], 1, "unreachable tail");
     assert_eq!(reachable(&tail), [true, true, false, false]);
     // No registers at all: zero-word rows.
-    assert_liveness_matches(&[Instr::Work { units: 3 }, Instr::Return { src: None }], 0, "no regs");
+    let no_regs = [Instr::Work { units: 3 }, Instr::Return { src: None }];
+    assert_liveness_matches(&no_regs, &[], 0, "no regs");
 }
 
 #[test]
@@ -495,8 +498,8 @@ fn liveness_rows_match_sets_across_block_shapes() {
         Instr::Return { src: Some(r(2)) },
         Instr::Return { src: Some(r(1)) },
     ];
-    assert_liveness_matches(&guard_ends_block, 3, "guard ends a block");
-    let rows = block_liveness(&guard_ends_block, 3).1;
+    assert_liveness_matches(&guard_ends_block, &[], 3, "guard ends a block");
+    let rows = block_liveness(&guard_ends_block, &[], 3).1;
     assert_eq!(rows[3], 0b111, "the guard reads r0 and both edges' registers pass through it");
     assert_eq!(rows[4], 0b100, "the fall-through block writes r1 before reading it");
     // An unreachable block between two reachable ones: it reads r1 and
@@ -511,7 +514,7 @@ fn liveness_rows_match_sets_across_block_shapes() {
         Instr::Return { src: Some(r(0)) },
     ];
     assert_eq!(reachable(&unreachable_middle), [true, true, false, false, false, true]);
-    assert_liveness_matches(&unreachable_middle, 2, "unreachable block in the middle");
+    assert_liveness_matches(&unreachable_middle, &[], 2, "unreachable block in the middle");
     // A three-block loop (header, body, latch) in which r2 is written in
     // the latch and read in the header: live only across the back-edge, so
     // the block fixpoint needs a second iteration to carry it through the
@@ -528,8 +531,8 @@ fn liveness_rows_match_sets_across_block_shapes() {
         Instr::Jump { target: 3 },
         Instr::Return { src: Some(r(0)) },
     ];
-    assert_liveness_matches(&three_block_loop, 3, "three-block loop");
-    let rows = block_liveness(&three_block_loop, 3).1;
+    assert_liveness_matches(&three_block_loop, &[], 3, "three-block loop");
+    let rows = block_liveness(&three_block_loop, &[], 3).1;
     assert_eq!(rows[3], 0b111, "the header reads r2 from the back-edge");
     assert_eq!(rows[4], 0b011, "r2 is dead through the body: the latch rewrites it");
     assert_eq!(rows[8], 0b111, "and live again after the latch's write");
@@ -540,8 +543,8 @@ fn liveness_rows_match_sets_across_block_shapes() {
         Instr::Move { dst: r(0), src: r(1) },
         Instr::Return { src: Some(r(0)) },
     ];
-    assert_liveness_matches(&straight, 2, "one block");
-    assert_liveness_matches(&[Instr::Return { src: Some(r(0)) }], 1, "one instruction");
+    assert_liveness_matches(&straight, &[], 2, "one block");
+    assert_liveness_matches(&[Instr::Return { src: Some(r(0)) }], &[], 1, "one instruction");
 }
 
 #[test]
@@ -553,19 +556,21 @@ fn liveness_rows_span_one_two_and_three_words() {
         let mut body: Vec<Instr> =
             (0..num_regs).map(|i| Instr::Const { dst: r(i), value: i64::from(i) }).collect();
         let n = u32::from(num_regs);
+        let pool: Vec<Reg> =
+            [63, 64, 65, top].iter().filter(|&&a| a <= top).map(|&a| r(a)).collect();
         body.extend([
             Instr::Branch { cond: Cond::Lt, lhs: r(0), rhs: r(top), target: n + 3 },
             Instr::CallStatic {
                 site: aoci_ir::SiteIdx(0),
                 dst: Some(r(63)),
                 callee: MethodId::from_index(0),
-                args: [63, 64, 65, top].iter().filter(|&&a| a <= top).map(|&a| r(a)).collect(),
+                args: aoci_ir::ArgSpan::new(0, pool.len()).unwrap(),
             },
             Instr::Move { dst: r(top), src: r(63) },
             Instr::Bin { op: BinOp::Add, dst: r(0), lhs: r(top), rhs: r(63) },
             Instr::Return { src: Some(r(0)) },
         ]);
-        assert_liveness_matches(&body, num_regs, &format!("{num_regs} registers"));
+        assert_liveness_matches(&body, &pool, num_regs, &format!("{num_regs} registers"));
     }
     assert_eq!([row_words(0), row_words(1), row_words(64), row_words(65)], [0, 1, 1, 2]);
 }
@@ -581,7 +586,7 @@ fn assert_liveness_on_compiled_bodies(program: &aoci_ir::Program, what: &str) ->
             let config = crate::OptConfig { simplify, ..crate::OptConfig::default() };
             let v = crate::compile_in_context(program, m, &oracle, &config, &[]).version;
             let what = format!("{what}: {} (simplify={simplify})", program.method(m).name());
-            assert_liveness_matches(&v.body, v.num_regs, &what);
+            assert_liveness_matches(&v.body, &v.arg_pool, v.num_regs, &what);
             bodies += 1;
             instrs += v.body.len();
         }
@@ -651,13 +656,35 @@ fn fnv1a(fold: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(fold, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
+/// `body` as `Debug` printed it when every call owned its argument list:
+/// each call with its arguments resolved out of `pool`.
+fn owned_args_debug(body: &[Instr], pool: &[Reg]) -> String {
+    let instrs: Vec<String> = body
+        .iter()
+        .map(|i| match *i {
+            Instr::CallStatic { site, dst, callee, args } => format!(
+                "CallStatic {{ site: {site:?}, dst: {dst:?}, callee: {callee:?}, args: {:?} }}",
+                args.of(pool)
+            ),
+            Instr::CallVirtual { site, dst, selector, recv, args } => format!(
+                "CallVirtual {{ site: {site:?}, dst: {dst:?}, selector: {selector:?}, \
+                 recv: {recv:?}, args: {:?} }}",
+                args.of(pool)
+            ),
+            other => format!("{other:?}"),
+        })
+        .collect();
+    format!("[{}]", instrs.join(", "))
+}
+
 /// Folds what the simplifier decides of one compile — the body, the
 /// instruction→node map, every node's `body_start` and the OSR anchors that
 /// survived — and the inliner's record of it, whose rule weights print
 /// exactly (`Debug` of an `f64` round-trips).
 fn fold_compilation(mut fold: u64, c: &crate::Compilation) -> u64 {
     let v = &c.version;
-    fold = fnv1a(fold, format!("{:?}{:?}{:?}", v.body, c.decisions, c.refusals).as_bytes());
+    let body = owned_args_debug(&v.body, &v.arg_pool);
+    fold = fnv1a(fold, format!("{body}{:?}{:?}", c.decisions, c.refusals).as_bytes());
     let map = &v.inline_map;
     for pc in 0..v.body.len() {
         let node = (0..map.num_nodes() as u32)

@@ -178,6 +178,9 @@ pub enum RefusalReason {
     /// A hot guarded-inline candidate skipped because the per-site guard
     /// limit was reached.
     GuardLimit,
+    /// The callee's calls could take the compiled body's argument pool past
+    /// the registers an `ArgSpan` can name.
+    ArgPoolFull,
 }
 
 impl RefusalReason {
@@ -191,6 +194,7 @@ impl RefusalReason {
             RefusalReason::Recursive => "recursive",
             RefusalReason::NotHot => "not_hot",
             RefusalReason::GuardLimit => "guard_limit",
+            RefusalReason::ArgPoolFull => "arg_pool_full",
         }
     }
 
@@ -205,6 +209,7 @@ impl RefusalReason {
             RefusalReason::Recursive => "inline_refusals_recursive",
             RefusalReason::NotHot => "inline_refusals_not_hot",
             RefusalReason::GuardLimit => "inline_refusals_guard_limit",
+            RefusalReason::ArgPoolFull => "inline_refusals_arg_pool_full",
         }
     }
 
@@ -217,6 +222,7 @@ impl RefusalReason {
             RefusalReason::Recursive => "recursive inline",
             RefusalReason::NotHot => "medium callee without profile support",
             RefusalReason::GuardLimit => "per-site guarded-inline limit reached",
+            RefusalReason::ArgPoolFull => "argument pool full",
         }
     }
 }
@@ -874,7 +880,8 @@ mod tests {
     #[test]
     fn refusal_metric_names_are_the_prefix_and_the_slug() {
         use RefusalReason::*;
-        for r in [TooLarge, DepthExceeded, ExpansionExceeded, Recursive, NotHot, GuardLimit] {
+        let all = [TooLarge, DepthExceeded, ExpansionExceeded, Recursive, NotHot, GuardLimit, ArgPoolFull];
+        for r in all {
             assert_eq!(r.metric_name(), format!("inline_refusals_{}", r.slug()));
         }
     }

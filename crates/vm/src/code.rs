@@ -12,7 +12,8 @@
 
 use crate::osr::OsrMap;
 use crate::registry::VersionId;
-use aoci_ir::{Instr, MethodId, SiteIdx};
+use aoci_ir::{Instr, MethodId, Reg, SiteIdx};
+use std::sync::Arc;
 
 /// Compilation level of a method version.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -185,6 +186,9 @@ pub struct MethodVersion {
     pub level: OptLevel,
     /// Executable instruction sequence.
     pub body: Vec<Instr>,
+    /// The argument pool of `body`: the registers its calls'
+    /// [`ArgSpan`](aoci_ir::ArgSpan)s name. Shared with the decoded body.
+    pub arg_pool: Arc<[Reg]>,
     /// Registers required to execute `body`.
     pub num_regs: u16,
     /// Inline map for source-level stack recovery.
@@ -202,12 +206,15 @@ pub struct MethodVersion {
 }
 
 impl MethodVersion {
-    /// Builds the baseline version of a method from its source definition.
+    /// Builds the baseline version of a method from its source definition:
+    /// a copy of its instructions and of its argument pool, one allocation
+    /// each however many calls the body makes.
     pub fn baseline(def: &aoci_ir::MethodDef) -> Self {
         MethodVersion {
             method: def.id(),
             level: OptLevel::Baseline,
             body: def.body().to_vec(),
+            arg_pool: Arc::from(def.arg_pool()),
             num_regs: def.num_regs(),
             inline_map: InlineMap::baseline(def.id(), def.body().len()),
             code_size: def.size_estimate(),

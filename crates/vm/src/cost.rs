@@ -136,13 +136,15 @@ mod tests {
     #[test]
     fn virtual_calls_cost_more_than_static() {
         let m = CostModel::default();
-        let s = Instr::CallStatic { site: SiteIdx(0), dst: None, callee: MethodId::from_index(0), args: vec![] };
+        let args = aoci_ir::ArgSpan::default();
+        let callee = MethodId::from_index(0);
+        let s = Instr::CallStatic { site: SiteIdx(0), dst: None, callee, args };
         let v = Instr::CallVirtual {
             site: SiteIdx(0),
             dst: None,
             selector: aoci_ir::SelectorId::from_index(0),
             recv: Reg(0),
-            args: vec![],
+            args,
         };
         assert!(m.instr_cost(&v, OptLevel::Optimized) > m.instr_cost(&s, OptLevel::Optimized));
     }

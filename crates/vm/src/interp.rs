@@ -279,7 +279,7 @@ fn enter(
     let (caller_base, base) = (stack.last().map_or(0, |f| f.base), regs.len());
     regs.resize(base + usize::from(callee.num_regs), Value::Null);
     for (i, &r) in ops.recv.iter().chain(ops.args).enumerate() {
-        regs[base + i] = regs[caller_base + usize::from(r)];
+        regs[base + i] = regs[caller_base + r.index()];
     }
     let ret_dst = ops.dst.map(Reg);
     stack.push(Frame { code, base, ret_dst, transferred: false, at: Cursor::default() });
@@ -485,7 +485,7 @@ impl<'p> Vm<'p> {
                     let Vm { stack, regs, exec, registry, .. } = &mut *self;
                     let caller = *stack.last().expect("a frame made the call");
                     let body = registry.body(caller.code, exec.program, &exec.cost);
-                    let ops = CallOps::of(&body.instrs[caller.at.pc].op);
+                    let ops = CallOps::of(&body.instrs[caller.at.pc].op, &body.arg_pool);
                     enter(exec, registry, stack, regs, code, ops)?;
                 }
                 Switch::Ret(value) => self.finished = Some(value),

@@ -56,6 +56,7 @@ use crate::error::VmError;
 use crate::registry::{CodeRegistry, CodeSlot};
 use crate::value::Value;
 use aoci_ir::{decode_body, fusion_plan, BinOp, Cond, DecodedOp, FusedKind, MethodId, Program, Reg};
+use std::sync::Arc;
 
 /// The operands of a call instruction: where its value goes, and which of
 /// the caller's registers become the callee's first ones.
@@ -64,21 +65,22 @@ pub(crate) struct CallOps<'b> {
     /// Where the caller wants the return value.
     pub(crate) dst: Option<u16>,
     /// The receiver register (virtual calls): the first argument.
-    pub(crate) recv: Option<u16>,
+    pub(crate) recv: Option<Reg>,
     /// The remaining argument registers.
-    pub(crate) args: &'b [u16],
+    pub(crate) args: &'b [Reg],
 }
 
 impl<'b> CallOps<'b> {
-    /// Reads them off `op`, which is a call.
+    /// Reads them off `op`, which is a call in the body whose argument
+    /// pool is `pool`.
     #[inline(always)]
-    pub(super) fn of(op: &'b DecodedOp) -> Self {
-        let (dst, recv, args) = match op {
+    pub(super) fn of(op: &DecodedOp, pool: &'b [Reg]) -> Self {
+        let (dst, recv, args) = match *op {
             DecodedOp::CallStatic { dst, args, .. } => (dst, None, args),
-            DecodedOp::CallVirtual { dst, recv, args, .. } => (dst, Some(*recv), args),
+            DecodedOp::CallVirtual { dst, recv, args, .. } => (dst, Some(Reg(recv)), args),
             _ => unreachable!("only a call has call operands"),
         };
-        CallOps { dst: *dst, recv, args }
+        CallOps { dst, recv, args: args.of(pool) }
     }
 }
 
@@ -104,8 +106,9 @@ pub(crate) enum Flow<'b> {
     Call {
         /// The method to invoke.
         callee: MethodId,
-        /// The call instruction; its operands are read ([`CallOps::of`])
-        /// only where the callee's frame is opened.
+        /// The call instruction; its operands are read ([`CallOps::of`],
+        /// with the caller's argument pool) only where the callee's frame
+        /// is opened.
         op: &'b DecodedOp,
     },
     /// A `Return` read its value; the loop pops the frame.
@@ -133,7 +136,7 @@ pub(super) enum Switch<'b> {
 }
 
 /// One slot of a pre-decoded body: the execution-ready form of one source
-/// instruction.
+/// instruction. 32 bytes: the 16-byte op, its cost and its fusion tag.
 ///
 /// Dispatch is a jump table over [`DecodedOp`]'s tag (and [`FusedKind`]
 /// for superinstructions), with every handler inlined into the run loop.
@@ -170,12 +173,16 @@ pub(crate) struct DecodedBody {
     pub(crate) component: Component,
     /// One decoded slot per source instruction; decoded pc == source pc.
     pub(crate) instrs: Box<[DecodedInstr]>,
+    /// The version's argument pool, shared: the registers the calls'
+    /// [`ArgSpan`](aoci_ir::ArgSpan)s name.
+    pub(crate) arg_pool: Arc<[Reg]>,
 }
 
 impl DecodedBody {
     /// Lowers `version.body` into its decoded form under `cost`. Costs and
     /// the charge component are precomputed per instruction; the fusion
-    /// plan marks each pc that heads a fused pair.
+    /// plan marks each pc that heads a fused pair. The argument pool is the
+    /// version's own, shared: decoded spans are the source spans.
     pub(crate) fn build(version: &MethodVersion, program: &Program, cost: &CostModel) -> Self {
         let ops = decode_body(&version.body, program);
         let plan = fusion_plan(&ops);
@@ -193,7 +200,15 @@ impl DecodedBody {
             })
             .collect();
         let num_regs = version.num_regs;
-        DecodedBody { method: version.method, num_regs, level: version.level, component, instrs }
+        let arg_pool = Arc::clone(&version.arg_pool);
+        DecodedBody {
+            method: version.method,
+            num_regs,
+            level: version.level,
+            component,
+            instrs,
+            arg_pool,
+        }
     }
 }
 
@@ -205,6 +220,7 @@ fn dispatch_plain<'b>(
     x: &mut Exec<'_>,
     a: &mut Act<'_>,
     op: &'b DecodedOp,
+    pool: &[Reg],
 ) -> Result<Flow<'b>, VmError> {
     match op {
         DecodedOp::Const { .. } => op_const(x, a, op),
@@ -224,8 +240,8 @@ fn dispatch_plain<'b>(
         DecodedOp::InstanceOf { .. } => op_instance_of(x, a, op),
         DecodedOp::Jump { target } => Ok(Flow::Jump { target: *target, fused: false }),
         DecodedOp::Branch { .. } => op_branch(x, a, op),
-        DecodedOp::CallStatic { .. } => op_call_static(x, a, op),
-        DecodedOp::CallVirtual { .. } => op_call_virtual(x, a, op),
+        DecodedOp::CallStatic { .. } => op_call_static(x, a, op, pool),
+        DecodedOp::CallVirtual { .. } => op_call_virtual(x, a, op, pool),
         DecodedOp::Return { .. } => op_return(x, a, op),
         DecodedOp::GuardClass { .. } => op_guard_class(x, a, op),
         DecodedOp::GuardMethod { .. } => op_guard_method(x, a, op),
@@ -301,7 +317,9 @@ pub(super) fn run_frames<'r>(
         stack.last_mut().expect("fetched above").at = at;
         match left? {
             Switch::Call { callee, op } => match registry.current_slot(callee) {
-                Some(code) => enter(x, registry, stack, regs, code, CallOps::of(op))?,
+                Some(code) => {
+                    enter(x, registry, stack, regs, code, CallOps::of(op, &body.arg_pool))?
+                }
                 None => return Ok(Switch::Call { callee, op }),
             },
             Switch::Ret(value) => {
@@ -350,7 +368,7 @@ fn run_frame<'b>(
         // no check of the schedule could fire between the two halves.
         let flow = match di.fused {
             Some(kind) if a.now < event => dispatch_fused(kind, x, a, body)?,
-            _ => dispatch_plain(x, a, &di.op)?,
+            _ => dispatch_plain(x, a, &di.op, &body.arg_pool)?,
         };
         let mut raised = false;
         a.at.pc = match flow {
@@ -622,20 +640,30 @@ fn op_guard_method<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> 
 }
 
 #[inline(always)]
-fn op_call_static<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
-    let DecodedOp::CallStatic { callee, args, .. } = op else { unreachable!() };
+fn op_call_static<'b>(
+    x: &mut Exec<'_>,
+    a: &mut Act<'_>,
+    op: &'b DecodedOp,
+    pool: &[Reg],
+) -> Result<Flow<'b>, VmError> {
+    let &DecodedOp::CallStatic { callee, args, .. } = op else { unreachable!() };
     x.counters.calls += 1;
-    a.check_args(args.iter().map(|&r| Reg(r)))?;
-    Ok(Flow::Call { callee: *callee, op })
+    a.check_args(args.of(pool).iter().copied())?;
+    Ok(Flow::Call { callee, op })
 }
 
 #[inline(always)]
-fn op_call_virtual<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
-    let DecodedOp::CallVirtual { selector, recv, args, .. } = op else { unreachable!() };
+fn op_call_virtual<'b>(
+    x: &mut Exec<'_>,
+    a: &mut Act<'_>,
+    op: &'b DecodedOp,
+    pool: &[Reg],
+) -> Result<Flow<'b>, VmError> {
+    let &DecodedOp::CallVirtual { selector, recv, args, .. } = op else { unreachable!() };
     x.counters.calls += 1;
     x.counters.virtual_dispatches += 1;
-    let callee = x.virtual_target(a, Reg(*recv), *selector)?;
-    a.check_args(args.iter().map(|&r| Reg(r)))?;
+    let callee = x.virtual_target(a, Reg(recv), selector)?;
+    a.check_args(args.of(pool).iter().copied())?;
     Ok(Flow::Call { callee, op })
 }
 

@@ -10,6 +10,16 @@ fn run_main(build: impl FnOnce(&mut ProgramBuilder) -> aoci_ir::MethodId) -> Opt
     vm.run_to_completion().expect("no fault")
 }
 
+/// The decoded form pins its layout: a `Copy` op of 16 bytes that owns no
+/// allocation (call arguments sit in the body's pool), in a 32-byte slot.
+#[test]
+fn decoded_slots_are_32_bytes() {
+    fn copy<T: Copy>() {}
+    copy::<aoci_ir::DecodedOp>();
+    assert_eq!(std::mem::size_of::<aoci_ir::DecodedOp>(), 16);
+    assert_eq!(std::mem::size_of::<decode::DecodedInstr>(), 32);
+}
+
 #[test]
 fn arithmetic_and_branches() {
     // Compute sum 1..=5 with a loop.
@@ -341,14 +351,21 @@ fn stack_overflow_faults() {
 }
 
 /// A hand-compiled 2-register `main`, installed as optimized code so that
-/// the run pays no baseline compile of its own: `first`, then `call`.
-fn two_register_main(main: aoci_ir::MethodId, first: Instr, call: Instr) -> MethodVersion {
+/// the run pays no baseline compile of its own: `first`, then `call`, whose
+/// arguments are `arg_pool`.
+fn two_register_main(
+    main: aoci_ir::MethodId,
+    first: Instr,
+    call: Instr,
+    arg_pool: Vec<Reg>,
+) -> MethodVersion {
     let body = vec![first, call, Instr::Return { src: None }];
     MethodVersion {
         method: main,
         level: OptLevel::Optimized,
         inline_map: crate::InlineMap::baseline(main, body.len()),
         body,
+        arg_pool: arg_pool.into(),
         num_regs: 2,
         code_size: 3,
         version_id: crate::VersionId::default(),
@@ -384,18 +401,13 @@ fn unreadable_argument_faults_in_the_caller_before_the_callee_compiles() {
     let p = b.finish(main).expect("valid program");
     // Both calls pass register 9 of the 2-register frame.
     let new_receiver = Instr::New { dst: Reg(0), class: a };
-    let static_call =
-        Instr::CallStatic { site: SiteIdx(0), dst: None, callee, args: vec![Reg(9)] };
-    let virtual_call = Instr::CallVirtual {
-        site: SiteIdx(0),
-        dst: None,
-        selector: sel,
-        recv: Reg(0),
-        args: vec![Reg(9)],
-    };
+    let nine = aoci_ir::ArgSpan::new(0, 1).expect("one argument");
+    let static_call = Instr::CallStatic { site: SiteIdx(0), dst: None, callee, args: nine };
+    let virtual_call =
+        Instr::CallVirtual { site: SiteIdx(0), dst: None, selector: sel, recv: Reg(0), args: nine };
     for stepped in [false, true] {
         for (call, target) in [(&static_call, callee), (&virtual_call, a_take)] {
-            let version = two_register_main(main, new_receiver.clone(), call.clone());
+            let version = two_register_main(main, new_receiver, *call, vec![Reg(9)]);
             let mut vm = Vm::new(&p, CostModel::default());
             vm.registry_mut().install(version);
             let e = complete(&mut vm, stepped).expect_err("register 9 does not exist");
@@ -559,6 +571,7 @@ fn osr_resize_fixture() -> (aoci_ir::Program, aoci_ir::MethodId, MethodVersion, 
         level: OptLevel::Optimized,
         inline_map: crate::InlineMap::baseline(looper, body.len()),
         body,
+        arg_pool: Vec::new().into(),
         num_regs: 7,
         code_size: 10,
         version_id: crate::VersionId::default(),
@@ -658,6 +671,7 @@ fn survivor(looper: aoci_ir::MethodId, guard: bool, point: crate::OsrPoint) -> M
         level: OptLevel::Optimized,
         inline_map: crate::InlineMap::baseline(looper, body.len()),
         body,
+        arg_pool: Vec::new().into(),
         num_regs: 5,
         code_size: 9,
         version_id: crate::VersionId::default(),
@@ -1007,6 +1021,7 @@ fn optimized_code_with_inline_map_recovers_source_frames() {
         method: outer,
         level: OptLevel::Optimized,
         body,
+        arg_pool: Vec::new().into(),
         num_regs: 2,
         inline_map: map.finish(),
         code_size: 50_003,
@@ -1068,6 +1083,7 @@ fn naive_walk_hides_inlined_frames() {
         method: outer,
         level: OptLevel::Optimized,
         body: vec![Instr::Work { units: 50_000 }, Instr::Return { src: None }],
+        arg_pool: Vec::new().into(),
         num_regs: 0,
         inline_map: map.finish(),
         code_size: 50_001,
@@ -1167,7 +1183,7 @@ fn guard_class_dispatches_inline_vs_fallback() {
             dst: Some(Reg(1)),
             selector: sel,
             recv: Reg(0),
-            args: vec![],
+            args: aoci_ir::ArgSpan::default(),
         },
         Instr::Return { src: Some(Reg(1)) },
     ];
@@ -1175,6 +1191,7 @@ fn guard_class_dispatches_inline_vs_fallback() {
         method: call,
         level: OptLevel::Optimized,
         body,
+        arg_pool: Vec::new().into(),
         num_regs: 3,
         inline_map: map.finish(),
         code_size: 20,

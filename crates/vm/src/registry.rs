@@ -437,6 +437,7 @@ mod tests {
             method: m,
             level,
             body: vec![],
+            arg_pool: Vec::new().into(),
             num_regs: 0,
             inline_map: InlineMap::baseline(m, 0),
             code_size: size,

@@ -873,6 +873,7 @@ mod tests {
             let ma = a.program.method(aoci_ir::MethodId::from_index(i));
             let mb = b.program.method(aoci_ir::MethodId::from_index(i));
             assert_eq!(ma.body(), mb.body(), "method {i} differs");
+            assert_eq!(ma.arg_pool(), mb.arg_pool(), "method {i} call arguments differ");
         }
     }
 

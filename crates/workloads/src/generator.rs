@@ -370,6 +370,7 @@ mod tests {
             let ma = a.program.method(aoci_ir::MethodId::from_index(i));
             let mc = c.program.method(aoci_ir::MethodId::from_index(i));
             assert_eq!(ma.body(), mc.body());
+            assert_eq!(ma.arg_pool(), mc.arg_pool());
         }
     }
 

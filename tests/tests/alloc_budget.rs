@@ -1,8 +1,9 @@
 //! Allocation budget of the control plane (DESIGN.md §17), of metering
 //! (§14) and of program load (§18): one fixed fuzz program through
-//! `AosSystem::run` under the benchmark's `control_dense` configuration, and
-//! the suite's programs through `typecheck::verify`, with every call into
-//! the allocator counted. The budgets are what keeps a sample, an organizer
+//! `AosSystem::run` under the benchmark's `control_dense` configuration,
+//! the suite's programs through `typecheck::verify`, and bodies of more and
+//! fewer calls through building, baseline compiling and decoding, with every
+//! call into the allocator counted. The budgets are what keeps a sample, an organizer
 //! tick, a compile step, a metrics epoch and a verified instruction off the
 //! allocator: a `clone` that creeps back into one of them moves the counts
 //! by whole multiples of the sample (epoch, method) count, far past the
@@ -11,7 +12,10 @@
 use aoci_aos::{AosConfig, AosReport, AosSystem};
 use aoci_fuzz::oracle::{config, policy_for};
 use aoci_fuzz::sample_spec;
-use aoci_ir::{typecheck, BinOp, Cond, Program, ProgramBuilder};
+use aoci_ir::{
+    decode_body, fusion_plan, typecheck, BinOp, Cond, Program, ProgramBuilder,
+};
+use aoci_vm::MethodVersion;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -67,11 +71,13 @@ static ALLOCATOR: Counting = Counting;
 /// Calls into the allocator one run may make per timer sample and per
 /// optimizing compile. Both divide the same total, so either fails when a
 /// sample, an organizer tick or a compile step starts cloning again. The
-/// run reads 8.6 and 70.5 since the simplifier and the inliner's candidate
-/// query stopped allocating; 14.2 and 116.8 before that, and 28.3 and 231.8
-/// before the first budget.
+/// run reads 8.2 and 66.8 since call arguments live in one pool per body
+/// (no `Vec` per call instruction for the inliner to clone); 8.6 and 70.5
+/// since the simplifier and the inliner's candidate query stopped
+/// allocating; 14.2 and 116.8 before that, and 28.3 and 231.8 before the
+/// first budget.
 const PER_SAMPLE: f64 = 10.0;
-const PER_COMPILE: f64 = 85.0;
+const PER_COMPILE: f64 = 75.0;
 
 /// Calls into the allocator metering may add per epoch. The run reads 2.4
 /// (113 calls over 47 epochs) since the series is stored as value rows over
@@ -223,4 +229,57 @@ fn program_load_stays_inside_its_allocation_budget() {
     );
     assert!(large_instrs >= small_instrs + 2_800, "the larger body is larger");
     assert_eq!(large, small, "validation allocates per instruction");
+}
+
+/// A program whose entry makes `calls` calls of one static callee, passing
+/// `per_call` argument registers each, padded with `Work` to `len`
+/// instructions: the allocator calls that building it made (emission and
+/// `ProgramBuilder::finish`), then those that baseline-compiling and
+/// decoding its entry made (what the VM's decoded body is built from).
+fn counted_calls(calls: usize, per_call: usize, len: usize) -> (u64, u64) {
+    let (program, build) = counted(|| {
+        let mut b = ProgramBuilder::new();
+        let callee = {
+            let mut m = b.static_method("callee", u16::try_from(per_call).unwrap());
+            m.ret(None);
+            m.finish()
+        };
+        let main = {
+            let mut m = b.static_method("main", 0);
+            let x = m.fresh_reg();
+            let args = vec![x; per_call];
+            m.const_int(x, 1);
+            for _ in 0..calls {
+                m.call_static(None, callee, &args);
+            }
+            for _ in calls..len {
+                m.work(1);
+            }
+            m.ret(None);
+            m.finish()
+        };
+        b.finish(main).expect("the program is valid")
+    });
+    let entry = program.method(program.entry());
+    let (_, decode) = counted(|| {
+        let version = MethodVersion::baseline(entry);
+        let ops = decode_body(&version.body, &program);
+        let plan = fusion_plan(&ops);
+        (plan, version)
+    });
+    (build, decode)
+}
+
+#[test]
+fn call_instructions_make_no_allocator_calls() {
+    // The same instructions and argument registers in all, in half as many
+    // calls or in twice as many.
+    let (fewer_build, fewer_decode) = counted_calls(300, 2, 600);
+    let (more_build, more_decode) = counted_calls(600, 1, 600);
+    println!(
+        "300 or 600 calls: build {fewer_build} or {more_build} allocator calls, \
+         baseline compile and decode {fewer_decode} or {more_decode}"
+    );
+    assert_eq!(more_build, fewer_build, "building allocates per call instruction");
+    assert_eq!(more_decode, fewer_decode, "baseline compiling or decoding allocates per call");
 }

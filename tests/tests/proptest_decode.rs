@@ -15,8 +15,8 @@
 
 use aoci_core::{InlineOracle, RuleSet};
 use aoci_ir::{
-    decode_body, encode_body, fused_kind, fusion_plan, BinOp, CallSiteRef, DecodedOp, Instr,
-    Program, ProgramBuilder,
+    decode_body, encode_body, fused_kind, fusion_plan, BinOp, CallSiteRef, DecodedOp,
+    Instr, Program, ProgramBuilder, Reg,
 };
 use aoci_opt::{compile, OptConfig};
 use aoci_profile::TraceKey;
@@ -46,6 +46,43 @@ fn assert_roundtrip(program: &Program, what: &str) {
             m.name()
         );
     }
+}
+
+/// Every decoded call of `body` names, in the body's argument pool `pool`,
+/// the registers its source instruction reads (the receiver first): the
+/// decoded form keeps the source body's spans. Returns the calls checked.
+fn assert_calls_resolve(body: &[Instr], pool: &[Reg], program: &Program, what: &str) -> usize {
+    let ops = decode_body(body, program);
+    let mut calls = 0;
+    for (pc, (op, instr)) in ops.iter().zip(body).enumerate() {
+        let (recv, args) = match *op {
+            DecodedOp::CallStatic { args, .. } => (None, args),
+            DecodedOp::CallVirtual { recv, args, .. } => (Some(recv), args),
+            _ => continue,
+        };
+        let decoded: Vec<u16> =
+            recv.into_iter().chain(args.of(pool).iter().map(|r| r.0)).collect();
+        let mut source = Vec::new();
+        instr.for_each_use(pool, |r| source.push(r.0));
+        assert_eq!(decoded, source, "{what}: operands of the call at pc {pc}");
+        calls += 1;
+    }
+    calls
+}
+
+/// [`assert_calls_resolve`] over every source body of `program` and every
+/// body the inliner makes of it with every edge hot. Returns the calls
+/// checked.
+fn assert_program_calls_resolve(program: &Program, what: &str) -> usize {
+    let oracle = all_edges_hot(program);
+    let mut calls = 0;
+    for m in program.methods() {
+        calls += assert_calls_resolve(m.body(), m.arg_pool(), program, what);
+        let v = compile(program, m.id(), &oracle, &OptConfig::default()).version;
+        let optimized = format!("{what} (optimized)");
+        calls += assert_calls_resolve(&v.body, &v.arg_pool, program, &optimized);
+    }
+    calls
 }
 
 /// Every decoded branch target is an absolute pc inside its body (the
@@ -221,7 +258,9 @@ proptest! {
     #[test]
     fn decode_roundtrips_fuzz_bodies(seed in 0u64..1u64 << 32, index in 0usize..256) {
         let program = fuzz_program(seed, index);
-        assert_roundtrip(&program, &format!("fuzz seed={seed} index={index}"));
+        let what = format!("fuzz seed={seed} index={index}");
+        assert_roundtrip(&program, &what);
+        assert_program_calls_resolve(&program, &what);
     }
 
     /// Branch-target resolution lands inside the body, and the fusion
@@ -254,15 +293,19 @@ proptest! {
 }
 
 /// The curated suite as a fixed corpus: every workload body round-trips,
-/// resolves its targets, and carries a consistent fusion plan.
+/// resolves its targets and its calls' arguments, and carries a consistent
+/// fusion plan.
 #[test]
 fn suite_bodies_roundtrip_and_plan() {
+    let mut calls = 0;
     for spec in suite() {
         let w = build(&spec);
         assert_roundtrip(&w.program, &w.name);
         assert_targets_in_range(&w.program, &w.name);
         assert_plan_consistent(&w.program, &w.name);
+        calls += assert_program_calls_resolve(&w.program, &w.name);
     }
+    assert!(calls > 1_000, "{calls} calls resolved");
 }
 
 /// The curated suite (1/40 of its iterations) as a fixed corpus for the

@@ -250,14 +250,21 @@ mod reference {
         }
 
         fn check_method(&mut self, mid: MethodId) -> Result<(), TypeError> {
-            let body: Vec<Instr> = self.program.method(mid).body().to_vec();
+            let method = self.program.method(mid);
+            let body: Vec<Instr> = method.body().to_vec();
+            let pool: Vec<Reg> = method.arg_pool().to_vec();
             for (at, instr) in body.iter().enumerate() {
-                self.check_instr(mid, instr).map_err(|(e, f)| mismatch(mid, at, e, f))?;
+                self.check_instr(mid, instr, &pool).map_err(|(e, f)| mismatch(mid, at, e, f))?;
             }
             Ok(())
         }
 
-        fn check_instr(&mut self, m: MethodId, instr: &Instr) -> Result<(), (Shape, Shape)> {
+        fn check_instr(
+            &mut self,
+            m: MethodId,
+            instr: &Instr,
+            pool: &[Reg],
+        ) -> Result<(), (Shape, Shape)> {
             match instr {
                 Instr::Const { dst, .. } => self.table.require(self.rv(m, *dst), Tag::Int),
                 Instr::ConstNull { dst } => self.table.require(self.rv(m, *dst), Tag::AnyRef),
@@ -317,7 +324,7 @@ mod reference {
                     }
                 },
                 Instr::CallStatic { dst, callee, args, .. } => {
-                    for (k, a) in args.iter().enumerate() {
+                    for (k, a) in args.of(pool).iter().enumerate() {
                         let pv = self.reg_vars[callee.index()][k];
                         self.table.unify(self.reg_vars[m.index()][a.index()], pv)?;
                     }
@@ -329,7 +336,7 @@ mod reference {
                 }
                 Instr::CallVirtual { dst, selector, recv, args, .. } => {
                     self.table.require(self.rv(m, *recv), Tag::Obj)?;
-                    for (k, a) in args.iter().enumerate() {
+                    for (k, a) in args.of(pool).iter().enumerate() {
                         let pv = self.selector_param_vars[selector.index()][k];
                         self.table.unify(self.reg_vars[m.index()][a.index()], pv)?;
                     }
@@ -372,7 +379,7 @@ mod reference {
         let mut work = vec![0usize];
         while let Some(i) = work.pop() {
             let mut state = entry[i].clone().unwrap_or_else(|| full.clone());
-            let (uses, def) = uses_and_def(&body[i]);
+            let (uses, def) = uses_and_def(&body[i], m.arg_pool());
             for u in uses {
                 if !state[u.index()] {
                     return Err(TypeError::MaybeUninitialised { method: mid, at: i, reg: u });
@@ -418,7 +425,7 @@ mod reference {
         }
     }
 
-    fn uses_and_def(instr: &Instr) -> (Vec<Reg>, Option<Reg>) {
+    fn uses_and_def(instr: &Instr, pool: &[Reg]) -> (Vec<Reg>, Option<Reg>) {
         match instr {
             Instr::Const { dst, .. } | Instr::ConstNull { dst } => (vec![], Some(*dst)),
             Instr::Move { dst, src } => (vec![*src], Some(*dst)),
@@ -435,10 +442,10 @@ mod reference {
             Instr::ArrLen { dst, arr } => (vec![*arr], Some(*dst)),
             Instr::InstanceOf { dst, obj, .. } => (vec![*obj], Some(*dst)),
             Instr::Branch { lhs, rhs, .. } => (vec![*lhs, *rhs], None),
-            Instr::CallStatic { dst, args, .. } => (args.clone(), *dst),
+            Instr::CallStatic { dst, args, .. } => (args.of(pool).to_vec(), *dst),
             Instr::CallVirtual { dst, recv, args, .. } => {
                 let mut u = vec![*recv];
-                u.extend_from_slice(args);
+                u.extend_from_slice(args.of(pool));
                 (u, *dst)
             }
             Instr::Return { src } => (src.iter().copied().collect(), None),
