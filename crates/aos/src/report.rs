@@ -225,11 +225,11 @@ impl Ledger {
                 queue.dispatched += 1;
                 queue.abandoned_in_flight += 1;
             }
-            E::CompileFinish { overlap_cycles, stall_cycles, landed, .. } => {
+            E::CompileFinish { landed, cycles, .. } => {
                 queue.abandoned_in_flight -= 1;
                 queue.completed += u64::from(*landed);
-                queue.background_overlap_cycles += overlap_cycles;
-                queue.foreground_stall_cycles += stall_cycles;
+                queue.background_overlap_cycles += cycles.overlap_cycles;
+                queue.foreground_stall_cycles += cycles.stall_cycles;
             }
             E::CompileDequeueStale { .. } => queue.stale_drops += 1,
             E::CompileQueueFull { .. } => queue.queue_full_drops += 1,

@@ -179,6 +179,8 @@ pub struct AosSystem<'p> {
     /// action; [`AosSystem::recovery_events`] renders them into
     /// [`RecoveryEvents::trace_dump`].
     dump_tail: Vec<Recorded>,
+    /// The sequence number of `dump_tail[0]`.
+    dump_first_seq: u64,
     /// Failed compilations awaiting their backoff deadline, as
     /// `(due_cycle, method)` in scheduling order.
     retry_after: Vec<(u64, MethodId)>,
@@ -231,6 +233,7 @@ impl<'p> AosSystem<'p> {
             fault: config.fault.clone().map(FaultInjector::new),
             ledger: Ledger::default(),
             dump_tail: Vec::new(),
+            dump_first_seq: 0,
             retry_after: Vec::new(),
             trace,
             metrics: config.metrics.clone().map(MetricsRegistry::new),
@@ -249,7 +252,7 @@ impl<'p> AosSystem<'p> {
         t.emit(self.vm.clock().total(), event);
         if dump {
             let n = self.config.trace.as_ref().map_or(0, |c| c.dump_last);
-            t.copy_tail(n, &mut self.dump_tail);
+            self.dump_first_seq = t.copy_tail(n, &mut self.dump_tail);
         }
     }
 
@@ -351,7 +354,7 @@ impl<'p> AosSystem<'p> {
                 // the last-N dump to the recovery ledger) and surface the
                 // recorder's tail on stderr — the post-mortem the flight
                 // recorder exists for.
-                self.emit(TraceEvent::VmFault { message: e.to_string() });
+                self.emit(TraceEvent::VmFault { message: e.to_string().into() });
                 for line in self.recovery_events().trace_dump {
                     eprintln!("[aoci-trace] {line}");
                 }
@@ -606,7 +609,8 @@ impl<'p> AosSystem<'p> {
     /// post-mortem dump (also usable mid-run between [`AosSystem::step`]s).
     pub fn recovery_events(&self) -> RecoveryEvents {
         let resolve = |m: MethodId| self.program.method(m).name().to_string();
-        let trace_dump = self.dump_tail.iter().map(|r| r.dump_line(&resolve)).collect();
+        let numbered = (self.dump_first_seq..).zip(&self.dump_tail);
+        let trace_dump = numbered.map(|(seq, r)| r.dump_line(seq, &resolve)).collect();
         RecoveryEvents { trace_dump, ..self.ledger.recovery.clone() }
     }
 }

@@ -5,7 +5,9 @@ use super::{plan_order, AosSystem, Built, InFlightCompile, PendingPlan};
 use crate::fault::CompileFault;
 use aoci_core::{InlineOracle, RuleSet};
 use aoci_ir::{CallSiteRef, MethodId};
-use aoci_trace::{FaultKind, PlanReason, StaleReason, TraceEvent};
+use aoci_trace::{
+    CompileStats, FaultKind, FinishCycles, InlineFacts, PlanReason, StaleReason, TraceEvent,
+};
 use aoci_vm::{Component, ContextFingerprint, MethodVersion};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -227,9 +229,8 @@ impl AosSystem<'_> {
         self.emit(TraceEvent::CompileFinish {
             method,
             worker,
-            overlap_cycles: overlap,
-            stall_cycles: stall,
             landed: stale.is_none(),
+            cycles: Box::new(FinishCycles { overlap_cycles: overlap, stall_cycles: stall }),
         });
         self.methods[method.index()].queued = false;
         if let Some(reason) = stale {
@@ -365,29 +366,35 @@ impl AosSystem<'_> {
                 // The context always starts at the decision's own call site.
                 let Some(&site) = d.context.first() else { continue };
                 self.emit(TraceEvent::InlineDecision {
-                    host: method,
-                    site,
-                    callee: d.callee,
                     guarded: d.guarded,
-                    provenance: Box::new(d.provenance),
+                    facts: Box::new(InlineFacts {
+                        host: method,
+                        site,
+                        callee: d.callee,
+                        provenance: d.provenance,
+                    }),
                 });
             }
             for r in &compilation.refusals {
                 self.emit(TraceEvent::InlineRefusal {
-                    host: method,
-                    site: r.site,
-                    callee: r.callee,
                     reason: r.reason,
                     hot: r.hot,
-                    provenance: Box::new(r.provenance),
+                    facts: Box::new(InlineFacts {
+                        host: method,
+                        site: r.site,
+                        callee: r.callee,
+                        provenance: r.provenance,
+                    }),
                 });
             }
             self.emit(TraceEvent::Compile {
                 method,
-                generated_size: compilation.generated_size,
-                inlines: compilation.decisions.len() as u32,
-                guarded: compilation.guarded_count() as u32,
-                cycles: cost,
+                stats: Box::new(CompileStats {
+                    generated_size: compilation.generated_size,
+                    inlines: compilation.decisions.len() as u32,
+                    guarded: compilation.guarded_count() as u32,
+                    cycles: cost,
+                }),
             });
         }
         if let Some(sink) = &mut self.metrics {

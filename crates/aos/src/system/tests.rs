@@ -555,15 +555,16 @@ fn stale_plans_drop_at_dequeue_with_reasons() {
 
 // ---- Recovery-ledger dump: captured raw at the action, rendered at read --
 
-use aoci_trace::{FaultKind, Recorded, RetryCause, TraceConfig};
+use aoci_trace::{FaultKind, Recorded, RetryCause, TraceConfig, TraceLog};
 
 /// The `n` dump lines ending at (and including) event index `last` of an
 /// unbounded log — what the ledger must hold if the latest recovery action
 /// fired right after that event.
-fn dump_ending_at(events: &[Recorded], last: usize, n: usize, p: &Program) -> Vec<String> {
+fn dump_ending_at(log: &TraceLog, last: usize, n: usize, p: &Program) -> Vec<String> {
     let resolve = |m: MethodId| p.method(m).name().to_string();
-    let tail = &events[..=last];
-    tail[tail.len().saturating_sub(n)..].iter().map(|r| r.dump_line(&resolve)).collect()
+    let first = (last + 1).saturating_sub(n);
+    let tail = log.numbered().take(last + 1).skip(first);
+    tail.map(|(seq, r)| r.dump_line(seq, &resolve)).collect()
 }
 
 /// Index of the last event that triggered a dump capture: every recovery
@@ -606,7 +607,7 @@ fn trace_dump_is_the_tail_as_of_the_last_recovery_action() {
         );
         assert_eq!(
             report.recovery.trace_dump,
-            dump_ending_at(&log.events, last, 32, &p),
+            dump_ending_at(&log, last, 32, &p),
             "seed {seed}: dump ends at event #{last}"
         );
         assert_eq!(report.recovery.trace_dump.len(), 32);
@@ -649,7 +650,7 @@ fn a_recompile_after_an_invalidation_is_not_a_retry() {
     assert!(report.recovery.invalidations >= 1);
     assert!(log.coverage().contains("recovery:retry"), "the coverage feature stays");
     let last = last_recovery_trigger(&log.events).expect("the thrash was acted on");
-    assert_eq!(report.recovery.trace_dump, dump_ending_at(&log.events, last, 4, &p));
+    assert_eq!(report.recovery.trace_dump, dump_ending_at(log, last, 4, &p));
 }
 
 #[test]
@@ -750,7 +751,7 @@ fn vm_fault_dump_reaches_the_ledger() {
     // `step` echoed exactly these lines on stderr, `[aoci-trace]`-prefixed.
     let dump = sys.recovery_events().trace_dump;
     let log = sys.trace_log().expect("tracing is on");
-    assert_eq!(dump, dump_ending_at(&log.events, log.events.len() - 1, 4, &p));
+    assert_eq!(dump, dump_ending_at(&log, log.events.len() - 1, 4, &p));
     assert_eq!(dump.len(), 4);
     assert!(dump[3].contains("vm-fault"), "{}", dump[3]);
     assert!(dump[3].contains(&err.to_string()), "{} vs {err}", dump[3]);

@@ -211,11 +211,11 @@ fn ledger_fold(r: &AosReport) -> Option<String> {
                 queue.max_queue_depth = queue.max_queue_depth.max(u64::from(*queue_depth));
             }
             TraceEvent::CompileStart { .. } => queue.dispatched += 1,
-            TraceEvent::CompileFinish { overlap_cycles, stall_cycles, landed, .. } => {
+            TraceEvent::CompileFinish { landed, cycles, .. } => {
                 finishes += 1;
                 queue.completed += u64::from(*landed);
-                queue.background_overlap_cycles += overlap_cycles;
-                queue.foreground_stall_cycles += stall_cycles;
+                queue.background_overlap_cycles += cycles.overlap_cycles;
+                queue.foreground_stall_cycles += cycles.stall_cycles;
             }
             TraceEvent::CompileDequeueStale { .. } => queue.stale_drops += 1,
             TraceEvent::CompileQueueFull { .. } => queue.queue_full_drops += 1,

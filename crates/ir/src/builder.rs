@@ -234,7 +234,7 @@ impl ProgramBuilder {
             dispatch_rows.push(row);
         }
 
-        let program = Program {
+        let mut program = Program {
             classes: self.classes,
             methods,
             fields: self.fields,
@@ -245,6 +245,14 @@ impl ProgramBuilder {
             dispatch_rows,
             dispatch,
         };
+        // A program never grows once built: drop the tables' doubling slack
+        // (`methods`, collected in place, keeps its `Option` slots' capacity).
+        program.methods.shrink_to_fit();
+        program.classes.shrink_to_fit();
+        program.fields.shrink_to_fit();
+        program.selectors.shrink_to_fit();
+        program.global_names.shrink_to_fit();
+        program.dispatch.shrink_to_fit();
 
         validate::validate(&program)?;
         Ok(program)

@@ -93,6 +93,22 @@ impl Program {
         self.classes.len()
     }
 
+    /// Table slots allocated past their entries, over the method, class,
+    /// field, selector, global-name and dispatch tables: 0 for a program
+    /// [`crate::ProgramBuilder::finish`] built, which sizes each to fit.
+    pub fn table_slack(&self) -> usize {
+        fn slack<T>(table: &Vec<T>) -> usize {
+            table.capacity() - table.len()
+        }
+        slack(&self.methods)
+            + slack(&self.classes)
+            + slack(&self.fields)
+            + slack(&self.selectors)
+            + slack(&self.global_names)
+            + slack(&self.dispatch_rows)
+            + slack(&self.dispatch)
+    }
+
     /// Returns the number of methods in the program.
     pub fn num_methods(&self) -> usize {
         self.methods.len()

@@ -141,6 +141,13 @@ fn fold_chunks(values: &[u64], width: usize, fold: impl Fn(&[u64]) -> u64) -> Ve
         .collect()
 }
 
+/// The sum of `values`, saturating at `u64::MAX`: a series whose values
+/// jump to the top of the range and back has deltas that overflow a plain
+/// sum.
+fn saturating_sum(values: &[u64]) -> u64 {
+    values.iter().fold(0, |total, &v| total.saturating_add(v))
+}
+
 /// Dashboard rows: selected series rendered per-epoch. Counters show
 /// per-epoch *deltas* (activity), gauges show raw values (state).
 const DASHBOARD_COUNTERS: [&str; 6] = [
@@ -180,9 +187,9 @@ pub fn dashboard(label: &str, log: &MetricsLog) -> String {
         .unwrap_or(0);
     for name in DASHBOARD_COUNTERS {
         if let Some(deltas) = log.deltas_of(name) {
-            let total: u64 = deltas.iter().sum();
+            let total = saturating_sum(&deltas);
             // Summing within a chunk keeps each column an activity count.
-            let folded = fold_chunks(&deltas, DASH_WIDTH, |c| c.iter().sum());
+            let folded = fold_chunks(&deltas, DASH_WIDTH, saturating_sum);
             out.push_str(&format!(
                 "  {name:width$}  {}  Δ/epoch, total {total}\n",
                 sparkline(&folded)

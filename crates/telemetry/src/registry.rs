@@ -77,13 +77,24 @@ struct EpochHeader {
 /// tables: an epoch appends the current value of every counter id, then of
 /// every gauge id, known so far. Ids only grow, so a row's widths say which
 /// names it holds. Equal feed sequences give equal series.
+///
+/// A row is stored as the difference of each cell from the same id in the
+/// previous row (0 for an id the previous row did not hold), zigzag-mapped
+/// and LEB128-coded: most cells repeat or move a little between epochs, so
+/// a cell takes one or two bytes instead of eight. Differences wrap, so any
+/// `u64` jump round-trips. Within a family, cells follow the byte order of
+/// their names (the order the maps iterate in and readers walk); ids that
+/// enter later sort anywhere, but never reorder the ids already there.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Series {
     counter_names: NameTable,
     gauge_names: NameTable,
     epochs: Vec<EpochHeader>,
-    /// Every epoch's row, back to back.
-    values: Vec<u64>,
+    /// Every epoch's coded row, back to back.
+    coded: Vec<u8>,
+    /// The last row decoded, counters then gauges, by id: what the next
+    /// row is coded against.
+    last: [Vec<u64>; 2],
 }
 
 impl Series {
@@ -97,49 +108,110 @@ impl Series {
         self.epochs.is_empty()
     }
 
+    /// Bytes the coded rows take.
+    pub fn row_bytes(&self) -> usize {
+        self.coded.len()
+    }
+
+    /// Cells over every row: the sum of each epoch's counter and gauge
+    /// widths.
+    pub fn cells(&self) -> usize {
+        self.epochs.iter().map(|h| h.counters + h.gauges).sum()
+    }
+
     /// Each epoch as the flat `aoci-json` object of its snapshot, in epoch
     /// order.
     pub(crate) fn to_values(&self) -> impl Iterator<Item = Value> + '_ {
-        let obj = |table: &NameTable, row| {
+        fn obj(table: &NameTable, row: &[u64]) -> Value {
             Value::Obj(table.walk(row).map(|(k, v)| (k.to_string(), Value::from(v))).collect())
-        };
-        self.rows().zip(0u64..).map(move |((h, counters, gauges), epoch)| {
-            Value::obj([
+        }
+        let mut rows = self.rows();
+        std::iter::from_fn(move || {
+            let (epoch, h) = rows.next_row()?;
+            Some(Value::obj([
                 ("epoch".to_string(), Value::from(epoch)),
                 ("sample_tick".to_string(), Value::from(h.sample_tick)),
                 ("cycle".to_string(), Value::from(h.cycle)),
-                ("counters".to_string(), obj(&self.counter_names, counters)),
-                ("gauges".to_string(), obj(&self.gauge_names, gauges)),
-            ])
+                ("counters".to_string(), obj(&self.counter_names, &rows.row[0])),
+                ("gauges".to_string(), obj(&self.gauge_names, &rows.row[1])),
+            ]))
         })
     }
 
-    /// Each epoch with its counter row and its gauge row.
-    fn rows(&self) -> impl Iterator<Item = (&EpochHeader, &[u64], &[u64])> {
-        let mut rest = &self.values[..];
-        self.epochs.iter().map(move |h| {
-            let (counters, tail) = rest.split_at(h.counters);
-            let (gauges, tail) = tail.split_at(h.gauges);
-            rest = tail;
-            (h, counters, gauges)
-        })
+    /// A decoder positioned before the first epoch.
+    fn rows(&self) -> Rows<'_> {
+        Rows { series: self, epoch: 0, at: 0, row: [Vec::new(), Vec::new()] }
     }
 
     /// Appends one row from the counter and the gauge map: each family's
-    /// values, moved from the byte order of its map (whose names are exactly
-    /// its table's) into id order.
+    /// values, whose names are exactly its table's, coded in the maps' byte
+    /// order against the previous row.
     fn push(&mut self, sample_tick: u64, cycle: u64, maps: [&BTreeMap<String, u64>; 2]) {
         let [counters, gauges] = maps.map(BTreeMap::len);
         self.epochs.push(EpochHeader { sample_tick, cycle, counters, gauges });
-        for (table, map) in [&self.counter_names, &self.gauge_names].into_iter().zip(maps) {
+        let tables = [&self.counter_names, &self.gauge_names];
+        for ((table, map), last) in tables.into_iter().zip(maps).zip(&mut self.last) {
             debug_assert_eq!(table.names.len(), map.len(), "a name recorded past its table");
-            let start = self.values.len();
-            self.values.resize(start + map.len(), 0);
+            last.resize(map.len(), 0);
             for (&id, &v) in table.by_name.iter().zip(map.values()) {
-                self.values[start + id] = v;
+                put_cell(&mut self.coded, v.wrapping_sub(last[id]));
+                last[id] = v;
             }
         }
     }
+}
+
+/// Decodes a [`Series`] row by row, in epoch order, into `row`.
+struct Rows<'a> {
+    series: &'a Series,
+    epoch: usize,
+    /// Read position in the coded rows.
+    at: usize,
+    /// The current row, counters then gauges, by id.
+    row: [Vec<u64>; 2],
+}
+
+impl Rows<'_> {
+    /// Decodes the next epoch's row: its index and header.
+    fn next_row(&mut self) -> Option<(u64, EpochHeader)> {
+        let series = self.series;
+        let h = *series.epochs.get(self.epoch)?;
+        let families = [(&series.counter_names, h.counters), (&series.gauge_names, h.gauges)];
+        for ((table, width), row) in families.into_iter().zip(&mut self.row) {
+            row.resize(width, 0);
+            for &id in table.by_name.iter().filter(|&&id| id < width) {
+                row[id] = row[id].wrapping_add(take_cell(&series.coded, &mut self.at));
+            }
+        }
+        let epoch = self.epoch as u64;
+        self.epoch += 1;
+        Some((epoch, h))
+    }
+}
+
+/// Appends `delta`, zigzag-mapped (small differences of either sign stay
+/// small) and LEB128-coded, seven bits a byte, low bits first.
+fn put_cell(out: &mut Vec<u8>, delta: u64) {
+    let mut v = (delta << 1) ^ (delta >> 63).wrapping_neg();
+    while v >= 0x80 {
+        out.push(v.to_le_bytes()[0] | 0x80);
+        v >>= 7;
+    }
+    out.push(v.to_le_bytes()[0]);
+}
+
+/// Reads the cell at `*at`, advancing past it: the inverse of [`put_cell`].
+fn take_cell(coded: &[u8], at: &mut usize) -> u64 {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let byte = coded[*at];
+        *at += 1;
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte < 0x80 {
+            break;
+        }
+    }
+    (v >> 1) ^ (v & 1).wrapping_neg()
 }
 
 /// The live registry: typed metric families keyed by name, recorded
@@ -246,14 +318,14 @@ impl MetricsLog {
         let (counter, gauge) = (series.counter_names.id(name), series.gauge_names.id(name));
         let at = |row: &[u64], id: Option<usize>| row.get(id?).copied();
         let mut known = false;
-        let values = series
-            .rows()
-            .map(|(_, counters, gauges)| {
-                let v = at(gauges, gauge).or_else(|| at(counters, counter));
-                known |= v.is_some();
-                v.unwrap_or(0)
-            })
-            .collect();
+        let mut values = Vec::with_capacity(series.len());
+        let mut rows = series.rows();
+        while rows.next_row().is_some() {
+            let [counters, gauges] = &rows.row;
+            let v = at(gauges, gauge).or_else(|| at(counters, counter));
+            known |= v.is_some();
+            values.push(v.unwrap_or(0));
+        }
         known.then_some(values)
     }
 
@@ -388,6 +460,48 @@ mod tests {
     }
   ]
 }"##;
+
+    /// The coded rows give back every value on the edges of the coding:
+    /// full-range jumps both ways, a falling gauge, a name that first
+    /// appears mid-series (its earlier rows do not hold it), and the
+    /// one-epoch and empty series.
+    #[test]
+    fn coded_rows_round_trip_on_the_edges() {
+        let mut registry = MetricsRegistry::new(MetricsConfig::default());
+        let feed: [(u64, u64); 4] = [(0, 9), (u64::MAX, 7), (0, 3), (1, 0)];
+        for (epoch, (counter, gauge)) in (0u64..).zip(feed) {
+            registry.counter_set("jumps", counter);
+            registry.gauge_set("falling", gauge);
+            if epoch == 2 {
+                registry.counter_add("late", u64::MAX - 2);
+            }
+            registry.snapshot(epoch * 8, epoch * 1_000);
+        }
+        let log = registry.into_log();
+        assert_eq!(log.series_of("jumps"), Some(vec![0, u64::MAX, 0, 1]));
+        assert_eq!(log.series_of("falling"), Some(vec![9, 7, 3, 0]));
+        assert_eq!(log.series_of("late"), Some(vec![0, 0, u64::MAX - 2, u64::MAX - 2]));
+        let rows = log.to_value();
+        let epoch = |e: usize| &rows.get("series").and_then(Value::as_arr).expect("rows")[e];
+        assert_eq!(epoch(1).get("counters").and_then(|c| c.get("late")), None);
+        assert_eq!(epoch(3).get("cycle").and_then(Value::as_u64), Some(3_000));
+        assert_eq!(log.series.cells(), 2 + 2 + 3 + 3);
+
+        let mut one = MetricsRegistry::new(MetricsConfig::default());
+        one.gauge_set("g", u64::MAX);
+        one.gauge_set("h", 1 << 63);
+        one.snapshot(8, 1);
+        let one = one.into_log();
+        assert_eq!(one.series_of("g"), Some(vec![u64::MAX]));
+        assert_eq!(one.series_of("h"), Some(vec![1 << 63]));
+        // 0 → u64::MAX is a step of −1, one byte; 2^63 is the widest, ten.
+        assert_eq!(one.series.row_bytes(), 1 + 10);
+
+        let empty = MetricsRegistry::new(MetricsConfig::default()).into_log();
+        assert!(empty.series.is_empty());
+        assert_eq!(empty.series_of("g"), None);
+        assert_eq!(empty.series.to_values().count(), 0);
+    }
 
     #[test]
     fn same_feed_sequence_is_bit_identical() {

@@ -54,15 +54,18 @@ impl TraceEvent {
             TraceEvent::RecompilePlan { reason, .. } => {
                 vec![format!("plan:{}", reason.label())]
             }
-            TraceEvent::InlineDecision { guarded, provenance, .. } => vec![
-                format!("inline:{}", if provenance.rule_fired { "rule-fired" } else { "no-rule" }),
+            TraceEvent::InlineDecision { guarded, facts } => vec![
+                format!(
+                    "inline:{}",
+                    if facts.provenance.rule_fired { "rule-fired" } else { "no-rule" }
+                ),
                 format!("inline:{}", if *guarded { "guarded" } else { "unguarded" }),
-                format!("inline:depth:{}", depth_bucket(provenance.context_depth)),
+                format!("inline:depth:{}", depth_bucket(facts.provenance.context_depth)),
             ],
-            TraceEvent::InlineRefusal { reason, hot, provenance, .. } => vec![
+            TraceEvent::InlineRefusal { reason, hot, facts } => vec![
                 format!("refuse:{reason}"),
                 format!("refuse:{}", if *hot { "hot" } else { "cold" }),
-                format!("refuse:depth:{}", depth_bucket(provenance.context_depth)),
+                format!("refuse:depth:{}", depth_bucket(facts.provenance.context_depth)),
             ],
             TraceEvent::Invalidate { .. } => vec!["recovery:invalidate".to_string()],
             TraceEvent::Quarantine { .. } => vec!["recovery:quarantine".to_string()],
@@ -83,12 +86,12 @@ impl TraceEvent {
                 vec![format!("async:full:{}", if *evicted { "evicted" } else { "dropped" })]
             }
             TraceEvent::CompileStart { .. } => Vec::new(),
-            TraceEvent::CompileFinish { overlap_cycles, stall_cycles, .. } => {
+            TraceEvent::CompileFinish { cycles, .. } => {
                 let mut v = Vec::new();
-                if *overlap_cycles > 0 {
+                if cycles.overlap_cycles > 0 {
                     v.push("async:overlap".to_string());
                 }
-                if *stall_cycles > 0 {
+                if cycles.stall_cycles > 0 {
                     v.push("async:stall".to_string());
                 }
                 v
@@ -113,7 +116,7 @@ impl TraceLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{DecisionProvenance, OsrDenyReason};
+    use crate::event::{CompileStats, DecisionProvenance, InlineFacts, OsrDenyReason};
     use crate::recorder::Recorded;
     use aoci_ir::{CallSiteRef, MethodId, SiteIdx};
 
@@ -123,7 +126,7 @@ mod tests {
             events: events
                 .into_iter()
                 .enumerate()
-                .map(|(i, event)| Recorded { seq: i as u64, cycle: i as u64 * 10, event })
+                .map(|(i, event)| Recorded { cycle: i as u64 * 10, event })
                 .collect(),
             emitted: n,
             dropped: 0,
@@ -143,10 +146,12 @@ mod tests {
             TraceEvent::HotMethod { method: MethodId::from_index(1), samples: 4 },
             TraceEvent::Compile {
                 method: MethodId::from_index(1),
-                generated_size: 10,
-                inlines: 0,
-                guarded: 0,
-                cycles: 5,
+                stats: Box::new(CompileStats {
+                    generated_size: 10,
+                    inlines: 0,
+                    guarded: 0,
+                    cycles: 5,
+                }),
             },
             TraceEvent::Install { method: MethodId::from_index(1), version_id: 1 },
         ]);
@@ -158,23 +163,27 @@ mod tests {
         let site = CallSiteRef::new(MethodId::from_index(0), SiteIdx(0));
         let log = log_of(vec![
             TraceEvent::InlineDecision {
-                host: MethodId::from_index(0),
-                site,
-                callee: MethodId::from_index(1),
                 guarded: true,
-                provenance: Box::new(DecisionProvenance {
-                    rule_fired: true,
-                    context_depth: 5,
-                    ..Default::default()
+                facts: Box::new(InlineFacts {
+                    host: MethodId::from_index(0),
+                    site,
+                    callee: MethodId::from_index(1),
+                    provenance: DecisionProvenance {
+                        rule_fired: true,
+                        context_depth: 5,
+                        ..Default::default()
+                    },
                 }),
             },
             TraceEvent::InlineRefusal {
-                host: MethodId::from_index(0),
-                site,
-                callee: MethodId::from_index(2),
                 reason: crate::RefusalReason::Recursive,
                 hot: true,
-                provenance: Box::default(),
+                facts: Box::new(InlineFacts {
+                    host: MethodId::from_index(0),
+                    site,
+                    callee: MethodId::from_index(2),
+                    provenance: DecisionProvenance::default(),
+                }),
             },
             TraceEvent::OsrDeny {
                 method: MethodId::from_index(0),

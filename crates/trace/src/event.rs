@@ -253,8 +253,54 @@ pub struct DecisionProvenance {
     pub size_budget: u32,
 }
 
+/// Where an inlining decision or refusal was taken, and the facts the
+/// inliner weighed there: the one boxed payload of
+/// [`TraceEvent::InlineDecision`] and [`TraceEvent::InlineRefusal`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct InlineFacts {
+    /// The method whose compilation made the decision.
+    pub host: MethodId,
+    /// The source-level call site.
+    pub site: CallSiteRef,
+    /// The callee inlined, or not.
+    pub callee: MethodId,
+    /// Why: the inputs the inliner weighed.
+    pub provenance: DecisionProvenance,
+}
+
+/// What one optimizing compilation produced: the boxed payload of
+/// [`TraceEvent::Compile`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct CompileStats {
+    /// Abstract size of the generated code.
+    pub generated_size: u32,
+    /// Inlinings performed.
+    pub inlines: u32,
+    /// Of which guarded.
+    pub guarded: u32,
+    /// Simulated cycles charged to the compilation thread.
+    pub cycles: u64,
+}
+
+/// How a background compile's cost split against application execution:
+/// the boxed payload of [`TraceEvent::CompileFinish`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct FinishCycles {
+    /// Compile cycles that overlapped application execution (charged
+    /// nowhere: the app kept running).
+    pub overlap_cycles: u64,
+    /// Compile cycles the application had to stall for (charged to the
+    /// compilation thread).
+    pub stall_cycles: u64,
+}
+
 /// One flight-recorder event. Every variant is timestamped by the ring
 /// buffer with the simulated-cycle clock at emission.
+///
+/// An event is 24 bytes. A ring of thousands of samples and guard misses
+/// pays for the widest variant in every slot, so the variants that would
+/// be wider keep their payload behind one box (`VmFault` its message as a
+/// `Box<str>`).
 #[derive(Clone, Debug, PartialEq)]
 pub enum TraceEvent {
     /// A timer sample was taken (`dropped` when injected sampler dropout
@@ -292,47 +338,26 @@ pub enum TraceEvent {
     },
     /// The optimizing compiler inlined a callee.
     InlineDecision {
-        /// The method whose compilation made the decision.
-        host: MethodId,
-        /// The source-level call site.
-        site: CallSiteRef,
-        /// The inlined callee.
-        callee: MethodId,
         /// Whether a method-test guard protects the inlined body.
         guarded: bool,
-        /// Why: the inputs the inliner weighed. Boxed: the two compile-time
-        /// variants are the only ones that would hold more than 24 bytes,
-        /// and a ring of thousands of samples and guard misses should not
-        /// pay 16 bytes a slot for them.
-        provenance: Box<DecisionProvenance>,
+        /// Host, site, callee and provenance.
+        facts: Box<InlineFacts>,
     },
     /// The optimizing compiler declined an inlining opportunity.
     InlineRefusal {
-        /// The method whose compilation made the decision.
-        host: MethodId,
-        /// The source-level call site.
-        site: CallSiteRef,
-        /// The callee that was not inlined.
-        callee: MethodId,
         /// Why `aoci-opt` declined.
         reason: RefusalReason,
         /// Whether the profile supported inlining this edge.
         hot: bool,
-        /// The inputs the inliner weighed (boxed, as above).
-        provenance: Box<DecisionProvenance>,
+        /// Host, site, callee and provenance.
+        facts: Box<InlineFacts>,
     },
     /// An optimizing compilation completed.
     Compile {
         /// The compiled method.
         method: MethodId,
-        /// Abstract size of the generated code.
-        generated_size: u32,
-        /// Inlinings performed.
-        inlines: u32,
-        /// Of which guarded.
-        guarded: u32,
-        /// Simulated cycles charged to the compilation thread.
-        cycles: u64,
+        /// Its size, inlinings and cost.
+        stats: Box<CompileStats>,
     },
     /// An optimized version was installed in the code registry.
     Install {
@@ -462,16 +487,12 @@ pub enum TraceEvent {
         method: MethodId,
         /// The simulated worker lane that executed the plan.
         worker: u32,
-        /// Compile cycles that overlapped application execution (charged
-        /// nowhere: the app kept running).
-        overlap_cycles: u64,
-        /// Compile cycles the application had to stall for (charged to the
-        /// compilation thread).
-        stall_cycles: u64,
         /// `false` when the result was dropped as stale (a
         /// `dequeue-stale-drop` follows); a failed compile still lands, as
         /// a booked failure.
         landed: bool,
+        /// The cost's split into overlap and stall.
+        cycles: Box<FinishCycles>,
     },
     /// The fault injector delivered a fault.
     FaultInjected {
@@ -481,7 +502,7 @@ pub enum TraceEvent {
     /// The VM raised an execution fault (the run is about to abort).
     VmFault {
         /// The rendered `VmError`.
-        message: String,
+        message: Box<str>,
     },
 }
 
@@ -604,35 +625,35 @@ impl TraceEvent {
                 ("method", m(resolve, *method)),
                 ("reason", Value::from(reason.label())),
             ],
-            TraceEvent::InlineDecision { host, site, callee, guarded, provenance } => {
+            TraceEvent::InlineDecision { guarded, facts } => {
                 let mut v = vec![
-                    ("host", m(resolve, *host)),
-                    ("site", Value::from(site.to_string())),
-                    ("callee", m(resolve, *callee)),
+                    ("host", m(resolve, facts.host)),
+                    ("site", Value::from(facts.site.to_string())),
+                    ("callee", m(resolve, facts.callee)),
                     ("inlined", Value::Bool(true)),
                     ("guarded", Value::Bool(*guarded)),
                 ];
-                v.extend(prov(provenance));
+                v.extend(prov(&facts.provenance));
                 v
             }
-            TraceEvent::InlineRefusal { host, site, callee, reason, hot, provenance } => {
+            TraceEvent::InlineRefusal { reason, hot, facts } => {
                 let mut v = vec![
-                    ("host", m(resolve, *host)),
-                    ("site", Value::from(site.to_string())),
-                    ("callee", m(resolve, *callee)),
+                    ("host", m(resolve, facts.host)),
+                    ("site", Value::from(facts.site.to_string())),
+                    ("callee", m(resolve, facts.callee)),
                     ("inlined", Value::Bool(false)),
                     ("reason", Value::from(reason.as_str())),
                     ("hot", Value::Bool(*hot)),
                 ];
-                v.extend(prov(provenance));
+                v.extend(prov(&facts.provenance));
                 v
             }
-            TraceEvent::Compile { method, generated_size, inlines, guarded, cycles } => vec![
+            TraceEvent::Compile { method, stats } => vec![
                 ("method", m(resolve, *method)),
-                ("generated_size", Value::from(*generated_size)),
-                ("inlines", Value::from(*inlines)),
-                ("guarded", Value::from(*guarded)),
-                ("cycles", Value::from(*cycles)),
+                ("generated_size", Value::from(stats.generated_size)),
+                ("inlines", Value::from(stats.inlines)),
+                ("guarded", Value::from(stats.guarded)),
+                ("cycles", Value::from(stats.cycles)),
             ],
             TraceEvent::Install { method, version_id } => vec![
                 ("method", m(resolve, *method)),
@@ -695,17 +716,15 @@ impl TraceEvent {
                 ("worker", Value::from(*worker)),
                 ("cost", Value::from(*cost)),
             ],
-            TraceEvent::CompileFinish { method, worker, overlap_cycles, stall_cycles, landed } => {
-                vec![
-                    ("method", m(resolve, *method)),
-                    ("worker", Value::from(*worker)),
-                    ("overlap_cycles", Value::from(*overlap_cycles)),
-                    ("stall_cycles", Value::from(*stall_cycles)),
-                    ("landed", Value::Bool(*landed)),
-                ]
-            }
+            TraceEvent::CompileFinish { method, worker, landed, cycles } => vec![
+                ("method", m(resolve, *method)),
+                ("worker", Value::from(*worker)),
+                ("overlap_cycles", Value::from(cycles.overlap_cycles)),
+                ("stall_cycles", Value::from(cycles.stall_cycles)),
+                ("landed", Value::Bool(*landed)),
+            ],
             TraceEvent::FaultInjected { kind } => vec![("kind", Value::from(kind.label()))],
-            TraceEvent::VmFault { message } => vec![("message", Value::from(message.clone()))],
+            TraceEvent::VmFault { message } => vec![("message", Value::from(&**message))],
         }
     }
 
@@ -731,7 +750,12 @@ mod tests {
 
     #[test]
     fn kinds_are_distinct_and_stable() {
-        let site = CallSiteRef::new(MethodId::from_index(0), SiteIdx(1));
+        let facts = Box::new(InlineFacts {
+            host: MethodId::from_index(1),
+            site: CallSiteRef::new(MethodId::from_index(0), SiteIdx(1)),
+            callee: MethodId::from_index(2),
+            provenance: DecisionProvenance::default(),
+        });
         let events = [
             TraceEvent::SampleTick {
                 tick: 1,
@@ -745,27 +769,16 @@ mod tests {
                 method: MethodId::from_index(1),
                 reason: PlanReason::HotMethod,
             },
-            TraceEvent::InlineDecision {
-                host: MethodId::from_index(1),
-                site,
-                callee: MethodId::from_index(2),
-                guarded: true,
-                provenance: Box::default(),
-            },
-            TraceEvent::InlineRefusal {
-                host: MethodId::from_index(1),
-                site,
-                callee: MethodId::from_index(2),
-                reason: RefusalReason::TooLarge,
-                hot: true,
-                provenance: Box::default(),
-            },
+            TraceEvent::InlineDecision { guarded: true, facts: facts.clone() },
+            TraceEvent::InlineRefusal { reason: RefusalReason::TooLarge, hot: true, facts },
             TraceEvent::Compile {
                 method: MethodId::from_index(1),
-                generated_size: 10,
-                inlines: 1,
-                guarded: 0,
-                cycles: 99,
+                stats: Box::new(CompileStats {
+                    generated_size: 10,
+                    inlines: 1,
+                    guarded: 0,
+                    cycles: 99,
+                }),
             },
             TraceEvent::Install { method: MethodId::from_index(1), version_id: 7 },
             TraceEvent::GuardMiss { method: MethodId::from_index(1), pc: 5 },
@@ -786,7 +799,7 @@ mod tests {
                 cause: RetryCause::Invalidation,
             },
             TraceEvent::FaultInjected { kind: FaultKind::CorruptTrace },
-            TraceEvent::VmFault { message: "boom".to_string() },
+            TraceEvent::VmFault { message: "boom".into() },
             TraceEvent::CompileEnqueue {
                 method: MethodId::from_index(1),
                 reason: PlanReason::HotMethod,
@@ -802,9 +815,8 @@ mod tests {
             TraceEvent::CompileFinish {
                 method: MethodId::from_index(1),
                 worker: 0,
-                overlap_cycles: 300,
-                stall_cycles: 100,
                 landed: true,
+                cycles: Box::new(FinishCycles { overlap_cycles: 300, stall_cycles: 100 }),
             },
         ];
         let kinds: std::collections::BTreeSet<_> = events.iter().map(|e| e.kind()).collect();
@@ -816,16 +828,18 @@ mod tests {
     #[test]
     fn render_carries_provenance() {
         let e = TraceEvent::InlineDecision {
-            host: MethodId::from_index(4),
-            site: CallSiteRef::new(MethodId::from_index(4), SiteIdx(3)),
-            callee: MethodId::from_index(9),
             guarded: false,
-            provenance: Box::new(DecisionProvenance {
-                rule_fired: true,
-                predicted_benefit: 2.5,
-                context_depth: 1,
-                size_before: 120,
-                size_budget: 960,
+            facts: Box::new(InlineFacts {
+                host: MethodId::from_index(4),
+                site: CallSiteRef::new(MethodId::from_index(4), SiteIdx(3)),
+                callee: MethodId::from_index(9),
+                provenance: DecisionProvenance {
+                    rule_fired: true,
+                    predicted_benefit: 2.5,
+                    context_depth: 1,
+                    size_before: 120,
+                    size_budget: 960,
+                },
             }),
         };
         let line = e.render(&resolve);
@@ -850,9 +864,8 @@ mod tests {
         let finish = TraceEvent::CompileFinish {
             method,
             worker: 1,
-            overlap_cycles: 40,
-            stall_cycles: 0,
             landed: false,
+            cycles: Box::new(FinishCycles { overlap_cycles: 40, stall_cycles: 0 }),
         };
         assert!(finish.render(&resolve).ends_with(" landed=false"), "{}", finish.render(&resolve));
         for (reason, label) in [
@@ -869,10 +882,12 @@ mod tests {
     fn render_is_deterministic() {
         let e = TraceEvent::Compile {
             method: MethodId::from_index(2),
-            generated_size: 64,
-            inlines: 3,
-            guarded: 1,
-            cycles: 1234,
+            stats: Box::new(CompileStats {
+                generated_size: 64,
+                inlines: 3,
+                guarded: 1,
+                cycles: 1234,
+            }),
         };
         assert_eq!(e.render(&resolve), e.render(&resolve));
     }

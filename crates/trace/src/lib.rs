@@ -42,7 +42,7 @@ mod recorder;
 mod sinks;
 
 pub use event::{
-    DecisionProvenance, FaultKind, OsrDenyReason, OsrFallbackReason, PlanReason, RefusalReason,
-    RetryCause, StaleReason, TraceEvent,
+    CompileStats, DecisionProvenance, FaultKind, FinishCycles, InlineFacts, OsrDenyReason,
+    OsrFallbackReason, PlanReason, RefusalReason, RetryCause, StaleReason, TraceEvent,
 };
 pub use recorder::{FlightRecorder, Recorded, TraceConfig, TraceLog, TraceSink};

@@ -22,13 +22,16 @@ impl Default for TraceConfig {
     }
 }
 
-/// One recorded event: a monotone sequence number, the simulated-cycle
-/// timestamp at emission, and the typed payload.
+/// One recorded event: the simulated-cycle timestamp at emission and the
+/// typed payload, 32 bytes.
+///
+/// An event's sequence number — its emission order, 0-based and monotone
+/// over the whole run — is not stored: the ring holds a contiguous run of
+/// the emitted events, so the `i`-th retained one is `first + i`, where a
+/// [`TraceLog`] or a copied tail carries its `first`. Gaps at the front
+/// still reveal dropped history.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Recorded {
-    /// Emission order (0-based, monotone over the whole run — survives ring
-    /// truncation, so gaps at the front reveal dropped history).
-    pub seq: u64,
     /// Simulated cycles at emission (never wall-clock time).
     pub cycle: u64,
     /// The event itself.
@@ -36,10 +39,10 @@ pub struct Recorded {
 }
 
 impl Recorded {
-    /// Renders the event as one line of the recovery ledger's dump,
-    /// `#seq @cycle kind key=value …`.
-    pub fn dump_line(&self, resolve: Resolve) -> String {
-        format!("#{} @{} {}", self.seq, self.cycle, self.event.render(resolve))
+    /// Renders the event, emitted as number `seq`, as one line of the
+    /// recovery ledger's dump, `#seq @cycle kind key=value …`.
+    pub fn dump_line(&self, seq: u64, resolve: Resolve) -> String {
+        format!("#{seq} @{} {}", self.cycle, self.event.render(resolve))
     }
 }
 
@@ -62,7 +65,6 @@ impl FlightRecorder {
     /// Records `event` at simulated cycle `cycle`, evicting the oldest
     /// entry when the ring is full.
     pub fn emit(&mut self, cycle: u64, event: TraceEvent) {
-        let seq = self.emitted;
         self.emitted += 1;
         if self.config.capacity == 0 {
             self.dropped += 1;
@@ -72,7 +74,7 @@ impl FlightRecorder {
             self.ring.pop_front();
             self.dropped += 1;
         }
-        self.ring.push_back(Recorded { seq, cycle, event });
+        self.ring.push_back(Recorded { cycle, event });
     }
 
     /// Events emitted over the recorder's lifetime (including dropped ones).
@@ -138,13 +140,17 @@ impl TraceSink {
         }
     }
 
-    /// Replaces `out` with the last `n` retained events, oldest first — the
-    /// raw tail the AOS keeps in its recovery ledger and renders (with
+    /// Replaces `out` with the last `n` retained events, oldest first, and
+    /// returns the sequence number of the first — the raw tail the AOS
+    /// keeps in its recovery ledger and renders (with
     /// [`Recorded::dump_line`]) only when the ledger is read.
-    pub fn copy_tail(&self, n: usize, out: &mut Vec<Recorded>) {
-        let ring = &self.recorder.borrow().ring;
+    pub fn copy_tail(&self, n: usize, out: &mut Vec<Recorded>) -> u64 {
+        let recorder = self.recorder.borrow();
+        let ring = &recorder.ring;
+        let skip = ring.len().saturating_sub(n);
         out.clear();
-        out.extend(ring.iter().skip(ring.len().saturating_sub(n)).cloned());
+        out.extend(ring.iter().skip(skip).cloned());
+        recorder.emitted - (ring.len() - skip) as u64
     }
 }
 
@@ -159,6 +165,19 @@ pub struct TraceLog {
     pub emitted: u64,
     /// Events evicted from the ring (emitted − retained).
     pub dropped: u64,
+}
+
+impl TraceLog {
+    /// The sequence number of the oldest retained event: `events[i]` was
+    /// emitted as number `first_seq() + i`.
+    pub fn first_seq(&self) -> u64 {
+        self.emitted - self.events.len() as u64
+    }
+
+    /// The retained events with their sequence numbers, oldest first.
+    pub fn numbered(&self) -> impl Iterator<Item = (u64, &Recorded)> {
+        (self.first_seq()..).zip(&self.events)
+    }
 }
 
 #[cfg(test)]
@@ -176,11 +195,14 @@ mod tests {
     }
 
     #[test]
-    fn a_ring_slot_is_48_bytes() {
-        // A traced run keeps thousands of these until its report is read; a
-        // variant that grows past 24 bytes of payload grows every slot.
-        assert_eq!(std::mem::size_of::<TraceEvent>(), 32);
-        assert_eq!(std::mem::size_of::<Recorded>(), 48);
+    fn a_ring_slot_is_32_bytes() {
+        // A traced run keeps thousands of these until its report is read, and
+        // a sweep holds many runs' logs at once: they are nearly all of a
+        // traced report's footprint. A variant that would make the event
+        // wider than 24 bytes boxes its payload, or it grows every slot.
+        // The slot holds no sequence number: it is derived from position.
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 24);
+        assert_eq!(std::mem::size_of::<Recorded>(), 32);
     }
 
     #[test]
@@ -190,6 +212,34 @@ mod tests {
         // event variant may own more than one heap string, and reasons are
         // one-byte enums rendered through their `&'static str` labels.
         assert!(std::mem::size_of::<Recorded>() <= 64, "{}", std::mem::size_of::<Recorded>());
+    }
+
+    /// The sequence numbers a log and a copied tail derive are the ones the
+    /// events were emitted under, across a ring that wrapped.
+    #[test]
+    fn derived_seqs_survive_wraparound() {
+        let sink = TraceSink::new(TraceConfig { capacity: 3, dump_last: 2 });
+        for n in 0..5 {
+            sink.emit(n * 10, tick(n));
+        }
+        // `tick(n)` is event #n, emitted at cycle 10·n.
+        let seq_of = |r: &Recorded| match r.event {
+            TraceEvent::SampleTick { tick, .. } => tick,
+            _ => unreachable!("only ticks were emitted"),
+        };
+        let log = sink.log();
+        assert_eq!(log.first_seq(), 2);
+        for (seq, r) in log.numbered() {
+            assert_eq!((seq, r.cycle), (seq_of(r), seq_of(r) * 10));
+        }
+        assert_eq!(log.numbered().map(|(seq, _)| seq).collect::<Vec<_>>(), [2, 3, 4]);
+        let mut tail = Vec::new();
+        for n in [0, 2, 3, 9] {
+            let first = sink.copy_tail(n, &mut tail);
+            let seqs: Vec<u64> = (first..).zip(&tail).map(|(seq, _)| seq).collect();
+            assert_eq!(seqs, tail.iter().map(seq_of).collect::<Vec<_>>(), "tail of {n}");
+            assert_eq!(first + tail.len() as u64, 5);
+        }
     }
 
     #[test]
@@ -204,7 +254,7 @@ mod tests {
         let log = sink.into_log();
         assert_eq!(log, snapshot, "the last handle moves the same events out");
         assert_eq!(log.events.capacity(), 3);
-        assert_eq!((log.emitted, log.dropped, log.events[0].seq), (5, 2, 2));
+        assert_eq!((log.emitted, log.dropped, log.first_seq()), (5, 2, 2));
     }
 
     #[test]
@@ -217,8 +267,7 @@ mod tests {
         assert_eq!(log.emitted, 5);
         assert_eq!(log.dropped, 2);
         assert_eq!(log.events.len(), 3);
-        assert_eq!(log.events[0].seq, 2, "oldest retained event is #2");
-        assert_eq!(log.events[2].seq, 4);
+        assert_eq!(log.first_seq(), 2, "oldest retained event is #2");
         assert_eq!(log.events[2].cycle, 40);
     }
 
@@ -250,9 +299,10 @@ mod tests {
             sink.emit(n, tick(n));
         }
         let resolve = |m: MethodId| format!("m{}", m.index());
-        let mut tail = vec![Recorded { seq: 9, cycle: 9, event: tick(9) }];
-        sink.copy_tail(2, &mut tail);
-        let dump: Vec<String> = tail.iter().map(|r| r.dump_line(&resolve)).collect();
+        let mut tail = vec![Recorded { cycle: 9, event: tick(9) }];
+        let first = sink.copy_tail(2, &mut tail);
+        let dump: Vec<String> =
+            (first..).zip(&tail).map(|(seq, r)| r.dump_line(seq, &resolve)).collect();
         assert_eq!(dump.len(), 2, "the previous tail is replaced");
         assert!(dump[0].starts_with("#2 @2 sample-tick"), "{}", dump[0]);
         assert!(dump[1].starts_with("#3 @3 sample-tick"), "{}", dump[1]);

@@ -2,7 +2,7 @@
 //! JSON document, deterministic rendered lines, and the `explain` filter
 //! that answers "why was method M (not) inlined at call site C?".
 
-use crate::event::{Resolve, TraceEvent};
+use crate::event::{InlineFacts, Resolve, TraceEvent};
 use crate::recorder::TraceLog;
 use aoci_json::Value;
 use std::collections::BTreeSet;
@@ -56,14 +56,14 @@ impl TraceLog {
                 format!("compile worker {w} (background)"),
             ));
         }
-        for rec in &self.events {
+        for (seq, rec) in self.numbered() {
             let mut args: Vec<(String, Value)> = rec
                 .event
                 .args(resolve)
                 .into_iter()
                 .map(|(k, v)| (k.to_string(), v))
                 .collect();
-            args.push(("seq".to_string(), Value::from(rec.seq)));
+            args.push(("seq".to_string(), Value::from(seq)));
             let mut pairs = vec![
                 ("name".to_string(), Value::from(rec.event.kind())),
                 ("cat".to_string(), Value::from(rec.event.category())),
@@ -71,9 +71,10 @@ impl TraceLog {
                 ("tid".to_string(), Value::from(rec.event.tid())),
                 ("args".to_string(), Value::obj(args)),
             ];
-            if let TraceEvent::Compile { cycles, .. } = rec.event {
+            if let TraceEvent::Compile { stats, .. } = &rec.event {
                 // The compile event is emitted at completion; span backwards
                 // over the cycles charged to the compilation thread.
+                let cycles = stats.cycles;
                 pairs.push(("ph".to_string(), Value::from("X")));
                 pairs.push(("ts".to_string(), Value::from(rec.cycle.saturating_sub(cycles))));
                 pairs.push(("dur".to_string(), Value::from(cycles)));
@@ -106,9 +107,8 @@ impl TraceLog {
     /// Renders every retained event as one deterministic line,
     /// `[cycle] #seq kind key=value …`, oldest first.
     pub fn render_lines(&self, resolve: Resolve) -> Vec<String> {
-        self.events
-            .iter()
-            .map(|r| format!("[{:>10}] #{:<6} {}", r.cycle, r.seq, r.event.render(resolve)))
+        self.numbered()
+            .map(|(seq, r)| format!("[{:>10}] #{seq:<6} {}", r.cycle, r.event.render(resolve)))
             .collect()
     }
 
@@ -124,7 +124,8 @@ impl TraceLog {
         let mut out = Vec::new();
         for rec in &self.events {
             match &rec.event {
-                TraceEvent::InlineDecision { host, site, callee, guarded, provenance } => {
+                TraceEvent::InlineDecision { guarded, facts } => {
+                    let InlineFacts { host, site, callee, provenance } = &**facts;
                     let (h, c, s) = (resolve(*host), resolve(*callee), site.to_string());
                     if !(h.contains(pattern) || c.contains(pattern) || s.contains(pattern)) {
                         continue;
@@ -140,7 +141,8 @@ impl TraceLog {
                         provenance.size_budget,
                     ));
                 }
-                TraceEvent::InlineRefusal { host, site, callee, reason, hot, provenance } => {
+                TraceEvent::InlineRefusal { reason, hot, facts } => {
+                    let InlineFacts { host, site, callee, provenance } = &**facts;
                     let (h, c, s) = (resolve(*host), resolve(*callee), site.to_string());
                     if !(h.contains(pattern) || c.contains(pattern) || s.contains(pattern)) {
                         continue;
@@ -164,7 +166,7 @@ impl TraceLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::DecisionProvenance;
+    use crate::event::{CompileStats, DecisionProvenance, FinishCycles};
     use crate::recorder::{TraceConfig, TraceSink};
     use aoci_ir::{CallSiteRef, MethodId, SiteIdx};
 
@@ -187,38 +189,44 @@ mod tests {
         sink.emit(
             20,
             TraceEvent::InlineDecision {
-                host: MethodId::from_index(1),
-                site,
-                callee: MethodId::from_index(2),
                 guarded: true,
-                provenance: Box::new(DecisionProvenance {
-                    rule_fired: true,
-                    predicted_benefit: 4.0,
-                    context_depth: 0,
-                    size_before: 30,
-                    size_budget: 400,
+                facts: Box::new(InlineFacts {
+                    host: MethodId::from_index(1),
+                    site,
+                    callee: MethodId::from_index(2),
+                    provenance: DecisionProvenance {
+                        rule_fired: true,
+                        predicted_benefit: 4.0,
+                        context_depth: 0,
+                        size_before: 30,
+                        size_budget: 400,
+                    },
                 }),
             },
         );
         sink.emit(
             25,
             TraceEvent::InlineRefusal {
-                host: MethodId::from_index(1),
-                site: CallSiteRef::new(MethodId::from_index(1), SiteIdx(1)),
-                callee: MethodId::from_index(3),
                 reason: crate::RefusalReason::TooLarge,
                 hot: false,
-                provenance: Box::default(),
+                facts: Box::new(InlineFacts {
+                    host: MethodId::from_index(1),
+                    site: CallSiteRef::new(MethodId::from_index(1), SiteIdx(1)),
+                    callee: MethodId::from_index(3),
+                    provenance: DecisionProvenance::default(),
+                }),
             },
         );
         sink.emit(
             90,
             TraceEvent::Compile {
                 method: MethodId::from_index(1),
-                generated_size: 40,
-                inlines: 1,
-                guarded: 1,
-                cycles: 60,
+                stats: Box::new(CompileStats {
+                    generated_size: 40,
+                    inlines: 1,
+                    guarded: 1,
+                    cycles: 60,
+                }),
             },
         );
         sink.log()
@@ -263,9 +271,8 @@ mod tests {
             TraceEvent::CompileFinish {
                 method: MethodId::from_index(1),
                 worker: 1,
-                overlap_cycles: 90,
-                stall_cycles: 0,
                 landed: true,
+                cycles: Box::new(FinishCycles { overlap_cycles: 90, stall_cycles: 0 }),
             },
         );
         let doc = sink.log().to_chrome_value(&resolve);

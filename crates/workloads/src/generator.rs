@@ -375,6 +375,14 @@ mod tests {
     }
 
     #[test]
+    fn suite_programs_hold_no_table_slack() {
+        for spec in suite() {
+            let w = build(&spec);
+            assert_eq!(w.program.table_slack(), 0, "{}", spec.name);
+        }
+    }
+
+    #[test]
     fn seeds_differentiate_workloads() {
         let specs = suite();
         let a = build(&specs[0]);

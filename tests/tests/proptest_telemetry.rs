@@ -6,9 +6,9 @@
 //!   a histogram built from shards equals the histogram of the
 //!   concatenation, in any order).
 //! * The time series: the registry, which stores each epoch as a row of
-//!   values over shared name tables, renders every export exactly as a
-//!   reference model that keeps one owned `BTreeMap` snapshot per epoch —
-//!   the representation the rows replaced.
+//!   coded differences over shared name tables, renders every export
+//!   exactly as a reference model that keeps one owned `BTreeMap` snapshot
+//!   per epoch — the representation the rows replaced.
 
 use aoci_json::Value;
 use aoci_telemetry::{
@@ -248,8 +248,10 @@ impl Model {
         let counters = counters.into_iter().chain(["recovery_invalidations", "async_completed"]);
         for name in counters {
             if let Some(d) = self.deltas_of(name) {
-                let total: u64 = d.iter().sum();
-                let line = sparkline(&fold(&d, &|c| c.iter().sum()));
+                // Totals saturate: a jump to `u64::MAX` and back overflows a sum.
+                let sum = |c: &[u64]| c.iter().fold(0u64, |t, &x| t.saturating_add(x));
+                let total = sum(&d);
+                let line = sparkline(&fold(&d, &sum));
                 out.push_str(&format!("  {name:22}  {line}  Δ/epoch, total {total}\n"));
             }
         }
@@ -300,14 +302,22 @@ fn value() -> impl Strategy<Value = u64> {
     prop_oneof![Just(0u64), 0u64..1 << 40]
 }
 
+/// A set also jumps to the top of its range and back, a third of the time:
+/// a gauge to `u64::MAX`, a counter to `u64::MAX >> 1`, which later adds of
+/// [`value`]s cannot overflow.
+fn set_value(top: u64) -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), 0u64..1 << 40, Just(top)]
+}
+
 fn op() -> impl Strategy<Value = Op> {
-    (0u8..5, 0..POOL.len(), value(), 0u64..1 << 20).prop_map(|(kind, i, v, tick)| match kind {
-        0 => Op::CounterAdd(POOL[i], v),
-        1 => Op::CounterSet(POOL[i], v),
-        2 => Op::GaugeSet(POOL[i], v),
-        3 => Op::Observe(POOL[i], v),
-        _ => Op::Snapshot(tick, v),
-    })
+    let i = 0..POOL.len();
+    prop_oneof![
+        (i.clone(), value()).prop_map(|(i, v)| Op::CounterAdd(POOL[i], v)),
+        (i.clone(), set_value(u64::MAX >> 1)).prop_map(|(i, v)| Op::CounterSet(POOL[i], v)),
+        (i.clone(), set_value(u64::MAX)).prop_map(|(i, v)| Op::GaugeSet(POOL[i], v)),
+        (i, value()).prop_map(|(i, v)| Op::Observe(POOL[i], v)),
+        (0u64..1 << 20, set_value(u64::MAX)).prop_map(|(tick, v)| Op::Snapshot(tick, v)),
+    ]
 }
 
 proptest! {
@@ -323,7 +333,8 @@ proptest! {
 /// The shapes the rows must get right, each at least once: a snapshot
 /// before any record, names first recorded after several epochs, one name
 /// both a counter and a gauge (the gauge wins in `series_of`, from the
-/// epoch it appears in), zero values, and a record after the last epoch.
+/// epoch it appears in), zero values, full-range jumps both ways, and a
+/// record after the last epoch.
 #[test]
 fn rows_render_like_per_epoch_maps_on_the_edge_cases() {
     use Op::*;
@@ -341,7 +352,11 @@ fn rows_render_like_per_epoch_maps_on_the_edge_cases() {
         GaugeSet("compile_queue_depth", 4),
         CounterAdd("compile_queue_depth", 7),
         CounterSet("samples", 12),
+        GaugeSet("code_cache_bytes", u64::MAX),
         Snapshot(32, 400),
+        GaugeSet("code_cache_bytes", 0),
+        CounterSet("samples", u64::MAX >> 1),
+        Snapshot(40, u64::MAX),
         CounterAdd("inline_decisions", 1),
         GaugeSet("retry_backlog", 2),
     ];

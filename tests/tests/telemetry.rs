@@ -132,3 +132,27 @@ fn metered_exports_match_the_parent_commit() {
     }
     assert_eq!(fold, 0x7a5f_fe8f_69d4_45f5, "the metered exports moved");
 }
+
+/// The series' footprint, on the largest run the repo benchmark meters: the
+/// javac suite program under `features_on`'s configuration (OSR, deoptless,
+/// async compile, the flight recorder, metrics and guard monitoring). Its
+/// rows are stored as coded differences from the previous row: 1.25 bytes a
+/// cell (234 200 bytes for 188 163 cells over 3 423 epochs), where a `u64`
+/// cell took 8.
+#[test]
+fn the_javac_series_stays_within_two_bytes_a_cell() {
+    let w = build(&spec_by_name("javac").expect("suite workload"));
+    let config = AosConfig::new(PolicyKind::ParameterlessClass { max: 3 })
+        .enable_osr()
+        .enable_deoptless()
+        .enable_async_compile()
+        .enable_trace()
+        .enable_metrics()
+        .enable_guard_monitoring();
+    let report = AosSystem::new(&w.program, config).run().expect("javac run completes");
+    let series = report.telemetry.expect("metrics were enabled").series;
+    let (bytes, cells) = (series.row_bytes(), series.cells());
+    println!("{} epochs, {cells} cells in {bytes} bytes", series.len());
+    assert!(series.len() > 1_000, "javac no longer runs long enough: {} epochs", series.len());
+    assert!(bytes <= 2 * cells, "{bytes} bytes for {cells} cells: over 2 bytes a cell");
+}
