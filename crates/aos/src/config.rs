@@ -90,45 +90,26 @@ impl Default for AsyncCompileConfig {
     }
 }
 
-/// Attachment to a shared fleet **compile server** (DESIGN.md §15): an
-/// immutable snapshot of the server's code cache for this replica's
-/// program. When a method the controller wants to optimize is present in
-/// the snapshot, the replica installs the server's pre-compiled version —
-/// charging only [`CompileServerConfig::hit_cost`] instead of the full
-/// optimizing-compile cost — and on a miss it compiles locally and logs
+/// A shared fleet **compile server**'s code-cache snapshot for this
+/// replica's program (DESIGN.md §15): method → compilation to install on a
+/// hit, shared read-only across every replica of a phase. When a method
+/// the controller wants to optimize is present, the replica installs the
+/// server's pre-compiled version for [`SERVER_HIT_COST`] instead of the
+/// full optimizing-compile cost; on a miss it compiles locally and logs
 /// the method in its request outbox
 /// ([`ServerEvents::requests`](crate::ServerEvents)) for the server to
 /// batch-compile between traffic phases.
 ///
 /// The snapshot is only meaningful for the *same program* the server
 /// compiled against (fleet replicas of one workload share their program
-/// verbatim). Absent (`AosConfig::compile_server = None`, the default),
-/// every compile runs locally, bit-identical to the system before this
-/// subsystem existed.
-#[derive(Clone, Debug)]
-pub struct CompileServerConfig {
-    /// The server's code-cache snapshot: method → compilation to install
-    /// on a hit. Shared read-only across every replica of a phase.
-    pub cache: Arc<HashMap<MethodId, Arc<Compilation>>>,
-    /// Simulated cycles charged to the compilation thread for installing a
-    /// cached version (code transfer + relocation stand-in). Far below any
-    /// real optimizing compile, which is the warmup amortization the fleet
-    /// simulation measures.
-    pub hit_cost: u64,
-}
+/// verbatim).
+pub type ServerSnapshot = Arc<HashMap<MethodId, Arc<Compilation>>>;
 
-impl CompileServerConfig {
-    /// A server attachment over `cache` with the default hit cost.
-    pub fn new(cache: Arc<HashMap<MethodId, Arc<Compilation>>>) -> Self {
-        CompileServerConfig { cache, hit_cost: 500 }
-    }
-}
-
-impl Default for CompileServerConfig {
-    fn default() -> Self {
-        CompileServerConfig::new(Arc::new(HashMap::new()))
-    }
-}
+/// Simulated cycles charged to the compilation thread for installing a
+/// version from the [`ServerSnapshot`] (code transfer + relocation
+/// stand-in). Far below any real optimizing compile, which is the warmup
+/// amortization the fleet simulation measures.
+pub const SERVER_HIT_COST: u64 = 500;
 
 /// Tunables of the whole adaptive system; [`AosConfig::new`] supplies
 /// defaults matching the paper's setup where it states them (1.5% hot
@@ -195,10 +176,10 @@ pub struct AosConfig {
     /// simulated cycles — a metered run produces exactly the report of an
     /// unmetered one (DESIGN.md §14).
     pub metrics: Option<MetricsConfig>,
-    /// Shared compile-server attachment (fleet serving simulation);
+    /// The shared compile server's snapshot (fleet serving simulation);
     /// `None` (the default) compiles everything locally and the system is
     /// bit-identical to one built before this subsystem existed.
-    pub compile_server: Option<CompileServerConfig>,
+    pub compile_server: Option<ServerSnapshot>,
 }
 
 impl AosConfig {
@@ -334,13 +315,12 @@ impl AosConfig {
         self
     }
 
-    /// Attaches a shared compile-server cache snapshot
-    /// ([`CompileServerConfig`]): hot-method compilations present in the
-    /// snapshot install the server's version for a small fixed hit cost;
-    /// misses compile locally and are logged in the request outbox
-    /// (DESIGN.md §15).
-    pub fn enable_compile_server_with(mut self, server: CompileServerConfig) -> Self {
-        self.compile_server = Some(server);
+    /// Attaches a shared compile server's cache snapshot: hot-method
+    /// compilations present in it install the server's version for
+    /// [`SERVER_HIT_COST`]; misses compile locally and are logged in the
+    /// request outbox (DESIGN.md §15).
+    pub fn enable_compile_server(mut self, snapshot: ServerSnapshot) -> Self {
+        self.compile_server = Some(snapshot);
         self
     }
 
@@ -382,7 +362,7 @@ mod tests {
             .enable_async_compile()
             .enable_metrics()
             .enable_guard_monitoring()
-            .enable_compile_server_with(CompileServerConfig::default());
+            .enable_compile_server(ServerSnapshot::default());
         assert!(c.vm.osr_enabled);
         assert!(c.vm.deoptless);
         assert!(c.trace.is_some());

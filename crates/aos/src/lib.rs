@@ -76,10 +76,10 @@ mod fault;
 mod report;
 mod system;
 
-pub use config::{AosConfig, AsyncCompileConfig, CompileServerConfig, RecoveryConfig};
+pub use config::{AosConfig, AsyncCompileConfig, RecoveryConfig, ServerSnapshot, SERVER_HIT_COST};
 pub use database::{AosDatabase, CompilationRecord};
 pub use fault::{CompileFault, FaultConfig, FaultInjector, TraceCorruption};
 pub use aoci_telemetry::{MetricsConfig, MetricsLog};
 pub use aoci_trace::{TraceConfig, TraceEvent, TraceLog};
-pub use report::{AosReport, AsyncCompileEvents, OsrEvents, RecoveryEvents};
-pub use system::{AosSystem, FullRunResult, ServerEvents, ServingOutcome};
+pub use report::{AosReport, AsyncCompileEvents, OsrEvents, RecoveryEvents, ServerEvents};
+pub use system::{AosSystem, FullRunResult};

@@ -3,6 +3,7 @@
 //! written `aoci-json` conversions for persisting a report.
 
 use crate::database::CompilationRecord;
+use aoci_ir::MethodId;
 use aoci_json::Value as Json;
 use aoci_profile::TraceStatsReport;
 use aoci_telemetry::MetricsLog;
@@ -178,10 +179,39 @@ impl AsyncCompileEvents {
     }
 }
 
+/// Compile-server traffic of a run: what the replica's snapshot lookups
+/// found. All zeros (and empty) unless
+/// [`AosConfig::compile_server`](crate::AosConfig::compile_server) is set.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ServerEvents {
+    /// Optimizing compilations satisfied from the shared cache snapshot.
+    pub hits: u64,
+    /// Optimizing compilations that missed the snapshot and ran locally.
+    pub misses: u64,
+    /// Distinct methods that missed, in first-miss order — the request
+    /// outbox a fleet driver ships to the compile server for batching.
+    pub requests: Vec<MethodId>,
+    /// Distinct methods served from the cache, in first-hit order — lets
+    /// the fleet driver refresh each entry's LRU recency.
+    pub hit_methods: Vec<MethodId>,
+}
+
+impl ServerEvents {
+    /// Serializes the two counters to an `aoci-json` object; the method
+    /// lists are the fleet driver's, not the report's.
+    pub fn to_value(&self) -> Json {
+        Json::obj([
+            ("hits".to_string(), Json::from(self.hits)),
+            ("misses".to_string(), Json::from(self.misses)),
+        ])
+    }
+}
+
 /// The driver's ledgers as one fold over its event stream: every event
 /// `AosSystem::emit` sees passes through [`Ledger::observe`], and the
-/// recovery, OSR-request and background-compile counters are its running
-/// totals. The driver reads the fields; only `observe` writes them.
+/// recovery, OSR-request, background-compile and compile-server counters
+/// are its running totals. The driver reads the fields; only `observe`
+/// writes them.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Ledger {
     /// Never carries the dump: the driver renders it at read time.
@@ -190,6 +220,7 @@ pub(crate) struct Ledger {
     pub(crate) osr: OsrEvents,
     /// `abandoned_in_flight` counts compiles started and not yet finished.
     pub(crate) async_compile: AsyncCompileEvents,
+    pub(crate) server: ServerEvents,
 }
 
 impl Ledger {
@@ -200,7 +231,8 @@ impl Ledger {
         use FaultKind::*;
         use TraceEvent as E;
         let actions = self.recovery.total_actions();
-        let (rec, osr, queue) = (&mut self.recovery, &mut self.osr, &mut self.async_compile);
+        let (rec, osr, queue, server) =
+            (&mut self.recovery, &mut self.osr, &mut self.async_compile, &mut self.server);
         match event {
             E::Invalidate { .. } => rec.invalidations += 1,
             E::Quarantine { .. } => rec.quarantined_methods += 1,
@@ -233,6 +265,17 @@ impl Ledger {
             }
             E::CompileDequeueStale { .. } => queue.stale_drops += 1,
             E::CompileQueueFull { .. } => queue.queue_full_drops += 1,
+            E::ServerLookup { method, hit } => {
+                let (count, firsts) = if *hit {
+                    (&mut server.hits, &mut server.hit_methods)
+                } else {
+                    (&mut server.misses, &mut server.requests)
+                };
+                *count += 1;
+                if !firsts.contains(method) {
+                    firsts.push(*method);
+                }
+            }
             // Steps of the pipeline no ledger counts.
             E::SampleTick { .. } | E::HotMethod { .. } | E::RecompilePlan { .. } => {}
             E::InlineDecision { .. } | E::InlineRefusal { .. } => {}
@@ -289,6 +332,8 @@ pub struct AosReport {
     /// Background-compilation activity (queue traffic, staleness drops,
     /// overlap/stall accounting).
     pub async_compile: AsyncCompileEvents,
+    /// Compile-server lookups (hits, misses and the request outbox).
+    pub compile_server: ServerEvents,
     /// The flight recorder's final log, when tracing was on. Excluded from
     /// [`AosReport::to_value`] — events are exported through their own
     /// sinks (Chrome trace, rendered lines), not the metrics JSON.
@@ -345,6 +390,8 @@ impl AosReport {
     /// A [`Value::Ref`] result keeps only its kind (a heap reference has no
     /// meaning outside its run); [`AosReport::trace_log`] and
     /// [`AosReport::telemetry`] are exported through their own sinks.
+    /// `compile_server` is written only when a lookup happened, so a run
+    /// without a compile server keeps the bytes it had before one existed.
     pub fn to_value(&self) -> Json {
         let result = match &self.result {
             None => Json::Null,
@@ -401,7 +448,7 @@ impl AosReport {
                 })
                 .collect(),
         );
-        Json::obj([
+        let mut fields = vec![
             ("result".to_string(), result),
             ("clock".to_string(), clock),
             ("optimized_code_size".to_string(), Json::from(self.optimized_code_size)),
@@ -419,14 +466,18 @@ impl AosReport {
             ("recovery".to_string(), self.recovery.to_value()),
             ("osr".to_string(), self.osr.to_value()),
             ("async_compile".to_string(), self.async_compile.to_value()),
-        ])
+        ];
+        let server = &self.compile_server;
+        if server.hits + server.misses > 0 {
+            fields.push(("compile_server".to_string(), server.to_value()));
+        }
+        Json::obj(fields)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aoci_ir::MethodId;
 
     fn populated_report() -> AosReport {
         let mut clock = Clock::new();
@@ -513,6 +564,12 @@ mod tests {
                 background_overlap_cycles: 700,
                 foreground_stall_cycles: 300,
             },
+            compile_server: ServerEvents {
+                hits: 13,
+                misses: 14,
+                requests: vec![MethodId::from_index(9)],
+                hit_methods: vec![MethodId::from_index(4)],
+            },
             trace_log: None,
             telemetry: None,
         }
@@ -563,6 +620,14 @@ mod tests {
         let text = aoci_json::to_string_pretty(&ev.to_value());
         assert!(!text.contains("dispatched_transfers"), "unexpected new key in {text}");
         assert!(!text.contains("falls_"), "unexpected new key in {text}");
+    }
+
+    #[test]
+    fn a_zero_server_ledger_writes_no_key() {
+        // Every report of a run without a compile server keeps its bytes.
+        let report = AosReport { compile_server: ServerEvents::default(), ..populated_report() };
+        let text = aoci_json::to_string_pretty(&report.to_value());
+        assert!(!text.contains("compile_server"), "unexpected new key in {text}");
     }
 
     /// Every field, written under its name: the values of one object are
@@ -616,6 +681,10 @@ mod tests {
       "method": 9
     }
   ],
+  "compile_server": {
+    "hits": 13,
+    "misses": 14
+  },
   "counters": {
     "calls": 1000,
     "guard_checks": 64,

@@ -3,7 +3,7 @@
 use crate::config::AosConfig;
 use crate::database::AosDatabase;
 use crate::fault::FaultInjector;
-use crate::report::{AosReport, Ledger, OsrEvents, RecoveryEvents};
+use crate::report::{AosReport, Ledger, OsrEvents, RecoveryEvents, ServerEvents};
 use aoci_core::{PolicyEngine, RuleSet};
 use aoci_ir::{CallSiteRef, IdHashMap, MethodId, Program};
 use aoci_profile::{
@@ -22,36 +22,6 @@ use std::sync::Arc;
 /// Everything a finished run yields: the report, the final AOS database,
 /// and the trace profile (saveable for offline profile-directed runs).
 pub type FullRunResult = Result<(AosReport, AosDatabase, Vec<(TraceKey, f64)>), VmError>;
-
-/// Compile-server interaction ledger of one run. Stays all-zero unless
-/// [`AosConfig::compile_server`] is set.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ServerEvents {
-    /// Optimizing compilations satisfied from the shared cache snapshot.
-    pub hits: u64,
-    /// Optimizing compilations that missed the snapshot and ran locally.
-    pub misses: u64,
-    /// Distinct methods that missed, in first-miss order — the request
-    /// outbox a fleet driver ships to the compile server for batching.
-    pub requests: Vec<MethodId>,
-    /// Distinct methods served from the cache, in first-hit order — lets
-    /// the fleet driver refresh each entry's LRU recency.
-    pub hit_methods: Vec<MethodId>,
-}
-
-/// The outcome of [`AosSystem::run_serving`]: the run report plus the
-/// fleet-facing artifacts — the final trace profile (for fleet-wide
-/// aggregation) and the compile-server ledger.
-#[derive(Debug)]
-pub struct ServingOutcome {
-    /// The ordinary run report; `report.compilations[..].cycle` carries
-    /// the install times warmup amortization is computed from.
-    pub report: AosReport,
-    /// Final trace profile, as [`AosSystem::run_full`] returns.
-    pub profile: Vec<(TraceKey, f64)>,
-    /// Compile-server hits, misses and the request outbox.
-    pub server: ServerEvents,
-}
 
 /// A compilation plan waiting for the compilation thread.
 #[derive(Clone, Debug)]
@@ -172,8 +142,8 @@ pub struct AosSystem<'p> {
     finished: Option<Option<aoci_vm::Value>>,
     /// The adversary, when fault injection is configured.
     fault: Option<FaultInjector>,
-    /// The recovery, OSR-request and background-compile ledgers: a fold
-    /// over every event [`AosSystem::emit`] sees.
+    /// The recovery, OSR-request, background-compile and compile-server
+    /// ledgers: a fold over every event [`AosSystem::emit`] sees.
     ledger: Ledger,
     /// The raw last-`dump_last` recorder events as of the latest recovery
     /// action; [`AosSystem::recovery_events`] renders them into
@@ -192,9 +162,6 @@ pub struct AosSystem<'p> {
     /// a metered run's report (minus the log itself) is bit-identical to an
     /// unmetered one.
     metrics: Option<MetricsRegistry>,
-    /// Compile-server ledger; stays default unless
-    /// [`AosConfig::compile_server`] is set.
-    server: ServerEvents,
 }
 
 impl<'p> AosSystem<'p> {
@@ -237,7 +204,6 @@ impl<'p> AosSystem<'p> {
             retry_after: Vec::new(),
             trace,
             metrics: config.metrics.clone().map(MetricsRegistry::new),
-            server: ServerEvents::default(),
             config,
         }
     }
@@ -299,29 +265,9 @@ impl<'p> AosSystem<'p> {
     /// Propagates any [`VmError`] the program raises.
     pub fn run_full(mut self) -> FullRunResult {
         let result = self.run_to_completion()?;
-        let profile = self.profile_entries();
+        let profile = self.profile.iter().map(|(k, w)| (k.clone(), w)).collect();
         let (report, db) = self.into_report(result);
         Ok((report, db, profile))
-    }
-
-    /// Runs the program to completion as one fleet replica serving run:
-    /// like [`AosSystem::run_full`], but returns the compile-server ledger
-    /// alongside the report and final profile instead of the database.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`VmError`] the program raises.
-    pub fn run_serving(mut self) -> Result<ServingOutcome, VmError> {
-        let result = self.run_to_completion()?;
-        let profile = self.profile_entries();
-        // Cloned, not taken: the end-of-run metrics snapshot reads it.
-        let server = self.server.clone();
-        Ok(ServingOutcome { report: self.into_report(result).0, profile, server })
-    }
-
-    /// The final trace profile, as `run_full` / `run_serving` hand it out.
-    fn profile_entries(&self) -> Vec<(TraceKey, f64)> {
-        self.profile.iter().map(|(k, w)| (k.clone(), w)).collect()
     }
 
     /// Steps until the program returns; yields its return value.
@@ -484,7 +430,7 @@ impl<'p> AosSystem<'p> {
         sink.counter_set("async_stall_cycles", async_ev.foreground_stall_cycles);
         // Like the event-driven counters, these appear with the first hit
         // or miss.
-        let ServerEvents { hits, misses, .. } = self.server;
+        let ServerEvents { hits, misses, .. } = self.ledger.server;
         for (name, n) in [("compile_server_hits", hits), ("compile_server_misses", misses)] {
             if n > 0 {
                 sink.counter_set(name, n);
@@ -523,7 +469,8 @@ impl<'p> AosSystem<'p> {
     /// the other sink handles) are dropped first.
     fn into_report(mut self, result: Option<aoci_vm::Value>) -> (AosReport, AosDatabase) {
         // Close the time series with an end-of-run snapshot, so the final
-        // state is visible even when the run ended mid-epoch.
+        // state is visible even when the run ended mid-epoch; it reads the
+        // ledger, which moves into the report below.
         self.record_metrics_snapshot();
         // Compiles still on a worker when the program returned count as
         // abandoned: nothing is installed and no cycles are charged (the
@@ -532,7 +479,7 @@ impl<'p> AosSystem<'p> {
         let recovery = self.recovery_events();
         let osr = self.osr_events();
         let AosSystem {
-            vm, trace_listener, trace, db, profile, rules, stats, metrics, sample_count, ..
+            vm, trace_listener, trace, db, profile, rules, stats, metrics, sample_count, ledger, ..
         } = self;
         let registry = vm.registry();
         let mut report = AosReport {
@@ -553,6 +500,7 @@ impl<'p> AosSystem<'p> {
             recovery,
             osr,
             async_compile,
+            compile_server: ledger.server,
             trace_log: None,
             telemetry: metrics.map(MetricsRegistry::into_log),
         };

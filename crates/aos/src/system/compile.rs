@@ -2,6 +2,7 @@
 //! then `land`) under a foreground and a background scheduler (DESIGN.md §10).
 
 use super::{plan_order, AosSystem, Built, InFlightCompile, PendingPlan};
+use crate::config::SERVER_HIT_COST;
 use crate::fault::CompileFault;
 use aoci_core::{InlineOracle, RuleSet};
 use aoci_ir::{CallSiteRef, MethodId};
@@ -284,18 +285,16 @@ impl AosSystem<'_> {
         // A cache hit installs the server's pre-compiled version for a small
         // fixed cost, bypassing the local compiler — and with it
         // compile-fault injection — entirely. A miss falls through to the
-        // local compile below and is logged in the request outbox for the
-        // server to batch.
-        if let Some(server) = &self.config.compile_server {
-            if let Some(cached) = server.cache.get(&method) {
-                self.server.hits += 1;
-                if !self.server.hit_methods.contains(&method) {
-                    self.server.hit_methods.push(method);
-                }
+        // local compile below; the ledger logs it in the request outbox for
+        // the server to batch.
+        if let Some(snapshot) = &self.config.compile_server {
+            let cached = snapshot.get(&method).map(|c| Box::new((**c).clone()));
+            self.emit(TraceEvent::ServerLookup { method, hit: cached.is_some() });
+            if let Some(compilation) = cached {
                 return Built {
                     method,
-                    outcome: Ok(Box::new((**cached).clone())),
-                    cost: server.hit_cost,
+                    outcome: Ok(compilation),
+                    cost: SERVER_HIT_COST,
                     rules,
                     generation,
                     // Server versions are generic (compiled context-free),
@@ -303,10 +302,6 @@ impl AosSystem<'_> {
                     // `context`.
                     key: ContextFingerprint::ROOT,
                 };
-            }
-            self.server.misses += 1;
-            if !self.server.requests.contains(&method) {
-                self.server.requests.push(method);
             }
         }
         let fault = self.fault.as_mut().and_then(|f| f.compile_fault());

@@ -759,41 +759,39 @@ fn vm_fault_dump_reaches_the_ledger() {
 
 // ---- One way to compile: the compile server and the fault draw in `build` --
 
-use crate::config::CompileServerConfig;
+use crate::config::{ServerSnapshot, SERVER_HIT_COST};
 
 /// A compile-server snapshot holding context-free compilations of `methods`.
-fn server_snapshot(p: &Program, methods: impl IntoIterator<Item = MethodId>) -> CompileServerConfig {
+fn server_snapshot(p: &Program, methods: impl IntoIterator<Item = MethodId>) -> ServerSnapshot {
     let oracle = aoci_core::InlineOracle::with_mode(Arc::new(RuleSet::new()), MatchMode::Partial);
     let opt = aoci_opt::OptConfig::default();
     let compile = |m| Arc::new(aoci_opt::compile_in_context(p, m, &oracle, &opt, &[]));
-    CompileServerConfig::new(Arc::new(methods.into_iter().map(|m| (m, compile(m))).collect()))
+    Arc::new(methods.into_iter().map(|m| (m, compile(m))).collect())
 }
 
 #[test]
 fn a_background_compile_is_served_from_the_compile_server() {
     let p = hot_loop_program(6_000, true);
     let compute = p.method_by_name("compute").expect("the hot method");
-    let server = server_snapshot(&p, [compute]);
-    let hit_cost = server.hit_cost;
     let config = fast_config(PolicyKind::Fixed { max: 3 })
-        .enable_compile_server_with(server)
+        .enable_compile_server(server_snapshot(&p, [compute]))
         .enable_async_compile()
         .enable_metrics()
         .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 0 });
-    let outcome = AosSystem::new(&p, config).run_serving().expect("runs");
-    assert_eq!(outcome.report.result, baseline_result(&p));
-    assert!(outcome.server.hits >= 1, "{:?}", outcome.server);
-    assert!(outcome.server.hit_methods.contains(&compute), "{:?}", outcome.server);
+    let report = AosSystem::new(&p, config).run().expect("runs");
+    assert_eq!(report.result, baseline_result(&p));
+    let server = &report.compile_server;
+    assert!(server.hits >= 1, "{server:?}");
+    assert!(server.hit_methods.contains(&compute), "{server:?}");
     // The metrics read the server ledger, through the end-of-run snapshot.
-    let metrics = outcome.report.telemetry.as_ref().expect("metrics are on");
-    for (name, n) in
-        [("compile_server_hits", outcome.server.hits), ("compile_server_misses", outcome.server.misses)]
-    {
+    let metrics = report.telemetry.as_ref().expect("metrics are on");
+    let (hits, misses) = (server.hits, server.misses);
+    for (name, n) in [("compile_server_hits", hits), ("compile_server_misses", misses)] {
         let last = metrics.series_of(name).and_then(|s| s.last().copied());
         assert_eq!(last, (n > 0).then_some(n), "{name}");
         assert_eq!(metrics.counters.get(name).copied(), (n > 0).then_some(n), "{name}");
     }
-    let log = outcome.report.trace_log.expect("tracing is on");
+    let log = report.trace_log.as_ref().expect("tracing is on");
     let starts: Vec<u64> = log
         .events
         .iter()
@@ -803,22 +801,57 @@ fn a_background_compile_is_served_from_the_compile_server() {
         })
         .collect();
     assert!(!starts.is_empty(), "the hit went through a background worker");
-    assert!(starts.iter().all(|&cost| cost == hit_cost), "{starts:?} vs hit cost {hit_cost}");
+    assert!(starts.iter().all(|&cost| cost == SERVER_HIT_COST), "{starts:?} vs {SERVER_HIT_COST}");
 }
 
 #[test]
 fn a_server_hit_draws_no_compile_fault() {
     let p = hot_loop_program(6_000, true);
     let mut config = fast_config(PolicyKind::Fixed { max: 3 })
-        .enable_compile_server_with(server_snapshot(&p, p.methods().map(|m| m.id())));
+        .enable_compile_server(server_snapshot(&p, p.methods().map(|m| m.id())));
     config.fault = Some(FaultConfig::chaos(42));
-    let outcome = AosSystem::new(&p, config).run_serving().expect("runs");
-    assert_eq!(outcome.report.result, baseline_result(&p));
-    assert!(outcome.server.hits >= 1, "{:?}", outcome.server);
-    assert_eq!(outcome.server.misses, 0, "the snapshot covers the program");
-    let ev = outcome.report.recovery;
+    let report = AosSystem::new(&p, config).run().expect("runs");
+    assert_eq!(report.result, baseline_result(&p));
+    let server = &report.compile_server;
+    assert!(server.hits >= 1, "{server:?}");
+    assert_eq!(server.misses, 0, "the snapshot covers the program");
+    let ev = report.recovery;
     assert_eq!(ev.injected_compile_faults, 0, "a hit bypasses the local compiler: {ev:?}");
     assert!(ev.injected_corrupt_traces > 0 && ev.dropped_samples > 0, "chaos is on: {ev:?}");
+}
+
+#[test]
+fn the_server_ledger_is_a_fold_of_the_lookup_events() {
+    let p = hot_loop_program(6_000, true);
+    let compute = p.method_by_name("compute").expect("the hot method");
+    let config = fast_config(PolicyKind::Fixed { max: 3 })
+        .enable_compile_server(server_snapshot(&p, [compute]))
+        .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 0 });
+    let report = AosSystem::new(&p, config).run().expect("runs");
+    let log = report.trace_log.as_ref().expect("tracing is on");
+    assert_eq!(log.dropped, 0, "the ring is unbounded");
+    let lookups: Vec<(MethodId, bool)> = (log.events.iter())
+        .filter_map(|r| match r.event {
+            TraceEvent::ServerLookup { method, hit } => Some((method, hit)),
+            _ => None,
+        })
+        .collect();
+    let count = |hit| lookups.iter().filter(|l| l.1 == hit).count() as u64;
+    let first_seen = |hit| {
+        let mut methods = Vec::new();
+        for &(m, _) in lookups.iter().filter(|l| l.1 == hit) {
+            if !methods.contains(&m) {
+                methods.push(m);
+            }
+        }
+        methods
+    };
+    let server = &report.compile_server;
+    assert!(count(true) > 0 && count(false) > 0, "both paths ran: {lookups:?}");
+    assert_eq!((server.hits, server.misses), (count(true), count(false)));
+    assert_eq!(server.hit_methods, first_seen(true));
+    assert_eq!(server.requests, first_seen(false));
+    assert_eq!(server.hit_methods, [compute], "only the snapshot's method hits");
 }
 
 #[test]

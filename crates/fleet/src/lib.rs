@@ -35,5 +35,5 @@ pub mod server;
 pub mod sim;
 
 pub use report::{FleetReport, PhaseReport, WarmupReport};
-pub use server::{CompileServer, ServerStats};
+pub use server::CompileServer;
 pub use sim::{run_fleet, run_fleet_timed, FleetConfig};

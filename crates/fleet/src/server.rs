@@ -19,10 +19,11 @@
 //! server is deterministic regardless of how many pool workers ran the
 //! replicas.
 
+use aoci_aos::ServerSnapshot;
 use aoci_core::InlineOracle;
 use aoci_ir::{MethodId, Program};
 use aoci_opt::{compile, estimate_benefit, Compilation, OptConfig};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One cached compilation with its eviction/invalidation metadata.
@@ -38,22 +39,6 @@ struct CacheEntry {
     last_used: u64,
 }
 
-/// Cumulative compile-server statistics, reported in the fleet report's
-/// telemetry section.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Request batches processed (one per tenant per phase with traffic).
-    pub batches: u64,
-    /// Optimizing compilations performed by the server.
-    pub compiles: u64,
-    /// Entries evicted by the bounded-capacity policy.
-    pub evictions: u64,
-    /// Rules-generation bumps (one invalidation broadcast each).
-    pub generation_bumps: u64,
-    /// Entries dropped by invalidation broadcasts.
-    pub entries_invalidated: u64,
-}
-
 /// One tenant's compile server: its rules generation plus its bounded
 /// code cache.
 #[derive(Debug)]
@@ -65,59 +50,47 @@ pub struct CompileServer {
     /// Current rules generation (`None` until rules first form).
     generation: Option<u64>,
     entries: BTreeMap<MethodId, CacheEntry>,
-    /// Cumulative statistics.
-    pub stats: ServerStats,
 }
 
 impl CompileServer {
     /// A server caching at most `capacity` entries.
     pub fn new(capacity: usize) -> Self {
-        CompileServer {
-            capacity,
-            tick: 0,
-            generation: None,
-            entries: BTreeMap::new(),
-            stats: ServerStats::default(),
-        }
+        CompileServer { capacity, tick: 0, generation: None, entries: BTreeMap::new() }
     }
 
     /// Installs a new rules generation. If the fingerprint changed,
     /// broadcasts an invalidation: every cached entry compiled under the
     /// old generation is dropped. Returns the number of entries
-    /// invalidated.
-    pub fn set_generation(&mut self, fingerprint: u64) -> usize {
+    /// invalidated on a bump, `None` when nothing was bumped (the same
+    /// fingerprint, or the first one: rules forming is not a bump).
+    pub fn set_generation(&mut self, fingerprint: u64) -> Option<u64> {
         if self.generation == Some(fingerprint) {
-            return 0;
+            return None;
         }
-        let had_rules = self.generation.is_some();
-        self.generation = Some(fingerprint);
+        let previous = self.generation.replace(fingerprint);
         let before = self.entries.len();
         self.entries.retain(|_, e| e.generation == fingerprint);
-        let stale = before - self.entries.len();
-        if had_rules {
-            self.stats.generation_bumps += 1;
-            self.stats.entries_invalidated += stale as u64;
-        }
-        stale
+        previous.map(|_| (before - self.entries.len()) as u64)
     }
 
     /// Processes one batched request list: compiles every requested
     /// method of `program` under `oracle` (the tenant's merged-profile
     /// rules) and caches the result at the current generation, evicting
     /// LRU-by-benefit over capacity. Methods already cached are skipped —
-    /// a concurrent replica already requested them this phase.
+    /// a concurrent replica already requested them this phase. Returns
+    /// `(compiles, evictions)`.
     pub fn process_batch(
         &mut self,
         program: &Program,
         requests: &[MethodId],
         oracle: &InlineOracle,
         opt: &OptConfig,
-    ) {
+    ) -> (u64, u64) {
+        let (mut compiles, mut evictions) = (0, 0);
         if requests.is_empty() {
-            return;
+            return (compiles, evictions);
         }
         self.tick += 1;
-        self.stats.batches += 1;
         let generation = self.generation.unwrap_or(0);
         for &method in requests {
             if self.entries.contains_key(&method) {
@@ -125,7 +98,7 @@ impl CompileServer {
             }
             let compilation = compile(program, method, oracle, opt);
             let benefit = estimate_benefit(program, method, oracle);
-            self.stats.compiles += 1;
+            compiles += 1;
             self.entries.insert(
                 method,
                 CacheEntry {
@@ -135,8 +108,9 @@ impl CompileServer {
                     last_used: self.tick,
                 },
             );
-            self.evict_over_capacity();
+            evictions += self.evict_over_capacity();
         }
+        (compiles, evictions)
     }
 
     /// Refreshes LRU recency for `methods` — called with each replica's
@@ -156,18 +130,15 @@ impl CompileServer {
     /// The read-only snapshot the tenant's replicas attach for the next
     /// phase: every live entry at the current generation (generation 0 —
     /// the pre-rules state — until rules first form).
-    pub fn snapshot(&self) -> Arc<HashMap<MethodId, Arc<Compilation>>> {
+    pub fn snapshot(&self) -> ServerSnapshot {
         let generation = self.generation.unwrap_or(0);
-        let map: HashMap<MethodId, Arc<Compilation>> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.generation == generation)
-            .map(|(m, e)| (*m, Arc::clone(&e.compilation)))
-            .collect();
-        Arc::new(map)
+        let live = self.entries.iter().filter(|(_, e)| e.generation == generation);
+        Arc::new(live.map(|(m, e)| (*m, Arc::clone(&e.compilation))).collect())
     }
 
-    fn evict_over_capacity(&mut self) {
+    /// Returns the number of entries evicted.
+    fn evict_over_capacity(&mut self) -> u64 {
+        let mut evicted = 0;
         while self.entries.len() > self.capacity {
             // LRU-by-benefit: lowest benefit first, least-recently-used
             // breaking ties. total_cmp keeps the order deterministic for
@@ -181,8 +152,9 @@ impl CompileServer {
                 .map(|(m, _)| *m)
                 .expect("over capacity implies at least one entry");
             self.entries.remove(&victim);
-            self.stats.evictions += 1;
+            evicted += 1;
         }
+        evicted
     }
 }
 
@@ -221,11 +193,10 @@ mod tests {
         let opt = OptConfig::default();
         let mut s = CompileServer::new(2);
         // Separate batches so each entry gets a distinct LRU tick.
-        s.process_batch(&p, &[m[0]], &oracle, &opt);
-        s.process_batch(&p, &[m[1]], &oracle, &opt);
-        s.process_batch(&p, &[m[2]], &oracle, &opt);
+        assert_eq!(s.process_batch(&p, &[m[0]], &oracle, &opt), (1, 0));
+        assert_eq!(s.process_batch(&p, &[m[1]], &oracle, &opt), (1, 0));
+        assert_eq!(s.process_batch(&p, &[m[2]], &oracle, &opt), (1, 1));
         assert_eq!(s.entries.len(), 2, "capacity bound holds");
-        assert_eq!(s.stats.evictions, 1);
         assert!(!s.snapshot().contains_key(&m[0]), "oldest entry evicted first");
         // A touch refreshes recency, redirecting the next eviction.
         s.touch(&[m[1]]);
@@ -242,15 +213,11 @@ mod tests {
         let oracle = InlineOracle::empty();
         let opt = OptConfig::default();
         let mut s = CompileServer::new(8);
-        assert_eq!(s.set_generation(7), 0, "first generation invalidates nothing");
-        assert_eq!(s.stats.generation_bumps, 0, "first generation is not a bump");
+        assert_eq!(s.set_generation(7), None, "first generation is not a bump");
         s.process_batch(&p, &[m[0], m[1]], &oracle, &opt);
         assert_eq!(s.snapshot().len(), 2);
-        assert_eq!(s.set_generation(7), 0, "same fingerprint: no-op");
-        let dropped = s.set_generation(8);
-        assert_eq!(dropped, 2, "every stale entry dropped on bump");
-        assert_eq!(s.stats.generation_bumps, 1);
-        assert_eq!(s.stats.entries_invalidated, 2);
+        assert_eq!(s.set_generation(7), None, "same fingerprint: no-op");
+        assert_eq!(s.set_generation(8), Some(2), "every stale entry dropped on bump");
         assert_eq!(s.snapshot().len(), 0, "no replica can install stale code");
         assert_eq!(s.entries.len(), 0);
     }

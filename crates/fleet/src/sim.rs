@@ -12,19 +12,21 @@
 //!    under it the requests the tenant's last serving phase queued — in
 //!    every phase, served or not: they count in the phase after them;
 //! 2. **snapshot** — if any replica draws the tenant this phase, its live
-//!    cache entries become the read-only [`CompileServerConfig`] snapshot
-//!    those replicas attach;
+//!    cache entries become the read-only [`ServerSnapshot`] those replicas
+//!    attach;
 //! 3. **serve** — the pipeline's stage: each such replica runs the
 //!    workload to completion under adaptive optimization
-//!    ([`AosSystem::run_serving`]), seeded with the merged fleet profile
-//!    when one exists. Replica runs are pure functions of their inputs;
+//!    ([`AosSystem::run_full`]), seeded with the merged fleet profile when
+//!    one exists; its report's [`AosReport::compile_server`] ledger carries
+//!    its hits and misses. Replica runs are pure functions of their inputs;
 //! 4. **fold** — after the stage's last run, in canonical replica order:
 //!    refresh LRU recency for each replica's hits, enqueue its missed
 //!    methods, merge its final trace profile into the fleet profile.
 //!
 //! A tenant's state is touched by one worker at a time, in that tenant's
 //! (phase, replica) order; tenants share only read-only programs; the
-//! [`FleetReport`] is a fold of per-(tenant, phase) integers. So every
+//! [`FleetReport`] is a fold of per-(tenant, phase) integers, each written
+//! once: the server's by step 1, the replicas' by step 4. So every
 //! `AOCI_JOBS` value and every interleaving produce the same report.
 //!
 //! The first replica's first phase is a cold boot; the last replica
@@ -34,20 +36,30 @@
 
 use crate::report::{FleetReport, PhaseReport, WarmupReport};
 use crate::schedule::{active_count, tenant, PHASES, TENANTS};
-use crate::server::{CompileServer, ServerStats};
-use aoci_aos::{AosConfig, AosSystem, CompileServerConfig, ServerEvents};
+use crate::server::CompileServer;
+use aoci_aos::{AosConfig, AosReport, AosSystem, ServerEvents, ServerSnapshot};
 use aoci_core::{InlineOracle, JobPool, PolicyKind, RuleSet, SweepStats};
 use aoci_ir::{MethodId, Program};
-use aoci_opt::{Compilation, OptConfig};
 use aoci_profile::SavedProfile;
 use aoci_workloads::{build, suite};
-use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Fraction of total profile weight a merged trace must carry to become
-/// a server-side inlining rule — the same 1.5% hotness threshold the
-/// online AI organizer uses.
-const HOT_FRACTION: f64 = 0.015;
+/// The configuration every replica runs under. The server reads its
+/// compiler settings — inliner budgets, oracle match mode, hotness
+/// threshold — from here too, so a cached body is the one a replica's
+/// local compile would build under the same rules.
+fn replica_config() -> AosConfig {
+    AosConfig::new(PolicyKind::Fixed { max: 3 })
+}
+
+/// The inlining rules of a merged fleet profile: every trace carrying at
+/// least `threshold` of the total weight.
+fn server_rules(profile: &SavedProfile, threshold: f64) -> RuleSet {
+    let entries = profile.entries();
+    let total: f64 = entries.iter().map(|(_, w)| *w).sum();
+    let hot = entries.into_iter().filter(|(_, w)| *w >= threshold * total);
+    RuleSet::from_rules(hot, total)
+}
 
 /// Fleet-simulation parameters (the `AOCI_FLEET_*` knobs).
 #[derive(Clone, Copy, Debug)]
@@ -65,7 +77,7 @@ pub struct FleetConfig {
 /// installs are tail adaptation — decay- and churn-driven recompiles that
 /// continue for as long as the run does — not warmup; the 90% mark tracks
 /// when the replica's code reached serving shape.
-fn cycles_to_peak(report: &aoci_aos::AosReport) -> u64 {
+fn cycles_to_peak(report: &AosReport) -> u64 {
     let total: u64 = report.compilations.iter().map(|c| u64::from(c.generated_size)).sum();
     if total == 0 {
         return 0;
@@ -86,7 +98,7 @@ struct ServeJob<'a> {
     /// The replica's first active phase: its warmup measurement.
     first: bool,
     program: &'a Program,
-    snapshot: Arc<HashMap<MethodId, Arc<Compilation>>>,
+    snapshot: ServerSnapshot,
     profile: Arc<SavedProfile>,
 }
 
@@ -103,22 +115,21 @@ struct ReplicaOutcome {
 
 /// Step 3: one replica serves its tenant's workload to completion.
 fn serve(job: ServeJob) -> ReplicaOutcome {
-    let config = AosConfig::new(PolicyKind::Fixed { max: 3 })
-        .enable_compile_server_with(CompileServerConfig::new(job.snapshot));
+    let config = replica_config().enable_compile_server(job.snapshot);
     let mut sys = AosSystem::new(job.program, config);
     let warm = !job.profile.traces.is_empty();
     if warm {
         sys.seed_profile(job.profile.entries());
     }
-    let out = sys.run_serving().expect("fleet workload run failed");
+    let (report, _, profile) = sys.run_full().expect("fleet workload run failed");
     ReplicaOutcome {
-        first_peak: job.first.then(|| (job.replica, cycles_to_peak(&out.report))),
+        first_peak: job.first.then(|| (job.replica, cycles_to_peak(&report))),
         warm,
-        total_cycles: out.report.total_cycles(),
-        opt_compilations: u64::from(out.report.opt_compilations),
-        server: out.server,
-        profile: SavedProfile::from_entries(out.profile.iter().map(|(k, w)| (k, *w)))
+        total_cycles: report.total_cycles(),
+        opt_compilations: u64::from(report.opt_compilations),
+        profile: SavedProfile::from_entries(profile.iter().map(|(k, w)| (k, *w)))
             .expect("suite method indices fit the u32 wire format"),
+        server: report.compile_server,
     }
 }
 
@@ -129,6 +140,8 @@ struct Tenant<'a> {
     /// gives this tenant, in replica order.
     serving: Vec<Vec<(usize, bool)>>,
     server: CompileServer,
+    /// Non-empty request batches the server has processed.
+    batches: u64,
     /// The merged fleet profile; replaced only when a fold merges into it.
     profile: Arc<SavedProfile>,
     /// Missed methods awaiting the next batch, in request order — the
@@ -142,6 +155,19 @@ struct Tenant<'a> {
 }
 
 impl<'a> Tenant<'a> {
+    fn new(program: &'a Program, cache_capacity: usize) -> Self {
+        Tenant {
+            program,
+            serving: vec![Vec::new(); PHASES.len()],
+            server: CompileServer::new(cache_capacity),
+            batches: 0,
+            profile: Arc::default(),
+            pending: Vec::new(),
+            partials: Vec::new(),
+            first_peaks: Vec::new(),
+        }
+    }
+
     /// Step 4 for the stage that just finished, then steps 1–2 of every
     /// following phase up to the next one served: its jobs, the next stage.
     fn advance(&mut self, outcomes: Vec<ReplicaOutcome>) -> Option<Vec<ServeJob<'a>>> {
@@ -191,20 +217,19 @@ impl<'a> Tenant<'a> {
         if self.profile.traces.is_empty() {
             return;
         }
-        let before = self.server.stats;
-        let entries = self.profile.entries();
-        let total: f64 = entries.iter().map(|(_, w)| *w).sum();
-        let hot = entries.into_iter().filter(|(_, w)| *w >= HOT_FRACTION * total);
-        let rules = RuleSet::from_rules(hot, total);
-        self.server.set_generation(rules.fingerprint());
+        let cfg = replica_config();
+        let rules = server_rules(&self.profile, cfg.hot_edge_threshold);
+        let invalidated = self.server.set_generation(rules.fingerprint());
         let queue = std::mem::take(&mut self.pending);
-        let oracle = InlineOracle::new(Arc::new(rules));
-        self.server.process_batch(self.program, &queue, &oracle, &OptConfig::default());
-        let (after, report) = (self.server.stats, &mut self.partials[phase]);
-        report.server_compiles = after.compiles - before.compiles;
-        report.evictions = after.evictions - before.evictions;
-        report.invalidations = after.entries_invalidated - before.entries_invalidated;
-        report.generation_bumps = after.generation_bumps - before.generation_bumps;
+        self.batches += u64::from(!queue.is_empty());
+        let oracle = InlineOracle::with_mode(Arc::new(rules), cfg.match_mode);
+        let (compiles, evictions) =
+            self.server.process_batch(self.program, &queue, &oracle, &cfg.opt);
+        let report = &mut self.partials[phase];
+        report.server_compiles = compiles;
+        report.evictions = evictions;
+        report.invalidations = invalidated.unwrap_or(0);
+        report.generation_bumps = u64::from(invalidated.is_some());
     }
 }
 
@@ -227,18 +252,8 @@ pub fn run_fleet_timed(cfg: &FleetConfig, pool: &JobPool) -> (FleetReport, Sweep
 
     let n = cfg.replicas.max(1);
     let cache_capacity = cfg.cache_capacity.max(1);
-    let mut tenants: Vec<Tenant> = programs
-        .iter()
-        .map(|program| Tenant {
-            program,
-            serving: vec![Vec::new(); PHASES.len()],
-            server: CompileServer::new(cache_capacity),
-            profile: Arc::default(),
-            pending: Vec::new(),
-            partials: Vec::new(),
-            first_peaks: Vec::new(),
-        })
-        .collect();
+    let mut tenants: Vec<Tenant> =
+        programs.iter().map(|p| Tenant::new(p, cache_capacity)).collect();
     let mut seen = vec![false; n];
     for (p, phase) in PHASES.iter().enumerate() {
         for (replica, seen) in seen.iter_mut().enumerate().take(active_count(phase, n)) {
@@ -271,8 +286,9 @@ pub fn run_fleet_timed(cfg: &FleetConfig, pool: &JobPool) -> (FleetReport, Sweep
         });
     }
 
+    // Every server mutation happens in one tenant's step 1, which writes
+    // it into that phase: the phases sum to the servers' totals.
     let sum = |f: fn(&PhaseReport) -> u64| phases.iter().map(f).sum::<u64>();
-    let server = |f: fn(&ServerStats) -> u64| tenants.iter().map(|t| f(&t.server.stats)).sum();
     let counters = [
         ("fleet_replica_runs", sum(|p| p.active_replicas as u64)),
         ("fleet_warm_starts", sum(|p| p.warm_starts)),
@@ -280,11 +296,11 @@ pub fn run_fleet_timed(cfg: &FleetConfig, pool: &JobPool) -> (FleetReport, Sweep
         ("replica_cache_hits", sum(|p| p.cache_hits)),
         ("replica_cache_misses", sum(|p| p.cache_misses)),
         ("requests_batched", sum(|p| p.requests_batched)),
-        ("server_batches", server(|s| s.batches)),
-        ("server_compiles", server(|s| s.compiles)),
-        ("server_evictions", server(|s| s.evictions)),
-        ("server_generation_bumps", server(|s| s.generation_bumps)),
-        ("server_entries_invalidated", server(|s| s.entries_invalidated)),
+        ("server_batches", tenants.iter().map(|t| t.batches).sum()),
+        ("server_compiles", sum(|p| p.server_compiles)),
+        ("server_evictions", sum(|p| p.evictions)),
+        ("server_generation_bumps", sum(|p| p.generation_bumps)),
+        ("server_entries_invalidated", sum(|p| p.invalidations)),
     ];
     let first_peaks = || tenants.iter().flat_map(|t| &t.first_peaks);
     let first_peak = |replica| first_peaks().find(|p| p.0 == replica).map_or(0, |p| p.1);
@@ -311,4 +327,42 @@ pub fn run_fleet_timed(cfg: &FleetConfig, pool: &JobPool) -> (FleetReport, Sweep
         phases,
     };
     (report, stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A cache hit installs the body a replica's local compile under the
+    /// same rules builds: the server and the replicas share one compiler
+    /// configuration.
+    #[test]
+    fn a_cached_body_is_the_replicas_local_compile_under_the_same_rules() {
+        let program = build(&suite()[0]).program;
+        let cold = serve(ServeJob {
+            replica: 0,
+            first: true,
+            program: &program,
+            snapshot: ServerSnapshot::default(),
+            profile: Arc::default(),
+        });
+        let mut tenant = Tenant::new(&program, usize::MAX);
+        tenant.profile = Arc::new(cold.profile);
+        tenant.pending = cold.server.requests;
+        tenant.partials.push(PhaseReport::default());
+        tenant.compile_batch(0);
+        let snapshot = tenant.server.snapshot();
+        assert!(!snapshot.is_empty(), "the cold run's misses were compiled");
+        assert_eq!(snapshot.len() as u64, tenant.partials[0].server_compiles);
+
+        let cfg = replica_config();
+        let rules = server_rules(&tenant.profile, cfg.hot_edge_threshold);
+        assert!(!rules.is_empty(), "the batch ran under profile-derived rules");
+        let oracle = InlineOracle::with_mode(Arc::new(rules), cfg.match_mode);
+        for (&m, cached) in snapshot.iter() {
+            let local = aoci_opt::compile_in_context(&program, m, &oracle, &cfg.opt, &[]);
+            let name = program.method(m).name();
+            assert_eq!(format!("{cached:?}"), format!("{local:?}"), "{name}");
+        }
+    }
 }

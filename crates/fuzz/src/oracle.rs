@@ -180,6 +180,7 @@ fn ledger_fold(r: &AosReport) -> Option<String> {
     let mut queue = AsyncCompileEvents::default();
     let (mut guard_misses, mut samples, mut walks, mut frames) = (0u64, 0u64, 0u64, 0u64);
     let (mut installs, mut finishes) = (0u64, 0u64);
+    let (mut server_hits, mut server_misses) = (0u64, 0u64);
     for event in log.events.iter().map(|e| &e.event) {
         match event {
             TraceEvent::Invalidate { .. } => rec.invalidations += 1,
@@ -226,6 +227,8 @@ fn ledger_fold(r: &AosReport) -> Option<String> {
                 frames += u64::from(*depth);
             }
             TraceEvent::Install { .. } => installs += 1,
+            TraceEvent::ServerLookup { hit: true, .. } => server_hits += 1,
+            TraceEvent::ServerLookup { hit: false, .. } => server_misses += 1,
             _ => {}
         }
     }
@@ -241,6 +244,8 @@ fn ledger_fold(r: &AosReport) -> Option<String> {
         ("frames_walked", r.frames_walked.to_string(), frames.to_string()),
         ("opt_compilations", r.opt_compilations.to_string(), installs.to_string()),
         ("compilations", r.compilations.len().to_string(), installs.to_string()),
+        ("compile_server.hits", r.compile_server.hits.to_string(), server_hits.to_string()),
+        ("compile_server.misses", r.compile_server.misses.to_string(), server_misses.to_string()),
     ]
     .into_iter()
     .find(|(_, reported, folded)| reported != folded)

@@ -85,6 +85,9 @@ impl TraceEvent {
             TraceEvent::CompileQueueFull { evicted, .. } => {
                 vec![format!("async:full:{}", if *evicted { "evicted" } else { "dropped" })]
             }
+            TraceEvent::ServerLookup { hit, .. } => {
+                vec![format!("server:{}", if *hit { "hit" } else { "miss" })]
+            }
             TraceEvent::CompileStart { .. } => Vec::new(),
             TraceEvent::CompileFinish { cycles, .. } => {
                 let mut v = Vec::new();
@@ -211,5 +214,12 @@ mod tests {
         let once = log_of(vec![e.clone()]);
         let thrice = log_of(vec![e.clone(), e.clone(), e]);
         assert_eq!(once.coverage(), thrice.coverage());
+    }
+
+    #[test]
+    fn server_lookups_split_into_hit_and_miss() {
+        let lookup = |hit| TraceEvent::ServerLookup { method: MethodId::from_index(0), hit };
+        let fp = log_of(vec![lookup(true), lookup(false), lookup(true)]).coverage();
+        assert_eq!(fp.into_iter().collect::<Vec<_>>(), ["server:hit", "server:miss"]);
     }
 }

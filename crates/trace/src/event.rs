@@ -472,6 +472,15 @@ pub enum TraceEvent {
         /// dropped.
         evicted: bool,
     },
+    /// The driver looked a method up in the compile server's snapshot
+    /// before compiling it (fleet serving only).
+    ServerLookup {
+        /// The method the controller wants optimized.
+        method: MethodId,
+        /// `true` when the snapshot held a version to install; `false`
+        /// when the method compiles locally and joins the request outbox.
+        hit: bool,
+    },
     /// A background worker started executing a compilation plan.
     CompileStart {
         /// The method being compiled.
@@ -533,6 +542,7 @@ impl TraceEvent {
             TraceEvent::CompileEnqueue { .. } => "compile-enqueue",
             TraceEvent::CompileDequeueStale { .. } => "dequeue-stale-drop",
             TraceEvent::CompileQueueFull { .. } => "queue-full-drop",
+            TraceEvent::ServerLookup { .. } => "server-lookup",
             TraceEvent::CompileStart { .. } => "compile-start",
             TraceEvent::CompileFinish { .. } => "compile-finish",
             TraceEvent::FaultInjected { .. } => "fault-injected",
@@ -553,6 +563,7 @@ impl TraceEvent {
             | TraceEvent::InlineRefusal { .. }
             | TraceEvent::Compile { .. }
             | TraceEvent::Install { .. }
+            | TraceEvent::ServerLookup { .. }
             | TraceEvent::CompileStart { .. }
             | TraceEvent::CompileFinish { .. } => "compiler",
             TraceEvent::GuardMiss { .. } | TraceEvent::VmFault { .. } => "vm",
@@ -711,6 +722,9 @@ impl TraceEvent {
                 ("method", m(resolve, *method)),
                 ("evicted", Value::Bool(*evicted)),
             ],
+            TraceEvent::ServerLookup { method, hit } => {
+                vec![("method", m(resolve, *method)), ("hit", Value::Bool(*hit))]
+            }
             TraceEvent::CompileStart { method, worker, cost } => vec![
                 ("method", m(resolve, *method)),
                 ("worker", Value::from(*worker)),
@@ -811,6 +825,7 @@ mod tests {
                 reason: StaleReason::NoLongerHot,
             },
             TraceEvent::CompileQueueFull { method: MethodId::from_index(2), evicted: false },
+            TraceEvent::ServerLookup { method: MethodId::from_index(3), hit: true },
             TraceEvent::CompileStart { method: MethodId::from_index(1), worker: 0, cost: 400 },
             TraceEvent::CompileFinish {
                 method: MethodId::from_index(1),
