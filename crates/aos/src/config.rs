@@ -246,18 +246,10 @@ impl AosConfig {
         self
     }
 
-    /// Enables deoptless **dispatched OSR** (DESIGN.md §16): the registry
-    /// retains superseded optimized versions keyed by calling-context
-    /// fingerprint, and an OSR exit (guard shift, invalidation) first looks
-    /// up the best surviving version compatible with the newly observed
-    /// context, transferring the live frame into it via checked frame
-    /// mapping — falling back to baseline only when no compatible version
-    /// exists. Implies [`AosConfig::enable_osr`] (a dispatched transfer is
-    /// an OSR transition). Off by default; a default-off run is
-    /// bit-identical to the system before this subsystem existed.
-    pub fn enable_deoptless(mut self) -> Self {
-        self.vm.osr_enabled = true;
-        self.vm.deoptless = true;
+    /// Returns `self` unchanged. Kept only because the repo benchmark's
+    /// `features_config` (`benchmark/src/workload.rs`) still calls it; it
+    /// goes when that benchmark is next re-measured.
+    pub fn enable_deoptless(self) -> Self {
         self
     }
 
@@ -342,7 +334,7 @@ mod tests {
     fn defaults_match_paper_constants() {
         let c = AosConfig::new(PolicyKind::Fixed { max: 3 });
         assert!((c.hot_edge_threshold - 0.015).abs() < 1e-12);
-        assert!(!c.vm.osr_enabled && !c.vm.deoptless, "dispatched OSR must be opt-in");
+        assert!(!c.vm.osr_enabled, "OSR must be opt-in");
         assert!(c.decay_factor > 0.0 && c.decay_factor < 1.0);
         assert_eq!(c.policy, PolicyKind::Fixed { max: 3 });
     }
@@ -357,14 +349,12 @@ mod tests {
     fn enable_builders_chain_and_compose() {
         let c = AosConfig::new(PolicyKind::Fixed { max: 3 })
             .enable_osr()
-            .enable_deoptless()
             .enable_trace()
             .enable_async_compile()
             .enable_metrics()
             .enable_guard_monitoring()
             .enable_compile_server(ServerSnapshot::default());
         assert!(c.vm.osr_enabled);
-        assert!(c.vm.deoptless);
         assert!(c.trace.is_some());
         assert!(c.async_compile.is_some());
         assert!(c.metrics.is_some());

@@ -84,49 +84,18 @@ pub struct OsrEvents {
     pub entries: u64,
     /// OSR-out transitions performed: optimized activations deoptimized
     /// back to baseline mid-loop (invalidation or frame-local thrash).
-    /// A dispatched transfer is *not* an exit — the frame never reaches
-    /// baseline — so this keeps its pre-deoptless meaning.
     pub exits: u64,
-    /// Deoptless dispatched transfers performed: an exiting optimized
-    /// activation moved straight into a surviving context-compatible
-    /// version instead of deoptimizing to baseline (DESIGN.md §16).
-    /// Always zero with deoptless off.
-    pub dispatched_transfers: u64,
-    /// Deoptless dispatch attempts that fell to baseline because no
-    /// surviving version matched any prefix of the observed context.
-    pub falls_no_version: u64,
-    /// Deoptless dispatch attempts that fell to baseline because the
-    /// checked frame mapping into the candidate version failed.
-    pub falls_incompatible: u64,
-    /// Deoptless dispatch attempts that fell to baseline because the
-    /// frame had already transferred once and re-armed its guard exit —
-    /// the anti-ping-pong rule.
-    pub falls_rearmed: u64,
 }
 
 impl OsrEvents {
-    /// Serializes to an `aoci-json` object. The deoptless dispatch
-    /// counters are emitted only when nonzero, so a default-off run's
-    /// report stays byte-identical to reports written before dispatched
-    /// OSR existed.
+    /// Serializes to an `aoci-json` object.
     pub fn to_value(&self) -> Json {
-        let mut fields = vec![
+        Json::obj(vec![
             ("requests".to_string(), Json::from(self.requests)),
             ("denied".to_string(), Json::from(self.denied)),
             ("entries".to_string(), Json::from(self.entries)),
             ("exits".to_string(), Json::from(self.exits)),
-        ];
-        for (name, value) in [
-            ("dispatched_transfers", self.dispatched_transfers),
-            ("falls_no_version", self.falls_no_version),
-            ("falls_incompatible", self.falls_incompatible),
-            ("falls_rearmed", self.falls_rearmed),
-        ] {
-            if value != 0 {
-                fields.push((name.to_string(), Json::from(value)));
-            }
-        }
-        Json::obj(fields)
+        ])
     }
 }
 
@@ -285,8 +254,7 @@ impl Ledger {
             // the listener's) sit on the interpreter's hot path or inside
             // `Vm::run`.
             E::TraceWalk { .. } | E::GuardMiss { .. } => {}
-            E::OsrEnter { .. } | E::OsrExit { .. } | E::OsrTransfer { .. } => {}
-            E::OsrFallback { .. } => {}
+            E::OsrEnter { .. } | E::OsrExit { .. } => {}
         }
         self.recovery.total_actions() > actions
     }
@@ -511,7 +479,6 @@ mod tests {
                 guard_misses: 9,
                 osr_entries: 2,
                 osr_exits: 1,
-                ..ExecCounters::default()
             },
             compilations: vec![
                 CompilationRecord {
@@ -548,10 +515,6 @@ mod tests {
                 denied: 5,
                 entries: 9,
                 exits: 3,
-                dispatched_transfers: 6,
-                falls_no_version: 4,
-                falls_incompatible: 2,
-                falls_rearmed: 1,
             },
             async_compile: AsyncCompileEvents {
                 enqueued: 11,
@@ -613,13 +576,11 @@ mod tests {
 
     #[test]
     fn osr_events_serialization_is_stable_when_dispatch_counters_are_zero() {
-        // All-zero dispatch counters must serialize exactly as the
-        // pre-deoptless shape did — the byte-identity of committed
-        // default-off artifacts depends on it.
-        let ev = OsrEvents { requests: 9, denied: 3, entries: 2, exits: 1, ..Default::default() };
+        // The OSR object carries exactly its four counters, as every
+        // committed artifact has it.
+        let ev = OsrEvents { requests: 9, denied: 3, entries: 2, exits: 1 };
         let text = aoci_json::to_string_pretty(&ev.to_value());
-        assert!(!text.contains("dispatched_transfers"), "unexpected new key in {text}");
-        assert!(!text.contains("falls_"), "unexpected new key in {text}");
+        assert_eq!(text, "{\n  \"denied\": 3,\n  \"entries\": 2,\n  \"exits\": 1,\n  \"requests\": 9\n}");
     }
 
     #[test]
@@ -701,12 +662,8 @@ mod tests {
   "optimized_code_size": 310,
   "osr": {
     "denied": 5,
-    "dispatched_transfers": 6,
     "entries": 9,
     "exits": 3,
-    "falls_incompatible": 2,
-    "falls_no_version": 4,
-    "falls_rearmed": 1,
     "requests": 17
   },
   "recovery": {

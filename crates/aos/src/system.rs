@@ -11,10 +11,7 @@ use aoci_profile::{
 };
 use aoci_telemetry::MetricsRegistry;
 use aoci_trace::{FaultKind, PlanReason, Recorded, TraceEvent, TraceLog, TraceSink};
-use aoci_vm::{
-    Component, ContextFingerprint, MethodGuardStats, RunOutcome, StackSnapshot, Vm, VmError,
-    COMPONENTS,
-};
+use aoci_vm::{Component, MethodGuardStats, RunOutcome, StackSnapshot, Vm, VmError, COMPONENTS};
 use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -29,7 +26,7 @@ struct PendingPlan {
     method: MethodId,
     reason: PlanReason,
     /// Background scheduler: predicted benefit
-    /// ([`aoci_opt::estimate_benefit_in_context`]) under the rules current
+    /// ([`aoci_opt::estimate_benefit`]) under the rules current
     /// at enqueue time; higher runs first. The foreground scheduler is FIFO
     /// and leaves its plans unpriced.
     priority: f64,
@@ -61,8 +58,6 @@ struct Built {
     /// regenerated) rules current when a background compile completes.
     rules: Arc<RuleSet>,
     generation: u64,
-    /// The context fingerprint the version installs under.
-    key: ContextFingerprint,
 }
 
 /// A compile occupying a simulated worker between dispatch and completion.
@@ -538,19 +533,11 @@ impl<'p> AosSystem<'p> {
     }
 
     /// OSR activity so far: the ledger's request/denial counts merged with
-    /// the VM's transition and dispatched-transfer counters (also usable
-    /// mid-run between [`AosSystem::step`]s).
+    /// the VM's transition counters (also usable mid-run between
+    /// [`AosSystem::step`]s).
     pub fn osr_events(&self) -> OsrEvents {
         let counters = self.vm.counters();
-        OsrEvents {
-            entries: counters.osr_entries,
-            exits: counters.osr_exits,
-            dispatched_transfers: counters.dispatched_transfers,
-            falls_no_version: counters.falls_no_version,
-            falls_incompatible: counters.falls_incompatible,
-            falls_rearmed: counters.falls_rearmed,
-            ..self.ledger.osr
-        }
+        OsrEvents { entries: counters.osr_entries, exits: counters.osr_exits, ..self.ledger.osr }
     }
 
     /// Recovery actions taken and faults injected so far, with the rendered

@@ -9,7 +9,7 @@ use aoci_ir::{CallSiteRef, MethodId};
 use aoci_trace::{
     CompileStats, FaultKind, FinishCycles, InlineFacts, PlanReason, StaleReason, TraceEvent,
 };
-use aoci_vm::{Component, ContextFingerprint, MethodVersion};
+use aoci_vm::{Component, MethodVersion};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -45,12 +45,7 @@ impl AosSystem<'_> {
     fn admit_background(&mut self, mut plan: PendingPlan, capacity: usize) {
         let PendingPlan { method, reason, .. } = plan;
         let oracle = InlineOracle::with_mode(Arc::clone(&self.rules), self.config.match_mode);
-        // Price the plan in the context the eventual compile will be
-        // specialized for; with deoptless off the context is empty and this
-        // is exactly the historical `estimate_benefit`.
-        let context = self.dominant_context(method);
-        plan.priority =
-            aoci_opt::estimate_benefit_in_context(self.program, method, &oracle, &context);
+        plan.priority = aoci_opt::estimate_benefit(self.program, method, &oracle);
         if self.pending_plans.len() >= capacity {
             let worst = self
                 .pending_plans
@@ -101,22 +96,15 @@ impl AosSystem<'_> {
             if state.quarantined {
                 continue; // quarantined while waiting in the queue: a free skip
             }
-            let context = self.dominant_context(plan.method);
-            self.compile_foreground(plan.method, &context);
+            self.compile_foreground(plan.method);
         }
     }
 
-    /// Compiles `method` on the spot, specialized for (and keyed by) the
-    /// calling context `context`, innermost caller first: the application
-    /// waits out the whole cost. Returns the installed version, or `None`
-    /// when an injected fault discarded the compilation (failure
-    /// bookkeeping already applied).
-    pub(super) fn compile_foreground(
-        &mut self,
-        method: MethodId,
-        context: &[CallSiteRef],
-    ) -> Option<Arc<MethodVersion>> {
-        let built = self.build(method, context);
+    /// Compiles `method` on the spot: the application waits out the whole
+    /// cost. Returns the installed version, or `None` when an injected fault
+    /// discarded the compilation (failure bookkeeping already applied).
+    pub(super) fn compile_foreground(&mut self, method: MethodId) -> Option<Arc<MethodVersion>> {
+        let built = self.build(method);
         self.charge(Component::CompilationThread, built.cost);
         if let Err(kind) = built.outcome {
             self.emit(TraceEvent::FaultInjected { kind });
@@ -189,8 +177,7 @@ impl AosSystem<'_> {
     /// resolved now, its effects are deferred to the deadline. The method
     /// stays `queued` until completion so no second plan can race it.
     fn dispatch_plan(&mut self, plan: PendingPlan, worker: u32) -> InFlightCompile {
-        let context = self.dominant_context(plan.method);
-        let built = self.build(plan.method, &context);
+        let built = self.build(plan.method);
         if let Err(kind) = built.outcome {
             self.emit(TraceEvent::FaultInjected { kind });
         }
@@ -241,45 +228,11 @@ impl AosSystem<'_> {
         }
     }
 
-    /// The calling context a non-OSR compilation of `method` should be
-    /// specialized for in deoptless mode: the immediate caller of the
-    /// max-weight rule naming `method` as callee (ties broken toward the
-    /// lower call site, so the chain is deterministic), or the empty chain
-    /// when no rule names it. Always empty with deoptless off, keeping the
-    /// default system's compilations and keys bit-identical.
-    fn dominant_context(&self, method: MethodId) -> Vec<CallSiteRef> {
-        if !self.config.vm.deoptless {
-            return Vec::new();
-        }
-        let mut best: Option<(f64, CallSiteRef)> = None;
-        for rule in self.rules.iter() {
-            if rule.trace.callee() != method {
-                continue;
-            }
-            let site = rule.trace.immediate_caller();
-            let better = match best {
-                None => true,
-                Some((w, s)) => {
-                    rule.weight > w
-                        || (rule.weight == w
-                            && (site.method.index(), site.site.index())
-                                < (s.method.index(), s.site.index()))
-                }
-            };
-            if better {
-                best = Some((rule.weight, site));
-            }
-        }
-        best.map(|(_, site)| vec![site]).unwrap_or_default()
-    }
-
-    /// The one way to get compiler work done: compiles `method` specialized
-    /// for the calling context `context` (innermost caller first; the empty
-    /// chain is the context-free compile) against the current rules, under
-    /// the fault injector — or takes the version a shared compile server
-    /// (fleet serving) already built. Charges, emits and installs nothing:
-    /// that is what the two schedulers differ in.
-    fn build(&mut self, method: MethodId, context: &[CallSiteRef]) -> Built {
+    /// The one way to get compiler work done: compiles `method` against the
+    /// current rules, under the fault injector — or takes the version a
+    /// shared compile server (fleet serving) already built. Charges, emits
+    /// and installs nothing: that is what the two schedulers differ in.
+    fn build(&mut self, method: MethodId) -> Built {
         let rules = Arc::clone(&self.rules);
         let generation = self.ai_generation;
         // A cache hit installs the server's pre-compiled version for a small
@@ -297,10 +250,6 @@ impl AosSystem<'_> {
                     cost: SERVER_HIT_COST,
                     rules,
                     generation,
-                    // Server versions are generic (compiled context-free),
-                    // so they install under the root key regardless of
-                    // `context`.
-                    key: ContextFingerprint::ROOT,
                 };
             }
         }
@@ -310,13 +259,7 @@ impl AosSystem<'_> {
             (Err(FaultKind::CompileBailout), self.config.cost.opt_compile_fixed)
         } else {
             let oracle = InlineOracle::with_mode(Arc::clone(&rules), self.config.match_mode);
-            let c = aoci_opt::compile_in_context(
-                self.program,
-                method,
-                &oracle,
-                &self.config.opt,
-                context,
-            );
+            let c = aoci_opt::compile(self.program, method, &oracle, &self.config.opt);
             let cost = self.config.cost.opt_compile_cost(c.generated_size);
             match fault {
                 // Completed then rejected as oversized: full cost spent,
@@ -325,27 +268,25 @@ impl AosSystem<'_> {
                 None => (Ok(Box::new(c)), cost),
             }
         };
-        Built { method, outcome, cost, rules, generation, key: ContextFingerprint::of(context) }
+        Built { method, outcome, cost, rules, generation }
     }
 
     /// Lands finished compiler work: installs the code, or books the
     /// failure (retry backoff or quarantine). Returns the installed version.
     fn land(&mut self, built: Built) -> Option<Arc<MethodVersion>> {
-        let Built { method, outcome, cost, rules, generation, key } = built;
+        let Built { method, outcome, cost, rules, generation } = built;
         let Ok(compilation) = outcome else {
             self.handle_compile_failure(method);
             return None;
         };
-        Some(self.install_compilation(method, *compilation, cost, generation, &rules, key))
+        Some(self.install_compilation(method, *compilation, cost, generation, &rules))
     }
 
     /// Books and installs a finished compilation: database record, trace
     /// events, registry install, guard-window and failure-streak resets, and
     /// unrealized-rule marking. `generation` and `rules` are the AI state
     /// the compiler ran against — for a background compile that is the
-    /// dispatch-time snapshot, not the state current at completion. `key`
-    /// is the context fingerprint the version is registered under
-    /// ([`ContextFingerprint::ROOT`] outside deoptless mode).
+    /// dispatch-time snapshot, not the state current at completion.
     fn install_compilation(
         &mut self,
         method: MethodId,
@@ -353,7 +294,6 @@ impl AosSystem<'_> {
         cost: u64,
         generation: u64,
         rules: &RuleSet,
-        key: ContextFingerprint,
     ) -> Arc<MethodVersion> {
         self.db.record_compilation(method, &compilation, generation, self.vm.clock().total());
         if self.trace.is_some() {
@@ -416,7 +356,7 @@ impl AosSystem<'_> {
             sink.observe("compile_cost_cycles", cost);
             sink.observe("compile_generated_size", u64::from(compilation.generated_size));
         }
-        let installed = self.vm.registry_mut().install_keyed(compilation.version, key);
+        let installed = self.vm.registry_mut().install(compilation.version);
         self.emit(TraceEvent::Install { method, version_id: installed.version_id.raw() });
         // A successful install opens a fresh guard-observation window
         // and clears the failure streak.

@@ -1,4 +1,4 @@
-//! OSR promotion requests: the one dispatch entry point (DESIGN.md §7, §16).
+//! OSR promotion requests: the one dispatch entry point (DESIGN.md §7).
 
 use super::AosSystem;
 use aoci_ir::MethodId;
@@ -12,11 +12,8 @@ impl AosSystem<'_> {
     /// OSR dispatch entry point — every resolution (enter existing code,
     /// compile-and-enter, deny) goes through it.
     ///
-    /// Which existing version the activation enters is the VM's choice
-    /// ([`aoci_vm::Vm::osr_enter`]): in deoptless mode the best surviving
-    /// version specialized for its live calling context, deepest prefix
-    /// first, else the installed one. A fresh compilation is specialized for
-    /// (and keyed by) that same observed context in deoptless mode.
+    /// The activation enters the method's installed optimized version
+    /// ([`aoci_vm::Vm::osr_enter`]).
     ///
     /// Any reason the promotion cannot happen — the method is quarantined,
     /// its recompile budget is spent, the compilation faulted, or the
@@ -47,8 +44,7 @@ impl AosSystem<'_> {
         // helps the *next* invocation.
         self.charge(Component::ControllerThread, self.config.controller_cost_per_event);
         self.emit(TraceEvent::RecompilePlan { method, reason: PlanReason::OsrPromotion });
-        let context = if self.config.vm.deoptless { self.vm.osr_context() } else { Vec::new() };
-        if self.compile_foreground(method, &context).is_none() {
+        if self.compile_foreground(method).is_none() {
             // Injected fault; retry/backoff booked by the failure path.
             return self.deny_osr(method, OsrDenyReason::CompileFault, false);
         }

@@ -765,7 +765,7 @@ use crate::config::{ServerSnapshot, SERVER_HIT_COST};
 fn server_snapshot(p: &Program, methods: impl IntoIterator<Item = MethodId>) -> ServerSnapshot {
     let oracle = aoci_core::InlineOracle::with_mode(Arc::new(RuleSet::new()), MatchMode::Partial);
     let opt = aoci_opt::OptConfig::default();
-    let compile = |m| Arc::new(aoci_opt::compile_in_context(p, m, &oracle, &opt, &[]));
+    let compile = |m| Arc::new(aoci_opt::compile(p, m, &oracle, &opt));
     Arc::new(methods.into_iter().map(|m| (m, compile(m))).collect())
 }
 

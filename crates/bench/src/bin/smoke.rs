@@ -52,9 +52,6 @@ fn main() {
         if env.osr {
             config = config.enable_osr();
         }
-        if env.deoptless {
-            config = config.enable_deoptless();
-        }
         if env.trace {
             config = config
                 .enable_trace_with(TraceConfig { capacity: env.trace_cap, ..TraceConfig::default() });
@@ -97,19 +94,10 @@ fn main() {
             report.fraction(aoci_vm::Component::CompilationThread) * 100.0,
             report.fraction(aoci_vm::Component::Listeners) * 100.0,
         );
-        if env.osr || env.deoptless {
+        if env.osr {
             print!(
                 " | osr: requests={} denied={} entries={} exits={}",
                 report.osr.requests, report.osr.denied, report.osr.entries, report.osr.exits,
-            );
-        }
-        if env.deoptless {
-            print!(
-                " transfers={} falls(no-version={} incompatible={} re-armed={})",
-                report.osr.dispatched_transfers,
-                report.osr.falls_no_version,
-                report.osr.falls_incompatible,
-                report.osr.falls_rearmed,
             );
         }
         if env.async_compile {
@@ -204,9 +192,6 @@ fn main() {
     }
     if env.osr {
         println!("osr smoke complete: every run finished with OSR enabled");
-    }
-    if env.deoptless {
-        println!("deoptless smoke complete: every run finished with dispatched OSR enabled");
     }
     if env.async_compile {
         println!("async smoke complete: every run finished with background compilation");

@@ -86,17 +86,6 @@ pub const ASYNC: Knob = Knob {
              smoke runs.",
 };
 
-/// `AOCI_DEOPTLESS` — dispatched OSR over context-specialized versions.
-pub const DEOPTLESS: Knob = Knob {
-    name: "AOCI_DEOPTLESS",
-    ty: "flag",
-    default: "off",
-    effect: "enable deoptless dispatched OSR (DESIGN.md \u{a7}16): superseded optimized \
-             versions are retained keyed by calling context, and an OSR exit transfers \
-             into the best surviving compatible version instead of falling to baseline. \
-             Implies AOCI_OSR.",
-};
-
 /// `AOCI_QUICK` — reduced sweep.
 pub const QUICK: Knob = Knob {
     name: "AOCI_QUICK",
@@ -245,7 +234,6 @@ pub const KNOBS: &[Knob] = &[
     OSR,
     TRACE,
     ASYNC,
-    DEOPTLESS,
     QUICK,
     RERUN,
     RESULTS_DIR,
@@ -280,8 +268,6 @@ pub struct EnvConfig {
     pub trace: bool,
     /// Asynchronous background compilation in sweeps ([`ASYNC`]).
     pub async_compile: bool,
-    /// Deoptless dispatched OSR in sweeps and oracle runs ([`DEOPTLESS`]).
-    pub deoptless: bool,
     /// Reduced sweep ([`QUICK`]).
     pub quick: bool,
     /// Ignore the cached grid ([`RERUN`]).
@@ -352,7 +338,6 @@ impl Default for EnvConfig {
             osr: false,
             trace: false,
             async_compile: false,
-            deoptless: false,
             quick: false,
             rerun: false,
             results_dir: "results".to_string(),
@@ -387,7 +372,6 @@ impl EnvConfig {
             osr: flag(&OSR),
             trace: flag(&TRACE),
             async_compile: flag(&ASYNC),
-            deoptless: flag(&DEOPTLESS),
             quick: flag(&QUICK),
             rerun: flag(&RERUN),
             results_dir: raw(&RESULTS_DIR).unwrap_or(defaults.results_dir),
@@ -463,7 +447,7 @@ mod tests {
     /// `std::env::var("AOCI_` call site exists outside this module.)
     #[test]
     fn knob_registry_is_closed() {
-        assert_eq!(KNOBS.len(), 22);
+        assert_eq!(KNOBS.len(), 21);
         let mut names: Vec<&str> = KNOBS.iter().map(|k| k.name).collect();
         names.sort_unstable();
         let mut unique = names.clone();
@@ -480,7 +464,7 @@ mod tests {
         let d = EnvConfig::default();
         assert!(d.jobs >= 1);
         assert_eq!(d.reps, 3);
-        assert!(!d.osr && !d.trace && !d.async_compile && !d.deoptless && !d.quick && !d.rerun);
+        assert!(!d.osr && !d.trace && !d.async_compile && !d.quick && !d.rerun);
         assert_eq!(d.results_dir, "results");
         assert_eq!(d.faults, None);
         assert_eq!(d.oracle_seed, 1);

@@ -116,9 +116,6 @@ pub fn run_config(env: &EnvConfig, policy: PolicyKind, rep: usize) -> AosConfig 
     if env.osr {
         config = config.enable_osr();
     }
-    if env.deoptless {
-        config = config.enable_deoptless();
-    }
     if env.trace {
         config = config.enable_trace();
     }

@@ -360,7 +360,7 @@ mod tests {
         assert!(!rules.is_empty(), "the batch ran under profile-derived rules");
         let oracle = InlineOracle::with_mode(Arc::new(rules), cfg.match_mode);
         for (&m, cached) in snapshot.iter() {
-            let local = aoci_opt::compile_in_context(&program, m, &oracle, &cfg.opt, &[]);
+            let local = aoci_opt::compile(&program, m, &oracle, &cfg.opt);
             let name = program.method(m).name();
             assert_eq!(format!("{cached:?}"), format!("{local:?}"), "{name}");
         }

@@ -86,7 +86,7 @@ fn finds_kind(spec: &FuzzSpec, kind: &str) -> Option<(String, String)> {
 /// the — normally empty — failing subset only).
 pub fn run_campaign(cfg: &CampaignConfig, pool: &JobPool) -> CampaignOutcome {
     let jobs: Vec<usize> = (0..cfg.iters).collect();
-    let opts = RunOpts { metrics: cfg.metrics, ..RunOpts::default() };
+    let opts = RunOpts { metrics: cfg.metrics };
     let (results, _stats) =
         pool.run(jobs, |&i| run_case_caught_with(&sample_spec(cfg.seed, i), opts));
     let cases: Vec<CaseOutcome> = results.into_iter().map(|r| r.output).collect();

@@ -32,7 +32,7 @@ use aoci_aos::{
 use aoci_core::PolicyKind;
 use aoci_ir::Program;
 use aoci_json::Value as Json;
-use aoci_trace::{FaultKind, OsrFallbackReason, RetryCause};
+use aoci_trace::{FaultKind, RetryCause};
 use aoci_vm::{CostModel, Value, Vm};
 use aoci_workloads::{build_fuzz, FuzzSpec};
 use std::collections::BTreeSet;
@@ -89,9 +89,6 @@ pub struct RunOpts {
     /// The telemetry registry on in every cell. It charges no simulated
     /// cycles, so no outcome — fingerprint or findings — may move.
     pub metrics: bool,
-    /// Deoptless dispatched OSR (DESIGN.md §16) in every OSR-on cell.
-    /// OSR-off cells are untouched, so `osr-while-disabled` keeps its teeth.
-    pub deoptless: bool,
 }
 
 /// The policy a spec's matrix runs under (rotates with the seed).
@@ -137,9 +134,6 @@ fn cell_config(policy: PolicyKind, cell: &Cell, opts: RunOpts, traced: bool) -> 
     let mut c = config(policy);
     if *osr {
         c = c.enable_osr();
-        if opts.deoptless {
-            c = c.enable_deoptless();
-        }
     }
     if *async_on {
         c = c.enable_async_compile();
@@ -201,12 +195,6 @@ fn ledger_fold(r: &AosReport) -> Option<String> {
             TraceEvent::OsrDeny { .. } => osr.denied += 1,
             TraceEvent::OsrEnter { .. } => osr.entries += 1,
             TraceEvent::OsrExit { .. } => osr.exits += 1,
-            TraceEvent::OsrTransfer { .. } => osr.dispatched_transfers += 1,
-            TraceEvent::OsrFallback { reason, .. } => match reason {
-                OsrFallbackReason::NoVersion => osr.falls_no_version += 1,
-                OsrFallbackReason::IncompatibleFrame => osr.falls_incompatible += 1,
-                OsrFallbackReason::Rearmed => osr.falls_rearmed += 1,
-            },
             TraceEvent::CompileEnqueue { queue_depth, .. } => {
                 queue.enqueued += 1;
                 queue.max_queue_depth = queue.max_queue_depth.max(u64::from(*queue_depth));
@@ -309,8 +297,7 @@ fn matrix(
     for cell in cells(seed) {
         let (osr, async_on, ref fault) = cell;
         let what = format!(
-            "{name}/{policy}/osr={osr}/deoptless={}/async={async_on}/chaos={}",
-            opts.deoptless && osr,
+            "{name}/{policy}/osr={osr}/async={async_on}/chaos={}",
             fault.is_some()
         );
         let traced = AosSystem::new(program, cell_config(policy, &cell, opts, true)).run();
@@ -373,8 +360,8 @@ pub fn run_case_caught(spec: &FuzzSpec) -> CaseOutcome {
     run_case_caught_with(spec, RunOpts::default())
 }
 
-/// [`run_case_caught`] with [`RunOpts`]: the telemetry registry, deoptless
-/// dispatched OSR, or both. Metering must not change any outcome.
+/// [`run_case_caught`] with [`RunOpts`]: the telemetry registry on.
+/// Metering must not change any outcome.
 pub fn run_case_caught_with(spec: &FuzzSpec, opts: RunOpts) -> CaseOutcome {
     caught(spec, || case(spec, opts))
 }
@@ -400,10 +387,6 @@ fn caught(spec: &FuzzSpec, run: impl FnOnce() -> CaseOutcome) -> CaseOutcome {
 mod tests {
     use super::*;
     use crate::sampler::sample_spec;
-
-    fn with(metrics: bool, deoptless: bool) -> RunOpts {
-        RunOpts { metrics, deoptless }
-    }
 
     #[test]
     fn a_minimal_case_is_clean_and_deterministic() {
@@ -436,75 +419,11 @@ mod tests {
         // charges no simulated cycles, so the full differential matrix
         // is blind to it.
         let spec = sample_spec(1, 0);
-        let plain = run_case_caught_with(&spec, with(false, false));
-        let metered = run_case_caught_with(&spec, with(true, false));
+        let plain = run_case_caught_with(&spec, RunOpts { metrics: false });
+        let metered = run_case_caught_with(&spec, RunOpts { metrics: true });
         assert!(metered.clean(), "findings: {:?}", metered.findings);
         assert_eq!(plain.findings, metered.findings);
         assert_eq!(plain.fingerprint, metered.fingerprint);
-    }
-
-    #[test]
-    fn deoptless_axis_is_clean_and_deterministic() {
-        // The PR-10 matrix widening: every OSR-on cell reruns with
-        // dispatched OSR, and the oracle must still prove both
-        // result-equivalence against the reference VM and bit-identical
-        // same-seed reruns.
-        let spec = sample_spec(1, 0);
-        let a = run_case_caught_with(&spec, with(false, true));
-        let b = run_case_caught_with(&spec, with(false, true));
-        assert!(a.clean(), "findings: {:?}", a.findings);
-        assert_eq!(a.fingerprint, b.fingerprint);
-        // OSR-out of a fused superinstruction region must dispatch as it
-        // did under an interpreter that never fused: the decisions this
-        // case reached when that comparison was last made.
-        let pinned = [
-            "async:enqueue",
-            "async:overlap",
-            "fault:compile-bailout",
-            "fault:compile-oversize",
-            "fault:corrupt-trace",
-            "fault:dropped-sample",
-            "fault:receiver-burst",
-            "inline:depth:0",
-            "inline:depth:1",
-            "inline:depth:2",
-            "inline:guarded",
-            "inline:rule-fired",
-            "inline:unguarded",
-            "osr:enter",
-            "osr:request",
-            "plan:hot-method",
-            "plan:missing-edge",
-            "plan:retry",
-            "profile:sample-dropped",
-            "recovery:invalidate",
-            "recovery:quarantine",
-            "recovery:retry",
-            "recovery:trace-rejected",
-            "refuse:callee too large",
-            "refuse:code expansion exceeded",
-            "refuse:cold",
-            "refuse:depth:0",
-            "refuse:depth:1",
-            "refuse:depth:2",
-            "refuse:hot",
-            "refuse:medium callee without profile support",
-            "refuse:per-site guarded-inline limit reached",
-            "vm:guard-miss",
-        ];
-        assert_eq!(a.fingerprint.iter().map(String::as_str).collect::<Vec<_>>(), pinned);
-    }
-
-    #[test]
-    fn deoptless_off_matrix_is_unchanged() {
-        // Corpus byte-identity guard: the default entry points must run
-        // the exact pre-deoptless matrix, so the campaign fingerprint
-        // (and the committed corpus.json) cannot move.
-        let spec = sample_spec(2, 1);
-        let default_path = run_case(&spec);
-        let explicit_off = run_case_caught_with(&spec, with(false, false));
-        assert_eq!(default_path.findings, explicit_off.findings);
-        assert_eq!(default_path.fingerprint, explicit_off.fingerprint);
     }
 
     #[test]

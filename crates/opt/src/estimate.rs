@@ -25,28 +25,8 @@ use aoci_ir::{CallSiteRef, Instr, MethodId, Program};
 /// The result is deterministic for a given (program, rule set) pair — the
 /// AOS uses it as a priority key, with ties broken by `MethodId`.
 pub fn estimate_benefit(program: &Program, method: MethodId, oracle: &InlineOracle) -> f64 {
-    estimate_benefit_in_context(program, method, oracle, &[])
-}
-
-/// Context-aware variant of [`estimate_benefit`]: estimates the benefit of
-/// compiling `method` *specialized for* the calling context `outer`
-/// (innermost caller first) — every oracle query extends its context with
-/// the chain, exactly as
-/// [`compile_in_context`](crate::compile_in_context) will when the plan is
-/// executed. The plain estimate is the empty-context special case.
-pub fn estimate_benefit_in_context(
-    program: &Program,
-    method: MethodId,
-    oracle: &InlineOracle,
-    outer: &[CallSiteRef],
-) -> f64 {
     let mut benefit = 0.0;
-    let ctx_for = |site| {
-        let mut ctx = Vec::with_capacity(outer.len() + 1);
-        ctx.push(CallSiteRef::new(method, site));
-        ctx.extend_from_slice(outer);
-        ctx
-    };
+    let ctx_for = |site| [CallSiteRef::new(method, site)];
     for instr in program.method(method).body() {
         match instr {
             Instr::CallStatic { site, callee, .. } => {

@@ -22,24 +22,6 @@ pub fn compile(
     oracle: &InlineOracle,
     config: &OptConfig,
 ) -> Compilation {
-    compile_in_context(program, method, oracle, config, &[])
-}
-
-/// Compiles `method` *specialized for a calling context*: `outer` is the
-/// chain of call sites (innermost caller first) the compiled code is
-/// expected to run under, and every oracle query extends its compilation
-/// context with it. With context-sensitive rule sets this steers inlining
-/// toward the callees the profile observed *from that context* — the
-/// context-specialized code versions dispatched OSR keys by
-/// [`ContextFingerprint`](aoci_vm::ContextFingerprint) (DESIGN.md §16).
-/// `compile` is the empty-context (root-keyed) special case.
-pub fn compile_in_context(
-    program: &Program,
-    method: MethodId,
-    oracle: &InlineOracle,
-    config: &OptConfig,
-    outer: &[CallSiteRef],
-) -> Compilation {
     let root_def = program.method(method);
     // Loop headers of the *root* source body: targets of its backward
     // jumps/branches. Each one that survives optimization becomes an OSR
@@ -77,7 +59,7 @@ pub fn compile_in_context(
         root_map: Vec::new(),
     };
     let mut stack = vec![method];
-    e.emit_body(method, 0, 0, RetMode::Root, outer, 0, &mut stack);
+    e.emit_body(method, 0, 0, RetMode::Root, &[], 0, &mut stack);
     debug_assert_eq!(stack, vec![method]);
 
     let Emitter {

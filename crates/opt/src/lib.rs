@@ -63,8 +63,8 @@ mod simplify;
 
 pub use config::OptConfig;
 pub use decision::{Compilation, InlineDecision, Refusal, RefusalReason};
-pub use estimate::{estimate_benefit, estimate_benefit_in_context};
-pub use inliner::{compile, compile_in_context};
+pub use estimate::estimate_benefit;
+pub use inliner::compile;
 pub use simplify::{simplify, simplify_with_anchors};
 
 #[cfg(doc)]

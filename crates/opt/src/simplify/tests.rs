@@ -584,7 +584,7 @@ fn assert_liveness_on_compiled_bodies(program: &aoci_ir::Program, what: &str) ->
     for m in (0..program.num_methods()).map(MethodId::from_index) {
         for simplify in [false, true] {
             let config = crate::OptConfig { simplify, ..crate::OptConfig::default() };
-            let v = crate::compile_in_context(program, m, &oracle, &config, &[]).version;
+            let v = crate::compile(program, m, &oracle, &config).version;
             let what = format!("{what}: {} (simplify={simplify})", program.method(m).name());
             assert_liveness_matches(&v.body, &v.arg_pool, v.num_regs, &what);
             bodies += 1;
@@ -731,7 +731,7 @@ fn compiled_bodies_match_the_parent_commit() {
         ];
         for m in (0..program.num_methods()).map(MethodId::from_index) {
             for oracle in &oracles {
-                let c = crate::compile_in_context(program, m, oracle, &config, &[]);
+                let c = crate::compile(program, m, oracle, &config);
                 fold = fold_compilation(fold, &c);
                 compiles += 1;
                 instrs += c.version.body.len();

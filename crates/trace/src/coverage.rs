@@ -76,8 +76,6 @@ impl TraceEvent {
             TraceEvent::OsrDeny { reason, .. } => vec![format!("osr:deny:{}", reason.label())],
             TraceEvent::OsrEnter { .. } => vec!["osr:enter".to_string()],
             TraceEvent::OsrExit { .. } => vec!["osr:exit".to_string()],
-            TraceEvent::OsrTransfer { .. } => vec!["osr:transfer".to_string()],
-            TraceEvent::OsrFallback { reason, .. } => vec![format!("osr:fallback:{}", reason.label())],
             TraceEvent::CompileEnqueue { .. } => vec!["async:enqueue".to_string()],
             TraceEvent::CompileDequeueStale { reason, .. } => {
                 vec![format!("async:stale:{}", reason.label())]

@@ -137,28 +137,6 @@ impl RetryCause {
     }
 }
 
-/// Why a dispatched OSR-out (deoptless) fell back to baseline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OsrFallbackReason {
-    /// No surviving version matched any prefix of the observed context.
-    NoVersion,
-    /// A version matched but the checked frame mapping into it failed.
-    IncompatibleFrame,
-    /// The frame had already transferred once and re-armed its guard exit.
-    Rearmed,
-}
-
-impl OsrFallbackReason {
-    /// Short stable label (used by both sinks).
-    pub fn label(self) -> &'static str {
-        match self {
-            OsrFallbackReason::NoVersion => "no-version",
-            OsrFallbackReason::IncompatibleFrame => "incompatible-frame",
-            OsrFallbackReason::Rearmed => "re-armed",
-        }
-    }
-}
-
 /// Why the optimizing compiler declined to inline a callee at a call site
 /// (decided by `aoci-opt`, which re-exports this type; it lives here, like
 /// [`DecisionProvenance`], so the event carries it in one byte).
@@ -423,28 +401,6 @@ pub enum TraceEvent {
         /// The optimized pc the exit point mapped from.
         opt_pc: u32,
     },
-    /// Dispatched OSR-out (deoptless): an optimized activation transferred
-    /// into a surviving context-specialized version instead of
-    /// deoptimizing to baseline.
-    OsrTransfer {
-        /// The method whose activation transferred.
-        method: MethodId,
-        /// The pc in the *target* version execution resumed at.
-        opt_pc: u32,
-        /// Raw id of the version the activation left.
-        from_version: u32,
-        /// Raw id of the surviving version it transferred into.
-        to_version: u32,
-    },
-    /// A dispatched OSR-out found no usable surviving version and fell
-    /// back to baseline (deoptless mode only; the regular `osr-exit`
-    /// event follows).
-    OsrFallback {
-        /// The method falling back.
-        method: MethodId,
-        /// Why no transfer happened.
-        reason: OsrFallbackReason,
-    },
     /// The controller inserted a plan into the background priority queue.
     CompileEnqueue {
         /// The method to be (re)compiled.
@@ -537,8 +493,6 @@ impl TraceEvent {
             TraceEvent::OsrDeny { .. } => "osr-deny",
             TraceEvent::OsrEnter { .. } => "osr-enter",
             TraceEvent::OsrExit { .. } => "osr-exit",
-            TraceEvent::OsrTransfer { .. } => "osr-transfer",
-            TraceEvent::OsrFallback { .. } => "osr-fallback",
             TraceEvent::CompileEnqueue { .. } => "compile-enqueue",
             TraceEvent::CompileDequeueStale { .. } => "dequeue-stale-drop",
             TraceEvent::CompileQueueFull { .. } => "queue-full-drop",
@@ -570,9 +524,7 @@ impl TraceEvent {
             TraceEvent::OsrRequest { .. }
             | TraceEvent::OsrDeny { .. }
             | TraceEvent::OsrEnter { .. }
-            | TraceEvent::OsrExit { .. }
-            | TraceEvent::OsrTransfer { .. }
-            | TraceEvent::OsrFallback { .. } => "osr",
+            | TraceEvent::OsrExit { .. } => "osr",
             TraceEvent::Invalidate { .. }
             | TraceEvent::Quarantine { .. }
             | TraceEvent::RetryScheduled { .. }
@@ -698,16 +650,6 @@ impl TraceEvent {
                 ("method", m(resolve, *method)),
                 ("opt_pc", Value::from(*opt_pc)),
             ],
-            TraceEvent::OsrTransfer { method, opt_pc, from_version, to_version } => vec![
-                ("method", m(resolve, *method)),
-                ("opt_pc", Value::from(*opt_pc)),
-                ("from_version", Value::from(*from_version)),
-                ("to_version", Value::from(*to_version)),
-            ],
-            TraceEvent::OsrFallback { method, reason } => vec![
-                ("method", m(resolve, *method)),
-                ("reason", Value::from(reason.label())),
-            ],
             TraceEvent::CompileEnqueue { method, reason, priority, queue_depth } => vec![
                 ("method", m(resolve, *method)),
                 ("reason", Value::from(reason.label())),
@@ -797,16 +739,6 @@ mod tests {
             TraceEvent::Install { method: MethodId::from_index(1), version_id: 7 },
             TraceEvent::GuardMiss { method: MethodId::from_index(1), pc: 5 },
             TraceEvent::OsrEnter { method: MethodId::from_index(1), loop_header: 0 },
-            TraceEvent::OsrTransfer {
-                method: MethodId::from_index(1),
-                opt_pc: 4,
-                from_version: 2,
-                to_version: 5,
-            },
-            TraceEvent::OsrFallback {
-                method: MethodId::from_index(1),
-                reason: OsrFallbackReason::NoVersion,
-            },
             TraceEvent::RetryScheduled {
                 method: MethodId::from_index(1),
                 due_cycle: 500,
@@ -883,14 +815,6 @@ mod tests {
             cycles: Box::new(FinishCycles { overlap_cycles: 40, stall_cycles: 0 }),
         };
         assert!(finish.render(&resolve).ends_with(" landed=false"), "{}", finish.render(&resolve));
-        for (reason, label) in [
-            (OsrFallbackReason::NoVersion, "no-version"),
-            (OsrFallbackReason::IncompatibleFrame, "incompatible-frame"),
-            (OsrFallbackReason::Rearmed, "re-armed"),
-        ] {
-            let line = TraceEvent::OsrFallback { method, reason }.render(&resolve);
-            assert_eq!(line, format!("osr-fallback method=\"M3\" reason=\"{label}\""));
-        }
     }
 
     #[test]

@@ -43,6 +43,6 @@ mod sinks;
 
 pub use event::{
     CompileStats, DecisionProvenance, FaultKind, FinishCycles, InlineFacts, OsrDenyReason,
-    OsrFallbackReason, PlanReason, RefusalReason, RetryCause, StaleReason, TraceEvent,
+    PlanReason, RefusalReason, RetryCause, StaleReason, TraceEvent,
 };
 pub use recorder::{FlightRecorder, Recorded, TraceConfig, TraceLog, TraceSink};

@@ -6,11 +6,11 @@ use crate::code::{MethodVersion, OptLevel};
 use crate::cost::CostModel;
 use crate::error::VmError;
 use crate::heap::Heap;
-use crate::registry::{CodeRegistry, CodeSlot, ContextFingerprint, VersionKey};
+use crate::registry::{CodeRegistry, CodeSlot};
 use crate::stack::{SourceFrame, StackSnapshot};
 use crate::value::Value;
-use aoci_ir::{CallSiteRef, Instr, MethodId, Program, Reg, SelectorId};
-use aoci_trace::{OsrFallbackReason, TraceEvent, TraceSink};
+use aoci_ir::{Instr, MethodId, Program, Reg, SelectorId};
+use aoci_trace::{TraceEvent, TraceSink};
 use std::borrow::Cow;
 
 pub(crate) mod decode;
@@ -38,15 +38,6 @@ pub struct VmConfig {
     /// header before the VM yields [`RunOutcome::OsrRequest`], asking the
     /// driver for a promotion (OSR-in).
     pub osr_backedge_threshold: u32,
-    /// Enables *dispatched* OSR-out (deoptless, DESIGN.md §16): when an
-    /// optimized activation must leave its code version (guard shift or
-    /// invalidation), the VM looks up the best surviving context-
-    /// specialized version for the activation's newly observed calling
-    /// context and transfers into its continuation, falling back to
-    /// baseline only when no compatible version exists. Off by default;
-    /// requires [`VmConfig::osr_enabled`]. The VM's registry retains
-    /// superseded versions exactly when this is on.
-    pub deoptless: bool,
 }
 
 impl Default for VmConfig {
@@ -57,7 +48,6 @@ impl Default for VmConfig {
             max_stack_depth: 4096,
             osr_enabled: false,
             osr_backedge_threshold: 256,
-            deoptless: false,
         }
     }
 }
@@ -75,11 +65,6 @@ const OSR_EXIT_MIN_CHECKS: u64 = 48;
 /// Frame-local guard-miss rate above which an optimized activation arms
 /// deoptimization and OSR-outs at its next loop header.
 const OSR_EXIT_MISS_THRESHOLD: f64 = 0.9;
-
-/// How deep a calling context the dispatched-OSR lookup observes from the
-/// machine stack (matches the profile layer's deepest useful contexts; the
-/// lookup tries every prefix anyway, so deeper walks only add cost).
-const MAX_OSR_CONTEXT_DEPTH: usize = 8;
 
 /// A baseline activation tripped its loop back-edge counter and wants to
 /// be promoted into optimized code mid-loop (OSR-in).
@@ -141,22 +126,8 @@ pub struct ExecCounters {
     /// optimized code mid-loop.
     pub osr_entries: u64,
     /// OSR-out transitions performed: optimized activations deoptimized
-    /// back to baseline frames mid-loop. A dispatched transfer is neither an
-    /// entry nor an exit: the frame never lands in baseline.
+    /// back to baseline frames mid-loop.
     pub osr_exits: u64,
-    /// Dispatched transfers performed (only with [`VmConfig::deoptless`]):
-    /// OSR-outs that moved into a surviving specialized version.
-    pub dispatched_transfers: u64,
-    /// Dispatched OSR-outs that fell to baseline because no surviving
-    /// version matched any prefix of the observed calling context.
-    pub falls_no_version: u64,
-    /// Dispatched OSR-outs that fell to baseline because a checked frame
-    /// mapping into the chosen version refused.
-    pub falls_incompatible: u64,
-    /// Dispatched OSR-outs that fell to baseline because the activation had
-    /// already been dispatched once and re-armed: it deoptimizes for real
-    /// rather than ping-ponging between surviving versions.
-    pub falls_rearmed: u64,
 }
 
 /// The part of an activation that changes as it executes. The run loop
@@ -191,12 +162,6 @@ struct Frame {
     base: usize,
     /// Where the caller wants the return value.
     ret_dst: Option<Reg>,
-    /// Set when a dispatched OSR-out transferred this activation into a
-    /// surviving version; if it arms again it falls to baseline rather
-    /// than ping-ponging between specialized versions. Cleared whenever
-    /// the activation lands in baseline code or enters from it (OSR-out or
-    /// OSR-in).
-    transferred: bool,
     at: Cursor,
 }
 
@@ -282,7 +247,7 @@ fn enter(
         regs[base + i] = regs[caller_base + r.index()];
     }
     let ret_dst = ops.dst.map(Reg);
-    stack.push(Frame { code, base, ret_dst, transferred: false, at: Cursor::default() });
+    stack.push(Frame { code, base, ret_dst, at: Cursor::default() });
     Ok(())
 }
 
@@ -349,7 +314,7 @@ impl<'p> Vm<'p> {
         Vm {
             stack: Vec::new(),
             regs: Vec::new(),
-            registry: CodeRegistry::new(program.num_methods(), config.deoptless),
+            registry: CodeRegistry::new(program.num_methods()),
             exec: Exec {
                 program,
                 config,
@@ -618,31 +583,6 @@ impl<'p> Vm<'p> {
         self.registry.adopt_deopt_baseline(version)
     }
 
-    /// The calling context of the top activation, innermost caller first,
-    /// read off the machine stack: each caller frame is parked on its call
-    /// instruction while the callee runs, so the site index plus the
-    /// caller's source-level method (through the inline map) name one
-    /// [`CallSiteRef`] of the chain. Capped at `MAX_OSR_CONTEXT_DEPTH`
-    /// callers; the walk stops early at a frame not resting on a call
-    /// (only possible mid-OSR bookkeeping, never in a steady-state walk).
-    /// This is the context the dispatched-OSR lookup and the driver's
-    /// context-specialized compilations key on.
-    pub fn osr_context(&self) -> Vec<CallSiteRef> {
-        let mut chain = Vec::new();
-        for mf in self.stack.iter().rev().skip(1) {
-            if chain.len() >= MAX_OSR_CONTEXT_DEPTH {
-                break;
-            }
-            let version = self.registry.version(mf.code);
-            let Some(site) = version.body.get(mf.at.pc).and_then(Instr::call_site) else {
-                break;
-            };
-            let method = version.inline_map.node_at(mf.at.pc).method;
-            chain.push(CallSiteRef::new(method, site));
-        }
-        chain
-    }
-
     /// The one frame rewrite (DESIGN.md §7): moves the top activation into
     /// the code in `to`, pivoting through baseline frame state. With
     /// `exit_at`, the running code is left through its exit point at that
@@ -651,15 +591,13 @@ impl<'p> Vm<'p> {
     /// in `to` is entered through its entry point at the pivot's baseline pc
     /// (`map_to_optimized`); baseline code runs the pivot itself. The top
     /// window is then resized where it sits, on top of the register stack,
-    /// the frame gets a fresh cursor at the landing pc and the given
-    /// `transferred` flag, and `Component::Osr` is charged for every slot
-    /// mapped. Returns the landing pc, or `None` — with the frame, the
-    /// registers and the clock untouched — when a point is missing or a
-    /// checked mapping refuses.
+    /// the frame gets a fresh cursor at the landing pc, and `Component::Osr`
+    /// is charged for every slot mapped. Returns the landing pc, or `None` —
+    /// with the frame, the registers and the clock untouched — when a point
+    /// is missing or a checked mapping refuses.
     ///
-    /// OSR-in is `(None, optimized)`, OSR-out `(Some, baseline)` and a
-    /// dispatched transfer `(Some, optimized)`.
-    fn transfer(&mut self, exit_at: Option<u32>, to: CodeSlot, transferred: bool) -> Option<u32> {
+    /// OSR-in is `(None, optimized)` and OSR-out `(Some, baseline)`.
+    fn transfer(&mut self, exit_at: Option<u32>, to: CodeSlot) -> Option<u32> {
         let Vm { stack, regs, exec, registry, .. } = self;
         let frame = stack.last_mut()?;
         let (from, target) = (registry.version(frame.code), registry.version(to));
@@ -694,86 +632,25 @@ impl<'p> Vm<'p> {
         regs.extend(window);
         frame.code = to;
         frame.at = Cursor { pc: pc as usize, ..Cursor::default() };
-        frame.transferred = transferred;
         Some(pc)
     }
 
-    /// The version choice of both OSR directions, owned here: the best
-    /// surviving optimized version of `method` for the top activation's
-    /// live calling context that `fits`, trying context prefixes deepest
-    /// first down to `min_depth` callers (0 reaches the root key). Per
-    /// prefix only the registry's best version under that key is asked;
-    /// invalidated versions never match.
-    fn surviving_version(
-        &self,
-        method: MethodId,
-        min_depth: usize,
-        fits: impl Fn(&MethodVersion) -> bool,
-    ) -> Option<CodeSlot> {
-        let context = self.osr_context();
-        (min_depth..=context.len()).rev().find_map(|depth| {
-            let key = VersionKey::new(method, ContextFingerprint::of(&context[..depth]));
-            self.registry.best_surviving(key).filter(|&slot| fits(self.registry.version(slot)))
-        })
-    }
-
     /// OSR-out: leaves the top (optimized) frame's code through its exit
-    /// point at `opt_pc`. With [`VmConfig::deoptless`], a dispatched transfer
-    /// first tries the best surviving version for the live context (any
-    /// prefix, root key included, other than the exited version, with an
-    /// entry at the exit's baseline pc); a fall to baseline books its
-    /// [`OsrFallbackReason`]. Otherwise the frame lands in
-    /// [`Vm::deopt_target`]. A mapping failure (corrupt map) refuses the
-    /// transfer and keeps executing the optimized code — degraded, never
-    /// wrong.
+    /// point at `opt_pc` into [`Vm::deopt_target`]. A mapping failure
+    /// (corrupt map) refuses the transfer and keeps executing the optimized
+    /// code — degraded, never wrong.
     fn osr_exit(&mut self, opt_pc: u32) -> Result<(), VmError> {
         let frame = self
             .stack
             .last()
             .ok_or(VmError::NoActiveFrame { context: "deoptimizing a frame" })?;
-        let rearmed = frame.transferred;
         let version = self.registry.version(frame.code);
-        let (method, from) = (version.method, version.version_id);
-        let pivot_pc = version
-            .osr_map
-            .exit_at_opt(opt_pc)
-            .ok_or(VmError::PcOutOfRange { method, pc: opt_pc as usize })?
-            .baseline_pc;
-        if self.exec.config.deoptless {
-            let fits = |v: &MethodVersion| {
-                v.version_id != from && v.osr_map.entry_at_baseline(pivot_pc).is_some()
-            };
-            let reason = if rearmed {
-                OsrFallbackReason::Rearmed
-            } else {
-                match self.surviving_version(method, 0, fits) {
-                    None => OsrFallbackReason::NoVersion,
-                    Some(to) => match self.transfer(Some(opt_pc), to, true) {
-                        Some(to_pc) => {
-                            self.exec.counters.dispatched_transfers += 1;
-                            let to_version = self.registry.version(to).version_id.raw();
-                            self.emit(TraceEvent::OsrTransfer {
-                                method,
-                                opt_pc: to_pc,
-                                from_version: from.raw(),
-                                to_version,
-                            });
-                            return Ok(());
-                        }
-                        None => OsrFallbackReason::IncompatibleFrame,
-                    },
-                }
-            };
-            let counters = &mut self.exec.counters;
-            *match reason {
-                OsrFallbackReason::NoVersion => &mut counters.falls_no_version,
-                OsrFallbackReason::IncompatibleFrame => &mut counters.falls_incompatible,
-                OsrFallbackReason::Rearmed => &mut counters.falls_rearmed,
-            } += 1;
-            self.emit(TraceEvent::OsrFallback { method, reason });
+        let method = version.method;
+        if version.osr_map.exit_at_opt(opt_pc).is_none() {
+            return Err(VmError::PcOutOfRange { method, pc: opt_pc as usize });
         }
         let baseline = self.deopt_target(method);
-        if self.transfer(Some(opt_pc), baseline, false).is_some() {
+        if self.transfer(Some(opt_pc), baseline).is_some() {
             self.exec.counters.osr_exits += 1;
             self.emit(TraceEvent::OsrExit { method, opt_pc });
         } else {
@@ -783,14 +660,11 @@ impl<'p> Vm<'p> {
     }
 
     /// OSR-in: transfers the top frame — a *baseline* activation parked
-    /// exactly on `loop_header` — into optimized code of its method through
-    /// that code's OSR entry point for the header. The VM picks the code:
-    /// with [`VmConfig::deoptless`], the best surviving version specialized
-    /// for the activation's live calling context (prefixes of at least one
-    /// caller; the root key is the installed version's business), else the
-    /// method's installed optimized version. Returns `true` on transfer;
-    /// returns `false` (leaving the activation untouched, to continue at
-    /// baseline) when the preconditions do not hold, no such version has an
+    /// exactly on `loop_header` — into its method's installed optimized
+    /// version, through that version's OSR entry point for the header.
+    /// Returns `true` on transfer; returns
+    /// `false` (leaving the activation untouched, to continue at baseline)
+    /// when the preconditions do not hold, the installed version has no
     /// entry at the header, or the map refuses — promotion is an
     /// optimization, never an obligation.
     pub fn osr_enter(&mut self, loop_header: u32) -> bool {
@@ -803,19 +677,12 @@ impl<'p> Vm<'p> {
         {
             return false;
         }
-        let fits = |v: &MethodVersion| v.osr_map.entry_at_baseline(loop_header).is_some();
-        let survivor = if self.exec.config.deoptless {
-            self.surviving_version(method, 1, fits)
-        } else {
-            None
-        };
         let installed = self
             .registry
             .current_slot(method)
             .filter(|&slot| self.registry.version(slot).level == OptLevel::Optimized);
-        let entered = survivor.is_some_and(|to| self.transfer(None, to, false).is_some())
-            || installed.is_some_and(|to| self.transfer(None, to, false).is_some());
-        if !entered {
+        let Some(to) = installed else { return false };
+        if self.transfer(None, to).is_none() {
             return false;
         }
         self.exec.counters.osr_entries += 1;

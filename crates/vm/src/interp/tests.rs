@@ -642,221 +642,6 @@ fn osr_out_resizes_the_top_window_above_a_suspended_caller() {
     }
 }
 
-/// A version of the resize fixture's `looper` for the dispatched-transfer
-/// tests: the same loop over 5 registers, header at pc 3, entered and left
-/// through `point`. r4 is a scratch register no map writes; with `guard`, a
-/// class guard on it — `Null`, so it misses on every iteration — opens the
-/// loop body.
-fn survivor(looper: aoci_ir::MethodId, guard: bool, point: crate::OsrPoint) -> MethodVersion {
-    let (n, i, sum, one, scratch) = (Reg(0), Reg(1), Reg(2), Reg(3), Reg(4));
-    let ret = if guard { 8 } else { 7 };
-    let mut body = vec![
-        Instr::Const { dst: i, value: 0 },
-        Instr::Const { dst: sum, value: 0 },
-        Instr::Const { dst: one, value: 1 },
-        Instr::Branch { cond: Cond::Ge, lhs: i, rhs: n, target: ret },
-    ];
-    if guard {
-        let class = aoci_ir::ClassId::from_index(0);
-        body.push(Instr::GuardClass { recv: scratch, class, else_target: 5 });
-    }
-    body.extend([
-        Instr::Bin { op: BinOp::Add, dst: sum, lhs: sum, rhs: i },
-        Instr::Bin { op: BinOp::Add, dst: i, lhs: i, rhs: one },
-        Instr::Jump { target: 3 },
-        Instr::Return { src: Some(sum) },
-    ]);
-    MethodVersion {
-        method: looper,
-        level: OptLevel::Optimized,
-        inline_map: crate::InlineMap::baseline(looper, body.len()),
-        body,
-        arg_pool: Vec::new().into(),
-        num_regs: 5,
-        code_size: 9,
-        version_id: crate::VersionId::default(),
-        osr_map: crate::OsrMap::new(vec![point]).expect("one point"),
-    }
-}
-
-/// A deoptless VM on the resize fixture: `survivor`, if any, installed
-/// first under `looper`'s live context `[main@0]`, then the 7-register
-/// version `current` under the root key, so that the survivor is retained
-/// beside it. Returns the VM and the survivor's id.
-fn deoptless_vm<'p>(
-    p: &'p aoci_ir::Program,
-    current: &MethodVersion,
-    survivor: Option<MethodVersion>,
-) -> (Vm<'p>, Option<crate::VersionId>) {
-    let config = VmConfig { osr_enabled: true, deoptless: true, ..VmConfig::default() };
-    let cost = CostModel { sample_period: 0, ..CostModel::default() };
-    let mut vm = Vm::with_config(p, cost, config);
-    let context = ContextFingerprint::of(&[CallSiteRef::new(p.entry(), SiteIdx(0))]);
-    let id = survivor.map(|v| vm.registry_mut().install_keyed(v, context).version_id);
-    vm.registry_mut().install(current.clone());
-    (vm, id)
-}
-
-/// Runs `vm` in slices of one instruction (`stepped`) or 50 cycles until
-/// `done` holds; the program must not finish first.
-fn run_until(vm: &mut Vm<'_>, stepped: bool, done: impl Fn(&Vm<'_>) -> bool) {
-    let slice = if stepped { 1 } else { 50 };
-    while !done(vm) {
-        assert!(!matches!(vm.run(slice).expect("no fault"), RunOutcome::Finished(_)));
-    }
-}
-
-/// Runs the fixture's `looper` a few iterations deep into its optimized
-/// version, checks the live context and the window, then invalidates that
-/// version, so that the next back-edge exits it. Returns the suspended
-/// caller's window.
-fn invalidate_mid_loop(vm: &mut Vm<'_>, looper: aoci_ir::MethodId, stepped: bool) -> Vec<Value> {
-    run_until(vm, stepped, |vm| {
-        vm.stack_depth() == 2 && vm.clock().component(Component::AppOptimized) >= 200
-    });
-    let main = vm.program().entry();
-    assert_eq!(vm.osr_context(), vec![CallSiteRef::new(main, SiteIdx(0))], "stepped={stepped}");
-    assert_eq!(vm.regs.len(), 3 + 7, "stepped={stepped}");
-    assert!(vm.registry_mut().invalidate(looper), "stepped={stepped}");
-    vm.regs[..3].to_vec()
-}
-
-/// The version the top activation runs.
-fn top<'v>(vm: &'v Vm<'_>) -> &'v MethodVersion {
-    vm.registry.version(vm.stack.last().expect("a frame").code)
-}
-
-/// A dispatched transfer out of the invalidated 7-register version into a
-/// 5-register survivor narrows the top window where it sits; the suspended
-/// caller's window beneath it is untouched, and the exit map and the entry
-/// map are both charged.
-#[test]
-fn dispatched_transfer_resizes_the_top_window_above_a_suspended_caller() {
-    let (p, looper, version, expect) = osr_resize_fixture();
-    for stepped in [false, true] {
-        let point = crate::OsrPoint::identity(3, 3, 4);
-        let (mut vm, to) = deoptless_vm(&p, &version, Some(survivor(looper, false, point)));
-        let caller = invalidate_mid_loop(&mut vm, looper, stepped);
-        run_until(&mut vm, stepped, |vm| vm.counters().dispatched_transfers == 1);
-        assert_eq!(vm.regs.len(), 3 + 5, "stepped={stepped}: the top window shrank in place");
-        assert_eq!(&vm.regs[..3], &caller[..], "stepped={stepped}: caller window untouched");
-        assert_eq!(Some(top(&vm).version_id), to, "stepped={stepped}: landed in the survivor");
-        let osr = vm.cost_model().osr_transfer_cost(4 + 4);
-        assert_eq!(vm.clock().component(Component::Osr), osr, "stepped={stepped}");
-        let v = complete(&mut vm, stepped).expect("no fault");
-        assert_eq!(v.and_then(Value::as_int), Some(expect), "stepped={stepped}");
-        let counters = vm.counters();
-        assert_eq!(counters.osr_exits, 0, "stepped={stepped}: a transfer is not an exit");
-        assert_eq!(
-            (counters.falls_no_version, counters.falls_incompatible, counters.falls_rearmed),
-            (0, 0, 0),
-            "stepped={stepped}"
-        );
-        assert!(vm.regs.is_empty(), "stepped={stepped}");
-    }
-}
-
-/// With deoptless dispatch, OSR-in enters the survivor keyed by the live
-/// context rather than the installed root-keyed version: the VM, not the
-/// caller, picks the code.
-#[test]
-fn osr_in_prefers_the_survivor_for_the_live_context() {
-    let (p, looper, version, expect) = osr_resize_fixture();
-    for stepped in [false, true] {
-        let config = VmConfig {
-            osr_enabled: true,
-            osr_backedge_threshold: 16,
-            deoptless: true,
-            ..VmConfig::default()
-        };
-        let cost = CostModel { sample_period: 0, ..CostModel::default() };
-        let mut vm = Vm::with_config(&p, cost, config);
-        let req = loop {
-            match vm.run(budget(stepped)).expect("no fault") {
-                RunOutcome::OsrRequest(req) => break req,
-                RunOutcome::Finished(_) => panic!("stepped={stepped}: the loop never got hot"),
-                _ => {}
-            }
-        };
-        let context = ContextFingerprint::of(&vm.osr_context());
-        let point = crate::OsrPoint::identity(3, 3, 4);
-        let registry = vm.registry_mut();
-        let to = registry.install_keyed(survivor(looper, false, point), context).version_id;
-        registry.install(version.clone());
-        assert!(vm.osr_enter(req.loop_header), "stepped={stepped}");
-        assert_eq!(top(&vm).version_id, to, "stepped={stepped}: entered the survivor");
-        assert_eq!(vm.regs.len(), 3 + 5, "stepped={stepped}");
-        let v = complete(&mut vm, stepped).expect("no fault");
-        assert_eq!(v.and_then(Value::as_int), Some(expect), "stepped={stepped}");
-        assert_eq!(vm.counters().osr_entries, 1, "stepped={stepped}");
-    }
-}
-
-/// Lands the exiting activation in baseline after a fall for `reason`:
-/// checks the fall counter, the baseline landing (a 4-register window above
-/// the untouched caller), the OSR cycles `osr` charged by then, and the
-/// program's result.
-fn assert_falls_to_baseline(
-    survivor: Option<MethodVersion>,
-    reason: OsrFallbackReason,
-    osr: impl Fn(&CostModel) -> u64,
-) {
-    let (p, looper, version, expect) = osr_resize_fixture();
-    let falls = |c: ExecCounters| match reason {
-        OsrFallbackReason::NoVersion => c.falls_no_version,
-        OsrFallbackReason::IncompatibleFrame => c.falls_incompatible,
-        OsrFallbackReason::Rearmed => c.falls_rearmed,
-    };
-    for stepped in [false, true] {
-        let (mut vm, _) = deoptless_vm(&p, &version, survivor.clone());
-        let caller = invalidate_mid_loop(&mut vm, looper, stepped);
-        run_until(&mut vm, stepped, |vm| falls(vm.counters()) == 1);
-        assert_eq!(vm.counters().osr_exits, 1, "stepped={stepped} {reason:?}");
-        assert_eq!(top(&vm).level, OptLevel::Baseline, "stepped={stepped} {reason:?}");
-        assert_eq!(vm.regs.len(), 3 + 4, "stepped={stepped} {reason:?}: a baseline window");
-        assert_eq!(&vm.regs[..3], &caller[..], "stepped={stepped} {reason:?}");
-        let charged = vm.clock().component(Component::Osr);
-        assert_eq!(charged, osr(vm.cost_model()), "stepped={stepped} {reason:?}");
-        let v = complete(&mut vm, stepped).expect("no fault");
-        assert_eq!(v.and_then(Value::as_int), Some(expect), "stepped={stepped} {reason:?}");
-        let counters = vm.counters();
-        let all_falls =
-            counters.falls_no_version + counters.falls_incompatible + counters.falls_rearmed;
-        assert_eq!(all_falls, 1, "stepped={stepped} {reason:?}: one fall, of this reason");
-    }
-}
-
-/// No survivor at all: the exit falls to baseline, charged for its exit map
-/// alone.
-#[test]
-fn dispatched_exit_without_a_survivor_falls_to_baseline() {
-    assert_falls_to_baseline(None, OsrFallbackReason::NoVersion, |c| c.osr_transfer_cost(4));
-}
-
-/// A survivor whose entry map needs registers the pivot does not have: the
-/// refused transfer leaves the frame and the clock untouched, and the exit
-/// lands in baseline, charged for its exit map alone.
-#[test]
-fn dispatched_exit_into_an_incompatible_survivor_falls_to_baseline() {
-    let looper = osr_resize_fixture().1;
-    let refusing = survivor(looper, false, crate::OsrPoint::identity(3, 3, 6));
-    assert_falls_to_baseline(Some(refusing), OsrFallbackReason::IncompatibleFrame, |c| {
-        c.osr_transfer_cost(4)
-    });
-}
-
-/// A transferred activation whose guards then thrash re-arms: the second
-/// exit does not dispatch again but lands in baseline. Charged: the
-/// dispatched transfer's two maps, then the survivor's exit map.
-#[test]
-fn a_rearmed_transferred_activation_falls_to_baseline() {
-    let looper = osr_resize_fixture().1;
-    let thrashing = survivor(looper, true, crate::OsrPoint::identity(3, 3, 4));
-    assert_falls_to_baseline(Some(thrashing), OsrFallbackReason::Rearmed, |c| {
-        c.osr_transfer_cost(4 + 4) + c.osr_transfer_cost(4)
-    });
-}
-
 #[test]
 fn baseline_compilation_charged_once_per_method() {
     let mut b = ProgramBuilder::new();

@@ -67,6 +67,6 @@ pub use error::VmError;
 pub use heap::{Heap, ObjRef};
 pub use interp::{ExecCounters, MethodGuardStats, OsrRequest, RunOutcome, Vm, VmConfig};
 pub use osr::{OsrError, OsrMap, OsrPoint, OsrSlot};
-pub use registry::{CodeRegistry, ContextFingerprint, VersionId, VersionKey};
+pub use registry::{CodeRegistry, VersionId};
 pub use stack::{SourceFrame, StackSnapshot};
 pub use value::Value;

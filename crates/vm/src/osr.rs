@@ -7,7 +7,7 @@
 //! a loop-dominated `main`, say — would never benefit from (or escape)
 //! optimized code. OSR closes that gap in both directions, following the
 //! standard treatment of "On-Stack Replacement à la Carte" (D'Elia &
-//! Demetrescu) and "Deoptless" (Flückiger et al.):
+//! Demetrescu):
 //!
 //! * **OSR-in (promotion)**: a baseline activation that trips a loop
 //!   back-edge counter transfers mid-loop into freshly optimized code.

@@ -7,10 +7,9 @@
 //! OSR events with OSR off — optimization, on-stack replacement,
 //! background compilation and recovery never change semantics.
 //!
-//! The fault seed comes from `AOCI_ORACLE_SEED` (default 1), and
-//! `AOCI_DEOPTLESS=1` reruns every OSR-on cell with dispatched OSR; both
-//! arrive through the unified [`EnvConfig`], and a workload's policies fan
-//! out across the `AOCI_JOBS` pool. The full 3-policy cross on all eight
+//! The fault seed comes from `AOCI_ORACLE_SEED` (default 1) through the
+//! unified [`EnvConfig`], and a workload's policies fan out across the
+//! `AOCI_JOBS` pool. The full 3-policy cross on all eight
 //! workloads costs minutes in debug, so only the cheapest workload gets
 //! every policy; the rest rotate through single policies such that the
 //! suite as a whole covers each several times.
@@ -32,20 +31,19 @@ fn small(name: &str) -> WorkloadSpec {
 
 /// Runs `program` through the oracle under each of `policies`, one pool
 /// job per policy, and asserts that no cell found anything.
-fn check(name: &str, program: &aoci_ir::Program, policies: &[PolicyKind], deoptless: bool) {
+fn check(name: &str, program: &aoci_ir::Program, policies: &[PolicyKind]) {
     let env = EnvConfig::from_env();
-    let opts = RunOpts { deoptless: deoptless || env.deoptless, ..RunOpts::default() };
     let findings = env
         .pool()
         .map(policies.to_vec(), |&policy| {
-            oracle::run_program(name, program, policy, env.oracle_seed, opts)
+            oracle::run_program(name, program, policy, env.oracle_seed, RunOpts::default())
         })
         .concat();
     assert!(findings.is_empty(), "seed {}: {findings:#?}", env.oracle_seed);
 }
 
 fn check_workload(name: &str, policies: &[PolicyKind]) {
-    check(name, &build(&small(name)).program, policies, false);
+    check(name, &build(&small(name)).program, policies);
 }
 
 #[test]
@@ -88,18 +86,10 @@ fn oracle_jbb() {
     check_workload("jbb", &[PolicyKind::Fixed { max: 3 }]);
 }
 
-/// The deoptless axis, unconditionally on: every OSR-on cell runs with
-/// dispatched OSR and context-specialized version retention, so the axis
-/// is covered even when `AOCI_DEOPTLESS` is unset.
-#[test]
-fn oracle_deoptless_dispatched_osr() {
-    check("compress", &build(&small("compress")).program, &ALL_POLICIES, true);
-}
-
 /// The Figure 1 motivating example through the same oracle.
 #[test]
 fn oracle_hashmap_motivation() {
-    check("hashmap", &aoci_workloads::hashmap_test(600), &[PolicyKind::Fixed { max: 3 }], false);
+    check("hashmap", &aoci_workloads::hashmap_test(600), &[PolicyKind::Fixed { max: 3 }]);
 }
 
 /// The flight recorder's own determinism, which the matrix does not reach:

@@ -143,3 +143,26 @@ fn early_termination_reduces_walked_frames() {
         "hybrid2 must terminate walks early: {hybrid} vs fixed {fixed}"
     );
 }
+
+/// One compiled version per method serves every caller, so the repo
+/// benchmark's `features_on` configuration, which still calls
+/// `enable_deoptless`, runs jack exactly as it does without that call. Two
+/// iterations is the shortest jack run on which compiles specialized for
+/// one caller changed the report.
+#[test]
+fn enable_deoptless_changes_no_report() {
+    let mut spec = spec_by_name("jack").expect("suite workload");
+    spec.iterations = 2;
+    let w = build(&spec);
+    let run = |config: AosConfig| {
+        let config = config
+            .enable_async_compile()
+            .enable_trace()
+            .enable_metrics()
+            .enable_guard_monitoring();
+        let report = AosSystem::new(&w.program, config).run().expect("jack runs");
+        aoci_json::to_string_pretty(&report.to_value())
+    };
+    let features = AosConfig::new(PolicyKind::ParameterlessClass { max: 3 }).enable_osr();
+    assert_eq!(run(features.clone().enable_deoptless()), run(features));
+}

@@ -396,7 +396,6 @@ fn osr_in_crosses_fused_superinstruction_boundary() {
             guard_misses: 2_744,
             osr_entries: 2,
             osr_exits: 1,
-            ..ExecCounters::default()
         }
     );
     let osr = OsrEvents { requests: 2, entries: 2, exits: 1, ..OsrEvents::default() };
@@ -456,7 +455,6 @@ fn osr_out_lands_on_fused_boundary() {
             guard_misses: 48,
             osr_entries: 0,
             osr_exits: 1,
-            ..ExecCounters::default()
         }
     );
     assert_eq!(report.osr, OsrEvents { exits: 1, ..OsrEvents::default() });

@@ -117,7 +117,6 @@ fn metered_exports_match_the_parent_commit() {
     let w = build(&small("compress"));
     let config = AosConfig::new(PolicyKind::ParameterlessClass { max: 3 })
         .enable_osr()
-        .enable_deoptless()
         .enable_async_compile()
         .enable_faults(FaultConfig::chaos(42))
         .enable_metrics();
@@ -134,17 +133,16 @@ fn metered_exports_match_the_parent_commit() {
 }
 
 /// The series' footprint, on the largest run the repo benchmark meters: the
-/// javac suite program under `features_on`'s configuration (OSR, deoptless,
-/// async compile, the flight recorder, metrics and guard monitoring). Its
-/// rows are stored as coded differences from the previous row: 1.25 bytes a
-/// cell (234 200 bytes for 188 163 cells over 3 423 epochs), where a `u64`
-/// cell took 8.
+/// javac suite program under `features_on`'s configuration (OSR, async
+/// compile, the flight recorder, metrics and guard monitoring). Its rows are
+/// stored as coded differences from the previous row: 1.25 bytes a cell
+/// (234 057 bytes for 187 993 cells over 3 423 epochs), where a `u64` cell
+/// took 8.
 #[test]
 fn the_javac_series_stays_within_two_bytes_a_cell() {
     let w = build(&spec_by_name("javac").expect("suite workload"));
     let config = AosConfig::new(PolicyKind::ParameterlessClass { max: 3 })
         .enable_osr()
-        .enable_deoptless()
         .enable_async_compile()
         .enable_trace()
         .enable_metrics()
