@@ -3,6 +3,7 @@
 //! benchmark and maximum sensitivity, plus the harmonic-mean-style average.
 
 use aoci_bench::grid::max_levels;
+use aoci_bench::metrics::CURRENT_CODE;
 use aoci_bench::{load_or_run_grid_with, EnvConfig};
 use aoci_bench::{
     code_delta_pct, fmt_pct, policy_label, render_table, POLICY_GROUPS,
@@ -57,12 +58,12 @@ fn main() {
     let mut rows = Vec::new();
     for spec in &specs {
         let cins = grid.get(spec.name, "cins").expect("baseline");
-        let mut row = vec![spec.name.to_string(), format!("{:.0}", cins.current_code)];
+        let mut row = vec![spec.name.to_string(), format!("{:.0}", cins.mean(CURRENT_CODE))];
         for max in max_levels(env.quick) {
             let m = grid
                 .get(spec.name, &format!("fixed/{max}"))
                 .expect("policy");
-            row.push(fmt_pct((m.current_code / cins.current_code - 1.0) * 100.0));
+            row.push(fmt_pct((m.mean(CURRENT_CODE) / cins.mean(CURRENT_CODE) - 1.0) * 100.0));
         }
         rows.push(row);
     }

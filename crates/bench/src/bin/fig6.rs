@@ -5,7 +5,7 @@
 
 use aoci_bench::grid::max_levels;
 use aoci_bench::{load_or_run_grid_with, EnvConfig};
-use aoci_bench::{policy_label, render_table, RunMetrics, POLICY_GROUPS};
+use aoci_bench::{policy_label, render_table, Cell, POLICY_GROUPS};
 use aoci_vm::Component;
 use aoci_workloads::suite;
 
@@ -23,7 +23,7 @@ const ROWS: [(&str, &[Component]); 6] = [
     ("ControllerThread", &[Component::ControllerThread]),
 ];
 
-fn mean_fraction(ms: &[&RunMetrics], components: &[Component]) -> f64 {
+fn mean_fraction(ms: &[Cell], components: &[Component]) -> f64 {
     ms.iter()
         .map(|m| components.iter().map(|&c| m.fraction(c)).sum::<f64>())
         .sum::<f64>()
@@ -36,8 +36,8 @@ fn main() {
     let specs = suite();
     // Paper's x-axis: cins, then each policy at max 2..4 (we include every
     // measured level).
-    let mut columns: Vec<(String, Vec<&RunMetrics>)> = Vec::new();
-    let gather = |label: &str| -> Vec<&RunMetrics> {
+    let mut columns: Vec<(String, Vec<Cell>)> = Vec::new();
+    let gather = |label: &str| -> Vec<Cell> {
         specs
             .iter()
             .map(|s| grid.get(s.name, label).expect("entry present"))

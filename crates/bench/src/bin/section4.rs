@@ -7,6 +7,7 @@
 //! method; roughly half the time four or more edges precede the first
 //! large method.
 
+use aoci_bench::metrics::TRACE_STATS;
 use aoci_bench::{load_or_run_grid, render_table};
 use aoci_workloads::suite;
 
@@ -19,12 +20,7 @@ fn main() {
         // The stack-shape statistics do not depend on the policy (the
         // collector sees the full snapshot); use the baseline run.
         let m = grid.get(spec.name, "cins").expect("baseline present");
-        let vals = [
-            m.stats_immediately_parameterless,
-            m.stats_parameterless_within_5,
-            m.stats_class_within_2,
-            m.stats_large_at_or_beyond_4,
-        ];
+        let vals = TRACE_STATS.map(|col| m.first(col));
         for (s, v) in sums.iter_mut().zip(vals) {
             *s += v;
         }

@@ -5,7 +5,7 @@
 //! compile time and code space were 33.0% and 56.7%.
 
 use aoci_bench::grid::max_levels;
-use aoci_bench::metrics::compile_delta_pct;
+use aoci_bench::metrics::{compile_delta_pct, RECOVERY};
 use aoci_bench::{
     code_delta_pct, load_or_run_grid_with, policy_label, render_table, speedup_pct, EnvConfig,
     POLICY_GROUPS,
@@ -35,10 +35,7 @@ fn main() {
                 let s = speedup_pct(cins, m);
                 let c = code_delta_pct(cins, m);
                 let t = compile_delta_pct(cins, m);
-                recovery_actions += m.recovery_invalidations
-                    + m.recovery_retries
-                    + m.recovery_quarantined
-                    + m.recovery_rejected_traces;
+                recovery_actions += RECOVERY.map(|col| m.mean(col)).iter().sum::<f64>();
                 speedups.push(s);
                 code_deltas.push(c);
                 compile_deltas.push(t);

@@ -1,70 +1,110 @@
-//! The shared (workload × policy) measurement grid with JSON caching and
-//! a deterministic parallel sweep.
+//! The shared (workload × policy × rep) measurement grid with JSON caching
+//! and a deterministic parallel sweep.
 //!
 //! The sweep materializes the (workload × policy × rep) matrix as a
 //! [`SweepJob`] list in **canonical order** (suite order, then policy
 //! roster order, then repetition index), runs it across the fixed-worker
-//! [`JobPool`](aoci_core::JobPool), and merges results back by walking the
-//! job list in that same canonical order. Each job is a pure function of its
-//! descriptor (see [`run_rep`]), the pool returns results in job-list order
-//! regardless of scheduling, and [`GridStore`] is a
-//! `BTreeMap` keyed by `"workload::policy"` — three layers of ordering
-//! that together make `results/grid.json` byte-identical for any
-//! `AOCI_JOBS` value (asserted by `tests/parallel_determinism.rs`).
+//! [`JobPool`](aoci_core::JobPool), and appends each job's [`Row`] to its
+//! cell in that same order. Each job is a pure function of its descriptor
+//! (see [`run_rep`]), the pool returns results in job-list order regardless
+//! of scheduling, and [`GridStore`] keeps its cells in a `BTreeMap` — three
+//! layers of ordering that together make `results/grid.json`
+//! byte-identical for any `AOCI_JOBS` value (asserted by
+//! `tests/parallel_determinism.rs`). The grid stores no aggregate: the
+//! figures fold each [`Cell`] when they render.
 
 use crate::env::EnvConfig;
-use crate::metrics::{aggregate, policy_label, run_rep, RunMetrics, POLICY_GROUPS};
+use crate::metrics::{
+    columns, policy_label, row_of, run_rep, Cell, Row, POLICY_GROUPS, RESULT, WIDTH,
+};
 use aoci_core::{PolicyKind, SweepStats};
 use aoci_json::Value;
 use aoci_workloads::{build, suite, WorkloadSpec};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-/// A `(workload, policy-label)` key into the grid.
-pub type GridKey = (String, String);
-
-/// The cached measurement grid.
+/// The cached measurement grid: one [`Row`] per repetition, and the sweep
+/// flags the rows were measured under.
 #[derive(Debug, Default)]
 pub struct GridStore {
-    /// Keyed as `"workload::policy"`.
-    pub entries: BTreeMap<String, RunMetrics>,
+    /// Whether the rows were measured with OSR on (`AOCI_OSR`).
+    pub osr: bool,
+    /// Whether the rows were measured with background compilation
+    /// (`AOCI_ASYNC`).
+    pub async_compile: bool,
+    /// Each (workload, policy label) cell's rows, indexed by rep.
+    cells: BTreeMap<(String, String), Vec<Row>>,
 }
 
 impl GridStore {
-    fn key(workload: &str, policy: &str) -> String {
-        format!("{workload}::{policy}")
-    }
-
-    /// Serializes the grid as a JSON document.
+    /// Serializes the grid as a JSON document: the column names once, then
+    /// one `[workload, policy, rep, values…]` row per line (an absent
+    /// program result is `null`).
     pub fn to_json(&self) -> String {
-        let entries = self
-            .entries
-            .iter()
-            .map(|(k, m)| (k.clone(), m.to_value()))
-            .collect::<BTreeMap<_, _>>();
-        let doc = Value::obj([("entries".to_string(), Value::Obj(entries))]);
-        aoci_json::to_string_pretty(&doc)
+        let names = Value::Arr(columns().into_iter().map(Value::from).collect());
+        let mut out = format!(
+            "{{\n  \"async_compile\": {},\n  \"columns\": {},\n  \"osr\": {},\n  \"rows\": [",
+            self.async_compile,
+            aoci_json::to_string(&names),
+            self.osr
+        );
+        let mut sep = "\n    ";
+        for ((workload, policy), rows) in &self.cells {
+            for (rep, row) in rows.iter().enumerate() {
+                let key = [workload.as_str(), policy.as_str()].map(Value::from);
+                let values = row.iter().map(|&v| Value::from(v));
+                let cells = key.into_iter().chain([Value::from(rep as u64)]).chain(values);
+                out.push_str(sep);
+                out.push_str(&aoci_json::to_string(&Value::Arr(cells.collect())));
+                sep = ",\n    ";
+            }
+        }
+        out.push_str("\n  ]\n}");
+        out
     }
 
-    /// Deserializes a grid; `None` for malformed documents.
+    /// Deserializes a grid; `None` for a malformed document, a column list
+    /// other than this build's, a row of the wrong width, or a cell whose
+    /// reps are not `0, 1, …` in order.
     pub fn from_json(s: &str) -> Option<GridStore> {
         let doc = aoci_json::parse(s).ok()?;
-        let mut entries = BTreeMap::new();
-        for (k, v) in doc.get("entries")?.as_obj()? {
-            entries.insert(k.clone(), RunMetrics::from_value(v)?);
+        let names = doc.get("columns")?.as_arr()?;
+        if !names.iter().map(Value::as_str).eq(columns().into_iter().map(Some)) {
+            return None;
         }
-        Some(GridStore { entries })
+        let mut store = GridStore {
+            osr: doc.get("osr")?.as_bool()?,
+            async_compile: doc.get("async_compile")?.as_bool()?,
+            cells: BTreeMap::new(),
+        };
+        for row in doc.get("rows")?.as_arr()? {
+            let [workload, policy, rep, values @ ..] = row.as_arr()? else {
+                return None;
+            };
+            if values.len() != WIDTH {
+                return None;
+            }
+            let key = (workload.as_str()?.to_string(), policy.as_str()?.to_string());
+            let rows = store.cells.entry(key).or_default();
+            if rep.as_u64()? != rows.len() as u64 {
+                return None;
+            }
+            let mut row = [0.0; WIDTH];
+            for (slot, v) in row.iter_mut().zip(values) {
+                *slot = match v {
+                    Value::Null => f64::NAN,
+                    v => v.as_f64()?,
+                };
+            }
+            rows.push(row);
+        }
+        Some(store)
     }
 
-    /// Fetches an entry.
-    pub fn get(&self, workload: &str, policy: &str) -> Option<&RunMetrics> {
-        self.entries.get(&Self::key(workload, policy))
-    }
-
-    /// Inserts an entry.
-    pub fn insert(&mut self, m: RunMetrics) {
-        self.entries
-            .insert(Self::key(&m.workload, &m.policy), m);
+    /// The cell of `(workload, policy)`: every rep the store holds.
+    pub fn get(&self, workload: &str, policy: &str) -> Option<Cell<'_>> {
+        let rows = self.cells.get(&(workload.to_string(), policy.to_string()))?;
+        Some(Cell(rows))
     }
 }
 
@@ -127,22 +167,33 @@ pub fn job_list(cells: &[(usize, usize)], reps: usize) -> Vec<SweepJob> {
     jobs
 }
 
-/// Measures every (spec × policy) cell missing from `store`, running the
-/// (cell × rep) job list across the `env.jobs`-worker pool, and merges the
-/// aggregates in canonical order. Returns the sweep timing, or `None` if
-/// nothing was missing. The resulting store contents are byte-identical
-/// for any worker count.
+/// Measures every rep missing from `store` over the (spec × policy) cells,
+/// running the missing (cell × rep) jobs across the `env.jobs`-worker pool,
+/// and appends their rows in canonical order. A cell is cached only when it
+/// holds reps `0..env.reps` (any beyond are dropped), and a store measured
+/// under other sweep flags (`osr`, `async_compile`) is measured afresh.
+/// Returns the sweep timing, or `None` if nothing was missing. The
+/// resulting store contents are byte-identical for any worker count.
 pub fn sweep_into(
     store: &mut GridStore,
     specs: &[WorkloadSpec],
     policies: &[PolicyKind],
     env: &EnvConfig,
 ) -> Option<SweepStats> {
+    if (store.osr, store.async_compile) != (env.osr, env.async_compile) {
+        let (osr, async_compile) = (env.osr, env.async_compile);
+        *store = GridStore { osr, async_compile, ..GridStore::default() };
+    }
     let mut cells: Vec<(usize, usize)> = Vec::new();
+    let mut have: Vec<usize> = Vec::new();
     for (wi, spec) in specs.iter().enumerate() {
         for (pi, &policy) in policies.iter().enumerate() {
-            if store.get(spec.name, &policy_label(policy)).is_none() {
+            let key = (spec.name.to_string(), policy_label(policy));
+            let rows = store.cells.entry(key).or_default();
+            rows.truncate(env.reps);
+            if rows.len() < env.reps {
                 cells.push((wi, pi));
+                have.push(rows.len());
             }
         }
     }
@@ -160,9 +211,14 @@ pub fn sweep_into(
         .map(|wi| (wi, build(&specs[wi])))
         .collect();
 
-    let jobs = job_list(&cells, env.reps);
+    let jobs: Vec<SweepJob> = job_list(&cells, env.reps)
+        .into_iter()
+        .enumerate()
+        .filter(|(i, job)| job.rep >= have[i / env.reps])
+        .map(|(_, job)| job)
+        .collect();
     let total = jobs.len();
-    let (results, stats) = env.pool().run(jobs, |job| {
+    let (results, stats) = env.pool().run(jobs.clone(), |job| {
         let spec = &specs[job.workload];
         let policy = policies[job.policy];
         eprintln!(
@@ -172,17 +228,21 @@ pub fn sweep_into(
             job.rep,
             total
         );
-        run_rep(&workloads[&job.workload].program, spec.name, policy, job.rep, env)
+        row_of(&run_rep(&workloads[&job.workload].program, spec.name, policy, job.rep, env))
     });
 
-    // Merge in canonical cell order: results arrive in job-list order, so
-    // each cell's repetitions are one contiguous rep-ordered chunk.
-    for (ci, &(wi, pi)) in cells.iter().enumerate() {
-        let reports: Vec<_> = results[ci * env.reps..(ci + 1) * env.reps]
-            .iter()
-            .map(|r| r.output.clone())
-            .collect();
-        store.insert(aggregate(specs[wi].name, policies[pi], &reports));
+    // Results arrive in job-list order: each cell's missing reps in rep
+    // order, right after the reps it already holds.
+    for (job, result) in jobs.iter().zip(results) {
+        let key = (specs[job.workload].name.to_string(), policy_label(policies[job.policy]));
+        let rows = store.cells.get_mut(&key).expect("every swept cell has an entry");
+        if let Some(first) = rows.first() {
+            assert!(
+                first[RESULT].total_cmp(&result.output[RESULT]).is_eq(),
+                "nondeterministic program result"
+            );
+        }
+        rows.push(result.output);
     }
     Some(stats)
 }
@@ -225,45 +285,47 @@ pub fn load_or_run_grid() -> GridStore {
 mod tests {
     use super::*;
 
+    /// A row a test can tell apart from its neighbours.
+    fn row(seed: f64) -> Row {
+        std::array::from_fn(|i| seed + i as f64 / 8.0)
+    }
+
     #[test]
     fn keys_round_trip() {
-        let mut s = GridStore::default();
-        let m = crate::metrics::RunMetrics {
-            workload: "w".into(),
-            policy: "fixed/3".into(),
-            total_cycles: 1,
-            cumulative_code: 1.0,
-            current_code: 1.0,
-            compile_cycles: 1.0,
-            opt_compilations: 1.0,
-            component_fracs: vec![],
-            samples: 0.0,
-            traces_recorded: 0.0,
-            frames_walked: 0.0,
-            guard_checks: 0.0,
-            guard_misses: 0.0,
-            virtual_dispatches: 0.0,
-            stats_immediately_parameterless: 0.0,
-            stats_parameterless_within_5: 0.0,
-            stats_class_within_2: 0.0,
-            stats_large_at_or_beyond_4: 0.0,
-            methods_compiled: 0,
-            result: None,
-            osr_requests: 0.0,
-            osr_denied: 0.0,
-            osr_entries: 0.0,
-            osr_exits: 0.0,
-            recovery_invalidations: 0.0,
-            recovery_retries: 0.0,
-            recovery_quarantined: 0.0,
-            recovery_rejected_traces: 0.0,
-        };
-        s.insert(m);
-        assert!(s.get("w", "fixed/3").is_some());
+        let mut s = GridStore { osr: true, ..GridStore::default() };
+        let mut result_absent = row(2.0);
+        result_absent[RESULT] = f64::NAN;
+        s.cells.insert(("w".into(), "fixed/3".into()), vec![row(1.0), result_absent]);
+        assert_eq!(s.get("w", "fixed/3").map(|c| c.0.len()), Some(2));
         assert!(s.get("w", "fixed/4").is_none());
         let json = s.to_json();
-        let back = GridStore::from_json(&json).unwrap();
-        assert!(back.get("w", "fixed/3").is_some());
+        let back = GridStore::from_json(&json).expect("round trip");
+        assert!(back.osr && !back.async_compile);
+        let bits = |store: &GridStore| -> Vec<u64> {
+            store.cells.values().flatten().flatten().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&back), bits(&s));
+        assert_eq!(back.to_json(), json);
+    }
+
+    /// A document is read only when its columns are this build's and every
+    /// row has their width; anything else is re-measured, not misread.
+    #[test]
+    fn doctored_documents_are_rejected() {
+        let mut s = GridStore::default();
+        s.cells.insert(("w".into(), "cins".into()), vec![row(1.0)]);
+        let json = s.to_json();
+        assert!(GridStore::from_json(&json).is_some());
+        let renamed = json.replacen("\"samples\"", "\"sample_count\"", 1);
+        assert!(GridStore::from_json(&renamed).is_none(), "a renamed column");
+        let reordered =
+            json.replacen("\"samples\",\"traces_recorded\"", "\"traces_recorded\",\"samples\"", 1);
+        assert!(GridStore::from_json(&reordered).is_none(), "reordered columns");
+        let short = json.replacen(",1.125,", ",", 1);
+        assert_ne!(short, json);
+        assert!(GridStore::from_json(&short).is_none(), "a row one value short");
+        let skipped = json.replacen("\"cins\",0,", "\"cins\",1,", 1);
+        assert!(GridStore::from_json(&skipped).is_none(), "a cell starting at rep 1");
     }
 
     #[test]

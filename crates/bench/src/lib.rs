@@ -16,9 +16,10 @@
 //! Runs are deterministic; to emulate the paper's best-of-20 protocol under
 //! timer non-determinism, each configuration is run `AOCI_REPS` times
 //! (default 3) with slightly perturbed sample periods and the median total
-//! time / mean code size are reported. Grid results are cached in
-//! `results/grid.json` so the figure binaries share one sweep; delete the
-//! file (or set `AOCI_RERUN=1`) to re-measure. `AOCI_QUICK=1` runs a
+//! time / mean code size are reported. `results/grid.json` caches one row
+//! per repetition, which the figure binaries fold when they render, so
+//! they share one sweep; delete the file (or set `AOCI_RERUN=1`) to
+//! re-measure. `AOCI_QUICK=1` runs a
 //! reduced grid for fast iteration.
 //!
 //! Sweeps run the (workload × policy × rep) matrix across a fixed-worker
@@ -34,11 +35,11 @@ pub mod table;
 
 pub use env::{EnvConfig, Knob, KNOBS};
 pub use grid::{
-    grid_path, job_list, load_or_run_grid, load_or_run_grid_with, sweep_into, GridKey,
-    GridStore, SweepJob,
+    grid_path, job_list, load_or_run_grid, load_or_run_grid_with, sweep_into, GridStore,
+    SweepJob,
 };
 pub use metrics::{
-    aggregate, code_delta_pct, harmonic_mean_speedup_pct, policy_label, run_config, run_one,
-    run_rep, speedup_pct, RunMetrics, POLICY_GROUPS,
+    code_delta_pct, harmonic_mean_speedup_pct, policy_label, run_config, run_rep, speedup_pct,
+    Cell, POLICY_GROUPS,
 };
 pub use table::{fmt_pct, render_table};

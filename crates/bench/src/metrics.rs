@@ -1,18 +1,17 @@
-//! Single-run measurement and derived metrics.
+//! Single-run measurement and the folds the figures take over it.
 //!
 //! The unit of work is one **repetition**: [`run_rep`] is a pure function
 //! of `(program, policy, rep, EnvConfig)` with no ambient environment
 //! reads, so repetitions are `Send` jobs the parallel sweep pool can
-//! execute in any order. [`aggregate`] folds a rep-ordered report slice
-//! into one [`RunMetrics`] deterministically, which keeps
-//! `results/grid.json` byte-identical for any `AOCI_JOBS` worker count.
+//! execute in any order. [`row_of`] reads each report into one fixed-width
+//! [`Row`], the grid keeps every row, and a figure folds a [`Cell`]'s rows
+//! in rep order when it renders — so its numbers do not depend on the
+//! `AOCI_JOBS` worker count.
 
 use crate::env::EnvConfig;
 use aoci_aos::{AosConfig, AosReport, AosSystem};
 use aoci_core::PolicyKind;
-use aoci_json::Value;
 use aoci_vm::{Component, COMPONENTS};
-use aoci_workloads::{build, WorkloadSpec};
 
 /// Constructor for one policy group: the max context depth selects the
 /// concrete [`PolicyKind`].
@@ -44,66 +43,84 @@ pub fn policy_label(policy: PolicyKind) -> String {
     }
 }
 
-/// Aggregated measurements of one (workload, policy) configuration.
-#[derive(Clone, Debug)]
-pub struct RunMetrics {
-    /// Workload name.
-    pub workload: String,
-    /// Policy label ([`policy_label`]).
-    pub policy: String,
-    /// Median total simulated cycles over the repetitions (wall-clock
-    /// analogue).
-    pub total_cycles: u64,
-    /// Mean cumulative optimized code size (all optimized code generated).
-    pub cumulative_code: f64,
-    /// Mean resident optimized code size at end of run.
-    pub current_code: f64,
-    /// Mean cycles in the optimizing compilation thread.
-    pub compile_cycles: f64,
-    /// Mean optimizing compilations.
-    pub opt_compilations: f64,
-    /// Mean fraction of execution per component, in [`COMPONENTS`] order.
-    pub component_fracs: Vec<f64>,
-    /// Mean samples taken.
-    pub samples: f64,
-    /// Mean trace samples recorded.
-    pub traces_recorded: f64,
-    /// Mean stack frames walked by the trace listener.
-    pub frames_walked: f64,
-    /// Mean guard checks executed.
-    pub guard_checks: f64,
-    /// Mean guard misses.
-    pub guard_misses: f64,
-    /// Mean virtual dispatches.
-    pub virtual_dispatches: f64,
-    /// Trace-walk statistics (from the first repetition).
-    pub stats_immediately_parameterless: f64,
-    /// Fraction with a parameterless method within 5 levels.
-    pub stats_parameterless_within_5: f64,
-    /// Fraction with a class method within 2 levels.
-    pub stats_class_within_2: f64,
-    /// Fraction needing ≥ 4 levels to reach a large method.
-    pub stats_large_at_or_beyond_4: f64,
-    /// Methods dynamically (baseline-)compiled — Table 1 "Methods".
-    pub methods_compiled: u32,
-    /// Program return value (sanity: must agree across policies).
-    pub result: Option<i64>,
-    /// Mean OSR promotion requests raised by hot back-edges.
-    pub osr_requests: f64,
-    /// Mean OSR requests the driver denied (quarantine/budget/refused map).
-    pub osr_denied: f64,
-    /// Mean OSR-in transfers (baseline activation promoted mid-loop).
-    pub osr_entries: f64,
-    /// Mean OSR-out transfers (optimized activation deoptimized mid-loop).
-    pub osr_exits: f64,
-    /// Mean compiled-code invalidations (guard-thrash recovery).
-    pub recovery_invalidations: f64,
-    /// Mean compile retries after injected/organic compile failures.
-    pub recovery_retries: f64,
-    /// Mean methods quarantined from optimizing compilation.
-    pub recovery_quarantined: f64,
-    /// Mean profile traces rejected by sanitization.
-    pub recovery_rejected_traces: f64,
+/// A report value one row keeps: its column name and how to read it.
+type Reader = (&'static str, fn(&AosReport) -> f64);
+
+/// The row's values before the component cycles, in row order. An absent
+/// program result is NaN (written `null`).
+const READERS: [Reader; 24] = [
+    ("total_cycles", |r| r.total_cycles() as f64),
+    ("cumulative_code", |r| r.optimized_code_size as f64),
+    ("current_code", |r| r.current_optimized_size as f64),
+    ("opt_compilations", |r| r.opt_compilations as f64),
+    ("samples", |r| r.samples as f64),
+    ("traces_recorded", |r| r.traces_recorded as f64),
+    ("frames_walked", |r| r.frames_walked as f64),
+    ("guard_checks", |r| r.counters.guard_checks as f64),
+    ("guard_misses", |r| r.counters.guard_misses as f64),
+    ("virtual_dispatches", |r| r.counters.virtual_dispatches as f64),
+    ("osr_requests", |r| r.osr.requests as f64),
+    ("osr_denied", |r| r.osr.denied as f64),
+    ("osr_entries", |r| r.osr.entries as f64),
+    ("osr_exits", |r| r.osr.exits as f64),
+    ("recovery_invalidations", |r| r.recovery.invalidations as f64),
+    ("recovery_retries", |r| r.recovery.compile_retries as f64),
+    ("recovery_quarantined", |r| r.recovery.quarantined_methods as f64),
+    ("recovery_rejected_traces", |r| r.recovery.rejected_traces as f64),
+    ("baseline_compilations", |r| f64::from(r.baseline_compilations)),
+    ("result", |r| r.result.and_then(|v| v.as_int()).map_or(f64::NAN, |v| v as f64)),
+    ("stats_immediately_parameterless", |r| r.trace_stats.immediately_parameterless),
+    ("stats_parameterless_within_5", |r| r.trace_stats.parameterless_within_5),
+    ("stats_class_within_2", |r| r.trace_stats.class_method_within_2),
+    ("stats_large_at_or_beyond_4", |r| r.trace_stats.large_at_or_beyond_4),
+];
+
+/// Values in one row: the readers', then the cycles of each component in
+/// [`COMPONENTS`] order.
+pub const WIDTH: usize = READERS.len() + COMPONENTS.len();
+
+/// One repetition of one (workload, policy) cell: every value the figures
+/// fold, as read from its report by [`row_of`].
+pub type Row = [f64; WIDTH];
+
+/// Column of the total simulated cycles (the wall-clock analogue).
+pub const TOTAL_CYCLES: usize = 0;
+/// Column of the cumulative optimized code size (all code generated).
+pub const CUMULATIVE_CODE: usize = 1;
+/// Column of the resident optimized code size at the end of the run.
+pub const CURRENT_CODE: usize = 2;
+/// Columns of the recovery layer's invalidations, compile retries,
+/// quarantined methods and rejected traces.
+pub const RECOVERY: [usize; 4] = [14, 15, 16, 17];
+/// Column of the program's return value (sanity: agrees across reps).
+pub const RESULT: usize = 19;
+/// Columns of the Section 4 trace-walk statistics.
+pub const TRACE_STATS: [usize; 4] = [20, 21, 22, 23];
+
+/// Column of the cycles charged to `component`.
+pub fn cycles(component: Component) -> usize {
+    READERS.len() + component as usize
+}
+
+/// A grid document's column names: the `(workload, policy, rep)` key, then
+/// one name per [`Row`] value (component cycles under their metric names).
+pub fn columns() -> Vec<&'static str> {
+    let mut names = vec!["workload", "policy", "rep"];
+    names.extend(READERS.iter().map(|(name, _)| *name));
+    names.extend(COMPONENTS.iter().map(|c| c.metric_name()));
+    names
+}
+
+/// Reads one repetition's report into its row.
+pub fn row_of(report: &AosReport) -> Row {
+    let mut row = [0.0; WIDTH];
+    for (value, (_, read)) in row.iter_mut().zip(READERS) {
+        *value = read(report);
+    }
+    for c in COMPONENTS {
+        row[cycles(c)] = report.clock.component(c) as f64;
+    }
+    row
 }
 
 /// Builds the AOS configuration for one repetition: repetitions perturb the
@@ -144,244 +161,67 @@ pub fn run_rep(
         .unwrap_or_else(|e| panic!("{workload}/{policy:?} rep {rep} faulted: {e}"))
 }
 
-/// Runs one (workload, policy) configuration `env.reps` times — across the
-/// sweep pool when `env.jobs > 1` — and aggregates.
-pub fn run_one(spec: &WorkloadSpec, policy: PolicyKind, env: &EnvConfig) -> RunMetrics {
-    let w = build(spec);
-    let reports = env.pool().map((0..env.reps).collect(), |&rep| {
-        run_rep(&w.program, spec.name, policy, rep, env)
-    });
-    aggregate(spec.name, policy, &reports)
-}
+/// One (workload, policy) cell: a view over its rows in rep order. Every
+/// figure number is one of its folds, taken when the figure renders.
+#[derive(Clone, Copy, Debug)]
+pub struct Cell<'a>(pub &'a [Row]);
 
-/// Folds the rep-ordered reports of one (workload, policy) cell into its
-/// [`RunMetrics`] entry. The fold iterates reports **in repetition order**
-/// whatever order the pool finished them in, so every float accumulation
-/// happens in the same sequence as a plain serial loop — byte-identical
-/// aggregates for any worker count.
-pub fn aggregate(workload: &str, policy: PolicyKind, reports: &[AosReport]) -> RunMetrics {
-    let n = reports.len();
-    assert!(n > 0, "at least one repetition");
-    let mut totals: Vec<u64> = Vec::with_capacity(n);
-    let mut cumulative = 0.0;
-    let mut current = 0.0;
-    let mut compile = 0.0;
-    let mut compilations = 0.0;
-    let mut fracs = vec![0.0; COMPONENTS.len()];
-    let mut samples = 0.0;
-    let mut traces = 0.0;
-    let mut frames = 0.0;
-    let mut guard_checks = 0.0;
-    let mut guard_misses = 0.0;
-    let mut dispatches = 0.0;
-    let mut first_stats = None;
-    let mut methods_compiled = 0;
-    let mut result = None;
-    let mut invalidations = 0.0;
-    let mut retries = 0.0;
-    let mut quarantined = 0.0;
-    let mut rejected_traces = 0.0;
-    let mut osr_requests = 0.0;
-    let mut osr_denied = 0.0;
-    let mut osr_entries = 0.0;
-    let mut osr_exits = 0.0;
-    for report in reports {
-        totals.push(report.total_cycles());
-        cumulative += report.optimized_code_size as f64;
-        current += report.current_optimized_size as f64;
-        compile += report.compile_cycles() as f64;
-        compilations += report.opt_compilations as f64;
-        for (i, c) in COMPONENTS.iter().enumerate() {
-            fracs[i] += report.fraction(*c);
-        }
-        samples += report.samples as f64;
-        traces += report.traces_recorded as f64;
-        frames += report.frames_walked as f64;
-        guard_checks += report.counters.guard_checks as f64;
-        guard_misses += report.counters.guard_misses as f64;
-        dispatches += report.counters.virtual_dispatches as f64;
-        invalidations += report.recovery.invalidations as f64;
-        retries += report.recovery.compile_retries as f64;
-        quarantined += report.recovery.quarantined_methods as f64;
-        rejected_traces += report.recovery.rejected_traces as f64;
-        osr_requests += report.osr.requests as f64;
-        osr_denied += report.osr.denied as f64;
-        osr_entries += report.osr.entries as f64;
-        osr_exits += report.osr.exits as f64;
-        if first_stats.is_none() {
-            first_stats = Some(report.trace_stats);
-            methods_compiled = report.baseline_compilations;
-            result = report.result.and_then(|v| v.as_int());
-        } else {
-            let r = report.result.and_then(|v| v.as_int());
-            assert_eq!(r, result, "nondeterministic program result");
-        }
-    }
-    totals.sort_unstable();
-    let inv = 1.0 / n as f64;
-    let stats = first_stats.expect("at least one repetition");
-    RunMetrics {
-        workload: workload.to_string(),
-        policy: policy_label(policy),
-        total_cycles: totals[totals.len() / 2],
-        cumulative_code: cumulative * inv,
-        current_code: current * inv,
-        compile_cycles: compile * inv,
-        opt_compilations: compilations * inv,
-        component_fracs: fracs.iter().map(|f| f * inv).collect(),
-        samples: samples * inv,
-        traces_recorded: traces * inv,
-        frames_walked: frames * inv,
-        guard_checks: guard_checks * inv,
-        guard_misses: guard_misses * inv,
-        virtual_dispatches: dispatches * inv,
-        stats_immediately_parameterless: stats.immediately_parameterless,
-        stats_parameterless_within_5: stats.parameterless_within_5,
-        stats_class_within_2: stats.class_method_within_2,
-        stats_large_at_or_beyond_4: stats.large_at_or_beyond_4,
-        methods_compiled,
-        result,
-        osr_requests: osr_requests * inv,
-        osr_denied: osr_denied * inv,
-        osr_entries: osr_entries * inv,
-        osr_exits: osr_exits * inv,
-        recovery_invalidations: invalidations * inv,
-        recovery_retries: retries * inv,
-        recovery_quarantined: quarantined * inv,
-        recovery_rejected_traces: rejected_traces * inv,
-    }
-}
-
-impl RunMetrics {
-    /// Serializes to an [`aoci_json::Value`] object (one grid entry).
-    pub fn to_value(&self) -> Value {
-        Value::obj([
-            ("workload".to_string(), Value::from(self.workload.clone())),
-            ("policy".to_string(), Value::from(self.policy.clone())),
-            ("total_cycles".to_string(), Value::from(self.total_cycles)),
-            ("cumulative_code".to_string(), Value::from(self.cumulative_code)),
-            ("current_code".to_string(), Value::from(self.current_code)),
-            ("compile_cycles".to_string(), Value::from(self.compile_cycles)),
-            ("opt_compilations".to_string(), Value::from(self.opt_compilations)),
-            (
-                "component_fracs".to_string(),
-                Value::Arr(self.component_fracs.iter().map(|&f| Value::from(f)).collect()),
-            ),
-            ("samples".to_string(), Value::from(self.samples)),
-            ("traces_recorded".to_string(), Value::from(self.traces_recorded)),
-            ("frames_walked".to_string(), Value::from(self.frames_walked)),
-            ("guard_checks".to_string(), Value::from(self.guard_checks)),
-            ("guard_misses".to_string(), Value::from(self.guard_misses)),
-            ("virtual_dispatches".to_string(), Value::from(self.virtual_dispatches)),
-            (
-                "stats_immediately_parameterless".to_string(),
-                Value::from(self.stats_immediately_parameterless),
-            ),
-            (
-                "stats_parameterless_within_5".to_string(),
-                Value::from(self.stats_parameterless_within_5),
-            ),
-            ("stats_class_within_2".to_string(), Value::from(self.stats_class_within_2)),
-            (
-                "stats_large_at_or_beyond_4".to_string(),
-                Value::from(self.stats_large_at_or_beyond_4),
-            ),
-            ("methods_compiled".to_string(), Value::from(self.methods_compiled)),
-            (
-                "result".to_string(),
-                self.result.map_or(Value::Null, Value::from),
-            ),
-            ("osr_requests".to_string(), Value::from(self.osr_requests)),
-            ("osr_denied".to_string(), Value::from(self.osr_denied)),
-            ("osr_entries".to_string(), Value::from(self.osr_entries)),
-            ("osr_exits".to_string(), Value::from(self.osr_exits)),
-            ("recovery_invalidations".to_string(), Value::from(self.recovery_invalidations)),
-            ("recovery_retries".to_string(), Value::from(self.recovery_retries)),
-            ("recovery_quarantined".to_string(), Value::from(self.recovery_quarantined)),
-            (
-                "recovery_rejected_traces".to_string(),
-                Value::from(self.recovery_rejected_traces),
-            ),
-        ])
+impl Cell<'_> {
+    /// The median of `col` over the reps (the upper one for an even count).
+    pub fn median(self, col: usize) -> f64 {
+        let mut values: Vec<f64> = self.0.iter().map(|r| r[col]).collect();
+        values.sort_unstable_by(f64::total_cmp);
+        values[values.len() / 2]
     }
 
-    /// Deserializes one grid entry; `None` if the value has the wrong shape.
-    pub fn from_value(v: &Value) -> Option<RunMetrics> {
-        let f = |key: &str| v.get(key).and_then(Value::as_f64);
-        Some(RunMetrics {
-            workload: v.get("workload")?.as_str()?.to_string(),
-            policy: v.get("policy")?.as_str()?.to_string(),
-            total_cycles: v.get("total_cycles")?.as_u64()?,
-            cumulative_code: f("cumulative_code")?,
-            current_code: f("current_code")?,
-            compile_cycles: f("compile_cycles")?,
-            opt_compilations: f("opt_compilations")?,
-            component_fracs: v
-                .get("component_fracs")?
-                .as_arr()?
-                .iter()
-                .map(Value::as_f64)
-                .collect::<Option<Vec<f64>>>()?,
-            samples: f("samples")?,
-            traces_recorded: f("traces_recorded")?,
-            frames_walked: f("frames_walked")?,
-            guard_checks: f("guard_checks")?,
-            guard_misses: f("guard_misses")?,
-            virtual_dispatches: f("virtual_dispatches")?,
-            stats_immediately_parameterless: f("stats_immediately_parameterless")?,
-            stats_parameterless_within_5: f("stats_parameterless_within_5")?,
-            stats_class_within_2: f("stats_class_within_2")?,
-            stats_large_at_or_beyond_4: f("stats_large_at_or_beyond_4")?,
-            methods_compiled: u32::try_from(v.get("methods_compiled")?.as_u64()?).ok()?,
-            result: match v.get("result") {
-                None | Some(Value::Null) => None,
-                Some(r) => Some(r.as_i64()?),
-            },
-            osr_requests: f("osr_requests").unwrap_or(0.0),
-            osr_denied: f("osr_denied").unwrap_or(0.0),
-            osr_entries: f("osr_entries").unwrap_or(0.0),
-            osr_exits: f("osr_exits").unwrap_or(0.0),
-            recovery_invalidations: f("recovery_invalidations").unwrap_or(0.0),
-            recovery_retries: f("recovery_retries").unwrap_or(0.0),
-            recovery_quarantined: f("recovery_quarantined").unwrap_or(0.0),
-            recovery_rejected_traces: f("recovery_rejected_traces").unwrap_or(0.0),
-        })
+    /// The mean of a per-rep expression: summed in rep order, then scaled
+    /// by `1 / n`, so the bits do not depend on which worker ran a rep.
+    pub fn mean_by(self, f: impl Fn(&Row) -> f64) -> f64 {
+        let sum = self.0.iter().fold(0.0, |acc, r| acc + f(r));
+        sum * (1.0 / self.0.len() as f64)
     }
 
-    /// Fraction of execution in `component`.
-    pub fn fraction(&self, component: Component) -> f64 {
-        let idx = COMPONENTS
-            .iter()
-            .position(|&c| c == component)
-            .expect("known component");
-        self.component_fracs[idx]
+    /// The mean of `col` over the reps.
+    pub fn mean(self, col: usize) -> f64 {
+        self.mean_by(|r| r[col])
+    }
+
+    /// Rep 0's value of `col` (the trace statistics and the result).
+    pub fn first(self, col: usize) -> f64 {
+        self.0[0][col]
+    }
+
+    /// Mean fraction of execution spent in `component`.
+    pub fn fraction(self, component: Component) -> f64 {
+        self.mean_by(|r| r[cycles(component)] / r[TOTAL_CYCLES])
     }
 }
 
 /// Figure 4 y-axis: percent wall-clock speedup of `policy` over the
 /// context-insensitive baseline (positive = faster).
-pub fn speedup_pct(cins: &RunMetrics, policy: &RunMetrics) -> f64 {
-    (cins.total_cycles as f64 / policy.total_cycles as f64 - 1.0) * 100.0
+pub fn speedup_pct(cins: Cell, policy: Cell) -> f64 {
+    (cins.median(TOTAL_CYCLES) / policy.median(TOTAL_CYCLES) - 1.0) * 100.0
 }
 
 /// Figure 5 y-axis: percent change in optimized code space over the
 /// context-insensitive baseline (negative = smaller, desirable).
-pub fn code_delta_pct(cins: &RunMetrics, policy: &RunMetrics) -> f64 {
-    (policy.cumulative_code / cins.cumulative_code - 1.0) * 100.0
+pub fn code_delta_pct(cins: Cell, policy: Cell) -> f64 {
+    (policy.mean(CUMULATIVE_CODE) / cins.mean(CUMULATIVE_CODE) - 1.0) * 100.0
 }
 
 /// Percent change in optimizing-compilation time over the baseline.
-pub fn compile_delta_pct(cins: &RunMetrics, policy: &RunMetrics) -> f64 {
-    (policy.compile_cycles / cins.compile_cycles - 1.0) * 100.0
+pub fn compile_delta_pct(cins: Cell, policy: Cell) -> f64 {
+    let compile = cycles(Component::CompilationThread);
+    (policy.mean(compile) / cins.mean(compile) - 1.0) * 100.0
 }
 
 /// The paper's `harMean` bar: harmonic mean of the per-benchmark runtime
 /// ratios, expressed as a percent speedup.
-pub fn harmonic_mean_speedup_pct(pairs: &[(&RunMetrics, &RunMetrics)]) -> f64 {
+pub fn harmonic_mean_speedup_pct(pairs: &[(Cell, Cell)]) -> f64 {
     let n = pairs.len() as f64;
     let denom: f64 = pairs
         .iter()
-        .map(|(cins, p)| 1.0 / (cins.total_cycles as f64 / p.total_cycles as f64))
+        .map(|(cins, p)| 1.0 / (cins.median(TOTAL_CYCLES) / p.median(TOTAL_CYCLES)))
         .sum();
     (n / denom - 1.0) * 100.0
 }
@@ -390,71 +230,107 @@ pub fn harmonic_mean_speedup_pct(pairs: &[(&RunMetrics, &RunMetrics)]) -> f64 {
 mod tests {
     use super::*;
 
-    fn metrics(cycles: u64, code: f64) -> RunMetrics {
-        RunMetrics {
-            workload: "w".into(),
-            policy: "p".into(),
-            total_cycles: cycles,
-            cumulative_code: code,
-            current_code: code,
-            compile_cycles: 1.0,
-            opt_compilations: 1.0,
-            component_fracs: vec![0.0; COMPONENTS.len()],
-            samples: 0.0,
-            traces_recorded: 0.0,
-            frames_walked: 0.0,
-            guard_checks: 0.0,
-            guard_misses: 0.0,
-            virtual_dispatches: 0.0,
-            stats_immediately_parameterless: 0.0,
-            stats_parameterless_within_5: 0.0,
-            stats_class_within_2: 0.0,
-            stats_large_at_or_beyond_4: 0.0,
-            methods_compiled: 0,
-            result: None,
-            osr_requests: 0.0,
-            osr_denied: 0.0,
-            osr_entries: 0.0,
-            osr_exits: 0.0,
-            recovery_invalidations: 0.0,
-            recovery_retries: 0.0,
-            recovery_quarantined: 0.0,
-            recovery_rejected_traces: 0.0,
-        }
+    /// A one-rep cell's row with the given total cycles and cumulative code.
+    fn row(cycles: f64, code: f64) -> Row {
+        let mut row = [0.0; WIDTH];
+        row[TOTAL_CYCLES] = cycles;
+        row[CUMULATIVE_CODE] = code;
+        row
     }
 
+    /// The figures address columns by index: each index names its column.
     #[test]
-    fn json_round_trip() {
-        let m = metrics(1234, 56.0);
-        let v = m.to_value();
-        let back = RunMetrics::from_value(&v).expect("round trip");
-        assert_eq!(back.workload, m.workload);
-        assert_eq!(back.total_cycles, m.total_cycles);
-        assert_eq!(back.component_fracs.len(), m.component_fracs.len());
-        assert_eq!(back.result, m.result);
+    fn column_indices_name_their_columns() {
+        let names = columns();
+        let name = |col: usize| names[3 + col];
+        assert_eq!(names.len(), 3 + WIDTH);
+        assert_eq!(name(TOTAL_CYCLES), "total_cycles");
+        assert_eq!(name(CUMULATIVE_CODE), "cumulative_code");
+        assert_eq!(name(CURRENT_CODE), "current_code");
+        assert_eq!(name(RESULT), "result");
+        assert_eq!(
+            RECOVERY.map(name),
+            [
+                "recovery_invalidations",
+                "recovery_retries",
+                "recovery_quarantined",
+                "recovery_rejected_traces",
+            ]
+        );
+        assert_eq!(
+            TRACE_STATS.map(name),
+            [
+                "stats_immediately_parameterless",
+                "stats_parameterless_within_5",
+                "stats_class_within_2",
+                "stats_large_at_or_beyond_4",
+            ]
+        );
+        assert_eq!(name(cycles(Component::CompilationThread)), "cycles_compilation_thread");
+    }
+
+    /// The three rows `results/grid.json` holds for `compress` × `adaptive/2`
+    /// fold to the numbers the cell's aggregate entry held before the grid
+    /// kept rows, bit for bit.
+    #[test]
+    fn folds_reproduce_the_aggregate_entry() {
+        let rows: [Row; 3] = [
+            [44_794_464.0, 7721.0, 4642.0, 35.0, 1100.0, 551.0, 1188.0, 246_230.0, 76246.0,
+                124_699.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 24.0, 2_469_000.0,
+                0.42105263157894735, 0.9437386569872959, 0.867513611615245, 0.5190562613430127,
+                71456.0, 1_368_150.0, 5856.0, 76284.0, 13152.0, 5250.0, 11292.0, 0.0, 0.0,
+                5_736_728.0, 37_413_266.0, 93030.0],
+            [43_378_110.0, 6422.0, 4321.0, 28.0, 1065.0, 419.0, 838.0, 293_594.0, 77079.0, 82420.0,
+                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 24.0, 2_469_000.0, 0.2935560859188544,
+                0.9427207637231504, 0.8257756563245824, 0.39379474940334125, 65436.0, 1_131_300.0,
+                3936.0, 50496.0, 12768.0, 4200.0, 9564.0, 0.0, 0.0, 5_523_784.0, 36_483_596.0,
+                93030.0],
+            [43_855_033.0, 8685.0, 4979.0, 33.0, 1068.0, 475.0, 977.0, 268_631.0, 80093.0, 94379.0,
+                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 24.0, 2_469_000.0, 0.3094736842105263,
+                0.9031578947368422, 0.8821052631578947, 0.4842105263157894, 67260.0, 1_500_750.0,
+                5436.0, 68328.0, 12768.0, 4950.0, 10644.0, 0.0, 0.0, 5_499_360.0, 36_592_507.0,
+                93030.0],
+        ];
+        let cell = Cell(&rows);
+        let names = columns();
+        let col = |name: &str| names.iter().position(|n| *n == name).expect("a column") - 3;
+        assert_eq!(cell.median(TOTAL_CYCLES), 43_855_033.0);
+        assert_eq!(cell.mean(CUMULATIVE_CODE), 7609.333333333333);
+        assert_eq!(cell.mean(CURRENT_CODE), 4647.333333333333);
+        assert_eq!(cell.mean(col("samples")), 1077.6666666666665);
+        assert_eq!(cell.mean(col("traces_recorded")), 481.66666666666663);
+        assert_eq!(cell.mean(col("virtual_dispatches")), 100499.33333333333);
+        assert_eq!(cell.mean(cycles(Component::CompilationThread)), 1_333_400.0);
+        assert_eq!(cell.first(TRACE_STATS[0]), 0.42105263157894735);
+        assert_eq!(cell.first(RESULT), 2_469_000.0);
+        assert_eq!(
+            COMPONENTS.map(|c| cell.fraction(c)),
+            [
+                0.0015457964429470587, 0.030281170935801783, 0.00011514043202890401,
+                0.0014750367073130494, 0.0002930302533255531, 0.00010896563041778347,
+                0.00023842444505797885, 0.0, 0.0, 0.1269355841330657, 0.836892598857015,
+                0.0021142521630271964,
+            ]
+        );
     }
 
     #[test]
     fn speedup_sign_convention() {
-        let cins = metrics(1100, 100.0);
-        let faster = metrics(1000, 100.0);
-        assert!(speedup_pct(&cins, &faster) > 9.9);
-        let slower = metrics(1200, 100.0);
-        assert!(speedup_pct(&cins, &slower) < 0.0);
+        let [cins, faster, slower] = [1100.0, 1000.0, 1200.0].map(|c| [row(c, 100.0)]);
+        assert!(speedup_pct(Cell(&cins), Cell(&faster)) > 9.9);
+        assert!(speedup_pct(Cell(&cins), Cell(&slower)) < 0.0);
     }
 
     #[test]
     fn code_delta_sign_convention() {
-        let cins = metrics(1000, 100.0);
-        let smaller = metrics(1000, 90.0);
-        assert!((code_delta_pct(&cins, &smaller) + 10.0).abs() < 1e-9);
+        let (cins, smaller) = ([row(1000.0, 100.0)], [row(1000.0, 90.0)]);
+        assert!((code_delta_pct(Cell(&cins), Cell(&smaller)) + 10.0).abs() < 1e-9);
     }
 
     #[test]
     fn harmonic_mean_of_equal_ratios() {
-        let cins = metrics(1000, 100.0);
-        let p = metrics(800, 100.0);
-        let hm = harmonic_mean_speedup_pct(&[(&cins, &p), (&cins, &p)]);
+        let (cins, p) = ([row(1000.0, 100.0)], [row(800.0, 100.0)]);
+        let hm = harmonic_mean_speedup_pct(&[(Cell(&cins), Cell(&p)), (Cell(&cins), Cell(&p))]);
         assert!((hm - 25.0).abs() < 1e-9);
     }
 

@@ -1,12 +1,12 @@
 //! The parallel sweep harness's core guarantee: **worker count is not an
-//! input to any measured result**. The grid, the per-cell aggregates and
-//! the differential-oracle reports must serialize to the same bytes under
+//! input to any measured result**. The grid's rows and the
+//! differential-oracle reports must serialize to the same bytes under
 //! `AOCI_JOBS=1` (the caller runs every job itself), `2` and `8` — the job pool only
 //! reorders *when* work happens on the wall clock, never *what* any job
 //! computes or the order results are merged in.
 
 use aoci_aos::FaultConfig;
-use aoci_bench::{policy_label, run_one, sweep_into, EnvConfig, GridStore};
+use aoci_bench::{policy_label, sweep_into, Cell, EnvConfig, GridStore};
 use aoci_core::PolicyKind;
 use aoci_fuzz::oracle;
 use aoci_workloads::{build, spec_by_name, WorkloadSpec};
@@ -57,30 +57,39 @@ fn grid_json_is_byte_identical_across_job_counts() {
 
 /// Golden cells: the tests above (and every CI `cmp`) compare two runs of
 /// today's code with each other; this one compares today's code with the
-/// committed `results/grid.json`, cell for cell and byte for byte, so a
-/// change that moves simulated numbers in *every* mode still shows. The
-/// cells are full-size, under the configuration the committed sweep ran
-/// with (no knob set).
+/// committed `results/grid.json`, row for row and bit for bit, so a change
+/// that moves simulated numbers in *every* mode still shows. The cells are
+/// full-size, measured by the one sweep path under the configuration the
+/// committed sweep ran with (no knob set).
 #[test]
 fn golden_cells_match_the_committed_grid() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../results/grid.json");
     let text = std::fs::read_to_string(path).expect("results/grid.json is readable");
     let committed = GridStore::from_json(&text).expect("results/grid.json parses");
-    let cells = [
-        ("db", PolicyKind::ContextInsensitive),
-        ("db", PolicyKind::Fixed { max: 3 }),
-        ("db", PolicyKind::ParameterlessClass { max: 3 }),
-        ("db", PolicyKind::AdaptiveResolving { max: 3 }),
-        ("compress", PolicyKind::Fixed { max: 3 }),
+    assert!(!committed.osr && !committed.async_compile, "the committed sweep runs with no flag");
+    let db = [
+        PolicyKind::ContextInsensitive,
+        PolicyKind::Fixed { max: 3 },
+        PolicyKind::ParameterlessClass { max: 3 },
+        PolicyKind::AdaptiveResolving { max: 3 },
     ];
-    for (workload, policy) in cells {
+    let compress = [PolicyKind::Fixed { max: 3 }];
+    let env = EnvConfig::default();
+    let mut measured = GridStore::default();
+    for (workload, policies) in [("db", &db[..]), ("compress", &compress[..])] {
         let spec = spec_by_name(workload).expect("suite workload");
-        let mut measured = GridStore::default();
-        measured.insert(run_one(&spec, policy, &EnvConfig::default()));
-        let mut expected = GridStore::default();
-        let label = policy_label(policy);
-        expected.insert(committed.get(workload, &label).expect("cell is committed").clone());
-        assert_eq!(measured.to_json(), expected.to_json(), "{workload}::{label} moved");
+        sweep_into(&mut measured, &[spec], policies, &env).expect("an empty store measures");
+        for &policy in policies {
+            let label = policy_label(policy);
+            let bits = |cell: Option<Cell>| -> Vec<u64> {
+                cell.expect("cell is present").0.iter().flatten().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(
+                bits(measured.get(workload, &label)),
+                bits(committed.get(workload, &label)),
+                "{workload}::{label} moved"
+            );
+        }
     }
 }
 
@@ -97,20 +106,48 @@ fn full_store_sweeps_nothing() {
     assert_eq!(store.to_json(), before);
 }
 
-/// The per-cell rep loop (`run_one`) aggregates identically whether its
-/// repetitions ran serially or across the pool.
+/// A cell is cached only with every rep the sweep asks for: a 2-rep store
+/// swept at 3 reps runs one job per cell and ends byte-identical to a fresh
+/// 3-rep sweep; swept back at 2 it measures nothing and keeps reps 0 and 1.
 #[test]
-fn run_one_rep_loop_is_worker_count_invariant() {
-    let spec = small("jess");
-    let policy = PolicyKind::Fixed { max: 3 };
-    let serial = run_one(&spec, policy, &env_with_jobs(1)).to_value();
-    for jobs in [2, 8] {
-        let parallel = run_one(&spec, policy, &env_with_jobs(jobs)).to_value();
-        assert_eq!(
-            aoci_json::to_string(&parallel),
-            aoci_json::to_string(&serial),
-            "run_one aggregate diverged at jobs={jobs}"
-        );
+fn a_short_store_measures_only_the_missing_reps() {
+    let specs = vec![small("compress"), small("db")];
+    let policies = vec![PolicyKind::ContextInsensitive, PolicyKind::Fixed { max: 2 }];
+    let at = |reps: usize| EnvConfig { reps, ..env_with_jobs(2) };
+    let fresh = |reps: usize| {
+        let mut store = GridStore::default();
+        sweep_into(&mut store, &specs, &policies, &at(reps)).expect("an empty store measures");
+        store.to_json()
+    };
+    let mut store = GridStore::default();
+    sweep_into(&mut store, &specs, &policies, &at(2)).expect("an empty store measures");
+    let stats = sweep_into(&mut store, &specs, &policies, &at(3)).expect("rep 2 is missing");
+    assert_eq!(stats.jobs, specs.len() * policies.len(), "one job per cell");
+    assert_eq!(store.to_json(), fresh(3));
+    assert!(sweep_into(&mut store, &specs, &policies, &at(2)).is_none());
+    assert_eq!(store.to_json(), fresh(2));
+}
+
+/// The document records the flags its rows were measured under: a store
+/// swept without OSR (or background compilation) is measured afresh when
+/// the sweep turns it on, and ends byte-identical to a fresh sweep with it.
+#[test]
+fn a_store_measured_under_other_flags_is_remeasured() {
+    let specs = vec![small("db")];
+    let policies = vec![PolicyKind::Fixed { max: 2 }];
+    let plain = env_with_jobs(2);
+    for flagged in [
+        EnvConfig { osr: true, ..plain.clone() },
+        EnvConfig { async_compile: true, ..plain.clone() },
+    ] {
+        let mut store = GridStore::default();
+        sweep_into(&mut store, &specs, &policies, &plain).expect("an empty store measures");
+        let stats = sweep_into(&mut store, &specs, &policies, &flagged).expect("re-measured");
+        assert_eq!(stats.jobs, flagged.reps);
+        assert_eq!((store.osr, store.async_compile), (flagged.osr, flagged.async_compile));
+        let mut fresh = GridStore::default();
+        sweep_into(&mut fresh, &specs, &policies, &flagged).expect("an empty store measures");
+        assert_eq!(store.to_json(), fresh.to_json());
     }
 }
 
