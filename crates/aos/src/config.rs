@@ -21,14 +21,16 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 pub struct RecoveryConfig {
     /// Whether guard-health monitoring (and thrash invalidation) runs even
-    /// without fault injection. Defaults to `false`: a guarded inline that
-    /// misses falls back to virtual dispatch — degraded, never wrong — and
-    /// the paper's AOS adapts to receiver shifts through decay and
-    /// recompilation, not deoptimization, so unconditional monitoring
-    /// would distort the reproduction sweeps. Fault injection
-    /// (`AosConfig::fault`) enables monitoring automatically, since an
-    /// adversary that bursts guard misses is exactly what invalidation is
-    /// for.
+    /// without fault injection. An organic thrash also records the
+    /// invalidated version's guarded inlines as thrashed, and no later
+    /// compilation speculates on them again (DESIGN.md §6). Defaults to
+    /// `false`: a guarded inline that misses falls back to virtual
+    /// dispatch — degraded, never wrong — and the paper's AOS adapts to
+    /// receiver shifts through decay and recompilation, not
+    /// deoptimization, so unconditional monitoring would distort the
+    /// reproduction sweeps. Fault injection (`AosConfig::fault`) enables
+    /// monitoring automatically, since an adversary that bursts guard
+    /// misses is exactly what invalidation is for.
     pub monitor_guard_health: bool,
     /// Guard-miss rate (misses / checks over the current observation
     /// window) above which an optimized version is invalidated. The

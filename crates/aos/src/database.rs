@@ -3,6 +3,7 @@
 
 use aoci_ir::{CallSiteRef, IdHashSet, MethodId};
 use aoci_opt::{Compilation, InlineDecision, Refusal};
+use std::sync::Arc;
 
 /// One optimizing compilation, as logged by the database.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -28,6 +29,8 @@ pub struct CompilationRecord {
 struct MethodRecord {
     /// Inlined callees in the method's current optimized version.
     inlined: IdHashSet<(CallSiteRef, MethodId)>,
+    /// Of which guarded, in decision order.
+    guarded: Vec<(CallSiteRef, MethodId)>,
     /// Number of optimizing compilations so far.
     recompiles: u32,
     /// The AI-organizer generation the current version was compiled at
@@ -45,11 +48,18 @@ struct MethodRecord {
 ///
 /// The refusal records are its paper-described use: "to avoid recommending
 /// a method for recompilation due to a hot call edge that the optimizing
-/// compiler has already refused to inline".
+/// compiler has already refused to inline". Beside them it keeps the
+/// speculations that failed at run time: the *thrashed* set, which every
+/// later compilation's oracle excludes.
 #[derive(Clone, Debug, Default)]
 pub struct AosDatabase {
     /// Hot refusals: edges the compiler declined while they were hot.
     refused: IdHashSet<(CallSiteRef, MethodId)>,
+    /// Guarded inlines of versions invalidated for organic guard thrash,
+    /// as `(site, callee)` at the site at the head of each decision's
+    /// context: one set for the run, whatever the host (like a per-call-site
+    /// trap history). Shared with the oracle of each compilation.
+    thrashed: Arc<IdHashSet<(CallSiteRef, MethodId)>>,
     /// Per-method state, grown on demand: a method past the end has the
     /// default record (never compiled, never invalidated).
     records: Vec<MethodRecord>,
@@ -106,13 +116,18 @@ impl AosDatabase {
         record.invalidated = false;
         record.compiled_generation = Some(ai_generation);
         record.inlined.clear();
+        record.guarded.clear();
         for d in &compilation.decisions {
             // The emitter always seeds a decision's context with its own
             // call site, but the database must not trust that invariant: a
             // malformed record (e.g. a compiler bug or a hand-built
             // compilation) is skipped, not a panic that takes the run down.
             let Some(&site) = d.context.first() else { continue };
-            self.records[method.index()].inlined.insert((site, d.callee));
+            let record = &mut self.records[method.index()];
+            record.inlined.insert((site, d.callee));
+            if d.guarded {
+                record.guarded.push((site, d.callee));
+            }
             self.decision_log.push((method, d.clone()));
         }
         for r in &compilation.refusals {
@@ -165,11 +180,24 @@ impl AosDatabase {
     /// Records that `method`'s optimized version was invalidated (guard
     /// thrash): its inline set is cleared and it is no longer *currently*
     /// optimized, so the hot-methods organizer may select it for a fresh
-    /// compilation; its cumulative compilation history is preserved.
-    pub fn record_invalidation(&mut self, method: MethodId) {
+    /// compilation; its cumulative compilation history is preserved. When
+    /// the thrash was `organic` — the version's own guards failed, not
+    /// injected misses — its guarded inlines join the thrashed set.
+    pub fn record_invalidation(&mut self, method: MethodId, organic: bool) {
         let record = self.record_mut(method);
         record.inlined.clear();
         record.invalidated = true;
+        let guarded = std::mem::take(&mut record.guarded);
+        if organic && !guarded.is_empty() {
+            Arc::make_mut(&mut self.thrashed).extend(guarded);
+        }
+    }
+
+    /// The thrashed `(site, callee)` pairs: guarded inlines of versions
+    /// invalidated for organic guard thrash, which no later compilation
+    /// speculates on again.
+    pub fn thrashed(&self) -> &Arc<IdHashSet<(CallSiteRef, MethodId)>> {
+        &self.thrashed
     }
 
     /// Full decision log, in compilation order.
@@ -323,8 +351,9 @@ mod tests {
             250,
         );
         assert!(db.is_optimized(mid(0)));
-        db.record_invalidation(mid(0));
+        db.record_invalidation(mid(0), false);
         assert!(!db.is_optimized(mid(0)), "invalidated ⇒ not currently optimized");
+        assert!(db.thrashed().is_empty(), "injected misses record no thrash");
         assert!(!db.has_inlined(mid(0), cs(0, 0), mid(1)), "inline set cleared");
         assert_eq!(db.recompiles(mid(0)), 1, "compile history survives");
         assert_eq!(db.optimized_methods().count(), 0);
@@ -332,6 +361,27 @@ mod tests {
         db.record_compilation(mid(0), &compilation(vec![], vec![]), 2, 900);
         assert!(db.is_optimized(mid(0)));
         assert_eq!(db.optimized_methods().count(), 1);
+    }
+
+    #[test]
+    fn an_organic_thrash_records_the_guarded_inlines_only() {
+        let mut db = AosDatabase::new();
+        let decision = |site, callee, guarded| InlineDecision {
+            context: vec![site, cs(0, 9)],
+            callee: mid(callee),
+            guarded,
+            provenance: Default::default(),
+        };
+        let c = compilation(
+            vec![decision(cs(2, 0), 1, true), decision(cs(2, 1), 3, false)],
+            vec![],
+        );
+        db.record_compilation(mid(0), &c, 1, 100);
+        db.record_invalidation(mid(0), true);
+        assert_eq!(db.thrashed().iter().copied().collect::<Vec<_>>(), [(cs(2, 0), mid(1))]);
+        // An invalidation without a fresh version adds nothing.
+        db.record_invalidation(mid(0), true);
+        assert_eq!(db.thrashed().len(), 1);
     }
 
     #[test]

@@ -237,9 +237,11 @@ impl AosSystem<'_> {
         let generation = self.ai_generation;
         // A cache hit installs the server's pre-compiled version for a small
         // fixed cost, bypassing the local compiler — and with it
-        // compile-fault injection — entirely. A miss falls through to the
-        // local compile below; the ledger logs it in the request outbox for
-        // the server to batch.
+        // compile-fault injection and the thrashed-guard exclusion —
+        // entirely (the fleet runs without guard monitoring, so its
+        // thrashed set stays empty). A miss falls through to the local
+        // compile below; the ledger logs it in the request outbox for the
+        // server to batch.
         if let Some(snapshot) = &self.config.compile_server {
             let cached = snapshot.get(&method).map(|c| Box::new((**c).clone()));
             self.emit(TraceEvent::ServerLookup { method, hit: cached.is_some() });
@@ -258,7 +260,8 @@ impl AosSystem<'_> {
             // Aborted partway: only the fixed setup cost was spent.
             (Err(FaultKind::CompileBailout), self.config.cost.opt_compile_fixed)
         } else {
-            let oracle = InlineOracle::with_mode(Arc::clone(&rules), self.config.match_mode);
+            let oracle = InlineOracle::with_mode(Arc::clone(&rules), self.config.match_mode)
+                .excluding(Arc::clone(self.db.thrashed()));
             let c = aoci_opt::compile(self.program, method, &oracle, &self.config.opt);
             let cost = self.config.cost.opt_compile_cost(c.generated_size);
             match fault {

@@ -84,13 +84,19 @@ impl AosSystem<'_> {
             let state = &mut self.methods[m.index()];
             let base = state.guard_window_start;
             let synth = state.synthetic_misses;
-            let checks = stats.checks.saturating_sub(base.checks) + synth;
+            let organic_checks = stats.checks.saturating_sub(base.checks);
+            let organic_misses = stats.misses.saturating_sub(base.misses);
+            let checks = organic_checks + synth;
             if checks < min_checks {
                 continue;
             }
-            let misses = stats.misses.saturating_sub(base.misses) + synth;
+            let misses = organic_misses + synth;
             if misses as f64 / checks as f64 > threshold {
-                self.invalidate_method(m);
+                // Organic: the window's own counters thrash, without the
+                // injected misses.
+                let organic = organic_checks >= min_checks
+                    && organic_misses as f64 / organic_checks as f64 > threshold;
+                self.invalidate_method(m, organic);
             } else {
                 // Healthy window: start the next one. The recompiled code
                 // holds up under the current receiver distribution, so the
@@ -106,14 +112,17 @@ impl AosSystem<'_> {
 
     /// Invalidates `method`'s optimized version (guard thrash): the registry
     /// slot is cleared, the database drops its currently-optimized status
-    /// (so the hot-methods organizer may reselect it once the profile has
-    /// shifted), and *consecutive* invalidations — without a healthy guard
-    /// window in between — quarantine it.
-    fn invalidate_method(&mut self, method: MethodId) {
+    /// (so the hot-methods organizer may reselect it), and *consecutive*
+    /// invalidations — without a healthy guard window in between —
+    /// quarantine it. An `organic` thrash (the version's own guards, not
+    /// injected misses) adds the version's guarded inlines to the
+    /// database's thrashed set, so the recompile scheduled here and every
+    /// later compilation leave those speculations out.
+    fn invalidate_method(&mut self, method: MethodId, organic: bool) {
         if !self.vm.registry_mut().invalidate(method) {
             return; // registry and database out of sync; nothing installed
         }
-        self.db.record_invalidation(method);
+        self.db.record_invalidation(method, organic);
         self.charge(Component::Recovery, self.config.recovery.recovery_cost_per_event);
         self.emit(TraceEvent::Invalidate { method });
         let guard_stats = self.vm.guard_stats(method);
@@ -126,9 +135,10 @@ impl AosSystem<'_> {
         } else if self.db.recompiles(method) < self.config.max_recompiles_per_method {
             // The method was hot enough to compile and is thrashing *now*,
             // so don't wait for the hot organizer to re-notice it: schedule
-            // a recompilation after one base backoff — long enough for the
-            // post-shift profile to accumulate, short enough to bound the
-            // baseline-fallback window. The recompile budget shared with
+            // a recompilation after one base backoff, which bounds the
+            // baseline-fallback window. The rules have rarely moved by
+            // then; what changes the recompiled code is the thrashed set,
+            // which drops the failed guards. The recompile budget shared with
             // the missing-edge organizer bounds the churn a perpetually
             // phase-flipping method could otherwise generate; past it the
             // method settles at baseline — degraded, stable, correct.

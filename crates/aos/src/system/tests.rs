@@ -875,3 +875,115 @@ fn a_zero_threshold_still_needs_a_sample() {
     assert!(hot.iter().all(|&samples| samples >= 1), "{hot:?}");
 }
 
+
+// ---- The thrashed set: a speculation that failed is not installed again ---
+
+use aoci_ir::IdHashSet;
+
+#[test]
+fn a_thrashed_guard_is_not_speculated_again() {
+    // Organic thrash, no faults: the guarded inline of `A.val` misses on
+    // every check once `main` swaps the receiver to a `B`. Without decay
+    // and with a low hot threshold, the pre-shift rule for `A.val` is still
+    // hot when the recompile comes, as the suite's slowly-moving rules are.
+    let (p, compute) = phase_shift_program(6_000);
+    let mut config = fast_config(PolicyKind::ContextInsensitive)
+        .enable_guard_monitoring()
+        .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 0 });
+    config.decay_factor = 1.0;
+    config.hot_edge_threshold = 0.001;
+    let (report, db, _) = AosSystem::new(&p, config).run_full().expect("runs");
+    let log = report.trace_log.as_ref().expect("tracing is on");
+    // Replay the stream: an install's `inline-decision` events precede its
+    // `compile` event, and an invalidation (all organic here) thrashes the
+    // guarded inlines of its method's latest install.
+    let mut thrashed: IdHashSet<(CallSiteRef, MethodId)> = IdHashSet::default();
+    let mut latest: IdHashMap<MethodId, Vec<(CallSiteRef, MethodId)>> = IdHashMap::default();
+    let mut installing = Vec::new();
+    let mut checked_after_thrash = 0;
+    for (i, r) in log.events.iter().enumerate() {
+        match &r.event {
+            TraceEvent::InlineDecision { guarded: true, facts } => {
+                let pair = (facts.site, facts.callee);
+                assert!(
+                    !thrashed.contains(&pair),
+                    "event #{i}: host {:?} guard-inlines the thrashed {pair:?}",
+                    facts.host
+                );
+                installing.push(pair);
+            }
+            TraceEvent::Compile { method, .. } => {
+                latest.insert(*method, std::mem::take(&mut installing));
+                checked_after_thrash += usize::from(!thrashed.is_empty());
+            }
+            TraceEvent::Invalidate { method } => {
+                thrashed.extend(latest.remove(method).unwrap_or_default());
+            }
+            _ => {}
+        }
+    }
+    assert!(!thrashed.is_empty(), "the phase shift thrashes a guarded inline");
+    assert!(checked_after_thrash > 0, "some compile follows the thrash");
+    assert_eq!(thrashed, **db.thrashed(), "the database records what the stream shows");
+    assert!(db.is_optimized(compute), "the thrashing host ends the run optimized");
+}
+
+/// One install's inline decisions, as `(site, callee, guarded)`.
+type Decisions = Vec<(CallSiteRef, MethodId, bool)>;
+
+/// Each `compile` event's method and decisions, in stream order.
+fn compiles(log: &TraceLog) -> Vec<(MethodId, Decisions)> {
+    let mut out = Vec::new();
+    let mut decisions = Vec::new();
+    for r in &log.events {
+        match &r.event {
+            TraceEvent::InlineDecision { guarded, facts } => {
+                decisions.push((facts.site, facts.callee, *guarded));
+            }
+            TraceEvent::Compile { method, .. } => {
+                out.push((*method, std::mem::take(&mut decisions)));
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+#[test]
+fn receiver_bursts_thrash_nothing() {
+    // Guards that hold organically; only the injected misses invalidate.
+    let p = hot_loop_program(6_000, true);
+    let fault = FaultConfig {
+        seed: 0,
+        receiver_burst_prob: 0.05,
+        receiver_burst_misses: 96,
+        ..FaultConfig::default()
+    };
+    let config = fast_config(PolicyKind::Fixed { max: 3 })
+        .enable_faults(fault)
+        .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 0 });
+    let (report, db, _) = AosSystem::new(&p, config).run_full().expect("runs");
+    assert!(report.recovery.invalidations > 0, "{:?}", report.recovery);
+    assert!(db.thrashed().is_empty(), "{:?}", db.thrashed());
+    // The compile after each burst-driven invalidation equals the one
+    // before it.
+    let log = report.trace_log.as_ref().expect("tracing is on");
+    let all = compiles(log);
+    let mut compiled = 0;
+    let mut recompared = 0;
+    for r in &log.events {
+        match r.event {
+            TraceEvent::Compile { .. } => compiled += 1,
+            TraceEvent::Invalidate { method } => {
+                let before = all[..compiled].iter().rev().find(|(m, _)| *m == method);
+                let after = all[compiled..].iter().find(|(m, _)| *m == method);
+                if let (Some(before), Some(after)) = (before, after) {
+                    assert_eq!(after, before, "{method:?}");
+                    recompared += usize::from(before.1.iter().any(|&(.., guarded)| guarded));
+                }
+            }
+            _ => {}
+        }
+    }
+    assert!(recompared > 0, "some method with a guard is invalidated and recompiled");
+}

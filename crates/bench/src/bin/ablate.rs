@@ -6,7 +6,9 @@
 //! 3. **decay factor** sweep on the phase-shift workload;
 //! 4. **hot threshold** sweep (profile dilution);
 //! 5. **source-level stack recovery vs naive walk** in the trace listener
-//!    (Section 3.3, "Optimized Stack Frames").
+//!    (Section 3.3, "Optimized Stack Frames");
+//! 6. **guard-health monitoring without faults**: the suite with the
+//!    monitor off and on (DESIGN.md §6).
 //!
 //! ```sh
 //! cargo run --release -p aoci-bench --bin ablate
@@ -15,7 +17,7 @@
 use aoci_aos::{AosConfig, AosSystem};
 use aoci_bench::render_table;
 use aoci_core::{MatchMode, PolicyKind};
-use aoci_workloads::{build, spec_by_name, Workload};
+use aoci_workloads::{build, spec_by_name, suite, Workload};
 
 fn run(w: &Workload, config: AosConfig) -> aoci_aos::AosReport {
     AosSystem::new(&w.program, config).run().expect("workload runs")
@@ -107,4 +109,42 @@ fn main() {
         "The naive walk records misleading traces once inlining begins (e.g. A ⇒ C\n\
          when the truth is A ⇒ B ⇒ C), so its rules degrade as optimization proceeds."
     );
+
+    // 6. Guard-health monitoring without faults.
+    let policy = PolicyKind::ParameterlessClass { max: 3 };
+    println!();
+    println!("Ablation 6: guard-health monitoring without faults (suite, {policy}, sync)");
+    let mut rows = Vec::new();
+    let (mut total_off, mut total_on, mut invalidations) = (0, 0, 0);
+    for spec in suite() {
+        let w = build(&spec);
+        let off = run(&w, AosConfig::new(policy)).total_cycles();
+        let on = run(&w, AosConfig::new(policy).enable_guard_monitoring());
+        total_off += off;
+        total_on += on.total_cycles();
+        invalidations += on.recovery.invalidations;
+        rows.push(vec![
+            spec.name.to_string(),
+            off.to_string(),
+            on.total_cycles().to_string(),
+            change(off, on.total_cycles()),
+            on.recovery.invalidations.to_string(),
+        ]);
+    }
+    rows.push(vec![
+        "total".into(),
+        total_off.to_string(),
+        total_on.to_string(),
+        change(total_off, total_on),
+        invalidations.to_string(),
+    ]);
+    let header: Vec<String> = ["workload", "monitor off", "monitor on", "change", "invalidations"]
+        .map(String::from)
+        .into();
+    println!("{}", render_table(&header, &rows));
+}
+
+/// The relative change from `from` to `to` cycles, signed, two decimals.
+fn change(from: u64, to: u64) -> String {
+    format!("{:+.2}%", (to as f64 / from as f64 - 1.0) * 100.0)
 }

@@ -2,7 +2,7 @@
 //! per call site (paper Section 3.1).
 
 use crate::rules::RuleSet;
-use aoci_ir::{CallSiteRef, MethodId};
+use aoci_ir::{CallSiteRef, IdHashSet, MethodId};
 use std::sync::Arc;
 
 /// How the oracle matches rule contexts against compilation contexts.
@@ -38,10 +38,15 @@ pub struct Candidate {
 /// chain of ⟨caller, callsite⟩ pairs produced by the inlining decisions made
 /// so far. The oracle applies the Equation 3 partial match and target-set
 /// intersection to produce candidates.
+///
+/// An oracle may also carry an *exclusion set* of `(site, target)` pairs
+/// ([`InlineOracle::excluding`]): speculations that already failed at run
+/// time, which no rule can bring back.
 #[derive(Clone, Debug)]
 pub struct InlineOracle {
     rules: Arc<RuleSet>,
     mode: MatchMode,
+    excluded: Option<Arc<IdHashSet<(CallSiteRef, MethodId)>>>,
 }
 
 impl InlineOracle {
@@ -53,12 +58,30 @@ impl InlineOracle {
 
     /// Creates an oracle with an explicit [`MatchMode`].
     pub fn with_mode(rules: Arc<RuleSet>, mode: MatchMode) -> Self {
-        InlineOracle { rules, mode }
+        InlineOracle { rules, mode, excluded: None }
     }
 
     /// An oracle with no profile data (static heuristics only).
     pub fn empty() -> Self {
-        InlineOracle { rules: Arc::new(RuleSet::new()), mode: MatchMode::Partial }
+        Self::new(Arc::new(RuleSet::new()))
+    }
+
+    /// Never offers `target` at `site` for any `(site, target)` pair in
+    /// `excluded`, whatever the rules say and whatever chain the site is
+    /// reached through: a call site keeps its virtual dispatch, or its
+    /// other predicted targets. An empty set changes no answer.
+    pub fn excluding(mut self, excluded: Arc<IdHashSet<(CallSiteRef, MethodId)>>) -> Self {
+        self.excluded = Some(excluded);
+        self
+    }
+
+    /// Whether `target` is excluded at the site at the head of
+    /// `compile_context`.
+    fn is_excluded(&self, compile_context: &[CallSiteRef], target: MethodId) -> bool {
+        match (&self.excluded, compile_context.first()) {
+            (Some(excluded), Some(&site)) => excluded.contains(&(site, target)),
+            _ => false,
+        }
     }
 
     /// The underlying rule set.
@@ -76,6 +99,7 @@ impl InlineOracle {
             MatchMode::Exact => self.rules.candidates_exact(compile_context),
         };
         raw.into_iter()
+            .filter(|&(target, _)| !self.is_excluded(compile_context, target))
             .map(|(target, weight)| Candidate { target, weight })
             .collect()
     }
@@ -86,6 +110,9 @@ impl InlineOracle {
     /// with a known callee asks, answered without the candidate list in the
     /// paper's partial-match mode.
     pub fn weight_of(&self, compile_context: &[CallSiteRef], callee: MethodId) -> Option<f64> {
+        if self.is_excluded(compile_context, callee) {
+            return None;
+        }
         match self.mode {
             MatchMode::Partial => self.rules.candidate_weight(compile_context, callee),
             MatchMode::Exact => self
@@ -136,6 +163,40 @@ mod tests {
             let divergent = [cs(3, 1), cs(9, 9)];
             assert!(o.candidates(&divergent).is_empty());
             assert_eq!(o.weight_of(&divergent, mid(5)), None, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn an_excluded_pair_leaves_the_candidates_and_other_targets_stay() {
+        // Site m0@0 predicts 5 and 6, alone and when reached from m1@0.
+        let rules = RuleSet::from_rules(
+            vec![
+                (TraceKey::edge(cs(0, 0), mid(5)), 6.0),
+                (TraceKey::edge(cs(0, 0), mid(6)), 4.0),
+                (TraceKey::new(mid(5), vec![cs(0, 0), cs(1, 0)]), 3.0),
+                (TraceKey::new(mid(6), vec![cs(0, 0), cs(1, 0)]), 1.0),
+                (TraceKey::edge(cs(2, 0), mid(5)), 2.0),
+            ],
+            6.0,
+        );
+        let excluded: IdHashSet<_> = [(cs(0, 0), mid(5))].into_iter().collect();
+        for mode in [MatchMode::Partial, MatchMode::Exact] {
+            let all = InlineOracle::with_mode(rules.clone().into(), mode);
+            let o = all.clone().excluding(Arc::new(excluded.clone()));
+            for ctx in [&[cs(0, 0)][..], &[cs(0, 0), cs(1, 0)]] {
+                let kept: Vec<Candidate> =
+                    all.candidates(ctx).into_iter().filter(|c| c.target != mid(5)).collect();
+                assert!(!kept.is_empty(), "{mode:?} {ctx:?}: 6 is predicted at the site");
+                assert_eq!(o.candidates(ctx), kept, "{mode:?} {ctx:?}");
+                assert_eq!(o.weight_of(ctx, mid(5)), None, "{mode:?} {ctx:?}");
+                assert_eq!(o.weight_of(ctx, mid(6)), all.weight_of(ctx, mid(6)), "{mode:?}");
+            }
+            // The same target at another site is not excluded.
+            assert_eq!(o.candidates(&[cs(2, 0)]), all.candidates(&[cs(2, 0)]), "{mode:?}");
+            assert_eq!(o.weight_of(&[cs(2, 0)], mid(5)), Some(2.0), "{mode:?}");
+            // An empty set changes no answer.
+            let none = all.clone().excluding(Arc::default());
+            assert_eq!(none.candidates(&[cs(0, 0)]), all.candidates(&[cs(0, 0)]), "{mode:?}");
         }
     }
 }
