@@ -240,8 +240,8 @@ impl AosConfig {
     // to the system before the subsystem existed.
 
     /// Enables on-stack replacement: hot baseline loops are promoted into
-    /// optimized code mid-activation, and invalidated or thrashing
-    /// optimized activations deoptimize back to baseline mid-loop instead
+    /// optimized code mid-activation, and optimized activations whose
+    /// version was invalidated deoptimize back to baseline mid-loop instead
     /// of finishing on stale code (DESIGN.md §7).
     pub fn enable_osr(mut self) -> Self {
         self.vm.osr_enabled = true;

@@ -83,7 +83,7 @@ pub struct OsrEvents {
     /// optimized code mid-loop.
     pub entries: u64,
     /// OSR-out transitions performed: optimized activations deoptimized
-    /// back to baseline mid-loop (invalidation or frame-local thrash).
+    /// back to baseline mid-loop because their version was invalidated.
     pub exits: u64,
 }
 

@@ -86,15 +86,15 @@ pub fn compile(
     // The frame mapping at every anchor is the identity over the root
     // register window: emission never renames root registers (inlined
     // callees live in windows above them) and simplification rewrites
-    // uses, never definitions.
+    // uses, never definitions. So a point is its two pcs, and a transfer
+    // carries the root window across as it is.
     let mut seen_opt = IdHashSet::default();
     let points: Vec<OsrPoint> = anchors
         .into_iter()
         .filter(|&(_, opt_pc)| seen_opt.insert(opt_pc))
-        .map(|(src_pc, opt_pc)| OsrPoint::identity(src_pc, opt_pc, root_def.num_regs()))
+        .map(|(baseline_pc, opt_pc)| OsrPoint { baseline_pc, opt_pc })
         .collect();
     let osr_map = OsrMap::new(points).expect("anchors are unique on both sides");
-    debug_assert!(osr_map.validate(root_def.num_regs(), num_regs).is_ok());
     let generated_size = size::body_size(&body);
     let version = MethodVersion {
         method,

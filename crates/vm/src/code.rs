@@ -199,9 +199,9 @@ pub struct MethodVersion {
     /// Typed identity assigned at install time, distinguishing
     /// recompilations (see [`VersionId`]).
     pub version_id: VersionId,
-    /// OSR anchors: per surviving root loop header, the frame mapping
-    /// between a baseline frame and this version's frame. Empty for
-    /// baseline code and for optimized code without root loops.
+    /// OSR anchors: per surviving root loop header, its pc in the baseline
+    /// body and in this one. Empty for baseline code and for optimized code
+    /// without root loops.
     pub osr_map: OsrMap,
 }
 

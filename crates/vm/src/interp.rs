@@ -11,7 +11,6 @@ use crate::stack::{SourceFrame, StackSnapshot};
 use crate::value::Value;
 use aoci_ir::{Instr, MethodId, Program, Reg, SelectorId};
 use aoci_trace::{TraceEvent, TraceSink};
-use std::borrow::Cow;
 
 pub(crate) mod decode;
 use decode::{run_frames, CallOps, Switch};
@@ -30,8 +29,10 @@ pub struct VmConfig {
     pub max_stack_depth: usize,
     /// Enables on-stack replacement. Off by default: the paper's system
     /// switches code versions only at invocation boundaries, so the
-    /// reproduction sweeps opt in explicitly. When off, the VM neither
-    /// counts loop back-edges nor deoptimizes in-flight activations, and
+    /// reproduction sweeps opt in explicitly. When on, baseline activations
+    /// count loop back-edges (OSR-in requests), and an optimized activation
+    /// whose version was invalidated deoptimizes at its next loop header
+    /// that is an OSR point (OSR-out). When off, the VM does neither, and
     /// behaves bit-identically to a VM built before OSR existed.
     pub osr_enabled: bool,
     /// Taken loop back-edges a *baseline* activation executes at one loop
@@ -55,16 +56,6 @@ impl Default for VmConfig {
 /// Number of leading instructions of a (source-level) method body that
 /// count as its prologue for edge/trace sampling purposes.
 const PROLOGUE_WINDOW: u32 = 3;
-
-/// Minimum guards an *optimized* activation must execute before its own
-/// miss rate can arm deoptimization (mirrors the recovery layer's window
-/// minimum, but frame-local: a single long-running activation thrashing its
-/// guards arms OSR-out without waiting for the method-level health monitor).
-const OSR_EXIT_MIN_CHECKS: u64 = 48;
-
-/// Frame-local guard-miss rate above which an optimized activation arms
-/// deoptimization and OSR-outs at its next loop header.
-const OSR_EXIT_MISS_THRESHOLD: f64 = 0.9;
 
 /// A baseline activation tripped its loop back-edge counter and wants to
 /// be promoted into optimized code mid-loop (OSR-in).
@@ -130,25 +121,6 @@ pub struct ExecCounters {
     pub osr_exits: u64,
 }
 
-/// The part of an activation that changes as it executes. The run loop
-/// copies it into a local while it runs the frame and stores it back
-/// whenever the frame stack is about to change or be observed (call,
-/// return, yield, OSR hook, fault).
-#[derive(Clone, Copy, Debug, Default)]
-struct Cursor {
-    /// The instruction being executed — or, in a suspended caller, the call
-    /// instruction it waits on (stack walks read the site from it).
-    pc: usize,
-    /// Guards this activation executed (optimized frames under OSR; used
-    /// for the frame-local thrash detector, not the method-level stats).
-    guard_checks: u64,
-    /// Of which missed into the fallback path.
-    guard_misses: u64,
-    /// Set once this activation should deoptimize at its next OSR exit
-    /// point (its own guards thrash).
-    deopt_armed: bool,
-}
-
 /// An activation. It names its code, which the registry owns for the life of
 /// the `Vm`, so it is plain data: a call touches no refcount.
 #[derive(Clone, Copy, Debug)]
@@ -162,16 +134,20 @@ struct Frame {
     base: usize,
     /// Where the caller wants the return value.
     ret_dst: Option<Reg>,
-    at: Cursor,
+    /// The instruction being executed — or, in a suspended caller, the call
+    /// instruction it waits on (stack walks read the site from it). The run
+    /// loop keeps it in [`Act::pc`] while it runs the frame and stores it
+    /// back whenever the frame stack is about to change or be observed
+    /// (call, return, yield, OSR hook, fault).
+    pc: usize,
 }
 
 /// The activation one step executes against: the register window and the
-/// cursor, plus the identity of the running code for fault sites.
+/// pc, plus the identity of the running code for fault sites.
 struct Act<'a> {
     method: MethodId,
-    level: OptLevel,
     win: &'a mut [Value],
-    at: &'a mut Cursor,
+    pc: usize,
     /// The simulated clock while this frame runs: the instruction loop adds
     /// every cost here and charges the sum when it leaves the frame.
     now: u64,
@@ -182,14 +158,14 @@ impl Act<'_> {
     fn reg(&self, r: Reg) -> Result<Value, VmError> {
         self.win.get(r.index()).copied().ok_or(VmError::BadRegister {
             method: self.method,
-            pc: self.at.pc,
+            pc: self.pc,
             reg: r.index(),
         })
     }
 
     #[inline(always)]
     fn set_reg(&mut self, r: Reg, v: Value) -> Result<(), VmError> {
-        let (method, pc) = (self.method, self.at.pc);
+        let (method, pc) = (self.method, self.pc);
         let slot =
             self.win.get_mut(r.index()).ok_or(VmError::BadRegister { method, pc, reg: r.index() })?;
         *slot = v;
@@ -200,7 +176,7 @@ impl Act<'_> {
     fn int(&self, v: Value) -> Result<i64, VmError> {
         v.as_int().ok_or(VmError::TypeError {
             method: self.method,
-            pc: self.at.pc,
+            pc: self.pc,
             expected: "integer",
         })
     }
@@ -247,7 +223,7 @@ fn enter(
         regs[base + i] = regs[caller_base + r.index()];
     }
     let ret_dst = ops.dst.map(Reg);
-    stack.push(Frame { code, base, ret_dst, at: Cursor::default() });
+    stack.push(Frame { code, base, ret_dst, pc: 0 });
     Ok(())
 }
 
@@ -450,7 +426,7 @@ impl<'p> Vm<'p> {
                     let Vm { stack, regs, exec, registry, .. } = &mut *self;
                     let caller = *stack.last().expect("a frame made the call");
                     let body = registry.body(caller.code, exec.program, &exec.cost);
-                    let ops = CallOps::of(&body.instrs[caller.at.pc].op, &body.arg_pool);
+                    let ops = CallOps::of(&body.instrs[caller.pc].op, &body.arg_pool);
                     enter(exec, registry, stack, regs, code, ops)?;
                 }
                 Switch::Ret(value) => self.finished = Some(value),
@@ -494,7 +470,7 @@ impl<'p> Vm<'p> {
         // are one allocation of the right size.
         let source_frames = |mf: &Frame| {
             if config.source_level_walk {
-                self.registry.version(mf.code).inline_map.source_chain(mf.at.pc).count()
+                self.registry.version(mf.code).inline_map.source_chain(mf.pc).count()
             } else {
                 1
             }
@@ -505,7 +481,7 @@ impl<'p> Vm<'p> {
         let mut root_method = self.exec.program.entry();
         let mut top_in_prologue = false;
         for (depth, mf) in self.stack.iter().rev().enumerate() {
-            let (version, pc) = (self.registry.version(mf.code), mf.at.pc);
+            let (version, pc) = (self.registry.version(mf.code), mf.pc);
             if depth == 0 {
                 root_method = version.method;
                 top_in_prologue = if config.source_level_walk {
@@ -567,9 +543,10 @@ impl<'p> Vm<'p> {
 
     /// The baseline version an OSR-out lands in. Prefers the installed
     /// version when it is already baseline; compiles (and, if the slot is
-    /// empty, installs) one otherwise. An installed *optimized* version is
-    /// never clobbered — the frame-local thrash path deoptimizes one
-    /// activation, not the method — so the compiled fallback is adopted by
+    /// empty, installs) one otherwise. An installed *optimized* version — a
+    /// recompile that replaced the invalidated one while this activation
+    /// kept running it — is never clobbered: the exit deoptimizes one
+    /// activation, not the method, so the compiled fallback is adopted by
     /// the registry on the side for reuse.
     fn deopt_target(&mut self, method: MethodId) -> CodeSlot {
         match self.registry.current(method) {
@@ -586,58 +563,47 @@ impl<'p> Vm<'p> {
     /// The one frame rewrite (DESIGN.md §7): moves the top activation into
     /// the code in `to`, pivoting through baseline frame state. With
     /// `exit_at`, the running code is left through its exit point at that
-    /// optimized pc (`map_to_baseline`); without, the activation already is
-    /// that state — a baseline frame parked on a loop header. Optimized code
-    /// in `to` is entered through its entry point at the pivot's baseline pc
-    /// (`map_to_optimized`); baseline code runs the pivot itself. The top
-    /// window is then resized where it sits, on top of the register stack,
-    /// the frame gets a fresh cursor at the landing pc, and `Component::Osr`
-    /// is charged for every slot mapped. Returns the landing pc, or `None` —
-    /// with the frame, the registers and the clock untouched — when a point
-    /// is missing or a checked mapping refuses.
+    /// optimized pc; without, the activation already is that state — a
+    /// baseline frame parked on a loop header. Optimized code in `to` is
+    /// entered through its entry point at the pivot's baseline pc; baseline
+    /// code runs the pivot itself. Under the frame-mapping invariant the
+    /// root window `n` — the method's own registers — means the same on
+    /// both sides, so the top window keeps its first `n` registers and is
+    /// resized where it sits, on top of the register stack, to the target's
+    /// register count, new registers `Null`. The frame lands at the new pc,
+    /// and `Component::Osr` is charged `n` slots per side mapped through a
+    /// point. Returns the landing pc, or `None` — with the frame, the
+    /// registers and the clock untouched — when a point is missing or
+    /// either window is smaller than `n`.
     ///
     /// OSR-in is `(None, optimized)` and OSR-out `(Some, baseline)`.
     fn transfer(&mut self, exit_at: Option<u32>, to: CodeSlot) -> Option<u32> {
         let Vm { stack, regs, exec, registry, .. } = self;
         let frame = stack.last_mut()?;
         let (from, target) = (registry.version(frame.code), registry.version(to));
-        let (pc, window, slots) = {
-            let running = &regs[frame.base..];
-            let exit = match exit_at {
-                Some(opt_pc) => Some(from.osr_map.exit_at_opt(opt_pc)?),
-                None => None,
-            };
-            let (pivot_pc, pivot) = match exit {
-                Some(point) => {
-                    let num_regs = exec.program.method(from.method).num_regs();
-                    (point.baseline_pc, Cow::Owned(point.map_to_baseline(running, num_regs).ok()?))
-                }
-                None => (u32::try_from(frame.at.pc).ok()?, Cow::Borrowed(running)),
-            };
-            let entry = match target.level {
-                OptLevel::Optimized => Some(target.osr_map.entry_at_baseline(pivot_pc)?),
-                OptLevel::Baseline => None,
-            };
-            let (pc, window) = match entry {
-                Some(point) => {
-                    (point.opt_pc, point.map_to_optimized(&pivot, target.num_regs).ok()?)
-                }
-                None => (pivot_pc, pivot.into_owned()),
-            };
-            let slots = exit.map_or(0, |p| p.slots.len()) + entry.map_or(0, |p| p.slots.len());
-            (pc, window, slots)
+        let pivot_pc = match exit_at {
+            Some(opt_pc) => from.osr_map.exit_at_opt(opt_pc)?.baseline_pc,
+            None => u32::try_from(frame.pc).ok()?,
         };
-        exec.clock.charge(Component::Osr, exec.cost.osr_transfer_cost(slots));
-        regs.truncate(frame.base);
-        regs.extend(window);
+        let entered = target.level == OptLevel::Optimized;
+        let pc =
+            if entered { target.osr_map.entry_at_baseline(pivot_pc)?.opt_pc } else { pivot_pc };
+        let n = usize::from(exec.program.method(from.method).num_regs());
+        if regs.len() - frame.base < n || usize::from(target.num_regs) < n {
+            return None;
+        }
+        let sides = usize::from(exit_at.is_some()) + usize::from(entered);
+        exec.clock.charge(Component::Osr, exec.cost.osr_transfer_cost(n * sides));
+        regs.truncate(frame.base + n);
+        regs.resize(frame.base + usize::from(target.num_regs), Value::Null);
         frame.code = to;
-        frame.at = Cursor { pc: pc as usize, ..Cursor::default() };
+        frame.pc = pc as usize;
         Some(pc)
     }
 
     /// OSR-out: leaves the top (optimized) frame's code through its exit
-    /// point at `opt_pc` into [`Vm::deopt_target`]. A mapping failure
-    /// (corrupt map) refuses the transfer and keeps executing the optimized
+    /// point at `opt_pc` into [`Vm::deopt_target`]. A refused transfer (a
+    /// window smaller than the root window) keeps executing the optimized
     /// code — degraded, never wrong.
     fn osr_exit(&mut self, opt_pc: u32) -> Result<(), VmError> {
         let frame = self
@@ -654,7 +620,7 @@ impl<'p> Vm<'p> {
             self.exec.counters.osr_exits += 1;
             self.emit(TraceEvent::OsrExit { method, opt_pc });
         } else {
-            self.stack.last_mut().expect("present above").at.pc = opt_pc as usize;
+            self.stack.last_mut().expect("present above").pc = opt_pc as usize;
         }
         Ok(())
     }
@@ -673,7 +639,7 @@ impl<'p> Vm<'p> {
         let method = running.method;
         if !self.exec.config.osr_enabled
             || running.level != OptLevel::Baseline
-            || frame.at.pc != loop_header as usize
+            || frame.pc != loop_header as usize
         {
             return false;
         }
@@ -716,7 +682,7 @@ impl Exec<'_> {
         recv: Reg,
         selector: SelectorId,
     ) -> Result<MethodId, VmError> {
-        let (method, pc) = (a.method, a.at.pc);
+        let (method, pc) = (a.method, a.pc);
         let r = a.reg(recv)?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
         let class =
             self.heap.class_of(r).ok_or(VmError::TypeError { method, pc, expected: "object" })?;
@@ -725,11 +691,10 @@ impl Exec<'_> {
             .ok_or(VmError::NoSuchMethod { selector, method, pc })
     }
 
-    /// Books one executed inline guard — global and per-method counters,
-    /// the miss event, and under OSR the optimized activation's own thrash
-    /// detector — and hands `pass` back.
+    /// Books one executed inline guard — global and per-method counters and
+    /// the miss event — and hands `pass` back.
     #[inline(always)]
-    fn note_guard(&mut self, a: &mut Act<'_>, pass: bool) -> bool {
+    fn note_guard(&mut self, a: &Act<'_>, pass: bool) -> bool {
         self.counters.guard_checks += 1;
         let stats = &mut self.guard_stats[a.method.index()];
         stats.checks += 1;
@@ -737,19 +702,8 @@ impl Exec<'_> {
             self.counters.guard_misses += 1;
             stats.misses += 1;
             if let Some(t) = &self.trace {
-                let event = TraceEvent::GuardMiss { method: a.method, pc: a.at.pc as u32 };
+                let event = TraceEvent::GuardMiss { method: a.method, pc: a.pc as u32 };
                 t.emit(a.now, event);
-            }
-        }
-        if self.config.osr_enabled && a.level == OptLevel::Optimized {
-            let at = &mut *a.at;
-            at.guard_checks += 1;
-            at.guard_misses += u64::from(!pass);
-            if !at.deopt_armed
-                && at.guard_checks >= OSR_EXIT_MIN_CHECKS
-                && at.guard_misses as f64 / at.guard_checks as f64 > OSR_EXIT_MISS_THRESHOLD
-            {
-                at.deopt_armed = true;
             }
         }
         pass

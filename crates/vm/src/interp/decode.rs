@@ -28,9 +28,9 @@
 //!   long as its `Vm`, so the loop holds `&CodeRegistry` and the running
 //!   slot's `&DecodedBody` across pushes and pops. Handlers take what they
 //!   mutate ([`Exec`], [`Act`]), never the frame stack or the registry.
-//!   While a frame runs, its [`Cursor`] and the clock are locals; leaving
-//!   it — call, return, OSR exit, yield or fault — stores the cursor back
-//!   and charges the cycles it ran, then the stack changes.
+//!   While a frame runs, its pc and the clock are locals; leaving it —
+//!   call, return, OSR exit, yield or fault — stores the pc back and
+//!   charges the cycles it ran, then the stack changes.
 //! * **Superinstructions are compositions.** A fused handler is literally
 //!   `first_half(); boundary(); second_half()` where the halves are the
 //!   plain handlers and `boundary` performs exactly what happens between
@@ -213,7 +213,7 @@ impl DecodedBody {
 }
 
 /// Executes the plain (single-instruction) handler for `op`, the
-/// instruction at `a.at.pc`. One jump table; every handler inlines into the
+/// instruction at `a.pc`. One jump table; every handler inlines into the
 /// caller's loop body.
 #[inline(always)]
 fn dispatch_plain<'b>(
@@ -248,7 +248,7 @@ fn dispatch_plain<'b>(
     }
 }
 
-/// Executes the superinstruction for the fused pair headed at `a.at.pc`:
+/// Executes the superinstruction for the fused pair headed at `a.pc`:
 /// the first half's plain handler, the inter-instruction boundary, the
 /// second half's plain handler. The boundary is what the interpreter does
 /// between two adjacent instructions: advance the pc (so fault sites and
@@ -266,9 +266,9 @@ fn dispatch_fused<'b>(
     // are reached through a `call_once` shim that is not inlined.
     macro_rules! fused {
         ($first:ident, $second:ident) => {{
-            let pc = a.at.pc;
+            let pc = a.pc;
             $first(x, a, &body.instrs[pc].op)?;
-            a.at.pc = pc + 1;
+            a.pc = pc + 1;
             a.now += body.instrs[pc + 1].cost;
             $second(x, a, &body.instrs[pc + 1].op)?
         }};
@@ -292,7 +292,7 @@ fn dispatch_fused<'b>(
 /// Runs the top frame, and every frame a call or a return puts on top, until
 /// the loop may have to yield or meets one of the three things it leaves to
 /// `run` (see [`Switch`]). Whenever it returns — a fault included — the
-/// frames' cursors and the clock are current, with the top frame's `at.pc`
+/// frames' pcs and the clock are current, with the top frame's `pc`
 /// on the instruction that stopped the loop or, for a yield, the next one to
 /// run.
 #[inline]
@@ -307,14 +307,14 @@ pub(super) fn run_frames<'r>(
         let frame =
             *stack.last().ok_or(VmError::NoActiveFrame { context: "executing an instruction" })?;
         let body = registry.body(frame.code, x.program, &x.cost);
-        let (mut at, t0) = (frame.at, x.clock.total());
+        let t0 = x.clock.total();
         let win = &mut regs[frame.base..];
-        let mut a = Act { method: body.method, level: body.level, win, at: &mut at, now: t0 };
+        let mut a = Act { method: body.method, win, pc: frame.pc, now: t0 };
         let left = run_frame(x, registry, frame.code, body, &mut a, event);
         // The one place the frame's locals go back: before the stack changes,
         // before anything can observe them (yield), and on a fault.
         x.clock.charge(body.component, a.now - t0);
-        stack.last_mut().expect("fetched above").at = at;
+        stack.last_mut().expect("fetched above").pc = a.pc;
         match left? {
             Switch::Call { callee, op } => match registry.current_slot(callee) {
                 Some(code) => {
@@ -329,11 +329,11 @@ pub(super) fn run_frames<'r>(
                 if let (Some(dst), Some(v)) = (frame.ret_dst, value) {
                     let slot = regs[caller.base..].get_mut(dst.index()).ok_or_else(|| {
                         let method = registry.version(caller.code).method;
-                        VmError::BadRegister { method, pc: caller.at.pc, reg: dst.index() }
+                        VmError::BadRegister { method, pc: caller.pc, reg: dst.index() }
                     })?;
                     *slot = v;
                 }
-                caller.at.pc += 1; // advance past the call instruction
+                caller.pc += 1; // advance past the call instruction
             }
             leave => return Ok(leave),
         }
@@ -357,7 +357,7 @@ fn run_frame<'b>(
     event: u64,
 ) -> Result<Switch<'b>, VmError> {
     loop {
-        let pc = a.at.pc;
+        let pc = a.pc;
         let di = body
             .instrs
             .get(pc)
@@ -371,7 +371,7 @@ fn run_frame<'b>(
             _ => dispatch_plain(x, a, &di.op, &body.arg_pool)?,
         };
         let mut raised = false;
-        a.at.pc = match flow {
+        a.pc = match flow {
             Flow::Advance => pc + 1,
             Flow::AdvanceFused => pc + 2,
             Flow::Jump { target, fused } => {
@@ -385,10 +385,10 @@ fn run_frame<'b>(
                     match body.level {
                         OptLevel::Baseline => raised = x.count_backedge(body.method, target),
                         OptLevel::Optimized => {
-                            // The version was invalidated or the activation's
-                            // own guards thrash, and the header is an exit.
+                            // The version was invalidated, and the header is
+                            // an exit.
                             let version = registry.version(code);
-                            if (a.at.deopt_armed || registry.is_invalidated(version.version_id))
+                            if registry.is_invalidated(version.version_id)
                                 && version.osr_map.exit_at_opt(target).is_some()
                             {
                                 return Ok(Switch::OsrExit(target));
@@ -412,8 +412,8 @@ fn run_frame<'b>(
 
 // ---------------------------------------------------------------------------
 // Plain handlers: the semantics of each opcode, reading operands from the
-// decoded form. Faults name `a.method` / `a.at.pc` (the dispatch loop keeps
-// `a.at.pc` on the executing instruction).
+// decoded form. Faults name `a.method` / `a.pc` (the dispatch loop keeps
+// `a.pc` on the executing instruction).
 // ---------------------------------------------------------------------------
 
 #[inline(always)]
@@ -441,7 +441,7 @@ fn op_move<'b>(_x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<
 #[inline(always)]
 fn op_bin<'b>(_x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let &DecodedOp::Bin { op, dst, lhs, rhs } = op else { unreachable!() };
-    let (method, pc) = (a.method, a.at.pc);
+    let (method, pc) = (a.method, a.pc);
     let l = a.int(a.reg(Reg(lhs))?)?;
     let r = a.int(a.reg(Reg(rhs))?)?;
     let r = match op {
@@ -481,7 +481,7 @@ fn op_get_field<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Res
     let &DecodedOp::GetField { dst, obj, offset, .. } = op else {
         unreachable!()
     };
-    let (method, pc) = (a.method, a.at.pc);
+    let (method, pc) = (a.method, a.pc);
     let r = a.reg(Reg(obj))?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
     let v = x
         .heap
@@ -496,7 +496,7 @@ fn op_put_field<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Res
     let &DecodedOp::PutField { obj, offset, src, .. } = op else {
         unreachable!()
     };
-    let (method, pc) = (a.method, a.at.pc);
+    let (method, pc) = (a.method, a.pc);
     let r = a.reg(Reg(obj))?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
     let v = a.reg(Reg(src))?;
     if !x.heap.put_field(r, offset, v) {
@@ -525,10 +525,10 @@ fn op_arr_new<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Resul
     let &DecodedOp::ArrNew { dst, len } = op else { unreachable!() };
     let n = a.int(a.reg(Reg(len))?)?;
     if n < 0 {
-        return Err(VmError::NegativeArrayLength { method: a.method, pc: a.at.pc });
+        return Err(VmError::NegativeArrayLength { method: a.method, pc: a.pc });
     }
     let len = u32::try_from(n)
-        .map_err(|_| VmError::ArrayTooLarge { method: a.method, pc: a.at.pc, len: n })?;
+        .map_err(|_| VmError::ArrayTooLarge { method: a.method, pc: a.pc, len: n })?;
     let r = x.heap.alloc_array(len);
     a.set_reg(Reg(dst), Value::Ref(r))?;
     Ok(Flow::Advance)
@@ -537,7 +537,7 @@ fn op_arr_new<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Resul
 #[inline(always)]
 fn op_arr_get<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let &DecodedOp::ArrGet { dst, arr, idx } = op else { unreachable!() };
-    let (method, pc) = (a.method, a.at.pc);
+    let (method, pc) = (a.method, a.pc);
     let r = a.reg(Reg(arr))?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
     let i = a.int(a.reg(Reg(idx))?)?;
     let v = x
@@ -551,7 +551,7 @@ fn op_arr_get<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Resul
 #[inline(always)]
 fn op_arr_set<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let &DecodedOp::ArrSet { arr, idx, src } = op else { unreachable!() };
-    let (method, pc) = (a.method, a.at.pc);
+    let (method, pc) = (a.method, a.pc);
     let r = a.reg(Reg(arr))?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
     let i = a.int(a.reg(Reg(idx))?)?;
     let v = a.reg(Reg(src))?;
@@ -564,7 +564,7 @@ fn op_arr_set<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Resul
 #[inline(always)]
 fn op_arr_len<'b>(x: &mut Exec<'_>, a: &mut Act<'_>, op: &'b DecodedOp) -> Result<Flow<'b>, VmError> {
     let &DecodedOp::ArrLen { dst, arr } = op else { unreachable!() };
-    let (method, pc) = (a.method, a.at.pc);
+    let (method, pc) = (a.method, a.pc);
     let r = a.reg(Reg(arr))?.as_ref().ok_or(VmError::NullDeref { method, pc })?;
     let n = x
         .heap

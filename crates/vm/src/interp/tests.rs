@@ -20,6 +20,13 @@ fn decoded_slots_are_32_bytes() {
     assert_eq!(std::mem::size_of::<decode::DecodedInstr>(), 32);
 }
 
+/// An activation is its code slot, its window base, its return register and
+/// its pc: 24 bytes, copied out and back at every call, return and yield.
+#[test]
+fn frames_are_24_bytes() {
+    assert_eq!(std::mem::size_of::<Frame>(), 24);
+}
+
 #[test]
 fn arithmetic_and_branches() {
     // Compute sum 1..=5 with a loop.
@@ -575,7 +582,8 @@ fn osr_resize_fixture() -> (aoci_ir::Program, aoci_ir::MethodId, MethodVersion, 
         num_regs: 7,
         code_size: 10,
         version_id: crate::VersionId::default(),
-        osr_map: crate::OsrMap::new(vec![crate::OsrPoint::identity(3, 4, 4)]).expect("one point"),
+        osr_map: crate::OsrMap::new(vec![crate::OsrPoint { baseline_pc: 3, opt_pc: 4 }])
+            .expect("one point"),
     };
     (p, looper, version, 1234 + 999 * 1000 / 2)
 }
@@ -1103,7 +1111,7 @@ fn boundary_fixture() -> aoci_ir::Program {
 /// second half, which has not run.
 fn assert_rests_between_the_halves(vm: &Vm<'_>) {
     assert_eq!(vm.clock().total(), 2, "the first half was charged, the second was not");
-    assert_eq!(vm.stack.last().expect("in main").at.pc, 2, "resting on the second half");
+    assert_eq!(vm.stack.last().expect("in main").pc, 2, "resting on the second half");
     assert_eq!(vm.regs, [Value::Int(5), Value::Int(7), Value::Null], "`Bin` has not run");
 }
 
@@ -1165,7 +1173,7 @@ fn an_osr_request_is_returned_before_the_sample_due_on_the_same_step() {
         let mut next = || loop {
             match vm.run(budget(stepped)).expect("no fault") {
                 RunOutcome::BudgetExhausted => {}
-                other => break (other, vm.clock().total(), vm.stack.last().map(|f| f.at.pc)),
+                other => break (other, vm.clock().total(), vm.stack.last().map(|f| f.pc)),
             }
         };
         let (first, cycles, pc) = next();
@@ -1301,7 +1309,7 @@ fn samples_due_on_a_call_and_on_a_return_see_the_stack_after_the_switch() {
                     }
                     other => panic!("{at}: expected a sample, got {other:?}"),
                 }
-                assert_eq!(vm.stack.last().expect("running").at.pc, *pc, "{at}");
+                assert_eq!(vm.stack.last().expect("running").pc, *pc, "{at}");
                 assert_eq!(&vm.regs, regs, "{at}");
             }
             let last = next_outcome(&mut vm, stepped);
@@ -1329,9 +1337,9 @@ fn a_budget_ending_on_a_call_stops_with_the_callee_pushed() {
                 assert!(matches!(vm.run(slice).expect("no fault"), RunOutcome::BudgetExhausted));
             }
             assert_eq!((vm.clock().total(), vm.stack_depth()), (call_cycle, 2), "{at}");
-            assert_eq!((vm.stack[0].at.pc, vm.stack[1].at.pc), (call_pc, 0), "{at}");
+            assert_eq!((vm.stack[0].pc, vm.stack[1].pc), (call_pc, 0), "{at}");
             assert!(matches!(vm.run(1).expect("no fault"), RunOutcome::BudgetExhausted));
-            assert_eq!((vm.clock().total(), vm.stack[1].at.pc), (call_cycle + 1, 1), "{at}");
+            assert_eq!((vm.clock().total(), vm.stack[1].pc), (call_cycle + 1, 1), "{at}");
             let v = complete(&mut vm, stepped).expect("no fault");
             assert_eq!((v, vm.clock().total()), (Some(Value::Int(164)), 8), "{at}");
         }
@@ -1378,7 +1386,7 @@ fn a_first_invocation_compiles_between_the_call_and_the_callee() {
             }
             other => panic!("stepped={stepped}: expected the sample due at c0 + 3, got {other:?}"),
         }
-        assert_eq!((vm.stack_depth(), vm.stack[1].at.pc), (2, 0), "stepped={stepped}");
+        assert_eq!((vm.stack_depth(), vm.stack[1].pc), (2, 0), "stepped={stepped}");
         let clock = vm.clock();
         assert_eq!(clock.component(Component::BaselineCompilation), c0 + compile, "stepped={stepped}");
         assert_eq!(clock.component(Component::AppBaseline), 2, "stepped={stepped}: New and the call");
@@ -1424,7 +1432,7 @@ fn a_fault_inside_a_frame_leaves_the_clock_on_the_faulting_instruction() {
             (5, 5),
             "stepped={stepped}"
         );
-        assert_eq!(vm.stack[1].at.pc, 2, "stepped={stepped}: the cursor rests on the fault");
+        assert_eq!(vm.stack[1].pc, 2, "stepped={stepped}: the pc rests on the fault");
     }
 }
 
@@ -1460,7 +1468,7 @@ fn an_edited_clone_runs_from_the_next_invocation_on() {
         let mut vm = Vm::new(&p, call_unit_cost());
         // The first call's charge: `g` is on top and has run nothing.
         assert!(matches!(vm.run(1).expect("no fault"), RunOutcome::BudgetExhausted));
-        assert_eq!((vm.stack_depth(), vm.stack[1].at.pc), (2, 0), "stepped={stepped}");
+        assert_eq!((vm.stack_depth(), vm.stack[1].pc), (2, 0), "stepped={stepped}");
         let longer = edited_clone(&vm, g, |body| body.insert(0, Instr::Work { units: 1 }));
         vm.registry_mut().install(longer);
         complete(&mut vm, stepped).expect("no fault");

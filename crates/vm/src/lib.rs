@@ -66,7 +66,7 @@ pub use cost::CostModel;
 pub use error::VmError;
 pub use heap::{Heap, ObjRef};
 pub use interp::{ExecCounters, MethodGuardStats, OsrRequest, RunOutcome, Vm, VmConfig};
-pub use osr::{OsrError, OsrMap, OsrPoint, OsrSlot};
+pub use osr::{OsrError, OsrMap, OsrPoint};
 pub use registry::{CodeRegistry, VersionId};
 pub use stack::{SourceFrame, StackSnapshot};
 pub use value::Value;

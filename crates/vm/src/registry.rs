@@ -66,8 +66,9 @@ pub struct CodeRegistry {
     arena: Vec<Code>,
     current: Vec<Option<CodeSlot>>,
     /// Per method, the baseline version an OSR-out lands in while the
-    /// method's current version is still optimized (frame-local thrash
-    /// without invalidation): built on the side and adopted, never current.
+    /// method's current version is optimized (a recompile installed after
+    /// the invalidation the exiting activation runs): built on the side and
+    /// adopted, never current.
     deopt_baseline: Vec<Option<CodeSlot>>,
     next_version_id: u32,
     /// Total abstract size of all *optimized* code ever generated

@@ -257,6 +257,24 @@ fn thrashing_activation_deoptimizes_before_it_returns() {
     assert_eq!(stale.osr, OsrEvents::default());
 }
 
+/// OSR-out has one trigger, an invalidated version: with the guard monitor
+/// off and no faults nothing invalidates `spin`, so its thrashing
+/// activation finishes on its own code, however many guards it misses.
+#[test]
+fn thrashing_alone_takes_no_osr_exit() {
+    let p = warm_then_thrash(8, 300, 4_000);
+    let expected = baseline_result(&p);
+
+    let mut c = fast(AosConfig::new(PolicyKind::ContextInsensitive).enable_osr());
+    c.recovery.monitor_guard_health = false;
+    c.vm.osr_backedge_threshold = 1_000_000;
+    let report = run(&p, c);
+    assert_eq!(report.result, expected);
+    assert_eq!(report.osr, OsrEvents::default());
+    assert_eq!(report.recovery.invalidations, 0);
+    assert!(report.counters.guard_misses >= 1_000, "the guard thrashes: {:?}", report.counters);
+}
+
 /// Like [`loop_in_main`], but shaped so the decoded form's
 /// superinstruction fusion (DESIGN.md §13) overlaps both ends of the
 /// loop's back edge: the loop-top instruction is the *second half* of a
@@ -404,13 +422,12 @@ fn osr_in_crosses_fused_superinstruction_boundary() {
 }
 
 /// OSR-out landing on a fused boundary: in `warm_then_thrash`, `spin`'s
-/// loop top is a Branch fused with the Const before it, so when the
-/// thrashing optimized activation deoptimizes at the back edge, the
-/// frame mapping's continuation pc is the second half of a fused pair in
-/// the baseline body it returns to. The exit must happen, land on a
-/// legal pc (the run completes with the baseline result), and cost
-/// exactly what it cost when it was first pinned against an interpreter
-/// that never fused.
+/// loop top is a Branch fused with the Const before it, so when the guard
+/// monitor invalidates the thrashing version and its activation
+/// deoptimizes at the back edge, the continuation pc is the second half
+/// of a fused pair in the baseline body it returns to. The exit must
+/// happen, land on a legal pc (the run completes with the baseline
+/// result), and cost exactly the pinned cycles.
 #[test]
 fn osr_out_lands_on_fused_boundary() {
     let p = warm_then_thrash(8, 300, 4_000);
@@ -446,14 +463,14 @@ fn osr_out_lands_on_fused_boundary() {
         "the thrashing activation must deoptimize mid-loop: {:?}",
         report.osr
     );
-    assert_eq!(report.total_cycles(), 2_082_208);
+    assert_eq!(report.total_cycles(), 2_079_714);
     assert_eq!(
         report.counters,
         ExecCounters {
             calls: 4_309,
             virtual_dispatches: 4_300,
-            guard_checks: 2_148,
-            guard_misses: 48,
+            guard_checks: 2_190,
+            guard_misses: 90,
             osr_entries: 0,
             osr_exits: 1,
         }
