@@ -71,26 +71,16 @@ impl Default for RecoveryConfig {
     }
 }
 
-/// Tunables of the simulated asynchronous background-compilation pool (the
+/// Simulated compiler workers of the background-compilation pool (the
 /// paper's — and Jikes RVM's — compilation *thread*, modelled in
-/// deterministic simulated time). Absent (`AosConfig::async_compile =
-/// None`, the default), every plan compiles synchronously inside its epoch
-/// tick, bit-identical to the system before this subsystem existed.
-#[derive(Clone, Debug)]
-pub struct AsyncCompileConfig {
-    /// Simulated compiler workers: how many plans can be in flight at once.
-    pub workers: usize,
-    /// Bounded priority-queue capacity; a plan arriving at a full queue
-    /// evicts the lowest-priority resident (or is itself dropped when it
-    /// *is* the lowest) — the backpressure counter records either way.
-    pub queue_capacity: usize,
-}
+/// deterministic simulated time): how many plans can be in flight at once.
+pub(crate) const ASYNC_WORKERS: usize = 2;
 
-impl Default for AsyncCompileConfig {
-    fn default() -> Self {
-        AsyncCompileConfig { workers: 2, queue_capacity: 16 }
-    }
-}
+/// Capacity of the background scheduler's priority queue; a plan arriving
+/// at a full queue evicts the lowest-priority resident (or is itself
+/// dropped when it *is* the lowest) — the backpressure counter records
+/// either way.
+pub(crate) const ASYNC_QUEUE_CAPACITY: usize = 16;
 
 /// A shared fleet **compile server**'s code-cache snapshot for this
 /// replica's program (DESIGN.md §15): method → compilation to install on a
@@ -169,10 +159,11 @@ pub struct AosConfig {
     /// simulated cycles — a traced run produces exactly the metrics of an
     /// untraced one.
     pub trace: Option<TraceConfig>,
-    /// Asynchronous background compilation; `None` (the default) compiles
-    /// every plan synchronously inside its epoch tick, bit-identical to
-    /// the pre-async system.
-    pub async_compile: Option<AsyncCompileConfig>,
+    /// Asynchronous background compilation on two simulated workers fed by
+    /// a queue of 16 plans; `false` (the default) compiles every plan
+    /// synchronously inside its epoch tick, bit-identical to the pre-async
+    /// system.
+    pub async_compile: bool,
     /// Telemetry metrics registry; `None` (the default) skips every record
     /// site with a single branch, and — since recording charges no
     /// simulated cycles — a metered run produces exactly the report of an
@@ -208,7 +199,7 @@ impl AosConfig {
             recovery: RecoveryConfig::default(),
             fault: None,
             trace: None,
-            async_compile: None,
+            async_compile: false,
             metrics: None,
             compile_server: None,
         }
@@ -234,15 +225,15 @@ impl AosConfig {
     // ```
     //
     // Each `enable_x` switches the subsystem on with its default tunables;
-    // subsystems with a config struct additionally have `enable_x_with` to
-    // supply non-default tunables. Disabled remains the default everywhere,
-    // and every subsystem documents that its *off* state is bit-identical
-    // to the system before the subsystem existed.
+    // subsystems with a config struct (the recorder) additionally have
+    // `enable_x_with` to supply non-default tunables. Disabled remains the
+    // default everywhere, and every subsystem documents that its *off* state
+    // is bit-identical to the system before the subsystem existed.
 
     /// Enables on-stack replacement: hot baseline loops are promoted into
-    /// optimized code mid-activation, and optimized activations whose
-    /// version was invalidated deoptimize back to baseline mid-loop instead
-    /// of finishing on stale code (DESIGN.md §7).
+    /// optimized code mid-activation (DESIGN.md §7). Promotion is the only
+    /// transfer: an activation whose version is invalidated finishes on
+    /// that code, and the method's next invocation gets new code.
     pub fn enable_osr(mut self) -> Self {
         self.vm.osr_enabled = true;
         self
@@ -269,19 +260,13 @@ impl AosConfig {
         self
     }
 
-    /// Enables asynchronous background compilation with default tunables:
-    /// plans queue by predicted benefit, a simulated worker pool compiles
-    /// them while the application keeps executing baseline or stale code,
-    /// and only the unoverlapped remainder of each compile stalls the
-    /// virtual clock (DESIGN.md §10).
-    pub fn enable_async_compile(self) -> Self {
-        self.enable_async_compile_with(AsyncCompileConfig::default())
-    }
-
-    /// Enables asynchronous background compilation with explicit tunables
-    /// (worker count, queue capacity).
-    pub fn enable_async_compile_with(mut self, async_compile: AsyncCompileConfig) -> Self {
-        self.async_compile = Some(async_compile);
+    /// Enables asynchronous background compilation: plans queue by
+    /// predicted benefit, a simulated worker pool compiles them while the
+    /// application keeps executing baseline or stale code, and only the
+    /// unoverlapped remainder of each compile stalls the virtual clock
+    /// (DESIGN.md §10).
+    pub fn enable_async_compile(mut self) -> Self {
+        self.async_compile = true;
         self
     }
 
@@ -358,12 +343,9 @@ mod tests {
             .enable_compile_server(ServerSnapshot::default());
         assert!(c.vm.osr_enabled);
         assert!(c.trace.is_some());
-        assert!(c.async_compile.is_some());
+        assert!(c.async_compile);
         assert!(c.metrics.is_some());
         assert!(c.recovery.monitor_guard_health);
         assert!(c.compile_server.is_some());
-        let c = AosConfig::context_insensitive()
-            .enable_async_compile_with(AsyncCompileConfig { workers: 5, ..Default::default() });
-        assert_eq!(c.async_compile.expect("enabled").workers, 5);
     }
 }

@@ -76,7 +76,7 @@ mod fault;
 mod report;
 mod system;
 
-pub use config::{AosConfig, AsyncCompileConfig, RecoveryConfig, ServerSnapshot, SERVER_HIT_COST};
+pub use config::{AosConfig, RecoveryConfig, ServerSnapshot, SERVER_HIT_COST};
 pub use database::{AosDatabase, CompilationRecord};
 pub use fault::{CompileFault, FaultConfig, FaultInjector, TraceCorruption};
 pub use aoci_telemetry::{MetricsConfig, MetricsLog};

@@ -70,7 +70,7 @@ impl RecoveryEvents {
 }
 
 /// On-stack-replacement activity of a run: what the VM asked for, what the
-/// driver granted, and the transitions actually performed. All zeros when
+/// driver granted, and the promotions actually performed. All zeros when
 /// OSR is disabled (the default).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OsrEvents {
@@ -82,9 +82,6 @@ pub struct OsrEvents {
     /// OSR-in transitions performed: baseline activations promoted into
     /// optimized code mid-loop.
     pub entries: u64,
-    /// OSR-out transitions performed: optimized activations deoptimized
-    /// back to baseline mid-loop because their version was invalidated.
-    pub exits: u64,
 }
 
 impl OsrEvents {
@@ -94,7 +91,6 @@ impl OsrEvents {
             ("requests".to_string(), Json::from(self.requests)),
             ("denied".to_string(), Json::from(self.denied)),
             ("entries".to_string(), Json::from(self.entries)),
-            ("exits".to_string(), Json::from(self.exits)),
         ])
     }
 }
@@ -254,7 +250,7 @@ impl Ledger {
             // the listener's) sit on the interpreter's hot path or inside
             // `Vm::run`.
             E::TraceWalk { .. } | E::GuardMiss { .. } => {}
-            E::OsrEnter { .. } | E::OsrExit { .. } => {}
+            E::OsrEnter { .. } => {}
         }
         self.recovery.total_actions() > actions
     }
@@ -381,7 +377,6 @@ impl AosReport {
             ("guard_checks".to_string(), Json::from(self.counters.guard_checks)),
             ("guard_misses".to_string(), Json::from(self.counters.guard_misses)),
             ("osr_entries".to_string(), Json::from(self.counters.osr_entries)),
-            ("osr_exits".to_string(), Json::from(self.counters.osr_exits)),
         ]);
         let stats = Json::obj([
             ("samples".to_string(), Json::from(self.trace_stats.samples)),
@@ -478,7 +473,7 @@ mod tests {
                 guard_checks: 64,
                 guard_misses: 9,
                 osr_entries: 2,
-                osr_exits: 1,
+                osr_exits: 0,
             },
             compilations: vec![
                 CompilationRecord {
@@ -514,7 +509,6 @@ mod tests {
                 requests: 17,
                 denied: 5,
                 entries: 9,
-                exits: 3,
             },
             async_compile: AsyncCompileEvents {
                 enqueued: 11,
@@ -576,11 +570,10 @@ mod tests {
 
     #[test]
     fn osr_events_serialization_is_stable_when_dispatch_counters_are_zero() {
-        // The OSR object carries exactly its four counters, as every
-        // committed artifact has it.
-        let ev = OsrEvents { requests: 9, denied: 3, entries: 2, exits: 1 };
+        // The OSR object carries exactly its three counters.
+        let ev = OsrEvents { requests: 9, denied: 3, entries: 2 };
         let text = aoci_json::to_string_pretty(&ev.to_value());
-        assert_eq!(text, "{\n  \"denied\": 3,\n  \"entries\": 2,\n  \"exits\": 1,\n  \"requests\": 9\n}");
+        assert_eq!(text, "{\n  \"denied\": 3,\n  \"entries\": 2,\n  \"requests\": 9\n}");
     }
 
     #[test]
@@ -651,7 +644,6 @@ mod tests {
     "guard_checks": 64,
     "guard_misses": 9,
     "osr_entries": 2,
-    "osr_exits": 1,
     "virtual_dispatches": 400
   },
   "current_optimized_size": 180,
@@ -663,7 +655,6 @@ mod tests {
   "osr": {
     "denied": 5,
     "entries": 9,
-    "exits": 3,
     "requests": 17
   },
   "recovery": {

@@ -1,6 +1,6 @@
 //! The AOS driver: the online feedback loop of paper Figure 3.
 
-use crate::config::AosConfig;
+use crate::config::{AosConfig, ASYNC_WORKERS};
 use crate::database::AosDatabase;
 use crate::fault::FaultInjector;
 use crate::report::{AosReport, Ledger, OsrEvents, RecoveryEvents, ServerEvents};
@@ -173,7 +173,7 @@ impl<'p> AosSystem<'p> {
         if matches!(config.policy, aoci_core::PolicyKind::IdealApprox { .. }) {
             policy.set_dependence(aoci_core::DependenceAnalysis::analyze(program));
         }
-        let workers = config.async_compile.as_ref().map_or(0, |c| c.workers.max(1));
+        let workers = if config.async_compile { ASYNC_WORKERS } else { 0 };
         AosSystem {
             program,
             vm,
@@ -406,7 +406,6 @@ impl<'p> AosSystem<'p> {
         sink.counter_set("osr_requests", osr.requests);
         sink.counter_set("osr_denied", osr.denied);
         sink.counter_set("osr_entries", osr.entries);
-        sink.counter_set("osr_exits", osr.exits);
         let recovery = &self.ledger.recovery;
         sink.counter_set("recovery_invalidations", recovery.invalidations);
         sink.counter_set("recovery_compile_retries", recovery.compile_retries);
@@ -533,11 +532,10 @@ impl<'p> AosSystem<'p> {
     }
 
     /// OSR activity so far: the ledger's request/denial counts merged with
-    /// the VM's transition counters (also usable mid-run between
+    /// the VM's promotion counter (also usable mid-run between
     /// [`AosSystem::step`]s).
     pub fn osr_events(&self) -> OsrEvents {
-        let counters = self.vm.counters();
-        OsrEvents { entries: counters.osr_entries, exits: counters.osr_exits, ..self.ledger.osr }
+        OsrEvents { entries: self.vm.counters().osr_entries, ..self.ledger.osr }
     }
 
     /// Recovery actions taken and faults injected so far, with the rendered

@@ -2,7 +2,7 @@
 //! then `land`) under a foreground and a background scheduler (DESIGN.md §10).
 
 use super::{plan_order, AosSystem, Built, InFlightCompile, PendingPlan};
-use crate::config::SERVER_HIT_COST;
+use crate::config::{ASYNC_QUEUE_CAPACITY, SERVER_HIT_COST};
 use crate::fault::CompileFault;
 use aoci_core::{InlineOracle, RuleSet};
 use aoci_ir::{CallSiteRef, MethodId};
@@ -33,20 +33,21 @@ impl AosSystem<'_> {
             priority: 0.0,
             recompiles_at_enqueue: self.db.recompiles(method),
         };
-        match self.config.async_compile.as_ref().map(|c| c.queue_capacity.max(1)) {
-            None => self.pending_plans.push_back(plan),
-            Some(capacity) => self.admit_background(plan, capacity),
+        if self.config.async_compile {
+            self.admit_background(plan);
+        } else {
+            self.pending_plans.push_back(plan);
         }
     }
 
     /// Background admission: prices the plan by predicted benefit and admits
     /// it to the bounded priority queue, evicting the worst resident (or
     /// dropping the incoming plan when it *is* the worst) under backpressure.
-    fn admit_background(&mut self, mut plan: PendingPlan, capacity: usize) {
+    fn admit_background(&mut self, mut plan: PendingPlan) {
         let PendingPlan { method, reason, .. } = plan;
         let oracle = InlineOracle::with_mode(Arc::clone(&self.rules), self.config.match_mode);
         plan.priority = aoci_opt::estimate_benefit(self.program, method, &oracle);
-        if self.pending_plans.len() >= capacity {
+        if self.pending_plans.len() >= ASYNC_QUEUE_CAPACITY {
             let worst = self
                 .pending_plans
                 .iter()
@@ -85,7 +86,7 @@ impl AosSystem<'_> {
     /// scheduler is a pump: due compiles complete, then free workers pick up
     /// the highest-priority live plans.
     pub(super) fn process_compile_queue(&mut self) {
-        if self.config.async_compile.is_some() {
+        if self.config.async_compile {
             self.complete_due_compiles();
             self.dispatch_pending_plans();
             return;

@@ -53,9 +53,7 @@ impl AosSystem<'_> {
         // are left alone: the queue owns their lifecycle, and the pending
         // plan (or in-flight compile) will be dropped as stale (already
         // recompiled) with a traced reason.
-        if self.config.async_compile.is_none()
-            && std::mem::take(&mut self.methods[method.index()].queued)
-        {
+        if !self.config.async_compile && std::mem::take(&mut self.methods[method.index()].queued) {
             self.pending_plans.retain(|plan| plan.method != method);
         }
         if !self.vm.osr_enter(req.loop_header) {

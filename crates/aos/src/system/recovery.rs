@@ -61,10 +61,10 @@ impl AosSystem<'_> {
     /// Scans every currently-optimized method's guard-observation window;
     /// a miss rate above the threshold (over enough checks) invalidates the
     /// optimized version — the method falls back to baseline at its next
-    /// invocation, and when [`aoci_vm::VmConfig::osr_enabled`] is set any
-    /// in-flight activation of the invalidated version deoptimizes back to
-    /// an equivalent baseline frame at its next loop back-edge (OSR-out)
-    /// instead of finishing on the stale code.
+    /// invocation, while any in-flight activation of the invalidated version
+    /// finishes on it, OSR or not. The window reads the method's guard
+    /// counters, not the version's, so such an activation's misses also
+    /// count against the method's next version.
     ///
     /// Windows *roll*: once a window accumulates enough checks it is judged
     /// and then reset, so a phase shift is detected from the post-shift

@@ -482,14 +482,13 @@ fn unfaulted_runs_are_deterministic() {
 
 // ---- Asynchronous background compilation --------------------------------
 
-use crate::config::AsyncCompileConfig;
+use crate::config::ASYNC_QUEUE_CAPACITY;
 
 #[test]
 fn async_run_preserves_semantics_and_overlaps_compiles() {
     let p = hot_loop_program(6_000, true);
     let expected = baseline_result(&p);
-    let mut config = fast_config(PolicyKind::Fixed { max: 3 });
-    config.async_compile = Some(AsyncCompileConfig::default());
+    let config = fast_config(PolicyKind::Fixed { max: 3 }).enable_async_compile();
     let report = AosSystem::new(&p, config).run().expect("async run succeeds");
     assert_eq!(report.result, expected, "background compilation must not change semantics");
     let ev = report.async_compile;
@@ -506,37 +505,52 @@ fn async_run_preserves_semantics_and_overlaps_compiles() {
     );
 }
 
+/// `n` leaf methods, then a `main` that calls none of them: methods enough
+/// to fill the background queue.
+fn many_methods_program(n: usize) -> Program {
+    let mut b = ProgramBuilder::new();
+    for k in 0..n {
+        let mut m = b.static_method(format!("leaf{k}"), 0);
+        m.ret(None);
+        m.finish();
+    }
+    let main = {
+        let mut m = b.static_method("main", 0);
+        m.ret(None);
+        m.finish()
+    };
+    b.finish(main).unwrap()
+}
+
 #[test]
 fn async_queue_backpressure_evicts_worst() {
-    let p = hot_loop_program(50, true);
-    let mut config = fast_config(PolicyKind::ContextInsensitive);
-    config.async_compile =
-        Some(AsyncCompileConfig { workers: 1, queue_capacity: 2 });
+    let full = ASYNC_QUEUE_CAPACITY;
+    let p = many_methods_program(full + 2);
+    let config = fast_config(PolicyKind::ContextInsensitive).enable_async_compile();
     let mut sys = AosSystem::new(&p, config);
     // No rules yet: every plan prices at benefit 0, so ordering falls back
     // to the deterministic method-id tie-break (lower id runs first).
-    for idx in [1, 2, 3] {
+    for idx in 1..=full + 1 {
         sys.controller_enqueue(MethodId::from_index(idx), PlanReason::MissingEdge);
     }
-    // Method 3 arrived at a full queue as the worst plan: dropped.
-    assert_eq!(sys.ledger.async_compile.enqueued, 2);
+    // The last method arrived at a full queue as the worst plan: dropped.
+    assert_eq!(sys.ledger.async_compile.enqueued, full as u64);
     assert_eq!(sys.ledger.async_compile.queue_full_drops, 1);
-    assert!(!sys.methods[3].queued);
-    // Method 0 outranks both residents: the worst resident (2) is evicted.
+    assert!(!sys.methods[full + 1].queued);
+    // Method 0 outranks every resident: the worst resident is evicted.
     sys.controller_enqueue(MethodId::from_index(0), PlanReason::MissingEdge);
-    assert_eq!(sys.ledger.async_compile.enqueued, 3);
+    assert_eq!(sys.ledger.async_compile.enqueued, full as u64 + 1);
     assert_eq!(sys.ledger.async_compile.queue_full_drops, 2);
     assert!(sys.methods[0].queued);
-    assert!(!sys.methods[2].queued);
-    assert_eq!(sys.ledger.async_compile.max_queue_depth, 2);
+    assert!(!sys.methods[full].queued);
+    assert!((1..full).all(|idx| sys.methods[idx].queued));
+    assert_eq!(sys.ledger.async_compile.max_queue_depth, full as u64);
 }
 
 #[test]
 fn stale_plans_drop_at_dequeue_with_reasons() {
     let p = hot_loop_program(50, true);
-    let mut config = fast_config(PolicyKind::ContextInsensitive);
-    config.async_compile =
-        Some(AsyncCompileConfig { workers: 1, queue_capacity: 8 });
+    let config = fast_config(PolicyKind::ContextInsensitive).enable_async_compile();
     let mut sys = AosSystem::new(&p, config);
     // Quarantined while waiting.
     let quarantined = MethodId::from_index(2);
@@ -656,7 +670,7 @@ fn a_recompile_after_an_invalidation_is_not_a_retry() {
 #[test]
 fn a_compile_dropped_as_stale_at_completion_did_not_land() {
     // Seed 0: an OSR promotion recompiles a method while its background
-    // compile runs, twice.
+    // compile runs.
     let p = hot_loop_program(6_000, true);
     let mut config = fast_config(PolicyKind::Fixed { max: 3 })
         .enable_async_compile()
@@ -668,7 +682,7 @@ fn a_compile_dropped_as_stale_at_completion_did_not_land() {
     let log = report.trace_log.as_ref().expect("tracing is on");
     let finishes = events_where(log, |e| matches!(e, TraceEvent::CompileFinish { .. }));
     let landed = events_where(log, |e| matches!(e, TraceEvent::CompileFinish { landed: true, .. }));
-    assert_eq!(finishes.len() - landed.len(), 2, "two results dropped as stale");
+    assert_eq!(finishes.len() - landed.len(), 1, "one result dropped as stale");
     let ev = report.async_compile;
     assert_eq!(ev.completed, landed.len() as u64);
     assert_eq!(ev.dispatched, finishes.len() as u64 + ev.abandoned_in_flight);

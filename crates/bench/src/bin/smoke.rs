@@ -12,7 +12,7 @@ use aoci_workloads::{build, suite};
 /// profile ([`FaultConfig::chaos`]) with that seed: every run must still
 /// complete, and the per-run line gains the recovery-event counts. Set
 /// `AOCI_OSR=1` to enable on-stack replacement; the per-run line then
-/// gains the OSR request/entry/exit counts. Set `AOCI_ASYNC=1` to compile
+/// gains the OSR request/denial/entry counts. Set `AOCI_ASYNC=1` to compile
 /// on the simulated background worker pool; the per-run line then gains
 /// the queue/overlap counters.
 ///
@@ -96,8 +96,8 @@ fn main() {
         );
         if env.osr {
             print!(
-                " | osr: requests={} denied={} entries={} exits={}",
-                report.osr.requests, report.osr.denied, report.osr.entries, report.osr.exits,
+                " | osr: requests={} denied={} entries={}",
+                report.osr.requests, report.osr.denied, report.osr.entries,
             );
         }
         if env.async_compile {

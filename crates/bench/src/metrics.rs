@@ -48,7 +48,7 @@ type Reader = (&'static str, fn(&AosReport) -> f64);
 
 /// The row's values before the component cycles, in row order. An absent
 /// program result is NaN (written `null`).
-const READERS: [Reader; 24] = [
+const READERS: [Reader; 23] = [
     ("total_cycles", |r| r.total_cycles() as f64),
     ("cumulative_code", |r| r.optimized_code_size as f64),
     ("current_code", |r| r.current_optimized_size as f64),
@@ -62,7 +62,6 @@ const READERS: [Reader; 24] = [
     ("osr_requests", |r| r.osr.requests as f64),
     ("osr_denied", |r| r.osr.denied as f64),
     ("osr_entries", |r| r.osr.entries as f64),
-    ("osr_exits", |r| r.osr.exits as f64),
     ("recovery_invalidations", |r| r.recovery.invalidations as f64),
     ("recovery_retries", |r| r.recovery.compile_retries as f64),
     ("recovery_quarantined", |r| r.recovery.quarantined_methods as f64),
@@ -91,11 +90,11 @@ pub const CUMULATIVE_CODE: usize = 1;
 pub const CURRENT_CODE: usize = 2;
 /// Columns of the recovery layer's invalidations, compile retries,
 /// quarantined methods and rejected traces.
-pub const RECOVERY: [usize; 4] = [14, 15, 16, 17];
+pub const RECOVERY: [usize; 4] = [13, 14, 15, 16];
 /// Column of the program's return value (sanity: agrees across reps).
-pub const RESULT: usize = 19;
+pub const RESULT: usize = 18;
 /// Columns of the Section 4 trace-walk statistics.
-pub const TRACE_STATS: [usize; 4] = [20, 21, 22, 23];
+pub const TRACE_STATS: [usize; 4] = [19, 20, 21, 22];
 
 /// Column of the cycles charged to `component`.
 pub fn cycles(component: Component) -> usize {
@@ -276,17 +275,17 @@ mod tests {
     fn folds_reproduce_the_aggregate_entry() {
         let rows: [Row; 3] = [
             [44_794_464.0, 7721.0, 4642.0, 35.0, 1100.0, 551.0, 1188.0, 246_230.0, 76246.0,
-                124_699.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 24.0, 2_469_000.0,
+                124_699.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 24.0, 2_469_000.0,
                 0.42105263157894735, 0.9437386569872959, 0.867513611615245, 0.5190562613430127,
                 71456.0, 1_368_150.0, 5856.0, 76284.0, 13152.0, 5250.0, 11292.0, 0.0, 0.0,
                 5_736_728.0, 37_413_266.0, 93030.0],
             [43_378_110.0, 6422.0, 4321.0, 28.0, 1065.0, 419.0, 838.0, 293_594.0, 77079.0, 82420.0,
-                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 24.0, 2_469_000.0, 0.2935560859188544,
+                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 24.0, 2_469_000.0, 0.2935560859188544,
                 0.9427207637231504, 0.8257756563245824, 0.39379474940334125, 65436.0, 1_131_300.0,
                 3936.0, 50496.0, 12768.0, 4200.0, 9564.0, 0.0, 0.0, 5_523_784.0, 36_483_596.0,
                 93030.0],
             [43_855_033.0, 8685.0, 4979.0, 33.0, 1068.0, 475.0, 977.0, 268_631.0, 80093.0, 94379.0,
-                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 24.0, 2_469_000.0, 0.3094736842105263,
+                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 24.0, 2_469_000.0, 0.3094736842105263,
                 0.9031578947368422, 0.8821052631578947, 0.4842105263157894, 67260.0, 1_500_750.0,
                 5436.0, 68328.0, 12768.0, 4950.0, 10644.0, 0.0, 0.0, 5_499_360.0, 36_592_507.0,
                 93030.0],

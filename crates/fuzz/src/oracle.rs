@@ -194,7 +194,6 @@ fn ledger_fold(r: &AosReport) -> Option<String> {
             TraceEvent::OsrRequest { .. } => osr.requests += 1,
             TraceEvent::OsrDeny { .. } => osr.denied += 1,
             TraceEvent::OsrEnter { .. } => osr.entries += 1,
-            TraceEvent::OsrExit { .. } => osr.exits += 1,
             TraceEvent::CompileEnqueue { queue_depth, .. } => {
                 queue.enqueued += 1;
                 queue.max_queue_depth = queue.max_queue_depth.max(u64::from(*queue_depth));

@@ -4,7 +4,7 @@
 //! The coverage-guided fuzzer (`crates/fuzz`) keeps a generated program in
 //! its corpus only if running it exercises a *new part of the adaptive
 //! system's decision space*: an inlining rule firing (or a refusal reason)
-//! not seen before, an OSR request/deny/enter/exit path, a recovery or
+//! not seen before, an OSR request/deny/enter path, a recovery or
 //! retry path, a background-compilation queue transition. The flight
 //! recorder already observes every one of those decisions with provenance,
 //! so the coverage map is read straight off the event stream: each
@@ -75,7 +75,6 @@ impl TraceEvent {
             TraceEvent::OsrRequest { .. } => vec!["osr:request".to_string()],
             TraceEvent::OsrDeny { reason, .. } => vec![format!("osr:deny:{}", reason.label())],
             TraceEvent::OsrEnter { .. } => vec!["osr:enter".to_string()],
-            TraceEvent::OsrExit { .. } => vec!["osr:exit".to_string()],
             TraceEvent::CompileEnqueue { .. } => vec!["async:enqueue".to_string()],
             TraceEvent::CompileDequeueStale { reason, .. } => {
                 vec![format!("async:stale:{}", reason.label())]

@@ -394,13 +394,6 @@ pub enum TraceEvent {
         /// The loop header the transfer happened at.
         loop_header: u32,
     },
-    /// OSR-out: an optimized activation deoptimized back to baseline.
-    OsrExit {
-        /// The deoptimized method.
-        method: MethodId,
-        /// The optimized pc the exit point mapped from.
-        opt_pc: u32,
-    },
     /// The controller inserted a plan into the background priority queue.
     CompileEnqueue {
         /// The method to be (re)compiled.
@@ -492,7 +485,6 @@ impl TraceEvent {
             TraceEvent::OsrRequest { .. } => "osr-request",
             TraceEvent::OsrDeny { .. } => "osr-deny",
             TraceEvent::OsrEnter { .. } => "osr-enter",
-            TraceEvent::OsrExit { .. } => "osr-exit",
             TraceEvent::CompileEnqueue { .. } => "compile-enqueue",
             TraceEvent::CompileDequeueStale { .. } => "dequeue-stale-drop",
             TraceEvent::CompileQueueFull { .. } => "queue-full-drop",
@@ -523,8 +515,7 @@ impl TraceEvent {
             TraceEvent::GuardMiss { .. } | TraceEvent::VmFault { .. } => "vm",
             TraceEvent::OsrRequest { .. }
             | TraceEvent::OsrDeny { .. }
-            | TraceEvent::OsrEnter { .. }
-            | TraceEvent::OsrExit { .. } => "osr",
+            | TraceEvent::OsrEnter { .. } => "osr",
             TraceEvent::Invalidate { .. }
             | TraceEvent::Quarantine { .. }
             | TraceEvent::RetryScheduled { .. }
@@ -645,10 +636,6 @@ impl TraceEvent {
             TraceEvent::OsrEnter { method, loop_header } => vec![
                 ("method", m(resolve, *method)),
                 ("loop_header", Value::from(*loop_header)),
-            ],
-            TraceEvent::OsrExit { method, opt_pc } => vec![
-                ("method", m(resolve, *method)),
-                ("opt_pc", Value::from(*opt_pc)),
             ],
             TraceEvent::CompileEnqueue { method, reason, priority, queue_depth } => vec![
                 ("method", m(resolve, *method)),

@@ -13,7 +13,7 @@ const LANES: [(u32, &str); 6] = [
     (2, "controller (plans + promotions)"),
     (3, "compiler (inlining + codegen)"),
     (4, "vm (guards + faults)"),
-    (5, "osr (promotion + deopt)"),
+    (5, "osr (promotion)"),
     (6, "recovery (invalidate + quarantine + faults)"),
 ];
 

@@ -21,7 +21,7 @@ pub enum Component {
     /// The optimizing compilation thread (Figure 6 "CompilationThread").
     ///
     /// Under the default synchronous model every compile's full cost lands
-    /// here. With background compilation on (`AsyncCompileConfig`) only the
+    /// here. With background compilation on (`AosConfig::async_compile`) only the
     /// **foreground stall** — the part of a compile the application had to
     /// wait for — is charged; cycles a compile overlaps with execution are
     /// booked in the report's `async_compile` ledger instead of the clock.
@@ -43,11 +43,11 @@ pub enum Component {
     /// bar — the paper's system has no fault model — but charged like any
     /// other AOS component so degradation shows up in the cost breakdown.
     Recovery,
-    /// On-stack replacement transitions: frame-state mapping for OSR-in
-    /// (hot-loop promotion into optimized code) and OSR-out
-    /// (deoptimization back to baseline). Not a Figure 6 bar — the
-    /// paper's system switches versions only at invocations — but charged
-    /// like any other AOS component so the transfer cost is visible.
+    /// On-stack replacement: the frame-state mapping of each OSR-in
+    /// (hot-loop promotion into optimized code), the only transfer there
+    /// is. Not a Figure 6 bar — the paper's system switches versions only
+    /// at invocations — but charged like any other AOS component so the
+    /// transfer cost is visible.
     Osr,
     /// Application code running in baseline-compiled methods.
     AppBaseline,

@@ -43,8 +43,8 @@ pub struct CostModel {
     pub listener_base_cost: u64,
     /// Listener cycles per walked stack frame.
     pub listener_per_frame: u64,
-    /// Fixed cycles per on-stack-replacement transition (either
-    /// direction): locating the OSR point and setting up the new frame.
+    /// Fixed cycles per on-stack-replacement promotion: locating the OSR
+    /// point and setting up the new frame.
     pub osr_transition_cost: u64,
     /// Additional OSR cycles per frame slot the mapping transfers.
     pub osr_per_slot_cost: u64,

@@ -30,10 +30,11 @@ pub struct VmConfig {
     /// Enables on-stack replacement. Off by default: the paper's system
     /// switches code versions only at invocation boundaries, so the
     /// reproduction sweeps opt in explicitly. When on, baseline activations
-    /// count loop back-edges (OSR-in requests), and an optimized activation
-    /// whose version was invalidated deoptimizes at its next loop header
-    /// that is an OSR point (OSR-out). When off, the VM does neither, and
-    /// behaves bit-identically to a VM built before OSR existed.
+    /// count loop back-edges and ask to be promoted into optimized code
+    /// mid-loop (OSR-in); nothing ever moves an activation back out, so an
+    /// activation whose version was invalidated finishes on that code.
+    /// When off, the VM counts nothing, and behaves bit-identically to a VM
+    /// built before OSR existed.
     pub osr_enabled: bool,
     /// Taken loop back-edges a *baseline* activation executes at one loop
     /// header before the VM yields [`RunOutcome::OsrRequest`], asking the
@@ -116,8 +117,9 @@ pub struct ExecCounters {
     /// OSR-in transitions performed: baseline activations promoted into
     /// optimized code mid-loop.
     pub osr_entries: u64,
-    /// OSR-out transitions performed: optimized activations deoptimized
-    /// back to baseline frames mid-loop.
+    /// Always 0: OSR only promotes. Kept because the repo benchmark
+    /// (`benchmark/src/workload.rs`) still reads it; it goes when that
+    /// benchmark is next re-measured.
     pub osr_exits: u64,
 }
 
@@ -430,7 +432,6 @@ impl<'p> Vm<'p> {
                     enter(exec, registry, stack, regs, code, ops)?;
                 }
                 Switch::Ret(value) => self.finished = Some(value),
-                Switch::OsrExit(opt_pc) => self.osr_exit(opt_pc)?,
                 Switch::Yield => {}
             }
             if let Some(req) = self.exec.pending_osr.take() {
@@ -522,147 +523,64 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Charges the baseline compilation of `method` and returns its result.
-    fn baseline_compile(&mut self, method: MethodId) -> MethodVersion {
-        let def = self.exec.program.method(method);
-        let cost = self.exec.cost.baseline_compile_cost(def.size_estimate());
-        self.exec.clock.charge(Component::BaselineCompilation, cost);
-        MethodVersion::baseline(def)
-    }
-
     /// The slot of `method`'s current version, baseline-compiling and
     /// installing one (and charging for that) when it has none: at its
     /// first invocation and at the first after an invalidation.
     fn ensure_code(&mut self, method: MethodId) -> CodeSlot {
         if self.registry.current_slot(method).is_none() {
-            let version = self.baseline_compile(method);
-            self.registry.install(version);
+            let def = self.exec.program.method(method);
+            let cost = self.exec.cost.baseline_compile_cost(def.size_estimate());
+            self.exec.clock.charge(Component::BaselineCompilation, cost);
+            self.registry.install(MethodVersion::baseline(def));
         }
         self.registry.current_slot(method).expect("installed above")
     }
 
-    /// The baseline version an OSR-out lands in. Prefers the installed
-    /// version when it is already baseline; compiles (and, if the slot is
-    /// empty, installs) one otherwise. An installed *optimized* version — a
-    /// recompile that replaced the invalidated one while this activation
-    /// kept running it — is never clobbered: the exit deoptimizes one
-    /// activation, not the method, so the compiled fallback is adopted by
-    /// the registry on the side for reuse.
-    fn deopt_target(&mut self, method: MethodId) -> CodeSlot {
-        match self.registry.current(method) {
-            Some(v) if v.level == OptLevel::Optimized => {}
-            _ => return self.ensure_code(method),
-        }
-        if let Some(slot) = self.registry.deopt_baseline(method) {
-            return slot;
-        }
-        let version = self.baseline_compile(method);
-        self.registry.adopt_deopt_baseline(version)
-    }
-
-    /// The one frame rewrite (DESIGN.md §7): moves the top activation into
-    /// the code in `to`, pivoting through baseline frame state. With
-    /// `exit_at`, the running code is left through its exit point at that
-    /// optimized pc; without, the activation already is that state — a
-    /// baseline frame parked on a loop header. Optimized code in `to` is
-    /// entered through its entry point at the pivot's baseline pc; baseline
-    /// code runs the pivot itself. Under the frame-mapping invariant the
+    /// OSR-in, the one frame rewrite (DESIGN.md §7): transfers the top frame
+    /// — a *baseline* activation parked exactly on `loop_header` — into its
+    /// method's installed optimized version, through that version's OSR
+    /// entry point for the header. Under the frame-mapping invariant the
     /// root window `n` — the method's own registers — means the same on
     /// both sides, so the top window keeps its first `n` registers and is
     /// resized where it sits, on top of the register stack, to the target's
-    /// register count, new registers `Null`. The frame lands at the new pc,
-    /// and `Component::Osr` is charged `n` slots per side mapped through a
-    /// point. Returns the landing pc, or `None` — with the frame, the
-    /// registers and the clock untouched — when a point is missing or
-    /// either window is smaller than `n`.
-    ///
-    /// OSR-in is `(None, optimized)` and OSR-out `(Some, baseline)`.
-    fn transfer(&mut self, exit_at: Option<u32>, to: CodeSlot) -> Option<u32> {
-        let Vm { stack, regs, exec, registry, .. } = self;
-        let frame = stack.last_mut()?;
-        let (from, target) = (registry.version(frame.code), registry.version(to));
-        let pivot_pc = match exit_at {
-            Some(opt_pc) => from.osr_map.exit_at_opt(opt_pc)?.baseline_pc,
-            None => u32::try_from(frame.pc).ok()?,
-        };
-        let entered = target.level == OptLevel::Optimized;
-        let pc =
-            if entered { target.osr_map.entry_at_baseline(pivot_pc)?.opt_pc } else { pivot_pc };
-        let n = usize::from(exec.program.method(from.method).num_regs());
-        if regs.len() - frame.base < n || usize::from(target.num_regs) < n {
-            return None;
-        }
-        let sides = usize::from(exit_at.is_some()) + usize::from(entered);
-        exec.clock.charge(Component::Osr, exec.cost.osr_transfer_cost(n * sides));
-        regs.truncate(frame.base + n);
-        regs.resize(frame.base + usize::from(target.num_regs), Value::Null);
-        frame.code = to;
-        frame.pc = pc as usize;
-        Some(pc)
-    }
-
-    /// OSR-out: leaves the top (optimized) frame's code through its exit
-    /// point at `opt_pc` into [`Vm::deopt_target`]. A refused transfer (a
-    /// window smaller than the root window) keeps executing the optimized
-    /// code — degraded, never wrong.
-    fn osr_exit(&mut self, opt_pc: u32) -> Result<(), VmError> {
-        let frame = self
-            .stack
-            .last()
-            .ok_or(VmError::NoActiveFrame { context: "deoptimizing a frame" })?;
-        let version = self.registry.version(frame.code);
-        let method = version.method;
-        if version.osr_map.exit_at_opt(opt_pc).is_none() {
-            return Err(VmError::PcOutOfRange { method, pc: opt_pc as usize });
-        }
-        let baseline = self.deopt_target(method);
-        if self.transfer(Some(opt_pc), baseline).is_some() {
-            self.exec.counters.osr_exits += 1;
-            self.emit(TraceEvent::OsrExit { method, opt_pc });
-        } else {
-            self.stack.last_mut().expect("present above").pc = opt_pc as usize;
-        }
-        Ok(())
-    }
-
-    /// OSR-in: transfers the top frame — a *baseline* activation parked
-    /// exactly on `loop_header` — into its method's installed optimized
-    /// version, through that version's OSR entry point for the header.
-    /// Returns `true` on transfer; returns
-    /// `false` (leaving the activation untouched, to continue at baseline)
-    /// when the preconditions do not hold, the installed version has no
-    /// entry at the header, or the map refuses — promotion is an
-    /// optimization, never an obligation.
+    /// register count, new registers `Null`; `Component::Osr` is charged
+    /// `n` slots. Returns `true` on transfer; returns `false` — with the
+    /// frame, the registers and the clock untouched, to continue at
+    /// baseline — when the preconditions do not hold, the installed version
+    /// has no entry at the header, or either window is smaller than `n`:
+    /// promotion is an optimization, never an obligation.
     pub fn osr_enter(&mut self, loop_header: u32) -> bool {
-        let Some(frame) = self.stack.last() else { return false };
-        let running = self.registry.version(frame.code);
+        let Vm { stack, regs, exec, registry, .. } = self;
+        let Some(frame) = stack.last_mut() else { return false };
+        let running = registry.version(frame.code);
         let method = running.method;
-        if !self.exec.config.osr_enabled
+        if !exec.config.osr_enabled
             || running.level != OptLevel::Baseline
             || frame.pc != loop_header as usize
         {
             return false;
         }
-        let installed = self
-            .registry
+        let installed = registry
             .current_slot(method)
-            .filter(|&slot| self.registry.version(slot).level == OptLevel::Optimized);
+            .filter(|&slot| registry.version(slot).level == OptLevel::Optimized);
         let Some(to) = installed else { return false };
-        if self.transfer(None, to).is_none() {
+        let target = registry.version(to);
+        let Some(point) = target.osr_map.entry_at_baseline(loop_header) else { return false };
+        let n = usize::from(exec.program.method(method).num_regs());
+        if regs.len() - frame.base < n || usize::from(target.num_regs) < n {
             return false;
         }
-        self.exec.counters.osr_entries += 1;
-        self.exec.backedge_counts[method.index()].retain(|&(h, _)| h != loop_header);
-        self.emit(TraceEvent::OsrEnter { method, loop_header });
-        true
-    }
-
-    /// Records `event` in the flight recorder, when one is attached, at the
-    /// current simulated time.
-    fn emit(&self, event: TraceEvent) {
-        if let Some(t) = &self.exec.trace {
-            t.emit(self.exec.clock.total(), event);
+        exec.clock.charge(Component::Osr, exec.cost.osr_transfer_cost(n));
+        regs.truncate(frame.base + n);
+        regs.resize(frame.base + usize::from(target.num_regs), Value::Null);
+        frame.code = to;
+        frame.pc = point.opt_pc as usize;
+        exec.counters.osr_entries += 1;
+        exec.backedge_counts[method.index()].retain(|&(h, _)| h != loop_header);
+        if let Some(t) = &exec.trace {
+            t.emit(exec.clock.total(), TraceEvent::OsrEnter { method, loop_header });
         }
+        true
     }
 
     /// Stops the VM from raising further [`RunOutcome::OsrRequest`]s for

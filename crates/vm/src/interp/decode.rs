@@ -22,14 +22,14 @@
 //!   `event`, the earlier of the due sample and the budget's end, after
 //!   every instruction, push and pop; a back-edge says whether it raised an
 //!   OSR request (a call or a return cannot). It goes back to `run` to
-//!   yield, to take an OSR exit, when the entry frame returned, and with a
-//!   call whose callee has no code yet.
+//!   yield, when the entry frame returned, and with a call whose callee
+//!   has no code yet.
 //! * **The registry owns, the loop borrows, frames name.** Code lives as
 //!   long as its `Vm`, so the loop holds `&CodeRegistry` and the running
 //!   slot's `&DecodedBody` across pushes and pops. Handlers take what they
 //!   mutate ([`Exec`], [`Act`]), never the frame stack or the registry.
 //!   While a frame runs, its pc and the clock are locals; leaving it —
-//!   call, return, OSR exit, yield or fault — stores the pc back and
+//!   call, return, yield or fault — stores the pc back and
 //!   charges the cycles it ran, then the stack changes.
 //! * **Superinstructions are compositions.** A fused handler is literally
 //!   `first_half(); boundary(); second_half()` where the halves are the
@@ -53,7 +53,7 @@ use crate::clock::Component;
 use crate::code::{MethodVersion, OptLevel};
 use crate::cost::CostModel;
 use crate::error::VmError;
-use crate::registry::{CodeRegistry, CodeSlot};
+use crate::registry::CodeRegistry;
 use crate::value::Value;
 use aoci_ir::{decode_body, fusion_plan, BinOp, Cond, DecodedOp, FusedKind, MethodId, Program, Reg};
 use std::sync::Arc;
@@ -129,8 +129,6 @@ pub(super) enum Switch<'b> {
     /// A return with this value. To `run`: the entry frame's — the frame
     /// stack is empty and the program has finished.
     Ret(Option<Value>),
-    /// An optimized activation must leave its code at this loop header.
-    OsrExit(u32),
     /// A sample, the budget's end or an OSR request may be due.
     Yield,
 }
@@ -290,7 +288,7 @@ fn dispatch_fused<'b>(
 }
 
 /// Runs the top frame, and every frame a call or a return puts on top, until
-/// the loop may have to yield or meets one of the three things it leaves to
+/// the loop may have to yield or meets one of the two things it leaves to
 /// `run` (see [`Switch`]). Whenever it returns — a fault included — the
 /// frames' pcs and the clock are current, with the top frame's `pc`
 /// on the instruction that stopped the loop or, for a yield, the next one to
@@ -310,7 +308,7 @@ pub(super) fn run_frames<'r>(
         let t0 = x.clock.total();
         let win = &mut regs[frame.base..];
         let mut a = Act { method: body.method, win, pc: frame.pc, now: t0 };
-        let left = run_frame(x, registry, frame.code, body, &mut a, event);
+        let left = run_frame(x, body, &mut a, event);
         // The one place the frame's locals go back: before the stack changes,
         // before anything can observe them (yield), and on a fault.
         x.clock.charge(body.component, a.now - t0);
@@ -335,7 +333,7 @@ pub(super) fn run_frames<'r>(
                 }
                 caller.pc += 1; // advance past the call instruction
             }
-            leave => return Ok(leave),
+            Switch::Yield => return Ok(Switch::Yield),
         }
         // All that `run`'s checks come to after a push or a pop: neither can
         // raise an OSR request, so only the clock can make one fire.
@@ -345,13 +343,11 @@ pub(super) fn run_frames<'r>(
     }
 }
 
-/// Runs the frame `a` describes — `body`, in slot `code` — until the stack
-/// has to change or the loop may have to yield, the clock being `a.now`.
+/// Runs the frame `a` describes — `body` — until the stack has to change or
+/// the loop may have to yield, the clock being `a.now`.
 #[inline(always)]
 fn run_frame<'b>(
     x: &mut Exec<'_>,
-    registry: &CodeRegistry,
-    code: CodeSlot,
     body: &'b DecodedBody,
     a: &mut Act<'_>,
     event: u64,
@@ -375,26 +371,14 @@ fn run_frame<'b>(
             Flow::Advance => pc + 1,
             Flow::AdvanceFused => pc + 2,
             Flow::Jump { target, fused } => {
-                // Taken backward control flow = a loop back-edge: the OSR
-                // hook in both directions. (Only `Jump`/`Branch` can move
+                // Taken backward control flow in baseline code = a loop
+                // back-edge: the OSR-in hook. (Only `Jump`/`Branch` can move
                 // the pc backward; guard else-targets always point
                 // forward.) `from` is the pc of the branch itself — the
                 // second half, for a fused pair.
                 let (next_pc, from) = (target as usize, pc + usize::from(fused));
-                if x.config.osr_enabled && next_pc <= from {
-                    match body.level {
-                        OptLevel::Baseline => raised = x.count_backedge(body.method, target),
-                        OptLevel::Optimized => {
-                            // The version was invalidated, and the header is
-                            // an exit.
-                            let version = registry.version(code);
-                            if registry.is_invalidated(version.version_id)
-                                && version.osr_map.exit_at_opt(target).is_some()
-                            {
-                                return Ok(Switch::OsrExit(target));
-                            }
-                        }
-                    }
+                if x.config.osr_enabled && next_pc <= from && body.level == OptLevel::Baseline {
+                    raised = x.count_backedge(body.method, target);
                 }
                 next_pc
             }

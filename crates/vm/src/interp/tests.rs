@@ -620,36 +620,6 @@ fn osr_in_resizes_the_top_window_above_a_suspended_caller() {
     }
 }
 
-/// OSR-out narrows the top window from 7 to 4 registers where it sits; the
-/// suspended caller's window beneath it is untouched.
-#[test]
-fn osr_out_resizes_the_top_window_above_a_suspended_caller() {
-    let (p, looper, version, expect) = osr_resize_fixture();
-    for stepped in [false, true] {
-        let config = VmConfig { osr_enabled: true, ..VmConfig::default() };
-        let cost = CostModel { sample_period: 0, ..CostModel::default() };
-        let mut vm = Vm::with_config(&p, cost, config);
-        vm.registry_mut().install(version.clone());
-        let slice = if stepped { 1 } else { 50 };
-        // Into the optimized loop, a few iterations deep.
-        while vm.stack_depth() < 2 || vm.clock().component(Component::AppOptimized) < 200 {
-            assert!(!matches!(vm.run(slice).expect("no fault"), RunOutcome::Finished(_)));
-        }
-        let caller = vm.regs[..3].to_vec();
-        assert_eq!((vm.stack_depth(), vm.regs.len()), (2, 3 + 7), "stepped={stepped}");
-        assert!(vm.registry_mut().invalidate(looper), "stepped={stepped}");
-        while vm.counters().osr_exits == 0 {
-            assert!(!matches!(vm.run(slice).expect("no fault"), RunOutcome::Finished(_)));
-        }
-        assert_eq!(vm.regs.len(), 3 + 4, "stepped={stepped}: the top window shrank in place");
-        assert_eq!(&vm.regs[..3], &caller[..], "stepped={stepped}: caller window untouched");
-        let v = complete(&mut vm, stepped).expect("no fault");
-        assert_eq!(v.and_then(Value::as_int), Some(expect), "stepped={stepped}");
-        assert_eq!(vm.counters().osr_exits, 1, "stepped={stepped}");
-        assert!(vm.regs.is_empty(), "stepped={stepped}");
-    }
-}
-
 #[test]
 fn baseline_compilation_charged_once_per_method() {
     let mut b = ProgramBuilder::new();

@@ -54,22 +54,17 @@ struct Code {
 /// Installation follows the Jikes model: a newly compiled version takes
 /// effect at the *next invocation* of the method; activations already on the
 /// stack keep running their old version (code lives as long as the registry;
-/// a frame names the arena slot it started in) — unless OSR transfers them. With
-/// [`VmConfig::osr_enabled`](crate::VmConfig) a hot baseline activation can
-/// be promoted into a freshly installed version mid-loop (OSR-in), and an
-/// activation stuck on an [invalidated](CodeRegistry::invalidate) version
-/// deoptimizes back to baseline at its next loop header (OSR-out).
+/// a frame names the arena slot it started in), an
+/// [invalidated](CodeRegistry::invalidate) one included. The one exception
+/// runs the other way: with [`VmConfig::osr_enabled`](crate::VmConfig) a hot
+/// baseline activation can be promoted into a freshly installed version
+/// mid-loop (OSR-in).
 #[derive(Clone, Debug, Default)]
 pub struct CodeRegistry {
-    /// Every version installed or adopted, in that order. Append-only: a
-    /// [`CodeSlot`] handed out stays valid for the life of the registry.
+    /// Every version installed, in that order. Append-only: a [`CodeSlot`]
+    /// handed out stays valid for the life of the registry.
     arena: Vec<Code>,
     current: Vec<Option<CodeSlot>>,
-    /// Per method, the baseline version an OSR-out lands in while the
-    /// method's current version is optimized (a recompile installed after
-    /// the invalidation the exiting activation runs): built on the side and
-    /// adopted, never current.
-    deopt_baseline: Vec<Option<CodeSlot>>,
     next_version_id: u32,
     /// Total abstract size of all *optimized* code ever generated
     /// (recompilations accumulate — each compilation emitted real machine
@@ -83,22 +78,12 @@ pub struct CodeRegistry {
     baseline_compilations: u32,
     /// Number of optimized versions invalidated (guard-thrash recovery).
     invalidations: u32,
-    /// Whether each version was invalidated, indexed by raw [`VersionId`]
-    /// (ids are dense: one entry per install). The interpreter consults
-    /// this at loop back-edges: an in-flight activation still running an
-    /// invalidated version OSR-outs to baseline at its next loop header
-    /// instead of finishing on stale code.
-    invalidated: Vec<bool>,
 }
 
 impl CodeRegistry {
     /// Creates a registry for a program with `num_methods` methods.
     pub(crate) fn new(num_methods: usize) -> Self {
-        CodeRegistry {
-            current: vec![None; num_methods],
-            deopt_baseline: vec![None; num_methods],
-            ..Self::default()
-        }
+        CodeRegistry { current: vec![None; num_methods], ..Self::default() }
     }
 
     /// Returns the currently-installed version of `method`, if any.
@@ -126,33 +111,10 @@ impl CodeRegistry {
         code.decoded.get_or_init(|| DecodedBody::build(&code.version, program, cost))
     }
 
-    /// The adopted deopt baseline of `method`, if one was ever needed.
-    pub(crate) fn deopt_baseline(&self, method: MethodId) -> Option<CodeSlot> {
-        self.deopt_baseline[method.index()]
-    }
-
-    /// Adopts `version` — baseline code built on the side — as its method's
-    /// deopt baseline, without installing it or counting a compilation. It
-    /// gets an id installs never issue, so that no invalidation names it.
-    pub(crate) fn adopt_deopt_baseline(&mut self, mut version: MethodVersion) -> CodeSlot {
-        version.version_id = VersionId(u32::MAX);
-        let midx = version.method.index();
-        let slot = self.adopt(version);
-        self.deopt_baseline[midx] = Some(slot);
-        slot
-    }
-
-    /// How many versions the arena holds: every install and adoption.
+    /// How many versions the arena holds: every install.
     #[cfg(test)]
     pub(crate) fn arena_len(&self) -> usize {
         self.arena.len()
-    }
-
-    /// Appends `version` to the arena.
-    fn adopt(&mut self, version: MethodVersion) -> CodeSlot {
-        let slot = CodeSlot(u32::try_from(self.arena.len()).expect("under 2^32 versions"));
-        self.arena.push(Code { version: Arc::new(version), decoded: OnceLock::new() });
-        slot
     }
 
     /// Installs `version` as the current code for its method, assigning it a
@@ -162,7 +124,6 @@ impl CodeRegistry {
     pub fn install(&mut self, mut version: MethodVersion) -> Arc<MethodVersion> {
         version.version_id = VersionId(self.next_version_id);
         self.next_version_id += 1;
-        self.invalidated.push(false);
         match version.level {
             OptLevel::Optimized => {
                 self.cumulative_optimized_size += version.code_size as u64;
@@ -180,7 +141,8 @@ impl CodeRegistry {
                 self.current_optimized_size -= u64::from(old.code_size);
             }
         }
-        let slot = self.adopt(version);
+        let slot = CodeSlot(u32::try_from(self.arena.len()).expect("under 2^32 versions"));
+        self.arena.push(Code { version: Arc::new(version), decoded: OnceLock::new() });
         self.current[midx] = Some(slot);
         Arc::clone(self.version(slot))
     }
@@ -188,34 +150,20 @@ impl CodeRegistry {
     /// Invalidates the current *optimized* version of `method`: the slot is
     /// cleared, so the method falls back to (re-)baseline compilation at its
     /// next invocation — the graceful-degradation path for guard-thrashing
-    /// code. Activations already on the stack keep their arena slot; the
-    /// version's id is recorded as invalidated, and when OSR is enabled
-    /// ([`VmConfig::osr_enabled`](crate::VmConfig)) the interpreter
-    /// transfers such an activation back to an equivalent baseline frame
-    /// at its next loop header (OSR-out) rather than letting it finish on
-    /// the stale code. Returns `false` (and does nothing) when
-    /// the method has no optimized version installed.
+    /// code. Activations already on the stack keep their arena slot and
+    /// finish on the invalidated code: its guards fall back to virtual
+    /// dispatch, which is correct, only slower. Returns `false` (and does
+    /// nothing) when the method has no optimized version installed.
     pub fn invalidate(&mut self, method: MethodId) -> bool {
         match self.current(method) {
             Some(v) if v.level == OptLevel::Optimized => {
-                let (size, id) = (v.code_size, v.version_id);
-                self.current_optimized_size -= size as u64;
+                self.current_optimized_size -= v.code_size as u64;
                 self.invalidations += 1;
-                self.invalidated[id.0 as usize] = true;
                 self.current[method.index()] = None;
                 true
             }
             _ => false,
         }
-    }
-
-    /// Whether the version with id `id` has been invalidated — the
-    /// OSR-out trigger for in-flight activations still running it.
-    #[inline]
-    pub fn is_invalidated(&self, id: VersionId) -> bool {
-        // An id this registry never issued (`VersionId::from_raw`) is not
-        // invalidated.
-        self.invalidated.get(id.0 as usize).copied().unwrap_or(false)
     }
 
     /// Number of optimized versions invalidated.
@@ -303,11 +251,9 @@ mod tests {
     fn invalidation_clears_slot_and_accounting() {
         let mut r = CodeRegistry::new(2);
         let m0 = MethodId::from_index(0);
-        let installed = r.install(version(0, OptLevel::Optimized, 100));
+        r.install(version(0, OptLevel::Optimized, 100));
         assert_eq!(r.current_optimized_size(), 100);
-        assert!(!r.is_invalidated(installed.version_id));
         assert!(r.invalidate(m0));
-        assert!(r.is_invalidated(installed.version_id), "in-flight frames can see the invalidation");
         assert!(r.current(m0).is_none(), "slot cleared → baseline at next invocation");
         assert_eq!(r.current_optimized_size(), 0);
         // Cumulative size is history, not residency: it stays.

@@ -1,10 +1,9 @@
 //! On-stack replacement integration: hot-loop promotion (OSR-in) must
 //! transfer a running baseline activation into optimized code mid-loop and
-//! save cycles, and a guard-thrashing optimized activation must deoptimize
-//! (OSR-out) *before it returns* — not at its next invocation, which for a
-//! loop-dominated activation may never come.
+//! save cycles; promotion is the only transfer, so an optimized activation
+//! whose version is invalidated finishes on that code.
 
-use aoci_aos::{AosConfig, AosReport, AosSystem, OsrEvents};
+use aoci_aos::{AosConfig, AosReport, AosSystem, FaultConfig, OsrEvents};
 use aoci_core::PolicyKind;
 use aoci_ir::{decode_body, fusion_plan, BinOp, Cond, DecodedOp, FusedKind, Program, ProgramBuilder};
 use aoci_vm::{Component, CostModel, ExecCounters, Value, Vm};
@@ -224,55 +223,50 @@ fn hot_main_loop_is_promoted_and_saves_cycles() {
     );
 }
 
+/// The guard monitor invalidates `spin`'s thrashing version while its one
+/// long activation runs it; with promotion out of reach, OSR has nothing
+/// to do, and the activation finishes on the invalidated code exactly as
+/// it does with OSR off.
 #[test]
-fn thrashing_activation_deoptimizes_before_it_returns() {
+fn an_invalidated_activation_finishes_on_its_own_code() {
     let p = warm_then_thrash(8, 300, 4_000);
     let expected = baseline_result(&p);
 
     let mut config = fast(AosConfig::new(PolicyKind::ContextInsensitive).enable_osr());
     config.recovery.monitor_guard_health = true;
-    // Isolate OSR-out: promotion would need a back-edge count no loop here
-    // reaches, so every transition observed is a deoptimization.
+    // Promotion would need a back-edge count no loop here reaches.
     config.vm.osr_backedge_threshold = 1_000_000;
-
     let report = run(&p, config);
-    assert_eq!(report.result, expected, "deoptimization must not change semantics");
-    assert_eq!(report.osr.entries, 0, "promotion was disabled by the huge threshold");
-    // Guards only miss after the receiver swap, and the only post-swap
-    // activation is the single long `spin(big_n)` call — so a recorded exit
-    // necessarily happened inside that activation, before it returned.
-    assert!(
-        report.osr.exits >= 1,
-        "the thrashing activation must deoptimize mid-loop: {:?} (recovery {:?})",
-        report.osr,
-        report.recovery
-    );
-    assert!(report.clock.component(Component::Osr) > 0);
+    assert_eq!(report.result, expected);
+    assert!(report.recovery.invalidations >= 1, "the thrash is detected: {:?}", report.recovery);
+    assert_eq!(report.osr, OsrEvents::default());
+    assert_eq!(report.clock.component(Component::Osr), 0);
 
-    // The identical run without OSR finishes the stale activation instead.
     let mut no_osr = fast(AosConfig::new(PolicyKind::ContextInsensitive));
     no_osr.recovery.monitor_guard_health = true;
     let stale = run(&p, no_osr);
-    assert_eq!(stale.result, expected);
-    assert_eq!(stale.osr, OsrEvents::default());
+    assert_eq!(report.to_value(), stale.to_value(), "OSR that never promotes changes nothing");
 }
 
-/// OSR-out has one trigger, an invalidated version: with the guard monitor
-/// off and no faults nothing invalidates `spin`, so its thrashing
-/// activation finishes on its own code, however many guards it misses.
+/// Under `AOCI_OSR=1 AOCI_FAULTS=42`'s switches (OSR and the chaos fault
+/// profile, seed 42) with the tests' fast cadences, `main`'s loop is
+/// promoted and its optimized versions are invalidated repeatedly while
+/// the one activation runs: it keeps running the code it entered, and
+/// nothing counts an OSR-out.
 #[test]
-fn thrashing_alone_takes_no_osr_exit() {
-    let p = warm_then_thrash(8, 300, 4_000);
+fn chaos_with_osr_leaves_osr_exits_at_zero() {
+    let p = loop_in_main(6_000);
     let expected = baseline_result(&p);
-
-    let mut c = fast(AosConfig::new(PolicyKind::ContextInsensitive).enable_osr());
-    c.recovery.monitor_guard_health = false;
-    c.vm.osr_backedge_threshold = 1_000_000;
-    let report = run(&p, c);
+    let config = fast(
+        AosConfig::new(PolicyKind::Fixed { max: 3 })
+            .enable_osr()
+            .enable_faults(FaultConfig::chaos(42)),
+    );
+    let report = run(&p, config);
     assert_eq!(report.result, expected);
-    assert_eq!(report.osr, OsrEvents::default());
-    assert_eq!(report.recovery.invalidations, 0);
-    assert!(report.counters.guard_misses >= 1_000, "the guard thrashes: {:?}", report.counters);
+    assert!(report.osr.entries >= 1, "the main loop is promoted: {:?}", report.osr);
+    assert!(report.recovery.invalidations >= 1, "chaos invalidates: {:?}", report.recovery);
+    assert_eq!(report.counters.osr_exits, 0);
 }
 
 /// Like [`loop_in_main`], but shaped so the decoded form's
@@ -389,9 +383,12 @@ fn fused_boundaries_are_where_this_test_thinks() {
 /// entry pc is the second half of another fused pair. Because decoded pc
 /// == source pc (1:1 layout), that pc is a legal place to resume — the run
 /// must finish with the baseline result, actually promote, and cost
-/// exactly the pinned cycles. Guard monitoring is on: the thrashing guard
-/// is invalidated once and left out of the recompile (the thrashed set),
-/// which is what the pinned total and guard counters reflect.
+/// exactly the pinned cycles. Guard monitoring is on: after the receiver
+/// shift the promoted activation keeps running its version past that
+/// version's invalidation, so its guard misses (3 000, one per remaining
+/// iteration) go on counting against `main` and the recompiles are
+/// invalidated in turn until `main` is quarantined — which is what the
+/// pinned total and guard counters reflect.
 #[test]
 fn osr_in_crosses_fused_superinstruction_boundary() {
     let p = fused_loop_in_main(6_000);
@@ -405,77 +402,20 @@ fn osr_in_crosses_fused_superinstruction_boundary() {
         "the single main activation should be promoted mid-loop: {:?}",
         report.osr
     );
-    assert_eq!(report.total_cycles(), 313_392);
+    assert_eq!(report.total_cycles(), 324_036);
     assert_eq!(
         report.counters,
         ExecCounters {
-            calls: 585,
-            virtual_dispatches: 585,
-            guard_checks: 5_488,
-            guard_misses: 73,
-            osr_entries: 2,
-            osr_exits: 1,
+            calls: 3_256,
+            virtual_dispatches: 3_256,
+            guard_checks: 5_744,
+            guard_misses: 3_000,
+            osr_entries: 1,
+            osr_exits: 0,
         }
     );
-    let osr = OsrEvents { requests: 2, entries: 2, exits: 1, ..OsrEvents::default() };
-    assert_eq!(report.osr, osr);
-}
-
-/// OSR-out landing on a fused boundary: in `warm_then_thrash`, `spin`'s
-/// loop top is a Branch fused with the Const before it, so when the guard
-/// monitor invalidates the thrashing version and its activation
-/// deoptimizes at the back edge, the continuation pc is the second half
-/// of a fused pair in the baseline body it returns to. The exit must
-/// happen, land on a legal pc (the run completes with the baseline
-/// result), and cost exactly the pinned cycles.
-#[test]
-fn osr_out_lands_on_fused_boundary() {
-    let p = warm_then_thrash(8, 300, 4_000);
-    let expected = baseline_result(&p);
-
-    // Pin the shape: spin's loop-top branch is fused with the Const
-    // before it, so the deopt continuation pc sits mid-superinstruction.
-    let spin = p.methods().find(|m| m.name() == "spin").expect("spin exists");
-    let decoded = decode_body(spin.body(), &p);
-    let plan = fusion_plan(&decoded);
-    let top = decoded
-        .iter()
-        .enumerate()
-        .find_map(|(pc, op)| match op {
-            DecodedOp::Jump { target } if (*target as usize) < pc => Some(*target as usize),
-            _ => None,
-        })
-        .expect("spin has a back edge");
-    assert_eq!(
-        plan[top - 1],
-        Some(FusedKind::ConstBranch),
-        "spin's loop top is not the second half of a fused Const+Branch pair"
-    );
-
-    let mut c = fast(AosConfig::new(PolicyKind::ContextInsensitive).enable_osr());
-    c.recovery.monitor_guard_health = true;
-    c.vm.osr_backedge_threshold = 1_000_000;
-    let report = run(&p, c);
-    assert_eq!(report.result, expected, "deopt through fused dispatch must not change semantics");
-    assert_eq!(report.osr.entries, 0, "promotion was disabled by the huge threshold");
-    assert!(
-        report.osr.exits >= 1,
-        "the thrashing activation must deoptimize mid-loop: {:?}",
-        report.osr
-    );
-    assert_eq!(report.total_cycles(), 2_079_714);
-    assert_eq!(
-        report.counters,
-        ExecCounters {
-            calls: 4_309,
-            virtual_dispatches: 4_300,
-            guard_checks: 2_190,
-            guard_misses: 90,
-            osr_entries: 0,
-            osr_exits: 1,
-        }
-    );
-    assert_eq!(report.osr, OsrEvents { exits: 1, ..OsrEvents::default() });
+    assert_eq!(report.osr, OsrEvents { requests: 1, entries: 1, ..OsrEvents::default() });
+    assert_eq!((report.recovery.invalidations, report.recovery.quarantined_methods), (3, 1));
 }
 
 #[test]

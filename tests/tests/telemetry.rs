@@ -107,8 +107,10 @@ fn metered_report_serializes_identically() {
 /// One metered run with every opt-in path on, whose three exports are
 /// folded into a literal printed by this body at the commit *before* the
 /// time series became value rows over shared name tables (one owned
-/// `BTreeMap` snapshot per epoch then). Its 14 epochs see names first
-/// recorded mid-run (the install counters at epoch 3,
+/// `BTreeMap` snapshot per epoch then), and re-pinned once since, when the
+/// always-zero `osr_exits` series left the exports (the only bytes that
+/// moved: its JSONL key and its two Prometheus lines). Its 14 epochs see
+/// names first recorded mid-run (the install counters at epoch 3,
 /// `inline_refusals_not_hot` at 4, `inline_refusals_too_large` at 7), so a
 /// reader that walks names by id instead of by bytes, or a row read at the
 /// wrong width, moves the fold.
@@ -129,7 +131,7 @@ fn metered_exports_match_the_parent_commit() {
             fold = (fold ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-    assert_eq!(fold, 0x7a5f_fe8f_69d4_45f5, "the metered exports moved");
+    assert_eq!(fold, 0xf6c2_81c9_f1c7_197e, "the metered exports moved");
 }
 
 /// The series' footprint, on the largest run the repo benchmark meters: the
