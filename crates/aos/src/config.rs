@@ -11,65 +11,34 @@ use aoci_vm::{CostModel, VmConfig};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Tunables of the recovery layer: guard-thrash invalidation, compile
-/// retry/backoff, and quarantine. Trace sanitization and compile
-/// retry/backoff are always active (they cost nothing on clean runs);
-/// guard-health monitoring runs when [`RecoveryConfig::monitor_guard_health`]
-/// is set or fault injection is on, and organic guard thrash (a phase
-/// shift defeating a speculative inline) then takes the same path as
-/// injected thrash.
-#[derive(Clone, Debug)]
-pub struct RecoveryConfig {
-    /// Whether guard-health monitoring (and thrash invalidation) runs even
-    /// without fault injection. An organic thrash also records the
-    /// invalidated version's guarded inlines as thrashed, and no later
-    /// compilation speculates on them again (DESIGN.md §6). Defaults to
-    /// `false`: a guarded inline that misses falls back to virtual
-    /// dispatch — degraded, never wrong — and the paper's AOS adapts to
-    /// receiver shifts through decay and recompilation, not
-    /// deoptimization, so unconditional monitoring would distort the
-    /// reproduction sweeps. Fault injection (`AosConfig::fault`) enables
-    /// monitoring automatically, since an adversary that bursts guard
-    /// misses is exactly what invalidation is for.
-    pub monitor_guard_health: bool,
-    /// Guard-miss rate (misses / checks over the current observation
-    /// window) above which an optimized version is invalidated. The
-    /// default is deliberately high: a guarded inline of one target of a
-    /// 50/50 polymorphic site misses ~half its checks *by design* (the
-    /// virtual fallback keeps it profitable), so only near-total miss
-    /// rates — a phase shift defeating the speculation outright, or an
-    /// adversarial receiver burst — count as thrash.
-    pub guard_miss_threshold: f64,
-    /// Minimum guard checks in the window before the rate is meaningful.
-    pub guard_miss_min_checks: u64,
-    /// Backoff before the first compile retry, in simulated cycles;
-    /// doubles per consecutive failure of the same method.
-    pub retry_backoff_base_cycles: u64,
-    /// Upper bound on the per-retry backoff, in simulated cycles.
-    pub retry_backoff_cap_cycles: u64,
-    /// Consecutive compile failures (or repeated invalidations) of one
-    /// method after which it is quarantined: blocked from optimizing
-    /// compilation for the rest of the run.
-    pub quarantine_after_failures: u32,
-    /// Cycles charged to [`Component::Recovery`](aoci_vm::Component) per
-    /// recovery event (invalidation, retry scheduling, quarantine,
-    /// rejected trace).
-    pub recovery_cost_per_event: u64,
-}
+/// Guard-miss rate (misses / checks over the current observation window)
+/// above which guard-health monitoring invalidates an optimized version.
+/// Deliberately high: a guarded inline of one target of a 50/50
+/// polymorphic site misses ~half its checks *by design* (the virtual
+/// fallback keeps it profitable), so only near-total miss rates — a phase
+/// shift defeating the speculation outright, or an adversarial receiver
+/// burst — count as thrash.
+pub(crate) const GUARD_MISS_THRESHOLD: f64 = 0.9;
 
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            monitor_guard_health: false,
-            guard_miss_threshold: 0.9,
-            guard_miss_min_checks: 48,
-            retry_backoff_base_cycles: 25_000,
-            retry_backoff_cap_cycles: 400_000,
-            quarantine_after_failures: 3,
-            recovery_cost_per_event: 200,
-        }
-    }
-}
+/// Guard checks an observation window needs before its miss rate is judged.
+pub(crate) const GUARD_MISS_MIN_CHECKS: u64 = 48;
+
+/// Backoff before the first retry of a failed compilation, in simulated
+/// cycles; doubles per consecutive failure of the same method.
+pub(crate) const RETRY_BACKOFF_BASE_CYCLES: u64 = 25_000;
+
+/// Upper bound on one retry backoff, in simulated cycles.
+pub(crate) const RETRY_BACKOFF_CAP_CYCLES: u64 = 400_000;
+
+/// Consecutive compile failures, or consecutive invalidations, of one
+/// method after which it is quarantined: blocked from optimizing
+/// compilation for the rest of the run.
+pub(crate) const QUARANTINE_AFTER_FAILURES: u32 = 3;
+
+/// Cycles charged to [`Component::Recovery`](aoci_vm::Component) per
+/// recovery event (invalidation, retry scheduling, quarantine, rejected
+/// trace).
+pub(crate) const RECOVERY_COST_PER_EVENT: u64 = 200;
 
 /// Simulated compiler workers of the background-compilation pool (the
 /// paper's — and Jikes RVM's — compilation *thread*, modelled in
@@ -149,8 +118,19 @@ pub struct AosConfig {
     pub organizer_cost_per_item: u64,
     /// Controller cost: cycles charged per event considered.
     pub controller_cost_per_event: u64,
-    /// Recovery-layer tunables (always active).
-    pub recovery: RecoveryConfig,
+    /// Whether guard-health monitoring (and thrash invalidation) runs even
+    /// without fault injection. An organic thrash also records the
+    /// invalidated version's guarded inlines as thrashed, and no later
+    /// compilation speculates on them again (DESIGN.md §6). Defaults to
+    /// `false`: a guarded inline that misses falls back to virtual
+    /// dispatch — degraded, never wrong — and the paper's AOS adapts to
+    /// receiver shifts through decay and recompilation, not
+    /// deoptimization, so unconditional monitoring would distort the
+    /// reproduction sweeps. Fault injection ([`AosConfig::fault`]) enables
+    /// monitoring automatically, since an adversary that bursts guard
+    /// misses is exactly what invalidation is for. Trace sanitization and
+    /// compile retry are always active; they cost nothing on clean runs.
+    pub monitor_guard_health: bool,
     /// Fault injection; `None` (the default) runs faultless and the system
     /// is bit-identical to one built before this subsystem existed.
     pub fault: Option<FaultConfig>,
@@ -196,7 +176,7 @@ impl AosConfig {
             vm: VmConfig::default(),
             organizer_cost_per_item: 12,
             controller_cost_per_event: 150,
-            recovery: RecoveryConfig::default(),
+            monitor_guard_health: false,
             fault: None,
             trace: None,
             async_compile: false,
@@ -273,7 +253,7 @@ impl AosConfig {
     /// Enables fault injection with the given profile (see
     /// [`FaultConfig::chaos`] for the everything-on profile); also implies
     /// guard-health monitoring, as documented on
-    /// [`RecoveryConfig::monitor_guard_health`] (DESIGN.md §6).
+    /// [`AosConfig::monitor_guard_health`] (DESIGN.md §6).
     pub fn enable_faults(mut self, fault: FaultConfig) -> Self {
         self.fault = Some(fault);
         self
@@ -304,11 +284,11 @@ impl AosConfig {
     }
 
     /// Enables guard-health monitoring (and thrash invalidation) even
-    /// without fault injection — see
-    /// [`RecoveryConfig::monitor_guard_health`] for why it is off by
-    /// default.
+    /// without fault injection — see [`AosConfig::monitor_guard_health`]
+    /// for why it is off by default. An invalidated method's recompile is
+    /// planned in the tick that invalidates it (DESIGN.md §6).
     pub fn enable_guard_monitoring(mut self) -> Self {
-        self.recovery.monitor_guard_health = true;
+        self.monitor_guard_health = true;
         self
     }
 }
@@ -345,7 +325,7 @@ mod tests {
         assert!(c.trace.is_some());
         assert!(c.async_compile);
         assert!(c.metrics.is_some());
-        assert!(c.recovery.monitor_guard_health);
+        assert!(c.monitor_guard_health);
         assert!(c.compile_server.is_some());
     }
 }

@@ -30,10 +30,10 @@
 //!
 //! A **recovery layer** hardens the loop against a hostile environment
 //! (see [`FaultInjector`] for the adversary and [`RecoveryEvents`] for the
-//! ledger): guard-thrashing optimized code is invalidated back to baseline,
-//! failed compilations retry under capped exponential backoff (and are
-//! quarantined after repeated failures), and malformed profile traces are
-//! rejected at the store boundary.
+//! ledger): guard-thrashing optimized code is invalidated back to baseline
+//! and recompiled at once, failed compilations retry under capped
+//! exponential backoff (and are quarantined after repeated failures), and
+//! malformed profile traces are rejected at the store boundary.
 //!
 //! A **flight recorder** ([`AosConfig::enable_trace`], `aoci-trace`) captures
 //! every layer's activity — sampler ticks, trace walks, promotions,
@@ -76,7 +76,7 @@ mod fault;
 mod report;
 mod system;
 
-pub use config::{AosConfig, RecoveryConfig, ServerSnapshot, SERVER_HIT_COST};
+pub use config::{AosConfig, ServerSnapshot, SERVER_HIT_COST};
 pub use database::{AosDatabase, CompilationRecord};
 pub use fault::{CompileFault, FaultConfig, FaultInjector, TraceCorruption};
 pub use aoci_telemetry::{MetricsConfig, MetricsLog};

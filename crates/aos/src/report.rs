@@ -7,7 +7,7 @@ use aoci_ir::MethodId;
 use aoci_json::Value as Json;
 use aoci_profile::TraceStatsReport;
 use aoci_telemetry::MetricsLog;
-use aoci_trace::{FaultKind, RetryCause, TraceEvent, TraceLog};
+use aoci_trace::{FaultKind, TraceEvent, TraceLog};
 use aoci_vm::{Clock, Component, ExecCounters, Value, COMPONENTS};
 
 /// Everything the recovery layer did during a run — the degradation story
@@ -18,9 +18,9 @@ pub struct RecoveryEvents {
     /// Optimized versions invalidated for guard thrash (the method fell
     /// back to baseline at its next invocation).
     pub invalidations: u64,
-    /// Compile retries scheduled after failed compilations (a recompile
-    /// scheduled after an invalidation is not a retry: the invalidation
-    /// is the action).
+    /// Compile retries scheduled after failed compilations, one
+    /// `retry-scheduled` event each (an invalidation's recompile is planned
+    /// at once, not retried: the invalidation is the action).
     pub compile_retries: u64,
     /// Methods quarantined (blocked from optimizing compilation) after
     /// repeated failures or invalidations.
@@ -202,9 +202,7 @@ impl Ledger {
             E::Invalidate { .. } => rec.invalidations += 1,
             E::Quarantine { .. } => rec.quarantined_methods += 1,
             E::TraceRejected => rec.rejected_traces += 1,
-            E::RetryScheduled { cause: RetryCause::CompileFailure, .. } => rec.compile_retries += 1,
-            // The invalidation it follows was the action.
-            E::RetryScheduled { cause: RetryCause::Invalidation, .. } => {}
+            E::RetryScheduled { .. } => rec.compile_retries += 1,
             E::FaultInjected { kind: CompileBailout | CompileOversize } => {
                 rec.injected_compile_faults += 1;
             }

@@ -96,6 +96,11 @@ struct MethodState {
     synthetic_misses: u64,
     /// Consecutive failed compilations (cleared on success).
     compile_failures: u32,
+    /// The cycle at which a failed compilation is retried. Set by a
+    /// failure, cleared when the retry is planned, when code installs (a
+    /// method that got new code has nothing left to retry) and at
+    /// quarantine.
+    retry_at: Option<u64>,
     /// Consecutive guard-thrash invalidations (cleared by a healthy
     /// observation window); reaching the quarantine limit blocks the method
     /// instead of letting it cycle invalidate → recompile.
@@ -146,9 +151,6 @@ pub struct AosSystem<'p> {
     dump_tail: Vec<Recorded>,
     /// The sequence number of `dump_tail[0]`.
     dump_first_seq: u64,
-    /// Failed compilations awaiting their backoff deadline, as
-    /// `(due_cycle, method)` in scheduling order.
-    retry_after: Vec<(u64, MethodId)>,
     /// The flight recorder, when tracing is configured; clones of this sink
     /// live in the VM and the trace listener.
     trace: Option<TraceSink>,
@@ -196,7 +198,6 @@ impl<'p> AosSystem<'p> {
             ledger: Ledger::default(),
             dump_tail: Vec::new(),
             dump_first_seq: 0,
-            retry_after: Vec::new(),
             trace,
             metrics: config.metrics.clone().map(MetricsRegistry::new),
             config,
@@ -448,7 +449,8 @@ impl<'p> AosSystem<'p> {
         sink.gauge_set("rules_active", self.rules.len() as u64);
         sink.gauge_set("dcg_entries", self.profile.len() as u64);
         sink.gauge_set("quarantined_methods", recovery.quarantined_methods);
-        sink.gauge_set("retry_backlog", self.retry_after.len() as u64);
+        let retry_backlog = self.methods.iter().filter(|m| m.retry_at.is_some()).count();
+        sink.gauge_set("retry_backlog", retry_backlog as u64);
         sink.snapshot(self.sample_count, clock.total());
         self.metrics = Some(sink);
     }

@@ -287,10 +287,10 @@ impl AosSystem<'_> {
     }
 
     /// Books and installs a finished compilation: database record, trace
-    /// events, registry install, guard-window and failure-streak resets, and
-    /// unrealized-rule marking. `generation` and `rules` are the AI state
-    /// the compiler ran against — for a background compile that is the
-    /// dispatch-time snapshot, not the state current at completion.
+    /// events, registry install, guard-window, failure-streak and retry
+    /// resets, and unrealized-rule marking. `generation` and `rules` are the
+    /// AI state the compiler ran against — for a background compile that is
+    /// the dispatch-time snapshot, not the state current at completion.
     fn install_compilation(
         &mut self,
         method: MethodId,
@@ -362,11 +362,12 @@ impl AosSystem<'_> {
         }
         let installed = self.vm.registry_mut().install(compilation.version);
         self.emit(TraceEvent::Install { method, version_id: installed.version_id.raw() });
-        // A successful install opens a fresh guard-observation window
-        // and clears the failure streak.
+        // A successful install opens a fresh guard-observation window and
+        // ends the failure streak with any retry it had pending.
         let guard_stats = self.vm.guard_stats(method);
         let state = &mut self.methods[method.index()];
         state.compile_failures = 0;
+        state.retry_at = None;
         state.guard_window_start = guard_stats;
         state.synthetic_misses = 0;
         // Any rule this compilation was expected to realise but did not

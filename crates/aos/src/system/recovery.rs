@@ -1,17 +1,22 @@
 //! The recovery layer: trace sanitization, injected faults, guard-health
-//! invalidation, compile retry/backoff and quarantine (DESIGN.md §6).
+//! invalidation and its immediate recompile, compile retry/backoff and
+//! quarantine (DESIGN.md §6).
 
 use super::AosSystem;
+use crate::config::{
+    GUARD_MISS_MIN_CHECKS, GUARD_MISS_THRESHOLD, QUARANTINE_AFTER_FAILURES,
+    RECOVERY_COST_PER_EVENT, RETRY_BACKOFF_BASE_CYCLES, RETRY_BACKOFF_CAP_CYCLES,
+};
 use crate::fault::TraceCorruption;
 use aoci_ir::{CallSiteRef, MethodId, SiteIdx};
 use aoci_profile::TraceKey;
-use aoci_trace::{FaultKind, PlanReason, RetryCause, TraceEvent};
+use aoci_trace::{FaultKind, PlanReason, TraceEvent};
 use aoci_vm::Component;
 
 impl AosSystem<'_> {
     /// Books a rejected profile trace and charges its handling cost.
     pub(super) fn reject_trace(&mut self) {
-        self.charge(Component::Recovery, self.config.recovery.recovery_cost_per_event);
+        self.charge(Component::Recovery, RECOVERY_COST_PER_EVENT);
         self.emit(TraceEvent::TraceRejected);
     }
 
@@ -70,11 +75,9 @@ impl AosSystem<'_> {
     /// and then reset, so a phase shift is detected from the post-shift
     /// window alone rather than being diluted by a long healthy history.
     pub(super) fn check_guard_health(&mut self) {
-        if !self.config.recovery.monitor_guard_health && self.fault.is_none() {
+        if !self.config.monitor_guard_health && self.fault.is_none() {
             return;
         }
-        let min_checks = self.config.recovery.guard_miss_min_checks;
-        let threshold = self.config.recovery.guard_miss_threshold;
         // In index order; an invalidation only ever touches its own method.
         for m in (0..self.methods.len()).map(MethodId::from_index) {
             if !self.db.is_optimized(m) {
@@ -87,15 +90,15 @@ impl AosSystem<'_> {
             let organic_checks = stats.checks.saturating_sub(base.checks);
             let organic_misses = stats.misses.saturating_sub(base.misses);
             let checks = organic_checks + synth;
-            if checks < min_checks {
+            if checks < GUARD_MISS_MIN_CHECKS {
                 continue;
             }
             let misses = organic_misses + synth;
-            if misses as f64 / checks as f64 > threshold {
+            if misses as f64 / checks as f64 > GUARD_MISS_THRESHOLD {
                 // Organic: the window's own counters thrash, without the
                 // injected misses.
-                let organic = organic_checks >= min_checks
-                    && organic_misses as f64 / organic_checks as f64 > threshold;
+                let organic = organic_checks >= GUARD_MISS_MIN_CHECKS
+                    && organic_misses as f64 / organic_checks as f64 > GUARD_MISS_THRESHOLD;
                 self.invalidate_method(m, organic);
             } else {
                 // Healthy window: start the next one. The recompiled code
@@ -111,84 +114,74 @@ impl AosSystem<'_> {
     }
 
     /// Invalidates `method`'s optimized version (guard thrash): the registry
-    /// slot is cleared, the database drops its currently-optimized status
-    /// (so the hot-methods organizer may reselect it), and *consecutive*
-    /// invalidations — without a healthy guard window in between —
-    /// quarantine it. An `organic` thrash (the version's own guards, not
-    /// injected misses) adds the version's guarded inlines to the
-    /// database's thrashed set, so the recompile scheduled here and every
+    /// slot is cleared, the database drops its currently-optimized status,
+    /// and *consecutive* invalidations — without a healthy guard window in
+    /// between — quarantine it. An `organic` thrash (the version's own
+    /// guards, not injected misses) adds the version's guarded inlines to
+    /// the database's thrashed set, so the recompile planned here and every
     /// later compilation leave those speculations out.
     fn invalidate_method(&mut self, method: MethodId, organic: bool) {
         if !self.vm.registry_mut().invalidate(method) {
             return; // registry and database out of sync; nothing installed
         }
         self.db.record_invalidation(method, organic);
-        self.charge(Component::Recovery, self.config.recovery.recovery_cost_per_event);
+        self.charge(Component::Recovery, RECOVERY_COST_PER_EVENT);
         self.emit(TraceEvent::Invalidate { method });
         let guard_stats = self.vm.guard_stats(method);
         let state = &mut self.methods[method.index()];
         state.guard_window_start = guard_stats;
         state.synthetic_misses = 0;
         state.invalidation_streak += 1;
-        if state.invalidation_streak >= self.config.recovery.quarantine_after_failures {
+        if state.invalidation_streak >= QUARANTINE_AFTER_FAILURES {
             self.quarantine(method);
         } else if self.db.recompiles(method) < self.config.max_recompiles_per_method {
             // The method was hot enough to compile and is thrashing *now*,
-            // so don't wait for the hot organizer to re-notice it: schedule
-            // a recompilation after one base backoff, which bounds the
-            // baseline-fallback window. The rules have rarely moved by
-            // then; what changes the recompiled code is the thrashed set,
-            // which drops the failed guards. The recompile budget shared with
-            // the missing-edge organizer bounds the churn a perpetually
-            // phase-flipping method could otherwise generate; past it the
-            // method settles at baseline — degraded, stable, correct.
-            let due = self.vm.clock().total() + self.config.recovery.retry_backoff_base_cycles;
-            let cause = RetryCause::Invalidation;
-            self.emit(TraceEvent::RetryScheduled { method, due_cycle: due, cause });
-            self.retry_after.push((due, method));
+            // so don't wait for the hot organizer to re-notice it: plan the
+            // recompile in this tick. What changes the recompiled code is
+            // the thrashed set, which drops the failed guards. The
+            // recompile budget shared with the missing-edge organizer bounds
+            // the churn a perpetually phase-flipping method could otherwise
+            // generate; past it the method settles at baseline — degraded,
+            // stable, correct.
+            self.controller_enqueue(method, PlanReason::Invalidation);
         }
     }
 
-    /// Books a compile failure of `method`: schedules a retry after
+    /// Books a compile failure of `method`: schedules its retry after
     /// exponential backoff (in simulated cycles, capped), or quarantines the
-    /// method once its failure streak reaches the configured limit.
+    /// method once its failure streak reaches the limit.
     pub(super) fn handle_compile_failure(&mut self, method: MethodId) {
-        let rc = &self.config.recovery;
         let state = &mut self.methods[method.index()];
         state.compile_failures += 1;
         let failures = state.compile_failures;
-        if failures >= rc.quarantine_after_failures {
+        if failures >= QUARANTINE_AFTER_FAILURES {
             self.quarantine(method);
         } else {
-            let backoff = rc
-                .retry_backoff_base_cycles
+            let backoff = RETRY_BACKOFF_BASE_CYCLES
                 .saturating_mul(1u64 << (failures - 1).min(20))
-                .min(rc.retry_backoff_cap_cycles);
+                .min(RETRY_BACKOFF_CAP_CYCLES);
             let due = self.vm.clock().total() + backoff;
-            self.retry_after.push((due, method));
-            self.charge(Component::Recovery, self.config.recovery.recovery_cost_per_event);
-            let cause = RetryCause::CompileFailure;
-            self.emit(TraceEvent::RetryScheduled { method, due_cycle: due, cause });
+            state.retry_at = Some(due);
+            self.charge(Component::Recovery, RECOVERY_COST_PER_EVENT);
+            self.emit(TraceEvent::RetryScheduled { method, due_cycle: due });
         }
     }
 
-    /// Re-enqueues failed compilations whose backoff deadline has passed.
+    /// Plans the retry of every failed compilation whose backoff deadline
+    /// has passed, in method-index order.
     pub(super) fn schedule_due_retries(&mut self) {
-        if self.retry_after.is_empty() {
+        // Only an injected fault fails a compilation: without the injector
+        // no method has a retry pending.
+        if self.fault.is_none() {
             return;
         }
         let now = self.vm.clock().total();
-        let mut due: Vec<MethodId> = Vec::new();
-        self.retry_after.retain(|&(deadline, m)| {
-            if deadline <= now {
-                due.push(m);
-                false
-            } else {
-                true
+        for m in (0..self.methods.len()).map(MethodId::from_index) {
+            let retry_at = &mut self.methods[m.index()].retry_at;
+            if retry_at.is_some_and(|due| due <= now) {
+                *retry_at = None;
+                self.controller_enqueue(m, PlanReason::Retry);
             }
-        });
-        for m in due {
-            self.controller_enqueue(m, PlanReason::Retry);
         }
     }
 
@@ -197,8 +190,8 @@ impl AosSystem<'_> {
     /// they could only be denied.
     pub(super) fn quarantine(&mut self, method: MethodId) {
         if !std::mem::replace(&mut self.methods[method.index()].quarantined, true) {
-            self.charge(Component::Recovery, self.config.recovery.recovery_cost_per_event);
-            self.retry_after.retain(|&(_, m)| m != method);
+            self.methods[method.index()].retry_at = None;
+            self.charge(Component::Recovery, RECOVERY_COST_PER_EVENT);
             self.vm.suppress_osr(method);
             self.emit(TraceEvent::Quarantine { method });
         }

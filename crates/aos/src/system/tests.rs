@@ -318,9 +318,9 @@ fn phase_shift_program(n: i64) -> (Program, MethodId) {
 fn guard_thrash_invalidates_and_recovers() {
     let (p, compute) = phase_shift_program(6_000);
     let expected = baseline_result(&p);
-    let mut config = fast_config(PolicyKind::ContextInsensitive)
+    let config = fast_config(PolicyKind::ContextInsensitive)
+        .enable_guard_monitoring()
         .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 0 });
-    config.recovery.monitor_guard_health = true;
     let mut sys = AosSystem::new(&p, config);
     loop {
         match sys.vm.run(u64::MAX).expect("runs") {
@@ -351,10 +351,10 @@ fn guard_thrash_invalidates_and_recovers() {
         let stats = sys.vm.guard_stats(compute);
         let base = sys.methods[compute.index()].guard_window_start;
         let checks = stats.checks - base.checks;
-        if checks >= sys.config.recovery.guard_miss_min_checks {
+        if checks >= crate::config::GUARD_MISS_MIN_CHECKS {
             let rate = (stats.misses - base.misses) as f64 / checks as f64;
             assert!(
-                rate <= sys.config.recovery.guard_miss_threshold,
+                rate <= crate::config::GUARD_MISS_THRESHOLD,
                 "final window must be healthy, got miss rate {rate}"
             );
         }
@@ -569,7 +569,7 @@ fn stale_plans_drop_at_dequeue_with_reasons() {
 
 // ---- Recovery-ledger dump: captured raw at the action, rendered at read --
 
-use aoci_trace::{FaultKind, Recorded, RetryCause, TraceConfig, TraceLog};
+use aoci_trace::{FaultKind, Recorded, TraceConfig, TraceLog};
 
 /// The `n` dump lines ending at (and including) event index `last` of an
 /// unbounded log — what the ledger must hold if the latest recovery action
@@ -590,7 +590,7 @@ fn last_recovery_trigger(events: &[Recorded]) -> Option<usize> {
             TraceEvent::TraceRejected
                 | TraceEvent::Invalidate { .. }
                 | TraceEvent::Quarantine { .. }
-                | TraceEvent::RetryScheduled { cause: RetryCause::CompileFailure, .. }
+                | TraceEvent::RetryScheduled { .. }
         )
     })
 }
@@ -600,8 +600,9 @@ fn trace_dump_is_the_tail_as_of_the_last_recovery_action() {
     let p = hot_loop_program(6_000, true);
     let mut triggers = std::collections::BTreeSet::new();
     // Chaos runs usually end on a rejected trace; without trace corruption
-    // the last action is a retry, an invalidation or a quarantine.
-    let faults = [42, 4, 18].into_iter().flat_map(|seed| {
+    // the last action is a retry, an invalidation or a quarantine. Seed 34
+    // ends on a retry and seed 37 on an invalidation.
+    let faults = [42, 4, 18, 34, 37].into_iter().flat_map(|seed| {
         let chaos = FaultConfig::chaos(seed);
         [chaos.clone(), FaultConfig { trace_corruption_prob: 0.0, ..chaos }]
     });
@@ -642,29 +643,75 @@ fn events_where(log: &TraceLog, pick: impl Fn(&TraceEvent) -> bool) -> Vec<&Trac
 }
 
 #[test]
-fn a_recompile_after_an_invalidation_is_not_a_retry() {
-    // Organic thrash, no faults: the one `retry-scheduled` follows the
-    // invalidation, which is the recovery action and the dump trigger.
+fn an_invalidation_recompiles_once_and_at_once() {
+    // Organic thrash, no faults: the invalidation plans the recompile in
+    // its own tick, and no timer is left to compile the same body again.
     let (p, compute) = phase_shift_program(6_000);
     let config = fast_config(PolicyKind::ContextInsensitive)
         .enable_guard_monitoring()
         .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 4 });
     let report = AosSystem::new(&p, config).run().expect("runs");
     let log = report.trace_log.as_ref().expect("tracing is on");
-    let retries = events_where(log, |e| matches!(e, TraceEvent::RetryScheduled { .. }));
-    assert!(
-        matches!(
-            retries[..],
-            [TraceEvent::RetryScheduled { method, cause: RetryCause::Invalidation, .. }]
-                if *method == compute
-        ),
-        "{retries:?}"
+    let invalidate = log
+        .events
+        .iter()
+        .position(|r| r.event == TraceEvent::Invalidate { method: compute })
+        .expect("the phase shift thrashes `compute`");
+    let after = &log.events[invalidate..];
+    let plan = after
+        .iter()
+        .position(|r| matches!(r.event, TraceEvent::RecompilePlan { method, .. } if method == compute))
+        .expect("a recompile follows");
+    assert_eq!(
+        after[plan].event,
+        TraceEvent::RecompilePlan { method: compute, reason: PlanReason::Invalidation }
     );
+    let ticks = after[..plan].iter().filter(|r| matches!(r.event, TraceEvent::SampleTick { .. }));
+    assert_eq!(ticks.count(), 0, "planned in the invalidation's sample tick");
+    let retries = events_where(log, |e| matches!(e, TraceEvent::RetryScheduled { .. }));
+    assert!(retries.is_empty(), "{retries:?}");
     assert_eq!(report.recovery.compile_retries, 0, "no compilation failed");
-    assert!(report.recovery.invalidations >= 1);
-    assert!(log.coverage().contains("recovery:retry"), "the coverage feature stays");
+    let installs =
+        events_where(log, |e| matches!(e, TraceEvent::Install { method, .. } if *method == compute));
+    assert_eq!(installs.len(), 2, "the first compile and the one after the thrash");
+    assert!(log.coverage().contains("plan:invalidation"));
     let last = last_recovery_trigger(&log.events).expect("the thrash was acted on");
     assert_eq!(report.recovery.trace_dump, dump_ending_at(log, last, 4, &p));
+}
+
+#[test]
+fn a_retry_plan_follows_its_schedule_with_no_install_between() {
+    // Every `recompile-plan reason=retry` for a method answers a
+    // `retry-scheduled` for it, and no install of the method came between
+    // them: an install ends the backoff.
+    let p = hot_loop_program(6_000, true);
+    let mut retried = 0;
+    for (seed, async_compile) in [0, 4, 18, 42].into_iter().flat_map(|s| [(s, false), (s, true)]) {
+        let mut config = fast_config(PolicyKind::Fixed { max: 3 })
+            .enable_faults(FaultConfig::chaos(seed))
+            .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 0 });
+        config.async_compile = async_compile;
+        let report = AosSystem::new(&p, config).run().expect("faulted run completes");
+        let log = report.trace_log.as_ref().expect("tracing is on");
+        // Per method: a retry is scheduled and no install has come since.
+        let mut pending = vec![false; p.num_methods()];
+        for (i, r) in log.events.iter().enumerate() {
+            match r.event {
+                TraceEvent::RetryScheduled { method, .. } => pending[method.index()] = true,
+                TraceEvent::Install { method, .. } => pending[method.index()] = false,
+                TraceEvent::RecompilePlan { method, reason: PlanReason::Retry } => {
+                    assert!(
+                        std::mem::take(&mut pending[method.index()]),
+                        "seed {seed}, async {async_compile}: event #{i} retries {method:?} \
+                         with no retry pending"
+                    );
+                    retried += 1;
+                }
+                _ => {}
+            }
+        }
+    }
+    assert!(retried > 0, "some retry is planned");
 }
 
 #[test]
@@ -979,8 +1026,10 @@ fn receiver_bursts_thrash_nothing() {
     let (report, db, _) = AosSystem::new(&p, config).run_full().expect("runs");
     assert!(report.recovery.invalidations > 0, "{:?}", report.recovery);
     assert!(db.thrashed().is_empty(), "{:?}", db.thrashed());
-    // The compile after each burst-driven invalidation equals the one
-    // before it.
+    // Every guarded inline of the compile before a burst-driven
+    // invalidation appears in the compile after it: nothing was thrashed.
+    // The rules need not hold still between the two compiles, so the
+    // unguarded rest may differ.
     let log = report.trace_log.as_ref().expect("tracing is on");
     let all = compiles(log);
     let mut compiled = 0;
@@ -992,8 +1041,11 @@ fn receiver_bursts_thrash_nothing() {
                 let before = all[..compiled].iter().rev().find(|(m, _)| *m == method);
                 let after = all[compiled..].iter().find(|(m, _)| *m == method);
                 if let (Some(before), Some(after)) = (before, after) {
-                    assert_eq!(after, before, "{method:?}");
-                    recompared += usize::from(before.1.iter().any(|&(.., guarded)| guarded));
+                    let guarded = before.1.iter().filter(|&&(.., guarded)| guarded);
+                    for decision in guarded.clone() {
+                        assert!(after.1.contains(decision), "{method:?}: {decision:?} {after:?}");
+                    }
+                    recompared += usize::from(guarded.count() > 0);
                 }
             }
             _ => {}

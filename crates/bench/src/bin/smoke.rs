@@ -4,6 +4,10 @@ use aoci_core::PolicyKind;
 use aoci_telemetry::{dashboard, to_jsonl, to_prometheus, write_text};
 use aoci_workloads::{build, suite};
 
+/// The flight recorder's ring capacity per run: the window the Chrome-trace
+/// export chooses from.
+const TRACE_CAPACITY: usize = 1 << 16;
+
 /// Quick end-to-end sanity run over the whole suite, executed across the
 /// `AOCI_JOBS` sweep pool (default: all cores; the per-run lines print in
 /// canonical suite × policy order whatever order the workers finish in).
@@ -54,7 +58,7 @@ fn main() {
         }
         if env.trace {
             config = config
-                .enable_trace_with(TraceConfig { capacity: env.trace_cap, ..TraceConfig::default() });
+                .enable_trace_with(TraceConfig { capacity: TRACE_CAPACITY, ..TraceConfig::default() });
         }
         if env.async_compile {
             config = config.enable_async_compile();

@@ -120,14 +120,6 @@ pub const FAULTS: Knob = Knob {
              (DESIGN.md \u{a7}6).",
 };
 
-/// `AOCI_TRACE_CAP` — flight-recorder ring capacity in smoke.
-pub const TRACE_CAP: Knob = Knob {
-    name: "AOCI_TRACE_CAP",
-    ty: "usize",
-    default: "65536",
-    effect: "flight-recorder ring capacity for smoke's Chrome-trace export window.",
-};
-
 /// `AOCI_TRACE_OUT` — Chrome-trace output path.
 pub const TRACE_OUT: Knob = Knob {
     name: "AOCI_TRACE_OUT",
@@ -238,7 +230,6 @@ pub const KNOBS: &[Knob] = &[
     RERUN,
     RESULTS_DIR,
     FAULTS,
-    TRACE_CAP,
     TRACE_OUT,
     EXPLAIN,
     ORACLE_SEED,
@@ -276,8 +267,6 @@ pub struct EnvConfig {
     pub results_dir: String,
     /// Chaos fault-injection seed ([`FAULTS`]).
     pub faults: Option<u64>,
-    /// Flight-recorder ring capacity for smoke ([`TRACE_CAP`]).
-    pub trace_cap: usize,
     /// Chrome-trace output path for smoke ([`TRACE_OUT`]).
     pub trace_out: String,
     /// Explain-filter pattern ([`EXPLAIN`]); `Some("")` matches everything.
@@ -342,7 +331,6 @@ impl Default for EnvConfig {
             rerun: false,
             results_dir: "results".to_string(),
             faults: None,
-            trace_cap: 1 << 16,
             trace_out: "results/smoke_trace.json".to_string(),
             explain: None,
             oracle_seed: 1,
@@ -376,7 +364,6 @@ impl EnvConfig {
             rerun: flag(&RERUN),
             results_dir: raw(&RESULTS_DIR).unwrap_or(defaults.results_dir),
             faults: number(&FAULTS)?,
-            trace_cap: number(&TRACE_CAP)?.unwrap_or(defaults.trace_cap),
             trace_out: raw(&TRACE_OUT).unwrap_or(defaults.trace_out),
             explain: raw(&EXPLAIN),
             oracle_seed: number(&ORACLE_SEED)?.unwrap_or(defaults.oracle_seed),
@@ -447,7 +434,7 @@ mod tests {
     /// `std::env::var("AOCI_` call site exists outside this module.)
     #[test]
     fn knob_registry_is_closed() {
-        assert_eq!(KNOBS.len(), 21);
+        assert_eq!(KNOBS.len(), 20);
         let mut names: Vec<&str> = KNOBS.iter().map(|k| k.name).collect();
         names.sort_unstable();
         let mut unique = names.clone();
@@ -468,7 +455,6 @@ mod tests {
         assert_eq!(d.results_dir, "results");
         assert_eq!(d.faults, None);
         assert_eq!(d.oracle_seed, 1);
-        assert_eq!(d.trace_cap, 1 << 16);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use aoci_aos::{
 use aoci_core::PolicyKind;
 use aoci_ir::Program;
 use aoci_json::Value as Json;
-use aoci_trace::{FaultKind, RetryCause};
+use aoci_trace::FaultKind;
 use aoci_vm::{CostModel, Value, Vm};
 use aoci_workloads::{build_fuzz, FuzzSpec};
 use std::collections::BTreeSet;
@@ -180,9 +180,7 @@ fn ledger_fold(r: &AosReport) -> Option<String> {
             TraceEvent::Invalidate { .. } => rec.invalidations += 1,
             TraceEvent::Quarantine { .. } => rec.quarantined_methods += 1,
             TraceEvent::TraceRejected => rec.rejected_traces += 1,
-            TraceEvent::RetryScheduled { cause, .. } => {
-                rec.compile_retries += u64::from(*cause == RetryCause::CompileFailure);
-            }
+            TraceEvent::RetryScheduled { .. } => rec.compile_retries += 1,
             TraceEvent::FaultInjected { kind } => match kind {
                 FaultKind::CompileBailout | FaultKind::CompileOversize => {
                     rec.injected_compile_faults += 1;

@@ -23,6 +23,9 @@ pub enum PlanReason {
     MissingEdge,
     /// A failed compilation's backoff deadline expired.
     Retry,
+    /// A guard-thrash invalidation threw the method's code away; the
+    /// recompile is planned in the same tick.
+    Invalidation,
     /// A hot baseline loop requested on-stack promotion.
     OsrPromotion,
 }
@@ -34,6 +37,7 @@ impl PlanReason {
             PlanReason::HotMethod => "hot-method",
             PlanReason::MissingEdge => "missing-edge",
             PlanReason::Retry => "retry",
+            PlanReason::Invalidation => "invalidation",
             PlanReason::OsrPromotion => "osr-promotion",
         }
     }
@@ -114,25 +118,6 @@ impl FaultKind {
             FaultKind::CorruptTrace => "corrupt-trace",
             FaultKind::DroppedSample => "dropped-sample",
             FaultKind::ReceiverBurst => "receiver-burst",
-        }
-    }
-}
-
-/// What a scheduled recompilation follows.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RetryCause {
-    /// A failed compilation; the retry is itself a recovery action.
-    CompileFailure,
-    /// A guard-thrash invalidation, which was the recovery action.
-    Invalidation,
-}
-
-impl RetryCause {
-    /// Short stable label (used by both sinks).
-    pub fn label(self) -> &'static str {
-        match self {
-            RetryCause::CompileFailure => "compile-failure",
-            RetryCause::Invalidation => "invalidation",
         }
     }
 }
@@ -354,15 +339,12 @@ pub enum TraceEvent {
         /// The blocked method.
         method: MethodId,
     },
-    /// A recompilation was scheduled to run after a backoff.
+    /// A failed compilation's retry was scheduled to run after a backoff.
     RetryScheduled {
         /// The method awaiting retry.
         method: MethodId,
         /// The simulated cycle at which the retry becomes due.
         due_cycle: u64,
-        /// What the recompilation follows: a failed compilation or an
-        /// invalidation.
-        cause: RetryCause,
     },
     /// A profile trace was rejected by sanitization at the store boundary.
     TraceRejected,
@@ -615,10 +597,9 @@ impl TraceEvent {
             ],
             TraceEvent::Invalidate { method } => vec![("method", m(resolve, *method))],
             TraceEvent::Quarantine { method } => vec![("method", m(resolve, *method))],
-            TraceEvent::RetryScheduled { method, due_cycle, cause } => vec![
+            TraceEvent::RetryScheduled { method, due_cycle } => vec![
                 ("method", m(resolve, *method)),
                 ("due_cycle", Value::from(*due_cycle)),
-                ("cause", Value::from(cause.label())),
             ],
             TraceEvent::TraceRejected => vec![],
             TraceEvent::GuardMiss { method, pc } => vec![
@@ -726,11 +707,7 @@ mod tests {
             TraceEvent::Install { method: MethodId::from_index(1), version_id: 7 },
             TraceEvent::GuardMiss { method: MethodId::from_index(1), pc: 5 },
             TraceEvent::OsrEnter { method: MethodId::from_index(1), loop_header: 0 },
-            TraceEvent::RetryScheduled {
-                method: MethodId::from_index(1),
-                due_cycle: 500,
-                cause: RetryCause::Invalidation,
-            },
+            TraceEvent::RetryScheduled { method: MethodId::from_index(1), due_cycle: 500 },
             TraceEvent::FaultInjected { kind: FaultKind::CorruptTrace },
             TraceEvent::VmFault { message: "boom".into() },
             TraceEvent::CompileEnqueue {
@@ -786,15 +763,8 @@ mod tests {
     #[test]
     fn the_stream_fixes_render_as_tokens() {
         let method = MethodId::from_index(3);
-        let retry = TraceEvent::RetryScheduled {
-            method,
-            due_cycle: 900,
-            cause: RetryCause::CompileFailure,
-        };
-        assert_eq!(
-            retry.render(&resolve),
-            "retry-scheduled method=\"M3\" due_cycle=900 cause=\"compile-failure\""
-        );
+        let retry = TraceEvent::RetryScheduled { method, due_cycle: 900 };
+        assert_eq!(retry.render(&resolve), "retry-scheduled method=\"M3\" due_cycle=900");
         let finish = TraceEvent::CompileFinish {
             method,
             worker: 1,

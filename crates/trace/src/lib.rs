@@ -43,6 +43,6 @@ mod sinks;
 
 pub use event::{
     CompileStats, DecisionProvenance, FaultKind, FinishCycles, InlineFacts, OsrDenyReason,
-    PlanReason, RefusalReason, RetryCause, StaleReason, TraceEvent,
+    PlanReason, RefusalReason, StaleReason, TraceEvent,
 };
 pub use recorder::{FlightRecorder, Recorded, TraceConfig, TraceLog, TraceSink};

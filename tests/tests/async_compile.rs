@@ -107,7 +107,10 @@ fn pinned(program: &aoci_ir::Program, c: AosConfig) -> Pinned {
 /// The `trace_fold` literals moved once since, when `retry-scheduled` lines
 /// gained their `cause=` token and `compile-finish` lines their `landed=`
 /// token (the lines are otherwise byte-identical; neither run has a burst
-/// before its first install).
+/// before its first install). Every literal moved when an invalidation
+/// began to plan its recompile in the same tick instead of one backoff
+/// later, a method began to hold one retry deadline that its next install
+/// clears, and the `cause=` token left `retry-scheduled` lines.
 #[test]
 fn chaos_runs_match_the_parent_commit() {
     let w = build(&small("compress"));
@@ -117,14 +120,14 @@ fn chaos_runs_match_the_parent_commit() {
             .enable_faults(FaultConfig::chaos(42))
     };
     let foreground = Pinned {
-        total_cycles: 5_243_953,
-        compilation_thread: 3_314_250,
-        controller_thread: 17_400,
-        recovery_cycles: 28_200,
+        total_cycles: 4_408_940,
+        compilation_thread: 2_667_150,
+        controller_thread: 11_250,
+        recovery_cycles: 22_000,
         recovery: RecoveryEvents {
-            invalidations: 30, compile_retries: 33, quarantined_methods: 3, rejected_traces: 75,
-            injected_compile_faults: 35, injected_corrupt_traces: 75, dropped_samples: 94,
-            receiver_bursts: 46,
+            invalidations: 32, compile_retries: 13, quarantined_methods: 5, rejected_traces: 60,
+            injected_compile_faults: 14, injected_corrupt_traces: 60, dropped_samples: 78,
+            receiver_bursts: 43,
             trace_dump: Vec::new(),
         },
         async_compile: AsyncCompileEvents {
@@ -133,58 +136,50 @@ fn chaos_runs_match_the_parent_commit() {
             foreground_stall_cycles: 0,
         },
         compilations: vec![
-            (13, 72_548), (64, 167_348), (6, 214_409), (28, 295_859), (37, 314_459),
-            (28, 396_367), (12, 480_793), (6, 501_001), (6, 521_209), (14, 616_925),
-            (43, 628_775), (14, 696_715), (0, 708_885), (19, 870_138), (64, 965_148),
-            (64, 1_060_262), (32, 1_108_053), (75, 1_224_646), (75, 1_300_201), (52, 1_312_351),
-            (13, 1_333_261), (64, 1_437_861), (13, 1_453_712), (19, 1_481_612), (72, 1_540_996),
-            (3, 1_557_513), (12, 1_604_913), (13, 1_623_963), (86, 1_675_390), (92, 1_741_344),
-            (1, 1_757_730), (53, 1_802_480), (2, 1_846_095), (2, 1_857_811), (37, 1_894_886),
-            (52, 1_907_036), (76, 2_020_079), (92, 2_103_982), (14, 2_186_106), (43, 2_213_461),
-            (43, 2_270_958), (92, 2_395_075), (19, 2_566_648), (43, 2_585_051), (19, 2_609_351),
-            (43, 2_621_404), (2, 2_662_562), (2, 2_672_273), (2, 2_679_845), (53, 2_746_832),
-            (53, 2_787_578), (3, 2_801_732), (76, 2_839_195), (92, 2_965_820), (3, 2_974_970),
-            (37, 3_075_371), (92, 3_162_389), (37, 3_197_789), (75, 3_273_142), (53, 3_557_235),
-            (53, 3_597_986), (72, 3_770_973), (1, 3_950_266), (1, 3_974_355), (3, 4_023_068),
-            (1, 4_039_959), (52, 4_133_234), (3, 4_144_708), (1, 4_154_211), (0, 4_225_695),
-            (0, 4_251_453), (12, 4_354_739), (12, 4_398_959), (14, 4_511_196), (14, 4_582_506),
-            (86, 4_770_110), (86, 4_837_181), (6, 5_206_228), (6, 5_228_975),
+            (13, 72_548), (64, 167_348), (6, 214_409), (28, 295_859), (37, 314_459), (6, 334_867),
+            (6, 368_279), (14, 436_923), (0, 482_590), (75, 556_540), (76, 570_040), (14, 638_890),
+            (58, 670_366), (72, 735_149), (75, 810_299), (86, 858_569), (19, 883_079),
+            (32, 927_122), (28, 1_015_880), (1, 1_025_180), (12, 1_072_580), (2, 1_087_162),
+            (19, 1_113_262), (75, 1_191_862), (0, 1_199_315), (43, 1_241_200), (53, 1_269_250),
+            (14, 1_339_300), (72, 1_409_650), (75, 1_501_608), (3, 1_510_961), (13, 1_536_442),
+            (92, 1_617_099), (92, 1_712_625), (64, 1_822_786), (12, 1_887_253), (37, 1_917_553),
+            (72, 2_027_964), (76, 2_140_441), (92, 2_235_101), (0, 2_345_087), (14, 2_417_387),
+            (19, 2_475_680), (2, 2_507_941), (1, 2_634_611), (58, 2_670_512), (3, 2_686_770),
+            (86, 2_774_482), (2, 2_946_324), (13, 2_985_580), (58, 3_053_344), (64, 3_157_150),
+            (53, 3_325_449), (1, 3_355_155), (53, 3_412_795), (37, 3_462_802), (19, 3_493_626),
+            (86, 3_970_677), (43, 4_182_169), (37, 4_245_174), (76, 4_367_228),
         ],
-        trace_fold: 0xc37a_422d_f58c_49ee,
+        trace_fold: 0x02ae_5104_2137_c0a2,
     };
     assert_eq!(pinned(&w.program, config()), foreground, "foreground scheduler");
     let background = Pinned {
-        total_cycles: 1_951_566,
+        total_cycles: 1_667_136,
         compilation_thread: 0,
-        controller_thread: 18_000,
-        recovery_cycles: 26_600,
+        controller_thread: 10_050,
+        recovery_cycles: 18_400,
         recovery: RecoveryEvents {
-            invalidations: 33, compile_retries: 23, quarantined_methods: 4, rejected_traces: 73,
-            injected_compile_faults: 23, injected_corrupt_traces: 73, dropped_samples: 85,
-            receiver_bursts: 41,
+            invalidations: 23, compile_retries: 13, quarantined_methods: 2, rejected_traces: 54,
+            injected_compile_faults: 13, injected_corrupt_traces: 54, dropped_samples: 63,
+            receiver_bursts: 30,
             trace_dump: Vec::new(),
         },
         async_compile: AsyncCompileEvents {
-            enqueued: 85, dispatched: 85, completed: 84, stale_drops: 0, queue_full_drops: 0,
-            abandoned_in_flight: 1, max_queue_depth: 10, background_overlap_cycles: 2_465_700,
+            enqueued: 60, dispatched: 60, completed: 60, stale_drops: 0, queue_full_drops: 0,
+            abandoned_in_flight: 0, max_queue_depth: 14, background_overlap_cycles: 1_924_500,
             foreground_stall_cycles: 0,
         },
         compilations: vec![
-            (13, 74_976), (64, 153_634), (28, 157_498), (37, 177_491), (0, 184_681),
-            (1, 196_287), (14, 225_910), (32, 234_041), (75, 308_090), (1, 317_422),
-            (64, 322_242), (2, 326_570), (6, 347_858), (12, 373_802), (76, 390_212),
-            (92, 455_474), (64, 459_021), (1, 477_536), (32, 514_930), (3, 531_858),
-            (43, 544_492), (6, 567_318), (92, 572_185), (19, 604_696), (53, 633_988),
-            (13, 654_645), (52, 682_359), (75, 718_127), (28, 779_466), (14, 789_020),
-            (43, 798_270), (52, 814_459), (5, 817_322), (58, 833_083), (72, 906_481),
-            (75, 907_664), (43, 920_025), (76, 931_393), (3, 940_838), (86, 990_309),
-            (2, 1_103_842), (2, 1_221_340), (3, 1_301_422), (76, 1_363_382), (76, 1_389_782),
-            (72, 1_445_093), (52, 1_450_026), (52, 1_476_323), (92, 1_476_323), (12, 1_563_415),
-            (64, 1_576_603), (53, 1_576_603), (72, 1_631_452), (12, 1_707_284), (37, 1_717_109),
-            (32, 1_746_217), (12, 1_784_678), (32, 1_789_915), (0, 1_834_996), (0, 1_853_404),
-            (14, 1_939_567),
+            (13, 74_976), (64, 153_312), (28, 157_448), (14, 224_377), (75, 241_239), (12, 268_675),
+            (37, 307_214), (28, 324_129), (32, 360_302), (32, 422_269), (64, 452_042),
+            (43, 464_209), (76, 479_320), (0, 488_122), (14, 497_401), (3, 510_660), (1, 521_127),
+            (5, 523_658), (2, 529_720), (6, 544_518), (13, 546_648), (52, 559_632), (19, 575_128),
+            (58, 575_128), (14, 649_454), (75, 650_757), (92, 680_898), (72, 708_747),
+            (53, 711_611), (43, 720_611), (86, 756_640), (13, 762_676), (76, 792_615),
+            (92, 805_443), (76, 820_871), (58, 936_166), (12, 1_052_892), (19, 1_080_651),
+            (28, 1_102_378), (86, 1_160_500), (53, 1_222_529), (86, 1_329_560), (75, 1_391_643),
+            (6, 1_441_073), (58, 1_455_797), (92, 1_483_450), (5, 1_642_785),
         ],
-        trace_fold: 0xad56_a613_e747_ec15,
+        trace_fold: 0x7830_d9ae_8e03_e177,
     };
     let background_run = pinned(&w.program, config().enable_async_compile());
     assert_eq!(background_run, background, "background scheduler");

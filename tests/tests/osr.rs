@@ -195,9 +195,9 @@ fn hot_main_loop_is_promoted_and_saves_cycles() {
     let expected = baseline_result(&p);
 
     let mut with_osr = fast(AosConfig::new(PolicyKind::Fixed { max: 3 }).enable_osr());
-    with_osr.recovery.monitor_guard_health = true;
+    with_osr.monitor_guard_health = true;
     let mut without_osr = fast(AosConfig::new(PolicyKind::Fixed { max: 3 }));
-    without_osr.recovery.monitor_guard_health = true;
+    without_osr.monitor_guard_health = true;
 
     let promoted = run(&p, with_osr);
     let stuck = run(&p, without_osr);
@@ -223,6 +223,21 @@ fn hot_main_loop_is_promoted_and_saves_cycles() {
     );
 }
 
+/// A method with no recompile budget is never compiled, so its loop's one
+/// promotion request is denied for the budget and later requests are
+/// suppressed: the activation finishes on baseline.
+#[test]
+fn an_exhausted_recompile_budget_denies_promotion() {
+    let p = loop_in_main(6_000);
+    let mut config = fast(AosConfig::new(PolicyKind::Fixed { max: 3 }).enable_osr().enable_trace());
+    config.max_recompiles_per_method = 0;
+    let report = run(&p, config);
+    assert_eq!(report.result, baseline_result(&p));
+    assert_eq!(report.osr, OsrEvents { requests: 1, denied: 1, entries: 0 });
+    let log = report.trace_log.as_ref().expect("tracing is on");
+    assert!(log.coverage().contains("osr:deny:recompile-budget"), "{:?}", log.coverage());
+}
+
 /// The guard monitor invalidates `spin`'s thrashing version while its one
 /// long activation runs it; with promotion out of reach, OSR has nothing
 /// to do, and the activation finishes on the invalidated code exactly as
@@ -233,7 +248,7 @@ fn an_invalidated_activation_finishes_on_its_own_code() {
     let expected = baseline_result(&p);
 
     let mut config = fast(AosConfig::new(PolicyKind::ContextInsensitive).enable_osr());
-    config.recovery.monitor_guard_health = true;
+    config.monitor_guard_health = true;
     // Promotion would need a back-edge count no loop here reaches.
     config.vm.osr_backedge_threshold = 1_000_000;
     let report = run(&p, config);
@@ -243,7 +258,7 @@ fn an_invalidated_activation_finishes_on_its_own_code() {
     assert_eq!(report.clock.component(Component::Osr), 0);
 
     let mut no_osr = fast(AosConfig::new(PolicyKind::ContextInsensitive));
-    no_osr.recovery.monitor_guard_health = true;
+    no_osr.monitor_guard_health = true;
     let stale = run(&p, no_osr);
     assert_eq!(report.to_value(), stale.to_value(), "OSR that never promotes changes nothing");
 }
@@ -394,7 +409,7 @@ fn osr_in_crosses_fused_superinstruction_boundary() {
     let p = fused_loop_in_main(6_000);
     let expected = baseline_result(&p);
     let mut c = fast(AosConfig::new(PolicyKind::Fixed { max: 3 }).enable_osr());
-    c.recovery.monitor_guard_health = true;
+    c.monitor_guard_health = true;
     let report = run(&p, c);
     assert_eq!(report.result, expected, "OSR through fused dispatch must not change semantics");
     assert!(
@@ -402,7 +417,7 @@ fn osr_in_crosses_fused_superinstruction_boundary() {
         "the single main activation should be promoted mid-loop: {:?}",
         report.osr
     );
-    assert_eq!(report.total_cycles(), 324_036);
+    assert_eq!(report.total_cycles(), 322_152);
     assert_eq!(
         report.counters,
         ExecCounters {
@@ -423,7 +438,7 @@ fn osr_runs_are_deterministic() {
     let p = loop_in_main(4_000);
     let make = || {
         let mut c = fast(AosConfig::new(PolicyKind::Fixed { max: 3 }).enable_osr());
-        c.recovery.monitor_guard_health = true;
+        c.monitor_guard_health = true;
         c
     };
     let a = run(&p, make());
