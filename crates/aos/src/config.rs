@@ -1,11 +1,10 @@
 //! Configuration of the adaptive optimization system.
 
 use crate::fault::FaultConfig;
-use aoci_core::{AdaptiveConfig, MatchMode, PolicyKind};
+use aoci_core::{MatchMode, PolicyKind};
 use aoci_ir::MethodId;
-use aoci_opt::{Compilation, OptConfig};
+use aoci_opt::Compilation;
 use aoci_profile::DcgConfig;
-use aoci_telemetry::MetricsConfig;
 use aoci_trace::TraceConfig;
 use aoci_vm::{CostModel, VmConfig};
 use std::collections::HashMap;
@@ -39,6 +38,16 @@ pub(crate) const QUARANTINE_AFTER_FAILURES: u32 = 3;
 /// recovery event (invalidation, retry scheduling, quarantine, rejected
 /// trace).
 pub(crate) const RECOVERY_COST_PER_EVENT: u64 = 200;
+
+/// Organizer cost: cycles charged per buffered item processed.
+pub(crate) const ORGANIZER_COST_PER_ITEM: u64 = 12;
+
+/// Controller cost: cycles charged per event considered.
+pub(crate) const CONTROLLER_COST_PER_EVENT: u64 = 150;
+
+/// How many trailing flight-recorder events the recovery ledger keeps as
+/// its post-mortem dump when recovery or a VM fault fires.
+pub(crate) const DUMP_LAST_EVENTS: usize = 32;
 
 /// Simulated compiler workers of the background-compilation pool (the
 /// paper's — and Jikes RVM's — compilation *thread*, modelled in
@@ -102,22 +111,14 @@ pub struct AosConfig {
     /// Upper bound on optimizing recompilations of a single method
     /// (bounds recompilation churn from the missing-edge organizer).
     pub max_recompiles_per_method: u32,
-    /// Inliner budgets.
-    pub opt: OptConfig,
-    /// Adaptive-resolving policy tunables.
-    pub adaptive: AdaptiveConfig,
-    /// DCG collection behaviour (merge ablation, pruning).
+    /// DCG collection behaviour (the merge ablation).
     pub dcg: DcgConfig,
     /// Oracle matching mode (exact matching is an ablation).
     pub match_mode: MatchMode,
     /// Simulated-machine costs (sampling period lives here).
     pub cost: CostModel,
-    /// VM behaviour (source-level stack walking, prologue window).
+    /// VM behaviour (source-level stack walking, OSR).
     pub vm: VmConfig,
-    /// Organizer cost: cycles charged per buffered item processed.
-    pub organizer_cost_per_item: u64,
-    /// Controller cost: cycles charged per event considered.
-    pub controller_cost_per_event: u64,
     /// Whether guard-health monitoring (and thrash invalidation) runs even
     /// without fault injection. An organic thrash also records the
     /// invalidated version's guarded inlines as thrashed, and no later
@@ -144,11 +145,11 @@ pub struct AosConfig {
     /// synchronously inside its epoch tick, bit-identical to the pre-async
     /// system.
     pub async_compile: bool,
-    /// Telemetry metrics registry; `None` (the default) skips every record
+    /// Telemetry metrics registry; `false` (the default) skips every record
     /// site with a single branch, and — since recording charges no
     /// simulated cycles — a metered run produces exactly the report of an
     /// unmetered one (DESIGN.md §14).
-    pub metrics: Option<MetricsConfig>,
+    pub metrics: bool,
     /// The shared compile server's snapshot (fleet serving simulation);
     /// `None` (the default) compiles everything locally and the system is
     /// bit-identical to one built before this subsystem existed.
@@ -168,19 +169,15 @@ impl AosConfig {
             decay_factor: 0.95,
             missing_edge_period_samples: 24,
             max_recompiles_per_method: 4,
-            opt: OptConfig::default(),
-            adaptive: AdaptiveConfig::default(),
             dcg: DcgConfig::default(),
             match_mode: MatchMode::Partial,
             cost: CostModel::default(),
             vm: VmConfig::default(),
-            organizer_cost_per_item: 12,
-            controller_cost_per_event: 150,
             monitor_guard_health: false,
             fault: None,
             trace: None,
             async_compile: false,
-            metrics: None,
+            metrics: false,
             compile_server: None,
         }
     }
@@ -205,10 +202,10 @@ impl AosConfig {
     // ```
     //
     // Each `enable_x` switches the subsystem on with its default tunables;
-    // subsystems with a config struct (the recorder) additionally have
-    // `enable_x_with` to supply non-default tunables. Disabled remains the
-    // default everywhere, and every subsystem documents that its *off* state
-    // is bit-identical to the system before the subsystem existed.
+    // only the recorder has tunables of its own (its ring capacity),
+    // supplied through `enable_trace_with`. Disabled remains the default
+    // everywhere, and every subsystem documents that its *off* state is
+    // bit-identical to the system before the subsystem existed.
 
     /// Enables on-stack replacement: hot baseline loops are promoted into
     /// optimized code mid-activation (DESIGN.md §7). Promotion is the only
@@ -233,8 +230,7 @@ impl AosConfig {
         self.enable_trace_with(TraceConfig::default())
     }
 
-    /// Enables the flight recorder with explicit tunables (ring capacity,
-    /// post-mortem window).
+    /// Enables the flight recorder with an explicit ring capacity.
     pub fn enable_trace_with(mut self, trace: TraceConfig) -> Self {
         self.trace = Some(trace);
         self
@@ -259,18 +255,12 @@ impl AosConfig {
         self
     }
 
-    /// Enables the telemetry metrics registry with default tunables:
-    /// counters, gauges and histograms over AOS/VM internals, snapshotted
-    /// into a per-epoch time series on the simulated clock and carried by
-    /// the final [`AosReport`](crate::AosReport) (DESIGN.md §14).
-    pub fn enable_metrics(self) -> Self {
-        self.enable_metrics_with(MetricsConfig::default())
-    }
-
-    /// Enables the telemetry metrics registry with explicit tunables
-    /// (epoch length in samples).
-    pub fn enable_metrics_with(mut self, metrics: MetricsConfig) -> Self {
-        self.metrics = Some(metrics);
+    /// Enables the telemetry metrics registry: counters, gauges and
+    /// histograms over AOS/VM internals, snapshotted into a per-epoch time
+    /// series on the simulated clock and carried by the final
+    /// [`AosReport`](crate::AosReport) (DESIGN.md §14).
+    pub fn enable_metrics(mut self) -> Self {
+        self.metrics = true;
         self
     }
 
@@ -296,6 +286,110 @@ impl AosConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Debug;
+
+    /// The configuration surface is closed: 41 values are reachable from
+    /// [`AosConfig`]. A scalar field is one value, a nested struct
+    /// contributes its fields, and an `Option` of a struct is one value plus
+    /// the struct's fields. Every struct is destructured without `..`, so a
+    /// new field fails to compile here until it is listed and counted.
+    #[test]
+    fn config_surface_is_closed() {
+        let AosConfig {
+            policy,
+            hot_edge_threshold,
+            hot_method_samples,
+            hot_method_fraction,
+            organizer_period_samples,
+            decay_period_samples,
+            decay_factor,
+            missing_edge_period_samples,
+            max_recompiles_per_method,
+            dcg,
+            match_mode,
+            cost,
+            vm,
+            monitor_guard_health,
+            fault,
+            trace,
+            async_compile,
+            metrics,
+            compile_server,
+        } = AosConfig::context_insensitive().enable_faults(FaultConfig::default()).enable_trace();
+        let DcgConfig { merge_on_collect } = dcg;
+        let CostModel {
+            baseline_factor,
+            optimized_factor,
+            static_call_cost,
+            virtual_dispatch_cost,
+            guard_cost,
+            alloc_cost,
+            baseline_compile_per_unit,
+            opt_compile_per_unit,
+            opt_compile_fixed,
+            sample_period,
+            listener_base_cost,
+            listener_per_frame,
+            osr_transition_cost,
+            osr_per_slot_cost,
+        } = cost;
+        let VmConfig { source_level_walk, osr_enabled, osr_backedge_threshold } = vm;
+        let faulted = fault.is_some();
+        let FaultConfig {
+            seed,
+            compile_bailout_prob,
+            oversize_code_prob,
+            trace_corruption_prob,
+            sampler_dropout_prob,
+            receiver_burst_prob,
+        } = fault.expect("faults are on");
+        let traced = trace.is_some();
+        let TraceConfig { capacity } = trace.expect("tracing is on");
+        let surface: [&dyn Debug; 41] = [
+            &policy,
+            &hot_edge_threshold,
+            &hot_method_samples,
+            &hot_method_fraction,
+            &organizer_period_samples,
+            &decay_period_samples,
+            &decay_factor,
+            &missing_edge_period_samples,
+            &max_recompiles_per_method,
+            &merge_on_collect,
+            &match_mode,
+            &baseline_factor,
+            &optimized_factor,
+            &static_call_cost,
+            &virtual_dispatch_cost,
+            &guard_cost,
+            &alloc_cost,
+            &baseline_compile_per_unit,
+            &opt_compile_per_unit,
+            &opt_compile_fixed,
+            &sample_period,
+            &listener_base_cost,
+            &listener_per_frame,
+            &osr_transition_cost,
+            &osr_per_slot_cost,
+            &source_level_walk,
+            &osr_enabled,
+            &osr_backedge_threshold,
+            &monitor_guard_health,
+            &faulted,
+            &seed,
+            &compile_bailout_prob,
+            &oversize_code_prob,
+            &trace_corruption_prob,
+            &sampler_dropout_prob,
+            &receiver_burst_prob,
+            &traced,
+            &capacity,
+            &async_compile,
+            &metrics,
+            &compile_server,
+        ];
+        assert_eq!(surface.len(), 41);
+    }
 
     #[test]
     fn defaults_match_paper_constants() {
@@ -324,7 +418,7 @@ mod tests {
         assert!(c.vm.osr_enabled);
         assert!(c.trace.is_some());
         assert!(c.async_compile);
-        assert!(c.metrics.is_some());
+        assert!(c.metrics);
         assert!(c.monitor_guard_health);
         assert!(c.compile_server.is_some());
     }

@@ -25,6 +25,9 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// Synthetic guard misses delivered by one receiver burst.
+const RECEIVER_BURST_MISSES: u64 = 96;
+
 /// Probabilities and intensities of each injected fault class.
 ///
 /// `Default` disables every fault (all probabilities zero) — an injector
@@ -42,11 +45,9 @@ pub struct FaultConfig {
     pub trace_corruption_prob: f64,
     /// Probability that a timer sample is dropped before the listeners.
     pub sampler_dropout_prob: f64,
-    /// Probability (per sample) of an adversarial receiver burst against
-    /// one currently-optimized method.
+    /// Probability (per sample) of an adversarial receiver burst of 96
+    /// synthetic guard misses against one currently-optimized method.
     pub receiver_burst_prob: f64,
-    /// Synthetic guard misses delivered by one receiver burst.
-    pub receiver_burst_misses: u64,
 }
 
 impl Default for FaultConfig {
@@ -58,7 +59,6 @@ impl Default for FaultConfig {
             trace_corruption_prob: 0.0,
             sampler_dropout_prob: 0.0,
             receiver_burst_prob: 0.0,
-            receiver_burst_misses: 0,
         }
     }
 }
@@ -74,7 +74,6 @@ impl FaultConfig {
             trace_corruption_prob: 0.20,
             sampler_dropout_prob: 0.10,
             receiver_burst_prob: 0.05,
-            receiver_burst_misses: 96,
         }
     }
 }
@@ -151,12 +150,12 @@ impl FaultInjector {
     /// the number of synthetic guard misses and a selector value used to
     /// pick the victim among currently-optimized methods.
     pub fn receiver_burst(&mut self) -> Option<(u64, u64)> {
-        if self.config.receiver_burst_misses == 0
-            || !self.roll(self.config.receiver_burst_prob)
-        {
+        // Unlike the other classes, bursts skip their draw while off, as
+        // they always have: profiles without bursts keep their schedules.
+        if self.config.receiver_burst_prob == 0.0 || !self.roll(self.config.receiver_burst_prob) {
             return None;
         }
-        Some((self.config.receiver_burst_misses, self.rng.gen::<u64>()))
+        Some((RECEIVER_BURST_MISSES, self.rng.gen::<u64>()))
     }
 
     fn roll(&mut self, p: f64) -> bool {

@@ -79,7 +79,7 @@ mod system;
 pub use config::{AosConfig, ServerSnapshot, SERVER_HIT_COST};
 pub use database::{AosDatabase, CompilationRecord};
 pub use fault::{CompileFault, FaultConfig, FaultInjector, TraceCorruption};
-pub use aoci_telemetry::{MetricsConfig, MetricsLog};
+pub use aoci_telemetry::MetricsLog;
 pub use aoci_trace::{TraceConfig, TraceEvent, TraceLog};
 pub use report::{AosReport, AsyncCompileEvents, OsrEvents, RecoveryEvents, ServerEvents};
 pub use system::{AosSystem, FullRunResult};

@@ -1,6 +1,6 @@
 //! The AOS driver: the online feedback loop of paper Figure 3.
 
-use crate::config::{AosConfig, ASYNC_WORKERS};
+use crate::config::{AosConfig, ASYNC_WORKERS, DUMP_LAST_EVENTS};
 use crate::database::AosDatabase;
 use crate::fault::FaultInjector;
 use crate::report::{AosReport, Ledger, OsrEvents, RecoveryEvents, ServerEvents};
@@ -9,7 +9,7 @@ use aoci_ir::{CallSiteRef, IdHashMap, MethodId, Program};
 use aoci_profile::{
     validate_trace, Dcg, MethodListener, TraceKey, TraceListener, TraceStatsCollector,
 };
-use aoci_telemetry::MetricsRegistry;
+use aoci_telemetry::{MetricsRegistry, EPOCH_SAMPLES};
 use aoci_trace::{FaultKind, PlanReason, Recorded, TraceEvent, TraceLog, TraceSink};
 use aoci_vm::{Component, MethodGuardStats, RunOutcome, StackSnapshot, Vm, VmError, COMPONENTS};
 use std::cmp::Ordering;
@@ -145,7 +145,7 @@ pub struct AosSystem<'p> {
     /// The recovery, OSR-request, background-compile and compile-server
     /// ledgers: a fold over every event [`AosSystem::emit`] sees.
     ledger: Ledger,
-    /// The raw last-`dump_last` recorder events as of the latest recovery
+    /// The raw last-[`DUMP_LAST_EVENTS`] recorder events as of the latest recovery
     /// action; [`AosSystem::recovery_events`] renders them into
     /// [`RecoveryEvents::trace_dump`].
     dump_tail: Vec<Recorded>,
@@ -171,7 +171,7 @@ impl<'p> AosSystem<'p> {
             vm.set_trace_sink(t.clone());
             trace_listener.set_trace_sink(t.clone());
         }
-        let mut policy = PolicyEngine::with_adaptive_config(config.policy, config.adaptive);
+        let mut policy = PolicyEngine::new(config.policy);
         if matches!(config.policy, aoci_core::PolicyKind::IdealApprox { .. }) {
             policy.set_dependence(aoci_core::DependenceAnalysis::analyze(program));
         }
@@ -199,7 +199,7 @@ impl<'p> AosSystem<'p> {
             dump_tail: Vec::new(),
             dump_first_seq: 0,
             trace,
-            metrics: config.metrics.clone().map(MetricsRegistry::new),
+            metrics: config.metrics.then(MetricsRegistry::new),
             config,
         }
     }
@@ -213,8 +213,7 @@ impl<'p> AosSystem<'p> {
         let Some(t) = &self.trace else { return };
         t.emit(self.vm.clock().total(), event);
         if dump {
-            let n = self.config.trace.as_ref().map_or(0, |c| c.dump_last);
-            self.dump_first_seq = t.copy_tail(n, &mut self.dump_tail);
+            self.dump_first_seq = t.copy_tail(DUMP_LAST_EVENTS, &mut self.dump_tail);
         }
     }
 
@@ -384,8 +383,7 @@ impl<'p> AosSystem<'p> {
 
         // --- Telemetry (epoch cadence; records nothing, charges nothing,
         // when metrics are off) ------------------------------------------
-        let epoch = self.metrics.as_ref().map(MetricsRegistry::epoch_samples);
-        if epoch.is_some_and(|e| self.sample_count.is_multiple_of(e)) {
+        if self.metrics.is_some() && self.sample_count.is_multiple_of(EPOCH_SAMPLES) {
             self.record_metrics_snapshot();
         }
     }

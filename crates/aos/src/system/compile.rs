@@ -2,10 +2,11 @@
 //! then `land`) under a foreground and a background scheduler (DESIGN.md §10).
 
 use super::{plan_order, AosSystem, Built, InFlightCompile, PendingPlan};
-use crate::config::{ASYNC_QUEUE_CAPACITY, SERVER_HIT_COST};
+use crate::config::{ASYNC_QUEUE_CAPACITY, CONTROLLER_COST_PER_EVENT, SERVER_HIT_COST};
 use crate::fault::CompileFault;
 use aoci_core::{InlineOracle, RuleSet};
 use aoci_ir::{CallSiteRef, MethodId};
+use aoci_opt::OptConfig;
 use aoci_trace::{
     CompileStats, FaultKind, FinishCycles, InlineFacts, PlanReason, StaleReason, TraceEvent,
 };
@@ -22,7 +23,7 @@ impl AosSystem<'_> {
         if self.methods[method.index()].quarantined {
             return;
         }
-        self.charge(Component::ControllerThread, self.config.controller_cost_per_event);
+        self.charge(Component::ControllerThread, CONTROLLER_COST_PER_EVENT);
         if std::mem::replace(&mut self.methods[method.index()].queued, true) {
             return; // already queued or in flight
         }
@@ -263,7 +264,7 @@ impl AosSystem<'_> {
         } else {
             let oracle = InlineOracle::with_mode(Arc::clone(&rules), self.config.match_mode)
                 .excluding(Arc::clone(self.db.thrashed()));
-            let c = aoci_opt::compile(self.program, method, &oracle, &self.config.opt);
+            let c = aoci_opt::compile(self.program, method, &oracle, &OptConfig::default());
             let cost = self.config.cost.opt_compile_cost(c.generated_size);
             match fault {
                 // Completed then rejected as oversized: full cost spent,

@@ -2,6 +2,7 @@
 //! recompilation requests, and hand the controller its events.
 
 use super::AosSystem;
+use crate::config::ORGANIZER_COST_PER_ITEM;
 use aoci_core::RuleSet;
 use aoci_ir::MethodId;
 use aoci_profile::validate_trace;
@@ -15,7 +16,7 @@ impl AosSystem<'_> {
     pub(super) fn hot_methods_organizer(&mut self) {
         self.charge(
             Component::MethodSampleOrganizer,
-            self.config.organizer_cost_per_item * self.method_listener.buffered() as u64,
+            ORGANIZER_COST_PER_ITEM * self.method_listener.buffered() as u64,
         );
         for m in self.method_listener.drain() {
             self.methods[m.index()].samples += 1;
@@ -48,7 +49,7 @@ impl AosSystem<'_> {
         let mut listener = std::mem::take(&mut self.trace_listener);
         self.charge(
             Component::AiOrganizer,
-            self.config.organizer_cost_per_item * (listener.buffered() + self.profile.len()) as u64,
+            ORGANIZER_COST_PER_ITEM * (listener.buffered() + self.profile.len()) as u64,
         );
         for t in listener.drain() {
             let (key, weight) = self.maybe_corrupt(t);
@@ -74,7 +75,7 @@ impl AosSystem<'_> {
     pub(super) fn decay_organizer(&mut self) {
         self.charge(
             Component::DecayOrganizer,
-            self.config.organizer_cost_per_item * self.profile.len() as u64,
+            ORGANIZER_COST_PER_ITEM * self.profile.len() as u64,
         );
         self.profile.decay(self.config.decay_factor);
     }
@@ -99,7 +100,7 @@ impl AosSystem<'_> {
     pub(super) fn missing_edge_organizer(&mut self) {
         self.charge(
             Component::MissingEdgeOrganizer,
-            self.config.organizer_cost_per_item * self.rules.len() as u64,
+            ORGANIZER_COST_PER_ITEM * self.rules.len() as u64,
         );
         let mut to_queue: Vec<MethodId> = Vec::new();
         for rule in self.rules.iter() {

@@ -1,6 +1,7 @@
 //! OSR promotion requests: the one dispatch entry point (DESIGN.md §7).
 
 use super::AosSystem;
+use crate::config::CONTROLLER_COST_PER_EVENT;
 use aoci_ir::MethodId;
 use aoci_trace::{OsrDenyReason, PlanReason, TraceEvent};
 use aoci_vm::{Component, OptLevel, OsrRequest};
@@ -42,7 +43,7 @@ impl AosSystem<'_> {
         // Compile on the spot — the requesting loop is burning baseline
         // cycles right now; waiting for the hot-methods organizer only
         // helps the *next* invocation.
-        self.charge(Component::ControllerThread, self.config.controller_cost_per_event);
+        self.charge(Component::ControllerThread, CONTROLLER_COST_PER_EVENT);
         self.emit(TraceEvent::RecompilePlan { method, reason: PlanReason::OsrPromotion });
         if self.compile_foreground(method).is_none() {
             // Injected fault; retry/backoff booked by the failure path.

@@ -320,7 +320,7 @@ fn guard_thrash_invalidates_and_recovers() {
     let expected = baseline_result(&p);
     let config = fast_config(PolicyKind::ContextInsensitive)
         .enable_guard_monitoring()
-        .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 0 });
+        .enable_trace_with(TraceConfig { capacity: usize::MAX });
     let mut sys = AosSystem::new(&p, config);
     loop {
         match sys.vm.run(u64::MAX).expect("runs") {
@@ -609,7 +609,7 @@ fn trace_dump_is_the_tail_as_of_the_last_recovery_action() {
     for fault in faults {
         let seed = fault.seed;
         let mut config = fast_config(PolicyKind::Fixed { max: 3 })
-            .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 32 });
+            .enable_trace_with(TraceConfig { capacity: usize::MAX });
         config.fault = Some(fault);
         let report = AosSystem::new(&p, config).run().expect("faulted run completes");
         let log = report.trace_log.expect("tracing is on");
@@ -649,7 +649,7 @@ fn an_invalidation_recompiles_once_and_at_once() {
     let (p, compute) = phase_shift_program(6_000);
     let config = fast_config(PolicyKind::ContextInsensitive)
         .enable_guard_monitoring()
-        .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 4 });
+        .enable_trace_with(TraceConfig { capacity: usize::MAX });
     let report = AosSystem::new(&p, config).run().expect("runs");
     let log = report.trace_log.as_ref().expect("tracing is on");
     let invalidate = log
@@ -676,7 +676,7 @@ fn an_invalidation_recompiles_once_and_at_once() {
     assert_eq!(installs.len(), 2, "the first compile and the one after the thrash");
     assert!(log.coverage().contains("plan:invalidation"));
     let last = last_recovery_trigger(&log.events).expect("the thrash was acted on");
-    assert_eq!(report.recovery.trace_dump, dump_ending_at(log, last, 4, &p));
+    assert_eq!(report.recovery.trace_dump, dump_ending_at(log, last, 32, &p));
 }
 
 #[test]
@@ -689,7 +689,7 @@ fn a_retry_plan_follows_its_schedule_with_no_install_between() {
     for (seed, async_compile) in [0, 4, 18, 42].into_iter().flat_map(|s| [(s, false), (s, true)]) {
         let mut config = fast_config(PolicyKind::Fixed { max: 3 })
             .enable_faults(FaultConfig::chaos(seed))
-            .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 0 });
+            .enable_trace_with(TraceConfig { capacity: usize::MAX });
         config.async_compile = async_compile;
         let report = AosSystem::new(&p, config).run().expect("faulted run completes");
         let log = report.trace_log.as_ref().expect("tracing is on");
@@ -723,7 +723,7 @@ fn a_compile_dropped_as_stale_at_completion_did_not_land() {
         .enable_async_compile()
         .enable_osr()
         .enable_faults(FaultConfig::chaos(0))
-        .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 0 });
+        .enable_trace_with(TraceConfig { capacity: usize::MAX });
     config.vm.osr_backedge_threshold = 48;
     let report = AosSystem::new(&p, config).run().expect("runs");
     let log = report.trace_log.as_ref().expect("tracing is on");
@@ -753,7 +753,7 @@ fn a_burst_before_anything_is_optimized_is_still_injected() {
     let p = hot_loop_program(6_000, true);
     let config = fast_config(PolicyKind::Fixed { max: 3 })
         .enable_faults(FaultConfig::chaos(0))
-        .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 0 });
+        .enable_trace_with(TraceConfig { capacity: usize::MAX });
     let report = AosSystem::new(&p, config).run().expect("runs");
     let log = report.trace_log.as_ref().expect("tracing is on");
     let is_burst =
@@ -763,17 +763,6 @@ fn a_burst_before_anything_is_optimized_is_still_injected() {
         log.events.iter().position(|r| matches!(r.event, TraceEvent::Install { .. }));
     assert!(first_burst < first_install, "{first_burst:?} vs {first_install:?}");
     assert_eq!(report.recovery.receiver_bursts, events_where(log, is_burst).len() as u64);
-}
-
-#[test]
-fn trace_dump_is_empty_with_a_zero_window() {
-    let p = hot_loop_program(6_000, true);
-    let mut config = fast_config(PolicyKind::Fixed { max: 3 })
-        .enable_trace_with(TraceConfig { capacity: 8192, dump_last: 0 });
-    config.fault = Some(FaultConfig::chaos(42));
-    let report = AosSystem::new(&p, config).run().expect("faulted run completes");
-    assert!(report.recovery.total_actions() > 0);
-    assert!(report.recovery.trace_dump.is_empty());
 }
 
 #[test]
@@ -800,7 +789,7 @@ fn vm_fault_dump_reaches_the_ledger() {
         b.finish(main).unwrap()
     };
     let config = fast_config(PolicyKind::ContextInsensitive)
-        .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 4 });
+        .enable_trace_with(TraceConfig { capacity: usize::MAX });
     let mut sys = AosSystem::new(&p, config);
     let err = loop {
         match sys.step() {
@@ -812,10 +801,10 @@ fn vm_fault_dump_reaches_the_ledger() {
     // `step` echoed exactly these lines on stderr, `[aoci-trace]`-prefixed.
     let dump = sys.recovery_events().trace_dump;
     let log = sys.trace_log().expect("tracing is on");
-    assert_eq!(dump, dump_ending_at(&log, log.events.len() - 1, 4, &p));
-    assert_eq!(dump.len(), 4);
-    assert!(dump[3].contains("vm-fault"), "{}", dump[3]);
-    assert!(dump[3].contains(&err.to_string()), "{} vs {err}", dump[3]);
+    assert_eq!(dump, dump_ending_at(&log, log.events.len() - 1, 32, &p));
+    assert_eq!(dump.len(), 32);
+    assert!(dump[31].contains("vm-fault"), "{}", dump[31]);
+    assert!(dump[31].contains(&err.to_string()), "{} vs {err}", dump[31]);
 }
 
 // ---- One way to compile: the compile server and the fault draw in `build` --
@@ -838,7 +827,7 @@ fn a_background_compile_is_served_from_the_compile_server() {
         .enable_compile_server(server_snapshot(&p, [compute]))
         .enable_async_compile()
         .enable_metrics()
-        .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 0 });
+        .enable_trace_with(TraceConfig { capacity: usize::MAX });
     let report = AosSystem::new(&p, config).run().expect("runs");
     assert_eq!(report.result, baseline_result(&p));
     let server = &report.compile_server;
@@ -887,7 +876,7 @@ fn the_server_ledger_is_a_fold_of_the_lookup_events() {
     let compute = p.method_by_name("compute").expect("the hot method");
     let config = fast_config(PolicyKind::Fixed { max: 3 })
         .enable_compile_server(server_snapshot(&p, [compute]))
-        .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 0 });
+        .enable_trace_with(TraceConfig { capacity: usize::MAX });
     let report = AosSystem::new(&p, config).run().expect("runs");
     let log = report.trace_log.as_ref().expect("tracing is on");
     assert_eq!(log.dropped, 0, "the ring is unbounded");
@@ -919,7 +908,7 @@ fn the_server_ledger_is_a_fold_of_the_lookup_events() {
 fn a_zero_threshold_still_needs_a_sample() {
     let p = hot_loop_program(400, true);
     let mut config = fast_config(PolicyKind::ContextInsensitive)
-        .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 0 });
+        .enable_trace_with(TraceConfig { capacity: usize::MAX });
     config.hot_method_samples = 0;
     config.hot_method_fraction = 0.0;
     let report = AosSystem::new(&p, config).run().expect("runs");
@@ -950,7 +939,7 @@ fn a_thrashed_guard_is_not_speculated_again() {
     let (p, compute) = phase_shift_program(6_000);
     let mut config = fast_config(PolicyKind::ContextInsensitive)
         .enable_guard_monitoring()
-        .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 0 });
+        .enable_trace_with(TraceConfig { capacity: usize::MAX });
     config.decay_factor = 1.0;
     config.hot_edge_threshold = 0.001;
     let (report, db, _) = AosSystem::new(&p, config).run_full().expect("runs");
@@ -1017,12 +1006,11 @@ fn receiver_bursts_thrash_nothing() {
     let fault = FaultConfig {
         seed: 0,
         receiver_burst_prob: 0.05,
-        receiver_burst_misses: 96,
         ..FaultConfig::default()
     };
     let config = fast_config(PolicyKind::Fixed { max: 3 })
         .enable_faults(fault)
-        .enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 0 });
+        .enable_trace_with(TraceConfig { capacity: usize::MAX });
     let (report, db, _) = AosSystem::new(&p, config).run_full().expect("runs");
     assert!(report.recovery.invalidations > 0, "{:?}", report.recovery);
     assert!(db.thrashed().is_empty(), "{:?}", db.thrashed());

@@ -58,7 +58,7 @@ fn main() {
         }
         if env.trace {
             config = config
-                .enable_trace_with(TraceConfig { capacity: TRACE_CAPACITY, ..TraceConfig::default() });
+                .enable_trace_with(TraceConfig { capacity: TRACE_CAPACITY });
         }
         if env.async_compile {
             config = config.enable_async_compile();

@@ -13,27 +13,15 @@
 use aoci_ir::{CallSiteRef, IdHashMap, MethodId};
 use aoci_profile::Dcg;
 
-/// Configuration of the adaptive-resolving policy.
-#[derive(Clone, Copy, Debug)]
-pub struct AdaptiveConfig {
-    /// A callee distribution counts as *skewed* (predictable) when its
-    /// dominant target holds at least this fraction of the weight.
-    pub skew_threshold: f64,
-    /// Sites whose total weight is below this fraction of the DCG total are
-    /// ignored — too cold to matter.
-    pub min_site_fraction: f64,
-    /// Maximum escalation level (set from the policy's `max`).
-    pub max_level: u8,
-}
+/// A callee distribution counts as *skewed* (predictable) when its dominant
+/// target holds at least this fraction of the weight.
+const SKEW_THRESHOLD: f64 = 0.8;
 
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        // The site cut-off is half the hot-rule threshold: an unskewed
-        // 50/50 site whose aggregate just reaches rule-hotness has two
-        // edges of ~0.75% each — exactly the sites escalation must catch.
-        AdaptiveConfig { skew_threshold: 0.8, min_site_fraction: 0.0075, max_level: 5 }
-    }
-}
+/// Sites whose total weight is below this fraction of the DCG total are
+/// ignored — too cold to matter. Half the hot-rule threshold: an unskewed
+/// 50/50 site whose aggregate just reaches rule-hotness has two edges of
+/// ~0.75% each — exactly the sites escalation must catch.
+const MIN_SITE_FRACTION: f64 = 0.0075;
 
 /// Lifecycle of a flagged call site.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -57,13 +45,14 @@ struct SiteState {
 #[derive(Clone, Debug)]
 pub struct AdaptiveState {
     sites: IdHashMap<CallSiteRef, SiteState>,
-    config: AdaptiveConfig,
+    /// Maximum escalation level (the policy's `max`).
+    max_level: u8,
 }
 
 impl AdaptiveState {
-    /// Creates empty state.
-    pub fn new(config: AdaptiveConfig) -> Self {
-        AdaptiveState { sites: IdHashMap::default(), config }
+    /// Creates empty state whose sites escalate up to `max_level`.
+    pub fn new(max_level: u8) -> Self {
+        AdaptiveState { sites: IdHashMap::default(), max_level }
     }
 
     /// The collection depth for a sample whose immediate call site is
@@ -106,12 +95,11 @@ impl AdaptiveState {
             *site_weight.entry(key.immediate_caller()).or_insert(0.0) += w;
         }
         for (site, weight) in site_weight {
-            if weight / total < self.config.min_site_fraction {
+            if weight / total < MIN_SITE_FRACTION {
                 continue;
             }
             let overall = dcg.site_distribution(site);
-            let polymorphic_unskewed =
-                overall.len() >= 2 && !is_skewed(&overall, self.config.skew_threshold);
+            let polymorphic_unskewed = overall.len() >= 2 && !is_skewed(&overall);
 
             match self.sites.get(&site).copied() {
                 None => {
@@ -119,7 +107,7 @@ impl AdaptiveState {
                         self.sites.insert(
                             site,
                             SiteState {
-                                level: 2.min(self.config.max_level),
+                                level: 2.min(self.max_level),
                                 status: SiteStatus::Escalating,
                             },
                         );
@@ -131,7 +119,7 @@ impl AdaptiveState {
                             site,
                             SiteState { level: state.level, status: SiteStatus::Resolved },
                         );
-                    } else if state.level < self.config.max_level {
+                    } else if state.level < self.max_level {
                         self.sites.insert(
                             site,
                             SiteState { level: state.level + 1, status: SiteStatus::Escalating },
@@ -168,18 +156,16 @@ impl AdaptiveState {
             // No deep samples yet — not resolved.
             return false;
         }
-        by_context
-            .values()
-            .all(|dist| is_skewed(dist, self.config.skew_threshold))
+        by_context.values().all(is_skewed)
     }
 }
 
-fn is_skewed(dist: &IdHashMap<MethodId, f64>, threshold: f64) -> bool {
+fn is_skewed(dist: &IdHashMap<MethodId, f64>) -> bool {
     let total: f64 = dist.values().sum();
     if total <= 0.0 {
         return true;
     }
-    dist.values().any(|&w| w / total >= threshold)
+    dist.values().any(|&w| w / total >= SKEW_THRESHOLD)
 }
 
 #[cfg(test)]
@@ -196,15 +182,11 @@ mod tests {
         MethodId::from_index(i)
     }
 
-    fn config() -> AdaptiveConfig {
-        AdaptiveConfig { skew_threshold: 0.8, min_site_fraction: 0.0, max_level: 3 }
-    }
-
     #[test]
     fn monomorphic_sites_never_flagged() {
         let mut dcg = Dcg::default();
         dcg.record(TraceKey::edge(cs(0, 0), mid(1)), 10.0);
-        let mut st = AdaptiveState::new(config());
+        let mut st = AdaptiveState::new(3);
         st.update(&dcg);
         assert_eq!(st.flagged(), 0);
         assert_eq!(st.level_for(Some(cs(0, 0))), 1);
@@ -215,7 +197,7 @@ mod tests {
         let mut dcg = Dcg::default();
         dcg.record(TraceKey::edge(cs(0, 0), mid(1)), 90.0);
         dcg.record(TraceKey::edge(cs(0, 0), mid(2)), 10.0);
-        let mut st = AdaptiveState::new(config());
+        let mut st = AdaptiveState::new(3);
         st.update(&dcg);
         assert_eq!(st.flagged(), 0);
     }
@@ -227,7 +209,7 @@ mod tests {
         let mut dcg = Dcg::default();
         dcg.record(TraceKey::edge(cs(0, 0), mid(1)), 10.0);
         dcg.record(TraceKey::edge(cs(0, 0), mid(2)), 10.0);
-        let mut st = AdaptiveState::new(config());
+        let mut st = AdaptiveState::new(3);
         st.update(&dcg);
         assert_eq!(st.level_for(Some(cs(0, 0))), 2);
         assert_eq!(st.status(cs(0, 0)), Some(SiteStatus::Escalating));
@@ -246,7 +228,7 @@ mod tests {
         // 50/50 at every depth: context never helps.
         dcg.record(TraceKey::edge(cs(0, 0), mid(1)), 10.0);
         dcg.record(TraceKey::edge(cs(0, 0), mid(2)), 10.0);
-        let mut st = AdaptiveState::new(config());
+        let mut st = AdaptiveState::new(3);
         st.update(&dcg); // flag at level 2
         for depth in 2..=3 {
             // Same unskewed distribution within a single deeper context.
@@ -269,17 +251,17 @@ mod tests {
         dcg.record(TraceKey::edge(cs(0, 0), mid(1)), 1.0);
         dcg.record(TraceKey::edge(cs(0, 0), mid(2)), 1.0);
         dcg.record(TraceKey::edge(cs(5, 0), mid(3)), 998.0);
-        let cfg = AdaptiveConfig { min_site_fraction: 0.015, ..config() };
-        let mut st = AdaptiveState::new(cfg);
+        let mut st = AdaptiveState::new(3);
         st.update(&dcg);
-        // The 0.2%-weight polymorphic site stays unflagged.
+        // The 0.2%-weight polymorphic site, below the 0.75% floor, stays
+        // unflagged.
         assert_eq!(st.flagged(), 0);
     }
 
     #[test]
     fn no_feedback_without_weight() {
         let dcg = Dcg::default();
-        let mut st = AdaptiveState::new(config());
+        let mut st = AdaptiveState::new(3);
         st.update(&dcg);
         assert_eq!(st.flagged(), 0);
     }

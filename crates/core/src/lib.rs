@@ -9,7 +9,9 @@
 //!   Methods*, *Class Methods*, *Large Methods*), the two hybrids, and the
 //!   iterative *Adaptively Resolving Imprecisions* policy of Section 4.3
 //!   (described but not implemented in the paper; implemented here as an
-//!   extension).
+//!   extension). A policy's one parameter is its maximum depth; the
+//!   adaptive policy's skew threshold (80 %) and cold-site floor (0.75 % of
+//!   the DCG weight) are constants.
 //! * [`RuleSet`] / [`InlineRule`] — inlining rules derived from hot traces,
 //!   with the Equation 3 **partial context match**: a rule applies to a
 //!   compilation context when the two agree on every context level both
@@ -46,7 +48,7 @@ mod policy;
 pub mod pool;
 mod rules;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveState, SiteStatus};
+pub use adaptive::{AdaptiveState, SiteStatus};
 pub use dependence::DependenceAnalysis;
 pub use oracle::{Candidate, InlineOracle, MatchMode};
 pub use policy::{PolicyEngine, PolicyKind};

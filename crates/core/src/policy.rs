@@ -1,6 +1,6 @@
 //! Context-sensitivity policies (paper Section 4).
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveState};
+use crate::adaptive::AdaptiveState;
 use crate::dependence::DependenceAnalysis;
 use aoci_ir::{CallSiteRef, MethodId, Program, SizeClass};
 use aoci_profile::Dcg;
@@ -131,16 +131,9 @@ pub struct PolicyEngine {
 }
 
 impl PolicyEngine {
-    /// Creates a policy engine with default adaptive configuration.
+    /// Creates a policy engine.
     pub fn new(kind: PolicyKind) -> Self {
-        Self::with_adaptive_config(kind, AdaptiveConfig::default())
-    }
-
-    /// Creates a policy engine with an explicit adaptive configuration
-    /// (relevant only for [`PolicyKind::AdaptiveResolving`]).
-    pub fn with_adaptive_config(kind: PolicyKind, config: AdaptiveConfig) -> Self {
-        let config = AdaptiveConfig { max_level: kind.max_depth(), ..config };
-        PolicyEngine { kind, adaptive: AdaptiveState::new(config), dependence: None }
+        PolicyEngine { kind, adaptive: AdaptiveState::new(kind.max_depth()), dependence: None }
     }
 
     /// Installs the static parameter-dependence analysis used by

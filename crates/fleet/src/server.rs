@@ -2,15 +2,15 @@
 //! [`CompileServer`]: tenants never read each other's entries, so the
 //! fleet driver keeps one per tenant pipeline (DESIGN.md §15).
 //!
-//! Cache entries are keyed by method and stamped with the **rules
-//! generation** they were compiled under — the `RuleSet::fingerprint` of
-//! the tenant's merged fleet profile. The rules encode every
-//! context-sensitive inlining decision, so the `(method, generation)` pair
-//! identifies the context-specialized body: when the merged profile's hot
-//! set shifts enough to change the fingerprint, the server bumps the
-//! generation and broadcasts an invalidation, dropping every stale entry
-//! so no replica can install code specialized for rules that no longer
-//! hold.
+//! Cache entries are keyed by method, and every entry was compiled under
+//! the server's current **rules generation** — the `RuleSet::fingerprint`
+//! of the tenant's merged fleet profile, installed before each batch. The
+//! rules encode every context-sensitive inlining decision, so within a
+//! generation the method identifies the context-specialized body: when the
+//! merged profile's hot set shifts enough to change the fingerprint, the
+//! server bumps the generation and broadcasts an invalidation, clearing
+//! the cache so no replica can install code specialized for rules that no
+//! longer hold.
 //!
 //! Over capacity the server evicts **LRU-by-benefit**: the entry with the
 //! lowest estimated inlining benefit goes first, ties broken by
@@ -30,9 +30,6 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 struct CacheEntry {
     compilation: Arc<Compilation>,
-    /// Rules generation ([`aoci_core::RuleSet::fingerprint`]) the body was
-    /// compiled under.
-    generation: u64,
     /// Estimated inlining benefit (the eviction score's major key).
     benefit: f64,
     /// Server tick of the last hit or insert (the minor, LRU key).
@@ -59,26 +56,24 @@ impl CompileServer {
     }
 
     /// Installs a new rules generation. If the fingerprint changed,
-    /// broadcasts an invalidation: every cached entry compiled under the
-    /// old generation is dropped. Returns the number of entries
-    /// invalidated on a bump, `None` when nothing was bumped (the same
-    /// fingerprint, or the first one: rules forming is not a bump).
+    /// broadcasts an invalidation: every cached entry was compiled under the
+    /// old generation, so the cache is cleared. Returns the number of
+    /// entries invalidated on a bump, `None` when nothing was bumped (the
+    /// same fingerprint, or the first one: rules forming is not a bump).
     pub fn set_generation(&mut self, fingerprint: u64) -> Option<u64> {
         if self.generation == Some(fingerprint) {
             return None;
         }
-        let previous = self.generation.replace(fingerprint);
-        let before = self.entries.len();
-        self.entries.retain(|_, e| e.generation == fingerprint);
-        previous.map(|_| (before - self.entries.len()) as u64)
+        let cleared = self.entries.len() as u64;
+        self.entries.clear();
+        self.generation.replace(fingerprint).map(|_| cleared)
     }
 
     /// Processes one batched request list: compiles every requested
     /// method of `program` under `oracle` (the tenant's merged-profile
-    /// rules) and caches the result at the current generation, evicting
-    /// LRU-by-benefit over capacity. Methods already cached are skipped —
-    /// a concurrent replica already requested them this phase. Returns
-    /// `(compiles, evictions)`.
+    /// rules) and caches the result, evicting LRU-by-benefit over capacity.
+    /// Methods already cached are skipped — a concurrent replica already
+    /// requested them this phase. Returns `(compiles, evictions)`.
     pub fn process_batch(
         &mut self,
         program: &Program,
@@ -91,7 +86,6 @@ impl CompileServer {
             return (compiles, evictions);
         }
         self.tick += 1;
-        let generation = self.generation.unwrap_or(0);
         for &method in requests {
             if self.entries.contains_key(&method) {
                 continue;
@@ -103,7 +97,6 @@ impl CompileServer {
                 method,
                 CacheEntry {
                     compilation: Arc::new(compilation),
-                    generation,
                     benefit,
                     last_used: self.tick,
                 },
@@ -128,12 +121,9 @@ impl CompileServer {
     }
 
     /// The read-only snapshot the tenant's replicas attach for the next
-    /// phase: every live entry at the current generation (generation 0 —
-    /// the pre-rules state — until rules first form).
+    /// phase: every cached entry.
     pub fn snapshot(&self) -> ServerSnapshot {
-        let generation = self.generation.unwrap_or(0);
-        let live = self.entries.iter().filter(|(_, e)| e.generation == generation);
-        Arc::new(live.map(|(m, e)| (*m, Arc::clone(&e.compilation))).collect())
+        Arc::new(self.entries.iter().map(|(m, e)| (*m, Arc::clone(&e.compilation))).collect())
     }
 
     /// Returns the number of entries evicted.

@@ -40,6 +40,7 @@ use crate::server::CompileServer;
 use aoci_aos::{AosConfig, AosReport, AosSystem, ServerEvents, ServerSnapshot};
 use aoci_core::{InlineOracle, JobPool, PolicyKind, RuleSet, SweepStats};
 use aoci_ir::{MethodId, Program};
+use aoci_opt::OptConfig;
 use aoci_profile::SavedProfile;
 use aoci_workloads::{build, suite};
 use std::sync::Arc;
@@ -224,7 +225,7 @@ impl<'a> Tenant<'a> {
         self.batches += u64::from(!queue.is_empty());
         let oracle = InlineOracle::with_mode(Arc::new(rules), cfg.match_mode);
         let (compiles, evictions) =
-            self.server.process_batch(self.program, &queue, &oracle, &cfg.opt);
+            self.server.process_batch(self.program, &queue, &oracle, &OptConfig::default());
         let report = &mut self.partials[phase];
         report.server_compiles = compiles;
         report.evictions = evictions;
@@ -360,7 +361,7 @@ mod tests {
         assert!(!rules.is_empty(), "the batch ran under profile-derived rules");
         let oracle = InlineOracle::with_mode(Arc::new(rules), cfg.match_mode);
         for (&m, cached) in snapshot.iter() {
-            let local = aoci_opt::compile(&program, m, &oracle, &cfg.opt);
+            let local = aoci_opt::compile(&program, m, &oracle, &OptConfig::default());
             let name = program.method(m).name();
             assert_eq!(format!("{cached:?}"), format!("{local:?}"), "{name}");
         }

@@ -145,7 +145,7 @@ fn cell_config(policy: PolicyKind, cell: &Cell, opts: RunOpts, traced: bool) -> 
         c = c.enable_faults(f.clone());
     }
     if traced {
-        c = c.enable_trace_with(TraceConfig { capacity: usize::MAX, ..TraceConfig::default() });
+        c = c.enable_trace_with(TraceConfig { capacity: usize::MAX });
     }
     c
 }

@@ -140,12 +140,4 @@ impl MethodDef {
             .iter()
             .filter_map(|i| i.call_site().map(|s| (s, i)))
     }
-
-    /// Returns register 0 if this is a virtual method (the receiver).
-    pub fn receiver_reg(&self) -> Option<Reg> {
-        match self.kind {
-            MethodKind::Static => None,
-            MethodKind::Virtual { .. } => Some(Reg(0)),
-        }
-    }
 }

@@ -119,11 +119,6 @@ impl Program {
         self.global_names.len()
     }
 
-    /// Returns the number of fields in the program.
-    pub fn num_fields(&self) -> usize {
-        self.fields.len()
-    }
-
     /// Returns the number of selectors in the program.
     pub fn num_selectors(&self) -> usize {
         self.selectors.len()

@@ -1,50 +1,15 @@
 //! Optimizing-compiler configuration.
 
-/// Inlining budgets and switches for one compilation.
-///
-/// The *soft* budgets implement the "normal limits on code expansion and
-/// inlining depth" of paper Section 3.1; profile-hot small/medium callees
-/// may exceed them up to the *hard* caps, and tiny callees respect only the
-/// hard caps.
+/// The one switch of a compilation. The inlining budgets are constants of
+/// the inliner.
 #[derive(Clone, Debug)]
 pub struct OptConfig {
-    /// Soft inlining-depth budget.
-    pub max_inline_depth: u32,
-    /// Hard inlining-depth cap (applies even to tiny / hot callees).
-    pub hard_inline_depth: u32,
-    /// Soft code-expansion budget: generated size may grow to this multiple
-    /// of the root method's original size.
-    pub max_code_expansion: f64,
-    /// Hard code-expansion cap.
-    pub hard_code_expansion: f64,
-    /// Maximum number of guarded inline targets at one polymorphic site.
-    pub max_guarded_targets: usize,
     /// Run the post-inline simplification pass.
     pub simplify: bool,
 }
 
 impl Default for OptConfig {
     fn default() -> Self {
-        OptConfig {
-            max_inline_depth: 5,
-            hard_inline_depth: 12,
-            max_code_expansion: 4.0,
-            hard_code_expansion: 12.0,
-            max_guarded_targets: 2,
-            simplify: true,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn defaults_are_ordered() {
-        let c = OptConfig::default();
-        assert!(c.hard_inline_depth >= c.max_inline_depth);
-        assert!(c.hard_code_expansion >= c.max_code_expansion);
-        assert!(c.max_guarded_targets >= 1);
+        OptConfig { simplify: true }
     }
 }

@@ -56,11 +56,6 @@ pub struct Compilation {
 }
 
 impl Compilation {
-    /// Convenience: the inlined callees, in order.
-    pub fn inlined_callees(&self) -> Vec<MethodId> {
-        self.decisions.iter().map(|d| d.callee).collect()
-    }
-
     /// Convenience: whether `callee` was inlined anywhere in this
     /// compilation.
     pub fn inlined(&self, callee: MethodId) -> bool {

@@ -10,6 +10,27 @@ use aoci_ir::{
 };
 use aoci_vm::{InlineMap, InlineNode, MethodVersion, OptLevel, OsrMap, OsrPoint};
 
+// The *soft* budgets implement the "normal limits on code expansion and
+// inlining depth" of paper Section 3.1; profile-hot small/medium callees may
+// exceed them up to the *hard* caps, and tiny callees respect only the hard
+// caps.
+
+/// Soft inlining-depth budget.
+const MAX_INLINE_DEPTH: u32 = 5;
+
+/// Hard inlining-depth cap (applies even to tiny / hot callees).
+const HARD_INLINE_DEPTH: u32 = 12;
+
+/// Soft code-expansion budget: generated size may grow to this multiple of
+/// the root method's original size.
+const MAX_CODE_EXPANSION: f64 = 4.0;
+
+/// Hard code-expansion cap.
+const HARD_CODE_EXPANSION: f64 = 12.0;
+
+/// Maximum number of guarded inline targets at one polymorphic site.
+const MAX_GUARDED_TARGETS: usize = 2;
+
 /// Compiles `method` at the optimizing level, performing profile-directed,
 /// context-sensitive inlining as directed by `oracle`.
 ///
@@ -45,7 +66,6 @@ pub fn compile(
     let mut e = Emitter {
         program,
         oracle,
-        config,
         root_size: root_def.size_estimate().max(32),
         out: Vec::new(),
         out_args: Vec::new(),
@@ -121,7 +141,6 @@ enum RetMode {
 struct Emitter<'a> {
     program: &'a Program,
     oracle: &'a InlineOracle,
-    config: &'a OptConfig,
     root_size: u32,
     out: Vec<Instr>,
     /// The argument pool of `out`.
@@ -271,7 +290,7 @@ impl<'a> Emitter<'a> {
     /// The hard code-expansion ceiling of this compilation, in abstract
     /// size units (recorded as `size_budget` provenance).
     fn hard_budget(&self) -> u32 {
-        budget(self.config.hard_code_expansion, self.root_size)
+        budget(HARD_CODE_EXPANSION, self.root_size)
     }
 
     /// Decides whether `callee` may be inlined in context `ctx`, returning
@@ -310,15 +329,15 @@ impl<'a> Emitter<'a> {
             if self.reserved_args + def.arg_pool().len() > ArgSpan::MAX_POOL {
                 return Decision::Refuse(RefusalReason::ArgPoolFull);
             }
-            if depth >= self.config.hard_inline_depth {
+            if depth >= HARD_INLINE_DEPTH {
                 return Decision::Refuse(RefusalReason::DepthExceeded);
             }
             let grown = self.emitted_size.saturating_add(def.size_estimate());
             if grown > self.hard_budget() {
                 return Decision::Refuse(RefusalReason::ExpansionExceeded);
             }
-            let within_soft_depth = depth < self.config.max_inline_depth;
-            let soft_budget = budget(self.config.max_code_expansion, self.root_size);
+            let within_soft_depth = depth < MAX_INLINE_DEPTH;
+            let soft_budget = budget(MAX_CODE_EXPANSION, self.root_size);
             let within_soft_size = grown <= soft_budget;
             match def.size_class() {
                 SizeClass::Large => unreachable!("handled above"),
@@ -447,7 +466,7 @@ impl<'a> Emitter<'a> {
             if !impls.contains(&c.target) {
                 continue;
             }
-            if to_inline.len() >= self.config.max_guarded_targets {
+            if to_inline.len() >= MAX_GUARDED_TARGETS {
                 let provenance = DecisionProvenance {
                     rule_fired: true,
                     predicted_benefit: c.weight,

@@ -251,26 +251,65 @@ fn guarded_inlining_of_both_hot_targets_with_fallback() {
 
 #[test]
 fn guard_limit_caps_targets_and_records_refusal() {
-    let (p, _main, apply, a_val, b_val) = poly_program();
+    // Three receivers at one site against the two guard slots.
+    let mut b = ProgramBuilder::new();
+    let sel = b.selector("val", 0);
+    let a = b.class("A", None);
+    let cb = b.class("B", Some(a));
+    let cc = b.class("C", Some(a));
+    let mut val = |name: &str, class, v| {
+        let mut m = b.virtual_method(name, class, sel);
+        let r = m.fresh_reg();
+        m.const_int(r, v);
+        m.ret(Some(r));
+        m.finish()
+    };
+    let (a_val, b_val, c_val) = (val("A.val", a, 1), val("B.val", cb, 2), val("C.val", cc, 3));
+    let apply = {
+        let mut m = b.static_method("apply", 1);
+        let r = m.fresh_reg();
+        m.call_virtual(Some(r), sel, m.param(0), &[]);
+        m.ret(Some(r));
+        m.finish()
+    };
+    let main = {
+        let mut m = b.static_method("main", 0);
+        let (acc, ten, scale) = (m.fresh_reg(), m.fresh_reg(), m.fresh_reg());
+        m.const_int(acc, 0);
+        m.const_int(ten, 10);
+        m.const_int(scale, 1);
+        for class in [a, cb, cc] {
+            let (o, r) = (m.fresh_reg(), m.fresh_reg());
+            m.new_obj(o, class);
+            m.call_static(Some(r), apply, &[o]);
+            m.bin(BinOp::Mul, r, r, scale);
+            m.bin(BinOp::Add, acc, acc, r);
+            m.bin(BinOp::Mul, scale, scale, ten);
+        }
+        m.ret(Some(acc));
+        m.finish()
+    };
+    let p = b.finish(main).unwrap();
     let site = CallSiteRef::new(apply, SiteIdx(0));
     let rules = RuleSet::from_rules(
         vec![
-            (TraceKey::edge(site, a_val), 60.0),
-            (TraceKey::edge(site, b_val), 40.0),
+            (TraceKey::edge(site, a_val), 50.0),
+            (TraceKey::edge(site, b_val), 30.0),
+            (TraceKey::edge(site, c_val), 20.0),
         ],
         100.0,
     );
-    let config = OptConfig { max_guarded_targets: 1, ..OptConfig::default() };
     let (result, comps) =
-        differential(&p, &[apply], &InlineOracle::new(rules.into()), &config);
-    assert_eq!(result.and_then(Value::as_int), Some(21));
-    // The heavier target wins the single guard slot.
+        differential(&p, &[apply], &InlineOracle::new(rules.into()), &OptConfig::default());
+    assert_eq!(result.and_then(Value::as_int), Some(321));
+    // The two heavier targets win the guard slots.
     assert!(comps[0].inlined(a_val));
-    assert!(!comps[0].inlined(b_val));
+    assert!(comps[0].inlined(b_val));
+    assert!(!comps[0].inlined(c_val));
     assert!(comps[0]
         .refusals
         .iter()
-        .any(|r| r.callee == b_val && r.reason == RefusalReason::GuardLimit));
+        .any(|r| r.callee == c_val && r.reason == RefusalReason::GuardLimit));
 }
 
 #[test]
@@ -562,8 +601,9 @@ fn recursion_is_refused() {
 
 #[test]
 fn deep_chains_respect_depth_budget() {
-    // A chain of 10 small callees; with a depth budget of 3 only ~3 levels
-    // inline and the rest stay as calls.
+    // A chain of 10 small callees under a root large enough that the soft
+    // size budget does not bind first: the soft depth budget of 5 inlines
+    // 5 levels and the rest stay as calls.
     let mut b = ProgramBuilder::new();
     let mut prev: Option<MethodId> = None;
     for i in 0..10 {
@@ -575,22 +615,23 @@ fn deep_chains_respect_depth_budget() {
         m.ret(None);
         prev = Some(m.finish());
     }
-    let top = prev.unwrap();
+    let root = {
+        let mut m = b.static_method("root", 0);
+        m.work(100);
+        m.call_static(None, prev.unwrap(), &[]);
+        m.ret(None);
+        m.finish()
+    };
     let main = {
         let mut m = b.static_method("main", 0);
-        m.call_static(None, top, &[]);
+        m.call_static(None, root, &[]);
         m.ret(None);
         m.finish()
     };
     let p = b.finish(main).unwrap();
-    let config = OptConfig {
-        max_inline_depth: 3,
-        hard_inline_depth: 3,
-        ..OptConfig::default()
-    };
-    let (_, comps) = differential(&p, &[top], &InlineOracle::empty(), &config);
+    let (_, comps) = differential(&p, &[root], &InlineOracle::empty(), &OptConfig::default());
     let c = &comps[0];
-    assert_eq!(c.decisions.len(), 3);
+    assert_eq!(c.decisions.len(), 5);
     assert!(c
         .refusals
         .iter()
@@ -706,7 +747,7 @@ fn simplify_shrinks_generated_code() {
         &p,
         main,
         &InlineOracle::empty(),
-        &OptConfig { simplify: false, ..OptConfig::default() },
+        &OptConfig { simplify: false },
     );
     let simplified = compile(&p, main, &InlineOracle::empty(), &OptConfig::default());
     assert!(simplified.generated_size < plain.generated_size);

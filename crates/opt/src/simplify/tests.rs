@@ -583,7 +583,7 @@ fn assert_liveness_on_compiled_bodies(program: &aoci_ir::Program, what: &str) ->
     let (mut bodies, mut instrs) = (0, 0);
     for m in (0..program.num_methods()).map(MethodId::from_index) {
         for simplify in [false, true] {
-            let config = crate::OptConfig { simplify, ..crate::OptConfig::default() };
+            let config = crate::OptConfig { simplify };
             let v = crate::compile(program, m, &oracle, &config).version;
             let what = format!("{what}: {} (simplify={simplify})", program.method(m).name());
             assert_liveness_matches(&v.body, &v.arg_pool, v.num_regs, &what);

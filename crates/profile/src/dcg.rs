@@ -4,8 +4,11 @@
 use crate::key::TraceKey;
 use aoci_ir::{CallSiteRef, IdHashMap, MethodId};
 
+/// Entries whose weight falls below this value after decay are removed.
+const PRUNE_EPSILON: f64 = 0.01;
+
 /// Configuration of the dynamic call graph.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct DcgConfig {
     /// When `true`, recording a trace whose context extends an
     /// already-present shorter trace folds the weight into the longest such
@@ -16,14 +19,6 @@ pub struct DcgConfig {
     /// query time instead (Section 3.3). The `true` setting exists as the
     /// ablation for that design decision.
     pub merge_on_collect: bool,
-    /// Entries whose weight falls below this value after decay are removed.
-    pub prune_epsilon: f64,
-}
-
-impl Default for DcgConfig {
-    fn default() -> Self {
-        DcgConfig { merge_on_collect: false, prune_epsilon: 0.01 }
-    }
 }
 
 /// A hot trace extracted from the DCG.
@@ -63,11 +58,6 @@ impl Dcg {
         Dcg { entries: IdHashMap::default(), total_weight: 0.0, config }
     }
 
-    /// Returns the configuration.
-    pub fn config(&self) -> DcgConfig {
-        self.config
-    }
-
     /// Records one observation of `key` with the given weight.
     pub fn record(&mut self, key: TraceKey, weight: f64) {
         self.total_weight += weight;
@@ -105,16 +95,15 @@ impl Dcg {
     }
 
     /// Multiplies every weight by `factor` (0 < factor ≤ 1), pruning entries
-    /// that drop below the configured epsilon. This is the decay organizer's
-    /// operation: it biases hot detection toward recently sampled traces so
-    /// the system adapts to phase shifts.
+    /// that drop below 0.01. This is the decay organizer's operation: it
+    /// biases hot detection toward recently sampled traces so the system
+    /// adapts to phase shifts.
     pub fn decay(&mut self, factor: f64) {
         assert!(factor > 0.0 && factor <= 1.0, "decay factor must be in (0, 1]");
         let mut new_total = 0.0;
-        let eps = self.config.prune_epsilon;
         self.entries.retain(|_, w| {
             *w *= factor;
-            if *w < eps {
+            if *w < PRUNE_EPSILON {
                 false
             } else {
                 new_total += *w;
@@ -220,7 +209,7 @@ mod tests {
 
     #[test]
     fn merge_on_collect_folds_into_prefix() {
-        let mut d = Dcg::new(DcgConfig { merge_on_collect: true, ..DcgConfig::default() });
+        let mut d = Dcg::new(DcgConfig { merge_on_collect: true });
         let short = TraceKey::edge(cs(0, 0), mid(1));
         let long = TraceKey::new(mid(1), vec![cs(0, 0), cs(5, 2)]);
         d.record(short.clone(), 1.0);
@@ -231,26 +220,27 @@ mod tests {
 
     #[test]
     fn decay_scales_and_prunes() {
-        let mut d = Dcg::new(DcgConfig { prune_epsilon: 0.3, ..DcgConfig::default() });
-        d.record(TraceKey::edge(cs(0, 0), mid(1)), 1.0);
-        d.record(TraceKey::edge(cs(0, 1), mid(2)), 0.5);
+        let mut d = Dcg::default();
+        d.record(TraceKey::edge(cs(0, 0), mid(1)), 0.04);
+        d.record(TraceKey::edge(cs(0, 1), mid(2)), 0.01);
         d.decay(0.5);
-        // 1.0 → 0.5 survives; 0.5 → 0.25 pruned.
+        // 0.04 → 0.02 survives; 0.01 → 0.005 falls below 0.01 and is pruned.
         assert_eq!(d.len(), 1);
-        assert!((d.total_weight() - 0.5).abs() < 1e-12);
+        assert!((d.total_weight() - 0.02).abs() < 1e-12);
     }
 
     #[test]
     fn denormal_decay_and_nan_poison_never_panic_hot() {
-        // Pruning off, so an underflowing weight stays in the store instead
-        // of being dropped at the first decay.
-        let mut d = Dcg::new(DcgConfig { prune_epsilon: 0.0, ..DcgConfig::default() });
+        // A decay would prune a zero or denormal weight at once, so both
+        // enter the store through `record`: the smallest positive denormal,
+        // and exactly 0.0 — the poisoned-weight states the sort must
+        // tolerate — beside a normal weight that decays.
+        let mut d = Dcg::default();
         d.record(TraceKey::edge(cs(0, 0), mid(1)), 1.0);
-        // The smallest positive denormal: one decay step underflows it to
-        // exactly 0.0, the poisoned-weight state the sort must tolerate.
-        d.record(TraceKey::edge(cs(0, 1), mid(2)), 5e-324);
-        for _ in 0..64 {
+        for _ in 0..4 {
             d.decay(0.5);
+            d.record(TraceKey::edge(cs(0, 1), mid(2)), 5e-324);
+            d.record(TraceKey::edge(cs(0, 3), mid(4)), 0.0);
             assert_eq!(d.hot(0.0), d.hot(0.0), "hot() must stay deterministic");
         }
         // `record` is public and unvalidated (the AOS sanitizes at its own

@@ -18,7 +18,8 @@
 //!   hot extraction against a total-weight threshold (1.5% in the paper).
 //!   Collection does **not** merge partial matches (the paper's hybrid
 //!   scheme leaves matching to the inline oracle); an opt-in
-//!   [`DcgConfig::merge_on_collect`] mode exists as an ablation.
+//!   [`DcgConfig::merge_on_collect`] mode exists as an ablation, and is the
+//!   DCG's one setting: decay prunes entries below a fixed 0.01.
 //! * [`TraceStatsCollector`] — reproduces the Section 4 trace-walk
 //!   statistics (how soon a parameterless / class / large method appears in
 //!   sampled call chains).

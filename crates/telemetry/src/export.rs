@@ -215,10 +215,10 @@ pub fn dashboard(label: &str, log: &MetricsLog) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{MetricsConfig, MetricsRegistry};
+    use crate::registry::MetricsRegistry;
 
     fn sample_log() -> MetricsLog {
-        let mut registry = MetricsRegistry::new(MetricsConfig::default());
+        let mut registry = MetricsRegistry::new();
         registry.counter_set("samples", 8);
         registry.counter_add("inline_decisions", 2);
         registry.gauge_set("compile_queue_depth", 3);
@@ -274,7 +274,7 @@ mod tests {
         // Short series pass through untouched.
         assert_eq!(fold_chunks(&[1, 2, 3], DASH_WIDTH, |c| c.iter().sum()), vec![1, 2, 3]);
         // Dashboard lines stay terminal-sized for multi-thousand-epoch runs.
-        let mut registry = MetricsRegistry::new(MetricsConfig::default());
+        let mut registry = MetricsRegistry::new();
         for i in 0..3_000u64 {
             registry.counter_set("samples", i * 8);
             registry.gauge_set("compile_queue_depth", i % 7);

@@ -13,21 +13,11 @@ use crate::histogram::Histogram;
 use aoci_json::Value;
 use std::collections::BTreeMap;
 
-/// Telemetry tunables.
-#[derive(Clone, Debug)]
-pub struct MetricsConfig {
-    /// Epoch length in timer samples: a time-series snapshot of every
-    /// counter and gauge is taken each time the sample count crosses a
-    /// multiple of this. The default matches the hot-methods organizer
-    /// cadence, so each snapshot brackets one organizer/controller round.
-    pub epoch_samples: u64,
-}
-
-impl Default for MetricsConfig {
-    fn default() -> Self {
-        MetricsConfig { epoch_samples: 8 }
-    }
-}
+/// Epoch length in timer samples: a time-series snapshot of every counter
+/// and gauge is taken each time the sample count crosses a multiple of
+/// this. It matches the hot-methods organizer cadence, so each snapshot
+/// brackets one organizer/controller round.
+pub const EPOCH_SAMPLES: u64 = 8;
 
 /// One family's names (counters or gauges) for a whole run: a name's id is
 /// the order it was first recorded in, and it never leaves.
@@ -221,16 +211,18 @@ pub struct MetricsRegistry {
     log: MetricsLog,
 }
 
-impl MetricsRegistry {
-    /// An empty registry under `config`.
-    pub fn new(config: MetricsConfig) -> Self {
-        let epoch_samples = config.epoch_samples.max(1);
-        MetricsRegistry { log: MetricsLog { epoch_samples, ..MetricsLog::default() } }
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        MetricsRegistry {
+            log: MetricsLog { epoch_samples: EPOCH_SAMPLES, ..MetricsLog::default() },
+        }
     }
+}
 
-    /// Epoch length in samples (always ≥ 1).
-    pub fn epoch_samples(&self) -> u64 {
-        self.log.epoch_samples
+impl MetricsRegistry {
+    /// An empty registry with epochs of [`EPOCH_SAMPLES`] samples.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Adds `delta` to counter `name` (event-driven counters).
@@ -378,7 +370,7 @@ mod tests {
     use super::*;
 
     fn populated() -> MetricsLog {
-        let mut registry = MetricsRegistry::new(MetricsConfig::default());
+        let mut registry = MetricsRegistry::new();
         registry.counter_add("inline_decisions", 3);
         registry.gauge_set("compile_queue_depth", 2);
         registry.observe("compile_cost_cycles", 4096);
@@ -467,7 +459,7 @@ mod tests {
     /// one-epoch and empty series.
     #[test]
     fn coded_rows_round_trip_on_the_edges() {
-        let mut registry = MetricsRegistry::new(MetricsConfig::default());
+        let mut registry = MetricsRegistry::new();
         let feed: [(u64, u64); 4] = [(0, 9), (u64::MAX, 7), (0, 3), (1, 0)];
         for (epoch, (counter, gauge)) in (0u64..).zip(feed) {
             registry.counter_set("jumps", counter);
@@ -487,7 +479,7 @@ mod tests {
         assert_eq!(epoch(3).get("cycle").and_then(Value::as_u64), Some(3_000));
         assert_eq!(log.series.cells(), 2 + 2 + 3 + 3);
 
-        let mut one = MetricsRegistry::new(MetricsConfig::default());
+        let mut one = MetricsRegistry::new();
         one.gauge_set("g", u64::MAX);
         one.gauge_set("h", 1 << 63);
         one.snapshot(8, 1);
@@ -497,7 +489,7 @@ mod tests {
         // 0 → u64::MAX is a step of −1, one byte; 2^63 is the widest, ten.
         assert_eq!(one.series.row_bytes(), 1 + 10);
 
-        let empty = MetricsRegistry::new(MetricsConfig::default()).into_log();
+        let empty = MetricsRegistry::new().into_log();
         assert!(empty.series.is_empty());
         assert_eq!(empty.series_of("g"), None);
         assert_eq!(empty.series.to_values().count(), 0);

@@ -11,14 +11,11 @@ pub struct TraceConfig {
     /// Ring capacity: the recorder keeps the most recent this-many events,
     /// dropping the oldest (drops are counted, never silent).
     pub capacity: usize,
-    /// How many trailing events the AOS copies into its recovery ledger
-    /// when recovery or a VM fault fires.
-    pub dump_last: usize,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        TraceConfig { capacity: 8192, dump_last: 32 }
+        TraceConfig { capacity: 8192 }
     }
 }
 
@@ -218,7 +215,7 @@ mod tests {
     /// events were emitted under, across a ring that wrapped.
     #[test]
     fn derived_seqs_survive_wraparound() {
-        let sink = TraceSink::new(TraceConfig { capacity: 3, dump_last: 2 });
+        let sink = TraceSink::new(TraceConfig { capacity: 3 });
         for n in 0..5 {
             sink.emit(n * 10, tick(n));
         }
@@ -244,7 +241,7 @@ mod tests {
 
     #[test]
     fn into_log_moves_the_ring_and_shrinks_it() {
-        let sink = TraceSink::new(TraceConfig { capacity: 3, dump_last: 0 });
+        let sink = TraceSink::new(TraceConfig { capacity: 3 });
         for n in 0..5 {
             sink.emit(n, tick(n));
         }
@@ -259,7 +256,7 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_and_counts() {
-        let mut r = FlightRecorder::new(TraceConfig { capacity: 3, dump_last: 2 });
+        let mut r = FlightRecorder::new(TraceConfig { capacity: 3 });
         for n in 0..5 {
             r.emit(n * 10, tick(n));
         }
@@ -273,7 +270,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_drops_everything() {
-        let mut r = FlightRecorder::new(TraceConfig { capacity: 0, dump_last: 0 });
+        let mut r = FlightRecorder::new(TraceConfig { capacity: 0 });
         r.emit(1, tick(0));
         assert_eq!(r.emitted(), 1);
         assert_eq!(r.dropped(), 1);
@@ -293,8 +290,8 @@ mod tests {
     }
 
     #[test]
-    fn dump_last_takes_the_tail() {
-        let sink = TraceSink::new(TraceConfig { capacity: 10, dump_last: 2 });
+    fn copy_tail_takes_the_last_events() {
+        let sink = TraceSink::new(TraceConfig { capacity: 10 });
         for n in 0..4 {
             sink.emit(n, tick(n));
         }

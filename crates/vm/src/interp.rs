@@ -23,10 +23,6 @@ pub struct VmConfig {
     /// When `false`, inlined frames are invisible to samplers — the "naive
     /// trace listener" the paper warns about; kept as an ablation.
     pub source_level_walk: bool,
-    /// Maximum number of source-level frames a snapshot records.
-    pub max_walk_frames: usize,
-    /// Maximum machine call-stack depth before [`VmError::StackOverflow`].
-    pub max_stack_depth: usize,
     /// Enables on-stack replacement. Off by default: the paper's system
     /// switches code versions only at invocation boundaries, so the
     /// reproduction sweeps opt in explicitly. When on, baseline activations
@@ -46,8 +42,6 @@ impl Default for VmConfig {
     fn default() -> Self {
         VmConfig {
             source_level_walk: true,
-            max_walk_frames: 64,
-            max_stack_depth: 4096,
             osr_enabled: false,
             osr_backedge_threshold: 256,
         }
@@ -57,6 +51,12 @@ impl Default for VmConfig {
 /// Number of leading instructions of a (source-level) method body that
 /// count as its prologue for edge/trace sampling purposes.
 const PROLOGUE_WINDOW: u32 = 3;
+
+/// Maximum number of source-level frames a snapshot records.
+const MAX_WALK_FRAMES: usize = 64;
+
+/// Maximum machine call-stack depth before [`VmError::StackOverflow`].
+const MAX_STACK_DEPTH: usize = 4096;
 
 /// A baseline activation tripped its loop back-edge counter and wants to
 /// be promoted into optimized code mid-loop (OSR-in).
@@ -208,8 +208,8 @@ fn enter(
     code: CodeSlot,
     ops: CallOps<'_>,
 ) -> Result<(), VmError> {
-    if stack.len() >= x.config.max_stack_depth {
-        return Err(VmError::StackOverflow { limit: x.config.max_stack_depth });
+    if stack.len() >= MAX_STACK_DEPTH {
+        return Err(VmError::StackOverflow { limit: MAX_STACK_DEPTH });
     }
     // The body, not the version: one load less on the way to `num_regs`.
     let callee = registry.body(code, x.program, &x.cost);
@@ -367,11 +367,6 @@ impl<'p> Vm<'p> {
         &self.exec.heap
     }
 
-    /// Returns `true` once the entry method has returned.
-    pub fn is_finished(&self) -> bool {
-        self.finished.is_some()
-    }
-
     /// Current machine call-stack depth.
     pub fn stack_depth(&self) -> usize {
         self.stack.len()
@@ -476,8 +471,8 @@ impl<'p> Vm<'p> {
                 1
             }
         };
-        let walked = self.stack.iter().rev().take(config.max_walk_frames);
-        let len = walked.map(source_frames).sum::<usize>().min(config.max_walk_frames);
+        let walked = self.stack.iter().rev().take(MAX_WALK_FRAMES);
+        let len = walked.map(source_frames).sum::<usize>().min(MAX_WALK_FRAMES);
         let mut frames = Vec::with_capacity(len);
         let mut root_method = self.exec.program.entry();
         let mut top_in_prologue = false;
@@ -502,7 +497,7 @@ impl<'p> Vm<'p> {
                 // Each source frame of the chain was entered through the
                 // site its outer neighbour carries.
                 for (method, entered_at) in version.inline_map.source_chain(pc) {
-                    if frames.len() >= config.max_walk_frames {
+                    if frames.len() >= MAX_WALK_FRAMES {
                         break;
                     }
                     frames.push(SourceFrame { method, callsite_to_inner: to_inner });
@@ -511,7 +506,7 @@ impl<'p> Vm<'p> {
             } else {
                 frames.push(SourceFrame { method: version.method, callsite_to_inner: to_inner });
             }
-            if frames.len() >= config.max_walk_frames {
+            if frames.len() >= MAX_WALK_FRAMES {
                 break;
             }
         }

@@ -332,7 +332,7 @@ fn array_length_beyond_u32_faults() {
     }
 }
 
-/// `StackOverflow` fires at exactly `max_stack_depth` frames, and the call
+/// `StackOverflow` fires at exactly `MAX_STACK_DEPTH` frames, and the call
 /// that overflows leaves the register stack as it found it.
 #[test]
 fn stack_overflow_faults() {
@@ -348,12 +348,11 @@ fn stack_overflow_faults() {
     };
     let p = b.finish(main).expect("valid program");
     for stepped in [false, true] {
-        let config = VmConfig { max_stack_depth: 32, ..VmConfig::default() };
-        let mut vm = Vm::with_config(&p, CostModel::default(), config);
+        let mut vm = Vm::new(&p, CostModel::default());
         let e = complete(&mut vm, stepped).expect_err("overflows");
-        assert!(matches!(e, VmError::StackOverflow { limit: 32 }), "stepped={stepped}: {e:?}");
-        assert_eq!(vm.stack_depth(), 32, "stepped={stepped}: the 33rd frame is the one refused");
-        assert_eq!(vm.regs.len(), 32 * 3, "stepped={stepped}: the refused call grew no window");
+        assert!(matches!(e, VmError::StackOverflow { limit: 4096 }), "stepped={stepped}: {e:?}");
+        assert_eq!(vm.stack_depth(), 4096, "stepped={stepped}: the 4097th frame is the one refused");
+        assert_eq!(vm.regs.len(), 4096 * 3, "stepped={stepped}: the refused call grew no window");
     }
 }
 
@@ -994,21 +993,20 @@ fn deep_recursion_snapshot_truncates_at_max_walk() {
     let main = {
         let mut m = b.static_method("main", 0);
         let n = m.fresh_reg();
-        m.const_int(n, 50);
+        m.const_int(n, 100);
         m.call_static(None, rec, &[n]);
         m.ret(None);
         m.finish()
     };
     let p = b.finish(main).expect("valid");
     let cost = CostModel { sample_period: 20_000, ..CostModel::default() };
-    let config = VmConfig { max_walk_frames: 8, ..VmConfig::default() };
-    let mut vm = Vm::with_config(&p, cost, config);
+    let mut vm = Vm::new(&p, cost);
     let mut saw_truncated = false;
     loop {
         match vm.run(u64::MAX).expect("ok") {
             RunOutcome::Sample(s) => {
-                assert!(s.frames.len() <= 8, "walk must respect the cap");
-                if s.frames.len() == 8 {
+                assert!(s.frames.len() <= 64, "walk must respect the cap");
+                if s.frames.len() == 64 {
                     saw_truncated = true;
                 }
             }
@@ -1016,7 +1014,7 @@ fn deep_recursion_snapshot_truncates_at_max_walk() {
             RunOutcome::BudgetExhausted | RunOutcome::OsrRequest(_) => unreachable!(),
         }
     }
-    assert!(saw_truncated, "the 51-deep stack should hit the 8-frame cap");
+    assert!(saw_truncated, "the 101-deep stack should hit the 64-frame cap");
 }
 
 #[test]

@@ -192,15 +192,6 @@ impl CodeRegistry {
     pub fn baseline_compilations(&self) -> u32 {
         self.baseline_compilations
     }
-
-    /// Iterates over currently-installed optimized versions.
-    pub fn optimized_versions(&self) -> impl Iterator<Item = &Arc<MethodVersion>> {
-        self.current
-            .iter()
-            .flatten()
-            .map(|&slot| self.version(slot))
-            .filter(|v| v.level == OptLevel::Optimized)
-    }
 }
 
 #[cfg(test)]

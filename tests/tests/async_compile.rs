@@ -78,7 +78,7 @@ struct Pinned {
 }
 
 fn pinned(program: &aoci_ir::Program, c: AosConfig) -> Pinned {
-    let r = run(program, c.enable_trace_with(TraceConfig { capacity: usize::MAX, dump_last: 32 }));
+    let r = run(program, c.enable_trace_with(TraceConfig { capacity: usize::MAX }));
     let resolve = |m: aoci_ir::MethodId| program.method(m).name().to_string();
     let log = r.trace_log.as_ref().expect("tracing is on");
     assert_eq!(log.dropped, 0, "the log is unbounded");

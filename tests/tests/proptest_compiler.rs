@@ -266,7 +266,7 @@ proptest! {
             .collect();
         let total = rules.len().max(1) as f64 * 100.0;
         let oracle = InlineOracle::new(RuleSet::from_rules(rules, total).into());
-        let plain = OptConfig { simplify: false, ..OptConfig::default() };
+        let plain = OptConfig { simplify: false };
         let simp = OptConfig::default();
         let with = |config: &OptConfig| -> Vec<_> {
             program

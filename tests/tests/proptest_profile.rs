@@ -171,7 +171,7 @@ proptest! {
         entries in prop::collection::vec((trace_strategy(), 0.1f64..10.0), 1..30),
     ) {
         let mut plain = Dcg::new(DcgConfig::default());
-        let mut merged = Dcg::new(DcgConfig { merge_on_collect: true, ..DcgConfig::default() });
+        let mut merged = Dcg::new(DcgConfig { merge_on_collect: true });
         for (t, w) in entries {
             plain.record(t.clone(), w);
             merged.record(t, w);

@@ -12,7 +12,7 @@
 
 use aoci_json::Value;
 use aoci_telemetry::{
-    bucket_index, dashboard, sparkline, to_jsonl, to_prometheus, Histogram, MetricsConfig,
+    bucket_index, dashboard, sparkline, to_jsonl, to_prometheus, Histogram,
     MetricsLog, MetricsRegistry, BUCKETS,
 };
 use proptest::prelude::*;
@@ -271,7 +271,7 @@ impl Model {
 /// Feeds `ops` to a registry and to the model, and requires every reader
 /// to agree.
 fn check(ops: &[Op]) {
-    let mut registry = MetricsRegistry::new(MetricsConfig::default());
+    let mut registry = MetricsRegistry::new();
     let mut model = Model::default();
     for op in ops {
         match *op {
