@@ -182,11 +182,6 @@ impl AosConfig {
         }
     }
 
-    /// The paper's baseline: context-insensitive profile-directed inlining.
-    pub fn context_insensitive() -> Self {
-        Self::new(PolicyKind::ContextInsensitive)
-    }
-
     // --- Opt-in subsystems (builder-style, chainable) -------------------
     //
     // Every subsystem that is off by default — OSR, the flight recorder,
@@ -315,7 +310,9 @@ mod tests {
             async_compile,
             metrics,
             compile_server,
-        } = AosConfig::context_insensitive().enable_faults(FaultConfig::default()).enable_trace();
+        } = AosConfig::new(PolicyKind::ContextInsensitive)
+            .enable_faults(FaultConfig::default())
+            .enable_trace();
         let DcgConfig { merge_on_collect } = dcg;
         let CostModel {
             baseline_factor,
@@ -402,8 +399,9 @@ mod tests {
 
     #[test]
     fn cins_helper() {
-        let c = AosConfig::context_insensitive();
-        assert_eq!(c.policy, PolicyKind::ContextInsensitive);
+        // The paper's baseline is a policy, not a separate configuration.
+        let c = AosConfig::new(PolicyKind::ContextInsensitive);
+        assert_eq!(c.policy.max_depth(), 1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! events (paper Section 3.2).
 
 use aoci_ir::{CallSiteRef, IdHashSet, MethodId};
-use aoci_opt::{Compilation, InlineDecision, Refusal};
+use aoci_opt::{Compilation, InlineDecision};
 use std::sync::Arc;
 
 /// One optimizing compilation, as logged by the database.
@@ -65,8 +65,6 @@ pub struct AosDatabase {
     records: Vec<MethodRecord>,
     /// All inline decisions ever made (analysis / reporting).
     decision_log: Vec<(MethodId, InlineDecision)>,
-    /// All refusals ever recorded.
-    refusal_log: Vec<(MethodId, Refusal)>,
     /// Every optimizing compilation, in order.
     compilation_log: Vec<CompilationRecord>,
     /// `(host, site, callee)` triples a compilation of `host` failed to
@@ -130,11 +128,8 @@ impl AosDatabase {
             }
             self.decision_log.push((method, d.clone()));
         }
-        for r in &compilation.refusals {
-            if r.hot {
-                self.refused.insert((r.site, r.callee));
-            }
-            self.refusal_log.push((method, *r));
+        for r in compilation.refusals.iter().filter(|r| r.hot) {
+            self.refused.insert((r.site, r.callee));
         }
     }
 
@@ -205,11 +200,6 @@ impl AosDatabase {
         &self.decision_log
     }
 
-    /// Full refusal log, in compilation order.
-    pub fn refusal_log(&self) -> &[(MethodId, Refusal)] {
-        &self.refusal_log
-    }
-
     /// Every optimizing compilation performed, in order.
     pub fn compilation_log(&self) -> &[CompilationRecord] {
         &self.compilation_log
@@ -233,6 +223,7 @@ mod tests {
     use super::*;
     use aoci_opt::RefusalReason;
     use aoci_ir::SiteIdx;
+    use aoci_opt::Refusal;
     use aoci_vm::{InlineMap, MethodVersion, OptLevel};
 
     fn mid(i: usize) -> MethodId {
@@ -299,7 +290,6 @@ mod tests {
         assert!(!db.was_refused(cs(0, 2), mid(3)));
         assert_eq!(db.recompiles(mid(0)), 1);
         assert_eq!(db.decision_log().len(), 1);
-        assert_eq!(db.refusal_log().len(), 2);
         assert_eq!(db.compilation_log()[0].cycle, 7_000);
     }
 

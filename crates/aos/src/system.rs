@@ -171,15 +171,11 @@ impl<'p> AosSystem<'p> {
             vm.set_trace_sink(t.clone());
             trace_listener.set_trace_sink(t.clone());
         }
-        let mut policy = PolicyEngine::new(config.policy);
-        if matches!(config.policy, aoci_core::PolicyKind::IdealApprox { .. }) {
-            policy.set_dependence(aoci_core::DependenceAnalysis::analyze(program));
-        }
         let workers = if config.async_compile { ASYNC_WORKERS } else { 0 };
         AosSystem {
             program,
             vm,
-            policy,
+            policy: PolicyEngine::new(config.policy),
             method_listener: MethodListener::new(),
             trace_listener,
             profile: Dcg::new(config.dcg),
@@ -217,9 +213,10 @@ impl<'p> AosSystem<'p> {
         }
     }
 
-    /// Seeds the profile store with offline-gathered trace data (e.g. a
-    /// [`aoci_profile::SavedProfile`] from a training run), emulating the
-    /// classic offline profile-directed pipeline the paper's related work
+    /// Seeds the profile store with trace data gathered elsewhere — a
+    /// training run's [`AosSystem::run_full`] profile, or a fleet's
+    /// [`aoci_profile::merge_profiles`] result — emulating the classic
+    /// offline profile-directed pipeline the paper's related work
     /// describes. Rules form at the first AI-organizer tick, so hot methods
     /// compile with good inlining decisions immediately instead of after a
     /// warm-up.
@@ -227,8 +224,7 @@ impl<'p> AosSystem<'p> {
     /// Entries pass the same sanitization as online traces: malformed ones
     /// (unknown methods or sites, non-finite or non-positive weights) are
     /// rejected and counted in [`RecoveryEvents::rejected_traces`], so a
-    /// corrupted saved profile degrades the warm-up instead of crashing the
-    /// run.
+    /// corrupted profile degrades the warm-up instead of crashing the run.
     pub fn seed_profile(&mut self, entries: impl IntoIterator<Item = (aoci_profile::TraceKey, f64)>) {
         for (k, w) in entries {
             if validate_trace(self.program, &k, w).is_ok() {
@@ -251,9 +247,9 @@ impl<'p> AosSystem<'p> {
     }
 
     /// Like [`AosSystem::run`], but also returns the final [`AosDatabase`]
-    /// (the full inline-decision and refusal logs) and the final trace
-    /// profile — suitable for saving as an offline profile (see
-    /// [`aoci_profile::SavedProfile`] and the `offline_profile` example).
+    /// (the full inline-decision log and the refused set) and the final
+    /// trace profile, which [`AosSystem::seed_profile`] accepts as a later
+    /// run's starting profile (see the `offline_profile` example).
     ///
     /// # Errors
     ///

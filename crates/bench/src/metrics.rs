@@ -38,7 +38,6 @@ pub fn policy_label(policy: PolicyKind) -> String {
         PolicyKind::LargeMethods { max } => format!("large/{max}"),
         PolicyKind::ParameterlessClass { max } => format!("hybrid1/{max}"),
         PolicyKind::ParameterlessLarge { max } => format!("hybrid2/{max}"),
-        PolicyKind::IdealApprox { max } => format!("ideal/{max}"),
         PolicyKind::AdaptiveResolving { max } => format!("adaptive/{max}"),
     }
 }

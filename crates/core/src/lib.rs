@@ -42,14 +42,12 @@
 #![warn(missing_docs)]
 
 mod adaptive;
-mod dependence;
 mod oracle;
 mod policy;
 pub mod pool;
 mod rules;
 
 pub use adaptive::{AdaptiveState, SiteStatus};
-pub use dependence::DependenceAnalysis;
 pub use oracle::{Candidate, InlineOracle, MatchMode};
 pub use policy::{PolicyEngine, PolicyKind};
 pub use pool::{default_workers, JobPool, JobResult, SweepStats};

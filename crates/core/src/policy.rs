@@ -1,7 +1,6 @@
 //! Context-sensitivity policies (paper Section 4).
 
 use crate::adaptive::AdaptiveState;
-use crate::dependence::DependenceAnalysis;
 use aoci_ir::{CallSiteRef, MethodId, Program, SizeClass};
 use aoci_profile::Dcg;
 use std::fmt;
@@ -51,16 +50,6 @@ pub enum PolicyKind {
         /// Maximum trace depth in call edges.
         max: u8,
     },
-    /// Section 4.1's sketched approximation of *ideal* sensitivity: a
-    /// static parameter-dependence analysis flags methods whose call sites
-    /// are data- or control-dependent on their parameters; trace walks
-    /// extend only through flagged methods. Requires
-    /// [`PolicyEngine::set_dependence`] (the AOS driver computes the
-    /// analysis at startup).
-    IdealApprox {
-        /// Maximum trace depth in call edges.
-        max: u8,
-    },
     /// Section 4.3 "Adaptively Resolving Imprecisions": start context-
     /// insensitive everywhere; escalate the collection depth only for call
     /// sites whose callee distribution is polymorphic and unskewed, until
@@ -84,7 +73,6 @@ impl PolicyKind {
             | PolicyKind::LargeMethods { max }
             | PolicyKind::ParameterlessClass { max }
             | PolicyKind::ParameterlessLarge { max }
-            | PolicyKind::IdealApprox { max }
             | PolicyKind::AdaptiveResolving { max } => max.max(1),
         }
     }
@@ -113,7 +101,6 @@ impl fmt::Display for PolicyKind {
             PolicyKind::LargeMethods { max } => write!(f, "large(max={max})"),
             PolicyKind::ParameterlessClass { max } => write!(f, "hybrid1(max={max})"),
             PolicyKind::ParameterlessLarge { max } => write!(f, "hybrid2(max={max})"),
-            PolicyKind::IdealApprox { max } => write!(f, "idealApprox(max={max})"),
             PolicyKind::AdaptiveResolving { max } => write!(f, "adaptiveResolve(max={max})"),
         }
     }
@@ -127,19 +114,12 @@ impl fmt::Display for PolicyKind {
 pub struct PolicyEngine {
     kind: PolicyKind,
     adaptive: AdaptiveState,
-    dependence: Option<DependenceAnalysis>,
 }
 
 impl PolicyEngine {
     /// Creates a policy engine.
     pub fn new(kind: PolicyKind) -> Self {
-        PolicyEngine { kind, adaptive: AdaptiveState::new(kind.max_depth()), dependence: None }
-    }
-
-    /// Installs the static parameter-dependence analysis used by
-    /// [`PolicyKind::IdealApprox`] (no effect on other policies).
-    pub fn set_dependence(&mut self, analysis: DependenceAnalysis) {
-        self.dependence = Some(analysis);
+        PolicyEngine { kind, adaptive: AdaptiveState::new(kind.max_depth()) }
     }
 
     /// Returns the policy kind.
@@ -173,10 +153,6 @@ impl PolicyEngine {
             PolicyKind::LargeMethods { .. } => !large_stop,
             PolicyKind::ParameterlessClass { .. } => !(parameterless_stop || class_stop),
             PolicyKind::ParameterlessLarge { .. } => !(parameterless_stop || large_stop),
-            PolicyKind::IdealApprox { .. } => self
-                .dependence
-                .as_ref()
-                .is_some_and(|d| d.needs_context(m)),
         }
     }
 

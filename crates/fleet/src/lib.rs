@@ -14,7 +14,7 @@
 //!   bumps;
 //! * [`sim`] — the driver: each tenant is a pipeline of its replicas'
 //!   serving runs on the [`JobPool`](aoci_core::JobPool); between phases
-//!   it merges their trace profiles ([`SavedProfile::merge`]) so later
+//!   it merges their trace profiles ([`merge_profiles`]) so later
 //!   replicas warm-start from the fleet's collective knowledge;
 //! * [`report`] — the [`FleetReport`] behind `results/fleet.json`,
 //!   including the headline warmup-amortization pair (cycles-to-peak,
@@ -24,7 +24,7 @@
 //! `(replicas, cache capacity, seed)`, byte-identical across `AOCI_JOBS`
 //! settings.
 //!
-//! [`SavedProfile::merge`]: aoci_profile::SavedProfile::merge
+//! [`merge_profiles`]: aoci_profile::merge_profiles
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

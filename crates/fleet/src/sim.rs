@@ -41,7 +41,7 @@ use aoci_aos::{AosConfig, AosReport, AosSystem, ServerEvents, ServerSnapshot};
 use aoci_core::{InlineOracle, JobPool, PolicyKind, RuleSet, SweepStats};
 use aoci_ir::{MethodId, Program};
 use aoci_opt::OptConfig;
-use aoci_profile::SavedProfile;
+use aoci_profile::{merge_profiles, TraceKey};
 use aoci_workloads::{build, suite};
 use std::sync::Arc;
 
@@ -55,10 +55,9 @@ fn replica_config() -> AosConfig {
 
 /// The inlining rules of a merged fleet profile: every trace carrying at
 /// least `threshold` of the total weight.
-fn server_rules(profile: &SavedProfile, threshold: f64) -> RuleSet {
-    let entries = profile.entries();
-    let total: f64 = entries.iter().map(|(_, w)| *w).sum();
-    let hot = entries.into_iter().filter(|(_, w)| *w >= threshold * total);
+fn server_rules(profile: &[(TraceKey, f64)], threshold: f64) -> RuleSet {
+    let total: f64 = profile.iter().map(|(_, w)| *w).sum();
+    let hot = profile.iter().filter(|(_, w)| *w >= threshold * total).cloned();
     RuleSet::from_rules(hot, total)
 }
 
@@ -100,7 +99,7 @@ struct ServeJob<'a> {
     first: bool,
     program: &'a Program,
     snapshot: ServerSnapshot,
-    profile: Arc<SavedProfile>,
+    profile: Arc<[(TraceKey, f64)]>,
 }
 
 /// What one replica's serving run yields back to its tenant.
@@ -111,16 +110,16 @@ struct ReplicaOutcome {
     total_cycles: u64,
     opt_compilations: u64,
     server: ServerEvents,
-    profile: SavedProfile,
+    profile: Vec<(TraceKey, f64)>,
 }
 
 /// Step 3: one replica serves its tenant's workload to completion.
 fn serve(job: ServeJob) -> ReplicaOutcome {
     let config = replica_config().enable_compile_server(job.snapshot);
     let mut sys = AosSystem::new(job.program, config);
-    let warm = !job.profile.traces.is_empty();
+    let warm = !job.profile.is_empty();
     if warm {
-        sys.seed_profile(job.profile.entries());
+        sys.seed_profile(job.profile.iter().cloned());
     }
     let (report, _, profile) = sys.run_full().expect("fleet workload run failed");
     ReplicaOutcome {
@@ -128,8 +127,7 @@ fn serve(job: ServeJob) -> ReplicaOutcome {
         warm,
         total_cycles: report.total_cycles(),
         opt_compilations: u64::from(report.opt_compilations),
-        profile: SavedProfile::from_entries(profile.iter().map(|(k, w)| (k, *w)))
-            .expect("suite method indices fit the u32 wire format"),
+        profile,
         server: report.compile_server,
     }
 }
@@ -144,7 +142,7 @@ struct Tenant<'a> {
     /// Non-empty request batches the server has processed.
     batches: u64,
     /// The merged fleet profile; replaced only when a fold merges into it.
-    profile: Arc<SavedProfile>,
+    profile: Arc<[(TraceKey, f64)]>,
     /// Missed methods awaiting the next batch, in request order — the
     /// batch's compile order, hence the cache's eviction order.
     pending: Vec<MethodId>,
@@ -191,8 +189,8 @@ impl<'a> Tenant<'a> {
                 report.total_cycles += o.total_cycles;
                 report.opt_compilations += o.opt_compilations;
             }
-            let merged = std::iter::once(&*self.profile).chain(outcomes.iter().map(|o| &o.profile));
-            self.profile = Arc::new(SavedProfile::merge(merged));
+            let replicas = outcomes.iter().map(|o| &o.profile[..]);
+            self.profile = merge_profiles(std::iter::once(&*self.profile).chain(replicas)).into();
         }
         while self.partials.len() < PHASES.len() {
             let phase = self.partials.len();
@@ -215,7 +213,7 @@ impl<'a> Tenant<'a> {
 
     /// Step 1 of `phase`; the server's activity counts in that phase.
     fn compile_batch(&mut self, phase: usize) {
-        if self.profile.traces.is_empty() {
+        if self.profile.is_empty() {
             return;
         }
         let cfg = replica_config();
@@ -322,7 +320,7 @@ pub fn run_fleet_timed(cfg: &FleetConfig, pool: &JobPool) -> (FleetReport, Sweep
         merged_traces: names
             .iter()
             .zip(&tenants)
-            .map(|(name, t)| (name.clone(), t.profile.traces.len() as u64))
+            .map(|(name, t)| (name.clone(), t.profile.len() as u64))
             .collect(),
         counters: counters.into_iter().map(|(name, v)| (name.to_string(), v)).collect(),
         phases,
@@ -348,7 +346,7 @@ mod tests {
             profile: Arc::default(),
         });
         let mut tenant = Tenant::new(&program, usize::MAX);
-        tenant.profile = Arc::new(cold.profile);
+        tenant.profile = cold.profile.into();
         tenant.pending = cold.server.requests;
         tenant.partials.push(PhaseReport::default());
         tenant.compile_batch(0);

@@ -1,7 +1,8 @@
 //! # aoci-json — minimal JSON tree, parser and writer
 //!
-//! The workspace persists profiles (`aoci-profile::SavedProfile`) and the
-//! benchmark measurement grid (`aoci-bench`) as JSON. The build environment
+//! The workspace writes its reports, traces, metrics, the fleet report,
+//! the fuzz corpus and the benchmark measurement grid (`aoci-bench`) as
+//! JSON. The build environment
 //! has no crates.io access, so instead of `serde`/`serde_json` this crate
 //! provides a small self-contained JSON [`Value`] with a strict parser and
 //! a pretty printer. Conversions to and from domain types are written by

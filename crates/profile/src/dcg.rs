@@ -153,18 +153,6 @@ impl Dcg {
         out
     }
 
-    /// Aggregated weight of the context-insensitive edge `site ⇒ callee`
-    /// (i.e. summed over all longer contexts sharing that immediate edge).
-    pub fn edge_weight(&self, site: CallSiteRef, callee: MethodId) -> f64 {
-        self.entries
-            .iter()
-            .filter(|(k, _)| {
-                k.depth() > 0 && k.immediate_caller() == site && k.callee() == callee
-            })
-            .map(|(_, &w)| w)
-            .sum()
-    }
-
     /// Iterates over all `(trace, weight)` entries in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&TraceKey, f64)> {
         self.entries.iter().map(|(k, &w)| (k, w))
@@ -292,7 +280,7 @@ mod tests {
         assert_eq!(insensitive.hot(0.3).len(), 1);
         assert!(sensitive.hot(0.3).is_empty());
         // But the aggregated edge view still sees the full weight.
-        assert!((sensitive.edge_weight(cs(0, 0), mid(1)) - 4.0).abs() < 1e-12);
+        assert!((sensitive.site_distribution(cs(0, 0))[&mid(1)] - 4.0).abs() < 1e-12);
     }
 
     #[test]

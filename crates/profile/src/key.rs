@@ -1,6 +1,7 @@
 //! Trace keys: the unit of profile data.
 
 use aoci_ir::{CallSiteRef, MethodId};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -14,8 +15,8 @@ use std::sync::Arc;
 /// **root edge**: weight observed for a method with no recorded caller
 /// (e.g. a program entry point in an aggregated fleet profile). Root edges
 /// never arise from the online trace listener — it always records at least
-/// the immediate caller — but saved profiles must round-trip them
-/// losslessly, so every consumer that needs a caller edge checks
+/// the immediate caller — but merged profiles must keep them (see
+/// [`merge_profiles`]), so every consumer that needs a caller edge checks
 /// [`TraceKey::depth`] before calling [`TraceKey::immediate_caller`].
 ///
 /// The context is a shared slice: the DCG, the hot list, the rules and the
@@ -110,6 +111,26 @@ impl fmt::Display for TraceKey {
     }
 }
 
+/// Merges trace profiles by summing the weights of identical keys.
+///
+/// The result is canonical: one entry per distinct key, sorted by key
+/// (callee, then the context's `(method, site)` pairs innermost first),
+/// duplicates within one input combined too. A key's weights are summed in
+/// input order, so the same inputs in the same order give the same bits.
+/// Up to float rounding the merge is commutative and associative and
+/// conserves total weight; with integer-valued weights it is exact.
+pub fn merge_profiles<'a>(
+    profiles: impl IntoIterator<Item = &'a [(TraceKey, f64)]>,
+) -> Vec<(TraceKey, f64)> {
+    let mut acc: BTreeMap<TraceKey, f64> = BTreeMap::new();
+    for profile in profiles {
+        for (key, weight) in profile {
+            *acc.entry(key.clone()).or_insert(0.0) += weight;
+        }
+    }
+    acc.into_iter().collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,7 +215,7 @@ mod tests {
     #[test]
     fn display_and_order_are_those_of_the_vec_representation() {
         // Sorted and printed by the parent of the shared-slice context:
-        // `SavedProfile` order and every rendered trace depend on both.
+        // `merge_profiles` order and every rendered trace depend on both.
         let mut keys = [
             TraceKey::new(mid(9), vec![cs(1, 0), cs(2, 1), cs(3, 2)]),
             TraceKey::edge(cs(4, 7), mid(5)),
@@ -218,5 +239,50 @@ mod tests {
     fn display_reads_outermost_first() {
         let k = TraceKey::new(mid(9), vec![cs(1, 0), cs(2, 1)]);
         assert_eq!(k.to_string(), "m2@1 => m1@0 => m9");
+    }
+
+    #[test]
+    fn merge_sums_weights_and_canonicalizes() {
+        let a = [
+            (TraceKey::edge(cs(1, 0), mid(2)), 3.0),
+            (TraceKey::root(mid(1)), 1.0),
+        ];
+        let b = [
+            (TraceKey::edge(cs(1, 0), mid(2)), 2.0),
+            (TraceKey::new(mid(2), vec![cs(1, 0), cs(4, 2)]), 5.0),
+        ];
+        let merged = merge_profiles([&a[..], &b[..]]);
+        assert_eq!(
+            merged,
+            [
+                (TraceKey::root(mid(1)), 1.0),
+                (TraceKey::edge(cs(1, 0), mid(2)), 5.0),
+                (TraceKey::new(mid(2), vec![cs(1, 0), cs(4, 2)]), 5.0),
+            ]
+        );
+        let total = |p: &[(TraceKey, f64)]| p.iter().map(|(_, w)| w).sum::<f64>();
+        assert_eq!(total(&merged), total(&a) + total(&b));
+    }
+
+    #[test]
+    fn merge_combines_duplicates_within_one_input() {
+        let k = TraceKey::edge(cs(0, 1), mid(5));
+        let one = [(k.clone(), 2.0), (TraceKey::edge(cs(0, 0), mid(5)), 1.0), (k.clone(), 7.5)];
+        let merged = merge_profiles([&one[..]]);
+        assert_eq!(merged, [(TraceKey::edge(cs(0, 0), mid(5)), 1.0), (k, 9.5)]);
+    }
+
+    #[test]
+    fn merge_keeps_depth_zero_keys() {
+        // A depth-0 key is a valid root edge, not corruption: dropping it
+        // would lose all root-edge weight on every warm start.
+        let root = [(TraceKey::root(mid(1)), 1.5)];
+        assert_eq!(merge_profiles([&root[..], &root[..]]), [(TraceKey::root(mid(1)), 3.0)]);
+    }
+
+    #[test]
+    fn empty_merge_is_empty() {
+        assert!(merge_profiles([]).is_empty());
+        assert!(merge_profiles([&[][..], &[][..]]).is_empty());
     }
 }

@@ -33,12 +33,10 @@ mod dcg;
 mod key;
 mod listeners;
 mod sanitize;
-mod saved;
 mod stats;
 
 pub use dcg::{Dcg, DcgConfig, HotTrace};
-pub use key::TraceKey;
+pub use key::{merge_profiles, TraceKey};
 pub use listeners::{EdgeListener, MethodListener, TraceListener};
 pub use sanitize::{validate_trace, TraceDefect};
-pub use saved::{IndexOverflow, SavedProfile, SavedTrace};
 pub use stats::{DepthHistogram, TraceStatsCollector, TraceStatsReport};

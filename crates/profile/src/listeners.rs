@@ -47,8 +47,6 @@ pub struct EdgeListener {
     buffer: Vec<TraceKey>,
     /// The walk of the sample in hand; only the key copies out of it.
     context: Vec<CallSiteRef>,
-    /// Samples inspected (prologue or not) — overhead accounting.
-    samples_seen: u64,
     /// Prologue samples actually recorded.
     samples_recorded: u64,
 }
@@ -63,7 +61,6 @@ impl EdgeListener {
     /// at least one caller. Returns the number of stack frames inspected
     /// (for listener-cost accounting).
     pub fn on_sample(&mut self, snapshot: &StackSnapshot) -> usize {
-        self.samples_seen += 1;
         if !snapshot.top_in_prologue {
             return 0;
         }
@@ -87,11 +84,6 @@ impl EdgeListener {
         self.buffer.drain(..)
     }
 
-    /// Total samples inspected.
-    pub fn samples_seen(&self) -> u64 {
-        self.samples_seen
-    }
-
     /// Prologue samples recorded as edges.
     pub fn samples_recorded(&self) -> u64 {
         self.samples_recorded
@@ -109,7 +101,6 @@ pub struct TraceListener {
     buffer: Vec<TraceKey>,
     /// The walk of the sample in hand; only the key copies out of it.
     context: Vec<CallSiteRef>,
-    samples_seen: u64,
     samples_recorded: u64,
     frames_walked: u64,
     trace: Option<TraceSink>,
@@ -138,7 +129,6 @@ impl TraceListener {
         max_context: usize,
         keep_extending: impl FnMut(MethodId) -> bool,
     ) -> usize {
-        self.samples_seen += 1;
         if !snapshot.top_in_prologue {
             return 0;
         }
@@ -169,11 +159,6 @@ impl TraceListener {
     /// for the next period's samples.
     pub fn drain(&mut self) -> std::vec::Drain<'_, TraceKey> {
         self.buffer.drain(..)
-    }
-
-    /// Total samples inspected.
-    pub fn samples_seen(&self) -> u64 {
-        self.samples_seen
     }
 
     /// Prologue samples recorded as traces.
@@ -238,7 +223,6 @@ mod tests {
             edges[0].immediate_caller(),
             CallSiteRef::new(mid(2), SiteIdx(1))
         );
-        assert_eq!(l.samples_seen(), 2);
         assert_eq!(l.samples_recorded(), 1);
     }
 
@@ -278,7 +262,6 @@ mod tests {
         let walked = l.on_sample(&snapshot(false, &[4, 3]), 5, |_| true);
         assert_eq!(walked, 0);
         assert_eq!(l.buffered(), 0);
-        assert_eq!(l.samples_seen(), 1);
         assert_eq!(l.samples_recorded(), 0);
     }
 }

@@ -1,8 +1,9 @@
 //! Profile sanitization: the validation gate at the profile-store boundary.
 //!
 //! Profile data flows into the dynamic call graph from several producers
-//! (the online trace listener, offline [`SavedProfile`](crate::SavedProfile)
-//! files, and — in fault-injection runs — a deliberately hostile injector).
+//! (the online trace listener, seeded profiles — a training run's, or a
+//! fleet's [`merge_profiles`](crate::merge_profiles) result — and, in
+//! fault-injection runs, a deliberately hostile injector).
 //! A malformed trace that reaches the DCG poisons everything downstream:
 //! rules form over non-existent methods, the missing-edge organizer requests
 //! impossible compilations, and weights of `NaN` make every hot-threshold

@@ -45,4 +45,4 @@ pub use event::{
     CompileStats, DecisionProvenance, FaultKind, FinishCycles, InlineFacts, OsrDenyReason,
     PlanReason, RefusalReason, StaleReason, TraceEvent,
 };
-pub use recorder::{FlightRecorder, Recorded, TraceConfig, TraceLog, TraceSink};
+pub use recorder::{Recorded, TraceConfig, TraceLog, TraceSink};

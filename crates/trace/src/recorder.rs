@@ -45,7 +45,7 @@ impl Recorded {
 
 /// The fixed-capacity ring buffer behind a [`TraceSink`].
 #[derive(Debug)]
-pub struct FlightRecorder {
+pub(crate) struct FlightRecorder {
     config: TraceConfig,
     ring: VecDeque<Recorded>,
     emitted: u64,
@@ -55,13 +55,13 @@ pub struct FlightRecorder {
 impl FlightRecorder {
     /// Creates an empty recorder. The ring grows on demand up to the
     /// configured capacity: most runs emit far fewer events than that.
-    pub fn new(config: TraceConfig) -> Self {
+    fn new(config: TraceConfig) -> Self {
         FlightRecorder { config, ring: VecDeque::new(), emitted: 0, dropped: 0 }
     }
 
     /// Records `event` at simulated cycle `cycle`, evicting the oldest
     /// entry when the ring is full.
-    pub fn emit(&mut self, cycle: u64, event: TraceEvent) {
+    fn emit(&mut self, cycle: u64, event: TraceEvent) {
         self.emitted += 1;
         if self.config.capacity == 0 {
             self.dropped += 1;
@@ -74,18 +74,8 @@ impl FlightRecorder {
         self.ring.push_back(Recorded { cycle, event });
     }
 
-    /// Events emitted over the recorder's lifetime (including dropped ones).
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    /// Events evicted from the ring.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Snapshots the retained events and counters into an owned log.
-    pub fn log(&self) -> TraceLog {
+    fn log(&self) -> TraceLog {
         TraceLog {
             events: self.ring.iter().cloned().collect(),
             emitted: self.emitted,
@@ -95,14 +85,14 @@ impl FlightRecorder {
 
     /// Consumes the recorder into an owned log: the ring's storage moves
     /// into [`TraceLog::events`] (shrunk to fit) instead of being copied.
-    pub fn into_log(self) -> TraceLog {
+    fn into_log(self) -> TraceLog {
         let mut events = Vec::from(self.ring);
         events.shrink_to_fit();
         TraceLog { events, emitted: self.emitted, dropped: self.dropped }
     }
 }
 
-/// A cheaply-cloneable handle to one [`FlightRecorder`], shared by every
+/// A cheaply-cloneable handle to one flight-recorder ring, shared by every
 /// emitting layer (VM, listeners, driver) of a single-threaded AOS run.
 ///
 /// Emitting through the sink charges **no simulated cycles** and touches no
@@ -272,9 +262,9 @@ mod tests {
     fn zero_capacity_drops_everything() {
         let mut r = FlightRecorder::new(TraceConfig { capacity: 0 });
         r.emit(1, tick(0));
-        assert_eq!(r.emitted(), 1);
-        assert_eq!(r.dropped(), 1);
-        assert!(r.log().events.is_empty());
+        let log = r.log();
+        assert_eq!((log.emitted, log.dropped), (1, 1));
+        assert!(log.events.is_empty());
     }
 
     #[test]

@@ -34,11 +34,6 @@ impl Value {
         }
     }
 
-    /// Returns `true` if the value is null.
-    pub fn is_null(self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Equality as the VM's `eq`/`ne` conditions see it: integers by value,
     /// references by identity, null equal only to null, and mixed kinds
     /// unequal.
@@ -77,7 +72,7 @@ mod tests {
     fn accessors() {
         assert_eq!(Value::Int(5).as_int(), Some(5));
         assert_eq!(Value::Null.as_int(), None);
-        assert!(Value::Null.is_null());
+        assert_eq!(Value::Null.as_ref(), None);
         let r = ObjRef(3);
         assert_eq!(Value::Ref(r).as_ref(), Some(r));
     }

@@ -4,14 +4,13 @@
 //! profile data in a *training run* and feeds it to the compiler for the
 //! production run. This example does both on the `mtrt` workload:
 //!
-//! 1. **training run** — a context-sensitive online run; its trace profile
-//!    is serialized to JSON ([`SavedProfile`]);
-//! 2. **offline-profiled run** — a fresh run seeded with the saved profile:
-//!    rules form at the first organizer tick, so hot methods compile with
-//!    good inlining decisions without an online warm-up;
+//! 1. **training run** — a context-sensitive online run; its final trace
+//!    profile comes back from [`AosSystem::run_full`];
+//! 2. **offline-profiled run** — a fresh run seeded with that profile
+//!    ([`AosSystem::seed_profile`], handed over in memory): rules form at
+//!    the first organizer tick, so hot methods compile with good inlining
+//!    decisions without an online warm-up;
 //! 3. **cold online run** — the baseline for comparison.
-//!
-//! [`SavedProfile`]: aoci_profile::SavedProfile
 //!
 //! ```sh
 //! cargo run --release -p examples --bin offline_profile
@@ -19,29 +18,24 @@
 
 use aoci_aos::{AosConfig, AosSystem};
 use aoci_core::PolicyKind;
-use aoci_profile::SavedProfile;
 use aoci_workloads::{build, spec_by_name};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let w = build(&spec_by_name("mtrt").expect("suite workload"));
     let policy = PolicyKind::Fixed { max: 3 };
 
-    // 1. Training run: collect and serialize the profile.
+    // 1. Training run: collect the profile.
     let (train_report, _, profile) =
         AosSystem::new(&w.program, AosConfig::new(policy)).run_full()?;
-    let saved = SavedProfile::from_entries(profile.iter().map(|(k, w)| (k, *w)))?;
-    let json = saved.to_json()?;
     println!(
-        "training run : {} cycles, {} traces saved ({} bytes of JSON)",
+        "training run : {} cycles, {} traces profiled",
         train_report.total_cycles(),
-        saved.traces.len(),
-        json.len()
+        profile.len()
     );
 
     // 2. Offline-profiled production run.
-    let restored = SavedProfile::from_json(&json)?;
     let mut seeded = AosSystem::new(&w.program, AosConfig::new(policy));
-    seeded.seed_profile(restored.entries());
+    seeded.seed_profile(profile);
     let offline = seeded.run()?;
 
     // 3. Cold online run.

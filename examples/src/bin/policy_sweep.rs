@@ -22,7 +22,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut policies = vec![PolicyKind::ContextInsensitive];
     policies.extend(PolicyKind::evaluated(max));
-    policies.push(PolicyKind::IdealApprox { max });
     policies.push(PolicyKind::AdaptiveResolving { max });
 
     println!(

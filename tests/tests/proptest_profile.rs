@@ -1,8 +1,8 @@
 //! Property-based tests on the profiling data structures: trace keys,
-//! the dynamic call graph and rule-set queries.
+//! the dynamic call graph, rule-set queries and the fleet's profile merge.
 
 use aoci_ir::{CallSiteRef, MethodId, SiteIdx};
-use aoci_profile::{Dcg, DcgConfig, TraceKey};
+use aoci_profile::{merge_profiles, Dcg, DcgConfig, TraceKey};
 use aoci_core::{InlineOracle, MatchMode, RuleSet};
 use proptest::prelude::*;
 
@@ -182,73 +182,34 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// SavedProfile: lossless round-trip and fleet-merge laws.
+// merge_profiles: the fleet-merge laws.
 // ---------------------------------------------------------------------------
 
-use aoci_profile::SavedProfile;
-
-/// Call sites whose method indices include the u32 extreme, exercising the
-/// wire format's full range.
-fn wire_cs_strategy() -> impl Strategy<Value = CallSiteRef> {
-    (prop_oneof![0usize..8, Just(u32::MAX as usize)], 0u16..4)
-        .prop_map(|(m, s)| CallSiteRef::new(MethodId::from_index(m), SiteIdx(s)))
-}
-
-/// Trace keys including depth-0 (empty-context root edges) and max-index
-/// methods — the two shapes the historical `entries()`/`from_entries`
-/// bugs lost or truncated.
-fn wire_key_strategy() -> impl Strategy<Value = TraceKey> {
-    (
-        prop_oneof![0usize..8, Just(u32::MAX as usize)],
-        prop::collection::vec(wire_cs_strategy(), 0..4),
-    )
+/// Trace keys including depth-0 (empty-context root edges), which a merge
+/// must keep.
+fn merge_key_strategy() -> impl Strategy<Value = TraceKey> {
+    (0usize..8, prop::collection::vec(cs_strategy(), 0..4))
         .prop_map(|(callee, ctx)| TraceKey::new(MethodId::from_index(callee), ctx))
 }
 
 /// Profiles with integer-valued weights, so merge arithmetic is exact and
 /// the laws below can assert bitwise equality.
-fn profile_strategy() -> impl Strategy<Value = SavedProfile> {
-    prop::collection::vec((wire_key_strategy(), 1u32..1_000), 0..16).prop_map(|entries| {
-        SavedProfile::from_entries(entries.iter().map(|(k, w)| (k, f64::from(*w))))
-            .expect("u32 indices fit the wire format")
+fn profile_strategy() -> impl Strategy<Value = Vec<(TraceKey, f64)>> {
+    prop::collection::vec((merge_key_strategy(), 1u32..1_000), 0..16).prop_map(|entries| {
+        entries.into_iter().map(|(k, w)| (k, f64::from(w))).collect()
     })
 }
 
-fn sorted_entries(p: &SavedProfile) -> Vec<(TraceKey, f64)> {
-    let mut e = p.entries();
-    e.sort_by(|a, b| a.0.cmp(&b.0));
-    e
-}
-
-fn total_weight(p: &SavedProfile) -> f64 {
-    p.traces.iter().map(|t| t.weight).sum()
+fn total_weight(p: &[(TraceKey, f64)]) -> f64 {
+    p.iter().map(|(_, w)| w).sum()
 }
 
 proptest! {
-    /// `entries -> from_entries -> to_json -> from_json -> entries` is the
-    /// identity, including empty-context (depth-0) keys and `u32::MAX`
-    /// method indices. Integer weights survive the JSON float format
-    /// exactly.
-    #[test]
-    fn saved_profile_round_trips_losslessly(
-        entries in prop::collection::vec((wire_key_strategy(), 1u32..1_000), 0..16),
-    ) {
-        let original: Vec<(TraceKey, f64)> =
-            entries.iter().map(|(k, w)| (k.clone(), f64::from(*w))).collect();
-        let saved = SavedProfile::from_entries(original.iter().map(|(k, w)| (k, *w)))
-            .expect("u32 indices fit the wire format");
-        let json = saved.to_json().expect("serializable");
-        let restored = SavedProfile::from_json(&json).expect("own output parses");
-        prop_assert_eq!(restored.entries(), original);
-    }
-
     /// Fleet merge is commutative: replica arrival order cannot change the
     /// aggregated profile.
     #[test]
     fn merge_is_commutative(a in profile_strategy(), b in profile_strategy()) {
-        let ab = SavedProfile::merge([&a, &b]);
-        let ba = SavedProfile::merge([&b, &a]);
-        prop_assert_eq!(sorted_entries(&ab), sorted_entries(&ba));
+        prop_assert_eq!(merge_profiles([&a[..], &b[..]]), merge_profiles([&b[..], &a[..]]));
     }
 
     /// Fleet merge is associative: phase-by-phase accumulation equals one
@@ -259,11 +220,11 @@ proptest! {
         b in profile_strategy(),
         c in profile_strategy(),
     ) {
-        let left = SavedProfile::merge([&SavedProfile::merge([&a, &b]), &c]);
-        let right = SavedProfile::merge([&a, &SavedProfile::merge([&b, &c])]);
-        let flat = SavedProfile::merge([&a, &b, &c]);
-        prop_assert_eq!(sorted_entries(&left), sorted_entries(&right));
-        prop_assert_eq!(sorted_entries(&left), sorted_entries(&flat));
+        let left = merge_profiles([&merge_profiles([&a[..], &b[..]])[..], &c[..]]);
+        let right = merge_profiles([&a[..], &merge_profiles([&b[..], &c[..]])[..]]);
+        let flat = merge_profiles([&a[..], &b[..], &c[..]]);
+        prop_assert_eq!(&left, &right);
+        prop_assert_eq!(&left, &flat);
     }
 
     /// Fleet merge conserves total weight exactly (integer weights) and
@@ -272,12 +233,11 @@ proptest! {
     fn merge_conserves_weight_and_canonicalizes(
         profiles in prop::collection::vec(profile_strategy(), 0..5),
     ) {
-        let merged = SavedProfile::merge(profiles.iter());
-        let expected: f64 = profiles.iter().map(total_weight).sum();
+        let merged = merge_profiles(profiles.iter().map(Vec::as_slice));
+        let expected: f64 = profiles.iter().map(|p| total_weight(p)).sum();
         prop_assert_eq!(total_weight(&merged), expected);
-        let keys: Vec<TraceKey> = merged.entries().into_iter().map(|(k, _)| k).collect();
-        for pair in keys.windows(2) {
-            prop_assert!(pair[0] < pair[1], "canonical output is sorted and duplicate-free");
+        for pair in merged.windows(2) {
+            prop_assert!(pair[0].0 < pair[1].0, "canonical output is sorted and duplicate-free");
         }
     }
 }
