@@ -167,9 +167,17 @@ impl AosDatabase {
         self.record(method).is_some_and(|r| r.recompiles > 0 && !r.invalidated)
     }
 
-    /// Methods currently holding an optimized version, in index order.
-    pub fn optimized_methods(&self) -> impl Iterator<Item = MethodId> + '_ {
-        (0..self.records.len()).map(MethodId::from_index).filter(|&m| self.is_optimized(m))
+    /// Returns `true` if `method`'s current optimized version holds at
+    /// least one guarded inline: the only code whose guards can thrash. An
+    /// invalidated version holds none.
+    pub(crate) fn is_guarded(&self, method: MethodId) -> bool {
+        self.record(method).is_some_and(|r| !r.guarded.is_empty())
+    }
+
+    /// Methods whose current optimized version holds a guarded inline, in
+    /// index order.
+    pub(crate) fn guarded_methods(&self) -> impl Iterator<Item = MethodId> + '_ {
+        (0..self.records.len()).map(MethodId::from_index).filter(|&m| self.is_guarded(m))
     }
 
     /// Records that `method`'s optimized version was invalidated (guard
@@ -341,16 +349,19 @@ mod tests {
             250,
         );
         assert!(db.is_optimized(mid(0)));
+        assert_eq!(db.guarded_methods().collect::<Vec<_>>(), [mid(0)]);
         db.record_invalidation(mid(0), false);
         assert!(!db.is_optimized(mid(0)), "invalidated ⇒ not currently optimized");
         assert!(db.thrashed().is_empty(), "injected misses record no thrash");
         assert!(!db.has_inlined(mid(0), cs(0, 0), mid(1)), "inline set cleared");
         assert_eq!(db.recompiles(mid(0)), 1, "compile history survives");
-        assert_eq!(db.optimized_methods().count(), 0);
-        // A fresh compilation restores currently-optimized status.
+        assert_eq!(db.guarded_methods().count(), 0);
+        // A fresh compilation restores currently-optimized status; with no
+        // guarded inline, the version has no guard to judge.
         db.record_compilation(mid(0), &compilation(vec![], vec![]), 2, 900);
         assert!(db.is_optimized(mid(0)));
-        assert_eq!(db.optimized_methods().count(), 1);
+        assert!(!db.is_guarded(mid(0)));
+        assert_eq!(db.guarded_methods().count(), 0);
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //!   call-site indices, or NaN / negative weights;
 //! * **sampler dropouts** — a timer sample is lost before the listeners
 //!   see it;
-//! * **receiver bursts** — an adversarial phase shift floods an optimized
-//!   method's inline guards with miss-path receivers, forcing guard thrash.
+//! * **receiver bursts** — an adversarial phase shift floods the inline
+//!   guards of a method whose optimized version holds a guarded inline with
+//!   miss-path receivers, forcing guard thrash. Code without a guard is
+//!   never a victim: it has no guard to flood.
 //!
 //! Everything is deterministic for a given [`FaultConfig::seed`]: the same
 //! configuration over the same program produces the same fault schedule,
@@ -46,7 +48,8 @@ pub struct FaultConfig {
     /// Probability that a timer sample is dropped before the listeners.
     pub sampler_dropout_prob: f64,
     /// Probability (per sample) of an adversarial receiver burst of 96
-    /// synthetic guard misses against one currently-optimized method.
+    /// synthetic guard misses against one method whose current optimized
+    /// version holds a guarded inline.
     pub receiver_burst_prob: f64,
 }
 
@@ -148,7 +151,8 @@ impl FaultInjector {
 
     /// Consulted once per timer sample: deliver a receiver burst? Returns
     /// the number of synthetic guard misses and a selector value used to
-    /// pick the victim among currently-optimized methods.
+    /// pick the victim among the methods whose current optimized version
+    /// holds a guarded inline.
     pub fn receiver_burst(&mut self) -> Option<(u64, u64)> {
         // Unlike the other classes, bursts skip their draw while off, as
         // they always have: profiles without bursts keep their schedules.

@@ -33,8 +33,8 @@ pub struct RecoveryEvents {
     pub injected_corrupt_traces: u64,
     /// Timer samples lost to injected sampler dropout.
     pub dropped_samples: u64,
-    /// Adversarial receiver bursts fired, whether or not an optimized
-    /// method was there to take the misses.
+    /// Adversarial receiver bursts fired, whether or not a method with a
+    /// guarded inline was there to take the misses.
     pub receiver_bursts: u64,
     /// When flight-recorder tracing is on: the rendered last-N events as of
     /// the most recent recovery action — the automatic post-mortem context

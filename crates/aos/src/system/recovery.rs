@@ -46,8 +46,10 @@ impl AosSystem<'_> {
     }
 
     /// Delivers an injected receiver burst: synthetic guard misses against
-    /// one deterministically-selected currently-optimized method. The burst
-    /// is an injected fault as soon as it fires, victim or not.
+    /// one deterministically-selected method whose current optimized
+    /// version holds a guarded inline — code without a guard has none to
+    /// flood. The burst is an injected fault as soon as it fires, victim or
+    /// not.
     pub(super) fn deliver_receiver_burst(&mut self) {
         let Some((misses, selector)) = self.fault.as_mut().and_then(|f| f.receiver_burst())
         else {
@@ -55,21 +57,23 @@ impl AosSystem<'_> {
         };
         self.emit(TraceEvent::FaultInjected { kind: FaultKind::ReceiverBurst });
         // In index order, which is what `selector` picks from.
-        let victims: Vec<MethodId> = self.db.optimized_methods().collect();
+        let victims: Vec<MethodId> = self.db.guarded_methods().collect();
         if victims.is_empty() {
-            return; // burst fired before anything was optimized: no target
+            return; // no guarded code installed yet: no target
         }
         let victim = victims[(selector % victims.len() as u64) as usize];
         self.methods[victim.index()].synthetic_misses += misses;
     }
 
-    /// Scans every currently-optimized method's guard-observation window;
-    /// a miss rate above the threshold (over enough checks) invalidates the
-    /// optimized version — the method falls back to baseline at its next
-    /// invocation, while any in-flight activation of the invalidated version
-    /// finishes on it, OSR or not. The window reads the method's guard
-    /// counters, not the version's, so such an activation's misses also
-    /// count against the method's next version.
+    /// Scans the guard-observation window of every method whose current
+    /// optimized version holds a guarded inline; a miss rate above the
+    /// threshold (over enough checks) invalidates that version — the method
+    /// falls back to baseline at its next invocation, while any in-flight
+    /// activation of the invalidated version finishes on it, OSR or not. A
+    /// version without a guarded inline is never judged: it runs no guard,
+    /// so it cannot thrash one. The window reads the method's guard
+    /// counters, not the version's, so a stale activation's misses still
+    /// count against a next version that keeps a guarded inline.
     ///
     /// Windows *roll*: once a window accumulates enough checks it is judged
     /// and then reset, so a phase shift is detected from the post-shift
@@ -80,7 +84,7 @@ impl AosSystem<'_> {
         }
         // In index order; an invalidation only ever touches its own method.
         for m in (0..self.methods.len()).map(MethodId::from_index) {
-            if !self.db.is_optimized(m) {
+            if !self.db.is_guarded(m) {
                 continue;
             }
             let stats = self.vm.guard_stats(m);

@@ -32,10 +32,10 @@ pub struct RuleSet {
 
 impl RuleSet {
     /// A content fingerprint over the rule *traces* (weights excluded, so
-    /// ordinary weight drift does not change the fingerprint). The AOS
-    /// database stores the fingerprint each method was compiled under; the
-    /// missing-edge organizer only reconsiders a method when the rules have
-    /// actually changed since.
+    /// ordinary weight drift does not change the fingerprint). The fleet's
+    /// compile server takes it as its rules generation
+    /// (`CompileServer::set_generation`): a changed fingerprint clears the
+    /// cache.
     pub fn fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut keys: Vec<&TraceKey> = self.iter().map(|r| &r.trace).collect();

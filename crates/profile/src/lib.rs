@@ -8,12 +8,12 @@
 //!   variable-length chain of ⟨caller, callsite⟩ pairs (innermost caller
 //!   first). Length-1 contexts are the classic context-insensitive call
 //!   edges of Equation 1.
-//! * [`MethodListener`], [`EdgeListener`], [`TraceListener`] — consume
-//!   [`StackSnapshot`]s. The method listener feeds hot-method detection; the
-//!   edge and trace listeners record only *prologue* samples, as in Jikes
-//!   RVM. The trace listener accepts a per-sample maximum depth and an
-//!   early-termination predicate, which is how the `aoci-core` policies plug
-//!   in without this crate depending on them.
+//! * [`MethodListener`], [`TraceListener`] — consume [`StackSnapshot`]s.
+//!   The method listener feeds hot-method detection; the trace listener
+//!   records only *prologue* samples, as in Jikes RVM. It accepts a
+//!   per-sample maximum depth and an early-termination predicate, which is
+//!   how the `aoci-core` policies plug in without this crate depending on
+//!   them; at depth 1 it records the call edges of Equation 1.
 //! * [`Dcg`] — weighted trace store with decay (phase-shift adaptation) and
 //!   hot extraction against a total-weight threshold (1.5% in the paper).
 //!   Collection does **not** merge partial matches (the paper's hybrid
@@ -37,6 +37,6 @@ mod stats;
 
 pub use dcg::{Dcg, DcgConfig, HotTrace};
 pub use key::{merge_profiles, TraceKey};
-pub use listeners::{EdgeListener, MethodListener, TraceListener};
+pub use listeners::{MethodListener, TraceListener};
 pub use sanitize::{validate_trace, TraceDefect};
 pub use stats::{DepthHistogram, TraceStatsCollector, TraceStatsReport};

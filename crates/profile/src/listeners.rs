@@ -1,9 +1,9 @@
-//! Sample listeners: method, edge and trace.
+//! Sample listeners: method and trace.
 //!
 //! Listeners mirror the Jikes RVM architecture (paper Figure 3): each holds
 //! a buffer of raw samples that an organizer periodically drains. The VM
-//! invokes them with a [`StackSnapshot`] at every timer sample; edge and
-//! trace listeners only record samples that landed in a method prologue.
+//! invokes them with a [`StackSnapshot`] at every timer sample; the trace
+//! listener only records samples that landed in a method prologue.
 
 use crate::key::TraceKey;
 use aoci_ir::{CallSiteRef, MethodId};
@@ -40,58 +40,8 @@ impl MethodListener {
     }
 }
 
-/// Records context-insensitive call edges ⟨caller, callsite, callee⟩ from
-/// prologue samples (paper Equation 1).
-#[derive(Clone, Debug, Default)]
-pub struct EdgeListener {
-    buffer: Vec<TraceKey>,
-    /// The walk of the sample in hand; only the key copies out of it.
-    context: Vec<CallSiteRef>,
-    /// Prologue samples actually recorded.
-    samples_recorded: u64,
-}
-
-impl EdgeListener {
-    /// Creates an empty listener.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes one sample; records an edge only for prologue samples with
-    /// at least one caller. Returns the number of stack frames inspected
-    /// (for listener-cost accounting).
-    pub fn on_sample(&mut self, snapshot: &StackSnapshot) -> usize {
-        if !snapshot.top_in_prologue {
-            return 0;
-        }
-        if let Some(callee) = snapshot.call_trace(1, |_| true, &mut self.context) {
-            self.buffer.push(TraceKey::new(callee, &self.context[..]));
-            self.samples_recorded += 1;
-            2
-        } else {
-            1
-        }
-    }
-
-    /// Number of buffered samples.
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// Drains the buffer (organizer side); the buffer keeps its allocation
-    /// for the next period's samples.
-    pub fn drain(&mut self) -> std::vec::Drain<'_, TraceKey> {
-        self.buffer.drain(..)
-    }
-
-    /// Prologue samples recorded as edges.
-    pub fn samples_recorded(&self) -> u64 {
-        self.samples_recorded
-    }
-}
-
-/// Records variable-length call traces (paper Equation 2); the
-/// context-sensitive replacement for [`EdgeListener`].
+/// Records variable-length call traces (paper Equation 2); at depth 1
+/// they are the context-insensitive call edges of Equation 1.
 ///
 /// The maximum context depth and the early-termination predicate are
 /// supplied per sample by the embedding driver, which owns the
@@ -210,30 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn edge_listener_requires_prologue() {
-        let mut l = EdgeListener::new();
-        l.on_sample(&snapshot(false, &[3, 2, 1]));
-        assert_eq!(l.buffered(), 0);
-        l.on_sample(&snapshot(true, &[3, 2, 1]));
-        let edges: Vec<_> = l.drain().collect();
-        assert_eq!(edges.len(), 1);
-        assert_eq!(edges[0].depth(), 1);
-        assert_eq!(edges[0].callee(), mid(3));
-        assert_eq!(
-            edges[0].immediate_caller(),
-            CallSiteRef::new(mid(2), SiteIdx(1))
-        );
-        assert_eq!(l.samples_recorded(), 1);
-    }
-
-    #[test]
-    fn edge_listener_skips_bottom_frame() {
-        let mut l = EdgeListener::new();
-        l.on_sample(&snapshot(true, &[7])); // no caller
-        assert_eq!(l.buffered(), 0);
-    }
-
-    #[test]
     fn trace_listener_collects_variable_depth() {
         let mut l = TraceListener::new();
         l.on_sample(&snapshot(true, &[4, 3, 2, 1]), 2, |_| true);
@@ -254,6 +180,14 @@ mod tests {
         let traces: Vec<_> = l.drain().collect();
         assert_eq!(traces[0].depth(), 1);
         assert_eq!(traces[1].depth(), 2);
+    }
+
+    #[test]
+    fn trace_listener_skips_bottom_frame() {
+        let mut l = TraceListener::new();
+        l.on_sample(&snapshot(true, &[7]), 1, |_| true); // no caller
+        assert_eq!(l.buffered(), 0);
+        assert_eq!(l.samples_recorded(), 0);
     }
 
     #[test]

@@ -104,14 +104,9 @@ fn metered_report_serializes_identically() {
     );
 }
 
-/// One metered run with every opt-in path on, whose three exports are
-/// folded into a literal printed by this body at the commit *before* the
-/// time series became value rows over shared name tables (one owned
-/// `BTreeMap` snapshot per epoch then), and re-pinned twice since: when the
-/// always-zero `osr_exits` series left the exports (the only bytes that
-/// moved: its JSONL key and its two Prometheus lines), and when an
-/// invalidation's recompile became immediate and an install began to end a
-/// method's retry backoff (the run itself moved). Its 14 epochs see
+/// One metered chaos run (small `compress`, OSR and background compiles
+/// on) whose three exports are folded into one literal: a change to what
+/// the run does or to how a series renders moves it. Its 14 epochs see
 /// names first recorded mid-run (the install counters at epoch 3,
 /// `inline_refusals_not_hot` at 4, `inline_refusals_too_large` at 12), so a
 /// reader that walks names by id instead of by bytes, or a row read at the
@@ -133,7 +128,7 @@ fn metered_exports_match_the_parent_commit() {
             fold = (fold ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-    assert_eq!(fold, 0x2cdb_1779_b3d7_10b7, "the metered exports moved");
+    assert_eq!(fold, 0x5fb8_f680_3b6c_251e, "the metered exports moved");
 }
 
 /// The series' footprint, on the largest run the repo benchmark meters: the
