@@ -15,8 +15,8 @@ use std::sync::Arc;
 /// Deliberately high: a guarded inline of one target of a 50/50
 /// polymorphic site misses ~half its checks *by design* (the virtual
 /// fallback keeps it profitable), so only near-total miss rates — a phase
-/// shift defeating the speculation outright, or an adversarial receiver
-/// burst — count as thrash.
+/// shift defeating the speculation outright, or the guards an adversarial
+/// receiver burst forced to miss — count as thrash.
 pub(crate) const GUARD_MISS_THRESHOLD: f64 = 0.9;
 
 /// Guard checks an observation window needs before its miss rate is judged.
@@ -120,15 +120,15 @@ pub struct AosConfig {
     /// VM behaviour (source-level stack walking, OSR).
     pub vm: VmConfig,
     /// Whether guard-health monitoring (and thrash invalidation) runs even
-    /// without fault injection. An organic thrash also records the
-    /// invalidated version's guarded inlines as thrashed, and no later
-    /// compilation speculates on them again (DESIGN.md §6). Defaults to
+    /// without fault injection. A thrash also records the invalidated
+    /// version's guarded inlines as thrashed, and no later compilation
+    /// speculates on them again (DESIGN.md §6). Defaults to
     /// `false`: a guarded inline that misses falls back to virtual
     /// dispatch — degraded, never wrong — and the paper's AOS adapts to
     /// receiver shifts through decay and recompilation, not
     /// deoptimization, so unconditional monitoring would distort the
     /// reproduction sweeps. Fault injection ([`AosConfig::fault`]) enables
-    /// monitoring automatically, since an adversary that bursts guard
+    /// monitoring automatically, since an adversary that forces guard
     /// misses is exactly what invalidation is for. Trace sanitization and
     /// compile retry are always active; they cost nothing on clean runs.
     pub monitor_guard_health: bool,

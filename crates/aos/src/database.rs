@@ -55,7 +55,7 @@ struct MethodRecord {
 pub struct AosDatabase {
     /// Hot refusals: edges the compiler declined while they were hot.
     refused: IdHashSet<(CallSiteRef, MethodId)>,
-    /// Guarded inlines of versions invalidated for organic guard thrash,
+    /// Guarded inlines of versions invalidated for guard thrash,
     /// as `(site, callee)` at the site at the head of each decision's
     /// context: one set for the run, whatever the host (like a per-call-site
     /// trap history). Shared with the oracle of each compilation.
@@ -95,7 +95,7 @@ impl AosDatabase {
     /// Records the outcome of an optimizing compilation of `method`
     /// performed at the given AI-organizer generation and installed at the
     /// given simulated-clock cycle.
-    pub fn record_compilation(
+    pub(crate) fn record_compilation(
         &mut self,
         method: MethodId,
         compilation: &Compilation,
@@ -183,23 +183,23 @@ impl AosDatabase {
     /// Records that `method`'s optimized version was invalidated (guard
     /// thrash): its inline set is cleared and it is no longer *currently*
     /// optimized, so the hot-methods organizer may select it for a fresh
-    /// compilation; its cumulative compilation history is preserved. When
-    /// the thrash was `organic` — the version's own guards failed, not
-    /// injected misses — its guarded inlines join the thrashed set.
-    pub fn record_invalidation(&mut self, method: MethodId, organic: bool) {
+    /// compilation; its cumulative compilation history is preserved. Its
+    /// guarded inlines join the thrashed set.
+    pub(crate) fn record_invalidation(&mut self, method: MethodId) {
         let record = self.record_mut(method);
         record.inlined.clear();
         record.invalidated = true;
         let guarded = std::mem::take(&mut record.guarded);
-        if organic && !guarded.is_empty() {
+        if !guarded.is_empty() {
             Arc::make_mut(&mut self.thrashed).extend(guarded);
         }
     }
 
     /// The thrashed `(site, callee)` pairs: guarded inlines of versions
-    /// invalidated for organic guard thrash, which no later compilation
+    /// invalidated for guard thrash — whether the receivers shifted or a
+    /// receiver burst forced the misses — which no later compilation
     /// speculates on again.
-    pub fn thrashed(&self) -> &Arc<IdHashSet<(CallSiteRef, MethodId)>> {
+    pub(crate) fn thrashed(&self) -> &Arc<IdHashSet<(CallSiteRef, MethodId)>> {
         &self.thrashed
     }
 
@@ -215,7 +215,7 @@ impl AosDatabase {
 
     /// Marks that compiling `host` did not realise inlining `callee` at
     /// `site` even though a hot rule suggested it.
-    pub fn mark_unrealized(&mut self, host: MethodId, site: CallSiteRef, callee: MethodId) {
+    pub(crate) fn mark_unrealized(&mut self, host: MethodId, site: CallSiteRef, callee: MethodId) {
         self.unrealized.insert((host, site, callee));
     }
 
@@ -350,9 +350,8 @@ mod tests {
         );
         assert!(db.is_optimized(mid(0)));
         assert_eq!(db.guarded_methods().collect::<Vec<_>>(), [mid(0)]);
-        db.record_invalidation(mid(0), false);
+        db.record_invalidation(mid(0));
         assert!(!db.is_optimized(mid(0)), "invalidated ⇒ not currently optimized");
-        assert!(db.thrashed().is_empty(), "injected misses record no thrash");
         assert!(!db.has_inlined(mid(0), cs(0, 0), mid(1)), "inline set cleared");
         assert_eq!(db.recompiles(mid(0)), 1, "compile history survives");
         assert_eq!(db.guarded_methods().count(), 0);
@@ -365,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    fn an_organic_thrash_records_the_guarded_inlines_only() {
+    fn a_thrash_records_the_guarded_inlines_only() {
         let mut db = AosDatabase::new();
         let decision = |site, callee, guarded| InlineDecision {
             context: vec![site, cs(0, 9)],
@@ -378,10 +377,10 @@ mod tests {
             vec![],
         );
         db.record_compilation(mid(0), &c, 1, 100);
-        db.record_invalidation(mid(0), true);
+        db.record_invalidation(mid(0));
         assert_eq!(db.thrashed().iter().copied().collect::<Vec<_>>(), [(cs(2, 0), mid(1))]);
         // An invalidation without a fresh version adds nothing.
-        db.record_invalidation(mid(0), true);
+        db.record_invalidation(mid(0));
         assert_eq!(db.thrashed().len(), 1);
     }
 

@@ -15,10 +15,12 @@
 //!   call-site indices, or NaN / negative weights;
 //! * **sampler dropouts** — a timer sample is lost before the listeners
 //!   see it;
-//! * **receiver bursts** — an adversarial phase shift floods the inline
-//!   guards of a method whose optimized version holds a guarded inline with
-//!   miss-path receivers, forcing guard thrash. Code without a guard is
-//!   never a victim: it has no guard to flood.
+//! * **receiver bursts** — an adversarial phase shift forces the next
+//!   inline guards of a method whose optimized version holds a guarded
+//!   inline to miss: they run in the VM and take the virtual fallback, so
+//!   the application pays for them, and the guard-health monitor counts
+//!   them like any miss. Code without a guard is never a victim: it has no
+//!   guard to flood.
 //!
 //! Everything is deterministic for a given [`FaultConfig::seed`]: the same
 //! configuration over the same program produces the same fault schedule,
@@ -27,7 +29,8 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Synthetic guard misses delivered by one receiver burst.
+/// Guard misses one receiver burst forces: the victim's next this many
+/// executed guards miss.
 const RECEIVER_BURST_MISSES: u64 = 96;
 
 /// Probabilities and intensities of each injected fault class.
@@ -47,9 +50,9 @@ pub struct FaultConfig {
     pub trace_corruption_prob: f64,
     /// Probability that a timer sample is dropped before the listeners.
     pub sampler_dropout_prob: f64,
-    /// Probability (per sample) of an adversarial receiver burst of 96
-    /// synthetic guard misses against one method whose current optimized
-    /// version holds a guarded inline.
+    /// Probability (per sample) of an adversarial receiver burst: the next
+    /// 96 guards executed by one method whose current optimized version
+    /// holds a guarded inline are forced to miss.
     pub receiver_burst_prob: f64,
 }
 
@@ -83,7 +86,7 @@ impl FaultConfig {
 
 /// How an injected compilation failure presents.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CompileFault {
+pub(crate) enum CompileFault {
     /// The compilation aborted partway; only its fixed overhead was spent.
     Bailout,
     /// The compilation completed (full cost) but the generated code was
@@ -93,7 +96,7 @@ pub enum CompileFault {
 
 /// How an injected trace corruption presents.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TraceCorruption {
+pub(crate) enum TraceCorruption {
     /// The callee method index is replaced with a non-existent one.
     UnknownCallee,
     /// A context call-site index is replaced with an out-of-range one.
@@ -108,20 +111,20 @@ pub enum TraceCorruption {
 /// point, so the fault schedule is a pure function of the seed and the
 /// sequence of queries (which is deterministic for a deterministic system).
 #[derive(Clone, Debug)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     config: FaultConfig,
     rng: SmallRng,
 }
 
 impl FaultInjector {
     /// Creates an injector from `config`, seeding its private RNG.
-    pub fn new(config: FaultConfig) -> Self {
+    pub(crate) fn new(config: FaultConfig) -> Self {
         let rng = SmallRng::seed_from_u64(config.seed);
         FaultInjector { config, rng }
     }
 
     /// Consulted once per optimizing compilation: should it fail, and how?
-    pub fn compile_fault(&mut self) -> Option<CompileFault> {
+    pub(crate) fn compile_fault(&mut self) -> Option<CompileFault> {
         if self.roll(self.config.compile_bailout_prob) {
             return Some(CompileFault::Bailout);
         }
@@ -132,12 +135,12 @@ impl FaultInjector {
     }
 
     /// Consulted once per timer sample: is this sample lost?
-    pub fn drop_sample(&mut self) -> bool {
+    pub(crate) fn drop_sample(&mut self) -> bool {
         self.roll(self.config.sampler_dropout_prob)
     }
 
     /// Consulted once per drained profile trace: corrupt it, and how?
-    pub fn corrupt_trace(&mut self) -> Option<TraceCorruption> {
+    pub(crate) fn corrupt_trace(&mut self) -> Option<TraceCorruption> {
         if !self.roll(self.config.trace_corruption_prob) {
             return None;
         }
@@ -150,10 +153,10 @@ impl FaultInjector {
     }
 
     /// Consulted once per timer sample: deliver a receiver burst? Returns
-    /// the number of synthetic guard misses and a selector value used to
+    /// the number of guard misses to force and a selector value used to
     /// pick the victim among the methods whose current optimized version
     /// holds a guarded inline.
-    pub fn receiver_burst(&mut self) -> Option<(u64, u64)> {
+    pub(crate) fn receiver_burst(&mut self) -> Option<(u64, u64)> {
         // Unlike the other classes, bursts skip their draw while off, as
         // they always have: profiles without bursts keep their schedules.
         if self.config.receiver_burst_prob == 0.0 || !self.roll(self.config.receiver_burst_prob) {

@@ -29,7 +29,7 @@
 //! Figure 6 overhead breakdown in the final [`AosReport`].
 //!
 //! A **recovery layer** hardens the loop against a hostile environment
-//! (see [`FaultInjector`] for the adversary and [`RecoveryEvents`] for the
+//! (see [`FaultConfig`] for the adversary and [`RecoveryEvents`] for the
 //! ledger): guard-thrashing optimized code is invalidated back to baseline
 //! and recompiled at once, failed compilations retry under capped
 //! exponential backoff (and are quarantined after repeated failures), and
@@ -78,7 +78,7 @@ mod system;
 
 pub use config::{AosConfig, ServerSnapshot, SERVER_HIT_COST};
 pub use database::{AosDatabase, CompilationRecord};
-pub use fault::{CompileFault, FaultConfig, FaultInjector, TraceCorruption};
+pub use fault::FaultConfig;
 pub use aoci_telemetry::MetricsLog;
 pub use aoci_trace::{TraceConfig, TraceEvent, TraceLog};
 pub use report::{AosReport, AsyncCompileEvents, OsrEvents, RecoveryEvents, ServerEvents};

@@ -91,9 +91,6 @@ struct MethodState {
     /// Guard counters at the start of the current observation window
     /// (reset at install and at invalidation).
     guard_window_start: MethodGuardStats,
-    /// Synthetic guard misses delivered by receiver bursts, folded into the
-    /// window on top of the VM's organic counters.
-    synthetic_misses: u64,
     /// Consecutive failed compilations (cleared on success).
     compile_failures: u32,
     /// The cycle at which a failed compilation is retried. Set by a

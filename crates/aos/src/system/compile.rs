@@ -370,7 +370,6 @@ impl AosSystem<'_> {
         state.compile_failures = 0;
         state.retry_at = None;
         state.guard_window_start = guard_stats;
-        state.synthetic_misses = 0;
         // Any rule this compilation was expected to realise but did not
         // is marked unrealized: re-requesting the same compilation under
         // the same rules cannot succeed.

@@ -45,11 +45,15 @@ impl AosSystem<'_> {
         }
     }
 
-    /// Delivers an injected receiver burst: synthetic guard misses against
-    /// one deterministically-selected method whose current optimized
-    /// version holds a guarded inline — code without a guard has none to
-    /// flood. The burst is an injected fault as soon as it fires, victim or
-    /// not.
+    /// Delivers an injected receiver burst: forces the next guards of one
+    /// deterministically-selected method whose current optimized version
+    /// holds a guarded inline to miss ([`Vm::force_guard_misses`]) — code
+    /// without a guard has none to flood. A forced miss takes the virtual
+    /// fallback, so the application pays for it, and the monitor counts it
+    /// like any other miss once the guard has run. The burst is an injected
+    /// fault as soon as it fires, victim or not.
+    ///
+    /// [`Vm::force_guard_misses`]: aoci_vm::Vm::force_guard_misses
     pub(super) fn deliver_receiver_burst(&mut self) {
         let Some((misses, selector)) = self.fault.as_mut().and_then(|f| f.receiver_burst())
         else {
@@ -62,7 +66,7 @@ impl AosSystem<'_> {
             return; // no guarded code installed yet: no target
         }
         let victim = victims[(selector % victims.len() as u64) as usize];
-        self.methods[victim.index()].synthetic_misses += misses;
+        self.vm.force_guard_misses(victim, misses);
     }
 
     /// Scans the guard-observation window of every method whose current
@@ -73,7 +77,9 @@ impl AosSystem<'_> {
     /// version without a guarded inline is never judged: it runs no guard,
     /// so it cannot thrash one. The window reads the method's guard
     /// counters, not the version's, so a stale activation's misses still
-    /// count against a next version that keeps a guarded inline.
+    /// count against a next version that keeps a guarded inline. A miss a
+    /// burst forced is a miss: only guards that ran are judged, so a method
+    /// whose guards run fewer than the window's checks is never judged.
     ///
     /// Windows *roll*: once a window accumulates enough checks it is judged
     /// and then reset, so a phase shift is detected from the post-shift
@@ -89,21 +95,13 @@ impl AosSystem<'_> {
             }
             let stats = self.vm.guard_stats(m);
             let state = &mut self.methods[m.index()];
-            let base = state.guard_window_start;
-            let synth = state.synthetic_misses;
-            let organic_checks = stats.checks.saturating_sub(base.checks);
-            let organic_misses = stats.misses.saturating_sub(base.misses);
-            let checks = organic_checks + synth;
+            let checks = stats.checks - state.guard_window_start.checks;
             if checks < GUARD_MISS_MIN_CHECKS {
                 continue;
             }
-            let misses = organic_misses + synth;
+            let misses = stats.misses - state.guard_window_start.misses;
             if misses as f64 / checks as f64 > GUARD_MISS_THRESHOLD {
-                // Organic: the window's own counters thrash, without the
-                // injected misses.
-                let organic = organic_checks >= GUARD_MISS_MIN_CHECKS
-                    && organic_misses as f64 / organic_checks as f64 > GUARD_MISS_THRESHOLD;
-                self.invalidate_method(m, organic);
+                self.invalidate_method(m);
             } else {
                 // Healthy window: start the next one. The recompiled code
                 // holds up under the current receiver distribution, so the
@@ -111,30 +109,28 @@ impl AosSystem<'_> {
                 // shift starts counting from zero rather than compounding
                 // toward quarantine.
                 state.guard_window_start = stats;
-                state.synthetic_misses = 0;
                 state.invalidation_streak = 0;
             }
         }
     }
 
-    /// Invalidates `method`'s optimized version (guard thrash): the registry
-    /// slot is cleared, the database drops its currently-optimized status,
-    /// and *consecutive* invalidations — without a healthy guard window in
-    /// between — quarantine it. An `organic` thrash (the version's own
-    /// guards, not injected misses) adds the version's guarded inlines to
-    /// the database's thrashed set, so the recompile planned here and every
-    /// later compilation leave those speculations out.
-    fn invalidate_method(&mut self, method: MethodId, organic: bool) {
-        if !self.vm.registry_mut().invalidate(method) {
+    /// Invalidates `method`'s optimized version (guard thrash): the VM drops
+    /// the version and any forced misses aimed at it, the database drops its
+    /// currently-optimized status and adds the version's guarded inlines to
+    /// the thrashed set — so the recompile planned here and every later
+    /// compilation leave those speculations out — and *consecutive*
+    /// invalidations, without a healthy guard window in between, quarantine
+    /// it.
+    fn invalidate_method(&mut self, method: MethodId) {
+        if !self.vm.invalidate(method) {
             return; // registry and database out of sync; nothing installed
         }
-        self.db.record_invalidation(method, organic);
+        self.db.record_invalidation(method);
         self.charge(Component::Recovery, RECOVERY_COST_PER_EVENT);
         self.emit(TraceEvent::Invalidate { method });
         let guard_stats = self.vm.guard_stats(method);
         let state = &mut self.methods[method.index()];
         state.guard_window_start = guard_stats;
-        state.synthetic_misses = 0;
         state.invalidation_streak += 1;
         if state.invalidation_streak >= QUARANTINE_AFTER_FAILURES {
             self.quarantine(method);

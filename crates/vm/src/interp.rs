@@ -90,14 +90,24 @@ pub enum RunOutcome {
 
 /// Per-method guard counters, attributed to the *compiled host method*
 /// executing the guard (inlined callees' guards count against the method
-/// whose optimized body contains them). The adaptive system reads these to
-/// detect guard-thrashing code versions worth invalidating.
+/// whose optimized body contains them). A miss forced by
+/// [`Vm::force_guard_misses`] is a miss like any other. The adaptive system
+/// reads these to detect guard-thrashing code versions worth invalidating.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MethodGuardStats {
     /// Inline guards executed in this method's code.
     pub checks: u64,
     /// Of which failed into the fallback path.
     pub misses: u64,
+}
+
+/// What every executed guard of one method's code updates: its counters
+/// and, beside them, the guards still forced to miss.
+#[derive(Clone, Copy, Debug, Default)]
+struct GuardEntry {
+    stats: MethodGuardStats,
+    /// Forced misses left (see [`Vm::force_guard_misses`]).
+    forced: u64,
 }
 
 /// Dynamic execution counters, useful for analysing inlining effectiveness
@@ -242,7 +252,7 @@ struct Exec<'p> {
     heap: Heap,
     globals: Vec<Value>,
     counters: ExecCounters,
-    guard_stats: Vec<MethodGuardStats>,
+    guards: Vec<GuardEntry>,
     /// Taken back-edge counts of *baseline* activations: per method, a
     /// short list of (loop-header pc, count); a count resets when the
     /// OSR-in threshold fires.
@@ -301,7 +311,7 @@ impl<'p> Vm<'p> {
                 heap: Heap::new(),
                 globals: vec![Value::Int(0); program.num_globals()],
                 counters: ExecCounters::default(),
-                guard_stats: vec![MethodGuardStats::default(); program.num_methods()],
+                guards: vec![GuardEntry::default(); program.num_methods()],
                 backedge_counts: vec![Vec::new(); program.num_methods()],
                 pending_osr: None,
                 osr_suppressed: vec![false; program.num_methods()],
@@ -328,7 +338,29 @@ impl<'p> Vm<'p> {
     /// Cumulative guard counters of `method`'s compiled code (see
     /// [`MethodGuardStats`]).
     pub fn guard_stats(&self, method: MethodId) -> MethodGuardStats {
-        self.exec.guard_stats[method.index()]
+        self.exec.guards[method.index()].stats
+    }
+
+    /// Forces the next `n` inline guards executed in `method`'s code to
+    /// miss, whatever their receiver: each takes its virtual-dispatch
+    /// fallback, which dispatches on the real receiver, so the result is
+    /// unchanged and only the cost moves. Adds to any budget left; the
+    /// budget outlives an install, and [`Vm::invalidate`] drops it.
+    pub fn force_guard_misses(&mut self, method: MethodId, n: u64) {
+        let forced = &mut self.exec.guards[method.index()].forced;
+        *forced = forced.saturating_add(n);
+    }
+
+    /// Invalidates `method`'s optimized version (see
+    /// [`CodeRegistry::invalidate`]) and drops its forced misses: the code
+    /// they were aimed at is gone. Returns `false`, changing nothing, when
+    /// no optimized version is installed.
+    pub fn invalidate(&mut self, method: MethodId) -> bool {
+        let gone = self.registry.invalidate(method);
+        if gone {
+            self.exec.guards[method.index()].forced = 0;
+        }
+        gone
     }
 
     /// Returns the program being executed.
@@ -605,15 +637,20 @@ impl Exec<'_> {
     }
 
     /// Books one executed inline guard — global and per-method counters and
-    /// the miss event — and hands `pass` back.
+    /// the miss event — and hands back whether it passes: `pass`, unless
+    /// the method has a forced miss left, which this guard spends.
     #[inline(always)]
-    fn note_guard(&mut self, a: &Act<'_>, pass: bool) -> bool {
+    fn note_guard(&mut self, a: &Act<'_>, mut pass: bool) -> bool {
         self.counters.guard_checks += 1;
-        let stats = &mut self.guard_stats[a.method.index()];
-        stats.checks += 1;
+        let entry = &mut self.guards[a.method.index()];
+        entry.stats.checks += 1;
+        if entry.forced > 0 {
+            entry.forced -= 1;
+            pass = false;
+        }
         if !pass {
             self.counters.guard_misses += 1;
-            stats.misses += 1;
+            entry.stats.misses += 1;
             if let Some(t) = &self.trace {
                 let event = TraceEvent::GuardMiss { method: a.method, pc: a.pc as u32 };
                 t.emit(a.now, event);

@@ -872,10 +872,10 @@ fn naive_walk_hides_inlined_frames() {
     assert!(samples > 0);
 }
 
-#[test]
-fn guard_class_dispatches_inline_vs_fallback() {
-    // Optimized body of `call(o)`: guard o is A → inlined const 1;
-    // else virtual call (fallback).
+/// `main` returns `call(A) + 10 * call(B)`, where `A.val` is 1 and `B.val`
+/// 2, so 21; with it, a guarded-inline version of `call`: guard the
+/// receiver is an `A` → inlined const 1, else virtual call (fallback).
+fn guarded_call_fixture() -> (aoci_ir::Program, MethodVersion) {
     let mut b = ProgramBuilder::new();
     let sel = b.selector("val", 0);
     let a = b.class("A", None);
@@ -960,7 +960,12 @@ fn guard_class_dispatches_inline_vs_fallback() {
         version_id: crate::VersionId::default(),
         osr_map: crate::OsrMap::empty(),
     };
+    (p, version)
+}
 
+#[test]
+fn guard_class_dispatches_inline_vs_fallback() {
+    let (p, version) = guarded_call_fixture();
     let cost = CostModel { sample_period: 0, ..CostModel::default() };
     let mut vm = Vm::new(&p, cost);
     vm.registry_mut().install(version);
@@ -968,6 +973,42 @@ fn guard_class_dispatches_inline_vs_fallback() {
     // A-receiver takes the inlined path (1); B-receiver fails the guard and
     // falls back to virtual dispatch (2): result 1 + 2*10 = 21.
     assert_eq!(v.and_then(Value::as_int), Some(21));
+}
+
+#[test]
+fn forced_misses_fail_the_next_guards_and_are_booked_as_misses() {
+    let (p, version) = guarded_call_fixture();
+    let call = version.method;
+    let cost = CostModel { sample_period: 0, ..CostModel::default() };
+    let reference = Vm::new(&p, cost.clone()).run_to_completion().expect("ok");
+    assert_eq!(reference.and_then(Value::as_int), Some(21));
+    // The run executes two guards: the `A` one passes on its own, the `B`
+    // one misses on its own. A budget of `n` fails the first `n` of them.
+    for (n, misses) in [(0, 1), (1, 2), (2, 2), (5, 2)] {
+        let mut vm = Vm::new(&p, cost.clone());
+        let sink = TraceSink::new(aoci_trace::TraceConfig::default());
+        vm.set_trace_sink(sink.clone());
+        vm.registry_mut().install(version.clone());
+        vm.force_guard_misses(call, n);
+        assert_eq!(vm.run_to_completion().expect("ok"), reference, "n={n}");
+        let c = vm.counters();
+        assert_eq!((c.guard_checks, c.guard_misses), (2, misses), "n={n}");
+        assert_eq!(c.virtual_dispatches, misses, "n={n}: every miss dispatches");
+        assert_eq!(vm.guard_stats(call), MethodGuardStats { checks: 2, misses }, "n={n}");
+        let events = sink.log().events;
+        let logged = events.iter().filter(|r| matches!(r.event, TraceEvent::GuardMiss { .. }));
+        assert_eq!(logged.count() as u64, misses, "n={n}: one event per miss");
+    }
+    // An invalidation drops what is left: a version installed after it
+    // runs its guards on their receivers.
+    let mut vm = Vm::new(&p, cost);
+    vm.registry_mut().install(version.clone());
+    vm.force_guard_misses(call, 5);
+    assert!(vm.invalidate(call));
+    assert!(!vm.invalidate(call), "nothing optimized left to invalidate");
+    vm.registry_mut().install(version);
+    assert_eq!(vm.run_to_completion().expect("ok"), reference);
+    assert_eq!(vm.guard_stats(call), MethodGuardStats { checks: 2, misses: 1 });
 }
 
 #[test]
